@@ -30,6 +30,7 @@ __all__ = [
     "ring_bounds",
     "ring_slice",
     "ring_slices",
+    "segment_keys",
 ]
 
 #: absolute slack for floating-point-safe pruning comparisons
@@ -61,20 +62,24 @@ def hyperplane_distance(
 def hyperplane_distances(
     dist_q_pi: np.ndarray,
     dist_q_pj: np.ndarray,
-    dist_pi_pj: float,
+    dist_pi_pj: "float | np.ndarray",
     euclidean: bool = True,
 ) -> np.ndarray:
-    """Vectorized :func:`hyperplane_distance` for many queries of one cell.
+    """Vectorized :func:`hyperplane_distance` for many queries.
 
     ``dist_q_pi``/``dist_q_pj`` are aligned per-query arrays; ``dist_pi_pj``
-    is the shared pivot-pair distance.  Elementwise IEEE operations match the
-    scalar version exactly, so batched pruning decisions are bit-identical.
+    is the pivot-pair distance — one shared scalar, or one value per query
+    when the queries come from different cells.  Elementwise IEEE operations
+    match the scalar version exactly, so batched pruning decisions are
+    bit-identical.
     """
     if not euclidean:
         return np.maximum(0.0, (dist_q_pj - dist_q_pi) / 2.0)
-    if dist_pi_pj <= 0.0:
-        return np.zeros_like(dist_q_pi)
-    return (dist_q_pj * dist_q_pj - dist_q_pi * dist_q_pi) / (2.0 * dist_pi_pj)
+    coincident = np.asarray(dist_pi_pj) <= 0.0
+    # a coincident pair divides by a placeholder and then reports gap 0
+    denominator = 2.0 * np.where(coincident, 1.0, dist_pi_pj)
+    gaps = (dist_q_pj * dist_q_pj - dist_q_pi * dist_q_pi) / denominator
+    return np.where(coincident, 0.0, gaps)
 
 
 def partition_pruned_by_hyperplane(
@@ -125,24 +130,50 @@ def ring_slice(
 
 def ring_slices(
     sorted_pivot_dists: np.ndarray,
-    lower: float,
-    upper: float,
+    lower: "float | np.ndarray",
+    upper: "float | np.ndarray",
     dist_q_pj: np.ndarray,
     theta: np.ndarray,
+    segment: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`ring_slice` for many queries against one cell.
+    """Vectorized :func:`ring_slice` for many queries.
 
     ``dist_q_pj`` and ``theta`` are aligned per-query arrays; returns
     ``(starts, stops)`` index arrays.  ``theta = +inf`` degenerates to the
     full slice (the ring covers the cell's whole occupied band), matching the
     per-record path's explicit full-scan branch.
+
+    With ``segment`` the queries go against *different* cells of one
+    concatenated array: ``sorted_pivot_dists`` is then its
+    :func:`segment_keys`, ``lower``/``upper`` are per query, ``segment[i]``
+    names the cell query ``i`` searches, and the slices come back in the
+    concatenated array's coordinates.  The search compares (cell, distance)
+    lexicographically — no arithmetic touches the distances, so each slice is
+    exactly the per-cell one shifted by the cell's offset.
     """
     lo = np.maximum(lower, dist_q_pj - theta) - PRUNE_EPS
     hi = np.minimum(upper, dist_q_pj + theta) + PRUNE_EPS
+    empty = lo > hi
+    if segment is not None:
+        lo, hi = segment_keys(segment, lo), segment_keys(segment, hi)
     starts = np.searchsorted(sorted_pivot_dists, lo, side="left")
     stops = np.searchsorted(sorted_pivot_dists, hi, side="right")
-    empty = lo > hi
     if empty.any():
         starts[empty] = 0
         stops[empty] = 0
     return starts, stops
+
+
+def segment_keys(segment: np.ndarray, pivot_dists: np.ndarray) -> np.ndarray:
+    """``(segment, pivot distance)`` pairs as complex numbers.
+
+    numpy orders complex values lexicographically (real part, then
+    imaginary), so a concatenation of per-cell sorted distance arrays keyed
+    this way is globally sorted and one ``searchsorted`` serves every cell.
+    The parts are stored, never computed with: segment numbers are small
+    integers and the distances keep their exact bits.
+    """
+    keys = np.empty(pivot_dists.shape[0], dtype=np.complex128)
+    keys.real = segment
+    keys.imag = pivot_dists
+    return keys

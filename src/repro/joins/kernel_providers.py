@@ -163,7 +163,7 @@ class KernelProvider:
         theta: np.ndarray,
         scratch: ScratchPool | None = None,
     ) -> None:
-        """One S-partition's admitted ring slices folded into the k-best."""
+        """One scan step: admitted ring slices of ``s_block`` folded into the k-best."""
         scan_partition_numpy(
             metric, k, r_points, s_block, rows, starts, lengths,
             best_dists, best_ids, theta, scratch,
@@ -306,7 +306,10 @@ class NumbaKernelProvider(KernelProvider):
 
 
 #: auto-provider thresholds: below these, compiled call overhead (boxing,
-#: signature dispatch) beats the numpy kernel's fixed vectorization cost
+#: signature dispatch) beats the numpy kernel's fixed vectorization cost.
+#: The wavefront kernel hands the scan one batch per step over all rows of a
+#: reducer: about half of a PGBJ join's scanned pairs arrive in batches above
+#: AUTO_SCAN_PAIRS, most scans (the late, heavily pruned steps) far below it.
 AUTO_SCAN_PAIRS = 4096
 AUTO_BATCH_ROWS = 2048
 AUTO_MORTON_BITS = 1 << 16
@@ -326,22 +329,23 @@ class AutoKernelProvider(KernelProvider):
 
     def __init__(self) -> None:
         self._numba = NumbaKernelProvider()
+        # numba cannot appear mid-process: resolved here, not per scan
+        self._native = self._numba.available()
 
     def available(self) -> bool:
         return True
 
     def describe(self) -> str:
-        if self._numba.available():
+        if self._native:
             return "shape-based choice: numpy for small batches, numba for large"
         return f"numba not installed — all calls stay on numpy ({NUMBA_HINT})"
 
     def _go_compiled(self, metric_name: str, size: int, threshold: int) -> bool:
-        if metric_name not in _nk.SCAN_KERNELS or size < threshold:
+        if size < threshold or metric_name not in _nk.SCAN_KERNELS:
             return False
-        if not _nk.NUMBA_AVAILABLE:
+        if not self._native:
             _record_fallback(self.name, warn=False)
-            return False
-        return True
+        return self._native
 
     def scan_partition(
         self, metric, k, r_points, s_block, rows, starts, lengths,
@@ -381,7 +385,7 @@ class AutoKernelProvider(KernelProvider):
         dims = transform.lo.shape[0]
         cost = np.atleast_2d(points).shape[0] * transform.bits * dims
         if transform.bits * dims <= 64 and cost >= AUTO_MORTON_BITS:
-            if _nk.NUMBA_AVAILABLE:
+            if self._native:
                 return self._numba.morton_codes(transform, points)
             _record_fallback(self.name, warn=False)
         return transform.z_values(points)

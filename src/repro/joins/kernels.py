@@ -15,18 +15,26 @@ The same kernel serves PGBJ (bounds from the global summary tables) and PBJ
 (bounds recomputed locally over the reducer's random block of S, which is why
 PBJ's bounds are looser — the paper's stated reason PBJ trails PGBJ).
 
-Vectorization layout: the scan order over S-partitions depends only on the
-*R-partition* (line 14 sorts by ``|p_i, p_jl|``), so the kernel walks
-S-partitions in that shared order and evaluates everything for **all rows of
-the R-partition block at once** — one hyperplane mask, one batched
-``searchsorted`` for the Theorem 2 rings, then one gathered distance pass
-over the flat ``(row, ring-member)`` pair list and a padded-matrix k-best
-merge — while the per-row ``theta`` values evolve exactly as in the
-per-record scan.  Only the pairs the pruning rules admit are ever gathered,
-so ``metric.pairs_computed`` (the paper's selectivity numerator) is
-unchanged pair for pair.  The seed per-record kernel survives as
-:func:`knn_join_kernel_reference`, the oracle for the equivalence tests and
-the ``bench_columnar`` micro benchmark.
+Vectorization layout — a lock-step wavefront over the whole reducer.  The
+scan order over S-partitions depends only on the *R-partition* (line 14
+sorts by ``|p_i, p_jl|``), so all scan orders are one stable argsort of the
+``(R-cells, present S-cells)`` pivot-distance sub-matrix.  The reducer's R
+blocks are concatenated (sorted cell order) and so are its S blocks (each
+still pivot-distance sorted); at step ``t`` every row visits the ``t``-th
+S-partition of *its own* cell's order: one hyperplane mask with per-row
+pivot distances, one segmented ``searchsorted`` for the Theorem 2 rings
+(per-row ``L``/``U``, compared as ``(cell, distance)`` pairs), then one scan
+— a gathered distance pass over the flat ``(row, ring-member)`` pair list and
+a padded-matrix k-best merge.  A row meets the same S-partitions in the same
+order with the same evolving ``theta`` as in the per-record scan, and only
+the pairs the pruning rules admit are ever gathered, so results and
+``metric.pairs_computed`` (the paper's selectivity numerator) are unchanged
+pair for pair; numpy call overhead is paid per *step*, not per
+(R-cell, S-cell).  Memory stays bounded by two byte budgets: a scan gathers
+at most ``_GATHER_BYTES`` of pairs per batch, and R is tiled by whole cells
+so the r-to-pivot matrix stays under ``_TILE_BYTES``.  The seed per-record
+kernel survives as :func:`knn_join_kernel_reference`, the oracle for the
+equivalence tests and the ``bench_columnar`` micro benchmark.
 
 Inputs arrive either as per-object :class:`~repro.mapreduce.types.ObjectRecord`
 values or as columnar :class:`~repro.mapreduce.types.RecordBlock` batches;
@@ -36,6 +44,7 @@ and groups it per Voronoi cell with array ops only.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -48,6 +57,7 @@ from repro.core.geometry import (
     partition_pruned_by_hyperplane,
     ring_slice,
     ring_slices,
+    segment_keys,
 )
 from repro.core.knn import ReferenceKBestList
 from repro.mapreduce.types import ObjectRecord, RecordBlock, group_rows_by
@@ -195,46 +205,48 @@ def local_theta(
 #: sentinel id for unfilled k-best slots — sorts after every real id
 _ID_SENTINEL = np.iinfo(np.int64).max
 
-#: gathered pairs per batch — bounds the flat scan's peak memory
-_PAIR_CHUNK = 1 << 19
+#: bytes of one scan's two ``(pairs, d)`` gather buffers — caps the gathered
+#: pairs per batch, and with them the scan's peak memory, at every dimension
+_GATHER_BYTES = 1 << 20
+
+#: bytes of one R tile's ``|r, p_j|`` matrix (rows x present pivots)
+_TILE_BYTES = 1 << 22
 
 
 class ScratchPool:
-    """Reusable work arrays for the kernel scans, keyed by shape bucket.
+    """The work arrays of one gathered scan, reused from scan to scan.
 
-    A reducer performs thousands of gathered scans per job, each needing the
-    same few work arrays (two ``(pairs, d)`` gather buffers, the k-best merge
-    matrices); allocating them per scan dominates small-batch overhead.  The
-    pool hands out views over buffers whose leading dimension is rounded up
-    to a power of two, so scans of similar size share storage instead of
-    churning the allocator.
+    A scan takes the same few arrays in the same order every time (two
+    ``(pairs, d)`` gather buffers, then the k-best merge matrices), so the
+    pool is one byte buffer per *position*: the i-th :meth:`take` since the
+    last :meth:`reset` is served from the i-th buffer, which is replaced only
+    when a request outgrows it.  The gather cap bounds every request, so a
+    worker retains a handful of buffers of bounded size however many scans
+    it runs.
 
-    Buffers taken since the last :meth:`reset` stay checked out (a scan may
-    hold several live at once); ``reset()`` returns them all to the free
-    lists.  Callers must treat a buffer as dead once the scan that took it
-    completes — the contract ``_scan_segments`` already satisfies by never
-    holding state across calls.
+    Callers must treat a buffer as dead once the scan that took it
+    completes — the contract ``_scan_segments`` satisfies by never holding
+    state across calls.
     """
 
     def __init__(self) -> None:
-        self._free: dict[tuple, list[np.ndarray]] = {}
-        self._taken: list[tuple[tuple, np.ndarray]] = []
+        self._slots: list[np.ndarray] = []
+        self._next = 0
 
     def reset(self) -> None:
-        """Return every outstanding buffer to its free list."""
-        for key, buf in self._taken:
-            self._free.setdefault(key, []).append(buf)
-        self._taken.clear()
+        """Start a new scan: the next :meth:`take` reuses the first buffer."""
+        self._next = 0
 
     def take(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """A writable ``shape`` view over a pooled buffer (contents stale)."""
-        rows = int(shape[0])
-        bucket = max(64, 1 << max(0, rows - 1).bit_length())
-        key = (np.dtype(dtype), tuple(int(n) for n in shape[1:]), bucket)
-        stack = self._free.get(key)
-        buf = stack.pop() if stack else np.empty((bucket, *key[1]), dtype=key[0])
-        self._taken.append((key, buf))
-        return buf[:rows]
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if self._next == len(self._slots) or self._slots[self._next].nbytes < nbytes:
+            # appends a new position, or replaces one the request outgrew
+            self._slots[self._next : self._next + 1] = [np.empty(nbytes, dtype=np.uint8)]
+        view = self._slots[self._next][:nbytes].view(dtype).reshape(shape)
+        self._next += 1
+        return view
 
 
 def _chunk_bounds(lengths: np.ndarray, cap: int) -> Iterator[tuple[int, int]]:
@@ -268,7 +280,7 @@ def _scan_segments(
     theta: np.ndarray,
     scratch: ScratchPool | None = None,
 ) -> None:
-    """One gathered scan: ring slices of one S-partition for many R rows.
+    """One gathered scan: one ring slice of ``s_block`` per R row in ``rows``.
 
     Builds the flat ``(row, s-index)`` pair list covering exactly the ring
     members each row admits, computes all distances in one counted call, then
@@ -365,10 +377,11 @@ def scan_partition_numpy(
     theta: np.ndarray,
     scratch: ScratchPool | None = None,
 ) -> None:
-    """The numpy per-partition scan: strip-mined gathered batches.
+    """The numpy scan: strip-mined gathered batches.
 
-    This is the pluggable unit of :func:`knn_join_kernel` — one S-partition's
-    admitted ring slices for all surviving R rows, folded into the running
+    This is the pluggable unit of :func:`knn_join_kernel` — one wavefront
+    step's admitted ring slices (``[start, start + length)`` of ``s_block``,
+    one per surviving R row, each row at most once), folded into the running
     k-best state.  Kernel providers substitute compiled equivalents; every
     implementation must fold exactly the ``sum(lengths)`` admitted pairs
     (counted through the metric) and leave bit-identical
@@ -381,7 +394,9 @@ def scan_partition_numpy(
     # computed — results and pair counts are unchanged.
     strip = max(128, 16 * k)
     longest = int(lengths.max())
-    if longest <= strip and int(lengths.sum()) <= _PAIR_CHUNK:
+    # two float64 gather buffers of (pairs, d) must fit the byte budget
+    cap = max(1, _GATHER_BYTES // (16 * r_points.shape[1]))
+    if longest <= strip and int(lengths.sum()) <= cap:
         # dense-pivot common case: one batch, no strip bookkeeping
         _scan_segments(
             metric, k, r_points, s_block, rows, starts, lengths,
@@ -394,7 +409,7 @@ def scan_partition_numpy(
         strip_rows = rows[in_strip]
         strip_starts = starts[in_strip] + offset
         strip_lengths = np.minimum(lengths[in_strip] - offset, strip)
-        for lo, hi in _chunk_bounds(strip_lengths, _PAIR_CHUNK):
+        for lo, hi in _chunk_bounds(strip_lengths, cap):
             _scan_segments(
                 metric,
                 k,
@@ -430,8 +445,9 @@ def knn_join_kernel(
     Bit-identical to :func:`knn_join_kernel_reference` (same neighbor lists,
     same ``metric.pairs_computed``): every per-row pruning decision and ring
     slice is the same, every admitted pair's distance is computed with the
-    same IEEE operations — only evaluated batched, one S-partition at a time
-    across all rows of the R-partition block.
+    same IEEE operations — only evaluated batched, one scan step at a time
+    across all rows of the reducer (see the module docstring).  Rows come
+    out in sorted R-cell order, then block row order.
 
     Parameters
     ----------
@@ -446,7 +462,7 @@ def knn_join_kernel(
     use_hyperplane_pruning, use_ring_pruning:
         Ablation switches (both on reproduces the paper).
     scan:
-        The per-partition scan implementation (defaults to
+        The scan implementation (defaults to
         :func:`scan_partition_numpy`); kernel providers pass their own.
         Every implementation folds the same admitted pairs with the same
         IEEE operations, so the choice never changes results or counts.
@@ -461,81 +477,85 @@ def knn_join_kernel(
     if scratch is None:
         scratch = ScratchPool()
     present = sorted(s_blocks)
-    present_arr = np.asarray(present, dtype=np.int64)
+    cells = sorted(r_blocks)
+    num_present = len(present)
     present_points = pivot_points[present]
     # Equation 3 is exact only in Euclidean space; other metrics fall back to
-    # the generic GH bound inside hyperplane_distance
+    # the generic GH bound inside hyperplane_distances
     euclidean = metric.name == "l2"
 
-    for pid_r in sorted(r_blocks):
-        r_block = r_blocks[pid_r]
-        num_rows = r_block.ids.shape[0]
-        pdm_row = pivot_dist_matrix[pid_r]
-        own_dists = r_block.pivot_dists
-        num_present = len(present)
-        if num_present == 1:
-            # low-pivot fast path: a single candidate cell needs no scan
-            # order, and (when it is the row's own cell) the hyperplane
-            # masks below are skipped wholesale rather than run degenerate
-            order = np.zeros(1, dtype=np.intp)
-        else:
-            # line 14: scan S-partitions in ascending |p_i, p_jl| order
-            # (stable, so equidistant cells keep the scan order of sorted())
-            order = np.argsort(pdm_row[present_arr], kind="stable")
-        # |r, p_j| for every r of the cell and every present S pivot — these
-        # are object-pivot pairs and count toward selectivity (Equation 13).
-        # With fewer pivots than rows the matrix is filled pivot-by-pivot
-        # (one vectorized one-to-many per *pivot* instead of per row): every
-        # metric kernel is elementwise symmetric in the difference, so the
-        # transposed pass produces bit-identical floats, and the per-call
-        # accounting sums to the same ``num_rows * num_present`` pairs.
-        if num_present < num_rows:
-            dr_to_pivots = np.empty((num_rows, num_present), dtype=np.float64)
-            for j in range(num_present):
-                dr_to_pivots[:, j] = metric.distances(present_points[j], r_block.points)
-        else:
-            dr_to_pivots = metric.cross_distances(r_block.points, present_points)
+    # every present S-partition back to back, each still pivot-distance
+    # sorted, so a ring slice is a [start, stop) range of one array
+    s_sizes = np.array([len(s_blocks[pid]) for pid in present], dtype=np.intp)
+    s_offsets = np.concatenate(([0], np.cumsum(s_sizes)))
+    s_all = SPartitionBlock(
+        partition_id=-1,
+        ids=np.concatenate([s_blocks[pid].ids for pid in present]),
+        points=np.concatenate([s_blocks[pid].points for pid in present]),
+        pivot_dists=np.concatenate([s_blocks[pid].pivot_dists for pid in present]),
+    )
+    if use_ring_pruning:
+        s_keys = segment_keys(np.repeat(np.arange(num_present), s_sizes), s_all.pivot_dists)
+        lower, upper = np.array([ring_stats[pid] for pid in present], dtype=np.float64).T
 
-        r_points = r_block.points
-        theta = np.full(num_rows, thetas[pid_r], dtype=np.float64)
+    # line 14 for every R-partition at once: row c is the scan order of cell c
+    # over the present S-partitions, ascending |p_i, p_jl| (stable, so
+    # equidistant cells keep the scan order of sorted())
+    pdm = pivot_dist_matrix[np.ix_(cells, present)]
+    order = np.argsort(pdm, axis=1, kind="stable")
+    pdm_in_order = np.take_along_axis(pdm, order, axis=1)
+    # where each R-cell's own S-partition sits in ``present`` (-1: absent)
+    position = {pid: j for j, pid in enumerate(present)}
+    own = np.array([position.get(pid, -1) for pid in cells])
+
+    r_sizes = np.array([r_blocks[pid].ids.shape[0] for pid in cells], dtype=np.intp)
+    # rows are independent, so R is tiled (by whole cells) to bound the
+    # r-to-pivot matrix; each tile runs the full wavefront
+    for first, last in _chunk_bounds(r_sizes, max(1, _TILE_BYTES // (8 * num_present))):
+        tile_cells, tile_sizes = cells[first:last], r_sizes[first:last]
+        tile = [r_blocks[pid] for pid in tile_cells]
+        cell_of_row = np.repeat(np.arange(first, last), tile_sizes)
+        r_ids = np.concatenate([block.ids for block in tile])
+        r_points = np.concatenate([block.points for block in tile])
+        own_dists = np.concatenate([block.pivot_dists for block in tile])
+        own_of_row = own[cell_of_row]
+        num_rows = r_ids.shape[0]
+        lane = np.arange(num_rows)
+        # |r, p_j| for every r of the tile and every present S pivot — these
+        # are object-pivot pairs and count toward selectivity (Equation 13).
+        # One one-to-many per *pivot*: every metric kernel is elementwise
+        # symmetric in the difference, so the floats equal the per-row
+        # pass's, and the counts sum to the same rows x present pairs.
+        dr_to_pivots = np.empty((num_present, num_rows), dtype=np.float64)
+        for j in range(num_present):
+            dr_to_pivots[j] = metric.distances(present_points[j], r_points)
+
+        theta = np.repeat(
+            np.array([thetas[pid] for pid in tile_cells], dtype=np.float64), tile_sizes
+        )
         best_dists = np.full((num_rows, k), np.inf, dtype=np.float64)
         best_ids = np.full((num_rows, k), _ID_SENTINEL, dtype=np.int64)
-        for idx in order:
-            pid_s = present[int(idx)]
-            dist_r_pj = dr_to_pivots[:, idx]
-            if use_hyperplane_pruning and pid_s != pid_r:
-                # Corollary 1, all rows at once: a row survives unless the
-                # hyperplane provably exceeds its current theta
+        for step in range(num_present):
+            # every row visits the step-th S-partition of its own cell's order
+            rows = lane
+            visit = order[:, step][cell_of_row]
+            dist_r_pj = dr_to_pivots[visit, lane]
+            if use_hyperplane_pruning:
+                # Corollary 1: a row survives unless the hyperplane provably
+                # exceeds its current theta; its own cell is never tested
                 gaps = hyperplane_distances(
-                    own_dists, dist_r_pj, float(pdm_row[pid_s]), euclidean
+                    own_dists, dist_r_pj, pdm_in_order[:, step][cell_of_row], euclidean
                 )
-                rows = np.flatnonzero(gaps <= theta + PRUNE_EPS)
+                rows = np.flatnonzero((visit == own_of_row) | (gaps <= theta + PRUNE_EPS))
                 if rows.size == 0:
                     continue
-            else:
-                rows = np.arange(num_rows)
-            block = s_blocks[pid_s]
+                visit = visit[rows]
             if use_ring_pruning:
-                lower, upper = ring_stats[pid_s]
-                sorted_dists = block.pivot_dists
-                if (
-                    sorted_dists[0] >= lower - PRUNE_EPS
-                    and sorted_dists[-1] <= upper + PRUNE_EPS
-                    and not np.isfinite(theta[rows]).any()
-                ):
-                    # unbounded-theta fast path (first partitions of a PBJ
-                    # block smaller than k): every ring degenerates to the
-                    # whole slice — two scalar comparisons replace the two
-                    # batched searchsorteds, with provably equal slices
-                    starts = np.zeros(rows.size, dtype=np.intp)
-                    stops = np.full(rows.size, len(block), dtype=np.intp)
-                else:
-                    starts, stops = ring_slices(
-                        sorted_dists, lower, upper, dist_r_pj[rows], theta[rows]
-                    )
+                starts, stops = ring_slices(
+                    s_keys, lower[visit], upper[visit], dist_r_pj[rows], theta[rows], visit
+                )
             else:
-                starts = np.zeros(rows.size, dtype=np.intp)
-                stops = np.full(rows.size, len(block), dtype=np.intp)
+                starts, stops = s_offsets[visit], s_offsets[visit + 1]
             lengths = stops - starts
             occupied = np.flatnonzero(lengths > 0)
             if occupied.size == 0:
@@ -544,7 +564,7 @@ def knn_join_kernel(
                 metric,
                 k,
                 r_points,
-                block,
+                s_all,
                 rows[occupied],
                 starts[occupied],
                 lengths[occupied],
@@ -553,14 +573,10 @@ def knn_join_kernel(
                 theta,
                 scratch,
             )
-        for row in range(num_rows):
-            # unfilled slots are +inf / sentinel padding at the tail
-            count = int(np.searchsorted(best_dists[row], np.inf, side="left"))
-            yield (
-                int(r_block.ids[row]),
-                best_ids[row, :count].copy(),
-                best_dists[row, :count].copy(),
-            )
+        # unfilled slots are +inf / sentinel padding at the tail
+        counts = (best_dists < np.inf).sum(axis=1).tolist()
+        for row, (r_id, count) in enumerate(zip(r_ids.tolist(), counts)):
+            yield r_id, best_ids[row, :count].copy(), best_dists[row, :count].copy()
 
 
 def knn_join_kernel_reference(

@@ -270,20 +270,33 @@ class TestScratchPool:
 
     def test_reset_recycles_instead_of_reallocating(self):
         pool = ScratchPool()
-        first = pool.take((10, 3))
+        first = pool.take((12, 3))
         base = first.base
         pool.reset()
-        # same shape bucket (rounded up to 64 rows) → same backing storage
-        again = pool.take((12, 3))
+        # the first take of every scan is served from the same storage ...
+        again = pool.take((10, 3))
         assert again.base is base
+        pool.reset()
+        # ... until a request outgrows it
+        assert pool.take((64, 3)).base is not base
 
-    def test_dtype_and_trailing_shape_bucket_separately(self):
+    def test_position_is_reused_across_dtypes_and_shapes(self):
         pool = ScratchPool()
         floats = pool.take((4, 2))
         pool.reset()
-        ints = pool.take((4, 2), dtype=np.int64)
-        assert ints.dtype == np.int64
-        assert ints.base is not floats.base
+        ints = pool.take((2, 4), dtype=np.int64)
+        assert ints.dtype == np.int64 and ints.shape == (2, 4)
+        assert ints.base is floats.base
+
+    def test_retains_one_buffer_per_position_however_many_scans(self):
+        pool = ScratchPool()
+        for rows in (5, 900, 40, 7, 300):  # scans of very different sizes
+            pool.reset()
+            pool.take((rows, 10))
+            pool.take((rows, 10))
+            pool.take((rows, 4), dtype=np.int64)
+        retained = [buffer.nbytes for buffer in pool._slots]
+        assert retained == [900 * 10 * 8, 900 * 10 * 8, 900 * 4 * 8]
 
     def test_scratch_reuse_does_not_change_kernel_results(self):
         metric_name, k = "l2", 4

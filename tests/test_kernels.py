@@ -7,7 +7,9 @@ from repro.core import Dataset, VoronoiPartitioner, get_metric
 from repro.core.bounds import compute_thetas
 from repro.core.knn import brute_force_knn_join
 from repro.core.summary import build_partial_summary
+from repro.joins import kernels
 from repro.joins.kernels import (
+    RPartitionBlock,
     build_partition_blocks,
     build_r_blocks,
     build_s_blocks,
@@ -32,15 +34,28 @@ def records_for(dataset, tag, assignment):
     ]
 
 
-def kernel_world(seed=0, num_r=60, num_s=80, num_pivots=6, k=4):
-    """Everything one 'reducer' would hold if a single group got all data."""
+def kernel_world(
+    seed=0, num_r=60, num_s=80, num_pivots=6, k=4, metric_name="l2", dims=3, twin_pivots=False
+):
+    """Everything one 'reducer' would hold if a single group got all data.
+
+    ``twin_pivots`` makes pivot 1 coincide with pivot 0 (``pdm[0, 1] == 0``)
+    and hands cell 1 every other object of cell 0 — a legal tie-break, the
+    pivot distances being equal.
+    """
     rng = np.random.default_rng(seed)
-    r = Dataset(rng.random((num_r, 3)), name="r")
-    s = Dataset(rng.random((num_s, 3)), ids=np.arange(1000, 1000 + num_s), name="s")
-    metric = get_metric("l2")
-    pivots = rng.random((num_pivots, 3))
+    r = Dataset(rng.random((num_r, dims)), name="r")
+    s = Dataset(rng.random((num_s, dims)), ids=np.arange(1000, 1000 + num_s), name="s")
+    metric = get_metric(metric_name)
+    pivots = rng.random((num_pivots, dims))
+    if twin_pivots:
+        pivots[1] = pivots[0]
     partitioner = VoronoiPartitioner(pivots, metric)
     ar, as_ = partitioner.assign(r), partitioner.assign(s)
+    if twin_pivots:
+        for assignment in (ar, as_):
+            in_zero = np.flatnonzero(assignment.partition_ids == 0)
+            assignment.partition_ids[in_zero[::2]] = 1
     tr = build_partial_summary(ar.partition_ids, ar.pivot_distances, 0)
     ts = build_partial_summary(as_.partition_ids, as_.pivot_distances, k)
     pdm = partitioner.pivot_distance_matrix()
@@ -114,16 +129,25 @@ class TestKernelCorrectness:
             list(knn_join_kernel(get_metric("l2"), k, r_blocks, {}, thetas, ring, pivots, pdm))
 
 
-def run_kernel(kernel, world, **flags):
+def run_kernel(kernel, world, metric_name="l2", **flags):
+    """``[(r_id, ids, distance bytes)]`` in yield order, and the pair count."""
     _, _, r_blocks, s_blocks, thetas, ring, pivots, pdm, k = world
-    metric = get_metric("l2")
-    results = {
-        r_id: (ids.tolist(), dists.tolist())
+    metric = get_metric(metric_name)
+    results = [
+        (r_id, ids.tolist(), dists.tobytes())
         for r_id, ids, dists in kernel(
             metric, k, r_blocks, s_blocks, thetas, ring, pivots, pdm, **flags
         )
-    }
+    ]
     return results, metric.pairs_computed
+
+
+def assert_matches_reference(world, metric_name="l2", **flags):
+    expected, expected_pairs = run_kernel(knn_join_kernel_reference, world, metric_name, **flags)
+    got, got_pairs = run_kernel(knn_join_kernel, world, metric_name, **flags)
+    assert got == expected
+    assert got_pairs == expected_pairs
+    return got
 
 
 class TestVectorizedMatchesReference:
@@ -176,6 +200,135 @@ class TestVectorizedMatchesReference:
         got, got_pairs = run_kernel(knn_join_kernel, world)
         assert got == expected
         assert got_pairs == expected_pairs
+
+
+def scan_orders(world):
+    """Each R-cell's scan order over the present S-cells (line 14)."""
+    _, _, r_blocks, s_blocks, _, _, _, pdm, _ = world
+    present = sorted(s_blocks)
+    return [tuple(np.argsort(pdm[pid][present], kind="stable")) for pid in sorted(r_blocks)]
+
+
+def replace_world(world, **parts):
+    names = ("r", "s", "r_blocks", "s_blocks", "thetas", "ring", "pivots", "pdm", "k")
+    return tuple(parts.get(name, value) for name, value in zip(names, world))
+
+
+class TestWavefrontMatchesReference:
+    """The shapes the lock-step driver newly mixes in one call: rows of
+    different R-cells visit different S-cells in the same step."""
+
+    def test_cells_with_different_scan_orders_share_each_step(self):
+        world = kernel_world(seed=17, num_r=90, num_s=140, num_pivots=10, k=5)
+        assert len(set(scan_orders(world))) > 1
+        got = assert_matches_reference(world)
+        # yield order: sorted R-cell, then the block's row order
+        r_blocks = world[2]
+        assert [r_id for r_id, _, _ in got] == [
+            int(r_id) for pid in sorted(r_blocks) for r_id in r_blocks[pid].ids
+        ]
+
+    def test_r_cell_whose_own_s_cell_is_absent(self):
+        world = kernel_world(seed=19, num_r=70, num_s=110, num_pivots=8, k=4)
+        s_blocks = dict(world[3])
+        del s_blocks[next(pid for pid in sorted(world[2]) if pid in s_blocks)]
+        assert_matches_reference(replace_world(world, s_blocks=s_blocks))
+
+    def test_single_present_s_cell(self):
+        world = kernel_world(seed=23, num_r=50, num_s=90, num_pivots=7, k=3)
+        pid, block = max(world[3].items(), key=lambda item: len(item[1]))
+        assert_matches_reference(replace_world(world, s_blocks={pid: block}))
+
+    @pytest.mark.parametrize("metric_name", ["l2", "l1"])
+    def test_coincident_pivots(self, metric_name):
+        world = kernel_world(
+            seed=29, num_r=80, num_s=120, num_pivots=7, k=4,
+            metric_name=metric_name, twin_pivots=True,
+        )
+        assert world[7][0, 1] == 0.0 and {0, 1} <= set(world[2]) and {0, 1} <= set(world[3])
+        assert_matches_reference(world, metric_name)
+
+    @pytest.mark.parametrize("metric_name", ["l2", "l1"])
+    def test_own_and_coincident_cells_are_never_hyperplane_pruned(self, metric_name):
+        """Halved own-pivot distances give every hyperplane gap a positive
+        numerator and a small theta lets it prune: only the explicit
+        exemptions (own cell, ``pdm == 0``) keep those cells in the scan,
+        exactly as the reference's branches do."""
+        world = kernel_world(
+            seed=59, num_r=200, num_s=400, num_pivots=7, k=4,
+            metric_name=metric_name, twin_pivots=True,
+        )
+        r_blocks = {
+            pid: RPartitionBlock(pid, block.ids, block.points, block.pivot_dists / 2.0)
+            for pid, block in world[2].items()
+        }
+        thetas = {pid: 0.01 for pid in r_blocks}
+        got = assert_matches_reference(
+            replace_world(world, r_blocks=r_blocks, thetas=thetas), metric_name
+        )
+        assert any(ids for _, ids, _ in got)
+
+    def test_unbounded_theta(self):
+        """PBJ blocks smaller than k start every row at ``theta = inf``."""
+        world = kernel_world(seed=31, num_r=60, num_s=100, num_pivots=8, k=4)
+        thetas = {pid: np.inf for pid in world[2]}
+        assert_matches_reference(replace_world(world, thetas=thetas))
+
+    def test_k_larger_than_any_cell(self):
+        world = kernel_world(seed=37, num_r=60, num_s=100, num_pivots=9, k=40)
+        assert max(len(block) for block in world[3].values()) < 40
+        assert_matches_reference(world)
+
+    def test_both_ablation_switches_off(self):
+        world = kernel_world(seed=41, num_r=70, num_s=90, num_pivots=8, k=4)
+        assert_matches_reference(world, use_hyperplane_pruning=False, use_ring_pruning=False)
+
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf", "l3"])
+    def test_every_metric_on_non_integer_10d_data(self, metric_name):
+        world = kernel_world(
+            seed=43, num_r=120, num_s=200, num_pivots=12, k=6, metric_name=metric_name, dims=10
+        )
+        assert len(set(scan_orders(world))) > 1
+        assert_matches_reference(world, metric_name)
+
+    def test_r_tiles(self, monkeypatch):
+        """A tiny tile budget makes every R-cell its own tile (cells are never
+        split); results, pair counts and the yield order must not move."""
+        world = kernel_world(seed=47, num_r=90, num_s=130, num_pivots=9, k=5)
+        untiled = assert_matches_reference(world)
+        pivot_passes = []
+        metric_distances = type(get_metric("l2")).distances
+
+        def counting_distances(self, a, bs):
+            pivot_passes.append(bs.shape[0])
+            return metric_distances(self, a, bs)
+
+        monkeypatch.setattr(kernels, "_TILE_BYTES", 1)
+        monkeypatch.setattr(type(get_metric("l2")), "distances", counting_distances)
+        tiled, _ = run_kernel(knn_join_kernel, world)
+        assert tiled == untiled
+        # one one-to-many per (tile, present pivot), over the tile's rows only
+        r_blocks, s_blocks = world[2], world[3]
+        assert sorted(pivot_passes) == sorted(
+            len(block.ids) for block in r_blocks.values() for _ in s_blocks
+        )
+
+    def test_scans_gather_within_the_byte_budget(self, monkeypatch):
+        world = kernel_world(seed=53, num_r=150, num_s=260, num_pivots=6, k=5, dims=10)
+        budget = 4096  # 25 pairs of 10-d points, far below a step's batch
+        gathered = []
+        scan_segments = kernels._scan_segments
+
+        def spy(metric, k, r_points, s_block, rows, starts, lengths, *state):
+            gathered.append((int(lengths.sum()) * 16 * r_points.shape[1], lengths.size))
+            scan_segments(metric, k, r_points, s_block, rows, starts, lengths, *state)
+
+        monkeypatch.setattr(kernels, "_GATHER_BYTES", budget)
+        monkeypatch.setattr(kernels, "_scan_segments", spy)
+        assert_matches_reference(world)
+        assert len(gathered) > len(world[3])  # the budget did split steps
+        # only a lone segment may exceed the budget: segments are never split
+        assert all(nbytes <= budget or segments == 1 for nbytes, segments in gathered)
 
 
 class TestColumnarBuilders:
