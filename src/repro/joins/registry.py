@@ -49,6 +49,7 @@ __all__ = [
     "run_join_plans",
     "execute_join_plan",
     "dataset_fingerprint",
+    "plan_identity",
 ]
 
 
@@ -77,11 +78,15 @@ class JoinPlan:
     the plan's stage handles in its closure, so a plan keeps assembling
     correctly even after its graph is fused into a larger one.  The graph's
     ``resources`` (DFS instances staging chained intermediates) are held
-    open for exactly the execution's duration.
+    open for exactly the execution's duration.  ``identity`` is the
+    :func:`plan_identity` digest stage checkpoints are bound to, stamped by
+    :func:`plan_join` only when the config names a ``checkpoint_dir``
+    (fingerprinting the datasets is not free).
     """
 
     graph: JobGraph
     assemble: Callable[[PlanRun], Any]
+    identity: str = ""
 
 
 @dataclass(frozen=True)
@@ -174,13 +179,54 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
     return config
 
 
+def plan_identity(
+    name: str, r: Dataset, s: Dataset, config: JoinConfig, extra: dict[str, Any]
+) -> str:
+    """Digest of everything a plan's stage results can depend on: the join,
+    both datasets by content, the planner's extra arguments and *every*
+    comparing config field but ``checkpoint_dir`` itself — not a hand-picked
+    "semantic" subset, so a new knob cannot be forgotten (the price: changing
+    an execution-only knob between a kill and its resume re-runs the stages)."""
+    knobs = [
+        (spec.name, repr(getattr(config, spec.name)))
+        for spec in dataclass_fields(config)
+        if spec.compare and spec.name != "checkpoint_dir"
+    ]
+    identity = (
+        name.lower(),
+        dataset_fingerprint(r),
+        dataset_fingerprint(s),
+        type(config).__name__,
+        knobs,
+        sorted((key, repr(value)) for key, value in extra.items()),
+    )
+    return hashlib.sha1(repr(identity).encode()).hexdigest()
+
+
 def plan_join(
     name: str, r: Dataset, s: Dataset, config: JoinConfig | None = None, **extra
 ) -> JoinPlan:
     """Build (without executing) the named join's plan — the raw material
     for fused multi-join execution via :func:`run_join_plans`."""
     spec = get_join(name)
-    return spec.plan(r, s, _resolve_config(spec, config), **extra)
+    config = _resolve_config(spec, config)
+    plan = spec.plan(r, s, config, **extra)
+    if config.checkpoint_dir:
+        plan.identity = plan_identity(spec.name, r, s, config, extra)
+    return plan
+
+
+def _checkpoint_identity(plans: list[JoinPlan], config: JoinConfig) -> str:
+    """What this execution's checkpoints are bound to.  A ``checkpoint_dir``
+    with a plan nobody fingerprinted is refused: unbound checkpoints are how
+    a reused directory once served a stale join."""
+    identities = [plan.identity for plan in plans]
+    if config.checkpoint_dir and not all(identities):
+        raise ValueError(
+            "checkpoint_dir needs plans built by plan_join/run_join under the "
+            "same config: a checkpoint must be bound to its plan identity"
+        )
+    return "|".join(identities)
 
 
 def _plan_cache_for(config: JoinConfig) -> PlanCache | None:
@@ -215,6 +261,7 @@ def execute_join_plan(plan: JoinPlan, config: JoinConfig) -> Any:
             cache=_plan_cache_for(config),
             concurrent=config.plan_concurrency,
             checkpoint_dir=config.checkpoint_dir,
+            checkpoint_identity=_checkpoint_identity([plan], config),
         ).execute(plan.graph)
     return plan.assemble(run)
 
@@ -237,7 +284,7 @@ def run_join(
         from .autotune import auto_tune_config  # deferred: autotune imports us
 
         config = auto_tune_config(name, r, s, config).config
-    return execute_join_plan(spec.plan(r, s, config, **extra), config)
+    return execute_join_plan(plan_join(name, r, s, config, **extra), config)
 
 
 def run_join_plans(plans: list[JoinPlan], config: JoinConfig) -> list[Any]:
@@ -261,5 +308,6 @@ def run_join_plans(plans: list[JoinPlan], config: JoinConfig) -> list[Any]:
             cache=_plan_cache_for(config),
             concurrent=config.plan_concurrency,
             checkpoint_dir=config.checkpoint_dir,
+            checkpoint_identity=_checkpoint_identity(plans, config),
         ).execute(fused)
     return [plan.assemble(run) for plan in plans]

@@ -14,16 +14,26 @@ map tasks → combine → shuffle → reduce tasks, retries, accounting); an
   payloads and results across process boundaries.  Requires picklable
   mapper/reducer factories (module-level classes) and cache contents.
 
-Under the out-of-core ``spill`` shuffle backend the process engines get a
-second, often larger win: map workers write their shuffle output to disk as
-sorted segment files *inside the worker* and return only a tiny segment
-**manifest** (paths + counters) as the attempt outcome, and reduce workers
-receive segment paths and stream-merge from disk — the full map output never
-makes the pickle round-trip through the result queue in either direction.
-The engine layer needs no special handling for this: manifests are just
-small attempt-outcome values, and the shared local filesystem is the data
-plane.  A future distributed executor replaces that filesystem with segment
-fetches while keeping this exact manifest contract.
+What crosses a worker boundary is array-shaped in both directions, and the
+engine layer needs no special handling for any of it — payloads and results
+are just values:
+
+* map payloads: the first job's splits are row *slices* of the datasets'
+  arrays (:class:`~repro.mapreduce.splits.DatasetRows`: three arrays per
+  dataset touched; the records are built inside the map task), chained
+  splits carry the producer's blocks or a segment path;
+* map results, in-memory shuffle: one ``RecordBlock`` per key per task — the
+  worker merges each key's run of blocks before returning
+  (:func:`~repro.mapreduce.shuffle.coalesce_emissions`) — so a reduce
+  payload holds at most one value per (map task, key);
+* map results, ``spill`` shuffle: a tiny segment **manifest** (paths +
+  counters); the data goes to sorted segment files written *inside the
+  worker* (one entry per key per flush), reduce workers receive paths and
+  stream-merge from disk, and the shared local filesystem is the data plane.
+  A future distributed executor replaces that filesystem with segment
+  fetches while keeping this exact manifest contract;
+* reduce results stay row-shaped (one ``(r_id, (ids, dists))`` pair per R
+  object).
 
 All backends receive the same ``(fn, shared, payloads)`` batch and must
 return results **in payload order**; the scheduler relies on that ordering to

@@ -576,40 +576,46 @@ class StageCheckpointStore:
     bit-identical to the original — results, counters, stats, accounting —
     so resumed plan runs fingerprint-match uninterrupted ones.
 
-    Checkpoints are keyed by stage name + content key only: a directory
-    must belong to one plan identity (the ``--checkpoint-dir`` contract).
+    Every checkpoint is bound to a *plan identity* — a digest of the datasets
+    and every config field, handed in by whoever builds the plan — which goes
+    into the file name and the meta entry: a directory reused for a different
+    join (another ``k``, pivot count, metric, dataset) simply finds no
+    matching checkpoint and re-runs its stages, so it can never serve a stale
+    answer.  Bare scheduler use leaves the identity empty: stage name +
+    content key alone, for graphs the caller vouches for.
     """
 
     #: key of the meta entry, first in every checkpoint file
     META_KEY = _RESULT_META_KEY
 
-    def __init__(self, directory: str | os.PathLike) -> None:
+    def __init__(self, directory: str | os.PathLike, identity: str = "") -> None:
         self.directory = Path(directory)
+        self.identity = identity
 
     def path_for(self, stage: Stage) -> Path:
         safe = re.sub(r"[^A-Za-z0-9_.-]+", "_", stage.name)
         digest = hashlib.sha1(
-            f"{stage.name}|{repr(stage.key)}".encode()
+            f"{self.identity}|{stage.name}|{repr(stage.key)}".encode()
         ).hexdigest()[:12]
         return self.directory / f"{safe}-{digest}.ckpt.seg"
+
+    def _meta(self, stage: Stage) -> dict[str, Any]:
+        return {
+            "plan": self.identity,
+            "stage": stage.name,
+            "key_repr": repr(stage.key),
+        }
 
     def load(self, stage: Stage) -> JobResult | None:
         """The stage's checkpointed result, or ``None`` when there is none
         (missing, corrupt, or written for a different stage identity)."""
-        return load_job_result(
-            self.path_for(stage),
-            {"stage": stage.name, "key_repr": repr(stage.key)},
-        )
+        return load_job_result(self.path_for(stage), self._meta(stage))
 
     def save(self, stage: Stage, result: JobResult) -> Path | None:
         """Best-effort write of one stage's result; returns the path, or
         ``None`` when the result cannot be persisted (unpicklable outputs,
         disk errors) — resume then simply re-runs the stage."""
-        return dump_job_result(
-            self.path_for(stage),
-            result,
-            {"stage": stage.name, "key_repr": repr(stage.key)},
-        )
+        return dump_job_result(self.path_for(stage), result, self._meta(stage))
 
 
 class PlanScheduler:
@@ -630,6 +636,8 @@ class PlanScheduler:
     run (they produce master-side artifacts), only the MapReduce work is
     skipped.  A killed run therefore resumes from its last finished stage,
     with results bit-identical to an uninterrupted run.
+    ``checkpoint_identity`` binds the checkpoints to one plan identity (see
+    :class:`StageCheckpointStore`); the join registry always passes one.
     """
 
     def __init__(
@@ -639,6 +647,7 @@ class PlanScheduler:
         concurrent: bool = True,
         max_stage_workers: int | None = None,
         checkpoint_dir: str | os.PathLike | None = None,
+        checkpoint_identity: str = "",
     ) -> None:
         self.runtime = runtime
         self.cache = cache
@@ -647,7 +656,9 @@ class PlanScheduler:
             raise ValueError("max_stage_workers must be >= 1")
         self.max_stage_workers = max_stage_workers
         self.checkpoints = (
-            StageCheckpointStore(checkpoint_dir) if checkpoint_dir else None
+            StageCheckpointStore(checkpoint_dir, checkpoint_identity)
+            if checkpoint_dir
+            else None
         )
 
     def execute(self, graph: JobGraph) -> PlanRun:

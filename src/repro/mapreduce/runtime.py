@@ -68,6 +68,7 @@ from .shuffle import (
     ShuffleStore,
     SpillMapWriter,
     SpillSpec,
+    coalesce_emissions,
     get_shuffle_store,
     merged_segment_groups,
 )
@@ -266,6 +267,11 @@ def _execute_attempt(job: MapReduceJob, task: _TaskSpec) -> _AttemptOutcome:
             emissions, manifest = [], _map_attempt_spilled(job, task, ctx)
         elif task.kind == "map":
             emissions = _map_attempt(job, task.split, ctx)
+            if job.reducer_factory is not None:
+                # what crosses the worker boundary (and then rides in the
+                # reduce specs) is one block per key, not one per emission;
+                # a map-only job's emission structure is its output — untouched
+                emissions = coalesce_emissions(emissions)
         else:
             emissions = _reduce_attempt(job, task, ctx)
     except TaskFailure as error:

@@ -3,19 +3,27 @@
 The scheduler in :mod:`repro.mapreduce.runtime` delegates the whole
 map-output → reduce-input path to a :class:`ShuffleStore`:
 
-* :class:`InMemoryShuffleStore` (``"memory"``, the default) — the historical
-  behavior and the bit-exactness oracle: map tasks return their emissions as
-  values, the scheduler buckets them into per-reducer dicts, and each reduce
-  task receives fully materialized, key-sorted groups.
+* :class:`InMemoryShuffleStore` (``"memory"``, the default) — the
+  bit-exactness oracle: map tasks return their emissions as values, the
+  scheduler buckets them into per-reducer dicts, and each reduce task
+  receives fully materialized, key-sorted groups.
 * :class:`SpillShuffleStore` (``"spill"``) — the out-of-core path.  Map tasks
   partition their own output and write it to on-disk *segment files* (sorted
   runs, one per reducer per flush), returning only a :class:`MapManifest` of
-  segment descriptors to the scheduler.  Under the process engines this kills
-  the full-map-output pickle round-trip: what crosses the worker boundary is
-  a handful of paths and counters, not the data.  Reduce tasks then stream a
-  k-way external merge over their segments, ordered by
+  segment descriptors to the scheduler; reduce tasks stream a k-way external
+  merge over their segments, ordered by
   :func:`~repro.mapreduce.serialization.shuffle_sort_key`, and feed the
   reducer one lazily-decoded group at a time.
+
+On both paths the unit that crosses a boundary — process or disk — is **one
+block per key**, not one per emission: :func:`block_runs` finds, per key, the
+runs of consecutive ``RecordBlock`` values in that key's arrival sequence,
+and each run is merged with ``RecordBlock.gather`` — worker-side before a map
+task returns its emissions (:func:`coalesce_emissions`), and on the sorted
+buffer inside each flush of :class:`SpillMapWriter` (never before ``add``, so
+flush boundaries, segment and merge-pass counts do not depend on it).  A
+PGBJ routing mapper's ~10-row block per (cell, group) thus travels as one
+block per group per task; rows, their order and all accounting are unchanged.
 
 The hard contract, enforced by tests: both backends produce **bit-identical**
 job outputs, counters, and shuffle records/bytes accounting on every engine.
@@ -46,8 +54,9 @@ import tempfile
 import threading
 import zlib
 from abc import ABC, abstractmethod
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -80,6 +89,8 @@ __all__ = [
     "ReduceInput",
     "SpillSpec",
     "SpillMapWriter",
+    "block_runs",
+    "coalesce_emissions",
     "OwnedScratchDir",
     "write_segment",
     "iter_segment",
@@ -243,24 +254,27 @@ def resolve_segment_codec(name: str) -> SegmentCodec:
     return codec
 
 
-def _compress_payload(codec: SegmentCodec, payload: bytes) -> bytes:
+def _payload_compressor(codec: SegmentCodec) -> Callable[[bytes], bytes]:
+    """The codec's compress function, built once per segment written."""
     if codec.wire_id == 0:
-        return payload
+        return lambda payload: payload
     if codec.wire_id == 1:
-        return zlib.compress(payload, 6)
+        return partial(zlib.compress, level=6)
     if codec.wire_id == 2:
-        return _lz4_frame.compress(payload)
-    return _zstandard.ZstdCompressor().compress(payload)
+        return _lz4_frame.compress
+    return _zstandard.ZstdCompressor().compress
 
 
-def _decompress_payload(codec: SegmentCodec, payload: bytes) -> bytes:
+def _payload_decompressor(codec: SegmentCodec) -> Callable[[bytes], bytes]:
+    """The codec's decompress function, built once per segment read."""
     if codec.wire_id == 0:
-        return payload
+        return lambda payload: payload
     if codec.wire_id == 1:
-        return zlib.decompress(payload)
+        return zlib.decompress
     if codec.wire_id == 2:
-        return _lz4_frame.decompress(payload)
-    return _zstandard.ZstdDecompressor().decompress(payload)
+        return _lz4_frame.decompress
+    return _zstandard.ZstdDecompressor().decompress
+
 
 #: maximum runs one k-way merge reads at once — more runs than this are
 #: first combined by intermediate merge passes (Hadoop's io.sort.factor);
@@ -342,6 +356,7 @@ def write_segment(
     """
     path = Path(path)
     segment_codec = resolve_segment_codec(codec)
+    compress = _payload_compressor(segment_codec)
     entry_count = 0
     records = 0
     accounted = 0
@@ -354,7 +369,7 @@ def write_segment(
         for task, seq, key, value, row_records, row_accounted in entries:
             key_blob = pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
             tag, value_blob = _encode_value(value)
-            value_blob = _compress_payload(segment_codec, value_blob)
+            value_blob = compress(value_blob)
             crc = zlib.crc32(value_blob, zlib.crc32(key_blob))
             stream.write(
                 _ENTRY_HEADER.pack(
@@ -390,10 +405,10 @@ def write_segment(
     )
 
 
-def _read_raw_header(path: str | Path) -> tuple[SegmentCodec, int, int, int]:
-    """``(codec, entries, records, accounted_bytes)`` from the header."""
-    with open(path, "rb") as stream:
-        header = stream.read(_SEGMENT_HEADER.size)
+def _parse_header(
+    path: str | Path, header: bytes
+) -> tuple[SegmentCodec, int, int, int]:
+    """``(codec, entries, records, accounted_bytes)`` from the header bytes."""
     if len(header) < _SEGMENT_HEADER.size:
         raise _truncated(path, _SEGMENT_HEADER.size, len(header), "the header")
     magic, version, codec_id, entries, records, accounted = (
@@ -417,6 +432,11 @@ def _read_raw_header(path: str | Path) -> tuple[SegmentCodec, int, int, int]:
             f"is not available in this process ({codec.hint})"
         )
     return codec, entries, records, accounted
+
+
+def _read_raw_header(path: str | Path) -> tuple[SegmentCodec, int, int, int]:
+    with open(path, "rb") as stream:
+        return _parse_header(path, stream.read(_SEGMENT_HEADER.size))
 
 
 def read_segment_header(path: str | Path) -> tuple[int, int, int]:
@@ -445,9 +465,11 @@ def iter_segment(
     decompression and decode errors are re-raised as ``ValueError`` with the
     segment path and entry index attached.
     """
-    codec, declared, _, _ = _read_raw_header(path)
     with open(path, "rb") as stream:
-        stream.seek(_SEGMENT_HEADER.size)
+        codec, declared, _, _ = _parse_header(
+            path, stream.read(_SEGMENT_HEADER.size)
+        )
+        decompress = _payload_decompressor(codec)
         for index in range(declared):
             header = stream.read(_ENTRY_HEADER.size)
             if len(header) < _ENTRY_HEADER.size:
@@ -469,7 +491,7 @@ def iter_segment(
             key = pickle.loads(body[:key_len])
             payload = body[key_len:]
             try:
-                payload = _decompress_payload(codec, payload)
+                payload = decompress(payload)
             except Exception as error:
                 raise ValueError(
                     f"segment file {path}, entry {index}/{declared}: "
@@ -503,6 +525,53 @@ def _remaining(stream) -> int:
     position = stream.tell()
     stream.seek(0, 2)
     return stream.tell() - position
+
+
+# -- per-key block coalescing (runs inside engine workers) ----------------------
+
+
+def block_runs(
+    pairs: Iterable[tuple[Any, Any]], key: Callable[[Any], Any] = lambda k: k
+) -> list[list[int]]:
+    """Group emission positions into what crosses a boundary as one value.
+
+    Per key, every maximal run of consecutive ``RecordBlock`` values *in that
+    key's arrival sequence* is one group (positions ascending); any other
+    value is a group of its own and closes the key's run.  Groups are ordered
+    by first position.  A run also closes when the key's wire size changes
+    (``True`` and ``1`` share a dict slot, not a size, and shuffle bytes
+    charge the key once per row), so a merged group accounted under its first
+    key equals the sum of its members.  ``key`` maps an emission key to its
+    hashable grouping identity (the spill path passes ``shuffle_sort_key``)
+    and is evaluated only where a block is involved: block-free output pays
+    one ``isinstance`` per value.
+    """
+    groups: list[list[int]] = []
+    open_run: dict[Any, tuple[int, list[int]]] = {}
+    for position, (raw_key, value) in enumerate(pairs):
+        if isinstance(value, RecordBlock):
+            identity, width = key(raw_key), estimate_bytes(raw_key)
+            opened = open_run.get(identity)
+            if opened is None or opened[0] != width:
+                opened = open_run[identity] = (width, [])
+                groups.append(opened[1])
+            opened[1].append(position)
+        else:
+            if open_run:
+                open_run.pop(key(raw_key), None)
+            groups.append([position])
+    return groups
+
+
+def coalesce_emissions(emissions: list[tuple[Any, Any]]) -> list[tuple[Any, Any]]:
+    """One map task's emissions with each :func:`block_runs` group merged into
+    one block under its first key (a group of one keeps the same pair)."""
+    return [
+        emissions[run[0]]
+        if len(run) == 1
+        else (emissions[run[0]][0], RecordBlock.gather(emissions[i][1] for i in run))
+        for run in block_runs(emissions)
+    ]
 
 
 # -- map-side spill writer (runs inside engine workers) ------------------------
@@ -553,6 +622,7 @@ class SpillMapWriter:
         self._runs = 0
         self._segments: list[Segment] = []
         self._output_records = 0
+        self._blocks_buffered = False  # block-free flushes skip coalescing
 
     def add(self, key: Any, value: Any) -> None:
         reducer = self._partitioner.assign(key, self._num_reducers)
@@ -567,6 +637,7 @@ class SpillMapWriter:
         self._seq += 1
         self._output_records += records
         self._buffered_bytes += accounted
+        self._blocks_buffered = self._blocks_buffered or isinstance(value, RecordBlock)
         if self._spec.budget is not None and self._buffered_bytes > self._spec.budget:
             self._flush()
 
@@ -576,6 +647,24 @@ class SpillMapWriter:
             if not buffer:
                 continue
             buffer.sort(key=lambda row: (shuffle_sort_key(row[1]), row[0]))
+            if self._blocks_buffered:
+                # one entry per run of a key's blocks: it keeps the run's
+                # first seq (no other entry of the key lies in between) and
+                # the summed accounting, so merge order and every shuffle
+                # counter stay put
+                buffer = [
+                    buffer[run[0]]
+                    if len(run) == 1
+                    else (
+                        *buffer[run[0]][:2],
+                        RecordBlock.gather(buffer[i][2] for i in run),
+                        sum(buffer[i][3] for i in run),
+                        sum(buffer[i][4] for i in run),
+                    )
+                    for run in block_runs(
+                        ((row[1], row[2]) for row in buffer), shuffle_sort_key
+                    )
+                ]
             path = Path(self._spec.directory) / (
                 f"{self._spec.task_id}-a{self._attempt:02d}"
                 f"-r{reducer:05d}-run{self._runs:04d}.seg"
@@ -591,6 +680,7 @@ class SpillMapWriter:
             )
             self._buffers[reducer] = []
         self._buffered_bytes = 0
+        self._blocks_buffered = False
         self._runs += 1
 
     def finish(self) -> MapManifest:

@@ -3,7 +3,8 @@
 Two representations of the same logical data coexist:
 
 * :class:`ObjectRecord` — one object per Python instance, the row format
-  used for job *input* (and still accepted everywhere for compatibility);
+  mappers *consume* (built inside the map task from a columnar split view;
+  still accepted everywhere for compatibility);
 * :class:`RecordBlock` — a struct-of-arrays batch of objects, the columnar
   format the mappers emit and the shuffle moves.  A block is an encoding
   detail, not a unit of account: shuffle counters and task statistics always
@@ -221,15 +222,16 @@ class InputSplit:
     """A chunk of job input, the unit handed to one map task.
 
     ``records`` is usually a plain list of ``(key, value)`` pairs, but any
-    sized iterable works — the segment-backed DFS hands out lazy chunk views
-    that decode from disk only when a map task iterates them.
-    ``logical_records``, when set by the producer, caches the record-weighted
-    size (blocks weigh their rows) so schedulers never need to materialize a
-    lazy split just to account its input records.
+    sized, re-iterable collection works — ``dataset_splits`` hands out
+    columnar row-slice views that build their records only when a map task
+    iterates them, the segment-backed DFS lazy chunk views that decode from
+    disk.  ``logical_records``, when set by the producer, caches the
+    record-weighted size (blocks weigh their rows) so schedulers never need
+    to materialize a lazy split just to account its input records.
     """
 
     split_id: int
-    records: list[Any] = field(default_factory=list)  # sized iterable of (key, value)
+    records: Any = field(default_factory=list)  # sized, re-iterable (key, value) pairs
     location: int = 0  # node hosting the primary replica (locality hint)
     logical_records: int | None = None  # cached record-weighted size
 

@@ -465,6 +465,73 @@ class TestPooledLifecycle:
                 assert not executor.closed  # drivers must not close shared pools
 
 
+class TestBoundaryBudget:
+    """What crosses the worker boundary is counted, not clocked: one block
+    per key per map outcome, at most one value per (map task, key) in a
+    reduce spec.  Wall clocks are too noisy to keep this from regressing."""
+
+    def test_pgbj_join_ships_one_block_per_key(self, monkeypatch):
+        shipped = []  # (payloads, results-thunk) per engine batch
+
+        run_tasks = PersistentProcessExecutor.run_tasks
+        submit_batch = PersistentProcessExecutor.submit_batch
+
+        def spy_run_tasks(self, fn, shared, payloads):
+            results = run_tasks(self, fn, shared, payloads)
+            shipped.append((list(payloads), lambda: results))
+            return results
+
+        def spy_submit_batch(self, fn, shared, payloads):
+            batch = submit_batch(self, fn, shared, payloads)
+            if batch is not None:
+                futures = list(batch.futures)
+                shipped.append(
+                    (list(payloads), lambda: [future.result() for future in futures])
+                )
+            return batch
+
+        monkeypatch.setattr(PersistentProcessExecutor, "run_tasks", spy_run_tasks)
+        monkeypatch.setattr(PersistentProcessExecutor, "submit_batch", spy_submit_batch)
+        data = generate_forest(240, seed=3)
+        config = PgbjConfig(
+            k=3, num_reducers=4, num_pivots=12, split_size=64,
+            engine="processes-pooled", max_workers=2,
+        )
+        outcome = PGBJ(config).run(data, data)
+        serial = PGBJ(config.with_changes(engine="serial")).run(data, data)
+        assert outcome_fingerprint(outcome) == outcome_fingerprint(serial)
+
+        join_maps = join_reduces = 0
+        map_tasks = sum(
+            1 for specs, _ in shipped for spec in specs
+            if spec.kind == "map" and spec.task_id.startswith("knn-join-m-")
+        )
+        assert map_tasks > 1
+        for specs, results in shipped:
+            for spec, result in zip(specs, results()):
+                if not spec.task_id.startswith("knn-join-"):
+                    continue
+                if spec.kind == "map":
+                    join_maps += 1
+                    keys = [key for key, _ in result.emissions]
+                    assert len(keys) == len(set(keys))  # ≤ one block per key
+                    assert len(keys) <= config.num_reducers
+                else:
+                    join_reduces += 1
+                    values = sum(len(group) for _, group in spec.groups)
+                    assert values <= map_tasks * len(spec.groups)
+                    assert all(len(group) <= map_tasks for _, group in spec.groups)
+        assert join_maps == map_tasks and join_reduces > 1
+        # the first job's splits cross as array slices, never as records
+        import pickle
+
+        first_split = next(
+            spec.split for specs, _ in shipped for spec in specs
+            if spec.task_id.startswith("partitioning-m-")
+        )
+        assert b"ObjectRecord" not in pickle.dumps(first_split)
+
+
 def _double(shared, payload):
     """Module-level task fn: picklable by the process backends."""
     return payload * 2 + shared["bias"]

@@ -495,6 +495,116 @@ class TestPlanResume:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestCheckpointDirReuse:
+    """One ``--checkpoint-dir``, two different joins: the second must never
+    be served the first one's stages (it used to print the k=3 answer for
+    k=7).  Same join again: resumed from the directory, bit-identical."""
+
+    @staticmethod
+    def run(directory, data=None, **knobs):
+        from repro.datasets import generate_forest
+        from repro.joins import PgbjConfig, run_join
+
+        data = data if data is not None else generate_forest(200, seed=3)
+        config = PgbjConfig(
+            **{
+                "k": 3, "num_reducers": 3, "num_pivots": 8, "split_size": 64,
+                "checkpoint_dir": str(directory), **knobs,
+            }
+        )
+        return run_join("pgbj", data, data, config)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"k": 7}, {"num_pivots": 16}, {"metric_name": "l1"}, {"data_seed": 4}],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_changed_join_reruns_instead_of_serving_stale_stages(self, tmp_path, change):
+        from repro.datasets import generate_forest
+        from tests.test_engines import outcome_fingerprint
+
+        change = dict(change)
+        data = (
+            generate_forest(200, seed=change.pop("data_seed"))
+            if "data_seed" in change
+            else None
+        )
+        self.run(tmp_path)  # fills the directory with the base join's stages
+        files_after_first = set(tmp_path.iterdir())
+        reused = self.run(tmp_path, data=data, **change)
+        fresh = self.run(tmp_path / "fresh", data=data, **change)
+        assert outcome_fingerprint(reused) == outcome_fingerprint(fresh)
+        assert reused.result.total_pairs() == 200 * change.get("k", 3)
+        # the second join wrote its own checkpoints next to the first's
+        assert len(set(tmp_path.iterdir()) - files_after_first - {tmp_path / "fresh"}) == 2
+
+    def test_same_join_resumes_from_the_directory(self, tmp_path, monkeypatch):
+        from tests.test_engines import outcome_fingerprint
+
+        first = self.run(tmp_path)
+        files = sorted(tmp_path.iterdir())
+        ran = []
+        original = LocalRuntime.run
+        monkeypatch.setattr(
+            LocalRuntime, "run",
+            lambda self, job, splits: ran.append(job.name) or original(self, job, splits),
+        )
+        again = self.run(tmp_path)
+        assert ran == []  # every stage restored, no job executed
+        assert outcome_fingerprint(again) == outcome_fingerprint(first)
+        assert sorted(tmp_path.iterdir()) == files
+
+    def test_unfingerprinted_plan_refused(self, tmp_path):
+        from repro.datasets import generate_forest
+        from repro.joins import PgbjConfig
+        from repro.joins.pgbj import plan_pgbj
+        from repro.joins.registry import execute_join_plan
+
+        data = generate_forest(60, seed=1)
+        config = PgbjConfig(k=2, num_pivots=4, checkpoint_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="plan identity"):
+            execute_join_plan(plan_pgbj(data, data, config), config)
+
+    def test_identity_moves_with_every_config_field_and_dataset(self):
+        import dataclasses
+
+        from repro.datasets import generate_forest
+        from repro.joins import PgbjConfig
+        from repro.joins.registry import plan_identity
+
+        data = generate_forest(50, seed=1)
+        base = PgbjConfig()
+        reference = plan_identity("pgbj", data, data, base, {})
+        assert plan_identity("pgbj", data, data, PgbjConfig(), {}) == reference
+        assert plan_identity("pbj", data, data, base, {}) != reference
+        assert plan_identity("pgbj", data, generate_forest(50, seed=2), base, {}) != reference
+        assert plan_identity("pgbj", data, data, base, {"theta": 0.5}) != reference
+        moved = {
+            "k": 11, "num_reducers": 5, "metric_name": "l1", "seed": 8,
+            "split_size": 100, "engine": "threads", "max_workers": 3,
+            "memory_budget": 64, "spill_dir": "/tmp/x", "kernel_provider": "numpy",
+            "spill_codec": "zlib", "plan_concurrency": False, "task_timeout": 9.0,
+            "auto_tune": True, "stage_fusion": True, "plan_cache_dir": "/tmp/y",
+            "num_pivots": 65, "pivot_selection": "farthest", "grouping": "greedy",
+            "pivot_sample_size": 100, "random_candidate_sets": 6,
+            "kmeans_iterations": 9, "use_hyperplane_pruning": False,
+            "use_ring_pruning": False, "skew_split_threshold": 0.5,
+            "skew_split_max_ways": 5,
+        }
+        comparing = {
+            spec.name for spec in dataclasses.fields(base)
+            if spec.compare and spec.name != "checkpoint_dir"
+        }
+        assert comparing == set(moved)  # a new knob must be added here too
+        for name, value in moved.items():
+            changed = base.with_changes(**{name: value})
+            assert plan_identity("pgbj", data, data, changed, {}) != reference, name
+        assert (
+            plan_identity("pgbj", data, data, base.with_changes(checkpoint_dir="/d"), {})
+            == reference
+        )
+
+
 # -- config threading ----------------------------------------------------------
 
 

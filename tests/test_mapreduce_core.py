@@ -136,3 +136,71 @@ class TestSplits:
         splits = dataset_splits(r, s, split_size=2)
         flat = [record for split in splits for record in split.records]
         assert [tag for tag, _ in flat] == ["R", "R", "R", "S", "S"]
+
+    @staticmethod
+    def _pair_facts(pairs):
+        return [
+            (
+                key,
+                record.dataset,
+                record.object_id,
+                type(record.object_id),
+                record.payload,
+                type(record.payload),
+                record.point.tobytes(),
+                record.partition_id,
+            )
+            for key, record in pairs
+        ]
+
+    @pytest.mark.parametrize("with_payload", [False, True])
+    @pytest.mark.parametrize("split_size", [1, 3, 4, 5, 7, 12, 100])
+    def test_lazy_dataset_splits_equal_the_eager_pairs(self, split_size, with_payload):
+        """``dataset_splits`` == ``split_records(records_from_dataset(R) +
+        records_from_dataset(S))`` pair for pair, R/S-straddling splits
+        included — without building a record until a map task iterates."""
+        rng = np.random.default_rng(4)
+
+        def payload(n):
+            return rng.integers(0, 50, n) if with_payload else None
+
+        r = Dataset(rng.random((7, 3)), ids=np.arange(100, 107), payload_bytes=payload(7))
+        s = Dataset(rng.random((5, 3)), ids=np.arange(5)[::-1].copy(), payload_bytes=payload(5))
+        eager = split_records(
+            records_from_dataset(r, "R") + records_from_dataset(s, "S"), split_size
+        )
+        lazy = dataset_splits(r, s, split_size)
+        assert [split.split_id for split in lazy] == [split.split_id for split in eager]
+        for lazy_split, eager_split in zip(lazy, eager, strict=True):
+            # sized without iterating
+            assert len(lazy_split) == len(lazy_split.records) == len(eager_split)
+            assert lazy_split.logical_records == len(eager_split)
+            facts = self._pair_facts(lazy_split.records)
+            assert facts == self._pair_facts(eager_split.records)
+            # re-iterable: a retried map task sees the same pairs again
+            assert self._pair_facts(lazy_split.records) == facts
+
+    def test_lazy_split_pickles_as_arrays_not_records(self):
+        import pickle
+
+        rng = np.random.default_rng(9)
+        r = Dataset(rng.random((2000, 4)), payload_bytes=rng.integers(0, 9, 2000))
+        (split,) = dataset_splits(r, r, 4000)
+        blob = pickle.dumps(split, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"ObjectRecord" not in blob
+        # ids + points + payloads of both halves, plus small framing
+        assert len(blob) < 2 * 2000 * (8 + 4 * 8 + 8) + 2048
+        restored = pickle.loads(blob)
+        assert restored.logical_records == 4000
+        assert self._pair_facts(restored.records) == self._pair_facts(split.records)
+
+    def test_dataset_splits_edge_cases(self):
+        empty = Dataset(np.zeros((0, 2)))
+        assert dataset_splits(empty, empty, 4) == []
+        with pytest.raises(ValueError, match="split_size"):
+            dataset_splits(empty, empty, 0)
+        only_s = dataset_splits(empty, Dataset(np.ones((3, 2))), 2)
+        assert [[tag for tag, _ in split.records] for split in only_s] == [
+            ["S", "S"],
+            ["S"],
+        ]

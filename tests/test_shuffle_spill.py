@@ -40,9 +40,11 @@ from repro.mapreduce import (
     SpillShuffleStore,
     available_segment_codecs,
     available_shuffle_backends,
+    estimate_bytes,
     get_shuffle_store,
     iter_segment,
     merged_segment_groups,
+    record_count,
     resolve_segment_codec,
     shuffle_sort_key,
     split_records,
@@ -60,6 +62,7 @@ from repro.mapreduce.shuffle import (
     read_segment_header,
 )
 from repro.mapreduce.serialization import encode_record_block
+from tests.test_shuffle_accounting import rows_block
 
 # -- helpers -------------------------------------------------------------------
 
@@ -183,6 +186,26 @@ class TestSegmentFormat:
             ValueError, match=r"segment file .*bad-block\.seg.*truncated RecordBlock"
         ):
             list(iter_segment(path))
+
+    def test_iter_segment_reads_header_and_entries_from_one_handle(
+        self, tmp_path, monkeypatch
+    ):
+        import builtins
+
+        from repro.mapreduce import shuffle
+
+        path = tmp_path / "one.seg"
+        write_segment(path, 0, sorted_rows([("a", 1), ("b", 2)]))
+        opened = []
+        monkeypatch.setattr(
+            shuffle, "open",
+            lambda *args, **kwargs: opened.append(args) or builtins.open(*args, **kwargs),
+            raising=False,
+        )
+        assert [(key, value) for _, _, key, value in iter_segment(path)] == [
+            ("a", 1), ("b", 2),
+        ]
+        assert len(opened) == 1
 
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "v.seg"
@@ -656,6 +679,111 @@ class TestJobEquivalence:
             first = runtime.run(make_job(), make_splits())
             second = runtime.run(make_job(), make_splits())
         assert job_fingerprint(first) == job_fingerprint(second)
+
+
+# -- per-key block coalescing inside a flush ------------------------------------
+
+
+def id_block(first: int, rows: int) -> RecordBlock:
+    return rows_block(range(first, first + rows))
+
+
+class KeyedBlocksMapper(Mapper):
+    """Per input record, one 3-row block under each of two of five keys."""
+
+    def map(self, key, value, ctx: Context):
+        yield int(value) % 5, id_block(100 * int(value), 3)
+        yield (int(value) + 1) % 5, id_block(100 * int(value) + 50, 3)
+
+
+class BlockIdsReducer(Reducer):
+    def reduce(self, key, values, ctx: Context):
+        yield key, RecordBlock.gather(values).object_ids.tolist()
+
+
+class GatherCombiner(Reducer):
+    """A combiner over blocks: folds a task's blocks of one key into one."""
+
+    def reduce(self, key, values, ctx: Context):
+        yield key, RecordBlock.gather(values)
+
+
+def uncoalesced(pairs, key=None):
+    """``block_runs`` as if coalescing did not exist (the parent's layout)."""
+    return [[position] for position, _ in enumerate(pairs)]
+
+
+class TestFlushCoalescing:
+    @pytest.mark.parametrize("budget", [None, 400, 2000])
+    def test_one_entry_per_key_per_flush(self, tmp_path, budget):
+        pairs = [(i % 4, id_block(10 * i, 2)) for i in range(40)]
+        spec = SpillSpec(str(tmp_path), budget, task_index=0, task_id="t-000")
+        writer = SpillMapWriter(spec, 1, HashPartitioner(), num_reducers=2)
+        for key, value in pairs:
+            writer.add(key, value)
+        manifest = writer.finish()
+        assert manifest.entries == 40 and manifest.output_records == 80
+        for segment in manifest.segments:
+            keys = [key for _, _, key, _ in iter_segment(segment.path)]
+            assert len(keys) == len(set(keys)) == segment.entries
+        assert sum(s.records for s in manifest.segments) == 80
+        # the reducers still see every key's rows in arrival order
+        oracle = oracle_groups([pairs], 2)
+        for reducer in range(2):
+            segments = [s for s in manifest.segments if s.reducer == reducer]
+            merged = [
+                (key, RecordBlock.gather(values).object_ids.tolist())
+                for key, values in merged_segment_groups(segments)
+            ]
+            assert merged == [
+                (key, RecordBlock.gather(values).object_ids.tolist())
+                for key, values in oracle[reducer]
+            ]
+
+    def test_merged_entry_keeps_first_seq_and_summed_accounting(self, tmp_path):
+        pairs = [(7, id_block(0, 2)), (7, "x"), (7, id_block(10, 1)), (7, id_block(20, 3))]
+        spec = SpillSpec(str(tmp_path), None, task_index=3, task_id="t-003")
+        writer = SpillMapWriter(spec, 1, HashPartitioner(), num_reducers=1)
+        for key, value in pairs:
+            writer.add(key, value)
+        (segment,) = writer.finish().segments
+        entries = list(iter_segment(segment.path))
+        assert [(task, seq) for task, seq, _, _ in entries] == [(3, 0), (3, 1), (3, 2)]
+        assert entries[1][3] == "x"
+        assert entries[2][3].object_ids.tolist() == [10, 20, 21, 22]
+        assert segment.records == 7
+        assert segment.accounted_bytes == sum(
+            estimate_bytes(k) * record_count(v) + estimate_bytes(v) for k, v in pairs
+        )
+
+    @pytest.mark.parametrize("combiner", [None, GatherCombiner])
+    def test_flush_boundaries_and_merge_passes_do_not_move(self, monkeypatch, combiner):
+        from repro.mapreduce import shuffle
+
+        def run():
+            job = make_job(
+                mapper=KeyedBlocksMapper, reducer=BlockIdsReducer, combiner=combiner
+            )
+            store = SpillShuffleStore(memory_budget=600, merge_fan_in=2)
+            with LocalRuntime(shuffle=store) as runtime:
+                result = runtime.run(job, make_splits(rows=30, size=10))
+            store.close()
+            return result
+
+        coalesced = run()
+        monkeypatch.setattr(shuffle, "block_runs", uncoalesced)
+        parent = run()
+        assert job_fingerprint(coalesced) == job_fingerprint(parent)
+        assert coalesced.stats.spill_segments == parent.stats.spill_segments > 3
+        assert coalesced.stats.merge_passes == parent.stats.merge_passes
+        assert coalesced.stats.spill_bytes <= parent.stats.spill_bytes
+        if combiner is None:  # several blocks per key per flush: headers saved
+            assert coalesced.stats.spill_bytes < parent.stats.spill_bytes
+        memory = LocalRuntime().run(
+            make_job(mapper=KeyedBlocksMapper, reducer=BlockIdsReducer, combiner=combiner),
+            make_splits(rows=30, size=10),
+        )
+        assert job_fingerprint(memory) == job_fingerprint(coalesced)
 
 
 # -- store lifecycle -----------------------------------------------------------
