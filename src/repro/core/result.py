@@ -34,6 +34,29 @@ class KnnJoinResult:
             raise ValueError("neighbor ids and distances must align")
         self._neighbors[r_id] = (neighbor_ids, distances)
 
+    def add_many(
+        self,
+        r_ids: np.ndarray,
+        offsets: np.ndarray,
+        neighbor_ids: np.ndarray,
+        distances: np.ndarray,
+    ) -> None:
+        """Record many neighbor lists at once, given in CSR form: the list of
+        ``r_ids[i]`` is the ``offsets[i]:offsets[i + 1]`` slice of both flat
+        arrays (none of the ids may already be present)."""
+        neighbor_ids = np.asarray(neighbor_ids, dtype=np.int64)
+        distances = np.asarray(distances, dtype=np.float64)
+        if neighbor_ids.shape != distances.shape:
+            raise ValueError("neighbor ids and distances must align")
+        bounds = np.asarray(offsets).tolist()
+        lists = {
+            r_id: (neighbor_ids[start:stop], distances[start:stop])
+            for r_id, start, stop in zip(np.asarray(r_ids).tolist(), bounds, bounds[1:])
+        }
+        if len(lists) != len(r_ids) or not self._neighbors.keys().isdisjoint(lists):
+            raise ValueError("duplicate result for an object")
+        self._neighbors.update(lists)
+
     @classmethod
     def from_dict(
         cls, k: int, mapping: dict[int, tuple[np.ndarray, np.ndarray]]

@@ -4,10 +4,21 @@ Substrate for the approximate H-zkNNJ-style join (Zhang et al., EDBT 2012 —
 the competitor the paper cites and excludes as approximate, implemented here
 as an extension).  Points are scaled into a unit box, quantized to ``bits``
 levels per dimension, and their coordinate bits interleaved into a single
-integer whose ordering approximately preserves spatial proximity.
+code whose ordering approximately preserves spatial proximity.
+
+A code is ``bits * dims`` bits wide — 160 for the 10-d Forest data — so it is
+held as a **fixed-width big-endian byte string**, one element of a numpy
+``S{width}`` array (:meth:`ZOrderTransform.z_keys`).  Bytes compare like the
+unsigned integers they spell, so ``np.sort``, ``np.searchsorted``,
+``np.lexsort`` and ``<=`` on key arrays order exactly like the integers at
+any width, with no per-object Python.  :meth:`ZOrderTransform.z_values` is
+the integer view of the same keys, for master-side arithmetic on a handful of
+codes (quantile gaps, healing margins) and for tests.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -25,7 +36,7 @@ class ZOrderTransform:
         widen the box accordingly.
     bits:
         Quantization bits per dimension (z-values use ``bits * dims`` bits
-        total; Python ints make any width safe).
+        total; byte-string keys make any width safe).
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray, bits: int = 16) -> None:
@@ -40,19 +51,34 @@ class ZOrderTransform:
         self.bits = bits
 
     @classmethod
-    def for_points(
-        cls, points: np.ndarray, bits: int = 16, padding: float = 0.0
+    def for_box(
+        cls, lo: np.ndarray, hi: np.ndarray, bits: int = 16, padding: float = 0.0
     ) -> "ZOrderTransform":
-        """A transform covering the given points, optionally padded.
+        """A transform covering the data box ``[lo, hi]``, optionally padded.
 
         ``padding`` widens the box by that fraction of each dimension's span
         (room for random shift vectors).
         """
-        points = np.atleast_2d(points)
-        lo = points.min(axis=0)
-        hi = points.max(axis=0)
         span = np.maximum(hi - lo, 1e-12)
         return cls(lo - padding * span, hi + (padding + 1e-9) * span, bits=bits)
+
+    @classmethod
+    def for_points(
+        cls, points: np.ndarray, bits: int = 16, padding: float = 0.0
+    ) -> "ZOrderTransform":
+        """:meth:`for_box` over the bounding box of the given points."""
+        points = np.atleast_2d(points)
+        return cls.for_box(points.min(axis=0), points.max(axis=0), bits, padding)
+
+    @property
+    def total_bits(self) -> int:
+        """Width of a z-value: ``bits`` per dimension, interleaved."""
+        return self.bits * self.lo.shape[0]
+
+    @property
+    def key_width(self) -> int:
+        """Bytes per key: ``ceil(total_bits / 8)``, zero-padded at the top."""
+        return -(-self.total_bits // 8)
 
     def quantize(self, points: np.ndarray) -> np.ndarray:
         """Integer grid coordinates in ``[0, 2^bits)`` per dimension.
@@ -65,19 +91,37 @@ class ZOrderTransform:
         cells = np.floor((points - self.lo) * scale)
         return np.clip(cells, 0, 2**self.bits - 1).astype(np.int64)
 
-    def z_values(self, points: np.ndarray) -> list[int]:
-        """Morton codes of the given points (arbitrary-precision ints).
+    def z_keys(self, points: np.ndarray) -> np.ndarray:
+        """Morton codes of the given points as an ``S{key_width}`` array.
 
-        Bit ``b`` of dimension ``d`` lands at position ``b * dims + d`` —
-        the classic bit interleave, vectorised over objects per (bit, dim).
+        Bit ``b`` of dimension ``d`` lands at position ``b * dims + d`` of
+        the code — the classic bit interleave, done as one vectorised shift
+        over an ``(objects, bits, dims)`` grid laid out most significant bit
+        first and packed eight bits to the byte.
         """
         cells = self.quantize(points)
-        num_objects, dims = cells.shape
-        codes = [0] * num_objects
-        for bit in range(self.bits):
-            for dim in range(dims):
-                bit_values = (cells[:, dim] >> bit) & 1
-                shift = bit * dims + dim
-                for row in np.flatnonzero(bit_values):
-                    codes[row] |= 1 << shift
-        return codes
+        levels = np.arange(self.bits - 1, -1, -1, dtype=np.int64)[None, :, None]
+        planes = ((cells[:, None, ::-1] >> levels) & 1).astype(np.uint8)
+        planes = planes.reshape(cells.shape[0], self.total_bits)
+        lead = 8 * self.key_width - self.total_bits
+        if lead:
+            planes = np.pad(planes, ((0, 0), (lead, 0)))
+        return np.packbits(planes, axis=1).view(f"S{self.key_width}").ravel()
+
+    def keys_of(self, codes: Iterable[int]) -> np.ndarray:
+        """Integer codes as an ``S{key_width}`` key array (inverse of
+        :meth:`z_values`); each must lie in ``[0, 2^total_bits)``."""
+        width = self.key_width
+        return np.array(
+            [code.to_bytes(width, "big") for code in codes], dtype=f"S{width}"
+        )
+
+    def z_values(self, points: np.ndarray) -> list[int]:
+        """Morton codes as arbitrary-precision ints — :meth:`z_keys` read
+        back as big-endian numbers."""
+        width = self.key_width
+        raw = self.z_keys(points).tobytes()
+        return [
+            int.from_bytes(raw[at : at + width], "big")
+            for at in range(0, len(raw), width)
+        ]

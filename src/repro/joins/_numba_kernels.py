@@ -61,7 +61,6 @@ __all__ = [
     "PAIR_KERNELS",
     "ONE_TO_MANY_KERNELS",
     "kbest_insert",
-    "morton_interleave",
     "warm_up",
 ]
 
@@ -318,27 +317,6 @@ def kbest_insert(best_dists, best_ids, k, dists, ids):
             best_ids[pos] = oid
 
 
-# -- Morton / z-order interleave ----------------------------------------------
-
-
-@njit(cache=True)
-def morton_interleave(cells, bits):
-    """Interleave quantized cells into z-values — the compiled form of
-    ``ZOrderTransform.z_values``'s bit loop, valid while ``bits * dims <= 64``
-    (the provider falls back to the arbitrary-precision Python loop beyond).
-    """
-    n, dims = cells.shape
-    out = np.zeros(n, dtype=np.uint64)
-    for row in range(n):
-        code = np.uint64(0)
-        for bit in range(bits):
-            for dim in range(dims):
-                if (cells[row, dim] >> bit) & 1:
-                    code |= np.uint64(1) << np.uint64(bit * dims + dim)
-        out[row] = code
-    return out
-
-
 SCAN_KERNELS = {"l2": scan_pairs_l2, "l1": scan_pairs_l1, "linf": scan_pairs_linf}
 PAIR_KERNELS = {"l2": pair_dists_l2, "l1": pair_dists_l1, "linf": pair_dists_linf}
 ONE_TO_MANY_KERNELS = {
@@ -367,4 +345,3 @@ def warm_up() -> None:
     best_d = np.full(2, np.inf, dtype=np.float64)
     best_i = np.full(2, np.iinfo(np.int64).max, dtype=np.int64)
     kbest_insert(best_d, best_i, 2, np.zeros(1, dtype=np.float64), ids[:1])
-    morton_interleave(np.zeros((1, 2), dtype=np.int64), 4)

@@ -26,7 +26,6 @@ Three guarantees shape the design:
 
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass
 
@@ -381,21 +380,6 @@ def _is_default(config: JoinConfig, spec, knob: str) -> bool:
     return hasattr(config, knob) and getattr(config, knob) == getattr(defaults, knob)
 
 
-def _replace_config(config: JoinConfig, **updates) -> JoinConfig:
-    """Shallow-copy ``config`` with knobs updated, re-running validation.
-
-    Not :func:`dataclasses.replace`: config subclasses with hand-written
-    ``__init__`` (e.g. ``ZOrderConfig``) carry non-field attributes a field
-    round-trip would drop, so copy-and-set preserves everything and
-    ``__post_init__`` re-validates the moved knobs.
-    """
-    tuned = copy.copy(config)
-    for knob, value in updates.items():
-        setattr(tuned, knob, value)
-    tuned.__post_init__()
-    return tuned
-
-
 def auto_tune_config(
     name: str,
     r: Dataset,
@@ -498,7 +482,7 @@ def auto_tune_config(
         updates["engine"] = "threads-pooled"
         chosen.append(("engine", "threads-pooled"))
 
-    tuned = _replace_config(config, **updates)
+    tuned = config.with_changes(**updates)
     return TuningChoice(
         name=name,
         config=tuned,

@@ -6,22 +6,31 @@ second MapReduce job merges, per ``r``, the ``sqrt(N)`` partial candidate
 lists into the final k.  Every object of either dataset is therefore
 replicated ``sqrt(N)`` times, giving the framework's
 ``sqrt(N) * (|R| + |S|) + sum |R_i x S_j|`` shuffling cost.
+
+Candidate lists travel in columnar form: every producer of the merge job
+(H-BRJ, PBJ, iJoin, the z-order join) hands its reducer's lists to
+:func:`candidate_emissions` as one
+:class:`~repro.mapreduce.types.NeighborBlock`, which emits one sub-block per
+*merge partition* (``r_id % num_reducers`` — the reducer the hash partitioner
+sends ``r_id`` to); each merge reducer ranks its whole partition with two
+lexsorts, and :func:`merged_result` bulk-loads the outcome.  A block weighs
+its rows, so records and bytes are those of one ``(r_id, (ids, dists))`` pair
+per list.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.result import KnnJoinResult
 from repro.mapreduce.hdfs import DistributedFileSystem
 from repro.mapreduce.job import BlockBufferingMapper, Context, Mapper, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import HashPartitioner, ModPartitioner
 from repro.mapreduce.plan import FusedOutput
-from repro.mapreduce.runtime import JobResult, LocalRuntime
 from repro.mapreduce.splits import split_records
-from repro.mapreduce.types import RecordBlock
+from repro.mapreduce.types import NeighborBlock, RecordBlock, ranks_within
 
 from .base import REPLICA_GROUP, REPLICA_NAME, JoinConfig
-from .kernel_providers import get_kernel_provider
 
 __all__ = [
     "block_of",
@@ -29,10 +38,12 @@ __all__ = [
     "BlockRoutingMapper",
     "CandidateMergeMapper",
     "CandidateMergeReducer",
+    "candidate_emissions",
+    "merge_candidates",
+    "merged_result",
     "chain_splits",
     "fused_or_chained",
     "merge_job_spec",
-    "run_merge_job",
 ]
 
 
@@ -85,40 +96,67 @@ class BlockRoutingMapper(BlockBufferingMapper):
                     yield i * num_blocks + own_block, sub
 
 
+def candidate_emissions(candidates: NeighborBlock, ctx: Context):
+    """A reducer's candidate lists as ``(merge partition, sub-block)`` pairs.
+
+    The partition is ``r_id % merge_reducers`` (the producing job's cache
+    names the merge job's reducer count) — where the merge job's hash
+    partitioner routes the integer key anyway — so every list of one ``r``
+    meets in one reduce group, and a reducer emits at most
+    ``merge_reducers`` values however many ``r`` it answered.
+    """
+    return candidates.split_by(candidates.r_ids % int(ctx.cache["merge_reducers"]))
+
+
 class CandidateMergeMapper(Mapper):
-    """Identity mapper of the merge job: candidates are already r-keyed."""
+    """Identity mapper of the merge job: candidates are already keyed by
+    their merge partition."""
 
     def map(self, key, value, ctx: Context):
         yield key, value
 
 
-class CandidateMergeReducer(Reducer):
-    """Keeps the k best of the per-block candidate lists for one r.
+def merge_candidates(candidates: NeighborBlock, k: int) -> NeighborBlock:
+    """The k best distinct neighbours of every ``r`` in the block.
 
-    Candidates are deduplicated by object id before ranking: block pairs
-    never overlap (H-BRJ/PBJ), but overlapping candidate sources — e.g. the
-    z-order join's shifted curves — may report the same neighbor twice, and
-    a duplicate must not consume two of the k slots.
+    Candidates are deduplicated by object id before ranking (each keeps its
+    smallest reported distance): block pairs never overlap (H-BRJ/PBJ), but
+    overlapping candidate sources — e.g. the z-order join's shifted curves —
+    may report the same neighbor twice, and a duplicate must not consume two
+    of the k slots.  Ranking is by (distance, id); output rows are one per
+    distinct ``r``, ids ascending.
     """
+    owners = np.repeat(candidates.r_ids, np.diff(candidates.offsets))
+    ids, dists = candidates.ids, candidates.dists
+    order = np.lexsort((dists, ids, owners))
+    owners, ids, dists = owners[order], ids[order], dists[order]
+    first = np.ones(owners.size, dtype=bool)
+    first[1:] = (owners[1:] != owners[:-1]) | (ids[1:] != ids[:-1])
+    owners, ids, dists = owners[first], ids[first], dists[first]
+    order = np.lexsort((ids, dists, owners))
+    owners, ids, dists = owners[order], ids[order], dists[order]
+    r_ids = np.unique(candidates.r_ids)
+    sizes = np.diff(np.append(np.searchsorted(owners, r_ids), owners.size))
+    keep = ranks_within(sizes) < k
+    return NeighborBlock.from_counts(r_ids, np.minimum(sizes, k), ids[keep], dists[keep])
+
+
+class CandidateMergeReducer(Reducer):
+    """Keeps the k best of the candidate lists of every r of one partition."""
 
     def setup(self, ctx: Context) -> None:
         self._k = int(ctx.cache["k"])
-        self._provider = get_kernel_provider(ctx.cache.get("kernel_provider", "auto"))
 
     def reduce(self, key, values, ctx: Context):
-        best_of: dict[int, float] = {}
-        for ids, dists in values:
-            for object_id, dist in zip(ids.tolist(), dists.tolist()):
-                previous = best_of.get(object_id)
-                if previous is None or dist < previous:
-                    best_of[object_id] = dist
-        kbest = self._provider.kbest(self._k)
-        kbest.update(
-            np.fromiter(best_of.values(), dtype=np.float64, count=len(best_of)),
-            np.fromiter(best_of.keys(), dtype=np.int64, count=len(best_of)),
-        )
-        ids, dists = kbest.as_arrays()
-        yield key, (ids, dists)
+        yield key, merge_candidates(NeighborBlock.gather(values), self._k)
+
+
+def merged_result(k: int, outputs: list) -> KnnJoinResult:
+    """The merge job's output blocks, bulk-loaded into a join result."""
+    result = KnnJoinResult(k)
+    for _, block in outputs:
+        result.add_many(block.r_ids, block.offsets, block.ids, block.dists)
+    return result
 
 
 def chain_splits(
@@ -166,8 +204,8 @@ def fused_or_chained(config: JoinConfig, dfs, name: str, ctx, upstream):
 def merge_job_spec(config: JoinConfig) -> MapReduceJob:
     """Spec of the block framework's second job: merge partial candidates.
 
-    Its input — the first job's ``(r_id, (ids, dists))`` pairs — makes up
-    this job's (counted) shuffle traffic, matching the
+    Its input — the first job's :func:`candidate_emissions` — makes up this
+    job's (counted) shuffle traffic, matching the
     ``sum |R_i knn-join S_j|`` term of the paper's cost analysis.  Plan
     builders pair it with ``chain_splits`` over the upstream stage's output.
     """
@@ -177,20 +215,7 @@ def merge_job_spec(config: JoinConfig) -> MapReduceJob:
         reducer_factory=CandidateMergeReducer,
         partitioner=HashPartitioner(),
         num_reducers=config.num_reducers,
-        cache={"k": config.k, "kernel_provider": config.kernel_provider},
-    )
-
-
-def run_merge_job(
-    candidates: list,
-    config: JoinConfig,
-    runtime: LocalRuntime,
-    dfs: DistributedFileSystem | None = None,
-) -> JobResult:
-    """Run the merge job over materialized candidates (test seam; the
-    drivers plan it as a graph stage via :func:`merge_job_spec`)."""
-    return runtime.run(
-        merge_job_spec(config), chain_splits(config, dfs, "merge-input", candidates)
+        cache={"k": config.k},
     )
 
 

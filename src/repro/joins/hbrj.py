@@ -17,11 +17,10 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
-from repro.core.result import KnnJoinResult
 from repro.mapreduce.job import Context, Reducer
 from repro.mapreduce.plan import JobGraph
 from repro.mapreduce.splits import dataset_splits
-from repro.mapreduce.types import RecordBlock
+from repro.mapreduce.types import NeighborBlock, RecordBlock
 from repro.rtree import RTree
 
 from .base import (
@@ -32,7 +31,13 @@ from .base import (
     KnnJoinAlgorithm,
     StageStats,
 )
-from .block_framework import block_join_spec, fused_or_chained, merge_job_spec
+from .block_framework import (
+    block_join_spec,
+    candidate_emissions,
+    fused_or_chained,
+    merge_job_spec,
+    merged_result,
+)
 from .registry import JoinPlan, JoinSpec, register_join, run_join
 
 __all__ = ["HBRJ", "plan_hbrj"]
@@ -51,14 +56,15 @@ class HbrjJoinReducer(Reducer):
         r_rows = np.flatnonzero(block.is_r)
         s_rows = np.flatnonzero(~block.is_r)
         if r_rows.size == 0 or s_rows.size == 0:
-            return
+            return ()
         tree = RTree.bulk_load(
             block.points[s_rows], block.object_ids[s_rows], self._metric, self._capacity
         )
-        r_points = block.points[r_rows]
-        for row, r_id in enumerate(block.object_ids[r_rows]):
-            ids, dists = tree.knn(r_points[row], self._k)
-            yield int(r_id), (ids, dists)
+        candidates = NeighborBlock.from_lists(
+            (r_id, *tree.knn(point, self._k))
+            for r_id, point in zip(block.object_ids[r_rows], block.points[r_rows])
+        )
+        return candidate_emissions(candidates, ctx)
 
     def cleanup(self, ctx: Context):
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)
@@ -81,6 +87,7 @@ def plan_hbrj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
                 "metric_name": config.metric_name,
                 "k": config.k,
                 "rtree_capacity": config.rtree_capacity,
+                "merge_reducers": config.num_reducers,
             },
         )
         return job, dataset_splits(r, s, config.split_size)
@@ -97,12 +104,9 @@ def plan_hbrj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
 
     def assemble(run) -> JoinOutcome:
         job1, job2 = run.result_of(block_join), run.result_of(merge)
-        result = KnnJoinResult(config.k)
-        for r_id, (ids, dists) in job2.outputs:
-            result.add(r_id, ids, dists)
         outcome = JoinOutcome(
             algorithm="hbrj",
-            result=result,
+            result=merged_result(config.k, job2.outputs),
             r_size=len(r),
             s_size=len(s),
             k=config.k,

@@ -20,12 +20,11 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
-from repro.core.result import KnnJoinResult
 from repro.idistance import IDistanceIndex
 from repro.mapreduce.job import Context, Reducer
 from repro.mapreduce.plan import JobGraph
 from repro.mapreduce.splits import dataset_splits
-from repro.mapreduce.types import RecordBlock
+from repro.mapreduce.types import NeighborBlock, RecordBlock
 
 from .base import (
     PAIRS_GROUP,
@@ -35,7 +34,13 @@ from .base import (
     KnnJoinAlgorithm,
     StageStats,
 )
-from .block_framework import block_join_spec, fused_or_chained, merge_job_spec
+from .block_framework import (
+    block_join_spec,
+    candidate_emissions,
+    fused_or_chained,
+    merge_job_spec,
+    merged_result,
+)
 from .kernel_providers import get_kernel_provider
 from .registry import JoinPlan, JoinSpec, register_join, run_join
 
@@ -57,7 +62,7 @@ class IJoinBlockReducer(Reducer):
         r_rows = np.flatnonzero(block.is_r)
         s_rows = np.flatnonzero(~block.is_r)
         if r_rows.size == 0 or s_rows.size == 0:
-            return
+            return ()
         s_points = block.points[s_rows]
         s_ids = block.object_ids[s_rows]
         rng = np.random.default_rng(self._seed + int(key))
@@ -70,10 +75,11 @@ class IJoinBlockReducer(Reducer):
             self._metric,
             kbest_factory=self._provider.kbest,
         )
-        r_points = block.points[r_rows]
-        for row, r_id in enumerate(block.object_ids[r_rows]):
-            ids, dists = index.knn(r_points[row], self._k)
-            yield int(r_id), (ids, dists)
+        candidates = NeighborBlock.from_lists(
+            (r_id, *index.knn(point, self._k))
+            for r_id, point in zip(block.object_ids[r_rows], block.points[r_rows])
+        )
+        return candidate_emissions(candidates, ctx)
 
     def cleanup(self, ctx: Context):
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)
@@ -100,6 +106,7 @@ def plan_ijoin(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
                 "index_pivots": max(4, config.num_pivots // max(config.num_blocks, 1)),
                 "seed": config.seed,
                 "kernel_provider": config.kernel_provider,
+                "merge_reducers": config.num_reducers,
             },
         )
         return job, dataset_splits(r, s, config.split_size)
@@ -116,12 +123,9 @@ def plan_ijoin(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
 
     def assemble(run) -> JoinOutcome:
         job1, job2 = run.result_of(block_join), run.result_of(merge)
-        result = KnnJoinResult(config.k)
-        for r_id, (ids, dists) in job2.outputs:
-            result.add(r_id, ids, dists)
         outcome = JoinOutcome(
             algorithm="ijoin",
-            result=result,
+            result=merged_result(config.k, job2.outputs),
             r_size=len(r),
             s_size=len(s),
             k=config.k,

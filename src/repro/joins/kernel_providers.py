@@ -185,9 +185,10 @@ class KernelProvider:
         """A fresh k-best list."""
         return KBestList(k)
 
-    def morton_codes(self, transform: ZOrderTransform, points: np.ndarray) -> list[int]:
-        """Morton codes of ``points`` — ``ZOrderTransform.z_values``."""
-        return transform.z_values(points)
+    def morton_codes(self, transform: ZOrderTransform, points: np.ndarray) -> np.ndarray:
+        """Morton codes of ``points`` as a byte-key array —
+        ``ZOrderTransform.z_keys``, the one implementation at every width."""
+        return transform.z_keys(points)
 
     def knn_join_kernel(self, *args, **kwargs):
         """Algorithm 3's reduce phase using this provider's partition scan."""
@@ -296,14 +297,6 @@ class NumbaKernelProvider(KernelProvider):
             return KBestList(k)
         return CompiledKBestList(k)
 
-    def morton_codes(self, transform, points):
-        dims = transform.lo.shape[0]
-        if transform.bits * dims > 64 or not self._compiled():
-            # beyond 64 bits the codes need arbitrary-precision ints
-            return transform.z_values(points)
-        codes = _nk.morton_interleave(transform.quantize(points), transform.bits)
-        return [int(code) for code in codes]
-
 
 #: auto-provider thresholds: below these, compiled call overhead (boxing,
 #: signature dispatch) beats the numpy kernel's fixed vectorization cost.
@@ -312,7 +305,6 @@ class NumbaKernelProvider(KernelProvider):
 #: AUTO_SCAN_PAIRS, most scans (the late, heavily pruned steps) far below it.
 AUTO_SCAN_PAIRS = 4096
 AUTO_BATCH_ROWS = 2048
-AUTO_MORTON_BITS = 1 << 16
 
 
 class AutoKernelProvider(KernelProvider):
@@ -380,15 +372,6 @@ class AutoKernelProvider(KernelProvider):
         ):
             return self._numba.cross_distances(metric, xs_arr, ys_arr)
         return metric.cross_distances(xs, ys)
-
-    def morton_codes(self, transform, points):
-        dims = transform.lo.shape[0]
-        cost = np.atleast_2d(points).shape[0] * transform.bits * dims
-        if transform.bits * dims <= 64 and cost >= AUTO_MORTON_BITS:
-            if self._native:
-                return self._numba.morton_codes(transform, points)
-            _record_fallback(self.name, warn=False)
-        return transform.z_values(points)
 
 
 #: name -> provider instance; the names are always valid choices — "numba"

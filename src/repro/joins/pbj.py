@@ -24,9 +24,9 @@ import numpy as np
 from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
 from repro.core.partition import VoronoiPartitioner
-from repro.core.result import KnnJoinResult
 from repro.mapreduce.job import Context, Reducer
 from repro.mapreduce.plan import JobGraph
+from repro.mapreduce.types import NeighborBlock
 
 from .base import (
     PAIRS_GROUP,
@@ -36,7 +36,14 @@ from .base import (
     KnnJoinAlgorithm,
     StageStats,
 )
-from .block_framework import block_join_spec, chain_splits, fused_or_chained, merge_job_spec
+from .block_framework import (
+    block_join_spec,
+    candidate_emissions,
+    chain_splits,
+    fused_or_chained,
+    merge_job_spec,
+    merged_result,
+)
 from .kernel_providers import get_kernel_provider
 from .kernels import (
     ScratchPool,
@@ -64,24 +71,26 @@ class PbjJoinReducer(Reducer):
     def reduce(self, key, values, ctx: Context):
         r_blocks, s_blocks = build_partition_blocks(values)
         if not r_blocks or not s_blocks:
-            return  # lone half of a pair: other block columns cover these r
+            return ()  # lone half of a pair: other block columns cover these r
         ring_stats = local_ring_stats(s_blocks)
         thetas = {
             pid: local_theta(block.local_upper(), self._pdm[pid], s_blocks, self._k)
             for pid, block in r_blocks.items()
         }
-        for r_id, ids, dists in self._provider.knn_join_kernel(
-            self._metric,
-            self._k,
-            r_blocks,
-            s_blocks,
-            thetas,
-            ring_stats,
-            self._pivots,
-            self._pdm,
-            scratch=self._scratch,
-        ):
-            yield r_id, (ids, dists)
+        candidates = NeighborBlock.from_lists(
+            self._provider.knn_join_kernel(
+                self._metric,
+                self._k,
+                r_blocks,
+                s_blocks,
+                thetas,
+                ring_stats,
+                self._pivots,
+                self._pdm,
+                scratch=self._scratch,
+            )
+        )
+        return candidate_emissions(candidates, ctx)
 
     def cleanup(self, ctx: Context):
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)
@@ -112,6 +121,7 @@ def plan_pbj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
                 "pivots": state["pivots"],
                 "pivot_dist_matrix": pdm,
                 "kernel_provider": config.kernel_provider,
+                "merge_reducers": config.num_reducers,
             },
         )
         return job2, chain_splits(config, dfs, "partitioned", job1.outputs)
@@ -128,12 +138,9 @@ def plan_pbj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
 
     def assemble(run) -> JoinOutcome:
         jobs = [run.result_of(stage) for stage in (partition, block_join, merge)]
-        result = KnnJoinResult(config.k)
-        for r_id, (ids, dists) in jobs[-1].outputs:
-            result.add(r_id, ids, dists)
         outcome = JoinOutcome(
             algorithm="pbj",
-            result=result,
+            result=merged_result(config.k, jobs[-1].outputs),
             r_size=len(r),
             s_size=len(s),
             k=config.k,

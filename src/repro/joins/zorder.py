@@ -19,6 +19,21 @@ Algorithm sketch (two MapReduce jobs, like the block framework):
    ``2k`` nearest S objects *along the curve* as candidates, computing their
    true distances.  A merge job keeps the best k per ``r`` across all shifts.
 
+The join is array-shaped end to end.  Z-values are fixed-width byte keys
+(:meth:`~repro.core.zorder.ZOrderTransform.z_keys`), so a map task places its
+whole input with one ``searchsorted`` per shift and decides healing by
+comparing keys against ``boundary ± margin`` keys the master precomputed; it
+emits one :class:`~repro.mapreduce.types.RecordBlock` per (shift, z-block)
+reducer key.  A row weighs what the historical ``(is_r, id, point, z)`` tuple
+did — the block's payload column is zero, and its two 8-byte annotation
+columns weigh what the tuple's framing and z-value did — and z itself is not
+shipped: the reducer recomputes it from the shift its key names.  The reducer
+answers all its ``r`` with one ``(z, id)`` lexsort, one ``searchsorted``, one
+windowed gather and one counted pair-distance call, and hands the candidate
+lists to the shared merge job as
+:class:`~repro.mapreduce.types.NeighborBlock` values
+(:func:`~repro.joins.block_framework.candidate_emissions`).
+
 The result is approximate: a true neighbor may be z-far in every shift.
 Quality is measured by :func:`recall_against` (fraction of exact neighbors
 found) and the distance ratio; both improve with ``num_shifts``.
@@ -26,7 +41,7 @@ found) and the distance ratio; both improve with ``num_shifts``.
 
 from __future__ import annotations
 
-import bisect
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,10 +49,11 @@ from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
 from repro.core.result import KnnJoinResult
 from repro.core.zorder import ZOrderTransform
-from repro.mapreduce.job import Context, Mapper, MapReduceJob, Reducer
+from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
 from repro.mapreduce.splits import dataset_splits
+from repro.mapreduce.types import NeighborBlock, RecordBlock, group_rows_by, ranks_within
 
 from .base import (
     PAIRS_GROUP,
@@ -49,97 +65,91 @@ from .base import (
     KnnJoinAlgorithm,
     StageStats,
 )
-from .block_framework import fused_or_chained, merge_job_spec
+from .block_framework import (
+    candidate_emissions,
+    fused_or_chained,
+    merge_job_spec,
+    merged_result,
+)
 from .kernel_providers import get_kernel_provider
 from .registry import JoinPlan, JoinSpec, register_join, run_join
 
 __all__ = ["ZOrderKnnJoin", "ZOrderConfig", "plan_zorder", "recall_against"]
 
 
+@dataclass
 class ZOrderConfig(JoinConfig):
     """Configuration for the approximate z-order join.
 
     ``num_shifts`` is the alpha of H-zkNNJ (copies of the curve);
     ``bits`` the per-dimension quantization; ``candidates_per_side`` how many
-    curve neighbors each side contributes (k is the classic choice).
+    curve neighbors each side contributes (``None``: k, the classic choice,
+    resolved when the join is planned so it follows ``with_changes(k=...)``);
+    ``sample_size`` how many S objects the master samples per shift to place
+    the block boundaries.
     """
 
-    def __init__(
-        self,
-        num_shifts: int = 3,
-        bits: int = 16,
-        candidates_per_side: int | None = None,
-        sample_size: int = 1024,
-        **kwargs,
-    ) -> None:
-        super().__init__(**kwargs)
-        if num_shifts < 1:
+    num_shifts: int = 3
+    bits: int = 16
+    candidates_per_side: int | None = None
+    sample_size: int = 1024
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.num_shifts < 1:
             raise ValueError("num_shifts must be >= 1")
-        self.num_shifts = num_shifts
-        self.bits = bits
-        self.candidates_per_side = candidates_per_side or self.k
-        self.sample_size = sample_size
+        if not 1 <= self.bits <= 32:
+            raise ValueError("bits must be in [1, 32]")
+        if self.candidates_per_side is not None and self.candidates_per_side < 0:
+            raise ValueError("candidates_per_side must be >= 0 (or None for k)")
+        if self.sample_size < 1:
+            raise ValueError("sample_size must be >= 1")
 
 
-class ZOrderRoutingMapper(Mapper):
-    """Routes objects to (shift, z-range block) reducers.
+class ZOrderRoutingMapper(BlockBufferingMapper):
+    """Routes objects to (shift, z-range block) reducers, a block at a time.
 
-    Input is buffered and each shift's Morton codes are computed for the
-    whole task in one vectorized :meth:`ZOrderTransform.z_values` call
-    (quantization is per-row, so batch and per-record codes are identical);
-    routing decisions and the boundary-healing rule are unchanged.
+    Per shift the task's whole input is encoded in one
+    :meth:`~repro.joins.kernel_providers.KernelProvider.morton_codes` call
+    and placed with one ``searchsorted`` against the block boundaries; an
+    ``s`` additionally feeds the neighbor block when its z-value sits within
+    the margin of the boundary between them (boundary healing), decided by
+    comparing keys against the precomputed ``boundary ± margin`` keys.
     """
 
     def setup(self, ctx: Context) -> None:
+        super().setup(ctx)
         self._shifts: np.ndarray = ctx.cache["shifts"]
         self._transform: ZOrderTransform = ctx.cache["transform"]
-        self._boundaries: list[list[int]] = ctx.cache["boundaries"]
+        #: per shift: (boundary keys, boundary + margin, boundary - margin)
+        self._boundaries: list[tuple[np.ndarray, ...]] = ctx.cache["boundaries"]
         self._blocks_per_shift = int(ctx.cache["blocks_per_shift"])
-        self._margins: list[int] = ctx.cache["margins"]
         self._provider = get_kernel_provider(ctx.cache.get("kernel_provider", "auto"))
-        self._buffer: list = []
 
-    def _block_of(self, shift_index: int, z_value: int) -> int:
-        return bisect.bisect_right(self._boundaries[shift_index], z_value)
-
-    def map(self, key, value, ctx: Context):
-        self._buffer.append(value)
-        return ()
-
-    def cleanup(self, ctx: Context):
-        if not self._buffer:
-            return
-        records = self._buffer
-        self._buffer = []
-        points = np.array([record.point for record in records], dtype=np.float64)
-        for shift_index in range(self._shifts.shape[0]):
-            z_values = self._provider.morton_codes(
-                self._transform, points + self._shifts[shift_index]
-            )
-            for record, z_value in zip(records, z_values):
-                block = self._block_of(shift_index, z_value)
-                reducer_key = shift_index * self._blocks_per_shift + block
-                payload = (record.is_from_r(), record.object_id, record.point, z_value)
-                if record.is_from_r():
-                    yield reducer_key, payload
-                else:
-                    ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME)
-                    yield reducer_key, payload
-                    # boundary healing: also feed the neighbor block when the
-                    # z-value sits next to the estimated boundary
-                    for neighbor in (block - 1, block + 1):
-                        if 0 <= neighbor < self._blocks_per_shift and self._near_boundary(
-                            shift_index, z_value, neighbor
-                        ):
-                            ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME)
-                            yield shift_index * self._blocks_per_shift + neighbor, payload
-
-    def _near_boundary(self, shift_index: int, z_value: int, neighbor: int) -> bool:
-        boundaries = self._boundaries[shift_index]
-        margin = self._margins[shift_index]
-        if neighbor < self._block_of(shift_index, z_value):
-            return z_value - boundaries[neighbor] <= margin
-        return boundaries[neighbor - 1] - z_value <= margin
+    def route_block(self, block: RecordBlock, ctx: Context):
+        # the wire row is (is_r, id, point, z): no payload bytes travel
+        block = replace(block, payloads=np.zeros_like(block.payloads))
+        s_rows = np.flatnonzero(~block.is_r)
+        r_count = len(block) - int(s_rows.size)
+        last = self._blocks_per_shift - 1
+        for shift_index, shift in enumerate(self._shifts):
+            keys = self._provider.morton_codes(self._transform, block.points + shift)
+            boundaries, above, below = self._boundaries[shift_index]
+            own = np.searchsorted(boundaries, keys, side="right")
+            rows, targets = [np.arange(len(block))], [own]
+            if last:
+                s_own, s_keys = own[s_rows], keys[s_rows]
+                down = (s_own > 0) & (s_keys <= above[s_own - 1])
+                up = (s_own < last) & (s_keys >= below[np.minimum(s_own, last - 1)])
+                rows += [s_rows[down], s_rows[up]]
+                targets += [s_own[down] - 1, s_own[up] + 1]
+            rows, targets = np.concatenate(rows), np.concatenate(targets)
+            ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME, int(rows.size) - r_count)
+            # within a reducer key, rows keep the task's record order
+            by_row = np.argsort(rows, kind="stable")
+            rows, targets = rows[by_row], targets[by_row]
+            for target, picks in group_rows_by(targets):
+                yield shift_index * self._blocks_per_shift + target, block.take(rows[picks])
 
 
 class ZOrderJoinReducer(Reducer):
@@ -149,31 +159,40 @@ class ZOrderJoinReducer(Reducer):
         self._metric = get_metric(ctx.cache["metric_name"])
         self._k = int(ctx.cache["k"])
         self._per_side = int(ctx.cache["candidates_per_side"])
+        self._shifts: np.ndarray = ctx.cache["shifts"]
+        self._transform: ZOrderTransform = ctx.cache["transform"]
+        self._blocks_per_shift = int(ctx.cache["blocks_per_shift"])
         self._provider = get_kernel_provider(ctx.cache.get("kernel_provider", "auto"))
 
     def reduce(self, key, values, ctx: Context):
-        # values may be a one-shot stream (spill backend): split in one pass
-        r_items: list[tuple[int, int, np.ndarray]] = []
-        s_items: list[tuple[int, int, np.ndarray]] = []
-        for is_r, oid, point, z in values:
-            (r_items if is_r else s_items).append((z, oid, point))
-        if not r_items or not s_items:
-            return
-        s_items.sort(key=lambda item: (item[0], item[1]))
-        s_z = [z for z, _, _ in s_items]
-        s_ids = np.array([oid for _, oid, _ in s_items], dtype=np.int64)
-        s_points = np.array([point for _, _, point in s_items], dtype=np.float64)
-        for z_value, r_id, r_point in r_items:
-            center = bisect.bisect_left(s_z, z_value)
-            start = max(0, center - self._per_side)
-            stop = min(len(s_items), center + self._per_side)
-            if start >= stop:
-                continue
-            dists = self._provider.distances(
-                self._metric, r_point, s_points[start:stop]
-            )
-            order = np.lexsort((s_ids[start:stop], dists))[: self._k]
-            yield r_id, (s_ids[start:stop][order], dists[order])
+        block = RecordBlock.gather(values)
+        r_rows = np.flatnonzero(block.is_r)
+        s_rows = np.flatnonzero(~block.is_r)
+        if r_rows.size == 0 or s_rows.size == 0:
+            return ()
+        shift = self._shifts[int(key) // self._blocks_per_shift]
+        keys = self._provider.morton_codes(self._transform, block.points + shift)
+        s_rows = s_rows[np.lexsort((block.object_ids[s_rows], keys[s_rows]))]
+        # each r's window: per_side curve positions either side of where its
+        # z-value falls in the sorted S block, clipped at the block's ends
+        # (never empty: per_side >= 1 and the block holds at least one s)
+        center = np.searchsorted(keys[s_rows], keys[r_rows], side="left")
+        start = np.maximum(center - self._per_side, 0)
+        lengths = np.minimum(center + self._per_side, s_rows.size) - start
+        owner = np.repeat(np.arange(r_rows.size), lengths)
+        rank = ranks_within(lengths)
+        window = s_rows[start[owner] + rank]
+        ids = block.object_ids[window]
+        dists = self._provider.pair_distances(
+            self._metric, block.points[r_rows[owner]], block.points[window]
+        )
+        # the k best of every window under (distance, id): sorting keeps each
+        # r's candidates in its own span, so rank still counts from its start
+        best = np.lexsort((ids, dists, owner))[rank < self._k]
+        candidates = NeighborBlock.from_counts(
+            block.object_ids[r_rows], np.minimum(lengths, self._k), ids[best], dists[best]
+        )
+        return candidate_emissions(candidates, ctx)
 
     def cleanup(self, ctx: Context):
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)
@@ -192,11 +211,9 @@ def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
         # master-side preprocessing: shifts, transform, quantile boundaries
         # (untimed, as the imperative driver had it — a new master phase
         # would change simulated_seconds vs the pre-plan outcomes)
-        span = np.maximum(
-            np.vstack([r.points, s.points]).max(axis=0)
-            - np.vstack([r.points, s.points]).min(axis=0),
-            1e-9,
-        )
+        lo = np.minimum(r.points.min(axis=0), s.points.min(axis=0))
+        hi = np.maximum(r.points.max(axis=0), s.points.max(axis=0))
+        span = np.maximum(hi - lo, 1e-9)
         shifts = np.vstack(
             [np.zeros(r.dimensions)]
             + [
@@ -204,27 +221,30 @@ def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
                 for _ in range(config.num_shifts - 1)
             ]
         )
-        transform = ZOrderTransform.for_points(
-            np.vstack([r.points, s.points]), bits=config.bits, padding=0.3
-        )
+        transform = ZOrderTransform.for_box(lo, hi, bits=config.bits, padding=0.3)
         blocks_per_shift = max(1, config.num_reducers // config.num_shifts)
         sample_rows = rng.choice(
             len(s), size=min(config.sample_size, len(s)), replace=False
         )
-        boundaries: list[list[int]] = []
-        margins: list[int] = []
-        for shift_index in range(config.num_shifts):
-            sample_z = sorted(
-                transform.z_values(s.points[sample_rows] + shifts[shift_index])
-            )
+        top = (1 << transform.total_bits) - 1
+        boundaries: list[tuple[np.ndarray, ...]] = []
+        for shift in shifts:
+            # a sample's worth of codes as ints: gaps need real subtraction
+            sample_z = sorted(transform.z_values(s.points[sample_rows] + shift))
             quantiles = [
                 sample_z[int(len(sample_z) * q / blocks_per_shift)]
                 for q in range(1, blocks_per_shift)
             ]
-            boundaries.append(quantiles)
             # boundary margin: median z-gap between curve neighbors, times k
             gaps = [b - a for a, b in zip(sample_z, sample_z[1:])] or [0]
-            margins.append(int(sorted(gaps)[len(gaps) // 2] * config.k))
+            margin = int(sorted(gaps)[len(gaps) // 2] * config.k)
+            boundaries.append(
+                (
+                    transform.keys_of(quantiles),
+                    transform.keys_of(min(q + margin, top) for q in quantiles),
+                    transform.keys_of(max(q - margin, 0) for q in quantiles),
+                )
+            )
 
         job = MapReduceJob(
             name="zorder-join",
@@ -236,11 +256,11 @@ def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
                 "shifts": shifts,
                 "transform": transform,
                 "boundaries": boundaries,
-                "margins": margins,
                 "blocks_per_shift": blocks_per_shift,
                 "metric_name": config.metric_name,
                 "k": config.k,
-                "candidates_per_side": config.candidates_per_side,
+                "candidates_per_side": config.candidates_per_side or config.k,
+                "merge_reducers": config.num_reducers,
                 "kernel_provider": config.kernel_provider,
             },
         )
@@ -258,12 +278,9 @@ def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
 
     def assemble(run) -> JoinOutcome:
         job1, job2 = run.result_of(join), run.result_of(merge)
-        result = KnnJoinResult(config.k)
-        for r_id, (ids, dists) in job2.outputs:
-            result.add(r_id, ids, dists)
         outcome = JoinOutcome(
             algorithm="zorder",
-            result=result,
+            result=merged_result(config.k, job2.outputs),
             r_size=len(r),
             s_size=len(s),
             k=config.k,

@@ -14,14 +14,18 @@ import struct
 
 import numpy as np
 
-from .types import RecordBlock
+from .types import ColumnarBlock, NeighborBlock, RecordBlock
 
 __all__ = [
     "estimate_bytes",
     "record_count",
     "shuffle_sort_key",
+    "encode_block",
+    "decode_block",
     "encode_record_block",
     "decode_record_block",
+    "encode_neighbor_block",
+    "decode_neighbor_block",
 ]
 
 #: per-container framing overhead (length prefix), bytes
@@ -31,11 +35,12 @@ _FRAME = 4
 def record_count(value: object) -> int:
     """Logical records a shuffled value represents.
 
-    A :class:`~repro.mapreduce.types.RecordBlock` counts its rows; any other
-    value is one record.  All shuffle and task accounting goes through this,
-    so columnar blocks stay invisible to the paper's record-count metrics.
+    A :class:`~repro.mapreduce.types.ColumnarBlock` counts its rows; any
+    other value is one record.  All shuffle and task accounting goes through
+    this, so columnar blocks stay invisible to the paper's record-count
+    metrics.
     """
-    if isinstance(value, RecordBlock):
+    if isinstance(value, ColumnarBlock):
         return len(value)
     return 1
 
@@ -102,13 +107,30 @@ def shuffle_sort_key(key: object) -> tuple:
     return (5, type(key).__name__, key)
 
 
-# -- columnar wire format ------------------------------------------------------
+# -- columnar wire formats -----------------------------------------------------
 #
-# The canonical byte encoding of a RecordBlock, as a real shuffle (or a
-# spill-to-disk path) would frame it: a fixed header followed by the six
-# column buffers.  The in-process runtime passes blocks by reference and only
-# *estimates* sizes, so this is not on the hot path — it exists so the block
-# layout is pinned by tests and reusable by any future out-of-process shuffle.
+# The canonical byte encoding of each block type, as the spill segments and
+# the segment-backed DFS frame it: a fixed header followed by the column
+# buffers.  The in-memory shuffle passes blocks by reference and only
+# *estimates* sizes.  A block's ``wire_tag`` names its codec; callers go
+# through encode_block/decode_block and never name a block type.
+
+
+def encode_block(block: ColumnarBlock) -> bytes:
+    """Wire bytes of a columnar block, by the codec its ``wire_tag`` names."""
+    if block.wire_tag == RecordBlock.wire_tag:
+        return encode_record_block(block)
+    return encode_neighbor_block(block)
+
+
+def decode_block(tag: int, data: bytes) -> ColumnarBlock:
+    """Inverse of :func:`encode_block` for a payload stored under ``tag``."""
+    if tag == RecordBlock.wire_tag:
+        return decode_record_block(data)
+    if tag == NeighborBlock.wire_tag:
+        return decode_neighbor_block(data)
+    raise ValueError(f"unknown value tag {tag}")
+
 
 _BLOCK_MAGIC = b"RBLK"
 _BLOCK_HEADER = struct.Struct("<4sII")  # magic, rows, dims
@@ -173,4 +195,55 @@ def decode_record_block(data: bytes) -> RecordBlock:
         payloads=column(np.int64, rows),
         partition_ids=column(np.int64, rows),
         pivot_distances=column(np.float64, rows),
+    )
+
+
+_NEIGHBOR_MAGIC = b"NBLK"
+_NEIGHBOR_HEADER = struct.Struct("<4sII")  # magic, rows, candidates
+
+
+def encode_neighbor_block(block: NeighborBlock) -> bytes:
+    """Serialize a candidate-list block: header, ``r_ids``, per-row list
+    lengths (offsets are rebuilt on decode), ``ids``, ``dists``."""
+    return b"".join(
+        (
+            _NEIGHBOR_HEADER.pack(_NEIGHBOR_MAGIC, len(block), block.ids.shape[0]),
+            np.ascontiguousarray(block.r_ids, dtype=np.int64).tobytes(),
+            np.diff(block.offsets).astype(np.int64).tobytes(),
+            np.ascontiguousarray(block.ids, dtype=np.int64).tobytes(),
+            np.ascontiguousarray(block.dists, dtype=np.float64).tobytes(),
+        )
+    )
+
+
+def decode_neighbor_block(data: bytes) -> NeighborBlock:
+    """Inverse of :func:`encode_neighbor_block`, with the same up-front
+    length validation as :func:`decode_record_block`."""
+    if len(data) < _NEIGHBOR_HEADER.size:
+        raise ValueError(
+            f"truncated NeighborBlock stream: {len(data)} bytes is shorter "
+            f"than the {_NEIGHBOR_HEADER.size}-byte header"
+        )
+    magic, rows, candidates = _NEIGHBOR_HEADER.unpack_from(data)
+    if magic != _NEIGHBOR_MAGIC:
+        raise ValueError("not a NeighborBlock byte stream")
+    expected = _NEIGHBOR_HEADER.size + 16 * rows + 16 * candidates
+    if len(data) != expected:
+        kind = "truncated" if len(data) < expected else "oversized"
+        raise ValueError(
+            f"{kind} NeighborBlock stream: header declares {rows} rows x "
+            f"{candidates} candidates ({expected} bytes), got {len(data)} bytes"
+        )
+    columns = np.frombuffer(data, dtype=np.int64, offset=_NEIGHBOR_HEADER.size)
+    counts = columns[rows : 2 * rows]
+    if int(counts.sum()) != candidates or (counts < 0).any():
+        raise ValueError(
+            f"corrupt NeighborBlock stream: row lengths sum to {int(counts.sum())}, "
+            f"header declares {candidates} candidates"
+        )
+    return NeighborBlock.from_counts(
+        columns[:rows].copy(),
+        counts,
+        columns[2 * rows : 2 * rows + candidates].copy(),
+        columns[2 * rows + candidates :].view(np.float64).copy(),
     )

@@ -17,13 +17,15 @@ map-output → reduce-input path to a :class:`ShuffleStore`:
 
 On both paths the unit that crosses a boundary — process or disk — is **one
 block per key**, not one per emission: :func:`block_runs` finds, per key, the
-runs of consecutive ``RecordBlock`` values in that key's arrival sequence,
-and each run is merged with ``RecordBlock.gather`` — worker-side before a map
-task returns its emissions (:func:`coalesce_emissions`), and on the sorted
-buffer inside each flush of :class:`SpillMapWriter` (never before ``add``, so
-flush boundaries, segment and merge-pass counts do not depend on it).  A
-PGBJ routing mapper's ~10-row block per (cell, group) thus travels as one
-block per group per task; rows, their order and all accounting are unchanged.
+runs of consecutive same-type :class:`~repro.mapreduce.types.ColumnarBlock`
+values in that key's arrival sequence, and each run is merged with the block
+type's ``gather`` — worker-side before a map task returns its emissions
+(:func:`coalesce_emissions`), and on the sorted buffer inside each flush of
+:class:`SpillMapWriter` (never before ``add``, so flush boundaries, segment
+and merge-pass counts do not depend on it).  A PGBJ routing mapper's ~10-row
+block per (cell, group) thus travels as one block per group per task, a block
+join's candidate lists as one ``NeighborBlock`` per merge partition; rows,
+their order and all accounting are unchanged.
 
 The hard contract, enforced by tests: both backends produce **bit-identical**
 job outputs, counters, and shuffle records/bytes accounting on every engine.
@@ -39,9 +41,12 @@ Three properties make that hold:
   in-memory path uses, and carried in the segment headers — the scheduler
   accounts from headers without rehydrating a single record.
 
-Values travel in the columnar :func:`encode_record_block` wire format when
-they are :class:`~repro.mapreduce.types.RecordBlock` batches and as pickles
-otherwise; keys are always pickled (they are small — ints, strings, tuples).
+Values travel in their block type's columnar wire format when they are
+:class:`~repro.mapreduce.types.ColumnarBlock` batches (``RecordBlock`` object
+rows, ``NeighborBlock`` candidate lists — the entry's value tag is the
+block's ``wire_tag``) and as pickles otherwise; keys are always pickled (they
+are small — ints, strings, tuples).  This module never names a concrete block
+type: counting, coalescing and encoding all go through the protocol.
 """
 
 from __future__ import annotations
@@ -70,13 +75,13 @@ except ImportError:  # pragma: no cover - exercised on the native CI leg
     _zstandard = None
 
 from .serialization import (
-    decode_record_block,
-    encode_record_block,
+    decode_block,
+    encode_block,
     estimate_bytes,
     record_count,
     shuffle_sort_key,
 )
-from .types import RecordBlock
+from .types import ColumnarBlock
 
 __all__ = [
     "ShuffleStore",
@@ -120,8 +125,8 @@ DEFAULT_SHUFFLE = "memory"
 #   entry:   task u32 | seq u32 | key_len u32 | value_len u32 | value_tag u8
 #            | crc32 u32 | key pickle | value payload
 #
-# ``value_tag`` selects the payload encoding: RecordBlocks use the columnar
-# encode_record_block wire format, everything else a pickle.  The header's
+# ``value_tag`` selects the payload encoding: 0 is a pickle, anything else the
+# ``wire_tag`` of a columnar block type and its wire format.  The header's
 # ``codec`` byte names the compression applied to every *value payload* in
 # the file (keys stay uncompressed — they are tiny and the merge touches
 # them constantly); ``value_len`` is the on-disk (compressed) length.  The
@@ -145,7 +150,6 @@ _SEGMENT_VERSION = 3
 _SEGMENT_HEADER = struct.Struct("<4sHBIQQ")
 _ENTRY_HEADER = struct.Struct("<IIIIBI")
 _VALUE_PICKLE = 0
-_VALUE_BLOCK = 1
 
 
 class SegmentIntegrityError(ValueError):
@@ -327,8 +331,8 @@ def _truncated(path: str | Path, needed: int, got: int, what: str) -> ValueError
 
 
 def _encode_value(value: Any) -> tuple[int, bytes]:
-    if isinstance(value, RecordBlock):
-        return _VALUE_BLOCK, encode_record_block(value)
+    if isinstance(value, ColumnarBlock):
+        return value.wire_tag, encode_block(value)
     return _VALUE_PICKLE, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -498,19 +502,15 @@ def iter_segment(
                     f"{codec.name} decompression failed ({error}) — "
                     "corrupt or truncated payload"
                 ) from error
-            if tag == _VALUE_BLOCK:
+            if tag == _VALUE_PICKLE:
+                value = pickle.loads(payload)
+            else:
                 try:
-                    value = decode_record_block(payload)
+                    value = decode_block(tag, payload)
                 except ValueError as error:
                     raise ValueError(
                         f"segment file {path}, entry {index}: {error}"
                     ) from error
-            elif tag == _VALUE_PICKLE:
-                value = pickle.loads(payload)
-            else:
-                raise ValueError(
-                    f"segment file {path}, entry {index}: unknown value tag {tag}"
-                )
             yield task, seq, key, value
         trailing = stream.read(1)
         if trailing:
@@ -535,25 +535,25 @@ def block_runs(
 ) -> list[list[int]]:
     """Group emission positions into what crosses a boundary as one value.
 
-    Per key, every maximal run of consecutive ``RecordBlock`` values *in that
-    key's arrival sequence* is one group (positions ascending); any other
-    value is a group of its own and closes the key's run.  Groups are ordered
-    by first position.  A run also closes when the key's wire size changes
-    (``True`` and ``1`` share a dict slot, not a size, and shuffle bytes
-    charge the key once per row), so a merged group accounted under its first
-    key equals the sum of its members.  ``key`` maps an emission key to its
+    Per key, every maximal run of consecutive columnar blocks of one type *in
+    that key's arrival sequence* is one group (positions ascending); any
+    other value is a group of its own and closes the key's run.  Groups are
+    ordered by first position.  A run also closes when the key's wire size
+    changes (``True`` and ``1`` share a dict slot, not a size, and shuffle
+    bytes charge the key once per row), so a merged group accounted under its
+    first key equals the sum of its members.  ``key`` maps an emission key to its
     hashable grouping identity (the spill path passes ``shuffle_sort_key``)
     and is evaluated only where a block is involved: block-free output pays
     one ``isinstance`` per value.
     """
     groups: list[list[int]] = []
-    open_run: dict[Any, tuple[int, list[int]]] = {}
+    open_run: dict[Any, tuple[tuple, list[int]]] = {}
     for position, (raw_key, value) in enumerate(pairs):
-        if isinstance(value, RecordBlock):
-            identity, width = key(raw_key), estimate_bytes(raw_key)
+        if isinstance(value, ColumnarBlock):
+            identity, shape = key(raw_key), (estimate_bytes(raw_key), type(value))
             opened = open_run.get(identity)
-            if opened is None or opened[0] != width:
-                opened = open_run[identity] = (width, [])
+            if opened is None or opened[0] != shape:
+                opened = open_run[identity] = (shape, [])
                 groups.append(opened[1])
             opened[1].append(position)
         else:
@@ -569,9 +569,15 @@ def coalesce_emissions(emissions: list[tuple[Any, Any]]) -> list[tuple[Any, Any]
     return [
         emissions[run[0]]
         if len(run) == 1
-        else (emissions[run[0]][0], RecordBlock.gather(emissions[i][1] for i in run))
+        else (emissions[run[0]][0], _gather(emissions[i][1] for i in run))
         for run in block_runs(emissions)
     ]
+
+
+def _gather(blocks: Iterable[ColumnarBlock]) -> ColumnarBlock:
+    """One :func:`block_runs` group (same-type blocks) as a single block."""
+    blocks = list(blocks)
+    return type(blocks[0]).gather(blocks)
 
 
 # -- map-side spill writer (runs inside engine workers) ------------------------
@@ -637,7 +643,7 @@ class SpillMapWriter:
         self._seq += 1
         self._output_records += records
         self._buffered_bytes += accounted
-        self._blocks_buffered = self._blocks_buffered or isinstance(value, RecordBlock)
+        self._blocks_buffered = self._blocks_buffered or isinstance(value, ColumnarBlock)
         if self._spec.budget is not None and self._buffered_bytes > self._spec.budget:
             self._flush()
 
@@ -657,7 +663,7 @@ class SpillMapWriter:
                     if len(run) == 1
                     else (
                         *buffer[run[0]][:2],
-                        RecordBlock.gather(buffer[i][2] for i in run),
+                        _gather(buffer[i][2] for i in run),
                         sum(buffer[i][3] for i in run),
                         sum(buffer[i][4] for i in run),
                     )

@@ -66,7 +66,7 @@ def weighted_record_chunks(
 ) -> Iterator[list[tuple[Any, Any]]]:
     """Chunk ``(key, value)`` pairs into runs of ``size`` *logical* records.
 
-    Columnar :class:`RecordBlock` values weigh their row counts, and a block
+    Columnar block values weigh their row counts, and a block
     straddling a boundary is sliced so every chunk boundary lands exactly
     where the per-record path put it — chunk layout (and therefore task
     counts and the cluster timing model) is independent of the encoding.
@@ -88,7 +88,7 @@ def weighted_record_chunks(
             continue
         offset = 0
         while weight - offset > room:
-            # only a RecordBlock can outweigh the remaining room: slice it
+            # only a columnar block can outweigh the remaining room: slice it
             chunk.append((key, value.take(np.arange(offset, offset + room))))
             offset += room
             yield chunk

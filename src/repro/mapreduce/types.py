@@ -1,15 +1,21 @@
 """Record types that flow through the simulated cluster.
 
-Two representations of the same logical data coexist:
+:class:`ObjectRecord` is one object per Python instance, the row format
+mappers *consume* (built inside the map task from a columnar split view;
+still accepted everywhere for compatibility).  Everything the joins *emit*
+in bulk is a :class:`ColumnarBlock` — a struct-of-arrays batch of rows:
 
-* :class:`ObjectRecord` — one object per Python instance, the row format
-  mappers *consume* (built inside the map task from a columnar split view;
-  still accepted everywhere for compatibility);
-* :class:`RecordBlock` — a struct-of-arrays batch of objects, the columnar
-  format the mappers emit and the shuffle moves.  A block is an encoding
-  detail, not a unit of account: shuffle counters and task statistics always
-  report *logical records* (``len(block)``), and its estimated wire size is
-  exactly the sum of its records' sizes.
+* :class:`RecordBlock` — a batch of data objects (what routing mappers emit);
+* :class:`NeighborBlock` — a batch of per-``r`` candidate neighbour lists in
+  CSR form (what the block joins emit into the shared merge job, and what
+  that job outputs).
+
+A block is an encoding detail, not a unit of account: shuffle counters and
+task statistics always report *logical records* (``len(block)``), and its
+estimated wire size is exactly the sum of its rows' sizes in row form.  The
+runtime never names a concrete block type — the shuffle, the spill segments,
+the DFS chunker and the process boundary dispatch on the small
+:class:`ColumnarBlock` protocol alone.
 """
 
 from __future__ import annotations
@@ -20,7 +26,15 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["ObjectRecord", "RecordBlock", "InputSplit", "group_rows_by"]
+__all__ = [
+    "ObjectRecord",
+    "ColumnarBlock",
+    "RecordBlock",
+    "NeighborBlock",
+    "InputSplit",
+    "group_rows_by",
+    "ranks_within",
+]
 
 
 def group_rows_by(keys: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -38,6 +52,17 @@ def group_rows_by(keys: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
     for rows in np.split(order, boundaries):
         yield int(keys[rows[0]]), rows
+
+
+
+def ranks_within(lengths: np.ndarray) -> np.ndarray:
+    """``0..n-1`` for every run length ``n``, back to back — each element's
+    position inside its own run when runs of those lengths are laid end to
+    end (CSR rows, per-``r`` candidate windows)."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1]) if ends.size else 0) - np.repeat(ends - lengths, lengths)
+
 
 #: dataset tags, as in the paper's Figure 3/4
 TAG_R = "R"
@@ -82,8 +107,41 @@ class ObjectRecord:
         return self.dataset == TAG_R
 
 
+class ColumnarBlock:
+    """What the runtime asks of a columnar shuffle value (both block types
+    are dataclasses of parallel arrays implementing it).
+
+    ``len(block)`` is its logical record count, ``estimated_bytes()`` the sum
+    of its rows' wire sizes, ``take(rows)`` a new block of the given rows in
+    the given order (how a chunker slices a block at a split boundary),
+    ``gather(blocks)`` (a classmethod) their concatenation in row order (how
+    consecutive emissions under one key coalesce) and ``wire_tag`` names the
+    block's byte codec in :mod:`~repro.mapreduce.serialization` (a segment
+    entry's value tag; 0 is taken by pickles).
+    """
+
+    wire_tag: int
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        # positional form, same motivation as ObjectRecord.__reduce__
+        return (
+            type(self),
+            tuple(getattr(self, spec.name) for spec in fields(self)),
+        )
+
+    def split_by(self, keys: np.ndarray) -> Iterator[tuple[int, "ColumnarBlock"]]:
+        """Yield ``(key, sub-block)`` per distinct key, keys ascending.
+
+        ``keys`` is one int per row (e.g. a routing decision computed with
+        array ops); row order within each sub-block is preserved — this is
+        the batching emit primitive mappers use instead of per-record yields.
+        """
+        for key, rows in group_rows_by(keys):
+            yield key, self.take(rows)
+
+
 @dataclass
-class RecordBlock:
+class RecordBlock(ColumnarBlock):
     """A columnar batch of :class:`ObjectRecord` rows (struct of arrays).
 
     Parallel 1-d arrays (plus the 2-d point matrix) hold one field each; row
@@ -100,15 +158,10 @@ class RecordBlock:
     partition_ids: np.ndarray  # int64
     pivot_distances: np.ndarray  # float64
 
+    wire_tag = 1
+
     def __len__(self) -> int:
         return int(self.object_ids.shape[0])
-
-    def __reduce__(self) -> tuple[type[RecordBlock], tuple[object, ...]]:
-        # positional form, same motivation as ObjectRecord.__reduce__
-        return (
-            type(self),
-            tuple(getattr(self, spec.name) for spec in fields(self)),
-        )
 
     # -- construction -------------------------------------------------------
 
@@ -185,16 +238,6 @@ class RecordBlock:
             pivot_distances=self.pivot_distances[rows],
         )
 
-    def split_by(self, keys: np.ndarray) -> Iterator[tuple[int, "RecordBlock"]]:
-        """Yield ``(key, sub-block)`` per distinct key, keys ascending.
-
-        ``keys`` is one int per row (e.g. a routing decision computed with
-        array ops); row order within each sub-block is preserved — this is
-        the batching emit primitive mappers use instead of per-record yields.
-        """
-        for key, rows in group_rows_by(keys):
-            yield key, self.take(rows)
-
     # -- interop and accounting ---------------------------------------------
 
     def to_records(self) -> Iterator[ObjectRecord]:
@@ -215,6 +258,91 @@ class RecordBlock:
         dims = self.points.shape[1] if self.points.ndim == 2 else 0
         per_record = 1 + 8 + dims * 8 + 8 + 8
         return len(self) * per_record + int(self.payloads.sum())
+
+
+@dataclass
+class NeighborBlock(ColumnarBlock):
+    """A columnar batch of candidate neighbour lists, one row per ``r`` (CSR).
+
+    Row ``i`` is the list ``(ids[offsets[i]:offsets[i + 1]],
+    dists[offsets[i]:offsets[i + 1]])`` of object ``r_ids[i]`` — the value a
+    block join used to emit as one ``(ids, dists)`` tuple per ``r``.  An
+    ``r`` may appear in several rows (one per candidate source); the merge
+    job folds them.
+    """
+
+    r_ids: np.ndarray  # int64, one per row
+    offsets: np.ndarray  # int64, len(r_ids) + 1, offsets[0] == 0
+    ids: np.ndarray  # int64, all rows' neighbour ids back to back
+    dists: np.ndarray  # float64, aligned with ids
+
+    wire_tag = 2
+
+    def __len__(self) -> int:
+        return int(self.r_ids.shape[0])
+
+    @classmethod
+    def from_lists(
+        cls, lists: Iterable[tuple[int, np.ndarray, np.ndarray]]
+    ) -> "NeighborBlock":
+        """Columnarize ``(r_id, ids, dists)`` lists (row order preserved) —
+        the inverse of :meth:`lists`."""
+        lists = list(lists)
+        return cls.from_counts(
+            [r_id for r_id, _, _ in lists],
+            [len(ids) for _, ids, _ in lists],
+            np.concatenate([ids for _, ids, _ in lists]) if lists else (),
+            np.concatenate([dists for _, _, dists in lists]) if lists else (),
+        )
+
+    @classmethod
+    def from_counts(
+        cls, r_ids: np.ndarray, counts: np.ndarray, ids: np.ndarray, dists: np.ndarray
+    ) -> "NeighborBlock":
+        """A block from per-row list lengths and the flat candidate columns."""
+        offsets = np.zeros(len(r_ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(
+            r_ids=np.asarray(r_ids, dtype=np.int64),
+            offsets=offsets,
+            ids=np.asarray(ids, dtype=np.int64),
+            dists=np.asarray(dists, dtype=np.float64),
+        )
+
+    @classmethod
+    def gather(cls, values: Iterable["NeighborBlock"]) -> "NeighborBlock":
+        parts = list(values)
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.from_counts((), (), (), ())
+        return cls.from_counts(
+            np.concatenate([part.r_ids for part in parts]),
+            np.concatenate([np.diff(part.offsets) for part in parts]),
+            np.concatenate([part.ids for part in parts]),
+            np.concatenate([part.dists for part in parts]),
+        )
+
+    def take(self, rows: np.ndarray) -> "NeighborBlock":
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.offsets[rows]
+        counts = self.offsets[rows + 1] - starts
+        flat = np.repeat(starts, counts) + ranks_within(counts)
+        return NeighborBlock.from_counts(
+            self.r_ids[rows], counts, self.ids[flat], self.dists[flat]
+        )
+
+    def lists(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Expand into per-row ``(r_id, ids, dists)`` (row order preserved)."""
+        bounds = self.offsets.tolist()
+        for r_id, start, stop in zip(self.r_ids.tolist(), bounds, bounds[1:]):
+            yield r_id, self.ids[start:stop], self.dists[start:stop]
+
+    def estimated_bytes(self) -> int:
+        """Sum of the rows' ``(ids, dists)`` tuple sizes: a tuple frame plus
+        two framed 8-byte-per-candidate arrays per row — blocks are invisible
+        to byte accounting."""
+        return 12 * len(self) + 16 * int(self.ids.shape[0])
 
 
 @dataclass

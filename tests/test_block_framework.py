@@ -7,10 +7,11 @@ from repro.joins.block_framework import (
     BlockRoutingMapper,
     block_join_spec,
     block_of,
-    run_merge_job,
+    candidate_emissions,
+    merge_job_spec,
 )
-from repro.mapreduce import Context, LocalRuntime
-from repro.mapreduce.types import ObjectRecord
+from repro.mapreduce import Context, LocalRuntime, split_records
+from repro.mapreduce.types import NeighborBlock, ObjectRecord
 
 
 class TestBlockOf:
@@ -72,24 +73,39 @@ class TestRoutingMapper:
                 assert len(r_keys & s_keys) == 1
 
 
+def candidates(*rows):
+    """``(r_id, ids, dists)`` rows as the merge job's input emissions."""
+    block = NeighborBlock.from_lists(
+        (r_id, np.array(ids), np.array(dists, dtype=float)) for r_id, ids, dists in rows
+    )
+    return list(candidate_emissions(block, Context("t", {"merge_reducers": 2}, 4)))
+
+
+def run_merge_job(pairs, config):
+    return LocalRuntime().run(merge_job_spec(config), split_records(pairs, config.split_size))
+
+
 class TestMergeJob:
     def test_keeps_global_k_best(self):
-        candidates = [
-            (1, (np.array([10, 11]), np.array([0.5, 0.9]))),
-            (1, (np.array([12, 13]), np.array([0.1, 0.7]))),
-            (2, (np.array([14]), np.array([0.3]))),
-        ]
-        result = run_merge_job(candidates, JoinConfig(k=2, num_reducers=2), LocalRuntime())
-        merged = dict(result.outputs)
+        pairs = candidates(
+            (1, [10, 11], [0.5, 0.9]), (1, [12, 13], [0.1, 0.7]), (2, [14], [0.3])
+        )
+        result = run_merge_job(pairs, JoinConfig(k=2, num_reducers=2))
+        merged = {
+            r_id: (ids, dists)
+            for _, block in result.outputs
+            for r_id, ids, dists in block.lists()
+        }
         assert merged[1][0].tolist() == [12, 10]
         assert merged[1][1].tolist() == [0.1, 0.5]
         assert merged[2][0].tolist() == [14]
 
     def test_merge_shuffle_accounts_candidate_lists(self):
-        candidates = [(1, (np.array([10]), np.array([0.5])))] * 5
-        result = run_merge_job(candidates, JoinConfig(k=1, num_reducers=2), LocalRuntime())
+        pairs = candidates(*[(1, [10], [0.5])] * 5)
+        result = run_merge_job(pairs, JoinConfig(k=1, num_reducers=2))
         assert result.stats.shuffle_records == 5
-        assert result.stats.shuffle_bytes > 0
+        # per list: 8-byte key + tuple frame + two framed 8-byte arrays
+        assert result.stats.shuffle_bytes == 5 * (8 + 4 + 12 + 12)
 
 
 class TestSpec:

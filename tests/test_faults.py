@@ -604,6 +604,92 @@ class TestCheckpointDirReuse:
             == reference
         )
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"num_shifts": 3}, {"bits": 1}, {"candidates_per_side": 1}, {"sample_size": 7}],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_changed_zorder_knob_reruns_instead_of_serving_stale_stages(
+        self, tmp_path, change
+    ):
+        """``ZOrderConfig``'s own knobs used to be plain attributes, invisible
+        to the plan identity: a ``num_shifts=3`` run in a ``num_shifts=1``
+        run's directory got the first join's answer back."""
+        from repro.datasets import generate_forest
+        from repro.joins import ZOrderConfig, run_join
+        from tests.test_engines import outcome_fingerprint
+
+        data = generate_forest(200, seed=3)
+
+        def run(directory, **knobs):
+            config = ZOrderConfig(
+                **{
+                    "k": 3, "num_reducers": 6, "split_size": 64, "num_shifts": 1,
+                    "checkpoint_dir": str(directory), **knobs,
+                }
+            )
+            return run_join("zorder", data, data, config)
+
+        base = run(tmp_path)
+        files_after_first = set(tmp_path.iterdir())
+        reused = run(tmp_path, **change)
+        fresh = run(tmp_path / "fresh", **change)
+        assert outcome_fingerprint(reused) == outcome_fingerprint(fresh)
+        assert outcome_fingerprint(reused) != outcome_fingerprint(base)
+        assert len(set(tmp_path.iterdir()) - files_after_first - {tmp_path / "fresh"}) == 2
+
+    #: non-default values for the comparing fields each subclass adds
+    SUBCLASS_KNOBS = {
+        "PgbjConfig": {
+            "num_pivots": 65, "pivot_selection": "farthest", "grouping": "greedy",
+            "pivot_sample_size": 100, "random_candidate_sets": 6,
+            "kmeans_iterations": 9, "use_hyperplane_pruning": False,
+            "use_ring_pruning": False, "skew_split_threshold": 0.5,
+            "skew_split_max_ways": 5,
+        },
+        "BlockJoinConfig": {
+            "rtree_capacity": 16, "num_pivots": 65, "pivot_selection": "farthest",
+            "pivot_sample_size": 100, "random_candidate_sets": 6,
+        },
+        "ZOrderConfig": {
+            "num_shifts": 4, "bits": 12, "candidates_per_side": 5, "sample_size": 100,
+        },
+    }
+
+    @pytest.mark.parametrize("config_name", sorted(SUBCLASS_KNOBS))
+    def test_subclass_knobs_are_fields_and_survive_with_changes(self, config_name):
+        """Every knob a config subclass adds must *be* a dataclass field — so
+        it moves the plan identity and config equality — and a sweep helper
+        (or the auto-tuner) going through ``with_changes`` must never reset a
+        knob it was not asked to move."""
+        import dataclasses
+
+        import repro.joins
+        from repro.datasets import generate_forest
+        from repro.joins import JoinConfig
+        from repro.joins.registry import plan_identity
+
+        data = generate_forest(50, seed=1)
+        config_class = getattr(repro.joins, config_name)
+        knobs = self.SUBCLASS_KNOBS[config_name]
+        base = config_class()
+        inherited = {spec.name for spec in dataclasses.fields(JoinConfig)}
+        own = {
+            spec.name for spec in dataclasses.fields(base)
+            if spec.compare and spec.name not in inherited
+        }
+        assert own == set(knobs)  # a new knob must be added here too
+        reference = plan_identity("x", data, data, base, {})
+        for name, value in knobs.items():
+            changed = base.with_changes(**{name: value})
+            assert changed != base, name
+            assert plan_identity("x", data, data, changed, {}) != reference, name
+        config = config_class(**knobs)
+        moved = config.with_changes(k=config.k + 1)
+        assert type(moved) is config_class and moved.k == config.k + 1
+        assert {name: getattr(moved, name) for name in knobs} == knobs
+        assert moved.with_changes(k=config.k) == config
+
 
 # -- config threading ----------------------------------------------------------
 

@@ -42,6 +42,7 @@ from repro.joins.kernels import (
     knn_join_kernel_reference,
 )
 from repro.mapreduce.types import ObjectRecord
+from tests.reference_zorder import int_z_values
 
 NUMBA = _nk.NUMBA_AVAILABLE
 
@@ -193,22 +194,27 @@ class TestKernelEquivalence:
 
     @given(
         st.integers(0, 1000),
-        st.integers(1, 4),
-        st.integers(1, 21),
+        st.integers(1, 12),
+        st.integers(1, 32),
         st.integers(1, 200),
     )
     @settings(max_examples=25, deadline=None)
     def test_morton_codes_match_transform(self, seed, dims, bits, count):
+        """One implementation at every width: every provider hands back the
+        transform's byte-key array, and the keys spell the int codes."""
         rng = np.random.default_rng(seed)
         transform = ZOrderTransform(np.zeros(dims), np.ones(dims), bits=bits)
         points = rng.random((count, dims))
-        expected = transform.z_values(points)
+        expected = transform.z_keys(points)
+        assert expected.dtype == np.dtype(f"S{transform.key_width}")
+        assert [
+            int.from_bytes(key.ljust(transform.key_width, b"\0"), "big")
+            for key in expected.tolist()
+        ] == int_z_values(transform, points)
         for provider in KERNEL_PROVIDERS.values():
             got = provider.morton_codes(transform, points)
-            assert got == expected
-            # shuffle payload sizes depend on the value types: codes must be
-            # plain Python ints for every provider
-            assert all(type(code) is int for code in got)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
 
 # -- CompiledKBestList ---------------------------------------------------------

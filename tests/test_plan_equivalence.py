@@ -266,6 +266,44 @@ class TestPlanCacheReuse:
         assert cache.stats()["hits"] == 1
 
 
+class TestMergeJobProducersPinned:
+    """The four joins feeding the shared merge job, pinned to the facts the
+    per-record merge job produced (recorded on the commit before candidate
+    lists went columnar): neighbour ids, computed pairs, S replicas and the
+    shuffle, under whatever engine/budget the CI leg injects, fused or not."""
+
+    #: join -> (sha1 of (r id, neighbour ids) rows, pairs, replicas, records, bytes)
+    PINNED = {
+        "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 117600),
+        "pbj": ("124cb21fb9bbe9a5", 19960, 400, 1200, 117600),
+        "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 117600),
+        "zorder": ("0de74e370e6002bc", 3557, 676, 1876, 184988),
+    }
+
+    @pytest.mark.parametrize("fused", (False, True), ids=("chained", "fused"))
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_facts_unchanged(self, name, fused, data):
+        import hashlib
+
+        import numpy as np
+
+        outcome, _ = run_one(
+            name, data, None,
+            num_reducers=9 if name == "zorder" else 4, stage_fusion=fused,
+        )
+        digest = hashlib.sha1()
+        for r_id in outcome.result.r_ids():
+            digest.update(np.int64(r_id).tobytes())
+            digest.update(outcome.result.neighbors_of(r_id)[0].tobytes())
+        assert (
+            digest.hexdigest()[:16],
+            outcome.distance_pairs,
+            outcome.replication_of_s(),
+            outcome.shuffle_records(),
+            outcome.shuffle_bytes(),
+        ) == self.PINNED[name]
+
+
 class TestRegistry:
     def test_all_eight_registered(self):
         assert set(ALL_JOINS) <= set(available_joins())

@@ -55,7 +55,6 @@ from repro.mapreduce.shuffle import (
     _SEGMENT_HEADER,
     _SEGMENT_MAGIC,
     _SEGMENT_VERSION,
-    _VALUE_BLOCK,
     SpillMapWriter,
     SpillSpec,
     read_segment_codec,
@@ -177,7 +176,7 @@ class TestSegmentFormat:
         crc = zlib.crc32(bad_payload, zlib.crc32(key_blob))  # honest CRC:
         # the corruption must be caught by the *decode*, not the checksum
         blob += _ENTRY_HEADER.pack(
-            0, 0, len(key_blob), len(bad_payload), _VALUE_BLOCK, crc
+            0, 0, len(key_blob), len(bad_payload), RecordBlock.wire_tag, crc
         )
         blob += key_blob + bad_payload
         path = tmp_path / "bad-block.seg"

@@ -1,12 +1,24 @@
 """Unit tests for the z-order transform and the approximate join extension."""
 
+import bisect
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import KnnJoinResult, brute_force_knn_join, get_metric
+from repro.bench.harness import bench_engine, bench_memory_budget
+from repro.core import Dataset, KnnJoinResult, brute_force_knn_join, get_metric
 from repro.core.zorder import ZOrderTransform
-from repro.datasets import gaussian_mixture_dataset
-from repro.joins import ZOrderConfig, ZOrderKnnJoin, recall_against
+from repro.datasets import (
+    expand_dataset,
+    gaussian_mixture_dataset,
+    generate_forest,
+    generate_osm,
+)
+from repro.joins import ZOrderConfig, ZOrderKnnJoin, recall_against, run_join
+from tests.reference_zorder import int_z_values, outcome_facts, run_reference_zorder
 
 
 class TestTransform:
@@ -68,6 +80,205 @@ class TestTransform:
             ZOrderTransform(np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError):
             ZOrderTransform(np.zeros(2), np.ones(2), bits=0)
+
+
+class TestByteKeys:
+    """``z_keys`` byte strings order, search and tie exactly like the
+    Python-int Morton codes they replaced, at every width."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        dims=st.integers(1, 12),
+        bits=st.integers(1, 32),
+        count=st.integers(1, 60),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_keys_behave_like_int_codes(self, seed, dims, bits, count):
+        rng = np.random.default_rng(seed)
+        points = rng.random((count, dims))
+        points[rng.integers(0, count, size=count // 3)] = points[0]  # duplicates
+        transform = ZOrderTransform(np.zeros(dims), np.ones(dims), bits=bits)
+        codes = int_z_values(transform, points)
+        keys = transform.z_keys(points)
+        assert keys.dtype == np.dtype(f"S{-(-bits * dims // 8)}")
+        assert transform.z_values(points) == codes
+        assert np.array_equal(transform.keys_of(codes), keys)
+        # order with ties broken by a second column, as the reducer sorts S
+        ids = rng.integers(0, 5, size=count)
+        by_code = sorted(range(count), key=lambda row: (codes[row], ids[row], row))
+        assert np.lexsort((np.arange(count), ids, keys)).tolist() == by_code
+        assert np.argsort(keys, kind="stable").tolist() == sorted(
+            range(count), key=lambda row: (codes[row], row)
+        )
+        # bisect positions, both sides, against a sorted column
+        sorted_codes, sorted_keys = sorted(codes), np.sort(keys)
+        probes = int_z_values(transform, rng.random((8, dims))) + codes[:4]
+        probe_keys = transform.keys_of(probes)
+        for side, search in (("left", bisect.bisect_left), ("right", bisect.bisect_right)):
+            assert np.searchsorted(sorted_keys, probe_keys, side=side).tolist() == [
+                search(sorted_codes, probe) for probe in probes
+            ]
+        # elementwise comparison, the healing test
+        assert (keys <= probe_keys[0]).tolist() == [code <= probes[0] for code in codes]
+        assert (keys >= probe_keys[0]).tolist() == [code >= probes[0] for code in codes]
+
+    def test_widths_not_a_multiple_of_eight(self):
+        transform = ZOrderTransform(np.zeros(3), np.ones(3), bits=7)  # 21 bits
+        assert (transform.total_bits, transform.key_width) == (21, 3)
+        top = transform.z_keys(np.full((1, 3), 2.0))  # clamps to the last cell
+        assert top.tobytes() == (2**21 - 1).to_bytes(3, "big")
+        assert transform.z_keys(np.zeros((1, 3))).tobytes() == bytes(3)
+
+    def test_empty_input(self):
+        transform = ZOrderTransform(np.zeros(2), np.ones(2), bits=5)
+        assert transform.z_keys(np.empty((0, 2))).shape == (0,)
+        assert transform.z_values(np.empty((0, 2))) == []
+        assert transform.keys_of([]).dtype == np.dtype("S2")
+
+    def test_for_box_matches_for_points(self):
+        points = np.random.default_rng(2).random((50, 4)) * 7 - 3
+        boxed = ZOrderTransform.for_box(points.min(axis=0), points.max(axis=0), 9, 0.3)
+        fitted = ZOrderTransform.for_points(points, bits=9, padding=0.3)
+        assert np.array_equal(boxed.lo, fitted.lo) and np.array_equal(boxed.hi, fitted.hi)
+
+
+def tied_dataset(count: int, dims: int, distinct: int, seed: int) -> Dataset:
+    """``count`` objects on only ``distinct`` locations: long runs of equal z."""
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.random((distinct, dims))[rng.integers(0, distinct, size=count)])
+
+
+class TestColumnarMatchesPerRecordReference:
+    """The array-shaped join against the per-record one it replaced
+    (``tests/reference_zorder.py``): neighbour ids, distance *bytes*,
+    ``pairs_computed``, S replicas and per-job shuffle records/bytes."""
+
+    CASES = {
+        "forest-x10-ties": (
+            lambda: expand_dataset(generate_forest(40, seed=1), 10),
+            dict(k=4, num_reducers=9),
+        ),
+        "heavy-ties-2d": (lambda: tied_dataset(300, 2, 12, seed=3), dict(k=5, num_reducers=6)),
+        "osm-2d-payloads": (lambda: generate_osm(350, seed=2), dict(k=3, num_reducers=8)),
+        "k-exceeds-block": (
+            lambda: generate_forest(60, seed=5),
+            dict(k=20, num_reducers=12, candidates_per_side=30),
+        ),
+        "one-block-per-shift": (lambda: generate_forest(80, seed=6), dict(k=3, num_reducers=3)),
+        "single-shift-narrow-window": (
+            lambda: generate_forest(150, seed=7),
+            dict(k=6, num_reducers=5, num_shifts=1, candidates_per_side=2),
+        ),
+        "coarse-curve": (lambda: generate_forest(120, seed=8), dict(k=4, num_reducers=9, bits=3)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("metric", ("l2", "l1", "linf"))
+    def test_equal_to_reference(self, case, metric):
+        make_data, knobs = self.CASES[case]
+        data = make_data()
+        config = ZOrderConfig(metric_name=metric, split_size=97, seed=11, **knobs)
+        reference = run_reference_zorder(data, data, config)
+        # the CI legs inject their engine / spill budget here
+        injected = config.with_changes(
+            engine=bench_engine(), memory_budget=bench_memory_budget()
+        )
+        assert outcome_facts(run_join("zorder", data, data, injected)) == reference
+        assert len(reference["neighbors"]) == len(data)
+
+    def test_distinct_r_and_s_leave_one_sided_reducers(self):
+        """R in one corner, S spread out: some reducers see only S (and
+        answer nothing), and every r lands at a block end."""
+        rng = np.random.default_rng(4)
+        r = Dataset(rng.random((40, 3)) * 0.05, ids=np.arange(1000, 1040))
+        s = Dataset(rng.random((400, 3)))
+        config = ZOrderConfig(k=5, num_reducers=12, split_size=64, num_shifts=2)
+        outcome = run_join("zorder", r, s, config)
+        assert outcome_facts(outcome) == run_reference_zorder(r, s, config)
+        answered = [task.output_records for task in outcome.job_stats[0].reduce_tasks]
+        assert 0 in answered and sum(answered) >= len(r)
+
+    def test_r_only_reducers_answer_nothing(self):
+        """Five S objects under twelve blocks: the first boundary is S's
+        smallest z, so every r below it meets a reducer holding no S."""
+        rng = np.random.default_rng(9)
+        r = Dataset(rng.random((60, 2)), ids=np.arange(100, 160))
+        s = Dataset(rng.random((5, 2)) * 0.5 + 0.5)
+        config = ZOrderConfig(k=2, num_reducers=12, num_shifts=1, split_size=16)
+        outcome = run_join("zorder", r, s, config)
+        assert outcome_facts(outcome) == run_reference_zorder(r, s, config)
+        tasks = outcome.job_stats[0].reduce_tasks
+        assert any(task.input_records and not task.output_records for task in tasks)
+        assert len(outcome.result) < len(r)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(memory_budget=64),
+            dict(memory_budget=64, stage_fusion=True),
+            dict(stage_fusion=True),
+            dict(engine="processes-pooled", max_workers=2),
+            dict(engine="processes-pooled", max_workers=2, memory_budget=64),
+            dict(kernel_provider="numpy"),
+            dict(kernel_provider="numba", memory_budget=4096, stage_fusion=True),
+        ],
+        ids=lambda knobs: ",".join(f"{key}={value}" for key, value in knobs.items()),
+    )
+    def test_backends_engines_and_fusion(self, knobs, tmp_path):
+        data = expand_dataset(generate_forest(40, seed=1), 10)
+        config = ZOrderConfig(k=4, num_reducers=9, split_size=97, seed=11)
+        reference = run_reference_zorder(data, data, config)
+        if "memory_budget" in knobs:
+            knobs = dict(knobs, spill_dir=str(tmp_path))
+        outcome = run_join("zorder", data, data, config.with_changes(**knobs))
+        assert outcome_facts(outcome) == reference
+
+    def test_payload_bytes_never_travel(self):
+        """The wire row is ``(is_r, id, point, z)``: OSM's payload sizes must
+        not reach the shuffle accounting."""
+        data = generate_osm(200, seed=1)
+        bare = Dataset(data.points, ids=data.ids)
+        config = ZOrderConfig(k=3, num_reducers=6, split_size=64)
+        assert data.payload_bytes.sum() > 0
+        assert (
+            run_join("zorder", data, data, config).shuffle_bytes()
+            == run_join("zorder", bare, bare, config).shuffle_bytes()
+        )
+
+
+class TestZOrderConfig:
+    def test_is_a_dataclass_like_its_siblings(self):
+        names = {spec.name for spec in dataclasses.fields(ZOrderConfig)}
+        assert {"num_shifts", "bits", "candidates_per_side", "sample_size"} <= names
+        assert ZOrderConfig(num_shifts=1) != ZOrderConfig(num_shifts=3)
+        assert ZOrderConfig(num_shifts=2, bits=8) == ZOrderConfig(num_shifts=2, bits=8)
+
+    def test_with_changes_keeps_the_zorder_knobs(self):
+        config = ZOrderConfig(num_shifts=5, bits=9, candidates_per_side=7, sample_size=99)
+        moved = config.with_changes(k=4)
+        assert (moved.num_shifts, moved.bits, moved.candidates_per_side, moved.sample_size) == (
+            5, 9, 7, 99,
+        )
+        assert moved.k == 4 and type(moved) is ZOrderConfig
+
+    def test_candidates_per_side_follows_k_until_set(self):
+        data = generate_forest(120, seed=2)
+        config = ZOrderConfig(k=3, num_reducers=6, split_size=64)
+        assert config.candidates_per_side is None
+        wide = run_join("zorder", data, data, config.with_changes(k=6))
+        pinned = run_join("zorder", data, data, config.with_changes(k=6, candidates_per_side=3))
+        assert wide.distance_pairs > pinned.distance_pairs
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [dict(num_shifts=0), dict(bits=0), dict(bits=33), dict(sample_size=0),
+         dict(candidates_per_side=-1)],
+    )
+    def test_invalid_knobs_rejected(self, knobs):
+        with pytest.raises(ValueError):
+            ZOrderConfig(**knobs)
+        with pytest.raises(ValueError):
+            ZOrderConfig().with_changes(**knobs)
 
 
 class TestApproximateJoin:
