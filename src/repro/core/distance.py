@@ -108,15 +108,23 @@ class Metric(ABC):
         return self._pairwise(xs, ys)
 
     def cross_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Return the full ``|xs| x |ys|`` distance matrix (counted)."""
+        """Return the full ``|xs| x |ys|`` distance matrix (counted).
+
+        One :meth:`_one_to_many` call per point of the *shorter* side: every
+        kernel reduces ``|a - b|`` or ``(a - b)^2``, which are sign-symmetric
+        in IEEE arithmetic, so a column filled from ``ys[j]`` holds the same
+        bytes as the rows would.
+        """
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
         self.pairs_computed += xs.shape[0] * ys.shape[0]
         out = np.empty((xs.shape[0], ys.shape[0]), dtype=np.float64)
-        if ys.shape[0] == 0:
-            return out
-        for i in range(xs.shape[0]):
-            out[i] = self._one_to_many(xs[i], ys)
+        if xs.shape[0] > ys.shape[0]:
+            for j in range(ys.shape[0]):
+                out[:, j] = self._one_to_many(ys[j], xs)
+        else:
+            for i in range(xs.shape[0]):
+                out[i] = self._one_to_many(xs[i], ys)
         return out
 
     def pairwise_sum(self, xs: np.ndarray) -> float:

@@ -15,12 +15,11 @@ import numpy as np
 from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
 from repro.core.knn import select_k_smallest
-from repro.core.result import KnnJoinResult
 from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
 from repro.mapreduce.splits import dataset_splits
-from repro.mapreduce.types import RecordBlock
+from repro.mapreduce.types import NeighborBlock, RecordBlock
 
 from .base import (
     PAIRS_GROUP,
@@ -32,7 +31,7 @@ from .base import (
     KnnJoinAlgorithm,
     StageStats,
 )
-from .block_framework import block_of_ids
+from .block_framework import block_of_ids, merged_result
 from .kernel_providers import get_kernel_provider
 from .registry import JoinPlan, JoinSpec, register_join, run_join
 
@@ -70,7 +69,8 @@ class BroadcastReducer(Reducer):
 
     The scan is chunk-batched: one ``cross_distances`` call per ``_SCAN_CHUNK``
     rows of R (the same ``|R_i| * |S|`` pairs the per-record scan computed and
-    counted), then an argpartition selection per row.
+    counted), then an argpartition selection per row; the reducer answers
+    with one :class:`~repro.mapreduce.types.NeighborBlock` (a row per r).
     """
 
     def setup(self, ctx: Context) -> None:
@@ -88,14 +88,16 @@ class BroadcastReducer(Reducer):
         s_ids = block.object_ids[s_rows]
         r_points = block.points[r_rows]
         r_ids = block.object_ids[r_rows]
+        lists = []
         for start in range(0, r_rows.size, _SCAN_CHUNK):
             chunk = slice(start, start + _SCAN_CHUNK)
             dists = self._provider.cross_distances(
                 self._metric, r_points[chunk], s_points
             )
-            for offset, r_id in enumerate(r_ids[chunk]):
+            for offset, r_id in enumerate(r_ids[chunk].tolist()):
                 selected = select_k_smallest(dists[offset], s_ids, self._k)
-                yield int(r_id), (s_ids[selected], dists[offset][selected])
+                lists.append((r_id, s_ids[selected], dists[offset][selected]))
+        yield key, NeighborBlock.from_lists(lists)
 
     def cleanup(self, ctx: Context):
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)
@@ -127,12 +129,9 @@ def plan_broadcast(r: Dataset, s: Dataset, config: JoinConfig) -> JoinPlan:
 
     def assemble(run) -> JoinOutcome:
         job = run.result_of(join)
-        result = KnnJoinResult(config.k)
-        for r_id, (ids, dists) in job.outputs:
-            result.add(r_id, ids, dists)
         outcome = JoinOutcome(
             algorithm="broadcast",
-            result=result,
+            result=merged_result(config.k, job.outputs),
             r_size=len(r),
             s_size=len(s),
             k=config.k,

@@ -152,7 +152,7 @@ class CandidateMergeReducer(Reducer):
 
 
 def merged_result(k: int, outputs: list) -> KnnJoinResult:
-    """The merge job's output blocks, bulk-loaded into a join result."""
+    """A join's final ``NeighborBlock`` outputs, bulk-loaded into a result."""
     result = KnnJoinResult(k)
     for _, block in outputs:
         result.add_many(block.r_ids, block.offsets, block.ids, block.dists)

@@ -31,11 +31,11 @@ from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
 from repro.core.partition import VoronoiPartitioner
 from repro.core.summary import SummaryTable, build_partial_summary
-from repro.mapreduce.job import Context, Mapper, MapReduceJob
+from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob
 from repro.mapreduce.plan import JobGraph, Stage, StageContext
 from repro.mapreduce.runtime import JobResult, LocalRuntime
 from repro.mapreduce.splits import dataset_splits
-from repro.mapreduce.types import ObjectRecord, RecordBlock
+from repro.mapreduce.types import RecordBlock
 from repro.pivots import (
     FarthestPivotSelector,
     KMeansPivotSelector,
@@ -79,33 +79,29 @@ def make_pivot_selector(config) -> PivotSelector:
     raise ValueError(f"unknown pivot selection strategy {config.pivot_selection!r}")
 
 
-class PartitioningMapper(Mapper):
+class PartitioningMapper(BlockBufferingMapper):
     """Assigns each object of the split to its Voronoi cell.
 
-    Records are buffered and partitioned in one vectorised pass at cleanup —
-    semantically identical to per-record assignment (all emission happens
-    before the shuffle) but far cheaper per object.  Output is columnar: one
-    annotated :class:`~repro.mapreduce.types.RecordBlock` per Voronoi cell,
-    keyed by partition id, so the second job's mappers route whole blocks.
+    The split is buffered by the base class and partitioned in one vectorised
+    pass at cleanup — semantically identical to per-record assignment (all
+    emission happens before the shuffle) but far cheaper per object.  Output
+    is one annotated :class:`~repro.mapreduce.types.RecordBlock` per map
+    task: rows stable-sorted by cell id (objects of one cell keep their input
+    order), under an int key, so the second job's mappers route a whole split
+    as one block.  Byte accounting and the DFS chunker weigh rows, not
+    blocks, so ``output_bytes`` and the next job's split boundaries are those
+    of one record per object.
 
     ``T_S`` partials keep *every* per-partition pivot distance (master-side
     merging truncates to the join's k) — the k never enters this job.
     """
 
     def setup(self, ctx: Context) -> None:
+        super().setup(ctx)
         self._metric = get_metric(ctx.cache["metric_name"])
         self._partitioner = VoronoiPartitioner(ctx.cache["pivots"], self._metric)
-        self._buffer: list[ObjectRecord] = []
 
-    def map(self, key, value, ctx):
-        self._buffer.append(value)
-        return ()
-
-    def cleanup(self, ctx: Context):
-        if not self._buffer:
-            return
-        block = RecordBlock.gather(self._buffer)
-        self._buffer = []
+    def route_block(self, block: RecordBlock, ctx: Context):
         pids, dists = self._partitioner.assign_points(block.points)
         for channel, mask, keep_all in (
             (CHANNEL_TR, block.is_r, False),
@@ -117,9 +113,11 @@ class PartitioningMapper(Mapper):
                     channel, build_partial_summary(pids[mask], dists[mask], k=summary_k)
                 )
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)
-        block.partition_ids = pids.astype(np.int64, copy=False)
-        block.pivot_distances = dists.astype(np.float64, copy=False)
-        yield from block.split_by(block.partition_ids)
+        order = np.argsort(pids, kind="stable")
+        annotated = block.take(order)
+        annotated.partition_ids = pids[order]
+        annotated.pivot_distances = dists[order]
+        yield 0, annotated
 
 
 def merge_summaries(job_result: JobResult, k: int) -> tuple[SummaryTable, SummaryTable, float]:

@@ -26,12 +26,11 @@ from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
 from repro.core.geometry import PRUNE_EPS
 from repro.core.partition import VoronoiPartitioner
-from repro.core.result import KnnJoinResult
 from repro.grouping import get_grouping_strategy
-from repro.mapreduce.job import Context, Mapper, MapReduceJob, Reducer
+from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
-from repro.mapreduce.types import RecordBlock
+from repro.mapreduce.types import NeighborBlock, RecordBlock
 
 from .base import (
     PAIRS_GROUP,
@@ -43,7 +42,7 @@ from .base import (
     PgbjConfig,
     StageStats,
 )
-from .block_framework import chain_splits
+from .block_framework import chain_splits, merged_result
 from .kernel_providers import get_kernel_provider
 from .kernels import ScratchPool, build_partition_blocks
 from .partition_job import make_pivot_selector, merge_summaries, partition_stage
@@ -52,18 +51,19 @@ from .registry import JoinPlan, JoinSpec, register_join, run_join
 __all__ = ["PGBJ", "plan_pgbj", "make_pivot_selector"]
 
 
-class GroupRoutingMapper(Mapper):
+class GroupRoutingMapper(BlockBufferingMapper):
     """Second-job mapper (Algorithm 3 lines 3-11), group-keyed.
 
     R objects go to their partition's group; S objects go to every group
     whose ``LB(P_j^S, G_i)`` admits them (Theorem 6) — each extra copy is one
     unit of replication, counted for the Figure 7(b) measurement.
 
-    Values arrive as per-cell :class:`~repro.mapreduce.types.RecordBlock`
-    batches from the partitioning job, and the Theorem 6 admission test runs
-    over the whole block at once: one ``>= LB`` mask per (cell, group) pair
-    instead of one ``np.flatnonzero`` per S object.  Per-object records are
-    still accepted (wrapped into a one-row block) for compatibility.
+    The whole split is routed as one block: Theorem 6 / Corollary 2 is one
+    ``rows x groups`` mask, and each group receives at most one
+    :class:`~repro.mapreduce.types.RecordBlock` per map task — its R rows
+    and its admitted S rows, in input order (the partitioning job sorted
+    them by cell), which is the sequence a reducer's per-cell blocks are
+    built from.
 
     Skew-aware repartitioning (``skew_subkeys`` in the job cache, built by
     the planner when one group's R load dominates): a split group's R rows
@@ -75,50 +75,37 @@ class GroupRoutingMapper(Mapper):
     """
 
     def setup(self, ctx: Context) -> None:
-        self._partition_to_group: dict[int, int] = ctx.cache["partition_to_group"]
+        super().setup(ctx)
+        partition_to_group: dict[int, int] = ctx.cache["partition_to_group"]
         self._lb_group: np.ndarray = ctx.cache["lb_group"]
+        self._group_of = np.full(self._lb_group.shape[0], -1, dtype=np.int64)
+        self._group_of[list(partition_to_group)] = list(partition_to_group.values())
         self._subkeys: dict[int, tuple[int, ...]] = ctx.cache.get("skew_subkeys") or {}
 
-    def map(self, key, value, ctx: Context):
-        block = value if isinstance(value, RecordBlock) else RecordBlock.gather([value])
-        r_rows = np.flatnonzero(block.is_r)
-        if r_rows.size:
-            r_block = block.take(r_rows)
-            for pid, sub in r_block.split_by(r_block.partition_ids):
-                group_index = self._partition_to_group[pid]
-                subkeys = self._subkeys.get(group_index)
-                if subkeys is None:
-                    yield group_index, sub
-                else:
-                    for lane, lane_block in sub.split_by(
-                        sub.object_ids % len(subkeys)
-                    ):
-                        yield subkeys[int(lane)], lane_block
-        s_rows = np.flatnonzero(~block.is_r)
-        if s_rows.size:
-            s_block = block.take(s_rows)
-            for pid, cell in s_block.split_by(s_block.partition_ids):
-                # Theorem 6 for every object of the cell against every group
-                admitted = (
-                    cell.pivot_distances[:, None]
-                    >= self._lb_group[pid][None, :] - PRUNE_EPS
-                )
-                for group_index in range(admitted.shape[1]):
-                    selected = np.flatnonzero(admitted[:, group_index])
-                    if not selected.size:
-                        continue
-                    chosen = cell.take(selected)
-                    for subkey in self._subkeys.get(
-                        group_index, (int(group_index),)
-                    ):
-                        ctx.counters.incr(
-                            REPLICA_GROUP, REPLICA_NAME, int(selected.size)
-                        )
-                        yield int(subkey), chosen
+    def route_block(self, block: RecordBlock, ctx: Context):
+        is_r, cells = block.is_r, block.partition_ids
+        # Theorem 6 for every S object of the split against every group
+        routed = block.pivot_distances[:, None] >= self._lb_group[cells] - PRUNE_EPS
+        routed[is_r] = False
+        r_rows = np.flatnonzero(is_r)
+        routed[r_rows, self._group_of[cells[r_rows]]] = True
+        for group_index in range(routed.shape[1]):
+            rows = np.flatnonzero(routed[:, group_index])
+            from_s = ~is_r[rows]
+            subkeys = self._subkeys.get(group_index, (group_index,))
+            replicas = int(from_s.sum()) * len(subkeys)
+            if replicas:
+                ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME, replicas)
+            lanes = block.object_ids[rows] % len(subkeys)
+            for lane, subkey in enumerate(subkeys):
+                lane_rows = rows[from_s | (lanes == lane)]
+                if lane_rows.size:
+                    yield int(subkey), block.take(lane_rows)
 
 
 class PgbjJoinReducer(Reducer):
-    """Second-job reducer: the Algorithm 3 kernel over one group."""
+    """Second-job reducer: the Algorithm 3 kernel over one group, answered as
+    one :class:`~repro.mapreduce.types.NeighborBlock` (a row per r)."""
 
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
@@ -138,20 +125,21 @@ class PgbjJoinReducer(Reducer):
         r_blocks, s_blocks = build_partition_blocks(values)
         if not r_blocks:
             return
-        for r_id, ids, dists in self._provider.knn_join_kernel(
-            self._metric,
-            self._k,
-            r_blocks,
-            s_blocks,
-            self._thetas,
-            self._ring_stats,
-            self._pivots,
-            self._pdm,
-            use_hyperplane_pruning=self._use_hyperplane,
-            use_ring_pruning=self._use_ring,
-            scratch=self._scratch,
-        ):
-            yield r_id, (ids, dists)
+        yield key, NeighborBlock.from_lists(
+            self._provider.knn_join_kernel(
+                self._metric,
+                self._k,
+                r_blocks,
+                s_blocks,
+                self._thetas,
+                self._ring_stats,
+                self._pivots,
+                self._pdm,
+                use_hyperplane_pruning=self._use_hyperplane,
+                use_ring_pruning=self._use_ring,
+                scratch=self._scratch,
+            )
+        )
 
     def cleanup(self, ctx: Context):
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)
@@ -251,12 +239,9 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
 
     def assemble(run) -> JoinOutcome:
         job1, job2 = run.result_of(partition), run.result_of(join)
-        result = KnnJoinResult(config.k)
-        for r_id, (ids, dists) in job2.outputs:
-            result.add(r_id, ids, dists)
         outcome = JoinOutcome(
             algorithm="pgbj",
-            result=result,
+            result=merged_result(config.k, job2.outputs),
             r_size=len(r),
             s_size=len(s),
             k=config.k,

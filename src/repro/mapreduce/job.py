@@ -77,10 +77,13 @@ class BlockBufferingMapper(Mapper):
     Per-record :meth:`map` calls only buffer; at :meth:`cleanup` everything
     the task saw — :class:`~repro.mapreduce.types.ObjectRecord` rows,
     :class:`~repro.mapreduce.types.RecordBlock` batches, or a mix — is
-    gathered into one block and handed to :meth:`route_block`, which yields
-    ``(key, RecordBlock)`` emissions.  All emission still happens before the
-    shuffle, so semantics match a per-record mapper exactly; only the number
-    of Python-level values crossing the shuffle shrinks.
+    gathered into one block (row order = input order) and handed to
+    :meth:`route_block`, which yields ``(key, RecordBlock)`` emissions — at
+    most one per key is the shape every routing mapper of the package aims
+    for, and the map-only partitioning job emits exactly one.  All emission
+    still happens before the shuffle, so semantics match a per-record mapper
+    exactly; only the number of Python-level values crossing the shuffle
+    shrinks.
 
     Subclasses overriding :meth:`setup` must call ``super().setup(ctx)``.
     """

@@ -22,10 +22,10 @@ values in that key's arrival sequence, and each run is merged with the block
 type's ``gather`` — worker-side before a map task returns its emissions
 (:func:`coalesce_emissions`), and on the sorted buffer inside each flush of
 :class:`SpillMapWriter` (never before ``add``, so flush boundaries, segment
-and merge-pass counts do not depend on it).  A PGBJ routing mapper's ~10-row
-block per (cell, group) thus travels as one block per group per task, a block
-join's candidate lists as one ``NeighborBlock`` per merge partition; rows,
-their order and all accounting are unchanged.
+and merge-pass counts do not depend on it).  Mappers that emit one block per
+key to begin with (PGBJ's routing mapper: one per group per task) pass through
+as runs of one; a block join's candidate lists travel as one ``NeighborBlock``
+per merge partition; rows, their order and all accounting are unchanged.
 
 The hard contract, enforced by tests: both backends produce **bit-identical**
 job outputs, counters, and shuffle records/bytes accounting on every engine.
@@ -608,7 +608,10 @@ class SpillMapWriter:
     run, exactly like Hadoop's map-side spills.  ``finish`` flushes the tail
     and returns the :class:`MapManifest`.  Budgets are measured with the
     deterministic ``estimate_bytes`` sizes, so run boundaries (and therefore
-    the spill counters) are identical on every engine.
+    the spill counters) are identical on every engine.  The check follows
+    each ``add``, so a block larger than the budget is a run of its own (with
+    whatever was buffered before it): a task that emits one block per key
+    writes at most one segment per key however small the budget.
     """
 
     def __init__(

@@ -7,8 +7,8 @@ in bulk is a :class:`ColumnarBlock` — a struct-of-arrays batch of rows:
 
 * :class:`RecordBlock` — a batch of data objects (what routing mappers emit);
 * :class:`NeighborBlock` — a batch of per-``r`` candidate neighbour lists in
-  CSR form (what the block joins emit into the shared merge job, and what
-  that job outputs).
+  CSR form (what the block joins emit into the shared merge job, and every
+  kNN join's final reduce output).
 
 A block is an encoding detail, not a unit of account: shuffle counters and
 task statistics always report *logical records* (``len(block)``), and its

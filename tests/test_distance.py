@@ -9,9 +9,11 @@ from repro.core.distance import (
     ChebyshevMetric,
     EuclideanMetric,
     ManhattanMetric,
+    Metric,
     MinkowskiMetric,
     get_metric,
 )
+from repro.joins.kernel_providers import get_kernel_provider
 
 
 class TestEuclidean:
@@ -201,3 +203,50 @@ class TestPairDistances:
 
     def test_empty(self):
         assert get_metric("l2").pair_distances(np.zeros((0, 2)), np.zeros((0, 2))).size == 0
+
+
+class TestCrossDistancesLoopsTheShorterSide:
+    """The matrix is filled by rows or by columns, whichever is fewer calls;
+    either way it holds the row loop's bytes and counts ``n * m`` pairs."""
+
+    @staticmethod
+    def _row_loop(metric, xs, ys):
+        out = np.empty((xs.shape[0], ys.shape[0]))
+        for i in range(xs.shape[0]):
+            if ys.shape[0]:
+                out[i] = metric._one_to_many(xs[i], ys)
+        return out
+
+    @pytest.mark.parametrize(
+        "shape", [(0, 5), (5, 0), (1, 1), (1, 9), (9, 1), (4, 31), (31, 4), (17, 17)]
+    )
+    @pytest.mark.parametrize("dims", (1, 2, 3, 7, 8, 9, 10, 33))
+    @pytest.mark.parametrize("name", ("l1", "l2", "linf", "l3"))
+    def test_equal_to_the_row_loop(self, name, dims, shape):
+        rng = np.random.default_rng(dims * 1000 + shape[0] * 37 + shape[1])
+        # wide-range floats with sign flips and exact ties
+        xs = np.round(rng.normal(scale=1e3, size=(shape[0], dims)), rng.integers(0, 6))
+        ys = np.round(rng.normal(scale=1e3, size=(shape[1], dims)), rng.integers(0, 6))
+        if shape[0] and shape[1]:
+            ys[0] = xs[-1]
+        expected = self._row_loop(get_metric(name), xs, ys)
+        numpy_provider = get_kernel_provider("numpy")
+        for cross in (Metric.cross_distances, numpy_provider.cross_distances):
+            metric = get_metric(name)
+            got = cross(metric, xs, ys)
+            assert got.shape == shape and got.flags.c_contiguous
+            assert np.array_equal(got, expected)
+            assert metric.pairs_computed == shape[0] * shape[1]
+
+    def test_column_fill_is_what_runs_when_ys_is_shorter(self, monkeypatch):
+        metric = EuclideanMetric()
+        calls = []
+        kernel = metric._one_to_many
+        monkeypatch.setattr(
+            metric, "_one_to_many", lambda a, bs: calls.append(bs.shape[0]) or kernel(a, bs)
+        )
+        metric.cross_distances(np.zeros((50, 2)), np.ones((3, 2)))
+        assert calls == [50, 50, 50]
+        calls.clear()
+        metric.cross_distances(np.zeros((3, 2)), np.ones((50, 2)))
+        assert calls == [50, 50, 50]

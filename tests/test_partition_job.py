@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.bench.harness import bench_engine, bench_memory_budget
 from repro.core import Dataset, VoronoiPartitioner, get_metric
 from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, JoinConfig
 from repro.joins.partition_job import merge_summaries, run_partitioning_job
-from repro.mapreduce import LocalRuntime
 
 
 @pytest.fixture
@@ -19,15 +19,23 @@ def world(rng):
 
 def run(world, split_size=32, k=4):
     r, s, pivots = world
-    config = JoinConfig(k=k, num_reducers=2, split_size=split_size)
-    result = run_partitioning_job(r, s, pivots, config, LocalRuntime())
+    # the CI legs inject their engine / spill budget here
+    config = JoinConfig(
+        k=k,
+        num_reducers=2,
+        split_size=split_size,
+        engine=bench_engine(),
+        memory_budget=bench_memory_budget(),
+    )
+    with config.make_runtime() as runtime:
+        result = run_partitioning_job(r, s, pivots, config, runtime)
     tr, ts, _ = merge_summaries(result, k)
     return r, s, pivots, result, tr, ts
 
 
 class TestJobOutput:
     def test_every_object_emitted_once(self, world):
-        """Output is columnar — blocks keyed by cell, every object in one."""
+        """Output is columnar — every object in exactly one block."""
         r, s, pivots, result, tr, ts = run(world)
         total = sum(len(block) for _, block in result.outputs)
         assert total == len(r) + len(s)
@@ -37,13 +45,27 @@ class TestJobOutput:
         assert ids == sorted(list(r.ids) + list(s.ids))
 
     def test_records_annotated_with_cells_and_distances(self, world):
-        r, s, pivots, result, tr, ts = run(world)
-        partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
-        for pid, block in result.outputs:
-            assert np.all(block.partition_ids == pid)
-            for record in block.to_records():
-                true_dists = np.linalg.norm(pivots - record.point, axis=1)
-                assert record.pivot_distance == pytest.approx(true_dists.min())
+        """One block per map task: the split's rows stable-sorted by cell,
+        annotated exactly as ``assign_points`` on that split says."""
+        r, s, pivots, result, tr, ts = run(world, split_size=32)
+        all_ids = np.concatenate([r.ids, s.ids])
+        all_points = np.vstack([r.points, s.points])
+        assert len(result.outputs) == len(result.stats.map_tasks) == 6
+        for task, (key, block) in enumerate(result.outputs):
+            assert isinstance(key, int)
+            rows = slice(32 * task, 32 * (task + 1))
+            cells, dists = VoronoiPartitioner(pivots, get_metric("l2")).assign_points(
+                all_points[rows]
+            )
+            assert np.all(np.diff(block.partition_ids) >= 0)
+            order = np.argsort(cells, kind="stable")  # equal cells keep input order
+            assert np.array_equal(block.object_ids, all_ids[rows][order])
+            assert np.array_equal(block.partition_ids, cells[order])
+            assert np.array_equal(block.pivot_distances, dists[order])
+            assert np.array_equal(block.points, all_points[rows][order])
+            assert np.array_equal(block.is_r, np.arange(rows.start, rows.stop)[order] < len(r))
+            true_dists = np.linalg.norm(pivots[None] - block.points[:, None], axis=2)
+            assert block.pivot_distances == pytest.approx(true_dists.min(axis=1))
 
     def test_map_only_no_shuffle(self, world):
         _, _, _, result, _, _ = run(world)

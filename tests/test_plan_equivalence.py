@@ -304,6 +304,58 @@ class TestMergeJobProducersPinned:
         ) == self.PINNED[name]
 
 
+class TestFinalOutputsPinned:
+    """The two joins whose reducers answer the join directly, pinned to the
+    facts their row-shaped ``(r_id, (ids, dists))`` outputs produced (recorded
+    on the commit before they became one ``NeighborBlock`` per reduce call)."""
+
+    #: join -> (sha1 of (r id, neighbour ids, distance bytes) rows, pairs,
+    #: final job's output_bytes, its reduce tasks' output records)
+    PINNED = {
+        "broadcast": ("6a7ec171f4ee3716", 40000, 13600, 200),
+        "pgbj": ("6a7ec171f4ee3716", 15570, 13600, 200),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_facts_unchanged(self, name, data):
+        import hashlib
+
+        import numpy as np
+
+        from repro.mapreduce import estimate_bytes
+
+        outcome, _ = run_one(name, data, None)
+        digest, row_form_bytes = hashlib.sha1(), 0
+        for r_id in outcome.result.r_ids():
+            neighbors = outcome.result.neighbors_of(r_id)
+            digest.update(np.int64(r_id).tobytes())
+            digest.update(neighbors[0].tobytes())
+            digest.update(neighbors[1].tobytes())
+            row_form_bytes += estimate_bytes(r_id) + estimate_bytes(neighbors)
+        final = outcome.job_stats[-1]
+        assert (
+            digest.hexdigest()[:16],
+            outcome.distance_pairs,
+            final.output_bytes,
+            sum(task.output_records for task in final.reduce_tasks),
+        ) == self.PINNED[name]
+        assert final.output_bytes == row_form_bytes
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_one_block_per_reduce_call(self, name, data):
+        from repro.joins.registry import JoinPlan, execute_join_plan
+        from repro.mapreduce.types import NeighborBlock
+
+        config = make_config(name)
+        plan = plan_join(name, data, data, config)
+        run = execute_join_plan(JoinPlan(graph=plan.graph, assemble=lambda run: run), config)
+        outputs = run.result_of(plan.graph.stages[-1]).outputs
+        assert all(isinstance(block, NeighborBlock) for _, block in outputs)
+        keys = [key for key, _ in outputs]
+        assert len(keys) == len(set(keys)) <= config.num_reducers
+        assert sum(len(block) for _, block in outputs) == len(data)
+
+
 class TestRegistry:
     def test_all_eight_registered(self):
         assert set(ALL_JOINS) <= set(available_joins())
