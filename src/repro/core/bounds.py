@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 
+#: bytes of the bound matrix :func:`compute_thetas` ranks at once
+_THETA_BYTES = 1 << 20
+
+
 def upper_bound(u_ri: float, dist_pi_pj: float, dist_s_pj: float) -> float:
     """Theorem 3: upper bound on ``|r, s|`` for every ``r`` in ``P_i^R``."""
     return u_ri + dist_pi_pj + dist_s_pj
@@ -104,11 +108,31 @@ def compute_thetas(
     pivot_dist_matrix: np.ndarray,
     k: int,
 ) -> dict[int, float]:
-    """``theta_i`` for every non-empty R-partition."""
-    return {
-        pid: bounding_knn(tr.get(pid).upper, pivot_dist_matrix[pid], ts, k)
-        for pid in tr.partition_ids()
-    }
+    """``theta_i`` for every non-empty R-partition: Algorithm 1, all rows at once.
+
+    The k-th smallest per row of the ``(M_R, M_S * k)`` matrix of Theorem 3
+    bounds ``(U_i + |p_i, p_j|) + |s, p_j|`` over each cell's k nearest-to-pivot
+    entries (``inf`` where a cell holds fewer) — the operations, and so the
+    floats, of the scalar oracle :func:`bounding_knn` — in chunks of R rows.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    r_pids, s_pids = tr.partition_ids(), ts.partition_ids()
+    knn = np.full((len(s_pids), k), np.inf, dtype=np.float64)
+    for row, pid in enumerate(s_pids):
+        nearest = ts.get(pid).knn_distances[:k]  # ascending within the cell
+        knn[row, : len(nearest)] = nearest
+    held = int(np.isfinite(knn).sum())
+    if r_pids and held < k:
+        raise ValueError(f"cannot bound {k} nearest neighbors: S holds only {held} objects")
+    base = np.array([tr.get(pid).upper for pid in r_pids], dtype=np.float64)[:, None]
+    base = base + pivot_dist_matrix[np.ix_(r_pids, s_pids)]
+    thetas: list[float] = []
+    chunk = max(1, _THETA_BYTES // (8 * max(1, knn.size)))
+    for lo in range(0, len(r_pids), chunk):
+        bounds = (base[lo : lo + chunk, :, None] + knn).reshape(-1, knn.size)
+        thetas += np.partition(bounds, k - 1, axis=1)[:, k - 1].tolist()
+    return dict(zip(r_pids, thetas))
 
 
 def compute_lb_matrix(

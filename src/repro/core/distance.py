@@ -14,6 +14,13 @@ A central experimental measure in Section 6 is *computation selectivity*::
 measurement faithfully every distance evaluation in the library flows through
 a :class:`Metric`, which counts the number of *pairs* evaluated (a vectorised
 call computing ``m`` distances counts ``m`` pairs).
+
+Every batch kernel is *dimension-major*: the per-coordinate terms of a whole
+batch are computed at once and added coordinate by coordinate by
+:func:`_column_fold`, in exactly the order numpy's pairwise summation adds one
+row.  A distance has the same bytes whichever entry point, batch shape or
+memory layout produced it (the scalar :meth:`Metric._pair` is the oracle), and
+no per-row reduce over 2 or 10 elements is ever issued.
 """
 
 from __future__ import annotations
@@ -34,16 +41,58 @@ __all__ = [
 ]
 
 
+#: bytes of one per-coordinate term matrix of a :meth:`Metric._cross` row
+#: chunk — amortises the numpy calls yet stays cache resident (measured best
+#: at 2 and at 10 dimensions)
+_CROSS_BYTES = 1 << 16
+
+
+def _column_fold(terms: np.ndarray, add=np.add) -> np.ndarray:
+    """Combine ``terms[0] .. terms[d - 1]`` in numpy's pairwise-sum order.
+
+    ``np.sum`` adds a contiguous row of fewer than 8 values sequentially, up
+    to 128 in eight interleaved lanes joined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then the tail, and splits a
+    longer row at ``d // 2 - (d // 2) % 8`` (the tree
+    ``joins/_numba_kernels._pairwise_sum`` spells out).  Each operand here is
+    a whole array of per-coordinate terms, so every element of the result is
+    that row sum, bit for bit.  ``terms`` is only read.
+    """
+    d = len(terms)
+    if d > 128:
+        half = d // 2 - (d // 2) % 8
+        return add(_column_fold(terms[:half], add), _column_fold(terms[half:], add))
+    if d < 8:
+        if d == 0:
+            return np.zeros(terms.shape[1:])
+        acc, tail = terms[0], terms[1:]
+    else:
+        lanes = list(terms[:8])
+        for c in range(8, d - d % 8):
+            lanes[c % 8] = add(lanes[c % 8], terms[c])
+        r0, r1, r2, r3, r4, r5, r6, r7 = lanes
+        acc = add(add(add(r0, r1), add(r2, r3)), add(add(r4, r5), add(r6, r7)))
+        tail = terms[d - d % 8 :]
+    for term in tail:
+        acc = add(acc, term)
+    return acc
+
+
 class Metric(ABC):
     """A distance function over row vectors, with pair accounting.
 
-    Subclasses implement the raw kernels :meth:`_pair` and :meth:`_one_to_many`;
-    the public entry points update :attr:`pairs_computed` which backs the
-    paper's computation-selectivity metric.
+    Subclasses supply raw kernels only: the scalar :meth:`_pair`, and
+    :meth:`_terms` / :meth:`_finish` / :attr:`_add`, from which the batch
+    kernels :meth:`_one_to_many`, :meth:`_pairwise` and :meth:`_cross` are
+    built.  The public entry points update :attr:`pairs_computed`, which
+    backs the paper's computation-selectivity metric.
     """
 
     #: short identifier used by :func:`get_metric` and in reports
     name: str = "abstract"
+
+    #: how per-coordinate terms combine (``np.maximum`` for L-infinity)
+    _add = staticmethod(np.add)
 
     def __init__(self) -> None:
         self.pairs_computed: int = 0
@@ -54,22 +103,36 @@ class Metric(ABC):
     def _pair(self, a: np.ndarray, b: np.ndarray) -> float:
         """Distance between two single points (1-d arrays)."""
 
-    @abstractmethod
+    def _terms(self, diff: np.ndarray) -> np.ndarray:
+        """Per-coordinate terms of the differences ``diff``, in place."""
+        return np.abs(diff, out=diff)
+
+    def _finish(self, total: np.ndarray) -> np.ndarray:
+        """Distances from the combined per-coordinate terms."""
+        return total
+
+    def _fold(self, xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Distances between *dimension-first*, broadcast-aligned point views."""
+        return self._finish(_column_fold(self._terms(np.subtract(ys, xs, out=out)), self._add))
+
     def _one_to_many(self, a: np.ndarray, bs: np.ndarray) -> np.ndarray:
         """Distances from point ``a`` (1-d) to each row of ``bs`` (2-d)."""
+        return self._fold(a[:, None], bs.T)
 
     def _pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Row-aligned distances ``|xs[i], ys[i]|`` (both 2-d, same shape).
+        """Row-aligned distances ``|xs[i], ys[i]|`` (both 2-d, same shape)."""
+        return self._fold(xs.T, ys.T)
 
-        Subclasses override with a vectorized kernel that matches
-        :meth:`_one_to_many` element for element (same IEEE operations), so
-        gather-based batch scans are bit-identical to per-query scans.
-        """
-        return np.fromiter(
-            (self._pair(x, y) for x, y in zip(xs, ys)),
-            dtype=np.float64,
-            count=xs.shape[0],
-        )
+    def _cross(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The ``|xs| x |ys|`` matrix by row chunks: a chunk's differences live
+        in one reused ``(d, rows, |ys|)`` buffer, every term matrix contiguous."""
+        out = np.empty((xs.shape[0], ys.shape[0]), dtype=np.float64)
+        rows = max(1, _CROSS_BYTES // (8 * max(1, ys.shape[0])))
+        work = np.empty((xs.shape[1], min(rows, xs.shape[0]), ys.shape[0]), dtype=np.float64)
+        for lo in range(0, xs.shape[0], rows):
+            chunk = xs[lo : lo + rows].T[:, :, None]
+            out[lo : lo + rows] = self._fold(chunk, ys.T[:, None, :], work[:, : chunk.shape[1]])
+        return out
 
     # -- public, counted entry points --------------------------------------
 
@@ -84,8 +147,6 @@ class Metric(ABC):
         if bs.ndim != 2:
             raise ValueError(f"expected a 2-d array of points, got shape {bs.shape}")
         self.pairs_computed += bs.shape[0]
-        if bs.shape[0] == 0:
-            return np.empty(0, dtype=np.float64)
         return self._one_to_many(np.asarray(a, dtype=np.float64), bs)
 
     def pair_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -103,29 +164,14 @@ class Metric(ABC):
                 f"expected two aligned 2-d point arrays, got {xs.shape} and {ys.shape}"
             )
         self.pairs_computed += xs.shape[0]
-        if xs.shape[0] == 0:
-            return np.empty(0, dtype=np.float64)
         return self._pairwise(xs, ys)
 
     def cross_distances(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Return the full ``|xs| x |ys|`` distance matrix (counted).
-
-        One :meth:`_one_to_many` call per point of the *shorter* side: every
-        kernel reduces ``|a - b|`` or ``(a - b)^2``, which are sign-symmetric
-        in IEEE arithmetic, so a column filled from ``ys[j]`` holds the same
-        bytes as the rows would.
-        """
+        """Return the full ``|xs| x |ys|`` distance matrix (counted)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
         ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
         self.pairs_computed += xs.shape[0] * ys.shape[0]
-        out = np.empty((xs.shape[0], ys.shape[0]), dtype=np.float64)
-        if xs.shape[0] > ys.shape[0]:
-            for j in range(ys.shape[0]):
-                out[:, j] = self._one_to_many(ys[j], xs)
-        else:
-            for i in range(xs.shape[0]):
-                out[i] = self._one_to_many(xs[i], ys)
-        return out
+        return self._cross(xs, ys)
 
     def pairwise_sum(self, xs: np.ndarray) -> float:
         """Total distance over all unordered pairs of rows of ``xs`` (counted).
@@ -155,8 +201,6 @@ class Metric(ABC):
     def uncounted_distances(self, a: np.ndarray, bs: np.ndarray) -> np.ndarray:
         """Distances from ``a`` to rows of ``bs`` without counting."""
         bs = np.asarray(bs, dtype=np.float64)
-        if bs.shape[0] == 0:
-            return np.empty(0, dtype=np.float64)
         return self._one_to_many(np.asarray(a, dtype=np.float64), bs)
 
     def reset_counter(self) -> None:
@@ -178,13 +222,17 @@ class MinkowskiMetric(Metric):
         self.name = f"l{p:g}"
 
     def _pair(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.sum(np.abs(a - b) ** self.p) ** (1.0 / self.p))
+        # the root goes through the array power like the batch kernels' does:
+        # numpy's scalar and array ``**`` differ in the last bit on some CPUs
+        return float(np.asarray(np.sum(np.abs(a - b) ** self.p)) ** (1.0 / self.p))
 
-    def _one_to_many(self, a: np.ndarray, bs: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(bs - a) ** self.p, axis=1) ** (1.0 / self.p)
+    def _terms(self, diff: np.ndarray) -> np.ndarray:
+        diff = super()._terms(diff)
+        diff **= self.p
+        return diff
 
-    def _pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(ys - xs) ** self.p, axis=1) ** (1.0 / self.p)
+    def _finish(self, total: np.ndarray) -> np.ndarray:
+        return total ** (1.0 / self.p)
 
 
 class EuclideanMetric(Metric):
@@ -192,7 +240,7 @@ class EuclideanMetric(Metric):
 
     name = "l2"
 
-    # All three kernels reduce the squared differences with numpy's pairwise
+    # The squared differences are reduced in the order of numpy's pairwise
     # summation (``np.sum``) rather than ``np.dot``/``np.einsum``: BLAS-style
     # accumulation depends on the SIMD width of the host, while the pairwise
     # tree is a fixed IEEE operation order that compiled kernel providers
@@ -202,13 +250,11 @@ class EuclideanMetric(Metric):
         diff = a - b
         return math.sqrt(float(np.sum(diff * diff)))
 
-    def _one_to_many(self, a: np.ndarray, bs: np.ndarray) -> np.ndarray:
-        diff = bs - a
-        return np.sqrt(np.sum(diff * diff, axis=1))
+    def _terms(self, diff: np.ndarray) -> np.ndarray:
+        return np.multiply(diff, diff, out=diff)
 
-    def _pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        diff = ys - xs
-        return np.sqrt(np.sum(diff * diff, axis=1))
+    def _finish(self, total: np.ndarray) -> np.ndarray:
+        return np.sqrt(total)
 
 
 class ManhattanMetric(Metric):
@@ -219,26 +265,16 @@ class ManhattanMetric(Metric):
     def _pair(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.abs(a - b).sum())
 
-    def _one_to_many(self, a: np.ndarray, bs: np.ndarray) -> np.ndarray:
-        return np.abs(bs - a).sum(axis=1)
-
-    def _pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.abs(ys - xs).sum(axis=1)
-
 
 class ChebyshevMetric(Metric):
     """L-infinity (maximum) distance."""
 
     name = "linf"
 
+    _add = staticmethod(np.maximum)
+
     def _pair(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.abs(a - b).max())
-
-    def _one_to_many(self, a: np.ndarray, bs: np.ndarray) -> np.ndarray:
-        return np.abs(bs - a).max(axis=1)
-
-    def _pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.abs(ys - xs).max(axis=1)
 
 
 _METRICS = {

@@ -27,6 +27,7 @@ __all__ = [
     "hyperplane_distance",
     "hyperplane_distances",
     "partition_pruned_by_hyperplane",
+    "pivot_distance_needed",
     "ring_bounds",
     "ring_slice",
     "ring_slices",
@@ -97,6 +98,30 @@ def partition_pruned_by_hyperplane(
         hyperplane_distance(dist_q_pi, dist_q_pj, dist_pi_pj, euclidean)
         > theta + PRUNE_EPS
     )
+
+
+def pivot_distance_needed(
+    dist_q_pi, dist_pi_pj, upper_pj, theta, hyperplane: bool = True, ring: bool = True
+):
+    """Must ``|q, p_j|`` be computed before cell ``P_j`` can be judged for ``q``?
+
+    False where a bound needing no new distance already exceeds
+    ``theta + PRUNE_EPS``, both from ``|q, p_j| >= |p_i, p_j| - |q, p_i|``:
+    Corollary 1 with that lower bound in place of ``|q, p_j|`` —
+    ``d(q, HP(p_i, p_j)) >= |p_i, p_j| / 2 - |q, p_i|``, for Equation 3 and
+    the generic GH bound alike — and Theorem 5 per object —
+    ``|q, s| >= |p_i, p_j| - |q, p_i| - U(P_j)`` for every ``s`` in ``P_j``.
+    Each follows the switch of the rule it derives from; ``theta = inf`` and
+    coincident pivots (the own cell) always need the distance.  Scalars or
+    aligned arrays, the same IEEE operations either way.
+    """
+    slack = theta + PRUNE_EPS
+    needed = True
+    if hyperplane:
+        needed = dist_pi_pj / 2.0 - dist_q_pi <= slack
+    if ring:
+        needed = needed & ((dist_pi_pj - dist_q_pi) - upper_pj <= slack)
+    return needed
 
 
 def ring_bounds(

@@ -20,6 +20,7 @@ thin shims over it.
 
 from .base import (
     BlockJoinConfig,
+    InvalidJoinInput,
     JoinConfig,
     JoinOutcome,
     KnnJoinAlgorithm,
@@ -66,6 +67,7 @@ __all__ = [
     "RangeSelectionOutcome",
     "TopKClosestPairs",
     "ClosestPairsOutcome",
+    "InvalidJoinInput",
     "JoinPlan",
     "JoinSpec",
     "available_joins",

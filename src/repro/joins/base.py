@@ -28,6 +28,7 @@ from repro.mapreduce.runtime import LocalRuntime
 from repro.mapreduce.stats import JobStats
 
 __all__ = [
+    "InvalidJoinInput",
     "JoinConfig",
     "PgbjConfig",
     "BlockJoinConfig",
@@ -35,6 +36,26 @@ __all__ = [
     "KnnJoinAlgorithm",
     "StageStats",
 ]
+
+
+class InvalidJoinInput(ValueError):
+    """Datasets no join can process — refused before any stage is planned."""
+
+
+def check_datasets(r: Dataset, s: Dataset) -> None:
+    """Refuse non-finite coordinates (they silently falsify every pruning
+    comparison) and an R/S width mismatch (it would surface deep in a kernel)."""
+    for side, dataset in (("R", r), ("S", s)):
+        finite = np.isfinite(dataset.points)
+        if not finite.all():
+            bad = np.flatnonzero(~finite.all(axis=1))
+            raise InvalidJoinInput(
+                f"{side} ({dataset.name!r}) has {bad.size} object(s) with non-finite "
+                f"coordinates, first id {int(dataset.ids[bad[0]])}"
+            )
+    if r.dimensions != s.dimensions:
+        raise InvalidJoinInput(f"dimension mismatch: R has {r.dimensions}, S has {s.dimensions}")
+
 
 #: counter group/name used by every task that computes object distances
 PAIRS_GROUP = "selectivity"
@@ -489,10 +510,7 @@ class KnnJoinAlgorithm(ABC):
     def _check_inputs(r: Dataset, s: Dataset, k: int) -> None:
         if len(r) == 0 or len(s) == 0:
             raise ValueError("kNN join requires non-empty R and S")
-        if r.dimensions != s.dimensions:
-            raise ValueError(
-                f"dimension mismatch: R has {r.dimensions}, S has {s.dimensions}"
-            )
+        check_datasets(r, s)
         if k > len(s):
             raise ValueError(
                 f"k={k} exceeds |S|={len(s)}; the paper assumes k <= |S| "

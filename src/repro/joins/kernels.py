@@ -25,16 +25,25 @@ S-partition of *its own* cell's order: one hyperplane mask with per-row
 pivot distances, one segmented ``searchsorted`` for the Theorem 2 rings
 (per-row ``L``/``U``, compared as ``(cell, distance)`` pairs), then one scan
 — a gathered distance pass over the flat ``(row, ring-member)`` pair list and
-a padded-matrix k-best merge.  A row meets the same S-partitions in the same
-order with the same evolving ``theta`` as in the per-record scan, and only
-the pairs the pruning rules admit are ever gathered, so results and
-``metric.pairs_computed`` (the paper's selectivity numerator) are unchanged
-pair for pair; numpy call overhead is paid per *step*, not per
-(R-cell, S-cell).  Memory stays bounded by two byte budgets: a scan gathers
-at most ``_GATHER_BYTES`` of pairs per batch, and R is tiled by whole cells
-so the r-to-pivot matrix stays under ``_TILE_BYTES``.  The seed per-record
-kernel survives as :func:`knn_join_kernel_reference`, the oracle for the
-equivalence tests and the ``bench_columnar`` micro benchmark.
+a padded-matrix k-best merge.  Only the pairs the pruning rules admit are
+ever gathered, and numpy call overhead is paid per *step*, not per
+(R-cell, S-cell).
+
+Object-pivot distances on demand.  Both rules need ``|r, p_j|``, which the
+paper's selectivity counts ("the objects also include the pivots"), so it is
+computed only where :func:`~repro.core.geometry.pivot_distance_needed` — the
+distance-free forms of Corollary 1 and Theorem 5, against the running
+``theta + PRUNE_EPS``, each under its rule's ablation switch — cannot decide
+the (row, cell) pair.  The window rule keeps numpy overhead per *window*, not
+per step: at the start of each step window ``[0,1) [1,2) [2,4) [4,8) ...`` the
+bounds are evaluated for every (row, step) of the window with the theta of
+that moment, and the admitted pairs go through one gathered
+``metric.pair_distances`` call.  :func:`knn_join_kernel_reference`, the
+per-record oracle, applies the same rule, so results and
+``metric.pairs_computed`` (the paper's selectivity numerator) are equal pair
+for pair.  Two byte budgets bound memory: a scan or a window gathers at most
+``_GATHER_BYTES`` of pairs per batch, and R is tiled by whole cells so a
+window's ``(steps, rows)`` matrices stay near ``_TILE_BYTES``.
 
 Inputs arrive either as per-object :class:`~repro.mapreduce.types.ObjectRecord`
 values or as columnar :class:`~repro.mapreduce.types.RecordBlock` batches;
@@ -55,6 +64,7 @@ from repro.core.geometry import (
     PRUNE_EPS,
     hyperplane_distances,
     partition_pruned_by_hyperplane,
+    pivot_distance_needed,
     ring_slice,
     ring_slices,
     segment_keys,
@@ -205,11 +215,13 @@ def local_theta(
 #: sentinel id for unfilled k-best slots — sorts after every real id
 _ID_SENTINEL = np.iinfo(np.int64).max
 
-#: bytes of one scan's two ``(pairs, d)`` gather buffers — caps the gathered
-#: pairs per batch, and with them the scan's peak memory, at every dimension
+#: bytes of the two ``(pairs, d)`` gather buffers of one distance batch (a
+#: scan's, or a window's ``|r, p_j|``) — caps the gathered pairs per batch,
+#: and with them the batch's peak memory, at every dimension
 _GATHER_BYTES = 1 << 20
 
-#: bytes of one R tile's ``|r, p_j|`` matrix (rows x present pivots)
+#: bytes of a ``rows x present pivots`` float matrix of one R tile; a step
+#: window's bound matrices are a few of these, over at most half the pivots
 _TILE_BYTES = 1 << 22
 
 
@@ -265,6 +277,14 @@ def _chunk_bounds(lengths: np.ndarray, cap: int) -> Iterator[tuple[int, int]]:
         yield lo, hi
         consumed = int(cumulative[hi - 1])
         lo = hi
+
+
+def _step_windows(num_steps: int) -> Iterator[tuple[int, int]]:
+    """Scan steps in growing windows ``[0,1) [1,2) [2,4) [4,8) ...``: theta
+    tightens fastest over the first steps, so the long late windows are
+    judged with a tight theta, at ``log2`` numpy-call overhead."""
+    edges = [0, *(1 << i for i in range(num_steps.bit_length()) if 1 << i < num_steps), num_steps]
+    return zip(edges[:-1], edges[1:])
 
 
 def _scan_segments(
@@ -443,11 +463,12 @@ def knn_join_kernel(
     """Run Algorithm 3's reduce phase; yields ``(r_id, neighbor_ids, dists)``.
 
     Bit-identical to :func:`knn_join_kernel_reference` (same neighbor lists,
-    same ``metric.pairs_computed``): every per-row pruning decision and ring
-    slice is the same, every admitted pair's distance is computed with the
-    same IEEE operations — only evaluated batched, one scan step at a time
-    across all rows of the reducer (see the module docstring).  Rows come
-    out in sorted R-cell order, then block row order.
+    same ``metric.pairs_computed``): every per-row pruning decision, computed
+    ``|r, p_j|`` and ring slice is the same, every admitted pair's distance is
+    computed with the same IEEE operations — only evaluated batched, one scan
+    step (one step window, for the object-pivot distances) at a time across
+    all rows of the reducer (see the module docstring).  Rows come out in
+    sorted R-cell order, then block row order.
 
     Parameters
     ----------
@@ -496,21 +517,22 @@ def knn_join_kernel(
     )
     if use_ring_pruning:
         s_keys = segment_keys(np.repeat(np.arange(num_present), s_sizes), s_all.pivot_dists)
-        lower, upper = np.array([ring_stats[pid] for pid in present], dtype=np.float64).T
+    lower, upper = np.array([ring_stats[pid] for pid in present], dtype=np.float64).T
 
-    # line 14 for every R-partition at once: row c is the scan order of cell c
-    # over the present S-partitions, ascending |p_i, p_jl| (stable, so
-    # equidistant cells keep the scan order of sorted())
+    # line 14 for every R-partition at once: column c is the scan order of
+    # cell c over the present S-partitions, ascending |p_i, p_jl| (stable, so
+    # equidistant cells keep the scan order of sorted()); step-major, so the
+    # rows that share a step are contiguous
     pdm = pivot_dist_matrix[np.ix_(cells, present)]
     order = np.argsort(pdm, axis=1, kind="stable")
-    pdm_in_order = np.take_along_axis(pdm, order, axis=1)
-    # where each R-cell's own S-partition sits in ``present`` (-1: absent)
-    position = {pid: j for j, pid in enumerate(present)}
-    own = np.array([position.get(pid, -1) for pid in cells])
+    pdm_in_order = np.ascontiguousarray(np.take_along_axis(pdm, order, axis=1).T)
+    order = np.ascontiguousarray(order.T)
+    cell_ids, present_ids = np.array(cells), np.array(present)
 
     r_sizes = np.array([r_blocks[pid].ids.shape[0] for pid in cells], dtype=np.intp)
-    # rows are independent, so R is tiled (by whole cells) to bound the
-    # r-to-pivot matrix; each tile runs the full wavefront
+    pivot_cap = max(1, _GATHER_BYTES // (16 * pivot_points.shape[1]))
+    # rows are independent, so R is tiled (by whole cells) to bound a
+    # window's (steps, rows) matrices; each tile runs the full wavefront
     for first, last in _chunk_bounds(r_sizes, max(1, _TILE_BYTES // (8 * num_present))):
         tile_cells, tile_sizes = cells[first:last], r_sizes[first:last]
         tile = [r_blocks[pid] for pid in tile_cells]
@@ -518,61 +540,59 @@ def knn_join_kernel(
         r_ids = np.concatenate([block.ids for block in tile])
         r_points = np.concatenate([block.points for block in tile])
         own_dists = np.concatenate([block.pivot_dists for block in tile])
-        own_of_row = own[cell_of_row]
         num_rows = r_ids.shape[0]
-        lane = np.arange(num_rows)
-        # |r, p_j| for every r of the tile and every present S pivot — these
-        # are object-pivot pairs and count toward selectivity (Equation 13).
-        # One one-to-many per *pivot*: every metric kernel is elementwise
-        # symmetric in the difference, so the floats equal the per-row
-        # pass's, and the counts sum to the same rows x present pairs.
-        dr_to_pivots = np.empty((num_present, num_rows), dtype=np.float64)
-        for j in range(num_present):
-            dr_to_pivots[j] = metric.distances(present_points[j], r_points)
 
         theta = np.repeat(
             np.array([thetas[pid] for pid in tile_cells], dtype=np.float64), tile_sizes
         )
         best_dists = np.full((num_rows, k), np.inf, dtype=np.float64)
         best_ids = np.full((num_rows, k), _ID_SENTINEL, dtype=np.int64)
-        for step in range(num_present):
-            # every row visits the step-th S-partition of its own cell's order
-            rows = lane
-            visit = order[:, step][cell_of_row]
-            dist_r_pj = dr_to_pivots[visit, lane]
-            if use_hyperplane_pruning:
-                # Corollary 1: a row survives unless the hyperplane provably
-                # exceeds its current theta; its own cell is never tested
-                gaps = hyperplane_distances(
-                    own_dists, dist_r_pj, pdm_in_order[:, step][cell_of_row], euclidean
+        for first_step, window_end in _step_windows(num_present):
+            # |r, p_j| — an object-pivot pair, counted toward selectivity
+            # (Equation 13) — is computed only where no distance-free bound
+            # decides the (row, cell) pair under the theta of this moment
+            visits = order[first_step:window_end][:, cell_of_row]
+            gaps = pdm_in_order[first_step:window_end][:, cell_of_row]
+            needed = pivot_distance_needed(
+                own_dists, gaps, upper[visits], theta, use_hyperplane_pruning, use_ring_pruning
+            )
+            at_step, at_row = np.nonzero(np.broadcast_to(needed, visits.shape))
+            ends = np.searchsorted(at_step, np.arange(window_end - first_step + 1))
+            at_visit, at_gap = visits[at_step, at_row], gaps[at_step, at_row]
+            at_dist = np.empty(at_row.size, dtype=np.float64)
+            for lo in range(0, at_row.size, pivot_cap):
+                chunk = slice(lo, lo + pivot_cap)
+                at_dist[chunk] = metric.pair_distances(
+                    r_points[at_row[chunk]], present_points[at_visit[chunk]]
                 )
-                rows = np.flatnonzero((visit == own_of_row) | (gaps <= theta + PRUNE_EPS))
+            # every row visits the step-th S-partition of its own cell's order
+            for mine in map(slice, ends[:-1], ends[1:]):
+                rows, visit, dist_r_pj = at_row[mine], at_visit[mine], at_dist[mine]
+                if use_hyperplane_pruning:
+                    # Corollary 1: a row survives unless the hyperplane provably
+                    # exceeds its current theta; its own cell is never tested
+                    hyperplane = hyperplane_distances(
+                        own_dists[rows], dist_r_pj, at_gap[mine], euclidean
+                    )
+                    own = present_ids[visit] == cell_ids[cell_of_row[rows]]
+                    keep = own | (hyperplane <= theta[rows] + PRUNE_EPS)
+                    rows, visit, dist_r_pj = rows[keep], visit[keep], dist_r_pj[keep]
                 if rows.size == 0:
                     continue
-                visit = visit[rows]
-            if use_ring_pruning:
-                starts, stops = ring_slices(
-                    s_keys, lower[visit], upper[visit], dist_r_pj[rows], theta[rows], visit
+                if use_ring_pruning:
+                    starts, stops = ring_slices(
+                        s_keys, lower[visit], upper[visit], dist_r_pj, theta[rows], visit
+                    )
+                else:
+                    starts, stops = s_offsets[visit], s_offsets[visit + 1]
+                lengths = stops - starts
+                occupied = np.flatnonzero(lengths > 0)
+                if occupied.size == 0:
+                    continue
+                scan(
+                    metric, k, r_points, s_all, rows[occupied], starts[occupied],
+                    lengths[occupied], best_dists, best_ids, theta, scratch,
                 )
-            else:
-                starts, stops = s_offsets[visit], s_offsets[visit + 1]
-            lengths = stops - starts
-            occupied = np.flatnonzero(lengths > 0)
-            if occupied.size == 0:
-                continue
-            scan(
-                metric,
-                k,
-                r_points,
-                s_all,
-                rows[occupied],
-                starts[occupied],
-                lengths[occupied],
-                best_dists,
-                best_ids,
-                theta,
-                scratch,
-            )
         # unfilled slots are +inf / sentinel padding at the tail
         counts = (best_dists < np.inf).sum(axis=1).tolist()
         for row, (r_id, count) in enumerate(zip(r_ids.tolist(), counts)):
@@ -591,9 +611,11 @@ def knn_join_kernel_reference(
     use_hyperplane_pruning: bool = True,
     use_ring_pruning: bool = True,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The seed per-record kernel, kept verbatim as the correctness oracle.
+    """The per-record kernel, kept as the correctness oracle.
 
-    One R point at a time, scalar pruning tests, full-lexsort k-best list.
+    One R point at a time, scalar pruning tests, full-lexsort k-best list —
+    the seed's loop, computing ``|r, p_j|`` by the same window rule as
+    :func:`knn_join_kernel` (one ``metric.distances`` per record and window).
     The equivalence tests and ``benchmarks/bench_columnar.py`` hold
     :func:`knn_join_kernel` to byte-identical outputs and pair counts against
     this implementation.
@@ -609,36 +631,45 @@ def knn_join_kernel_reference(
         theta_i = thetas[pid_r]
         pdm_row = pivot_dist_matrix[pid_r]
         order = sorted(range(len(present)), key=lambda idx: pdm_row[present[idx]])
-        dr_to_pivots = metric.cross_distances(r_block.points, present_points)
 
         for row in range(r_block.ids.shape[0]):
             kbest = ReferenceKBestList(k)
             theta = theta_i
             dist_r_own = float(r_block.pivot_dists[row])
-            for idx in order:
-                pid_s = present[idx]
-                dist_r_pj = float(dr_to_pivots[row, idx])
-                if (
-                    use_hyperplane_pruning
-                    and pid_s != pid_r
-                    and partition_pruned_by_hyperplane(
-                        dist_r_own, dist_r_pj, float(pdm_row[pid_s]), theta, euclidean
+            for first_step, window_end in _step_windows(len(order)):
+                # the window rule of knn_join_kernel, one record at a time
+                wanted = [
+                    idx
+                    for idx in order[first_step:window_end]
+                    if pivot_distance_needed(
+                        dist_r_own, float(pdm_row[present[idx]]), ring_stats[present[idx]][1],
+                        theta, use_hyperplane_pruning, use_ring_pruning,
                     )
-                ):
-                    continue  # Corollary 1 discards the whole cell
-                block = s_blocks[pid_s]
-                if use_ring_pruning and np.isfinite(theta):
-                    lower, upper = ring_stats[pid_s]
-                    start, stop = ring_slice(
-                        block.pivot_dists, lower, upper, dist_r_pj, theta
-                    )
-                else:
-                    start, stop = 0, len(block)
-                if start >= stop:
-                    continue
-                dists = metric.distances(r_block.points[row], block.points[start:stop])
-                kbest.update(dists, block.ids[start:stop])
-                if kbest.is_full():
-                    theta = min(theta, kbest.theta + PRUNE_EPS)
+                ]
+                dr_to_pivots = metric.distances(r_block.points[row], present_points[wanted])
+                for idx, dist_r_pj in zip(wanted, dr_to_pivots.tolist()):
+                    pid_s = present[idx]
+                    if (
+                        use_hyperplane_pruning
+                        and pid_s != pid_r
+                        and partition_pruned_by_hyperplane(
+                            dist_r_own, dist_r_pj, float(pdm_row[pid_s]), theta, euclidean
+                        )
+                    ):
+                        continue  # Corollary 1 discards the whole cell
+                    block = s_blocks[pid_s]
+                    if use_ring_pruning and np.isfinite(theta):
+                        lower, upper = ring_stats[pid_s]
+                        start, stop = ring_slice(
+                            block.pivot_dists, lower, upper, dist_r_pj, theta
+                        )
+                    else:
+                        start, stop = 0, len(block)
+                    if start >= stop:
+                        continue
+                    dists = metric.distances(r_block.points[row], block.points[start:stop])
+                    kbest.update(dists, block.ids[start:stop])
+                    if kbest.is_full():
+                        theta = min(theta, kbest.theta + PRUNE_EPS)
             neighbor_ids, neighbor_dists = kbest.as_arrays()
             yield int(r_block.ids[row]), neighbor_ids, neighbor_dists

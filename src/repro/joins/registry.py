@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.dataset import Dataset
 from repro.mapreduce.plan import JobGraph, PlanCache, PlanRun, PlanScheduler
 
-from .base import JoinConfig
+from .base import JoinConfig, check_datasets
 
 __all__ = [
     "JoinPlan",
@@ -210,6 +210,7 @@ def plan_join(
     for fused multi-join execution via :func:`run_join_plans`."""
     spec = get_join(name)
     config = _resolve_config(spec, config)
+    check_datasets(r, s)
     plan = spec.plan(r, s, config, **extra)
     if config.checkpoint_dir:
         plan.identity = plan_identity(spec.name, r, s, config, extra)
@@ -283,6 +284,7 @@ def run_join(
     if config.auto_tune:
         from .autotune import auto_tune_config  # deferred: autotune imports us
 
+        check_datasets(r, s)  # the tuner samples the data before plan_join sees it
         config = auto_tune_config(name, r, s, config).config
     return execute_join_plan(plan_join(name, r, s, config, **extra), config)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import Dataset, VoronoiPartitioner, get_metric
+from repro.core import Dataset, VoronoiPartitioner, bounds, get_metric
 from repro.core.bounds import (
     bounding_knn,
     compute_lb_matrix,
@@ -84,6 +84,34 @@ class TestBoundingKnn:
         )
         theta = bounding_knn(1.0, np.zeros(1), ts, k=2)
         assert theta == pytest.approx(1.0 + 0.0 + 2.0)
+
+    @pytest.mark.parametrize("k", (1, 3, 4, 9, 40))
+    @pytest.mark.parametrize("num_pivots", (1, 5, 23))
+    def test_vectorised_thetas_equal_the_scalar_heap_loop(self, num_pivots, k, monkeypatch):
+        """``compute_thetas`` is Algorithm 1 for all R-partitions at once: the
+        same floats as ``bounding_knn`` per partition, for cells smaller than
+        k, a ``T_S`` that keeps more than k entries per cell, and R chunks."""
+        r, s, ar, as_, tr, _, pdm, _ = partitioned_world(
+            seed=num_pivots + k, num_pivots=num_pivots, num_s=60
+        )
+        for table_k, budget in ((k, 1 << 20), (k + 3, 1)):
+            monkeypatch.setattr(bounds, "_THETA_BYTES", budget)  # 1: a row per chunk
+            ts = build_partial_summary(as_.partition_ids, as_.pivot_distances, table_k)
+            expected = {
+                pid: bounding_knn(tr.get(pid).upper, pdm[pid], ts, k)
+                for pid in tr.partition_ids()
+            }
+            got = compute_thetas(tr, ts, pdm, k)
+            assert got == expected and list(got) == list(expected)
+            assert all(type(theta) is float for theta in got.values())
+
+    def test_vectorised_thetas_reject_what_the_heap_loop_rejects(self):
+        r, s, ar, as_, tr, ts, pdm, k = partitioned_world(num_s=6)
+        with pytest.raises(ValueError, match="cannot bound 7 nearest neighbors: S holds only 6"):
+            too_few = build_partial_summary(as_.partition_ids, as_.pivot_distances, 7)
+            compute_thetas(tr, too_few, pdm, 7)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            compute_thetas(tr, ts, pdm, 0)
 
     def test_more_pivots_tighten_theta(self):
         """Finer partitioning gives smaller (or equal) average theta."""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import distance
 from repro.core.distance import (
     ChebyshevMetric,
     EuclideanMetric,
@@ -13,6 +14,7 @@ from repro.core.distance import (
     MinkowskiMetric,
     get_metric,
 )
+from repro.joins._numba_kernels import _pairwise_sum
 from repro.joins.kernel_providers import get_kernel_provider
 
 
@@ -205,48 +207,91 @@ class TestPairDistances:
         assert get_metric("l2").pair_distances(np.zeros((0, 2)), np.zeros((0, 2))).size == 0
 
 
-class TestCrossDistancesLoopsTheShorterSide:
-    """The matrix is filled by rows or by columns, whichever is fewer calls;
-    either way it holds the row loop's bytes and counts ``n * m`` pairs."""
+DIMS = (*range(1, 18), 127, 128, 129, 300)
+METRICS = ("l1", "l2", "linf", "l3")
 
-    @staticmethod
-    def _row_loop(metric, xs, ys):
-        out = np.empty((xs.shape[0], ys.shape[0]))
-        for i in range(xs.shape[0]):
-            if ys.shape[0]:
-                out[i] = metric._one_to_many(xs[i], ys)
-        return out
 
-    @pytest.mark.parametrize(
-        "shape", [(0, 5), (5, 0), (1, 1), (1, 9), (9, 1), (4, 31), (31, 4), (17, 17)]
-    )
-    @pytest.mark.parametrize("dims", (1, 2, 3, 7, 8, 9, 10, 33))
-    @pytest.mark.parametrize("name", ("l1", "l2", "linf", "l3"))
-    def test_equal_to_the_row_loop(self, name, dims, shape):
+def _points(rng, rows, dims, layout):
+    """Wide-range floats with sign flips and exact ties, in a chosen layout."""
+    values = np.round(rng.normal(scale=1e3, size=(rows, dims)), int(rng.integers(0, 6)))
+    if layout == "fortran":
+        return np.asfortranarray(values)
+    if layout == "strided":  # every other row and column of a larger array
+        wide = np.zeros((2 * rows, 2 * dims))
+        wide[::2, ::2] = values
+        return wide[::2, ::2]
+    return values
+
+
+def _scalar_loop(name, xs, ys):
+    """The oracle: one ``_pair`` (an ``np.sum`` over one row) per pair."""
+    metric = get_metric(name)
+    out = np.empty((len(xs), len(ys)))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            out[i, j] = metric._pair(np.ascontiguousarray(x), np.ascontiguousarray(y))
+    return out
+
+
+class TestBatchKernelsKeepTheScalarBytes:
+    """``distances``, ``pair_distances`` and ``cross_distances`` add the
+    per-coordinate terms in the order ``np.sum`` adds one row, so they return
+    the bytes of the scalar loop at every width (the sequential, eight-lane
+    and split regimes of the pairwise tree), batch shape and memory layout —
+    and count exactly the pairs they were asked for."""
+
+    @pytest.mark.parametrize("layout", ("c", "fortran", "strided"))
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (1, 1), (1, 9), (9, 1), (6, 13)])
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("name", METRICS)
+    def test_cross_distances(self, name, dims, shape, layout):
         rng = np.random.default_rng(dims * 1000 + shape[0] * 37 + shape[1])
-        # wide-range floats with sign flips and exact ties
-        xs = np.round(rng.normal(scale=1e3, size=(shape[0], dims)), rng.integers(0, 6))
-        ys = np.round(rng.normal(scale=1e3, size=(shape[1], dims)), rng.integers(0, 6))
+        xs, ys = _points(rng, shape[0], dims, layout), _points(rng, shape[1], dims, layout)
         if shape[0] and shape[1]:
             ys[0] = xs[-1]
-        expected = self._row_loop(get_metric(name), xs, ys)
-        numpy_provider = get_kernel_provider("numpy")
-        for cross in (Metric.cross_distances, numpy_provider.cross_distances):
+        expected = _scalar_loop(name, xs, ys)
+        for cross in (Metric.cross_distances, get_kernel_provider("numpy").cross_distances):
             metric = get_metric(name)
             got = cross(metric, xs, ys)
             assert got.shape == shape and got.flags.c_contiguous
-            assert np.array_equal(got, expected)
+            assert got.tobytes() == expected.tobytes()
             assert metric.pairs_computed == shape[0] * shape[1]
 
-    def test_column_fill_is_what_runs_when_ys_is_shorter(self, monkeypatch):
-        metric = EuclideanMetric()
-        calls = []
-        kernel = metric._one_to_many
-        monkeypatch.setattr(
-            metric, "_one_to_many", lambda a, bs: calls.append(bs.shape[0]) or kernel(a, bs)
-        )
-        metric.cross_distances(np.zeros((50, 2)), np.ones((3, 2)))
-        assert calls == [50, 50, 50]
-        calls.clear()
-        metric.cross_distances(np.zeros((3, 2)), np.ones((50, 2)))
-        assert calls == [50, 50, 50]
+    @pytest.mark.parametrize("layout", ("c", "fortran", "strided"))
+    @pytest.mark.parametrize("rows", (0, 1, 2, 23))
+    @pytest.mark.parametrize("dims", DIMS)
+    @pytest.mark.parametrize("name", METRICS)
+    def test_distances_and_pair_distances(self, name, dims, rows, layout):
+        rng = np.random.default_rng(dims * 100 + rows)
+        xs, ys = _points(rng, rows, dims, layout), _points(rng, rows, dims, layout)
+        query = _points(rng, 1, dims, layout)[0]
+        if rows:
+            ys[0] = xs[0]
+            xs[-1] = query
+        metric = get_metric(name)
+        one_to_many = metric.distances(query, xs)
+        assert one_to_many.tobytes() == _scalar_loop(name, query[None], xs).tobytes()
+        assert metric.pairs_computed == rows
+        aligned = metric.pair_distances(xs, ys)
+        assert aligned.tobytes() == np.diagonal(_scalar_loop(name, xs, ys)).tobytes()
+        assert metric.pairs_computed == 2 * rows
+
+    def test_cross_distances_row_chunks(self, monkeypatch):
+        """Chunk boundaries (here: a row per chunk, and all rows in one) are
+        invisible, and the chunk buffer never exceeds what it was sized for."""
+        rng = np.random.default_rng(5)
+        xs, ys = rng.normal(size=(37, 10)), rng.normal(size=(11, 10))
+        expected = _scalar_loop("l2", xs, ys)
+        for budget in (1, 8 * 11 * 5, 1 << 30):
+            monkeypatch.setattr(distance, "_CROSS_BYTES", budget)
+            assert get_metric("l2").cross_distances(xs, ys).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dims", (0, *DIMS, 257, 1024))
+    def test_column_fold_is_numpys_pairwise_sum(self, dims):
+        """Three spellings of one tree: the column fold over whole arrays,
+        ``np.sum`` over contiguous rows, the interpreted numba helper."""
+        rng = np.random.default_rng(dims)
+        rows = rng.normal(scale=1e6, size=(29, dims)) ** 3
+        folded = distance._column_fold(np.ascontiguousarray(rows.T))
+        assert folded.tobytes() == np.sum(rows, axis=1).tobytes()
+        assert folded.tolist() == [_pairwise_sum(row, 0, dims) for row in rows]

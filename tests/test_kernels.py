@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
 from repro.core.bounds import compute_thetas
@@ -44,12 +46,20 @@ def kernel_world(
     pivot distances being equal.
     """
     rng = np.random.default_rng(seed)
-    r = Dataset(rng.random((num_r, dims)), name="r")
-    s = Dataset(rng.random((num_s, dims)), ids=np.arange(1000, 1000 + num_s), name="s")
-    metric = get_metric(metric_name)
+    r_points, s_points = rng.random((num_r, dims)), rng.random((num_s, dims))
     pivots = rng.random((num_pivots, dims))
     if twin_pivots:
         pivots[1] = pivots[0]
+    return world_from(r_points, s_points, pivots, k, metric_name, twin_pivots)
+
+
+def world_from(r_points, s_points, pivots, k, metric_name="l2", twin_pivots=False):
+    """The reducer-side world of explicit points: real assignments, summary
+    tables, Algorithm 1 thetas (``inf`` when S holds fewer than k) and blocks."""
+    num_s = len(s_points)
+    r = Dataset(r_points, name="r")
+    s = Dataset(s_points, ids=np.arange(1000, 1000 + num_s), name="s")
+    metric = get_metric(metric_name)
     partitioner = VoronoiPartitioner(pivots, metric)
     ar, as_ = partitioner.assign(r), partitioner.assign(s)
     if twin_pivots:
@@ -142,6 +152,19 @@ def run_kernel(kernel, world, metric_name="l2", **flags):
     return results, metric.pairs_computed
 
 
+def pairs_by_kind(world, metric_name="l2", **flags):
+    """``(all counted pairs, the pairs the scans folded)`` of one kernel run —
+    the difference is the object-pivot pairs ``|r, p_j|``."""
+    scanned = []
+
+    def scan(metric, k, r_points, s_block, rows, starts, lengths, *state):
+        scanned.append(int(lengths.sum()))
+        kernels.scan_partition_numpy(metric, k, r_points, s_block, rows, starts, lengths, *state)
+
+    _, pairs = run_kernel(knn_join_kernel, world, metric_name, scan=scan, **flags)
+    return pairs, sum(scanned)
+
+
 def assert_matches_reference(world, metric_name="l2", **flags):
     expected, expected_pairs = run_kernel(knn_join_kernel_reference, world, metric_name, **flags)
     got, got_pairs = run_kernel(knn_join_kernel, world, metric_name, **flags)
@@ -169,6 +192,26 @@ class TestVectorizedMatchesReference:
         got, got_pairs = run_kernel(knn_join_kernel, world, **flags)
         assert got == expected
         assert got_pairs == expected_pairs
+
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf", "l3"])
+    @pytest.mark.parametrize("use_ring", (True, False))
+    @pytest.mark.parametrize("use_hyperplane", (True, False))
+    def test_identical_under_every_flag_combination_and_metric(
+        self, use_hyperplane, use_ring, metric_name
+    ):
+        """Each distance-free bound follows the switch of the rule it derives
+        from, in the kernel and in the reference alike."""
+        world = kernel_world(
+            seed=71, num_r=90, num_s=150, num_pivots=11, k=5, metric_name=metric_name, dims=4
+        )
+        flags = dict(use_hyperplane_pruning=use_hyperplane, use_ring_pruning=use_ring)
+        assert_matches_reference(world, metric_name, **flags)
+        # the bounds only ever spare object-pivot pairs
+        rows, present = sum(len(b.ids) for b in world[2].values()), len(world[3])
+        pairs, scanned = pairs_by_kind(world, metric_name, **flags)
+        assert pairs - scanned <= rows * present
+        if not (use_hyperplane or use_ring):
+            assert pairs - scanned == rows * present
 
     def test_identical_on_duplicate_points(self):
         """Adversarial ties: coincident objects, equal distances everywhere."""
@@ -296,22 +339,28 @@ class TestWavefrontMatchesReference:
         split); results, pair counts and the yield order must not move."""
         world = kernel_world(seed=47, num_r=90, num_s=130, num_pivots=9, k=5)
         untiled = assert_matches_reference(world)
-        pivot_passes = []
-        metric_distances = type(get_metric("l2")).distances
-
-        def counting_distances(self, a, bs):
-            pivot_passes.append(bs.shape[0])
-            return metric_distances(self, a, bs)
-
         monkeypatch.setattr(kernels, "_TILE_BYTES", 1)
-        monkeypatch.setattr(type(get_metric("l2")), "distances", counting_distances)
-        tiled, _ = run_kernel(knn_join_kernel, world)
-        assert tiled == untiled
-        # one one-to-many per (tile, present pivot), over the tile's rows only
-        r_blocks, s_blocks = world[2], world[3]
-        assert sorted(pivot_passes) == sorted(
-            len(block.ids) for block in r_blocks.values() for _ in s_blocks
-        )
+        assert assert_matches_reference(world) == untiled
+
+    def test_pivot_distances_gather_within_the_byte_budget(self, monkeypatch):
+        """A window's ``|r, p_j|`` batch is cut by the same byte budget as a
+        scan's, without moving a result or a counted pair."""
+        world = kernel_world(seed=61, num_r=150, num_s=260, num_pivots=9, k=5, dims=10)
+        thetas = {pid: np.inf for pid in world[2]}  # every (row, cell) is needed
+        world = replace_world(world, thetas=thetas)
+        whole = assert_matches_reference(world)
+        batches = []
+        pair_distances = type(get_metric("l2")).pair_distances
+
+        def spy(self, xs, ys):
+            if np.isin(ys[:, 0], world[6][:, 0]).all():  # the right side is pivots
+                batches.append(len(xs))
+            return pair_distances(self, xs, ys)
+
+        monkeypatch.setattr(kernels, "_GATHER_BYTES", 4096)  # 25 pairs of 10-d points
+        monkeypatch.setattr(type(get_metric("l2")), "pair_distances", spy)
+        assert assert_matches_reference(world) == whole
+        assert max(batches) <= 25 and sum(batches) == 150 * 9
 
     def test_scans_gather_within_the_byte_budget(self, monkeypatch):
         world = kernel_world(seed=53, num_r=150, num_s=260, num_pivots=6, k=5, dims=10)
@@ -329,6 +378,59 @@ class TestWavefrontMatchesReference:
         assert len(gathered) > len(world[3])  # the budget did split steps
         # only a lone segment may exceed the budget: segments are never split
         assert all(nbytes <= budget or segments == 1 for nbytes, segments in gathered)
+
+
+@st.composite
+def adversarial_worlds(draw):
+    """Worlds built to make both distance-free bounds tight or vacuous: points
+    on a coarse grid (duplicates, equal distances), pivots drawn *from* the
+    objects with repetition (objects that are their pivot, coincident pivots),
+    k beyond any cell or beyond S, an R-cell robbed of its own S-cell,
+    ``theta = inf``, any switch combination, every metric, one-cell tiles."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.sampled_from((1, 2, 3, 10)))
+    grid = draw(st.sampled_from((2, 4, 1000)))
+    num_r, num_s = draw(st.integers(1, 50)), draw(st.integers(1, 70))
+    r_points = rng.integers(0, grid, size=(num_r, dims)).astype(float)
+    s_points = rng.integers(0, grid, size=(num_s, dims)).astype(float)
+    pool = np.vstack([r_points, s_points])
+    pivots = pool[rng.integers(0, len(pool), size=draw(st.integers(1, 8)))]
+    metric_name = draw(st.sampled_from(("l1", "l2", "linf", "l3")))
+    if draw(st.booleans()):
+        # no S object may share a cell with the first R object
+        partitioner = VoronoiPartitioner(pivots, get_metric(metric_name))
+        own = partitioner.assign_points(r_points[:1])[0][0]
+        elsewhere = partitioner.assign_points(s_points)[0] != own
+        if elsewhere.any():
+            s_points = s_points[elsewhere]
+    world = world_from(r_points, s_points, pivots, draw(st.integers(1, 12)), metric_name)
+    if draw(st.booleans()):
+        world = replace_world(world, thetas={pid: np.inf for pid in world[2]})
+    flags = dict(
+        use_hyperplane_pruning=draw(st.booleans()), use_ring_pruning=draw(st.booleans())
+    )
+    return world, metric_name, flags, draw(st.sampled_from((1, 1 << 22)))
+
+
+class TestAdversarialWorlds:
+    @given(adversarial_worlds())
+    @settings(max_examples=120, deadline=None)
+    def test_exact_and_never_above_the_eager_pair_count(self, scenario):
+        world, metric_name, flags, tile_bytes = scenario
+        r, s, r_blocks, s_blocks, _, _, _, _, k = world
+        saved, kernels._TILE_BYTES = kernels._TILE_BYTES, tile_bytes
+        try:
+            got = assert_matches_reference(world, metric_name, **flags)
+            pairs, scanned = pairs_by_kind(world, metric_name, **flags)
+        finally:
+            kernels._TILE_BYTES = saved
+        truth = brute_force_knn_join(get_metric(metric_name), r.points, r.ids, s.points, s.ids, k)
+        assert [(r_id, ids, dists) for r_id, ids, dists in got] == [
+            (r_id, truth[r_id][0].tolist(), truth[r_id][1].tobytes()) for r_id, _, _ in got
+        ]
+        assert len(got) == len(r)
+        # eagerly, every row paid for every present pivot before its scans
+        assert pairs <= len(r) * len(s_blocks) + scanned
 
 
 class TestColumnarBuilders:

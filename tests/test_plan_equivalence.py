@@ -24,6 +24,7 @@ from repro.bench.harness import bench_engine, bench_memory_budget
 from repro.datasets import generate_forest
 from repro.joins import (
     BlockJoinConfig,
+    InvalidJoinInput,
     JoinConfig,
     PgbjConfig,
     StageStats,
@@ -270,12 +271,14 @@ class TestMergeJobProducersPinned:
     """The four joins feeding the shared merge job, pinned to the facts the
     per-record merge job produced (recorded on the commit before candidate
     lists went columnar): neighbour ids, computed pairs, S replicas and the
-    shuffle, under whatever engine/budget the CI leg injects, fused or not."""
+    shuffle, under whatever engine/budget the CI leg injects, fused or not.
+    (``pbj``'s pair count was 19 960 while the kernel computed every
+    ``|r, p_j|`` up front; only that field moved when it stopped.)"""
 
     #: join -> (sha1 of (r id, neighbour ids) rows, pairs, replicas, records, bytes)
     PINNED = {
         "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 117600),
-        "pbj": ("124cb21fb9bbe9a5", 19960, 400, 1200, 117600),
+        "pbj": ("124cb21fb9bbe9a5", 17437, 400, 1200, 117600),
         "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 117600),
         "zorder": ("0de74e370e6002bc", 3557, 676, 1876, 184988),
     }
@@ -307,13 +310,14 @@ class TestMergeJobProducersPinned:
 class TestFinalOutputsPinned:
     """The two joins whose reducers answer the join directly, pinned to the
     facts their row-shaped ``(r_id, (ids, dists))`` outputs produced (recorded
-    on the commit before they became one ``NeighborBlock`` per reduce call)."""
+    on the commit before they became one ``NeighborBlock`` per reduce call;
+    ``pgbj``'s pair count was 15 570 with the eager object-pivot matrix)."""
 
     #: join -> (sha1 of (r id, neighbour ids, distance bytes) rows, pairs,
     #: final job's output_bytes, its reduce tasks' output records)
     PINNED = {
         "broadcast": ("6a7ec171f4ee3716", 40000, 13600, 200),
-        "pgbj": ("6a7ec171f4ee3716", 15570, 13600, 200),
+        "pgbj": ("6a7ec171f4ee3716", 14685, 13600, 200),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -394,6 +398,55 @@ class TestRegistry:
             make_algorithm("pbj", JoinConfig())
         with pytest.raises(ValueError, match="operator"):
             make_algorithm("closest-pairs", BlockJoinConfig())
+
+
+class TestBoundaryValidation:
+    """Bad datasets are refused by ``plan_join`` / ``run_join`` with a named
+    error, for every registered join, before any stage is built or run."""
+
+    @staticmethod
+    def _with(data, **changes):
+        points = data.points.copy()
+        if "poison" in changes:
+            points[7, 2] = changes["poison"]
+        if "dims" in changes:
+            points = points[:, : changes["dims"]]
+        return type(data)(points, ids=data.ids, name="bad")
+
+    @staticmethod
+    def _entry_points(name, r, s):
+        extra = {"theta": 0.3} if name == "range-selection" else {}
+        config = make_config(name)
+        yield lambda: plan_join(name, r, s, config, **extra)
+        yield lambda: run_join(name, r, s, config, **extra)
+        if get_join(name).kind == "knn":  # the tuner reads the data first
+            yield lambda: run_join(name, r, s, make_config(name, auto_tune=True), **extra)
+
+    @pytest.mark.parametrize("poison", (float("nan"), float("inf"), float("-inf")))
+    @pytest.mark.parametrize("side", ("r", "s"))
+    @pytest.mark.parametrize("name", ALL_JOINS)
+    def test_non_finite_coordinates_rejected(self, name, side, poison, data):
+        bad = self._with(data, poison=poison)
+        r, s = (bad, data) if side == "r" else (data, bad)
+        for call in self._entry_points(name, r, s):
+            with pytest.raises(InvalidJoinInput) as caught:
+                call()
+            assert str(caught.value) == (
+                f"{side.upper()} ('bad') has 1 object(s) with non-finite coordinates, "
+                f"first id {int(data.ids[7])}"
+            )
+
+    @pytest.mark.parametrize("name", ALL_JOINS)
+    def test_dimension_mismatch_rejected(self, name, data):
+        narrow = self._with(data, dims=data.dimensions - 1)
+        for r, s in ((narrow, data), (data, narrow)):
+            for call in self._entry_points(name, r, s):
+                with pytest.raises(InvalidJoinInput, match="dimension mismatch: R has"):
+                    call()
+
+    def test_is_a_value_error_and_clean_inputs_pass(self, data):
+        assert issubclass(InvalidJoinInput, ValueError)
+        assert plan_join("pgbj", data, data, make_config("pgbj")).graph is not None
 
 
 class TestStageStats:
