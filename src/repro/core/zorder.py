@@ -2,9 +2,16 @@
 
 Substrate for the approximate H-zkNNJ-style join (Zhang et al., EDBT 2012 —
 the competitor the paper cites and excludes as approximate, implemented here
-as an extension).  Points are scaled into a unit box, quantized to ``bits``
-levels per dimension, and their coordinate bits interleaved into a single
-code whose ordering approximately preserves spatial proximity.
+as an extension).  Points are laid on a grid of ``2^bits`` cells per
+dimension and their cell coordinates' bits interleaved into a single code
+whose ordering approximately preserves spatial proximity.
+
+The grid the joins use (:meth:`ZOrderTransform.for_box`) is a **cube**: one
+side — the data's largest span — for every dimension.  An L_p distance weighs
+every coordinate equally, so the curve's bit planes must too: stretching each
+dimension's own span over the full range spends the leading bits on
+dimensions that hardly enter a distance (on 10-d Forest, over half a curve
+copy's recall).  H-zkNNJ interleaves raw integer coordinates, the same thing.
 
 A code is ``bits * dims`` bits wide — 160 for the 10-d Forest data — so it is
 held as a **fixed-width big-endian byte string**, one element of a numpy
@@ -31,9 +38,9 @@ class ZOrderTransform:
     Parameters
     ----------
     lo, hi:
-        Bounding box of the data (per-dimension).  Points outside are
-        clamped — callers shifting points (H-zkNNJ's random shifts) should
-        widen the box accordingly.
+        Bounding box of the grid (per-dimension, any shape; the joins build
+        a cube with :meth:`for_box`).  Points outside are clamped — callers
+        shifting points (H-zkNNJ's random shifts) widen the box accordingly.
     bits:
         Quantization bits per dimension (z-values use ``bits * dims`` bits
         total; byte-string keys make any width safe).
@@ -54,13 +61,14 @@ class ZOrderTransform:
     def for_box(
         cls, lo: np.ndarray, hi: np.ndarray, bits: int = 16, padding: float = 0.0
     ) -> "ZOrderTransform":
-        """A transform covering the data box ``[lo, hi]``, optionally padded.
+        """The cube anchored at ``lo`` that covers the data box ``[lo, hi]``.
 
-        ``padding`` widens the box by that fraction of each dimension's span
-        (room for random shift vectors).
+        Every dimension gets the largest span as its side (why: the module
+        docstring); ``padding`` widens the cube by that fraction of the side
+        at both ends (room for random shift vectors).
         """
-        span = np.maximum(hi - lo, 1e-12)
-        return cls(lo - padding * span, hi + (padding + 1e-9) * span, bits=bits)
+        side = max(float(np.max(hi - lo)), 1e-12)
+        return cls(lo - padding * side, lo + (1.0 + padding + 1e-9) * side, bits=bits)
 
     @classmethod
     def for_points(

@@ -43,6 +43,7 @@ from repro.mapreduce.engines import DEFAULT_ENGINE
 
 from .base import JoinConfig
 from .registry import get_join
+from .zorder import ZOrderConfig
 
 __all__ = [
     "sampled_cell_histogram",
@@ -143,7 +144,7 @@ def estimate_join_cost(
     dims: int = 2,
     num_reducers: int = 4,
     num_pivots: int = 64,
-    num_shifts: int = 3,
+    num_shifts: int = ZOrderConfig.num_shifts,
     histogram: tuple[np.ndarray, np.ndarray] | None = None,
     stage_fusion: bool = False,
     rates: CalibratedRates = DEFAULT_RATES,
@@ -347,7 +348,7 @@ def explain_join(
         dims=int(r.dimensions),
         num_reducers=config.num_reducers,
         num_pivots=num_pivots,
-        num_shifts=_config_knob(config, "num_shifts", 3),
+        num_shifts=_config_knob(config, "num_shifts", ZOrderConfig.num_shifts),
         histogram=histogram,
         stage_fusion=config.stage_fusion,
         rates=calibrate() if calibrated else DEFAULT_RATES,
@@ -436,7 +437,7 @@ def auto_tune_config(
                 dims=int(r.dimensions),
                 num_reducers=num_reducers,
                 num_pivots=num_pivots,
-                num_shifts=_config_knob(config, "num_shifts", 3),
+                num_shifts=_config_knob(config, "num_shifts", ZOrderConfig.num_shifts),
                 histogram=histogram,
                 stage_fusion=True,
                 rates=rates,

@@ -8,13 +8,15 @@ can be measured inside the same harness.
 
 Algorithm sketch (two MapReduce jobs, like the block framework):
 
-1. Draw ``num_shifts`` random shift vectors (the first is zero).  For each
-   shift, both datasets are mapped onto the z-order curve of the shifted
-   space; ``S``'s curve is range-partitioned into ``num_reducers`` blocks by
-   z-value quantiles estimated from a master-side sample.  Every ``r`` goes
-   to the block covering its z-value; every ``s`` goes to its own block and
-   — to heal block boundaries — to the neighboring block when it lies within
-   ``k`` curve positions of the boundary estimate.
+1. Draw ``num_shifts`` random shift vectors (the first is zero) in the cube
+   the curve's grid covers — one cell size for every dimension, because an
+   L_p distance weighs every coordinate equally.  For each shift, both
+   datasets are mapped onto the z-order curve of the shifted space; ``S``'s
+   curve is range-partitioned into ``num_reducers`` blocks by z-value
+   quantiles estimated from a master-side sample.  Every ``r`` goes to the
+   block covering its z-value; every ``s`` goes to its own block and — to
+   heal block boundaries — to the neighboring block when it lies within ``k``
+   curve positions of the boundary estimate.
 2. Each reducer sorts its S block by z-value and, for each ``r``, takes the
    ``2k`` nearest S objects *along the curve* as candidates, computing their
    true distances.  A merge job keeps the best k per ``r`` across all shifts.
@@ -36,7 +38,9 @@ lists to the shared merge job as
 
 The result is approximate: a true neighbor may be z-far in every shift.
 Quality is measured by :func:`recall_against` (fraction of exact neighbors
-found) and the distance ratio; both improve with ``num_shifts``.
+found) and the distance ratio.  A curve copy ships every object once more
+and scans ``2 * candidates_per_side`` more pairs per ``r``; on 10-d Forest
+x10 it buys recall 0.59 → 0.78 → 0.86 → 0.91 (1–4 copies, README's table).
 """
 
 from __future__ import annotations
@@ -81,7 +85,8 @@ __all__ = ["ZOrderKnnJoin", "ZOrderConfig", "plan_zorder", "recall_against"]
 class ZOrderConfig(JoinConfig):
     """Configuration for the approximate z-order join.
 
-    ``num_shifts`` is the alpha of H-zkNNJ (copies of the curve);
+    ``num_shifts`` is the alpha of H-zkNNJ (copies of the curve; the default,
+    the plain curve plus one shifted copy, targets recall 0.75 on Forest x10);
     ``bits`` the per-dimension quantization; ``candidates_per_side`` how many
     curve neighbors each side contributes (``None``: k, the classic choice,
     resolved when the join is planned so it follows ``with_changes(k=...)``);
@@ -89,7 +94,7 @@ class ZOrderConfig(JoinConfig):
     the block boundaries.
     """
 
-    num_shifts: int = 3
+    num_shifts: int = 2
     bits: int = 16
     candidates_per_side: int | None = None
     sample_size: int = 1024
@@ -213,11 +218,12 @@ def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
         # would change simulated_seconds vs the pre-plan outcomes)
         lo = np.minimum(r.points.min(axis=0), s.points.min(axis=0))
         hi = np.maximum(r.points.max(axis=0), s.points.max(axis=0))
-        span = np.maximum(hi - lo, 1e-9)
+        # box-wide shift vectors: one scale for every coordinate, the grid's
+        side = max(float(np.max(hi - lo)), 1e-9)
         shifts = np.vstack(
             [np.zeros(r.dimensions)]
             + [
-                rng.random(r.dimensions) * span * 0.25
+                rng.random(r.dimensions) * side * 0.25
                 for _ in range(config.num_shifts - 1)
             ]
         )

@@ -168,10 +168,11 @@ def run_reference_zorder(r, s, config) -> dict:
     facts the columnar join must reproduce."""
     rng = np.random.default_rng(config.seed)
     stacked = np.vstack([r.points, s.points])
-    span = np.maximum(stacked.max(axis=0) - stacked.min(axis=0), 1e-9)
+    # one side for every dimension, as ``plan_zorder`` draws it
+    side = max(float(np.max(stacked.max(axis=0) - stacked.min(axis=0))), 1e-9)
     shifts = np.vstack(
         [np.zeros(r.dimensions)]
-        + [rng.random(r.dimensions) * span * 0.25 for _ in range(config.num_shifts - 1)]
+        + [rng.random(r.dimensions) * side * 0.25 for _ in range(config.num_shifts - 1)]
     )
     transform = ZOrderTransform.for_points(stacked, bits=config.bits, padding=0.3)
     blocks_per_shift = max(1, config.num_reducers // config.num_shifts)

@@ -131,6 +131,23 @@ class TestCostModelShape:
         assert "partition" in text and "knn-join" in text
         assert f"{estimate.shuffle_bytes()}" in text
 
+    def test_zorder_priced_at_the_configs_default_copies(self, data):
+        """The cost model's curve-copy count is ``ZOrderConfig``'s, not a
+        literal of its own: defaults price like the default spelled out."""
+        import inspect
+
+        from repro.joins import ZOrderConfig
+
+        default = ZOrderConfig().num_shifts
+        signature = inspect.signature(estimate_join_cost)
+        assert signature.parameters["num_shifts"].default == default
+        sizes = dict(r_size=len(data), s_size=len(data), k=5, dims=data.dimensions)
+        spelled = estimate_join_cost("zorder", num_shifts=default, **sizes)
+        assert estimate_join_cost("zorder", **sizes).stages == spelled.stages
+        # a config with the knob, and one without it (the fallback)
+        for config in (ZOrderConfig(k=5), PgbjConfig(k=5)):
+            assert explain_join("zorder", data, data, config).stages == spelled.stages
+
     def test_histogram_is_deterministic_and_scaled(self, data):
         first = sampled_cell_histogram(data, data, 8, seed=5)
         second = sampled_cell_histogram(data, data, 8, seed=5)

@@ -273,14 +273,16 @@ class TestMergeJobProducersPinned:
     lists went columnar): neighbour ids, computed pairs, S replicas and the
     shuffle, under whatever engine/budget the CI leg injects, fused or not.
     (``pbj``'s pair count was 19 960 while the kernel computed every
-    ``|r, p_j|`` up front; only that field moved when it stopped.)"""
+    ``|r, p_j|`` up front; only that field moved when it stopped.  ``zorder``
+    was re-pinned whole when its grid became a cube and its default two curve
+    copies: before, ``("0de74e370e6002bc", 3557, 676, 1876, 184988)``.)"""
 
     #: join -> (sha1 of (r id, neighbour ids) rows, pairs, replicas, records, bytes)
     PINNED = {
         "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 117600),
         "pbj": ("124cb21fb9bbe9a5", 17437, 400, 1200, 117600),
         "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 117600),
-        "zorder": ("0de74e370e6002bc", 3557, 676, 1876, 184988),
+        "zorder": ("f7cc7c3009292dc9", 2369, 432, 1232, 121216),
     }
 
     @pytest.mark.parametrize("fused", (False, True), ids=("chained", "fused"))

@@ -75,6 +75,37 @@ class TestTransform:
         )
         assert curve_neighbor < 0.4 * random_pairs
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.random.default_rng(6).random((40, 3)) * [1e4, 1.0, 1e-1],
+            np.column_stack([np.linspace(-3.0, 9.0, 40), np.full(40, 2.5)]),
+            np.full((5, 4), 7.0),
+        ],
+        ids=("spans-1e4-apart", "zero-span-dimension", "identical-points"),
+    )
+    def test_grid_is_a_cube(self, points):
+        """One cell size for every dimension, whatever the spans are."""
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        for transform in (
+            ZOrderTransform.for_points(points, bits=12, padding=0.3),
+            ZOrderTransform.for_box(lo, hi, bits=12, padding=0.3),
+        ):
+            sides = transform.hi - transform.lo
+            assert np.allclose(sides, sides[0], rtol=1e-9, atol=0.0)
+            assert sides[0] >= 1.6 * float((hi - lo).max())
+            assert np.all(transform.lo < lo) and np.all(transform.hi > hi)
+
+    def test_largest_shift_clamps_nothing(self):
+        """The padding leaves room for any shift the join can draw (a quarter
+        of the side per coordinate): no shifted point reaches a border cell."""
+        points = np.random.default_rng(8).random((300, 5)) * [900.0, 40.0, 1.0, 0.0, 7.0]
+        side = float((points.max(axis=0) - points.min(axis=0)).max())
+        transform = ZOrderTransform.for_points(points, bits=16, padding=0.3)
+        for shift in (0.0, 0.25 * side):
+            cells = transform.quantize(points + shift)
+            assert cells.min() > 0 and cells.max() < 2**16 - 1
+
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             ZOrderTransform(np.zeros(2), np.zeros(2))
@@ -281,18 +312,22 @@ class TestZOrderConfig:
             ZOrderConfig().with_changes(**knobs)
 
 
+def exact_self_join(data: Dataset, k: int) -> KnnJoinResult:
+    """The brute-force L2 self-join the approximate one is scored against."""
+    return KnnJoinResult.from_dict(
+        k,
+        brute_force_knn_join(
+            get_metric("l2"), data.points, data.ids, data.points, data.ids, k
+        ),
+    )
+
+
 class TestApproximateJoin:
     @pytest.fixture(scope="class")
     def world(self):
         data = gaussian_mixture_dataset(500, 3, num_clusters=6, seed=4)
         k = 8
-        truth = KnnJoinResult.from_dict(
-            k,
-            brute_force_knn_join(
-                get_metric("l2"), data.points, data.ids, data.points, data.ids, k
-            ),
-        )
-        return data, k, truth
+        return data, k, exact_self_join(data, k)
 
     def test_every_r_answered(self, world):
         data, k, truth = world
@@ -333,6 +368,37 @@ class TestApproximateJoin:
     def test_invalid_shifts(self):
         with pytest.raises(ValueError):
             ZOrderConfig(num_shifts=0)
+
+
+class TestRecallFloor:
+    """The stated quality of the approximate join: config defaults (two curve
+    copies, ``candidates_per_side = k``) reach recall 0.7 on data whose
+    dimensions span very different ranges.  A grid scaled per dimension
+    scored under 0.45 on both worlds."""
+
+    K = 10
+
+    def recall(self, data: Dataset, truth: KnnJoinResult, **knobs) -> float:
+        outcome = run_join("zorder", data, data, ZOrderConfig(k=self.K, **knobs))
+        return recall_against(outcome.result, truth)[0]
+
+    @pytest.fixture(scope="class")
+    def forest(self):
+        data = expand_dataset(generate_forest(200, seed=1), 10)
+        return data, exact_self_join(data, self.K)
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_defaults_on_forest_x10(self, forest, seed):
+        assert self.recall(*forest, seed=seed) >= 0.7
+
+    def test_three_copies_on_forest_x10(self, forest):
+        assert self.recall(*forest, num_shifts=3) >= 0.8
+
+    def test_defaults_on_one_wide_nine_narrow_dimensions(self):
+        points = np.random.default_rng(7).random((1500, 10))
+        points[:, 0] *= 1000.0
+        data = Dataset(points)
+        assert self.recall(data, exact_self_join(data, self.K)) >= 0.7
 
 
 class TestRecallMetric:
