@@ -8,8 +8,7 @@ footing.
 """
 
 from repro.bench import ExperimentResult, forest_workload
-from repro.bench.harness import DEFAULTS, default_cluster, run_hbrj, run_pbj
-from repro.joins import BlockJoinConfig, IJoinBlock
+from repro.bench.harness import DEFAULTS, default_cluster, run_algorithm
 from repro.metrics import format_table
 
 
@@ -18,18 +17,14 @@ def reducer_index_experiment(seed: int = 0) -> ExperimentResult:
     data = forest_workload(seed=seed)
     cluster = default_cluster()
     k = DEFAULTS["k"]
+    kernels = {
+        "H-BRJ (R-tree)": "hbrj",
+        "PBJ (summary bounds)": "pbj",
+        "iJoin (iDistance)": "ijoin",
+    }
     outcomes = {
-        "H-BRJ (R-tree)": run_hbrj(data, data, k=k, seed=seed),
-        "PBJ (summary bounds)": run_pbj(data, data, k=k, seed=seed),
-        "iJoin (iDistance)": IJoinBlock(
-            BlockJoinConfig(
-                k=k,
-                num_reducers=DEFAULTS["num_reducers"],
-                num_pivots=DEFAULTS["num_pivots"],
-                split_size=DEFAULTS["split_size"],
-                seed=seed,
-            )
-        ).run(data, data),
+        label: run_algorithm(join, data, data, k=k, seed=seed)
+        for label, join in kernels.items()
     }
     rows = []
     raw = {}

@@ -15,7 +15,7 @@ nothing extra and only adds pairs.  The join's default is two copies at
 
 import numpy as np
 
-from repro.bench import ExperimentResult, forest_workload, osm_workload, run_pgbj
+from repro.bench import ExperimentResult, forest_workload, osm_workload, run_algorithm
 from repro.bench.harness import DEFAULTS, scaled_pivots
 from repro.joins import ZOrderConfig, recall_against, run_join
 from repro.metrics import format_table
@@ -31,7 +31,9 @@ def zorder_vs_exact_experiment(seed: int = 0) -> ExperimentResult:
     rows = []
     raw = {"default_shifts": ZOrderConfig().num_shifts, "datasets": {}}
     for label, data in workloads.items():
-        exact = run_pgbj(data, data, k=k, seed=seed, num_pivots=scaled_pivots(48))
+        exact = run_algorithm(
+            "pgbj", data, data, k=k, seed=seed, num_pivots=scaled_pivots(48)
+        )
         rows.append(
             [
                 label,

@@ -9,9 +9,9 @@ adding shifted copies of the curve.
 Run:  python examples/approximate_tradeoff.py
 """
 
-from repro import PGBJ, PgbjConfig
+from repro import PgbjConfig, run_join
 from repro.datasets import expand_dataset, generate_forest
-from repro.joins import ZOrderConfig, ZOrderKnnJoin, recall_against
+from repro.joins import ZOrderConfig, recall_against
 
 
 def main() -> None:
@@ -19,7 +19,7 @@ def main() -> None:
     data = expand_dataset(generate_forest(250, seed=6), 8)
     print(f"workload: {len(data)} Forest-like objects, k={k}\n")
 
-    exact = PGBJ(PgbjConfig(k=k, num_reducers=9, num_pivots=96, seed=1)).run(data, data)
+    exact = run_join("pgbj", data, data, PgbjConfig(k=k, num_reducers=9, num_pivots=96, seed=1))
     print(
         f"{'method':22s}{'recall':>8s}{'dist-ratio':>12s}"
         f"{'select(permille)':>18s}{'shuffle MB':>12s}"
@@ -30,9 +30,9 @@ def main() -> None:
         f"{exact.selectivity() * 1000:>18.1f}{exact.shuffle_bytes() / 1e6:>12.2f}"
     )
     for shifts in (1, 2, 4, 6):
-        approx = ZOrderKnnJoin(
-            ZOrderConfig(k=k, num_reducers=9, num_shifts=shifts, seed=1)
-        ).run(data, data)
+        approx = run_join(
+            "zorder", data, data, ZOrderConfig(k=k, num_reducers=9, num_shifts=shifts, seed=1)
+        )
         recall, ratio = recall_against(approx.result, exact.result)
         print(
             f"{f'z-order, {shifts} shifts':22s}{recall:>8.3f}{ratio:>12.3f}"

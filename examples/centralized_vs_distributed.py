@@ -12,7 +12,7 @@ Run:  python examples/centralized_vs_distributed.py
 
 import time
 
-from repro import PGBJ, Cluster, PgbjConfig
+from repro import Cluster, PgbjConfig, run_join
 from repro.core import get_metric
 from repro.datasets import expand_dataset, generate_forest
 from repro.gorder import GorderKnnJoin
@@ -33,8 +33,8 @@ def main() -> None:
         gorder_seconds = time.perf_counter() - started
         gorder_sel = metric.pairs_computed / (len(data) ** 2) * 1000
 
-        pgbj = PGBJ(PgbjConfig(k=k, num_reducers=9, num_pivots=96, seed=12)).run(
-            data, data
+        pgbj = run_join(
+            "pgbj", data, data, PgbjConfig(k=k, num_reducers=9, num_pivots=96, seed=12)
         )
         pgbj_seconds = pgbj.simulated_seconds(Cluster(num_nodes=9))
 

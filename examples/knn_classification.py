@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro import PGBJ, PgbjConfig
+from repro import PgbjConfig, run_join
 from repro.core import Dataset
 
 
@@ -43,8 +43,8 @@ def main() -> None:
     train, train_labels, test, test_labels = make_labeled_world()
     print(f"train: {len(train)} labeled objects; test: {len(test)} objects; k={k}")
 
-    outcome = PGBJ(PgbjConfig(k=k, num_reducers=9, num_pivots=48, seed=3)).run(
-        test, train
+    outcome = run_join(
+        "pgbj", test, train, PgbjConfig(k=k, num_reducers=9, num_pivots=48, seed=3)
     )
 
     label_of = dict(zip(train.ids.tolist(), train_labels.tolist()))

@@ -15,7 +15,7 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 
-from repro import PGBJ, PgbjConfig
+from repro import PgbjConfig, run_join
 from repro.core import Dataset
 
 
@@ -36,8 +36,8 @@ def main() -> None:
     data, labels = make_blobs()
     print(f"dataset: {len(data)} points in 5 uneven blobs; k={k}")
 
-    outcome = PGBJ(PgbjConfig(k=k + 1, num_reducers=9, num_pivots=40, seed=6)).run(
-        data, data
+    outcome = run_join(
+        "pgbj", data, data, PgbjConfig(k=k + 1, num_reducers=9, num_pivots=40, seed=6)
     )
 
     # build the mutual-kNN graph (skip self edges; cut overly long links)

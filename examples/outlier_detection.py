@@ -13,7 +13,7 @@ Run:  python examples/outlier_detection.py
 
 import numpy as np
 
-from repro import PGBJ, PgbjConfig
+from repro import PgbjConfig, run_join
 from repro.core import Dataset
 
 
@@ -40,8 +40,8 @@ def main() -> None:
     data, planted = build_dataset()
     print(f"dataset: {len(data)} objects, {len(planted)} planted outliers")
 
-    outcome = PGBJ(PgbjConfig(k=k + 1, num_reducers=9, num_pivots=48, seed=1)).run(
-        data, data
+    outcome = run_join(
+        "pgbj", data, data, PgbjConfig(k=k + 1, num_reducers=9, num_pivots=48, seed=1)
     )
 
     # self-join: neighbor 0 is the object itself (distance 0), so the

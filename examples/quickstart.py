@@ -7,7 +7,7 @@ scan, and prints the three measurements the paper reports.
 Run:  python examples/quickstart.py
 """
 
-from repro import PGBJ, Cluster, PgbjConfig
+from repro import Cluster, PgbjConfig, run_join
 from repro.core import KnnJoinResult, brute_force_knn_join, get_metric
 from repro.datasets import gaussian_mixture_dataset
 
@@ -19,7 +19,7 @@ def main() -> None:
 
     # 2. configure PGBJ: k=10 neighbors, 9 reducers, 64 Voronoi pivots
     config = PgbjConfig(k=10, num_reducers=9, num_pivots=64, seed=7)
-    outcome = PGBJ(config).run(data, data)
+    outcome = run_join("pgbj", data, data, config)
 
     # 3. look at one object's neighbor list
     some_id = int(data.ids[0])

@@ -12,10 +12,9 @@ Run:  python examples/range_queries.py
 
 import numpy as np
 
-from repro import JoinConfig
+from repro import JoinConfig, run_join
 from repro.core import Dataset
 from repro.datasets import generate_osm
-from repro.joins import DistributedRangeSelection
 
 
 def main() -> None:
@@ -32,10 +31,14 @@ def main() -> None:
     )
     theta = 0.5  # degrees, a metro-area radius
 
-    operator = DistributedRangeSelection(
-        JoinConfig(num_reducers=4, split_size=1024), num_pivots=48
+    outcome = run_join(
+        "range-selection",
+        data,
+        queries,
+        JoinConfig(num_reducers=4, split_size=1024),
+        theta=theta,
+        num_pivots=48,
     )
-    outcome = operator.run(data, queries, theta)
 
     print(f"dataset: {len(data)} OSM points; {len(queries)} queries; theta={theta} deg\n")
     sizes = [len(outcome.matches[qid]) for qid in sorted(outcome.matches)]

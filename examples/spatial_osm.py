@@ -8,7 +8,7 @@ same join with PGBJ and H-BRJ and contrasts the paper's three measurements.
 Run:  python examples/spatial_osm.py
 """
 
-from repro import HBRJ, PGBJ, BlockJoinConfig, Cluster, PgbjConfig
+from repro import BlockJoinConfig, Cluster, PgbjConfig, run_join
 from repro.datasets import generate_osm
 
 
@@ -19,8 +19,8 @@ def main() -> None:
     print(f"payload volume: {int(data.payload_bytes.sum()) / 1e6:.2f} MB riding the shuffle\n")
 
     cluster = Cluster(num_nodes=9)
-    pgbj = PGBJ(PgbjConfig(k=k, num_reducers=9, num_pivots=96, seed=2)).run(data, data)
-    hbrj = HBRJ(BlockJoinConfig(k=k, num_reducers=9, seed=2)).run(data, data)
+    pgbj = run_join("pgbj", data, data, PgbjConfig(k=k, num_reducers=9, num_pivots=96, seed=2))
+    hbrj = run_join("hbrj", data, data, BlockJoinConfig(k=k, num_reducers=9, seed=2))
 
     assert pgbj.result.same_distances_as(hbrj.result), "both joins are exact"
 

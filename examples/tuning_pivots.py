@@ -8,7 +8,7 @@ k-means pivots.
 Run:  python examples/tuning_pivots.py
 """
 
-from repro import PGBJ, Cluster, PgbjConfig
+from repro import Cluster, PgbjConfig, run_join
 from repro.datasets import expand_dataset, generate_forest
 
 
@@ -33,7 +33,7 @@ def main() -> None:
                 grouping="geometric",
                 seed=4,
             )
-            outcome = PGBJ(config).run(data, data)
+            outcome = run_join("pgbj", data, data, config)
             phases = outcome.phase_seconds(cluster)
             print(
                 f"{combo:6s}{num_pivots:>6d}"

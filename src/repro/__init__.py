@@ -22,9 +22,13 @@ Every algorithm is registered as a declarative plan builder:
 :func:`run_join` resolves the name, builds its
 :class:`~repro.mapreduce.plan.JobGraph` and executes the stages (independent
 ones concurrently) on one runtime; ``available_joins()`` lists the registry.
-Baselines: :class:`HBRJ` (R-tree block join), :class:`PBJ` (pruning without
-grouping), :class:`BroadcastJoin` (naive).  All are exact and agree with the
-brute-force join; the historical classes remain as shims over ``run_join``.
+Baselines, by the same call: ``"hbrj"`` (R-tree block join), ``"pbj"``
+(pruning without grouping), ``"broadcast"`` (naive).  All are exact and agree
+with the brute-force join.  The related operators take their extra arguments
+as keywords::
+
+    run_join("range-selection", data, queries, JoinConfig(), theta=0.2)
+    run_join("closest-pairs", r, s, BlockJoinConfig(k=5), exclude_self=True)
 """
 
 from .core import (
@@ -38,23 +42,14 @@ from .core import (
     get_metric,
 )
 from .joins import (
-    HBRJ,
-    PBJ,
-    PGBJ,
     BlockJoinConfig,
-    BroadcastJoin,
-    DistributedRangeSelection,
-    IJoinBlock,
     JoinConfig,
     JoinOutcome,
     PgbjConfig,
     StageStats,
-    TopKClosestPairs,
     ZOrderConfig,
-    ZOrderKnnJoin,
     available_joins,
     get_join,
-    make_algorithm,
     run_join,
 )
 from .mapreduce import Cluster, JobGraph, LocalRuntime, MapReduceJob, PlanCache
@@ -74,17 +69,8 @@ __all__ = [
     "PgbjConfig",
     "BlockJoinConfig",
     "JoinOutcome",
-    "PGBJ",
-    "PBJ",
-    "HBRJ",
-    "BroadcastJoin",
-    "IJoinBlock",
-    "ZOrderKnnJoin",
     "ZOrderConfig",
-    "TopKClosestPairs",
-    "DistributedRangeSelection",
     "StageStats",
-    "make_algorithm",
     "run_join",
     "get_join",
     "available_joins",

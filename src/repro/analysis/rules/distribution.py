@@ -1,12 +1,12 @@
 """PKL rules: job specs must survive the worker boundary.
 
-The process engines pickle each :class:`~repro.mapreduce.job.MapReduceJob`
+The process engine pickles each :class:`~repro.mapreduce.job.MapReduceJob`
 once per worker (PR 3's slot shipping), and the roadmap's distributed
 transport ships the same specs to remote hosts.  Pickle resolves classes
 and functions *by module path*, so a lambda, a closure or a nested class in
-a job spec works under ``serial``/``threads`` and then dies — or silently
-diverges — the moment the job crosses a process or host boundary.  These
-rules make that contract static.
+a job spec works under ``serial``/``threads-pooled`` and then dies — or
+silently diverges — the moment the job crosses a process or host boundary.
+These rules make that contract static.
 """
 
 from __future__ import annotations

@@ -20,12 +20,8 @@ from .harness import (
     bench_workers,
     default_cluster,
     forest_workload,
-    kernels_baseline,
     osm_workload,
-    run_hbrj,
-    run_pbj,
-    run_pgbj,
-    run_zorder,
+    run_algorithm,
 )
 
 __all__ = [
@@ -46,10 +42,6 @@ __all__ = [
     "forest_workload",
     "osm_workload",
     "default_cluster",
-    "run_pgbj",
-    "run_pbj",
-    "run_hbrj",
-    "run_zorder",
-    "kernels_baseline",
+    "run_algorithm",
     "DEFAULTS",
 ]

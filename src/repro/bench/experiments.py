@@ -2,8 +2,8 @@
 
 Every function returns (or yields) :class:`~repro.bench.harness.ExperimentResult`
 records whose ``text`` is a paper-style table and whose ``data`` holds the raw
-series, saved under ``results/`` by the bench drivers.  See DESIGN.md §4 for
-the exhibit-by-exhibit expectations.
+series, saved under ``results/`` by the bench drivers.  Each function's
+docstring states the trend its exhibit is expected to show.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.core.summary import build_partial_summary
 from repro.grouping import get_grouping_strategy
 from repro.grouping.cost_model import approx_replication, exact_replication
 from repro.joins import PgbjConfig
-from repro.joins.pgbj import PGBJ, make_pivot_selector
+from repro.joins.pgbj import make_pivot_selector
 from repro.metrics import Series, format_series, format_table, size_stats
 
 from .harness import (
@@ -30,9 +30,7 @@ from .harness import (
     forest_workload,
     osm_workload,
     pivot_sweep,
-    run_hbrj,
-    run_pbj,
-    run_pgbj,
+    run_algorithm,
     scaled_pivots,
 )
 
@@ -55,6 +53,9 @@ STRATEGY_COMBOS = (
     ("KGE", "kmeans", "geometric"),
     ("KGR", "kmeans", "greedy"),
 )
+
+#: report label -> registry name of the three algorithms Figures 8-12 compare
+COMPARED = {"H-BRJ": "hbrj", "PBJ": "pbj", "PGBJ": "pgbj"}
 
 PHASE_ORDER = (
     "pivot_selection",
@@ -173,7 +174,8 @@ def fig6_fig7_experiment(seed: int = 0) -> tuple[ExperimentResult, ExperimentRes
     raw: dict[str, dict] = {}
     for num_pivots in pivot_sweep():
         for name, pivot_selection, grouping in STRATEGY_COMBOS:
-            outcome = run_pgbj(
+            outcome = run_algorithm(
+                "pgbj",
                 data,
                 data,
                 num_pivots=num_pivots,
@@ -260,14 +262,13 @@ def effect_of_k_experiment(
     else:
         raise ValueError(f"unknown dataset {dataset!r}")
     cluster = default_cluster()
-    runners = {"H-BRJ": run_hbrj, "PBJ": run_pbj, "PGBJ": run_pgbj}
-    time_series = {name: Series(name) for name in runners}
-    sel_series = {name: Series(name) for name in runners}
-    shuffle_series = {name: Series(name) for name in runners}
-    raw: dict[str, dict] = {name: {} for name in runners}
+    time_series = {name: Series(name) for name in COMPARED}
+    sel_series = {name: Series(name) for name in COMPARED}
+    shuffle_series = {name: Series(name) for name in COMPARED}
+    raw: dict[str, dict] = {name: {} for name in COMPARED}
     for k in ks:
-        for name, runner in runners.items():
-            outcome = runner(data, data, k=k, seed=seed, num_pivots=pivots)
+        for name, join in COMPARED.items():
+            outcome = run_algorithm(join, data, data, k=k, seed=seed, num_pivots=pivots)
             seconds = outcome.simulated_seconds(cluster)
             time_series[name].add(seconds)
             sel_series[name].add(outcome.selectivity() * 1000)
@@ -317,15 +318,14 @@ def dimensionality_experiment(
 ) -> ExperimentResult:
     """Effect of dimensionality (Fig 10): three panels over n in 2..10."""
     cluster = default_cluster()
-    runners = {"H-BRJ": run_hbrj, "PBJ": run_pbj, "PGBJ": run_pgbj}
-    time_series = {name: Series(name) for name in runners}
-    sel_series = {name: Series(name) for name in runners}
-    shuffle_series = {name: Series(name) for name in runners}
-    raw: dict[str, dict] = {name: {} for name in runners}
+    time_series = {name: Series(name) for name in COMPARED}
+    sel_series = {name: Series(name) for name in COMPARED}
+    shuffle_series = {name: Series(name) for name in COMPARED}
+    raw: dict[str, dict] = {name: {} for name in COMPARED}
     for n_dims in dims:
         data = forest_workload(dims=n_dims, seed=seed)
-        for name, runner in runners.items():
-            outcome = runner(data, data, seed=seed)
+        for name, join in COMPARED.items():
+            outcome = run_algorithm(join, data, data, seed=seed)
             seconds = outcome.simulated_seconds(cluster)
             time_series[name].add(seconds)
             sel_series[name].add(outcome.selectivity() * 1000)
@@ -375,17 +375,16 @@ def scalability_experiment(
 ) -> ExperimentResult:
     """Scalability with data size x1..x25 (Fig 11)."""
     cluster = default_cluster()
-    runners = {"H-BRJ": run_hbrj, "PBJ": run_pbj, "PGBJ": run_pgbj}
-    time_series = {name: Series(name) for name in runners}
-    sel_series = {name: Series(name) for name in runners}
-    shuffle_series = {name: Series(name) for name in runners}
-    raw: dict[str, dict] = {name: {} for name in runners}
+    time_series = {name: Series(name) for name in COMPARED}
+    sel_series = {name: Series(name) for name in COMPARED}
+    shuffle_series = {name: Series(name) for name in COMPARED}
+    raw: dict[str, dict] = {name: {} for name in COMPARED}
     sizes = []
     for t in times:
         data = forest_workload(times=t, seed=seed)
         sizes.append(len(data))
-        for name, runner in runners.items():
-            outcome = runner(data, data, seed=seed)
+        for name, join in COMPARED.items():
+            outcome = run_algorithm(join, data, data, seed=seed)
             seconds = outcome.simulated_seconds(cluster)
             time_series[name].add(seconds)
             sel_series[name].add(outcome.selectivity() * 1000)
@@ -436,15 +435,14 @@ def speedup_experiment(
 ) -> ExperimentResult:
     """Speedup with the number of computing nodes (Fig 12)."""
     data = forest_workload(seed=seed)
-    runners = {"H-BRJ": run_hbrj, "PBJ": run_pbj, "PGBJ": run_pgbj}
-    time_series = {name: Series(name) for name in runners}
-    sel_series = {name: Series(name) for name in runners}
-    shuffle_series = {name: Series(name) for name in runners}
-    raw: dict[str, dict] = {name: {} for name in runners}
+    time_series = {name: Series(name) for name in COMPARED}
+    sel_series = {name: Series(name) for name in COMPARED}
+    shuffle_series = {name: Series(name) for name in COMPARED}
+    raw: dict[str, dict] = {name: {} for name in COMPARED}
     for num_nodes in nodes:
         cluster = default_cluster(num_nodes)
-        for name, runner in runners.items():
-            outcome = runner(data, data, num_reducers=num_nodes, seed=seed)
+        for name, join in COMPARED.items():
+            outcome = run_algorithm(join, data, data, num_reducers=num_nodes, seed=seed)
             seconds = outcome.simulated_seconds(cluster)
             time_series[name].add(seconds)
             sel_series[name].add(outcome.selectivity() * 1000)
@@ -502,7 +500,8 @@ def ablation_pruning_experiment(seed: int = 0) -> ExperimentResult:
     rows = []
     raw = {}
     for label, use_hp, use_ring in variants:
-        outcome = run_pgbj(
+        outcome = run_algorithm(
+            "pgbj",
             data,
             data,
             use_hyperplane_pruning=use_hp,

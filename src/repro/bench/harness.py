@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -37,11 +36,6 @@ __all__ = [
     "osm_workload",
     "default_cluster",
     "run_algorithm",
-    "run_pgbj",
-    "run_pbj",
-    "run_hbrj",
-    "run_zorder",
-    "kernels_baseline",
     "ExperimentResult",
     "DEFAULTS",
 ]
@@ -229,7 +223,7 @@ def default_cluster(num_nodes: int | None = None) -> Cluster:
     return Cluster(num_nodes=num_nodes or DEFAULTS["num_reducers"])
 
 
-# -- algorithm runners ---------------------------------------------------------
+# -- the algorithm runner ------------------------------------------------------
 
 
 def _engine_params() -> dict[str, Any]:
@@ -261,9 +255,9 @@ def _engine_params() -> dict[str, Any]:
 def run_algorithm(name: str, r: Dataset, s: Dataset, **overrides) -> JoinOutcome:
     """Run any registered join with bench defaults, per-experiment overrides.
 
-    The registry-driven sibling of the named runners below: the algorithm's
-    :class:`~repro.joins.registry.JoinSpec` filters the default knob union
-    down to what its config accepts, so one runner serves every algorithm.
+    The algorithm's :class:`~repro.joins.registry.JoinSpec` filters the
+    default knob union down to what its config accepts, so one runner serves
+    every algorithm.
     Overrides pass straight through — including the plan knobs
     (``plan_cache`` to share stage results across a sweep,
     ``plan_concurrency=False`` to force sequential stages) and
@@ -290,127 +284,6 @@ def run_algorithm(name: str, r: Dataset, s: Dataset, **overrides) -> JoinOutcome
     }
     params.update(overrides)
     return run_join(spec.name, r, s, spec.make_config(**params))
-
-
-def run_pgbj(r: Dataset, s: Dataset, **overrides) -> JoinOutcome:
-    """Run PGBJ with bench defaults, overridable per experiment."""
-    return run_algorithm("pgbj", r, s, **overrides)
-
-
-def run_pbj(r: Dataset, s: Dataset, **overrides) -> JoinOutcome:
-    """Run PBJ with bench defaults."""
-    return run_algorithm("pbj", r, s, **overrides)
-
-
-def run_hbrj(r: Dataset, s: Dataset, **overrides) -> JoinOutcome:
-    """Run H-BRJ with bench defaults (pivot knobs are filtered out)."""
-    return run_algorithm("hbrj", r, s, **overrides)
-
-
-def run_zorder(r: Dataset, s: Dataset, **overrides) -> JoinOutcome:
-    """Run the approximate z-order join with bench defaults."""
-    return run_algorithm("zorder", r, s, **overrides)
-
-
-# -- kernel performance trajectory ---------------------------------------------
-
-
-def kernels_baseline(
-    micro: dict[str, Any] | None = None, seed: int = 0
-) -> ExperimentResult:
-    """The ``BENCH_kernels`` record: the repository's kernel perf trajectory.
-
-    Runs a fixed PGBJ / PBJ / z-order workload and captures real wall-clock
-    seconds plus the deterministic cost counters (``pairs_computed``, shuffle
-    records/bytes) — so successive PRs can compare kernels on both time
-    (machine-dependent) and work (machine-independent).  ``micro`` attaches
-    the ``bench_columnar`` micro-benchmark numbers (per-record vs columnar
-    kernels/shuffle) to the same record.
-
-    Save with ``kernels_baseline(...).save()`` → ``results/BENCH_kernels.json``.
-    """
-    data = forest_workload(seed=seed)
-    runners = {
-        "pgbj": run_pgbj,
-        "pbj": run_pbj,
-        "zorder": run_zorder,
-    }
-    raw: dict[str, Any] = {}
-    rows = []
-    for name, runner in runners.items():
-        started = time.perf_counter()
-        outcome = runner(data, data, seed=seed)
-        wall = time.perf_counter() - started
-        raw[name] = {
-            "wall_seconds": wall,
-            "pairs_computed": outcome.distance_pairs,
-            "selectivity_permille": outcome.selectivity() * 1000,
-            "shuffle_records": outcome.shuffle_records(),
-            "shuffle_mb": outcome.shuffle_bytes() / 1e6,
-        }
-        rows.append(
-            [
-                name,
-                round(wall, 3),
-                outcome.distance_pairs,
-                outcome.shuffle_records(),
-                round(outcome.shuffle_bytes() / 1e6, 3),
-            ]
-        )
-    # end-to-end PGBJ per kernel provider: the work counters must not move
-    # between providers (bit-identity contract); only wall-clock may
-    from repro.joins.kernel_providers import available_kernel_providers
-
-    providers: dict[str, Any] = {}
-    baseline_pairs = raw["pgbj"]["pairs_computed"]
-    for provider, (native, _description) in available_kernel_providers().items():
-        started = time.perf_counter()
-        outcome = run_pgbj(data, data, seed=seed, kernel_provider=provider)
-        wall = time.perf_counter() - started
-        if outcome.distance_pairs != baseline_pairs:
-            raise AssertionError(
-                f"provider {provider!r} changed pairs_computed: "
-                f"{outcome.distance_pairs} != {baseline_pairs}"
-            )
-        providers[provider] = {
-            "wall_seconds": wall,
-            "native": native,
-            "pairs_computed": outcome.distance_pairs,
-            "shuffle_records": outcome.shuffle_records(),
-            "shuffle_mb": outcome.shuffle_bytes() / 1e6,
-        }
-        rows.append(
-            [
-                f"pgbj@{provider}" + ("" if native else " (fallback)"),
-                round(wall, 3),
-                outcome.distance_pairs,
-                outcome.shuffle_records(),
-                round(outcome.shuffle_bytes() / 1e6, 3),
-            ]
-        )
-    raw["providers"] = providers
-    if micro is not None:
-        raw["micro"] = micro
-    from repro.metrics import format_table
-
-    text = format_table(
-        ["algorithm", "wall seconds", "pairs computed", "shuffle records", "shuffle MB"],
-        rows,
-        title="Kernel baseline: fixed workload, wall-clock + deterministic cost",
-    )
-    return ExperimentResult(
-        exhibit="BENCH_kernels",
-        title="Reducer-kernel performance baseline",
-        text=text,
-        data=raw,
-        params={
-            "objects": len(data),
-            "k": DEFAULTS["k"],
-            "num_reducers": DEFAULTS["num_reducers"],
-            "num_pivots": scaled_pivots(DEFAULTS["num_pivots"]),
-            "seed": seed,
-        },
-    )
 
 
 # -- result records ------------------------------------------------------------

@@ -317,7 +317,7 @@ def _cmd_info() -> int:
     print(f"engines: {', '.join(available_engines())} (default {DEFAULT_ENGINE})")
     print(f"algorithms: {', '.join(available_joins(kind='knn'))}")
     print(f"operators: {', '.join(available_joins(kind='operator'))}")
-    print("bench defaults (paper values in DESIGN.md):")
+    print("bench defaults (paper values: the DEFAULTS comments in repro/bench/harness.py):")
     for key, value in DEFAULTS.items():
         print(f"  {key} = {value}")
     return 0

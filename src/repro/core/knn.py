@@ -14,8 +14,7 @@ k-th smallest distance, and only the (usually tiny) slice of candidates at
 or below that cutoff is lexsorted for the (distance, id) order — bit-identical
 to a full lexsort, without its ``O(n log n)`` cost per batch.  The seed
 concatenate-and-full-lexsort implementation survives as
-:class:`ReferenceKBestList`, the oracle the property tests and the
-``bench_columnar`` micro benchmark compare against.
+:class:`ReferenceKBestList`, the oracle the property tests compare against.
 """
 
 from __future__ import annotations

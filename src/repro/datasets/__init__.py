@@ -1,4 +1,5 @@
-"""Workload generators replacing the paper's datasets (see DESIGN.md §2)."""
+"""Workload generators replacing the paper's datasets (each module's
+docstring lists the properties of the original its replica keeps)."""
 
 from .expansion import expand_dataset, frequency_sorted_values
 from .forest import FOREST_ATTRIBUTES, generate_forest

@@ -2,7 +2,7 @@
 
 The paper's default workload is the 10 integer cartographic attributes of
 Covertype (580K objects), self-joined.  This generator reproduces the
-properties those experiments exercise, per DESIGN.md's substitution table:
+properties those experiments exercise:
 
 * 10 integer attributes with realistic ranges (elevation, aspect, slope,
   distances, hillshades, ...);

@@ -1,4 +1,4 @@
-"""Shared join-algorithm interface, configuration and outcome types.
+"""Shared join configuration, input boundary check and outcome types.
 
 Every algorithm (PGBJ, PBJ, H-BRJ, broadcast) consumes two
 :class:`~repro.core.dataset.Dataset` objects and produces a
@@ -9,14 +9,11 @@ computation selectivity (Equation 13) and shuffling cost.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.core.dataset import Dataset
-from repro.core.distance import Metric, get_metric
 from repro.core.result import KnnJoinResult
 from repro.mapreduce.cluster import Cluster
 from repro.mapreduce.counters import Counters
@@ -33,7 +30,6 @@ __all__ = [
     "PgbjConfig",
     "BlockJoinConfig",
     "JoinOutcome",
-    "KnnJoinAlgorithm",
     "StageStats",
 ]
 
@@ -42,10 +38,17 @@ class InvalidJoinInput(ValueError):
     """Datasets no join can process — refused before any stage is planned."""
 
 
-def check_datasets(r: Dataset, s: Dataset) -> None:
-    """Refuse non-finite coordinates (they silently falsify every pruning
-    comparison) and an R/S width mismatch (it would surface deep in a kernel)."""
+def check_join_inputs(r: Dataset, s: Dataset, k: int | None = None) -> None:
+    """The one boundary check, run once per planned join before any stage is
+    built.  Refuses an empty R or S, non-finite coordinates (they silently
+    falsify every pruning comparison), an R/S width mismatch (it would
+    surface deep in a kernel) and — for the kNN joins, which pass their
+    ``k`` — ``k > |S|``."""
     for side, dataset in (("R", r), ("S", s)):
+        if len(dataset) == 0:
+            raise InvalidJoinInput(
+                f"{side} ({dataset.name!r}) is empty; a join needs non-empty R and S"
+            )
         finite = np.isfinite(dataset.points)
         if not finite.all():
             bad = np.flatnonzero(~finite.all(axis=1))
@@ -55,6 +58,11 @@ def check_datasets(r: Dataset, s: Dataset) -> None:
             )
     if r.dimensions != s.dimensions:
         raise InvalidJoinInput(f"dimension mismatch: R has {r.dimensions}, S has {s.dimensions}")
+    if k is not None and k > len(s):
+        raise InvalidJoinInput(
+            f"k={k} exceeds |S|={len(s)}; the paper assumes k <= |S| "
+            "(otherwise the join degrades to a cross join)"
+        )
 
 
 #: counter group/name used by every task that computes object distances
@@ -72,10 +80,9 @@ class JoinConfig:
     per node, so this is also the modelled node count of the join job.
 
     ``engine`` selects the execution backend every MapReduce job of the join
-    runs on (``serial``, ``threads``, ``processes``, or the persistent
-    ``threads-pooled`` / ``processes-pooled`` variants that keep one warm
-    worker pool across every phase, retry round and job of the driver run);
-    ``max_workers`` sizes the parallel pools.  All engines produce
+    runs on (``serial``, or ``threads-pooled`` / ``processes-pooled``, which
+    keep one warm worker pool across every phase, retry round and job of the
+    run); ``max_workers`` sizes the parallel pools.  All engines produce
     bit-identical results — they differ only in wall-clock.
 
     ``memory_budget`` switches every MapReduce job of the join to the
@@ -119,8 +126,7 @@ class JoinConfig:
     accounting — the choice only moves wall-clock.
 
     ``spill_codec`` compresses spill-segment value payloads on disk
-    (``none``/``zlib`` always available, ``lz4``/``zstd`` when installed).
-    Any codec other than ``none`` implies the out-of-core shuffle backend.
+    (``none`` or ``zlib``); ``zlib`` implies the out-of-core shuffle backend.
     Accounted shuffle bytes stay the *uncompressed* sizes, so accounting is
     bit-identical to the in-memory oracle — only the file bytes shrink.
 
@@ -277,25 +283,14 @@ class JoinConfig:
             segment_dir=self.spill_dir,
         )
 
-    def make_chain_dfs(self):
-        """Context manager for staging job-chaining intermediates.
-
-        Yields a segment-backed :class:`DistributedFileSystem` for
-        out-of-core configs — drivers hand it to
-        :func:`~repro.joins.block_framework.chain_splits` so intermediates
-        between chained jobs live in segment files — or ``None`` for
-        in-memory configs, where intermediates chain in RAM exactly as they
-        always have.
-        """
-        return self.make_dfs() if self.out_of_core else nullcontext()
-
     def chain_dfs(self):
-        """The :meth:`make_chain_dfs` value in plan-resource form.
+        """Where job-chaining intermediates are staged, in plan-resource form.
 
         Plan builders register the returned object with
         ``graph.resource(...)`` (which ignores ``None``) and hand the same
         object to ``chain_splits``: a segment-backed DFS for out-of-core
-        configs, ``None`` — chain in RAM — otherwise.
+        configs — intermediates between chained jobs live in segment files
+        — or ``None`` for in-memory configs, which chain in RAM.
         """
         return self.make_dfs() if self.out_of_core else None
 
@@ -487,32 +482,3 @@ class JoinOutcome:
         for name, stats in zip(self.job_phase_names, self.job_stats):
             phases[name] = phases.get(name, 0.0) + stats.simulated_seconds(cluster)
         return phases
-
-
-class KnnJoinAlgorithm(ABC):
-    """A distributed kNN join algorithm."""
-
-    #: identifier used in reports ("pgbj", "pbj", "hbrj", "broadcast")
-    name: str = "abstract"
-
-    def __init__(self, config: JoinConfig) -> None:
-        self.config = config
-
-    @abstractmethod
-    def run(self, r: Dataset, s: Dataset) -> JoinOutcome:
-        """Execute the join of ``r`` against ``s``."""
-
-    def _master_metric(self) -> Metric:
-        """Fresh counted metric for master-side (preprocessing) phases."""
-        return get_metric(self.config.metric_name)
-
-    @staticmethod
-    def _check_inputs(r: Dataset, s: Dataset, k: int) -> None:
-        if len(r) == 0 or len(s) == 0:
-            raise ValueError("kNN join requires non-empty R and S")
-        check_datasets(r, s)
-        if k > len(s):
-            raise ValueError(
-                f"k={k} exceeds |S|={len(s)}; the paper assumes k <= |S| "
-                "(otherwise the join degrades to a cross join)"
-            )

@@ -28,14 +28,13 @@ from .base import (
     REPLICA_NAME,
     JoinConfig,
     JoinOutcome,
-    KnnJoinAlgorithm,
     StageStats,
 )
 from .block_framework import block_of_ids, merged_result
 from .kernel_providers import get_kernel_provider
-from .registry import JoinPlan, JoinSpec, register_join, run_join
+from .registry import JoinPlan, JoinSpec, register_join
 
-__all__ = ["BroadcastJoin", "plan_broadcast"]
+__all__ = ["plan_broadcast"]
 
 #: rows of R per distance-matrix chunk in the reducer (bounds peak memory)
 _SCAN_CHUNK = 256
@@ -106,7 +105,6 @@ class BroadcastReducer(Reducer):
 
 def plan_broadcast(r: Dataset, s: Dataset, config: JoinConfig) -> JoinPlan:
     """Plan the single-stage broadcast join (``broadcast/join``)."""
-    KnnJoinAlgorithm._check_inputs(r, s, config.k)
     graph = JobGraph("broadcast")
 
     def build_join(ctx):
@@ -144,15 +142,6 @@ def plan_broadcast(r: Dataset, s: Dataset, config: JoinConfig) -> JoinPlan:
         return outcome
 
     return JoinPlan(graph=graph, assemble=assemble)
-
-
-class BroadcastJoin(KnnJoinAlgorithm):
-    """Single-job broadcast kNN join — thin shim over ``run_join``."""
-
-    name = "broadcast"
-
-    def run(self, r: Dataset, s: Dataset) -> JoinOutcome:
-        return run_join(self.name, r, s, self.config)
 
 
 register_join(

@@ -40,9 +40,9 @@ from .kernels import (
     local_theta,
 )
 from .partition_job import partition_stage
-from .registry import JoinPlan, JoinSpec, register_join, run_join
+from .registry import JoinPlan, JoinSpec, register_join
 
-__all__ = ["TopKClosestPairs", "ClosestPairsOutcome", "plan_closest_pairs"]
+__all__ = ["ClosestPairsOutcome", "plan_closest_pairs"]
 
 
 class ClosestPairsBlockReducer(Reducer):
@@ -194,20 +194,6 @@ def plan_closest_pairs(
         )
 
     return JoinPlan(graph=graph, assemble=assemble)
-
-
-class TopKClosestPairs:
-    """Distributed top-k closest-pairs operator — shim over ``run_join``."""
-
-    def __init__(self, config: BlockJoinConfig, exclude_self: bool = False) -> None:
-        self.config = config
-        self.exclude_self = exclude_self
-
-    def run(self, r: Dataset, s: Dataset) -> ClosestPairsOutcome:
-        """The k closest (r, s) pairs across the full cross product."""
-        return run_join(
-            "closest-pairs", r, s, self.config, exclude_self=self.exclude_self
-        )
 
 
 register_join(

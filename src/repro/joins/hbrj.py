@@ -28,7 +28,6 @@ from .base import (
     PAIRS_NAME,
     BlockJoinConfig,
     JoinOutcome,
-    KnnJoinAlgorithm,
     StageStats,
 )
 from .block_framework import (
@@ -38,9 +37,9 @@ from .block_framework import (
     merge_job_spec,
     merged_result,
 )
-from .registry import JoinPlan, JoinSpec, register_join, run_join
+from .registry import JoinPlan, JoinSpec, register_join
 
-__all__ = ["HBRJ", "plan_hbrj"]
+__all__ = ["plan_hbrj"]
 
 
 class HbrjJoinReducer(Reducer):
@@ -73,7 +72,6 @@ class HbrjJoinReducer(Reducer):
 
 def plan_hbrj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
     """Plan the comparison baseline of the paper's evaluation."""
-    KnnJoinAlgorithm._check_inputs(r, s, config.k)
     graph = JobGraph("hbrj")
     # out-of-core configs stage the candidate lists between the stages on disk
     dfs = graph.resource(config.chain_dfs())
@@ -120,19 +118,6 @@ def plan_hbrj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
         return outcome
 
     return JoinPlan(graph=graph, assemble=assemble)
-
-
-class HBRJ(KnnJoinAlgorithm):
-    """The R-tree baseline — thin shim over ``run_join("hbrj")``."""
-
-    name = "hbrj"
-
-    def __init__(self, config: BlockJoinConfig) -> None:
-        super().__init__(config)
-        self.config: BlockJoinConfig = config
-
-    def run(self, r: Dataset, s: Dataset) -> JoinOutcome:
-        return run_join(self.name, r, s, self.config)
 
 
 register_join(

@@ -31,7 +31,6 @@ from .base import (
     PAIRS_NAME,
     BlockJoinConfig,
     JoinOutcome,
-    KnnJoinAlgorithm,
     StageStats,
 )
 from .block_framework import (
@@ -42,9 +41,9 @@ from .block_framework import (
     merged_result,
 )
 from .kernel_providers import get_kernel_provider
-from .registry import JoinPlan, JoinSpec, register_join, run_join
+from .registry import JoinPlan, JoinSpec, register_join
 
-__all__ = ["IJoinBlock", "plan_ijoin"]
+__all__ = ["plan_ijoin"]
 
 
 class IJoinBlockReducer(Reducer):
@@ -88,7 +87,6 @@ class IJoinBlockReducer(Reducer):
 
 def plan_ijoin(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
     """Plan H-BRJ's framework with iDistance in place of the R-tree."""
-    KnnJoinAlgorithm._check_inputs(r, s, config.k)
     graph = JobGraph("ijoin")
     # out-of-core configs stage the candidate lists between the stages on disk
     dfs = graph.resource(config.chain_dfs())
@@ -139,19 +137,6 @@ def plan_ijoin(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
         return outcome
 
     return JoinPlan(graph=graph, assemble=assemble)
-
-
-class IJoinBlock(KnnJoinAlgorithm):
-    """iDistance block join — thin shim over ``run_join("ijoin")``."""
-
-    name = "ijoin"
-
-    def __init__(self, config: BlockJoinConfig) -> None:
-        super().__init__(config)
-        self.config: BlockJoinConfig = config
-
-    def run(self, r: Dataset, s: Dataset) -> JoinOutcome:
-        return run_join(self.name, r, s, self.config)
 
 
 register_join(

@@ -616,7 +616,7 @@ def knn_join_kernel_reference(
     One R point at a time, scalar pruning tests, full-lexsort k-best list —
     the seed's loop, computing ``|r, p_j|`` by the same window rule as
     :func:`knn_join_kernel` (one ``metric.distances`` per record and window).
-    The equivalence tests and ``benchmarks/bench_columnar.py`` hold
+    The equivalence tests (``tests/test_kernels.py``) hold
     :func:`knn_join_kernel` to byte-identical outputs and pair counts against
     this implementation.
     """

@@ -33,7 +33,6 @@ from .base import (
     PAIRS_NAME,
     BlockJoinConfig,
     JoinOutcome,
-    KnnJoinAlgorithm,
     StageStats,
 )
 from .block_framework import (
@@ -52,9 +51,9 @@ from .kernels import (
     local_theta,
 )
 from .partition_job import partition_stage
-from .registry import JoinPlan, JoinSpec, register_join, run_join
+from .registry import JoinPlan, JoinSpec, register_join
 
-__all__ = ["PBJ", "plan_pbj"]
+__all__ = ["plan_pbj"]
 
 
 class PbjJoinReducer(Reducer):
@@ -99,7 +98,6 @@ class PbjJoinReducer(Reducer):
 
 def plan_pbj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
     """Plan PBJ: shared partition stage, block join, candidate merge."""
-    KnnJoinAlgorithm._check_inputs(r, s, config.k)
     graph = JobGraph("pbj")
     # out-of-core configs stage both intermediates on disk
     dfs = graph.resource(config.chain_dfs())
@@ -154,19 +152,6 @@ def plan_pbj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
         return outcome
 
     return JoinPlan(graph=graph, assemble=assemble)
-
-
-class PBJ(KnnJoinAlgorithm):
-    """Partitioning-Based Join — thin shim over ``run_join("pbj")``."""
-
-    name = "pbj"
-
-    def __init__(self, config: BlockJoinConfig) -> None:
-        super().__init__(config)
-        self.config: BlockJoinConfig = config
-
-    def run(self, r: Dataset, s: Dataset) -> JoinOutcome:
-        return run_join(self.name, r, s, self.config)
 
 
 register_join(

@@ -38,7 +38,6 @@ from .base import (
     REPLICA_GROUP,
     REPLICA_NAME,
     JoinOutcome,
-    KnnJoinAlgorithm,
     PgbjConfig,
     StageStats,
 )
@@ -46,9 +45,9 @@ from .block_framework import chain_splits, merged_result
 from .kernel_providers import get_kernel_provider
 from .kernels import ScratchPool, build_partition_blocks
 from .partition_job import make_pivot_selector, merge_summaries, partition_stage
-from .registry import JoinPlan, JoinSpec, register_join, run_join
+from .registry import JoinPlan, JoinSpec, register_join
 
-__all__ = ["PGBJ", "plan_pgbj", "make_pivot_selector"]
+__all__ = ["plan_pgbj", "make_pivot_selector"]
 
 
 class GroupRoutingMapper(BlockBufferingMapper):
@@ -182,7 +181,6 @@ def plan_skew_split(
 
 def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
     """Plan the paper's algorithm (Sections 4-5) as a two-stage graph."""
-    KnnJoinAlgorithm._check_inputs(r, s, config.k)
     graph = JobGraph("pgbj")
     # the DFS holds the partitioned intermediate between the stages
     # (segment-backed on disk for out-of-core configs); it lives for the
@@ -255,19 +253,6 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
         return outcome
 
     return JoinPlan(graph=graph, assemble=assemble)
-
-
-class PGBJ(KnnJoinAlgorithm):
-    """The paper's proposed algorithm — thin shim over ``run_join("pgbj")``."""
-
-    name = "pgbj"
-
-    def __init__(self, config: PgbjConfig) -> None:
-        super().__init__(config)
-        self.config: PgbjConfig = config
-
-    def run(self, r: Dataset, s: Dataset) -> JoinOutcome:
-        return run_join(self.name, r, s, self.config)
 
 
 register_join(

@@ -33,9 +33,9 @@ from .base import PAIRS_GROUP, PAIRS_NAME, JoinConfig
 from .block_framework import chain_splits
 from .kernel_providers import get_kernel_provider
 from .kernels import build_s_blocks
-from .registry import JoinPlan, JoinSpec, register_join, run_join
+from .registry import JoinPlan, JoinSpec, register_join
 
-__all__ = ["DistributedRangeSelection", "RangeSelectionOutcome", "plan_range_selection"]
+__all__ = ["RangeSelectionOutcome", "plan_range_selection"]
 
 
 class RangeQueryRoutingMapper(Mapper):
@@ -133,7 +133,13 @@ def plan_range_selection(
     theta: float = 0.0,
     num_pivots: int = 32,
 ) -> JoinPlan:
-    """Plan the one-stage range-selection operator (``range-selection/select``)."""
+    """Plan the one-stage range-selection operator (``range-selection/select``):
+    all objects of ``dataset`` within ``theta`` of each query point.
+
+    ``config.k`` is ignored (``num_reducers``, metric, split size and pivot
+    seed apply); ``num_pivots`` is the number of Voronoi cells the dataset is
+    partitioned into.
+    """
     if theta < 0:
         raise ValueError("theta must be non-negative")
     if num_pivots < 1:
@@ -222,40 +228,6 @@ def plan_range_selection(
         )
 
     return JoinPlan(graph=graph, assemble=assemble)
-
-
-class DistributedRangeSelection:
-    """Answers many range-selection queries in one MapReduce job.
-
-    Thin shim over ``run_join("range-selection", ...)``.
-
-    Parameters
-    ----------
-    config:
-        Reuses the join configuration (k is ignored; ``num_reducers``,
-        metric, split size and pivot seed apply).
-    num_pivots:
-        Voronoi cells to partition the dataset into.
-    """
-
-    def __init__(self, config: JoinConfig, num_pivots: int = 32) -> None:
-        if num_pivots < 1:
-            raise ValueError("num_pivots must be >= 1")
-        self.config = config
-        self.num_pivots = num_pivots
-
-    def run(
-        self, dataset: Dataset, queries: Dataset, theta: float
-    ) -> RangeSelectionOutcome:
-        """All objects within ``theta`` of each query point."""
-        return run_join(
-            "range-selection",
-            dataset,
-            queries,
-            self.config,
-            theta=theta,
-            num_pivots=self.num_pivots,
-        )
 
 
 register_join(

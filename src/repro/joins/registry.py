@@ -6,21 +6,16 @@ the algorithm — a callable producing a :class:`JoinPlan`: the
 ``assemble`` function that turns the executed plan into the algorithm's
 outcome object.  Everything downstream is generic:
 
-* :func:`run_join` — the one entry point replacing the per-driver classes:
-  resolve the spec, build the plan, execute it on one runtime with the
+* :func:`run_join` — the one way to run a join: resolve the spec, check the
+  inputs at the boundary, build the plan, execute it on one runtime with the
   :class:`~repro.mapreduce.plan.PlanScheduler` (concurrent stages unless
   ``config.plan_concurrency`` is off, stage reuse when ``config.plan_cache``
   is set), assemble the outcome.
 * :func:`run_join_plans` — several plans fused into one graph and executed
   together, so *independent* joins overlap stage-by-stage on one shared
-  runtime (the multi-join / sweep scenario ``benchmarks/bench_plan.py``
-  measures).
+  runtime (the multi-join / sweep scenario).
 * the CLI derives its ``--algorithm`` choices and dispatch from
   :func:`available_joins` instead of a hand-maintained if/elif chain.
-
-The historical classes (``PGBJ``, ``PBJ``, …) remain as thin shims over
-:func:`run_join`, so existing code and the paper-exhibit benches run
-unchanged — over plans.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ import numpy as np
 from repro.core.dataset import Dataset
 from repro.mapreduce.plan import JobGraph, PlanCache, PlanRun, PlanScheduler
 
-from .base import JoinConfig, check_datasets
+from .base import JoinConfig, check_join_inputs
 
 __all__ = [
     "JoinPlan",
@@ -203,18 +198,33 @@ def plan_identity(
     return hashlib.sha1(repr(identity).encode()).hexdigest()
 
 
+def _checked(
+    name: str, r: Dataset, s: Dataset, config: JoinConfig | None
+) -> tuple[JoinSpec, JoinConfig]:
+    """Resolve the spec and config, and pass the inputs through the boundary
+    check — the one place it runs, once per planned join."""
+    spec = get_join(name)
+    config = _resolve_config(spec, config)
+    check_join_inputs(r, s, config.k if spec.kind == "knn" else None)
+    return spec, config
+
+
+def _build_plan(
+    spec: JoinSpec, r: Dataset, s: Dataset, config: JoinConfig, extra: dict[str, Any]
+) -> JoinPlan:
+    plan = spec.plan(r, s, config, **extra)
+    if config.checkpoint_dir:
+        plan.identity = plan_identity(spec.name, r, s, config, extra)
+    return plan
+
+
 def plan_join(
     name: str, r: Dataset, s: Dataset, config: JoinConfig | None = None, **extra
 ) -> JoinPlan:
     """Build (without executing) the named join's plan — the raw material
     for fused multi-join execution via :func:`run_join_plans`."""
-    spec = get_join(name)
-    config = _resolve_config(spec, config)
-    check_datasets(r, s)
-    plan = spec.plan(r, s, config, **extra)
-    if config.checkpoint_dir:
-        plan.identity = plan_identity(spec.name, r, s, config, extra)
-    return plan
+    spec, config = _checked(name, r, s, config)
+    return _build_plan(spec, r, s, config, extra)
 
 
 def _checkpoint_identity(plans: list[JoinPlan], config: JoinConfig) -> str:
@@ -250,8 +260,7 @@ def execute_join_plan(plan: JoinPlan, config: JoinConfig) -> Any:
 
     The runtime (and with it any worker pool and spill directory the config
     implies) plus the plan's DFS resources live exactly as long as the
-    execution — the same lifecycle the imperative drivers kept with their
-    ``with`` blocks.
+    execution.
     """
     with ExitStack() as stack:
         runtime = stack.enter_context(config.make_runtime())
@@ -279,14 +288,12 @@ def run_join(
     Operator-kind joins take their extra arguments as keywords (e.g.
     ``run_join("range-selection", dataset, queries, config, theta=0.2)``).
     """
-    spec = get_join(name)
-    config = _resolve_config(spec, config)
+    spec, config = _checked(name, r, s, config)  # before the tuner samples the data
     if config.auto_tune:
         from .autotune import auto_tune_config  # deferred: autotune imports us
 
-        check_datasets(r, s)  # the tuner samples the data before plan_join sees it
         config = auto_tune_config(name, r, s, config).config
-    return execute_join_plan(plan_join(name, r, s, config, **extra), config)
+    return execute_join_plan(_build_plan(spec, r, s, config, extra), config)
 
 
 def run_join_plans(plans: list[JoinPlan], config: JoinConfig) -> list[Any]:

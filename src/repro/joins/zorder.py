@@ -66,7 +66,6 @@ from .base import (
     REPLICA_NAME,
     JoinConfig,
     JoinOutcome,
-    KnnJoinAlgorithm,
     StageStats,
 )
 from .block_framework import (
@@ -76,9 +75,9 @@ from .block_framework import (
     merged_result,
 )
 from .kernel_providers import get_kernel_provider
-from .registry import JoinPlan, JoinSpec, register_join, run_join
+from .registry import JoinPlan, JoinSpec, register_join
 
-__all__ = ["ZOrderKnnJoin", "ZOrderConfig", "plan_zorder", "recall_against"]
+__all__ = ["ZOrderConfig", "plan_zorder", "recall_against"]
 
 
 @dataclass
@@ -206,7 +205,6 @@ class ZOrderJoinReducer(Reducer):
 
 def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
     """Plan the approximate join: ``zorder/join`` → ``zorder/merge``."""
-    KnnJoinAlgorithm._check_inputs(r, s, config.k)
     graph = JobGraph("zorder")
     # out-of-core configs stage the candidate lists between the stages on disk
     dfs = graph.resource(config.chain_dfs())
@@ -300,19 +298,6 @@ def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
         return outcome
 
     return JoinPlan(graph=graph, assemble=assemble)
-
-
-class ZOrderKnnJoin(KnnJoinAlgorithm):
-    """Approximate z-order join — thin shim over ``run_join("zorder")``."""
-
-    name = "zorder"
-
-    def __init__(self, config: ZOrderConfig) -> None:
-        super().__init__(config)
-        self.config: ZOrderConfig = config
-
-    def run(self, r: Dataset, s: Dataset) -> JoinOutcome:
-        return run_join(self.name, r, s, self.config)
 
 
 register_join(

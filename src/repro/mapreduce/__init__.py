@@ -14,10 +14,8 @@ from .engines import (
     Executor,
     PersistentProcessExecutor,
     PersistentThreadExecutor,
-    ProcessExecutor,
     SerialExecutor,
     TaskBatch,
-    ThreadExecutor,
     available_engines,
     get_executor,
 )
@@ -27,7 +25,6 @@ from .faults import (
     ChaosAction,
     ChaosPlan,
     ChaosRule,
-    LegacyFaultInjector,
     resolve_chaos,
 )
 from .hdfs import DfsFile, DistributedFileSystem, SegmentChunk
@@ -44,7 +41,7 @@ from .plan import (
     StageContext,
     StageExecution,
 )
-from .runtime import FaultInjector, JobResult, LocalRuntime, TaskFailure
+from .runtime import JobResult, LocalRuntime, TaskFailure
 from .serialization import (
     decode_record_block,
     encode_record_block,
@@ -64,7 +61,6 @@ from .shuffle import (
     SegmentLost,
     ShuffleStore,
     SpillShuffleStore,
-    available_segment_codecs,
     available_shuffle_backends,
     get_shuffle_store,
     iter_segment,
@@ -99,11 +95,9 @@ __all__ = [
     "LocalRuntime",
     "JobResult",
     "TaskFailure",
-    "FaultInjector",
     "ChaosPlan",
     "ChaosRule",
     "ChaosAction",
-    "LegacyFaultInjector",
     "resolve_chaos",
     "CHAOS_ENV",
     "CHAOS_SEED_ENV",
@@ -119,8 +113,6 @@ __all__ = [
     "Executor",
     "TaskBatch",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "PersistentThreadExecutor",
     "PersistentProcessExecutor",
     "get_executor",
@@ -143,7 +135,6 @@ __all__ = [
     "available_shuffle_backends",
     "SegmentCodec",
     "SEGMENT_CODECS",
-    "available_segment_codecs",
     "resolve_segment_codec",
     "DEFAULT_SHUFFLE",
     "write_segment",

@@ -6,11 +6,11 @@ map tasks → combine → shuffle → reduce tasks, retries, accounting); an
 
 * ``serial`` — in-process, one task at a time; bit-for-bit the historical
   behavior and the default everywhere.
-* ``threads`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; wins when
-  task kernels spend their time in numpy (which releases the GIL), loses on
-  pure-Python tasks.
-* ``processes`` — a :class:`~concurrent.futures.ProcessPoolExecutor`; true
-  parallelism for pure-Python work at the cost of pickling the job, task
+* ``threads-pooled`` — a :class:`~concurrent.futures.ThreadPoolExecutor`;
+  wins when task kernels spend their time in numpy (which releases the GIL),
+  loses on pure-Python tasks.
+* ``processes-pooled`` — a :class:`~concurrent.futures.ProcessPoolExecutor`;
+  true parallelism for pure-Python work at the cost of pickling the job, task
   payloads and results across process boundaries.  Requires picklable
   mapper/reducer factories (module-level classes) and cache contents.
 
@@ -35,19 +35,18 @@ are just values:
 * reduce results stay row-shaped (one ``(r_id, (ids, dists))`` pair per R
   object).
 
-All backends receive the same ``(fn, shared, payloads)`` batch and must
-return results **in payload order**; the scheduler relies on that ordering to
-keep outputs, counters and shuffle accounting identical across engines.
+All backends receive the same ``(fn, shared, payloads)`` batch through one
+dispatch protocol: :meth:`Executor.submit_batch` hands back one future per
+payload (or ``None`` when the batch should simply run inline), and
+:meth:`Executor.run_tasks` — defined once, on the base class — gathers those
+futures **in payload order**; the scheduler relies on that ordering to keep
+outputs, counters and shuffle accounting identical across engines.
 Exceptions raised by ``fn`` propagate to the caller unchanged (the scheduler
 handles :class:`~repro.mapreduce.runtime.TaskFailure` retries itself by
 receiving failure *values*, never exceptions).
 
-The per-batch backends (``threads``, ``processes``) create their pool per
-batch and tear it down with it — nothing leaks when a driver abandons a
-runtime mid-run, but every phase, retry round and job pays pool start-up
-again.  The *persistent* backends (``threads-pooled``, ``processes-pooled``)
-create the pool once, lazily, and reuse it across every batch until
-:meth:`Executor.close` — the paper's joins run pivot selection →
+The pooled backends create their pool once, lazily, and reuse it across every
+batch until :meth:`Executor.close` — the paper's joins run pivot selection →
 partitioning → join as a sequence of jobs, so start-up amortizes across the
 whole driver run.  Persistence makes lifecycle explicit: every executor is a
 context manager with an idempotent ``close()``, and
@@ -60,7 +59,6 @@ import multiprocessing
 import os
 import pickle
 import threading
-from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from functools import partial
@@ -70,17 +68,20 @@ __all__ = [
     "Executor",
     "TaskBatch",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "PersistentThreadExecutor",
     "PersistentProcessExecutor",
     "get_executor",
     "available_engines",
     "DEFAULT_ENGINE",
+    "WORKER_LOSS_ERRORS",
 ]
 
 #: the engine every config and runtime falls back to
 DEFAULT_ENGINE = "serial"
+
+#: exceptions that mean "the engine lost workers", not "the task failed": a
+#: dead worker poisons the pool, a timed-out priming round poisons the barrier
+WORKER_LOSS_ERRORS = (BrokenExecutor, threading.BrokenBarrierError)
 
 
 class TaskBatch:
@@ -108,16 +109,14 @@ class TaskBatch:
             self._close()
 
 
-class Executor(ABC):
+class Executor:
     """Strategy for executing one batch of independent task attempts.
 
     Executors have an explicit lifecycle: :meth:`close` releases whatever the
     backend holds (worker pools, shipped state) and is idempotent; running a
     batch on a closed executor raises ``RuntimeError``.  Every executor is a
     context manager (``with get_executor("processes-pooled") as ex: ...``).
-    The per-batch backends hold nothing between batches, so their ``close``
-    only flips the flag — it exists so callers can treat all engines
-    uniformly.
+    A backend implements :meth:`submit_batch`; everything else is shared.
     """
 
     #: registry name, surfaced in configs, CLI flags and bench records
@@ -132,7 +131,6 @@ class Executor(ABC):
     #: plain crash
     process_based: bool = False
 
-    @abstractmethod
     def run_tasks(
         self,
         fn: Callable[[Any, Any], Any],
@@ -142,8 +140,21 @@ class Executor(ABC):
         """Apply ``fn(shared, payload)`` to every payload, in payload order.
 
         ``shared`` is batch-constant state (the job spec): backends may ship
-        it to workers once instead of once per payload.
+        it to workers once instead of once per payload.  A lost worker
+        surfaces as ``BrokenExecutor`` after the backend has dropped its
+        broken pool, so the next batch starts on a fresh one.
         """
+        self._check_open()
+        batch = self.submit_batch(fn, shared, payloads)
+        if batch is None:
+            return [fn(shared, payload) for payload in payloads]
+        try:
+            return [future.result() for future in batch.futures]
+        except WORKER_LOSS_ERRORS:
+            self.handle_broken()
+            raise
+        finally:
+            batch.close()
 
     def submit_batch(
         self,
@@ -151,15 +162,15 @@ class Executor(ABC):
         shared: Any,
         payloads: Sequence[Any],
     ) -> "TaskBatch | None":
-        """Future-based dispatch of one batch, or ``None`` if unsupported.
+        """Dispatch one batch as a future per payload, or ``None`` to run it
+        inline.
 
-        The scheduler prefers this form when it wants per-task completion
-        events — soft deadlines and speculative duplicate attempts need to
-        observe tasks finishing one by one, which ``run_tasks``'s barrier
-        hides.  Backends without real concurrency (serial, single-worker
-        pools) return ``None`` and the scheduler falls back to
-        :meth:`run_tasks`; semantics are otherwise identical (``fn`` applied
-        to each payload with the shared state shipped once).
+        The one dispatch protocol: :meth:`run_tasks` gathers the futures as a
+        barrier, while the scheduler consumes them directly when it wants
+        per-task completion events (soft deadlines and speculative duplicate
+        attempts need to observe tasks finishing one by one).  Backends
+        without real concurrency for this batch (serial, a single worker, a
+        single payload) return ``None``.
         """
         return None
 
@@ -167,10 +178,9 @@ class Executor(ABC):
         """Recover backend state after a worker loss surfaced via a future.
 
         Called by the scheduler when a future from :meth:`submit_batch`
-        raises ``BrokenExecutor``: pooled backends drop (and blacklist a
-        slot of) their broken pool so the next batch starts fresh.  The
-        default is a no-op — per-batch backends hold nothing between
-        batches.
+        raises ``BrokenExecutor``: the process pool drops (and blacklists a
+        slot of) its broken pool so the next batch starts fresh.  The
+        default is a no-op — threads do not die under a task.
         """
 
     def close(self) -> None:
@@ -208,114 +218,13 @@ class SerialExecutor(Executor):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
 
-    def run_tasks(self, fn, shared, payloads):
-        self._check_open()
-        return [fn(shared, payload) for payload in payloads]
-
-
-class ThreadExecutor(Executor):
-    """Thread-pool execution for GIL-releasing (numpy-heavy) task kernels."""
-
-    name = "threads"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = _resolve_workers(max_workers)
-
-    def run_tasks(self, fn, shared, payloads):
-        self._check_open()
-        if len(payloads) <= 1 or self.max_workers == 1:
-            return [fn(shared, payload) for payload in payloads]
-        workers = min(self.max_workers, len(payloads))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(partial(fn, shared), payloads))
-
-    def submit_batch(self, fn, shared, payloads):
-        self._check_open()
-        if len(payloads) <= 1 or self.max_workers == 1:
-            return None
-        pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        futures = [pool.submit(fn, shared, payload) for payload in payloads]
-        return TaskBatch(
-            futures,
-            submit=lambda payload: pool.submit(fn, shared, payload),
-            # wait=False: a straggling loser attempt must not block the
-            # scheduler; the thread finishes on its own and is reaped then
-            close=lambda: pool.shutdown(wait=False),
-        )
-
-
-# -- process backend -----------------------------------------------------------
-
-#: per-worker slot for the batch-constant job state (set by the initializer,
-#: read by every task the worker executes — shipped once, not per payload)
-_WORKER_SHARED: Any = None
-
-
-def _worker_init(shared: Any) -> None:
-    global _WORKER_SHARED
-    _WORKER_SHARED = shared
-
-
-def _worker_call(fn: Callable[[Any, Any], Any], payload: Any) -> Any:
-    return fn(_WORKER_SHARED, payload)
-
-
-class ProcessExecutor(Executor):
-    """Process-pool execution: real parallelism, pickling at the boundary.
-
-    The shared job state travels via the pool initializer (once per worker);
-    task payloads and results are pickled per task.  Workers never mutate
-    shared state — counters, side outputs and stats come back as values.
-    """
-
-    name = "processes"
-    process_based = True
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = _resolve_workers(max_workers)
-
-    def run_tasks(self, fn, shared, payloads):
-        self._check_open()
-        if len(payloads) <= 1 or self.max_workers == 1:
-            return [fn(shared, payload) for payload in payloads]
-        workers = min(self.max_workers, len(payloads))
-        # amortize queue round-trips when tasks vastly outnumber workers
-        chunksize = max(1, len(payloads) // (workers * 4))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(shared,)
-        ) as pool:
-            return list(
-                pool.map(partial(_worker_call, fn), payloads, chunksize=chunksize)
-            )
-
-    def submit_batch(self, fn, shared, payloads):
-        self._check_open()
-        if len(payloads) <= 1 or self.max_workers == 1:
-            return None
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.max_workers, len(payloads)),
-            initializer=_worker_init,
-            initargs=(shared,),
-        )
-        call = partial(_worker_call, fn)
-        futures = [pool.submit(call, payload) for payload in payloads]
-        return TaskBatch(
-            futures,
-            submit=lambda payload: pool.submit(call, payload),
-            close=lambda: pool.shutdown(wait=False),
-        )
-
-
-# -- persistent (pooled) backends ----------------------------------------------
-
 
 class PersistentThreadExecutor(Executor):
     """Thread pool created once and reused across batches, phases and jobs.
 
     Threads share the interpreter, so nothing needs shipping — persistence
-    only saves pool start-up.  That start-up is small for threads, but the
-    pooled variant keeps the thread/process engine pair symmetric and gives
-    thread-friendly workloads the same warm-pool behavior.
+    only saves pool start-up, and gives thread-friendly workloads the same
+    warm-pool behavior as the process engine.
     """
 
     name = "threads-pooled"
@@ -324,12 +233,6 @@ class PersistentThreadExecutor(Executor):
         self.max_workers = _resolve_workers(max_workers)
         self._pool: ThreadPoolExecutor | None = None
         self._lock = threading.Lock()  # guards lazy creation vs close
-
-    def run_tasks(self, fn, shared, payloads):
-        self._check_open()
-        if len(payloads) <= 1 or self.max_workers == 1:
-            return [fn(shared, payload) for payload in payloads]
-        return list(self._ensure_pool().map(partial(fn, shared), payloads))
 
     def submit_batch(self, fn, shared, payloads):
         self._check_open()
@@ -412,9 +315,9 @@ def _pooled_call(fn: Callable[[Any, Any], Any], generation: int, payload: Any) -
 class PersistentProcessExecutor(Executor):
     """Process pool created once and reused across batches, phases and jobs.
 
-    The per-batch ``processes`` engine pays worker spawn *and* a pickled copy
-    of the job spec per worker on **every** batch.  This backend keeps the
-    pool alive and ships the spec once per worker per *job*: the parent
+    A pool per batch would pay worker spawn *and* a pickled copy of the job
+    spec per worker on **every** batch.  This backend keeps the pool alive
+    and ships the spec once per worker per *job*: the parent
     pickles the shared state a single time when a new job object arrives
     (identity change), assigns it a generation, and runs a barrier-gated
     *priming round* — one install task per worker — that stores the blob in
@@ -431,10 +334,9 @@ class PersistentProcessExecutor(Executor):
 
     If a worker dies (OOM kill, native crash), the standard library marks
     the whole pool broken; the executor then drops its cached pool so the
-    *next* batch builds a fresh one and re-primes — the same recovery the
-    per-batch engine gets implicitly.  The failing batch itself still
-    raises, exactly as it does under ``processes``.  *Repeated* breaks
-    additionally blacklist worker slots: after the first break every further
+    *next* batch builds a fresh one and re-primes.  The failing batch itself
+    still raises ``BrokenExecutor``.  *Repeated* breaks additionally
+    blacklist worker slots: after the first break every further
     break shrinks the next pool by one slot (never below one) — the local
     stand-in for taking a flaky host out of rotation.
     """
@@ -463,9 +365,9 @@ class PersistentProcessExecutor(Executor):
         #: evictions decided by the parent but not yet delivered to workers
         #: (they ride along with the next priming round)
         self._worker_evictions: list[int] = []
-        #: batches are atomic: generation bookkeeping, priming and the pool
-        #: itself are one shared state, so concurrent runtimes sharing this
-        #: executor (JoinConfig.shared_executor) take turns batch by batch
+        #: submissions are atomic: generation bookkeeping, priming and the
+        #: pool itself are one shared state, so concurrent runtimes sharing
+        #: this executor (JoinConfig.shared_executor) take turns task by task
         self._lock = threading.Lock()
 
     @property
@@ -478,43 +380,18 @@ class PersistentProcessExecutor(Executor):
         """Workers the next (or current) pool runs with."""
         return self.max_workers - self.blacklisted_slots
 
-    def run_tasks(self, fn, shared, payloads):
-        self._check_open()
-        if len(payloads) <= 1 or self.max_workers == 1:
-            return [fn(shared, payload) for payload in payloads]
-        with self._lock:
-            generation = self._assign_generation(shared)
-            try:
-                pool = self._ensure_pool()
-                self._ensure_primed(pool, generation)
-                chunksize = max(1, len(payloads) // (self.worker_slots * 4))
-                return list(
-                    pool.map(
-                        partial(_pooled_call, fn, generation),
-                        payloads,
-                        chunksize=chunksize,
-                    )
-                )
-            except (BrokenExecutor, threading.BrokenBarrierError):
-                # a dead worker poisons the pool, a timed-out priming round
-                # poisons the barrier — and neither self-heals: drop both so
-                # the next batch (or join sharing this executor) starts fresh
-                self._note_break()
-                raise
-
     def submit_batch(self, fn, shared, payloads):
         self._check_open()
         if len(payloads) <= 1 or self.max_workers == 1:
             return None
 
         def submit_one(payload):
-            # per-submission locking (instead of holding the lock across the
-            # whole batch as run_tasks does): the scheduler submits
-            # speculative duplicates while the batch is in flight, and a
-            # concurrent stage may have re-shipped jobs in between —
-            # re-ensuring pool + priming under the lock keeps both safe,
-            # and the in-flight pin keeps this generation resident in the
-            # workers until the future resolves
+            # per-submission locking (not one lock across the whole batch):
+            # the scheduler submits speculative duplicates while the batch
+            # is in flight, and a concurrent stage may have re-shipped jobs
+            # in between — re-ensuring pool + priming under the lock keeps
+            # both safe, and the in-flight pin keeps this generation
+            # resident in the workers until the future resolves
             with self._lock:
                 generation = self._assign_generation(shared)
                 pool = self._ensure_pool()
@@ -527,20 +404,18 @@ class PersistentProcessExecutor(Executor):
 
         try:
             futures = [submit_one(payload) for payload in payloads]
-        except (BrokenExecutor, threading.BrokenBarrierError):
-            with self._lock:
-                self._note_break()
+        except WORKER_LOSS_ERRORS:
+            # neither a broken pool nor a broken barrier self-heals: drop both
+            # so the next batch (or join sharing this executor) starts fresh
+            self.handle_broken()
             raise
         # no close: the pool persists across batches by design
         return TaskBatch(futures, submit=submit_one)
 
     def handle_broken(self) -> None:
         with self._lock:
-            self._note_break()
-
-    def _note_break(self) -> None:
-        self._pool_breaks += 1
-        self._reset_pool()
+            self._pool_breaks += 1
+            self._reset_pool()
 
     def _release_generation(self, generation: int, _future: Any) -> None:
         """Future done-callback: unpin the generation once nothing of its
@@ -627,15 +502,13 @@ class PersistentProcessExecutor(Executor):
 #: engine name -> executor class; later PRs (async, distributed) register here
 ENGINES: dict[str, type[Executor]] = {
     SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
-    ProcessExecutor.name: ProcessExecutor,
     PersistentThreadExecutor.name: PersistentThreadExecutor,
     PersistentProcessExecutor.name: PersistentProcessExecutor,
 }
 
 
 def available_engines() -> tuple[str, ...]:
-    """Registered engine names, sorted (``serial``, ``threads``, ...)."""
+    """Registered engine names, sorted (``processes-pooled``, ``serial``, ...)."""
     return tuple(sorted(ENGINES))
 
 

@@ -1,17 +1,15 @@
 """Structured, deterministic fault injection for the MapReduce runtime.
 
-The runtime has always taken a bare ``fault_injector`` callable
-(``(kind, task_id, attempt) -> bool``) that can only *crash* an attempt.
-This module replaces it with a seeded :class:`ChaosPlan` — a value object
-describing a mix of failure modes:
+The runtime's ``fault_injector`` is a seeded :class:`ChaosPlan` — a value
+object describing a mix of failure modes:
 
-* ``crash``   — the attempt fails before it runs (the historical injector).
+* ``crash``   — the attempt fails before it runs.
 * ``delay``   — the attempt runs, but sleeps ``delay_s`` wall-clock seconds
   first: a straggler.  Task CPU durations are measured with
   ``time.thread_time()``, so delays never distort the paper's measurements.
 * ``kill``    — the worker *process* executing the attempt dies mid-batch
   (``os._exit``), breaking the pool.  On engines without worker processes
-  (serial, threads) the kill degrades to a crash.
+  (``serial``, ``threads-pooled``) the kill degrades to a crash.
 * ``corrupt`` — one spill segment written by the (successful) attempt has a
   byte flipped on disk; the per-entry CRC32 catches it at reduce time.
 * ``delete``  — one spill segment written by the attempt is removed.
@@ -37,24 +35,19 @@ Rule keys: ``rate`` (firing probability, default 1), ``kind`` (``map`` /
 (substring of the task id), ``attempt`` (restrict to one attempt number —
 ``attempt=1`` makes chaos hit first attempts only, so retries always
 converge), and ``delay`` (sleep seconds, delay rules only).
-
-The old bare-callable signature keeps working: the runtime wraps it in
-:class:`LegacyFaultInjector`, which maps "callable returned True" to a
-``crash``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 __all__ = [
     "ChaosPlan",
     "ChaosRule",
     "ChaosAction",
-    "LegacyFaultInjector",
     "resolve_chaos",
     "CHAOS_ENV",
     "CHAOS_SEED_ENV",
@@ -281,45 +274,16 @@ def _parse_int(text: str, where: str) -> int:
         raise ValueError(f"bad integer {text!r} in chaos spec {where!r}") from None
 
 
-@dataclass
-class LegacyFaultInjector:
-    """Adapter keeping the historical bare-callable injector working.
-
-    ``(kind, task_id, attempt) -> True`` means "crash this attempt" — the
-    only failure mode the old interface could express.  The callable is
-    invoked exactly once per attempt, in scheduler dispatch order, so
-    stateful injectors (the tests' fail-once closures) behave as before.
-    """
-
-    callback: Callable[[str, str, int], bool]
-    rules: tuple = field(default=(), init=False)
-
-    def attempt_action(
-        self, job_name: str, kind: str, task_id: str, attempt: int
-    ) -> ChaosAction | None:
-        if self.callback(kind, task_id, attempt):
-            return ChaosAction(action="crash")
-        return None
-
-    def segment_action(
-        self, job_name: str, kind: str, task_id: str, attempt: int
-    ) -> None:
-        return None
+#: the scheduler's three queries — what makes an object plan-shaped
+_PLAN_QUERIES = ("attempt_action", "segment_action", "segment_choice")
 
 
-def resolve_chaos(injector) -> "ChaosPlan | LegacyFaultInjector | None":
-    """Normalize a runtime's ``fault_injector`` argument.
-
-    Accepts ``None``, a :class:`ChaosPlan` (or anything exposing its
-    ``attempt_action`` / ``segment_action`` interface), or the legacy bare
-    callable.
-    """
-    if injector is None:
-        return None
-    if hasattr(injector, "attempt_action"):
+def resolve_chaos(injector) -> "ChaosPlan | None":
+    """Check a runtime's ``fault_injector`` argument: ``None``, or a
+    :class:`ChaosPlan` (or anything answering its three scheduler queries)."""
+    if injector is None or all(hasattr(injector, query) for query in _PLAN_QUERIES):
         return injector
-    if callable(injector):
-        return LegacyFaultInjector(injector)
     raise TypeError(
-        f"fault_injector must be callable or a ChaosPlan, got {type(injector).__name__}"
+        "fault_injector must be None or a ChaosPlan (or an object with its "
+        f"{'/'.join(_PLAN_QUERIES)} methods), got {type(injector).__name__}"
     )

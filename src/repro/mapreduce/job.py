@@ -142,10 +142,10 @@ class MapReduceJob:
     file system rather than through the shuffle, so it contributes no
     shuffling cost.
 
-    Jobs cross the engine boundary whole: to run under the ``processes``
-    engine, factories must be picklable (module-level classes or functions,
-    not lambdas or closures) and cache contents plain data — which every job
-    in this package already satisfies.
+    Jobs cross the engine boundary whole: to run under the
+    ``processes-pooled`` engine, factories must be picklable (module-level
+    classes or functions, not lambdas or closures) and cache contents plain
+    data — which every job in this package already satisfies.
     """
 
     name: str

@@ -150,7 +150,7 @@ class JobGraph:
     def resource(self, resource: Any) -> Any:
         """Attach a context manager the plan's executor must hold open while
         the graph runs (a DFS holding chained intermediates, typically).
-        ``None`` is accepted and ignored, matching ``make_chain_dfs``."""
+        ``None`` is accepted and ignored, matching ``JoinConfig.chain_dfs``."""
         if resource is not None:
             self.resources.append(resource)
         return resource

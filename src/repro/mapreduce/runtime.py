@@ -12,9 +12,8 @@ The runtime is split into three layers:
   batches, owns retry/fault-injection, and merges counters, side outputs and
   stats in deterministic task order.
 * an :class:`~repro.mapreduce.engines.Executor` — the *engine* that runs one
-  batch of independent task attempts: ``serial`` (default), ``threads``,
-  ``processes`` or their persistent ``*-pooled`` variants.  Task attempts are
-  pure functions from ``(job, task spec)`` to an attempt outcome; workers
+  batch of independent task attempts: ``serial`` (default), ``threads-pooled``
+  or ``processes-pooled``.  Task attempts are pure functions from ``(job, task spec)`` to an attempt outcome; workers
   return counters/side-outputs/durations as values instead of mutating
   scheduler state, so every engine produces bit-identical outputs.
 * a :class:`~repro.mapreduce.shuffle.ShuffleStore` — *where the shuffle
@@ -25,8 +24,8 @@ The runtime is split into three layers:
   backends produce bit-identical outputs and accounting.
 
 Fault tolerance is real, not just modelled: a ``fault_injector`` (a seeded
-:class:`~repro.mapreduce.faults.ChaosPlan`, or the legacy bare callable) may
-crash, delay or kill any task attempt and corrupt or delete spill segments;
+:class:`~repro.mapreduce.faults.ChaosPlan`) may crash, delay or kill any
+task attempt and corrupt or delete spill segments;
 the scheduler re-executes tasks (fresh instances from the factories) up to
 ``max_attempts`` times with exponential backoff, launches speculative
 duplicate attempts for stragglers past their soft deadline (first success
@@ -46,17 +45,16 @@ from __future__ import annotations
 
 import os
 import statistics
-import threading
 import time
 import zlib
-from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait as futures_wait
+from collections.abc import Iterator, Sequence
+from concurrent.futures import FIRST_COMPLETED, wait as futures_wait
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
 from .counters import Counters
-from .engines import DEFAULT_ENGINE, Executor, get_executor
+from .engines import DEFAULT_ENGINE, WORKER_LOSS_ERRORS, Executor, get_executor
 from .faults import ChaosPlan, resolve_chaos
 from .job import Context, MapReduceJob
 from .serialization import estimate_bytes, record_count, shuffle_sort_key
@@ -75,16 +73,7 @@ from .shuffle import (
 from .stats import JobStats, TaskStat
 from .types import InputSplit
 
-__all__ = ["LocalRuntime", "JobResult", "TaskFailure", "FaultInjector"]
-
-#: legacy signature: (kind, task_id, attempt) -> True to fail this attempt.
-#: ``LocalRuntime`` also accepts a :class:`~repro.mapreduce.faults.ChaosPlan`
-#: (or anything with its ``attempt_action``/``segment_action`` interface).
-FaultInjector = Callable[[str, str, int], bool]
-
-#: exceptions that mean "the engine lost workers", not "the task failed":
-#: the scheduler turns them into retryable attempt failures
-_WORKER_LOSS_ERRORS = (BrokenExecutor, threading.BrokenBarrierError)
+__all__ = ["LocalRuntime", "JobResult", "TaskFailure"]
 
 #: how long the scheduler waits for superseded (loser) attempts to finish
 #: before detaching them with a cleanup callback
@@ -417,10 +406,10 @@ def _combine(
 class LocalRuntime:
     """Backend-agnostic scheduler: plans tasks, an engine executes them.
 
-    ``engine`` selects an execution backend by name (``serial``, ``threads``,
-    ``processes``, or the persistent ``threads-pooled`` / ``processes-pooled``
-    variants that keep one warm pool across every job the runtime runs);
-    ``max_workers`` sizes the parallel pools (default: CPU count).
+    ``engine`` selects an execution backend by name (``serial``, or
+    ``threads-pooled`` / ``processes-pooled``, which keep one warm pool
+    across every job the runtime runs); ``max_workers`` sizes the parallel
+    pools (default: CPU count).
     Alternatively pass a ready :class:`Executor` instance via ``executor`` —
     the seam custom backends plug into, and the way several runtimes can
     share one persistent pool.
@@ -435,18 +424,19 @@ class LocalRuntime:
     engine and codec.
 
     Fault-tolerance knobs: ``fault_injector`` takes a seeded
-    :class:`~repro.mapreduce.faults.ChaosPlan` (or the legacy bare
-    callable); ``max_attempts`` bounds retries, which back off exponentially
-    (``retry_backoff_s`` doubling per round up to ``retry_backoff_cap_s``,
-    with deterministic jitter).  ``task_timeout`` sets an absolute soft
-    deadline in seconds after which a running attempt gets a speculative
-    duplicate (first success wins); without it, ``speculation`` (on by
-    default) infers a deadline of ``speculation_factor`` × the median
-    completed attempt wall time in the phase, floored at
-    ``speculation_floor_s`` so millisecond-scale tasks never speculate.
+    :class:`~repro.mapreduce.faults.ChaosPlan` (or an object answering its
+    three scheduler queries) and nothing else; ``max_attempts`` bounds
+    retries, which back off exponentially (``retry_backoff_s`` doubling per
+    round up to ``retry_backoff_cap_s``, with deterministic jitter).
+    ``task_timeout`` sets an absolute soft deadline in seconds after which a
+    running attempt gets a speculative duplicate (first success wins);
+    without it, ``speculation`` (on by default) infers a deadline of
+    ``speculation_factor`` × the median completed attempt wall time in the
+    phase, floored at ``speculation_floor_s`` so millisecond-scale tasks
+    never speculate.
     Speculation needs per-task completion events, so it is active only on
-    engines that provide them (threads/processes and their pooled variants);
-    the serial engine ignores it.
+    engines that provide them (the pooled ones); the serial engine ignores
+    it.
 
     The runtime has an explicit lifecycle: :meth:`close` tears down the
     executor and shuffle store it constructed (idempotent; instances passed
@@ -457,7 +447,7 @@ class LocalRuntime:
 
     def __init__(
         self,
-        fault_injector: FaultInjector | ChaosPlan | None = None,
+        fault_injector: ChaosPlan | None = None,
         max_attempts: int = 4,
         engine: str = DEFAULT_ENGINE,
         max_workers: int | None = None,
@@ -477,8 +467,7 @@ class LocalRuntime:
             raise ValueError("max_attempts must be >= 1")
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError("task_timeout must be > 0 seconds")
-        self.fault_injector = fault_injector
-        self._chaos = resolve_chaos(fault_injector)
+        self.fault_injector = resolve_chaos(fault_injector)
         self.max_attempts = max_attempts
         self.task_timeout = task_timeout
         self.speculation = speculation
@@ -774,10 +763,10 @@ class LocalRuntime:
                 spec.chaos_delay_s = 0.0
                 spec.chaos_kill_from = 0
                 action = (
-                    self._chaos.attempt_action(
+                    self.fault_injector.attempt_action(
                         job.name, spec.kind, spec.task_id, number
                     )
-                    if self._chaos is not None
+                    if self.fault_injector is not None
                     else None
                 )
                 if (
@@ -892,13 +881,13 @@ class LocalRuntime:
         """Run one round's batch, turning lost-worker errors into retryable
         per-task failures.  Prefers the engine's per-task completion events
         (``submit_batch``) so stragglers can be speculatively duplicated;
-        engines without them (serial) run the batch as one blocking call."""
+        otherwise the batch is one blocking ``run_tasks`` call."""
         if not dispatch:
             return []
         if self.speculation and len(dispatch) > 1:
             try:
                 batch = self.executor.submit_batch(_execute_attempt, job, dispatch)
-            except _WORKER_LOSS_ERRORS as error:
+            except WORKER_LOSS_ERRORS as error:
                 # pooled engines note their own break on the submit path
                 return [self._worker_lost_outcome(spec, error) for spec in dispatch]
             if batch is not None:
@@ -908,7 +897,7 @@ class LocalRuntime:
         started = time.monotonic()
         try:
             outcomes = list(self.executor.run_tasks(_execute_attempt, job, dispatch))
-        except _WORKER_LOSS_ERRORS as error:
+        except WORKER_LOSS_ERRORS as error:
             return [self._worker_lost_outcome(spec, error) for spec in dispatch]
         if len(dispatch) == 1:
             durations.append(time.monotonic() - started)
@@ -998,7 +987,7 @@ class LocalRuntime:
                     )
                     try:
                         future = batch.submit(duplicate)
-                    except _WORKER_LOSS_ERRORS:
+                    except WORKER_LOSS_ERRORS:
                         attempts_used[spec.index] -= 1
                         broken = True
                         break
@@ -1020,7 +1009,7 @@ class LocalRuntime:
         """Resolve one attempt future; lost workers become failure values."""
         try:
             return future.result(), False
-        except _WORKER_LOSS_ERRORS as error:
+        except WORKER_LOSS_ERRORS as error:
             return self._worker_lost_outcome(spec, error, attempt_number), True
 
     def _worker_lost_outcome(
@@ -1112,16 +1101,16 @@ class LocalRuntime:
     def _apply_segment_chaos(self, job: MapReduceJob, spec: _TaskSpec, manifest) -> None:
         """Corrupt or delete one of a successful map attempt's segment files,
         if a segment-level chaos rule fires for this attempt."""
-        if self._chaos is None or manifest is None or not manifest.segments:
+        if self.fault_injector is None or manifest is None or not manifest.segments:
             return
-        segment_action = getattr(self._chaos, "segment_action", None)
-        if segment_action is None:
-            return
-        action = segment_action(job.name, spec.kind, spec.task_id, spec.attempt)
+        action = self.fault_injector.segment_action(
+            job.name, spec.kind, spec.task_id, spec.attempt
+        )
         if action is None:
             return
-        choose = getattr(self._chaos, "segment_choice", None)
-        choice = choose(spec.task_id, spec.attempt, len(manifest.segments)) if choose else 0
+        choice = self.fault_injector.segment_choice(
+            spec.task_id, spec.attempt, len(manifest.segments)
+        )
         path = manifest.segments[choice].path
         if action == "delete":
             try:

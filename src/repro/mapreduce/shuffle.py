@@ -65,15 +65,6 @@ from functools import partial
 from pathlib import Path
 from typing import Any
 
-try:  # optional high-throughput codecs; the stdlib ones always work
-    import lz4.frame as _lz4_frame
-except ImportError:  # pragma: no cover - exercised on the native CI leg
-    _lz4_frame = None
-try:
-    import zstandard as _zstandard
-except ImportError:  # pragma: no cover - exercised on the native CI leg
-    _zstandard = None
-
 from .serialization import (
     decode_block,
     encode_block,
@@ -106,7 +97,6 @@ __all__ = [
     "SegmentCodec",
     "SEGMENT_CODECS",
     "read_segment_codec",
-    "available_segment_codecs",
     "resolve_segment_codec",
     "DEFAULT_SHUFFLE",
     "DEFAULT_MERGE_FAN_IN",
@@ -210,74 +200,40 @@ def _rebuild_segment_lost(message, path, task_index, reducer, checksum):
 class SegmentCodec:
     """One value-payload compression scheme for segment files.
 
-    ``none`` and ``zlib`` ride on the stdlib and are always available;
-    ``lz4`` and ``zstd`` light up when their optional packages are
-    importable.  ``wire_id`` is the codec byte written into segment headers
-    — append-only, never renumbered, so files stay self-describing.
+    Both codecs ride on the stdlib, so a config that names one always runs.
+    ``wire_id`` is the codec byte written into segment headers — append-only,
+    never renumbered (ids 2 and 3 are retired), so files stay
+    self-describing.
     """
 
     name: str
     wire_id: int
-    available: bool
-    hint: str | None = None  # how to obtain an unavailable codec
+    compress: Callable[[bytes], bytes]
+    decompress: Callable[[bytes], bytes]
+
+
+def _stored(payload: bytes) -> bytes:
+    return payload
 
 
 #: codec name -> descriptor; iteration order is the documented listing order
 SEGMENT_CODECS: dict[str, SegmentCodec] = {
-    "none": SegmentCodec("none", 0, True),
-    "zlib": SegmentCodec("zlib", 1, True),
-    "lz4": SegmentCodec("lz4", 2, _lz4_frame is not None, "pip install lz4"),
-    "zstd": SegmentCodec(
-        "zstd", 3, _zstandard is not None, "pip install zstandard"
-    ),
+    "none": SegmentCodec("none", 0, _stored, _stored),
+    "zlib": SegmentCodec("zlib", 1, partial(zlib.compress, level=6), zlib.decompress),
 }
 
 _CODECS_BY_ID = {codec.wire_id: codec for codec in SEGMENT_CODECS.values()}
 
 
-def available_segment_codecs() -> tuple[str, ...]:
-    """Names of the codecs usable in this process, in listing order."""
-    return tuple(name for name, codec in SEGMENT_CODECS.items() if codec.available)
-
-
 def resolve_segment_codec(name: str) -> SegmentCodec:
-    """Look up a codec by name, rejecting unknown or unavailable ones."""
+    """Look up a codec by name, rejecting unknown ones."""
     try:
-        codec = SEGMENT_CODECS[name]
+        return SEGMENT_CODECS[name]
     except KeyError:
         raise ValueError(
             f"unknown segment codec {name!r}; "
             f"available: {', '.join(SEGMENT_CODECS)}"
         ) from None
-    if not codec.available:
-        raise ValueError(
-            f"segment codec {name!r} needs an optional dependency "
-            f"({codec.hint}); codecs usable here: "
-            f"{', '.join(available_segment_codecs())}"
-        )
-    return codec
-
-
-def _payload_compressor(codec: SegmentCodec) -> Callable[[bytes], bytes]:
-    """The codec's compress function, built once per segment written."""
-    if codec.wire_id == 0:
-        return lambda payload: payload
-    if codec.wire_id == 1:
-        return partial(zlib.compress, level=6)
-    if codec.wire_id == 2:
-        return _lz4_frame.compress
-    return _zstandard.ZstdCompressor().compress
-
-
-def _payload_decompressor(codec: SegmentCodec) -> Callable[[bytes], bytes]:
-    """The codec's decompress function, built once per segment read."""
-    if codec.wire_id == 0:
-        return lambda payload: payload
-    if codec.wire_id == 1:
-        return zlib.decompress
-    if codec.wire_id == 2:
-        return _lz4_frame.decompress
-    return _zstandard.ZstdDecompressor().decompress
 
 
 #: maximum runs one k-way merge reads at once — more runs than this are
@@ -360,7 +316,7 @@ def write_segment(
     """
     path = Path(path)
     segment_codec = resolve_segment_codec(codec)
-    compress = _payload_compressor(segment_codec)
+    compress = segment_codec.compress
     entry_count = 0
     records = 0
     accounted = 0
@@ -430,11 +386,6 @@ def _parse_header(
             f"segment file {path} uses unknown codec id {codec_id}; "
             f"known: {', '.join(SEGMENT_CODECS)}"
         )
-    if not codec.available:
-        raise ValueError(
-            f"segment file {path} is compressed with {codec.name!r}, which "
-            f"is not available in this process ({codec.hint})"
-        )
     return codec, entries, records, accounted
 
 
@@ -455,17 +406,14 @@ def read_segment_codec(path: str | Path) -> str:
     return codec.name
 
 
-def iter_segment(
-    path: str | Path, verify: bool = True
-) -> Iterator[tuple[int, int, Any, Any]]:
+def iter_segment(path: str | Path) -> Iterator[tuple[int, int, Any, Any]]:
     """Yield ``(task, seq, key, value)`` entries of a segment file, lazily.
 
     Validates as it goes: a truncated file raises a ``ValueError`` naming the
     path and the expected-vs-actual byte counts; trailing bytes after the
     declared entries (e.g. two segments concatenated) raise too.  Each
     entry's CRC32 is checked against its body before anything is decoded
-    (a mismatch raises :class:`SegmentIntegrityError`; pass ``verify=False``
-    to skip the check — the bench's overhead measurement).  Value payload
+    (a mismatch raises :class:`SegmentIntegrityError`).  Value payload
     decompression and decode errors are re-raised as ``ValueError`` with the
     segment path and entry index attached.
     """
@@ -473,7 +421,7 @@ def iter_segment(
         codec, declared, _, _ = _parse_header(
             path, stream.read(_SEGMENT_HEADER.size)
         )
-        decompress = _payload_decompressor(codec)
+        decompress = codec.decompress
         for index in range(declared):
             header = stream.read(_ENTRY_HEADER.size)
             if len(header) < _ENTRY_HEADER.size:
@@ -488,10 +436,9 @@ def iter_segment(
                     path, key_len + value_len, len(body),
                     f"entry {index}/{declared}",
                 )
-            if verify:
-                actual = zlib.crc32(body)
-                if actual != crc:
-                    raise SegmentIntegrityError(str(path), index, crc, actual)
+            actual = zlib.crc32(body)
+            if actual != crc:
+                raise SegmentIntegrityError(str(path), index, crc, actual)
             key = pickle.loads(body[:key_len])
             payload = body[key_len:]
             try:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Dataset
-from repro.joins import BlockJoinConfig
-from repro.joins.closest_pairs import TopKClosestPairs
+from repro.joins import BlockJoinConfig, run_join
 
 
 def brute_force_pairs(r, s, k, exclude_self=False):
@@ -32,10 +31,12 @@ class TestCorrectness:
     @pytest.mark.parametrize("k", [1, 5, 20])
     def test_matches_brute_force(self, two_sets, k):
         r, s = two_sets
-        operator = TopKClosestPairs(
-            BlockJoinConfig(k=k, num_reducers=4, num_pivots=10, split_size=64)
+        outcome = run_join(
+            "closest-pairs",
+            r,
+            s,
+            BlockJoinConfig(k=k, num_reducers=4, num_pivots=10, split_size=64),
         )
-        outcome = operator.run(r, s)
         expected = brute_force_pairs(r, s, k)
         assert [(a, b) for a, b, _ in outcome.pairs] == [(a, b) for a, b, _ in expected]
         assert np.allclose(
@@ -44,17 +45,21 @@ class TestCorrectness:
 
     def test_self_join_without_exclusion_yields_identity_pairs(self, rng):
         data = Dataset(rng.random((50, 2)))
-        outcome = TopKClosestPairs(
-            BlockJoinConfig(k=5, num_reducers=4, num_pivots=6)
-        ).run(data, data)
+        outcome = run_join(
+            "closest-pairs", data, data, BlockJoinConfig(k=5, num_reducers=4, num_pivots=6)
+        )
         assert all(dist == 0.0 for _, _, dist in outcome.pairs)
         assert all(a == b for a, b, _ in outcome.pairs)
 
     def test_self_join_with_exclusion(self, rng):
         data = Dataset(rng.random((60, 2)))
-        outcome = TopKClosestPairs(
-            BlockJoinConfig(k=8, num_reducers=4, num_pivots=6), exclude_self=True
-        ).run(data, data)
+        outcome = run_join(
+            "closest-pairs",
+            data,
+            data,
+            BlockJoinConfig(k=8, num_reducers=4, num_pivots=6),
+            exclude_self=True,
+        )
         expected = brute_force_pairs(data, data, 8, exclude_self=True)
         assert all(a != b for a, b, _ in outcome.pairs)
         assert np.allclose(
@@ -63,9 +68,9 @@ class TestCorrectness:
 
     def test_pairs_sorted_ascending(self, two_sets):
         r, s = two_sets
-        outcome = TopKClosestPairs(
-            BlockJoinConfig(k=10, num_reducers=9, num_pivots=8)
-        ).run(r, s)
+        outcome = run_join(
+            "closest-pairs", r, s, BlockJoinConfig(k=10, num_reducers=9, num_pivots=8)
+        )
         dists = [d for _, _, d in outcome.pairs]
         assert dists == sorted(dists)
 
@@ -73,9 +78,9 @@ class TestCorrectness:
         """k exceeding per-block S sizes exercises the partial-theta path."""
         r = Dataset(rng.random((30, 2)), name="r")
         s = Dataset(rng.random((20, 2)), ids=np.arange(500, 520), name="s")
-        outcome = TopKClosestPairs(
-            BlockJoinConfig(k=15, num_reducers=9, num_pivots=4)
-        ).run(r, s)
+        outcome = run_join(
+            "closest-pairs", r, s, BlockJoinConfig(k=15, num_reducers=9, num_pivots=4)
+        )
         expected = brute_force_pairs(r, s, 15)
         assert np.allclose(
             [d for _, _, d in outcome.pairs], [d for _, _, d in expected]
@@ -85,14 +90,14 @@ class TestCorrectness:
         r = Dataset(rng.random((3, 2)))
         s = Dataset(rng.random((3, 2)), ids=np.arange(10, 13))
         with pytest.raises(ValueError, match="exceeds"):
-            TopKClosestPairs(BlockJoinConfig(k=10, num_pivots=2)).run(r, s)
+            run_join("closest-pairs", r, s, BlockJoinConfig(k=10, num_pivots=2))
 
 
 class TestMeasurements:
     def test_selectivity_below_one(self, two_sets):
         r, s = two_sets
-        outcome = TopKClosestPairs(
-            BlockJoinConfig(k=5, num_reducers=9, num_pivots=10)
-        ).run(r, s)
+        outcome = run_join(
+            "closest-pairs", r, s, BlockJoinConfig(k=5, num_reducers=9, num_pivots=10)
+        )
         assert 0 < outcome.selectivity() <= 1.5  # pivot pairs may push past 1
         assert outcome.shuffle_bytes > 0

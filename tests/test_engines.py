@@ -1,12 +1,12 @@
-"""Cross-engine equivalence: serial, threads and processes must agree bit-for-bit.
+"""Cross-engine equivalence: serial and the two pooled engines must agree bit-for-bit.
 
 The engine layer's contract is that backends change wall-clock only: outputs,
 counters, side outputs and shuffle accounting are identical across engines —
 for a representative plain MapReduce job and for whole join algorithms
 (PGBJ and the z-order join, per the issue's acceptance criteria).
 
-All task classes live at module level so the ``processes`` engine can pickle
-the job by reference.
+All task classes live at module level so the ``processes-pooled`` engine can
+pickle the job by reference.
 """
 
 from __future__ import annotations
@@ -15,9 +15,12 @@ import numpy as np
 import pytest
 
 from repro.datasets import generate_forest
-from repro.joins import PGBJ, PgbjConfig, ZOrderConfig, ZOrderKnnJoin
+from repro.joins import PgbjConfig, ZOrderConfig, run_join
 from repro.mapreduce import (
+    ChaosPlan,
+    ChaosRule,
     Context,
+    Executor,
     HashPartitioner,
     LocalRuntime,
     Mapper,
@@ -25,6 +28,7 @@ from repro.mapreduce import (
     PersistentProcessExecutor,
     PersistentThreadExecutor,
     Reducer,
+    SerialExecutor,
     TaskFailure,
     available_engines,
     get_executor,
@@ -32,11 +36,12 @@ from repro.mapreduce import (
     split_records,
 )
 
-ENGINES = ("serial", "threads", "processes", "threads-pooled", "processes-pooled")
-#: the backends that actually parallelize (everything but serial)
-PARALLEL_ENGINES = tuple(e for e in ENGINES if e != "serial")
-#: the persistent backends, which keep one pool across batches and jobs
+ENGINES = ("serial", "threads-pooled", "processes-pooled")
+#: the backends that actually parallelize: one persistent pool across batches and jobs
 POOLED_ENGINES = ("threads-pooled", "processes-pooled")
+
+#: every map task's first attempt crashes (retries converge on attempt 2)
+MAP_CRASH_ONCE = ChaosPlan(rules=(ChaosRule("crash", kind="map", attempt=1),))
 
 
 class VectorNormMapper(Mapper):
@@ -124,31 +129,41 @@ def outcome_fingerprint(outcome):
 
 class TestEngineRegistry:
     def test_available_engines(self):
-        assert set(ENGINES) <= set(available_engines())
+        assert available_engines() == ("processes-pooled", "serial", "threads-pooled")
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            get_executor("gpu-cluster")
-        with pytest.raises(ValueError, match="unknown engine"):
-            LocalRuntime(engine="gpu-cluster")
+    @pytest.mark.parametrize("engine", ("gpu-cluster", "threads", "processes"))
+    def test_unknown_engine_rejected(self, engine):
+        # the per-batch names are gone with their engines: no alias is left
+        choices = "available: processes-pooled, serial, threads-pooled"
+        for build in (
+            lambda: get_executor(engine),
+            lambda: LocalRuntime(engine=engine),
+            lambda: PgbjConfig(engine=engine),
+        ):
+            with pytest.raises(ValueError, match=f"unknown engine '{engine}'; {choices}"):
+                build()
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError, match="max_workers"):
-            get_executor("threads", max_workers=0)
+            get_executor("threads-pooled", max_workers=0)
+        with pytest.raises(ValueError, match="max_workers"):
+            PgbjConfig(engine="threads-pooled", max_workers=0)
 
     def test_runtime_reports_engine(self):
         assert LocalRuntime().engine == "serial"
-        assert LocalRuntime(engine="threads", max_workers=2).engine == "threads"
-
-    def test_config_validates_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            PgbjConfig(engine="hadoop")
-        with pytest.raises(ValueError, match="max_workers"):
-            PgbjConfig(engine="threads", max_workers=0)
+        with LocalRuntime(engine="threads-pooled", max_workers=2) as runtime:
+            assert runtime.engine == "threads-pooled"
 
     def test_config_resolves_runtime(self):
-        runtime = PgbjConfig(engine="threads", max_workers=2).make_runtime()
-        assert runtime.engine == "threads"
+        with PgbjConfig(engine="threads-pooled", max_workers=2).make_runtime() as runtime:
+            assert runtime.engine == "threads-pooled"
+
+    def test_one_dispatch_path(self):
+        # run_tasks exists once, on the base class; a backend only says how a
+        # batch becomes futures (or that it runs inline)
+        for cls in (SerialExecutor, PersistentThreadExecutor, PersistentProcessExecutor):
+            assert "run_tasks" not in vars(cls)
+            assert cls.run_tasks is Executor.run_tasks
 
 
 class TestCrossEngineJob:
@@ -185,20 +200,14 @@ class TestCrossEngineRetries:
 
     @pytest.fixture(scope="class")
     def serial_reference(self):
-        def injector(kind, task_id, attempt):
-            return kind == "map" and attempt == 1
-
-        runtime = LocalRuntime(fault_injector=injector)
+        runtime = LocalRuntime(fault_injector=MAP_CRASH_ONCE)
         return job_fingerprint(runtime.run(norm_job(), norm_splits()))
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_injected_failures_retried(self, engine):
-        def injector(kind, task_id, attempt):
-            return kind == "map" and attempt == 1
-
         plain = LocalRuntime().run(norm_job(), norm_splits())
         runtime = LocalRuntime(
-            fault_injector=injector, engine=engine, max_workers=2
+            fault_injector=MAP_CRASH_ONCE, engine=engine, max_workers=2
         )
         result = runtime.run(norm_job(), norm_splits())
         assert result.outputs == plain.outputs
@@ -206,15 +215,11 @@ class TestCrossEngineRetries:
         assert all(t.attempts == 2 for t in result.stats.map_tasks)
         runtime.close()
 
-    @pytest.mark.parametrize("engine", PARALLEL_ENGINES)
+    @pytest.mark.parametrize("engine", POOLED_ENGINES)
     def test_retry_fingerprint_matches_serial(self, engine, serial_reference):
         """Full fingerprint (accounting included) under injected faults."""
-
-        def injector(kind, task_id, attempt):
-            return kind == "map" and attempt == 1
-
         with LocalRuntime(
-            fault_injector=injector, engine=engine, max_workers=2
+            fault_injector=MAP_CRASH_ONCE, engine=engine, max_workers=2
         ) as runtime:
             result = runtime.run(norm_job(), norm_splits())
         assert job_fingerprint(result) == serial_reference
@@ -225,13 +230,15 @@ class TestCrossEngineRetries:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_reduce_side_faults_retried(self, engine):
         """Reduce-phase injection: later rounds also reuse the pooled state."""
-
-        def injector(kind, task_id, attempt):
-            return kind == "reduce" and attempt < 3
-
+        chaos = ChaosPlan(
+            rules=(
+                ChaosRule("crash", kind="reduce", attempt=1),
+                ChaosRule("crash", kind="reduce", attempt=2),
+            )
+        )
         plain = LocalRuntime().run(norm_job(), norm_splits())
         with LocalRuntime(
-            fault_injector=injector, engine=engine, max_workers=2, max_attempts=4
+            fault_injector=chaos, engine=engine, max_workers=2, max_attempts=4
         ) as runtime:
             result = runtime.run(norm_job(), norm_splits())
         assert result.outputs == plain.outputs
@@ -242,7 +249,7 @@ class TestCrossEngineRetries:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_permanent_failure_raises(self, engine):
         runtime = LocalRuntime(
-            fault_injector=lambda *a: True, max_attempts=2,
+            fault_injector=ChaosPlan(rules=(ChaosRule("crash"),)), max_attempts=2,
             engine=engine, max_workers=2,
         )
         with pytest.raises(TaskFailure, match="after 2 attempts"):
@@ -262,16 +269,16 @@ class TestCrossEngineJoins:
             k=3, num_reducers=4, num_pivots=12, split_size=64,
             engine=engine, max_workers=2,
         )
-        return PGBJ(config).run(data, data)
+        return run_join("pgbj", data, data, config)
 
     def zorder_outcome(self, data, engine):
         config = ZOrderConfig(
             k=3, num_reducers=4, num_shifts=2, split_size=64,
             engine=engine, max_workers=2,
         )
-        return ZOrderKnnJoin(config).run(data, data)
+        return run_join("zorder", data, data, config)
 
-    @pytest.mark.parametrize("engine", PARALLEL_ENGINES)
+    @pytest.mark.parametrize("engine", POOLED_ENGINES)
     def test_pgbj_equivalence(self, data, engine):
         serial = self.pgbj_outcome(data, "serial")
         parallel = self.pgbj_outcome(data, engine)
@@ -280,7 +287,7 @@ class TestCrossEngineJoins:
             s.shuffle_bytes for s in serial.job_stats
         ]
 
-    @pytest.mark.parametrize("engine", PARALLEL_ENGINES)
+    @pytest.mark.parametrize("engine", POOLED_ENGINES)
     def test_zorder_equivalence(self, data, engine):
         serial = self.zorder_outcome(data, "serial")
         parallel = self.zorder_outcome(data, engine)
@@ -289,26 +296,19 @@ class TestCrossEngineJoins:
     @pytest.mark.parametrize("engine", POOLED_ENGINES)
     def test_pgbj_with_faults_pooled(self, data, engine):
         """Whole join under injected faults on a persistent pool."""
-
-        def injector(kind, task_id, attempt):
-            # first attempt of every map task of the knn-join job fails
-            return kind == "map" and "knn-join" in task_id and attempt == 1
-
+        # first attempt of every map task of the knn-join job fails
+        chaos = ChaosPlan(
+            rules=(ChaosRule("crash", kind="map", task="knn-join", attempt=1),)
+        )
         serial = self.pgbj_outcome(data, "serial")
         config = PgbjConfig(
             k=3, num_reducers=4, num_pivots=12, split_size=64,
-            engine=engine, max_workers=2,
+            engine=engine, max_workers=2, chaos=chaos,
         )
-        algorithm = PGBJ(config)
-        original = config.make_runtime
-
-        def faulty_runtime(**kwargs):
-            kwargs.setdefault("fault_injector", injector)
-            return original(**kwargs)
-
-        config.make_runtime = faulty_runtime  # type: ignore[method-assign]
-        outcome = algorithm.run(data, data)
+        outcome = run_join("pgbj", data, data, config)
         assert outcome_fingerprint(outcome) == outcome_fingerprint(serial)
+        join_maps = outcome.job_stats["pgbj/join"].map_tasks
+        assert join_maps and all(task.attempts == 2 for task in join_maps)
 
 
 class TestPooledLifecycle:
@@ -375,9 +375,10 @@ class TestPooledLifecycle:
             assert executor.run_tasks(_double, job, [1, 2, 3]) == [5, 7, 9]
 
     def test_concurrent_shared_use_is_serialized(self):
-        # two runtimes sharing one pool from different threads: batches are
-        # atomic (generation bookkeeping + priming + map under one lock), so
-        # neither job can execute against the other's installed spec
+        # two runtimes sharing one pool from different threads: submissions
+        # are atomic (generation bookkeeping + priming + submit under one
+        # lock) and a generation with tasks in flight is pinned, so neither
+        # job can execute against the other's installed spec
         import threading
 
         with PersistentProcessExecutor(max_workers=2) as executor:
@@ -398,6 +399,13 @@ class TestPooledLifecycle:
         assert results[0] == [2, 4, 6]
         assert results[100] == [102, 104, 106]
 
+    @pytest.mark.parametrize("engine", POOLED_ENGINES)
+    def test_results_in_payload_order_not_completion_order(self, engine):
+        # the first payload finishes last; the gather is by submission order
+        with get_executor(engine, max_workers=2) as executor:
+            delays = [0.2, 0.0, 0.0, 0.0]
+            assert executor.run_tasks(_sleep_then_echo, {}, delays) == delays
+
     def test_broken_pool_recovers_on_next_batch(self):
         # a dead worker poisons the pool for its batch, but must not poison
         # the executor: the next batch gets a fresh, re-primed pool
@@ -408,6 +416,7 @@ class TestPooledLifecycle:
             assert executor.run_tasks(_double, job, [1, 2, 3]) == [3, 5, 7]
             with pytest.raises(BrokenExecutor):
                 executor.run_tasks(_kill_worker, job, [1, 2, 3, 4])
+            assert executor._pool_breaks == 1  # counted once, by handle_broken
             assert executor._pool is None  # broken pool dropped eagerly
             # same job object: identity unchanged, but the fresh pool is
             # re-primed because the installed generation was reset
@@ -450,9 +459,9 @@ class TestPooledLifecycle:
     def test_shared_executor_across_driver_runs(self):
         """A multi-join pipeline reuses one pool via JoinConfig.shared_executor."""
         data = generate_forest(120, seed=5)
-        serial = PGBJ(
-            PgbjConfig(k=3, num_reducers=4, num_pivots=8, split_size=64)
-        ).run(data, data)
+        serial = run_join(
+            "pgbj", data, data, PgbjConfig(k=3, num_reducers=4, num_pivots=8, split_size=64)
+        )
         with PersistentProcessExecutor(max_workers=2) as executor:
             for _ in range(2):
                 config = PgbjConfig(
@@ -460,7 +469,7 @@ class TestPooledLifecycle:
                     engine="processes-pooled", max_workers=2,
                     shared_executor=executor,
                 )
-                outcome = PGBJ(config).run(data, data)
+                outcome = run_join("pgbj", data, data, config)
                 assert outcome_fingerprint(outcome) == outcome_fingerprint(serial)
                 assert not executor.closed  # drivers must not close shared pools
 
@@ -497,8 +506,8 @@ class TestBoundaryBudget:
             k=3, num_reducers=4, num_pivots=12, split_size=64,
             engine="processes-pooled", max_workers=2,
         )
-        outcome = PGBJ(config).run(data, data)
-        serial = PGBJ(config.with_changes(engine="serial")).run(data, data)
+        outcome = run_join("pgbj", data, data, config)
+        serial = run_join("pgbj", data, data, config.with_changes(engine="serial"))
         assert outcome_fingerprint(outcome) == outcome_fingerprint(serial)
 
         join_maps = join_reduces = 0
@@ -535,6 +544,13 @@ class TestBoundaryBudget:
 def _double(shared, payload):
     """Module-level task fn: picklable by the process backends."""
     return payload * 2 + shared["bias"]
+
+
+def _sleep_then_echo(shared, payload):
+    import time
+
+    time.sleep(payload)
+    return payload
 
 
 def _kill_worker(shared, payload):
@@ -586,11 +602,9 @@ class TestSpillCrossEngine:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_job_spill_with_retries(self, engine, memory_reference):
-        def injector(kind, task_id, attempt):
-            return attempt == 1  # every task's first attempt fails
-
+        chaos = ChaosPlan(rules=(ChaosRule("crash", attempt=1),))  # every task, once
         with LocalRuntime(
-            fault_injector=injector, engine=engine, max_workers=2, memory_budget=16
+            fault_injector=chaos, engine=engine, max_workers=2, memory_budget=16
         ) as runtime:
             result = runtime.run(norm_job(), norm_splits())
         assert job_fingerprint(result) == memory_reference
@@ -608,14 +622,14 @@ class TestSpillCrossEngineJoins:
             k=3, num_reducers=4, num_pivots=12, split_size=64,
             engine=engine, max_workers=2, memory_budget=budget,
         )
-        return PGBJ(config).run(data, data)
+        return run_join("pgbj", data, data, config)
 
     def zorder_outcome(self, data, engine, budget):
         config = ZOrderConfig(
             k=3, num_reducers=4, num_shifts=2, split_size=64,
             engine=engine, max_workers=2, memory_budget=budget,
         )
-        return ZOrderKnnJoin(config).run(data, data)
+        return run_join("zorder", data, data, config)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_pgbj_spill_equivalence(self, data, engine):
@@ -713,7 +727,7 @@ class TestMixedTypeShuffleKeys:
 
     def test_object_record_pickle_roundtrip(self):
         # __reduce__ uses positional args derived from the field list; a
-        # field-order drift would scramble records in the processes engine
+        # field-order drift would scramble records in the process engine
         import pickle
 
         from repro.mapreduce import ObjectRecord

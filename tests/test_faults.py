@@ -18,24 +18,18 @@ from repro.mapreduce import (
     ChaosPlan,
     ChaosRule,
     JobGraph,
-    LegacyFaultInjector,
     LocalRuntime,
     PlanScheduler,
     StageCheckpointStore,
     TaskFailure,
+    get_executor,
     resolve_chaos,
 )
 from tests.test_engines import job_fingerprint, norm_job, norm_splits
 
-ALL_ENGINES = (
-    "serial",
-    "threads",
-    "processes",
-    "threads-pooled",
-    "processes-pooled",
-)
+ALL_ENGINES = ("serial", "threads-pooled", "processes-pooled")
 #: in-process engines — cheap enough for every chaos mix
-FAST_ENGINES = ("serial", "threads", "threads-pooled")
+FAST_ENGINES = ("serial", "threads-pooled")
 
 
 def reference_fingerprint():
@@ -199,23 +193,32 @@ class TestResolveChaos:
         plan = ChaosPlan()
         assert resolve_chaos(plan) is plan
 
-    def test_callable_wrapped(self):
-        calls = []
+    def test_plan_shaped_object_passthrough(self):
+        class Scripted:
+            def attempt_action(self, job_name, kind, task_id, attempt):
+                return ChaosAction(action="crash") if attempt == 1 else None
 
-        def injector(kind, task_id, attempt):
-            calls.append((kind, task_id, attempt))
-            return attempt == 1
+            def segment_action(self, job_name, kind, task_id, attempt):
+                return None
 
-        wrapped = resolve_chaos(injector)
-        assert isinstance(wrapped, LegacyFaultInjector)
-        assert wrapped.attempt_action("j", "map", "t", 1) == ChaosAction(action="crash")
-        assert wrapped.attempt_action("j", "map", "t", 2) is None
-        assert wrapped.segment_action("j", "map", "t", 1) is None
-        assert calls == [("map", "t", 1), ("map", "t", 2)]
+            def segment_choice(self, task_id, attempt, count):
+                return 0
 
-    def test_garbage_rejected(self):
-        with pytest.raises(TypeError, match="fault_injector"):
-            resolve_chaos(42)
+        scripted = Scripted()
+        assert resolve_chaos(scripted) is scripted
+        result = chaos_run(scripted)
+        assert job_fingerprint(result) == reference_fingerprint()
+        assert all(t.attempts == 2 for t in result.stats.map_tasks)
+
+    @pytest.mark.parametrize("injector", (42, lambda *a: True), ids=("int", "callable"))
+    def test_anything_else_rejected_naming_what_is_accepted(self, injector):
+        # the bare (kind, task_id, attempt) -> bool callable is no longer a form
+        for build in (
+            lambda: resolve_chaos(injector),
+            lambda: LocalRuntime(fault_injector=injector),
+        ):
+            with pytest.raises(TypeError, match="fault_injector must be None or a ChaosPlan"):
+                build()
 
 
 # -- structured failures -------------------------------------------------------
@@ -265,14 +268,41 @@ class TestChaosEquivalence:
         result = chaos_run(chaos, engine=engine)
         assert job_fingerprint(result) == reference_fingerprint()
 
-    @pytest.mark.parametrize("engine", ("serial", "processes"))
-    def test_kill_chaos_matches_fault_free(self, engine):
-        # kills worker processes on process engines; degrades to a crash on
-        # the others — either way the retried run converges bit-identically
+    @pytest.mark.parametrize("speculation", (True, False), ids=("futures", "barrier"))
+    @pytest.mark.parametrize("engine", ("serial", "processes-pooled"))
+    def test_kill_chaos_matches_fault_free(self, engine, speculation):
+        # kills worker processes on the process engine; degrades to a crash on
+        # the others — either way the retried run converges bit-identically,
+        # whether the scheduler watches the futures itself (speculation on)
+        # or takes the batch through run_tasks' barrier (speculation off)
         chaos = ChaosPlan.from_spec("kill:rate=1.0:attempt=1:kind=map;seed=6")
-        workers = 2 if engine == "processes" else None  # force real workers
-        result = chaos_run(chaos, engine=engine, max_workers=workers)
+        workers = 2 if engine == "processes-pooled" else None  # force real workers
+        with get_executor(engine, max_workers=workers) as executor:
+            result = chaos_run(chaos, executor=executor, speculation=speculation)
+            breaks = getattr(executor, "_pool_breaks", 0)
         assert job_fingerprint(result) == reference_fingerprint()
+        assert all(t.attempts == 2 for t in result.stats.map_tasks)
+        # one break per run, noted once on either path, and the retry round
+        # (and the reduce phase) ran on the rebuilt pool
+        assert breaks == (1 if engine == "processes-pooled" else 0)
+
+    @pytest.mark.parametrize("engine", ("threads-pooled", "processes-pooled"))
+    def test_speculation_off_is_bit_identical_under_mixed_chaos(self, tmp_path, engine):
+        runs = []
+        for speculation in (True, False):
+            result = chaos_run(
+                ChaosPlan.from_spec(self.MIXED),
+                engine=engine,
+                max_workers=2,
+                memory_budget=0,
+                spill_dir=str(tmp_path / str(speculation)),
+                speculation=speculation,
+            )
+            runs.append(
+                (job_fingerprint(result), [t.attempts for t in result.stats.map_tasks])
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][0] == reference_fingerprint()
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_corrupt_chaos_recovers_bit_identically(self, tmp_path, engine):
@@ -292,9 +322,11 @@ class TestChaosEquivalence:
         assert result.stats.recovered_tasks > 0
         assert result.stats.checksum_failures == 0  # deletions, not CRC errors
 
+    MIXED = "crash:rate=0.3:attempt=1;delay:rate=0.2:delay=0.01;" \
+            "corrupt:rate=0.3:attempt=1;seed=1234"
+
     def test_mixed_chaos_identical_across_engines(self, tmp_path):
-        spec = "crash:rate=0.3:attempt=1;delay:rate=0.2:delay=0.01;" \
-               "corrupt:rate=0.3:attempt=1;seed=1234"
+        spec = self.MIXED
         fingerprints = []
         for engine in FAST_ENGINES:
             chaos = ChaosPlan.from_spec(spec)
@@ -311,7 +343,7 @@ class TestChaosEquivalence:
 
 class TestRetryExhaustionParity:
     def test_every_engine_raises_the_same_typed_error(self):
-        """Satellite: at ``max_attempts`` all five engines surface one typed
+        """Satellite: at ``max_attempts`` all three engines surface one typed
         error with identical structured fields — no engine leaks its own
         pool exception instead."""
         chaos = ChaosPlan(rules=(ChaosRule(action="crash", task="m-00001"),))
@@ -347,7 +379,7 @@ class TestSpeculation:
         )
         result = chaos_run(
             chaos,
-            engine="threads",
+            engine="threads-pooled",
             max_workers=4,  # speculation needs real concurrency, not CPU count
             speculation_floor_s=0.05,
             speculation_factor=4.0,
@@ -363,7 +395,9 @@ class TestSpeculation:
                 ),
             )
         )
-        result = chaos_run(chaos, engine="threads", max_workers=4, speculation=False)
+        result = chaos_run(
+            chaos, engine="threads-pooled", max_workers=4, speculation=False
+        )
         assert job_fingerprint(result) == reference_fingerprint()
         assert result.stats.speculative_wins == 0
 
@@ -581,7 +615,7 @@ class TestCheckpointDirReuse:
         assert plan_identity("pgbj", data, data, base, {"theta": 0.5}) != reference
         moved = {
             "k": 11, "num_reducers": 5, "metric_name": "l1", "seed": 8,
-            "split_size": 100, "engine": "threads", "max_workers": 3,
+            "split_size": 100, "engine": "threads-pooled", "max_workers": 3,
             "memory_budget": 64, "spill_dir": "/tmp/x", "kernel_provider": "numpy",
             "spill_codec": "zlib", "plan_concurrency": False, "task_timeout": 9.0,
             "auto_tune": True, "stage_fusion": True, "plan_cache_dir": "/tmp/y",
@@ -723,11 +757,12 @@ class TestJoinConfigThreading:
     def test_join_under_chaos_matches_fault_free(self):
         from tests.test_engines import outcome_fingerprint
 
-        from repro.bench.harness import forest_workload, run_pgbj
+        from repro.bench.harness import forest_workload, run_algorithm
 
         data = forest_workload(times=2)
-        plain = run_pgbj(data, data, k=3, num_pivots=8, num_reducers=2)
-        chaotic = run_pgbj(
+        plain = run_algorithm("pgbj", data, data, k=3, num_pivots=8, num_reducers=2)
+        chaotic = run_algorithm(
+            "pgbj",
             data,
             data,
             k=3,
@@ -738,10 +773,11 @@ class TestJoinConfigThreading:
         assert outcome_fingerprint(chaotic) == outcome_fingerprint(plain)
 
     def test_outcome_exposes_robustness_counters(self, tmp_path):
-        from repro.bench.harness import forest_workload, run_pgbj
+        from repro.bench.harness import forest_workload, run_algorithm
 
         data = forest_workload(times=2)
-        outcome = run_pgbj(
+        outcome = run_algorithm(
+            "pgbj",
             data,
             data,
             k=3,

@@ -7,7 +7,7 @@ from repro.core import get_metric
 from repro.core.knn import knn_of_point
 from repro.datasets import generate_forest
 from repro.idistance import IDistanceIndex
-from repro.joins import BlockJoinConfig, IJoinBlock
+from repro.joins import BlockJoinConfig, get_join, run_join
 from tests.conftest import ground_truth
 
 
@@ -97,21 +97,22 @@ class TestRangeSearch:
 
 class TestIJoinBaseline:
     def test_exact_on_uniform(self, small_uniform):
-        outcome = IJoinBlock(
-            BlockJoinConfig(k=5, num_reducers=4, num_pivots=24)
-        ).run(small_uniform, small_uniform)
+        outcome = run_join(
+            "ijoin",
+            small_uniform,
+            small_uniform,
+            BlockJoinConfig(k=5, num_reducers=4, num_pivots=24),
+        )
         truth = ground_truth(small_uniform, small_uniform, 5)
         assert outcome.result.same_distances_as(truth)
 
     def test_exact_on_forest_ties(self, small_forest):
-        outcome = IJoinBlock(
-            BlockJoinConfig(k=4, num_reducers=9, num_pivots=24)
-        ).run(small_forest, small_forest)
+        outcome = run_join(
+            "ijoin", small_forest, small_forest, BlockJoinConfig(k=4, num_reducers=9, num_pivots=24)
+        )
         truth = ground_truth(small_forest, small_forest, 4)
         assert outcome.result.same_distances_as(truth)
 
-    def test_factory_name(self):
-        from repro.joins import make_algorithm
-
-        algorithm = make_algorithm("ijoin", BlockJoinConfig())
-        assert algorithm.name == "ijoin"
+    def test_registry_name(self):
+        spec = get_join("IJoin")
+        assert spec.name == "ijoin" and spec.config_class is BlockJoinConfig

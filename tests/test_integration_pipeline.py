@@ -8,7 +8,7 @@ tests cannot see.
 import numpy as np
 import pytest
 
-from repro import PGBJ, PgbjConfig
+from repro import PgbjConfig, run_join
 from repro.core import VoronoiPartitioner, get_metric
 from repro.datasets import generate_forest
 from repro.mapreduce import Cluster
@@ -18,7 +18,7 @@ from repro.mapreduce import Cluster
 def pipeline_run():
     data = generate_forest(400, seed=17)
     config = PgbjConfig(k=6, num_reducers=5, num_pivots=20, seed=9, split_size=128)
-    outcome = PGBJ(config).run(data, data)
+    outcome = run_join("pgbj", data, data, config)
     return data, config, outcome
 
 
@@ -70,7 +70,7 @@ class TestCrossStageConsistency:
 
     def test_rerun_reproduces_shuffle_exactly(self, pipeline_run):
         data, config, outcome = pipeline_run
-        again = PGBJ(config).run(data, data)
+        again = run_join("pgbj", data, data, config)
         assert again.shuffle_records() == outcome.shuffle_records()
         assert again.shuffle_bytes() == outcome.shuffle_bytes()
         assert again.distance_pairs == outcome.distance_pairs
@@ -81,7 +81,7 @@ class TestGroupRoutingMatchesMasterPlan:
         """Recompute the Corollary 2 plan by hand; the shuffle must match."""
         data = generate_forest(300, seed=23)
         config = PgbjConfig(k=4, num_reducers=4, num_pivots=12, seed=3)
-        outcome = PGBJ(config).run(data, data)
+        outcome = run_join("pgbj", data, data, config)
         # reproduce the master's plan
         from repro.core.bounds import (
             compute_lb_matrix,

@@ -3,32 +3,29 @@
 import numpy as np
 import pytest
 
-from repro import (
-    HBRJ,
-    PBJ,
-    PGBJ,
-    BlockJoinConfig,
-    BroadcastJoin,
-    JoinConfig,
-    PgbjConfig,
-    make_algorithm,
-)
+from repro import BlockJoinConfig, JoinConfig, PgbjConfig, run_join
 from tests.conftest import ground_truth
 
 
 class TestPgbj:
     def test_exact_on_uniform(self, small_uniform):
-        outcome = PGBJ(
-            PgbjConfig(k=5, num_reducers=4, num_pivots=10, split_size=64)
-        ).run(small_uniform, small_uniform)
+        outcome = run_join(
+            "pgbj",
+            small_uniform,
+            small_uniform,
+            PgbjConfig(k=5, num_reducers=4, num_pivots=10, split_size=64),
+        )
         truth = ground_truth(small_uniform, small_uniform, 5)
         assert outcome.result.same_distances_as(truth)
         outcome.result.validate(small_uniform.ids, len(small_uniform))
 
     def test_exact_on_integer_data_with_ties(self, small_forest):
-        outcome = PGBJ(
-            PgbjConfig(k=4, num_reducers=4, num_pivots=12, split_size=64)
-        ).run(small_forest, small_forest)
+        outcome = run_join(
+            "pgbj",
+            small_forest,
+            small_forest,
+            PgbjConfig(k=4, num_reducers=4, num_pivots=12, split_size=64),
+        )
         truth = ground_truth(small_forest, small_forest, 4)
         assert outcome.result.same_distances_as(truth)
 
@@ -37,7 +34,7 @@ class TestPgbj:
 
         r = Dataset(rng.random((60, 3)), name="r")
         s = Dataset(rng.random((90, 3)), ids=np.arange(500, 590), name="s")
-        outcome = PGBJ(PgbjConfig(k=3, num_reducers=3, num_pivots=8)).run(r, s)
+        outcome = run_join("pgbj", r, s, PgbjConfig(k=3, num_reducers=3, num_pivots=8))
         assert outcome.result.same_distances_as(ground_truth(r, s, 3))
 
     @pytest.mark.parametrize("pivot_selection", ["random", "farthest", "kmeans"])
@@ -45,20 +42,20 @@ class TestPgbj:
         config = PgbjConfig(
             k=3, num_reducers=3, num_pivots=8, pivot_selection=pivot_selection
         )
-        outcome = PGBJ(config).run(small_uniform, small_uniform)
+        outcome = run_join("pgbj", small_uniform, small_uniform, config)
         assert outcome.result.same_distances_as(ground_truth(small_uniform, small_uniform, 3))
 
     @pytest.mark.parametrize("grouping", ["geometric", "greedy"])
     def test_both_groupings_exact(self, small_uniform, grouping):
         config = PgbjConfig(k=3, num_reducers=4, num_pivots=10, grouping=grouping)
-        outcome = PGBJ(config).run(small_uniform, small_uniform)
+        outcome = run_join("pgbj", small_uniform, small_uniform, config)
         assert outcome.result.same_distances_as(ground_truth(small_uniform, small_uniform, 3))
 
     def test_exact_under_l1_metric(self, small_uniform):
         from repro.core import KnnJoinResult, brute_force_knn_join, get_metric
 
         config = PgbjConfig(k=3, num_reducers=3, num_pivots=8, metric_name="l1")
-        outcome = PGBJ(config).run(small_uniform, small_uniform)
+        outcome = run_join("pgbj", small_uniform, small_uniform, config)
         metric = get_metric("l1")
         truth = KnnJoinResult.from_dict(
             3,
@@ -72,8 +69,8 @@ class TestPgbj:
     def test_phase_breakdown_has_paper_names(self, small_uniform):
         from repro.mapreduce import Cluster
 
-        outcome = PGBJ(PgbjConfig(k=3, num_reducers=3, num_pivots=8)).run(
-            small_uniform, small_uniform
+        outcome = run_join(
+            "pgbj", small_uniform, small_uniform, PgbjConfig(k=3, num_reducers=3, num_pivots=8)
         )
         phases = outcome.phase_seconds(Cluster(num_nodes=3))
         assert set(phases) == {
@@ -87,40 +84,40 @@ class TestPgbj:
 
     def test_shuffle_is_r_plus_alpha_s_records(self, small_uniform):
         """PGBJ job-2 shuffle = |R| + RP(S) records (no R replication)."""
-        outcome = PGBJ(PgbjConfig(k=3, num_reducers=4, num_pivots=10)).run(
-            small_uniform, small_uniform
+        outcome = run_join(
+            "pgbj", small_uniform, small_uniform, PgbjConfig(k=3, num_reducers=4, num_pivots=10)
         )
         join_stats = outcome.job_stats[1]
         assert join_stats.shuffle_records == len(small_uniform) + outcome.replication_of_s()
 
     def test_replication_at_most_broadcast(self, small_uniform):
-        outcome = PGBJ(PgbjConfig(k=3, num_reducers=4, num_pivots=10)).run(
-            small_uniform, small_uniform
+        outcome = run_join(
+            "pgbj", small_uniform, small_uniform, PgbjConfig(k=3, num_reducers=4, num_pivots=10)
         )
         assert outcome.replication_of_s() <= 4 * len(small_uniform)
         assert outcome.avg_replication_of_s() >= 1.0
 
     def test_deterministic(self, small_uniform):
         config = PgbjConfig(k=3, num_reducers=3, num_pivots=8, seed=5)
-        a = PGBJ(config).run(small_uniform, small_uniform)
-        b = PGBJ(config).run(small_uniform, small_uniform)
+        a = run_join("pgbj", small_uniform, small_uniform, config)
+        b = run_join("pgbj", small_uniform, small_uniform, config)
         assert a.result.same_distances_as(b.result)
         assert a.shuffle_bytes() == b.shuffle_bytes()
         assert a.distance_pairs == b.distance_pairs
 
     def test_k_exceeding_s_rejected(self, small_uniform):
         with pytest.raises(ValueError, match="exceeds"):
-            PGBJ(PgbjConfig(k=1000, num_pivots=8)).run(small_uniform, small_uniform)
+            run_join("pgbj", small_uniform, small_uniform, PgbjConfig(k=1000, num_pivots=8))
 
     def test_dimension_mismatch_rejected(self, small_uniform, small_osm):
         with pytest.raises(ValueError, match="dimension"):
-            PGBJ(PgbjConfig(k=2, num_pivots=8)).run(small_uniform, small_osm)
+            run_join("pgbj", small_uniform, small_osm, PgbjConfig(k=2, num_pivots=8))
 
 
 class TestPbj:
     def test_exact(self, small_uniform):
-        outcome = PBJ(BlockJoinConfig(k=5, num_reducers=4, num_pivots=8)).run(
-            small_uniform, small_uniform
+        outcome = run_join(
+            "pbj", small_uniform, small_uniform, BlockJoinConfig(k=5, num_reducers=4, num_pivots=8)
         )
         assert outcome.result.same_distances_as(ground_truth(small_uniform, small_uniform, 5))
 
@@ -129,35 +126,35 @@ class TestPbj:
         from repro.core import Dataset
 
         data = Dataset(rng.random((30, 2)))
-        outcome = PBJ(BlockJoinConfig(k=9, num_reducers=9, num_pivots=4)).run(data, data)
+        outcome = run_join("pbj", data, data, BlockJoinConfig(k=9, num_reducers=9, num_pivots=4))
         assert outcome.result.same_distances_as(ground_truth(data, data, 9))
 
     def test_three_jobs_run(self, small_uniform):
-        outcome = PBJ(BlockJoinConfig(k=3, num_reducers=4, num_pivots=8)).run(
-            small_uniform, small_uniform
+        outcome = run_join(
+            "pbj", small_uniform, small_uniform, BlockJoinConfig(k=3, num_reducers=4, num_pivots=8)
         )
         assert outcome.job_phase_names == ["data_partitioning", "knn_join", "merge"]
 
     def test_block_replication_is_sqrt_n(self, small_uniform):
         config = BlockJoinConfig(k=3, num_reducers=9, num_pivots=8)
-        outcome = PBJ(config).run(small_uniform, small_uniform)
+        outcome = run_join("pbj", small_uniform, small_uniform, config)
         assert outcome.replication_of_s() == config.num_blocks * len(small_uniform)
 
 
 class TestHbrj:
     def test_exact(self, small_uniform):
-        outcome = HBRJ(BlockJoinConfig(k=5, num_reducers=4)).run(
-            small_uniform, small_uniform
+        outcome = run_join(
+            "hbrj", small_uniform, small_uniform, BlockJoinConfig(k=5, num_reducers=4)
         )
         assert outcome.result.same_distances_as(ground_truth(small_uniform, small_uniform, 5))
 
     def test_exact_on_clustered_osm(self, small_osm):
-        outcome = HBRJ(BlockJoinConfig(k=3, num_reducers=9)).run(small_osm, small_osm)
+        outcome = run_join("hbrj", small_osm, small_osm, BlockJoinConfig(k=3, num_reducers=9))
         assert outcome.result.same_distances_as(ground_truth(small_osm, small_osm, 3))
 
     def test_no_master_phases(self, small_uniform):
-        outcome = HBRJ(BlockJoinConfig(k=3, num_reducers=4)).run(
-            small_uniform, small_uniform
+        outcome = run_join(
+            "hbrj", small_uniform, small_uniform, BlockJoinConfig(k=3, num_reducers=4)
         )
         assert outcome.master_phases == {}
         assert outcome.master_distance_pairs == 0
@@ -170,36 +167,20 @@ class TestHbrj:
 
 class TestBroadcast:
     def test_exact(self, small_uniform):
-        outcome = BroadcastJoin(JoinConfig(k=5, num_reducers=4)).run(
-            small_uniform, small_uniform
+        outcome = run_join(
+            "broadcast", small_uniform, small_uniform, JoinConfig(k=5, num_reducers=4)
         )
         assert outcome.result.same_distances_as(ground_truth(small_uniform, small_uniform, 5))
 
     def test_selectivity_is_one(self, small_uniform):
         """The naive strategy computes every pair exactly once."""
-        outcome = BroadcastJoin(JoinConfig(k=3, num_reducers=4)).run(
-            small_uniform, small_uniform
+        outcome = run_join(
+            "broadcast", small_uniform, small_uniform, JoinConfig(k=3, num_reducers=4)
         )
         assert outcome.selectivity() == pytest.approx(1.0)
 
     def test_replication_is_n_copies(self, small_uniform):
-        outcome = BroadcastJoin(JoinConfig(k=3, num_reducers=5)).run(
-            small_uniform, small_uniform
+        outcome = run_join(
+            "broadcast", small_uniform, small_uniform, JoinConfig(k=3, num_reducers=5)
         )
         assert outcome.replication_of_s() == 5 * len(small_uniform)
-
-
-class TestFactory:
-    def test_make_algorithm(self):
-        assert make_algorithm("pgbj", PgbjConfig()).name == "pgbj"
-        assert make_algorithm("pbj", BlockJoinConfig()).name == "pbj"
-        assert make_algorithm("hbrj", BlockJoinConfig()).name == "hbrj"
-        assert make_algorithm("broadcast", JoinConfig()).name == "broadcast"
-
-    def test_wrong_config_type(self):
-        with pytest.raises(TypeError):
-            make_algorithm("pgbj", JoinConfig())
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            make_algorithm("mux", JoinConfig())

@@ -8,15 +8,7 @@ every input.
 import numpy as np
 import pytest
 
-from repro import (
-    HBRJ,
-    PBJ,
-    PGBJ,
-    BlockJoinConfig,
-    BroadcastJoin,
-    JoinConfig,
-    PgbjConfig,
-)
+from repro import BlockJoinConfig, JoinConfig, PgbjConfig, run_join
 from repro.core import Dataset
 from repro.datasets import generate_forest, generate_osm, gaussian_mixture_dataset
 from tests.conftest import ground_truth
@@ -24,18 +16,24 @@ from tests.conftest import ground_truth
 
 def run_all(r, s, k, num_reducers=4, num_pivots=10):
     outcomes = {
-        "pgbj": PGBJ(
-            PgbjConfig(k=k, num_reducers=num_reducers, num_pivots=num_pivots, split_size=64)
-        ).run(r, s),
-        "pbj": PBJ(
-            BlockJoinConfig(k=k, num_reducers=num_reducers, num_pivots=num_pivots, split_size=64)
-        ).run(r, s),
-        "hbrj": HBRJ(
-            BlockJoinConfig(k=k, num_reducers=num_reducers, split_size=64)
-        ).run(r, s),
-        "broadcast": BroadcastJoin(
-            JoinConfig(k=k, num_reducers=num_reducers, split_size=64)
-        ).run(r, s),
+        "pgbj": run_join(
+            "pgbj",
+            r,
+            s,
+            PgbjConfig(k=k, num_reducers=num_reducers, num_pivots=num_pivots, split_size=64),
+        ),
+        "pbj": run_join(
+            "pbj",
+            r,
+            s,
+            BlockJoinConfig(k=k, num_reducers=num_reducers, num_pivots=num_pivots, split_size=64),
+        ),
+        "hbrj": run_join(
+            "hbrj", r, s, BlockJoinConfig(k=k, num_reducers=num_reducers, split_size=64)
+        ),
+        "broadcast": run_join(
+            "broadcast", r, s, JoinConfig(k=k, num_reducers=num_reducers, split_size=64)
+        ),
     }
     return outcomes
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.mapreduce import (
+    ChaosPlan,
+    ChaosRule,
     HashPartitioner,
     LocalRuntime,
     Mapper,
@@ -148,41 +150,40 @@ class TestLifecycle:
 
 
 class TestFaultTolerance:
+    #: every map task's first attempt crashes
+    MAP_CRASH_ONCE = ChaosPlan(rules=(ChaosRule("crash", kind="map", attempt=1),))
+
     def test_injected_map_failure_is_retried(self):
-        failures = {"count": 0}
-
-        def injector(kind, task_id, attempt):
-            if kind == "map" and attempt == 1:
-                failures["count"] += 1
-                return True
-            return False
-
-        runtime = LocalRuntime(fault_injector=injector)
+        runtime = LocalRuntime(fault_injector=self.MAP_CRASH_ONCE)
         result = runtime.run(word_count_job(), text_splits(LINES))
         assert dict(result.outputs) == EXPECTED
-        assert failures["count"] == len(text_splits(LINES))
+        # one injected failure per split: every map task ran exactly twice
+        assert len(result.stats.map_tasks) == len(text_splits(LINES))
         assert all(t.attempts == 2 for t in result.stats.map_tasks)
 
     def test_counters_not_double_counted_on_retry(self):
-        def injector(kind, task_id, attempt):
-            return kind == "map" and attempt == 1
-
-        result = LocalRuntime(fault_injector=injector).run(
+        result = LocalRuntime(fault_injector=self.MAP_CRASH_ONCE).run(
             word_count_job(), text_splits(LINES)
         )
         assert result.counters.value("wc", "words") == 9
 
     def test_reduce_failure_retried(self):
-        def injector(kind, task_id, attempt):
-            return kind == "reduce" and attempt < 3
-
-        result = LocalRuntime(fault_injector=injector, max_attempts=4).run(
+        chaos = ChaosPlan(
+            rules=(
+                ChaosRule("crash", kind="reduce", attempt=1),
+                ChaosRule("crash", kind="reduce", attempt=2),
+            )
+        )
+        result = LocalRuntime(fault_injector=chaos, max_attempts=4).run(
             word_count_job(num_reducers=1), text_splits(LINES)
         )
         assert dict(result.outputs) == EXPECTED
+        assert [t.attempts for t in result.stats.reduce_tasks] == [3]
 
     def test_permanent_failure_raises(self):
-        runtime = LocalRuntime(fault_injector=lambda *a: True, max_attempts=2)
+        runtime = LocalRuntime(
+            fault_injector=ChaosPlan(rules=(ChaosRule("crash"),)), max_attempts=2
+        )
         with pytest.raises(TaskFailure, match="after 2 attempts"):
             runtime.run(word_count_job(), text_splits(LINES))
 

@@ -91,7 +91,7 @@ class TestSchedulerEquivalence:
                 concurrent.result_of(con_stage)
             )
 
-    @pytest.mark.parametrize("engine", ("serial", "threads", "processes-pooled"))
+    @pytest.mark.parametrize("engine", ("serial", "threads-pooled", "processes-pooled"))
     def test_concurrent_spill_jobs_do_not_collide(self, engine):
         """Two same-named jobs running at once must keep separate spill dirs."""
         reference = job_fingerprint(LocalRuntime().run(norm_job(), norm_splits()))

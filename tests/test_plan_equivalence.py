@@ -18,12 +18,13 @@ stage-named ``StageStats``, and the ``with_changes`` × ``shared_executor`` /
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.bench.harness import bench_engine, bench_memory_budget
 from repro.datasets import generate_forest
 from repro.joins import (
-    BlockJoinConfig,
     InvalidJoinInput,
     JoinConfig,
     PgbjConfig,
@@ -31,7 +32,6 @@ from repro.joins import (
     ZOrderConfig,
     available_joins,
     get_join,
-    make_algorithm,
     plan_join,
     run_join,
     run_join_plans,
@@ -50,7 +50,7 @@ ALL_JOINS = (
     "range-selection",
 )
 
-ENGINES = ("serial", "threads", "processes", "threads-pooled", "processes-pooled")
+ENGINES = ("serial", "threads-pooled", "processes-pooled")
 
 
 @pytest.fixture(scope="module")
@@ -394,13 +394,6 @@ class TestRegistry:
         assert config.k == 4 and config.num_shifts == 2
         assert not hasattr(config, "grouping")
 
-    def test_make_algorithm_shim(self):
-        assert make_algorithm("zorder", ZOrderConfig(k=3)).name == "zorder"
-        with pytest.raises(TypeError):
-            make_algorithm("pbj", JoinConfig())
-        with pytest.raises(ValueError, match="operator"):
-            make_algorithm("closest-pairs", BlockJoinConfig())
-
 
 class TestBoundaryValidation:
     """Bad datasets are refused by ``plan_join`` / ``run_join`` with a named
@@ -445,6 +438,51 @@ class TestBoundaryValidation:
             for call in self._entry_points(name, r, s):
                 with pytest.raises(InvalidJoinInput, match="dimension mismatch: R has"):
                     call()
+
+    @pytest.mark.parametrize("side", ("r", "s"))
+    @pytest.mark.parametrize("name", ALL_JOINS)
+    def test_empty_side_rejected(self, name, side, data):
+        empty = type(data)(data.points[:0], ids=data.ids[:0], name="bad")
+        r, s = (empty, data) if side == "r" else (data, empty)
+        for call in self._entry_points(name, r, s):
+            with pytest.raises(InvalidJoinInput) as caught:
+                call()
+            assert str(caught.value) == (
+                f"{side.upper()} ('bad') is empty; a join needs non-empty R and S"
+            )
+
+    @pytest.mark.parametrize("name", available_joins(kind="knn"))
+    def test_k_exceeding_s_rejected(self, name, data):
+        few = type(data)(data.points[:2], ids=data.ids[:2], name="few")
+        for call in self._entry_points(name, data, few):
+            with pytest.raises(InvalidJoinInput, match=r"k=3 exceeds \|S\|=2"):
+                call()
+        # k == |S| is a join (every s is a neighbour), and the operators'
+        # config.k is not a neighbour count
+        assert run_join(name, data, few, make_config(name, k=2)).k == 2
+
+    @pytest.mark.parametrize("auto_tune", (False, True))
+    @pytest.mark.parametrize("entry", (plan_join, run_join))
+    def test_checked_exactly_once_and_before_planning(self, entry, auto_tune, data, monkeypatch):
+        from repro.joins import base, registry
+
+        calls = []
+
+        def counting_check(r, s, k=None):
+            calls.append(k)
+            base.check_join_inputs(r, s, k)
+
+        def never_planned(*args, **kwargs):
+            raise AssertionError("a refused join must not reach its planner")
+
+        monkeypatch.setattr(registry, "check_join_inputs", counting_check)
+        entry("pgbj", data, data, make_config("pgbj", auto_tune=auto_tune))
+        assert calls == [3]  # not again per builder, not again under the tuner
+        monkeypatch.setitem(
+            registry.JOINS, "pgbj", dataclasses.replace(get_join("pgbj"), plan=never_planned)
+        )
+        with pytest.raises(InvalidJoinInput, match="exceeds"):
+            entry("pgbj", data, data, make_config("pgbj", k=len(data) + 1, auto_tune=auto_tune))
 
     def test_is_a_value_error_and_clean_inputs_pass(self, data):
         assert issubclass(InvalidJoinInput, ValueError)

@@ -9,15 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    HBRJ,
-    PBJ,
-    PGBJ,
-    BlockJoinConfig,
-    BroadcastJoin,
-    JoinConfig,
-    PgbjConfig,
-)
+from repro import BlockJoinConfig, JoinConfig, PgbjConfig, run_join
 from repro.core import Dataset, KnnJoinResult, brute_force_knn_join, get_metric
 
 
@@ -56,7 +48,7 @@ def test_pgbj_equals_brute_force(world):
     config = PgbjConfig(
         k=k, num_reducers=num_reducers, num_pivots=num_pivots, seed=seed, split_size=32
     )
-    outcome = PGBJ(config).run(r, s)
+    outcome = run_join("pgbj", r, s, config)
     assert outcome.result.same_distances_as(truth_of(r, s, k))
 
 
@@ -67,7 +59,7 @@ def test_pbj_equals_brute_force(world):
     config = BlockJoinConfig(
         k=k, num_reducers=num_reducers, num_pivots=num_pivots, seed=seed, split_size=32
     )
-    outcome = PBJ(config).run(r, s)
+    outcome = run_join("pbj", r, s, config)
     assert outcome.result.same_distances_as(truth_of(r, s, k))
 
 
@@ -76,7 +68,7 @@ def test_pbj_equals_brute_force(world):
 def test_hbrj_equals_brute_force(world):
     r, s, k, num_reducers, _, seed = world
     config = BlockJoinConfig(k=k, num_reducers=num_reducers, seed=seed, split_size=32)
-    outcome = HBRJ(config).run(r, s)
+    outcome = run_join("hbrj", r, s, config)
     assert outcome.result.same_distances_as(truth_of(r, s, k))
 
 
@@ -84,9 +76,9 @@ def test_hbrj_equals_brute_force(world):
 @settings(max_examples=10, deadline=None)
 def test_broadcast_equals_brute_force(world):
     r, s, k, num_reducers, _, seed = world
-    outcome = BroadcastJoin(
-        JoinConfig(k=k, num_reducers=num_reducers, seed=seed, split_size=32)
-    ).run(r, s)
+    outcome = run_join(
+        "broadcast", r, s, JoinConfig(k=k, num_reducers=num_reducers, seed=seed, split_size=32)
+    )
     assert outcome.result.same_distances_as(truth_of(r, s, k))
 
 
@@ -98,7 +90,7 @@ def test_pgbj_structural_invariants(world):
     config = PgbjConfig(
         k=k, num_reducers=num_reducers, num_pivots=num_pivots, seed=seed, split_size=32
     )
-    outcome = PGBJ(config).run(r, s)
+    outcome = run_join("pgbj", r, s, config)
     outcome.result.validate(r.ids, len(s))
     assert outcome.result.total_pairs() == min(k, len(s)) * len(r)
     join_stats = outcome.job_stats[1]

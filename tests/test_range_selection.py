@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import Dataset
-from repro.joins import DistributedRangeSelection, JoinConfig
+from repro.joins import JoinConfig, run_join
 
 
 @pytest.fixture
@@ -12,6 +12,12 @@ def world(rng):
     data = Dataset(rng.random((500, 3)), name="O")
     queries = Dataset(rng.random((12, 3)), ids=np.arange(9000, 9012), name="Q")
     return data, queries
+
+
+def select(data, queries, theta, num_pivots, **config):
+    return run_join(
+        "range-selection", data, queries, JoinConfig(**config), theta=theta, num_pivots=num_pivots
+    )
 
 
 def linear_scan(data, queries, theta):
@@ -26,8 +32,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("theta", [0.05, 0.2, 0.5])
     def test_matches_linear_scan(self, world, theta):
         data, queries = world
-        op = DistributedRangeSelection(JoinConfig(num_reducers=4, split_size=128), num_pivots=16)
-        outcome = op.run(data, queries, theta)
+        outcome = select(data, queries, theta, num_pivots=16, num_reducers=4, split_size=128)
         assert outcome.matches == linear_scan(data, queries, theta)
 
     def test_zero_threshold_finds_exact_points(self, world):
@@ -36,29 +41,25 @@ class TestCorrectness:
         points = queries.points.copy()
         points[0] = data.points[42]
         queries = Dataset(points, ids=queries.ids, name="Q")
-        op = DistributedRangeSelection(JoinConfig(num_reducers=4), num_pivots=8)
-        outcome = op.run(data, queries, 0.0)
+        outcome = select(data, queries, 0.0, num_pivots=8, num_reducers=4)
         assert outcome.matches[9000] == [42]
 
     def test_far_queries_match_nothing(self, rng):
         data = Dataset(rng.random((200, 2)))
         queries = Dataset(np.full((3, 2), 100.0), ids=np.arange(3))
-        op = DistributedRangeSelection(JoinConfig(num_reducers=4), num_pivots=8)
-        outcome = op.run(data, queries, 0.5)
+        outcome = select(data, queries, 0.5, num_pivots=8, num_reducers=4)
         assert all(matches == [] for matches in outcome.matches.values())
 
     def test_huge_threshold_matches_everything(self, rng):
         data = Dataset(rng.random((100, 2)))
         queries = Dataset(rng.random((2, 2)), ids=np.array([7, 8]))
-        op = DistributedRangeSelection(JoinConfig(num_reducers=2), num_pivots=4)
-        outcome = op.run(data, queries, 10.0)
+        outcome = select(data, queries, 10.0, num_pivots=4, num_reducers=2)
         assert outcome.matches[7] == sorted(int(i) for i in data.ids)
 
     def test_negative_threshold_rejected(self, world):
         data, queries = world
-        op = DistributedRangeSelection(JoinConfig(num_reducers=2), num_pivots=4)
         with pytest.raises(ValueError):
-            op.run(data, queries, -1.0)
+            select(data, queries, -1.0, num_pivots=4, num_reducers=2)
 
 
 class TestPruning:
@@ -69,21 +70,18 @@ class TestPruning:
         right = rng.random((200, 2)) + 50.0
         data = Dataset(np.vstack([left, right]))
         queries = Dataset(rng.random((5, 2)), ids=np.arange(5000, 5005))
-        op = DistributedRangeSelection(JoinConfig(num_reducers=3), num_pivots=12)
-        outcome = op.run(data, queries, 0.3)
+        outcome = select(data, queries, 0.3, num_pivots=12, num_reducers=3)
         # the right cluster (half the data, in every reducer's copy) is pruned
         assert outcome.shuffle_records < 3 * len(data) * 0.75
 
     def test_smaller_theta_shuffles_less(self, world):
         data, queries = world
-        op = DistributedRangeSelection(JoinConfig(num_reducers=4), num_pivots=16)
-        small = op.run(data, queries, 0.05)
-        large = op.run(data, queries, 0.8)
+        small = select(data, queries, 0.05, num_pivots=16, num_reducers=4)
+        large = select(data, queries, 0.8, num_pivots=16, num_reducers=4)
         assert small.shuffle_records <= large.shuffle_records
         assert small.distance_pairs <= large.distance_pairs
 
     def test_selectivity_accessor(self, world):
         data, queries = world
-        op = DistributedRangeSelection(JoinConfig(num_reducers=4), num_pivots=16)
-        outcome = op.run(data, queries, 0.2)
+        outcome = select(data, queries, 0.2, num_pivots=16, num_reducers=4)
         assert outcome.selectivity() > 0

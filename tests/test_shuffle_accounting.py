@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import HBRJ, PGBJ, BlockJoinConfig, PgbjConfig
+from repro import BlockJoinConfig, PgbjConfig, run_join
 from repro.core import Dataset
 from repro.datasets import generate_osm
 from repro.mapreduce import (
@@ -29,8 +29,8 @@ class TestPayloadBytes:
             with_payload.points.copy(), ids=with_payload.ids.copy(), name="bare"
         )
         config = PgbjConfig(k=3, num_reducers=4, num_pivots=12, seed=2)
-        heavy = PGBJ(config).run(with_payload, with_payload)
-        light = PGBJ(config).run(without_payload, without_payload)
+        heavy = run_join("pgbj", with_payload, with_payload, config)
+        light = run_join("pgbj", without_payload, without_payload, config)
         assert heavy.shuffle_bytes() > light.shuffle_bytes()
         # identical geometry -> identical results and replica counts
         assert heavy.result.same_distances_as(light.result)
@@ -39,7 +39,7 @@ class TestPayloadBytes:
     def test_payload_volume_roughly_accounted(self):
         data = generate_osm(300, seed=3)
         config = BlockJoinConfig(k=3, num_reducers=4, seed=2)
-        outcome = HBRJ(config).run(data, data)
+        outcome = run_join("hbrj", data, data, config)
         # each object (and its payload) crosses the shuffle sqrt(N)=2 times
         payload_volume = int(data.payload_bytes.sum())
         assert outcome.job_stats[0].shuffle_bytes > 2 * payload_volume
@@ -49,21 +49,21 @@ class TestCostFormulae:
     def test_block_framework_record_count(self, small_uniform):
         """First-job shuffle = sqrt(N) * (|R| + |S|) records exactly."""
         config = BlockJoinConfig(k=3, num_reducers=9, seed=0)
-        outcome = HBRJ(config).run(small_uniform, small_uniform)
+        outcome = run_join("hbrj", small_uniform, small_uniform, config)
         expected = config.num_blocks * (2 * len(small_uniform))
         assert outcome.job_stats[0].shuffle_records == expected
 
     def test_merge_job_record_count(self, small_uniform):
         """Second-job shuffle = one candidate list per (r, block)."""
         config = BlockJoinConfig(k=3, num_reducers=9, seed=0)
-        outcome = HBRJ(config).run(small_uniform, small_uniform)
+        outcome = run_join("hbrj", small_uniform, small_uniform, config)
         expected = config.num_blocks * len(small_uniform)
         assert outcome.job_stats[1].shuffle_records == expected
 
     def test_pgbj_beats_broadcast_bound(self, small_forest):
         """PGBJ replication never exceeds the |R| + N*|S| broadcast bound."""
         config = PgbjConfig(k=5, num_reducers=6, num_pivots=16, seed=1)
-        outcome = PGBJ(config).run(small_forest, small_forest)
+        outcome = run_join("pgbj", small_forest, small_forest, config)
         join_records = outcome.job_stats[1].shuffle_records
         assert join_records <= len(small_forest) + 6 * len(small_forest)
 
@@ -72,7 +72,7 @@ class TestCostFormulae:
         replication = {}
         for num_pivots in (8, 48):
             config = PgbjConfig(k=5, num_reducers=4, num_pivots=num_pivots, seed=3)
-            outcome = PGBJ(config).run(small_forest, small_forest)
+            outcome = run_join("pgbj", small_forest, small_forest, config)
             replication[num_pivots] = outcome.replication_of_s()
         assert replication[48] <= replication[8]
 

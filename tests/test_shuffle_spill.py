@@ -30,6 +30,8 @@ from hypothesis import strategies as st
 
 from repro.mapreduce import (
     SEGMENT_CODECS,
+    ChaosPlan,
+    ChaosRule,
     Context,
     HashPartitioner,
     LocalRuntime,
@@ -38,7 +40,6 @@ from repro.mapreduce import (
     RecordBlock,
     Reducer,
     SpillShuffleStore,
-    available_segment_codecs,
     available_shuffle_backends,
     estimate_bytes,
     get_shuffle_store,
@@ -220,7 +221,7 @@ class TestSegmentFormat:
 class TestSegmentCodecs:
     PAIRS = [("a", list(range(64))), ("a", "x" * 256), (3, None), (7, 1.5)]
 
-    @pytest.mark.parametrize("codec", available_segment_codecs())
+    @pytest.mark.parametrize("codec", SEGMENT_CODECS)
     def test_roundtrip_every_available_codec(self, tmp_path, codec):
         segment = write_segment(
             tmp_path / f"{codec}.seg", 0, sorted_rows(self.PAIRS), codec=codec
@@ -231,7 +232,7 @@ class TestSegmentCodecs:
         expected = [(row[2], row[3]) for row in sorted_rows(self.PAIRS)]
         assert decoded == expected
 
-    @pytest.mark.parametrize("codec", available_segment_codecs())
+    @pytest.mark.parametrize("codec", SEGMENT_CODECS)
     def test_record_block_roundtrip(self, tmp_path, codec):
         block = sample_block()
         segment = write_segment(
@@ -247,7 +248,7 @@ class TestSegmentCodecs:
         # shuffle-cost exhibits cannot move when compression is switched on
         rows = [(0, 0, "k", "v" * 400, 3, 123), (0, 1, "k", "w" * 400, 2, 456)]
         headers = set()
-        for codec in available_segment_codecs():
+        for codec in SEGMENT_CODECS:
             write_segment(tmp_path / f"{codec}.seg", 0, list(rows), codec=codec)
             headers.add(read_segment_header(tmp_path / f"{codec}.seg"))
         assert headers == {(2, 5, 579)}
@@ -271,7 +272,7 @@ class TestSegmentCodecs:
         ):
             list(iter_segment(path))
 
-    @pytest.mark.parametrize("codec", available_segment_codecs())
+    @pytest.mark.parametrize("codec", SEGMENT_CODECS)
     def test_truncated_compressed_file_still_fails_loudly(self, tmp_path, codec):
         path = tmp_path / "t.seg"
         write_segment(path, 0, sorted_rows(self.PAIRS), codec=codec)
@@ -285,24 +286,28 @@ class TestSegmentCodecs:
         with pytest.raises(ValueError, match="unknown segment codec"):
             resolve_segment_codec("brotli")
 
-    def test_unavailable_codec_names_dependency(self):
-        missing = [
-            name
-            for name, codec in SEGMENT_CODECS.items()
-            if not codec.available
-        ]
-        if not missing:
-            pytest.skip("all codecs available in this environment")
-        with pytest.raises(ValueError, match="optional dependency"):
-            resolve_segment_codec(missing[0])
+    def test_retired_codec_names_the_two_that_run(self):
+        # a config that validates is a config that runs: every entry point
+        # reads the same two-entry table
+        from repro.joins import PgbjConfig
 
-    def test_unknown_codec_byte_rejected_on_read(self, tmp_path):
+        assert tuple(SEGMENT_CODECS) == ("none", "zlib")
+        for build in (
+            lambda: resolve_segment_codec("zstd"),
+            lambda: PgbjConfig(spill_codec="zstd"),
+            lambda: LocalRuntime(spill_codec="zstd"),
+        ):
+            with pytest.raises(ValueError, match="available: none, zlib"):
+                build()
+
+    @pytest.mark.parametrize("wire_id", (2, 3, 250))  # 2 and 3 are retired
+    def test_unknown_codec_byte_rejected_on_read(self, tmp_path, wire_id):
         path = tmp_path / "w.seg"
         write_segment(path, 0, sorted_rows([("a", 1)]))
         data = bytearray(path.read_bytes())
-        data[6] = 250  # no codec owns this wire id
+        data[6] = wire_id  # no codec owns this wire id
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="codec id 250"):
+        with pytest.raises(ValueError, match=f"codec id {wire_id}; known: none, zlib"):
             list(iter_segment(path))
 
     def test_stores_validate_codec_early(self):
@@ -315,7 +320,7 @@ class TestSegmentCodecs:
 class TestCodecJobEquivalence:
     def test_fingerprint_identical_across_codecs(self):
         reference = job_fingerprint(LocalRuntime().run(make_job(), make_splits()))
-        for codec in available_segment_codecs():
+        for codec in SEGMENT_CODECS:
             with LocalRuntime(memory_budget=0, spill_codec=codec) as runtime:
                 result = runtime.run(make_job(), make_splits())
             assert job_fingerprint(result) == reference, codec
@@ -649,13 +654,9 @@ class TestJobEquivalence:
         assert busy  # the group materialized despite 0-record emissions
 
     def test_retries_with_spill(self):
-        def injector(kind, task_id, attempt):
-            return kind == "map" and attempt == 1
-
-        reference = LocalRuntime(fault_injector=injector).run(
-            make_job(), make_splits()
-        )
-        with LocalRuntime(fault_injector=injector, memory_budget=16) as runtime:
+        chaos = ChaosPlan(rules=(ChaosRule("crash", kind="map", attempt=1),))
+        reference = LocalRuntime(fault_injector=chaos).run(make_job(), make_splits())
+        with LocalRuntime(fault_injector=chaos, memory_budget=16) as runtime:
             result = runtime.run(make_job(), make_splits())
         assert job_fingerprint(result) == job_fingerprint(reference)
         assert all(t.attempts == 2 for t in result.stats.map_tasks)

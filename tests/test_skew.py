@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import PGBJ, PgbjConfig
+from repro import PgbjConfig, run_join
 from repro.datasets import generate_forest
 from repro.mapreduce.stats import JobStats, TaskStat
 
@@ -36,9 +36,9 @@ class TestGroupingControlsSkew:
         """The Table 3 story, measured end to end: grouped reducers receive
         comparable record counts on a clustered workload."""
         data = generate_forest(800, seed=4)
-        outcome = PGBJ(
-            PgbjConfig(k=5, num_reducers=6, num_pivots=32, seed=2)
-        ).run(data, data)
+        outcome = run_join(
+            "pgbj", data, data, PgbjConfig(k=5, num_reducers=6, num_pivots=32, seed=2)
+        )
         join_stats = outcome.job_stats[1]
         assert join_stats.reduce_input_skew() < 2.5
 
@@ -46,5 +46,5 @@ class TestGroupingControlsSkew:
         """Degenerate N=1: all records in one reducer — skew equals 1 (one
         task), sanity for the metric's denominator."""
         data = generate_forest(200, seed=5)
-        outcome = PGBJ(PgbjConfig(k=3, num_reducers=1, num_pivots=8)).run(data, data)
+        outcome = run_join("pgbj", data, data, PgbjConfig(k=3, num_reducers=1, num_pivots=8))
         assert outcome.job_stats[1].reduce_input_skew() == pytest.approx(1.0)

@@ -17,7 +17,7 @@ from repro.datasets import (
     generate_forest,
     generate_osm,
 )
-from repro.joins import ZOrderConfig, ZOrderKnnJoin, recall_against, run_join
+from repro.joins import ZOrderConfig, recall_against, run_join
 from tests.reference_zorder import int_z_values, outcome_facts, run_reference_zorder
 
 
@@ -331,16 +331,16 @@ class TestApproximateJoin:
 
     def test_every_r_answered(self, world):
         data, k, truth = world
-        outcome = ZOrderKnnJoin(
-            ZOrderConfig(k=k, num_reducers=8, num_shifts=2, seed=3)
-        ).run(data, data)
+        outcome = run_join(
+            "zorder", data, data, ZOrderConfig(k=k, num_reducers=8, num_shifts=2, seed=3)
+        )
         assert set(outcome.result.r_ids()) == set(int(i) for i in data.ids)
 
     def test_no_duplicate_neighbors(self, world):
         data, k, truth = world
-        outcome = ZOrderKnnJoin(
-            ZOrderConfig(k=k, num_reducers=8, num_shifts=4, seed=3)
-        ).run(data, data)
+        outcome = run_join(
+            "zorder", data, data, ZOrderConfig(k=k, num_reducers=8, num_shifts=4, seed=3)
+        )
         for r_id in outcome.result.r_ids():
             ids, _ = outcome.result.neighbors_of(r_id)
             assert np.unique(ids).size == ids.size
@@ -349,9 +349,9 @@ class TestApproximateJoin:
         data, k, truth = world
         recalls = []
         for shifts in (1, 3):
-            outcome = ZOrderKnnJoin(
-                ZOrderConfig(k=k, num_reducers=9, num_shifts=shifts, seed=5)
-            ).run(data, data)
+            outcome = run_join(
+                "zorder", data, data, ZOrderConfig(k=k, num_reducers=9, num_shifts=shifts, seed=5)
+            )
             recall, ratio = recall_against(outcome.result, truth)
             recalls.append(recall)
             assert ratio >= 0.999  # approximate kth radius never beats exact
@@ -360,9 +360,9 @@ class TestApproximateJoin:
 
     def test_cheaper_than_exact_scan(self, world):
         data, k, truth = world
-        outcome = ZOrderKnnJoin(
-            ZOrderConfig(k=k, num_reducers=8, num_shifts=2, seed=3)
-        ).run(data, data)
+        outcome = run_join(
+            "zorder", data, data, ZOrderConfig(k=k, num_reducers=8, num_shifts=2, seed=3)
+        )
         assert outcome.selectivity() < 0.25  # way below the naive 1.0
 
     def test_invalid_shifts(self):
