@@ -14,10 +14,7 @@ from .experiments import (
 from .harness import (
     DEFAULTS,
     ExperimentResult,
-    bench_engine,
-    bench_memory_budget,
     bench_scale,
-    bench_workers,
     default_cluster,
     forest_workload,
     osm_workload,
@@ -36,9 +33,6 @@ __all__ = [
     "ablation_cost_model_experiment",
     "ExperimentResult",
     "bench_scale",
-    "bench_engine",
-    "bench_workers",
-    "bench_memory_budget",
     "forest_workload",
     "osm_workload",
     "default_cluster",

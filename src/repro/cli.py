@@ -16,7 +16,6 @@ makes it runnable here with no CLI change.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.bench import (
@@ -32,15 +31,10 @@ from repro.bench import (
 )
 from repro.bench.harness import DEFAULTS, bench_scale, default_cluster
 from repro.datasets import expand_dataset, generate_forest, generate_osm
-from repro.joins import available_joins, get_join, run_join
+from repro.joins import JoinConfig, available_joins, get_join, run_join
+from repro.joins.base import Knob, config_knobs, execution_knobs, knob_table, knobs_from_env
 from repro.joins.kernel_providers import available_kernel_providers
-from repro.mapreduce import (
-    CHAOS_ENV,
-    DEFAULT_ENGINE,
-    SEGMENT_CODECS,
-    ChaosPlan,
-    available_engines,
-)
+from repro.mapreduce import DEFAULT_ENGINE, available_engines
 
 __all__ = ["main"]
 
@@ -74,9 +68,33 @@ ALL_ORDER = (
 )
 
 
-def _env_flag(name: str) -> bool:
-    """A REPRO_* on/off env default for a CLI switch."""
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
+def _join_knobs() -> tuple[Knob, ...]:
+    """The execution knobs of every registered kNN join's config: the base
+    class's rows, plus any a subclass declares."""
+    rows = {
+        row.name: row
+        for name in available_joins(kind="knn")
+        for row in execution_knobs(get_join(name).config_class)
+    }
+    return tuple(rows.values())
+
+
+def add_knob_flags(parser: argparse.ArgumentParser, rows: tuple[Knob, ...]) -> None:
+    """One flag per knob row, defaulting to what the row's environment
+    variable says; with neither given the value stays ``None`` and
+    :func:`config_knobs` leaves the knob to the config field's default."""
+    for row in rows:
+        if row.is_switch:
+            how = {"action": "store_const", "const": not row.default}
+        else:
+            how = {"type": row.type, "choices": row.choices or None}
+        parser.add_argument(
+            row.flag,
+            dest=row.name,
+            default=row.from_env(),
+            help=row.help + (f" [default from {row.env}]" if row.env else ""),
+            **how,
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,107 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     join.add_argument("--grouping", choices=["geometric", "greedy"], default="geometric")
     join.add_argument("--seed", type=int, default=0)
-    join.add_argument(
-        "--engine",
-        choices=list(available_engines()),
-        default=DEFAULT_ENGINE,
-        help=(
-            "task execution backend for the MapReduce jobs; the *-pooled "
-            "engines keep one warm worker pool across all jobs of the join"
-        ),
-    )
-    join.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for parallel engines (default: CPU count)",
-    )
-    join.add_argument(
-        "--memory-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "enable the out-of-core spill shuffle: each map task buffers at "
-            "most this many (estimated) bytes of output before writing a "
-            "sorted segment run to disk; reducers stream a k-way external "
-            "merge.  Results and accounting are identical to the in-memory "
-            "default"
-        ),
-    )
-    join.add_argument(
-        "--spill-dir",
-        default=None,
-        help="directory for shuffle segment files (default: system temp)",
-    )
-    join.add_argument(
-        "--spill-codec",
-        choices=list(SEGMENT_CODECS),
-        default=os.environ.get("REPRO_SPILL_CODEC", "none"),
-        help=(
-            "compress spilled segment value payloads (implies the spill "
-            "shuffle backend); accounting stays identical to uncompressed.  "
-            "Default from REPRO_SPILL_CODEC"
-        ),
-    )
-    join.add_argument(
-        "--kernel-provider",
-        choices=["numpy", "numba", "auto"],
-        default=os.environ.get("REPRO_KERNEL_PROVIDER", "auto"),
-        help=(
-            "hot-loop kernel implementation: 'numpy' (portable oracle), "
-            "'numba' (JIT-compiled; falls back to numpy with a warning when "
-            "the library is missing), or 'auto' (per-call choice by batch "
-            "shape).  Results are bit-identical across providers.  Default "
-            "from REPRO_KERNEL_PROVIDER"
-        ),
-    )
-    join.add_argument(
-        "--no-plan-concurrency",
-        action="store_true",
-        help=(
-            "schedule the join's plan stages strictly sequentially (the "
-            "historical driver order) instead of overlapping independent "
-            "stages; results are bit-identical either way"
-        ),
-    )
-    join.add_argument(
-        "--chaos-spec",
-        default=os.environ.get(CHAOS_ENV),
-        metavar="SPEC",
-        help=(
-            "inject deterministic faults, e.g. "
-            "'crash:rate=0.2:attempt=1;corrupt:rate=0.1'.  Actions: crash, "
-            "delay, kill (process engines), corrupt, delete.  Results stay "
-            "bit-identical to a fault-free run.  Default from REPRO_CHAOS"
-        ),
-    )
-    join.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=None,
-        help="seed for the chaos plan's per-task coin flips (default 0 or "
-        "the spec's own seed=N clause)",
-    )
-    join.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "absolute per-task deadline; a task running longer gets a "
-            "speculative duplicate (parallel engines) and the first copy "
-            "to finish wins"
-        ),
-    )
-    join.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help=(
-            "persist each finished plan stage here; re-running the same "
-            "join after a crash resumes from the last completed stage"
-        ),
-    )
+    add_knob_flags(join, _join_knobs())
     join.add_argument(
         "--explain",
         action="store_true",
@@ -245,41 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "deterministic built-in rates"
         ),
     )
-    join.add_argument(
-        "--auto-tune",
-        action="store_true",
-        default=_env_flag("REPRO_AUTO_TUNE"),
-        help=(
-            "let the cost model pick knobs left at their defaults "
-            "(pivots, reducers, engine, fusion, skew splitting) for this "
-            "dataset; explicitly set knobs are never overridden and results "
-            "are bit-identical to the equivalent hand-tuned run.  Default "
-            "from REPRO_AUTO_TUNE"
-        ),
-    )
-    join.add_argument(
-        "--fuse-stages",
-        action="store_true",
-        default=_env_flag("REPRO_STAGE_FUSION"),
-        help=(
-            "fuse map-only plan stages into their consumers (identity merge "
-            "mappers skip their map pass; chained intermediates skip the "
-            "DFS round-trip).  Results, counters and shuffle accounting are "
-            "bit-identical.  Default from REPRO_STAGE_FUSION"
-        ),
-    )
-    join.add_argument(
-        "--plan-cache-dir",
-        default=os.environ.get("REPRO_PLAN_CACHE_DIR"),
-        metavar="DIR",
-        help=(
-            "persistent plan cache: content-keyed stage results are stored "
-            "here in the segment wire format and reused across processes "
-            "(atomic writes; corrupt files degrade to a miss).  Default "
-            "from REPRO_PLAN_CACHE_DIR"
-        ),
-    )
-
     bench = sub.add_parser("bench", help="reproduce one exhibit (or `all`)")
     bench.add_argument("exhibit", choices=list(EXHIBITS) + ["all"])
     bench.add_argument("--results-dir", default="results")
@@ -320,6 +203,8 @@ def _cmd_info() -> int:
     print("bench defaults (paper values: the DEFAULTS comments in repro/bench/harness.py):")
     for key, value in DEFAULTS.items():
         print(f"  {key} = {value}")
+    print("execution knobs (they never affect results; `in effect` reads the environment):")
+    print(knob_table(JoinConfig(**knobs_from_env())))
     return 0
 
 
@@ -330,32 +215,15 @@ def _cmd_join(args: argparse.Namespace) -> int:
     else:
         data = generate_osm(args.objects, seed=args.seed)
     spec = get_join(args.algorithm)
-    chaos = (
-        ChaosPlan.from_spec(args.chaos_spec, seed=args.chaos_seed)
-        if args.chaos_spec
-        else None
-    )
     # the spec filters this union of knobs down to what its config accepts
     knobs = dict(
         k=args.k,
         num_reducers=args.num_reducers,
         seed=args.seed,
-        engine=args.engine,
-        max_workers=args.workers,
-        memory_budget=args.memory_budget,
-        spill_dir=args.spill_dir,
-        spill_codec=args.spill_codec,
-        kernel_provider=args.kernel_provider,
-        plan_concurrency=not args.no_plan_concurrency,
         num_pivots=args.num_pivots,
         pivot_selection=args.pivot_selection,
         grouping=args.grouping,
-        chaos=chaos,
-        task_timeout=args.task_timeout,
-        checkpoint_dir=args.checkpoint_dir,
-        auto_tune=args.auto_tune,
-        stage_fusion=args.fuse_stages,
-        plan_cache_dir=args.plan_cache_dir,
+        **config_knobs(vars(args), _join_knobs()),
     )
     if args.auto_tune:
         # the tuner only moves knobs still at their *config* defaults; drop
@@ -363,7 +231,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         for knob in ("num_reducers", "num_pivots"):
             if getattr(args, knob) == DEFAULTS[knob]:
                 knobs.pop(knob)
-    config = spec.make_config(**knobs)
+    config = requested = spec.make_config(**knobs)
     if args.explain:
         from repro.joins.autotune import auto_tune_config, explain_join
 
@@ -389,11 +257,11 @@ def _cmd_join(args: argparse.Namespace) -> int:
     outcome = run_join(spec.name, data, data, config)
     cluster = default_cluster(args.num_reducers)
     print(f"algorithm            : {outcome.algorithm}")
-    print(f"engine               : {args.engine}"
-          + (f" ({args.workers} workers)" if args.workers else ""))
-    print(f"kernel provider      : {args.kernel_provider}")
-    if args.spill_codec != "none":
-        print(f"spill codec          : {args.spill_codec}")
+    print(f"engine               : {requested.engine}"
+          + (f" ({requested.max_workers} workers)" if requested.max_workers else ""))
+    print(f"kernel provider      : {requested.kernel_provider}")
+    if requested.spill_codec != "none":
+        print(f"spill codec          : {requested.spill_codec}")
     print(f"|R| = |S|            : {len(data)} ({data.name})")
     print(f"k                    : {args.k}")
     print(f"join output pairs    : {outcome.result.total_pairs()}")
@@ -416,7 +284,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         + outcome.checksum_failures()
         + outcome.spill_files_deleted()
     )
-    if chaos is not None or robustness:
+    if requested.chaos is not None or robustness:
         print(f"fault tolerance      : {outcome.recovered_tasks()} tasks recovered, "
               f"{outcome.speculative_wins()} speculative wins, "
               f"{outcome.checksum_failures()} checksum failures, "

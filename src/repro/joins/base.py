@@ -9,7 +9,11 @@ computation selectivity (Equation 13) and shuffling cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+import os
+from collections.abc import Callable, Iterable, Mapping
+from dataclasses import dataclass, field, fields, replace
+from typing import Any
 
 import numpy as np
 
@@ -22,13 +26,22 @@ from repro.mapreduce.faults import ChaosPlan
 from repro.mapreduce.hdfs import DistributedFileSystem
 from repro.mapreduce.plan import PlanCache
 from repro.mapreduce.runtime import LocalRuntime
+from repro.mapreduce.shuffle import SEGMENT_CODECS
 from repro.mapreduce.stats import JobStats
+
+from .kernel_providers import KERNEL_PROVIDERS
 
 __all__ = [
     "InvalidJoinInput",
+    "Knob",
+    "knob",
     "JoinConfig",
     "PgbjConfig",
     "BlockJoinConfig",
+    "execution_knobs",
+    "config_knobs",
+    "knobs_from_env",
+    "knob_table",
     "JoinOutcome",
     "StageStats",
 ]
@@ -72,6 +85,84 @@ REPLICA_GROUP = "shuffle"
 REPLICA_NAME = "s_replicas"
 
 
+@dataclass(frozen=True)
+class Knob:
+    """One row of the execution-knob table: one CLI flag.
+
+    Rows are declared where the value lives — ``name: type = knob(default,
+    flag, env, help=...)`` on a :class:`JoinConfig` field — and read back by
+    :func:`execution_knobs`, which fills in ``field`` and ``default``.  The
+    CLI's flags, :func:`knobs_from_env` and :func:`knob_table` are derived
+    from the rows, so a knob is added, renamed or deleted in one place.
+
+    ``type`` turns the flag's (or variable's) text into the value and
+    ``choices`` lists the valid names, checked again by
+    :meth:`JoinConfig.__post_init__`.  A row with ``attribute`` set does not
+    fill its field: it replaces that attribute of the value an earlier row
+    gave it (``--chaos-seed`` re-seeds the plan ``--chaos-spec`` parsed).
+    """
+
+    flag: str
+    env: str | None
+    help: str
+    type: Callable[[str], Any] = str
+    choices: tuple[str, ...] = ()
+    attribute: str | None = None
+    field: str = ""
+    default: Any = None
+
+    @property
+    def name(self) -> str:
+        """The row's key in per-flag value mappings (the argparse ``dest``)."""
+        return self.field if self.attribute is None else f"{self.field}.{self.attribute}"
+
+    @property
+    def is_switch(self) -> bool:
+        """An on/off knob: its flag takes no argument and flips the default."""
+        return isinstance(self.default, bool)
+
+    def from_env(self, environ: Mapping[str, str] | None = None) -> Any:
+        """The value the row's variable spells; ``None`` when it has no
+        variable or the variable is absent or blank.  A bad value raises a
+        ``ValueError`` naming the variable and what it accepts."""
+        environ = os.environ if environ is None else environ
+        text = environ.get(self.env or "", "").strip()
+        if not text:
+            return None
+        choices, convert = self.choices, self.type
+        if self.is_switch:
+            text, choices, convert = text.lower(), tuple(_SWITCH_WORDS), _SWITCH_WORDS.get
+        if choices and text not in choices:
+            raise ValueError(f"{self.env} must be one of {', '.join(choices)}, got {text!r}")
+        try:
+            return convert(text)
+        except ValueError as error:
+            raise ValueError(f"{self.env} got {text!r}: {error}") from None
+
+
+#: what an on/off variable may say
+_SWITCH_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}  # fmt: skip
+
+
+def knob(
+    default: Any,
+    flag: str,
+    env: str | None,
+    *,
+    more: Iterable[Knob] = (),
+    compare: bool = True,
+    repr: bool = True,
+    **spec: Any,
+) -> Any:
+    """A dataclass field that is also an execution knob: ``spec`` completes
+    its :class:`Knob` row, ``more`` are the rows that modify its value."""
+    rows = (Knob(flag, env, **spec), *more)
+    return field(default=default, compare=compare, repr=repr, metadata={"knobs": rows})
+
+
 @dataclass
 class JoinConfig:
     """Parameters shared by all join algorithms.
@@ -79,21 +170,12 @@ class JoinConfig:
     ``num_reducers`` is ``N`` in the paper — the cluster runs one reduce task
     per node, so this is also the modelled node count of the join job.
 
-    ``engine`` selects the execution backend every MapReduce job of the join
-    runs on (``serial``, or ``threads-pooled`` / ``processes-pooled``, which
-    keep one warm worker pool across every phase, retry round and job of the
-    run); ``max_workers`` sizes the parallel pools.  All engines produce
-    bit-identical results — they differ only in wall-clock.
-
-    ``memory_budget`` switches every MapReduce job of the join to the
-    out-of-core ``spill`` shuffle backend: each map task buffers at most that
-    many (estimated) bytes of output before writing a sorted segment run to
-    disk, and reducers stream a k-way external merge instead of materialized
-    groups.  ``spill_dir`` hosts the segment files (default: system temp);
-    job-chaining intermediates written to the modelled DFS (via
-    :meth:`make_dfs`) spill to the same place.  Results, ``pairs_computed``
-    and shuffle records/bytes are bit-identical to the in-memory default —
-    only where the data lives changes.
+    The fields declared with :func:`knob` are the *execution knobs*: where
+    and how the join runs, never what it computes — every setting of them
+    yields bit-identical results, counters and shuffle accounting (CI asserts
+    it leg by leg).  Each says what it does in its ``help``, once;
+    :func:`knob_table` (``repro info``, README) lists them with their flags
+    and environment variables.
 
     ``shared_executor`` (optional, not part of the value of the config)
     injects a ready :class:`~repro.mapreduce.engines.Executor` every runtime
@@ -105,61 +187,12 @@ class JoinConfig:
     it never copies it), so a sweep of derived configs shares one pool —
     and must close it exactly once, itself, when the sweep ends.
 
-    ``plan_concurrency`` lets the :class:`~repro.mapreduce.plan.PlanScheduler`
-    run independent stages of the join's :class:`~repro.mapreduce.plan.JobGraph`
-    concurrently (the default; ``False`` is the ``--no-plan-concurrency``
-    escape hatch forcing strict declaration order).  Both settings produce
-    bit-identical results, counters and shuffle accounting.
-
     ``plan_cache`` (optional, injected like ``shared_executor`` and likewise
     carried by reference across :meth:`with_changes`) memoizes content-keyed
     plan stages across runs: a sweep holding one
     :class:`~repro.mapreduce.plan.PlanCache` re-executes only the stages
     whose inputs changed — e.g. one PGBJ partitioning job shared by a whole
-    k-sweep.
-
-    ``kernel_provider`` selects the reducer-side kernel implementation
-    (:mod:`repro.joins.kernel_providers`): ``numpy`` (the oracle), ``numba``
-    (JIT-compiled; transparent numpy fallback when the library is missing)
-    or the default ``auto`` (per call by batch shape).  Every provider
-    produces bit-identical results, ``pairs_computed`` and shuffle
-    accounting — the choice only moves wall-clock.
-
-    ``spill_codec`` compresses spill-segment value payloads on disk
-    (``none`` or ``zlib``); ``zlib`` implies the out-of-core shuffle backend.
-    Accounted shuffle bytes stay the *uncompressed* sizes, so accounting is
-    bit-identical to the in-memory oracle — only the file bytes shrink.
-
-    ``chaos`` (optional, injected by reference like ``shared_executor``)
-    hands every runtime this config makes a seeded
-    :class:`~repro.mapreduce.faults.ChaosPlan` — the structured fault
-    injector behind the ``--chaos-spec``/``--chaos-seed`` CLI flags and the
-    ``REPRO_CHAOS`` environment variable.  Results, counters and shuffle
-    accounting under chaos are bit-identical to a fault-free run (the
-    fault-tolerance contract; CI asserts it across engines).
-    ``task_timeout`` sets the runtime's absolute soft deadline in seconds
-    before a straggling attempt gets a speculative duplicate, and
-    ``checkpoint_dir`` turns on stage-level checkpoint/resume in the plan
-    scheduler (killed runs resume from their last finished stage).
-
-    ``auto_tune`` lets the registry pick ``num_pivots``/``num_reducers``/
-    engine/kernel-provider for the dataset at hand from the plan-time cost
-    model (:mod:`repro.joins.autotune`) before the plan is built.  The tuned
-    run is bit-identical to a hand-written config carrying the same chosen
-    knobs — tuning moves knobs, never semantics.
-
-    ``stage_fusion`` turns on plan-level map fusion: identity-map stages
-    (the candidate-merge jobs) execute *premapped* — the producer's output
-    pairs feed the consumer's shuffle directly — and ``chain_splits`` skips
-    the modelled-DFS round trip for chained intermediates.  Results,
-    counters and shuffle accounting are bit-identical to unfused runs (CI
-    asserts it); only wall clock and intermediate I/O move.
-
-    ``plan_cache_dir`` makes plan caching *persistent*: content-keyed stage
-    results are serialized in the segment wire format under the directory
-    (atomic writes, corruption-safe loads) and reused across processes —
-    k-sweeps, bench reruns and service restarts skip the partitioning work.
-    An injected ``plan_cache`` takes precedence when both are set.
+    k-sweep.  It takes precedence over ``plan_cache_dir`` when both are set.
     """
 
     k: int = 10
@@ -167,19 +200,82 @@ class JoinConfig:
     metric_name: str = "l2"
     seed: int = 7
     split_size: int = 4096
-    engine: str = DEFAULT_ENGINE
-    max_workers: int | None = None
-    memory_budget: int | None = None
-    spill_dir: str | None = None
-    kernel_provider: str = "auto"
-    spill_codec: str = "none"
-    plan_concurrency: bool = True
-    task_timeout: float | None = None
-    checkpoint_dir: str | None = None
-    auto_tune: bool = False
-    stage_fusion: bool = False
-    plan_cache_dir: str | None = None
-    chaos: ChaosPlan | None = field(default=None, compare=False, repr=False)
+    # one declaration per execution knob — default, flag, variable, then what it does
+    engine: str = knob(
+        DEFAULT_ENGINE, "--engine", "REPRO_ENGINE", choices=available_engines(),
+        help="task execution backend of every MapReduce job of the join; the *-pooled "
+        "engines keep one warm worker pool across all phases, retry rounds and jobs",
+    )
+    max_workers: int | None = knob(
+        None, "--workers", "REPRO_WORKERS", type=int,
+        help="worker count of the parallel engines (default: CPU count)",
+    )
+    memory_budget: int | None = knob(
+        None, "--memory-budget", "REPRO_MEMORY_BUDGET", type=int,
+        help="run the shuffle out of core: each map task buffers at most this many "
+        "(estimated) bytes of output before writing a sorted segment run to disk, "
+        "and reducers stream a k-way external merge",
+    )
+    spill_dir: str | None = knob(
+        None, "--spill-dir", None,
+        help="directory for shuffle segment files and chained intermediates "
+        "(default: system temp); implies the out-of-core shuffle",
+    )
+    kernel_provider: str = knob(
+        "auto", "--kernel-provider", "REPRO_KERNEL_PROVIDER", choices=tuple(KERNEL_PROVIDERS),
+        help="reducer hot-loop implementation: numpy (the oracle), numba (JIT-compiled; "
+        "falls back to numpy with a warning when the library is missing) or auto "
+        "(per call by batch shape)",
+    )
+    spill_codec: str = knob(
+        "none", "--spill-codec", "REPRO_SPILL_CODEC", choices=tuple(SEGMENT_CODECS),
+        help="compress spilled segment payloads on disk (implies the out-of-core "
+        "shuffle); accounted shuffle bytes stay the uncompressed sizes",
+    )
+    plan_concurrency: bool = knob(
+        True, "--no-plan-concurrency", None,
+        help="run the plan's stages strictly in declaration order instead of "
+        "overlapping independent stages",
+    )
+    task_timeout: float | None = knob(
+        None, "--task-timeout", None, type=float,
+        help="absolute per-task deadline in seconds; a task running longer gets a "
+        "speculative duplicate (parallel engines) and the first copy to finish wins",
+    )
+    checkpoint_dir: str | None = knob(
+        None, "--checkpoint-dir", None,
+        help="persist each finished plan stage here; re-running the same join after "
+        "a crash resumes from the last completed stage",
+    )
+    auto_tune: bool = knob(
+        False, "--auto-tune", "REPRO_AUTO_TUNE",
+        help="let the cost model pick the knobs left at their defaults (pivots, "
+        "reducers, engine, fusion, skew splitting) for the dataset at hand; a "
+        "tuned run equals the hand-written config carrying the chosen knobs",
+    )
+    stage_fusion: bool = knob(
+        False, "--fuse-stages", "REPRO_STAGE_FUSION",
+        help="fuse identity-map stages into their consumers: the candidate-merge jobs "
+        "skip their map pass and chained intermediates skip the DFS round trip",
+    )
+    plan_cache_dir: str | None = knob(
+        None, "--plan-cache-dir", "REPRO_PLAN_CACHE_DIR",
+        help="persistent plan cache: content-keyed stage results are stored here in "
+        "the segment wire format and reused across processes (atomic writes; a "
+        "corrupt file is a miss)",
+    )
+    chaos: ChaosPlan | None = knob(
+        None, "--chaos-spec", "REPRO_CHAOS", type=ChaosPlan.from_spec, compare=False, repr=False,
+        help="inject deterministic faults, e.g. 'crash:rate=0.2:attempt=1;corrupt:"
+        "rate=0.1' (actions: crash, delay, kill, corrupt, delete)",
+        more=[
+            Knob(
+                "--chaos-seed", "REPRO_CHAOS_SEED", type=int, attribute="seed",
+                help="seed of the chaos plan's per-task coin flips (default: the "
+                "spec's own seed=N clause, else 0)",
+            )
+        ],
+    )
     shared_executor: Executor | None = field(default=None, compare=False, repr=False)
     plan_cache: PlanCache | None = field(default=None, compare=False, repr=False)
 
@@ -190,31 +286,18 @@ class JoinConfig:
             raise ValueError("num_reducers must be >= 1")
         if self.split_size < 1:
             raise ValueError("split_size must be >= 1")
-        if self.engine not in available_engines():
-            raise ValueError(
-                f"unknown engine {self.engine!r}; "
-                f"available: {', '.join(available_engines())}"
-            )
+        for row in execution_knobs(type(self)):
+            if row.choices and getattr(self, row.field) not in row.choices:
+                raise ValueError(
+                    f"unknown {row.field.replace('_', ' ')} {getattr(self, row.field)!r}; "
+                    f"available: {', '.join(row.choices)}"
+                )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if self.memory_budget is not None and self.memory_budget < 0:
             raise ValueError("memory_budget must be >= 0 (or None for in-memory)")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("task_timeout must be > 0 seconds (or None)")
-        from repro.joins.kernel_providers import KERNEL_PROVIDERS
-
-        if self.kernel_provider not in KERNEL_PROVIDERS:
-            raise ValueError(
-                f"unknown kernel provider {self.kernel_provider!r}; "
-                f"available: {', '.join(sorted(KERNEL_PROVIDERS))}"
-            )
-        from repro.mapreduce.shuffle import SEGMENT_CODECS
-
-        if self.spill_codec not in SEGMENT_CODECS:
-            raise ValueError(
-                f"unknown spill codec {self.spill_codec!r}; "
-                f"available: {', '.join(SEGMENT_CODECS)}"
-            )
 
     @property
     def out_of_core(self) -> bool:
@@ -238,35 +321,30 @@ class JoinConfig:
         """
         return replace(self, **kwargs)
 
-    def make_runtime(self, **runtime_kwargs) -> LocalRuntime:
+    def make_runtime(self) -> LocalRuntime:
         """Resolve the configured engine into a ready runtime.
 
         The single seam between join drivers and the execution substrate:
         drivers never construct runtimes inline, so swapping backends is a
-        config change, not a code change.  ``runtime_kwargs`` pass through to
-        :class:`LocalRuntime` (e.g. ``fault_injector``).  Drivers run the
-        returned runtime as a context manager, so executors it constructs
-        (including persistent pools) are torn down when the join finishes;
-        a ``shared_executor`` is reused as-is and stays open for the caller.
+        config change, not a code change.  Drivers run the returned runtime
+        as a context manager, so executors it constructs (including
+        persistent pools) are torn down when the join finishes; a
+        ``shared_executor`` is reused as-is and stays open for the caller.
+        The runtime itself turns any of the three out-of-core knobs into the
+        ``spill`` shuffle backend.
         """
-        if self.shared_executor is not None:
-            runtime_kwargs.setdefault("executor", self.shared_executor)
-        if self.chaos is not None:
-            runtime_kwargs.setdefault("fault_injector", self.chaos)
-        if self.task_timeout is not None:
-            runtime_kwargs.setdefault("task_timeout", self.task_timeout)
-        if self.out_of_core:
-            runtime_kwargs.setdefault("shuffle", "spill")
-            runtime_kwargs.setdefault("memory_budget", self.memory_budget)
-            runtime_kwargs.setdefault("spill_dir", self.spill_dir)
-            runtime_kwargs.setdefault("spill_codec", self.spill_codec)
         return LocalRuntime(
-            engine=self.engine, max_workers=self.max_workers, **runtime_kwargs
+            fault_injector=self.chaos,
+            engine=self.engine,
+            max_workers=self.max_workers,
+            executor=self.shared_executor,
+            memory_budget=self.memory_budget,
+            spill_dir=self.spill_dir,
+            spill_codec=self.spill_codec,
+            task_timeout=self.task_timeout,
         )
 
-    def make_dfs(
-        self, num_nodes: int | None = None, chunk_records: int | None = None
-    ) -> DistributedFileSystem:
+    def make_dfs(self) -> DistributedFileSystem:
         """A DFS for job-chaining intermediates, matching the shuffle mode.
 
         In-memory configs get the historical in-RAM chunk store; out-of-core
@@ -277,8 +355,8 @@ class JoinConfig:
         long as the join.
         """
         return DistributedFileSystem(
-            num_nodes=num_nodes if num_nodes is not None else self.num_reducers,
-            chunk_records=chunk_records if chunk_records is not None else self.split_size,
+            num_nodes=self.num_reducers,
+            chunk_records=self.split_size,
             segment_backed=self.out_of_core,
             segment_dir=self.spill_dir,
         )
@@ -352,6 +430,65 @@ class BlockJoinConfig(JoinConfig):
     def num_blocks(self) -> int:
         """``sqrt(N)`` subsets per dataset, as in the paper's Section 3."""
         return max(1, int(np.sqrt(self.num_reducers)))
+
+
+@functools.cache
+def execution_knobs(config_class: type[JoinConfig] = JoinConfig) -> tuple[Knob, ...]:
+    """The knob table of a config class: its fields' :class:`Knob` rows, in
+    field order, each knowing its field and the field's default."""
+    return tuple(
+        replace(row, field=spec.name, default=None if row.attribute else spec.default)
+        for spec in fields(config_class)
+        for row in spec.metadata.get("knobs", ())
+    )
+
+
+def config_knobs(values: Mapping[str, Any], rows: Iterable[Knob]) -> dict[str, Any]:
+    """Per-flag values (keyed by :attr:`Knob.name`) as config keyword
+    arguments.  A row without a value (absent or ``None``) leaves its knob
+    out, so the config default applies; a modifier row with one replaces its
+    attribute of what the field's own row supplied."""
+    knobs: dict[str, Any] = {}
+    for row in rows:
+        value = values.get(row.name)
+        if value is None:
+            continue
+        if row.attribute is None:
+            knobs[row.field] = value
+        elif row.field in knobs:
+            knobs[row.field] = replace(knobs[row.field], **{row.attribute: value})
+    return knobs
+
+
+def knobs_from_env(
+    environ: Mapping[str, str] | None = None,
+    config_class: type[JoinConfig] = JoinConfig,
+) -> dict[str, Any]:
+    """Config keyword arguments for exactly the knobs whose environment
+    variable is set — what the bench harness, the CI legs' suites and the
+    CLI's flag defaults all read, so a variable means one thing everywhere.
+    A bad value raises :meth:`Knob.from_env`'s ``ValueError``."""
+    rows = execution_knobs(config_class)
+    return config_knobs({row.name: row.from_env(environ) for row in rows}, rows)
+
+
+def knob_table(config: JoinConfig | None = None) -> str:
+    """The knob table as Markdown: README's copy, and — given the config in
+    effect, which adds a last column — what ``repro info`` prints."""
+    header = ["field", "flag", "env", "default", "affects results"]
+    if config is not None:
+        header.append("in effect")
+    table = [header, ["---"] * len(header)]
+    for row in execution_knobs(JoinConfig if config is None else type(config)):
+        env = f"`{row.env}`" if row.env else "—"
+        cells = [f"`{row.name}`", f"`{row.flag}`", env, f"`{row.default}`", "never"]
+        if config is not None:
+            value = getattr(config, row.field)
+            if row.attribute is not None:
+                value = getattr(value, row.attribute, None)
+            cells.append(f"`{value}`")
+        table.append(cells)
+    return "\n".join("| " + " | ".join(cells) + " |" for cells in table)
 
 
 class StageStats(list):

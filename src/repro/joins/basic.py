@@ -21,16 +21,8 @@ from repro.mapreduce.plan import JobGraph
 from repro.mapreduce.splits import dataset_splits
 from repro.mapreduce.types import NeighborBlock, RecordBlock
 
-from .base import (
-    PAIRS_GROUP,
-    PAIRS_NAME,
-    REPLICA_GROUP,
-    REPLICA_NAME,
-    JoinConfig,
-    JoinOutcome,
-    StageStats,
-)
-from .block_framework import block_of_ids, merged_result
+from .base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME, JoinConfig
+from .block_framework import block_of_ids, knn_outcome_assembler
 from .kernel_providers import get_kernel_provider
 from .registry import JoinPlan, JoinSpec, register_join
 
@@ -123,24 +115,7 @@ def plan_broadcast(r: Dataset, s: Dataset, config: JoinConfig) -> JoinPlan:
         return job, dataset_splits(r, s, config.split_size)
 
     join = graph.stage("broadcast/join", build_join)
-    stage_names = (join.name,)
-
-    def assemble(run) -> JoinOutcome:
-        job = run.result_of(join)
-        outcome = JoinOutcome(
-            algorithm="broadcast",
-            result=merged_result(config.k, job.outputs),
-            r_size=len(r),
-            s_size=len(s),
-            k=config.k,
-            master_phases={},
-            job_stats=StageStats([job.stats], names=stage_names),
-            job_phase_names=["knn_join"],
-            master_distance_pairs=0,
-        )
-        outcome.counters.merge(job.counters)
-        return outcome
-
+    assemble = knn_outcome_assembler("broadcast", r, s, config, (join,), ("knn_join",))
     return JoinPlan(graph=graph, assemble=assemble)
 
 

@@ -20,17 +20,20 @@ per list.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+
 import numpy as np
 
+from repro.core.dataset import Dataset
 from repro.core.result import KnnJoinResult
 from repro.mapreduce.hdfs import DistributedFileSystem
 from repro.mapreduce.job import BlockBufferingMapper, Context, Mapper, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import HashPartitioner, ModPartitioner
-from repro.mapreduce.plan import FusedOutput
+from repro.mapreduce.plan import FusedOutput, JobGraph, PlanRun, Stage
 from repro.mapreduce.splits import split_records
 from repro.mapreduce.types import NeighborBlock, RecordBlock, ranks_within
 
-from .base import REPLICA_GROUP, REPLICA_NAME, JoinConfig
+from .base import REPLICA_GROUP, REPLICA_NAME, JoinConfig, JoinOutcome, StageStats
 
 __all__ = [
     "block_of",
@@ -44,6 +47,8 @@ __all__ = [
     "chain_splits",
     "fused_or_chained",
     "merge_job_spec",
+    "merge_stage",
+    "knn_outcome_assembler",
 ]
 
 
@@ -217,6 +222,60 @@ def merge_job_spec(config: JoinConfig) -> MapReduceJob:
         num_reducers=config.num_reducers,
         cache={"k": config.k},
     )
+
+
+def merge_stage(
+    graph: JobGraph, config: JoinConfig, dfs: DistributedFileSystem | None, upstream: Stage
+) -> Stage:
+    """Add ``<graph>/merge``: :func:`merge_job_spec` over the candidate lists
+    ``upstream`` emitted, fused or chained as ``config.stage_fusion`` says."""
+
+    def build_merge(ctx):
+        return merge_job_spec(config), fused_or_chained(
+            config, dfs, "merge-input", ctx, upstream
+        )
+
+    return graph.stage(f"{graph.name}/merge", build_merge, deps=(upstream,))
+
+
+def knn_outcome_assembler(
+    name: str,
+    r: Dataset,
+    s: Dataset,
+    config: JoinConfig,
+    stages: Sequence[Stage],
+    phase_names: Sequence[str],
+    state: dict | None = None,
+) -> Callable[[PlanRun], JoinOutcome]:
+    """How every kNN plan ends: the ``assemble`` of its ``JoinPlan``.
+
+    The last stage's ``NeighborBlock`` outputs become the result; stats (one
+    per stage, under the stage's name and its Figure 6 ``phase_names`` entry),
+    master phases and counters are gathered in stage order.  ``state`` is the
+    dict :func:`~repro.joins.partition_job.partition_stage` filled, for plans
+    whose master computed pivot distances.
+    """
+    stage_names = [stage.name for stage in stages]  # as planned: fusing plans can relabel
+    r_size, s_size, k = len(r), len(s), config.k  # all the closure keeps of its inputs
+
+    def assemble(run: PlanRun) -> JoinOutcome:
+        jobs = [run.result_of(stage) for stage in stages]
+        outcome = JoinOutcome(
+            algorithm=name,
+            result=merged_result(k, jobs[-1].outputs),
+            r_size=r_size,
+            s_size=s_size,
+            k=k,
+            master_phases=run.phases_of(stages),
+            job_stats=StageStats([job.stats for job in jobs], names=stage_names),
+            job_phase_names=list(phase_names),
+            master_distance_pairs=0 if state is None else state["metric"].pairs_computed,
+        )
+        for job in jobs:
+            outcome.counters.merge(job.counters)
+        return outcome
+
+    return assemble
 
 
 def block_join_spec(

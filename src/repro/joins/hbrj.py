@@ -23,19 +23,12 @@ from repro.mapreduce.splits import dataset_splits
 from repro.mapreduce.types import NeighborBlock, RecordBlock
 from repro.rtree import RTree
 
-from .base import (
-    PAIRS_GROUP,
-    PAIRS_NAME,
-    BlockJoinConfig,
-    JoinOutcome,
-    StageStats,
-)
+from .base import PAIRS_GROUP, PAIRS_NAME, BlockJoinConfig
 from .block_framework import (
     block_join_spec,
     candidate_emissions,
-    fused_or_chained,
-    merge_job_spec,
-    merged_result,
+    knn_outcome_assembler,
+    merge_stage,
 )
 from .registry import JoinPlan, JoinSpec, register_join
 
@@ -92,31 +85,8 @@ def plan_hbrj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
 
     block_join = graph.stage("hbrj/block-join", build_block_join)
 
-    def build_merge(ctx):
-        return merge_job_spec(config), fused_or_chained(
-            config, dfs, "merge-input", ctx, block_join
-        )
-
-    merge = graph.stage("hbrj/merge", build_merge, deps=(block_join,))
-    stage_names = (block_join.name, merge.name)
-
-    def assemble(run) -> JoinOutcome:
-        job1, job2 = run.result_of(block_join), run.result_of(merge)
-        outcome = JoinOutcome(
-            algorithm="hbrj",
-            result=merged_result(config.k, job2.outputs),
-            r_size=len(r),
-            s_size=len(s),
-            k=config.k,
-            master_phases={},
-            job_stats=StageStats([job1.stats, job2.stats], names=stage_names),
-            job_phase_names=["knn_join", "merge"],
-            master_distance_pairs=0,
-        )
-        outcome.counters.merge(job1.counters)
-        outcome.counters.merge(job2.counters)
-        return outcome
-
+    stages = (block_join, merge_stage(graph, config, dfs, block_join))
+    assemble = knn_outcome_assembler("hbrj", r, s, config, stages, ("knn_join", "merge"))
     return JoinPlan(graph=graph, assemble=assemble)
 
 

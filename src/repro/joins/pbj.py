@@ -28,20 +28,13 @@ from repro.mapreduce.job import Context, Reducer
 from repro.mapreduce.plan import JobGraph
 from repro.mapreduce.types import NeighborBlock
 
-from .base import (
-    PAIRS_GROUP,
-    PAIRS_NAME,
-    BlockJoinConfig,
-    JoinOutcome,
-    StageStats,
-)
+from .base import PAIRS_GROUP, PAIRS_NAME, BlockJoinConfig
 from .block_framework import (
     block_join_spec,
     candidate_emissions,
     chain_splits,
-    fused_or_chained,
-    merge_job_spec,
-    merged_result,
+    knn_outcome_assembler,
+    merge_stage,
 )
 from .kernel_providers import get_kernel_provider
 from .kernels import (
@@ -126,31 +119,10 @@ def plan_pbj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
 
     block_join = graph.stage("pbj/block-join", build_block_join, deps=(partition,))
 
-    def build_merge(ctx):
-        return merge_job_spec(config), fused_or_chained(
-            config, dfs, "merge-input", ctx, block_join
-        )
-
-    merge = graph.stage("pbj/merge", build_merge, deps=(block_join,))
-    stage_names = (partition.name, block_join.name, merge.name)
-
-    def assemble(run) -> JoinOutcome:
-        jobs = [run.result_of(stage) for stage in (partition, block_join, merge)]
-        outcome = JoinOutcome(
-            algorithm="pbj",
-            result=merged_result(config.k, jobs[-1].outputs),
-            r_size=len(r),
-            s_size=len(s),
-            k=config.k,
-            master_phases=run.phases_of((partition, block_join, merge)),
-            job_stats=StageStats([job.stats for job in jobs], names=stage_names),
-            job_phase_names=["data_partitioning", "knn_join", "merge"],
-            master_distance_pairs=state["metric"].pairs_computed,
-        )
-        for job in jobs:
-            outcome.counters.merge(job.counters)
-        return outcome
-
+    stages = (partition, block_join, merge_stage(graph, config, dfs, block_join))
+    assemble = knn_outcome_assembler(
+        "pbj", r, s, config, stages, ("data_partitioning", "knn_join", "merge"), state
+    )
     return JoinPlan(graph=graph, assemble=assemble)
 
 

@@ -32,16 +32,8 @@ from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
 from repro.mapreduce.types import NeighborBlock, RecordBlock
 
-from .base import (
-    PAIRS_GROUP,
-    PAIRS_NAME,
-    REPLICA_GROUP,
-    REPLICA_NAME,
-    JoinOutcome,
-    PgbjConfig,
-    StageStats,
-)
-from .block_framework import chain_splits, merged_result
+from .base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME, PgbjConfig
+from .block_framework import chain_splits, knn_outcome_assembler
 from .kernel_providers import get_kernel_provider
 from .kernels import ScratchPool, build_partition_blocks
 from .partition_job import make_pivot_selector, merge_summaries, partition_stage
@@ -233,25 +225,9 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
         return job2, chain_splits(config, dfs, "partitioned", job1.outputs)
 
     join = graph.stage("pgbj/join", build_join, deps=(partition,))
-    stage_names = (partition.name, join.name)
-
-    def assemble(run) -> JoinOutcome:
-        job1, job2 = run.result_of(partition), run.result_of(join)
-        outcome = JoinOutcome(
-            algorithm="pgbj",
-            result=merged_result(config.k, job2.outputs),
-            r_size=len(r),
-            s_size=len(s),
-            k=config.k,
-            master_phases=run.phases_of((partition, join)),
-            job_stats=StageStats([job1.stats, job2.stats], names=stage_names),
-            job_phase_names=["data_partitioning", "knn_join"],
-            master_distance_pairs=state["metric"].pairs_computed,
-        )
-        outcome.counters.merge(job1.counters)
-        outcome.counters.merge(job2.counters)
-        return outcome
-
+    assemble = knn_outcome_assembler(
+        "pgbj", r, s, config, (partition, join), ("data_partitioning", "knn_join"), state
+    )
     return JoinPlan(graph=graph, assemble=assemble)
 
 

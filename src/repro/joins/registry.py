@@ -255,25 +255,29 @@ def _plan_cache_for(config: JoinConfig) -> PlanCache | None:
     return None
 
 
-def execute_join_plan(plan: JoinPlan, config: JoinConfig) -> Any:
-    """Execute one plan on a fresh runtime scoped to it, then assemble.
+def _execute(graph: JobGraph, plans: list[JoinPlan], config: JoinConfig) -> PlanRun:
+    """Run ``graph`` (the stages of ``plans``) the way ``config`` says.
 
-    The runtime (and with it any worker pool and spill directory the config
-    implies) plus the plan's DFS resources live exactly as long as the
-    execution.
+    The one place the execution knobs meet the scheduler.  The runtime (and
+    with it any worker pool and spill directory the config implies) plus the
+    graph's DFS resources live exactly as long as the execution.
     """
     with ExitStack() as stack:
         runtime = stack.enter_context(config.make_runtime())
-        for resource in plan.graph.resources:
+        for resource in graph.resources:
             stack.enter_context(resource)
-        run = PlanScheduler(
+        return PlanScheduler(
             runtime,
             cache=_plan_cache_for(config),
             concurrent=config.plan_concurrency,
             checkpoint_dir=config.checkpoint_dir,
-            checkpoint_identity=_checkpoint_identity([plan], config),
-        ).execute(plan.graph)
-    return plan.assemble(run)
+            checkpoint_identity=_checkpoint_identity(plans, config),
+        ).execute(graph)
+
+
+def execute_join_plan(plan: JoinPlan, config: JoinConfig) -> Any:
+    """Execute one plan on a fresh runtime scoped to it, then assemble."""
+    return plan.assemble(_execute(plan.graph, [plan], config))
 
 
 def run_join(
@@ -307,16 +311,5 @@ def run_join_plans(plans: list[JoinPlan], config: JoinConfig) -> list[Any]:
     were already baked into its builders.  Returns one assembled outcome per
     plan, in input order.
     """
-    fused = JobGraph.fuse([plan.graph for plan in plans])
-    with ExitStack() as stack:
-        runtime = stack.enter_context(config.make_runtime())
-        for resource in fused.resources:
-            stack.enter_context(resource)
-        run = PlanScheduler(
-            runtime,
-            cache=_plan_cache_for(config),
-            concurrent=config.plan_concurrency,
-            checkpoint_dir=config.checkpoint_dir,
-            checkpoint_identity=_checkpoint_identity(plans, config),
-        ).execute(fused)
+    run = _execute(JobGraph.fuse([plan.graph for plan in plans]), plans, config)
     return [plan.assemble(run) for plan in plans]

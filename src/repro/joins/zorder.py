@@ -59,21 +59,8 @@ from repro.mapreduce.plan import JobGraph
 from repro.mapreduce.splits import dataset_splits
 from repro.mapreduce.types import NeighborBlock, RecordBlock, group_rows_by, ranks_within
 
-from .base import (
-    PAIRS_GROUP,
-    PAIRS_NAME,
-    REPLICA_GROUP,
-    REPLICA_NAME,
-    JoinConfig,
-    JoinOutcome,
-    StageStats,
-)
-from .block_framework import (
-    candidate_emissions,
-    fused_or_chained,
-    merge_job_spec,
-    merged_result,
-)
+from .base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME, JoinConfig
+from .block_framework import candidate_emissions, knn_outcome_assembler, merge_stage
 from .kernel_providers import get_kernel_provider
 from .registry import JoinPlan, JoinSpec, register_join
 
@@ -272,31 +259,8 @@ def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
 
     join = graph.stage("zorder/join", build_join)
 
-    def build_merge(ctx):
-        return merge_job_spec(config), fused_or_chained(
-            config, dfs, "merge-input", ctx, join
-        )
-
-    merge = graph.stage("zorder/merge", build_merge, deps=(join,))
-    stage_names = (join.name, merge.name)
-
-    def assemble(run) -> JoinOutcome:
-        job1, job2 = run.result_of(join), run.result_of(merge)
-        outcome = JoinOutcome(
-            algorithm="zorder",
-            result=merged_result(config.k, job2.outputs),
-            r_size=len(r),
-            s_size=len(s),
-            k=config.k,
-            master_phases={},
-            job_stats=StageStats([job1.stats, job2.stats], names=stage_names),
-            job_phase_names=["knn_join", "merge"],
-            master_distance_pairs=0,
-        )
-        outcome.counters.merge(job1.counters)
-        outcome.counters.merge(job2.counters)
-        return outcome
-
+    stages = (join, merge_stage(graph, config, dfs, join))
+    assemble = knn_outcome_assembler("zorder", r, s, config, stages, ("knn_join", "merge"))
     return JoinPlan(graph=graph, assemble=assemble)
 
 

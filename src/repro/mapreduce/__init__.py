@@ -20,8 +20,6 @@ from .engines import (
     get_executor,
 )
 from .faults import (
-    CHAOS_ENV,
-    CHAOS_SEED_ENV,
     ChaosAction,
     ChaosPlan,
     ChaosRule,
@@ -99,8 +97,6 @@ __all__ = [
     "ChaosRule",
     "ChaosAction",
     "resolve_chaos",
-    "CHAOS_ENV",
-    "CHAOS_SEED_ENV",
     "JobGraph",
     "Stage",
     "StageContext",

@@ -20,11 +20,10 @@ tasks* fail in the *same ways* regardless of engine, scheduling order or
 concurrency.  That is what lets CI assert bit-identical results under chaos
 across all engines.
 
-Plans are built programmatically (``ChaosPlan(rules=(...), seed=7)``), from
-a compact spec string (:meth:`ChaosPlan.from_spec`, the ``--chaos-spec`` CLI
-flag), or from the environment (:meth:`ChaosPlan.from_env`, the
-``REPRO_CHAOS`` / ``REPRO_CHAOS_SEED`` variables the bench harness and the
-chaos CI leg read).  Spec grammar — semicolon-separated rules::
+Plans are built programmatically (``ChaosPlan(rules=(...), seed=7)``) or from
+a compact spec string (:meth:`ChaosPlan.from_spec` — what the ``chaos`` row of
+the join configs' knob table applies to ``--chaos-spec`` and ``REPRO_CHAOS``).
+Spec grammar — semicolon-separated rules::
 
     action[:key=value]*  [; ...]  [; seed=N]
 
@@ -40,7 +39,6 @@ converge), and ``delay`` (sleep seconds, delay rules only).
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Any
 
@@ -49,13 +47,7 @@ __all__ = [
     "ChaosRule",
     "ChaosAction",
     "resolve_chaos",
-    "CHAOS_ENV",
-    "CHAOS_SEED_ENV",
 ]
-
-#: environment variables the bench harness and CI chaos leg read
-CHAOS_ENV = "REPRO_CHAOS"
-CHAOS_SEED_ENV = "REPRO_CHAOS_SEED"
 
 #: actions evaluated before an attempt is dispatched
 ATTEMPT_ACTIONS = ("crash", "delay", "kill")
@@ -203,8 +195,8 @@ class ChaosPlan:
     def from_spec(cls, spec: str, seed: int | None = None) -> "ChaosPlan":
         """Parse the ``--chaos-spec`` / ``REPRO_CHAOS`` grammar.
 
-        An explicit ``seed`` argument (the ``--chaos-seed`` flag) overrides a
-        ``seed=N`` token inside the spec.
+        An explicit ``seed`` argument overrides a ``seed=N`` token inside the
+        spec.
         """
         rules: list[ChaosRule] = []
         spec_seed = 0
@@ -246,18 +238,6 @@ class ChaosPlan:
                         )
             rules.append(ChaosRule(action=action, **settings))
         return cls(rules=tuple(rules), seed=seed if seed is not None else spec_seed)
-
-    @classmethod
-    def from_env(cls, environ=None) -> "ChaosPlan | None":
-        """The plan described by ``REPRO_CHAOS`` (+ ``REPRO_CHAOS_SEED``),
-        or ``None`` when the variable is unset or empty."""
-        environ = environ if environ is not None else os.environ
-        spec = environ.get(CHAOS_ENV, "").strip()
-        if not spec:
-            return None
-        seed_text = environ.get(CHAOS_SEED_ENV, "").strip()
-        seed = _parse_int(seed_text, CHAOS_SEED_ENV) if seed_text else None
-        return cls.from_spec(spec, seed=seed)
 
 
 def _parse_float(text: str, where: str) -> float:

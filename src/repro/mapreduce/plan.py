@@ -645,16 +645,12 @@ class PlanScheduler:
         runtime: LocalRuntime,
         cache: PlanCache | None = None,
         concurrent: bool = True,
-        max_stage_workers: int | None = None,
         checkpoint_dir: str | os.PathLike | None = None,
         checkpoint_identity: str = "",
     ) -> None:
         self.runtime = runtime
         self.cache = cache
         self.concurrent = concurrent
-        if max_stage_workers is not None and max_stage_workers < 1:
-            raise ValueError("max_stage_workers must be >= 1")
-        self.max_stage_workers = max_stage_workers
         self.checkpoints = (
             StageCheckpointStore(checkpoint_dir, checkpoint_identity)
             if checkpoint_dir
@@ -682,9 +678,9 @@ class PlanScheduler:
             for dep in node.deps:
                 dependents[id(run.execution_of(dep).stage)].append(node)
         ready = [node for node in graph.stages if remaining[id(node)] == 0]
-        workers = self.max_stage_workers or min(len(graph.stages), _MAX_STAGE_WORKERS)
         with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix=f"plan-{graph.name}"
+            max_workers=min(len(graph.stages), _MAX_STAGE_WORKERS),
+            thread_name_prefix=f"plan-{graph.name}",
         ) as pool:
             futures = {
                 pool.submit(self._run_stage, run, node): node for node in ready

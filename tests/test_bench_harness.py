@@ -7,9 +7,6 @@ import pytest
 from repro.bench.harness import (
     DEFAULTS,
     ExperimentResult,
-    _engine_params,
-    bench_kernel_provider,
-    bench_spill_codec,
     forest_workload,
     osm_workload,
     pivot_sweep,
@@ -79,36 +76,6 @@ class TestRunners:
 
         with pytest.raises(TypeError, match="num_reducer"):
             run_algorithm("pgbj", small_uniform, small_uniform, num_reducer=32)
-
-
-class TestEnvKnobs:
-    def test_kernel_provider_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_PROVIDER", raising=False)
-        assert bench_kernel_provider() == "auto"
-        monkeypatch.setenv("REPRO_KERNEL_PROVIDER", "numba")
-        assert bench_kernel_provider() == "numba"
-        monkeypatch.setenv("REPRO_KERNEL_PROVIDER", "cuda")
-        with pytest.raises(ValueError, match="REPRO_KERNEL_PROVIDER"):
-            bench_kernel_provider()
-
-    def test_spill_codec_default_and_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPILL_CODEC", raising=False)
-        assert bench_spill_codec() == "none"
-        monkeypatch.setenv("REPRO_SPILL_CODEC", "zlib")
-        assert bench_spill_codec() == "zlib"
-        for retired_or_unknown in ("zstd", "gzip9"):
-            monkeypatch.setenv("REPRO_SPILL_CODEC", retired_or_unknown)
-            with pytest.raises(ValueError, match="REPRO_SPILL_CODEC must be one of none, zlib"):
-                bench_spill_codec()
-
-    def test_engine_params_carry_provider_and_codec(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SPILL_CODEC", raising=False)
-        monkeypatch.setenv("REPRO_KERNEL_PROVIDER", "numpy")
-        params = _engine_params()
-        assert params["kernel_provider"] == "numpy"
-        assert "spill_codec" not in params  # "none" stays implicit
-        monkeypatch.setenv("REPRO_SPILL_CODEC", "zlib")
-        assert _engine_params()["spill_codec"] == "zlib"
 
 
 class TestExperimentResult:

@@ -61,13 +61,8 @@ class TestJoin:
         assert "spill codec          : zlib" in out
         assert "spill activity" in out  # the codec implied the spill backend
 
-    def test_join_provider_default_from_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_PROVIDER", "numpy")
-        main(["join", "--objects", "200", "--k", "2", "--num-reducers", "2",
-              "--num-pivots", "6"])
-        assert "kernel provider      : numpy" in capsys.readouterr().out
-
-    def test_spill_codec_hidden_when_off(self, capsys):
+    def test_spill_codec_hidden_when_off(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_SPILL_CODEC", raising=False)
         main(["join", "--objects", "200", "--k", "2", "--num-reducers", "2",
               "--num-pivots", "6"])
         assert "spill codec" not in capsys.readouterr().out

@@ -4,7 +4,9 @@ README.md, the CI workflow and the verify skill tell people (and runners)
 which files to open and run.  Every concrete repo path they name —
 ``benchmarks/…``, ``results/…``, ``tests/…``, ``src/…``, ``examples/…`` —
 must exist, so a deleted script or an uncommitted record cannot leave a
-citation behind.
+citation behind.  The same goes for variables: every ``REPRO_*`` name in
+those documents and under ``src/`` is one the knob table declares, and
+README's copy of the table is the rendered one.
 """
 
 import re
@@ -51,3 +53,43 @@ def test_every_named_path_exists(document):
     assert paths, f"{document} names no repo path — did the extraction break?"
     missing = sorted(path for path in paths if not (REPO / path).exists())
     assert not missing, f"{document} names paths that do not exist: {missing}"
+
+
+# -- a variable named is a variable that exists --------------------------------
+
+_VARIABLE = re.compile(r"REPRO_[A-Z_]+")
+#: not execution knobs: a workload size, and where the cost model caches rates
+NOT_KNOBS = {"REPRO_BENCH_SCALE", "REPRO_COST_CACHE"}
+SOURCES = sorted(
+    str(path.relative_to(REPO)) for path in (REPO / "src").rglob("*.py")
+)
+
+
+def knob_variables() -> set[str]:
+    from repro.joins.base import execution_knobs
+
+    return {row.env for row in execution_knobs() if row.env}
+
+
+@pytest.mark.parametrize("document", DOCUMENTS + ("src/",))
+def test_every_named_variable_is_a_knobs(document):
+    files = SOURCES if document == "src/" else [document]
+    named = {
+        (name, token)
+        for name in files
+        for token in _VARIABLE.findall((REPO / name).read_text())
+    }
+    assert named, f"{document} names no REPRO_* variable — did the extraction break?"
+    unknown = sorted(
+        (name, token) for name, token in named if token not in knob_variables() | NOT_KNOBS
+    )
+    assert not unknown, f"variables no knob declares: {unknown}"
+
+
+def test_readme_knob_table_is_the_rendered_one():
+    from repro.joins.base import knob_table
+
+    readme = (REPO / "README.md").read_text()
+    begin, end = "<!-- knob-table:begin -->\n", "\n<!-- knob-table:end -->"
+    assert readme.count(begin) == readme.count(end) == 1
+    assert readme.split(begin)[1].split(end)[0] == knob_table()

@@ -165,25 +165,6 @@ class TestSpecGrammar:
         with pytest.raises(ValueError, match="bad number"):
             ChaosPlan.from_spec("crash:rate=lots")
 
-    def test_from_env(self):
-        assert ChaosPlan.from_env({}) is None
-        assert ChaosPlan.from_env({"REPRO_CHAOS": "  "}) is None
-        plan = ChaosPlan.from_env(
-            {"REPRO_CHAOS": "crash:rate=0.5;seed=1", "REPRO_CHAOS_SEED": "8"}
-        )
-        assert plan.seed == 8  # the env seed wins over the spec's
-
-    def test_bench_harness_reads_chaos_env(self, monkeypatch):
-        from repro.bench.harness import _engine_params, bench_chaos
-
-        monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        assert bench_chaos() is None
-        assert "chaos" not in _engine_params()
-        monkeypatch.setenv("REPRO_CHAOS", "crash:rate=0.25:attempt=1;seed=4")
-        plan = bench_chaos()
-        assert plan.seed == 4
-        assert _engine_params()["chaos"] == plan
-
 
 class TestResolveChaos:
     def test_none_passthrough(self):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.bench.harness import bench_engine, bench_memory_budget
 from repro.core import Dataset, VoronoiPartitioner, get_metric
 from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, JoinConfig
 from repro.joins.partition_job import merge_summaries, run_partitioning_job
+from tests.test_plan_equivalence import env_params
 
 
 @pytest.fixture
@@ -20,13 +20,7 @@ def world(rng):
 def run(world, split_size=32, k=4):
     r, s, pivots = world
     # the CI legs inject their engine / spill budget here
-    config = JoinConfig(
-        k=k,
-        num_reducers=2,
-        split_size=split_size,
-        engine=bench_engine(),
-        memory_budget=bench_memory_budget(),
-    )
+    config = JoinConfig(k=k, num_reducers=2, split_size=split_size, **env_params())
     with config.make_runtime() as runtime:
         result = run_partitioning_job(r, s, pivots, config, runtime)
     tr, ts, _ = merge_summaries(result, k)

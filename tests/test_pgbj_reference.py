@@ -6,7 +6,6 @@ import functools
 import numpy as np
 import pytest
 
-from repro.bench.harness import bench_engine, bench_memory_budget
 from repro.core import Dataset
 from repro.datasets import expand_dataset, generate_forest, generate_osm
 from repro.joins import PgbjConfig, run_join
@@ -14,6 +13,7 @@ from repro.joins.pgbj import GroupRoutingMapper
 from repro.mapreduce.job import Context
 from repro.mapreduce.types import RecordBlock
 from tests.reference_pgbj import PerCellRoutingMapper, outcome_facts, pgbj_facts
+from tests.test_plan_equivalence import env_params
 
 
 def _self_join(make):
@@ -100,7 +100,7 @@ class TestBlockPerTaskMatchesPerCellReference:
         """``run_join`` itself (nothing swapped, its own ``assemble``), on
         the engine / spill budget the CI leg injects."""
         r, s = CASES[case][0]()
-        config = _config(case, engine=bench_engine(), memory_budget=bench_memory_budget())
+        config = _config(case, **env_params())
         facts = outcome_facts(run_join("pgbj", r, s, config))
         reference = _reference(case)
         assert facts == {name: reference[name] for name in facts}

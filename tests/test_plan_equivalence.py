@@ -22,7 +22,6 @@ import dataclasses
 
 import pytest
 
-from repro.bench.harness import bench_engine, bench_memory_budget
 from repro.datasets import generate_forest
 from repro.joins import (
     InvalidJoinInput,
@@ -36,6 +35,7 @@ from repro.joins import (
     run_join,
     run_join_plans,
 )
+from repro.joins.base import knobs_from_env
 from repro.mapreduce import PersistentThreadExecutor, PlanCache
 from tests.test_engines import outcome_fingerprint
 
@@ -65,11 +65,8 @@ def queries():
 
 def env_params():
     """Engine/budget knobs the CI matrix legs inject (default: serial, RAM)."""
-    params = {"engine": bench_engine()}
-    budget = bench_memory_budget()
-    if budget is not None:
-        params["memory_budget"] = budget
-    return params
+    env = knobs_from_env()
+    return {knob: env[knob] for knob in ("engine", "memory_budget") if knob in env}
 
 
 def make_config(name: str, **overrides) -> JoinConfig:

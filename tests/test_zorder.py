@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.harness import bench_engine, bench_memory_budget
 from repro.core import Dataset, KnnJoinResult, brute_force_knn_join, get_metric
 from repro.core.zorder import ZOrderTransform
 from repro.datasets import (
@@ -19,6 +18,7 @@ from repro.datasets import (
 )
 from repro.joins import ZOrderConfig, recall_against, run_join
 from tests.reference_zorder import int_z_values, outcome_facts, run_reference_zorder
+from tests.test_plan_equivalence import env_params
 
 
 class TestTransform:
@@ -211,9 +211,7 @@ class TestColumnarMatchesPerRecordReference:
         config = ZOrderConfig(metric_name=metric, split_size=97, seed=11, **knobs)
         reference = run_reference_zorder(data, data, config)
         # the CI legs inject their engine / spill budget here
-        injected = config.with_changes(
-            engine=bench_engine(), memory_budget=bench_memory_budget()
-        )
+        injected = config.with_changes(**env_params())
         assert outcome_facts(run_join("zorder", data, data, injected)) == reference
         assert len(reference["neighbors"]) == len(data)
 
