@@ -176,6 +176,8 @@ def estimate_join_cost(
             map_records=R + S,
             shuffle_records=R + S,
             shuffle_bytes=(R + S) * rec,
+            # an upper bound since the assignment prunes with pivot-pivot
+            # distances (core/partition.py): the paper's all-pairs count
             distance_pairs=float(R + S) * P,
         )
 
@@ -261,6 +263,7 @@ def estimate_join_cost(
                 map_records=R + S,
                 shuffle_records=R + S,
                 shuffle_bytes=(R + S) * rec,
+                # (R + S) * P is an upper bound, as in partition_stage()
                 distance_pairs=float(R + S) * P + 0.2 * float(R) * S,
             )
         ]

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
-from repro.core.partition import VoronoiPartitioner
 from repro.mapreduce.job import Context, MapReduceJob, Mapper, Reducer
 from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
@@ -139,7 +138,6 @@ def plan_closest_pairs(
 
     def build_block(ctx):
         job1 = ctx.result_of(partition)
-        pdm = VoronoiPartitioner(state["pivots"], state["metric"]).pivot_distance_matrix()
         # Coverage: a global top-k pair (r, s) appears among r's local k
         # nearest in its block (fewer than k better pairs exist anywhere).
         # Excluding identity pairs costs one slot per r, hence k + 1.
@@ -152,7 +150,7 @@ def plan_closest_pairs(
                 "metric_name": config.metric_name,
                 "k": kernel_k,
                 "pivots": state["pivots"],
-                "pivot_dist_matrix": pdm,
+                "pivot_dist_matrix": state["pivot_dist_matrix"],
                 "exclude_self": exclude_self,
                 "kernel_provider": config.kernel_provider,
             },

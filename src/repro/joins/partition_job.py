@@ -58,6 +58,13 @@ __all__ = [
 CHANNEL_TR = "partial_tr"
 CHANNEL_TS = "partial_ts"
 
+#: counter of the object-pivot pairs the assignment proved it need not compute
+#: (computed + skipped = objects x pivots, the paper's all-pairs count)
+SKIPPED_NAME = "assignment_pairs_skipped"
+#: in :func:`partition_stage_key`: bump whenever the job's outputs *or counters*
+#: change, so a persisted entry of older code is never served
+PARTITION_JOB_VERSION = 2
+
 
 def make_pivot_selector(config) -> PivotSelector:
     """Instantiate the configured pivot selector with its knobs.
@@ -99,7 +106,9 @@ class PartitioningMapper(BlockBufferingMapper):
     def setup(self, ctx: Context) -> None:
         super().setup(ctx)
         self._metric = get_metric(ctx.cache["metric_name"])
-        self._partitioner = VoronoiPartitioner(ctx.cache["pivots"], self._metric)
+        self._partitioner = VoronoiPartitioner(
+            ctx.cache["pivots"], self._metric, ctx.cache["anchors"]
+        )
 
     def route_block(self, block: RecordBlock, ctx: Context):
         pids, dists = self._partitioner.assign_points(block.points)
@@ -112,7 +121,10 @@ class PartitioningMapper(BlockBufferingMapper):
                 ctx.side_output(
                     channel, build_partial_summary(pids[mask], dists[mask], k=summary_k)
                 )
-        ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)
+        computed = self._metric.pairs_computed
+        ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, computed)
+        all_pairs = len(block) * self._partitioner.num_partitions
+        ctx.counters.incr(PAIRS_GROUP, SKIPPED_NAME, all_pairs - computed)
         order = np.argsort(pids, kind="stable")
         annotated = block.take(order)
         annotated.partition_ids = pids[order]
@@ -137,14 +149,16 @@ def merge_summaries(job_result: JobResult, k: int) -> tuple[SummaryTable, Summar
     return tr, ts, time.perf_counter() - started
 
 
-def partitioning_job_spec(pivots: np.ndarray, config: JoinConfig) -> MapReduceJob:
-    """The map-only partitioning job over ``R ∪ S`` (k-independent)."""
+def partitioning_job_spec(pivots: np.ndarray, config: JoinConfig, anchors: tuple) -> MapReduceJob:
+    """The map-only partitioning job over ``R ∪ S`` (k-independent); ``anchors``
+    is the master's :meth:`VoronoiPartitioner.anchor_index` over ``pivots``."""
     return MapReduceJob(
         name="partitioning",
         mapper_factory=PartitioningMapper,
         reducer_factory=None,
         cache={
             "pivots": pivots,
+            "anchors": anchors,
             "metric_name": config.metric_name,
         },
     )
@@ -159,9 +173,9 @@ def run_partitioning_job(
 ) -> JobResult:
     """Execute the map-only partitioning job over ``R ∪ S`` (test seam; the
     drivers run it as a plan stage via :func:`partition_stage`)."""
-    return runtime.run(
-        partitioning_job_spec(pivots, config), dataset_splits(r, s, config.split_size)
-    )
+    anchors = VoronoiPartitioner(pivots, get_metric(config.metric_name)).anchor_index()
+    job = partitioning_job_spec(pivots, config, anchors)
+    return runtime.run(job, dataset_splits(r, s, config.split_size))
 
 
 def partition_stage_key(r: Dataset, s: Dataset, config: JoinConfig, num_pivots: int):
@@ -178,6 +192,7 @@ def partition_stage_key(r: Dataset, s: Dataset, config: JoinConfig, num_pivots: 
 
     return (
         "voronoi-partition",
+        PARTITION_JOB_VERSION,
         dataset_fingerprint(r),
         dataset_fingerprint(s),
         config.metric_name,
@@ -201,10 +216,11 @@ def partition_stage(
 ) -> Stage:
     """Add the shared partitioning stage (pivot selection + first job).
 
-    The builder selects pivots on the master (timed as the
-    ``pivot_selection`` phase, counted on ``state["metric"]``) and returns
-    the k-independent partitioning job; ``state`` receives ``"pivots"`` and
-    ``"metric"`` for the downstream stages of the same plan.  The stage is
+    The builder selects pivots and computes their distance matrix on the
+    master (timed as the ``pivot_selection`` phase, counted on
+    ``state["metric"]``) and returns the k-independent partitioning job;
+    ``state`` receives ``"pivots"``, ``"pivot_dist_matrix"`` and ``"metric"``
+    for the downstream stages of the same plan.  The stage is
     content-keyed, so a :class:`~repro.mapreduce.plan.PlanCache` can serve
     the job result to every sweep point whose prefix is unchanged.
     """
@@ -215,11 +231,12 @@ def partition_stage(
         selector = make_pivot_selector(config)
         with ctx.timed("pivot_selection"):
             pivots = selector.select(r, num_pivots, metric, rng)
+            partitioner = VoronoiPartitioner(pivots, metric)
+            state["pivot_dist_matrix"] = partitioner.pivot_distance_matrix()
+            job = partitioning_job_spec(pivots, config, partitioner.anchor_index())
         state["pivots"] = pivots
         state["metric"] = metric
-        return partitioning_job_spec(pivots, config), dataset_splits(
-            r, s, config.split_size
-        )
+        return job, dataset_splits(r, s, config.split_size)
 
     # the key fingerprints both datasets (a sha1 pass each) — only worth
     # computing when a cache (in-process or persistent) will consume it

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
-from repro.core.partition import VoronoiPartitioner
 from repro.mapreduce.job import Context, Reducer
 from repro.mapreduce.plan import JobGraph
 from repro.mapreduce.types import NeighborBlock
@@ -100,8 +99,6 @@ def plan_pbj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
 
     def build_block_join(ctx):
         job1 = ctx.result_of(partition)
-        # pivot distance matrix, broadcast to the join reducers
-        pdm = VoronoiPartitioner(state["pivots"], state["metric"]).pivot_distance_matrix()
         job2 = block_join_spec(
             name="pbj-block-join",
             reducer_factory=PbjJoinReducer,
@@ -110,7 +107,7 @@ def plan_pbj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
                 "metric_name": config.metric_name,
                 "k": config.k,
                 "pivots": state["pivots"],
-                "pivot_dist_matrix": pdm,
+                "pivot_dist_matrix": state["pivot_dist_matrix"],
                 "kernel_provider": config.kernel_provider,
                 "merge_reducers": config.num_reducers,
             },

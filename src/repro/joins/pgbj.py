@@ -25,7 +25,6 @@ from repro.core.bounds import compute_lb_matrix, compute_thetas, group_lb_matrix
 from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
 from repro.core.geometry import PRUNE_EPS
-from repro.core.partition import VoronoiPartitioner
 from repro.grouping import get_grouping_strategy
 from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import ModPartitioner
@@ -188,8 +187,7 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
         tr, ts, merge_seconds = merge_summaries(job1, config.k)
         ctx.add_phase("index_merging", merge_seconds)
         with ctx.timed("partition_grouping"):
-            partitioner = VoronoiPartitioner(state["pivots"], state["metric"])
-            pdm = partitioner.pivot_distance_matrix()
+            pdm = state["pivot_dist_matrix"]
             thetas = compute_thetas(tr, ts, pdm, config.k)
             lb_matrix = compute_lb_matrix(tr, pdm, thetas)
             strategy = get_grouping_strategy(config.grouping)

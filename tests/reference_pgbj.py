@@ -24,7 +24,7 @@ from repro.core.summary import build_partial_summary
 from repro.joins import partition_job, pgbj
 from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME
 from repro.joins.kernels import build_partition_blocks
-from repro.joins.partition_job import CHANNEL_TR, CHANNEL_TS
+from repro.joins.partition_job import CHANNEL_TR, CHANNEL_TS, SKIPPED_NAME
 from repro.joins.registry import JoinPlan, execute_join_plan
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Context, Mapper
@@ -40,7 +40,9 @@ class PerCellPartitioningMapper(Mapper):
 
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
-        self._partitioner = VoronoiPartitioner(ctx.cache["pivots"], self._metric)
+        self._partitioner = VoronoiPartitioner(
+            ctx.cache["pivots"], self._metric, ctx.cache["anchors"]
+        )
         self._buffer: list = []
 
     def map(self, key, value, ctx):
@@ -62,7 +64,11 @@ class PerCellPartitioningMapper(Mapper):
                 ctx.side_output(
                     channel, build_partial_summary(pids[mask], dists[mask], k=summary_k)
                 )
-        ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)
+        computed = self._metric.pairs_computed
+        ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, computed)
+        ctx.counters.incr(
+            PAIRS_GROUP, SKIPPED_NAME, len(block) * self._partitioner.num_partitions - computed
+        )
         block.partition_ids = pids.astype(np.int64, copy=False)
         block.pivot_distances = dists.astype(np.float64, copy=False)
         yield from block.split_by(block.partition_ids)

@@ -29,7 +29,7 @@ import pytest
 
 from repro.core.dataset import Dataset
 from repro.datasets import generate_forest
-from repro.joins import PgbjConfig, available_joins, get_join, run_join
+from repro.joins import PgbjConfig, available_joins, get_join, partition_job, run_join
 from repro.joins.autotune import (
     TuningChoice,
     auto_tune_config,
@@ -38,6 +38,7 @@ from repro.joins.autotune import (
     sampled_cell_histogram,
 )
 from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME
+from repro.joins.partition_job import partition_stage_key
 from repro.joins.pgbj import plan_skew_split
 from repro.mapreduce import PlanCache
 from repro.mapreduce.cost import (
@@ -262,6 +263,33 @@ class TestPersistentCacheBitIdentity:
         if name in ("pgbj", "pbj", "closest-pairs"):
             # these plans share the content-keyed partition stage
             assert list(Path(tmp_path).glob("*.plan.seg"))
+
+
+    def test_an_entry_written_by_older_partitioning_code_does_not_hit(
+        self, data, tmp_path, monkeypatch
+    ):
+        """The partition stage's key carries the job's code version: an entry
+        persisted before the job's counters changed would otherwise serve its
+        old ``distance_pairs`` verbatim."""
+
+        def run_with_fresh_cache():
+            cache = PlanCache(directory=tmp_path)
+            config = PgbjConfig(k=3, num_pivots=12, seed=5, plan_cache=cache)
+            return cache, partition_stage_key(data, data, config, 12), run_join(
+                "pgbj", data, data, config
+            )
+
+        current = partition_job.PARTITION_JOB_VERSION
+        monkeypatch.setattr(partition_job, "PARTITION_JOB_VERSION", current - 1)
+        old_cache, old_key, _ = run_with_fresh_cache()
+        assert old_cache.disk_writes >= 1
+        monkeypatch.undo()
+        cache, key, cold = run_with_fresh_cache()
+        assert key != old_key and current in key
+        assert cache.disk_hits == 0 and cache.disk_writes >= 1
+        warm_cache, _, warm = run_with_fresh_cache()
+        assert warm_cache.disk_hits >= 1
+        assert fingerprint(warm) == fingerprint(cold)
 
 
 class TestSkewSplit:

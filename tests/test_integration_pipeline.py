@@ -11,7 +11,10 @@ import pytest
 from repro import PgbjConfig, run_join
 from repro.core import VoronoiPartitioner, get_metric
 from repro.datasets import generate_forest
+from repro.joins.base import PAIRS_GROUP
+from repro.joins.partition_job import SKIPPED_NAME, make_pivot_selector
 from repro.mapreduce import Cluster
+from tests.reference_voronoi import pruned_pair_count
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +53,22 @@ class TestCrossStageConsistency:
         assert outcome.result.total_pairs() == config.k * len(data)
 
     def test_selectivity_includes_partitioning_pass(self, pipeline_run):
+        """MR1 computes or provably skips every one of the (|R| + |S|) * |P|
+        object-pivot pairs; the computed ones, by the stated rule per split,
+        are part of the selectivity."""
         data, config, outcome = pipeline_run
-        # MR1 alone computes (|R| + |S|) * |P| object-pivot pairs
-        minimum = 2 * len(data) * config.num_pivots
-        assert outcome.distance_pairs > minimum
+        pivots = make_pivot_selector(config).select(
+            data, config.num_pivots, get_metric("l2"), np.random.default_rng(config.seed)
+        )
+        both = np.vstack([data.points, data.points])
+        computed = sum(
+            pruned_pair_count(pivots, get_metric("l2"), both[start : start + config.split_size])
+            for start in range(0, len(both), config.split_size)
+        )
+        skipped = outcome.counters.value(PAIRS_GROUP, SKIPPED_NAME)
+        assert skipped > 0
+        assert computed + skipped == 2 * len(data) * config.num_pivots
+        assert outcome.distance_pairs > computed
 
     def test_broadcast_cache_accounted(self, pipeline_run):
         data, config, outcome = pipeline_run
@@ -90,7 +105,6 @@ class TestGroupRoutingMatchesMasterPlan:
         )
         from repro.core.summary import build_partial_summary
         from repro.grouping import get_grouping_strategy
-        from repro.joins.pgbj import make_pivot_selector
 
         rng = np.random.default_rng(config.seed)
         metric = get_metric("l2")

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
 from repro.core.partition import PartitionAssignment
+from tests.reference_voronoi import pruned_pair_count
 
 
 def make_partitioner(pivots):
@@ -49,10 +50,19 @@ class TestAssignment:
             assert counts[pid] == len(assignment.rows_of(pid))
 
     def test_distance_counting_includes_all_object_pivot_pairs(self):
-        metric = get_metric("l2")
-        partitioner = VoronoiPartitioner(np.random.default_rng(0).random((6, 2)), metric)
-        partitioner.assign(Dataset(np.random.default_rng(1).random((40, 2))))
-        assert metric.pairs_computed == 40 * 6
+        """Every object-pivot pair that is computed is counted; the rest are
+        skipped by the triangle bound (all of them computed below 16 pivots)."""
+        points = np.random.default_rng(1).random((400, 2))
+        for num_pivots in (6, 60):
+            pivots = np.random.default_rng(0).random((num_pivots, 2))
+            anchors = VoronoiPartitioner(pivots, get_metric("l2")).anchor_index()
+            metric = get_metric("l2")
+            VoronoiPartitioner(pivots, metric, anchors).assign(Dataset(points))
+            assert metric.pairs_computed == pruned_pair_count(pivots, get_metric("l2"), points)
+            assert metric.pairs_computed <= 400 * num_pivots
+        assert metric.pairs_computed < 400 * 60 and pruned_pair_count(
+            pivots[:6], metric, points
+        ) == 400 * 6
 
 
 class TestTieBreaking:
@@ -71,13 +81,6 @@ class TestTieBreaking:
         assignment = partitioner.assign(Dataset(points))
         counts = assignment.counts()
         assert counts[0] == counts[1] == 4
-
-    def test_initial_counts_seed_the_balance(self):
-        partitioner = make_partitioner([[0.0, 0.0], [2.0, 0.0]])
-        pids, _ = partitioner.assign_points(
-            np.array([[1.0, 0.0]]), initial_counts=np.array([5, 0])
-        )
-        assert pids[0] == 1  # partition 1 is smaller
 
 
 class TestPartitionAssignment:

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
 from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, JoinConfig
-from repro.joins.partition_job import merge_summaries, run_partitioning_job
+from repro.joins.partition_job import SKIPPED_NAME, merge_summaries, run_partitioning_job
+from tests.reference_voronoi import pruned_pair_count
 from tests.test_plan_equivalence import env_params
 
 
@@ -72,10 +73,21 @@ class TestJobOutput:
         assert sum(t.input_records for t in result.stats.map_tasks) == len(r) + len(s)
         assert sum(t.output_records for t in result.stats.map_tasks) == len(r) + len(s)
 
-    def test_distance_pairs_counted(self, world):
-        r, s, pivots, result, tr, ts = run(world)
-        expected = (len(r) + len(s)) * pivots.shape[0]
-        assert result.counters.value(PAIRS_GROUP, PAIRS_NAME) == expected
+    def test_distance_pairs_counted(self, world, rng):
+        """computed + skipped == rows x pivots; computed is the stated rule's
+        count per split (every pair below 16 pivots, fewer with an index)."""
+        r, s, _ = world
+        all_points = np.vstack([r.points, s.points])
+        for pivots in (world[2], rng.random((40, 3))):
+            result = run((r, s, pivots))[3]
+            computed = result.counters.value(PAIRS_GROUP, PAIRS_NAME)
+            all_pairs = (len(r) + len(s)) * pivots.shape[0]
+            assert computed + result.counters.value(PAIRS_GROUP, SKIPPED_NAME) == all_pairs
+            assert computed == sum(
+                pruned_pair_count(pivots, get_metric("l2"), all_points[start : start + 32])
+                for start in range(0, len(all_points), 32)
+            )
+        assert computed < all_pairs  # 40 pivots: the index pruned something
 
 
 class TestSummaries:
