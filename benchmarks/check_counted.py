@@ -1,9 +1,11 @@
 """Hold a benchmark record's counted metrics to a committed baseline, exactly.
 
 ``selectivity_permille``, ``shuffle_mb`` and ``recall_at_k`` repeat to the
-last digit for one seed and size, so any difference from the baseline is a
-change of behaviour, never noise: CI runs this on the end-to-end smoke record,
-and a PR that moves a counted metric on purpose shows it as a reviewed diff of
+last digit for one seed and size, and so does the spill layout —
+``spill_segments`` and ``merge_passes``, each summed over the jobs of the
+record's ``counters`` — so any difference from the baseline is a change of
+behaviour, never noise: CI runs this on the end-to-end smoke record, and a PR
+that moves a counted metric on purpose shows it as a reviewed diff of
 ``results/e2e_smoke_counted.json`` (rewrite it with ``--update``).
 
     PYTHONPATH=src python -m benchmarks.e2e run --smoke --out e2e-smoke.json
@@ -23,6 +25,8 @@ import sys
 from pathlib import Path
 
 COUNTED = ("selectivity_permille", "shuffle_mb", "recall_at_k")
+#: spill layout counts, each summed over the workload's jobs
+SPILL_LAYOUT = ("spill_segments", "merge_passes")
 INPUTS = ("seed", "scale")
 BASELINE = Path(__file__).resolve().parent.parent / "results" / "e2e_smoke_counted.json"
 
@@ -32,7 +36,13 @@ def counted_of(record: dict) -> dict:
     return {
         **{key: record["environment"][key] for key in INPUTS},
         "workloads": {
-            result["workload"]: {name: result["metrics"][name]["value"] for name in COUNTED}
+            result["workload"]: {
+                **{name: result["metrics"][name]["value"] for name in COUNTED},
+                **{
+                    name: sum(job[name] for job in result["counters"]["jobs"])
+                    for name in SPILL_LAYOUT
+                },
+            }
             for result in record["results"]
         },
     }
@@ -47,9 +57,9 @@ def differences(baseline: dict, got: dict) -> list[str]:
             lines.append(f"{workload}: missing from the {'baseline' if after else 'record'}")
             continue
         lines += [
-            f"{workload}.{name}: {before[name]!r} -> {after[name]!r}"
-            for name in COUNTED
-            if before[name] != after[name]
+            f"{workload}.{name}: {before.get(name)!r} -> {after.get(name)!r}"
+            for name in COUNTED + SPILL_LAYOUT
+            if before.get(name) != after.get(name)
         ]
     return lines
 

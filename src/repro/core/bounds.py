@@ -38,6 +38,7 @@ __all__ = [
     "lower_bound",
     "bounding_knn",
     "compute_thetas",
+    "theta_bounds",
     "compute_lb_matrix",
     "group_lb_matrix",
 ]
@@ -108,31 +109,39 @@ def compute_thetas(
     pivot_dist_matrix: np.ndarray,
     k: int,
 ) -> dict[int, float]:
-    """``theta_i`` for every non-empty R-partition: Algorithm 1, all rows at once.
-
-    The k-th smallest per row of the ``(M_R, M_S * k)`` matrix of Theorem 3
-    bounds ``(U_i + |p_i, p_j|) + |s, p_j|`` over each cell's k nearest-to-pivot
-    entries (``inf`` where a cell holds fewer) — the operations, and so the
-    floats, of the scalar oracle :func:`bounding_knn` — in chunks of R rows.
-    """
+    """``theta_i`` for every non-empty R-partition: Algorithm 1, all rows at
+    once — :func:`theta_bounds` over ``T_R``'s ``U`` and ``T_S``'s kNN lists."""
     if k < 1:
         raise ValueError("k must be >= 1")
     r_pids, s_pids = tr.partition_ids(), ts.partition_ids()
-    knn = np.full((len(s_pids), k), np.inf, dtype=np.float64)
-    for row, pid in enumerate(s_pids):
-        nearest = ts.get(pid).knn_distances[:k]  # ascending within the cell
-        knn[row, : len(nearest)] = nearest
-    held = int(np.isfinite(knn).sum())
+    nearest = [ts.get(pid).knn_distances for pid in s_pids]
+    held = sum(min(len(distances), k) for distances in nearest)
     if r_pids and held < k:
         raise ValueError(f"cannot bound {k} nearest neighbors: S holds only {held} objects")
-    base = np.array([tr.get(pid).upper for pid in r_pids], dtype=np.float64)[:, None]
-    base = base + pivot_dist_matrix[np.ix_(r_pids, s_pids)]
-    thetas: list[float] = []
-    chunk = max(1, _THETA_BYTES // (8 * max(1, knn.size)))
-    for lo in range(0, len(r_pids), chunk):
-        bounds = (base[lo : lo + chunk, :, None] + knn).reshape(-1, knn.size)
-        thetas += np.partition(bounds, k - 1, axis=1)[:, k - 1].tolist()
+    uppers = np.array([tr.get(pid).upper for pid in r_pids], dtype=np.float64)
+    thetas = theta_bounds(uppers, pivot_dist_matrix[np.ix_(r_pids, s_pids)], nearest, k)
     return dict(zip(r_pids, thetas))
+
+
+def theta_bounds(
+    uppers: np.ndarray, pivot_dists: np.ndarray, nearest: list[np.ndarray], k: int
+) -> list[float]:
+    """Algorithm 1's arithmetic: per R cell ``i``, the k-th smallest Theorem 3
+    bound ``(U_i + |p_i, p_j|) + |s, p_j|`` over the first k entries of every
+    S cell's ascending ``nearest`` distances (``inf`` where a cell holds
+    fewer) — the operations, and so the floats, of the scalar oracle
+    :func:`bounding_knn` — in chunks of R rows.  ``pivot_dists`` is
+    ``(R cells, S cells)``; the cells must hold at least k objects in all."""
+    table = np.full((len(nearest), k), np.inf, dtype=np.float64)
+    for row, ascending in enumerate(nearest):
+        table[row, : min(len(ascending), k)] = ascending[:k]
+    base = uppers[:, None] + pivot_dists
+    thetas: list[float] = []
+    chunk = max(1, _THETA_BYTES // (8 * max(1, table.size)))
+    for lo in range(0, len(uppers), chunk):
+        bounds = (base[lo : lo + chunk, :, None] + table).reshape(-1, table.size)
+        thetas += np.partition(bounds, k - 1, axis=1)[:, k - 1].tolist()
+    return thetas
 
 
 def compute_lb_matrix(

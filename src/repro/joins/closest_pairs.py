@@ -28,6 +28,7 @@ from repro.core.distance import get_metric
 from repro.mapreduce.job import Context, MapReduceJob, Mapper, Reducer
 from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
+from repro.mapreduce.types import RecordBlock
 
 from .base import PAIRS_GROUP, PAIRS_NAME, BlockJoinConfig
 from .block_framework import block_join_spec, chain_splits, fused_or_chained
@@ -36,7 +37,7 @@ from .kernels import (
     ScratchPool,
     build_partition_blocks,
     local_ring_stats,
-    local_theta,
+    local_thetas,
 )
 from .partition_job import partition_stage
 from .registry import JoinPlan, JoinSpec, register_join
@@ -57,18 +58,14 @@ class ClosestPairsBlockReducer(Reducer):
         self._scratch = ScratchPool()
 
     def reduce(self, key, values, ctx: Context):
-        r_blocks, s_blocks = build_partition_blocks(values)
+        r_blocks, s_blocks = build_partition_blocks(RecordBlock.gather(values))
         if not r_blocks or not s_blocks:
             return
-        ring_stats = local_ring_stats(s_blocks)
-        thetas = {
-            pid: local_theta(block.local_upper(), self._pdm[pid], s_blocks, self._k)
-            for pid, block in r_blocks.items()
-        }
+        thetas = local_thetas(r_blocks, s_blocks, self._pdm, self._k)
         # max-heap (negated) of the k smallest pairs seen in this block
         heap: list[tuple[float, int, int]] = []
         for r_id, ids, dists in self._provider.knn_join_kernel(
-            self._metric, self._k, r_blocks, s_blocks, thetas, ring_stats,
+            self._metric, self._k, r_blocks, s_blocks, thetas, local_ring_stats(s_blocks),
             self._pivots, self._pdm, scratch=self._scratch,
         ):
             for s_id, dist in zip(ids.tolist(), dists.tolist()):

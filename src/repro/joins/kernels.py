@@ -45,20 +45,21 @@ for pair.  Two byte budgets bound memory: a scan or a window gathers at most
 ``_GATHER_BYTES`` of pairs per batch, and R is tiled by whole cells so a
 window's ``(steps, rows)`` matrices stay near ``_TILE_BYTES``.
 
-Inputs arrive either as per-object :class:`~repro.mapreduce.types.ObjectRecord`
-values or as columnar :class:`~repro.mapreduce.types.RecordBlock` batches;
-:func:`build_partition_blocks` splits a reducer's mixed value list by origin
-and groups it per Voronoi cell with array ops only.
+Inputs are :class:`~repro.mapreduce.types.RecordBlock` batches, the one row
+format: a reducer gathers its values into one block, and
+:func:`build_partition_blocks` splits it by origin and groups it per Voronoi
+cell with array ops only.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.bounds import theta_bounds
 from repro.core.distance import Metric
 from repro.core.geometry import (
     PRUNE_EPS,
@@ -70,7 +71,7 @@ from repro.core.geometry import (
     segment_keys,
 )
 from repro.core.knn import ReferenceKBestList
-from repro.mapreduce.types import ObjectRecord, RecordBlock, group_rows_by
+from repro.mapreduce.types import RecordBlock, group_rows_by
 
 __all__ = [
     "RPartitionBlock",
@@ -80,7 +81,7 @@ __all__ = [
     "build_r_blocks",
     "build_s_blocks",
     "local_ring_stats",
-    "local_theta",
+    "local_thetas",
     "knn_join_kernel",
     "knn_join_kernel_reference",
     "scan_partition_numpy",
@@ -118,17 +119,8 @@ class SPartitionBlock:
         return self.ids.shape[0]
 
 
-def _as_block(values: "RecordBlock | Iterable") -> RecordBlock:
-    if isinstance(values, RecordBlock):
-        return values
-    return RecordBlock.gather(values)
-
-
-def build_r_blocks(
-    records: "RecordBlock | Iterable[ObjectRecord | RecordBlock]",
-) -> dict[int, RPartitionBlock]:
-    """Group a reducer's R records by Voronoi cell (columnar)."""
-    block = _as_block(records)
+def build_r_blocks(block: RecordBlock) -> dict[int, RPartitionBlock]:
+    """Group a reducer's R objects by Voronoi cell."""
     return {
         pid: RPartitionBlock(
             partition_id=pid,
@@ -140,11 +132,8 @@ def build_r_blocks(
     }
 
 
-def build_s_blocks(
-    records: "RecordBlock | Iterable[ObjectRecord | RecordBlock]",
-) -> dict[int, SPartitionBlock]:
-    """Group a reducer's S records by cell, sorted by pivot distance."""
-    block = _as_block(records)
+def build_s_blocks(block: RecordBlock) -> dict[int, SPartitionBlock]:
+    """Group a reducer's S objects by cell, sorted by pivot distance."""
     blocks: dict[int, SPartitionBlock] = {}
     for pid, rows in group_rows_by(block.partition_ids):
         ids = block.object_ids[rows]
@@ -160,15 +149,10 @@ def build_s_blocks(
 
 
 def build_partition_blocks(
-    values: Iterable,
+    block: RecordBlock,
 ) -> tuple[dict[int, RPartitionBlock], dict[int, SPartitionBlock]]:
-    """Split a reducer's mixed value list by origin and group per cell.
-
-    Accepts whatever the shuffle delivered — per-object records, columnar
-    blocks, or a mix — and returns ``(r_blocks, s_blocks)`` built with array
-    operations only (no per-record Python objects on the block path).
-    """
-    block = _as_block(values)
+    """Split a reducer's gathered input by origin and group it per cell:
+    ``(r_blocks, s_blocks)``, built with array operations only."""
     r_rows = np.flatnonzero(block.is_r)
     s_rows = np.flatnonzero(~block.is_r)
     return build_r_blocks(block.take(r_rows)), build_s_blocks(block.take(s_rows))
@@ -182,34 +166,29 @@ def local_ring_stats(s_blocks: dict[int, SPartitionBlock]) -> dict[int, tuple[fl
     }
 
 
-def local_theta(
-    u_ri: float,
-    pdm_row: np.ndarray,
+def local_thetas(
+    r_blocks: dict[int, RPartitionBlock],
     s_blocks: dict[int, SPartitionBlock],
+    pdm: np.ndarray,
     k: int,
-) -> float:
-    """Algorithm 1 evaluated over a reducer's local S blocks.
+) -> dict[int, float]:
+    """Algorithm 1 over a reducer's local S blocks, for every R cell present.
 
-    Used by PBJ, whose reducers see only a random ``1/sqrt(N)`` slice of S:
-    the theta bound must be recomputed from what is present.  Returns ``inf``
-    when the local blocks hold fewer than k objects (the merge job resolves
-    such partial candidate lists).
-
-    Vectorized: each block contributes upper bounds
-    ``u_ri + |p_i, p_j| + |s, p_j|`` for its k nearest-to-pivot objects
-    (the blocks are pivot-distance sorted); the k-th smallest of the pooled
-    bounds is the theta — one ``np.partition`` instead of a Python heap.
+    Used by PBJ and the closest-pairs operator, whose reducers see only a
+    random ``1/sqrt(N)`` slice of S: the theta bound must be recomputed from
+    what is present — :func:`~repro.core.bounds.theta_bounds` over the local
+    ``U`` of each R cell and the k nearest-to-pivot objects of each S cell
+    (the blocks are pivot-distance sorted).  Every cell gets ``inf`` when the
+    local S holds fewer than k objects (the merge job resolves such partial
+    candidate lists).
     """
-    bounds = [
-        (u_ri + float(pdm_row[pid])) + block.pivot_dists[:k]
-        for pid, block in s_blocks.items()
-    ]
-    if not bounds:
-        return float("inf")
-    pooled = np.concatenate(bounds)
-    if pooled.size < k:
-        return float("inf")
-    return float(np.partition(pooled, k - 1)[k - 1])
+    if sum(len(block) for block in s_blocks.values()) < k:
+        return dict.fromkeys(r_blocks, math.inf)
+    r_pids, s_pids = list(r_blocks), list(s_blocks)
+    uppers = np.array([r_blocks[pid].local_upper() for pid in r_pids], dtype=np.float64)
+    nearest = [s_blocks[pid].pivot_dists for pid in s_pids]
+    thetas = theta_bounds(uppers, pdm[np.ix_(r_pids, s_pids)], nearest, k)
+    return dict(zip(r_pids, thetas))
 
 
 #: sentinel id for unfilled k-best slots — sorts after every real id

@@ -61,9 +61,6 @@ CHANNEL_TS = "partial_ts"
 #: counter of the object-pivot pairs the assignment proved it need not compute
 #: (computed + skipped = objects x pivots, the paper's all-pairs count)
 SKIPPED_NAME = "assignment_pairs_skipped"
-#: in :func:`partition_stage_key`: bump whenever the job's outputs *or counters*
-#: change, so a persisted entry of older code is never served
-PARTITION_JOB_VERSION = 2
 
 
 def make_pivot_selector(config) -> PivotSelector:
@@ -186,15 +183,16 @@ def partition_stage_key(r: Dataset, s: Dataset, config: JoinConfig, num_pivots: 
     absent (see module docstring), which is exactly what makes the paper's
     Figure 8/9 "effect of k" sweeps reuse one partitioning run — and since
     PGBJ, PBJ and closest-pairs build the identical job from the same
-    inputs, the prefix is even shared *across algorithms*.
+    inputs, the prefix is even shared *across algorithms*.  The code version
+    is :data:`~repro.joins.registry.RESULTS_VERSION`.
     """
-    from .registry import dataset_fingerprint  # local: registry imports drivers' peers
+    from . import registry  # local: registry imports drivers' peers
 
     return (
         "voronoi-partition",
-        PARTITION_JOB_VERSION,
-        dataset_fingerprint(r),
-        dataset_fingerprint(s),
+        registry.RESULTS_VERSION,
+        registry.dataset_fingerprint(r),
+        registry.dataset_fingerprint(s),
         config.metric_name,
         int(config.split_size),
         int(config.seed),

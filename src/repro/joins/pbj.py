@@ -25,7 +25,7 @@ from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
 from repro.mapreduce.job import Context, Reducer
 from repro.mapreduce.plan import JobGraph
-from repro.mapreduce.types import NeighborBlock
+from repro.mapreduce.types import NeighborBlock, RecordBlock
 
 from .base import PAIRS_GROUP, PAIRS_NAME, BlockJoinConfig
 from .block_framework import (
@@ -40,7 +40,7 @@ from .kernels import (
     ScratchPool,
     build_partition_blocks,
     local_ring_stats,
-    local_theta,
+    local_thetas,
 )
 from .partition_job import partition_stage
 from .registry import JoinPlan, JoinSpec, register_join
@@ -60,22 +60,17 @@ class PbjJoinReducer(Reducer):
         self._scratch = ScratchPool()
 
     def reduce(self, key, values, ctx: Context):
-        r_blocks, s_blocks = build_partition_blocks(values)
+        r_blocks, s_blocks = build_partition_blocks(RecordBlock.gather(values))
         if not r_blocks or not s_blocks:
             return ()  # lone half of a pair: other block columns cover these r
-        ring_stats = local_ring_stats(s_blocks)
-        thetas = {
-            pid: local_theta(block.local_upper(), self._pdm[pid], s_blocks, self._k)
-            for pid, block in r_blocks.items()
-        }
         candidates = NeighborBlock.from_lists(
             self._provider.knn_join_kernel(
                 self._metric,
                 self._k,
                 r_blocks,
                 s_blocks,
-                thetas,
-                ring_stats,
+                local_thetas(r_blocks, s_blocks, self._pdm, self._k),
+                local_ring_stats(s_blocks),
                 self._pivots,
                 self._pdm,
                 scratch=self._scratch,

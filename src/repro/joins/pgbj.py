@@ -112,7 +112,7 @@ class PgbjJoinReducer(Reducer):
         self._scratch = ScratchPool()
 
     def reduce(self, key, values, ctx: Context):
-        r_blocks, s_blocks = build_partition_blocks(values)
+        r_blocks, s_blocks = build_partition_blocks(RecordBlock.gather(values))
         if not r_blocks:
             return
         yield key, NeighborBlock.from_lists(

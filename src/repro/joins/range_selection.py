@@ -24,10 +24,10 @@ from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
 from repro.core.geometry import PRUNE_EPS, ring_slice
 from repro.core.partition import VoronoiPartitioner
-from repro.mapreduce.job import Context, Mapper, MapReduceJob, Reducer
+from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
-from repro.mapreduce.splits import records_from_dataset
+from repro.mapreduce.types import RecordBlock
 
 from .base import PAIRS_GROUP, PAIRS_NAME, JoinConfig
 from .block_framework import chain_splits
@@ -38,35 +38,40 @@ from .registry import JoinPlan, JoinSpec, register_join
 __all__ = ["RangeSelectionOutcome", "plan_range_selection"]
 
 
-class RangeQueryRoutingMapper(Mapper):
+class RangeQueryRoutingMapper(BlockBufferingMapper):
     """Ships each object to the reducers whose queries may reach it.
 
     A query ``q`` (owned by reducer ``hash(q) % N``) can only meet objects of
     cell ``P_j`` if its ball intersects the cell's occupied ring:
     ``|q, p_j| - theta <= U_j`` and ``|q, p_j| + theta >= L_j``.  Objects of
     cells no query reaches are dropped at the mapper — the range analogue of
-    the Corollary 2 shipping rule.
+    the Corollary 2 shipping rule.  Each reducer's rule is one reachable-cell
+    mask, so a task's block is routed with one row selection per reducer.
     """
 
     def setup(self, ctx: Context) -> None:
-        self._metric = get_metric(ctx.cache["metric_name"])
-        self._theta = float(ctx.cache["theta"])
+        super().setup(ctx)
+        theta = float(ctx.cache["theta"])
+        ring_stats: dict[int, tuple[float, float]] = ctx.cache["ring_stats"]
         # per reducer: distances from its queries to every pivot
-        self._query_pivot_dists: dict[int, np.ndarray] = ctx.cache["query_pivot_dists"]
-        self._ring_stats: dict[int, tuple[float, float]] = ctx.cache["ring_stats"]
-
-    def map(self, key, value, ctx: Context):
-        record = value
-        pid = record.partition_id
-        lower, upper = self._ring_stats[pid]
-        for reducer, dists in self._query_pivot_dists.items():
-            reach = dists[:, pid]
-            reachable = np.any(
-                (reach - self._theta <= upper + PRUNE_EPS)
-                & (reach + self._theta >= lower - PRUNE_EPS)
+        query_pivot_dists: dict[int, np.ndarray] = ctx.cache["query_pivot_dists"]
+        cells = np.array(list(ring_stats), dtype=np.int64)
+        lower, upper = np.array(list(ring_stats.values()), dtype=np.float64).reshape(-1, 2).T
+        self._reachable: dict[int, np.ndarray] = {}
+        for reducer, dists in query_pivot_dists.items():
+            reach = dists[:, cells]
+            mask = np.zeros(dists.shape[1], dtype=bool)
+            mask[cells] = np.any(
+                (reach - theta <= upper + PRUNE_EPS) & (reach + theta >= lower - PRUNE_EPS),
+                axis=0,
             )
-            if reachable:
-                yield reducer, record
+            self._reachable[reducer] = mask
+
+    def route_block(self, block: RecordBlock, ctx: Context):
+        for reducer, mask in self._reachable.items():
+            rows = np.flatnonzero(mask[block.partition_ids])
+            if rows.size:
+                yield reducer, block.take(rows)
 
 
 class RangeQueryReducer(Reducer):
@@ -83,7 +88,7 @@ class RangeQueryReducer(Reducer):
         self._provider = get_kernel_provider(ctx.cache.get("kernel_provider", "auto"))
 
     def reduce(self, key, values, ctx: Context):
-        blocks = build_s_blocks(values)
+        blocks = build_s_blocks(RecordBlock.gather(values))
         queries = self._queries.get(int(key), [])
         pivot_dists = self._query_pivot_dists[int(key)]
         for query_index, (query_id, query_point) in enumerate(queries):
@@ -180,17 +185,13 @@ def plan_range_selection(
             for reducer, items in queries_by_reducer.items()
         }
 
-        # partitioned input records (cells not reachable by any query are
-        # droppable at the mapper; the records still carry cell + distance)
-        records = []
-        for (tag, record), pid, dist in zip(
-            records_from_dataset(dataset, "S"),
-            assignment.partition_ids,
-            assignment.pivot_distances,
-        ):
-            record.partition_id = int(pid)
-            record.pivot_distance = float(dist)
-            records.append((int(pid), record))
+        # the input, annotated with cell + distance as one block (cells not
+        # reachable by any query are dropped at the mapper)
+        block = RecordBlock.of_objects(
+            False, dataset.ids, dataset.points, dataset.payload_bytes
+        )
+        block.partition_ids = assignment.partition_ids
+        block.pivot_distances = assignment.pivot_distances
 
         job = MapReduceJob(
             name="range-selection",
@@ -207,7 +208,7 @@ def plan_range_selection(
                 "kernel_provider": config.kernel_provider,
             },
         )
-        return job, chain_splits(config, dfs, "range-input", records)
+        return job, chain_splits(config, dfs, "range-input", [(0, block)])
 
     select = graph.stage("range-selection/select", build_select)
 

@@ -45,6 +45,7 @@ __all__ = [
     "execute_join_plan",
     "dataset_fingerprint",
     "plan_identity",
+    "RESULTS_VERSION",
 ]
 
 
@@ -174,20 +175,29 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
     return config
 
 
+#: the code version of every persisted stage result: bump when any stage's
+#: outputs or counters change.  :func:`plan_identity` (what checkpoints are
+#: bound to) and the partition stage's plan-cache key both carry it, so a
+#: file written by older code is never served.
+RESULTS_VERSION = 2
+
+
 def plan_identity(
     name: str, r: Dataset, s: Dataset, config: JoinConfig, extra: dict[str, Any]
 ) -> str:
-    """Digest of everything a plan's stage results can depend on: the join,
-    both datasets by content, the planner's extra arguments and *every*
-    comparing config field but ``checkpoint_dir`` itself — not a hand-picked
-    "semantic" subset, so a new knob cannot be forgotten (the price: changing
-    an execution-only knob between a kill and its resume re-runs the stages)."""
+    """Digest of everything a plan's stage results can depend on: the code
+    (:data:`RESULTS_VERSION`), the join, both datasets by content, the
+    planner's extra arguments and *every* comparing config field but
+    ``checkpoint_dir`` itself — not a hand-picked "semantic" subset, so a new
+    knob cannot be forgotten (the price: changing an execution-only knob
+    between a kill and its resume re-runs the stages)."""
     knobs = [
         (spec.name, repr(getattr(config, spec.name)))
         for spec in dataclass_fields(config)
         if spec.compare and spec.name != "checkpoint_dir"
     ]
     identity = (
+        RESULTS_VERSION,
         name.lower(),
         dataset_fingerprint(r),
         dataset_fingerprint(s),

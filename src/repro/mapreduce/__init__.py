@@ -69,12 +69,11 @@ from .shuffle import (
 )
 from .splits import (
     dataset_splits,
-    records_from_dataset,
     split_records,
     weighted_record_chunks,
 )
 from .stats import JobStats, TaskStat
-from .types import ColumnarBlock, InputSplit, NeighborBlock, ObjectRecord, RecordBlock
+from .types import ColumnarBlock, InputSplit, NeighborBlock, RecordBlock
 
 __all__ = [
     "Cluster",
@@ -139,13 +138,11 @@ __all__ = [
     "planned_merge_passes",
     "DEFAULT_MERGE_FAN_IN",
     "dataset_splits",
-    "records_from_dataset",
     "split_records",
     "weighted_record_chunks",
     "JobStats",
     "TaskStat",
     "InputSplit",
-    "ObjectRecord",
     "ColumnarBlock",
     "RecordBlock",
     "NeighborBlock",

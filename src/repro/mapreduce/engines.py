@@ -18,10 +18,10 @@ What crosses a worker boundary is array-shaped in both directions, and the
 engine layer needs no special handling for any of it — payloads and results
 are just values:
 
-* map payloads: the first job's splits are row *slices* of the datasets'
-  arrays (:class:`~repro.mapreduce.splits.DatasetRows`: three arrays per
-  dataset touched; the records are built inside the map task), chained
-  splits carry the producer's blocks or a segment path;
+* map payloads: a first job's split is one ``RecordBlock`` per dataset part
+  it touches, its columns row *slices* of the datasets' arrays (blocks are
+  the only row format); chained splits carry the producer's blocks or a
+  segment path;
 * map results, in-memory shuffle: one ``RecordBlock`` per key per task — the
   worker merges each key's run of blocks before returning
   (:func:`~repro.mapreduce.shuffle.coalesce_emissions`) — so a reduce
@@ -32,8 +32,7 @@ are just values:
   stream-merge from disk, and the shared local filesystem is the data plane.
   A future distributed executor replaces that filesystem with segment
   fetches while keeping this exact manifest contract;
-* reduce results stay row-shaped (one ``(r_id, (ids, dists))`` pair per R
-  object).
+* reduce results: one ``NeighborBlock`` per reduce call for the kNN joins.
 
 All backends receive the same ``(fn, shared, payloads)`` batch through one
 dispatch protocol: :meth:`Executor.submit_batch` hands back one future per

@@ -3,7 +3,10 @@
 The programming model mirrors Hadoop's: a :class:`Mapper` (and optionally a
 :class:`Reducer`) with ``setup`` / per-record / ``cleanup`` hooks.  ``setup``
 is where Algorithm 3 does its ``map-setup`` work (line 1-2); ``cleanup`` is
-how the first job's mappers emit their partial summary tables.
+how the first job's mappers emit their partial summary tables.  Data objects
+reach a task only as :class:`~repro.mapreduce.types.RecordBlock` values —
+blocks are the one row format — and every mapper that routes them is a
+:class:`BlockBufferingMapper`.
 
 Task instances are created fresh per attempt from factories, so injected
 failures can be retried deterministically.
@@ -72,26 +75,25 @@ class Mapper:
 
 
 class BlockBufferingMapper(Mapper):
-    """Mapper base for the columnar fast path: batch input, route blocks.
+    """Mapper base for every router of object rows: gather blocks, route one.
 
-    Per-record :meth:`map` calls only buffer; at :meth:`cleanup` everything
-    the task saw — :class:`~repro.mapreduce.types.ObjectRecord` rows,
-    :class:`~repro.mapreduce.types.RecordBlock` batches, or a mix — is
-    gathered into one block (row order = input order) and handed to
+    :meth:`map` calls only buffer the task's
+    :class:`~repro.mapreduce.types.RecordBlock` values; at :meth:`cleanup`
+    they are gathered into one block (row order = input order) and handed to
     :meth:`route_block`, which yields ``(key, RecordBlock)`` emissions — at
     most one per key is the shape every routing mapper of the package aims
     for, and the map-only partitioning job emits exactly one.  All emission
-    still happens before the shuffle, so semantics match a per-record mapper
-    exactly; only the number of Python-level values crossing the shuffle
-    shrinks.
+    happens before the shuffle, so a block's rows are routed exactly as one
+    row at a time would be; only the number of Python-level values crossing
+    the shuffle shrinks.
 
     Subclasses overriding :meth:`setup` must call ``super().setup(ctx)``.
     """
 
     def setup(self, ctx: Context) -> None:
-        self._pending: list[Any] = []
+        self._pending: list[RecordBlock] = []
 
-    def map(self, key: Any, value: Any, ctx: Context) -> Iterable[tuple[Any, Any]]:
+    def map(self, key: Any, value: RecordBlock, ctx: Context) -> Iterable[tuple[Any, Any]]:
         self._pending.append(value)
         return ()
 

@@ -5,7 +5,10 @@ reducers.  A real Hadoop job serializes keys and values with Writables; this
 module estimates those on-the-wire sizes without actually serializing,
 using fixed-width primitives (8-byte ints/floats, UTF-8 strings) plus small
 per-container framing.  Any object may opt in by exposing an
-``estimated_bytes() -> int`` method (e.g. :class:`~repro.mapreduce.types.ObjectRecord`).
+``estimated_bytes() -> int`` method.  Object rows travel only as columnar
+blocks, which do exactly that: a block is charged the sum of its rows' wire
+sizes and counts its rows as records, and below sits each block type's byte
+codec for spill segments and the segment-backed DFS.
 """
 
 from __future__ import annotations

@@ -1,19 +1,16 @@
 """Helpers to turn datasets into job input splits.
 
 What a split carries across a worker boundary: :func:`dataset_splits` (the
-first job's input) hands out :class:`DatasetRows` views — row *slices* of the
-datasets' id / coordinate / payload arrays.  Such a split pickles as three
-arrays per dataset it touches, and the ``(tag, ObjectRecord)`` pairs a mapper
-consumes are built inside the map task that iterates the view (in the worker,
-in parallel), never on the master.  :func:`split_records` chunks an already
-materialized pair list (chained intermediates, tests) in place.
+first job's input) hands out one ``(tag, RecordBlock)`` pair per dataset part
+a split touches, whose id, coordinate and payload columns are *views* of the
+dataset's arrays — nothing is copied on the master, and the split pickles as
+those row slices.  :func:`split_records` chunks an already materialized pair
+list (chained intermediates, tests) in place.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -21,44 +18,13 @@ import numpy as np
 from repro.core.dataset import Dataset
 
 from .serialization import record_count
-from .types import InputSplit, ObjectRecord
+from .types import InputSplit, RecordBlock
 
 __all__ = [
-    "DatasetRows",
     "dataset_splits",
-    "records_from_dataset",
     "split_records",
     "weighted_record_chunks",
 ]
-
-
-@dataclass(frozen=True)
-class DatasetRows:
-    """Sized, re-iterable view of dataset row slices as input pairs.
-
-    ``parts`` rows are ``(tag, ids[a:b], points[a:b], payloads[a:b] | None)``,
-    one per dataset the split touches.  Iterating builds the ``(tag,
-    ObjectRecord)`` pairs afresh on every pass (a retried map task
-    re-iterates); the pickle holds the array slices only.
-    """
-
-    parts: tuple[tuple[str, np.ndarray, np.ndarray, np.ndarray | None], ...]
-
-    def __len__(self) -> int:
-        return sum(len(ids) for _, ids, _, _ in self.parts)
-
-    def __iter__(self) -> Iterator[tuple[str, ObjectRecord]]:
-        for tag, ids, points, payloads in self.parts:
-            sizes = repeat(0) if payloads is None else payloads.tolist()
-            for object_id, point, payload in zip(ids.tolist(), points, sizes):
-                yield tag, ObjectRecord(tag, object_id, point, payload)
-
-
-def records_from_dataset(dataset: Dataset, tag: str) -> list[tuple[str, ObjectRecord]]:
-    """Flatten a dataset into ``(tag, ObjectRecord)`` input pairs."""
-    return list(
-        DatasetRows(((tag, dataset.ids, dataset.points, dataset.payload_bytes),))
-    )
 
 
 def weighted_record_chunks(
@@ -68,7 +34,7 @@ def weighted_record_chunks(
 
     Columnar block values weigh their row counts, and a block
     straddling a boundary is sliced so every chunk boundary lands exactly
-    where the per-record path put it — chunk layout (and therefore task
+    where one pair per row would put it — chunk layout (and therefore task
     counts and the cluster timing model) is independent of the encoding.
 
     A trailing chunk holding only zero-row blocks carries no logical records
@@ -124,31 +90,35 @@ def dataset_splits(
 ) -> list[InputSplit]:
     """Input splits covering ``R`` then ``S`` — the first job's input.
 
-    Boundaries are those of ``split_records(records_from_dataset(r, "R") +
-    records_from_dataset(s, "S"), split_size)``; the records are lazy
-    :class:`DatasetRows` views.
+    Every ``split_size`` consecutive objects of ``R ∪ S`` form one split
+    holding a ``(tag, RecordBlock)`` pair per dataset part it touches.
     """
     if split_size < 1:
         raise ValueError("split_size must be >= 1")
     splits = []
     for start in range(0, len(r) + len(s), split_size):
         stop = start + split_size
-        rows = DatasetRows(
-            tuple(
-                (
-                    tag,
+        records = [
+            (
+                tag,
+                RecordBlock.of_objects(
+                    tag == "R",
                     data.ids[a:b],
                     data.points[a:b],
                     None if data.payload_bytes is None else data.payload_bytes[a:b],
-                )
-                for tag, data, a, b in (
-                    ("R", r, start, min(stop, len(r))),
-                    ("S", s, max(start - len(r), 0), min(stop - len(r), len(s))),
-                )
-                if a < b
+                ),
             )
-        )
+            for tag, data, a, b in (
+                ("R", r, start, min(stop, len(r))),
+                ("S", s, max(start - len(r), 0), min(stop - len(r), len(s))),
+            )
+            if a < b
+        ]
         splits.append(
-            InputSplit(split_id=len(splits), records=rows, logical_records=len(rows))
+            InputSplit(
+                split_id=len(splits),
+                records=records,
+                logical_records=min(stop, len(r) + len(s)) - start,
+            )
         )
     return splits

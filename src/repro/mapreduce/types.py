@@ -1,18 +1,18 @@
 """Record types that flow through the simulated cluster.
 
-:class:`ObjectRecord` is one object per Python instance, the row format
-mappers *consume* (built inside the map task from a columnar split view;
-still accepted everywhere for compatibility).  Everything the joins *emit*
-in bulk is a :class:`ColumnarBlock` — a struct-of-arrays batch of rows:
+Object rows exist in one format only, a :class:`ColumnarBlock` — a
+struct-of-arrays batch of rows:
 
-* :class:`RecordBlock` — a batch of data objects (what routing mappers emit);
+* :class:`RecordBlock` — a batch of data objects: what every mapper reads
+  (a dataset split is one block per dataset part) and what routing mappers
+  emit;
 * :class:`NeighborBlock` — a batch of per-``r`` candidate neighbour lists in
   CSR form (what the block joins emit into the shared merge job, and every
   kNN join's final reduce output).
 
 A block is an encoding detail, not a unit of account: shuffle counters and
 task statistics always report *logical records* (``len(block)``), and its
-estimated wire size is exactly the sum of its rows' sizes in row form.  The
+estimated wire size is exactly the sum of its rows' wire sizes.  The
 runtime never names a concrete block type — the shuffle, the spill segments,
 the DFS chunker and the process boundary dispatch on the small
 :class:`ColumnarBlock` protocol alone.
@@ -27,7 +27,6 @@ from typing import Any
 import numpy as np
 
 __all__ = [
-    "ObjectRecord",
     "ColumnarBlock",
     "RecordBlock",
     "NeighborBlock",
@@ -64,49 +63,6 @@ def ranks_within(lengths: np.ndarray) -> np.ndarray:
     return np.arange(int(ends[-1]) if ends.size else 0) - np.repeat(ends - lengths, lengths)
 
 
-#: dataset tags, as in the paper's Figure 3/4
-TAG_R = "R"
-TAG_S = "S"
-
-
-@dataclass
-class ObjectRecord:
-    """One data object as serialized between jobs and through the shuffle.
-
-    The first job's mapper fills in ``partition_id`` (the Voronoi cell) and
-    ``pivot_distance`` (``|o, p_o|``); the second job's pruning rules consume
-    them (Algorithm 3 reads the distance as ``k1.dist``).  ``payload`` counts
-    non-coordinate bytes carried by the object (e.g. OSM descriptions) — it
-    affects shuffle cost only.
-    """
-
-    dataset: str  # "R" or "S"
-    object_id: int
-    point: np.ndarray
-    payload: int = 0
-    partition_id: int = -1
-    pivot_distance: float = float("nan")
-
-    def estimated_bytes(self) -> int:
-        """On-the-wire size: tag + id + coords + pid + dist + payload."""
-        return 1 + 8 + int(self.point.nbytes) + 8 + 8 + self.payload
-
-    def __reduce__(self) -> tuple[type[ObjectRecord], tuple[object, ...]]:
-        # positional form: smaller and faster than the default __dict__
-        # pickling — records dominate the traffic the processes engine
-        # moves between scheduler and workers.  Args derive from the field
-        # list (dataclass __init__ order), so field changes can't scramble
-        # records crossing the process boundary.
-        return (
-            type(self),
-            tuple(getattr(self, spec.name) for spec in fields(self)),
-        )
-
-    def is_from_r(self) -> bool:
-        """True when the object belongs to the outer dataset ``R``."""
-        return self.dataset == TAG_R
-
-
 class ColumnarBlock:
     """What the runtime asks of a columnar shuffle value (both block types
     are dataclasses of parallel arrays implementing it).
@@ -123,7 +79,10 @@ class ColumnarBlock:
     wire_tag: int
 
     def __reduce__(self) -> tuple[type, tuple[object, ...]]:
-        # positional form, same motivation as ObjectRecord.__reduce__
+        # positional form: smaller and faster than the default __dict__
+        # pickling; args derive from the field list (dataclass __init__
+        # order), so field changes can't scramble blocks crossing the
+        # process boundary
         return (
             type(self),
             tuple(getattr(self, spec.name) for spec in fields(self)),
@@ -142,13 +101,18 @@ class ColumnarBlock:
 
 @dataclass
 class RecordBlock(ColumnarBlock):
-    """A columnar batch of :class:`ObjectRecord` rows (struct of arrays).
+    """A columnar batch of data objects (struct of arrays).
 
     Parallel 1-d arrays (plus the 2-d point matrix) hold one field each; row
-    ``i`` across all six columns is one logical object.  Blocks make the hot
-    paths array-shaped: mappers route a whole block with one vectorized mask,
-    the shuffle moves one value instead of thousands, and reducers rebuild
-    their partition blocks with concatenation instead of per-record appends.
+    ``i`` across all six columns is one logical object.  The first job's
+    mapper fills in ``partition_ids`` (the Voronoi cell) and
+    ``pivot_distances`` (``|o, p_o|``); the second job's pruning rules
+    consume them (Algorithm 3 reads the distance as ``k1.dist``).
+    ``payloads`` counts non-coordinate bytes carried by each object (e.g. OSM
+    descriptions) — it affects shuffle cost only.  Blocks make the hot paths
+    array-shaped: mappers route a whole block with one vectorized mask, the
+    shuffle moves one value instead of thousands, and reducers rebuild their
+    partition blocks with concatenation instead of per-object appends.
     """
 
     is_r: np.ndarray  # bool: origin flag, True for dataset R
@@ -166,54 +130,38 @@ class RecordBlock(ColumnarBlock):
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def from_records(cls, records: list[ObjectRecord]) -> "RecordBlock":
-        """Columnarize a list of records (row order preserved)."""
-        n = len(records)
-        dims = records[0].point.shape[0] if n else 0
-        points = np.empty((n, dims), dtype=np.float64)
-        for row, record in enumerate(records):
-            points[row] = record.point
+    def of_objects(
+        cls,
+        is_r: bool | np.ndarray,
+        ids: np.ndarray,
+        points: np.ndarray,
+        payloads: np.ndarray | None = None,
+    ) -> "RecordBlock":
+        """Objects not yet assigned a cell (partition id ``-1``, pivot distance
+        NaN).  ``is_r`` is one origin flag for every row or one per row;
+        ``payloads=None`` means no payload bytes.  Int64 ids and payloads and
+        float64 points are kept as given, so views of a dataset's arrays stay
+        views."""
+        rows = len(ids)
         return cls(
-            is_r=np.fromiter(
-                (record.is_from_r() for record in records), dtype=bool, count=n
+            is_r=np.full(rows, is_r, dtype=bool),
+            object_ids=np.asarray(ids, dtype=np.int64),
+            points=np.asarray(points, dtype=np.float64),
+            payloads=(
+                np.zeros(rows, dtype=np.int64)
+                if payloads is None
+                else np.asarray(payloads, dtype=np.int64)
             ),
-            object_ids=np.fromiter(
-                (record.object_id for record in records), dtype=np.int64, count=n
-            ),
-            points=points,
-            payloads=np.fromiter(
-                (record.payload for record in records), dtype=np.int64, count=n
-            ),
-            partition_ids=np.fromiter(
-                (record.partition_id for record in records), dtype=np.int64, count=n
-            ),
-            pivot_distances=np.fromiter(
-                (record.pivot_distance for record in records), dtype=np.float64, count=n
-            ),
+            partition_ids=np.full(rows, -1, dtype=np.int64),
+            pivot_distances=np.full(rows, np.nan, dtype=np.float64),
         )
 
     @classmethod
-    def gather(cls, values: Iterable["RecordBlock | ObjectRecord"]) -> "RecordBlock":
-        """Concatenate a mixed stream of records and blocks into one block.
-
-        Row order follows the input order, so reducers that gather their
-        ``values`` list see objects in the same sequence the per-record path
-        delivered them.
-        """
-        parts: list[RecordBlock] = []
-        pending: list[ObjectRecord] = []
-        for value in values:
-            if isinstance(value, RecordBlock):
-                if pending:
-                    parts.append(cls.from_records(pending))
-                    pending = []
-                parts.append(value)
-            else:
-                pending.append(value)
-        if pending:
-            parts.append(cls.from_records(pending))
+    def gather(cls, values: Iterable["RecordBlock"]) -> "RecordBlock":
+        """Concatenate blocks into one, row order following input order."""
+        parts = list(values)
         if not parts:
-            return cls.from_records([])
+            return cls.of_objects(False, np.empty(0, dtype=np.int64), np.empty((0, 0)))
         if len(parts) == 1:
             return parts[0]
         return cls(
@@ -238,23 +186,12 @@ class RecordBlock(ColumnarBlock):
             pivot_distances=self.pivot_distances[rows],
         )
 
-    # -- interop and accounting ---------------------------------------------
-
-    def to_records(self) -> Iterator[ObjectRecord]:
-        """Expand back into per-object records (row order preserved)."""
-        for row in range(len(self)):
-            yield ObjectRecord(
-                dataset=TAG_R if self.is_r[row] else TAG_S,
-                object_id=int(self.object_ids[row]),
-                point=self.points[row],
-                payload=int(self.payloads[row]),
-                partition_id=int(self.partition_ids[row]),
-                pivot_distance=float(self.pivot_distances[row]),
-            )
+    # -- accounting ---------------------------------------------------------
 
     def estimated_bytes(self) -> int:
-        """Sum of the per-record wire sizes — blocks are invisible to byte
-        accounting, matching :meth:`ObjectRecord.estimated_bytes` row by row."""
+        """Sum of the rows' wire sizes, ``1 + 8 + 8·d + 8 + 8 + payload``
+        each (tag, id, coordinates, cell id, pivot distance, payload) —
+        blocks are invisible to byte accounting."""
         dims = self.points.shape[1] if self.points.ndim == 2 else 0
         per_record = 1 + 8 + dims * 8 + 8 + 8
         return len(self) * per_record + int(self.payloads.sum())
@@ -350,12 +287,11 @@ class InputSplit:
     """A chunk of job input, the unit handed to one map task.
 
     ``records`` is usually a plain list of ``(key, value)`` pairs, but any
-    sized, re-iterable collection works — ``dataset_splits`` hands out
-    columnar row-slice views that build their records only when a map task
-    iterates them, the segment-backed DFS lazy chunk views that decode from
-    disk.  ``logical_records``, when set by the producer, caches the
-    record-weighted size (blocks weigh their rows) so schedulers never need
-    to materialize a lazy split just to account its input records.
+    sized, re-iterable collection works — the segment-backed DFS hands out
+    lazy chunk views that decode from disk.  ``logical_records``, when set
+    by the producer, caches the record-weighted size (blocks weigh their
+    rows) so schedulers never need to materialize a lazy split just to
+    account its input records.
     """
 
     split_id: int

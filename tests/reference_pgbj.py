@@ -83,7 +83,7 @@ class PerCellRoutingMapper(Mapper):
         self._subkeys: dict[int, tuple[int, ...]] = ctx.cache.get("skew_subkeys") or {}
 
     def map(self, key, value, ctx: Context):
-        block = value if isinstance(value, RecordBlock) else RecordBlock.gather([value])
+        block = value
         r_rows = np.flatnonzero(block.is_r)
         if r_rows.size:
             r_block = block.take(r_rows)
@@ -132,7 +132,7 @@ class RowOutputJoinReducer(pgbj.PgbjJoinReducer):
     """One ``(r_id, (ids, dists))`` pair per R object (and the same report)."""
 
     def reduce(self, key, values, ctx: Context):
-        r_blocks, s_blocks = build_partition_blocks([_report_input(key, values, ctx)])
+        r_blocks, s_blocks = build_partition_blocks(_report_input(key, values, ctx))
         if not r_blocks:
             return
         for r_id, ids, dists in self._provider.knn_join_kernel(

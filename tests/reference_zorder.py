@@ -22,6 +22,7 @@ from repro.mapreduce import LocalRuntime, split_records
 from repro.mapreduce.job import Context, Mapper, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import HashPartitioner, ModPartitioner
 from repro.mapreduce.splits import dataset_splits
+from repro.mapreduce.types import RecordBlock
 
 
 def int_z_values(transform: ZOrderTransform, points: np.ndarray) -> list[int]:
@@ -40,7 +41,8 @@ def int_z_values(transform: ZOrderTransform, points: np.ndarray) -> list[int]:
 
 
 class RowRoutingMapper(Mapper):
-    """Routes one ``(is_r, id, point, z)`` tuple per object and target block."""
+    """Routes one ``(is_r, id, point, z)`` tuple per object and target block,
+    a row of the gathered input block at a time."""
 
     def setup(self, ctx: Context) -> None:
         self._shifts = ctx.cache["shifts"]
@@ -58,17 +60,21 @@ class RowRoutingMapper(Mapper):
         return ()
 
     def cleanup(self, ctx: Context):
-        records, self._buffer = self._buffer, []
-        if not records:
+        blocks, self._buffer = self._buffer, []
+        if not blocks:
             return
-        points = np.array([record.point for record in records], dtype=np.float64)
+        gathered = RecordBlock.gather(blocks)
+        rows = [
+            (bool(gathered.is_r[row]), int(gathered.object_ids[row]), gathered.points[row])
+            for row in range(len(gathered))
+        ]
         for shift_index in range(self._shifts.shape[0]):
-            z_values = int_z_values(self._transform, points + self._shifts[shift_index])
-            for record, z_value in zip(records, z_values):
+            z_values = int_z_values(self._transform, gathered.points + self._shifts[shift_index])
+            for (is_r, object_id, point), z_value in zip(rows, z_values):
                 block = self._block_of(shift_index, z_value)
                 reducer_key = shift_index * self._blocks_per_shift + block
-                payload = (record.is_from_r(), record.object_id, record.point, z_value)
-                if record.is_from_r():
+                payload = (is_r, object_id, point, z_value)
+                if is_r:
                     yield reducer_key, payload
                     continue
                 ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME)

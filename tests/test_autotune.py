@@ -29,7 +29,7 @@ import pytest
 
 from repro.core.dataset import Dataset
 from repro.datasets import generate_forest
-from repro.joins import PgbjConfig, available_joins, get_join, partition_job, run_join
+from repro.joins import PgbjConfig, available_joins, get_join, registry, run_join
 from repro.joins.autotune import (
     TuningChoice,
     auto_tune_config,
@@ -268,9 +268,9 @@ class TestPersistentCacheBitIdentity:
     def test_an_entry_written_by_older_partitioning_code_does_not_hit(
         self, data, tmp_path, monkeypatch
     ):
-        """The partition stage's key carries the job's code version: an entry
-        persisted before the job's counters changed would otherwise serve its
-        old ``distance_pairs`` verbatim."""
+        """The partition stage's key carries the code version
+        (``RESULTS_VERSION``): an entry persisted before the job's counters
+        changed would otherwise serve its old ``distance_pairs`` verbatim."""
 
         def run_with_fresh_cache():
             cache = PlanCache(directory=tmp_path)
@@ -279,8 +279,8 @@ class TestPersistentCacheBitIdentity:
                 "pgbj", data, data, config
             )
 
-        current = partition_job.PARTITION_JOB_VERSION
-        monkeypatch.setattr(partition_job, "PARTITION_JOB_VERSION", current - 1)
+        current = registry.RESULTS_VERSION
+        monkeypatch.setattr(registry, "RESULTS_VERSION", current - 1)
         old_cache, old_key, _ = run_with_fresh_cache()
         assert old_cache.disk_writes >= 1
         monkeypatch.undo()

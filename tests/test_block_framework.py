@@ -11,7 +11,7 @@ from repro.joins.block_framework import (
     merge_job_spec,
 )
 from repro.mapreduce import Context, LocalRuntime, split_records
-from repro.mapreduce.types import NeighborBlock, ObjectRecord
+from repro.mapreduce.types import NeighborBlock, RecordBlock
 
 
 class TestBlockOf:
@@ -27,33 +27,31 @@ class TestBlockOf:
 
 
 class TestRoutingMapper:
-    def run_mapper(self, record, num_blocks=3):
+    def run_mapper(self, is_r, num_blocks=3):
         # block-buffering mapper: map() buffers, cleanup() emits the blocks
         mapper = BlockRoutingMapper()
         ctx = Context("t", {"num_blocks": num_blocks}, num_reducers=num_blocks**2)
         mapper.setup(ctx)
-        emissions = list(mapper.map(None, record, ctx))
+        one_object = RecordBlock.of_objects(is_r, np.array([5]), np.zeros((1, 2)))
+        emissions = list(mapper.map(None, one_object, ctx))
         emissions.extend(mapper.cleanup(ctx))
         return emissions, ctx
 
     def test_r_goes_to_its_row(self):
-        record = ObjectRecord("R", 5, np.zeros(2))
-        emissions, _ = self.run_mapper(record)
+        emissions, _ = self.run_mapper(True)
         keys = [key for key, _ in emissions]
         row = block_of(5, 3)
         assert keys == [row * 3 + j for j in range(3)]
         assert all(len(block) == 1 for _, block in emissions)
 
     def test_s_goes_to_its_column(self):
-        record = ObjectRecord("S", 5, np.zeros(2))
-        emissions, ctx = self.run_mapper(record)
+        emissions, ctx = self.run_mapper(False)
         keys = [key for key, _ in emissions]
         column = block_of(5, 3)
         assert keys == [i * 3 + column for i in range(3)]
 
     def test_s_replication_counted(self):
-        record = ObjectRecord("S", 5, np.zeros(2))
-        _, ctx = self.run_mapper(record, num_blocks=4)
+        _, ctx = self.run_mapper(False, num_blocks=4)
         assert ctx.counters.value("shuffle", "s_replicas") == 4
 
     def test_vectorized_block_hash_matches_scalar(self):

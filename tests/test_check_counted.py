@@ -15,8 +15,10 @@ spec.loader.exec_module(check_counted)
 
 
 def record(seed=0, scale=0.125, **moved):
-    """A ``benchmarks.e2e run --out`` file reduced to what the checker reads."""
+    """A ``benchmarks.e2e run --out`` file reduced to what the checker reads;
+    ``moved`` overrides a metric, or a job's counter as ``workload.job.name``."""
     values = {"selectivity_permille": 134.3968, "shuffle_mb": 0.794933, "recall_at_k": 1.0}
+    jobs = {"partitioning": (0, 0), "knn-join": (45, 9)}
     return {
         "environment": {"seed": seed, "scale": scale, "cpu_count": 2},
         "results": [
@@ -25,6 +27,19 @@ def record(seed=0, scale=0.125, **moved):
                 "metrics": {
                     name: {"value": moved.get(f"{workload}.{name}", value)}
                     for name, value in {**values, "join_wall_s": 0.07}.items()
+                },
+                "counters": {
+                    "jobs": [
+                        {
+                            "job": job,
+                            "spill_bytes": 1234,
+                            **{
+                                name: moved.get(f"{workload}.{job}.{name}", value)
+                                for name, value in zip(("spill_segments", "merge_passes"), counts)
+                            },
+                        }
+                        for job, counts in jobs.items()
+                    ]
                 },
             }
             for workload in ("osm_pgbj_spill", "forest_zorder_spill")
@@ -62,6 +77,41 @@ def test_a_moved_counted_metric_fails_and_is_named(files, capsys):
     assert "forest_zorder_spill" not in out
 
 
+def test_spill_layout_is_summed_over_jobs_and_held_exactly(files, capsys):
+    write, baseline = files
+    assert json.loads(Path(baseline).read_text())["workloads"]["osm_pgbj_spill"] == {
+        "selectivity_permille": 134.3968, "shuffle_mb": 0.794933, "recall_at_k": 1.0,
+        "spill_segments": 45, "merge_passes": 9,
+    }
+    # the same totals split differently over the jobs: the layout held
+    shifted = record(**{
+        "osm_pgbj_spill.partitioning.spill_segments": 5,
+        "osm_pgbj_spill.knn-join.spill_segments": 40,
+    })
+    assert check_counted.main([write("shifted.json", shifted), "--baseline", baseline]) == 0
+    capsys.readouterr()
+    # segments back to one per emission, or a second merge pass: named
+    moved = record(**{
+        "forest_zorder_spill.knn-join.spill_segments": 405,
+        "osm_pgbj_spill.knn-join.merge_passes": 18,
+    })
+    assert check_counted.main([write("moved.json", moved), "--baseline", baseline]) == 1
+    out = capsys.readouterr().out
+    assert "forest_zorder_spill.spill_segments: 45 -> 405" in out
+    assert "osm_pgbj_spill.merge_passes: 9 -> 18" in out
+    assert "2 counted metric(s) differ" in out
+
+
+def test_a_baseline_without_the_spill_layout_fails(files, capsys):
+    write, baseline = files
+    older = check_counted.counted_of(record())
+    for metrics in older["workloads"].values():
+        del metrics["spill_segments"], metrics["merge_passes"]
+    Path(baseline).write_text(json.dumps(older))
+    assert check_counted.main([write("now.json", record()), "--baseline", baseline]) == 1
+    assert "osm_pgbj_spill.spill_segments: None -> 45" in capsys.readouterr().out
+
+
 def test_a_missing_workload_fails_on_either_side(files, capsys):
     write, baseline = files
     fewer = record()
@@ -84,4 +134,4 @@ def test_committed_baseline_covers_the_declared_workloads():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert sorted(baseline["workloads"]) == sorted(w["name"] for w in declared)
     for metrics in baseline["workloads"].values():
-        assert sorted(metrics) == sorted(check_counted.COUNTED)
+        assert sorted(metrics) == sorted(check_counted.COUNTED + check_counted.SPILL_LAYOUT)

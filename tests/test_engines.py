@@ -531,14 +531,14 @@ class TestBoundaryBudget:
                     assert values <= map_tasks * len(spec.groups)
                     assert all(len(group) <= map_tasks for _, group in spec.groups)
         assert join_maps == map_tasks and join_reduces > 1
-        # the first job's splits cross as array slices, never as records
-        import pickle
+        # the first job's splits cross as blocks of array slices, never as rows
+        from repro.mapreduce import RecordBlock
 
         first_split = next(
             spec.split for specs, _ in shipped for spec in specs
             if spec.task_id.startswith("partitioning-m-")
         )
-        assert b"ObjectRecord" not in pickle.dumps(first_split)
+        assert {type(value) for _, value in first_split.records} == {RecordBlock}
 
 
 def _double(shared, payload):
@@ -724,23 +724,6 @@ class TestMixedTypeShuffleKeys:
             runtime = LocalRuntime(engine=engine, max_workers=2)
             result = runtime.run(self.mixed_job(num_reducers=3), splits)
             assert result.outputs == reference.outputs
-
-    def test_object_record_pickle_roundtrip(self):
-        # __reduce__ uses positional args derived from the field list; a
-        # field-order drift would scramble records in the process engine
-        import pickle
-
-        from repro.mapreduce import ObjectRecord
-
-        record = ObjectRecord(
-            dataset="S", object_id=7, point=np.array([1.0, 2.0]),
-            payload=3, partition_id=5, pivot_distance=0.25,
-        )
-        clone = pickle.loads(pickle.dumps(record))
-        assert type(clone) is ObjectRecord
-        for spec in ("dataset", "object_id", "payload", "partition_id", "pivot_distance"):
-            assert getattr(clone, spec) == getattr(record, spec), spec
-        assert np.array_equal(clone.point, record.point)
 
     def test_sort_key_total_order(self):
         keys = ["b", 2, (1, "x"), None, 1.5, b"raw", "a", (1, 2), True]

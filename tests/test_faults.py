@@ -580,6 +580,32 @@ class TestCheckpointDirReuse:
         with pytest.raises(ValueError, match="plan identity"):
             execute_join_plan(plan_pgbj(data, data, config), config)
 
+    def test_checkpoint_of_older_code_is_not_restored(self, tmp_path, monkeypatch):
+        """Checkpoints are bound to the code version too: a directory written
+        under an older ``RESULTS_VERSION`` (say, before the partitioning job's
+        ``distance_pairs`` changed) re-runs every stage instead of restoring
+        what the older code computed."""
+        from repro.datasets import generate_forest
+        from repro.joins import PgbjConfig, plan_join, registry
+        from repro.joins.registry import JoinPlan, execute_join_plan
+        from tests.test_engines import outcome_fingerprint
+
+        monkeypatch.setattr(registry, "RESULTS_VERSION", registry.RESULTS_VERSION - 1)
+        self.run(tmp_path)  # the older code's checkpoints
+        monkeypatch.undo()
+        assert len(list(tmp_path.iterdir())) == 2
+        data = generate_forest(200, seed=3)
+        config = PgbjConfig(
+            k=3, num_reducers=3, num_pivots=8, split_size=64, checkpoint_dir=str(tmp_path)
+        )
+        plan = plan_join("pgbj", data, data, config)
+        run = execute_join_plan(
+            JoinPlan(graph=plan.graph, assemble=lambda run: run, identity=plan.identity), config
+        )
+        assert run.checkpointed_stage_names() == []
+        cold = self.run(tmp_path / "cold")
+        assert outcome_fingerprint(plan.assemble(run)) == outcome_fingerprint(cold)
+
     def test_identity_moves_with_every_config_field_and_dataset(self):
         import dataclasses
 

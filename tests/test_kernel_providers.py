@@ -41,8 +41,8 @@ from repro.joins.kernels import (
     build_s_blocks,
     knn_join_kernel_reference,
 )
-from repro.mapreduce.types import ObjectRecord
 from tests.reference_zorder import int_z_values
+from tests.test_kernels import block_for
 
 NUMBA = _nk.NUMBA_AVAILABLE
 
@@ -83,19 +83,6 @@ class TestRegistry:
 # -- kernel-level equivalence (hypothesis) -------------------------------------
 
 
-def records_for(dataset, tag, assignment):
-    return [
-        ObjectRecord(
-            dataset=tag,
-            object_id=int(dataset.ids[row]),
-            point=dataset.points[row],
-            partition_id=int(assignment.partition_ids[row]),
-            pivot_distance=float(assignment.pivot_distances[row]),
-        )
-        for row in range(len(dataset))
-    ]
-
-
 def build_world(metric_name, r_points, s_points, k, num_pivots, seed):
     """Everything one reducer would hold, for an arbitrary metric."""
     rng = np.random.default_rng(seed)
@@ -114,8 +101,8 @@ def build_world(metric_name, r_points, s_points, k, num_pivots, seed):
     else:
         thetas = {pid: np.inf for pid in tr.partition_ids()}
     ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
-    r_blocks = build_r_blocks(records_for(r, "R", ar))
-    s_blocks = build_s_blocks(records_for(s, "S", as_))
+    r_blocks = build_r_blocks(block_for(r, True, ar))
+    s_blocks = build_s_blocks(block_for(s, False, as_))
     return r_blocks, s_blocks, thetas, ring, pivots, pdm
 
 

@@ -18,22 +18,17 @@ from repro.joins.kernels import (
     knn_join_kernel,
     knn_join_kernel_reference,
     local_ring_stats,
-    local_theta,
+    local_thetas,
 )
-from repro.mapreduce.types import ObjectRecord, RecordBlock
+from repro.mapreduce.types import RecordBlock
 
 
-def records_for(dataset, tag, assignment):
-    return [
-        ObjectRecord(
-            dataset=tag,
-            object_id=int(dataset.ids[row]),
-            point=dataset.points[row],
-            partition_id=int(assignment.partition_ids[row]),
-            pivot_distance=float(assignment.pivot_distances[row]),
-        )
-        for row in range(len(dataset))
-    ]
+def block_for(dataset, is_r, assignment):
+    """``dataset`` as one block annotated with its Voronoi ``assignment``."""
+    block = RecordBlock.of_objects(is_r, dataset.ids, dataset.points)
+    block.partition_ids = assignment.partition_ids
+    block.pivot_distances = assignment.pivot_distances
+    return block
 
 
 def kernel_world(
@@ -74,8 +69,8 @@ def world_from(r_points, s_points, pivots, k, metric_name="l2", twin_pivots=Fals
     else:
         thetas = {pid: np.inf for pid in tr.partition_ids()}
     ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
-    r_blocks = build_r_blocks(records_for(r, "R", ar))
-    s_blocks = build_s_blocks(records_for(s, "S", as_))
+    r_blocks = build_r_blocks(block_for(r, True, ar))
+    s_blocks = build_s_blocks(block_for(s, False, as_))
     return r, s, r_blocks, s_blocks, thetas, ring, pivots, pdm, k
 
 
@@ -229,8 +224,8 @@ class TestVectorizedMatchesReference:
         pdm = partitioner.pivot_distance_matrix()
         thetas = compute_thetas(tr, ts, pdm, 4)
         ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
-        r_blocks = build_r_blocks(records_for(r, "R", ar))
-        s_blocks = build_s_blocks(records_for(s, "S", as_))
+        r_blocks = build_r_blocks(block_for(r, True, ar))
+        s_blocks = build_s_blocks(block_for(s, False, as_))
         world = (r, s, r_blocks, s_blocks, thetas, ring, pivots, pdm, 4)
         expected, expected_pairs = run_kernel(knn_join_kernel_reference, world)
         got, got_pairs = run_kernel(knn_join_kernel, world)
@@ -436,28 +431,22 @@ class TestAdversarialWorlds:
 class TestColumnarBuilders:
     def test_build_partition_blocks_splits_by_origin(self):
         r, s, r_blocks, s_blocks, *_ = kernel_world(seed=2)
-        ar_records = records_for(r, "R", _assignment_of(r))
-        as_records = records_for(s, "S", _assignment_of(s))
-        mixed = [
-            RecordBlock.from_records(ar_records[:30] + as_records[:40]),
-            RecordBlock.from_records(ar_records[30:] + as_records[40:]),
-        ]
+        r_block = block_for(r, True, _assignment_of(r))
+        s_block = block_for(s, False, _assignment_of(s))
+        mixed = RecordBlock.gather(
+            [
+                r_block.take(np.arange(30)),
+                s_block.take(np.arange(40)),
+                r_block.take(np.arange(30, len(r))),
+                s_block.take(np.arange(40, len(s))),
+            ]
+        )
         got_r, got_s = build_partition_blocks(mixed)
         assert sum(b.ids.size for b in got_r.values()) == len(r)
         assert sum(b.ids.size for b in got_s.values()) == len(s)
         for pid, block in got_s.items():
             order = np.lexsort((block.ids, block.pivot_dists))
             assert np.array_equal(order, np.arange(block.ids.size))
-
-    def test_builders_accept_blocks_and_records_identically(self):
-        r, _, _, _, _, _, _, _, _ = kernel_world(seed=4)
-        records = records_for(r, "R", _assignment_of(r))
-        from_records = build_r_blocks(records)
-        from_block = build_r_blocks(RecordBlock.from_records(records))
-        assert set(from_records) == set(from_block)
-        for pid in from_records:
-            assert np.array_equal(from_records[pid].ids, from_block[pid].ids)
-            assert np.array_equal(from_records[pid].points, from_block[pid].points)
 
 
 def _assignment_of(dataset):
@@ -467,21 +456,43 @@ def _assignment_of(dataset):
     return VoronoiPartitioner(pivots, metric).assign(dataset)
 
 
+def scalar_local_theta(u_ri, pdm_row, s_blocks, k):
+    """Algorithm 1 over local S blocks for one R cell, one cell's bounds at
+    a time — the oracle :func:`local_thetas` must equal float for float."""
+    bounds = [
+        (u_ri + float(pdm_row[pid])) + block.pivot_dists[:k]
+        for pid, block in s_blocks.items()
+    ]
+    pooled = np.concatenate(bounds) if bounds else np.empty(0)
+    if pooled.size < k:
+        return float("inf")
+    return float(np.partition(pooled, k - 1)[k - 1])
+
+
 class TestLocalTheta:
     def test_infinite_when_too_few_objects(self):
-        _, _, _, s_blocks, _, _, _, pdm, _ = kernel_world(num_s=3, k=2)
+        _, _, r_blocks, s_blocks, _, _, _, pdm, _ = kernel_world(num_s=3, k=2)
         total = sum(len(b) for b in s_blocks.values())
-        theta = local_theta(1.0, pdm[0], s_blocks, k=total + 1)
-        assert theta == np.inf
+        thetas = local_thetas(r_blocks, s_blocks, pdm, k=total + 1)
+        assert thetas == dict.fromkeys(r_blocks, np.inf)
+        for pid, block in r_blocks.items():
+            assert scalar_local_theta(block.local_upper(), pdm[pid], s_blocks, total + 1) == np.inf
 
     def test_finite_and_valid_bound(self):
-        """Local theta >= true kth NN distance of every local r."""
-        r, s, r_blocks, s_blocks, _, _, _, pdm, k = kernel_world(seed=8)
-        for pid, block in r_blocks.items():
-            theta = local_theta(block.local_upper(), pdm[pid], s_blocks, k)
-            for row in range(block.ids.size):
-                dists = np.sort(np.linalg.norm(s.points - block.points[row], axis=1))
-                assert dists[k - 1] <= theta + 1e-9
+        """Local theta == the scalar oracle, and >= the true kth NN distance
+        of every local r."""
+        for seed, k, twin in ((8, 4, False), (3, 1, False), (5, 7, True)):
+            r, s, r_blocks, s_blocks, _, _, _, pdm, k = kernel_world(
+                seed=seed, k=k, twin_pivots=twin
+            )
+            thetas = local_thetas(r_blocks, s_blocks, pdm, k)
+            assert list(thetas) == list(r_blocks)
+            for pid, block in r_blocks.items():
+                theta = thetas[pid]
+                assert theta == scalar_local_theta(block.local_upper(), pdm[pid], s_blocks, k)
+                for row in range(block.ids.size):
+                    dists = np.sort(np.linalg.norm(s.points - block.points[row], axis=1))
+                    assert dists[k - 1] <= theta + 1e-9
 
     def test_partial_results_with_infinite_theta(self):
         """With theta=inf the kernel still returns all available candidates."""

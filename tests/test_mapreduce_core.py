@@ -8,10 +8,9 @@ from repro.mapreduce import (
     Counters,
     HashPartitioner,
     ModPartitioner,
-    ObjectRecord,
+    RecordBlock,
     dataset_splits,
     estimate_bytes,
-    records_from_dataset,
     split_records,
 )
 
@@ -50,12 +49,14 @@ class TestEstimateBytes:
         assert estimate_bytes({"a": 1}) == 4 + (4 + 1) + 8
 
     def test_protocol_object(self):
-        record = ObjectRecord("R", 1, np.zeros(3))
+        row = RecordBlock.of_objects(True, np.array([1]), np.zeros((1, 3)))
         # 1 tag + 8 id + 24 coords + 8 pid + 8 dist
-        assert estimate_bytes(record) == 49
+        assert estimate_bytes(row) == 49
 
     def test_payload_counts(self):
-        with_payload = ObjectRecord("S", 1, np.zeros(3), payload=100)
+        with_payload = RecordBlock.of_objects(
+            False, np.array([1]), np.zeros((1, 3)), np.array([100])
+        )
         assert estimate_bytes(with_payload) == 149
 
     def test_unsupported_raises(self):
@@ -113,13 +114,6 @@ class TestPartitioners:
 
 
 class TestSplits:
-    def test_records_from_dataset_tags_and_payload(self):
-        data = Dataset(np.zeros((3, 2)), payload_bytes=np.array([5, 6, 7]))
-        records = records_from_dataset(data, "S")
-        assert len(records) == 3
-        assert all(tag == "S" for tag, _ in records)
-        assert records[1][1].payload == 6
-
     def test_split_sizes(self):
         records = [("k", i) for i in range(10)]
         splits = split_records(records, 4)
@@ -134,31 +128,43 @@ class TestSplits:
         r = Dataset(np.zeros((3, 2)), name="r")
         s = Dataset(np.ones((2, 2)), name="s")
         splits = dataset_splits(r, s, split_size=2)
-        flat = [record for split in splits for record in split.records]
-        assert [tag for tag, _ in flat] == ["R", "R", "R", "S", "S"]
+        assert [[(tag, len(block)) for tag, block in split.records] for split in splits] == [
+            [("R", 2)],
+            [("R", 1), ("S", 1)],
+            [("S", 1)],
+        ]
+        assert all(
+            block.is_r.all() == (tag == "R")
+            for split in splits
+            for tag, block in split.records
+        )
 
     @staticmethod
-    def _pair_facts(pairs):
-        return [
-            (
-                key,
-                record.dataset,
-                record.object_id,
-                type(record.object_id),
-                record.payload,
-                type(record.payload),
-                record.point.tobytes(),
-                record.partition_id,
+    def _row_facts(pairs):
+        facts = []
+        for key, block in pairs:
+            assert (block.is_r.dtype, block.object_ids.dtype, block.payloads.dtype) == (
+                np.bool_, np.int64, np.int64
             )
-            for key, record in pairs
-        ]
+            facts += [
+                (
+                    key,
+                    bool(block.is_r[row]),
+                    int(block.object_ids[row]),
+                    int(block.payloads[row]),
+                    block.points[row].tobytes(),
+                    int(block.partition_ids[row]),
+                )
+                for row in range(len(block))
+            ]
+        return facts
 
     @pytest.mark.parametrize("with_payload", [False, True])
     @pytest.mark.parametrize("split_size", [1, 3, 4, 5, 7, 12, 100])
-    def test_lazy_dataset_splits_equal_the_eager_pairs(self, split_size, with_payload):
-        """``dataset_splits`` == ``split_records(records_from_dataset(R) +
-        records_from_dataset(S))`` pair for pair, R/S-straddling splits
-        included — without building a record until a map task iterates."""
+    def test_dataset_splits_equal_the_chunked_blocks(self, split_size, with_payload):
+        """``dataset_splits`` == ``split_records`` over one whole-dataset
+        block per side, row for row, R/S-straddling splits included — with
+        the id, point and payload columns left as views of the datasets."""
         rng = np.random.default_rng(4)
 
         def payload(n):
@@ -166,33 +172,36 @@ class TestSplits:
 
         r = Dataset(rng.random((7, 3)), ids=np.arange(100, 107), payload_bytes=payload(7))
         s = Dataset(rng.random((5, 3)), ids=np.arange(5)[::-1].copy(), payload_bytes=payload(5))
-        eager = split_records(
-            records_from_dataset(r, "R") + records_from_dataset(s, "S"), split_size
-        )
-        lazy = dataset_splits(r, s, split_size)
-        assert [split.split_id for split in lazy] == [split.split_id for split in eager]
-        for lazy_split, eager_split in zip(lazy, eager, strict=True):
-            # sized without iterating
-            assert len(lazy_split) == len(lazy_split.records) == len(eager_split)
-            assert lazy_split.logical_records == len(eager_split)
-            facts = self._pair_facts(lazy_split.records)
-            assert facts == self._pair_facts(eager_split.records)
-            # re-iterable: a retried map task sees the same pairs again
-            assert self._pair_facts(lazy_split.records) == facts
+        whole = [
+            (tag, RecordBlock.of_objects(tag == "R", data.ids, data.points, data.payload_bytes))
+            for tag, data in (("R", r), ("S", s))
+        ]
+        chunked = split_records(whole, split_size)
+        splits = dataset_splits(r, s, split_size)
+        assert [split.split_id for split in splits] == [split.split_id for split in chunked]
+        for split, reference in zip(splits, chunked, strict=True):
+            assert split.logical_records == sum(len(block) for _, block in reference.records)
+            assert self._row_facts(split.records) == self._row_facts(reference.records)
+            for tag, block in split.records:
+                data = r if tag == "R" else s
+                assert np.shares_memory(block.object_ids, data.ids)
+                assert np.shares_memory(block.points, data.points)
+                if with_payload:
+                    assert np.shares_memory(block.payloads, data.payload_bytes)
 
-    def test_lazy_split_pickles_as_arrays_not_records(self):
+    def test_split_pickles_as_column_slices(self):
         import pickle
 
         rng = np.random.default_rng(9)
         r = Dataset(rng.random((2000, 4)), payload_bytes=rng.integers(0, 9, 2000))
         (split,) = dataset_splits(r, r, 4000)
         blob = pickle.dumps(split, protocol=pickle.HIGHEST_PROTOCOL)
-        assert b"ObjectRecord" not in blob
-        # ids + points + payloads of both halves, plus small framing
-        assert len(blob) < 2 * 2000 * (8 + 4 * 8 + 8) + 2048
+        # the six columns of both halves (tag, id, 4 coords, payload, cell,
+        # distance), plus small framing — no per-row objects
+        assert len(blob) < 2 * 2000 * (1 + 8 + 4 * 8 + 8 + 8 + 8) + 2048
         restored = pickle.loads(blob)
         assert restored.logical_records == 4000
-        assert self._pair_facts(restored.records) == self._pair_facts(split.records)
+        assert self._row_facts(restored.records) == self._row_facts(split.records)
 
     def test_dataset_splits_edge_cases(self):
         empty = Dataset(np.zeros((0, 2)))
@@ -200,7 +209,7 @@ class TestSplits:
         with pytest.raises(ValueError, match="split_size"):
             dataset_splits(empty, empty, 0)
         only_s = dataset_splits(empty, Dataset(np.ones((3, 2))), 2)
-        assert [[tag for tag, _ in split.records] for split in only_s] == [
-            ["S", "S"],
-            ["S"],
+        assert [[(tag, len(block)) for tag, block in split.records] for split in only_s] == [
+            [("S", 2)],
+            [("S", 1)],
         ]

@@ -106,14 +106,9 @@ class TestIncrementalRecordCount:
     def test_block_weighted_counts(self):
         import numpy as np
 
-        from repro.mapreduce import ObjectRecord, RecordBlock
+        from repro.mapreduce import RecordBlock
 
-        block = RecordBlock.from_records(
-            [
-                ObjectRecord(dataset="R", object_id=i, point=np.zeros(2))
-                for i in range(5)
-            ]
-        )
+        block = RecordBlock.of_objects(True, np.arange(5), np.zeros((5, 2)))
         dfs = DistributedFileSystem(num_nodes=2, chunk_records=3)
         file = dfs.put("blocks", [(0, block)])
         assert file.record_count() == 5
@@ -164,13 +159,10 @@ class TestSegmentBackedChunks:
     def test_record_blocks_roundtrip(self, tmp_path):
         import numpy as np
 
-        from repro.mapreduce import ObjectRecord, RecordBlock
+        from repro.mapreduce import RecordBlock
 
-        block = RecordBlock.from_records(
-            [
-                ObjectRecord(dataset="S", object_id=i, point=np.full(2, float(i)))
-                for i in range(6)
-            ]
+        block = RecordBlock.of_objects(
+            False, np.arange(6), np.repeat(np.arange(6.0)[:, None], 2, axis=1)
         )
         with self.make_dfs(tmp_path) as dfs:
             dfs.put("blocks", [(7, block)])

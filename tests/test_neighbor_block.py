@@ -163,9 +163,9 @@ class TestWireFormat:
         assert len(decode_neighbor_block(encode_neighbor_block(as_block([])))) == 0
 
     def test_protocol_dispatch_covers_both_block_types(self):
-        from tests.test_record_block import sample_records
+        from tests.test_record_block import sample_block
 
-        objects = RecordBlock.from_records(sample_records(4))
+        objects = sample_block(4)
         clone = decode_block(objects.wire_tag, encode_block(objects))
         assert np.array_equal(clone.object_ids, objects.object_ids)
         with pytest.raises(ValueError, match="unknown value tag 9"):
@@ -201,9 +201,9 @@ class TestWireFormat:
 
 class TestCoalescing:
     def test_runs_close_when_the_block_type_changes(self):
-        from tests.test_record_block import sample_records
+        from tests.test_record_block import sample_block
 
-        objects = RecordBlock.from_records(sample_records(2))
+        objects = sample_block(2)
         lists = as_block(sample_lists(2))
         emissions = [(1, lists), (1, lists), (1, objects), (1, objects), (1, lists)]
         assert block_runs(emissions) == [[0, 1], [2, 3], [4]]

@@ -35,7 +35,7 @@ class TestJobOutput:
         total = sum(len(block) for _, block in result.outputs)
         assert total == len(r) + len(s)
         ids = sorted(
-            record.object_id for _, block in result.outputs for record in block.to_records()
+            object_id for _, block in result.outputs for object_id in block.object_ids.tolist()
         )
         assert ids == sorted(list(r.ids) + list(s.ids))
 

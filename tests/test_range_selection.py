@@ -85,3 +85,33 @@ class TestPruning:
         data, queries = world
         outcome = select(data, queries, 0.2, num_pivots=16, num_reducers=4)
         assert outcome.selectivity() > 0
+
+
+class TestAccountingPinned:
+    """One seeded world's answer and accounting, pinned to literal values on
+    every engine and shuffle backend: how the operator's input is shaped
+    (rows or blocks) must not move a match, a shuffled record or byte, or a
+    computed distance."""
+
+    #: (sha1 of the sorted matches, matched ids, shuffle records, shuffle
+    #: bytes, distance pairs)
+    PINNED = ("d4dd14d5fc6fdf9c", 155, 1805, 102885, 9368)
+
+    @pytest.mark.parametrize("budget", (None, 64), ids=("memory", "spill"))
+    @pytest.mark.parametrize("engine", ("serial", "processes-pooled"))
+    def test_facts_unchanged(self, world, engine, budget):
+        import hashlib
+
+        data, queries = world
+        outcome = select(
+            data, queries, 0.2, num_pivots=16, num_reducers=4, split_size=128, seed=0,
+            engine=engine, max_workers=2, memory_budget=budget,
+        )
+        digest = hashlib.sha1(repr(sorted(outcome.matches.items())).encode())
+        assert (
+            digest.hexdigest()[:16],
+            sum(len(ids) for ids in outcome.matches.values()),
+            outcome.shuffle_records,
+            outcome.shuffle_bytes,
+            outcome.distance_pairs,
+        ) == self.PINNED

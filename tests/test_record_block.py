@@ -2,7 +2,7 @@
 
 The contract under test: a :class:`RecordBlock` is an *encoding*, never a
 unit of account — shuffle counters, task statistics and byte estimates must
-be identical whether the same records move per-object or as blocks.
+be identical whether the same rows move one per value or as blocks.
 """
 
 import pickle
@@ -17,7 +17,6 @@ from repro.mapreduce import (
     Mapper,
     MapReduceJob,
     ModPartitioner,
-    ObjectRecord,
     RecordBlock,
     Reducer,
     decode_record_block,
@@ -28,52 +27,55 @@ from repro.mapreduce import (
 )
 
 
-def sample_records(n=10, dims=3, seed=0):
+def sample_block(n=10, dims=3, seed=0):
+    """``n`` annotated rows: R and S alternate, cells ``row % 4``."""
     rng = np.random.default_rng(seed)
-    return [
-        ObjectRecord(
-            dataset="R" if row % 2 == 0 else "S",
-            object_id=row,
-            point=rng.random(dims),
-            payload=int(rng.integers(0, 50)),
-            partition_id=row % 4,
-            pivot_distance=float(rng.random()),
-        )
-        for row in range(n)
-    ]
+    block = RecordBlock.of_objects(
+        np.arange(n) % 2 == 0,
+        np.arange(n),
+        rng.random((n, dims)),
+        rng.integers(0, 50, size=n),
+    )
+    block.partition_ids = np.arange(n) % 4
+    block.pivot_distances = rng.random(n)
+    return block
+
+
+def one_row_blocks(block):
+    """The rows of ``block`` as one single-row block each."""
+    return [block.take(np.array([row])) for row in range(len(block))]
 
 
 class TestRoundTrip:
-    def test_from_records_to_records(self):
-        records = sample_records()
-        clones = list(RecordBlock.from_records(records).to_records())
-        assert len(clones) == len(records)
-        for original, clone in zip(records, clones):
-            assert clone.dataset == original.dataset
-            assert clone.object_id == original.object_id
-            assert clone.payload == original.payload
-            assert clone.partition_id == original.partition_id
-            assert clone.pivot_distance == original.pivot_distance
-            assert np.array_equal(clone.point, original.point)
+    def test_of_objects_keeps_dataset_views(self):
+        ids = np.arange(10, 16)
+        points = np.random.default_rng(1).random((6, 2))
+        payloads = np.arange(6, dtype=np.int64)
+        block = RecordBlock.of_objects(False, ids[2:5], points[2:5], payloads[2:5])
+        for column, source in ((block.object_ids, ids), (block.points, points),
+                               (block.payloads, payloads)):
+            assert np.shares_memory(column, source)
+        assert block.is_r.tolist() == [False] * 3
+        assert block.partition_ids.tolist() == [-1] * 3
+        assert np.isnan(block.pivot_distances).all()
+        assert RecordBlock.of_objects(True, ids, points).payloads.tolist() == [0] * 6
 
-    def test_gather_mixes_records_and_blocks(self):
-        records = sample_records(8)
-        mixed = [records[0], RecordBlock.from_records(records[1:4]), records[4],
-                 RecordBlock.from_records(records[5:])]
-        gathered = RecordBlock.gather(mixed)
-        assert len(gathered) == 8
-        assert [r.object_id for r in gathered.to_records()] == list(range(8))
+    def test_gather_concatenates_in_order(self):
+        block = sample_block(8)
+        gathered = RecordBlock.gather([block.take(np.arange(3)), block.take(np.arange(3, 8))])
+        assert gathered.object_ids.tolist() == list(range(8))
+        assert np.array_equal(gathered.points, block.points)
 
     def test_gather_empty(self):
         assert len(RecordBlock.gather([])) == 0
 
     def test_take_preserves_row_order(self):
-        block = RecordBlock.from_records(sample_records(6))
+        block = sample_block(6)
         sub = block.take(np.array([4, 1, 3]))
         assert sub.object_ids.tolist() == [4, 1, 3]
 
     def test_split_by_groups_rows_stably(self):
-        block = RecordBlock.from_records(sample_records(10))
+        block = sample_block(10)
         parts = dict(block.split_by(block.partition_ids))
         assert sorted(parts) == [0, 1, 2, 3]
         for pid, sub in parts.items():
@@ -82,16 +84,19 @@ class TestRoundTrip:
             assert np.all(np.diff(sub.object_ids) > 0)
 
     def test_pickle_round_trip(self):
-        block = RecordBlock.from_records(sample_records(5))
+        # __reduce__ uses positional args derived from the field list; a
+        # field-order drift would scramble blocks in the process engine
+        block = sample_block(5)
         clone = pickle.loads(pickle.dumps(block))
         assert type(clone) is RecordBlock
-        assert np.array_equal(clone.object_ids, block.object_ids)
-        assert np.array_equal(clone.points, block.points)
+        for name in ("is_r", "object_ids", "points", "payloads", "partition_ids",
+                     "pivot_distances"):
+            assert np.array_equal(getattr(clone, name), getattr(block, name)), name
 
 
 class TestWireFormat:
     def test_encode_decode_round_trip(self):
-        block = RecordBlock.from_records(sample_records(7))
+        block = sample_block(7)
         clone = decode_record_block(encode_record_block(block))
         assert np.array_equal(clone.is_r, block.is_r)
         assert np.array_equal(clone.object_ids, block.object_ids)
@@ -106,7 +111,7 @@ class TestWireFormat:
 
     def test_truncated_stream_rejected(self):
         # regression: used to surface as a cryptic numpy frombuffer error
-        encoded = encode_record_block(RecordBlock.from_records(sample_records(7)))
+        encoded = encode_record_block(sample_block(7))
         for cut in (len(encoded) - 1, len(encoded) // 2, 13):
             with pytest.raises(ValueError, match="truncated RecordBlock"):
                 decode_record_block(encoded[:cut])
@@ -116,22 +121,25 @@ class TestWireFormat:
             decode_record_block(b"RBLK\x01")
 
     def test_oversized_stream_rejected(self):
-        encoded = encode_record_block(RecordBlock.from_records(sample_records(3)))
+        encoded = encode_record_block(sample_block(3))
         with pytest.raises(ValueError, match="oversized RecordBlock"):
             decode_record_block(encoded + b"\x00" * 8)
 
 
 class TestAccountingInvisibility:
     def test_record_count(self):
-        records = sample_records(9)
-        assert record_count(records[0]) == 1
-        assert record_count(RecordBlock.from_records(records)) == 9
+        block = sample_block(9)
+        assert record_count(block) == 9
+        assert record_count(block.take(np.array([0]))) == 1
         assert record_count("a plain value") == 1
 
     def test_estimated_bytes_is_per_record_sum(self):
-        records = sample_records(12)
-        block = RecordBlock.from_records(records)
-        assert estimate_bytes(block) == sum(estimate_bytes(r) for r in records)
+        for dims in (1, 3, 10):
+            block = sample_block(12, dims=dims)
+            # tag + id + coordinates + cell id + pivot distance + payload, per row
+            per_row = [1 + 8 + 8 * dims + 8 + 8 + int(payload) for payload in block.payloads]
+            assert estimate_bytes(block) == sum(per_row)
+            assert sum(estimate_bytes(row) for row in one_row_blocks(block)) == sum(per_row)
 
 
 class TestWeightedChunking:
@@ -140,15 +148,15 @@ class TestWeightedChunking:
     def test_split_records_slices_blocks_at_seed_boundaries(self):
         from repro.mapreduce import weighted_record_chunks
 
-        records = sample_records(50)
-        per_record = [(0, r) for r in records]
+        block = sample_block(50)
+        per_row = [(0, row) for row in one_row_blocks(block)]
         as_blocks = [
-            (0, RecordBlock.from_records(records[:33])),
-            (0, RecordBlock.from_records(records[33:])),
+            (0, block.take(np.arange(33))),
+            (0, block.take(np.arange(33, 50))),
         ]
         seed_layout = [
             sum(record_count(v) for _, v in chunk)
-            for chunk in weighted_record_chunks(per_record, 16)
+            for chunk in weighted_record_chunks(per_row, 16)
         ]
         block_layout = [
             sum(record_count(v) for _, v in chunk)
@@ -157,12 +165,12 @@ class TestWeightedChunking:
         assert block_layout == seed_layout == [16, 16, 16, 2]
         # row content at each boundary matches too
         flat = [
-            record.object_id
+            object_id
             for chunk in weighted_record_chunks(as_blocks, 16)
             for _, value in chunk
-            for record in value.to_records()
+            for object_id in value.object_ids.tolist()
         ]
-        assert flat == [r.object_id for r in records]
+        assert flat == list(range(50))
 
     def test_split_records_unchanged_for_plain_records(self):
         records = [(i, i) for i in range(10)]
@@ -175,8 +183,7 @@ class TestWeightedChunking:
         from repro.mapreduce import weighted_record_chunks
 
         empty = RecordBlock.gather([])
-        records = sample_records(8)
-        stream = [(0, RecordBlock.from_records(records)), (0, empty), (1, empty)]
+        stream = [(0, sample_block(8)), (0, empty), (1, empty)]
         chunks = list(weighted_record_chunks(stream, 4))
         assert [sum(record_count(v) for _, v in c) for c in chunks] == [4, 4]
         splits = split_records(stream, 4)
@@ -194,16 +201,15 @@ class TestWeightedChunking:
         from repro.mapreduce import weighted_record_chunks
 
         empty = RecordBlock.gather([])
-        stream = [(0, empty), (0, RecordBlock.from_records(sample_records(3)))]
+        stream = [(0, empty), (0, sample_block(3))]
         chunks = list(weighted_record_chunks(stream, 4))
         assert len(chunks) == 1 and len(chunks[0]) == 2
 
     def test_dfs_record_count_weighs_blocks(self):
         from repro.mapreduce import DistributedFileSystem
 
-        records = sample_records(20)
         dfs = DistributedFileSystem(num_nodes=3, chunk_records=8)
-        dfs.put("blocks", [(0, RecordBlock.from_records(records))])
+        dfs.put("blocks", [(0, sample_block(20))])
         file = dfs._files["blocks"]
         assert file.record_count() == 20
         assert [len(s.records) > 0 for s in dfs.splits("blocks")]
@@ -213,11 +219,11 @@ class TestWeightedChunking:
         assert len(dfs.splits("blocks")) == 3  # 8 + 8 + 4 logical records
 
 
-class SprayRecordsMapper(Mapper):
-    """Per-record routing by object id (the seed-style shuffle)."""
+class SprayRowsMapper(Mapper):
+    """Row-at-a-time routing by object id: one single-row value per row."""
 
     def map(self, key, value, ctx: Context):
-        yield int(value.object_id) % ctx.num_reducers, value
+        yield int(value.object_ids[0]) % ctx.num_reducers, value
 
 
 class SprayBlocksMapper(BlockBufferingMapper):
@@ -233,10 +239,12 @@ class CountRecordsReducer(Reducer):
 
 
 class TestShuffleParity:
-    """The same job per-record vs columnar: identical accounting everywhere."""
+    """The same job row by row vs columnar: identical accounting everywhere."""
 
     def run(self, mapper_factory):
-        records = [(r.object_id, r) for r in sample_records(60, seed=3)]
+        records = [
+            (int(row.object_ids[0]), row) for row in one_row_blocks(sample_block(60, seed=3))
+        ]
         job = MapReduceJob(
             name="parity",
             mapper_factory=mapper_factory,
@@ -247,7 +255,7 @@ class TestShuffleParity:
         return LocalRuntime().run(job, split_records(records, 16))
 
     def test_blocks_invisible_to_all_counters(self):
-        per_record = self.run(SprayRecordsMapper)
+        per_record = self.run(SprayRowsMapper)
         columnar = self.run(SprayBlocksMapper)
         assert columnar.stats.shuffle_records == per_record.stats.shuffle_records == 60
         assert columnar.stats.shuffle_bytes == per_record.stats.shuffle_bytes

@@ -11,7 +11,6 @@ from repro.mapreduce import (
     LocalRuntime,
     Mapper,
     MapReduceJob,
-    ObjectRecord,
     RecordBlock,
     Reducer,
     estimate_bytes,
@@ -97,11 +96,11 @@ def rows_block(ids) -> RecordBlock:
 
 @st.composite
 def _emissions(draw):
-    """Blocks (0-4 rows), single records and scalars under mixed keys; every
-    row gets a globally unique id so sequences can be compared by id."""
+    """Blocks (0-4 rows) and scalars under mixed keys; every row gets a
+    globally unique id so sequences can be compared by id."""
     shapes = draw(
         st.lists(
-            st.tuples(_COALESCE_KEYS, st.sampled_from(["block", "record", "scalar"]),
+            st.tuples(_COALESCE_KEYS, st.sampled_from(["block", "scalar"]),
                       st.integers(0, 4)),
             max_size=40,
         )
@@ -111,9 +110,6 @@ def _emissions(draw):
         if kind == "block":
             value = rows_block(range(next_id, next_id + rows))
             next_id += rows
-        elif kind == "record":
-            value = next(rows_block([next_id]).to_records())
-            next_id += 1
         else:
             value = float(next_id)
             next_id += 1
@@ -132,11 +128,6 @@ def _key_sequences(emissions):
                  int(value.partition_ids[n]), float(value.pivot_distances[n]),
                  bool(value.is_r[n]))
                 for n, i in enumerate(value.object_ids)
-            )
-        elif isinstance(value, ObjectRecord):
-            rows.append(
-                (value.object_id, value.point.tobytes(), value.payload,
-                 value.partition_id, value.pivot_distance, value.is_from_r())
             )
         else:
             rows.append(("scalar", value))

@@ -559,7 +559,7 @@ class EmptyBlockMapper(Mapper):
     """Emits a zero-row block: no records, but the reducer group must exist."""
 
     def map(self, key, value, ctx: Context):
-        yield 0, RecordBlock.from_records([])
+        yield 0, RecordBlock.gather([])
         yield 0, int(value)
 
 
