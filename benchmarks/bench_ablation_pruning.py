@@ -1,9 +1,13 @@
 """Ablation (beyond the paper): PGBJ with its pruning rules disabled.
 
 Quantifies what each of Corollary 1 (hyperplane) and Theorem 2 (ring)
-contributes to the computation-selectivity win.  A last row gives the paper
-configuration under the paper's all-pairs Voronoi assignment, recovered from
-the ``assignment_pairs_skipped`` counter of the first run (no switch exists).
+contributes to the computation-selectivity win.  Every row assigns objects to
+pivots the library's way: each object's pivots are bounded from below through
+the anchor pivots (its nearest anchor and the anchors nearest that one) and
+only those within reach of the best distance so far are computed, in two
+rounds.  A last row gives the paper configuration under the paper's all-pairs
+Voronoi assignment, recovered from the ``assignment_pairs_skipped`` counter of
+the first run (no switch exists).
 """
 
 from repro.bench import ablation_pruning_experiment

@@ -3,10 +3,13 @@
 ``selectivity_permille``, ``shuffle_mb`` and ``recall_at_k`` repeat to the
 last digit for one seed and size, and so does the spill layout —
 ``spill_segments`` and ``merge_passes``, each summed over the jobs of the
-record's ``counters`` — so any difference from the baseline is a change of
-behaviour, never noise: CI runs this on the end-to-end smoke record, and a PR
-that moves a counted metric on purpose shows it as a reviewed diff of
-``results/e2e_smoke_counted.json`` (rewrite it with ``--update``).
+record's ``counters`` — and so do the pairs the Voronoi assignment skipped
+(``selectivity.assignment_pairs_skipped``, 0 for a join without a
+partitioning job), which names the layer when the selectivity moves.  So any
+difference from the baseline is a change of behaviour, never noise: CI runs
+this on the end-to-end smoke record, and a PR that moves a counted metric on
+purpose shows it as a reviewed diff of ``results/e2e_smoke_counted.json``
+(rewrite it with ``--update``).
 
     PYTHONPATH=src python -m benchmarks.e2e run --smoke --out e2e-smoke.json
     python benchmarks/check_counted.py e2e-smoke.json [--baseline FILE] [--update]
@@ -27,6 +30,8 @@ from pathlib import Path
 COUNTED = ("selectivity_permille", "shuffle_mb", "recall_at_k")
 #: spill layout counts, each summed over the workload's jobs
 SPILL_LAYOUT = ("spill_segments", "merge_passes")
+#: join counters, ``group.name`` in the record's ``counters`` (0 where never counted)
+COUNTERS = ("selectivity.assignment_pairs_skipped",)
 INPUTS = ("seed", "scale")
 BASELINE = Path(__file__).resolve().parent.parent / "results" / "e2e_smoke_counted.json"
 
@@ -42,10 +47,16 @@ def counted_of(record: dict) -> dict:
                     name: sum(job[name] for job in result["counters"]["jobs"])
                     for name in SPILL_LAYOUT
                 },
+                **{name: _counter(result["counters"]["counters"], name) for name in COUNTERS},
             }
             for result in record["results"]
         },
     }
+
+
+def _counter(counters: dict, name: str) -> int:
+    group, _, counter = name.partition(".")
+    return counters.get(group, {}).get(counter, 0)
 
 
 def differences(baseline: dict, got: dict) -> list[str]:
@@ -58,7 +69,7 @@ def differences(baseline: dict, got: dict) -> list[str]:
             continue
         lines += [
             f"{workload}.{name}: {before.get(name)!r} -> {after.get(name)!r}"
-            for name in COUNTED + SPILL_LAYOUT
+            for name in COUNTED + SPILL_LAYOUT + COUNTERS
             if before.get(name) != after.get(name)
         ]
     return lines

@@ -9,15 +9,20 @@ the *smallest number of objects*.
 The paper assigns an object with ``M`` distance computations; this module
 finds the same pivot with fewer — an extension built from the paper's own
 argument, the triangle inequality behind Theorems 1-5, applied to pivot-pivot
-distances.  About ``sqrt(M)`` *anchor* pivots are compared with every object;
-an object whose nearest anchor ``a`` lies at distance ``u`` can only be as
-near to a pivot with ``|a, p_j| <= 2u`` (else ``|o, p_j| >= |a, p_j| - u >
-u``) — a *prefix* of the other pivots sorted by ``|a, p_j|``.  Objects are
-grouped by anchor and binned by prefix length, so the search is a handful of
-dense distance blocks; a skipped pivot is provably farther than the nearest
-one plus the tie tolerance, so ids, distances and tie-breaks are those of the
-all-pairs scan.  Every computed pair runs through the counted
-:class:`~repro.core.distance.Metric`: it is part of computation selectivity.
+distances (the LAESA filter of Mico, Oncina & Vidal, 1994).  About
+``sqrt(M)`` *anchor* pivots are compared with every object, and each anchor
+``b`` bounds every other pivot from below, ``|o, p| >= | |o, b| - |b, p| |``,
+by arithmetic on distances already in hand: an object's pivots are bounded by
+its nearest anchor ``a`` and the anchors nearest ``a``.  Two rounds compute
+distances: the pivot of smallest bound, which tightens the best distance, then
+every pivot whose bound is still within reach of it.  Only a prefix of the
+pivots sorted by ``|a, p|`` can be within reach (past it ``|a, p| - |o, a|``
+alone is too large), so the objects of one nearest anchor are bounded as one
+dense block.  A skipped pivot is provably farther than the nearest one plus the
+tie tolerance, so ids, distances and tie-breaks are those of the all-pairs
+scan.  Every computed pair runs through the counted
+:class:`~repro.core.distance.Metric` (computation selectivity); the bounds do
+not, and a map task computes no pivot-pivot distance: the job ships them.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import Dataset
-from .distance import Metric
+from .distance import ChebyshevMetric, Metric
 from .geometry import PRUNE_EPS
 
 __all__ = ["VoronoiPartitioner", "PartitionAssignment"]
@@ -41,9 +46,14 @@ _TIE_WINDOW = 1024
 _MIN_INDEXED_PIVOTS = 16
 #: object-pivot pairs of the rows searched at once: bounds every dense block
 _WINDOW_ELEMENTS = 1 << 22
-#: rows are cut into at most ``2 ** _CUT_DEPTH`` bands of prefix length, each
-#: cut saving ``_MIN_CUT_SAVING`` pairs per block it adds — about a block's cost
-_CUT_DEPTH, _MIN_CUT_SAVING = 3, 1024
+#: bytes of one gathered coordinate array: bounds the memory of a round
+_GATHER_BYTES = 1 << 17
+#: anchors bounding each row's pivots: its nearest anchor and the anchors
+#: nearest that one (more tighten the bound less than they cost to apply)
+_BOUNDING_ANCHORS = 8
+#: ``max_b | |o, b| - |b, p| |`` is the L-infinity distance between the
+#: object's and the pivot's vectors of anchor distances (used uncounted)
+_BOUND = ChebyshevMetric()
 
 
 class PartitionAssignment:
@@ -107,20 +117,6 @@ def _farthest_first(pdm: np.ndarray, count: int) -> np.ndarray:
     return np.array(chosen)
 
 
-def _cut(lengths: np.ndarray, lo: int, hi: int, depth: int, worth: int) -> list[tuple[int, int]]:
-    """Bands of the ascending prefix lengths ``lengths[lo:hi]``: a band's rows
-    are searched to (at most) its longest prefix, so a cut spares the rows
-    before it the difference; it is made where that spares the most, if that
-    is ``worth`` pairs."""
-    if depth and hi - lo > 1:
-        saved = np.arange(1, hi - lo) * (lengths[hi - 1] - lengths[lo : hi - 1])
-        mid = lo + int(saved.argmax()) + 1
-        if saved[mid - lo - 1] >= worth:
-            left = _cut(lengths, lo, mid, depth - 1, worth)
-            return left + _cut(lengths, mid, hi, depth - 1, worth)
-    return [(lo, hi)] if hi > lo else []
-
-
 class VoronoiPartitioner:
     """Assigns objects to generalized Voronoi cells of a pivot set.
 
@@ -152,10 +148,11 @@ class VoronoiPartitioner:
         return self.pivots.shape[0]
 
     def anchor_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(anchor ids, per anchor the other pivots' ids nearest first, their
-        distances)``: about ``sqrt(M)`` anchors chosen farthest-first from the
-        pivot distance matrix; below ``_MIN_INDEXED_PIVOTS`` every pivot is an
-        anchor and no distance is needed."""
+        """``(anchor ids, per anchor the other pivots' ids nearest first, the
+        anchors' rows of the pivot distance matrix)``: about ``sqrt(M)``
+        anchors chosen farthest-first from that matrix; below
+        ``_MIN_INDEXED_PIVOTS`` every pivot is an anchor and no distance is
+        needed."""
         if self._anchors is None:
             ids = others = np.arange(self.num_partitions)
             if ids.size < _MIN_INDEXED_PIVOTS:
@@ -165,7 +162,7 @@ class VoronoiPartitioner:
                 ids = _farthest_first(rows, int(np.ceil(np.sqrt(ids.size))))
                 others, rows = np.setdiff1d(others, ids), rows[ids]
             others = others[np.argsort(rows[:, others], axis=1, kind="stable")]
-            self._anchors = (ids, others, np.take_along_axis(rows, others, axis=1))
+            self._anchors = (ids, others, rows)
         return self._anchors
 
     def assign_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,46 +188,77 @@ class VoronoiPartitioner:
     def _nearest(self, points, out_pids, out_dists, ties: dict, offset: int) -> None:
         """The nearest pivot of every row, into the ``out`` views; a row with
         several within the tie tolerance also records their ids in ``ties``."""
-        anchors, others, other_d = self.anchor_index()
+        anchors, others, anchor_rows = self.anchor_index()
         count = anchors.size
-        # column ``j`` of a row whose nearest anchor is ``a`` is pivot ``ids[a, j]``
-        ids = np.concatenate([np.broadcast_to(anchors, (count, count)), others], axis=1)
         anchor_d = self.metric.cross_distances(points, self.pivots[anchors])
+        # rows sorted by nearest anchor: the rows of one anchor are one block
         near = anchor_d.argmin(axis=1)
-        # a pivot farther than this from the nearest anchor cannot tie the best
-        reach = anchor_d.min(axis=1) * (2.0 + _PRUNE_RTOL) + PRUNE_EPS
-        lengths = np.zeros(near.size, dtype=np.int64)
-        for a in range(count if others.size else 0):
-            mine = near == a
-            lengths[mine] = np.searchsorted(other_d[a], reach[mine], side="right")
+        order = np.argsort(near, kind="stable")
+        points, anchor_d, near = points.take(order, axis=0), anchor_d[order], near[order]
+        best = anchor_d.min(axis=1)
+        # a pivot bounded above ``reach(best)`` cannot tie the best: the slack
+        # covers the tie tolerance and the rounding of the bound, which grows
+        # with the anchor distances it is made of
+        slack = anchor_d.max(axis=1) * _PRUNE_RTOL + PRUNE_EPS
 
-        def settle(rows: np.ndarray, all_d: np.ndarray) -> None:
-            best = out_dists[rows] = all_d.min(axis=1)
-            out_pids[rows] = ids[near[rows], all_d.argmin(axis=1)]
-            close = all_d <= (best + _TIE_RTOL * np.maximum(best, 1.0))[:, None]
-            for at in np.flatnonzero(close.sum(axis=1) > 1):
-                tied = ids[near[rows[at]], : close.shape[1]][close[at]]
-                ties[offset + int(rows[at])] = np.sort(tied)
+        def reach(best: np.ndarray) -> np.ndarray:
+            return best * (1.0 + _PRUNE_RTOL) + slack
 
-        rows = np.flatnonzero(lengths == 0)  # the anchors alone decide these
-        settle(rows, anchor_d[rows])
-        # the others in bands of similar prefix length: the rows of one anchor
-        # in one band are one dense block, a slice of the band's matrix (a cut
-        # adds a block per anchor, so it must save that many times more)
-        rank = np.flatnonzero(lengths)
-        rank = rank[np.argsort(lengths[rank], kind="stable")]
-        for lo, hi in _cut(lengths[rank], 0, rank.size, _CUT_DEPTH, _MIN_CUT_SAVING * count):
-            rows = rank[lo:hi][np.argsort(near[rank[lo:hi]], kind="stable")]
-            all_d = np.full((rows.size, count + lengths[rank[hi - 1]]), np.inf)
-            all_d[:, :count] = anchor_d[rows]
-            starts = np.searchsorted(near[rows], np.arange(count + 1))
-            for a in np.flatnonzero(np.diff(starts)):
-                block = slice(starts[a], starts[a + 1])
-                prefix = others[a, : lengths[rows[block]].max()]
-                all_d[block, count : count + prefix.size] = self.metric.cross_distances(
-                    points[rows[block]], self.pivots[prefix]
+        # ``a`` alone bounds ``p_j`` by ``|a, p_j| - best``: past a prefix of
+        # its list no pivot is within reach, so only the prefix is bounded
+        cut = (best + reach(best)) * (1.0 + _PRUNE_RTOL)
+        starts = np.searchsorted(near, np.arange(count + 1))
+        blocks = [slice(starts[a], starts[a + 1]) for a in range(count)]
+        widths = [
+            np.searchsorted(anchor_rows[a, others[a]], cut[rows].max(initial=-1.0), side="right")
+            for a, rows in enumerate(blocks)
+        ]
+        # column ``count + j`` of a row is pivot ``others[near, j]``: its bound
+        # until the rounds have run, then its distance if one was computed
+        all_d = np.full((near.size, count + max(widths)), np.inf)
+        all_d[:, :count] = anchor_d
+        bound = all_d[:, count:]
+        for a, rows in enumerate(blocks):
+            if widths[a]:
+                # ``a`` first (before any anchor coincident with it), then the nearest
+                gaps = anchor_rows[a, anchors] - (np.arange(count) == a)
+                bounding = np.argsort(gaps, kind="stable")[:_BOUNDING_ANCHORS]
+                prefix = others[a, : widths[a]]
+                bound[rows, : prefix.size] = _BOUND._cross(
+                    anchor_d[rows, bounding], anchor_rows[np.ix_(bounding, prefix)].T
                 )
-            settle(rows, all_d)
+        found, step = [], max(1, _GATHER_BYTES // points.itemsize // points.shape[1])
+
+        def compute(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+            """The counted distances of these cells, gathered a chunk at a time."""
+            bound[rows, cols] = np.inf
+            pivot_ids, dists = others[near[rows], cols], np.empty(rows.size)
+            for at in range(0, rows.size, step):
+                chunk = slice(at, at + step)
+                dists[chunk] = self.metric.pair_distances(
+                    points.take(rows[chunk], 0), self.pivots.take(pivot_ids[chunk], 0)
+                )
+            found.append((rows, cols, dists))
+            return dists
+
+        if bound.size:
+            # round 1: a row's smallest bound, if within reach, tightens ``best``
+            # (the first of equals; ``argmin`` would copy the strided view)
+            low = bound.min(axis=1)
+            cols = (bound == low[:, None]).argmax(axis=1)
+            rows = np.flatnonzero(low <= reach(best))
+            best[rows] = np.minimum(best[rows], compute(rows, cols[rows]))
+            # round 2: every other pivot still within reach
+            compute(*np.divmod(np.flatnonzero(bound <= reach(best)[:, None]), bound.shape[1]))
+            bound[:] = np.inf
+            for rows, cols, dists in found:
+                bound[rows, cols] = dists
+        ids = np.hstack([np.broadcast_to(anchors, (count, count)), others[:, : bound.shape[1]]])
+        out_dists[order] = best = all_d.min(axis=1)
+        out_pids[order] = ids[near, all_d.argmin(axis=1)]
+        close = all_d <= (best + _TIE_RTOL * np.maximum(best, 1.0))[:, None]
+        for row in np.flatnonzero(close.sum(axis=1) > 1):
+            ties[offset + int(order[row])] = np.sort(ids[near[row]][close[row]])
 
     def _break_ties(self, pids: np.ndarray, ties: dict[int, np.ndarray]) -> None:
         """Footnote 1: a tied object goes to the smallest of its tied cells, in

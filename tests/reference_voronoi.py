@@ -4,9 +4,11 @@ A copy of ``VoronoiPartitioner.assign_points`` as the library shipped it
 before the nearest pivot was searched with the pivot–pivot triangle bound:
 every object is compared with every pivot, 1 024 rows at a time, and
 footnote 1 breaks ties toward the cell with the fewest objects so far.
-``src/`` holds only the pruned search; ``tests/test_voronoi_reference.py``
-holds it equal to this one — partition ids and the bytes of the pivot
-distances — and holds its pair counter to the rule stated there.
+``src/`` holds only the pruned search (each object's pivots bounded by the
+triangle inequality through anchor pivots, in two rounds);
+``tests/test_voronoi_reference.py`` holds it equal to this one — partition
+ids and the bytes of the pivot distances — and holds its pair counter to the
+rule :func:`pruned_pair_count` states.
 """
 
 from __future__ import annotations
@@ -58,19 +60,21 @@ def assign_points_all_pairs(
 def pruned_pair_count(pivots: np.ndarray, metric: Metric, points: np.ndarray) -> int:
     """The pairs one ``assign_points`` call may count, by the stated rule.
 
-    For a call of at most ``max(1024, 2**22 // M)`` rows (a longer one is
-    searched in windows of that many rows, each counted like a call).  With
-    fewer than 16 pivots, all of them.  Otherwise ``ceil(sqrt(M))`` anchors —
-    pivot 0, then each time the pivot farthest from the anchors so far (the
-    first of equals) — are compared with every object; an object whose
-    nearest anchor ``a`` is at distance ``u`` has as *prefix length* the
-    number of other pivots with ``|a, p_j| <= u * (2 + 1e-9) + 1e-9``.  The
-    objects with one, ascending by prefix length, are cut into bands — at most three
-    times in two, each time where ``rows before the cut x (longest prefix -
-    theirs)`` is largest, and only if that is at least 1 024 per anchor — and
-    the objects of one anchor in one band cost their number times their
-    longest prefix.  Spelled out with loops; nothing here is counted on
-    ``metric``.
+    Per object, so a call counts the same however its rows are windowed.
+    With fewer than 16 pivots, all of them.  Otherwise ``ceil(sqrt(M))``
+    anchors — pivot 0, then each time the pivot farthest from the anchors so
+    far (the first of equals) — are compared with every object.  An object
+    whose nearest anchor (the first of equals) ``a`` is at distance ``u``
+    bounds every other pivot ``p`` by ``max_b | |o, b| - |b, p| |`` over its
+    *bounding anchors*: ``a``, then the anchors nearest ``a`` (the first of
+    equals), eight in all.  With ``reach(x) = x * (1 + 1e-9) + (the object's
+    largest anchor distance * 1e-9 + 1e-9)``, round 1 computes the pivot of
+    smallest bound (the first of equals in ``a``'s list: nearest ``a`` first,
+    then by id) if that bound is within ``reach(u)``, and ``best`` becomes the
+    smaller of ``u`` and its distance; round 2 computes every other pivot
+    whose bound is within ``reach(best)``.  No prefix, block or window of the
+    library's search appears here: one object at a time, every other pivot
+    bounded, nothing counted on ``metric``.
     """
     pivots = np.asarray(pivots, dtype=np.float64)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -78,42 +82,67 @@ def pruned_pair_count(pivots: np.ndarray, metric: Metric, points: np.ndarray) ->
     if total_pivots < 16:
         return points.shape[0] * total_pivots
     pdm = metric._cross(pivots, pivots)
-    anchors = [0]
-    while len(anchors) < int(np.ceil(np.sqrt(total_pivots))):
-        gaps = [
-            -1.0 if j in anchors else min(pdm[a, j] for a in anchors)
-            for j in range(total_pivots)
-        ]
-        anchors.append(gaps.index(max(gaps)))
+    anchors = _anchors(pdm)
     others = [j for j in range(total_pivots) if j not in anchors]
-    to_anchors = metric._cross(points, pivots[anchors])
-    nearest = np.argmin(to_anchors, axis=1)
-    lengths = np.array(
-        [
-            int((pdm[anchors[a], others] <= row[a] * (2.0 + 1e-9) + 1e-9).sum())
-            for a, row in zip(nearest, to_anchors)
-        ],
-        dtype=int,
-    )
-    rank = sorted(np.flatnonzero(lengths), key=lambda i: (lengths[i], i))
-    total = points.shape[0] * len(anchors)
-    for band in _bands([int(lengths[i]) for i in rank], 3, 1024 * len(anchors)):
-        rows = [rank[i] for i in band]
-        for a in set(nearest[rows]):
-            mine = [i for i in rows if nearest[i] == a]
-            total += len(mine) * int(lengths[mine].max())
+    # per nearest anchor: its list of the others, its bounding anchors, and
+    # their distances to the listed pivots (a row of this matrix per anchor)
+    lists = {}
+    for a in range(len(anchors)):
+        listed = sorted(others, key=lambda j: (pdm[anchors[a], j], j))
+        bounding = sorted(
+            range(len(anchors)), key=lambda b: (-1.0 if b == a else pdm[anchors[a], anchors[b]], b)
+        )[:8]
+        lists[a] = listed, bounding, pdm[np.ix_([anchors[b] for b in bounding], listed)]
+    total = 0
+    for point, to_anchors in zip(points, metric._cross(points, pivots[anchors])):
+        best = float(to_anchors.min())
+        slack = float(to_anchors.max()) * 1e-9 + 1e-9
+
+        def reach(best: float) -> float:
+            return best * (1.0 + 1e-9) + slack
+
+        listed, bounding, to_listed = lists[int(np.argmin(to_anchors))]
+        bounds = np.abs(to_anchors[bounding][:, None] - to_listed).max(axis=0)
+        total += len(anchors)
+        first = int(np.argmin(bounds))
+        if bounds[first] > reach(best):
+            continue
+        total += 1
+        found = float(metric._cross(point[None], pivots[[listed[first]]])[0, 0])
+        best = min(best, found)
+        total += int((bounds <= reach(best)).sum()) - int(bounds[first] <= reach(best))
     return total
 
 
-def _bands(lengths: list[int], cuts_left: int, worth: int) -> list[range]:
-    """Index ranges of the ascending ``lengths``, cut where it saves most."""
+def prefix_pair_count(pivots: np.ndarray, metric: Metric, points: np.ndarray) -> int:
+    """The coarser rule the bound refines: the anchors, plus every other pivot
+    ``p`` the object's nearest anchor ``a`` alone cannot rule out — ``|a, p|
+    <= (u + reach(u)) * (1 + 1e-9)`` with ``u = |o, a|`` and ``reach`` as in
+    :func:`pruned_pair_count` (``2u`` plus the slack, plus a margin for the
+    rounding of ``|a, p| - u``): the nearest anchor's prefix, unbounded."""
+    pivots = np.asarray(pivots, dtype=np.float64)
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if pivots.shape[0] < 16:
+        return points.shape[0] * pivots.shape[0]
+    pdm = metric._cross(pivots, pivots)
+    anchors = _anchors(pdm)
+    others = [j for j in range(pivots.shape[0]) if j not in anchors]
+    total = 0
+    for to_anchors in metric._cross(points, pivots[anchors]):
+        a, u = anchors[int(np.argmin(to_anchors))], float(to_anchors.min())
+        reach = u * (1.0 + 1e-9) + (float(to_anchors.max()) * 1e-9 + 1e-9)
+        total += len(anchors) + int((pdm[a, others] <= (u + reach) * (1.0 + 1e-9)).sum())
+    return total
 
-    def cut(lo: int, hi: int, cuts_left: int) -> list[range]:
-        if cuts_left and hi - lo > 1:
-            savings = [(at - lo) * (lengths[hi - 1] - lengths[at - 1]) for at in range(lo + 1, hi)]
-            if max(savings) >= worth:
-                at = lo + 1 + savings.index(max(savings))
-                return cut(lo, at, cuts_left - 1) + cut(at, hi, cuts_left - 1)
-        return [range(lo, hi)]
 
-    return cut(0, len(lengths), cuts_left) if lengths else []
+def _anchors(pdm: np.ndarray) -> list[int]:
+    """``ceil(sqrt(M))`` anchors: pivot 0, then each time the pivot farthest
+    from the anchors so far (the first of equals)."""
+    anchors = [0]
+    while len(anchors) < int(np.ceil(np.sqrt(pdm.shape[0]))):
+        gaps = [
+            -1.0 if j in anchors else min(pdm[a, j] for a in anchors)
+            for j in range(pdm.shape[0])
+        ]
+        anchors.append(gaps.index(max(gaps)))
+    return anchors

@@ -14,11 +14,16 @@ check_counted = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(check_counted)
 
 
-def record(seed=0, scale=0.125, **moved):
+def record(seed=0, scale=0.125, skipped=1_474_270, **moved):
     """A ``benchmarks.e2e run --out`` file reduced to what the checker reads;
-    ``moved`` overrides a metric, or a job's counter as ``workload.job.name``."""
+    ``moved`` overrides a metric, or a job's counter as ``workload.job.name``;
+    ``skipped`` is the assignment's skipped pairs (the zorder join has none)."""
     values = {"selectivity_permille": 134.3968, "shuffle_mb": 0.794933, "recall_at_k": 1.0}
     jobs = {"partitioning": (0, 0), "knn-join": (45, 9)}
+    selectivity = {
+        "osm_pgbj_spill": {"distance_pairs": 525_730, "assignment_pairs_skipped": skipped},
+        "forest_zorder_spill": {"distance_pairs": 1_280_000},
+    }
     return {
         "environment": {"seed": seed, "scale": scale, "cpu_count": 2},
         "results": [
@@ -29,6 +34,7 @@ def record(seed=0, scale=0.125, **moved):
                     for name, value in {**values, "join_wall_s": 0.07}.items()
                 },
                 "counters": {
+                    "counters": {"selectivity": selectivity[workload]},
                     "jobs": [
                         {
                             "job": job,
@@ -82,6 +88,7 @@ def test_spill_layout_is_summed_over_jobs_and_held_exactly(files, capsys):
     assert json.loads(Path(baseline).read_text())["workloads"]["osm_pgbj_spill"] == {
         "selectivity_permille": 134.3968, "shuffle_mb": 0.794933, "recall_at_k": 1.0,
         "spill_segments": 45, "merge_passes": 9,
+        "selectivity.assignment_pairs_skipped": 1_474_270,
     }
     # the same totals split differently over the jobs: the layout held
     shifted = record(**{
@@ -100,6 +107,19 @@ def test_spill_layout_is_summed_over_jobs_and_held_exactly(files, capsys):
     assert "forest_zorder_spill.spill_segments: 45 -> 405" in out
     assert "osm_pgbj_spill.merge_passes: 9 -> 18" in out
     assert "2 counted metric(s) differ" in out
+
+
+def test_skipped_assignment_pairs_are_held_exactly_and_read_0_without_the_job(files, capsys):
+    """The layer a selectivity move came from: the Voronoi assignment's
+    skipped pairs, 0 for a join that runs no partitioning job."""
+    write, baseline = files
+    pinned = json.loads(Path(baseline).read_text())["workloads"]
+    assert pinned["forest_zorder_spill"]["selectivity.assignment_pairs_skipped"] == 0
+    moved = record(skipped=1_474_271)
+    assert check_counted.main([write("moved.json", moved), "--baseline", baseline]) == 1
+    out = capsys.readouterr().out
+    assert "osm_pgbj_spill.selectivity.assignment_pairs_skipped: 1474270 -> 1474271" in out
+    assert "1 counted metric(s) differ" in out
 
 
 def test_a_baseline_without_the_spill_layout_fails(files, capsys):
@@ -134,4 +154,6 @@ def test_committed_baseline_covers_the_declared_workloads():
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert sorted(baseline["workloads"]) == sorted(w["name"] for w in declared)
     for metrics in baseline["workloads"].values():
-        assert sorted(metrics) == sorted(check_counted.COUNTED + check_counted.SPILL_LAYOUT)
+        assert sorted(metrics) == sorted(
+            check_counted.COUNTED + check_counted.SPILL_LAYOUT + check_counted.COUNTERS
+        )

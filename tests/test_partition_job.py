@@ -1,11 +1,21 @@
 """Unit tests for the first MapReduce job (partitioning + summaries)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
-from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, JoinConfig
-from repro.joins.partition_job import SKIPPED_NAME, merge_summaries, run_partitioning_job
+from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, BlockJoinConfig, JoinConfig, PgbjConfig
+from repro.joins.partition_job import (
+    SKIPPED_NAME,
+    merge_summaries,
+    partition_stage,
+    partition_stage_key,
+    run_partitioning_job,
+)
+from repro.mapreduce import JobGraph, PersistentThreadExecutor, PlanCache, PlanScheduler
+from repro.mapreduce.faults import ChaosPlan
 from tests.reference_voronoi import pruned_pair_count
 from tests.test_plan_equivalence import env_params
 
@@ -117,3 +127,73 @@ class TestSummaries:
             assert ts_small.get(pid).knn_distances == pytest.approx(
                 ts_big.get(pid).knn_distances
             )
+
+
+def canonical(value):
+    """Arrays by dtype, shape and bytes; containers and objects by content."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(canonical(item) for item in value)
+    if isinstance(value, dict):
+        return tuple((key, canonical(item)) for key, item in value.items())
+    if hasattr(value, "__dict__"):
+        return type(value).__name__, canonical(vars(value))
+    return value
+
+
+class TestStageKeyCoversEveryField:
+    """The partition stage's plan-cache key against every config field: a
+    perturbed field either moves the key or leaves the partitioning job's
+    blocks, side outputs and counters exactly as they were.  A field the key
+    does not see, yet the job reads, would serve a stale result."""
+
+    BASE = dict(k=4, num_reducers=3, num_pivots=24, split_size=128, pivot_sample_size=400)
+
+    @staticmethod
+    def perturbed(name, base, tmp_path, executor):
+        """Another valid value of every field of both configs (a new field
+        fails here until it is given one)."""
+        selections = ("random", "farthest", "kmeans")
+        return {
+            "k": 7, "num_reducers": 5, "metric_name": "l1", "seed": 8, "split_size": 96,
+            "engine": "processes-pooled", "max_workers": 1, "memory_budget": 2048,
+            "spill_dir": str(tmp_path / "spill"), "kernel_provider": "numpy",
+            "spill_codec": "zlib", "plan_concurrency": False, "task_timeout": 600.0,
+            "checkpoint_dir": str(tmp_path / "ckpt"), "auto_tune": True, "stage_fusion": True,
+            "plan_cache_dir": str(tmp_path / "plans"),
+            "chaos": ChaosPlan.from_spec("crash:rate=0.5:attempt=1;seed=3"),
+            "shared_executor": executor, "plan_cache": PlanCache(), "num_pivots": 30,
+            "pivot_selection": selections[selections.index(base.pivot_selection) - 1],
+            "grouping": "greedy", "pivot_sample_size": 150,
+            "random_candidate_sets": 1, "kmeans_iterations": 3, "use_hyperplane_pruning": False,
+            "use_ring_pruning": False, "skew_split_threshold": 0.5, "skew_split_max_ways": 2,
+            "rtree_capacity": 8,
+        }[name]
+
+    @staticmethod
+    def stage_output(r, s, config):
+        graph = JobGraph("key")
+        stage = partition_stage(graph, r, s, config, config.num_pivots, {})
+        with config.make_runtime() as runtime:
+            result = PlanScheduler(runtime).execute(graph).execution_of(stage).result
+        return canonical((result.outputs, result.side_outputs, result.counters.as_dict()))
+
+    @pytest.mark.parametrize("selection", ["random", "farthest", "kmeans"])
+    @pytest.mark.parametrize("config_class", [PgbjConfig, BlockJoinConfig])
+    def test_every_field_moves_the_key_or_not_the_output(
+        self, config_class, selection, rng, tmp_path
+    ):
+        r = Dataset(rng.random((300, 3)), name="r")
+        s = Dataset(rng.random((250, 3)), ids=np.arange(1_000, 1_250), name="s")
+        base = config_class(**self.BASE, pivot_selection=selection)
+        key, output = partition_stage_key(r, s, base, base.num_pivots), None
+        with PersistentThreadExecutor(max_workers=2) as executor:
+            for spec in fields(config_class):
+                value = self.perturbed(spec.name, base, tmp_path, executor)
+                config = base.with_changes(**{spec.name: value})
+                assert getattr(config, spec.name) != getattr(base, spec.name), spec.name
+                if partition_stage_key(r, s, config, config.num_pivots) != key:
+                    continue
+                output = output or self.stage_output(r, s, base)
+                assert self.stage_output(r, s, config) == output, spec.name

@@ -4,9 +4,11 @@
 *bytes* of the pivot distances ``tests/reference_voronoi.py`` returns, on
 worlds built to break a triangle-inequality prune: ties of every kind
 (coincident pivots, identical points, points on bisectors, integer grids),
-one dense cluster with far outliers, more pivots than points, and coordinates
-scaled until an absolute slack alone is either everything or nothing.  Its
-pair counter must equal the count of the rule stated there.
+one dense cluster with far outliers, more pivots than points, coordinates
+scaled until an absolute slack alone is either everything or nothing, and
+anchors so far away that their distances' rounding outgrows the tie
+tolerance.  Its pair counter must equal the count of the rule stated there,
+and never exceed the nearest anchor's prefix the bound refines.
 """
 
 import numpy as np
@@ -17,7 +19,11 @@ from hypothesis import strategies as st
 from repro.core import Dataset, VoronoiPartitioner, get_metric, partition
 from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, JoinConfig
 from repro.joins.partition_job import SKIPPED_NAME, run_partitioning_job
-from tests.reference_voronoi import assign_points_all_pairs, pruned_pair_count
+from tests.reference_voronoi import (
+    assign_points_all_pairs,
+    prefix_pair_count,
+    pruned_pair_count,
+)
 from tests.test_plan_equivalence import env_params
 
 SHAPES = ("uniform", "grid", "coincident", "identical", "bisector", "cluster", "sparse")
@@ -59,6 +65,8 @@ def check_equal(metric_name, points, pivots):
     assert dists.tobytes() == want_dists.tobytes()
     assert metric.pairs_computed <= reference_metric.pairs_computed
     assert metric.pairs_computed == pruned_pair_count(pivots, get_metric(metric_name), points)
+    # the bound only ever removes pairs from the nearest anchor's prefix
+    assert metric.pairs_computed <= prefix_pair_count(pivots, get_metric(metric_name), points)
     return metric.pairs_computed, reference_metric.pairs_computed
 
 
@@ -101,6 +109,37 @@ class TestPrunedSearchMatchesAllPairs:
         points = np.full((2, 1), 1e6)
         check_equal("l2", points, pivots)
         assert assign_points_all_pairs(pivots, get_metric("l2"), points)[0].tolist() == [0, 1]
+
+    def test_the_slack_grows_with_the_anchor_distances(self):
+        """l1 around the origin, anchors at the corners of a 3e7 box: every
+        corner's bound on a pivot near the origin is tight, and its rounding
+        (about 1e-8) dwarfs a slack relative to the best distance (1 here).
+        Two pivots tie at distance 1; a slack blind to how far the anchors
+        are skips one of them in about one world in six, and footnote 1 then
+        balances the objects differently."""
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            x, y = rng.uniform(2e7, 4e7, 2)
+            f = rng.uniform(0.1, 0.4)
+            corners = [[x, y], [-x, -y], [-x, y], [x, -y]]
+            near = [[f, 1.0 - f], [1.0 - f, f]] + [[3.0 + i, 5.0 + 2 * i] for i in range(10)]
+            check_equal("l1", np.zeros((40, 2)), np.array(corners + near))
+
+    def test_the_far_side_of_the_bound_prunes(self):
+        """Pivots deep inside the nearest anchor's ball, objects outside it:
+        ``|o, a| - |a, p| > best`` skips them, while no anchor is nearer to
+        those pivots than to the objects, so the other side of the bound
+        never could.  The nearest anchor's prefix holds all of them."""
+        rng = np.random.default_rng(8)
+        far = [[-100.0, 0.0], [-100.0, 100.0], [-100.0, -100.0]]
+        inside = rng.uniform(-0.01, 0.01, (11, 2))
+        pivots = np.vstack([[0.0, 0.0], far, inside, [[1.001, 0.0]]])
+        points = np.array([1.0, 0.0]) + rng.uniform(-1e-4, 1e-4, (50, 2))
+        anchors = VoronoiPartitioner(pivots, get_metric("l2")).anchor_index()[0]
+        assert sorted(anchors.tolist()) == [0, 1, 2, 3]
+        computed, _ = check_equal("l2", points, pivots)
+        assert computed == 50 * (4 + 1)  # the anchors, then the pivot at (1.001, 0)
+        assert prefix_pair_count(pivots, get_metric("l2"), points) == 50 * (4 + 12)
 
     def test_a_long_call_is_searched_in_row_windows(self, monkeypatch):
         """Memory stays bounded on a call of any length: rows are searched a
@@ -178,3 +217,38 @@ class TestPartitioningJobOverInterleavedSplits:
         all_pairs = (len(r) + len(s)) * 200
         assert result.counters.value(PAIRS_GROUP, PAIRS_NAME) == computed < all_pairs
         assert result.counters.value(PAIRS_GROUP, SKIPPED_NAME) == all_pairs - computed
+
+
+class TestMappersCountObjectPairsOnly:
+    """A map task builds its partitioner from the anchor index the master
+    ships: it must count the rule's object-pivot pairs and never a pivot-pivot
+    pair (``M**2`` per map task would be the silent failure)."""
+
+    def world(self):
+        rng = np.random.default_rng(4)
+        centres = rng.random((7, 3))
+        points = centres[rng.integers(0, 7, 1500)] + rng.normal(0, 0.03, (1500, 3))
+        return points, points[rng.choice(1500, 120, replace=False)]
+
+    def test_a_partitioner_from_the_shipped_index_never_builds_the_matrix(self):
+        points, pivots = self.world()
+        anchors = VoronoiPartitioner(pivots, get_metric("l2")).anchor_index()
+        metric = get_metric("l2")
+        partitioner = VoronoiPartitioner(pivots, metric, anchors)
+        partitioner.assign_points(points)
+        assert partitioner._pdm is None
+        assert metric.pairs_computed == pruned_pair_count(pivots, get_metric("l2"), points)
+
+    def test_pooled_map_tasks_count_the_rule_per_split(self):
+        points, pivots = self.world()
+        r = Dataset(points[:800])
+        s = Dataset(points[800:], ids=np.arange(5_000, 5_700))
+        config = JoinConfig(k=3, split_size=512, engine="processes-pooled", max_workers=2)
+        with config.make_runtime() as runtime:
+            result = run_partitioning_job(r, s, pivots, config, runtime)
+        computed = sum(
+            pruned_pair_count(pivots, get_metric("l2"), points[start : start + 512])
+            for start in range(0, 1500, 512)
+        )
+        assert result.counters.value(PAIRS_GROUP, PAIRS_NAME) == computed
+        assert result.counters.value(PAIRS_GROUP, SKIPPED_NAME) == 1500 * 120 - computed
