@@ -3,14 +3,14 @@
 Every layer of this reproduction rests on one implicit invariant of the
 paper's MapReduce design: task code is **deterministic** (re-running an
 attempt reproduces its emissions bit for bit — what the cross-engine,
-spill, chaos and provider equivalence suites assert dynamically) and
+spill and chaos equivalence suites assert dynamically) and
 **shippable** (job specs survive pickling to pooled workers today, remote
 hosts tomorrow).  This package checks that invariant statically, at review
 time, instead of per-dataset at run time:
 
 * :mod:`.model` classifies *task code structurally* — Mapper/Reducer/
-  Partitioner subclasses, kernel-provider primitives, ``@njit`` kernels and
-  plan-builder closures — so new joins inherit enforcement for free;
+  Partitioner subclasses, kernel-provider primitives and plan-builder
+  closures — so new joins inherit enforcement for free;
 * :mod:`.rules` ships the opening rule set (DET/PKL/RES/ACC);
 * :mod:`.registry` makes rules addressable (codes, categories,
   ``--select``/``--ignore``), mirroring the join registry;

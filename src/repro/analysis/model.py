@@ -9,11 +9,10 @@ Task code is classified **structurally**, never by path: a class is task
 code because it subclasses :class:`~repro.mapreduce.job.Mapper` /
 ``Reducer`` / ``BlockBufferingMapper``, a shuffle
 :class:`~repro.mapreduce.partitioners.Partitioner` or a
-:class:`~repro.joins.kernel_providers.KernelProvider`; a function is task
-code because it is ``@njit``-compiled (a kernel primitive) or because it is
-passed to ``graph.stage(...)`` as a plan builder.  New joins therefore
-inherit enforcement the moment they subclass the framework types — no
-analyzer change, no path list.
+:class:`~repro.joins.kernels.KernelProvider`; a function is task code
+because it is passed to ``graph.stage(...)`` as a plan builder.  New joins
+therefore inherit enforcement the moment they subclass the framework types —
+no analyzer change, no path list.
 """
 
 from __future__ import annotations
@@ -35,9 +34,6 @@ TASK_BASE_KINDS = {
     "KernelProvider": "kernel-provider",
 }
 
-#: decorator names marking a compiled kernel primitive
-_KERNEL_DECORATORS = frozenset({"njit", "jit"})
-
 #: ``MapReduceJob(...)`` positional order of the shipped factories
 FACTORY_FIELDS = ("mapper_factory", "reducer_factory", "combiner_factory")
 
@@ -51,7 +47,7 @@ class TaskRegion:
     """One task-code root: everything inside ``node`` is task code."""
 
     node: ast.AST  # ClassDef, FunctionDef or Lambda
-    kind: str  # mapper | reducer | partitioner | kernel-provider | kernel-primitive | plan-builder
+    kind: str  # mapper | reducer | partitioner | kernel-provider | plan-builder
     name: str  # class/function name ("<lambda>" for lambdas)
 
 
@@ -217,18 +213,6 @@ class ModuleModel:
             TaskRegion(node=node, kind=kind, name=node.name)
             for node, kind in self.task_classes.values()
         ]
-        # compiled kernel primitives: @njit / @numba.njit functions
-        for node in ast.walk(self.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for decorator in node.decorator_list:
-                target = decorator.func if isinstance(decorator, ast.Call) else decorator
-                parts = self.dotted_parts(target)
-                if parts and parts[-1] in _KERNEL_DECORATORS:
-                    regions.append(
-                        TaskRegion(node=node, kind="kernel-primitive", name=node.name)
-                    )
-                    break
         regions.extend(self._plan_builder_regions())
         return regions
 

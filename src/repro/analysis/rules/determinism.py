@@ -1,7 +1,7 @@
 """DET rules: task code must be a pure function of its inputs and seeds.
 
 Every equivalence contract in this repository — cross-engine, spill vs
-in-memory, chaos vs fault-free, provider vs oracle — assumes a re-run task
+in-memory, chaos vs fault-free, kernel vs oracle — assumes a re-run task
 attempt reproduces its emissions bit for bit.  These rules reject the
 ambient-nondeterminism sources that silently break that: unseeded RNGs,
 wall clocks and entropy, unordered-set iteration feeding emissions, and

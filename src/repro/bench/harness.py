@@ -145,10 +145,6 @@ class ExperimentResult:
     params: dict[str, Any] = field(default_factory=dict)
     #: execution backend the sweep ran on — engine column of every record
     engine: str = field(default_factory=lambda: JoinConfig(**knobs_from_env()).engine)
-    #: kernel provider the sweep ran on — provider column of every record
-    kernel_provider: str = field(
-        default_factory=lambda: JoinConfig(**knobs_from_env()).kernel_provider
-    )
 
     def save(self, results_dir: str | Path = "results") -> Path:
         """Write the JSON record under ``results/<exhibit>.json``."""
@@ -159,7 +155,6 @@ class ExperimentResult:
             "exhibit": self.exhibit,
             "title": self.title,
             "engine": self.engine,
-            "kernel_provider": self.kernel_provider,
             "params": self.params,
             "data": self.data,
             "text": self.text,

@@ -33,7 +33,6 @@ from repro.bench.harness import DEFAULTS, bench_scale, default_cluster
 from repro.datasets import expand_dataset, generate_forest, generate_osm
 from repro.joins import JoinConfig, available_joins, get_join, run_join
 from repro.joins.base import Knob, config_knobs, execution_knobs, knob_table, knobs_from_env
-from repro.joins.kernel_providers import available_kernel_providers
 from repro.mapreduce import DEFAULT_ENGINE, available_engines
 
 __all__ = ["main"]
@@ -115,14 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list the registered execution engines and exit",
     )
-    parser.add_argument(
-        "--list-kernel-providers",
-        action="store_true",
-        help=(
-            "list the kernel providers with their availability in this "
-            "environment and exit"
-        ),
-    )
     sub = parser.add_subparsers(dest="command")
 
     sub.add_parser("info", help="show version, defaults and bench scale")
@@ -182,13 +173,6 @@ def _cmd_list_engines() -> int:
     for engine in available_engines():
         suffix = " (default)" if engine == DEFAULT_ENGINE else ""
         print(f"{engine}{suffix}")
-    return 0
-
-
-def _cmd_list_kernel_providers() -> int:
-    for name, (available, description) in available_kernel_providers().items():
-        status = "available" if available else "unavailable"
-        print(f"{name:8s} [{status}] {description}")
     return 0
 
 
@@ -259,7 +243,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
     print(f"algorithm            : {outcome.algorithm}")
     print(f"engine               : {requested.engine}"
           + (f" ({requested.max_workers} workers)" if requested.max_workers else ""))
-    print(f"kernel provider      : {requested.kernel_provider}")
     if requested.spill_codec != "none":
         print(f"spill codec          : {requested.spill_codec}")
     print(f"|R| = |S|            : {len(data)} ({data.name})")
@@ -312,8 +295,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_list_algorithms()
     if args.list_engines:
         return _cmd_list_engines()
-    if args.list_kernel_providers:
-        return _cmd_list_kernel_providers()
     if args.command == "info":
         return _cmd_info()
     if args.command == "join":

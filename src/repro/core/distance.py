@@ -50,13 +50,14 @@ _CROSS_BYTES = 1 << 16
 def _column_fold(terms: np.ndarray, add=np.add) -> np.ndarray:
     """Combine ``terms[0] .. terms[d - 1]`` in numpy's pairwise-sum order.
 
-    ``np.sum`` adds a contiguous row of fewer than 8 values sequentially, up
-    to 128 in eight interleaved lanes joined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and then the tail, and splits a
-    longer row at ``d // 2 - (d // 2) % 8`` (the tree
-    ``joins/_numba_kernels._pairwise_sum`` spells out).  Each operand here is
-    a whole array of per-coordinate terms, so every element of the result is
-    that row sum, bit for bit.  ``terms`` is only read.
+    ``np.sum`` adds a contiguous row of fewer than 8 values left to right.
+    Up to 128 values it runs eight lanes (lane ``j`` accumulates columns
+    ``j, j + 8, j + 16, ...`` up to the last multiple of 8), joins them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the ``d % 8`` tail
+    left to right.  A longer row is split at ``d // 2 - (d // 2) % 8`` and
+    the two halves' sums are added.  Each operand here is a whole array of
+    per-coordinate terms, so every element of the result is that row sum,
+    bit for bit.  ``terms`` is only read.
     """
     d = len(terms)
     if d > 128:
@@ -243,8 +244,8 @@ class EuclideanMetric(Metric):
     # The squared differences are reduced in the order of numpy's pairwise
     # summation (``np.sum``) rather than ``np.dot``/``np.einsum``: BLAS-style
     # accumulation depends on the SIMD width of the host, while the pairwise
-    # tree is a fixed IEEE operation order that compiled kernel providers
-    # replicate exactly, keeping results bit-identical across providers.
+    # tree is a fixed IEEE operation order, so the batch kernels and the
+    # scalar path agree bit for bit.
 
     def _pair(self, a: np.ndarray, b: np.ndarray) -> float:
         diff = a - b

@@ -42,12 +42,6 @@ class IDistanceIndex:
         selectivity, B+-tree traversal does not.
     order:
         B+-tree node order.
-    kbest_factory:
-        Callable ``k -> k-best accumulator`` used by :meth:`knn` (defaults
-        to :class:`~repro.core.knn.KBestList`); kernel providers inject
-        their own implementation here — any drop-in with the same
-        ``update``/``theta``/``as_arrays`` contract keeps results
-        bit-identical.
     """
 
     def __init__(
@@ -57,9 +51,7 @@ class IDistanceIndex:
         pivots: np.ndarray,
         metric: Metric,
         order: int = 64,
-        kbest_factory=KBestList,
     ) -> None:
-        self._kbest_factory = kbest_factory
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         ids = np.asarray(ids, dtype=np.int64)
         if points.shape[0] != ids.shape[0]:
@@ -120,9 +112,11 @@ class IDistanceIndex:
         query_pivot = self.metric.distances(query, self.pivots)
         max_upper = float(self._upper[np.isfinite(self._upper)].max())
         radius = initial_radius if initial_radius else max(max_upper / 8.0, 1e-12)
-        kbest = self._kbest_factory(k)
+        kbest = KBestList(k)
         # per-partition key range already scanned (inclusive); inverted
-        # sentinel means untouched
+        # sentinel means untouched.  Ranges are kept in key space: one ULP
+        # past a scanned *distance* can vanish once ``pid * C`` is added, and
+        # the rows on the ring's old edge would be offered a second time
         scanned: list[tuple[float, float]] = [(np.inf, -np.inf)] * self.num_partitions
         while True:
             for pid in range(self.num_partitions):
@@ -135,27 +129,22 @@ class IDistanceIndex:
                 hi = min(self._upper[pid], d_i + radius)
                 if lo > hi:
                     continue
+                key_lo, key_hi = pid * self.constant + lo, pid * self.constant + hi
                 seen_lo, seen_hi = scanned[pid]
-                segments = []
                 if seen_lo > seen_hi:  # nothing scanned yet
-                    segments.append((lo, hi))
-                else:
-                    if lo < seen_lo:
-                        segments.append((lo, np.nextafter(seen_lo, -np.inf)))
-                    if hi > seen_hi:
-                        segments.append((np.nextafter(seen_hi, np.inf), hi))
-                for seg_lo, seg_hi in segments:
-                    rows = [
-                        value
-                        for _, value in self._tree.range_scan(
-                            pid * self.constant + seg_lo, pid * self.constant + seg_hi
-                        )
+                    segments = [(key_lo, key_hi)]
+                else:  # the ring only grows: at most one new piece per side
+                    segments = [
+                        (key_lo, np.nextafter(seen_lo, -np.inf)),
+                        (np.nextafter(seen_hi, np.inf), key_hi),
                     ]
+                for seg_lo, seg_hi in segments:
+                    rows = [value for _, value in self._tree.range_scan(seg_lo, seg_hi)]
                     if rows:
                         rows = np.asarray(rows, dtype=np.int64)
                         dists = self.metric.distances(query, self.points[rows])
                         kbest.update(dists, self.ids[rows])
-                scanned[pid] = (min(lo, seen_lo), max(hi, seen_hi))
+                scanned[pid] = (min(key_lo, seen_lo), max(key_hi, seen_hi))
             if kbest.is_full() and kbest.theta <= radius:
                 break  # the k-th neighbor is inside the certified ball
             if radius > max_upper + float(query_pivot.max()):

@@ -29,8 +29,6 @@ from repro.mapreduce.runtime import LocalRuntime
 from repro.mapreduce.shuffle import SEGMENT_CODECS
 from repro.mapreduce.stats import JobStats
 
-from .kernel_providers import KERNEL_PROVIDERS
-
 __all__ = [
     "InvalidJoinInput",
     "Knob",
@@ -51,12 +49,15 @@ class InvalidJoinInput(ValueError):
     """Datasets no join can process — refused before any stage is planned."""
 
 
-def check_join_inputs(r: Dataset, s: Dataset, k: int | None = None) -> None:
+def check_join_inputs(
+    r: Dataset, s: Dataset, k: int | None = None, num_pivots: int | None = None
+) -> None:
     """The one boundary check, run once per planned join before any stage is
     built.  Refuses an empty R or S, non-finite coordinates (they silently
     falsify every pruning comparison), an R/S width mismatch (it would
-    surface deep in a kernel) and — for the kNN joins, which pass their
-    ``k`` — ``k > |S|``."""
+    surface deep in a kernel), ``k > |S|`` when a kNN join passes its ``k``,
+    and more pivots than R has objects when a join that draws its pivots
+    from R passes ``num_pivots``."""
     for side, dataset in (("R", r), ("S", s)):
         if len(dataset) == 0:
             raise InvalidJoinInput(
@@ -75,6 +76,10 @@ def check_join_inputs(r: Dataset, s: Dataset, k: int | None = None) -> None:
         raise InvalidJoinInput(
             f"k={k} exceeds |S|={len(s)}; the paper assumes k <= |S| "
             "(otherwise the join degrades to a cross join)"
+        )
+    if num_pivots is not None and num_pivots > len(r):
+        raise InvalidJoinInput(
+            f"num_pivots={num_pivots} exceeds |R|={len(r)}; pivots are drawn from R"
         )
 
 
@@ -220,12 +225,6 @@ class JoinConfig:
         None, "--spill-dir", None,
         help="directory for shuffle segment files and chained intermediates "
         "(default: system temp); implies the out-of-core shuffle",
-    )
-    kernel_provider: str = knob(
-        "auto", "--kernel-provider", "REPRO_KERNEL_PROVIDER", choices=tuple(KERNEL_PROVIDERS),
-        help="reducer hot-loop implementation: numpy (the oracle), numba (JIT-compiled; "
-        "falls back to numpy with a warning when the library is missing) or auto "
-        "(per call by batch shape)",
     )
     spill_codec: str = knob(
         "none", "--spill-codec", "REPRO_SPILL_CODEC", choices=tuple(SEGMENT_CODECS),

@@ -23,7 +23,6 @@ from repro.mapreduce.types import NeighborBlock, RecordBlock
 
 from .base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME, JoinConfig
 from .block_framework import block_of_ids, knn_outcome_assembler
-from .kernel_providers import get_kernel_provider
 from .registry import JoinPlan, JoinSpec, register_join
 
 __all__ = ["plan_broadcast"]
@@ -67,7 +66,6 @@ class BroadcastReducer(Reducer):
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
         self._k = int(ctx.cache["k"])
-        self._provider = get_kernel_provider(ctx.cache.get("kernel_provider", "auto"))
 
     def reduce(self, key, values, ctx: Context):
         block = RecordBlock.gather(values)
@@ -82,9 +80,7 @@ class BroadcastReducer(Reducer):
         lists = []
         for start in range(0, r_rows.size, _SCAN_CHUNK):
             chunk = slice(start, start + _SCAN_CHUNK)
-            dists = self._provider.cross_distances(
-                self._metric, r_points[chunk], s_points
-            )
+            dists = self._metric.cross_distances(r_points[chunk], s_points)
             for offset, r_id in enumerate(r_ids[chunk].tolist()):
                 selected = select_k_smallest(dists[offset], s_ids, self._k)
                 lists.append((r_id, s_ids[selected], dists[offset][selected]))
@@ -106,11 +102,7 @@ def plan_broadcast(r: Dataset, s: Dataset, config: JoinConfig) -> JoinPlan:
             reducer_factory=BroadcastReducer,
             partitioner=ModPartitioner(),
             num_reducers=config.num_reducers,
-            cache={
-                "metric_name": config.metric_name,
-                "k": config.k,
-                "kernel_provider": config.kernel_provider,
-            },
+            cache={"metric_name": config.metric_name, "k": config.k},
         )
         return job, dataset_splits(r, s, config.split_size)
 

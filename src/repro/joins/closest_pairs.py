@@ -32,8 +32,8 @@ from repro.mapreduce.types import RecordBlock
 
 from .base import PAIRS_GROUP, PAIRS_NAME, BlockJoinConfig
 from .block_framework import block_join_spec, chain_splits, fused_or_chained
-from .kernel_providers import get_kernel_provider
 from .kernels import (
+    KERNELS,
     ScratchPool,
     build_partition_blocks,
     local_ring_stats,
@@ -54,7 +54,6 @@ class ClosestPairsBlockReducer(Reducer):
         self._pivots: np.ndarray = ctx.cache["pivots"]
         self._pdm: np.ndarray = ctx.cache["pivot_dist_matrix"]
         self._exclude_self = bool(ctx.cache["exclude_self"])
-        self._provider = get_kernel_provider(ctx.cache.get("kernel_provider", "auto"))
         self._scratch = ScratchPool()
 
     def reduce(self, key, values, ctx: Context):
@@ -64,7 +63,7 @@ class ClosestPairsBlockReducer(Reducer):
         thetas = local_thetas(r_blocks, s_blocks, self._pdm, self._k)
         # max-heap (negated) of the k smallest pairs seen in this block
         heap: list[tuple[float, int, int]] = []
-        for r_id, ids, dists in self._provider.knn_join_kernel(
+        for r_id, ids, dists in KERNELS.knn_join_kernel(
             self._metric, self._k, r_blocks, s_blocks, thetas, local_ring_stats(s_blocks),
             self._pivots, self._pdm, scratch=self._scratch,
         ):
@@ -149,7 +148,6 @@ def plan_closest_pairs(
                 "pivots": state["pivots"],
                 "pivot_dist_matrix": state["pivot_dist_matrix"],
                 "exclude_self": exclude_self,
-                "kernel_provider": config.kernel_provider,
             },
         )
         return job2, chain_splits(config, dfs, "partitioned", job1.outputs)

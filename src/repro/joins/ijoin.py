@@ -33,7 +33,6 @@ from .block_framework import (
     knn_outcome_assembler,
     merge_stage,
 )
-from .kernel_providers import get_kernel_provider
 from .registry import JoinPlan, JoinSpec, register_join
 
 __all__ = ["plan_ijoin"]
@@ -47,7 +46,6 @@ class IJoinBlockReducer(Reducer):
         self._k = int(ctx.cache["k"])
         self._num_pivots = int(ctx.cache["index_pivots"])
         self._seed = int(ctx.cache["seed"])
-        self._provider = get_kernel_provider(ctx.cache.get("kernel_provider", "auto"))
 
     def reduce(self, key, values, ctx: Context):
         block = RecordBlock.gather(values)
@@ -60,13 +58,7 @@ class IJoinBlockReducer(Reducer):
         rng = np.random.default_rng(self._seed + int(key))
         num_pivots = min(self._num_pivots, s_points.shape[0])
         pivot_rows = rng.choice(s_points.shape[0], size=num_pivots, replace=False)
-        index = IDistanceIndex(
-            s_points,
-            s_ids,
-            s_points[pivot_rows],
-            self._metric,
-            kbest_factory=self._provider.kbest,
-        )
+        index = IDistanceIndex(s_points, s_ids, s_points[pivot_rows], self._metric)
         candidates = NeighborBlock.from_lists(
             (r_id, *index.knn(point, self._k))
             for r_id, point in zip(block.object_ids[r_rows], block.points[r_rows])
@@ -96,7 +88,6 @@ def plan_ijoin(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
                 # "sampling-based" reference selection
                 "index_pivots": max(4, config.num_pivots // max(config.num_blocks, 1)),
                 "seed": config.seed,
-                "kernel_provider": config.kernel_provider,
                 "merge_reducers": config.num_reducers,
             },
         )

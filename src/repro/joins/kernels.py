@@ -71,9 +71,12 @@ from repro.core.geometry import (
     segment_keys,
 )
 from repro.core.knn import ReferenceKBestList
+from repro.core.zorder import ZOrderTransform
 from repro.mapreduce.types import RecordBlock, group_rows_by
 
 __all__ = [
+    "KERNELS",
+    "KernelProvider",
     "RPartitionBlock",
     "SPartitionBlock",
     "ScratchPool",
@@ -376,15 +379,13 @@ def scan_partition_numpy(
     theta: np.ndarray,
     scratch: ScratchPool | None = None,
 ) -> None:
-    """The numpy scan: strip-mined gathered batches.
+    """The scan: strip-mined gathered batches.
 
-    This is the pluggable unit of :func:`knn_join_kernel` — one wavefront
-    step's admitted ring slices (``[start, start + length)`` of ``s_block``,
-    one per surviving R row, each row at most once), folded into the running
-    k-best state.  Kernel providers substitute compiled equivalents; every
-    implementation must fold exactly the ``sum(lengths)`` admitted pairs
-    (counted through the metric) and leave bit-identical
-    ``best_dists``/``best_ids``/``theta``.
+    One wavefront step of :func:`knn_join_kernel` — the step's admitted ring
+    slices (``[start, start + length)`` of ``s_block``, one per surviving R
+    row, each row at most once), folded into the running k-best state.
+    Exactly the ``sum(lengths)`` admitted pairs are computed (counted
+    through the metric).
     """
     # strip-mine long slices: after the first strip every row's k-th
     # distance is a real bound, so later strips mostly fail the
@@ -436,7 +437,6 @@ def knn_join_kernel(
     pivot_dist_matrix: np.ndarray,
     use_hyperplane_pruning: bool = True,
     use_ring_pruning: bool = True,
-    scan=None,
     scratch: ScratchPool | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Run Algorithm 3's reduce phase; yields ``(r_id, neighbor_ids, dists)``.
@@ -461,19 +461,12 @@ def knn_join_kernel(
         Pivot coordinates and the ``|p_i, p_j|`` matrix.
     use_hyperplane_pruning, use_ring_pruning:
         Ablation switches (both on reproduces the paper).
-    scan:
-        The scan implementation (defaults to
-        :func:`scan_partition_numpy`); kernel providers pass their own.
-        Every implementation folds the same admitted pairs with the same
-        IEEE operations, so the choice never changes results or counts.
     scratch:
         A :class:`ScratchPool` shared across kernel invocations (reducers
         keep one per worker); a private pool is created when omitted.
     """
     if not s_blocks:
         raise ValueError("reducer received R objects but no S objects")
-    if scan is None:
-        scan = scan_partition_numpy
     if scratch is None:
         scratch = ScratchPool()
     present = sorted(s_blocks)
@@ -568,7 +561,7 @@ def knn_join_kernel(
                 occupied = np.flatnonzero(lengths > 0)
                 if occupied.size == 0:
                     continue
-                scan(
+                scan_partition_numpy(
                     metric, k, r_points, s_all, rows[occupied], starts[occupied],
                     lengths[occupied], best_dists, best_ids, theta, scratch,
                 )
@@ -652,3 +645,25 @@ def knn_join_kernel_reference(
                         theta = min(theta, kbest.theta + PRUNE_EPS)
             neighbor_ids, neighbor_dists = kbest.as_arrays()
             yield int(r_block.ids[row]), neighbor_ids, neighbor_dists
+
+
+class KernelProvider:
+    """The reducers' two kernel entry points, behind one class.
+
+    Reducers call :data:`KERNELS`, its one instance.  The class exists so a
+    tracer can wrap both entry points in one place: ``benchmarks/e2e``
+    attributes its ``kernels.knn_join`` and ``kernels.morton`` spans by
+    patching these two methods.
+    """
+
+    def knn_join_kernel(self, *args, **kwargs) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """:func:`knn_join_kernel`."""
+        return knn_join_kernel(*args, **kwargs)
+
+    def morton_codes(self, transform: ZOrderTransform, points: np.ndarray) -> np.ndarray:
+        """Morton codes of ``points`` as a byte-key array
+        (:meth:`~repro.core.zorder.ZOrderTransform.z_keys`)."""
+        return transform.z_keys(points)
+
+
+KERNELS = KernelProvider()

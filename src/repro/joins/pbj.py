@@ -35,8 +35,8 @@ from .block_framework import (
     knn_outcome_assembler,
     merge_stage,
 )
-from .kernel_providers import get_kernel_provider
 from .kernels import (
+    KERNELS,
     ScratchPool,
     build_partition_blocks,
     local_ring_stats,
@@ -56,7 +56,6 @@ class PbjJoinReducer(Reducer):
         self._k = int(ctx.cache["k"])
         self._pivots: np.ndarray = ctx.cache["pivots"]
         self._pdm: np.ndarray = ctx.cache["pivot_dist_matrix"]
-        self._provider = get_kernel_provider(ctx.cache.get("kernel_provider", "auto"))
         self._scratch = ScratchPool()
 
     def reduce(self, key, values, ctx: Context):
@@ -64,7 +63,7 @@ class PbjJoinReducer(Reducer):
         if not r_blocks or not s_blocks:
             return ()  # lone half of a pair: other block columns cover these r
         candidates = NeighborBlock.from_lists(
-            self._provider.knn_join_kernel(
+            KERNELS.knn_join_kernel(
                 self._metric,
                 self._k,
                 r_blocks,
@@ -103,7 +102,6 @@ def plan_pbj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
                 "k": config.k,
                 "pivots": state["pivots"],
                 "pivot_dist_matrix": state["pivot_dist_matrix"],
-                "kernel_provider": config.kernel_provider,
                 "merge_reducers": config.num_reducers,
             },
         )
@@ -124,5 +122,6 @@ register_join(
         config_class=BlockJoinConfig,
         plan=plan_pbj,
         summary="PGBJ's pruning kernel inside the sqrt(N) block framework (no grouping)",
+        pivots_from_r=True,
     )
 )

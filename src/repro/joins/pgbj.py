@@ -33,8 +33,7 @@ from repro.mapreduce.types import NeighborBlock, RecordBlock
 
 from .base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME, PgbjConfig
 from .block_framework import chain_splits, knn_outcome_assembler
-from .kernel_providers import get_kernel_provider
-from .kernels import ScratchPool, build_partition_blocks
+from .kernels import KERNELS, ScratchPool, build_partition_blocks
 from .partition_job import make_pivot_selector, merge_summaries, partition_stage
 from .registry import JoinPlan, JoinSpec, register_join
 
@@ -106,17 +105,14 @@ class PgbjJoinReducer(Reducer):
         self._pdm: np.ndarray = ctx.cache["pivot_dist_matrix"]
         self._use_hyperplane = bool(ctx.cache["use_hyperplane_pruning"])
         self._use_ring = bool(ctx.cache["use_ring_pruning"])
-        # providers travel as names (picklable across process engines) and
-        # resolve to process-local singletons; the scratch pool is per-worker
-        self._provider = get_kernel_provider(ctx.cache.get("kernel_provider", "auto"))
-        self._scratch = ScratchPool()
+        self._scratch = ScratchPool()  # per worker, reused across reduce calls
 
     def reduce(self, key, values, ctx: Context):
         r_blocks, s_blocks = build_partition_blocks(RecordBlock.gather(values))
         if not r_blocks:
             return
         yield key, NeighborBlock.from_lists(
-            self._provider.knn_join_kernel(
+            KERNELS.knn_join_kernel(
                 self._metric,
                 self._k,
                 r_blocks,
@@ -217,7 +213,6 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
                 "pivot_dist_matrix": pdm,
                 "use_hyperplane_pruning": config.use_hyperplane_pruning,
                 "use_ring_pruning": config.use_ring_pruning,
-                "kernel_provider": config.kernel_provider,
             },
         )
         return job2, chain_splits(config, dfs, "partitioned", job1.outputs)
@@ -235,5 +230,6 @@ register_join(
         config_class=PgbjConfig,
         plan=plan_pgbj,
         summary="the paper's algorithm: Voronoi partitioning + grouping + pruning kernel",
+        pivots_from_r=True,
     )
 )

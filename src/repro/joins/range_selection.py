@@ -31,7 +31,6 @@ from repro.mapreduce.types import RecordBlock
 
 from .base import PAIRS_GROUP, PAIRS_NAME, JoinConfig
 from .block_framework import chain_splits
-from .kernel_providers import get_kernel_provider
 from .kernels import build_s_blocks
 from .registry import JoinPlan, JoinSpec, register_join
 
@@ -85,7 +84,6 @@ class RangeQueryReducer(Reducer):
         ]
         self._query_pivot_dists: dict[int, np.ndarray] = ctx.cache["query_pivot_dists"]
         self._ring_stats: dict[int, tuple[float, float]] = ctx.cache["ring_stats"]
-        self._provider = get_kernel_provider(ctx.cache.get("kernel_provider", "auto"))
 
     def reduce(self, key, values, ctx: Context):
         blocks = build_s_blocks(RecordBlock.gather(values))
@@ -101,9 +99,7 @@ class RangeQueryReducer(Reducer):
                 )
                 if start >= stop:
                     continue
-                dists = self._provider.distances(
-                    self._metric, query_point, block.points[start:stop]
-                )
+                dists = self._metric.distances(query_point, block.points[start:stop])
                 inside = dists <= self._theta + PRUNE_EPS
                 matches.extend(int(i) for i in block.ids[start:stop][inside])
             yield query_id, sorted(matches)
@@ -205,7 +201,6 @@ def plan_range_selection(
                 "queries_by_reducer": queries_by_reducer,
                 "query_pivot_dists": query_pivot_dists,
                 "ring_stats": ring_stats,
-                "kernel_provider": config.kernel_provider,
             },
         )
         return job, chain_splits(config, dfs, "range-input", [(0, block)])

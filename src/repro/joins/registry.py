@@ -93,7 +93,9 @@ class JoinSpec:
     uniform ``plan(r, s, config)`` signature and a ``JoinOutcome``) from the
     related operators (``"operator"`` — closest pairs, range selection),
     whose planners take extra keyword arguments and return their own outcome
-    types.  The CLI lists kind ``"knn"``.
+    types.  The CLI lists kind ``"knn"``.  ``pivots_from_r`` marks a join
+    whose plan draws ``config.num_pivots`` pivots from R, so the boundary
+    check refuses a count above |R|.
     """
 
     name: str
@@ -101,6 +103,7 @@ class JoinSpec:
     plan: Callable[..., JoinPlan]
     kind: str = "knn"
     summary: str = ""
+    pivots_from_r: bool = False
 
     def make_config(self, **kwargs) -> JoinConfig:
         """Build this join's config from a superset of keyword knobs.
@@ -215,7 +218,12 @@ def _checked(
     check — the one place it runs, once per planned join."""
     spec = get_join(name)
     config = _resolve_config(spec, config)
-    check_join_inputs(r, s, config.k if spec.kind == "knn" else None)
+    check_join_inputs(
+        r,
+        s,
+        config.k if spec.kind == "knn" else None,
+        num_pivots=config.num_pivots if spec.pivots_from_r else None,
+    )
     return spec, config
 
 

@@ -61,7 +61,7 @@ from repro.mapreduce.types import NeighborBlock, RecordBlock, group_rows_by, ran
 
 from .base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME, JoinConfig
 from .block_framework import candidate_emissions, knn_outcome_assembler, merge_stage
-from .kernel_providers import get_kernel_provider
+from .kernels import KERNELS
 from .registry import JoinPlan, JoinSpec, register_join
 
 __all__ = ["ZOrderConfig", "plan_zorder", "recall_against"]
@@ -101,7 +101,7 @@ class ZOrderRoutingMapper(BlockBufferingMapper):
     """Routes objects to (shift, z-range block) reducers, a block at a time.
 
     Per shift the task's whole input is encoded in one
-    :meth:`~repro.joins.kernel_providers.KernelProvider.morton_codes` call
+    :meth:`~repro.joins.kernels.KernelProvider.morton_codes` call
     and placed with one ``searchsorted`` against the block boundaries; an
     ``s`` additionally feeds the neighbor block when its z-value sits within
     the margin of the boundary between them (boundary healing), decided by
@@ -115,7 +115,6 @@ class ZOrderRoutingMapper(BlockBufferingMapper):
         #: per shift: (boundary keys, boundary + margin, boundary - margin)
         self._boundaries: list[tuple[np.ndarray, ...]] = ctx.cache["boundaries"]
         self._blocks_per_shift = int(ctx.cache["blocks_per_shift"])
-        self._provider = get_kernel_provider(ctx.cache.get("kernel_provider", "auto"))
 
     def route_block(self, block: RecordBlock, ctx: Context):
         # the wire row is (is_r, id, point, z): no payload bytes travel
@@ -124,7 +123,7 @@ class ZOrderRoutingMapper(BlockBufferingMapper):
         r_count = len(block) - int(s_rows.size)
         last = self._blocks_per_shift - 1
         for shift_index, shift in enumerate(self._shifts):
-            keys = self._provider.morton_codes(self._transform, block.points + shift)
+            keys = KERNELS.morton_codes(self._transform, block.points + shift)
             boundaries, above, below = self._boundaries[shift_index]
             own = np.searchsorted(boundaries, keys, side="right")
             rows, targets = [np.arange(len(block))], [own]
@@ -153,7 +152,6 @@ class ZOrderJoinReducer(Reducer):
         self._shifts: np.ndarray = ctx.cache["shifts"]
         self._transform: ZOrderTransform = ctx.cache["transform"]
         self._blocks_per_shift = int(ctx.cache["blocks_per_shift"])
-        self._provider = get_kernel_provider(ctx.cache.get("kernel_provider", "auto"))
 
     def reduce(self, key, values, ctx: Context):
         block = RecordBlock.gather(values)
@@ -162,7 +160,7 @@ class ZOrderJoinReducer(Reducer):
         if r_rows.size == 0 or s_rows.size == 0:
             return ()
         shift = self._shifts[int(key) // self._blocks_per_shift]
-        keys = self._provider.morton_codes(self._transform, block.points + shift)
+        keys = KERNELS.morton_codes(self._transform, block.points + shift)
         s_rows = s_rows[np.lexsort((block.object_ids[s_rows], keys[s_rows]))]
         # each r's window: per_side curve positions either side of where its
         # z-value falls in the sorted S block, clipped at the block's ends
@@ -174,9 +172,7 @@ class ZOrderJoinReducer(Reducer):
         rank = ranks_within(lengths)
         window = s_rows[start[owner] + rank]
         ids = block.object_ids[window]
-        dists = self._provider.pair_distances(
-            self._metric, block.points[r_rows[owner]], block.points[window]
-        )
+        dists = self._metric.pair_distances(block.points[r_rows[owner]], block.points[window])
         # the k best of every window under (distance, id): sorting keeps each
         # r's candidates in its own span, so rank still counts from its start
         best = np.lexsort((ids, dists, owner))[rank < self._k]
@@ -252,7 +248,6 @@ def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
                 "k": config.k,
                 "candidates_per_side": config.candidates_per_side or config.k,
                 "merge_reducers": config.num_reducers,
-                "kernel_provider": config.kernel_provider,
             },
         )
         return job, dataset_splits(r, s, config.split_size)

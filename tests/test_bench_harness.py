@@ -79,8 +79,7 @@ class TestRunners:
 
 
 class TestExperimentResult:
-    def test_save_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_PROVIDER", raising=False)
+    def test_save_round_trip(self, tmp_path):
         record = ExperimentResult(
             exhibit="demo",
             title="Demo",
@@ -92,12 +91,7 @@ class TestExperimentResult:
         payload = json.loads(path.read_text())
         assert payload["exhibit"] == "demo"
         assert payload["data"]["series"] == [1, 2]
-        assert payload["kernel_provider"] == "auto"
-
-    def test_kernel_provider_stamped_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_PROVIDER", "numpy")
-        record = ExperimentResult(exhibit="demo", title="t", text="b")
-        assert record.kernel_provider == "numpy"
+        assert set(payload) == {"exhibit", "title", "engine", "params", "data", "text"}
 
     def test_show_contains_title_and_text(self):
         record = ExperimentResult(exhibit="demo", title="A Title", text="BODY")

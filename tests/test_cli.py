@@ -49,15 +49,13 @@ class TestJoin:
         line = next(l for l in out.splitlines() if "join output pairs" in l)
         assert int(line.split(":")[1]) == 2 * 200
 
-    def test_join_kernel_provider_and_spill_codec_flags(self, capsys):
+    def test_join_spill_codec_flag(self, capsys):
         code = main(
             ["join", "--objects", "200", "--k", "2", "--num-reducers", "2",
-             "--num-pivots", "6", "--kernel-provider", "numpy",
-             "--spill-codec", "zlib"]
+             "--num-pivots", "6", "--spill-codec", "zlib"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "kernel provider      : numpy" in out
         assert "spill codec          : zlib" in out
         assert "spill activity" in out  # the codec implied the spill backend
 
@@ -68,13 +66,15 @@ class TestJoin:
         assert "spill codec" not in capsys.readouterr().out
 
 
-class TestListKernelProviders:
-    def test_lists_every_provider_with_availability(self, capsys):
-        assert main(["--list-kernel-providers"]) == 0
-        out = capsys.readouterr().out
-        for name in ("numpy", "numba", "auto"):
-            assert name in out
-        assert "[available]" in out  # numpy at minimum
+class TestOneKernel:
+    @pytest.mark.parametrize(
+        "argv", (["--list-kernel-providers"], ["join", "--kernel-provider", "numpy"])
+    )
+    def test_kernel_choice_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestBench:

@@ -10,12 +10,9 @@ from repro.core.distance import (
     ChebyshevMetric,
     EuclideanMetric,
     ManhattanMetric,
-    Metric,
     MinkowskiMetric,
     get_metric,
 )
-from repro.joins._numba_kernels import _pairwise_sum
-from repro.joins.kernel_providers import get_kernel_provider
 
 
 class TestEuclidean:
@@ -250,12 +247,11 @@ class TestBatchKernelsKeepTheScalarBytes:
         if shape[0] and shape[1]:
             ys[0] = xs[-1]
         expected = _scalar_loop(name, xs, ys)
-        for cross in (Metric.cross_distances, get_kernel_provider("numpy").cross_distances):
-            metric = get_metric(name)
-            got = cross(metric, xs, ys)
-            assert got.shape == shape and got.flags.c_contiguous
-            assert got.tobytes() == expected.tobytes()
-            assert metric.pairs_computed == shape[0] * shape[1]
+        metric = get_metric(name)
+        got = metric.cross_distances(xs, ys)
+        assert got.shape == shape and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+        assert metric.pairs_computed == shape[0] * shape[1]
 
     @pytest.mark.parametrize("layout", ("c", "fortran", "strided"))
     @pytest.mark.parametrize("rows", (0, 1, 2, 23))
@@ -288,10 +284,9 @@ class TestBatchKernelsKeepTheScalarBytes:
 
     @pytest.mark.parametrize("dims", (0, *DIMS, 257, 1024))
     def test_column_fold_is_numpys_pairwise_sum(self, dims):
-        """Three spellings of one tree: the column fold over whole arrays,
-        ``np.sum`` over contiguous rows, the interpreted numba helper."""
+        """Two spellings of one tree: the column fold over whole arrays and
+        ``np.sum`` over contiguous rows."""
         rng = np.random.default_rng(dims)
         rows = rng.normal(scale=1e6, size=(29, dims)) ** 3
         folded = distance._column_fold(np.ascontiguousarray(rows.T))
         assert folded.tobytes() == np.sum(rows, axis=1).tobytes()
-        assert folded.tolist() == [_pairwise_sum(row, 0, dims) for row in rows]

@@ -623,8 +623,7 @@ class TestCheckpointDirReuse:
         moved = {
             "k": 11, "num_reducers": 5, "metric_name": "l1", "seed": 8,
             "split_size": 100, "engine": "threads-pooled", "max_workers": 3,
-            "memory_budget": 64, "spill_dir": "/tmp/x", "kernel_provider": "numpy",
-            "spill_codec": "zlib", "plan_concurrency": False, "task_timeout": 9.0,
+            "memory_budget": 64, "spill_dir": "/tmp/x", "spill_codec": "zlib", "plan_concurrency": False, "task_timeout": 9.0,
             "auto_tune": True, "stage_fusion": True, "plan_cache_dir": "/tmp/y",
             "num_pivots": 65, "pivot_selection": "farthest", "grouping": "greedy",
             "pivot_sample_size": 100, "random_candidate_sets": 6,

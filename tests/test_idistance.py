@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import get_metric
+from repro.core import Dataset, KnnJoinResult, brute_force_knn_join, get_metric
 from repro.core.knn import knn_of_point
 from repro.datasets import generate_forest
 from repro.idistance import IDistanceIndex
@@ -76,6 +76,28 @@ class TestKnn:
         with pytest.raises(ValueError):
             IDistanceIndex(np.zeros((3, 2)), np.arange(2), np.zeros((1, 2)), get_metric("l2"))
 
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf"])
+    def test_ring_edge_rows_offered_once_on_integer_grids(self, metric_name):
+        """Grid coordinates put rows exactly on the edge of a ring the search
+        already scanned; growing the ring must not offer them again (a row
+        offered twice fills two slots with one id)."""
+        metric = get_metric(metric_name)
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            size, dims = int(rng.integers(8, 40)), int(rng.integers(1, 5))
+            points = rng.integers(0, 3, size=(size, dims)).astype(float)
+            ids = np.arange(100, 100 + size)
+            num_pivots = int(rng.integers(2, min(size, 10) + 1))
+            pivots = points[rng.choice(size, num_pivots, replace=False)]
+            index = IDistanceIndex(points, ids, pivots, metric)
+            for query in rng.integers(0, 3, size=(5, dims)).astype(float):
+                k = int(rng.integers(1, size + 1))
+                got_ids, got_dists = index.knn(query, k)
+                want_ids, want_dists = knn_of_point(metric, query, points, ids, k)
+                assert np.unique(got_ids).size == got_ids.size == k
+                assert got_dists.tobytes() == want_dists.tobytes()
+                assert got_ids.tolist() == want_ids.tolist()
+
 
 class TestRangeSearch:
     def test_matches_linear_scan(self):
@@ -93,6 +115,24 @@ class TestRangeSearch:
         index, points, ids = build_index(seed=10)
         got = index.range_search(points[3], 0.0)
         assert 3 in got
+
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf"])
+    def test_matches_linear_scan_on_integer_grids(self, metric_name):
+        """Integer thresholds on grid data put rows exactly on the ring's
+        edges, in partitions past the first (keys offset by ``pid * C``)."""
+        metric = get_metric(metric_name)
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            size, dims = int(rng.integers(8, 40)), int(rng.integers(1, 5))
+            points = rng.integers(0, 3, size=(size, dims)).astype(float)
+            ids = np.arange(100, 100 + size)
+            num_pivots = int(rng.integers(2, min(size, 10) + 1))
+            pivots = points[rng.choice(size, num_pivots, replace=False)]
+            index = IDistanceIndex(points, ids, pivots, metric)
+            for query in rng.integers(0, 3, size=(5, dims)).astype(float):
+                theta = float(rng.integers(0, 4))
+                dists = get_metric(metric_name).distances(query, points)
+                assert index.range_search(query, theta) == ids[dists <= theta].tolist()
 
 
 class TestIJoinBaseline:
@@ -112,6 +152,30 @@ class TestIJoinBaseline:
         )
         truth = ground_truth(small_forest, small_forest, 4)
         assert outcome.result.same_distances_as(truth)
+
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf"])
+    def test_exact_on_integer_grid_ties(self, metric_name):
+        """Ring-edge ties through the whole join: every row keeps exactly k
+        distinct neighbours with the brute-force distances."""
+        rng = np.random.default_rng(13)
+        data = Dataset(rng.integers(0, 3, size=(60, 3)).astype(float), name="grid")
+        k = 13
+        outcome = run_join(
+            "ijoin",
+            data,
+            data,
+            BlockJoinConfig(k=k, num_reducers=1, num_pivots=10, metric_name=metric_name),
+        )
+        truth = KnnJoinResult.from_dict(
+            k,
+            brute_force_knn_join(
+                get_metric(metric_name), data.points, data.ids, data.points, data.ids, k
+            ),
+        )
+        assert outcome.result.same_distances_as(truth)
+        for r_id in data.ids.tolist():
+            ids, _ = outcome.result.neighbors_of(r_id)
+            assert np.unique(ids).size == ids.size == k
 
     def test_registry_name(self):
         spec = get_join("IJoin")

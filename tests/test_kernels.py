@@ -1,5 +1,7 @@
 """Unit tests for the Algorithm 3 reducer kernel."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from repro.core.summary import build_partial_summary
 from repro.joins import kernels
 from repro.joins.kernels import (
     RPartitionBlock,
+    ScratchPool,
     build_partition_blocks,
     build_r_blocks,
     build_s_blocks,
@@ -151,12 +154,14 @@ def pairs_by_kind(world, metric_name="l2", **flags):
     """``(all counted pairs, the pairs the scans folded)`` of one kernel run —
     the difference is the object-pivot pairs ``|r, p_j|``."""
     scanned = []
+    scan_partition = kernels.scan_partition_numpy
 
     def scan(metric, k, r_points, s_block, rows, starts, lengths, *state):
         scanned.append(int(lengths.sum()))
-        kernels.scan_partition_numpy(metric, k, r_points, s_block, rows, starts, lengths, *state)
+        scan_partition(metric, k, r_points, s_block, rows, starts, lengths, *state)
 
-    _, pairs = run_kernel(knn_join_kernel, world, metric_name, scan=scan, **flags)
+    with mock.patch.object(kernels, "scan_partition_numpy", scan):
+        _, pairs = run_kernel(knn_join_kernel, world, metric_name, **flags)
     return pairs, sum(scanned)
 
 
@@ -503,3 +508,56 @@ class TestLocalTheta:
             knn_join_kernel(get_metric("l2"), k, r_blocks, s_blocks, thetas, ring, pivots, pdm)
         )
         assert all(ids.size == 3 for _, ids, _ in out)
+
+
+class TestScratchPool:
+    def test_take_returns_requested_view(self):
+        pool = ScratchPool()
+        buf = pool.take((10, 3))
+        assert buf.shape == (10, 3) and buf.dtype == np.float64
+        assert buf.flags.writeable
+
+    def test_outstanding_buffers_never_alias(self):
+        pool = ScratchPool()
+        first = pool.take((8, 2))
+        second = pool.take((8, 2))
+        assert first.base is not second.base
+
+    def test_reset_recycles_instead_of_reallocating(self):
+        pool = ScratchPool()
+        first = pool.take((12, 3))
+        base = first.base
+        pool.reset()
+        # the first take of every scan is served from the same storage ...
+        again = pool.take((10, 3))
+        assert again.base is base
+        pool.reset()
+        # ... until a request outgrows it
+        assert pool.take((64, 3)).base is not base
+
+    def test_position_is_reused_across_dtypes_and_shapes(self):
+        pool = ScratchPool()
+        floats = pool.take((4, 2))
+        pool.reset()
+        ints = pool.take((2, 4), dtype=np.int64)
+        assert ints.dtype == np.int64 and ints.shape == (2, 4)
+        assert ints.base is floats.base
+
+    def test_retains_one_buffer_per_position_however_many_scans(self):
+        pool = ScratchPool()
+        for rows in (5, 900, 40, 7, 300):  # scans of very different sizes
+            pool.reset()
+            pool.take((rows, 10))
+            pool.take((rows, 10))
+            pool.take((rows, 4), dtype=np.int64)
+        retained = [buffer.nbytes for buffer in pool._slots]
+        assert retained == [900 * 10 * 8, 900 * 10 * 8, 900 * 4 * 8]
+
+    def test_scratch_reuse_does_not_change_kernel_results(self):
+        world = kernel_world(seed=9, num_r=40, num_s=50, num_pivots=6, k=4)
+        expected, expected_pairs = run_kernel(knn_join_kernel_reference, world)
+        shared = ScratchPool()
+        for _ in range(3):  # repeated use over one pool: no stale-state leaks
+            got, pairs = run_kernel(knn_join_kernel, world, scratch=shared)
+            assert got == expected
+            assert pairs == expected_pairs

@@ -86,16 +86,16 @@ def clean_environment(monkeypatch):
         monkeypatch.delenv(row.env, raising=False)
 
 
-def test_the_table_is_the_fourteen_knobs():
+def test_the_table_is_the_thirteen_knobs():
     assert [row.flag for row in ROWS] == [
         "--engine", "--workers", "--memory-budget", "--spill-dir",
-        "--kernel-provider", "--spill-codec", "--no-plan-concurrency",
+        "--spill-codec", "--no-plan-concurrency",
         "--task-timeout", "--checkpoint-dir", "--auto-tune", "--fuse-stages",
         "--plan-cache-dir", "--chaos-spec", "--chaos-seed",
     ]  # fmt: skip
     assert sorted(row.env for row in WITH_ENV) == [
         "REPRO_AUTO_TUNE", "REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_ENGINE",
-        "REPRO_KERNEL_PROVIDER", "REPRO_MEMORY_BUDGET", "REPRO_PLAN_CACHE_DIR",
+        "REPRO_MEMORY_BUDGET", "REPRO_PLAN_CACHE_DIR",
         "REPRO_SPILL_CODEC", "REPRO_STAGE_FUSION", "REPRO_WORKERS",
     ]  # fmt: skip
 
@@ -174,11 +174,11 @@ class TestOneVariableOneMeaning:
 
     def test_explicit_flag_wins(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "threads-pooled")
-        monkeypatch.setenv("REPRO_KERNEL_PROVIDER", "numpy")
+        monkeypatch.setenv("REPRO_SPILL_CODEC", "zlib")
         assert cli.main([*self.ARGV, "--engine", "serial"]) == 0
         out = capsys.readouterr().out
         assert "engine               : serial" in out
-        assert "kernel provider      : numpy" in out
+        assert "spill codec          : zlib" in out
 
     def test_chaos_seed_variable_reseeds_on_both_surfaces(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", CHAOS_SPEC)
@@ -266,11 +266,12 @@ class TestStructure:
             assert "def build_merge" not in source, name
 
     def test_metadata_does_not_leak_into_persisted_identities(self):
-        # the parent commit's strings: declaring knobs on the fields moved neither
+        # declaring knobs on the fields moved neither string; only adding or
+        # removing a field does
         assert repr(PgbjConfig()) == (
             "PgbjConfig(k=10, num_reducers=4, metric_name='l2', seed=7, split_size=4096, "
             "engine='serial', max_workers=None, memory_budget=None, spill_dir=None, "
-            "kernel_provider='auto', spill_codec='none', plan_concurrency=True, "
+            "spill_codec='none', plan_concurrency=True, "
             "task_timeout=None, checkpoint_dir=None, auto_tune=False, stage_fusion=False, "
             "plan_cache_dir=None, num_pivots=64, pivot_selection='random', "
             "grouping='geometric', pivot_sample_size=8192, random_candidate_sets=5, "
@@ -280,10 +281,12 @@ class TestStructure:
         data = Dataset(np.arange(40.0).reshape(20, 2), name="d")
         # (the digest moves on purpose with the code version RESULTS_VERSION:
         # before it was part of the identity "005638942c3f2cf04318ca3f238cb610fe0b3aa3",
-        # at version 2 "149dae963a323c334f21954e9706e632d37e0b75")
+        # at version 2 "149dae963a323c334f21954e9706e632d37e0b75"; and with the
+        # fields: at version 3 with the kernel-choice knob, since removed,
+        # "223e2b1caa54d308ec1107f0f77a91abb4266359")
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "223e2b1caa54d308ec1107f0f77a91abb4266359"
+            == "e8b524603d6edf8587e378e7c199c115d83872af"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

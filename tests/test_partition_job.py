@@ -158,8 +158,7 @@ class TestStageKeyCoversEveryField:
         return {
             "k": 7, "num_reducers": 5, "metric_name": "l1", "seed": 8, "split_size": 96,
             "engine": "processes-pooled", "max_workers": 1, "memory_budget": 2048,
-            "spill_dir": str(tmp_path / "spill"), "kernel_provider": "numpy",
-            "spill_codec": "zlib", "plan_concurrency": False, "task_timeout": 600.0,
+            "spill_dir": str(tmp_path / "spill"), "spill_codec": "zlib", "plan_concurrency": False, "task_timeout": 600.0,
             "checkpoint_dir": str(tmp_path / "ckpt"), "auto_tune": True, "stage_fusion": True,
             "plan_cache_dir": str(tmp_path / "plans"),
             "chaos": ChaosPlan.from_spec("crash:rate=0.5:attempt=1;seed=3"),

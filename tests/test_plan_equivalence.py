@@ -176,6 +176,21 @@ class TestEngineSpillMatrix:
         assert fingerprint(run_join("zorder", data, data, config)) == reference
 
 
+class TestCompressedSpill:
+    """``spill_codec="zlib"`` alone selects the spill backend; compressing the
+    segments moves no result and no counter of any join (shuffle bytes count
+    encoded records, not what lands on disk)."""
+
+    @pytest.mark.parametrize("name", ALL_JOINS)
+    def test_matches_the_uncompressed_run(self, name, data, queries):
+        plain, _ = run_one(name, data, queries)
+        compressed, config = run_one(name, data, queries, spill_codec="zlib")
+        assert config.spill_codec == "zlib"
+        assert fingerprint(compressed) == fingerprint(plain)
+        if hasattr(compressed, "spill_segments"):  # kNN outcomes count them
+            assert compressed.spill_segments() > 0
+
+
 class TestFusedPlans:
     """Several joins fused into one graph overlap stage-by-stage and must
     reproduce the isolated sequential runs exactly — including under a
@@ -458,6 +473,24 @@ class TestBoundaryValidation:
         # config.k is not a neighbour count
         assert run_join(name, data, few, make_config(name, k=2)).k == 2
 
+    @pytest.mark.parametrize("name", ALL_JOINS)
+    def test_more_pivots_than_r_rejected_where_drawn_from_r(self, name, data):
+        """PGBJ and PBJ draw ``num_pivots`` pivots from R; the other joins
+        cap their pivot count at the data they index, or take none."""
+        few = type(data)(data.points[:5], ids=data.ids[:5], name="few")
+        if get_join(name).pivots_from_r:
+            for call in self._entry_points(name, few, data):
+                with pytest.raises(InvalidJoinInput) as caught:
+                    call()
+                assert str(caught.value) == (
+                    "num_pivots=12 exceeds |R|=5; pivots are drawn from R"
+                )
+            assert plan_join(name, few, data, make_config(name, num_pivots=5))
+        else:
+            for call in self._entry_points(name, few, data):
+                call()
+        assert {n for n in ALL_JOINS if get_join(n).pivots_from_r} == {"pgbj", "pbj"}
+
     @pytest.mark.parametrize("auto_tune", (False, True))
     @pytest.mark.parametrize("entry", (plan_join, run_join))
     def test_checked_exactly_once_and_before_planning(self, entry, auto_tune, data, monkeypatch):
@@ -465,9 +498,9 @@ class TestBoundaryValidation:
 
         calls = []
 
-        def counting_check(r, s, k=None):
+        def counting_check(r, s, k=None, num_pivots=None):
             calls.append(k)
-            base.check_join_inputs(r, s, k)
+            base.check_join_inputs(r, s, k, num_pivots)
 
         def never_planned(*args, **kwargs):
             raise AssertionError("a refused join must not reach its planner")

@@ -17,6 +17,7 @@ from repro.datasets import (
     generate_osm,
 )
 from repro.joins import ZOrderConfig, recall_against, run_join
+from repro.joins.kernels import KERNELS
 from tests.reference_zorder import int_z_values, outcome_facts, run_reference_zorder
 from tests.test_plan_equivalence import env_params
 
@@ -153,6 +154,29 @@ class TestByteKeys:
         assert (keys <= probe_keys[0]).tolist() == [code <= probes[0] for code in codes]
         assert (keys >= probe_keys[0]).tolist() == [code >= probes[0] for code in codes]
 
+    @given(
+        seed=st.integers(0, 1000),
+        dims=st.integers(1, 12),
+        bits=st.integers(1, 32),
+        count=st.integers(1, 200),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_reducers_morton_codes_are_the_transforms_keys(self, seed, dims, bits, count):
+        """The reducers' Morton entry point hands back the transform's
+        byte-key array, and the keys spell the int codes."""
+        rng = np.random.default_rng(seed)
+        transform = ZOrderTransform(np.zeros(dims), np.ones(dims), bits=bits)
+        points = rng.random((count, dims))
+        expected = transform.z_keys(points)
+        assert expected.dtype == np.dtype(f"S{transform.key_width}")
+        assert [
+            int.from_bytes(key.ljust(transform.key_width, b"\0"), "big")
+            for key in expected.tolist()
+        ] == int_z_values(transform, points)
+        got = KERNELS.morton_codes(transform, points)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
     def test_widths_not_a_multiple_of_eight(self):
         transform = ZOrderTransform(np.zeros(3), np.ones(3), bits=7)  # 21 bits
         assert (transform.total_bits, transform.key_width) == (21, 3)
@@ -248,8 +272,7 @@ class TestColumnarMatchesPerRecordReference:
             dict(stage_fusion=True),
             dict(engine="processes-pooled", max_workers=2),
             dict(engine="processes-pooled", max_workers=2, memory_budget=64),
-            dict(kernel_provider="numpy"),
-            dict(kernel_provider="numba", memory_budget=4096, stage_fusion=True),
+            dict(memory_budget=4096, stage_fusion=True),
         ],
         ids=lambda knobs: ",".join(f"{key}={value}" for key, value in knobs.items()),
     )
