@@ -174,19 +174,24 @@ class Metric(ABC):
         self.pairs_computed += xs.shape[0] * ys.shape[0]
         return self._cross(xs, ys)
 
-    def pairwise_sum(self, xs: np.ndarray) -> float:
-        """Total distance over all unordered pairs of rows of ``xs`` (counted).
+    def pairwise_matrix(self, xs: np.ndarray) -> np.ndarray:
+        """The symmetric ``|xs| x |xs|`` distance matrix, each unordered pair
+        computed once (counted: ``n(n-1)/2`` pairs).
 
-        Used by random pivot selection, which scores candidate pivot sets by
-        "the total sum of the distances between every two objects".
+        Row ``i`` right of the diagonal is computed, the lower triangle is its
+        mirror and the diagonal is zero.  The bytes are those of
+        :meth:`cross_distances`: ``|a, b|`` and ``|b, a|`` fold the terms of
+        an exactly negated difference, whose abs and square are equal.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-        total = 0.0
-        for i in range(xs.shape[0] - 1):
-            rest = xs[i + 1 :]
-            self.pairs_computed += rest.shape[0]
-            total += float(self._one_to_many(xs[i], rest).sum())
-        return total
+        n = xs.shape[0]
+        out = np.zeros((n, n), dtype=np.float64)
+        for i in range(n - 1):
+            out[i, i + 1 :] = self._one_to_many(xs[i], xs[i + 1 :])
+        self.pairs_computed += n * (n - 1) // 2
+        rows, cols = np.triu_indices(n, 1)
+        out[cols, rows] = out[rows, cols]
+        return out
 
     # -- uncounted entry points ---------------------------------------------
     #

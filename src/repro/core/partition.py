@@ -131,16 +131,25 @@ class VoronoiPartitioner:
     anchors:
         The :meth:`anchor_index` of another partitioner over the same pivots
         (the master's, shipped in the job cache); built here when absent.
+    distance_matrix:
+        The pivots' :meth:`pivot_distance_matrix`, when pivot selection
+        already computed it; computed here on first use when absent.
     """
 
-    def __init__(self, pivots: np.ndarray, metric: Metric, anchors: tuple | None = None) -> None:
+    def __init__(
+        self,
+        pivots: np.ndarray,
+        metric: Metric,
+        anchors: tuple | None = None,
+        distance_matrix: np.ndarray | None = None,
+    ) -> None:
         pivots = np.asarray(pivots, dtype=np.float64)
         if pivots.ndim != 2 or pivots.shape[0] == 0:
             raise ValueError(f"pivots must be a non-empty 2-d array, got shape {pivots.shape}")
         self.pivots = pivots
         self.metric = metric
         self._anchors = anchors
-        self._pdm: np.ndarray | None = None
+        self._pdm = distance_matrix
 
     @property
     def num_partitions(self) -> int:
@@ -285,9 +294,9 @@ class VoronoiPartitioner:
     def pivot_distance_matrix(self) -> np.ndarray:
         """The ``M x M`` pivot-to-pivot distance matrix ``|p_i, p_j|``.
 
-        Counted, once: the paper includes pivot pairs in computation
-        selectivity.
+        Counted, once per unordered pair: the paper includes pivot pairs in
+        computation selectivity.
         """
         if self._pdm is None:
-            self._pdm = self.metric.cross_distances(self.pivots, self.pivots)
+            self._pdm = self.metric.pairwise_matrix(self.pivots)
         return self._pdm

@@ -34,7 +34,9 @@ paper's selectivity counts ("the objects also include the pivots"), so it is
 computed only where :func:`~repro.core.geometry.pivot_distance_needed` — the
 distance-free forms of Corollary 1 and Theorem 5, against the running
 ``theta + PRUNE_EPS``, each under its rule's ablation switch — cannot decide
-the (row, cell) pair.  The window rule keeps numpy overhead per *window*, not
+the (row, cell) pair, and never for the row's own cell (identified by cell
+id), whose distance the partitioning job shipped as the row's pivot
+distance.  The window rule keeps numpy overhead per *window*, not
 per step: at the start of each step window ``[0,1) [1,2) [2,4) [4,8) ...`` the
 bounds are evaluated for every (row, step) of the window with the theta of
 that moment, and the admitted pairs go through one gathered
@@ -531,9 +533,13 @@ def knn_join_kernel(
             at_step, at_row = np.nonzero(np.broadcast_to(needed, visits.shape))
             ends = np.searchsorted(at_step, np.arange(window_end - first_step + 1))
             at_visit, at_gap = visits[at_step, at_row], gaps[at_step, at_row]
-            at_dist = np.empty(at_row.size, dtype=np.float64)
-            for lo in range(0, at_row.size, pivot_cap):
-                chunk = slice(lo, lo + pivot_cap)
+            # the own cell's distance is the row's pivot distance (by cell id:
+            # a coincident pivot's cell is another cell, computed like any)
+            at_own = present_ids[at_visit] == cell_ids[cell_of_row[at_row]]
+            at_dist = own_dists[at_row]
+            computed = np.flatnonzero(~at_own)
+            for lo in range(0, computed.size, pivot_cap):
+                chunk = computed[lo : lo + pivot_cap]
                 at_dist[chunk] = metric.pair_distances(
                     r_points[at_row[chunk]], present_points[at_visit[chunk]]
                 )
@@ -546,8 +552,7 @@ def knn_join_kernel(
                     hyperplane = hyperplane_distances(
                         own_dists[rows], dist_r_pj, at_gap[mine], euclidean
                     )
-                    own = present_ids[visit] == cell_ids[cell_of_row[rows]]
-                    keep = own | (hyperplane <= theta[rows] + PRUNE_EPS)
+                    keep = at_own[mine] | (hyperplane <= theta[rows] + PRUNE_EPS)
                     rows, visit, dist_r_pj = rows[keep], visit[keep], dist_r_pj[keep]
                 if rows.size == 0:
                     continue
@@ -618,9 +623,13 @@ def knn_join_kernel_reference(
                         theta, use_hyperplane_pruning, use_ring_pruning,
                     )
                 ]
-                dr_to_pivots = metric.distances(r_block.points[row], present_points[wanted])
-                for idx, dist_r_pj in zip(wanted, dr_to_pivots.tolist()):
+                # the own cell's distance is already known: the row's pivot distance
+                others = [idx for idx in wanted if present[idx] != pid_r]
+                to_pivots = metric.distances(r_block.points[row], present_points[others])
+                dr_to_pivots = dict(zip(others, to_pivots.tolist()))
+                for idx in wanted:
                     pid_s = present[idx]
+                    dist_r_pj = dr_to_pivots.get(idx, dist_r_own)
                     if (
                         use_hyperplane_pruning
                         and pid_s != pid_r

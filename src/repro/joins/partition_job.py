@@ -4,7 +4,9 @@ Paper Section 4.2: a map-only job reads every object of ``R ∪ S``, assigns it
 to its closest pivot, and emits the object tagged with its partition id and
 pivot distance (Figure 4).  Each map task additionally builds partial summary
 tables over its split, shipped to the master through a side channel and
-merged when the job completes ("Index Merging" in Figure 6).
+merged when the job completes ("Index Merging" in Figure 6).  In a
+self-join (``r is s``) the job reads the one dataset once and emits each
+object as both an R and an S object, from one assignment.
 
 The job is deliberately **k-independent**: partial ``T_S`` tables carry the
 full per-partition distance lists and :func:`merge_summaries` truncates to
@@ -24,6 +26,7 @@ partitioning).
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from repro.core.summary import SummaryTable, build_partial_summary
 from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob
 from repro.mapreduce.plan import JobGraph, Stage, StageContext
 from repro.mapreduce.runtime import JobResult, LocalRuntime
-from repro.mapreduce.splits import dataset_splits
+from repro.mapreduce.splits import dataset_splits, self_join_splits
 from repro.mapreduce.types import RecordBlock
 from repro.pivots import (
     FarthestPivotSelector,
@@ -47,6 +50,8 @@ from .base import PAIRS_GROUP, PAIRS_NAME, JoinConfig
 
 __all__ = [
     "PartitioningMapper",
+    "partitioning_job",
+    "partitioned_records",
     "run_partitioning_job",
     "merge_summaries",
     "make_pivot_selector",
@@ -98,6 +103,15 @@ class PartitioningMapper(BlockBufferingMapper):
 
     ``T_S`` partials keep *every* per-partition pivot distance (master-side
     merging truncates to the join's k) — the k never enters this job.
+
+    In a self-join (``self_join`` in the job cache, splits from
+    :func:`~repro.mapreduce.splits.self_join_splits`) every row is an object
+    of both R and S, assigned once: the task emits the annotated block as the
+    R copies under key 0 and again, sharing its columns, as the S copies
+    under key 1, and builds both summary partials from the one assignment.
+    The S copy thus takes the R copy's cell where footnote 1 breaks a tie —
+    any tied cell is a valid one.  Counters still read as if both copies had
+    been assigned: computed + skipped = (|R| + |S|) x M.
     """
 
     def setup(self, ctx: Context) -> None:
@@ -106,13 +120,13 @@ class PartitioningMapper(BlockBufferingMapper):
         self._partitioner = VoronoiPartitioner(
             ctx.cache["pivots"], self._metric, ctx.cache["anchors"]
         )
+        self._self_join = bool(ctx.cache["self_join"])
 
     def route_block(self, block: RecordBlock, ctx: Context):
         pids, dists = self._partitioner.assign_points(block.points)
-        for channel, mask, keep_all in (
-            (CHANNEL_TR, block.is_r, False),
-            (CHANNEL_TS, ~block.is_r, True),
-        ):
+        # a self-join split's rows are all R-tagged, and each is also an S object
+        is_s = block.is_r if self._self_join else ~block.is_r
+        for channel, mask, keep_all in ((CHANNEL_TR, block.is_r, False), (CHANNEL_TS, is_s, True)):
             if mask.any():
                 summary_k = int(mask.sum()) if keep_all else 0
                 ctx.side_output(
@@ -120,13 +134,16 @@ class PartitioningMapper(BlockBufferingMapper):
                 )
         computed = self._metric.pairs_computed
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, computed)
-        all_pairs = len(block) * self._partitioner.num_partitions
+        copies = 2 if self._self_join else 1
+        all_pairs = copies * len(block) * self._partitioner.num_partitions
         ctx.counters.incr(PAIRS_GROUP, SKIPPED_NAME, all_pairs - computed)
         order = np.argsort(pids, kind="stable")
         annotated = block.take(order)
         annotated.partition_ids = pids[order]
         annotated.pivot_distances = dists[order]
         yield 0, annotated
+        if self._self_join:
+            yield 1, replace(annotated, is_r=~annotated.is_r)
 
 
 def merge_summaries(job_result: JobResult, k: int) -> tuple[SummaryTable, SummaryTable, float]:
@@ -146,10 +163,14 @@ def merge_summaries(job_result: JobResult, k: int) -> tuple[SummaryTable, Summar
     return tr, ts, time.perf_counter() - started
 
 
-def partitioning_job_spec(pivots: np.ndarray, config: JoinConfig, anchors: tuple) -> MapReduceJob:
-    """The map-only partitioning job over ``R ∪ S`` (k-independent); ``anchors``
-    is the master's :meth:`VoronoiPartitioner.anchor_index` over ``pivots``."""
-    return MapReduceJob(
+def partitioning_job(
+    r: Dataset, s: Dataset, pivots: np.ndarray, config: JoinConfig, anchors: tuple
+) -> tuple[MapReduceJob, list]:
+    """The map-only partitioning job over ``R ∪ S`` (k-independent) and its
+    input splits — one pass over the dataset when ``r is s``.  ``anchors`` is
+    the master's :meth:`VoronoiPartitioner.anchor_index` over ``pivots``."""
+    self_join = r is s
+    job = MapReduceJob(
         name="partitioning",
         mapper_factory=PartitioningMapper,
         reducer_factory=None,
@@ -157,8 +178,20 @@ def partitioning_job_spec(pivots: np.ndarray, config: JoinConfig, anchors: tuple
             "pivots": pivots,
             "anchors": anchors,
             "metric_name": config.metric_name,
+            "self_join": self_join,
         },
     )
+    if self_join:
+        return job, self_join_splits(r, config.split_size)
+    return job, dataset_splits(r, s, config.split_size)
+
+
+def partitioned_records(job_result: JobResult) -> list:
+    """The job's blocks in ``R ∪ S`` order, the next job's input: a
+    self-join's S copies (key 1) after every R copy.  Each split of ``R ∪ S``
+    then holds the rows an equal copy's split would, so the next job's task
+    layout, shuffle and spill are those of ``run_join(r, copy(r))``."""
+    return sorted(job_result.outputs, key=lambda pair: pair[0])
 
 
 def run_partitioning_job(
@@ -171,15 +204,15 @@ def run_partitioning_job(
     """Execute the map-only partitioning job over ``R ∪ S`` (test seam; the
     drivers run it as a plan stage via :func:`partition_stage`)."""
     anchors = VoronoiPartitioner(pivots, get_metric(config.metric_name)).anchor_index()
-    job = partitioning_job_spec(pivots, config, anchors)
-    return runtime.run(job, dataset_splits(r, s, config.split_size))
+    return runtime.run(*partitioning_job(r, s, pivots, config, anchors))
 
 
 def partition_stage_key(r: Dataset, s: Dataset, config: JoinConfig, num_pivots: int):
     """Content key of the partitioning stage: everything its job depends on.
 
-    Datasets are fingerprinted by content; every config field that reaches
-    pivot selection or the job itself is pinned.  ``k`` is deliberately
+    Datasets are fingerprinted by content, and a self-join (``r is s``, one
+    assignment per object) is told from an equal copy; every config field
+    that reaches pivot selection or the job itself is pinned.  ``k`` is deliberately
     absent (see module docstring), which is exactly what makes the paper's
     Figure 8/9 "effect of k" sweeps reuse one partitioning run — and since
     PGBJ, PBJ and closest-pairs build the identical job from the same
@@ -193,6 +226,7 @@ def partition_stage_key(r: Dataset, s: Dataset, config: JoinConfig, num_pivots: 
         registry.RESULTS_VERSION,
         registry.dataset_fingerprint(r),
         registry.dataset_fingerprint(s),
+        r is s,
         config.metric_name,
         int(config.split_size),
         int(config.seed),
@@ -214,13 +248,15 @@ def partition_stage(
 ) -> Stage:
     """Add the shared partitioning stage (pivot selection + first job).
 
-    The builder selects pivots and computes their distance matrix on the
-    master (timed as the ``pivot_selection`` phase, counted on
-    ``state["metric"]``) and returns the k-independent partitioning job;
-    ``state`` receives ``"pivots"``, ``"pivot_dist_matrix"`` and ``"metric"``
-    for the downstream stages of the same plan.  The stage is
-    content-keyed, so a :class:`~repro.mapreduce.plan.PlanCache` can serve
-    the job result to every sweep point whose prefix is unchanged.
+    The builder selects pivots and gets their distance matrix on the master
+    (timed as the ``pivot_selection`` phase, counted on ``state["metric"]``;
+    random selection hands over the matrix it scored the winner by) and
+    returns the k-independent partitioning job; ``state`` receives
+    ``"pivots"``, ``"pivot_dist_matrix"`` and ``"metric"`` for the downstream
+    stages of the same plan, which read the job's blocks through
+    :func:`partitioned_records`.  The stage is content-keyed, so a
+    :class:`~repro.mapreduce.plan.PlanCache` can serve the job result to
+    every sweep point whose prefix is unchanged.
     """
 
     def build(ctx: StageContext):
@@ -228,13 +264,12 @@ def partition_stage(
         metric = get_metric(config.metric_name)
         selector = make_pivot_selector(config)
         with ctx.timed("pivot_selection"):
-            pivots = selector.select(r, num_pivots, metric, rng)
-            partitioner = VoronoiPartitioner(pivots, metric)
-            state["pivot_dist_matrix"] = partitioner.pivot_distance_matrix()
-            job = partitioning_job_spec(pivots, config, partitioner.anchor_index())
+            pivots, pdm = selector.select_with_distances(r, num_pivots, metric, rng)
+            anchors = VoronoiPartitioner(pivots, metric, distance_matrix=pdm).anchor_index()
         state["pivots"] = pivots
+        state["pivot_dist_matrix"] = pdm
         state["metric"] = metric
-        return job, dataset_splits(r, s, config.split_size)
+        return partitioning_job(r, s, pivots, config, anchors)
 
     # the key fingerprints both datasets (a sha1 pass each) — only worth
     # computing when a cache (in-process or persistent) will consume it

@@ -34,7 +34,12 @@ from repro.mapreduce.types import NeighborBlock, RecordBlock
 from .base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME, PgbjConfig
 from .block_framework import chain_splits, knn_outcome_assembler
 from .kernels import KERNELS, ScratchPool, build_partition_blocks
-from .partition_job import make_pivot_selector, merge_summaries, partition_stage
+from .partition_job import (
+    make_pivot_selector,
+    merge_summaries,
+    partition_stage,
+    partitioned_records,
+)
 from .registry import JoinPlan, JoinSpec, register_join
 
 __all__ = ["plan_pgbj", "make_pivot_selector"]
@@ -215,7 +220,7 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
                 "use_ring_pruning": config.use_ring_pruning,
             },
         )
-        return job2, chain_splits(config, dfs, "partitioned", job1.outputs)
+        return job2, chain_splits(config, dfs, "partitioned", partitioned_records(job1))
 
     join = graph.stage("pgbj/join", build_join, deps=(partition,))
     assemble = knn_outcome_assembler(

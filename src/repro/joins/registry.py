@@ -182,14 +182,15 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: outputs or counters change.  :func:`plan_identity` (what checkpoints are
 #: bound to) and the partition stage's plan-cache key both carry it, so a
 #: file written by older code is never served.
-RESULTS_VERSION = 3
+RESULTS_VERSION = 4
 
 
 def plan_identity(
     name: str, r: Dataset, s: Dataset, config: JoinConfig, extra: dict[str, Any]
 ) -> str:
     """Digest of everything a plan's stage results can depend on: the code
-    (:data:`RESULTS_VERSION`), the join, both datasets by content, the
+    (:data:`RESULTS_VERSION`), the join, both datasets by content and whether
+    they are one object (a self-join assigns each object once), the
     planner's extra arguments and *every* comparing config field but
     ``checkpoint_dir`` itself — not a hand-picked "semantic" subset, so a new
     knob cannot be forgotten (the price: changing an execution-only knob
@@ -204,6 +205,7 @@ def plan_identity(
         name.lower(),
         dataset_fingerprint(r),
         dataset_fingerprint(s),
+        r is s,
         type(config).__name__,
         knobs,
         sorted((key, repr(value)) for key, value in extra.items()),

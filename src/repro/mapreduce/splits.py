@@ -4,8 +4,9 @@ What a split carries across a worker boundary: :func:`dataset_splits` (the
 first job's input) hands out one ``(tag, RecordBlock)`` pair per dataset part
 a split touches, whose id, coordinate and payload columns are *views* of the
 dataset's arrays — nothing is copied on the master, and the split pickles as
-those row slices.  :func:`split_records` chunks an already materialized pair
-list (chained intermediates, tests) in place.
+those row slices; :func:`self_join_splits` is its self-join form, which hands
+out each object once.  :func:`split_records` chunks an already materialized
+pair list (chained intermediates, tests) in place.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .types import InputSplit, RecordBlock
 
 __all__ = [
     "dataset_splits",
+    "self_join_splits",
     "split_records",
     "weighted_record_chunks",
 ]
@@ -99,15 +101,7 @@ def dataset_splits(
     for start in range(0, len(r) + len(s), split_size):
         stop = start + split_size
         records = [
-            (
-                tag,
-                RecordBlock.of_objects(
-                    tag == "R",
-                    data.ids[a:b],
-                    data.points[a:b],
-                    None if data.payload_bytes is None else data.payload_bytes[a:b],
-                ),
-            )
+            (tag, _rows(data, tag == "R", a, b))
             for tag, data, a, b in (
                 ("R", r, start, min(stop, len(r))),
                 ("S", s, max(start - len(r), 0), min(stop - len(r), len(s))),
@@ -122,3 +116,33 @@ def dataset_splits(
             )
         )
     return splits
+
+
+def self_join_splits(dataset: Dataset, split_size: int) -> list[InputSplit]:
+    """Input splits covering a self-join's one dataset once, each an R-tagged
+    ``RecordBlock`` of views — the first job's input when ``R`` is ``S``.
+
+    A split ends at every boundary :func:`dataset_splits` would cut in the R
+    half (``j * split_size``) or in the S half (``j * split_size - |R|``), so
+    each split's R copies and S copies lie inside one split of ``R ∪ S``.
+    """
+    if split_size < 1:
+        raise ValueError("split_size must be >= 1")
+    size = len(dataset)
+    cuts = {
+        cut
+        for start in range(split_size, 2 * size, split_size)
+        for cut in (start, start - size)
+        if 0 < cut < size
+    }
+    bounds = sorted(cuts | {0, size})
+    return [
+        InputSplit(index, records=[("R", _rows(dataset, True, a, b))], logical_records=b - a)
+        for index, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    ]
+
+
+def _rows(dataset: Dataset, is_r: bool, a: int, b: int) -> RecordBlock:
+    """Rows ``[a, b)`` of ``dataset`` as one block of views of its arrays."""
+    payload = None if dataset.payload_bytes is None else dataset.payload_bytes[a:b]
+    return RecordBlock.of_objects(is_r, dataset.ids[a:b], dataset.points[a:b], payload)

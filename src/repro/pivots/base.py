@@ -39,6 +39,19 @@ class PivotSelector(ABC):
         work is included in computation selectivity, as the paper measures.
         """
 
+    def select_with_distances(
+        self,
+        dataset: Dataset,
+        num_pivots: int,
+        metric: Metric,
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`select`, plus the pivots' ``M x M`` distance matrix, counted
+        on ``metric`` (a selector that computed it while choosing hands it
+        over instead)."""
+        pivots = self.select(dataset, num_pivots, metric, rng)
+        return pivots, metric.pairwise_matrix(pivots)
+
     def _check(self, dataset: Dataset, num_pivots: int) -> None:
         if num_pivots < 1:
             raise ValueError("num_pivots must be >= 1")

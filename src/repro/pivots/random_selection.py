@@ -24,8 +24,9 @@ class RandomPivotSelector(PivotSelector):
     Parameters
     ----------
     num_candidate_sets:
-        ``T`` in the paper.  Larger T costs ``T * M^2 / 2`` extra distance
-        computations during preprocessing.
+        ``T`` in the paper.  Scoring costs ``T * M(M-1)/2`` distance
+        computations during preprocessing; the winner's are the pivot
+        distance matrix, which is therefore never computed again.
     """
 
     name = "random"
@@ -42,15 +43,27 @@ class RandomPivotSelector(PivotSelector):
         metric: Metric,
         rng: np.random.Generator,
     ) -> np.ndarray:
+        return self.select_with_distances(dataset, num_pivots, metric, rng)[0]
+
+    def select_with_distances(
+        self,
+        dataset: Dataset,
+        num_pivots: int,
+        metric: Metric,
+        rng: np.random.Generator,
+    ) -> tuple[np.ndarray, np.ndarray]:
         self._check(dataset, num_pivots)
         best_score = -np.inf
-        best_points: np.ndarray | None = None
+        best: tuple[np.ndarray, np.ndarray] | None = None
         for _ in range(self.num_candidate_sets):
             rows = rng.choice(len(dataset), size=num_pivots, replace=False)
             candidate = dataset.points[np.sort(rows)]
-            score = metric.pairwise_sum(candidate)
+            matrix = metric.pairwise_matrix(candidate)
+            # row by row right of the diagonal: the float sum the score has
+            # always been, so ties and near-ties pick the same candidate
+            score = sum(float(matrix[i, i + 1 :].sum()) for i in range(num_pivots - 1))
             if score > best_score:
                 best_score = score
-                best_points = candidate
-        assert best_points is not None
-        return best_points.copy()
+                best = candidate, matrix
+        assert best is not None
+        return best

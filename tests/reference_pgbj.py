@@ -13,6 +13,7 @@ reducer receives.
 from __future__ import annotations
 
 from contextlib import ExitStack
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -43,6 +44,7 @@ class PerCellPartitioningMapper(Mapper):
         self._partitioner = VoronoiPartitioner(
             ctx.cache["pivots"], self._metric, ctx.cache["anchors"]
         )
+        self._self_join = bool(ctx.cache["self_join"])
         self._buffer: list = []
 
     def map(self, key, value, ctx):
@@ -57,21 +59,28 @@ class PerCellPartitioningMapper(Mapper):
         pids, dists = self._partitioner.assign_points(block.points)
         for channel, mask, keep_all in (
             (CHANNEL_TR, block.is_r, False),
-            (CHANNEL_TS, ~block.is_r, True),
+            (CHANNEL_TS, block.is_r if self._self_join else ~block.is_r, True),
         ):
             if mask.any():
                 summary_k = int(mask.sum()) if keep_all else 0
                 ctx.side_output(
                     channel, build_partial_summary(pids[mask], dists[mask], k=summary_k)
                 )
-        computed = self._metric.pairs_computed
-        ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, computed)
-        ctx.counters.incr(
-            PAIRS_GROUP, SKIPPED_NAME, len(block) * self._partitioner.num_partitions - computed
-        )
         block.partition_ids = pids.astype(np.int64, copy=False)
         block.pivot_distances = dists.astype(np.float64, copy=False)
-        yield from block.split_by(block.partition_ids)
+        computed = self._metric.pairs_computed
+        copies = [block, replace(block, is_r=~block.is_r)] if self._self_join else [block]
+        ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, computed)
+        ctx.counters.incr(
+            PAIRS_GROUP,
+            SKIPPED_NAME,
+            len(copies) * len(block) * self._partitioner.num_partitions - computed,
+        )
+        # keyed by the copy (0: R or mixed, 1: a self-join's S copies), which
+        # is the order the next job reads them in
+        for key, copy in enumerate(copies):
+            for _, cell in copy.split_by(block.partition_ids):
+                yield key, cell
 
 
 class PerCellRoutingMapper(Mapper):

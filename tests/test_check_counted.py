@@ -88,6 +88,7 @@ def test_spill_layout_is_summed_over_jobs_and_held_exactly(files, capsys):
     assert json.loads(Path(baseline).read_text())["workloads"]["osm_pgbj_spill"] == {
         "selectivity_permille": 134.3968, "shuffle_mb": 0.794933, "recall_at_k": 1.0,
         "spill_segments": 45, "merge_passes": 9,
+        "selectivity.distance_pairs": 525_730,
         "selectivity.assignment_pairs_skipped": 1_474_270,
     }
     # the same totals split differently over the jobs: the layout held
@@ -119,6 +120,18 @@ def test_skipped_assignment_pairs_are_held_exactly_and_read_0_without_the_job(fi
     assert check_counted.main([write("moved.json", moved), "--baseline", baseline]) == 1
     out = capsys.readouterr().out
     assert "osm_pgbj_spill.selectivity.assignment_pairs_skipped: 1474270 -> 1474271" in out
+    assert "1 counted metric(s) differ" in out
+
+
+def test_job_side_distance_pairs_are_held_exactly(files, capsys):
+    """The selectivity's numerator as the jobs counted it (the master's pivot
+    selection is the rest): a move inside the jobs is named as one."""
+    write, baseline = files
+    moved = record()
+    moved["results"][0]["counters"]["counters"]["selectivity"]["distance_pairs"] = 525_729
+    assert check_counted.main([write("moved.json", moved), "--baseline", baseline]) == 1
+    out = capsys.readouterr().out
+    assert "osm_pgbj_spill.selectivity.distance_pairs: 525730 -> 525729" in out
     assert "1 counted metric(s) differ" in out
 
 

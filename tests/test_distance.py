@@ -77,9 +77,9 @@ class TestCounting:
         metric.cross_distances(np.zeros((3, 2)), np.ones((5, 2)))
         assert metric.pairs_computed == 15
 
-    def test_pairwise_sum_counts_combinations(self):
+    def test_pairwise_matrix_counts_combinations(self):
         metric = EuclideanMetric()
-        metric.pairwise_sum(np.random.default_rng(0).random((6, 2)))
+        metric.pairwise_matrix(np.random.default_rng(0).random((6, 2)))
         assert metric.pairs_computed == 15  # C(6, 2)
 
     def test_uncounted_variants_do_not_count(self):
@@ -101,17 +101,36 @@ class TestCounting:
         assert metric.pairs_computed == 0
 
 
-class TestPairwiseSumValue:
+class TestPairwiseMatrix:
+    """One distance per unordered pair, mirrored: the bytes of the full
+    ``cross_distances`` matrix at half the counted pairs."""
+
     def test_matches_direct_double_loop(self):
-        metric = EuclideanMetric()
         points = np.random.default_rng(2).random((8, 3))
-        total = metric.pairwise_sum(points)
-        expected = sum(
-            math.dist(points[i], points[j])
-            for i in range(8)
-            for j in range(i + 1, 8)
-        )
-        assert total == pytest.approx(expected)
+        matrix = EuclideanMetric().pairwise_matrix(points)
+        for i in range(8):
+            for j in range(8):
+                assert matrix[i, j] == pytest.approx(math.dist(points[i], points[j]))
+
+    @pytest.mark.parametrize("dims", (1, 2, 10, 130))  # 130: the fold's > 128 split
+    @pytest.mark.parametrize("name", ("l1", "l2", "linf", "l3"))
+    def test_bytes_equal_cross_distances(self, name, dims):
+        rng = np.random.default_rng(dims)
+        xs = np.round(rng.normal(scale=1e3, size=(17, dims)), 2)
+        xs[5] = xs[2]  # a coincident pair: an exact zero off the diagonal
+        metric = get_metric(name)
+        matrix = metric.pairwise_matrix(xs)
+        assert metric.pairs_computed == 17 * 16 // 2
+        assert matrix.tobytes() == get_metric(name).cross_distances(xs, xs).tobytes()
+        assert matrix.tobytes() == matrix.T.copy().tobytes()
+        assert not np.diagonal(matrix).any() and matrix[2, 5] == 0.0
+
+    @pytest.mark.parametrize("rows", (0, 1, 2))
+    def test_degenerate_sizes(self, rows):
+        metric = get_metric("l2")
+        matrix = metric.pairwise_matrix(np.ones((rows, 3)))
+        assert matrix.shape == (rows, rows) and not matrix.any()
+        assert metric.pairs_computed == rows * (rows - 1) // 2
 
 
 class TestRegistry:

@@ -14,6 +14,7 @@ from repro.datasets import generate_forest
 from repro.joins.base import PAIRS_GROUP
 from repro.joins.partition_job import SKIPPED_NAME, make_pivot_selector
 from repro.mapreduce import Cluster
+from repro.mapreduce.splits import self_join_splits
 from tests.reference_voronoi import pruned_pair_count
 
 
@@ -31,16 +32,19 @@ class TestCrossStageConsistency:
         assert [s.job_name for s in outcome.job_stats] == ["partitioning", "knn-join"]
         assert outcome.job_phase_names == ["data_partitioning", "knn_join"]
 
-    def test_partitioning_job_reads_both_datasets(self, pipeline_run):
+    def test_partitioning_job_reads_a_self_join_once(self, pipeline_run):
+        """One read of the dataset, emitted as both its R and its S objects."""
         data, config, outcome = pipeline_run
         job1 = outcome.job_stats[0]
-        assert sum(t.input_records for t in job1.map_tasks) == 2 * len(data)
+        assert sum(t.input_records for t in job1.map_tasks) == len(data)
+        assert sum(t.output_records for t in job1.map_tasks) == 2 * len(data)
 
     def test_split_size_controls_map_task_count(self, pipeline_run):
+        """A task ends wherever a split of R or of S would (400 objects in
+        128-row splits: R cuts at 128, 256, 384; S at 112, 240, 368)."""
         data, config, outcome = pipeline_run
         job1 = outcome.job_stats[0]
-        expected = -(-2 * len(data) // config.split_size)  # ceil division
-        assert len(job1.map_tasks) == expected
+        assert [t.input_records for t in job1.map_tasks] == [112, 16, 112, 16, 112, 16, 16]
 
     def test_join_job_runs_one_reduce_task_per_group(self, pipeline_run):
         data, config, outcome = pipeline_run
@@ -54,16 +58,15 @@ class TestCrossStageConsistency:
 
     def test_selectivity_includes_partitioning_pass(self, pipeline_run):
         """MR1 computes or provably skips every one of the (|R| + |S|) * |P|
-        object-pivot pairs; the computed ones, by the stated rule per split,
-        are part of the selectivity."""
+        object-pivot pairs; the computed ones, by the stated rule per split
+        of the self-join's one dataset, are part of the selectivity."""
         data, config, outcome = pipeline_run
         pivots = make_pivot_selector(config).select(
             data, config.num_pivots, get_metric("l2"), np.random.default_rng(config.seed)
         )
-        both = np.vstack([data.points, data.points])
         computed = sum(
-            pruned_pair_count(pivots, get_metric("l2"), both[start : start + config.split_size])
-            for start in range(0, len(both), config.split_size)
+            pruned_pair_count(pivots, get_metric("l2"), split.records[0][1].points)
+            for split in self_join_splits(data, config.split_size)
         )
         skipped = outcome.counters.value(PAIRS_GROUP, SKIPPED_NAME)
         assert skipped > 0

@@ -165,6 +165,13 @@ def pairs_by_kind(world, metric_name="l2", **flags):
     return pairs, sum(scanned)
 
 
+def own_cell_rows(world):
+    """R rows whose own cell is among the present S cells: each knows its
+    distance to that cell's pivot without computing it."""
+    _, _, r_blocks, s_blocks, *_ = world
+    return sum(len(block.ids) for pid, block in r_blocks.items() if pid in s_blocks)
+
+
 def assert_matches_reference(world, metric_name="l2", **flags):
     expected, expected_pairs = run_kernel(knn_join_kernel_reference, world, metric_name, **flags)
     got, got_pairs = run_kernel(knn_join_kernel, world, metric_name, **flags)
@@ -206,12 +213,13 @@ class TestVectorizedMatchesReference:
         )
         flags = dict(use_hyperplane_pruning=use_hyperplane, use_ring_pruning=use_ring)
         assert_matches_reference(world, metric_name, **flags)
-        # the bounds only ever spare object-pivot pairs
+        # the bounds only ever spare object-pivot pairs, and no row computes
+        # the distance to its own pivot
         rows, present = sum(len(b.ids) for b in world[2].values()), len(world[3])
         pairs, scanned = pairs_by_kind(world, metric_name, **flags)
-        assert pairs - scanned <= rows * present
+        assert pairs - scanned <= rows * present - own_cell_rows(world)
         if not (use_hyperplane or use_ring):
-            assert pairs - scanned == rows * present
+            assert pairs - scanned == rows * present - own_cell_rows(world)
 
     def test_identical_on_duplicate_points(self):
         """Adversarial ties: coincident objects, equal distances everywhere."""
@@ -360,7 +368,7 @@ class TestWavefrontMatchesReference:
         monkeypatch.setattr(kernels, "_GATHER_BYTES", 4096)  # 25 pairs of 10-d points
         monkeypatch.setattr(type(get_metric("l2")), "pair_distances", spy)
         assert assert_matches_reference(world) == whole
-        assert max(batches) <= 25 and sum(batches) == 150 * 9
+        assert max(batches) <= 25 and sum(batches) == 150 * 9 - own_cell_rows(world)
 
     def test_scans_gather_within_the_byte_budget(self, monkeypatch):
         world = kernel_world(seed=53, num_r=150, num_s=260, num_pivots=6, k=5, dims=10)
@@ -429,8 +437,36 @@ class TestAdversarialWorlds:
             (r_id, truth[r_id][0].tolist(), truth[r_id][1].tobytes()) for r_id, _, _ in got
         ]
         assert len(got) == len(r)
-        # eagerly, every row paid for every present pivot before its scans
-        assert pairs <= len(r) * len(s_blocks) + scanned
+        # eagerly, every row paid for every present pivot but its own before its scans
+        assert pairs <= len(r) * len(s_blocks) - own_cell_rows(world) + scanned
+
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf", "l3"])
+    @pytest.mark.parametrize("use_ring", (True, False))
+    @pytest.mark.parametrize("use_hyperplane", (True, False))
+    def test_own_cell_after_a_coincident_twin(self, use_hyperplane, use_ring, metric_name):
+        """Pivots 0 and 1 coincide and cell 1 holds every other object of
+        cell 0, so a row of cell 1 scans cell 0 first (zero gap, lower id):
+        its own cell is not step 0.  Its own distance is still reused and
+        its twin's computed — exact, and pair for pair the reference's."""
+        world = kernel_world(
+            seed=67, num_r=90, num_s=140, num_pivots=8, k=5,
+            metric_name=metric_name, twin_pivots=True,
+        )
+        r, s, r_blocks, s_blocks, *_, k = world
+        present = sorted(s_blocks)
+        assert {0, 1} <= set(r_blocks) & set(s_blocks)
+        assert present[scan_orders(world)[sorted(r_blocks).index(1)][0]] == 0
+        flags = dict(use_hyperplane_pruning=use_hyperplane, use_ring_pruning=use_ring)
+        got = assert_matches_reference(world, metric_name, **flags)
+        truth = brute_force_knn_join(get_metric(metric_name), r.points, r.ids, s.points, s.ids, k)
+        assert got == [
+            (r_id, truth[r_id][0].tolist(), truth[r_id][1].tobytes()) for r_id, _, _ in got
+        ]
+        pairs, scanned = pairs_by_kind(world, metric_name, **flags)
+        eager = len(r) * len(present) - own_cell_rows(world)
+        assert pairs - scanned <= eager
+        if not (use_hyperplane or use_ring):
+            assert pairs - scanned == eager
 
 
 class TestColumnarBuilders:

@@ -283,10 +283,12 @@ class TestStructure:
         # before it was part of the identity "005638942c3f2cf04318ca3f238cb610fe0b3aa3",
         # at version 2 "149dae963a323c334f21954e9706e632d37e0b75"; and with the
         # fields: at version 3 with the kernel-choice knob, since removed,
-        # "223e2b1caa54d308ec1107f0f77a91abb4266359")
+        # "223e2b1caa54d308ec1107f0f77a91abb4266359", and without it
+        # "e8b524603d6edf8587e378e7c199c115d83872af"; version 4 added the
+        # self-join flag)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "e8b524603d6edf8587e378e7c199c115d83872af"
+            == "d38c2982f04ba2de6ec4582c9edf3a090a2b6ae2"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

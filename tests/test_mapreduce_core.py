@@ -13,6 +13,7 @@ from repro.mapreduce import (
     estimate_bytes,
     split_records,
 )
+from repro.mapreduce.splits import self_join_splits
 
 
 class TestEstimateBytes:
@@ -203,11 +204,37 @@ class TestSplits:
         assert restored.logical_records == 4000
         assert self._row_facts(restored.records) == self._row_facts(split.records)
 
+    @pytest.mark.parametrize("with_payload", [False, True])
+    @pytest.mark.parametrize("size,split_size", [(1, 1), (7, 3), (12, 4), (10, 4), (9, 100)])
+    def test_self_join_splits_read_each_object_once_within_r_s_splits(
+        self, size, split_size, with_payload
+    ):
+        """One R-tagged block of views per split, the dataset covered once in
+        order, and each split inside one split of ``R ∪ S`` in both roles."""
+        rng = np.random.default_rng(size)
+        payload = rng.integers(0, 50, size) if with_payload else None
+        data = Dataset(rng.random((size, 2)), ids=np.arange(size) * 3, payload_bytes=payload)
+        splits = self_join_splits(data, split_size)
+        bounds = [0]
+        for index, split in enumerate(splits):
+            ((tag, block),) = split.records
+            assert (split.split_id, tag, split.logical_records) == (index, "R", len(block))
+            assert block.is_r.all() and np.shares_memory(block.points, data.points)
+            assert np.array_equal(block.object_ids, data.ids[bounds[-1] : bounds[-1] + len(block)])
+            bounds.append(bounds[-1] + len(block))
+        assert bounds[-1] == size
+        for a, b in zip(bounds, bounds[1:]):
+            for offset in (0, size):  # as R rows, then as S rows of R ∪ S
+                assert (a + offset) // split_size == (b - 1 + offset) // split_size
+
     def test_dataset_splits_edge_cases(self):
         empty = Dataset(np.zeros((0, 2)))
         assert dataset_splits(empty, empty, 4) == []
+        assert self_join_splits(empty, 4) == []
         with pytest.raises(ValueError, match="split_size"):
             dataset_splits(empty, empty, 0)
+        with pytest.raises(ValueError, match="split_size"):
+            self_join_splits(empty, 0)
         only_s = dataset_splits(empty, Dataset(np.ones((3, 2))), 2)
         assert [[(tag, len(block)) for tag, block in split.records] for split in only_s] == [
             [("S", 2)],

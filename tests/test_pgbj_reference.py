@@ -92,8 +92,11 @@ class TestBlockPerTaskMatchesPerCellReference:
         facts = pgbj_facts(r, s, _config(case, **knobs), reference=False)
         assert _comparable(facts) == _comparable(reference)
         assert len(facts["neighbors"]) == len(r)
-        # partition-job output: one block per map task
-        assert facts["blocks"][0] == len(facts["task_records"][0]) < reference["blocks"][0]
+        # partition-job output: one block per map task and copy (a self-join
+        # emits its R and its S copies)
+        copies = 2 if r is s else 1
+        assert facts["blocks"][0] == copies * len(facts["task_records"][0])
+        assert facts["blocks"][0] < reference["blocks"][0]
 
     @pytest.mark.parametrize("case", CASES)
     def test_unpatched_join_under_the_ci_legs_knobs(self, case):

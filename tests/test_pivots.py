@@ -24,6 +24,28 @@ def select(selector, dataset, m, seed=0):
     return selector.select(dataset, m, get_metric("l2"), np.random.default_rng(seed))
 
 
+def pairwise_sum(metric, xs):
+    """The candidate score random selection once computed with its own
+    method: each row's distances right of the diagonal, summed row by row."""
+    total = 0.0
+    for i in range(xs.shape[0] - 1):
+        total += float(metric.distances(xs[i], xs[i + 1 :]).sum())
+    return total
+
+
+def select_by_pairwise_sum(dataset, m, t, seed, metric_name):
+    """Best of ``t`` candidate sets by :func:`pairwise_sum` (the first of
+    equal scores wins); returns the pivots and the pairs counted."""
+    rng, metric = np.random.default_rng(seed), get_metric(metric_name)
+    best_score, best = -np.inf, None
+    for _ in range(t):
+        candidate = dataset.points[np.sort(rng.choice(len(dataset), size=m, replace=False))]
+        score = pairwise_sum(metric, candidate)
+        if score > best_score:
+            best_score, best = score, candidate
+    return best, metric.pairs_computed
+
+
 class TestCommon:
     @pytest.mark.parametrize("name", ["random", "farthest", "kmeans"])
     def test_shape(self, name, clustered):
@@ -51,6 +73,18 @@ class TestCommon:
         get_pivot_selector(name).select(clustered, 5, metric, np.random.default_rng(0))
         assert metric.pairs_computed > 0
 
+    @pytest.mark.parametrize("name", ["farthest", "kmeans"])
+    def test_distance_matrix_costs_one_pair_each(self, name, clustered):
+        """Selectors that do not score by the matrix pay ``M(M-1)/2`` for it."""
+        selecting, with_matrix = get_metric("l2"), get_metric("l2")
+        pivots = get_pivot_selector(name).select(clustered, 7, selecting, np.random.default_rng(4))
+        again, matrix = get_pivot_selector(name).select_with_distances(
+            clustered, 7, with_matrix, np.random.default_rng(4)
+        )
+        assert np.array_equal(again, pivots)
+        assert with_matrix.pairs_computed == selecting.pairs_computed + 7 * 6 // 2
+        assert matrix.tobytes() == get_metric("l2").cross_distances(pivots, pivots).tobytes()
+
 
 class TestRandom:
     def test_pivots_are_dataset_objects(self, clustered):
@@ -63,8 +97,36 @@ class TestRandom:
         scores = {}
         for t in (1, 8):
             pivots = select(RandomPivotSelector(num_candidate_sets=t), clustered, 6)
-            scores[t] = get_metric("l2").pairwise_sum(pivots)
+            scores[t] = pairwise_sum(get_metric("l2"), pivots)
         assert scores[8] >= scores[1]
+
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("shape", ["float", "grid"])  # grid: tied scores
+    @pytest.mark.parametrize("t,m", [(1, 1), (1, 7), (5, 2), (5, 12), (9, 30)])
+    def test_same_pivots_as_the_pairwise_sum_scoring(self, t, m, shape, metric_name):
+        """Scoring each candidate from its distance matrix picks the pivots
+        the per-row sums picked, at the same counted cost, and hands over the
+        winner's matrix with the bytes of ``cross_distances``."""
+        rng = np.random.default_rng(m * 31 + t)
+        points = rng.random((120, 3)) if shape == "float" else rng.integers(0, 3, (120, 3))
+        data = Dataset(points.astype(float))
+        for seed in range(4):
+            expected, expected_pairs = select_by_pairwise_sum(data, m, t, seed, metric_name)
+            metric = get_metric(metric_name)
+            pivots, matrix = RandomPivotSelector(num_candidate_sets=t).select_with_distances(
+                data, m, metric, np.random.default_rng(seed)
+            )
+            assert pivots.tobytes() == expected.tobytes()
+            assert metric.pairs_computed == expected_pairs == t * m * (m - 1) // 2
+            cross = get_metric(metric_name).cross_distances(pivots, pivots)
+            assert matrix.tobytes() == cross.tobytes()
+
+    def test_select_returns_the_pivots_of_select_with_distances(self, clustered):
+        selector = RandomPivotSelector(num_candidate_sets=4)
+        pivots, _ = selector.select_with_distances(
+            clustered, 9, get_metric("l2"), np.random.default_rng(2)
+        )
+        assert np.array_equal(select(selector, clustered, 9, seed=2), pivots)
 
     def test_rejects_zero_sets(self):
         with pytest.raises(ValueError):

@@ -2,20 +2,21 @@
 
 The strongest claim in the repository — every exact distributed join equals
 brute force — checked through ``run_join`` over hypothesis-generated worlds:
-integer-grid ties, all-identical points, ``k = |S|``, self-joins and R ≠ S
-with disjoint ids, every reducer count, every metric family and more pivots
-than R has objects (refused at the boundary by the joins that draw their
-pivots from R).
+integer-grid ties, all-identical points, ``k = |S|``, self-joins (``r is
+s``: each object assigned to its cell once) and R ≠ S with disjoint ids,
+every reducer count, every metric family and more pivots than R has objects
+(refused at the boundary by the joins that draw their pivots from R).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from repro import PgbjConfig, run_join
 from repro.core import Dataset, KnnJoinResult, brute_force_knn_join, get_metric
 from repro.joins import InvalidJoinInput, available_joins, get_join
+from repro.joins.partition_job import make_pivot_selector
 
 #: every registered kNN join but the approximate z-order join
 EXACT_JOINS = tuple(name for name in available_joins(kind="knn") if name != "zorder")
@@ -77,6 +78,26 @@ def test_every_exact_join_equals_brute_force(name, world):
     for r_id in r.ids.tolist():
         ids, _ = result.neighbors_of(r_id)
         assert ids.size == k and np.unique(ids).size == k
+
+
+def test_worlds_include_grid_self_joins_with_tied_assignments():
+    """The oracle property sees ``r is s`` self-joins, where each object is
+    assigned once and its S copy takes its R copy's tied cell, on integer
+    grids whose objects tie between pivots — not only equal copies."""
+
+    def tied_self_join(world):
+        r, s, _, metric_name, _, num_pivots, seed = world
+        if r is not s or num_pivots > len(r) or not np.array_equal(r.points, r.points.round()):
+            return False
+        metric = get_metric(metric_name)
+        config = get_join("pgbj").make_config(num_pivots=num_pivots, seed=seed)
+        pivots = make_pivot_selector(config).select(
+            r, num_pivots, metric, np.random.default_rng(seed)
+        )
+        nearest_two = np.sort(metric.cross_distances(r.points, pivots), axis=1)[:, :2]
+        return num_pivots > 1 and bool((nearest_two[:, 0] == nearest_two[:, 1]).any())
+
+    find(join_world(), tied_self_join, settings=settings(max_examples=500, database=None))
 
 
 @given(join_world())

@@ -1,0 +1,146 @@
+"""A self-join (``r is s``) assigns each object to its Voronoi cell once.
+
+PGBJ, PBJ and closest pairs share the partitioning stage.  Joining a dataset
+with itself must equal joining it with an equal copy in everything but the
+counted pairs: results, shuffle, S replicas and the spill layout are the
+same, and the self-join computes exactly the R copies' assignment pairs
+fewer.  Persisted stage results (plan cache, checkpoints) must never serve
+one for the other.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from repro.core import Dataset, VoronoiPartitioner, get_metric
+from repro.joins import get_join, plan_join, run_join
+from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME
+from repro.joins.partition_job import SKIPPED_NAME, make_pivot_selector
+from repro.joins.registry import JoinPlan, execute_join_plan
+from repro.mapreduce import PlanCache
+from tests.test_plan_equivalence import env_params
+
+JOINS = ("pgbj", "pbj", "closest-pairs")
+
+
+@pytest.fixture(scope="module")
+def data():
+    """Tie-free floats, 300 rows: 64-row splits of R ∪ S straddle R and S."""
+    rng = np.random.default_rng(12)
+    return Dataset(rng.random((300, 3)), payload_bytes=rng.integers(0, 40, 300), name="d")
+
+
+def config_for(name, **knobs):
+    params = dict(k=4, num_reducers=4, num_pivots=20, split_size=64, seed=3, **env_params())
+    return get_join(name).make_config(**{**params, **knobs})
+
+
+def run_stages(name, r, s, config):
+    """The assembled outcome and every stage's job result."""
+    plan = plan_join(name, r, s, config)
+    run = execute_join_plan(JoinPlan(graph=plan.graph, assemble=lambda run: run), config)
+    return plan.assemble(run), [run.result_of(stage) for stage in plan.graph.stages]
+
+
+def answer(outcome):
+    if hasattr(outcome, "pairs"):  # closest pairs
+        return outcome.pairs
+    return {
+        r_id: tuple(array.tobytes() for array in outcome.result.neighbors_of(r_id))
+        for r_id in outcome.result.r_ids()
+    }
+
+
+def shipped(jobs):
+    """What every job after the partitioning one moved and spilled, and what
+    each of its tasks read and wrote."""
+    return [
+        (
+            job.stats.shuffle_records,
+            job.stats.shuffle_bytes,
+            job.stats.spill_segments,
+            job.stats.merge_passes,
+            job.counters.value(REPLICA_GROUP, REPLICA_NAME),
+            [
+                (task.input_records, task.output_records)
+                for task in job.stats.map_tasks + job.stats.reduce_tasks
+            ],
+        )
+        for job in jobs[1:]
+    ]
+
+
+def assignment_pairs(dataset, config):
+    """The pairs assigning every object of ``dataset`` once costs, with the
+    join's pivots and the job's anchor index."""
+    pivots = make_pivot_selector(config).select(
+        dataset, config.num_pivots, get_metric(config.metric_name),
+        np.random.default_rng(config.seed),
+    )
+    anchors = VoronoiPartitioner(pivots, get_metric(config.metric_name)).anchor_index()
+    metric = get_metric(config.metric_name)
+    VoronoiPartitioner(pivots, metric, anchors).assign_points(dataset.points)
+    return metric.pairs_computed
+
+
+class TestSelfJoinEqualsEqualCopy:
+    @pytest.mark.parametrize("budget", (None, 4096), ids=("memory", "spill"))
+    @pytest.mark.parametrize("name", JOINS)
+    def test_same_answer_and_shuffle_fewer_assignment_pairs(self, name, budget, data):
+        config = config_for(name, **({} if budget is None else {"memory_budget": budget}))
+        same, same_jobs = run_stages(name, data, data, config)
+        twin, twin_jobs = run_stages(name, data, copy.deepcopy(data), config)
+        assert answer(same) == answer(twin)
+        assert shipped(same_jobs) == shipped(twin_jobs)
+        if budget is not None:
+            assert sum(layout[2] for layout in shipped(same_jobs)) > 0  # it did spill
+        # the self-join skips exactly the R copies' assignment; both count
+        # what they skipped, so computed + skipped = (|R| + |S|) x M
+        pairs, all_pairs = assignment_pairs(data, config), 2 * len(data) * config.num_pivots
+        assert twin.distance_pairs - same.distance_pairs == pairs
+        for jobs, computed in ((same_jobs, pairs), (twin_jobs, 2 * pairs)):
+            counters = jobs[0].counters
+            assert counters.value(PAIRS_GROUP, PAIRS_NAME) == computed
+            assert computed + counters.value(PAIRS_GROUP, SKIPPED_NAME) == all_pairs
+
+    def test_map_tasks_read_each_object_once(self, data):
+        config = config_for("pgbj")
+        _, same_jobs = run_stages("pgbj", data, data, config)
+        _, twin_jobs = run_stages("pgbj", data, copy.deepcopy(data), config)
+        for jobs, reads in ((same_jobs, len(data)), (twin_jobs, 2 * len(data))):
+            assert sum(task.input_records for task in jobs[0].stats.map_tasks) == reads
+            # both copies of every object reach the next job
+            assert sum(len(block) for _, block in jobs[0].outputs) == 2 * len(data)
+
+
+def facts(name, r, s, config):
+    outcome = run_join(name, r, s, config)
+    return answer(outcome), outcome.distance_pairs, outcome.counters.as_dict()
+
+
+@pytest.mark.parametrize("persisted", ("plan-cache", "checkpoint"))
+@pytest.mark.parametrize("first", ("self-join", "equal-copy"))
+def test_persisted_results_never_stand_in_for_the_other_kind(persisted, first, data, tmp_path):
+    """Fill a persistent plan cache (or a checkpoint directory) with one kind
+    of run, then run the other kind over it: its counters are a fresh run's.
+    The same kind again is served (the store is not vacuous)."""
+    kinds = {"self-join": data, "equal-copy": copy.deepcopy(data)}
+    second = "equal-copy" if first == "self-join" else "self-join"
+    fresh = facts("pgbj", data, kinds[second], config_for("pgbj"))
+
+    def stored():
+        if persisted == "plan-cache":
+            return config_for("pgbj", plan_cache=PlanCache(directory=str(tmp_path / "plans")))
+        return config_for("pgbj", checkpoint_dir=str(tmp_path / "ckpt"))
+
+    facts("pgbj", data, kinds[first], stored())
+    config = stored()
+    assert facts("pgbj", data, kinds[second], config) == fresh
+    if persisted == "plan-cache":
+        assert config.plan_cache.stats()["disk_hits"] == 0
+        again = stored()
+        facts("pgbj", data, kinds[first], again)
+        assert again.plan_cache.stats()["disk_hits"] == 1
+    else:  # one file per stage and kind: the second kind wrote its own
+        assert len(list((tmp_path / "ckpt").glob("*.ckpt.seg"))) == 2 * 2
