@@ -1,13 +1,19 @@
 """Ablation (beyond the paper): PGBJ with its pruning rules disabled.
 
 Quantifies what each of Corollary 1 (hyperplane) and Theorem 2 (ring)
-contributes to the computation-selectivity win.  Every row assigns objects to
-pivots the library's way: each object's pivots are bounded from below through
-the anchor pivots (its nearest anchor and the anchors nearest that one) and
-only those within reach of the best distance so far are computed, in two
-rounds.  A last row gives the paper configuration under the paper's all-pairs
-Voronoi assignment, recovered from the ``assignment_pairs_skipped`` counter of
-the first run (no switch exists).
+contributes to the computation-selectivity win.  Each switch also governs
+the reducer rules derived from its theorem: ``use_hyperplane_pruning`` the
+Corollary 1 test of ``|r, p_j|``'s lower bounds (the own pivot's and those
+of the row's nearest computed pivots), ``use_ring_pruning`` their Theorem 5
+test and the scan of the own cell from its ring centre outward; with both
+off every object-pivot distance is computed and every cell scanned whole.
+Every row assigns objects to pivots the library's way: every object is
+compared with about ``sqrt(M)`` anchor pivots, its other pivots are bounded
+from below through eight of them (its nearest anchor and the anchors nearest
+that one), and only the pivots within reach of the best distance so far are
+computed, the smallest bound first.  A last row gives the paper configuration
+under the paper's all-pairs Voronoi assignment, recovered from the
+``assignment_pairs_skipped`` counter of the first run (no switch exists).
 """
 
 from repro.bench import ablation_pruning_experiment

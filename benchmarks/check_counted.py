@@ -3,12 +3,14 @@
 ``selectivity_permille``, ``shuffle_mb`` and ``recall_at_k`` repeat to the
 last digit for one seed and size, and so does the spill layout —
 ``spill_segments`` and ``merge_passes``, each summed over the jobs of the
-record's ``counters`` — and so do two selectivity counters that name the
+record's ``counters`` — and so do three selectivity counters that name the
 layer when the selectivity moves: the pairs the jobs computed
 (``selectivity.distance_pairs``; the master's pivot selection computed the
-rest of the selectivity's numerator) and the pairs the Voronoi assignment
+rest of the selectivity's numerator), the pairs the Voronoi assignment
 skipped (``selectivity.assignment_pairs_skipped``, 0 for a join without a
-partitioning job).  So any
+partitioning job) and the object-pivot pairs among the kernel reducers'
+(``selectivity.reducer_pivot_pairs``, 0 for a join without the Algorithm 3
+kernel).  So any
 difference from the baseline is a change of behaviour, never noise: CI runs
 this on the end-to-end smoke record, and a PR that moves a counted metric on
 purpose shows it as a reviewed diff of ``results/e2e_smoke_counted.json``
@@ -34,7 +36,11 @@ COUNTED = ("selectivity_permille", "shuffle_mb", "recall_at_k")
 #: spill layout counts, each summed over the workload's jobs
 SPILL_LAYOUT = ("spill_segments", "merge_passes")
 #: join counters, ``group.name`` in the record's ``counters`` (0 where never counted)
-COUNTERS = ("selectivity.distance_pairs", "selectivity.assignment_pairs_skipped")
+COUNTERS = (
+    "selectivity.distance_pairs",
+    "selectivity.assignment_pairs_skipped",
+    "selectivity.reducer_pivot_pairs",
+)
 INPUTS = ("seed", "scale")
 BASELINE = Path(__file__).resolve().parent.parent / "results" / "e2e_smoke_counted.json"
 

@@ -16,6 +16,9 @@ S-partitions for one query object (Algorithm 3, lines 19-22):
 A tiny absolute slack ``PRUNE_EPS`` is applied wherever a floating-point
 comparison could otherwise prune an exact boundary case; the rules are
 necessary conditions, so slack only weakens pruning, never correctness.
+A triangle bound built from computed distances also gives up ``PRUNE_RTOL``
+of a bound on those distances, since their rounding grows with the
+coordinate scale.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 
 __all__ = [
     "PRUNE_EPS",
+    "PRUNE_RTOL",
     "hyperplane_distance",
     "hyperplane_distances",
     "partition_pruned_by_hyperplane",
@@ -32,10 +36,14 @@ __all__ = [
     "ring_slice",
     "ring_slices",
     "segment_keys",
+    "triangle_lower_bound",
 ]
 
 #: absolute slack for floating-point-safe pruning comparisons
 PRUNE_EPS = 1e-9
+#: relative slack beside ``PRUNE_EPS`` for bounds made of computed distances:
+#: their rounding, and a tie tolerance, at any coordinate scale
+PRUNE_RTOL = 1e-9
 
 
 def hyperplane_distance(
@@ -100,27 +108,54 @@ def partition_pruned_by_hyperplane(
     )
 
 
+def triangle_lower_bound(known, scale):
+    """The best bound ``|q, p_j| >= | |q, p_k| - |p_k, p_j| |`` over the
+    pivots ``p_k`` whose ``|q, p_k|`` is known — ``known`` yields one
+    ``(|q, p_k|, |p_k, p_j|)`` per pivot — less ``PRUNE_RTOL * scale`` and
+    never below 0.  ``scale`` bounds every distance involved, so their
+    rounding can never lift the bound above the ``|q, p_j|`` a metric
+    computes, at any coordinate scale.  Scalars or aligned arrays (one bound
+    per query), the same IEEE operations either way."""
+    best = 0.0
+    for dist_q_pk, dist_pk_pj in known:
+        best = np.maximum(best, np.abs(dist_q_pk - dist_pk_pj))
+    return np.maximum(best - PRUNE_RTOL * scale, 0.0)
+
+
 def pivot_distance_needed(
-    dist_q_pi, dist_pi_pj, upper_pj, theta, hyperplane: bool = True, ring: bool = True
+    dist_q_pi,
+    dist_pi_pj,
+    upper_pj,
+    theta,
+    hyperplane: bool = True,
+    ring: bool = True,
+    euclidean: bool = True,
+    lower_q_pj=None,
 ):
     """Must ``|q, p_j|`` be computed before cell ``P_j`` can be judged for ``q``?
 
-    False where a bound needing no new distance already exceeds
-    ``theta + PRUNE_EPS``, both from ``|q, p_j| >= |p_i, p_j| - |q, p_i|``:
-    Corollary 1 with that lower bound in place of ``|q, p_j|`` —
-    ``d(q, HP(p_i, p_j)) >= |p_i, p_j| / 2 - |q, p_i|``, for Equation 3 and
-    the generic GH bound alike — and Theorem 5 per object —
-    ``|q, s| >= |p_i, p_j| - |q, p_i| - U(P_j)`` for every ``s`` in ``P_j``.
-    Each follows the switch of the rule it derives from; ``theta = inf`` and
-    coincident pivots (the own cell) always need the distance.  Scalars or
+    False where both rules, at a lower bound on ``|q, p_j|``, already exceed
+    ``theta + PRUNE_EPS``: Corollary 1 (:func:`hyperplane_distances` with the
+    bound in place of ``|q, p_j|``) and Theorem 5 per object (``|q, s| >=
+    lower - U(P_j)``).  Both are monotone in ``|q, p_j|``, so the distance
+    would have rejected the cell too.  The bound is ``lower_q_pj`` (a
+    :func:`triangle_lower_bound`), else the own pivot's ``|p_i, p_j| - |q,
+    p_i|``, for which the rules read ``|p_i, p_j| / 2 - |q, p_i|`` and
+    ``|p_i, p_j| - |q, p_i| - U(P_j)``.  Each follows its rule's switch;
+    ``theta = inf`` and coincident pivots always pass Corollary 1.  Scalars or
     aligned arrays, the same IEEE operations either way.
     """
+    own = lower_q_pj is None
     slack = theta + PRUNE_EPS
     needed = True
     if hyperplane:
-        needed = dist_pi_pj / 2.0 - dist_q_pi <= slack
+        needed = (
+            dist_pi_pj / 2.0 - dist_q_pi
+            if own
+            else hyperplane_distances(dist_q_pi, lower_q_pj, dist_pi_pj, euclidean)
+        ) <= slack
     if ring:
-        needed = needed & ((dist_pi_pj - dist_q_pi) - upper_pj <= slack)
+        needed = needed & ((dist_pi_pj - dist_q_pi if own else lower_q_pj) - upper_pj <= slack)
     return needed
 
 

@@ -31,15 +31,12 @@ import numpy as np
 
 from .dataset import Dataset
 from .distance import ChebyshevMetric, Metric
-from .geometry import PRUNE_EPS
+from .geometry import PRUNE_EPS, PRUNE_RTOL
 
 __all__ = ["VoronoiPartitioner", "PartitionAssignment"]
 
 #: relative slack used when detecting distance ties between pivots
 _TIE_RTOL = 1e-12
-#: relative part of the pruning slack beside ``PRUNE_EPS``: the tie tolerance
-#: plus the rounding of the triangle bound's distances, at any coordinate scale
-_PRUNE_RTOL = 1e-9
 #: footnote 1 counts the untied objects of a window before its tied ones
 _TIE_WINDOW = 1024
 #: with fewer pivots all are anchors (the all-pairs scan): an index cannot pay
@@ -208,14 +205,14 @@ class VoronoiPartitioner:
         # a pivot bounded above ``reach(best)`` cannot tie the best: the slack
         # covers the tie tolerance and the rounding of the bound, which grows
         # with the anchor distances it is made of
-        slack = anchor_d.max(axis=1) * _PRUNE_RTOL + PRUNE_EPS
+        slack = anchor_d.max(axis=1) * PRUNE_RTOL + PRUNE_EPS
 
         def reach(best: np.ndarray) -> np.ndarray:
-            return best * (1.0 + _PRUNE_RTOL) + slack
+            return best * (1.0 + PRUNE_RTOL) + slack
 
         # ``a`` alone bounds ``p_j`` by ``|a, p_j| - best``: past a prefix of
         # its list no pivot is within reach, so only the prefix is bounded
-        cut = (best + reach(best)) * (1.0 + _PRUNE_RTOL)
+        cut = (best + reach(best)) * (1.0 + PRUNE_RTOL)
         starts = np.searchsorted(near, np.arange(count + 1))
         blocks = [slice(starts[a], starts[a + 1]) for a in range(count)]
         widths = [

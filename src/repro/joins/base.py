@@ -86,6 +86,8 @@ def check_join_inputs(
 #: counter group/name used by every task that computes object distances
 PAIRS_GROUP = "selectivity"
 PAIRS_NAME = "distance_pairs"
+#: the part of a kernel reducer's ``distance_pairs`` that are object-pivot pairs
+PIVOT_PAIRS_NAME = "reducer_pivot_pairs"
 REPLICA_GROUP = "shuffle"
 REPLICA_NAME = "s_replicas"
 

@@ -31,21 +31,35 @@ ever gathered, and numpy call overhead is paid per *step*, not per
 
 Object-pivot distances on demand.  Both rules need ``|r, p_j|``, which the
 paper's selectivity counts ("the objects also include the pivots"), so it is
-computed only where :func:`~repro.core.geometry.pivot_distance_needed` — the
-distance-free forms of Corollary 1 and Theorem 5, against the running
-``theta + PRUNE_EPS``, each under its rule's ablation switch — cannot decide
-the (row, cell) pair, and never for the row's own cell (identified by cell
-id), whose distance the partitioning job shipped as the row's pivot
-distance.  The window rule keeps numpy overhead per *window*, not
-per step: at the start of each step window ``[0,1) [1,2) [2,4) [4,8) ...`` the
-bounds are evaluated for every (row, step) of the window with the theta of
-that moment, and the admitted pairs go through one gathered
-``metric.pair_distances`` call.  :func:`knn_join_kernel_reference`, the
-per-record oracle, applies the same rule, so results and
-``metric.pairs_computed`` (the paper's selectivity numerator) are equal pair
-for pair.  Two byte budgets bound memory: a scan or a window gathers at most
-``_GATHER_BYTES`` of pairs per batch, and R is tiled by whole cells so a
-window's ``(steps, rows)`` matrices stay near ``_TILE_BYTES``.
+computed only where :func:`~repro.core.geometry.pivot_distance_needed` — both
+rules at a lower bound on ``|r, p_j|``, against the running ``theta +
+PRUNE_EPS``, each under its ablation switch — cannot decide the (row, cell)
+pair, and never for the row's own cell (identified by cell id), whose
+distance the partitioning job shipped.  The own pivot's bound ``|p_i, p_j| -
+|r, p_i|`` judges every pair; the pairs it leaves undecided are judged again
+with ``max_k | |r, p_k| - |p_k, p_j| |`` over the row's ``_NEAREST_COMPUTED``
+nearest computed pivots (:func:`~repro.core.geometry.triangle_lower_bound`).
+Both rules are monotone in ``|r, p_j|``, so a bound rejects only cells the
+distance would have.  The window rule keeps numpy overhead per *window*: at
+the start of each step window ``[0,1) [1,2) [2,4) [4,8) ...`` the bounds are
+evaluated for every (row, step) of the window with the theta of that moment,
+the admitted pairs go through one gathered ``metric.pair_distances`` call,
+and the rows' nearest computed pivots are updated from them.
+
+The own cell from its ring centre outward (under ring pruning): round 0
+scans the ``k`` ring entries centred on where ``|r, p_i|`` falls among the
+cell's sorted pivot distances, which gives the row a finite theta; after each
+round the ring is re-cut with that theta and the scanned range grows by
+``2^t k`` entries on each side until it covers the ring.  A skipped entry lies
+outside a ring cut with a theta no smaller than the final k-th distance, and
+the k-best fold does not depend on order, so no result changes.
+
+:func:`knn_join_kernel_reference`, the per-record oracle, applies the same
+rules, so results and ``metric.pairs_computed`` (the paper's selectivity
+numerator) are equal pair for pair.  Two byte budgets bound memory: a scan or
+a window gathers at most ``_GATHER_BYTES`` of pairs per batch, and R is tiled
+by whole cells so a window's ``(steps, rows)`` matrices stay near
+``_TILE_BYTES``.
 
 Inputs are :class:`~repro.mapreduce.types.RecordBlock` batches, the one row
 format: a reducer gathers its values into one block, and
@@ -71,6 +85,7 @@ from repro.core.geometry import (
     ring_slice,
     ring_slices,
     segment_keys,
+    triangle_lower_bound,
 )
 from repro.core.knn import ReferenceKBestList
 from repro.core.zorder import ZOrderTransform
@@ -208,6 +223,13 @@ _GATHER_BYTES = 1 << 20
 #: window's bound matrices are a few of these, over at most half the pivots
 _TILE_BYTES = 1 << 22
 
+#: computed pivots whose ``|r, p_k|`` bound a row's later cells: its nearest
+#: (tightest ``|p_k, p_j| - |r, p_k|``), among those of its first steps (the
+#: scan visits the cells nearest its own pivot first)
+_NEAREST_COMPUTED, _NEAREST_WITHIN = 8, 32
+#: distance and gaps of an empty nearest-pivot slot: ranks last, bounds by 0
+_EMPTY = np.finfo(np.float64).max / 4
+
 
 class ScratchPool:
     """The work arrays of one gathered scan, reused from scan to scan.
@@ -271,6 +293,59 @@ def _step_windows(num_steps: int) -> Iterator[tuple[int, int]]:
     return zip(edges[:-1], edges[1:])
 
 
+def _centre_window(centre, start, stop, k: int):
+    """Round 0 of an own-cell scan: the ``k`` entries ``[lo, hi)`` of the
+    ring ``[start, stop)`` centred on ``centre``, shifted inward at the
+    ring's ends (the whole ring when it holds at most ``k``)."""
+    lo = np.minimum(np.maximum(centre - k // 2, start), np.maximum(start, stop - k))
+    return lo, np.minimum(lo + k, stop)
+
+
+def _widen(lo, hi, start, stop, grow: int):
+    """A later round: the scanned ``[lo, hi)`` grown by ``grow`` entries on
+    each side, clipped to the re-cut ring ``[start, stop)``.  The round scans
+    ``[new_lo, lo)`` and ``[hi, new_hi)``; neither grows once the range
+    covers the ring."""
+    new_lo = np.minimum(lo, np.maximum(start, lo - grow))
+    return new_lo, np.maximum(hi, np.minimum(stop, hi + grow))
+
+
+def _bound_scale(r_blocks: dict, pdm_cells: np.ndarray, pdm_present: np.ndarray) -> float:
+    """Bounds every distance of a pivot bound: ``|r, p_k| <= |r, p_i| + |p_i,
+    p_k|``, and ``|p_k, p_j|``."""
+    upper = max(block.local_upper() for block in r_blocks.values())
+    return upper + float(pdm_cells.max()) + float(pdm_present.max())
+
+
+def _keep_nearest(near_dists, near_gaps, rows, steps, dists, gaps, window: tuple[int, int]):
+    """Update every row's nearest computed pivots, in place, after the step
+    ``window`` computed ``dists`` at ``steps`` (at most one per row and step;
+    ``gaps`` locate each pivot's row of pivot gaps): the smallest of its kept
+    and new distances, ties to the kept ones and then to the earlier step —
+    the stable sort of :func:`knn_join_kernel_reference`.  Slot-major
+    ``(slots, rows)`` arrays; empty slots are ``(_EMPTY, 0)``."""
+    count = near_dists.shape[0]
+    first_step, window_end = window
+    if window_end <= count:
+        # no row has computed more pivots than it keeps: slot = step
+        near_dists[steps, rows], near_gaps[steps, rows] = dists, gaps
+        return
+    cand_dists = np.full((near_dists.shape[1], count + window_end - first_step), _EMPTY)
+    cand_gaps = np.zeros(cand_dists.shape, dtype=near_gaps.dtype)
+    cand_dists[:, :count], cand_gaps[:, :count] = near_dists.T, near_gaps.T
+    at = rows, count - first_step + steps
+    cand_dists[at], cand_gaps[at] = dists, gaps
+    kth = np.partition(cand_dists, count - 1, axis=1)[:, count - 1 : count]
+    keep = cand_dists <= kth
+    if np.count_nonzero(keep) > near_dists.size:
+        # a tie at some row's k-th distance: the earlier of equals is kept
+        below, tied = cand_dists < kth, cand_dists == kth
+        room = count - below.sum(axis=1, keepdims=True)
+        keep = below | (tied & (np.cumsum(tied, axis=1) <= room))
+    near_dists[:] = cand_dists[keep].reshape(-1, count).T
+    near_gaps[:] = cand_gaps[keep].reshape(-1, count).T
+
+
 def _scan_segments(
     metric: Metric,
     k: int,
@@ -295,7 +370,7 @@ def _scan_segments(
       can never enter the k-best (ties survive: an equal distance with a
       smaller id still displaces);
     * per-segment top-``min(survivors, k)`` via one three-key lexsort over
-      the (now few) survivors;
+      the (now few) survivors, needed only when a segment has more than k;
     * merge with the current k-best (``inf``/sentinel-padded), ordering each
       row by (distance, id) with two stable row-wise argsorts — the same
       lexicographic tie-breaking as ``np.lexsort``, so results match the
@@ -330,14 +405,17 @@ def _scan_segments(
     dists_kept = flat_dists[keep]
     ids_kept = s_block.ids[col[keep]]
 
-    # (segment, distance, id) order => contiguous survivor runs, best first
-    order = np.lexsort((ids_kept, dists_kept, seg_kept))
     survivors = np.bincount(seg_kept, minlength=rows.size)
     active = np.flatnonzero(survivors)
     take = np.minimum(survivors[active], k)
     kept_offsets = np.cumsum(survivors) - survivors
-    slot = np.arange(int(take.sum())) - np.repeat(np.cumsum(take) - take, take)
-    picked = order[np.repeat(kept_offsets[active], take) + slot]
+    picks = int(take.sum())
+    slot = np.arange(picks) - np.repeat(np.cumsum(take) - take, take)
+    picked = np.repeat(kept_offsets[active], take) + slot
+    if picks < keep.size:
+        # (segment, distance, id) order => contiguous survivor runs, best
+        # first; else every survivor is picked, and the merge orders them
+        picked = np.lexsort((ids_kept, dists_kept, seg_kept))[picked]
 
     num_active = active.size
     new_dists = scratch.take((num_active, k))
@@ -440,6 +518,7 @@ def knn_join_kernel(
     use_hyperplane_pruning: bool = True,
     use_ring_pruning: bool = True,
     scratch: ScratchPool | None = None,
+    pivot_metric: Metric | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Run Algorithm 3's reduce phase; yields ``(r_id, neighbor_ids, dists)``.
 
@@ -466,11 +545,15 @@ def knn_join_kernel(
     scratch:
         A :class:`ScratchPool` shared across kernel invocations (reducers
         keep one per worker); a private pool is created when omitted.
+    pivot_metric:
+        The counted metric of the object-pivot distances ``|r, p_j|`` (the
+        reducers count them apart); ``metric`` when omitted.
     """
     if not s_blocks:
         raise ValueError("reducer received R objects but no S objects")
     if scratch is None:
         scratch = ScratchPool()
+    pivot_metric = pivot_metric or metric
     present = sorted(s_blocks)
     cells = sorted(r_blocks)
     num_present = len(present)
@@ -502,6 +585,13 @@ def knn_join_kernel(
     pdm_in_order = np.ascontiguousarray(np.take_along_axis(pdm, order, axis=1).T)
     order = np.ascontiguousarray(order.T)
     cell_ids, present_ids = np.array(cells), np.array(present)
+    bounded = use_hyperplane_pruning or use_ring_pruning
+    # an empty slot's gaps, then |p_k, p_j| of each present pivot k: pivot
+    # k's gaps start at (k + 1) * num_present
+    gaps_from = np.full((num_present + 1, num_present), _EMPTY)
+    gaps_from[1:] = pivot_dist_matrix[np.ix_(present, present)]
+    scale = _bound_scale(r_blocks, pdm, gaps_from[1:])
+    gaps_from = gaps_from.ravel()
 
     r_sizes = np.array([r_blocks[pid].ids.shape[0] for pid in cells], dtype=np.intp)
     pivot_cap = max(1, _GATHER_BYTES // (16 * pivot_points.shape[1]))
@@ -521,18 +611,51 @@ def knn_join_kernel(
         )
         best_dists = np.full((num_rows, k), np.inf, dtype=np.float64)
         best_ids = np.full((num_rows, k), _ID_SENTINEL, dtype=np.int64)
+        # per row, its _NEAREST_COMPUTED nearest computed pivots so far:
+        # distance and where its gaps start, empty slots (_EMPTY, 0)
+        near_dists = np.full((_NEAREST_COMPUTED, num_rows), _EMPTY)
+        near_gaps = np.zeros((_NEAREST_COMPUTED, num_rows), dtype=np.intp)
+        anything_learned = False
+
+        def scan(rows, starts, stops):
+            lengths = stops - starts
+            occupied = np.flatnonzero(lengths > 0)
+            if occupied.size:
+                scan_partition_numpy(
+                    metric, k, r_points, s_all, rows[occupied], starts[occupied],
+                    lengths[occupied], best_dists, best_ids, theta, scratch,
+                )
+
         for first_step, window_end in _step_windows(num_present):
             # |r, p_j| — an object-pivot pair, counted toward selectivity
-            # (Equation 13) — is computed only where no distance-free bound
-            # decides the (row, cell) pair under the theta of this moment
+            # (Equation 13) — is computed only where no bound decides the
+            # (row, cell) pair under the theta of this moment: the own
+            # pivot's bound for every pair, then the bounds of the row's
+            # nearest computed pivots for the pairs it leaves undecided
             visits = order[first_step:window_end][:, cell_of_row]
             gaps = pdm_in_order[first_step:window_end][:, cell_of_row]
             needed = pivot_distance_needed(
                 own_dists, gaps, upper[visits], theta, use_hyperplane_pruning, use_ring_pruning
             )
             at_step, at_row = np.nonzero(np.broadcast_to(needed, visits.shape))
-            ends = np.searchsorted(at_step, np.arange(window_end - first_step + 1))
             at_visit, at_gap = visits[at_step, at_row], gaps[at_step, at_row]
+            if anything_learned:
+                # a slot at a time: memory per pair, not per pair and slot
+                bound = triangle_lower_bound(
+                    (
+                        (dists.take(at_row), gaps_from.take(gaps.take(at_row) + at_visit))
+                        for dists, gaps in zip(near_dists, near_gaps)
+                    ),
+                    scale,
+                )
+                keep = np.flatnonzero(pivot_distance_needed(
+                    own_dists[at_row], at_gap, upper[at_visit], theta[at_row],
+                    use_hyperplane_pruning, use_ring_pruning, euclidean, bound,
+                ))
+                at_step, at_row, at_visit, at_gap = (
+                    at_step[keep], at_row[keep], at_visit[keep], at_gap[keep]
+                )
+            ends = np.searchsorted(at_step, np.arange(window_end - first_step + 1))
             # the own cell's distance is the row's pivot distance (by cell id:
             # a coincident pivot's cell is another cell, computed like any)
             at_own = present_ids[at_visit] == cell_ids[cell_of_row[at_row]]
@@ -540,36 +663,61 @@ def knn_join_kernel(
             computed = np.flatnonzero(~at_own)
             for lo in range(0, computed.size, pivot_cap):
                 chunk = computed[lo : lo + pivot_cap]
-                at_dist[chunk] = metric.pair_distances(
+                at_dist[chunk] = pivot_metric.pair_distances(
                     r_points[at_row[chunk]], present_points[at_visit[chunk]]
                 )
+            if bounded and computed.size and window_end < min(num_present, _NEAREST_WITHIN + 1):
+                _keep_nearest(
+                    near_dists, near_gaps, at_row[computed], first_step + at_step[computed],
+                    at_dist[computed], (at_visit[computed] + 1) * num_present,
+                    (first_step, window_end),
+                )
+                anything_learned = True
             # every row visits the step-th S-partition of its own cell's order
-            for mine in map(slice, ends[:-1], ends[1:]):
+            own_steps = set(at_step[at_own].tolist())
+            for step, mine in enumerate(map(slice, ends[:-1], ends[1:])):
                 rows, visit, dist_r_pj = at_row[mine], at_visit[mine], at_dist[mine]
+                own = at_own[mine] if step in own_steps else None
                 if use_hyperplane_pruning:
                     # Corollary 1: a row survives unless the hyperplane provably
                     # exceeds its current theta; its own cell is never tested
-                    hyperplane = hyperplane_distances(
+                    keep = hyperplane_distances(
                         own_dists[rows], dist_r_pj, at_gap[mine], euclidean
-                    )
-                    keep = at_own[mine] | (hyperplane <= theta[rows] + PRUNE_EPS)
+                    ) <= theta[rows] + PRUNE_EPS
+                    if own is not None:
+                        keep |= own
+                        own = own[keep]
                     rows, visit, dist_r_pj = rows[keep], visit[keep], dist_r_pj[keep]
                 if rows.size == 0:
                     continue
-                if use_ring_pruning:
-                    starts, stops = ring_slices(
-                        s_keys, lower[visit], upper[visit], dist_r_pj, theta[rows], visit
-                    )
-                else:
-                    starts, stops = s_offsets[visit], s_offsets[visit + 1]
-                lengths = stops - starts
-                occupied = np.flatnonzero(lengths > 0)
-                if occupied.size == 0:
+                if not use_ring_pruning:
+                    scan(rows, s_offsets[visit], s_offsets[visit + 1])
                     continue
-                scan_partition_numpy(
-                    metric, k, r_points, s_all, rows[occupied], starts[occupied],
-                    lengths[occupied], best_dists, best_ids, theta, scratch,
+                starts, stops = ring_slices(
+                    s_keys, lower[visit], upper[visit], dist_r_pj, theta[rows], visit
                 )
+                if own is None:
+                    scan(rows, starts, stops)
+                    continue
+                # the own cell from its ring centre outward: round 0 here,
+                # beside the other rows' cells, then the widening rounds
+                rows_own, visit, dist_r_pj = rows[own], visit[own], dist_r_pj[own]
+                centres = np.searchsorted(s_keys, segment_keys(visit, dist_r_pj))
+                lo, hi = _centre_window(centres, starts[own], stops[own], k)
+                starts[own], stops[own] = lo, hi
+                scan(rows, starts, stops)
+                grow = k
+                while rows_own.size:
+                    start, stop = ring_slices(
+                        s_keys, lower[visit], upper[visit], dist_r_pj, theta[rows_own], visit
+                    )
+                    new_lo, new_hi = _widen(lo, hi, start, stop, grow)
+                    live = np.flatnonzero((start < stop) & ((new_lo < lo) | (new_hi > hi)))
+                    rows_own, visit, dist_r_pj = rows_own[live], visit[live], dist_r_pj[live]
+                    lo, hi, new_lo, new_hi = lo[live], hi[live], new_lo[live], new_hi[live]
+                    scan(rows_own, new_lo, lo)
+                    scan(rows_own, hi, new_hi)
+                    lo, hi, grow = new_lo, new_hi, 2 * grow
         # unfilled slots are +inf / sentinel padding at the tail
         counts = (best_dists < np.inf).sum(axis=1).tolist()
         for row, (r_id, count) in enumerate(zip(r_ids.tolist(), counts)):
@@ -587,20 +735,25 @@ def knn_join_kernel_reference(
     pivot_dist_matrix: np.ndarray,
     use_hyperplane_pruning: bool = True,
     use_ring_pruning: bool = True,
+    pivot_metric: Metric | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The per-record kernel, kept as the correctness oracle.
 
     One R point at a time, scalar pruning tests, full-lexsort k-best list —
-    the seed's loop, computing ``|r, p_j|`` by the same window rule as
-    :func:`knn_join_kernel` (one ``metric.distances`` per record and window).
-    The equivalence tests (``tests/test_kernels.py``) hold
-    :func:`knn_join_kernel` to byte-identical outputs and pair counts against
-    this implementation.
+    the seed's loop, computing ``|r, p_j|`` by the same window rule and
+    bounds as :func:`knn_join_kernel` (one ``metric.distances`` per record and
+    window) and scanning the own cell in the same rounds.  The equivalence
+    tests (``tests/test_kernels.py``) hold :func:`knn_join_kernel` to
+    byte-identical outputs and pair counts against this implementation.
     """
     if not s_blocks:
         raise ValueError("reducer received R objects but no S objects")
+    pivot_metric = pivot_metric or metric
     present = sorted(s_blocks)
     present_points = pivot_points[present]
+    pdm_present = pivot_dist_matrix[np.ix_(present, present)]
+    pdm_cells = pivot_dist_matrix[np.ix_(sorted(r_blocks), present)]
+    scale = _bound_scale(r_blocks, pdm_cells, pdm_present)
     euclidean = metric.name == "l2"
 
     for pid_r in sorted(r_blocks):
@@ -612,21 +765,47 @@ def knn_join_kernel_reference(
         for row in range(r_block.ids.shape[0]):
             kbest = ReferenceKBestList(k)
             theta = theta_i
+            point = r_block.points[row]
             dist_r_own = float(r_block.pivot_dists[row])
+            # (distance, present index) of the nearest computed pivots so far
+            nearest: list[tuple[float, int]] = []
+
+            def ring(block, pid_s, dist_r_pj):
+                if use_ring_pruning and np.isfinite(theta):
+                    return ring_slice(block.pivot_dists, *ring_stats[pid_s], dist_r_pj, theta)
+                return 0, len(block)
+
+            def fold(block, start, stop):
+                nonlocal theta
+                if start < stop:
+                    dists = metric.distances(point, block.points[start:stop])
+                    kbest.update(dists, block.ids[start:stop])
+                    if kbest.is_full():
+                        theta = min(theta, kbest.theta + PRUNE_EPS)
+
             for first_step, window_end in _step_windows(len(order)):
                 # the window rule of knn_join_kernel, one record at a time
-                wanted = [
-                    idx
-                    for idx in order[first_step:window_end]
-                    if pivot_distance_needed(
-                        dist_r_own, float(pdm_row[present[idx]]), ring_stats[present[idx]][1],
-                        theta, use_hyperplane_pruning, use_ring_pruning,
+                wanted = []
+                for idx in order[first_step:window_end]:
+                    gap, upper = float(pdm_row[present[idx]]), ring_stats[present[idx]][1]
+                    bound = triangle_lower_bound(
+                        ((dist, pdm_present[near, idx]) for dist, near in nearest), scale
                     )
-                ]
+                    if pivot_distance_needed(
+                        dist_r_own, gap, upper, theta, use_hyperplane_pruning, use_ring_pruning
+                    ) and pivot_distance_needed(
+                        dist_r_own, gap, upper, theta,
+                        use_hyperplane_pruning, use_ring_pruning, euclidean, bound,
+                    ):
+                        wanted.append(idx)
                 # the own cell's distance is already known: the row's pivot distance
                 others = [idx for idx in wanted if present[idx] != pid_r]
-                to_pivots = metric.distances(r_block.points[row], present_points[others])
-                dr_to_pivots = dict(zip(others, to_pivots.tolist()))
+                to_pivots = pivot_metric.distances(point, present_points[others]).tolist()
+                if window_end <= _NEAREST_WITHIN:
+                    # ties to the pivot computed first (a stable sort)
+                    nearest = sorted(nearest + list(zip(to_pivots, others)), key=lambda n: n[0])
+                    nearest = nearest[:_NEAREST_COMPUTED]
+                dr_to_pivots = dict(zip(others, to_pivots))
                 for idx in wanted:
                     pid_s = present[idx]
                     dist_r_pj = dr_to_pivots.get(idx, dist_r_own)
@@ -639,19 +818,23 @@ def knn_join_kernel_reference(
                     ):
                         continue  # Corollary 1 discards the whole cell
                     block = s_blocks[pid_s]
-                    if use_ring_pruning and np.isfinite(theta):
-                        lower, upper = ring_stats[pid_s]
-                        start, stop = ring_slice(
-                            block.pivot_dists, lower, upper, dist_r_pj, theta
-                        )
-                    else:
-                        start, stop = 0, len(block)
-                    if start >= stop:
+                    start, stop = ring(block, pid_s, dist_r_pj)
+                    if not (use_ring_pruning and pid_s == pid_r):
+                        fold(block, start, stop)
                         continue
-                    dists = metric.distances(r_block.points[row], block.points[start:stop])
-                    kbest.update(dists, block.ids[start:stop])
-                    if kbest.is_full():
-                        theta = min(theta, kbest.theta + PRUNE_EPS)
+                    # the own cell from its ring centre outward, round by round
+                    centre = int(np.searchsorted(block.pivot_dists, dist_r_own))
+                    lo, hi = _centre_window(centre, start, stop, k)
+                    fold(block, lo, hi)
+                    grow = k
+                    while True:
+                        start, stop = ring(block, pid_s, dist_r_pj)
+                        new_lo, new_hi = _widen(lo, hi, start, stop, grow)
+                        if start >= stop or (new_lo == lo and new_hi == hi):
+                            break
+                        fold(block, new_lo, lo)
+                        fold(block, hi, new_hi)
+                        lo, hi, grow = new_lo, new_hi, 2 * grow
             neighbor_ids, neighbor_dists = kbest.as_arrays()
             yield int(r_block.ids[row]), neighbor_ids, neighbor_dists
 

@@ -31,7 +31,14 @@ from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
 from repro.mapreduce.types import NeighborBlock, RecordBlock
 
-from .base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME, PgbjConfig
+from .base import (
+    PAIRS_GROUP,
+    PAIRS_NAME,
+    PIVOT_PAIRS_NAME,
+    REPLICA_GROUP,
+    REPLICA_NAME,
+    PgbjConfig,
+)
 from .block_framework import chain_splits, knn_outcome_assembler
 from .kernels import KERNELS, ScratchPool, build_partition_blocks
 from .partition_job import (
@@ -103,6 +110,7 @@ class PgbjJoinReducer(Reducer):
 
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
+        self._pivot_metric = get_metric(ctx.cache["metric_name"])
         self._k = int(ctx.cache["k"])
         self._thetas: dict[int, float] = ctx.cache["thetas"]
         self._ring_stats: dict[int, tuple[float, float]] = ctx.cache["ring_stats"]
@@ -129,11 +137,14 @@ class PgbjJoinReducer(Reducer):
                 use_hyperplane_pruning=self._use_hyperplane,
                 use_ring_pruning=self._use_ring,
                 scratch=self._scratch,
+                pivot_metric=self._pivot_metric,
             )
         )
 
     def cleanup(self, ctx: Context):
-        ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)
+        pivot_pairs = self._pivot_metric.pairs_computed
+        ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed + pivot_pairs)
+        ctx.counters.incr(PAIRS_GROUP, PIVOT_PAIRS_NAME, pivot_pairs)
         return ()
 
 

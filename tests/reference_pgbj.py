@@ -156,6 +156,7 @@ class RowOutputJoinReducer(pgbj.PgbjJoinReducer):
             use_hyperplane_pruning=self._use_hyperplane,
             use_ring_pruning=self._use_ring,
             scratch=self._scratch,
+            pivot_metric=self._pivot_metric,
         ):
             yield r_id, (ids, dists)
 

@@ -21,7 +21,11 @@ def record(seed=0, scale=0.125, skipped=1_474_270, **moved):
     values = {"selectivity_permille": 134.3968, "shuffle_mb": 0.794933, "recall_at_k": 1.0}
     jobs = {"partitioning": (0, 0), "knn-join": (45, 9)}
     selectivity = {
-        "osm_pgbj_spill": {"distance_pairs": 525_730, "assignment_pairs_skipped": skipped},
+        "osm_pgbj_spill": {
+            "distance_pairs": 525_730,
+            "assignment_pairs_skipped": skipped,
+            "reducer_pivot_pairs": 27_075,
+        },
         "forest_zorder_spill": {"distance_pairs": 1_280_000},
     }
     return {
@@ -90,6 +94,7 @@ def test_spill_layout_is_summed_over_jobs_and_held_exactly(files, capsys):
         "spill_segments": 45, "merge_passes": 9,
         "selectivity.distance_pairs": 525_730,
         "selectivity.assignment_pairs_skipped": 1_474_270,
+        "selectivity.reducer_pivot_pairs": 27_075,
     }
     # the same totals split differently over the jobs: the layout held
     shifted = record(**{
@@ -132,6 +137,21 @@ def test_job_side_distance_pairs_are_held_exactly(files, capsys):
     assert check_counted.main([write("moved.json", moved), "--baseline", baseline]) == 1
     out = capsys.readouterr().out
     assert "osm_pgbj_spill.selectivity.distance_pairs: 525730 -> 525729" in out
+    assert "1 counted metric(s) differ" in out
+
+
+def test_reducer_pivot_pairs_are_held_exactly_and_read_0_without_the_kernel(files, capsys):
+    """The object-pivot part of the kernel reducers' pairs: a move of the
+    reducer's bounds is named as one, and a join without the Algorithm 3
+    kernel reads 0."""
+    write, baseline = files
+    pinned = json.loads(Path(baseline).read_text())["workloads"]
+    assert pinned["forest_zorder_spill"]["selectivity.reducer_pivot_pairs"] == 0
+    moved = record()
+    moved["results"][0]["counters"]["counters"]["selectivity"]["reducer_pivot_pairs"] = 27_076
+    assert check_counted.main([write("moved.json", moved), "--baseline", baseline]) == 1
+    out = capsys.readouterr().out
+    assert "osm_pgbj_spill.selectivity.reducer_pivot_pairs: 27075 -> 27076" in out
     assert "1 counted metric(s) differ" in out
 
 

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core.distance import get_metric
 from repro.core.geometry import (
+    PRUNE_EPS,
     hyperplane_distance,
+    hyperplane_distances,
     partition_pruned_by_hyperplane,
+    pivot_distance_needed,
     ring_bounds,
     ring_slice,
+    triangle_lower_bound,
 )
 
 
@@ -85,3 +90,56 @@ class TestRing:
             if qualifying.size:
                 assert start <= qualifying[0]
                 assert stop > qualifying[-1]
+
+
+class TestTriangleLowerBound:
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf", "l3"])
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    def test_never_above_the_computed_distance(self, metric_name, scale):
+        """Collinear ``p_k, p_j, r`` make the bound tight, so the computed
+        ``| |r, p_k| - |p_k, p_j| |`` overshoots the computed ``|r, p_j|`` by
+        rounding (at 1e9 by more than ``PRUNE_EPS``); the relative slack
+        absorbs it."""
+        metric = get_metric(metric_name)
+        rng = np.random.default_rng(5)
+        overshoot = []
+        for _ in range(500):
+            direction, origin = rng.normal(size=3), rng.random(3) * scale
+            p_k, p_j, r = (origin + t * direction for t in np.sort(rng.random(3)) * scale)
+            d_k, gap, d_j = (metric.distance(a, b) for a, b in ((r, p_k), (p_k, p_j), (r, p_j)))
+            overshoot.append(abs(d_k - gap) - d_j)
+            assert triangle_lower_bound([(d_k, gap)], d_k + gap) <= d_j
+        assert max(overshoot) > (PRUNE_EPS if scale > 1.0 else 0.0)
+
+    def test_best_known_pivot_per_query_and_never_below_zero(self):
+        dists = np.array([[3.0, 1.0, 5.0], [7.0, 1.0, 5.0]])  # (pivots, queries)
+        gaps = np.array([[1.0, 4.0, 5.0], [2.0, 1.5, 5.0]])
+        bounds = triangle_lower_bound(zip(dists, gaps), 0.0)
+        assert bounds.tolist() == [5.0, 3.0, 0.0]
+        for query in range(3):
+            assert triangle_lower_bound(zip(dists[:, query], gaps[:, query]), 0.0) == bounds[query]
+        assert triangle_lower_bound([(2.0, 2.0)], 1.0) == 0.0
+        assert triangle_lower_bound([], 1.0) == 0.0  # no pivot known yet
+
+
+class TestPivotDistanceNeeded:
+    @pytest.mark.parametrize("euclidean", [True, False])
+    def test_a_bound_that_rejects_implies_the_distance_rejects(self, euclidean):
+        """Both rules are monotone in ``|q, p_j|``: a cell rejected at a lower
+        bound is rejected at the distance, by Corollary 1 or by Theorem 5."""
+        rng = np.random.default_rng(7)
+        own, gap, upper, theta = (rng.random(20000) * 4 for _ in range(4))
+        dist = rng.random(20000) * 8
+        lower = dist * rng.random(20000)
+        rejected = ~pivot_distance_needed(own, gap, upper, theta, True, True, euclidean, lower)
+        assert rejected.any()
+        by_corollary_1 = hyperplane_distances(own, dist, gap, euclidean) > theta + PRUNE_EPS
+        by_theorem_5 = dist - upper > theta + PRUNE_EPS
+        assert (by_corollary_1 | by_theorem_5)[rejected].all()
+
+    def test_each_rule_follows_its_switch(self):
+        args = (1.0, 2.0, 1.0, 0.5)  # |q, p_i|, |p_i, p_j|, U(P_j), theta
+        assert not pivot_distance_needed(*args, True, True, True, 4.0)
+        assert not pivot_distance_needed(*args, False, True, True, 4.0)  # 4 - 1 > 0.5
+        assert pivot_distance_needed(*args, True, False, True, 1.2)  # (1.44 - 1) / 4 <= 0.5
+        assert pivot_distance_needed(*args, False, False, True, 4.0) is True

@@ -24,6 +24,7 @@ from repro.joins.kernels import (
     local_thetas,
 )
 from repro.mapreduce.types import RecordBlock
+from tests.reference_kernel import own_pivot_kernel
 
 
 def block_for(dataset, is_r, assignment):
@@ -389,7 +390,7 @@ class TestWavefrontMatchesReference:
 
 
 @st.composite
-def adversarial_worlds(draw):
+def adversarial_worlds(draw, max_pivots=8):
     """Worlds built to make both distance-free bounds tight or vacuous: points
     on a coarse grid (duplicates, equal distances), pivots drawn *from* the
     objects with repetition (objects that are their pivot, coincident pivots),
@@ -402,7 +403,7 @@ def adversarial_worlds(draw):
     r_points = rng.integers(0, grid, size=(num_r, dims)).astype(float)
     s_points = rng.integers(0, grid, size=(num_s, dims)).astype(float)
     pool = np.vstack([r_points, s_points])
-    pivots = pool[rng.integers(0, len(pool), size=draw(st.integers(1, 8)))]
+    pivots = pool[rng.integers(0, len(pool), size=draw(st.integers(1, max_pivots)))]
     metric_name = draw(st.sampled_from(("l1", "l2", "linf", "l3")))
     if draw(st.booleans()):
         # no S object may share a cell with the first R object
@@ -467,6 +468,198 @@ class TestAdversarialWorlds:
         assert pairs - scanned <= eager
         if not (use_hyperplane or use_ring):
             assert pairs - scanned == eager
+
+
+def run_counting_pivots(kernel, world, metric_name="l2", **flags):
+    """``(results, all counted pairs, the object-pivot pairs among them)``."""
+    pivot_metric = get_metric(metric_name)
+    results, pairs = run_kernel(kernel, world, metric_name, pivot_metric=pivot_metric, **flags)
+    return results, pairs + pivot_metric.pairs_computed, pivot_metric.pairs_computed
+
+
+def scanned_by_cell(world, **flags):
+    """``(own-cell, other-cell)`` pairs the scans of one kernel run folded
+    (one R tile: a scan's rows and starts map back to cells)."""
+    _, _, r_blocks, s_blocks, *_ = world
+    cell_of_row = np.repeat(sorted(r_blocks), [len(r_blocks[pid].ids) for pid in sorted(r_blocks)])
+    present = np.array(sorted(s_blocks))
+    offsets = np.cumsum([len(s_blocks[pid]) for pid in present])
+    counts = {True: 0, False: 0}
+    scan_partition = kernels.scan_partition_numpy
+
+    def scan(metric, k, r_points, s_block, rows, starts, lengths, *state):
+        own = present[np.searchsorted(offsets, starts, side="right")] == cell_of_row[rows]
+        counts[True] += int(lengths[own].sum())
+        counts[False] += int(lengths[~own].sum())
+        scan_partition(metric, k, r_points, s_block, rows, starts, lengths, *state)
+
+    with mock.patch.object(kernels, "scan_partition_numpy", scan):
+        run_kernel(knn_join_kernel, world, **flags)
+    return counts[True], counts[False]
+
+
+def assert_exact_and_within_own_pivot_rule(world, metric_name="l2", **flags):
+    """Vectorized = reference = brute force, and no more pairs of either kind
+    than the own-pivot rule with whole own-cell scans; returns the
+    ``(total, object-pivot)`` pairs of both: ``(new, old)``."""
+    r, s, *_, k = world
+    got = assert_matches_reference(world, metric_name, **flags)
+    truth = brute_force_knn_join(get_metric(metric_name), r.points, r.ids, s.points, s.ids, k)
+    assert got == [
+        (r_id, truth[r_id][0].tolist(), truth[r_id][1].tobytes()) for r_id, _, _ in got
+    ]
+    new = run_counting_pivots(knn_join_kernel, world, metric_name, **flags)
+    old = run_counting_pivots(own_pivot_kernel, world, metric_name, **flags)
+    assert new[0] == old[0] == got
+    assert new[1] <= old[1] and new[2] <= old[2]
+    return new[1:], old[1:]
+
+
+class TestNearestPivotBoundsAndCentreOutScan:
+    """Both rules against the own-pivot rule they tighten: every computed
+    ``|r, p_k|`` of a row's nearest pivots bounds its later cells, and the own
+    cell is scanned from its ring centre outward."""
+
+    @given(adversarial_worlds(max_pivots=24))
+    @settings(max_examples=120, deadline=None)
+    def test_exact_with_no_more_pairs_than_the_own_pivot_rule(self, scenario):
+        """Up to 24 pivots, so rows compute more pivots than they keep."""
+        world, metric_name, flags, tile_bytes = scenario
+        saved, kernels._TILE_BYTES = kernels._TILE_BYTES, tile_bytes
+        try:
+            assert_exact_and_within_own_pivot_rule(world, metric_name, **flags)
+        finally:
+            kernels._TILE_BYTES = saved
+
+    def test_rounds_in_index_terms(self):
+        # round 0: k entries centred on the insertion point, shifted inward
+        assert kernels._centre_window(10, 4, 30, 4) == (8, 12)
+        assert kernels._centre_window(4, 4, 30, 4) == (4, 8)  # centre at the first entry
+        assert kernels._centre_window(30, 4, 30, 4) == (26, 30)  # past the last entry
+        assert kernels._centre_window(7, 4, 7, 4) == (4, 7)  # a ring of <= k: all of it
+        assert kernels._centre_window(0, 0, 0, 4) == (0, 0)  # an empty ring
+        # later rounds grow both sides, clipped to the re-cut ring
+        assert kernels._widen(8, 12, 4, 30, 4) == (4, 16)
+        assert kernels._widen(8, 12, 9, 11, 4) == (8, 12)  # covered: no growth
+        lo, hi = kernels._widen(np.array([8, 26]), np.array([12, 30]), 0, 30, 8)
+        assert lo.tolist() == [0, 18] and hi.tolist() == [20, 30]
+
+    @pytest.mark.parametrize("metric_name", ["l2", "l1"])
+    def test_ring_centre_at_the_first_and_last_entry(self, metric_name):
+        """A row at its pivot (centre before the cell's first entry) and one
+        beyond the cell's farthest object (centre after its last): each scans
+        k entries of its own cell, not the 30 of the whole ring."""
+        s_points = np.array([[x, 0.0] for x in range(1, 31)] + [[x, 0.0] for x in range(70, 100)])
+        r_points = np.array([[0.0, 0.0], [45.0, 0.0]])
+        world = world_from(r_points, s_points, np.array([[0.0, 0.0], [100.0, 0.0]]), 3, metric_name)
+        assert [len(block) for block in world[3].values()] == [30, 30]
+        assert_exact_and_within_own_pivot_rule(world, metric_name)
+        assert scanned_by_cell(world) == (6, 0)
+
+    def test_own_ring_of_at_most_k_entries_is_scanned_whole(self):
+        """Round 0 covers a ring of at most k entries, so the scans are the
+        own-pivot rule's pair for pair; only object-pivot pairs may fall."""
+        world = kernel_world(seed=73, num_r=60, num_s=40, num_pivots=10, k=12)
+        assert max(len(block) for block in world[3].values()) <= 12
+        (new_total, new_pivot), (old_total, old_pivot) = assert_exact_and_within_own_pivot_rule(
+            world
+        )
+        assert new_total - new_pivot == old_total - old_pivot
+
+    def test_unbounded_theta_scans_the_own_cell_from_its_centre(self):
+        """PBJ's ``theta = inf``: the own-pivot rule scans every own cell
+        whole; round 0's k entries give every row a finite theta first."""
+        world = kernel_world(seed=79, num_r=60, num_s=200, num_pivots=5, k=4)
+        world = replace_world(world, thetas={pid: np.inf for pid in world[2]})
+        assert_exact_and_within_own_pivot_rule(world)
+        own_rows = sum(
+            len(world[2][pid].ids) * len(world[3][pid]) for pid in world[2] if pid in world[3]
+        )
+        assert scanned_by_cell(world)[0] < own_rows
+
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf", "l3"])
+    def test_own_cell_after_a_coincident_twin(self, metric_name):
+        world = kernel_world(
+            seed=67, num_r=90, num_s=140, num_pivots=8, k=5,
+            metric_name=metric_name, twin_pivots=True,
+        )
+        # cell 1's scan order begins with its coincident twin, cell 0
+        assert sorted(world[3])[scan_orders(world)[sorted(world[2]).index(1)][0]] == 0
+        assert_exact_and_within_own_pivot_rule(world, metric_name)
+
+    def test_nearest_computed_pivots_are_a_stable_sort(self):
+        """Window by window, each row keeps the smallest of its kept and new
+        distances, ties to the kept ones and then to the earlier step: the
+        reference's stable sort, on integer distances full of ties."""
+        rng = np.random.default_rng(89)
+        count, num_rows = kernels._NEAREST_COMPUTED, 40
+        near_dists = np.full((count, num_rows), kernels._EMPTY)
+        near_gaps = np.zeros((count, num_rows), dtype=np.intp)
+        kept = [[] for _ in range(num_rows)]
+        for window in kernels._step_windows(40):
+            steps, rows = np.nonzero(rng.random((window[1] - window[0], num_rows)) < 0.6)
+            dists = rng.integers(0, 6, steps.size).astype(float)
+            gaps = rng.permutation(10**6)[: steps.size] + 1  # tells the pivots apart
+            kernels._keep_nearest(
+                near_dists, near_gaps, rows, window[0] + steps, dists, gaps, window
+            )
+            for row in range(num_rows):
+                new = [(d, g) for r, d, g in zip(rows, dists, gaps) if r == row]
+                kept[row] = sorted(kept[row] + new, key=lambda pair: pair[0])[:count]
+                slots = near_dists[:, row] < kernels._EMPTY
+                assert sorted(zip(near_dists[slots, row], near_gaps[slots, row])) == sorted(
+                    kept[row]
+                )
+
+    def test_ties_among_the_nearest_computed_pivots(self):
+        """Pivots one apart on a line, rows on and between them: rows
+        compute pivot distances in equal pairs, so more than
+        ``_NEAREST_COMPUTED`` of them tie for the kept slots."""
+        line = np.arange(-12, 13, dtype=float)
+        pivots = np.stack([line, np.zeros_like(line)], axis=1)
+        s_points = np.array([[x, y] for x in line for y in (-0.25, 0.0, 0.25)])
+        r_points = np.array([[0.0, 0.0], [0.0, 0.25], [0.5, 0.0], [3.0, -0.25]])
+        world = world_from(r_points, s_points, pivots, 60)
+        (_, new_pivot), _ = assert_exact_and_within_own_pivot_rule(world)
+        assert new_pivot > kernels._NEAREST_COMPUTED * len(r_points)
+
+    @pytest.mark.parametrize("metric_name", ["l2", "l1"])
+    def test_world_scaled_by_1e9(self, metric_name):
+        """At coordinates of 1e9 the results stay exact, and the bounds,
+        lowered by their scale-aware slack, still prune."""
+        rng = np.random.default_rng(83)
+        world = world_from(
+            rng.random((150, 3)) * 1e9, rng.random((250, 3)) * 1e9,
+            rng.random((12, 3)) * 1e9, 5, metric_name,
+        )
+        (_, new_pivot), (_, old_pivot) = assert_exact_and_within_own_pivot_rule(
+            world, metric_name
+        )
+        assert new_pivot < old_pivot
+
+
+class TestReducerPivotPairsCounter:
+    @pytest.mark.parametrize("join", ["pgbj", "pbj"])
+    def test_counts_the_kernels_object_pivot_pairs(self, join):
+        """``selectivity:reducer_pivot_pairs`` is what the kernels' pivot
+        metrics counted, and a part of the join's ``distance_pairs``."""
+        from repro.datasets import generate_forest
+        from repro.joins import get_join, run_join
+
+        data = generate_forest(600, seed=3)
+        metrics = []
+        kernel = kernels.KernelProvider.knn_join_kernel
+
+        def recording(self, *args, **kwargs):
+            metrics.append(kwargs["pivot_metric"])
+            return kernel(self, *args, **kwargs)
+
+        with mock.patch.object(kernels.KernelProvider, "knn_join_kernel", recording):
+            config = get_join(join).make_config(k=5, num_pivots=24, num_reducers=4)
+            outcome = run_join(join, data, data, config)
+        counted = outcome.counters.value("selectivity", "reducer_pivot_pairs")
+        assert counted == sum(m.pairs_computed for m in {id(m): m for m in metrics}.values())
+        assert 0 < counted < outcome.counters.value("selectivity", "distance_pairs")
 
 
 class TestColumnarBuilders:

@@ -285,10 +285,10 @@ class TestStructure:
         # fields: at version 3 with the kernel-choice knob, since removed,
         # "223e2b1caa54d308ec1107f0f77a91abb4266359", and without it
         # "e8b524603d6edf8587e378e7c199c115d83872af"; version 4 added the
-        # self-join flag)
+        # self-join flag, "d38c2982f04ba2de6ec4582c9edf3a090a2b6ae2")
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "d38c2982f04ba2de6ec4582c9edf3a090a2b6ae2"
+            == "248b68c81b6a99817373ecc1757a3077ca853e46"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

@@ -287,14 +287,16 @@ class TestMergeJobProducersPinned:
     (``pbj``'s pair count was 19 960 while the kernel computed every
     ``|r, p_j|`` up front; only that field moved when it stopped, and again,
     from 17 437, when the self-join's objects were assigned once, the pivot
-    matrix computed once per pair and the own pivot's distance reused.  ``zorder``
+    matrix computed once per pair and the own pivot's distance reused, and
+    from 14 493, when each row's nearest computed pivots bounded its later
+    cells and its own cell was scanned from the ring centre out.  ``zorder``
     was re-pinned whole when its grid became a cube and its default two curve
     copies: before, ``("0de74e370e6002bc", 3557, 676, 1876, 184988)``.)"""
 
     #: join -> (sha1 of (r id, neighbour ids) rows, pairs, replicas, records, bytes)
     PINNED = {
         "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 117600),
-        "pbj": ("124cb21fb9bbe9a5", 14493, 400, 1200, 117600),
+        "pbj": ("124cb21fb9bbe9a5", 13578, 400, 1200, 117600),
         "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 117600),
         "zorder": ("f7cc7c3009292dc9", 2369, 432, 1232, 121216),
     }
@@ -329,13 +331,15 @@ class TestFinalOutputsPinned:
     on the commit before they became one ``NeighborBlock`` per reduce call;
     ``pgbj``'s pair count was 15 570 with the eager object-pivot matrix, and
     14 685 before a self-join assigned each object once, the pivot matrix
-    was computed once per pair and the own pivot's distance was reused)."""
+    was computed once per pair and the own pivot's distance was reused, and
+    11 941 before the nearest computed pivots bounded each row's later cells
+    and the own cell was scanned from its ring centre out)."""
 
     #: join -> (sha1 of (r id, neighbour ids, distance bytes) rows, pairs,
     #: final job's output_bytes, its reduce tasks' output records)
     PINNED = {
         "broadcast": ("6a7ec171f4ee3716", 40000, 13600, 200),
-        "pgbj": ("6a7ec171f4ee3716", 11941, 13600, 200),
+        "pgbj": ("6a7ec171f4ee3716", 10656, 13600, 200),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
