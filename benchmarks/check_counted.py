@@ -3,10 +3,11 @@
 ``selectivity_permille``, ``shuffle_mb`` and ``recall_at_k`` repeat to the
 last digit for one seed and size, and so does the spill layout —
 ``spill_segments`` and ``merge_passes``, each summed over the jobs of the
-record's ``counters`` — and so do three selectivity counters that name the
-layer when the selectivity moves: the pairs the jobs computed
-(``selectivity.distance_pairs``; the master's pivot selection computed the
-rest of the selectivity's numerator), the pairs the Voronoi assignment
+record's ``counters`` — and so do the pairs the master's pivot selection
+computed (``master_distance_pairs``, 0 for a join without pivots) and three
+selectivity counters that name the layer when the selectivity moves: the
+pairs the jobs computed (``selectivity.distance_pairs``; with the master's,
+the selectivity's numerator), the pairs the Voronoi assignment
 skipped (``selectivity.assignment_pairs_skipped``, 0 for a join without a
 partitioning job) and the object-pivot pairs among the kernel reducers'
 (``selectivity.reducer_pivot_pairs``, 0 for a join without the Algorithm 3
@@ -35,6 +36,8 @@ from pathlib import Path
 COUNTED = ("selectivity_permille", "shuffle_mb", "recall_at_k")
 #: spill layout counts, each summed over the workload's jobs
 SPILL_LAYOUT = ("spill_segments", "merge_passes")
+#: outcome totals, top-level in the record's ``counters``
+TOTALS = ("master_distance_pairs",)
 #: join counters, ``group.name`` in the record's ``counters`` (0 where never counted)
 COUNTERS = (
     "selectivity.distance_pairs",
@@ -56,6 +59,7 @@ def counted_of(record: dict) -> dict:
                     name: sum(job[name] for job in result["counters"]["jobs"])
                     for name in SPILL_LAYOUT
                 },
+                **{name: result["counters"][name] for name in TOTALS},
                 **{name: _counter(result["counters"]["counters"], name) for name in COUNTERS},
             }
             for result in record["results"]
@@ -78,7 +82,7 @@ def differences(baseline: dict, got: dict) -> list[str]:
             continue
         lines += [
             f"{workload}.{name}: {before.get(name)!r} -> {after.get(name)!r}"
-            for name in COUNTED + SPILL_LAYOUT + COUNTERS
+            for name in COUNTED + SPILL_LAYOUT + TOTALS + COUNTERS
             if before.get(name) != after.get(name)
         ]
     return lines

@@ -18,7 +18,10 @@ comparison could otherwise prune an exact boundary case; the rules are
 necessary conditions, so slack only weakens pruning, never correctness.
 A triangle bound built from computed distances also gives up ``PRUNE_RTOL``
 of a bound on those distances, since their rounding grows with the
-coordinate scale.
+coordinate scale; so does the Euclidean hyperplane distance, of
+``(|q, p_i|² + |q, p_j|²) / 2|p_i, p_j|`` — its difference of squares
+cancels, and the cancelled rounding is divided by the pivots' gap, which a
+dense cluster makes tiny next to a far query.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def hyperplane_distance(
     the metric-space GH bound ``(|q, p_j| - |q, p_i|) / 2`` (Uhlmann's
     generalized-hyperplane pruning, valid by the triangle inequality alone)
     is used instead — looser, but correct.  Positive when ``q`` is on
-    ``p_i``'s side.
+    ``p_i``'s side, lowered by its rounding slack (module docstring).
     """
     if not euclidean:
         return max(0.0, (dist_q_pj - dist_q_pi) / 2.0)
@@ -65,7 +68,8 @@ def hyperplane_distance(
         # coincident pivots: the hyperplane is undefined; nothing can be
         # pruned, report distance 0 (never exceeds any non-negative theta).
         return 0.0
-    return (dist_q_pj * dist_q_pj - dist_q_pi * dist_q_pi) / (2.0 * dist_pi_pj)
+    a2, b2 = dist_q_pi * dist_q_pi, dist_q_pj * dist_q_pj
+    return (b2 - a2 - PRUNE_RTOL * (b2 + a2)) / (2.0 * dist_pi_pj)
 
 
 def hyperplane_distances(
@@ -87,7 +91,8 @@ def hyperplane_distances(
     coincident = np.asarray(dist_pi_pj) <= 0.0
     # a coincident pair divides by a placeholder and then reports gap 0
     denominator = 2.0 * np.where(coincident, 1.0, dist_pi_pj)
-    gaps = (dist_q_pj * dist_q_pj - dist_q_pi * dist_q_pi) / denominator
+    a2, b2 = dist_q_pi * dist_q_pi, dist_q_pj * dist_q_pj
+    gaps = (b2 - a2 - PRUNE_RTOL * (b2 + a2)) / denominator
     return np.where(coincident, 0.0, gaps)
 
 

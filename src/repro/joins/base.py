@@ -386,7 +386,6 @@ class PgbjConfig(JoinConfig):
     pivot_selection: str = "random"
     grouping: str = "geometric"
     pivot_sample_size: int = 8192
-    random_candidate_sets: int = 5
     kmeans_iterations: int = 8
     #: disable individual pruning rules (ablation benches)
     use_hyperplane_pruning: bool = True
@@ -425,7 +424,6 @@ class BlockJoinConfig(JoinConfig):
     num_pivots: int = 64
     pivot_selection: str = "random"
     pivot_sample_size: int = 8192
-    random_candidate_sets: int = 5
 
     @property
     def num_blocks(self) -> int:

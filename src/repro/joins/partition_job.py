@@ -77,7 +77,7 @@ def make_pivot_selector(config) -> PivotSelector:
     """
     name = config.pivot_selection.lower()
     if name == "random":
-        return RandomPivotSelector(num_candidate_sets=config.random_candidate_sets)
+        return RandomPivotSelector()
     if name == "farthest":
         return FarthestPivotSelector(sample_size=config.pivot_sample_size)
     if name == "kmeans":
@@ -233,7 +233,6 @@ def partition_stage_key(r: Dataset, s: Dataset, config: JoinConfig, num_pivots: 
         int(num_pivots),
         config.pivot_selection,
         int(config.pivot_sample_size),
-        int(config.random_candidate_sets),
         int(getattr(config, "kmeans_iterations", 8)),
     )
 
@@ -248,12 +247,14 @@ def partition_stage(
 ) -> Stage:
     """Add the shared partitioning stage (pivot selection + first job).
 
-    The builder selects pivots and gets their distance matrix on the master
-    (timed as the ``pivot_selection`` phase, counted on ``state["metric"]``;
-    random selection hands over the matrix it scored the winner by) and
-    returns the k-independent partitioning job; ``state`` receives
-    ``"pivots"``, ``"pivot_dist_matrix"`` and ``"metric"`` for the downstream
-    stages of the same plan, which read the job's blocks through
+    The builder selects pivots and computes their distance matrix on the
+    master (timed as the ``pivot_selection`` phase, counted on
+    ``state["metric"]``; random selection is §4.1 with ``T = 1``, so the
+    matrix's ``M(M-1)/2`` pairs are all it costs — scoring ``T`` sets by
+    spread cost ``T`` times that and bought no cheaper cells) and returns
+    the k-independent partitioning job; ``state`` receives ``"pivots"``,
+    ``"pivot_dist_matrix"`` and ``"metric"`` for the downstream stages of
+    the same plan, which read the job's blocks through
     :func:`partitioned_records`.  The stage is content-keyed, so a
     :class:`~repro.mapreduce.plan.PlanCache` can serve the job result to
     every sweep point whose prefix is unchanged.

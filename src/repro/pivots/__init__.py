@@ -1,9 +1,11 @@
 """Pivot selection strategies (paper Section 4.1).
 
 Three strategies are provided, matching the paper: :class:`RandomPivotSelector`
-(best-of-T random sets), :class:`FarthestPivotSelector` (greedy
-max-sum-distance) and :class:`KMeansPivotSelector` (cluster centers of a
-sample).  :func:`get_pivot_selector` resolves the names used in experiment
+(one uniform draw: the paper's best-of-T with ``T = 1``, since scoring
+candidate sets costs counted pairs and bought no cheaper cells),
+:class:`FarthestPivotSelector` (greedy max-sum-distance) and
+:class:`KMeansPivotSelector` (cluster centers of a sample).
+:func:`get_pivot_selector` resolves the names used in experiment
 configurations ("random" / "farthest" / "kmeans").
 """
 

@@ -46,9 +46,8 @@ class PivotSelector(ABC):
         metric: Metric,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`select`, plus the pivots' ``M x M`` distance matrix, counted
-        on ``metric`` (a selector that computed it while choosing hands it
-        over instead)."""
+        """:meth:`select`, plus the pivots' ``M x M`` distance matrix,
+        ``M(M-1)/2`` pairs counted on ``metric``."""
         pivots = self.select(dataset, num_pivots, metric, rng)
         return pivots, metric.pairwise_matrix(pivots)
 

@@ -28,6 +28,7 @@ def record(seed=0, scale=0.125, skipped=1_474_270, **moved):
         },
         "forest_zorder_spill": {"distance_pairs": 1_280_000},
     }
+    master = {"osm_pgbj_spill": 19_900, "forest_zorder_spill": 0}
     return {
         "environment": {"seed": seed, "scale": scale, "cpu_count": 2},
         "results": [
@@ -38,6 +39,9 @@ def record(seed=0, scale=0.125, skipped=1_474_270, **moved):
                     for name, value in {**values, "join_wall_s": 0.07}.items()
                 },
                 "counters": {
+                    "master_distance_pairs": moved.get(
+                        f"{workload}.master_distance_pairs", master[workload]
+                    ),
                     "counters": {"selectivity": selectivity[workload]},
                     "jobs": [
                         {
@@ -91,7 +95,7 @@ def test_spill_layout_is_summed_over_jobs_and_held_exactly(files, capsys):
     write, baseline = files
     assert json.loads(Path(baseline).read_text())["workloads"]["osm_pgbj_spill"] == {
         "selectivity_permille": 134.3968, "shuffle_mb": 0.794933, "recall_at_k": 1.0,
-        "spill_segments": 45, "merge_passes": 9,
+        "spill_segments": 45, "merge_passes": 9, "master_distance_pairs": 19_900,
         "selectivity.distance_pairs": 525_730,
         "selectivity.assignment_pairs_skipped": 1_474_270,
         "selectivity.reducer_pivot_pairs": 27_075,
@@ -137,6 +141,19 @@ def test_job_side_distance_pairs_are_held_exactly(files, capsys):
     assert check_counted.main([write("moved.json", moved), "--baseline", baseline]) == 1
     out = capsys.readouterr().out
     assert "osm_pgbj_spill.selectivity.distance_pairs: 525730 -> 525729" in out
+    assert "1 counted metric(s) differ" in out
+
+
+def test_master_pairs_are_held_exactly_and_read_0_without_pivots(files, capsys):
+    """The rest of the selectivity's numerator: the master's pivot selection
+    (the phase table's master row), 0 for a join that selects no pivots."""
+    write, baseline = files
+    pinned = json.loads(Path(baseline).read_text())["workloads"]
+    assert pinned["forest_zorder_spill"]["master_distance_pairs"] == 0
+    moved = record(**{"osm_pgbj_spill.master_distance_pairs": 99_500})
+    assert check_counted.main([write("moved.json", moved), "--baseline", baseline]) == 1
+    out = capsys.readouterr().out
+    assert "osm_pgbj_spill.master_distance_pairs: 19900 -> 99500" in out
     assert "1 counted metric(s) differ" in out
 
 
@@ -188,5 +205,8 @@ def test_committed_baseline_covers_the_declared_workloads():
     assert sorted(baseline["workloads"]) == sorted(w["name"] for w in declared)
     for metrics in baseline["workloads"].values():
         assert sorted(metrics) == sorted(
-            check_counted.COUNTED + check_counted.SPILL_LAYOUT + check_counted.COUNTERS
+            check_counted.COUNTED
+            + check_counted.SPILL_LAYOUT
+            + check_counted.TOTALS
+            + check_counted.COUNTERS
         )

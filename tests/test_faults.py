@@ -626,7 +626,7 @@ class TestCheckpointDirReuse:
             "memory_budget": 64, "spill_dir": "/tmp/x", "spill_codec": "zlib", "plan_concurrency": False, "task_timeout": 9.0,
             "auto_tune": True, "stage_fusion": True, "plan_cache_dir": "/tmp/y",
             "num_pivots": 65, "pivot_selection": "farthest", "grouping": "greedy",
-            "pivot_sample_size": 100, "random_candidate_sets": 6,
+            "pivot_sample_size": 100,
             "kmeans_iterations": 9, "use_hyperplane_pruning": False,
             "use_ring_pruning": False, "skew_split_threshold": 0.5,
             "skew_split_max_ways": 5,
@@ -682,14 +682,14 @@ class TestCheckpointDirReuse:
     SUBCLASS_KNOBS = {
         "PgbjConfig": {
             "num_pivots": 65, "pivot_selection": "farthest", "grouping": "greedy",
-            "pivot_sample_size": 100, "random_candidate_sets": 6,
+            "pivot_sample_size": 100,
             "kmeans_iterations": 9, "use_hyperplane_pruning": False,
             "use_ring_pruning": False, "skew_split_threshold": 0.5,
             "skew_split_max_ways": 5,
         },
         "BlockJoinConfig": {
             "rtree_capacity": 16, "num_pivots": 65, "pivot_selection": "farthest",
-            "pivot_sample_size": 100, "random_candidate_sets": 6,
+            "pivot_sample_size": 100,
         },
         "ZOrderConfig": {
             "num_shifts": 4, "bits": 12, "candidates_per_side": 5, "sample_size": 100,

@@ -18,8 +18,9 @@ from repro.core.geometry import (
 
 class TestHyperplaneDistance:
     def test_midpoint_has_zero_distance(self):
-        # q equidistant from both pivots sits on the hyperplane
-        assert hyperplane_distance(5.0, 5.0, 4.0) == pytest.approx(0.0)
+        # q equidistant from both pivots sits on the hyperplane (less the
+        # rounding slack, 1e-9 of (25 + 25) / 8)
+        assert hyperplane_distance(5.0, 5.0, 4.0) == pytest.approx(-6.25e-9)
 
     def test_matches_2d_geometry(self):
         # pivots at (0,0) and (4,0): hyperplane x=2; q=(1, 1) in cell of p_i
@@ -47,6 +48,31 @@ class TestHyperplaneDistance:
                 np.linalg.norm(q - pi), np.linalg.norm(q - pj), np.linalg.norm(pi - pj)
             )
             assert d_hp <= np.linalg.norm(q - o) + 1e-9
+
+    def test_far_query_and_close_pivots_never_overshoot(self):
+        """A query 10^3-10^4 out from a cluster 10^-6 wide: the difference of
+        squares cancels and its rounding is divided by a pivot gap of ~10^-7.
+        Without the relative slack the computed distance overshoots a
+        computed ``|q, o|`` of the other cell by far more than ``PRUNE_EPS``;
+        with it, never (the vectorized form gives the same bits)."""
+        metric = get_metric("l2")
+        rng = np.random.default_rng(3)
+        overshoot = []
+        for _ in range(2000):
+            pi, pj, o = rng.normal(0.0, 1e-6, (3, 1))
+            if abs(o - pj)[0] > abs(o - pi)[0]:
+                pi, pj = pj, pi  # o in cell j
+            q = np.array([-rng.uniform(1e3, 1e4)])
+            if abs(q - pi)[0] > abs(q - pj)[0]:
+                continue  # q not in cell i
+            d_qi, d_qj, gap, d_qo = (
+                metric.distance(a, b) for a, b in ((q, pi), (q, pj), (pi, pj), (q, o))
+            )
+            overshoot.append((d_qj * d_qj - d_qi * d_qi) / (2.0 * gap) - d_qo)
+            d_hp = hyperplane_distance(d_qi, d_qj, gap)
+            assert d_hp <= d_qo
+            assert hyperplane_distances(np.array([d_qi]), np.array([d_qj]), gap)[0] == d_hp
+        assert max(overshoot) > 1e3 * PRUNE_EPS
 
 
 class TestCorollary1:

@@ -274,8 +274,8 @@ class TestStructure:
             "spill_codec='none', plan_concurrency=True, "
             "task_timeout=None, checkpoint_dir=None, auto_tune=False, stage_fusion=False, "
             "plan_cache_dir=None, num_pivots=64, pivot_selection='random', "
-            "grouping='geometric', pivot_sample_size=8192, random_candidate_sets=5, "
-            "kmeans_iterations=8, use_hyperplane_pruning=True, use_ring_pruning=True, "
+            "grouping='geometric', pivot_sample_size=8192, kmeans_iterations=8, "
+            "use_hyperplane_pruning=True, use_ring_pruning=True, "
             "skew_split_threshold=0.0, skew_split_max_ways=4)"
         )
         data = Dataset(np.arange(40.0).reshape(20, 2), name="d")
@@ -285,10 +285,12 @@ class TestStructure:
         # fields: at version 3 with the kernel-choice knob, since removed,
         # "223e2b1caa54d308ec1107f0f77a91abb4266359", and without it
         # "e8b524603d6edf8587e378e7c199c115d83872af"; version 4 added the
-        # self-join flag, "d38c2982f04ba2de6ec4582c9edf3a090a2b6ae2")
+        # self-join flag, "d38c2982f04ba2de6ec4582c9edf3a090a2b6ae2"; version 5
+        # "248b68c81b6a99817373ecc1757a3077ca853e46"; version 6 dropped the
+        # random selector's candidate-set count)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "248b68c81b6a99817373ecc1757a3077ca853e46"
+            == "ff65f31b0b6ff2af9c44259355cdf695e5333e09"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

@@ -129,6 +129,32 @@ class TestSummaries:
             )
 
 
+class TestMasterPaysOnePivotMatrix:
+    """Random pivots are one sorted draw with ``JoinConfig.seed``, and the
+    master pays exactly ``M(M-1)/2`` pairs for them: the pivot matrix's."""
+
+    @pytest.mark.parametrize("config_class", [PgbjConfig, BlockJoinConfig])
+    def test_stage_draws_once(self, config_class, rng):
+        data = Dataset(rng.random((120, 3)), name="d")
+        config = config_class(k=3, num_pivots=11, seed=5, split_size=32)
+        state = {}
+        graph = JobGraph("draw")
+        partition_stage(graph, data, data, config, 11, state)
+        with config.make_runtime() as runtime:
+            PlanScheduler(runtime).execute(graph)
+        rows = np.sort(np.random.default_rng(5).choice(120, size=11, replace=False))
+        assert state["pivots"].tobytes() == data.points[rows].tobytes()
+        assert state["metric"].pairs_computed == 11 * 10 // 2
+
+    @pytest.mark.parametrize("name", ["pgbj", "pbj"])
+    def test_outcome_reports_the_matrix_alone(self, name, rng):
+        from repro.joins import get_join, run_join
+
+        data = Dataset(rng.random((120, 3)), name="d")
+        config = get_join(name).make_config(k=3, num_pivots=11, seed=5, **env_params())
+        assert run_join(name, data, data, config).master_distance_pairs == 11 * 10 // 2
+
+
 def canonical(value):
     """Arrays by dtype, shape and bytes; containers and objects by content."""
     if isinstance(value, np.ndarray):
@@ -165,7 +191,7 @@ class TestStageKeyCoversEveryField:
             "shared_executor": executor, "plan_cache": PlanCache(), "num_pivots": 30,
             "pivot_selection": selections[selections.index(base.pivot_selection) - 1],
             "grouping": "greedy", "pivot_sample_size": 150,
-            "random_candidate_sets": 1, "kmeans_iterations": 3, "use_hyperplane_pruning": False,
+            "kmeans_iterations": 3, "use_hyperplane_pruning": False,
             "use_ring_pruning": False, "skew_split_threshold": 0.5, "skew_split_max_ways": 2,
             "rtree_capacity": 8,
         }[name]

@@ -24,28 +24,6 @@ def select(selector, dataset, m, seed=0):
     return selector.select(dataset, m, get_metric("l2"), np.random.default_rng(seed))
 
 
-def pairwise_sum(metric, xs):
-    """The candidate score random selection once computed with its own
-    method: each row's distances right of the diagonal, summed row by row."""
-    total = 0.0
-    for i in range(xs.shape[0] - 1):
-        total += float(metric.distances(xs[i], xs[i + 1 :]).sum())
-    return total
-
-
-def select_by_pairwise_sum(dataset, m, t, seed, metric_name):
-    """Best of ``t`` candidate sets by :func:`pairwise_sum` (the first of
-    equal scores wins); returns the pivots and the pairs counted."""
-    rng, metric = np.random.default_rng(seed), get_metric(metric_name)
-    best_score, best = -np.inf, None
-    for _ in range(t):
-        candidate = dataset.points[np.sort(rng.choice(len(dataset), size=m, replace=False))]
-        score = pairwise_sum(metric, candidate)
-        if score > best_score:
-            best_score, best = score, candidate
-    return best, metric.pairs_computed
-
-
 class TestCommon:
     @pytest.mark.parametrize("name", ["random", "farthest", "kmeans"])
     def test_shape(self, name, clustered):
@@ -67,7 +45,7 @@ class TestCommon:
         with pytest.raises(ValueError, match="unknown pivot selector"):
             get_pivot_selector("pca")
 
-    @pytest.mark.parametrize("name", ["random", "farthest", "kmeans"])
+    @pytest.mark.parametrize("name", ["farthest", "kmeans"])
     def test_counts_distances(self, name, clustered):
         metric = get_metric("l2")
         get_pivot_selector(name).select(clustered, 5, metric, np.random.default_rng(0))
@@ -75,7 +53,7 @@ class TestCommon:
 
     @pytest.mark.parametrize("name", ["farthest", "kmeans"])
     def test_distance_matrix_costs_one_pair_each(self, name, clustered):
-        """Selectors that do not score by the matrix pay ``M(M-1)/2`` for it."""
+        """The matrix costs ``M(M-1)/2`` pairs on top of the selection."""
         selecting, with_matrix = get_metric("l2"), get_metric("l2")
         pivots = get_pivot_selector(name).select(clustered, 7, selecting, np.random.default_rng(4))
         again, matrix = get_pivot_selector(name).select_with_distances(
@@ -87,50 +65,44 @@ class TestCommon:
 
 
 class TestRandom:
+    """Section 4.1 with ``T = 1``: one uniform draw, no spread scoring."""
+
     def test_pivots_are_dataset_objects(self, clustered):
         pivots = select(RandomPivotSelector(), clustered, 5)
         for pivot in pivots:
             assert any(np.allclose(pivot, p) for p in clustered.points)
 
-    def test_best_of_t_improves_spread(self, clustered):
-        """More candidate sets can only raise the winning pairwise-sum score."""
-        scores = {}
-        for t in (1, 8):
-            pivots = select(RandomPivotSelector(num_candidate_sets=t), clustered, 6)
-            scores[t] = pairwise_sum(get_metric("l2"), pivots)
-        assert scores[8] >= scores[1]
-
-    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf"])
-    @pytest.mark.parametrize("shape", ["float", "grid"])  # grid: tied scores
-    @pytest.mark.parametrize("t,m", [(1, 1), (1, 7), (5, 2), (5, 12), (9, 30)])
-    def test_same_pivots_as_the_pairwise_sum_scoring(self, t, m, shape, metric_name):
-        """Scoring each candidate from its distance matrix picks the pivots
-        the per-row sums picked, at the same counted cost, and hands over the
-        winner's matrix with the bytes of ``cross_distances``."""
-        rng = np.random.default_rng(m * 31 + t)
+    @pytest.mark.parametrize("shape", ["float", "grid"])  # grid: duplicate objects
+    @pytest.mark.parametrize("m", [1, 2, 7, 30, 120])
+    def test_one_draw_in_dataset_order(self, m, shape):
+        """The pivots are the rows of one sorted ``rng.choice``, byte for byte."""
+        rng = np.random.default_rng(m)
         points = rng.random((120, 3)) if shape == "float" else rng.integers(0, 3, (120, 3))
         data = Dataset(points.astype(float))
         for seed in range(4):
-            expected, expected_pairs = select_by_pairwise_sum(data, m, t, seed, metric_name)
-            metric = get_metric(metric_name)
-            pivots, matrix = RandomPivotSelector(num_candidate_sets=t).select_with_distances(
-                data, m, metric, np.random.default_rng(seed)
-            )
-            assert pivots.tobytes() == expected.tobytes()
-            assert metric.pairs_computed == expected_pairs == t * m * (m - 1) // 2
-            cross = get_metric(metric_name).cross_distances(pivots, pivots)
-            assert matrix.tobytes() == cross.tobytes()
+            rows = np.sort(np.random.default_rng(seed).choice(120, size=m, replace=False))
+            pivots = select(RandomPivotSelector(), data, m, seed=seed)
+            assert pivots.tobytes() == data.points[rows].tobytes()
 
-    def test_select_returns_the_pivots_of_select_with_distances(self, clustered):
-        selector = RandomPivotSelector(num_candidate_sets=4)
-        pivots, _ = selector.select_with_distances(
-            clustered, 9, get_metric("l2"), np.random.default_rng(2)
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("m", [1, 2, 12, 30])
+    def test_matrix_costs_one_pair_each(self, m, metric_name, clustered):
+        """Choosing computes no distance; the matrix costs exactly ``M(M-1)/2``
+        pairs and has the bytes of ``cross_distances``."""
+        selecting, with_matrix = get_metric(metric_name), get_metric(metric_name)
+        pivots = RandomPivotSelector().select(clustered, m, selecting, np.random.default_rng(3))
+        again, matrix = RandomPivotSelector().select_with_distances(
+            clustered, m, with_matrix, np.random.default_rng(3)
         )
-        assert np.array_equal(select(selector, clustered, 9, seed=2), pivots)
+        assert selecting.pairs_computed == 0
+        assert again.tobytes() == pivots.tobytes()
+        assert with_matrix.pairs_computed == m * (m - 1) // 2
+        cross = get_metric(metric_name).cross_distances(pivots, pivots)
+        assert matrix.tobytes() == cross.tobytes()
 
-    def test_rejects_zero_sets(self):
-        with pytest.raises(ValueError):
-            RandomPivotSelector(num_candidate_sets=0)
+    def test_takes_no_arguments(self):
+        with pytest.raises(TypeError):
+            RandomPivotSelector(5)
 
 
 class TestFarthest:

@@ -5,7 +5,9 @@ brute force — checked through ``run_join`` over hypothesis-generated worlds:
 integer-grid ties, all-identical points, ``k = |S|``, self-joins (``r is
 s``: each object assigned to its cell once) and R ≠ S with disjoint ids,
 every reducer count, every metric family and more pivots than R has objects
-(refused at the boundary by the joins that draw their pivots from R).
+(refused at the boundary by the joins that draw their pivots from R) — and a
+dense cluster plus a few far outliers, where one random pivot draw rarely
+lands on an outlier, so outlier rows sit in huge cells (a large ``U_i``).
 """
 
 import numpy as np
@@ -51,6 +53,34 @@ def join_world(draw):
     return r, s, k, metric_name, num_reducers, num_pivots, seed
 
 
+@st.composite
+def cluster_world(draw):
+    """A dense cluster of 20-80 objects plus 1-5 outliers, ``100``-``10^4``
+    times farther out, in random row order."""
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    dims = draw(st.integers(1, 4))
+    spread = draw(st.sampled_from((1e-6, 1e-3, 1.0)))
+    far = draw(st.sampled_from((1e2, 1e4)))
+
+    def points():
+        dense = rng.normal(0.0, spread, (draw(st.integers(20, 80)), dims))
+        outliers = rng.uniform(-far, far, (draw(st.integers(1, 5)), dims))
+        return rng.permutation(np.vstack([dense, outliers]))
+
+    r = Dataset(points(), name="r")
+    if draw(st.booleans()):
+        s = r
+    else:
+        s_points = points()
+        s = Dataset(s_points, ids=np.arange(10_000, 10_000 + len(s_points)), name="s")
+    k = draw(st.integers(1, 8))
+    metric_name = draw(st.sampled_from(("l1", "l2", "linf")))
+    num_reducers = draw(st.sampled_from((1, 2, 4, 9)))
+    num_pivots = draw(st.integers(1, 24))
+    return r, s, k, metric_name, num_reducers, num_pivots, seed
+
+
 def truth_of(r, s, k, metric_name="l2"):
     return KnnJoinResult.from_dict(
         k, brute_force_knn_join(get_metric(metric_name), r.points, r.ids, s.points, s.ids, k)
@@ -63,6 +93,17 @@ def truth_of(r, s, k, metric_name="l2"):
 @given(world=join_world())
 @settings(max_examples=30, deadline=None)
 def test_every_exact_join_equals_brute_force(name, world):
+    assert_equals_brute_force(name, world)
+
+
+@pytest.mark.parametrize("name", EXACT_JOINS)
+@given(world=cluster_world())
+@settings(max_examples=15, deadline=None)
+def test_every_exact_join_equals_brute_force_on_a_cluster_with_outliers(name, world):
+    assert_equals_brute_force(name, world)
+
+
+def assert_equals_brute_force(name, world):
     r, s, k, metric_name, num_reducers, num_pivots, seed = world
     spec = get_join(name)
     config = spec.make_config(
@@ -98,6 +139,30 @@ def test_worlds_include_grid_self_joins_with_tied_assignments():
         return num_pivots > 1 and bool((nearest_two[:, 0] == nearest_two[:, 1]).any())
 
     find(join_world(), tied_self_join, settings=settings(max_examples=500, database=None))
+
+
+def test_cluster_worlds_put_outliers_in_cluster_pivots_cells():
+    """The outlier world reaches its regime: no pivot of the draw is an
+    outlier, so a cluster pivot's cell holds rows 100 times farther out than
+    the cluster is wide."""
+
+    def outlier_in_a_cluster_cell(world):
+        r, _, _, metric_name, _, num_pivots, seed = world
+        if num_pivots > len(r):
+            return False
+        metric = get_metric(metric_name)
+        config = get_join("pgbj").make_config(num_pivots=num_pivots, seed=seed)
+        pivots = make_pivot_selector(config).select(
+            r, num_pivots, metric, np.random.default_rng(seed)
+        )
+        own = metric.cross_distances(r.points, pivots).min(axis=1)  # |r, own pivot|
+        wide = 10.0  # bounds every cluster coordinate
+        return bool((np.abs(pivots) < wide).all() and own.max() > 100 * wide)
+
+    find(
+        cluster_world(), outlier_in_a_cluster_cell,
+        settings=settings(max_examples=500, database=None),
+    )
 
 
 @given(join_world())
