@@ -1,7 +1,8 @@
 """Reducer-side kNN kernels (paper Algorithm 3, lines 12-25).
 
 The kernel answers, inside one reducer, the kNN of every ``r`` it received
-against the S objects it received, using the paper's three pruning levels:
+against the S objects it received, using the paper's three pruning levels
+and a fourth built from its Theorem 2:
 
 1. scan candidate S-partitions in ascending pivot-distance order, so good
    candidates appear early and ``theta`` tightens fast (line 14);
@@ -9,7 +10,10 @@ against the S objects it received, using the paper's three pruning levels:
    ``theta`` (Corollary 1, line 19);
 3. within a partition, examine only the objects whose pivot distance falls in
    the Theorem 2 ring — a contiguous slice of the distance-sorted block
-   (lines 21-22).
+   (lines 21-22);
+4. within a ring slice, drop each object outside the Theorem 2 ring of
+   ``r`` around each of two *anchors* before gathering it: ``| |r, a| - |s,
+   a| | > theta`` (the LAESA filter the partitioner applies to pivots).
 
 The same kernel serves PGBJ (bounds from the global summary tables) and PBJ
 (bounds recomputed locally over the reducer's random block of S, which is why
@@ -54,6 +58,14 @@ round the ring is re-cut with that theta and the scanned range grows by
 outside a ring cut with a theta no smaller than the final k-th distance, and
 the k-best fold does not depend on order, so no result changes.
 
+Anchors (under ring pruning, whose rule they apply): the first ``min(2, M)``
+pivots farthest-first, as the partitioner chooses its anchors, so every
+reducer shares them.  ``|r, a|`` of every R row and ``|s, a|`` of every S copy
+are computed at kernel entry.  A scan folds a ring slice in strips of
+``max(128, 16 k)`` entries and filters each at the row's theta of that
+moment; a dropped pair lies beyond theta, so it changes no k-best and no
+theta.  The slack is ``PRUNE_RTOL`` of the largest anchor distance.
+
 :func:`knn_join_kernel_reference`, the per-record oracle, applies the same
 rules, so results and ``metric.pairs_computed`` (the paper's selectivity
 numerator) are equal pair for pair.  Two byte budgets bound memory: a scan or
@@ -79,6 +91,7 @@ from repro.core.bounds import theta_bounds
 from repro.core.distance import Metric
 from repro.core.geometry import (
     PRUNE_EPS,
+    PRUNE_RTOL,
     hyperplane_distances,
     partition_pruned_by_hyperplane,
     pivot_distance_needed,
@@ -88,6 +101,7 @@ from repro.core.geometry import (
     triangle_lower_bound,
 )
 from repro.core.knn import ReferenceKBestList
+from repro.core.partition import _farthest_first
 from repro.core.zorder import ZOrderTransform
 from repro.mapreduce.types import RecordBlock, group_rows_by
 
@@ -231,6 +245,33 @@ _NEAREST_COMPUTED, _NEAREST_WITHIN = 8, 32
 _EMPTY = np.finfo(np.float64).max / 4
 
 
+def _strip_length(k: int) -> int:
+    """Entries of a ring slice a scan folds (and filters by anchors) at once."""
+    return max(128, 16 * k)
+
+
+def _anchor_distances(metric: Metric, r_points, s_points, pivot_points, pdm):
+    """``(|r, a|, |s, a|, slack)``: every R row's and S copy's distances to the
+    first ``min(2, M)`` pivots farthest-first, one counted call per side,
+    stored as ``|o, a_0| + |o, a_1| i`` (``a_1 = a_0`` when ``M = 1``), and the
+    filter's slack: ``PRUNE_RTOL`` of the largest of them, and ``PRUNE_EPS``."""
+    anchors = pivot_points[_farthest_first(pdm, min(2, pdm.shape[0]))]
+    sides = [metric.cross_distances(anchors, points) for points in (r_points, s_points)]
+    packed = [np.empty(dists.shape[1], dtype=np.complex128) for dists in sides]
+    for pack, dists in zip(packed, sides):
+        pack.real, pack.imag = dists[0], dists[-1]
+    return (*packed, PRUNE_EPS + PRUNE_RTOL * max(float(dists.max()) for dists in sides))
+
+
+def _anchor_admits(r_anchor, s_anchor, limit):
+    """Theorem 2 around both anchors: ``s`` may be within theta of ``r`` only
+    if neither gap ``| |r, a| - |s, a| |`` exceeds ``limit``, theta plus the
+    slack (aligned pairs, or one ``r`` against many ``s``)."""
+    gaps = np.subtract(r_anchor, s_anchor).view(np.float64)
+    np.abs(gaps, out=gaps)
+    return np.maximum(gaps[0::2], gaps[1::2]) <= limit
+
+
 class ScratchPool:
     """The work arrays of one gathered scan, reused from scan to scan.
 
@@ -358,12 +399,15 @@ def _scan_segments(
     best_ids: np.ndarray,
     theta: np.ndarray,
     scratch: ScratchPool | None = None,
+    anchors: tuple | None = None,
 ) -> None:
     """One gathered scan: one ring slice of ``s_block`` per R row in ``rows``.
 
     Builds the flat ``(row, s-index)`` pair list covering exactly the ring
-    members each row admits, computes all distances in one counted call, then
-    folds each row's candidates into its running k-best matrix:
+    members each row admits, drops the pairs the ``anchors`` (``(|r, a|, |s,
+    a|, slack)`` of :func:`_anchor_distances`, if given) prove farther than
+    the row's theta, computes the rest in one counted call, then folds each
+    row's candidates into its running k-best matrix:
 
     * discard candidates strictly beyond their row's current k-th distance —
       the row already holds k candidates at or below it, so such a candidate
@@ -389,6 +433,17 @@ def _scan_segments(
     # flat pair list: seg_of_pair repeats each segment, col walks its slice
     col = np.arange(total) - np.repeat(offsets - starts, lengths)
     seg_of_pair = np.repeat(np.arange(rows.size), lengths)
+    if anchors is not None:
+        # a dropped pair is farther than theta: it changes no k-best, no theta
+        r_anchor, s_anchor, slack = anchors
+        admitted = _anchor_admits(
+            r_anchor.take(rows).take(seg_of_pair), s_anchor.take(col),
+            (theta.take(rows) + slack).take(seg_of_pair),
+        )
+        col, seg_of_pair = col[admitted], seg_of_pair[admitted]
+        total = col.size
+        if total == 0:
+            return
     r_sub = r_points[rows]  # small, cache-resident gather source
     dims = r_points.shape[1]
     r_gather = np.take(r_sub, seg_of_pair, axis=0, out=scratch.take((total, dims)))
@@ -458,21 +513,22 @@ def scan_partition_numpy(
     best_ids: np.ndarray,
     theta: np.ndarray,
     scratch: ScratchPool | None = None,
+    anchors: tuple | None = None,
 ) -> None:
     """The scan: strip-mined gathered batches.
 
     One wavefront step of :func:`knn_join_kernel` — the step's admitted ring
     slices (``[start, start + length)`` of ``s_block``, one per surviving R
     row, each row at most once), folded into the running k-best state.
-    Exactly the ``sum(lengths)`` admitted pairs are computed (counted
-    through the metric).
+    Without ``anchors`` exactly the ``sum(lengths)`` admitted pairs are
+    computed (counted through the metric); with them, those of each strip
+    the anchors admit at the theta of that moment.
     """
     # strip-mine long slices: after the first strip every row's k-th
     # distance is a real bound, so later strips mostly fail the
     # cheap prefilter instead of flooding the candidate sort.  The
-    # k-best fold is order-independent, every admitted pair is still
-    # computed — results and pair counts are unchanged.
-    strip = max(128, 16 * k)
+    # k-best fold is order-independent, so results are unchanged.
+    strip = _strip_length(k)
     longest = int(lengths.max())
     # two float64 gather buffers of (pairs, d) must fit the byte budget
     cap = max(1, _GATHER_BYTES // (16 * r_points.shape[1]))
@@ -480,7 +536,7 @@ def scan_partition_numpy(
         # dense-pivot common case: one batch, no strip bookkeeping
         _scan_segments(
             metric, k, r_points, s_block, rows, starts, lengths,
-            best_dists, best_ids, theta, scratch,
+            best_dists, best_ids, theta, scratch, anchors,
         )
         return
     offset = 0
@@ -502,6 +558,7 @@ def scan_partition_numpy(
                 best_ids,
                 theta,
                 scratch,
+                anchors,
             )
         offset += strip
 
@@ -519,6 +576,7 @@ def knn_join_kernel(
     use_ring_pruning: bool = True,
     scratch: ScratchPool | None = None,
     pivot_metric: Metric | None = None,
+    anchor_metric: Metric | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Run Algorithm 3's reduce phase; yields ``(r_id, neighbor_ids, dists)``.
 
@@ -548,12 +606,16 @@ def knn_join_kernel(
     pivot_metric:
         The counted metric of the object-pivot distances ``|r, p_j|`` (the
         reducers count them apart); ``metric`` when omitted.
+    anchor_metric:
+        The counted metric of the anchor distances ``|r, a|`` and ``|s, a|``
+        (ring pruning only); ``pivot_metric`` when omitted.
     """
     if not s_blocks:
         raise ValueError("reducer received R objects but no S objects")
     if scratch is None:
         scratch = ScratchPool()
     pivot_metric = pivot_metric or metric
+    anchor_metric = anchor_metric or pivot_metric
     present = sorted(s_blocks)
     cells = sorted(r_blocks)
     num_present = len(present)
@@ -574,6 +636,10 @@ def knn_join_kernel(
     )
     if use_ring_pruning:
         s_keys = segment_keys(np.repeat(np.arange(num_present), s_sizes), s_all.pivot_dists)
+        r_anchor, s_anchor, anchor_slack = _anchor_distances(
+            anchor_metric, np.concatenate([r_blocks[pid].points for pid in cells]),
+            s_all.points, pivot_points, pivot_dist_matrix,
+        )
     lower, upper = np.array([ring_stats[pid] for pid in present], dtype=np.float64).T
 
     # line 14 for every R-partition at once: column c is the scan order of
@@ -605,6 +671,8 @@ def knn_join_kernel(
         r_points = np.concatenate([block.points for block in tile])
         own_dists = np.concatenate([block.pivot_dists for block in tile])
         num_rows = r_ids.shape[0]
+        tile_rows = slice(int(r_sizes[:first].sum()), int(r_sizes[:last].sum()))
+        anchors = (r_anchor[tile_rows], s_anchor, anchor_slack) if use_ring_pruning else None
 
         theta = np.repeat(
             np.array([thetas[pid] for pid in tile_cells], dtype=np.float64), tile_sizes
@@ -623,7 +691,7 @@ def knn_join_kernel(
             if occupied.size:
                 scan_partition_numpy(
                     metric, k, r_points, s_all, rows[occupied], starts[occupied],
-                    lengths[occupied], best_dists, best_ids, theta, scratch,
+                    lengths[occupied], best_dists, best_ids, theta, scratch, anchors,
                 )
 
         for first_step, window_end in _step_windows(num_present):
@@ -736,25 +804,37 @@ def knn_join_kernel_reference(
     use_hyperplane_pruning: bool = True,
     use_ring_pruning: bool = True,
     pivot_metric: Metric | None = None,
+    anchor_metric: Metric | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The per-record kernel, kept as the correctness oracle.
 
     One R point at a time, scalar pruning tests, full-lexsort k-best list —
     the seed's loop, computing ``|r, p_j|`` by the same window rule and
     bounds as :func:`knn_join_kernel` (one ``metric.distances`` per record and
-    window) and scanning the own cell in the same rounds.  The equivalence
-    tests (``tests/test_kernels.py``) hold :func:`knn_join_kernel` to
-    byte-identical outputs and pair counts against this implementation.
+    window), scanning the own cell in the same rounds and the same anchor
+    filtered strips.  The equivalence tests (``tests/test_kernels.py``) hold
+    :func:`knn_join_kernel` to byte-identical outputs and pair counts against
+    this implementation.
     """
     if not s_blocks:
         raise ValueError("reducer received R objects but no S objects")
     pivot_metric = pivot_metric or metric
+    anchor_metric = anchor_metric or pivot_metric
     present = sorted(s_blocks)
     present_points = pivot_points[present]
     pdm_present = pivot_dist_matrix[np.ix_(present, present)]
     pdm_cells = pivot_dist_matrix[np.ix_(sorted(r_blocks), present)]
     scale = _bound_scale(r_blocks, pdm_cells, pdm_present)
     euclidean = metric.name == "l2"
+    strip = _strip_length(k)
+    if use_ring_pruning:
+        r_anchor, s_anchor, anchor_slack = _anchor_distances(
+            anchor_metric, np.concatenate([r_blocks[pid].points for pid in sorted(r_blocks)]),
+            np.concatenate([s_blocks[pid].points for pid in present]),
+            pivot_points, pivot_dist_matrix,
+        )
+        s_offsets = dict(zip(present, np.cumsum([0] + [len(s_blocks[pid]) for pid in present])))
+    r_offset = 0
 
     for pid_r in sorted(r_blocks):
         r_block = r_blocks[pid_r]
@@ -777,11 +857,18 @@ def knn_join_kernel_reference(
 
             def fold(block, start, stop):
                 nonlocal theta
-                if start < stop:
-                    dists = metric.distances(point, block.points[start:stop])
-                    kbest.update(dists, block.ids[start:stop])
-                    if kbest.is_full():
-                        theta = min(theta, kbest.theta + PRUNE_EPS)
+                for lo in range(start, stop, strip):
+                    entries = np.arange(lo, min(lo + strip, stop))
+                    if use_ring_pruning:
+                        at = s_offsets[block.partition_id] + entries
+                        entries = entries[_anchor_admits(
+                            r_anchor[r_offset + row], s_anchor[at], theta + anchor_slack
+                        )]
+                    if entries.size:
+                        dists = metric.distances(point, block.points[entries])
+                        kbest.update(dists, block.ids[entries])
+                        if kbest.is_full():
+                            theta = min(theta, kbest.theta + PRUNE_EPS)
 
             for first_step, window_end in _step_windows(len(order)):
                 # the window rule of knn_join_kernel, one record at a time
@@ -837,6 +924,7 @@ def knn_join_kernel_reference(
                         lo, hi, grow = new_lo, new_hi, 2 * grow
             neighbor_ids, neighbor_dists = kbest.as_arrays()
             yield int(r_block.ids[row]), neighbor_ids, neighbor_dists
+        r_offset += r_block.ids.shape[0]
 
 
 class KernelProvider:

@@ -27,7 +27,7 @@ from repro.mapreduce.job import Context, Reducer
 from repro.mapreduce.plan import JobGraph
 from repro.mapreduce.types import NeighborBlock, RecordBlock
 
-from .base import PAIRS_GROUP, PAIRS_NAME, PIVOT_PAIRS_NAME, BlockJoinConfig
+from .base import BlockJoinConfig, count_kernel_pairs
 from .block_framework import (
     block_join_spec,
     candidate_emissions,
@@ -54,6 +54,7 @@ class PbjJoinReducer(Reducer):
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
         self._pivot_metric = get_metric(ctx.cache["metric_name"])
+        self._anchor_metric = get_metric(ctx.cache["metric_name"])
         self._k = int(ctx.cache["k"])
         self._pivots: np.ndarray = ctx.cache["pivots"]
         self._pdm: np.ndarray = ctx.cache["pivot_dist_matrix"]
@@ -75,14 +76,13 @@ class PbjJoinReducer(Reducer):
                 self._pdm,
                 scratch=self._scratch,
                 pivot_metric=self._pivot_metric,
+                anchor_metric=self._anchor_metric,
             )
         )
         return candidate_emissions(candidates, ctx)
 
     def cleanup(self, ctx: Context):
-        pivot_pairs = self._pivot_metric.pairs_computed
-        ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed + pivot_pairs)
-        ctx.counters.incr(PAIRS_GROUP, PIVOT_PAIRS_NAME, pivot_pairs)
+        count_kernel_pairs(ctx.counters, self._metric, self._pivot_metric, self._anchor_metric)
         return ()
 
 

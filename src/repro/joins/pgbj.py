@@ -31,14 +31,7 @@ from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
 from repro.mapreduce.types import NeighborBlock, RecordBlock
 
-from .base import (
-    PAIRS_GROUP,
-    PAIRS_NAME,
-    PIVOT_PAIRS_NAME,
-    REPLICA_GROUP,
-    REPLICA_NAME,
-    PgbjConfig,
-)
+from .base import REPLICA_GROUP, REPLICA_NAME, PgbjConfig, count_kernel_pairs
 from .block_framework import chain_splits, knn_outcome_assembler
 from .kernels import KERNELS, ScratchPool, build_partition_blocks
 from .partition_job import (
@@ -71,8 +64,10 @@ class GroupRoutingMapper(BlockBufferingMapper):
     are spread deterministically over its sub-keys by object id, while its
     admitted S candidates replicate to *every* sub-key — each r therefore
     still meets exactly the candidate set it would have met unsplit, so join
-    results and ``pairs_computed`` are bit-identical; only replication (the
-    knob's documented price) and the reduce-task layout change.
+    results and ``pairs_computed`` net of the kernel's anchor distances are
+    bit-identical; only replication (the knob's documented price, which
+    includes those two distances of every extra S copy) and the reduce-task
+    layout change.
     """
 
     def setup(self, ctx: Context) -> None:
@@ -111,6 +106,7 @@ class PgbjJoinReducer(Reducer):
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
         self._pivot_metric = get_metric(ctx.cache["metric_name"])
+        self._anchor_metric = get_metric(ctx.cache["metric_name"])
         self._k = int(ctx.cache["k"])
         self._thetas: dict[int, float] = ctx.cache["thetas"]
         self._ring_stats: dict[int, tuple[float, float]] = ctx.cache["ring_stats"]
@@ -138,13 +134,12 @@ class PgbjJoinReducer(Reducer):
                 use_ring_pruning=self._use_ring,
                 scratch=self._scratch,
                 pivot_metric=self._pivot_metric,
+                anchor_metric=self._anchor_metric,
             )
         )
 
     def cleanup(self, ctx: Context):
-        pivot_pairs = self._pivot_metric.pairs_computed
-        ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed + pivot_pairs)
-        ctx.counters.incr(PAIRS_GROUP, PIVOT_PAIRS_NAME, pivot_pairs)
+        count_kernel_pairs(ctx.counters, self._metric, self._pivot_metric, self._anchor_metric)
         return ()
 
 

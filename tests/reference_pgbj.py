@@ -157,6 +157,7 @@ class RowOutputJoinReducer(pgbj.PgbjJoinReducer):
             use_ring_pruning=self._use_ring,
             scratch=self._scratch,
             pivot_metric=self._pivot_metric,
+            anchor_metric=self._anchor_metric,
         ):
             yield r_id, (ids, dists)
 

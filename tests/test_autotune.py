@@ -37,7 +37,13 @@ from repro.joins.autotune import (
     explain_join,
     sampled_cell_histogram,
 )
-from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME
+from repro.joins.base import (
+    ANCHOR_PAIRS_NAME,
+    PAIRS_GROUP,
+    PAIRS_NAME,
+    REPLICA_GROUP,
+    REPLICA_NAME,
+)
 from repro.joins.partition_job import partition_stage_key
 from repro.joins.pgbj import plan_skew_split
 from repro.mapreduce import PlanCache
@@ -302,12 +308,20 @@ class TestSkewSplit:
             PgbjConfig(k=4, num_pivots=16, seed=5, skew_split_threshold=0.3),
         )
         assert sorted(base.result.pairs()) == sorted(split.result.pairs())
-        assert base.counters.value(PAIRS_GROUP, PAIRS_NAME) == split.counters.value(
-            PAIRS_GROUP, PAIRS_NAME
-        )
-        assert split.counters.value(REPLICA_GROUP, REPLICA_NAME) >= base.counters.value(
-            REPLICA_GROUP, REPLICA_NAME
-        )
+
+        def pairs(outcome):
+            return outcome.counters.value(PAIRS_GROUP, PAIRS_NAME)
+
+        def anchor_pairs(outcome):
+            return outcome.counters.value(PAIRS_GROUP, ANCHOR_PAIRS_NAME)
+
+        def replicas(outcome):
+            return outcome.counters.value(REPLICA_GROUP, REPLICA_NAME)
+
+        assert pairs(base) - anchor_pairs(base) == pairs(split) - anchor_pairs(split)
+        assert replicas(split) > replicas(base)
+        # every S copy a reducer holds costs its two anchor distances
+        assert anchor_pairs(split) - anchor_pairs(base) == 2 * (replicas(split) - replicas(base))
 
     def test_plan_skew_split_unit(self):
         class FakeStat:

@@ -152,18 +152,25 @@ def run_kernel(kernel, world, metric_name="l2", **flags):
 
 
 def pairs_by_kind(world, metric_name="l2", **flags):
-    """``(all counted pairs, the pairs the scans folded)`` of one kernel run —
-    the difference is the object-pivot pairs ``|r, p_j|``."""
-    scanned = []
+    """``(counted pairs net of the anchor pairs, the pairs the scans computed,
+    the ring-slice pairs the scans were handed, the anchor pairs)`` of one
+    kernel run — the first two differ by the object-pivot pairs ``|r, p_j|``,
+    the middle two by the pairs the anchors dropped."""
+    computed, handed = [], []
     scan_partition = kernels.scan_partition_numpy
 
     def scan(metric, k, r_points, s_block, rows, starts, lengths, *state):
-        scanned.append(int(lengths.sum()))
+        before = metric.pairs_computed
         scan_partition(metric, k, r_points, s_block, rows, starts, lengths, *state)
+        computed.append(metric.pairs_computed - before)
+        handed.append(int(lengths.sum()))
 
+    anchor_metric = get_metric(metric_name)
     with mock.patch.object(kernels, "scan_partition_numpy", scan):
-        _, pairs = run_kernel(knn_join_kernel, world, metric_name, **flags)
-    return pairs, sum(scanned)
+        _, pairs = run_kernel(
+            knn_join_kernel, world, metric_name, anchor_metric=anchor_metric, **flags
+        )
+    return pairs, sum(computed), sum(handed), anchor_metric.pairs_computed
 
 
 def own_cell_rows(world):
@@ -217,7 +224,7 @@ class TestVectorizedMatchesReference:
         # the bounds only ever spare object-pivot pairs, and no row computes
         # the distance to its own pivot
         rows, present = sum(len(b.ids) for b in world[2].values()), len(world[3])
-        pairs, scanned = pairs_by_kind(world, metric_name, **flags)
+        pairs, scanned, _, _ = pairs_by_kind(world, metric_name, **flags)
         assert pairs - scanned <= rows * present - own_cell_rows(world)
         if not (use_hyperplane or use_ring):
             assert pairs - scanned == rows * present - own_cell_rows(world)
@@ -315,10 +322,11 @@ class TestWavefrontMatchesReference:
             for pid, block in world[2].items()
         }
         thetas = {pid: 0.01 for pid in r_blocks}
-        got = assert_matches_reference(
-            replace_world(world, r_blocks=r_blocks, thetas=thetas), metric_name
-        )
-        assert any(ids for _, ids, _ in got)
+        world = replace_world(world, r_blocks=r_blocks, thetas=thetas)
+        assert_matches_reference(world, metric_name)
+        # the exempt cells reach the scans, whose anchors, at their true
+        # distances, may drop every pair beyond so small a theta
+        assert pairs_by_kind(world, metric_name)[2] > 0
 
     def test_unbounded_theta(self):
         """PBJ blocks smaller than k start every row at ``theta = inf``."""
@@ -430,7 +438,7 @@ class TestAdversarialWorlds:
         saved, kernels._TILE_BYTES = kernels._TILE_BYTES, tile_bytes
         try:
             got = assert_matches_reference(world, metric_name, **flags)
-            pairs, scanned = pairs_by_kind(world, metric_name, **flags)
+            pairs, scanned, _, _ = pairs_by_kind(world, metric_name, **flags)
         finally:
             kernels._TILE_BYTES = saved
         truth = brute_force_knn_join(get_metric(metric_name), r.points, r.ids, s.points, s.ids, k)
@@ -440,6 +448,19 @@ class TestAdversarialWorlds:
         assert len(got) == len(r)
         # eagerly, every row paid for every present pivot but its own before its scans
         assert pairs <= len(r) * len(s_blocks) - own_cell_rows(world) + scanned
+
+    @given(adversarial_worlds(max_pivots=2))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_when_every_pivot_is_an_anchor(self, scenario):
+        """One or two pivots: every pivot is an anchor, so the anchors'
+        bounds meet each object's own pivot distance on grid ties."""
+        world, metric_name, flags, _ = scenario
+        r, s, *_, k = world
+        got = assert_matches_reference(world, metric_name, **flags)
+        truth = brute_force_knn_join(get_metric(metric_name), r.points, r.ids, s.points, s.ids, k)
+        assert got == [
+            (r_id, truth[r_id][0].tolist(), truth[r_id][1].tobytes()) for r_id, _, _ in got
+        ]
 
     @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf", "l3"])
     @pytest.mark.parametrize("use_ring", (True, False))
@@ -463,7 +484,7 @@ class TestAdversarialWorlds:
         assert got == [
             (r_id, truth[r_id][0].tolist(), truth[r_id][1].tobytes()) for r_id, _, _ in got
         ]
-        pairs, scanned = pairs_by_kind(world, metric_name, **flags)
+        pairs, scanned, _, _ = pairs_by_kind(world, metric_name, **flags)
         eager = len(r) * len(present) - own_cell_rows(world)
         assert pairs - scanned <= eager
         if not (use_hyperplane or use_ring):
@@ -471,15 +492,20 @@ class TestAdversarialWorlds:
 
 
 def run_counting_pivots(kernel, world, metric_name="l2", **flags):
-    """``(results, all counted pairs, the object-pivot pairs among them)``."""
+    """``(results, counted pairs net of the anchor pairs, the object-pivot
+    pairs among them)`` — the own-pivot rule computes no anchor pair."""
     pivot_metric = get_metric(metric_name)
+    if kernel is not own_pivot_kernel:
+        flags["anchor_metric"] = get_metric(metric_name)
     results, pairs = run_kernel(kernel, world, metric_name, pivot_metric=pivot_metric, **flags)
     return results, pairs + pivot_metric.pairs_computed, pivot_metric.pairs_computed
 
 
 def scanned_by_cell(world, **flags):
-    """``(own-cell, other-cell)`` pairs the scans of one kernel run folded
-    (one R tile: a scan's rows and starts map back to cells)."""
+    """``(own-cell, other-cell)`` pairs the scans of one kernel run computed
+    (one R tile: a scan's rows and starts map back to cells).  A row meets
+    each scan at most once, so scanning the own-cell and other-cell rows
+    apart changes no row's strips, theta or pairs."""
     _, _, r_blocks, s_blocks, *_ = world
     cell_of_row = np.repeat(sorted(r_blocks), [len(r_blocks[pid].ids) for pid in sorted(r_blocks)])
     present = np.array(sorted(s_blocks))
@@ -489,9 +515,13 @@ def scanned_by_cell(world, **flags):
 
     def scan(metric, k, r_points, s_block, rows, starts, lengths, *state):
         own = present[np.searchsorted(offsets, starts, side="right")] == cell_of_row[rows]
-        counts[True] += int(lengths[own].sum())
-        counts[False] += int(lengths[~own].sum())
-        scan_partition(metric, k, r_points, s_block, rows, starts, lengths, *state)
+        for kind, mine in ((True, own), (False, ~own)):
+            if mine.any():
+                before = metric.pairs_computed
+                scan_partition(
+                    metric, k, r_points, s_block, rows[mine], starts[mine], lengths[mine], *state
+                )
+                counts[kind] += metric.pairs_computed - before
 
     with mock.patch.object(kernels, "scan_partition_numpy", scan):
         run_kernel(knn_join_kernel, world, **flags)
@@ -557,14 +587,17 @@ class TestNearestPivotBoundsAndCentreOutScan:
         assert scanned_by_cell(world) == (6, 0)
 
     def test_own_ring_of_at_most_k_entries_is_scanned_whole(self):
-        """Round 0 covers a ring of at most k entries, so the scans are the
-        own-pivot rule's pair for pair; only object-pivot pairs may fall."""
+        """Round 0 covers a ring of at most k entries, so the scans are handed
+        the own-pivot rule's pairs pair for pair; only object-pivot pairs, and
+        the pairs the anchors drop, may fall."""
         world = kernel_world(seed=73, num_r=60, num_s=40, num_pivots=10, k=12)
         assert max(len(block) for block in world[3].values()) <= 12
         (new_total, new_pivot), (old_total, old_pivot) = assert_exact_and_within_own_pivot_rule(
             world
         )
-        assert new_total - new_pivot == old_total - old_pivot
+        _, scanned, handed, _ = pairs_by_kind(world)
+        assert new_total - new_pivot == scanned
+        assert handed == old_total - old_pivot
 
     def test_unbounded_theta_scans_the_own_cell_from_its_centre(self):
         """PBJ's ``theta = inf``: the own-pivot rule scans every own cell
@@ -626,7 +659,7 @@ class TestNearestPivotBoundsAndCentreOutScan:
     @pytest.mark.parametrize("metric_name", ["l2", "l1"])
     def test_world_scaled_by_1e9(self, metric_name):
         """At coordinates of 1e9 the results stay exact, and the bounds,
-        lowered by their scale-aware slack, still prune."""
+        lowered by their scale-aware slack, still prune — the anchors too."""
         rng = np.random.default_rng(83)
         world = world_from(
             rng.random((150, 3)) * 1e9, rng.random((250, 3)) * 1e9,
@@ -636,6 +669,105 @@ class TestNearestPivotBoundsAndCentreOutScan:
             world, metric_name
         )
         assert new_pivot < old_pivot
+        _, scanned, handed, _ = pairs_by_kind(world, metric_name)
+        assert scanned < handed
+
+
+def ring_world(k=5, per_cell=300, seed=97):
+    """Two cells whose objects all lie near one circle around their pivot:
+    every ring slice is nearly its whole cell, many strips long, and only the
+    anchors (the two pivots) tell its entries apart."""
+    rng = np.random.default_rng(seed)
+
+    def circle(count, centre):
+        angle = rng.random(count) * 2 * np.pi
+        radius = 1.0 + rng.random(count) * 1e-3
+        return np.stack([np.cos(angle), np.sin(angle)], axis=1) * radius[:, None] + centre
+
+    pivots = np.array([[0.0, 0.0], [10.0, 0.0]])
+    s_points = np.vstack([circle(per_cell, pivot) for pivot in pivots])
+    r_points = np.vstack([circle(20, pivot) for pivot in pivots])
+    return world_from(r_points, s_points, pivots, k)
+
+
+class TestAnchors:
+    """Theorem 2 around the two farthest-first pivots, applied to every pair a
+    scan is handed, strip by strip, at the theta of that moment."""
+
+    @pytest.mark.parametrize("gather_bytes", (1 << 20, 4096))
+    def test_slices_longer_than_a_strip_match_the_reference(self, monkeypatch, gather_bytes):
+        """Cells of more than ``16 k`` and more than 128 entries: the kernel
+        filters each strip at the theta the earlier strips left, as the
+        reference does record by record, with or without a byte budget
+        that cuts a step into several gathers."""
+        world = ring_world()
+        strip = kernels._strip_length(world[-1])
+        assert min(len(block) for block in world[3].values()) > max(strip, 16 * world[-1])
+        longest = []
+        scan_partition = kernels.scan_partition_numpy
+
+        def spy(metric, k, r_points, s_block, rows, starts, lengths, *state):
+            longest.append(int(lengths.max()))
+            scan_partition(metric, k, r_points, s_block, rows, starts, lengths, *state)
+
+        monkeypatch.setattr(kernels, "_GATHER_BYTES", gather_bytes)
+        monkeypatch.setattr(kernels, "scan_partition_numpy", spy)
+        assert_exact_and_within_own_pivot_rule(world)
+        assert max(longest) > strip
+        _, scanned, handed, _ = pairs_by_kind(world)
+        assert scanned < handed
+
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf", "l3"])
+    @pytest.mark.parametrize("num_pivots", (1, 2, 9))
+    def test_two_anchor_pairs_per_r_row_and_s_copy(self, num_pivots, metric_name):
+        """``min(2, M)`` anchors, each paid once per R row and S copy; with
+        ring pruning off no anchor distance is computed."""
+        world = kernel_world(
+            seed=101, num_r=50, num_s=90, num_pivots=num_pivots, k=4, metric_name=metric_name
+        )
+        r, s = world[:2]
+        *_, anchor_pairs = pairs_by_kind(world, metric_name)
+        assert anchor_pairs == min(2, num_pivots) * (len(r) + len(s))
+        off = dict(use_ring_pruning=False)
+        assert pairs_by_kind(world, metric_name, **off)[3] == 0
+        assert pairs_by_kind(world, metric_name, use_hyperplane_pruning=False, **off)[3] == 0
+
+    @pytest.mark.parametrize("seed", (0, 11, 12))
+    def test_collinear_objects_at_large_coordinates(self, seed):
+        """Objects on one line through the first anchor, at integer steps of
+        1e6 to 1e11: ``| |r, a| - |s, a| |`` equals ``|r, s|`` but for
+        rounding, and k-th distances tie.  Only the anchors' relative slack
+        keeps a tied neighbour whose bound rounded above theta."""
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(6, 12)
+        direction = rng.random(3)
+        direction /= np.linalg.norm(direction)
+        steps_r, steps_s = rng.integers(0, 30, 20), rng.integers(0, 30, 40)
+        origin = rng.random(3) * scale
+        r_points, s_points = (
+            origin + np.outer(steps.astype(float), direction) * scale for steps in (steps_r, steps_s)
+        )
+        pivots = np.vstack(
+            [origin, origin + direction * scale * 31, origin + rng.random(3) * scale]
+        )
+        metric_name = ("l2", "l1")[seed % 2]
+        world = world_from(r_points, s_points, pivots, int(rng.integers(1, 6)), metric_name)
+        r, s, *_, k = world
+        got = assert_matches_reference(world, metric_name)
+        truth = brute_force_knn_join(get_metric(metric_name), r.points, r.ids, s.points, s.ids, k)
+        assert got == [
+            (r_id, truth[r_id][0].tolist(), truth[r_id][1].tobytes()) for r_id, _, _ in got
+        ]
+
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf", "l3"])
+    @pytest.mark.parametrize("num_pivots", (1, 2))
+    def test_exact_when_every_pivot_is_an_anchor(self, num_pivots, metric_name):
+        world = kernel_world(
+            seed=103, num_r=60, num_s=300, num_pivots=num_pivots, k=6, metric_name=metric_name
+        )
+        assert_exact_and_within_own_pivot_rule(world, metric_name)
+        _, scanned, handed, _ = pairs_by_kind(world, metric_name)
+        assert scanned < handed
 
 
 class TestReducerPivotPairsCounter:
@@ -660,6 +792,31 @@ class TestReducerPivotPairsCounter:
         counted = outcome.counters.value("selectivity", "reducer_pivot_pairs")
         assert counted == sum(m.pairs_computed for m in {id(m): m for m in metrics}.values())
         assert 0 < counted < outcome.counters.value("selectivity", "distance_pairs")
+
+    @pytest.mark.parametrize("join", ["pgbj", "pbj"])
+    def test_counts_the_kernels_object_anchor_pairs(self, join):
+        """``selectivity:reducer_anchor_pairs`` is what the kernels' anchor
+        metrics counted — two per R row and S copy of every reduce call, so
+        for PGBJ ``2 (|R| + S replicas)`` — and a part of ``distance_pairs``."""
+        from repro.datasets import generate_forest
+        from repro.joins import get_join, run_join
+
+        data = generate_forest(600, seed=3)
+        metrics = []
+        kernel = kernels.KernelProvider.knn_join_kernel
+
+        def recording(self, *args, **kwargs):
+            metrics.append(kwargs["anchor_metric"])
+            return kernel(self, *args, **kwargs)
+
+        with mock.patch.object(kernels.KernelProvider, "knn_join_kernel", recording):
+            config = get_join(join).make_config(k=5, num_pivots=24, num_reducers=4)
+            outcome = run_join(join, data, data, config)
+        counted = outcome.counters.value("selectivity", "reducer_anchor_pairs")
+        assert counted == sum(m.pairs_computed for m in {id(m): m for m in metrics}.values())
+        assert 0 < counted < outcome.counters.value("selectivity", "distance_pairs")
+        if join == "pgbj":
+            assert counted == 2 * (len(data) + outcome.counters.value("shuffle", "s_replicas"))
 
 
 class TestColumnarBuilders:

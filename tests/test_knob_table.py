@@ -287,10 +287,12 @@ class TestStructure:
         # "e8b524603d6edf8587e378e7c199c115d83872af"; version 4 added the
         # self-join flag, "d38c2982f04ba2de6ec4582c9edf3a090a2b6ae2"; version 5
         # "248b68c81b6a99817373ecc1757a3077ca853e46"; version 6 dropped the
-        # random selector's candidate-set count)
+        # random selector's candidate-set count,
+        # "ff65f31b0b6ff2af9c44259355cdf695e5333e09"; version 7 counts the
+        # kernel's anchor distances)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "ff65f31b0b6ff2af9c44259355cdf695e5333e09"
+            == "41a6fec7af217894c5581bc4d5a6e7ce73f34a1c"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

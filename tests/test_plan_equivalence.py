@@ -292,14 +292,15 @@ class TestMergeJobProducersPinned:
     cells and its own cell was scanned from the ring centre out, and from
     13 578, when random pivots became one draw instead of the most spread of
     five: the master's matrix is paid once, but this world's cells got
-    dearer by more.  ``zorder``
+    dearer by more, and from 13 943, when two anchors' distances began
+    filtering every scanned pair.  ``zorder``
     was re-pinned whole when its grid became a cube and its default two curve
     copies: before, ``("0de74e370e6002bc", 3557, 676, 1876, 184988)``.)"""
 
     #: join -> (sha1 of (r id, neighbour ids) rows, pairs, replicas, records, bytes)
     PINNED = {
         "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 117600),
-        "pbj": ("124cb21fb9bbe9a5", 13943, 400, 1200, 117600),
+        "pbj": ("124cb21fb9bbe9a5", 11720, 400, 1200, 117600),
         "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 117600),
         "zorder": ("f7cc7c3009292dc9", 2369, 432, 1232, 121216),
     }
@@ -336,14 +337,15 @@ class TestFinalOutputsPinned:
     14 685 before a self-join assigned each object once, the pivot matrix
     was computed once per pair and the own pivot's distance was reused, and
     11 941 before the nearest computed pivots bounded each row's later cells
-    and the own cell was scanned from its ring centre out, and 10 656 while
-    random pivots were the most spread of five draws)."""
+    and the own cell was scanned from its ring centre out, 10 656 while
+    random pivots were the most spread of five draws, and 11 320 before two
+    anchors' distances filtered every scanned pair)."""
 
     #: join -> (sha1 of (r id, neighbour ids, distance bytes) rows, pairs,
     #: final job's output_bytes, its reduce tasks' output records)
     PINNED = {
         "broadcast": ("6a7ec171f4ee3716", 40000, 13600, 200),
-        "pgbj": ("6a7ec171f4ee3716", 11320, 13600, 200),
+        "pgbj": ("6a7ec171f4ee3716", 9133, 13600, 200),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
