@@ -44,7 +44,7 @@ class BroadcastMapper(BlockBufferingMapper):
         if r_rows.size:
             r_block = block.take(r_rows)
             yield from r_block.split_by(block_of_ids(r_block.object_ids, num_reducers))
-        s_rows = np.flatnonzero(~block.is_r)
+        s_rows = np.flatnonzero(block.is_s)
         if s_rows.size:
             ctx.counters.incr(
                 REPLICA_GROUP, REPLICA_NAME, int(s_rows.size) * num_reducers
@@ -72,7 +72,7 @@ class BroadcastReducer(Reducer):
         r_rows = np.flatnonzero(block.is_r)
         if r_rows.size == 0:
             return
-        s_rows = np.flatnonzero(~block.is_r)
+        s_rows = np.flatnonzero(block.is_s)
         s_points = block.points[s_rows]
         s_ids = block.object_ids[s_rows]
         r_points = block.points[r_rows]

@@ -31,7 +31,7 @@ from repro.mapreduce.job import BlockBufferingMapper, Context, Mapper, MapReduce
 from repro.mapreduce.partitioners import HashPartitioner, ModPartitioner
 from repro.mapreduce.plan import FusedOutput, JobGraph, PlanRun, Stage
 from repro.mapreduce.splits import split_records
-from repro.mapreduce.types import NeighborBlock, RecordBlock, ranks_within
+from repro.mapreduce.types import ROLE_R, ROLE_S, NeighborBlock, RecordBlock, ranks_within
 
 from .base import REPLICA_GROUP, REPLICA_NAME, JoinConfig, JoinOutcome, StageStats
 
@@ -69,6 +69,9 @@ def block_of_ids(object_ids: np.ndarray, num_blocks: int) -> np.ndarray:
 class BlockRoutingMapper(BlockBufferingMapper):
     """Routes each object to its row (R) or column (S) of block reducers.
 
+    A row of both roles (a self-join's) ships as its R copy and its S copy
+    apart, each stamped with its one role (:meth:`RecordBlock.copies_of`).
+
     Key encoding: reducer ``(i, j)`` is the integer ``i * B + j``, so a
     modulo partitioner keeps the one-pair-per-reducer layout.  Routing is
     columnar: the task's input is gathered into one block, hashed with one
@@ -82,18 +85,16 @@ class BlockRoutingMapper(BlockBufferingMapper):
 
     def route_block(self, block: RecordBlock, ctx: Context):
         num_blocks = self._num_blocks
-        r_rows = np.flatnonzero(block.is_r)
-        if r_rows.size:
-            r_block = block.take(r_rows)
+        r_block = block.copies_of(ROLE_R)
+        if len(r_block):
             for own_block, sub in r_block.split_by(
                 block_of_ids(r_block.object_ids, num_blocks)
             ):
                 for j in range(num_blocks):
                     yield own_block * num_blocks + j, sub
-        s_rows = np.flatnonzero(~block.is_r)
-        if s_rows.size:
-            ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME, int(s_rows.size) * num_blocks)
-            s_block = block.take(s_rows)
+        s_block = block.copies_of(ROLE_S)
+        if len(s_block):
+            ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME, len(s_block) * num_blocks)
             for own_block, sub in s_block.split_by(
                 block_of_ids(s_block.object_ids, num_blocks)
             ):

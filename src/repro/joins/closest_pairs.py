@@ -39,7 +39,7 @@ from .kernels import (
     local_ring_stats,
     local_thetas,
 )
-from .partition_job import partition_stage, partitioned_records
+from .partition_job import partition_stage
 from .registry import JoinPlan, JoinSpec, register_join
 
 __all__ = ["ClosestPairsOutcome", "plan_closest_pairs"]
@@ -150,7 +150,7 @@ def plan_closest_pairs(
                 "exclude_self": exclude_self,
             },
         )
-        return job2, chain_splits(config, dfs, "partitioned", partitioned_records(job1))
+        return job2, chain_splits(config, dfs, "partitioned", job1.outputs)
 
     block = graph.stage("closest-pairs/block", build_block, deps=(partition,))
 

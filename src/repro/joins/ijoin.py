@@ -50,7 +50,7 @@ class IJoinBlockReducer(Reducer):
     def reduce(self, key, values, ctx: Context):
         block = RecordBlock.gather(values)
         r_rows = np.flatnonzero(block.is_r)
-        s_rows = np.flatnonzero(~block.is_r)
+        s_rows = np.flatnonzero(block.is_s)
         if r_rows.size == 0 or s_rows.size == 0:
             return ()
         s_points = block.points[s_rows]

@@ -61,10 +61,11 @@ the k-best fold does not depend on order, so no result changes.
 Anchors (under ring pruning, whose rule they apply): the first ``min(2, M)``
 pivots farthest-first, as the partitioner chooses its anchors, so every
 reducer shares them.  ``|r, a|`` of every R row and ``|s, a|`` of every S copy
-are computed at kernel entry.  A scan folds a ring slice in strips of
-``max(128, 16 k)`` entries and filters each at the row's theta of that
-moment; a dropped pair lies beyond theta, so it changes no k-best and no
-theta.  The slack is ``PRUNE_RTOL`` of the largest anchor distance.
+are computed at kernel entry, once for a row of both roles (a self-join's).  A
+scan folds a ring slice in strips of ``max(128, 16 k)`` entries and filters
+each at the row's theta of that moment; a dropped pair lies beyond theta, so
+it changes no k-best and no theta.  The slack is ``PRUNE_RTOL`` of the largest
+anchor distance.
 
 :func:`knn_join_kernel_reference`, the per-record oracle, applies the same
 rules, so results and ``metric.pairs_computed`` (the paper's selectivity
@@ -75,7 +76,7 @@ by whole cells so a window's ``(steps, rows)`` matrices stay near
 
 Inputs are :class:`~repro.mapreduce.types.RecordBlock` batches, the one row
 format: a reducer gathers its values into one block, and
-:func:`build_partition_blocks` splits it by origin and groups it per Voronoi
+:func:`build_partition_blocks` splits it by role and groups it per Voronoi
 cell with array ops only.
 """
 
@@ -130,6 +131,10 @@ class RPartitionBlock:
     ids: np.ndarray
     points: np.ndarray
     pivot_dists: np.ndarray
+    #: each object's position in the reducer's gathered block, when built by
+    #: :func:`build_partition_blocks`; an S copy at an R row's position is
+    #: that row in its S role
+    rows: np.ndarray | None = None
 
     def local_upper(self) -> float:
         """Local ``U``: max pivot distance among the present objects."""
@@ -148,26 +153,31 @@ class SPartitionBlock:
     ids: np.ndarray
     points: np.ndarray
     pivot_dists: np.ndarray
+    #: as :attr:`RPartitionBlock.rows`, in the block's sorted order
+    rows: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.ids.shape[0]
 
 
-def build_r_blocks(block: RecordBlock) -> dict[int, RPartitionBlock]:
-    """Group a reducer's R objects by Voronoi cell."""
+def build_r_blocks(block: RecordBlock, positions=None) -> dict[int, RPartitionBlock]:
+    """Group a reducer's R objects by Voronoi cell; ``positions`` (an array,
+    one per row of ``block``) become the cell blocks' ``rows``."""
     return {
         pid: RPartitionBlock(
             partition_id=pid,
             ids=block.object_ids[rows],
             points=block.points[rows],
             pivot_dists=block.pivot_distances[rows],
+            rows=None if positions is None else positions[rows],
         )
         for pid, rows in group_rows_by(block.partition_ids)
     }
 
 
-def build_s_blocks(block: RecordBlock) -> dict[int, SPartitionBlock]:
-    """Group a reducer's S objects by cell, sorted by pivot distance."""
+def build_s_blocks(block: RecordBlock, positions=None) -> dict[int, SPartitionBlock]:
+    """Group a reducer's S objects by cell, sorted by pivot distance;
+    ``positions`` as in :func:`build_r_blocks`."""
     blocks: dict[int, SPartitionBlock] = {}
     for pid, rows in group_rows_by(block.partition_ids):
         ids = block.object_ids[rows]
@@ -178,6 +188,7 @@ def build_s_blocks(block: RecordBlock) -> dict[int, SPartitionBlock]:
             ids=ids[order],
             points=block.points[rows][order],
             pivot_dists=dists[order],
+            rows=None if positions is None else positions[rows][order],
         )
     return blocks
 
@@ -185,11 +196,12 @@ def build_s_blocks(block: RecordBlock) -> dict[int, SPartitionBlock]:
 def build_partition_blocks(
     block: RecordBlock,
 ) -> tuple[dict[int, RPartitionBlock], dict[int, SPartitionBlock]]:
-    """Split a reducer's gathered input by origin and group it per cell:
-    ``(r_blocks, s_blocks)``, built with array operations only."""
+    """Split a reducer's gathered input by role and group it per cell:
+    ``(r_blocks, s_blocks)``, built with array operations only.  A row of
+    both roles lands on both sides, at its one position in ``block``."""
     r_rows = np.flatnonzero(block.is_r)
-    s_rows = np.flatnonzero(~block.is_r)
-    return build_r_blocks(block.take(r_rows)), build_s_blocks(block.take(s_rows))
+    s_rows = np.flatnonzero(block.is_s)
+    return build_r_blocks(block.take(r_rows), r_rows), build_s_blocks(block.take(s_rows), s_rows)
 
 
 def local_ring_stats(s_blocks: dict[int, SPartitionBlock]) -> dict[int, tuple[float, float]]:
@@ -250,13 +262,39 @@ def _strip_length(k: int) -> int:
     return max(128, 16 * k)
 
 
-def _anchor_distances(metric: Metric, r_points, s_points, pivot_points, pdm):
-    """``(|r, a|, |s, a|, slack)``: every R row's and S copy's distances to the
-    first ``min(2, M)`` pivots farthest-first, one counted call per side,
-    stored as ``|o, a_0| + |o, a_1| i`` (``a_1 = a_0`` when ``M = 1``), and the
-    filter's slack: ``PRUNE_RTOL`` of the largest of them, and ``PRUNE_EPS``."""
+def _shared_rows(r_side: list, s_side: list) -> np.ndarray:
+    """Per S copy (the blocks of each side back to back), the index of the R
+    row at the same position of the reducer's gathered block — the same row,
+    in both roles — or -1.  Matched by position, never by id: ids of R and S
+    may collide.  Blocks without positions share nothing."""
+    if any(block.rows is None for block in (*r_side, *s_side)):
+        return np.full(sum(len(block) for block in s_side), -1)
+    r_rows = np.concatenate([block.rows for block in r_side])
+    s_rows = np.concatenate([block.rows for block in s_side])
+    r_index = np.full(int(max(r_rows.max(initial=-1), s_rows.max(initial=-1))) + 1, -1)
+    r_index[r_rows] = np.arange(r_rows.size)
+    return r_index[s_rows]
+
+
+def _anchor_distances(metric: Metric, r_blocks: dict, s_blocks: dict, pivot_points, pdm):
+    """``(|r, a|, |s, a|, slack)``: the distances of every R row and S copy
+    (each side's blocks in sorted cell order, back to back) to the first
+    ``min(2, M)`` pivots farthest-first, one counted call per side, stored as
+    ``|o, a_0| + |o, a_1| i`` (``a_1 = a_0`` when ``M = 1``), and the
+    filter's slack: ``PRUNE_RTOL`` of the largest of them, and ``PRUNE_EPS``.
+    An S copy that is an R row in its S role (:func:`_shared_rows`) takes the
+    row's distances — the same point, so the same bits — uncomputed."""
     anchors = pivot_points[_farthest_first(pdm, min(2, pdm.shape[0]))]
-    sides = [metric.cross_distances(anchors, points) for points in (r_points, s_points)]
+    r_side = [r_blocks[pid] for pid in sorted(r_blocks)]
+    s_side = [s_blocks[pid] for pid in sorted(s_blocks)]
+    r_dists = metric.cross_distances(anchors, np.concatenate([block.points for block in r_side]))
+    s_points = np.concatenate([block.points for block in s_side])
+    shared = _shared_rows(r_side, s_side)
+    fresh = shared < 0
+    s_dists = np.empty((anchors.shape[0], s_points.shape[0]))
+    s_dists[:, ~fresh] = r_dists[:, shared[~fresh]]
+    s_dists[:, fresh] = metric.cross_distances(anchors, s_points[fresh])
+    sides = (r_dists, s_dists)
     packed = [np.empty(dists.shape[1], dtype=np.complex128) for dists in sides]
     for pack, dists in zip(packed, sides):
         pack.real, pack.imag = dists[0], dists[-1]
@@ -637,8 +675,7 @@ def knn_join_kernel(
     if use_ring_pruning:
         s_keys = segment_keys(np.repeat(np.arange(num_present), s_sizes), s_all.pivot_dists)
         r_anchor, s_anchor, anchor_slack = _anchor_distances(
-            anchor_metric, np.concatenate([r_blocks[pid].points for pid in cells]),
-            s_all.points, pivot_points, pivot_dist_matrix,
+            anchor_metric, r_blocks, s_blocks, pivot_points, pivot_dist_matrix
         )
     lower, upper = np.array([ring_stats[pid] for pid in present], dtype=np.float64).T
 
@@ -829,9 +866,7 @@ def knn_join_kernel_reference(
     strip = _strip_length(k)
     if use_ring_pruning:
         r_anchor, s_anchor, anchor_slack = _anchor_distances(
-            anchor_metric, np.concatenate([r_blocks[pid].points for pid in sorted(r_blocks)]),
-            np.concatenate([s_blocks[pid].points for pid in present]),
-            pivot_points, pivot_dist_matrix,
+            anchor_metric, r_blocks, s_blocks, pivot_points, pivot_dist_matrix
         )
         s_offsets = dict(zip(present, np.cumsum([0] + [len(s_blocks[pid]) for pid in present])))
     r_offset = 0

@@ -6,7 +6,7 @@ pivot distance (Figure 4).  Each map task additionally builds partial summary
 tables over its split, shipped to the master through a side channel and
 merged when the job completes ("Index Merging" in Figure 6).  In a
 self-join (``r is s``) the job reads the one dataset once and emits each
-object as both an R and an S object, from one assignment.
+object once, as one row of both roles, from one assignment.
 
 The job is deliberately **k-independent**: partial ``T_S`` tables carry the
 full per-partition distance lists and :func:`merge_summaries` truncates to
@@ -26,7 +26,6 @@ partitioning).
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from .base import PAIRS_GROUP, PAIRS_NAME, JoinConfig
 __all__ = [
     "PartitioningMapper",
     "partitioning_job",
-    "partitioned_records",
     "run_partitioning_job",
     "merge_summaries",
     "make_pivot_selector",
@@ -104,14 +102,12 @@ class PartitioningMapper(BlockBufferingMapper):
     ``T_S`` partials keep *every* per-partition pivot distance (master-side
     merging truncates to the join's k) — the k never enters this job.
 
-    In a self-join (``self_join`` in the job cache, splits from
+    In a self-join (splits from
     :func:`~repro.mapreduce.splits.self_join_splits`) every row is an object
-    of both R and S, assigned once: the task emits the annotated block as the
-    R copies under key 0 and again, sharing its columns, as the S copies
-    under key 1, and builds both summary partials from the one assignment.
-    The S copy thus takes the R copy's cell where footnote 1 breaks a tie —
-    any tied cell is a valid one.  Counters still read as if both copies had
-    been assigned: computed + skipped = (|R| + |S|) x M.
+    of both R and S (role :data:`~repro.mapreduce.types.ROLE_BOTH`),
+    assigned once and emitted once, and both summary partials are built from
+    the one assignment.  Counters still read as if each role had been
+    assigned apart: computed + skipped = (|R| + |S|) x M.
     """
 
     def setup(self, ctx: Context) -> None:
@@ -120,13 +116,11 @@ class PartitioningMapper(BlockBufferingMapper):
         self._partitioner = VoronoiPartitioner(
             ctx.cache["pivots"], self._metric, ctx.cache["anchors"]
         )
-        self._self_join = bool(ctx.cache["self_join"])
 
     def route_block(self, block: RecordBlock, ctx: Context):
         pids, dists = self._partitioner.assign_points(block.points)
-        # a self-join split's rows are all R-tagged, and each is also an S object
-        is_s = block.is_r if self._self_join else ~block.is_r
-        for channel, mask, keep_all in ((CHANNEL_TR, block.is_r, False), (CHANNEL_TS, is_s, True)):
+        is_r, is_s = block.is_r, block.is_s
+        for channel, mask, keep_all in ((CHANNEL_TR, is_r, False), (CHANNEL_TS, is_s, True)):
             if mask.any():
                 summary_k = int(mask.sum()) if keep_all else 0
                 ctx.side_output(
@@ -134,16 +128,14 @@ class PartitioningMapper(BlockBufferingMapper):
                 )
         computed = self._metric.pairs_computed
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, computed)
-        copies = 2 if self._self_join else 1
-        all_pairs = copies * len(block) * self._partitioner.num_partitions
+        # each role counts as assigned: (|R| + |S|) x M pairs in all
+        all_pairs = (int(is_r.sum()) + int(is_s.sum())) * self._partitioner.num_partitions
         ctx.counters.incr(PAIRS_GROUP, SKIPPED_NAME, all_pairs - computed)
         order = np.argsort(pids, kind="stable")
         annotated = block.take(order)
         annotated.partition_ids = pids[order]
         annotated.pivot_distances = dists[order]
         yield 0, annotated
-        if self._self_join:
-            yield 1, replace(annotated, is_r=~annotated.is_r)
 
 
 def merge_summaries(job_result: JobResult, k: int) -> tuple[SummaryTable, SummaryTable, float]:
@@ -167,9 +159,9 @@ def partitioning_job(
     r: Dataset, s: Dataset, pivots: np.ndarray, config: JoinConfig, anchors: tuple
 ) -> tuple[MapReduceJob, list]:
     """The map-only partitioning job over ``R ∪ S`` (k-independent) and its
-    input splits — one pass over the dataset when ``r is s``.  ``anchors`` is
-    the master's :meth:`VoronoiPartitioner.anchor_index` over ``pivots``."""
-    self_join = r is s
+    input splits — one pass over the dataset, in both roles, when ``r is s``.
+    ``anchors`` is the master's :meth:`VoronoiPartitioner.anchor_index` over
+    ``pivots``."""
     job = MapReduceJob(
         name="partitioning",
         mapper_factory=PartitioningMapper,
@@ -178,20 +170,11 @@ def partitioning_job(
             "pivots": pivots,
             "anchors": anchors,
             "metric_name": config.metric_name,
-            "self_join": self_join,
         },
     )
-    if self_join:
+    if r is s:
         return job, self_join_splits(r, config.split_size)
     return job, dataset_splits(r, s, config.split_size)
-
-
-def partitioned_records(job_result: JobResult) -> list:
-    """The job's blocks in ``R ∪ S`` order, the next job's input: a
-    self-join's S copies (key 1) after every R copy.  Each split of ``R ∪ S``
-    then holds the rows an equal copy's split would, so the next job's task
-    layout, shuffle and spill are those of ``run_join(r, copy(r))``."""
-    return sorted(job_result.outputs, key=lambda pair: pair[0])
 
 
 def run_partitioning_job(
@@ -254,10 +237,10 @@ def partition_stage(
     spread cost ``T`` times that and bought no cheaper cells) and returns
     the k-independent partitioning job; ``state`` receives ``"pivots"``,
     ``"pivot_dist_matrix"`` and ``"metric"`` for the downstream stages of
-    the same plan, which read the job's blocks through
-    :func:`partitioned_records`.  The stage is content-keyed, so a
-    :class:`~repro.mapreduce.plan.PlanCache` can serve the job result to
-    every sweep point whose prefix is unchanged.
+    the same plan, which read the job's blocks (``outputs``: a row per
+    object of ``R ∪ S``, one per object in a self-join) as their input.  The
+    stage is content-keyed, so a :class:`~repro.mapreduce.plan.PlanCache`
+    can serve the job result to every sweep point whose prefix is unchanged.
     """
 
     def build(ctx: StageContext):

@@ -42,7 +42,7 @@ from .kernels import (
     local_ring_stats,
     local_thetas,
 )
-from .partition_job import partition_stage, partitioned_records
+from .partition_job import partition_stage
 from .registry import JoinPlan, JoinSpec, register_join
 
 __all__ = ["plan_pbj"]
@@ -109,7 +109,7 @@ def plan_pbj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
                 "merge_reducers": config.num_reducers,
             },
         )
-        return job2, chain_splits(config, dfs, "partitioned", partitioned_records(job1))
+        return job2, chain_splits(config, dfs, "partitioned", job1.outputs)
 
     block_join = graph.stage("pbj/block-join", build_block_join, deps=(partition,))
 

@@ -14,7 +14,8 @@ read the (possibly cached) partition result.
 
 Shuffling cost is ``|R| + alpha * |S|`` — the headline advantage over the
 block-framework baselines — because R is never replicated and every S object
-ships only to the groups whose bound requires it.
+ships only to the groups whose bound requires it.  A self-join ships
+``alpha * |S|``: an R copy rides in its own-group S copy, one row of both roles.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.grouping import get_grouping_strategy
 from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
-from repro.mapreduce.types import NeighborBlock, RecordBlock
+from repro.mapreduce.types import ROLE_R, ROLE_S, NeighborBlock, RecordBlock
 
 from .base import REPLICA_GROUP, REPLICA_NAME, PgbjConfig, count_kernel_pairs
 from .block_framework import chain_splits, knn_outcome_assembler
@@ -38,7 +39,6 @@ from .partition_job import (
     make_pivot_selector,
     merge_summaries,
     partition_stage,
-    partitioned_records,
 )
 from .registry import JoinPlan, JoinSpec, register_join
 
@@ -49,22 +49,24 @@ class GroupRoutingMapper(BlockBufferingMapper):
     """Second-job mapper (Algorithm 3 lines 3-11), group-keyed.
 
     R objects go to their partition's group; S objects go to every group
-    whose ``LB(P_j^S, G_i)`` admits them (Theorem 6) — each extra copy is one
-    unit of replication, counted for the Figure 7(b) measurement.
+    whose ``LB(P_j^S, G_i)`` admits them (Theorem 6) — each copy is one unit
+    of replication, counted for the Figure 7(b) measurement.
 
     The whole split is routed as one block: Theorem 6 / Corollary 2 is one
-    ``rows x groups`` mask, and each group receives at most one
-    :class:`~repro.mapreduce.types.RecordBlock` per map task — its R rows
-    and its admitted S rows, in input order (the partitioning job sorted
-    them by cell), which is the sequence a reducer's per-cell blocks are
-    built from.
+    ``rows x groups`` role matrix, and each group receives at most one
+    :class:`~repro.mapreduce.types.RecordBlock` per map task — the rows
+    with a role there, in input order (the partitioning job sorted them by
+    cell), which is the sequence a reducer's per-cell blocks are built from.
+    A row's role in a group is the OR of two bits, R in its own group and S
+    in every group that admits it, so a self-join's object reaches its own
+    group (Theorem 6 always admits its own cell) as one row of both roles.
 
     Skew-aware repartitioning (``skew_subkeys`` in the job cache, built by
-    the planner when one group's R load dominates): a split group's R rows
+    the planner when one group's R load dominates): a split group's R bits
     are spread deterministically over its sub-keys by object id, while its
-    admitted S candidates replicate to *every* sub-key — each r therefore
-    still meets exactly the candidate set it would have met unsplit, so join
-    results and ``pairs_computed`` net of the kernel's anchor distances are
+    S bits replicate to *every* sub-key — each r therefore still meets
+    exactly the candidate set it would have met unsplit, so join results and
+    ``pairs_computed`` net of the kernel's anchor distances are
     bit-identical; only replication (the knob's documented price, which
     includes those two distances of every extra S copy) and the reduce-task
     layout change.
@@ -79,24 +81,27 @@ class GroupRoutingMapper(BlockBufferingMapper):
         self._subkeys: dict[int, tuple[int, ...]] = ctx.cache.get("skew_subkeys") or {}
 
     def route_block(self, block: RecordBlock, ctx: Context):
-        is_r, cells = block.is_r, block.partition_ids
+        cells = block.partition_ids
         # Theorem 6 for every S object of the split against every group
-        routed = block.pivot_distances[:, None] >= self._lb_group[cells] - PRUNE_EPS
-        routed[is_r] = False
-        r_rows = np.flatnonzero(is_r)
-        routed[r_rows, self._group_of[cells[r_rows]]] = True
-        for group_index in range(routed.shape[1]):
-            rows = np.flatnonzero(routed[:, group_index])
-            from_s = ~is_r[rows]
+        admitted = block.pivot_distances[:, None] >= self._lb_group[cells] - PRUNE_EPS
+        roles = np.where(admitted & block.is_s[:, None], ROLE_S, 0).astype(np.uint8)
+        r_rows = np.flatnonzero(block.is_r)
+        roles[r_rows, self._group_of[cells[r_rows]]] |= ROLE_R
+        for group_index in range(roles.shape[1]):
+            group_roles = roles[:, group_index]
             subkeys = self._subkeys.get(group_index, (group_index,))
-            replicas = int(from_s.sum()) * len(subkeys)
+            replicas = np.count_nonzero(group_roles & ROLE_S) * len(subkeys)
             if replicas:
                 ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME, replicas)
-            lanes = block.object_ids[rows] % len(subkeys)
+            lanes = block.object_ids % len(subkeys)
             for lane, subkey in enumerate(subkeys):
-                lane_rows = rows[from_s | (lanes == lane)]
-                if lane_rows.size:
-                    yield int(subkey), block.take(lane_rows)
+                # the R bit only in the row's id lane, the S bit in every one
+                lane_roles = np.where(lanes == lane, group_roles, group_roles & ROLE_S)
+                rows = np.flatnonzero(lane_roles)
+                if rows.size:
+                    routed = block.take(rows)
+                    routed.role = lane_roles[rows]
+                    yield int(subkey), routed
 
 
 class PgbjJoinReducer(Reducer):
@@ -226,7 +231,7 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
                 "use_ring_pruning": config.use_ring_pruning,
             },
         )
-        return job2, chain_splits(config, dfs, "partitioned", partitioned_records(job1))
+        return job2, chain_splits(config, dfs, "partitioned", job1.outputs)
 
     join = graph.stage("pgbj/join", build_join, deps=(partition,))
     assemble = knn_outcome_assembler(

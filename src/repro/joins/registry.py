@@ -182,7 +182,7 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: outputs or counters change.  :func:`plan_identity` (what checkpoints are
 #: bound to) and the partition stage's plan-cache key both carry it, so a
 #: file written by older code is never served.
-RESULTS_VERSION = 7
+RESULTS_VERSION = 8
 
 
 def plan_identity(

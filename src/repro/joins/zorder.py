@@ -117,9 +117,9 @@ class ZOrderRoutingMapper(BlockBufferingMapper):
         self._blocks_per_shift = int(ctx.cache["blocks_per_shift"])
 
     def route_block(self, block: RecordBlock, ctx: Context):
-        # the wire row is (is_r, id, point, z): no payload bytes travel
+        # the wire row is (role, id, point, z): no payload bytes travel
         block = replace(block, payloads=np.zeros_like(block.payloads))
-        s_rows = np.flatnonzero(~block.is_r)
+        s_rows = np.flatnonzero(block.is_s)
         r_count = len(block) - int(s_rows.size)
         last = self._blocks_per_shift - 1
         for shift_index, shift in enumerate(self._shifts):
@@ -156,7 +156,7 @@ class ZOrderJoinReducer(Reducer):
     def reduce(self, key, values, ctx: Context):
         block = RecordBlock.gather(values)
         r_rows = np.flatnonzero(block.is_r)
-        s_rows = np.flatnonzero(~block.is_r)
+        s_rows = np.flatnonzero(block.is_s)
         if r_rows.size == 0 or s_rows.size == 0:
             return ()
         shift = self._shifts[int(key) // self._blocks_per_shift]

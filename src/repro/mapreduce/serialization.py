@@ -146,7 +146,7 @@ def encode_record_block(block: RecordBlock) -> bytes:
     return b"".join(
         (
             _BLOCK_HEADER.pack(_BLOCK_MAGIC, rows, dims),
-            np.ascontiguousarray(block.is_r, dtype=np.uint8).tobytes(),
+            np.ascontiguousarray(block.role, dtype=np.uint8).tobytes(),
             np.ascontiguousarray(block.object_ids, dtype=np.int64).tobytes(),
             np.ascontiguousarray(block.points, dtype=np.float64).tobytes(),
             np.ascontiguousarray(block.payloads, dtype=np.int64).tobytes(),
@@ -156,7 +156,7 @@ def encode_record_block(block: RecordBlock) -> bytes:
     )
 
 
-#: bytes per row beyond the point coordinates: is_r (1) + object_ids (8) +
+#: bytes per row beyond the point coordinates: role (1) + object_ids (8) +
 #: payloads (8) + partition_ids (8) + pivot_distances (8)
 _ROW_FIXED_BYTES = 1 + 8 + 8 + 8 + 8
 
@@ -192,7 +192,7 @@ def decode_record_block(data: bytes) -> RecordBlock:
         return array if shape is None else array.reshape(shape)
 
     return RecordBlock(
-        is_r=column(np.uint8, rows).astype(bool),
+        role=column(np.uint8, rows),
         object_ids=column(np.int64, rows),
         points=column(np.float64, rows * dims, shape=(rows, dims)),
         payloads=column(np.int64, rows),

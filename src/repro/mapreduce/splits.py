@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.dataset import Dataset
 
 from .serialization import record_count
-from .types import InputSplit, RecordBlock
+from .types import ROLE_BOTH, ROLE_R, ROLE_S, InputSplit, RecordBlock
 
 __all__ = [
     "dataset_splits",
@@ -101,7 +101,7 @@ def dataset_splits(
     for start in range(0, len(r) + len(s), split_size):
         stop = start + split_size
         records = [
-            (tag, _rows(data, tag == "R", a, b))
+            (tag, _rows(data, ROLE_R if tag == "R" else ROLE_S, a, b))
             for tag, data, a, b in (
                 ("R", r, start, min(stop, len(r))),
                 ("S", s, max(start - len(r), 0), min(stop - len(r), len(s))),
@@ -119,12 +119,14 @@ def dataset_splits(
 
 
 def self_join_splits(dataset: Dataset, split_size: int) -> list[InputSplit]:
-    """Input splits covering a self-join's one dataset once, each an R-tagged
-    ``RecordBlock`` of views — the first job's input when ``R`` is ``S``.
+    """Input splits covering a self-join's one dataset once, each a
+    ``RecordBlock`` of views whose rows are objects of both R and S
+    (:data:`~repro.mapreduce.types.ROLE_BOTH`, tag ``"RS"``) — the first
+    job's input when ``R`` is ``S``.
 
     A split ends at every boundary :func:`dataset_splits` would cut in the R
     half (``j * split_size``) or in the S half (``j * split_size - |R|``), so
-    each split's R copies and S copies lie inside one split of ``R ∪ S``.
+    each split's rows lie inside one split of ``R ∪ S`` in either role.
     """
     if split_size < 1:
         raise ValueError("split_size must be >= 1")
@@ -137,12 +139,12 @@ def self_join_splits(dataset: Dataset, split_size: int) -> list[InputSplit]:
     }
     bounds = sorted(cuts | {0, size})
     return [
-        InputSplit(index, records=[("R", _rows(dataset, True, a, b))], logical_records=b - a)
+        InputSplit(index, [("RS", _rows(dataset, ROLE_BOTH, a, b))], logical_records=b - a)
         for index, (a, b) in enumerate(zip(bounds, bounds[1:]))
     ]
 
 
-def _rows(dataset: Dataset, is_r: bool, a: int, b: int) -> RecordBlock:
+def _rows(dataset: Dataset, role: int, a: int, b: int) -> RecordBlock:
     """Rows ``[a, b)`` of ``dataset`` as one block of views of its arrays."""
     payload = None if dataset.payload_bytes is None else dataset.payload_bytes[a:b]
-    return RecordBlock.of_objects(is_r, dataset.ids[a:b], dataset.points[a:b], payload)
+    return RecordBlock.of_objects(role, dataset.ids[a:b], dataset.points[a:b], payload)

@@ -30,6 +30,9 @@ __all__ = [
     "ColumnarBlock",
     "RecordBlock",
     "NeighborBlock",
+    "ROLE_R",
+    "ROLE_S",
+    "ROLE_BOTH",
     "InputSplit",
     "group_rows_by",
     "ranks_within",
@@ -99,13 +102,22 @@ class ColumnarBlock:
             yield key, self.take(rows)
 
 
+#: bits of :attr:`RecordBlock.role`: a row is an object of R, of S, or both —
+#: a self-join ships each object to its own group once, in both roles
+ROLE_R = 1
+ROLE_S = 2
+ROLE_BOTH = ROLE_R | ROLE_S
+
+
 @dataclass
 class RecordBlock(ColumnarBlock):
     """A columnar batch of data objects (struct of arrays).
 
     Parallel 1-d arrays (plus the 2-d point matrix) hold one field each; row
-    ``i`` across all six columns is one logical object.  The first job's
-    mapper fills in ``partition_ids`` (the Voronoi cell) and
+    ``i`` across all six columns is one logical object.  ``role`` is one
+    byte of :data:`ROLE_R` / :data:`ROLE_S` bits (:attr:`is_r`, :attr:`is_s`):
+    a self-join's row holds both, its R copy and own-group S copy in one.  The
+    first job's mapper fills in ``partition_ids`` (the Voronoi cell) and
     ``pivot_distances`` (``|o, p_o|``); the second job's pruning rules
     consume them (Algorithm 3 reads the distance as ``k1.dist``).
     ``payloads`` counts non-coordinate bytes carried by each object (e.g. OSM
@@ -115,7 +127,7 @@ class RecordBlock(ColumnarBlock):
     partition blocks with concatenation instead of per-object appends.
     """
 
-    is_r: np.ndarray  # bool: origin flag, True for dataset R
+    role: np.ndarray  # uint8: ROLE_R | ROLE_S bits
     object_ids: np.ndarray  # int64
     points: np.ndarray  # float64, shape (n, dims)
     payloads: np.ndarray  # int64
@@ -127,24 +139,34 @@ class RecordBlock(ColumnarBlock):
     def __len__(self) -> int:
         return int(self.object_ids.shape[0])
 
+    @property
+    def is_r(self) -> np.ndarray:
+        """Per row: is it an object of R (its R bit)."""
+        return (self.role & ROLE_R) != 0
+
+    @property
+    def is_s(self) -> np.ndarray:
+        """Per row: is it an object of S (its S bit)."""
+        return (self.role & ROLE_S) != 0
+
     # -- construction -------------------------------------------------------
 
     @classmethod
     def of_objects(
         cls,
-        is_r: bool | np.ndarray,
+        role: int | np.ndarray,
         ids: np.ndarray,
         points: np.ndarray,
         payloads: np.ndarray | None = None,
     ) -> "RecordBlock":
         """Objects not yet assigned a cell (partition id ``-1``, pivot distance
-        NaN).  ``is_r`` is one origin flag for every row or one per row;
+        NaN).  ``role`` is one role for every row or one per row;
         ``payloads=None`` means no payload bytes.  Int64 ids and payloads and
         float64 points are kept as given, so views of a dataset's arrays stay
         views."""
         rows = len(ids)
         return cls(
-            is_r=np.full(rows, is_r, dtype=bool),
+            role=np.full(rows, role, dtype=np.uint8),
             object_ids=np.asarray(ids, dtype=np.int64),
             points=np.asarray(points, dtype=np.float64),
             payloads=(
@@ -161,11 +183,11 @@ class RecordBlock(ColumnarBlock):
         """Concatenate blocks into one, row order following input order."""
         parts = list(values)
         if not parts:
-            return cls.of_objects(False, np.empty(0, dtype=np.int64), np.empty((0, 0)))
+            return cls.of_objects(ROLE_S, np.empty(0, dtype=np.int64), np.empty((0, 0)))
         if len(parts) == 1:
             return parts[0]
         return cls(
-            is_r=np.concatenate([part.is_r for part in parts]),
+            role=np.concatenate([part.role for part in parts]),
             object_ids=np.concatenate([part.object_ids for part in parts]),
             points=np.concatenate([part.points for part in parts]),
             payloads=np.concatenate([part.payloads for part in parts]),
@@ -178,7 +200,7 @@ class RecordBlock(ColumnarBlock):
     def take(self, rows: np.ndarray) -> "RecordBlock":
         """A new block holding the given rows (in the given order)."""
         return RecordBlock(
-            is_r=self.is_r[rows],
+            role=self.role[rows],
             object_ids=self.object_ids[rows],
             points=self.points[rows],
             payloads=self.payloads[rows],
@@ -186,11 +208,19 @@ class RecordBlock(ColumnarBlock):
             pivot_distances=self.pivot_distances[rows],
         )
 
+    def copies_of(self, role: int) -> "RecordBlock":
+        """The rows holding ``role``'s bit, each stamped with that one role:
+        what a consumer that ships R and S apart sends, one copy per role of
+        a row of both."""
+        block = self.take(np.flatnonzero(self.role & role))
+        block.role = np.full(len(block), role, dtype=np.uint8)
+        return block
+
     # -- accounting ---------------------------------------------------------
 
     def estimated_bytes(self) -> int:
         """Sum of the rows' wire sizes, ``1 + 8 + 8·d + 8 + 8 + payload``
-        each (tag, id, coordinates, cell id, pivot distance, payload) —
+        each (role, id, coordinates, cell id, pivot distance, payload) —
         blocks are invisible to byte accounting."""
         dims = self.points.shape[1] if self.points.ndim == 2 else 0
         per_record = 1 + 8 + dims * 8 + 8 + 8

@@ -4,7 +4,8 @@ Copies of the mappers the library shipped before a map task handled its split
 as one block — the partitioning mapper that emitted one annotated block per
 Voronoi cell and the routing mapper that looped over (cell, group) pairs —
 plus the reducer that answered with one ``(r_id, (ids, dists))`` pair per R
-object.  ``src/`` holds only the block-per-task implementation;
+object — carried forward to the row roles, so a self-join's object stays one
+row of both roles in its own group.  ``src/`` holds only the block-per-task implementation;
 ``tests/test_pgbj_reference.py`` holds it equal to this one in results, every
 counter, shuffle records and bytes, ``output_bytes`` and the row sequence each
 reducer receives.
@@ -13,7 +14,6 @@ reducer receives.
 from __future__ import annotations
 
 from contextlib import ExitStack
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -29,7 +29,7 @@ from repro.joins.partition_job import CHANNEL_TR, CHANNEL_TS, SKIPPED_NAME
 from repro.joins.registry import JoinPlan, execute_join_plan
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Context, Mapper
-from repro.mapreduce.types import NeighborBlock, RecordBlock
+from repro.mapreduce.types import ROLE_R, ROLE_S, NeighborBlock, RecordBlock
 from tests.reference_zorder import result_bytes
 
 #: side channel on which the recording reducers report what they were handed
@@ -44,7 +44,6 @@ class PerCellPartitioningMapper(Mapper):
         self._partitioner = VoronoiPartitioner(
             ctx.cache["pivots"], self._metric, ctx.cache["anchors"]
         )
-        self._self_join = bool(ctx.cache["self_join"])
         self._buffer: list = []
 
     def map(self, key, value, ctx):
@@ -59,7 +58,7 @@ class PerCellPartitioningMapper(Mapper):
         pids, dists = self._partitioner.assign_points(block.points)
         for channel, mask, keep_all in (
             (CHANNEL_TR, block.is_r, False),
-            (CHANNEL_TS, block.is_r if self._self_join else ~block.is_r, True),
+            (CHANNEL_TS, block.is_s, True),
         ):
             if mask.any():
                 summary_k = int(mask.sum()) if keep_all else 0
@@ -69,22 +68,19 @@ class PerCellPartitioningMapper(Mapper):
         block.partition_ids = pids.astype(np.int64, copy=False)
         block.pivot_distances = dists.astype(np.float64, copy=False)
         computed = self._metric.pairs_computed
-        copies = [block, replace(block, is_r=~block.is_r)] if self._self_join else [block]
+        roles = int(block.is_r.sum()) + int(block.is_s.sum())
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, computed)
         ctx.counters.incr(
-            PAIRS_GROUP,
-            SKIPPED_NAME,
-            len(copies) * len(block) * self._partitioner.num_partitions - computed,
+            PAIRS_GROUP, SKIPPED_NAME, roles * self._partitioner.num_partitions - computed
         )
-        # keyed by the copy (0: R or mixed, 1: a self-join's S copies), which
-        # is the order the next job reads them in
-        for key, copy in enumerate(copies):
-            for _, cell in copy.split_by(block.partition_ids):
-                yield key, cell
+        for _, cell in block.split_by(block.partition_ids):
+            yield 0, cell
 
 
 class PerCellRoutingMapper(Mapper):
-    """One block per (cell, group): a ``flatnonzero`` per admitted pair."""
+    """One block per (cell, group, sub-key): per cell, each group's rows with
+    their role there — R in the own group (its id lane's sub-key), S in every
+    group and sub-key Theorem 6 admits — a row of both roles staying one."""
 
     def setup(self, ctx: Context) -> None:
         self._partition_to_group: dict[int, int] = ctx.cache["partition_to_group"]
@@ -92,40 +88,31 @@ class PerCellRoutingMapper(Mapper):
         self._subkeys: dict[int, tuple[int, ...]] = ctx.cache.get("skew_subkeys") or {}
 
     def map(self, key, value, ctx: Context):
-        block = value
-        r_rows = np.flatnonzero(block.is_r)
-        if r_rows.size:
-            r_block = block.take(r_rows)
-            for pid, sub in r_block.split_by(r_block.partition_ids):
-                group_index = self._partition_to_group[pid]
-                subkeys = self._subkeys.get(group_index)
-                if subkeys is None:
-                    yield group_index, sub
-                else:
-                    for lane, lane_block in sub.split_by(sub.object_ids % len(subkeys)):
-                        yield subkeys[int(lane)], lane_block
-        s_rows = np.flatnonzero(~block.is_r)
-        if s_rows.size:
-            s_block = block.take(s_rows)
-            for pid, cell in s_block.split_by(s_block.partition_ids):
-                admitted = (
-                    cell.pivot_distances[:, None] >= self._lb_group[pid][None, :] - PRUNE_EPS
+        for pid, cell in value.split_by(value.partition_ids):
+            own_group = self._partition_to_group[pid]
+            for group_index in range(self._lb_group.shape[1]):
+                admitted = cell.is_s & (
+                    cell.pivot_distances >= self._lb_group[pid, group_index] - PRUNE_EPS
                 )
-                for group_index in range(admitted.shape[1]):
-                    selected = np.flatnonzero(admitted[:, group_index])
-                    if not selected.size:
+                subkeys = self._subkeys.get(group_index, (group_index,))
+                for lane, subkey in enumerate(subkeys):
+                    in_lane = cell.object_ids % len(subkeys) == lane
+                    r_bit = cell.is_r & in_lane if group_index == own_group else False
+                    roles = np.where(r_bit, ROLE_R, 0) | np.where(admitted, ROLE_S, 0)
+                    rows = np.flatnonzero(roles)
+                    if not rows.size:
                         continue
-                    chosen = cell.take(selected)
-                    for subkey in self._subkeys.get(group_index, (int(group_index),)):
-                        ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME, int(selected.size))
-                        yield int(subkey), chosen
+                    ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME, int(admitted.sum()))
+                    routed = cell.take(rows)
+                    routed.role = roles[rows].astype(np.uint8)
+                    yield int(subkey), routed
 
 
 def _report_input(key, values, ctx: Context) -> RecordBlock:
     block = RecordBlock.gather(values)
     ctx.side_output(
         CHANNEL_REDUCE_INPUT,
-        (key, block.is_r.tobytes(), block.object_ids.tobytes(), block.partition_ids.tobytes()),
+        (key, block.role.tobytes(), block.object_ids.tobytes(), block.partition_ids.tobytes()),
     )
     return block
 
@@ -209,7 +196,7 @@ def pgbj_facts(r, s, config, reference: bool) -> dict:
         "partitioned": [
             column.tobytes()
             for column in (
-                partitioned.is_r,
+                partitioned.role,
                 partitioned.object_ids,
                 partitioned.points,
                 partitioned.payloads,

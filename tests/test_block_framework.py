@@ -11,7 +11,7 @@ from repro.joins.block_framework import (
     merge_job_spec,
 )
 from repro.mapreduce import Context, LocalRuntime, split_records
-from repro.mapreduce.types import NeighborBlock, RecordBlock
+from repro.mapreduce.types import ROLE_BOTH, ROLE_R, ROLE_S, NeighborBlock, RecordBlock
 
 
 class TestBlockOf:
@@ -27,32 +27,43 @@ class TestBlockOf:
 
 
 class TestRoutingMapper:
-    def run_mapper(self, is_r, num_blocks=3):
+    def run_mapper(self, role, num_blocks=3):
         # block-buffering mapper: map() buffers, cleanup() emits the blocks
         mapper = BlockRoutingMapper()
         ctx = Context("t", {"num_blocks": num_blocks}, num_reducers=num_blocks**2)
         mapper.setup(ctx)
-        one_object = RecordBlock.of_objects(is_r, np.array([5]), np.zeros((1, 2)))
+        one_object = RecordBlock.of_objects(role, np.array([5]), np.zeros((1, 2)))
         emissions = list(mapper.map(None, one_object, ctx))
         emissions.extend(mapper.cleanup(ctx))
         return emissions, ctx
 
     def test_r_goes_to_its_row(self):
-        emissions, _ = self.run_mapper(True)
+        emissions, _ = self.run_mapper(ROLE_R)
         keys = [key for key, _ in emissions]
         row = block_of(5, 3)
         assert keys == [row * 3 + j for j in range(3)]
         assert all(len(block) == 1 for _, block in emissions)
 
     def test_s_goes_to_its_column(self):
-        emissions, ctx = self.run_mapper(False)
+        emissions, ctx = self.run_mapper(ROLE_S)
         keys = [key for key, _ in emissions]
         column = block_of(5, 3)
         assert keys == [i * 3 + column for i in range(3)]
 
     def test_s_replication_counted(self):
-        _, ctx = self.run_mapper(False, num_blocks=4)
+        _, ctx = self.run_mapper(ROLE_S, num_blocks=4)
         assert ctx.counters.value("shuffle", "s_replicas") == 4
+
+    def test_both_roles_ship_as_an_r_copy_and_an_s_copy(self):
+        """A self-join's row of both roles: its R copies along its row, its S
+        copies down its column, each stamped with its one role."""
+        emissions, ctx = self.run_mapper(ROLE_BOTH)
+        own = block_of(5, 3)
+        assert [(key, block.role.tolist()) for key, block in emissions] == [
+            *((own * 3 + j, [ROLE_R]) for j in range(3)),
+            *((i * 3 + own, [ROLE_S]) for i in range(3)),
+        ]
+        assert ctx.counters.value("shuffle", "s_replicas") == 3
 
     def test_vectorized_block_hash_matches_scalar(self):
         ids = np.arange(0, 5000, 7, dtype=np.int64)

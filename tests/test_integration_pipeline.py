@@ -33,11 +33,13 @@ class TestCrossStageConsistency:
         assert outcome.job_phase_names == ["data_partitioning", "knn_join"]
 
     def test_partitioning_job_reads_a_self_join_once(self, pipeline_run):
-        """One read of the dataset, emitted as both its R and its S objects."""
+        """One read of the dataset, emitted once: a row of both roles per
+        object, and the join job reads each once."""
         data, config, outcome = pipeline_run
-        job1 = outcome.job_stats[0]
+        job1, job2 = outcome.job_stats
         assert sum(t.input_records for t in job1.map_tasks) == len(data)
-        assert sum(t.output_records for t in job1.map_tasks) == 2 * len(data)
+        assert sum(t.output_records for t in job1.map_tasks) == len(data)
+        assert sum(t.input_records for t in job2.map_tasks) == len(data)
 
     def test_split_size_controls_map_task_count(self, pipeline_run):
         """A task ends wherever a split of R or of S would (400 objects in

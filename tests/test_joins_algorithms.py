@@ -1,5 +1,7 @@
 """Per-algorithm unit tests: PGBJ, PBJ, H-BRJ, broadcast."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -82,13 +84,16 @@ class TestPgbj:
         }
         assert all(seconds >= 0 for seconds in phases.values())
 
-    def test_shuffle_is_r_plus_alpha_s_records(self, small_uniform):
-        """PGBJ job-2 shuffle = |R| + RP(S) records (no R replication)."""
-        outcome = run_join(
-            "pgbj", small_uniform, small_uniform, PgbjConfig(k=3, num_reducers=4, num_pivots=10)
-        )
+    @pytest.mark.parametrize("self_join", [True, False], ids=["self-join", "equal-copy"])
+    def test_shuffle_is_r_plus_alpha_s_records(self, small_uniform, self_join):
+        """PGBJ job-2 shuffle = |R| + RP(S) records (no R replication) when R
+        is not S; a self-join ships RP(S): each object's R copy rides in its
+        own-group S copy, one row of both roles (RP(S) still counts it)."""
+        s = small_uniform if self_join else copy.deepcopy(small_uniform)
+        outcome = run_join("pgbj", small_uniform, s, PgbjConfig(k=3, num_reducers=4, num_pivots=10))
         join_stats = outcome.job_stats[1]
-        assert join_stats.shuffle_records == len(small_uniform) + outcome.replication_of_s()
+        r_rows = 0 if self_join else len(small_uniform)
+        assert join_stats.shuffle_records == r_rows + outcome.replication_of_s()
 
     def test_replication_at_most_broadcast(self, small_uniform):
         outcome = run_join(

@@ -1,5 +1,6 @@
 """Unit tests for the Algorithm 3 reducer kernel."""
 
+import copy
 from unittest import mock
 
 import numpy as np
@@ -23,13 +24,13 @@ from repro.joins.kernels import (
     local_ring_stats,
     local_thetas,
 )
-from repro.mapreduce.types import RecordBlock
+from repro.mapreduce.types import ROLE_BOTH, ROLE_R, ROLE_S, RecordBlock
 from tests.reference_kernel import own_pivot_kernel
 
 
-def block_for(dataset, is_r, assignment):
+def block_for(dataset, role, assignment):
     """``dataset`` as one block annotated with its Voronoi ``assignment``."""
-    block = RecordBlock.of_objects(is_r, dataset.ids, dataset.points)
+    block = RecordBlock.of_objects(role, dataset.ids, dataset.points)
     block.partition_ids = assignment.partition_ids
     block.pivot_distances = assignment.pivot_distances
     return block
@@ -73,8 +74,8 @@ def world_from(r_points, s_points, pivots, k, metric_name="l2", twin_pivots=Fals
     else:
         thetas = {pid: np.inf for pid in tr.partition_ids()}
     ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
-    r_blocks = build_r_blocks(block_for(r, True, ar))
-    s_blocks = build_s_blocks(block_for(s, False, as_))
+    r_blocks = build_r_blocks(block_for(r, ROLE_R, ar))
+    s_blocks = build_s_blocks(block_for(s, ROLE_S, as_))
     return r, s, r_blocks, s_blocks, thetas, ring, pivots, pdm, k
 
 
@@ -245,8 +246,8 @@ class TestVectorizedMatchesReference:
         pdm = partitioner.pivot_distance_matrix()
         thetas = compute_thetas(tr, ts, pdm, 4)
         ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
-        r_blocks = build_r_blocks(block_for(r, True, ar))
-        s_blocks = build_s_blocks(block_for(s, False, as_))
+        r_blocks = build_r_blocks(block_for(r, ROLE_R, ar))
+        s_blocks = build_s_blocks(block_for(s, ROLE_S, as_))
         world = (r, s, r_blocks, s_blocks, thetas, ring, pivots, pdm, 4)
         expected, expected_pairs = run_kernel(knn_join_kernel_reference, world)
         got, got_pairs = run_kernel(knn_join_kernel, world)
@@ -793,15 +794,19 @@ class TestReducerPivotPairsCounter:
         assert counted == sum(m.pairs_computed for m in {id(m): m for m in metrics}.values())
         assert 0 < counted < outcome.counters.value("selectivity", "distance_pairs")
 
+    @pytest.mark.parametrize("self_join", [True, False], ids=["self-join", "equal-copy"])
     @pytest.mark.parametrize("join", ["pgbj", "pbj"])
-    def test_counts_the_kernels_object_anchor_pairs(self, join):
+    def test_counts_the_kernels_object_anchor_pairs(self, join, self_join):
         """``selectivity:reducer_anchor_pairs`` is what the kernels' anchor
-        metrics counted — two per R row and S copy of every reduce call, so
-        for PGBJ ``2 (|R| + S replicas)`` — and a part of ``distance_pairs``."""
+        metrics counted — two per R row and S copy of every reduce call, a
+        row of both roles counting once, so for PGBJ ``2 (|R| + S replicas)``
+        joined with an equal copy and ``2 S replicas`` in a self-join — and a
+        part of ``distance_pairs``."""
         from repro.datasets import generate_forest
         from repro.joins import get_join, run_join
 
         data = generate_forest(600, seed=3)
+        other = data if self_join else copy.deepcopy(data)
         metrics = []
         kernel = kernels.KernelProvider.knn_join_kernel
 
@@ -811,19 +816,20 @@ class TestReducerPivotPairsCounter:
 
         with mock.patch.object(kernels.KernelProvider, "knn_join_kernel", recording):
             config = get_join(join).make_config(k=5, num_pivots=24, num_reducers=4)
-            outcome = run_join(join, data, data, config)
+            outcome = run_join(join, data, other, config)
         counted = outcome.counters.value("selectivity", "reducer_anchor_pairs")
         assert counted == sum(m.pairs_computed for m in {id(m): m for m in metrics}.values())
         assert 0 < counted < outcome.counters.value("selectivity", "distance_pairs")
         if join == "pgbj":
-            assert counted == 2 * (len(data) + outcome.counters.value("shuffle", "s_replicas"))
+            r_rows = 0 if self_join else len(data)
+            assert counted == 2 * (r_rows + outcome.counters.value("shuffle", "s_replicas"))
 
 
 class TestColumnarBuilders:
-    def test_build_partition_blocks_splits_by_origin(self):
+    def test_build_partition_blocks_splits_by_role(self):
         r, s, r_blocks, s_blocks, *_ = kernel_world(seed=2)
-        r_block = block_for(r, True, _assignment_of(r))
-        s_block = block_for(s, False, _assignment_of(s))
+        r_block = block_for(r, ROLE_R, _assignment_of(r))
+        s_block = block_for(s, ROLE_S, _assignment_of(s))
         mixed = RecordBlock.gather(
             [
                 r_block.take(np.arange(30)),
@@ -838,6 +844,104 @@ class TestColumnarBuilders:
         for pid, block in got_s.items():
             order = np.lexsort((block.ids, block.pivot_dists))
             assert np.array_equal(order, np.arange(block.ids.size))
+        # every object keeps its position in the gathered block
+        for got, role in ((got_r, ROLE_R), (got_s, ROLE_S)):
+            rows = np.concatenate([block.rows for block in got.values()])
+            assert sorted(rows) == np.flatnonzero(mixed.role == role).tolist()
+            for block in got.values():
+                assert np.array_equal(mixed.object_ids[block.rows], block.ids)
+
+    def test_a_row_of_both_roles_lands_on_both_sides(self):
+        data = Dataset(np.random.default_rng(3).random((50, 3)))
+        both = block_for(data, ROLE_BOTH, _assignment_of(data))
+        got_r, got_s = build_partition_blocks(both)
+        for got in (got_r, got_s):
+            rows = np.concatenate([block.rows for block in got.values()])
+            assert sorted(rows) == list(range(len(data)))
+
+
+def self_join_bounds(data, assignment, pivots, k):
+    """Global thetas and ring stats of a self-join of ``data`` (one reducer)."""
+    tr = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, 0)
+    ts = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, k)
+    pdm = VoronoiPartitioner(pivots, get_metric("l2")).pivot_distance_matrix()
+    ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
+    return compute_thetas(tr, ts, pdm, k), ring, pivots, pdm
+
+
+def run_gathered(kernel, gathered, bounds, k):
+    """One reduce call over a gathered block: ``[(r_id, ids, distance
+    bytes)]`` and the scan, object-pivot and object-anchor pair counts."""
+    r_blocks, s_blocks = build_partition_blocks(gathered)
+    metrics = [get_metric("l2") for _ in range(3)]
+    results = [
+        (r_id, ids.tolist(), dists.tobytes())
+        for r_id, ids, dists in kernel(
+            metrics[0], k, r_blocks, s_blocks, *bounds,
+            pivot_metric=metrics[1], anchor_metric=metrics[2],
+        )
+    ]
+    return results, [metric.pairs_computed for metric in metrics]
+
+
+class TestRowsOfBothRoles:
+    """A self-join reducer receives an object as one row of both roles: the
+    answer of its R and S copies shipped apart, with the row's two anchor
+    distances computed once (its S copy takes its R row's, the same bits)."""
+
+    @pytest.mark.parametrize("kernel", [knn_join_kernel, knn_join_kernel_reference])
+    def test_same_answer_two_anchor_pairs_fewer_per_row_of_both(self, kernel):
+        rng = np.random.default_rng(21)
+        data = Dataset(rng.random((90, 3)))
+        pivots = rng.random((7, 3))
+        assignment = VoronoiPartitioner(pivots, get_metric("l2")).assign(data)
+        # a skew split lane's mix: rows of both roles, S-only rows, R-only rows
+        gathered = block_for(data, ROLE_BOTH, assignment)
+        gathered.role = rng.choice([ROLE_R, ROLE_S, ROLE_BOTH], size=len(data)).astype(np.uint8)
+        apart = RecordBlock.gather([gathered.copies_of(ROLE_R), gathered.copies_of(ROLE_S)])
+        bounds = self_join_bounds(data, assignment, pivots, 4)
+        got, got_pairs = run_gathered(kernel, gathered, bounds, 4)
+        expected, expected_pairs = run_gathered(kernel, apart, bounds, 4)
+        assert got == expected
+        both = int(np.count_nonzero(gathered.role == ROLE_BOTH))
+        assert got_pairs[:2] == expected_pairs[:2]
+        assert expected_pairs[2] - got_pairs[2] == 2 * both > 0
+        assert expected_pairs[2] == 2 * (len(apart))
+
+    def test_fast_kernel_matches_the_reference_pair_for_pair(self):
+        rng = np.random.default_rng(5)
+        grid = rng.integers(0, 4, size=(40, 2)).astype(float)
+        data = Dataset(np.vstack([grid, grid]))  # ties everywhere
+        pivots = rng.random((6, 2)) * 3
+        assignment = VoronoiPartitioner(pivots, get_metric("l2")).assign(data)
+        gathered = block_for(data, ROLE_BOTH, assignment)
+        bounds = self_join_bounds(data, assignment, pivots, 5)
+        assert run_gathered(knn_join_kernel, gathered, bounds, 5) == run_gathered(
+            knn_join_kernel_reference, gathered, bounds, 5
+        )
+
+    def test_colliding_ids_of_r_and_s_share_nothing(self):
+        """R ≠ S whose ids collide: rows are matched by position, never by
+        id, so every R row and S copy computes its own anchor distances."""
+        rng = np.random.default_rng(9)
+        r = Dataset(rng.random((40, 3)))
+        s = Dataset(rng.random((50, 3)))  # ids 0..49 overlap R's 0..39
+        pivots = rng.random((5, 3))
+        partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
+        gathered = RecordBlock.gather(
+            block_for(data, role, partitioner.assign(data))
+            for data, role in ((r, ROLE_R), (s, ROLE_S))
+        )
+        tr = build_partial_summary(gathered.partition_ids[:40], gathered.pivot_distances[:40], 0)
+        ts = build_partial_summary(gathered.partition_ids[40:], gathered.pivot_distances[40:], 4)
+        pdm = partitioner.pivot_distance_matrix()
+        ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
+        bounds = (compute_thetas(tr, ts, pdm, 4), ring, pivots, pdm)
+        results, pairs = run_gathered(knn_join_kernel, gathered, bounds, 4)
+        assert pairs[2] == 2 * (len(r) + len(s))
+        truth = brute_force_knn_join(get_metric("l2"), r.points, r.ids, s.points, s.ids, 4)
+        for r_id, ids, _ in results:
+            assert ids == truth[r_id][0].tolist()
 
 
 def _assignment_of(dataset):

@@ -289,10 +289,11 @@ class TestStructure:
         # "248b68c81b6a99817373ecc1757a3077ca853e46"; version 6 dropped the
         # random selector's candidate-set count,
         # "ff65f31b0b6ff2af9c44259355cdf695e5333e09"; version 7 counts the
-        # kernel's anchor distances)
+        # kernel's anchor distances, "41a6fec7af217894c5581bc4d5a6e7ce73f34a1c";
+        # version 8 emits a self-join's object once, as a row of both roles)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "41a6fec7af217894c5581bc4d5a6e7ce73f34a1c"
+            == "9069cc67fa45bcda9849cfc9567b0492962803ae"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

@@ -14,6 +14,7 @@ from repro.mapreduce import (
     split_records,
 )
 from repro.mapreduce.splits import self_join_splits
+from repro.mapreduce.types import ROLE_BOTH, ROLE_R, ROLE_S
 
 
 class TestEstimateBytes:
@@ -50,13 +51,13 @@ class TestEstimateBytes:
         assert estimate_bytes({"a": 1}) == 4 + (4 + 1) + 8
 
     def test_protocol_object(self):
-        row = RecordBlock.of_objects(True, np.array([1]), np.zeros((1, 3)))
-        # 1 tag + 8 id + 24 coords + 8 pid + 8 dist
+        row = RecordBlock.of_objects(ROLE_R, np.array([1]), np.zeros((1, 3)))
+        # 1 role + 8 id + 24 coords + 8 pid + 8 dist
         assert estimate_bytes(row) == 49
 
     def test_payload_counts(self):
         with_payload = RecordBlock.of_objects(
-            False, np.array([1]), np.zeros((1, 3)), np.array([100])
+            ROLE_S, np.array([1]), np.zeros((1, 3)), np.array([100])
         )
         assert estimate_bytes(with_payload) == 149
 
@@ -135,7 +136,7 @@ class TestSplits:
             [("S", 1)],
         ]
         assert all(
-            block.is_r.all() == (tag == "R")
+            (block.role == (ROLE_R if tag == "R" else ROLE_S)).all()
             for split in splits
             for tag, block in split.records
         )
@@ -144,13 +145,13 @@ class TestSplits:
     def _row_facts(pairs):
         facts = []
         for key, block in pairs:
-            assert (block.is_r.dtype, block.object_ids.dtype, block.payloads.dtype) == (
-                np.bool_, np.int64, np.int64
+            assert (block.role.dtype, block.object_ids.dtype, block.payloads.dtype) == (
+                np.uint8, np.int64, np.int64
             )
             facts += [
                 (
                     key,
-                    bool(block.is_r[row]),
+                    int(block.role[row]),
                     int(block.object_ids[row]),
                     int(block.payloads[row]),
                     block.points[row].tobytes(),
@@ -174,8 +175,8 @@ class TestSplits:
         r = Dataset(rng.random((7, 3)), ids=np.arange(100, 107), payload_bytes=payload(7))
         s = Dataset(rng.random((5, 3)), ids=np.arange(5)[::-1].copy(), payload_bytes=payload(5))
         whole = [
-            (tag, RecordBlock.of_objects(tag == "R", data.ids, data.points, data.payload_bytes))
-            for tag, data in (("R", r), ("S", s))
+            (tag, RecordBlock.of_objects(role, data.ids, data.points, data.payload_bytes))
+            for tag, role, data in (("R", ROLE_R, r), ("S", ROLE_S, s))
         ]
         chunked = split_records(whole, split_size)
         splits = dataset_splits(r, s, split_size)
@@ -209,8 +210,9 @@ class TestSplits:
     def test_self_join_splits_read_each_object_once_within_r_s_splits(
         self, size, split_size, with_payload
     ):
-        """One R-tagged block of views per split, the dataset covered once in
-        order, and each split inside one split of ``R ∪ S`` in both roles."""
+        """One block of views per split, its rows of both roles, the dataset
+        covered once in order, and each split inside one split of ``R ∪ S``
+        in either role."""
         rng = np.random.default_rng(size)
         payload = rng.integers(0, 50, size) if with_payload else None
         data = Dataset(rng.random((size, 2)), ids=np.arange(size) * 3, payload_bytes=payload)
@@ -218,8 +220,9 @@ class TestSplits:
         bounds = [0]
         for index, split in enumerate(splits):
             ((tag, block),) = split.records
-            assert (split.split_id, tag, split.logical_records) == (index, "R", len(block))
-            assert block.is_r.all() and np.shares_memory(block.points, data.points)
+            assert (split.split_id, tag, split.logical_records) == (index, "RS", len(block))
+            assert (block.role == ROLE_BOTH).all()
+            assert np.shares_memory(block.points, data.points)
             assert np.array_equal(block.object_ids, data.ids[bounds[-1] : bounds[-1] + len(block)])
             bounds.append(bounds[-1] + len(block))
         assert bounds[-1] == size

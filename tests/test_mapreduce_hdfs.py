@@ -3,6 +3,7 @@
 import pytest
 
 from repro.mapreduce import DistributedFileSystem
+from repro.mapreduce.types import ROLE_R, ROLE_S
 
 
 def records(n):
@@ -108,7 +109,7 @@ class TestIncrementalRecordCount:
 
         from repro.mapreduce import RecordBlock
 
-        block = RecordBlock.of_objects(True, np.arange(5), np.zeros((5, 2)))
+        block = RecordBlock.of_objects(ROLE_R, np.arange(5), np.zeros((5, 2)))
         dfs = DistributedFileSystem(num_nodes=2, chunk_records=3)
         file = dfs.put("blocks", [(0, block)])
         assert file.record_count() == 5
@@ -162,7 +163,7 @@ class TestSegmentBackedChunks:
         from repro.mapreduce import RecordBlock
 
         block = RecordBlock.of_objects(
-            False, np.arange(6), np.repeat(np.arange(6.0)[:, None], 2, axis=1)
+            ROLE_S, np.arange(6), np.repeat(np.arange(6.0)[:, None], 2, axis=1)
         )
         with self.make_dfs(tmp_path) as dfs:
             dfs.put("blocks", [(7, block)])

@@ -11,7 +11,7 @@ from repro.datasets import expand_dataset, generate_forest, generate_osm
 from repro.joins import PgbjConfig, run_join
 from repro.joins.pgbj import GroupRoutingMapper
 from repro.mapreduce.job import Context
-from repro.mapreduce.types import RecordBlock
+from repro.mapreduce.types import ROLE_BOTH, ROLE_R, ROLE_S, RecordBlock
 from tests.reference_pgbj import PerCellRoutingMapper, outcome_facts, pgbj_facts
 from tests.test_plan_equivalence import env_params
 
@@ -28,8 +28,8 @@ def _distinct():
     )
 
 
-#: name -> (datasets, config knobs); every split size leaves a map task whose
-#: split straddles the R/S boundary
+#: name -> (datasets, config knobs); every split size leaves a partitioning task
+#: whose split straddles the R/S boundary (of ``R ∪ S``, or a self-join's cut)
 CASES = {
     "forest-x10-ties": (
         _self_join(lambda: expand_dataset(generate_forest(60, seed=1), 10)),
@@ -92,10 +92,9 @@ class TestBlockPerTaskMatchesPerCellReference:
         facts = pgbj_facts(r, s, _config(case, **knobs), reference=False)
         assert _comparable(facts) == _comparable(reference)
         assert len(facts["neighbors"]) == len(r)
-        # partition-job output: one block per map task and copy (a self-join
-        # emits its R and its S copies)
-        copies = 2 if r is s else 1
-        assert facts["blocks"][0] == copies * len(facts["task_records"][0])
+        # partition-job output: one block per map task (a self-join's rows
+        # hold both roles)
+        assert facts["blocks"][0] == len(facts["task_records"][0])
         assert facts["blocks"][0] < reference["blocks"][0]
 
     @pytest.mark.parametrize("case", CASES)
@@ -137,7 +136,7 @@ class TestBlockPerTaskMatchesPerCellReference:
 
 
 class TestRouteBlock:
-    """The routing mapper alone, on a split that mixes R and S rows."""
+    """The routing mapper alone, on a split that mixes R, S and both-role rows."""
 
     @staticmethod
     def _emissions(mapper_class, blocks, cache):
@@ -151,10 +150,11 @@ class TestRouteBlock:
     def test_one_block_per_key_with_the_reference_rows(self, subkeys):
         rng = np.random.default_rng(8)
         rows, cells, groups = 240, 7, 3
-        is_r, cell_of = rng.random(rows) < 0.4, rng.integers(0, cells, rows)
-        order = np.lexsort((~is_r, cell_of))  # by cell, R before S: a partitioned split
+        role = rng.choice([ROLE_R, ROLE_S, ROLE_BOTH], rows).astype(np.uint8)
+        cell_of = rng.integers(0, cells, rows)
+        order = np.argsort(cell_of, kind="stable")  # by cell: a partitioned split
         block = RecordBlock(
-            is_r=is_r[order],
+            role=role[order],
             object_ids=rng.permutation(rows).astype(np.int64),
             points=rng.random((rows, 2)),
             payloads=rng.integers(0, 50, rows),
@@ -176,7 +176,7 @@ class TestRouteBlock:
         for key, sub in routed:
             reference = RecordBlock.gather(value for other, value in expected if other == key)
             assert np.array_equal(sub.object_ids, reference.object_ids)
-            assert np.array_equal(sub.is_r, reference.is_r)
+            assert np.array_equal(sub.role, reference.role)
             assert sub.estimated_bytes() == reference.estimated_bytes()
         assert {key for key, _ in expected} == set(keys)
 

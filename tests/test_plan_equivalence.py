@@ -338,14 +338,15 @@ class TestFinalOutputsPinned:
     was computed once per pair and the own pivot's distance was reused, and
     11 941 before the nearest computed pivots bounded each row's later cells
     and the own cell was scanned from its ring centre out, 10 656 while
-    random pivots were the most spread of five draws, and 11 320 before two
-    anchors' distances filtered every scanned pair)."""
+    random pivots were the most spread of five draws, 11 320 before two
+    anchors' distances filtered every scanned pair, and 9 133 before an
+    object's own-group row of both roles computed its anchor distances once)."""
 
     #: join -> (sha1 of (r id, neighbour ids, distance bytes) rows, pairs,
     #: final job's output_bytes, its reduce tasks' output records)
     PINNED = {
         "broadcast": ("6a7ec171f4ee3716", 40000, 13600, 200),
-        "pgbj": ("6a7ec171f4ee3716", 9133, 13600, 200),
+        "pgbj": ("6a7ec171f4ee3716", 8733, 13600, 200),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))

@@ -168,7 +168,8 @@ def test_cluster_worlds_put_outliers_in_cluster_pivots_cells():
 @given(join_world())
 @settings(max_examples=10, deadline=None)
 def test_pgbj_structural_invariants(world):
-    """Cardinality k*|R|, sorted lists, shuffle = |R| + RP(S) records."""
+    """Cardinality k*|R|, sorted lists, shuffle = |R| + RP(S) records — RP(S)
+    in a self-join, whose R rows ride in their own-group S copies."""
     r, s, k, metric_name, num_reducers, num_pivots, seed = world
     config = PgbjConfig(
         k=k, num_reducers=num_reducers, num_pivots=min(num_pivots, len(r)),
@@ -178,5 +179,6 @@ def test_pgbj_structural_invariants(world):
     outcome.result.validate(r.ids, len(s))
     assert outcome.result.total_pairs() == min(k, len(s)) * len(r)
     join_stats = outcome.job_stats[1]
-    assert join_stats.shuffle_records == len(r) + outcome.replication_of_s()
+    r_rows = 0 if r is s else len(r)
+    assert join_stats.shuffle_records == r_rows + outcome.replication_of_s()
     assert 1.0 <= outcome.avg_replication_of_s() <= num_reducers

@@ -25,13 +25,14 @@ from repro.mapreduce import (
     record_count,
     split_records,
 )
+from repro.mapreduce.types import ROLE_BOTH, ROLE_R, ROLE_S
 
 
 def sample_block(n=10, dims=3, seed=0):
-    """``n`` annotated rows: R and S alternate, cells ``row % 4``."""
+    """``n`` annotated rows: roles R, S and both in turn, cells ``row % 4``."""
     rng = np.random.default_rng(seed)
     block = RecordBlock.of_objects(
-        np.arange(n) % 2 == 0,
+        np.array([ROLE_R, ROLE_S, ROLE_BOTH])[np.arange(n) % 3],
         np.arange(n),
         rng.random((n, dims)),
         rng.integers(0, 50, size=n),
@@ -51,14 +52,30 @@ class TestRoundTrip:
         ids = np.arange(10, 16)
         points = np.random.default_rng(1).random((6, 2))
         payloads = np.arange(6, dtype=np.int64)
-        block = RecordBlock.of_objects(False, ids[2:5], points[2:5], payloads[2:5])
+        block = RecordBlock.of_objects(ROLE_S, ids[2:5], points[2:5], payloads[2:5])
         for column, source in ((block.object_ids, ids), (block.points, points),
                                (block.payloads, payloads)):
             assert np.shares_memory(column, source)
-        assert block.is_r.tolist() == [False] * 3
+        assert block.role.dtype == np.uint8 and block.role.tolist() == [ROLE_S] * 3
         assert block.partition_ids.tolist() == [-1] * 3
         assert np.isnan(block.pivot_distances).all()
-        assert RecordBlock.of_objects(True, ids, points).payloads.tolist() == [0] * 6
+        assert RecordBlock.of_objects(ROLE_R, ids, points).payloads.tolist() == [0] * 6
+
+    def test_role_bits(self):
+        block = sample_block(6)
+        assert block.is_r.tolist() == [True, False, True] * 2
+        assert block.is_s.tolist() == [False, True, True] * 2
+
+    @pytest.mark.parametrize("role", (ROLE_R, ROLE_S))
+    def test_copies_of_stamps_one_role(self, role):
+        """A consumer shipping the roles apart gets one copy per role of a
+        row of both: the rows holding the bit, in order, in that role alone."""
+        block = sample_block(9)
+        copies = block.copies_of(role)
+        holding = np.flatnonzero(block.role & role)
+        assert copies.role.tolist() == [role] * holding.size
+        assert np.array_equal(copies.object_ids, block.object_ids[holding])
+        assert copies.estimated_bytes() == block.take(holding).estimated_bytes()
 
     def test_gather_concatenates_in_order(self):
         block = sample_block(8)
@@ -89,7 +106,7 @@ class TestRoundTrip:
         block = sample_block(5)
         clone = pickle.loads(pickle.dumps(block))
         assert type(clone) is RecordBlock
-        for name in ("is_r", "object_ids", "points", "payloads", "partition_ids",
+        for name in ("role", "object_ids", "points", "payloads", "partition_ids",
                      "pivot_distances"):
             assert np.array_equal(getattr(clone, name), getattr(block, name)), name
 
@@ -98,7 +115,7 @@ class TestWireFormat:
     def test_encode_decode_round_trip(self):
         block = sample_block(7)
         clone = decode_record_block(encode_record_block(block))
-        assert np.array_equal(clone.is_r, block.is_r)
+        assert np.array_equal(clone.role, block.role) and clone.role.dtype == np.uint8
         assert np.array_equal(clone.object_ids, block.object_ids)
         assert np.array_equal(clone.points, block.points)
         assert np.array_equal(clone.payloads, block.payloads)
@@ -236,6 +253,46 @@ class SprayBlocksMapper(BlockBufferingMapper):
 class CountRecordsReducer(Reducer):
     def reduce(self, key, values, ctx: Context):
         yield key, sum(record_count(value) for value in values)
+
+
+class GatherRowsReducer(Reducer):
+    """Hands a key's rows back as one block."""
+
+    def reduce(self, key, values, ctx: Context):
+        yield key, RecordBlock.gather(values)
+
+
+class TestRolesCrossEveryBoundary:
+    def test_rows_of_both_roles_arrive_unchanged(self, tmp_path):
+        """Rows of R, S and both roles, read from the segment-backed DFS and
+        shuffled through spill segments by ``processes-pooled`` workers,
+        arrive with every column unchanged."""
+        from repro.mapreduce import DistributedFileSystem
+
+        block = sample_block(30)
+        job = MapReduceJob(
+            name="roles",
+            mapper_factory=SprayBlocksMapper,
+            reducer_factory=GatherRowsReducer,
+            partitioner=ModPartitioner(),
+            num_reducers=3,
+        )
+        with DistributedFileSystem(
+            num_nodes=2, chunk_records=8, segment_backed=True, segment_dir=str(tmp_path / "dfs")
+        ) as dfs, LocalRuntime(
+            engine="processes-pooled", max_workers=2, memory_budget=64,
+            spill_dir=str(tmp_path / "spill"),
+        ) as runtime:
+            dfs.put("rows", [(0, block)])
+            result = runtime.run(job, dfs.splits("rows"))
+        assert result.stats.spill_segments > 0
+        returned = RecordBlock.gather(value for _, value in result.outputs)
+        returned = returned.take(np.argsort(returned.object_ids))
+        assert returned.role.dtype == np.uint8
+        assert np.count_nonzero(returned.role == ROLE_BOTH) == 10
+        for name in ("role", "object_ids", "points", "payloads", "partition_ids",
+                     "pivot_distances"):
+            assert np.array_equal(getattr(returned, name), getattr(block, name)), name
 
 
 class TestShuffleParity:

@@ -1,11 +1,15 @@
-"""A self-join (``r is s``) assigns each object to its Voronoi cell once.
+"""A self-join (``r is s``) assigns each object to its Voronoi cell once
+and ships it to its own group once.
 
-PGBJ, PBJ and closest pairs share the partitioning stage.  Joining a dataset
-with itself must equal joining it with an equal copy in everything but the
-counted pairs: results, shuffle, S replicas and the spill layout are the
-same, and the self-join computes exactly the R copies' assignment pairs
-fewer.  Persisted stage results (plan cache, checkpoints) must never serve
-one for the other.
+PGBJ, PBJ and closest pairs share the partitioning stage, which emits one
+row of both roles per object of a self-join.  Joining a dataset with itself
+must equal joining it with an equal copy in results and S replicas, and
+compute exactly the R copies' assignment pairs fewer.  PBJ and closest pairs
+ship the two roles apart, so their shuffle equals the equal copy's; PGBJ
+sends each object to its own group as one row of both roles, so its join
+shuffle is exactly the R rows lighter, and its reducers compute no anchor
+distances for those rows' S role.  Persisted stage results (plan cache,
+checkpoints) must never serve one for the other.
 """
 
 import copy
@@ -15,10 +19,18 @@ import pytest
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
 from repro.joins import get_join, plan_join, run_join
-from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME
+from repro.joins.base import (
+    ANCHOR_PAIRS_NAME,
+    PAIRS_GROUP,
+    PAIRS_NAME,
+    REPLICA_GROUP,
+    REPLICA_NAME,
+)
 from repro.joins.partition_job import SKIPPED_NAME, make_pivot_selector
 from repro.joins.registry import JoinPlan, execute_join_plan
 from repro.mapreduce import PlanCache
+from repro.mapreduce.serialization import estimate_bytes
+from repro.mapreduce.types import ROLE_BOTH, ROLE_R, RecordBlock
 from tests.test_plan_equivalence import env_params
 
 JOINS = ("pgbj", "pbj", "closest-pairs")
@@ -53,22 +65,24 @@ def answer(outcome):
 
 
 def shipped(jobs):
-    """What every job after the partitioning one moved and spilled, and what
-    each of its tasks read and wrote."""
+    """What every job after the partitioning one moved, its S replicas and
+    what each of its reduce tasks read and wrote."""
     return [
         (
             job.stats.shuffle_records,
             job.stats.shuffle_bytes,
-            job.stats.spill_segments,
-            job.stats.merge_passes,
             job.counters.value(REPLICA_GROUP, REPLICA_NAME),
-            [
-                (task.input_records, task.output_records)
-                for task in job.stats.map_tasks + job.stats.reduce_tasks
-            ],
+            [(task.input_records, task.output_records) for task in job.stats.reduce_tasks],
         )
         for job in jobs[1:]
     ]
+
+
+def r_rows_shipped(dataset):
+    """``(records, bytes)`` of ``dataset`` shipped once as R rows: each row's
+    wire bytes and the copy of its int key the shuffle counts with it."""
+    rows = RecordBlock.of_objects(ROLE_R, dataset.ids, dataset.points, dataset.payload_bytes)
+    return len(rows), len(rows) * estimate_bytes(0) + rows.estimated_bytes()
 
 
 def assignment_pairs(dataset, config):
@@ -87,31 +101,62 @@ def assignment_pairs(dataset, config):
 class TestSelfJoinEqualsEqualCopy:
     @pytest.mark.parametrize("budget", (None, 4096), ids=("memory", "spill"))
     @pytest.mark.parametrize("name", JOINS)
-    def test_same_answer_and_shuffle_fewer_assignment_pairs(self, name, budget, data):
+    def test_same_answer_and_replicas_fewer_pairs(self, name, budget, data):
         config = config_for(name, **({} if budget is None else {"memory_budget": budget}))
         same, same_jobs = run_stages(name, data, data, config)
         twin, twin_jobs = run_stages(name, data, copy.deepcopy(data), config)
         assert answer(same) == answer(twin)
-        assert shipped(same_jobs) == shipped(twin_jobs)
         if budget is not None:
-            assert sum(layout[2] for layout in shipped(same_jobs)) > 0  # it did spill
+            assert sum(job.stats.spill_segments for job in same_jobs[1:]) > 0  # it did spill
         # the self-join skips exactly the R copies' assignment; both count
         # what they skipped, so computed + skipped = (|R| + |S|) x M
         pairs, all_pairs = assignment_pairs(data, config), 2 * len(data) * config.num_pivots
-        assert twin.distance_pairs - same.distance_pairs == pairs
         for jobs, computed in ((same_jobs, pairs), (twin_jobs, 2 * pairs)):
             counters = jobs[0].counters
             assert counters.value(PAIRS_GROUP, PAIRS_NAME) == computed
             assert computed + counters.value(PAIRS_GROUP, SKIPPED_NAME) == all_pairs
+        if name != "pgbj":
+            # the two roles ship apart: the equal copy's shuffle, to the row
+            assert shipped(same_jobs) == shipped(twin_jobs)
+            assert twin.distance_pairs - same.distance_pairs == pairs
+            return
+        # PGBJ: one row of both roles per object in its own group — the R
+        # rows' records and bytes fewer, the same S replicas, and each such
+        # row's two anchor distances computed once
+        ((records, shuffle_bytes, replicas, _),) = shipped(same_jobs)
+        ((twin_records, twin_bytes, twin_replicas, _),) = shipped(twin_jobs)
+        assert (twin_records - records, twin_bytes - shuffle_bytes) == r_rows_shipped(data)
+        assert replicas == twin_replicas == records
+        assert twin.distance_pairs - same.distance_pairs == pairs + 2 * len(data)
+        anchor_pairs = [jobs[1].counters.value(PAIRS_GROUP, ANCHOR_PAIRS_NAME)
+                        for jobs in (same_jobs, twin_jobs)]
+        assert anchor_pairs[1] - anchor_pairs[0] == 2 * len(data)
 
-    def test_map_tasks_read_each_object_once(self, data):
+    def test_skew_split_self_join_ships_r_rows_once(self, data):
+        """Under a forced skew split an object's R bit rides in its id lane's
+        sub-key only, its S bit in every sub-key: results as the equal copy's,
+        exactly |R| records fewer."""
+        config = config_for("pgbj", skew_split_threshold=0.05, skew_split_max_ways=3)
+        same, same_jobs = run_stages("pgbj", data, data, config)
+        twin, twin_jobs = run_stages("pgbj", data, copy.deepcopy(data), config)
+        assert len(same_jobs[1].stats.reduce_tasks) > config.num_reducers  # it split
+        assert answer(same) == answer(twin)
+        ((records, shuffle_bytes, replicas, _),) = shipped(same_jobs)
+        ((twin_records, twin_bytes, twin_replicas, _),) = shipped(twin_jobs)
+        assert (twin_records - records, twin_bytes - shuffle_bytes) == r_rows_shipped(data)
+        assert replicas == twin_replicas > len(data)
+
+    def test_map_tasks_read_and_emit_each_object_once(self, data):
         config = config_for("pgbj")
         _, same_jobs = run_stages("pgbj", data, data, config)
         _, twin_jobs = run_stages("pgbj", data, copy.deepcopy(data), config)
-        for jobs, reads in ((same_jobs, len(data)), (twin_jobs, 2 * len(data))):
-            assert sum(task.input_records for task in jobs[0].stats.map_tasks) == reads
-            # both copies of every object reach the next job
-            assert sum(len(block) for _, block in jobs[0].outputs) == 2 * len(data)
+        for jobs, rows in ((same_jobs, len(data)), (twin_jobs, 2 * len(data))):
+            assert sum(task.input_records for task in jobs[0].stats.map_tasks) == rows
+            assert sum(len(block) for _, block in jobs[0].outputs) == rows
+            assert sum(task.input_records for task in jobs[1].stats.map_tasks) == rows
+        partitioned = RecordBlock.gather(block for _, block in same_jobs[0].outputs)
+        assert (partitioned.role == ROLE_BOTH).all()
+        assert sorted(partitioned.object_ids) == sorted(data.ids)
 
 
 def facts(name, r, s, config):

@@ -85,7 +85,7 @@ def rows_block(ids) -> RecordBlock:
     """A block whose every column is derived from its (unique) row ids."""
     ids = np.asarray(ids, dtype=np.int64)
     return RecordBlock(
-        is_r=ids % 2 == 0,
+        role=(ids % 3 + 1).astype(np.uint8),  # R, S and both roles
         object_ids=ids,
         points=np.stack([ids * 0.5, ids * 2.0], axis=1),
         payloads=ids % 7,
@@ -126,7 +126,7 @@ def _key_sequences(emissions):
             rows.extend(
                 (int(i), value.points[n].tobytes(), int(value.payloads[n]),
                  int(value.partition_ids[n]), float(value.pivot_distances[n]),
-                 bool(value.is_r[n]))
+                 int(value.role[n]))
                 for n, i in enumerate(value.object_ids)
             )
         else:

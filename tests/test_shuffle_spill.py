@@ -70,7 +70,7 @@ from tests.test_shuffle_accounting import rows_block
 def sample_block(rows: int = 3, dims: int = 2) -> RecordBlock:
     rng = np.random.default_rng(5)
     return RecordBlock(
-        is_r=np.array([True, False, True][:rows]),
+        role=np.array([1, 2, 3][:rows], dtype=np.uint8),  # R, S, both
         object_ids=np.arange(rows, dtype=np.int64),
         points=rng.random((rows, dims)),
         payloads=np.zeros(rows, dtype=np.int64),
@@ -114,7 +114,7 @@ class TestSegmentFormat:
         assert key == 5
         assert isinstance(decoded, RecordBlock)
         assert np.array_equal(decoded.points, block.points)
-        assert np.array_equal(decoded.is_r, block.is_r)
+        assert np.array_equal(decoded.role, block.role)
 
     def test_header_carries_accounting(self, tmp_path):
         from repro.mapreduce.shuffle import read_segment_header
