@@ -136,24 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     join.add_argument("--grouping", choices=["geometric", "greedy"], default="geometric")
     join.add_argument("--seed", type=int, default=0)
     add_knob_flags(join, _join_knobs())
-    join.add_argument(
-        "--explain",
-        action="store_true",
-        help=(
-            "print the plan-time cost estimate (per-stage records, shuffle "
-            "bytes, distance pairs, predicted seconds) and exit without "
-            "running the join"
-        ),
-    )
-    join.add_argument(
-        "--calibrate",
-        action="store_true",
-        help=(
-            "price --explain / --auto-tune with on-box measured primitive "
-            "rates (sub-second microbench, cached to disk) instead of the "
-            "deterministic built-in rates"
-        ),
-    )
     bench = sub.add_parser("bench", help="reproduce one exhibit (or `all`)")
     bench.add_argument("exhibit", choices=list(EXHIBITS) + ["all"])
     bench.add_argument("--results-dir", default="results")
@@ -209,42 +191,14 @@ def _cmd_join(args: argparse.Namespace) -> int:
         grouping=args.grouping,
         **config_knobs(vars(args), _join_knobs()),
     )
-    if args.auto_tune:
-        # the tuner only moves knobs still at their *config* defaults; drop
-        # the flags the user left at the CLI defaults so they stay tunable
-        for knob in ("num_reducers", "num_pivots"):
-            if getattr(args, knob) == DEFAULTS[knob]:
-                knobs.pop(knob)
-    config = requested = spec.make_config(**knobs)
-    if args.explain:
-        from repro.joins.autotune import auto_tune_config, explain_join
-
-        if args.auto_tune:
-            choice = auto_tune_config(
-                spec.name, data, data, config, calibrated=args.calibrate
-            )
-            print(choice.describe())
-            print(choice.estimate.explain())
-        else:
-            print(explain_join(
-                spec.name, data, data, config, calibrated=args.calibrate
-            ).explain())
-        return 0
-    if args.auto_tune:
-        from repro.joins.autotune import auto_tune_config
-
-        choice = auto_tune_config(
-            spec.name, data, data, config, calibrated=args.calibrate
-        )
-        print(choice.describe())
-        config = choice.config
+    config = spec.make_config(**knobs)
     outcome = run_join(spec.name, data, data, config)
     cluster = default_cluster(args.num_reducers)
     print(f"algorithm            : {outcome.algorithm}")
-    print(f"engine               : {requested.engine}"
-          + (f" ({requested.max_workers} workers)" if requested.max_workers else ""))
-    if requested.spill_codec != "none":
-        print(f"spill codec          : {requested.spill_codec}")
+    print(f"engine               : {config.engine}"
+          + (f" ({config.max_workers} workers)" if config.max_workers else ""))
+    if config.spill_codec != "none":
+        print(f"spill codec          : {config.spill_codec}")
     print(f"|R| = |S|            : {len(data)} ({data.name})")
     print(f"k                    : {args.k}")
     print(f"join output pairs    : {outcome.result.total_pairs()}")
@@ -267,7 +221,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         + outcome.checksum_failures()
         + outcome.spill_files_deleted()
     )
-    if requested.chaos is not None or robustness:
+    if config.chaos is not None or robustness:
         print(f"fault tolerance      : {outcome.recovered_tasks()} tasks recovered, "
               f"{outcome.speculative_wins()} speculative wins, "
               f"{outcome.checksum_failures()} checksum failures, "

@@ -259,12 +259,6 @@ class JoinConfig:
         help="persist each finished plan stage here; re-running the same join after "
         "a crash resumes from the last completed stage",
     )
-    auto_tune: bool = knob(
-        False, "--auto-tune", "REPRO_AUTO_TUNE",
-        help="let the cost model pick the knobs left at their defaults (pivots, "
-        "reducers, engine, fusion, skew splitting) for the dataset at hand; a "
-        "tuned run equals the hand-written config carrying the chosen knobs",
-    )
     stage_fusion: bool = knob(
         False, "--fuse-stages", "REPRO_STAGE_FUSION",
         help="fuse identity-map stages into their consumers: the candidate-merge jobs "

@@ -153,8 +153,8 @@ def plan_skew_split(
 ) -> tuple[dict[int, tuple[int, ...]], int]:
     """Decide the skew-aware repartitioning for the join job.
 
-    Reads the *sampled* load picture the partition summaries already give us:
-    per-group R record counts under the grouping assignment.  When the
+    Reads the exact per-cell R counts of the master's summary table ``T_R``,
+    summed per group under the grouping assignment.  When the
     heaviest group's share of R exceeds ``config.skew_split_threshold``, that
     one group is split ``ways`` ways — proportional to how far it overshoots
     the mean group load, capped by ``skew_split_max_ways`` — onto fresh
@@ -164,7 +164,7 @@ def plan_skew_split(
     Returns ``(skew_subkeys, num_join_reducers)``; the mapping is empty and
     the reducer count unchanged when splitting is disabled or not warranted.
     """
-    if config.skew_split_threshold <= 0.0 or config.num_reducers < 1:
+    if config.skew_split_threshold <= 0.0:
         return {}, config.num_reducers
     loads = np.zeros(config.num_reducers, dtype=np.int64)
     for pid in tr.partition_ids():

@@ -312,11 +312,7 @@ def run_join(
     Operator-kind joins take their extra arguments as keywords (e.g.
     ``run_join("range-selection", dataset, queries, config, theta=0.2)``).
     """
-    spec, config = _checked(name, r, s, config)  # before the tuner samples the data
-    if config.auto_tune:
-        from .autotune import auto_tune_config  # deferred: autotune imports us
-
-        config = auto_tune_config(name, r, s, config).config
+    spec, config = _checked(name, r, s, config)
     return execute_join_plan(_build_plan(spec, r, s, config, extra), config)
 
 

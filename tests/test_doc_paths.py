@@ -128,8 +128,8 @@ def test_every_cited_name_exists(document):
 # -- a variable named is a variable that exists --------------------------------
 
 _VARIABLE = re.compile(r"REPRO_[A-Z_]+")
-#: not execution knobs: a workload size, and where the cost model caches rates
-NOT_KNOBS = {"REPRO_BENCH_SCALE", "REPRO_COST_CACHE"}
+#: not an execution knob: a workload size
+NOT_KNOBS = {"REPRO_BENCH_SCALE"}
 SOURCES = sorted(
     str(path.relative_to(REPO)) for path in (REPO / "src").rglob("*.py")
 )

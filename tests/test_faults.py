@@ -624,7 +624,7 @@ class TestCheckpointDirReuse:
             "k": 11, "num_reducers": 5, "metric_name": "l1", "seed": 8,
             "split_size": 100, "engine": "threads-pooled", "max_workers": 3,
             "memory_budget": 64, "spill_dir": "/tmp/x", "spill_codec": "zlib", "plan_concurrency": False, "task_timeout": 9.0,
-            "auto_tune": True, "stage_fusion": True, "plan_cache_dir": "/tmp/y",
+            "stage_fusion": True, "plan_cache_dir": "/tmp/y",
             "num_pivots": 65, "pivot_selection": "farthest", "grouping": "greedy",
             "pivot_sample_size": 100,
             "kmeans_iterations": 9, "use_hyperplane_pruning": False,
@@ -700,8 +700,8 @@ class TestCheckpointDirReuse:
     def test_subclass_knobs_are_fields_and_survive_with_changes(self, config_name):
         """Every knob a config subclass adds must *be* a dataclass field — so
         it moves the plan identity and config equality — and a sweep helper
-        (or the auto-tuner) going through ``with_changes`` must never reset a
-        knob it was not asked to move."""
+        going through ``with_changes`` must never reset a knob it was not
+        asked to move."""
         import dataclasses
 
         import repro.joins

@@ -5,12 +5,15 @@ Every execution knob is declared once, on its ``JoinConfig`` field
 harness, the CI legs) and the README / ``repro info`` table are derived from
 those declarations.  One suite, parametrised over the table, holds what the
 per-knob cases used to: a knob that is declared is a field, a flag and — when
-it names one — a variable, and all three spell the same value.
+it names one — a variable, and all three spell the same value.  The table's
+"affects results" column says ``never`` for every row; each row, set alone,
+is run through every join to hold it to that.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import sys
 
@@ -20,6 +23,7 @@ import pytest
 from repro import cli
 from repro.bench.harness import run_algorithm
 from repro.core import Dataset
+from repro.datasets import generate_forest
 from repro.joins import JoinConfig, PgbjConfig, available_joins, get_join
 from repro.joins.base import (
     Knob,
@@ -31,6 +35,7 @@ from repro.joins.base import (
 )
 from repro.joins.registry import JOINS, JoinSpec, plan_identity
 from repro.mapreduce import ChaosPlan
+from tests.test_plan_equivalence import fingerprint, run_one
 
 ROWS = execution_knobs()
 WITH_ENV = [row for row in ROWS if row.env]
@@ -62,6 +67,11 @@ def invalid(row: Knob) -> str | None:
     return {int: "two", float: "soon", str: None}.get(row.type, "crash:rate")
 
 
+def spelled(row: Knob, directory) -> str:
+    """``sample(row)``'s text, with a path row pointed under ``directory``."""
+    return str(directory / row.field) if invalid(row) is None else sample(row)[0]
+
+
 def owner_of(row: Knob) -> Knob:
     """The row that fills ``row``'s field (itself, unless it is a modifier)."""
     return next(r for r in ROWS if r.field == row.field and r.attribute is None)
@@ -79,6 +89,22 @@ def parse_join(*argv: str) -> dict:
     return config_knobs(vars(args), ROWS)
 
 
+@pytest.fixture(scope="module")
+def data():
+    return generate_forest(200, seed=3)
+
+
+@pytest.fixture(scope="module")
+def queries():
+    return generate_forest(24, seed=8)
+
+
+@pytest.fixture(scope="module")
+def default_runs(data, queries):
+    """Each join's fingerprint with every knob left at its default."""
+    return functools.cache(lambda name: fingerprint(run_one(name, data, queries)[0]))
+
+
 @pytest.fixture(autouse=True)
 def clean_environment(monkeypatch):
     # a CI leg's variables must not leak into what these cases set
@@ -86,15 +112,15 @@ def clean_environment(monkeypatch):
         monkeypatch.delenv(row.env, raising=False)
 
 
-def test_the_table_is_the_thirteen_knobs():
+def test_the_table_is_the_twelve_knobs():
     assert [row.flag for row in ROWS] == [
         "--engine", "--workers", "--memory-budget", "--spill-dir",
         "--spill-codec", "--no-plan-concurrency",
-        "--task-timeout", "--checkpoint-dir", "--auto-tune", "--fuse-stages",
+        "--task-timeout", "--checkpoint-dir", "--fuse-stages",
         "--plan-cache-dir", "--chaos-spec", "--chaos-seed",
     ]  # fmt: skip
     assert sorted(row.env for row in WITH_ENV) == [
-        "REPRO_AUTO_TUNE", "REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_ENGINE",
+        "REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_ENGINE",
         "REPRO_MEMORY_BUDGET", "REPRO_PLAN_CACHE_DIR",
         "REPRO_SPILL_CODEC", "REPRO_STAGE_FUSION", "REPRO_WORKERS",
     ]  # fmt: skip
@@ -127,6 +153,16 @@ class TestEveryRow:
         if row.env:
             for environ in ({}, {row.env: ""}, {row.env: "  "}):
                 assert knobs_from_env(environ) == {}
+
+    @pytest.mark.parametrize("name", sorted(available_joins()))
+    def test_never_moves_a_result(self, row, name, data, queries, default_runs, tmp_path):
+        owner = owner_of(row)
+        argv = [] if owner is row else [owner.flag, spelled(owner, tmp_path)]
+        argv += [row.flag] if row.is_switch else [row.flag, spelled(row, tmp_path)]
+        knobs = parse_join(*argv)
+        assert knobs  # the row is set, away from its default
+        outcome, _ = run_one(name, data, queries, **knobs)
+        assert fingerprint(outcome) == default_runs(name)
 
 
 @pytest.mark.parametrize("row", WITH_ENV, ids=by_name)
@@ -272,7 +308,7 @@ class TestStructure:
             "PgbjConfig(k=10, num_reducers=4, metric_name='l2', seed=7, split_size=4096, "
             "engine='serial', max_workers=None, memory_budget=None, spill_dir=None, "
             "spill_codec='none', plan_concurrency=True, "
-            "task_timeout=None, checkpoint_dir=None, auto_tune=False, stage_fusion=False, "
+            "task_timeout=None, checkpoint_dir=None, stage_fusion=False, "
             "plan_cache_dir=None, num_pivots=64, pivot_selection='random', "
             "grouping='geometric', pivot_sample_size=8192, kmeans_iterations=8, "
             "use_hyperplane_pruning=True, use_ring_pruning=True, "
@@ -290,10 +326,12 @@ class TestStructure:
         # random selector's candidate-set count,
         # "ff65f31b0b6ff2af9c44259355cdf695e5333e09"; version 7 counts the
         # kernel's anchor distances, "41a6fec7af217894c5581bc4d5a6e7ce73f34a1c";
-        # version 8 emits a self-join's object once, as a row of both roles)
+        # version 8 emits a self-join's object once, as a row of both roles,
+        # "9069cc67fa45bcda9849cfc9567b0492962803ae"; still version 8, the
+        # auto-tuning knob's field was removed)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "9069cc67fa45bcda9849cfc9567b0492962803ae"
+            == "e2d344dfec9291253e421e31e57208f47514428b"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

@@ -2,6 +2,7 @@
 (``tests/reference_pgbj.py``)."""
 
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ import pytest
 from repro.core import Dataset
 from repro.datasets import expand_dataset, generate_forest, generate_osm
 from repro.joins import PgbjConfig, run_join
-from repro.joins.pgbj import GroupRoutingMapper
+from repro.joins.base import (
+    ANCHOR_PAIRS_NAME,
+    PAIRS_GROUP,
+    PAIRS_NAME,
+    REPLICA_GROUP,
+    REPLICA_NAME,
+)
+from repro.joins.pgbj import GroupRoutingMapper, plan_skew_split
 from repro.mapreduce.job import Context
 from repro.mapreduce.types import ROLE_BOTH, ROLE_R, ROLE_S, RecordBlock
 from tests.reference_pgbj import PerCellRoutingMapper, outcome_facts, pgbj_facts
@@ -133,6 +141,71 @@ class TestBlockPerTaskMatchesPerCellReference:
         assert _comparable(facts) == _comparable(reference)
         map_tasks = len(facts["task_records"][2])
         assert facts["blocks"][1] <= map_tasks * 9 < reference["blocks"][1]
+
+
+class TestSkewSplit:
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        """Three quarters of R piled into one tight cluster."""
+        rng = np.random.default_rng(12)
+        points = np.concatenate(
+            [rng.normal(0.0, 0.03, size=(300, 3)), rng.uniform(-3.0, 3.0, size=(100, 3))]
+        )
+        return Dataset(points, name="skewed")
+
+    @staticmethod
+    def _table(counts: dict[int, int]):
+        """A stand-in ``T_R``: the per-cell counts ``plan_skew_split`` reads."""
+        return SimpleNamespace(
+            partition_ids=lambda: sorted(counts),
+            get=lambda pid: SimpleNamespace(count=counts[pid]),
+        )
+
+    def test_bit_identical_results_and_pairs(self, skewed):
+        base = run_join(
+            "pgbj", skewed, skewed, PgbjConfig(k=4, num_pivots=16, seed=5)
+        )
+        split = run_join(
+            "pgbj", skewed, skewed,
+            PgbjConfig(k=4, num_pivots=16, seed=5, skew_split_threshold=0.3),
+        )
+        assert sorted(base.result.pairs()) == sorted(split.result.pairs())
+
+        def pairs(outcome):
+            return outcome.counters.value(PAIRS_GROUP, PAIRS_NAME)
+
+        def anchor_pairs(outcome):
+            return outcome.counters.value(PAIRS_GROUP, ANCHOR_PAIRS_NAME)
+
+        def replicas(outcome):
+            return outcome.counters.value(REPLICA_GROUP, REPLICA_NAME)
+
+        assert pairs(base) - anchor_pairs(base) == pairs(split) - anchor_pairs(split)
+        assert replicas(split) > replicas(base)
+        # every S copy a reducer holds costs its two anchor distances
+        assert anchor_pairs(split) - anchor_pairs(base) == 2 * (replicas(split) - replicas(base))
+
+    def test_plan_skew_split_unit(self):
+        mapping = {0: 0, 1: 1, 2: 2, 3: 3}
+        balanced = self._table({0: 100, 1: 100, 2: 100, 3: 100})
+        heavy = self._table({0: 900, 1: 40, 2: 40, 3: 20})
+        config = PgbjConfig(num_reducers=4, skew_split_threshold=0.5)
+        assert plan_skew_split(balanced, mapping, config) == ({}, 4)
+        subkeys, reducers = plan_skew_split(heavy, mapping, config)
+        assert reducers > 4
+        assert subkeys[0][0] == 0  # the heavy group keeps its key ...
+        assert all(key >= 4 for key in subkeys[0][1:])  # ... sub-keys append
+        disabled = PgbjConfig(num_reducers=4)  # threshold defaults to 0.0
+        assert plan_skew_split(heavy, mapping, disabled) == ({}, 4)
+
+    def test_max_ways_caps_the_split(self):
+        config = PgbjConfig(
+            num_reducers=4, skew_split_threshold=0.5, skew_split_max_ways=2
+        )
+        table = self._table({0: 10_000, 1: 10})
+        subkeys, reducers = plan_skew_split(table, {0: 0, 1: 1}, config)
+        assert len(subkeys[0]) == 2
+        assert reducers == 5
 
 
 class TestRouteBlock:

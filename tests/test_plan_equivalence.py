@@ -1,15 +1,19 @@
 """Plan execution equivalence: concurrent scheduling must be invisible.
 
 The acceptance bar of the planner redesign: all 8 joins run through
-``JobGraph`` plans, and concurrent stage scheduling, fused multi-join
-execution and cache-served prefixes are all **bit-identical** — results,
+``JobGraph`` plans, and concurrent stage scheduling, stage fusion, fused
+multi-join execution and cache-served prefixes (in memory or from the
+persistent plan cache) are all **bit-identical** — results,
 ``pairs_computed``, shuffle records/bytes — to strictly sequential runs, on
 every engine and both shuffle backends.
 
 Engine and memory budget default from ``REPRO_ENGINE`` /
 ``REPRO_MEMORY_BUDGET`` (like the bench harness), so the CI legs sweep this
 suite across the engine × spill matrix; a direct parametrization covers the
-matrix for PGBJ and the z-order join in every run.
+matrix for PGBJ and the z-order join in every run.  With
+``REPRO_PLAN_CACHE_DIR`` set (the CI ``plan-cache`` leg), the first pytest
+invocation seeds that persistent cache and records an outcome fingerprint;
+the second must be served from disk and fingerprint identically.
 
 Also here: the registry surface (``get_join`` / ``run_join``), the
 stage-named ``StageStats``, and the ``with_changes`` × ``shared_executor`` /
@@ -19,6 +23,8 @@ stage-named ``StageStats``, and the ``with_changes`` × ``shared_executor`` /
 from __future__ import annotations
 
 import dataclasses
+import os
+from pathlib import Path
 
 import pytest
 
@@ -32,10 +38,12 @@ from repro.joins import (
     available_joins,
     get_join,
     plan_join,
+    registry,
     run_join,
     run_join_plans,
 )
 from repro.joins.base import knobs_from_env
+from repro.joins.partition_job import partition_stage_key
 from repro.mapreduce import PersistentThreadExecutor, PlanCache
 from tests.test_engines import outcome_fingerprint
 
@@ -108,13 +116,20 @@ def run_one(name: str, data, queries, **config_overrides):
 
 
 class TestConcurrentMatchesSequential:
-    """Concurrent plan scheduling ≡ the historical sequential order, per join."""
+    """Concurrent plan scheduling ≡ the historical sequential order, and
+    stage fusion ≡ unfused stages, per join."""
 
     @pytest.mark.parametrize("name", ALL_JOINS)
     def test_join_equivalence(self, name, data, queries):
         sequential, _ = run_one(name, data, queries, plan_concurrency=False)
         concurrent, _ = run_one(name, data, queries, plan_concurrency=True)
         assert fingerprint(concurrent) == fingerprint(sequential)
+
+    @pytest.mark.parametrize("name", ALL_JOINS)
+    def test_fused_matches_unfused(self, name, data, queries):
+        plain, _ = run_one(name, data, queries, stage_fusion=False)
+        fused, _ = run_one(name, data, queries, stage_fusion=True)
+        assert fingerprint(fused) == fingerprint(plain)
 
     @pytest.mark.parametrize("name", ("pgbj", "pbj", "zorder"))
     def test_per_stage_accounting_stable(self, name, data, queries):
@@ -277,6 +292,67 @@ class TestPlanCacheReuse:
         ]
         assert warm == cold
         assert cache.stats()["hits"] == 1
+
+    @pytest.mark.parametrize("name", ALL_JOINS)
+    def test_cold_then_warm_disk_cache(self, name, data, queries, tmp_path):
+        """A run served from the persistent cache by a fresh cache object
+        fingerprints like the cold run that wrote it."""
+        cold, _ = run_one(name, data, queries, plan_cache_dir=str(tmp_path))
+        warm, _ = run_one(name, data, queries, plan_cache_dir=str(tmp_path))
+        assert fingerprint(warm) == fingerprint(cold)
+        if name in ("pgbj", "pbj", "closest-pairs"):
+            # these plans share the content-keyed partition stage
+            assert list(Path(tmp_path).glob("*.plan.seg"))
+
+    def test_an_entry_written_by_older_partitioning_code_does_not_hit(
+        self, data, tmp_path, monkeypatch
+    ):
+        """The partition stage's key carries the code version
+        (``RESULTS_VERSION``): an entry persisted before the job's counters
+        changed would otherwise serve its old ``distance_pairs`` verbatim."""
+
+        def run_with_fresh_cache():
+            cache = PlanCache(directory=tmp_path)
+            config = PgbjConfig(k=3, num_pivots=12, seed=5, plan_cache=cache)
+            return cache, partition_stage_key(data, data, config, 12), run_join(
+                "pgbj", data, data, config
+            )
+
+        current = registry.RESULTS_VERSION
+        monkeypatch.setattr(registry, "RESULTS_VERSION", current - 1)
+        old_cache, old_key, _ = run_with_fresh_cache()
+        assert old_cache.disk_writes >= 1
+        monkeypatch.undo()
+        cache, key, cold = run_with_fresh_cache()
+        assert key != old_key and current in key
+        assert cache.disk_hits == 0 and cache.disk_writes >= 1
+        warm_cache, _, warm = run_with_fresh_cache()
+        assert warm_cache.disk_hits >= 1
+        assert fingerprint(warm) == fingerprint(cold)
+
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_PLAN_CACHE_DIR"),
+        reason="cross-invocation handshake only runs in the CI plan-cache leg",
+    )
+    def test_shared_plan_cache_dir_across_invocations(self, data):
+        """CI plan-cache leg: invocation 1 seeds the shared dir, invocation 2
+        must get disk hits and an identical outcome fingerprint."""
+        cache_dir = Path(os.environ["REPRO_PLAN_CACHE_DIR"])
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        marker = cache_dir / "pgbj-outcome-fingerprint.txt"
+        second_invocation = marker.exists()
+        cache = PlanCache(directory=cache_dir)
+        outcome = run_join(
+            "pgbj", data, data,
+            PgbjConfig(k=3, num_pivots=12, seed=5, plan_cache=cache),
+        )
+        printed = repr(fingerprint(outcome))
+        if second_invocation:
+            assert cache.disk_hits >= 1, "second invocation must be served from disk"
+            assert marker.read_text() == printed, "cross-process fingerprints differ"
+        else:
+            assert cache.disk_writes >= 1
+            marker.write_text(printed)
 
 
 class TestMergeJobProducersPinned:
@@ -441,8 +517,6 @@ class TestBoundaryValidation:
         config = make_config(name)
         yield lambda: plan_join(name, r, s, config, **extra)
         yield lambda: run_join(name, r, s, config, **extra)
-        if get_join(name).kind == "knn":  # the tuner reads the data first
-            yield lambda: run_join(name, r, s, make_config(name, auto_tune=True), **extra)
 
     @pytest.mark.parametrize("poison", (float("nan"), float("inf"), float("-inf")))
     @pytest.mark.parametrize("side", ("r", "s"))
@@ -506,10 +580,9 @@ class TestBoundaryValidation:
                 call()
         assert {n for n in ALL_JOINS if get_join(n).pivots_from_r} == {"pgbj", "pbj"}
 
-    @pytest.mark.parametrize("auto_tune", (False, True))
     @pytest.mark.parametrize("entry", (plan_join, run_join))
-    def test_checked_exactly_once_and_before_planning(self, entry, auto_tune, data, monkeypatch):
-        from repro.joins import base, registry
+    def test_checked_exactly_once_and_before_planning(self, entry, data, monkeypatch):
+        from repro.joins import base
 
         calls = []
 
@@ -521,13 +594,13 @@ class TestBoundaryValidation:
             raise AssertionError("a refused join must not reach its planner")
 
         monkeypatch.setattr(registry, "check_join_inputs", counting_check)
-        entry("pgbj", data, data, make_config("pgbj", auto_tune=auto_tune))
-        assert calls == [3]  # not again per builder, not again under the tuner
+        entry("pgbj", data, data, make_config("pgbj"))
+        assert calls == [3]  # not again per builder
         monkeypatch.setitem(
             registry.JOINS, "pgbj", dataclasses.replace(get_join("pgbj"), plan=never_planned)
         )
         with pytest.raises(InvalidJoinInput, match="exceeds"):
-            entry("pgbj", data, data, make_config("pgbj", k=len(data) + 1, auto_tune=auto_tune))
+            entry("pgbj", data, data, make_config("pgbj", k=len(data) + 1))
 
     def test_is_a_value_error_and_clean_inputs_pass(self, data):
         assert issubclass(InvalidJoinInput, ValueError)
