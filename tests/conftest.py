@@ -2,11 +2,29 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import Dataset, KnnJoinResult, brute_force_knn_join, get_metric
 from repro.datasets import generate_forest, generate_osm
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """A child process or thread started in a test must not outlive it.
+
+    A pooled runtime left open keeps its workers running after the test;
+    wrap it in ``with`` (or ``close()`` it) instead.
+    """
+    children = set(multiprocessing.active_children())
+    threads = set(threading.enumerate())
+    yield
+    leaked = [p for p in multiprocessing.active_children() if p not in children]
+    leaked += [t for t in threading.enumerate() if t not in threads]
+    assert not leaked, f"workers outlived the test: {leaked}"
 
 
 @pytest.fixture

@@ -175,16 +175,16 @@ class TestCrossEngineJob:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_job_equivalence(self, engine, reference):
-        runtime = LocalRuntime(engine=engine, max_workers=2)
-        assert job_fingerprint(runtime.run(norm_job(), norm_splits())) == reference
+        with LocalRuntime(engine=engine, max_workers=2) as runtime:
+            assert job_fingerprint(runtime.run(norm_job(), norm_splits())) == reference
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_job_equivalence_with_combiner(self, engine):
         reference = job_fingerprint(
             LocalRuntime().run(norm_job(combiner=True), norm_splits())
         )
-        runtime = LocalRuntime(engine=engine, max_workers=2)
-        result = runtime.run(norm_job(combiner=True), norm_splits())
+        with LocalRuntime(engine=engine, max_workers=2) as runtime:
+            result = runtime.run(norm_job(combiner=True), norm_splits())
         assert job_fingerprint(result) == reference
 
 
@@ -721,8 +721,8 @@ class TestMixedTypeShuffleKeys:
         splits = split_records([(i, i) for i in range(8)], 2)
         reference = LocalRuntime().run(self.mixed_job(num_reducers=3), splits)
         for engine in ENGINES:
-            runtime = LocalRuntime(engine=engine, max_workers=2)
-            result = runtime.run(self.mixed_job(num_reducers=3), splits)
+            with LocalRuntime(engine=engine, max_workers=2) as runtime:
+                result = runtime.run(self.mixed_job(num_reducers=3), splits)
             assert result.outputs == reference.outputs
 
     def test_sort_key_total_order(self):
