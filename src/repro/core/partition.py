@@ -9,17 +9,18 @@ the *smallest number of objects*.
 The paper assigns an object with ``M`` distance computations; this module
 finds the same pivot with fewer — an extension built from the paper's own
 argument, the triangle inequality behind Theorems 1-5, applied to pivot-pivot
-distances (the LAESA filter of Mico, Oncina & Vidal, 1994).  About
-``sqrt(M)`` *anchor* pivots are compared with every object, and each anchor
-``b`` bounds every other pivot from below, ``|o, p| >= | |o, b| - |b, p| |``,
-by arithmetic on distances already in hand: an object's pivots are bounded by
-its nearest anchor ``a`` and the anchors nearest ``a``.  Two rounds compute
-distances: the pivot of smallest bound, which tightens the best distance, then
-every pivot whose bound is still within reach of it.  Only a prefix of the
-pivots sorted by ``|a, p|`` can be within reach (past it ``|a, p| - |o, a|``
-alone is too large), so the objects of one nearest anchor are bounded as one
-dense block.  A skipped pivot is provably farther than the nearest one plus the
-tie tolerance, so ids, distances and tie-breaks are those of the all-pairs
+distances (the LAESA filter of Mico, Oncina & Vidal, 1994).  At most
+``sqrt(M)`` *anchor* pivots, as many as the pivot matrix says pay, are
+compared with every object, and each anchor ``b`` bounds every other pivot
+from below, ``|o, p| >= | |o, b| - |b, p| |``, by arithmetic on distances
+already in hand: an object's pivots are bounded by its nearest anchor ``a``
+and the anchors nearest ``a``.  Two rounds compute distances: the pivot of
+smallest bound, which tightens the best distance, then every pivot whose
+bound is still within reach of it.  Only a prefix of the pivots sorted by
+``|a, p|`` can be within reach (past it ``|a, p| - |o, a|`` alone is too
+large), so objects of one nearest anchor are bounded in dense blocks.  A
+skipped pivot is provably farther than the nearest one plus the tie
+tolerance, so ids, distances and tie-breaks are those of the all-pairs
 scan.  Every computed pair runs through the counted
 :class:`~repro.core.distance.Metric` (computation selectivity); the bounds do
 not, and a map task computes no pivot-pivot distance: the job ships them.
@@ -48,6 +49,10 @@ _GATHER_BYTES = 1 << 17
 #: anchors bounding each row's pivots: its nearest anchor and the anchors
 #: nearest that one (more tighten the bound less than they cost to apply)
 _BOUNDING_ANCHORS = 8
+#: the pivots that stand in for objects when the anchor count is chosen
+_STAND_INS = 64
+#: rows bounded at once, out to the prefix of the last (the farthest reach)
+_BLOCK_ROWS = 256
 #: ``max_b | |o, b| - |b, p| |`` is the L-infinity distance between the
 #: object's and the pivot's vectors of anchor distances (used uncounted)
 _BOUND = ChebyshevMetric()
@@ -114,6 +119,101 @@ def _farthest_first(pdm: np.ndarray, count: int) -> np.ndarray:
     return np.array(chosen)
 
 
+def _index(pdm: np.ndarray, anchors: np.ndarray, lists: np.ndarray) -> tuple:
+    """The :meth:`~VoronoiPartitioner.anchor_index` of ``anchors``, whose
+    ``lists`` hold every pivot, nearest first."""
+    others = lists[~np.isin(lists, anchors)].reshape(anchors.size, -1)
+    return anchors, others, pdm[anchors]
+
+
+def _cheapest_index(pdm: np.ndarray, order: np.ndarray, lists: np.ndarray) -> tuple:
+    """The :func:`_index` of the first ``A`` of ``order`` that cost the fewest
+    pairs per object: ``A`` plus what :func:`_search` computes for
+    stand-ins, the first ``_STAND_INS`` pivots by id outside ``order`` (under
+    random selection a uniform draw from R), each left out of its own search.
+    Their distances are read from ``pdm``: choosing counts no pair."""
+    standins = np.setdiff1d(np.arange(pdm.shape[0]), order)[:_STAND_INS]
+    fewest = np.inf
+    for count in range(1, order.size + 1):
+        if count * standins.size >= fewest:  # the anchor distances alone
+            break
+        index = _index(pdm, order[:count], lists[:count])
+        anchor_d = pdm[np.ix_(standins, index[0])]
+        all_d = _search(index, anchor_d, lambda rows, ids: pdm[standins[rows], ids], standins)[2]
+        pairs = count * standins.size + np.isfinite(all_d[:, count:]).sum()
+        if pairs < fewest:
+            fewest, chosen = pairs, index
+    return chosen
+
+
+def _search(index: tuple, anchor_d: np.ndarray, compute, exclude=None) -> tuple:
+    """The two rounds for rows at ``anchor_d`` from the anchors of ``index``;
+    ``compute(rows, pivot_ids)`` returns distances, and ``exclude`` names a
+    pivot per row left out of its search.  Returns ``(order, near, all_d)``:
+    the rows sorted by nearest anchor ``near``, with ``all_d`` as below."""
+    anchors, others, anchor_rows = index
+    count = anchors.size
+    near = anchor_d.argmin(axis=1)
+    best = anchor_d.min(axis=1)
+    # a pivot bounded above ``reach(best)`` cannot tie the best: the slack
+    # covers the tie tolerance and the rounding of the bound, which grows
+    # with the anchor distances it is made of
+    slack = anchor_d.max(axis=1) * PRUNE_RTOL + PRUNE_EPS
+
+    def reach(best: np.ndarray) -> np.ndarray:
+        return best * (1.0 + PRUNE_RTOL) + slack
+
+    # ``a`` alone bounds ``p_j`` by ``|a, p_j| - best``: past a prefix of
+    # its list no pivot is within reach, so only the prefix is bounded
+    cut = (best + reach(best)) * (1.0 + PRUNE_RTOL)
+    # rows sorted by nearest anchor, then by cut (``reach`` reads the sorted
+    # ``slack`` from here on): a block of one anchor's rows is bounded out to
+    # its last row's prefix
+    order = np.lexsort((cut, near))
+    anchor_d, near, best, slack, cut = (x[order] for x in (anchor_d, near, best, slack, cut))
+    edges = np.arange(0, near.size, _BLOCK_ROWS)
+    edges = np.union1d(edges, np.searchsorted(near, np.arange(count + 1)))
+    blocks = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    listed = np.take_along_axis(anchor_rows, others, 1)
+    widths = [np.searchsorted(listed[near[b.start]], cut[b.stop - 1], side="right") for b in blocks]
+    # column ``count + j`` of a row is pivot ``others[near, j]``: its bound
+    # until the rounds have run, then its distance if one was computed
+    all_d = np.full((near.size, count + max(widths, default=0)), np.inf)
+    all_d[:, :count] = anchor_d
+    bound, found = all_d[:, count:], []
+
+    def computed(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        bound[rows, cols] = np.inf
+        dists = compute(order[rows], others[near[rows], cols])
+        found.append((rows, cols, dists))
+        return dists
+
+    if bound.size:
+        # per anchor ``a`` its bounding anchors: ``a`` first (before any
+        # anchor coincident with it), then the nearest
+        gaps = anchor_rows[:, anchors] - np.eye(count)
+        bounding = np.argsort(gaps, axis=1, kind="stable")[:, :_BOUNDING_ANCHORS]
+        for rows, width in zip(blocks, widths):
+            if width:
+                a = near[rows.start]
+                prefix = anchor_rows[bounding[a, :, None], others[a, :width]]
+                bound[rows, :width] = _BOUND._cross(anchor_d[rows, bounding[a]], prefix.T)
+        if exclude is not None:
+            bound[others[near, : bound.shape[1]] == exclude[order, None]] = np.inf
+        # round 1: a row's smallest bound, if within reach, tightens ``best``
+        # (the first of equals; ``argmin`` would copy the strided view)
+        low = bound.min(axis=1)
+        cols = (bound == low[:, None]).argmax(axis=1)
+        rows = np.flatnonzero(low <= reach(best))
+        best[rows] = np.minimum(best[rows], computed(rows, cols[rows]))
+        # round 2: every other pivot still within reach
+        computed(*np.divmod(np.flatnonzero(bound <= reach(best)[:, None]), bound.shape[1]))
+        bound[:] = np.inf
+        for rows, cols, dists in found:
+            bound[rows, cols] = dists
+    return order, near, all_d
+
+
 class VoronoiPartitioner:
     """Assigns objects to generalized Voronoi cells of a pivot set.
 
@@ -155,20 +255,19 @@ class VoronoiPartitioner:
 
     def anchor_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(anchor ids, per anchor the other pivots' ids nearest first, the
-        anchors' rows of the pivot distance matrix)``: about ``sqrt(M)``
-        anchors chosen farthest-first from that matrix; below
-        ``_MIN_INDEXED_PIVOTS`` every pivot is an anchor and no distance is
-        needed."""
+        anchors' rows of the pivot distance matrix)``: the first of
+        ``ceil(sqrt(M))`` pivots taken farthest-first from that matrix, as
+        many as :func:`_cheapest_index` chooses; below ``_MIN_INDEXED_PIVOTS``
+        every pivot is an anchor and no distance is needed."""
         if self._anchors is None:
-            ids = others = np.arange(self.num_partitions)
+            ids = np.arange(self.num_partitions)
             if ids.size < _MIN_INDEXED_PIVOTS:
-                others, rows = others[:0], np.empty((ids.size, 0))
+                self._anchors = (ids, np.empty((ids.size, 0), np.int64), np.empty((ids.size, 0)))
             else:
-                rows = self.pivot_distance_matrix()
-                ids = _farthest_first(rows, int(np.ceil(np.sqrt(ids.size))))
-                others, rows = np.setdiff1d(others, ids), rows[ids]
-            others = others[np.argsort(rows[:, others], axis=1, kind="stable")]
-            self._anchors = (ids, others, rows)
+                pdm = self.pivot_distance_matrix()
+                order = _farthest_first(pdm, int(np.ceil(np.sqrt(ids.size))))
+                lists = np.argsort(pdm[order], axis=1, kind="stable")
+                self._anchors = _cheapest_index(pdm, order, lists)
         return self._anchors
 
     def assign_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,72 +293,24 @@ class VoronoiPartitioner:
     def _nearest(self, points, out_pids, out_dists, ties: dict, offset: int) -> None:
         """The nearest pivot of every row, into the ``out`` views; a row with
         several within the tie tolerance also records their ids in ``ties``."""
-        anchors, others, anchor_rows = self.anchor_index()
-        count = anchors.size
-        anchor_d = self.metric.cross_distances(points, self.pivots[anchors])
-        # rows sorted by nearest anchor: the rows of one anchor are one block
-        near = anchor_d.argmin(axis=1)
-        order = np.argsort(near, kind="stable")
-        points, anchor_d, near = points.take(order, axis=0), anchor_d[order], near[order]
-        best = anchor_d.min(axis=1)
-        # a pivot bounded above ``reach(best)`` cannot tie the best: the slack
-        # covers the tie tolerance and the rounding of the bound, which grows
-        # with the anchor distances it is made of
-        slack = anchor_d.max(axis=1) * PRUNE_RTOL + PRUNE_EPS
+        anchors, others, _ = index = self.anchor_index()
+        step = max(1, _GATHER_BYTES // points.itemsize // points.shape[1])
 
-        def reach(best: np.ndarray) -> np.ndarray:
-            return best * (1.0 + PRUNE_RTOL) + slack
-
-        # ``a`` alone bounds ``p_j`` by ``|a, p_j| - best``: past a prefix of
-        # its list no pivot is within reach, so only the prefix is bounded
-        cut = (best + reach(best)) * (1.0 + PRUNE_RTOL)
-        starts = np.searchsorted(near, np.arange(count + 1))
-        blocks = [slice(starts[a], starts[a + 1]) for a in range(count)]
-        widths = [
-            np.searchsorted(anchor_rows[a, others[a]], cut[rows].max(initial=-1.0), side="right")
-            for a, rows in enumerate(blocks)
-        ]
-        # column ``count + j`` of a row is pivot ``others[near, j]``: its bound
-        # until the rounds have run, then its distance if one was computed
-        all_d = np.full((near.size, count + max(widths)), np.inf)
-        all_d[:, :count] = anchor_d
-        bound = all_d[:, count:]
-        for a, rows in enumerate(blocks):
-            if widths[a]:
-                # ``a`` first (before any anchor coincident with it), then the nearest
-                gaps = anchor_rows[a, anchors] - (np.arange(count) == a)
-                bounding = np.argsort(gaps, kind="stable")[:_BOUNDING_ANCHORS]
-                prefix = others[a, : widths[a]]
-                bound[rows, : prefix.size] = _BOUND._cross(
-                    anchor_d[rows, bounding], anchor_rows[np.ix_(bounding, prefix)].T
-                )
-        found, step = [], max(1, _GATHER_BYTES // points.itemsize // points.shape[1])
-
-        def compute(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-            """The counted distances of these cells, gathered a chunk at a time."""
-            bound[rows, cols] = np.inf
-            pivot_ids, dists = others[near[rows], cols], np.empty(rows.size)
+        def compute(rows: np.ndarray, pivot_ids: np.ndarray) -> np.ndarray:
+            """The counted distances of these pairs, gathered a chunk at a time."""
+            dists = np.empty(rows.size)
             for at in range(0, rows.size, step):
                 chunk = slice(at, at + step)
                 dists[chunk] = self.metric.pair_distances(
                     points.take(rows[chunk], 0), self.pivots.take(pivot_ids[chunk], 0)
                 )
-            found.append((rows, cols, dists))
             return dists
 
-        if bound.size:
-            # round 1: a row's smallest bound, if within reach, tightens ``best``
-            # (the first of equals; ``argmin`` would copy the strided view)
-            low = bound.min(axis=1)
-            cols = (bound == low[:, None]).argmax(axis=1)
-            rows = np.flatnonzero(low <= reach(best))
-            best[rows] = np.minimum(best[rows], compute(rows, cols[rows]))
-            # round 2: every other pivot still within reach
-            compute(*np.divmod(np.flatnonzero(bound <= reach(best)[:, None]), bound.shape[1]))
-            bound[:] = np.inf
-            for rows, cols, dists in found:
-                bound[rows, cols] = dists
-        ids = np.hstack([np.broadcast_to(anchors, (count, count)), others[:, : bound.shape[1]]])
+        anchor_d = self.metric.cross_distances(points, self.pivots[anchors])
+        order, near, all_d = _search(index, anchor_d, compute)
+        count = anchors.size
+        listed = others[:, : all_d.shape[1] - count]
+        ids = np.hstack([np.broadcast_to(anchors, (count, count)), listed])
         out_dists[order] = best = all_d.min(axis=1)
         out_pids[order] = ids[near, all_d.argmin(axis=1)]
         close = all_d <= (best + _TIE_RTOL * np.maximum(best, 1.0))[:, None]

@@ -54,11 +54,12 @@ def check_join_inputs(
 ) -> None:
     """The one boundary check, run once per planned join before any stage is
     built.  Refuses an empty R or S, non-finite coordinates (they silently
-    falsify every pruning comparison), an R/S width mismatch (it would
-    surface deep in a kernel), ``k > |S|`` when a kNN join passes its ``k``,
-    and more pivots than R has objects when a join that draws its pivots
-    from R passes ``num_pivots``."""
-    for side, dataset in (("R", r), ("S", s)):
+    falsify every pruning comparison), an object id repeated within R or
+    within S (ids key the results), an R/S width mismatch (it would surface
+    deep in a kernel), ``k > |S|`` when a kNN join passes its ``k``, and more
+    pivots than R has objects when a join that draws its pivots from R passes
+    ``num_pivots``.  A self-join's one dataset is checked once."""
+    for side, dataset in (("R", r),) if r is s else (("R", r), ("S", s)):
         if len(dataset) == 0:
             raise InvalidJoinInput(
                 f"{side} ({dataset.name!r}) is empty; a join needs non-empty R and S"
@@ -69,6 +70,13 @@ def check_join_inputs(
             raise InvalidJoinInput(
                 f"{side} ({dataset.name!r}) has {bad.size} object(s) with non-finite "
                 f"coordinates, first id {int(dataset.ids[bad[0]])}"
+            )
+        order = np.argsort(dataset.ids, kind="stable")
+        repeats = order[1:][dataset.ids[order[1:]] == dataset.ids[order[:-1]]]
+        if repeats.size:
+            raise InvalidJoinInput(
+                f"{side} ({dataset.name!r}) repeats object id "
+                f"{int(dataset.ids[repeats.min()])}; ids must be unique"
             )
     if r.dimensions != s.dimensions:
         raise InvalidJoinInput(f"dimension mismatch: R has {r.dimensions}, S has {s.dimensions}")

@@ -181,8 +181,9 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: the code version of every persisted stage result: bump when any stage's
 #: outputs or counters change.  :func:`plan_identity` (what checkpoints are
 #: bound to) and the partition stage's plan-cache key both carry it, so a
-#: file written by older code is never served.
-RESULTS_VERSION = 8
+#: file written by older code is never served.  9: the partitioner's anchor
+#: count is chosen from the pivot matrix, so the partition counters moved.
+RESULTS_VERSION = 9
 
 
 def plan_identity(

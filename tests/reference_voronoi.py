@@ -8,7 +8,8 @@ footnote 1 breaks ties toward the cell with the fewest objects so far.
 triangle inequality through anchor pivots, in two rounds);
 ``tests/test_voronoi_reference.py`` holds it equal to this one — partition
 ids and the bytes of the pivot distances — and holds its pair counter to the
-rule :func:`pruned_pair_count` states.
+rule :func:`pruned_pair_count` states, and its anchors to the count
+:func:`anchor_ids` chooses, both in plain loops.
 """
 
 from __future__ import annotations
@@ -61,11 +62,10 @@ def pruned_pair_count(pivots: np.ndarray, metric: Metric, points: np.ndarray) ->
     """The pairs one ``assign_points`` call may count, by the stated rule.
 
     Per object, so a call counts the same however its rows are windowed.
-    With fewer than 16 pivots, all of them.  Otherwise ``ceil(sqrt(M))``
-    anchors — pivot 0, then each time the pivot farthest from the anchors so
-    far (the first of equals) — are compared with every object.  An object
-    whose nearest anchor (the first of equals) ``a`` is at distance ``u``
-    bounds every other pivot ``p`` by ``max_b | |o, b| - |b, p| |`` over its
+    With fewer than 16 pivots, all of them.  Otherwise the anchors of
+    :func:`anchor_ids` are compared with every object.  An object whose
+    nearest anchor (the first of equals) ``a`` is at distance ``u`` bounds
+    every other pivot ``p`` by ``max_b | |o, b| - |b, p| |`` over its
     *bounding anchors*: ``a``, then the anchors nearest ``a`` (the first of
     equals), eight in all.  With ``reach(x) = x * (1 + 1e-9) + (the object's
     largest anchor distance * 1e-9 + 1e-9)``, round 1 computes the pivot of
@@ -78,14 +78,26 @@ def pruned_pair_count(pivots: np.ndarray, metric: Metric, points: np.ndarray) ->
     """
     pivots = np.asarray(pivots, dtype=np.float64)
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    total_pivots = pivots.shape[0]
-    if total_pivots < 16:
-        return points.shape[0] * total_pivots
+    if pivots.shape[0] < 16:
+        return points.shape[0] * pivots.shape[0]
     pdm = metric._cross(pivots, pivots)
-    anchors = _anchors(pdm)
-    others = [j for j in range(total_pivots) if j not in anchors]
-    # per nearest anchor: its list of the others, its bounding anchors, and
-    # their distances to the listed pivots (a row of this matrix per anchor)
+    anchors = anchor_ids(pdm)
+    lists = _lists(pdm, anchors)
+    total = 0
+    for point, to_anchors in zip(points, metric._cross(points, pivots[anchors])):
+
+        def distance_to(pivot: int, point=point) -> float:
+            return float(metric._cross(point[None], pivots[[pivot]])[0, 0])
+
+        total += len(anchors) + _rounds(to_anchors, lists, distance_to)
+    return total
+
+
+def _lists(pdm: np.ndarray, anchors: list[int]) -> dict:
+    """Per nearest anchor: its list of the other pivots (nearest it first,
+    then by id), its bounding anchors, and their distances to the listed
+    pivots (a row of this matrix per bounding anchor)."""
+    others = [j for j in range(pdm.shape[0]) if j not in anchors]
     lists = {}
     for a in range(len(anchors)):
         listed = sorted(others, key=lambda j: (pdm[anchors[a], j], j))
@@ -93,25 +105,28 @@ def pruned_pair_count(pivots: np.ndarray, metric: Metric, points: np.ndarray) ->
             range(len(anchors)), key=lambda b: (-1.0 if b == a else pdm[anchors[a], anchors[b]], b)
         )[:8]
         lists[a] = listed, bounding, pdm[np.ix_([anchors[b] for b in bounding], listed)]
-    total = 0
-    for point, to_anchors in zip(points, metric._cross(points, pivots[anchors])):
-        best = float(to_anchors.min())
-        slack = float(to_anchors.max()) * 1e-9 + 1e-9
+    return lists
 
-        def reach(best: float) -> float:
-            return best * (1.0 + 1e-9) + slack
 
-        listed, bounding, to_listed = lists[int(np.argmin(to_anchors))]
-        bounds = np.abs(to_anchors[bounding][:, None] - to_listed).max(axis=0)
-        total += len(anchors)
-        first = int(np.argmin(bounds))
-        if bounds[first] > reach(best):
-            continue
-        total += 1
-        found = float(metric._cross(point[None], pivots[[listed[first]]])[0, 0])
-        best = min(best, found)
-        total += int((bounds <= reach(best)).sum()) - int(bounds[first] <= reach(best))
-    return total
+def _rounds(to_anchors: np.ndarray, lists: dict, distance_to, itself: int | None = None) -> int:
+    """The pairs one object's two rounds compute past its anchor distances
+    (:func:`pruned_pair_count` states them); ``itself``, if given, is a pivot
+    left out of the object's search."""
+    best = float(to_anchors.min())
+    slack = float(to_anchors.max()) * 1e-9 + 1e-9
+
+    def reach(best: float) -> float:
+        return best * (1.0 + 1e-9) + slack
+
+    listed, bounding, to_listed = lists[int(np.argmin(to_anchors))]
+    bounds = np.abs(to_anchors[bounding][:, None] - to_listed).max(axis=0)
+    if itself is not None:
+        bounds[listed.index(itself)] = np.inf
+    first = int(np.argmin(bounds))
+    if bounds[first] > reach(best):
+        return 0
+    best = min(best, distance_to(listed[first]))
+    return 1 + int((bounds <= reach(best)).sum()) - int(bounds[first] <= reach(best))
 
 
 def prefix_pair_count(pivots: np.ndarray, metric: Metric, points: np.ndarray) -> int:
@@ -125,7 +140,7 @@ def prefix_pair_count(pivots: np.ndarray, metric: Metric, points: np.ndarray) ->
     if pivots.shape[0] < 16:
         return points.shape[0] * pivots.shape[0]
     pdm = metric._cross(pivots, pivots)
-    anchors = _anchors(pdm)
+    anchors = anchor_ids(pdm)
     others = [j for j in range(pivots.shape[0]) if j not in anchors]
     total = 0
     for to_anchors in metric._cross(points, pivots[anchors]):
@@ -135,14 +150,38 @@ def prefix_pair_count(pivots: np.ndarray, metric: Metric, points: np.ndarray) ->
     return total
 
 
-def _anchors(pdm: np.ndarray) -> list[int]:
-    """``ceil(sqrt(M))`` anchors: pivot 0, then each time the pivot farthest
-    from the anchors so far (the first of equals)."""
-    anchors = [0]
-    while len(anchors) < int(np.ceil(np.sqrt(pdm.shape[0]))):
+def anchor_ids(pdm: np.ndarray) -> list[int]:
+    """The anchors: the first ``A`` of the :func:`farthest_first` pivots.
+
+    ``A`` is the smallest count of the fewest pairs over the *stand-ins*, the
+    first 64 pivots by id outside those ``ceil(sqrt(M))``: each stand-in is
+    searched as an object would be, its distances read from ``pdm`` and
+    itself left out of its search, so ``A`` costs its ``A`` anchor pairs plus
+    what its rounds compute.  Counts are tried from 1 up, and stop once the
+    anchor pairs alone reach the fewest so far."""
+    order = farthest_first(pdm)
+    standins = [j for j in range(pdm.shape[0]) if j not in order][:64]
+    fewest, chosen = None, 1
+    for count in range(1, len(order) + 1):
+        if fewest is not None and count * len(standins) >= fewest:
+            break
+        lists = _lists(pdm, order[:count])
+        pairs = 0
+        for q in standins:
+            to_anchors = pdm[q, order[:count]]
+            pairs += count + _rounds(to_anchors, lists, lambda p, q=q: pdm[q, p], itself=q)
+        if fewest is None or pairs < fewest:
+            fewest, chosen = pairs, count
+    return order[:chosen]
+
+
+def farthest_first(pdm: np.ndarray) -> list[int]:
+    """``ceil(sqrt(M))`` pivots: pivot 0, then each time the pivot farthest
+    from those taken so far (the first of equals)."""
+    order = [0]
+    while len(order) < int(np.ceil(np.sqrt(pdm.shape[0]))):
         gaps = [
-            -1.0 if j in anchors else min(pdm[a, j] for a in anchors)
-            for j in range(pdm.shape[0])
+            -1.0 if j in order else min(pdm[a, j] for a in order) for j in range(pdm.shape[0])
         ]
-        anchors.append(gaps.index(max(gaps)))
-    return anchors
+        order.append(gaps.index(max(gaps)))
+    return order

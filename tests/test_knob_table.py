@@ -328,10 +328,12 @@ class TestStructure:
         # kernel's anchor distances, "41a6fec7af217894c5581bc4d5a6e7ce73f34a1c";
         # version 8 emits a self-join's object once, as a row of both roles,
         # "9069cc67fa45bcda9849cfc9567b0492962803ae"; still version 8, the
-        # auto-tuning knob's field was removed)
+        # auto-tuning knob's field was removed,
+        # "e2d344dfec9291253e421e31e57208f47514428b"; version 9 chooses the
+        # partitioner's anchor count from the pivot matrix)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "e2d344dfec9291253e421e31e57208f47514428b"
+            == "c10a6a0fa41f42aa166cefec01c7d3cc971bc9f9"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

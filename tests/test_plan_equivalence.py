@@ -512,8 +512,12 @@ class TestBoundaryValidation:
         return type(data)(points, ids=data.ids, name="bad")
 
     @staticmethod
-    def _entry_points(name, r, s):
-        extra = {"theta": 0.3} if name == "range-selection" else {}
+    def _extra(name):
+        return {"theta": 0.3} if name == "range-selection" else {}
+
+    @classmethod
+    def _entry_points(cls, name, r, s):
+        extra = cls._extra(name)
         config = make_config(name)
         yield lambda: plan_join(name, r, s, config, **extra)
         yield lambda: run_join(name, r, s, config, **extra)
@@ -531,6 +535,43 @@ class TestBoundaryValidation:
                 f"{side.upper()} ('bad') has 1 object(s) with non-finite coordinates, "
                 f"first id {int(data.ids[7])}"
             )
+
+    @pytest.mark.parametrize("side", ("r", "s"))
+    @pytest.mark.parametrize("name", ALL_JOINS)
+    def test_repeated_object_id_rejected(self, name, side, data):
+        """The constructor refuses repeated ids; ids replaced after it are
+        caught at the boundary, naming the first row's id that repeats."""
+        bad = self._with(data)
+        ids = data.ids.copy()
+        ids[12], ids[9] = ids[2], ids[4]
+        bad.ids = ids
+        r, s = (bad, data) if side == "r" else (data, bad)
+        for call in self._entry_points(name, r, s):
+            with pytest.raises(InvalidJoinInput) as caught:
+                call()
+            assert str(caught.value) == (
+                f"{side.upper()} ('bad') repeats object id {int(data.ids[4])}; "
+                "ids must be unique"
+            )
+        # a self-join names its one dataset as R
+        with pytest.raises(InvalidJoinInput, match=r"^R \('bad'\) repeats object id"):
+            run_join(name, bad, bad, make_config(name), **self._extra(name))
+
+    def test_a_self_join_is_checked_once(self, data, monkeypatch):
+        from repro.joins import base
+
+        sorts = []
+        real = base.np.argsort
+
+        def counting(*args, **kwargs):
+            sorts.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(base.np, "argsort", counting)
+        base.check_join_inputs(data, data, 3)
+        assert sorts == [(len(data),)]
+        base.check_join_inputs(data, self._with(data), 3)
+        assert sorts == [(len(data),)] * 3
 
     @pytest.mark.parametrize("name", ALL_JOINS)
     def test_dimension_mismatch_rejected(self, name, data):

@@ -17,10 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric, partition
-from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, JoinConfig
-from repro.joins.partition_job import SKIPPED_NAME, run_partitioning_job
+from repro.datasets import generate_osm
+from repro.joins import partition_job
+from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, JoinConfig, PgbjConfig
+from repro.joins.partition_job import SKIPPED_NAME, partition_stage, run_partitioning_job
+from repro.mapreduce import JobGraph, PlanScheduler
 from tests.reference_voronoi import (
+    anchor_ids,
     assign_points_all_pairs,
+    farthest_first,
     prefix_pair_count,
     pruned_pair_count,
 )
@@ -105,6 +110,9 @@ class TestPrunedSearchMatchesAllPairs:
         a pivot 4e-7 past ``2u`` from the anchor still ties, and an absolute
         ``PRUNE_EPS`` alone would have skipped it."""
         pivots = np.array([[0.0], [2e6 + 4e-7]] + [[1e9 * i] for i in range(1, 16)])
+        # pivot 1 is bounded, never an anchor: it is none of the ceil(sqrt(17))
+        # pivots taken farthest-first, whatever count of them is chosen
+        assert 1 not in farthest_first(get_metric("l2")._cross(pivots, pivots))
         assert 1 not in VoronoiPartitioner(pivots, get_metric("l2")).anchor_index()[0]
         points = np.full((2, 1), 1e6)
         check_equal("l2", points, pivots)
@@ -136,10 +144,12 @@ class TestPrunedSearchMatchesAllPairs:
         pivots = np.vstack([[0.0, 0.0], far, inside, [[1.001, 0.0]]])
         points = np.array([1.0, 0.0]) + rng.uniform(-1e-4, 1e-4, (50, 2))
         anchors = VoronoiPartitioner(pivots, get_metric("l2")).anchor_index()[0]
-        assert sorted(anchors.tolist()) == [0, 1, 2, 3]
+        # farthest-first takes the corners before (-100, 0), which would
+        # cost every object a pair and prune nothing the corners miss
+        assert anchors.tolist() == [0, 2, 3]
         computed, _ = check_equal("l2", points, pivots)
-        assert computed == 50 * (4 + 1)  # the anchors, then the pivot at (1.001, 0)
-        assert prefix_pair_count(pivots, get_metric("l2"), points) == 50 * (4 + 12)
+        assert computed == 50 * (3 + 1)  # the anchors, then the pivot at (1.001, 0)
+        assert prefix_pair_count(pivots, get_metric("l2"), points) == 50 * (3 + 12)
 
     def test_a_long_call_is_searched_in_row_windows(self, monkeypatch):
         """Memory stays bounded on a call of any length: rows are searched a
@@ -171,6 +181,12 @@ class TestPrunedSearchMatchesAllPairs:
         partitioner.assign_points(np.random.default_rng(1).random((40, 2)))
         assert metric.pairs_computed == 40 * 15  # no pivot-pivot pair either
         assert partitioner.anchor_index()[0].tolist() == list(range(15))
+        # from sixteen on the count is chosen, among at most ceil(sqrt(16)) = 4
+        pivots = np.random.default_rng(0).random((16, 2))
+        points = np.random.default_rng(1).random((40, 2))
+        anchors = VoronoiPartitioner(pivots, get_metric("l2")).anchor_index()[0]
+        assert 1 <= anchors.size <= 4
+        check_equal("l2", points, pivots)
 
     def test_a_standalone_partitioner_counts_its_matrix_once(self):
         metric = get_metric("l2")
@@ -252,3 +268,75 @@ class TestMappersCountObjectPairsOnly:
         )
         assert result.counters.value(PAIRS_GROUP, PAIRS_NAME) == computed
         assert result.counters.value(PAIRS_GROUP, SKIPPED_NAME) == 1500 * 120 - computed
+
+
+class TestAnchorCount:
+    """The master chooses how many anchors to take from the pivot matrix
+    alone: a farthest-first prefix of ``ceil(sqrt(M))`` pivots, as long as the
+    rule of ``tests/reference_voronoi.py:anchor_ids`` says it pays, at no
+    counted pair and the same for every split size and engine."""
+
+    @given(
+        shape=st.sampled_from(SHAPES),
+        metric_name=st.sampled_from(["l1", "l2", "linf"]),
+        dims=st.sampled_from([1, 2, 10]),
+        num_pivots=st.sampled_from([16, 17, 60, 200]),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_farthest_first_prefix_of_the_counted_rule(
+        self, shape, metric_name, dims, num_pivots, scale, seed
+    ):
+        _, pivots = make_world(shape, np.random.default_rng(seed), 50, num_pivots, dims, scale)
+        metric = get_metric(metric_name)
+        anchors, others, rows = VoronoiPartitioner(pivots, metric).anchor_index()
+        pdm = metric.pairwise_matrix(pivots)
+        order = farthest_first(pdm)
+        assert 1 <= anchors.size <= int(np.ceil(np.sqrt(num_pivots))) == len(order)
+        assert anchors.tolist() == order[: anchors.size] == anchor_ids(pdm)
+        rest = [j for j in range(num_pivots) if j not in order[: anchors.size]]
+        for a, listed in zip(anchors, others):
+            assert listed.tolist() == sorted(rest, key=lambda j: (pdm[a, j], j))
+        assert rows.tobytes() == pdm[anchors].tobytes()
+
+    def test_choosing_counts_no_pair(self):
+        """A standalone partitioner pays its pivot matrix, once, and nothing
+        more until it assigns."""
+        metric = get_metric("l2")
+        pivots = np.random.default_rng(0).random((200, 10))
+        partitioner = VoronoiPartitioner(pivots, metric)
+        assert 1 < partitioner.anchor_index()[0].size < 15
+        assert metric.pairs_computed == 200 * 199 // 2
+
+    def test_the_choice_is_the_same_for_every_split_size_and_engine(self, monkeypatch):
+        shipped = []
+        build = partition_job.partitioning_job
+
+        def spy(r, s, pivots, config, anchors):
+            shipped.append(anchors)
+            return build(r, s, pivots, config, anchors)
+
+        monkeypatch.setattr(partition_job, "partitioning_job", spy)
+        data = Dataset(generate_osm(1500, seed=1).points)
+        runs = ((256, "serial", None), (1024, "serial", None), (256, "processes-pooled", 2))
+        for split_size, engine, workers in runs:
+            config = PgbjConfig(k=3, split_size=split_size, engine=engine, max_workers=workers)
+            graph, state = JobGraph("anchors"), {}
+            stage = partition_stage(graph, data, data, config, 60, state)
+            with config.make_runtime() as runtime:
+                result = PlanScheduler(runtime).execute(graph).execution_of(stage).result
+            # each object of a self-join is assigned once, and counted by itself
+            assert result.counters.value(PAIRS_GROUP, PAIRS_NAME) == pruned_pair_count(
+                state["pivots"], get_metric("l2"), data.points
+            )
+        assert len(shipped) == 3 and shipped[0][0].size < 8  # of ceil(sqrt(60))
+        for anchors in shipped[1:]:
+            assert [a.tobytes() for a in anchors] == [a.tobytes() for a in shipped[0]]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_two_dimensional_osm_takes_few_anchors(self, seed):
+        """On 2-d OSM data three anchors do the job of ``ceil(sqrt(200)) = 15``."""
+        points = generate_osm(5000, seed=seed).points
+        pivots = points[np.random.default_rng(seed).choice(5000, 200, replace=False)]
+        assert VoronoiPartitioner(pivots, get_metric("l2")).anchor_index()[0].size <= 4
