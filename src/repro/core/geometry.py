@@ -22,6 +22,12 @@ coordinate scale; so does the Euclidean hyperplane distance, of
 ``(|q, p_i|² + |q, p_j|²) / 2|p_i, p_j|`` — its difference of squares
 cancels, and the cancelled rounding is divided by the pivots' gap, which a
 dense cluster makes tiny next to a far query.
+
+Anchor codes carry an object's distance ``|o, a|`` to an anchor pivot ``a``
+in one byte: the triangle inequality puts it in ``[| |p, a| - |o, p| |, |p,
+a| + |o, p|]`` around the object's own pivot ``p``, and the code names one of
+256 equal steps of that interval.  Coding and decoding read only ``|o, p|``
+and the pivot matrix, so no distance is computed at either end.
 """
 
 from __future__ import annotations
@@ -29,8 +35,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "ANCHOR_CODES",
     "PRUNE_EPS",
     "PRUNE_RTOL",
+    "anchor_codes",
+    "anchor_intervals",
     "hyperplane_distance",
     "hyperplane_distances",
     "partition_pruned_by_hyperplane",
@@ -47,6 +56,39 @@ PRUNE_EPS = 1e-9
 #: relative slack beside ``PRUNE_EPS`` for bounds made of computed distances:
 #: their rounding, and a tie tolerance, at any coordinate scale
 PRUNE_RTOL = 1e-9
+#: anchor distances an object carries as codes (the first of its partitioner's)
+ANCHOR_CODES = 4
+
+
+def _code_steps(pids, own_dists, code_rows):
+    """``(lo, step, hi)``, ``(C, n)``: per code anchor and object the
+    triangle interval of ``|o, a|`` from ``|o, p|`` (``own_dists``) and ``|p,
+    a|`` (column ``pids`` of ``code_rows``, the code anchors' rows of the
+    pivot matrix), and its 256th part."""
+    gaps = code_rows[:, pids]
+    lo, hi = np.abs(gaps - own_dists), gaps + own_dists
+    return lo, (hi - lo) / 256, hi
+
+
+def anchor_codes(anchor_dists, pids, own_dists, code_rows):
+    """``(n, C)`` ``uint8``: per object and code anchor the step of its
+    triangle interval that holds ``|o, a|`` (``anchor_dists``, an object per
+    row, its first ``C`` columns), ends clipped.  A zero-width interval codes
+    as 0."""
+    lo, step, _ = _code_steps(pids, own_dists, code_rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        codes = np.floor((anchor_dists[:, : code_rows.shape[0]].T - lo) / step)
+    return np.clip(np.nan_to_num(codes.T, nan=0.0), 0, 255).astype(np.uint8, order="C")
+
+
+def anchor_intervals(codes, pids, own_dists, code_rows):
+    """``(mids, radius)``: the middle of each code's step, ``(C, n)``, and per
+    object one radius covering every step's half width, the rounding of the
+    distances the interval is made of (``PRUNE_RTOL`` of its widest end) and
+    ``PRUNE_EPS`` — ``|o, a|`` lies within ``radius`` of its mid."""
+    lo, step, hi = _code_steps(pids, own_dists, code_rows)
+    mids = lo + (codes.T + 0.5) * step
+    return mids, step.max(axis=0) / 2 + PRUNE_RTOL * hi.max(axis=0) + PRUNE_EPS
 
 
 def hyperplane_distance(

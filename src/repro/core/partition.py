@@ -270,27 +270,32 @@ class VoronoiPartitioner:
                 self._anchors = _cheapest_index(pdm, order, lists)
         return self._anchors
 
-    def assign_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def assign_points(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Assign each row of ``points`` to its closest pivot.
 
         Ties are broken toward the cell with the fewest objects *so far*
         (running counts over this call).
 
-        Returns ``(partition_ids, pivot_distances)``.
+        Returns ``(partition_ids, pivot_distances, anchor_distances)``, the
+        last ``(rows, A)``: each row's distances to the :meth:`anchor_index`
+        anchors, in their order, which the search computed anyway.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         pids = np.empty(points.shape[0], dtype=np.int64)
         dists = np.empty(points.shape[0], dtype=np.float64)
+        anchor_dists = np.empty((points.shape[0], self.anchor_index()[0].size))
         ties: dict[int, np.ndarray] = {}
         step = max(_TIE_WINDOW, _WINDOW_ELEMENTS // self.num_partitions)
         for start in range(0, pids.size, step):
             window = slice(start, start + step)
-            self._nearest(points[window], pids[window], dists[window], ties, start)
+            self._nearest(
+                points[window], pids[window], dists[window], anchor_dists[window], ties, start
+            )
         if ties:
             self._break_ties(pids, ties)
-        return pids, dists
+        return pids, dists, anchor_dists
 
-    def _nearest(self, points, out_pids, out_dists, ties: dict, offset: int) -> None:
+    def _nearest(self, points, out_pids, out_dists, out_anchor, ties: dict, offset: int) -> None:
         """The nearest pivot of every row, into the ``out`` views; a row with
         several within the tie tolerance also records their ids in ``ties``."""
         anchors, others, _ = index = self.anchor_index()
@@ -306,7 +311,7 @@ class VoronoiPartitioner:
                 )
             return dists
 
-        anchor_d = self.metric.cross_distances(points, self.pivots[anchors])
+        out_anchor[:] = anchor_d = self.metric.cross_distances(points, self.pivots[anchors])
         order, near, all_d = _search(index, anchor_d, compute)
         count = anchors.size
         listed = others[:, : all_d.shape[1] - count]
@@ -336,7 +341,7 @@ class VoronoiPartitioner:
 
     def assign(self, dataset: Dataset) -> PartitionAssignment:
         """Partition a whole dataset in one pass."""
-        pids, dists = self.assign_points(dataset.points)
+        pids, dists, _ = self.assign_points(dataset.points)
         return PartitionAssignment(pids, dists, self.num_partitions)
 
     def pivot_distance_matrix(self) -> np.ndarray:

@@ -60,7 +60,7 @@ class IDistanceIndex:
         self.points = points
         self.ids = ids
         self._partitioner = VoronoiPartitioner(pivots, metric)
-        pids, dists = self._partitioner.assign_points(points)
+        pids, dists, _ = self._partitioner.assign_points(points)
         self._pids = pids
         self._dists = dists
         self.num_partitions = self._partitioner.num_partitions

@@ -96,19 +96,16 @@ PAIRS_GROUP = "selectivity"
 PAIRS_NAME = "distance_pairs"
 #: the part of a kernel reducer's ``distance_pairs`` that are object-pivot pairs
 PIVOT_PAIRS_NAME = "reducer_pivot_pairs"
-#: the part that are object-anchor pairs (the kernel's ring pruning anchors)
-ANCHOR_PAIRS_NAME = "reducer_anchor_pairs"
 REPLICA_GROUP = "shuffle"
 REPLICA_NAME = "s_replicas"
 
 
-def count_kernel_pairs(counters: Counters, metric, pivot_metric, anchor_metric) -> None:
-    """A kernel reducer's pairs: all three metrics' in ``distance_pairs``, and
-    the object-pivot and object-anchor parts apart."""
-    pivot, anchor = pivot_metric.pairs_computed, anchor_metric.pairs_computed
-    counters.incr(PAIRS_GROUP, PAIRS_NAME, metric.pairs_computed + pivot + anchor)
+def count_kernel_pairs(counters: Counters, metric, pivot_metric) -> None:
+    """A kernel reducer's pairs: both metrics' in ``distance_pairs``, and the
+    object-pivot part apart."""
+    pivot = pivot_metric.pairs_computed
+    counters.incr(PAIRS_GROUP, PAIRS_NAME, metric.pairs_computed + pivot)
     counters.incr(PAIRS_GROUP, PIVOT_PAIRS_NAME, pivot)
-    counters.incr(PAIRS_GROUP, ANCHOR_PAIRS_NAME, anchor)
 
 
 @dataclass(frozen=True)

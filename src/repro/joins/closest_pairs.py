@@ -53,6 +53,7 @@ class ClosestPairsBlockReducer(Reducer):
         self._k = int(ctx.cache["k"])
         self._pivots: np.ndarray = ctx.cache["pivots"]
         self._pdm: np.ndarray = ctx.cache["pivot_dist_matrix"]
+        self._code_anchors: np.ndarray = ctx.cache["code_anchors"]
         self._exclude_self = bool(ctx.cache["exclude_self"])
         self._scratch = ScratchPool()
 
@@ -65,7 +66,7 @@ class ClosestPairsBlockReducer(Reducer):
         heap: list[tuple[float, int, int]] = []
         for r_id, ids, dists in KERNELS.knn_join_kernel(
             self._metric, self._k, r_blocks, s_blocks, thetas, local_ring_stats(s_blocks),
-            self._pivots, self._pdm, scratch=self._scratch,
+            self._pivots, self._pdm, scratch=self._scratch, code_anchors=self._code_anchors,
         ):
             for s_id, dist in zip(ids.tolist(), dists.tolist()):
                 if self._exclude_self and s_id == r_id:
@@ -147,6 +148,7 @@ def plan_closest_pairs(
                 "k": kernel_k,
                 "pivots": state["pivots"],
                 "pivot_dist_matrix": state["pivot_dist_matrix"],
+                "code_anchors": state["code_anchors"],
                 "exclude_self": exclude_self,
             },
         )

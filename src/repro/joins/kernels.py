@@ -12,8 +12,9 @@ and a fourth built from its Theorem 2:
    the Theorem 2 ring — a contiguous slice of the distance-sorted block
    (lines 21-22);
 4. within a ring slice, drop each object outside the Theorem 2 ring of
-   ``r`` around each of two *anchors* before gathering it: ``| |r, a| - |s,
-   a| | > theta`` (the LAESA filter the partitioner applies to pivots).
+   ``r`` around each of up to four *anchors* before gathering it: ``| |r, a|
+   - |s, a| | > theta`` (the LAESA filter the partitioner applies to pivots),
+   with ``|o, a|`` known only to the byte its partitioning job shipped.
 
 The same kernel serves PGBJ (bounds from the global summary tables) and PBJ
 (bounds recomputed locally over the reducer's random block of S, which is why
@@ -58,14 +59,19 @@ round the ring is re-cut with that theta and the scanned range grows by
 outside a ring cut with a theta no smaller than the final k-th distance, and
 the k-best fold does not depend on order, so no result changes.
 
-Anchors (under ring pruning, whose rule they apply): the first ``min(2, M)``
-pivots farthest-first, as the partitioner chooses its anchors, so every
-reducer shares them.  ``|r, a|`` of every R row and ``|s, a|`` of every S copy
-are computed at kernel entry, once for a row of both roles (a self-join's).  A
-scan folds a ring slice in strips of ``max(128, 16 k)`` entries and filters
-each at the row's theta of that moment; a dropped pair lies beyond theta, so
-it changes no k-best and no theta.  The slack is ``PRUNE_RTOL`` of the largest
-anchor distance.
+Anchors (under ring pruning, whose rule they apply): the ``code_anchors``,
+the first ``C <= 4`` of the partitioner's.  The partitioning job computed
+``|o, a|`` to assign each object and shipped it as a one-byte code
+(:func:`~repro.core.geometry.anchor_codes`); the kernel decodes each row's
+codes into mids and one radius (:func:`~repro.core.geometry.anchor_intervals`)
+and computes no anchor distance.  A scan folds a ring slice in strips of
+``max(128, 16 k)`` entries and drops each pair with ``max_a |mid_r - mid_s|``
+above the row's theta of that moment plus both radii; a dropped pair lies
+beyond theta, so it changes no k-best and no theta.
+
+A row starts from its own bound ``theta_i - U_i + |r, p_i|``: Theorem 3 with
+its pivot distance in place of the cell's largest, ``U_i``, so every bound
+of Algorithm 1 moves by the same constant and so does the k-th smallest.
 
 :func:`knn_join_kernel_reference`, the per-record oracle, applies the same
 rules, so results and ``metric.pairs_computed`` (the paper's selectivity
@@ -92,7 +98,7 @@ from repro.core.bounds import theta_bounds
 from repro.core.distance import Metric
 from repro.core.geometry import (
     PRUNE_EPS,
-    PRUNE_RTOL,
+    anchor_intervals,
     hyperplane_distances,
     partition_pruned_by_hyperplane,
     pivot_distance_needed,
@@ -102,7 +108,6 @@ from repro.core.geometry import (
     triangle_lower_bound,
 )
 from repro.core.knn import ReferenceKBestList
-from repro.core.partition import _farthest_first
 from repro.core.zorder import ZOrderTransform
 from repro.mapreduce.types import RecordBlock, group_rows_by
 
@@ -131,10 +136,8 @@ class RPartitionBlock:
     ids: np.ndarray
     points: np.ndarray
     pivot_dists: np.ndarray
-    #: each object's position in the reducer's gathered block, when built by
-    #: :func:`build_partition_blocks`; an S copy at an R row's position is
-    #: that row in its S role
-    rows: np.ndarray | None = None
+    #: ``(n, C)`` anchor codes (:attr:`RecordBlock.anchor_codes`)
+    codes: np.ndarray | None = None
 
     def local_upper(self) -> float:
         """Local ``U``: max pivot distance among the present objects."""
@@ -153,31 +156,29 @@ class SPartitionBlock:
     ids: np.ndarray
     points: np.ndarray
     pivot_dists: np.ndarray
-    #: as :attr:`RPartitionBlock.rows`, in the block's sorted order
-    rows: np.ndarray | None = None
+    #: as :attr:`RPartitionBlock.codes`, in the block's sorted order
+    codes: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.ids.shape[0]
 
 
-def build_r_blocks(block: RecordBlock, positions=None) -> dict[int, RPartitionBlock]:
-    """Group a reducer's R objects by Voronoi cell; ``positions`` (an array,
-    one per row of ``block``) become the cell blocks' ``rows``."""
+def build_r_blocks(block: RecordBlock) -> dict[int, RPartitionBlock]:
+    """Group a reducer's R objects by Voronoi cell."""
     return {
         pid: RPartitionBlock(
             partition_id=pid,
             ids=block.object_ids[rows],
             points=block.points[rows],
             pivot_dists=block.pivot_distances[rows],
-            rows=None if positions is None else positions[rows],
+            codes=block.anchor_codes[rows],
         )
         for pid, rows in group_rows_by(block.partition_ids)
     }
 
 
-def build_s_blocks(block: RecordBlock, positions=None) -> dict[int, SPartitionBlock]:
-    """Group a reducer's S objects by cell, sorted by pivot distance;
-    ``positions`` as in :func:`build_r_blocks`."""
+def build_s_blocks(block: RecordBlock) -> dict[int, SPartitionBlock]:
+    """Group a reducer's S objects by cell, sorted by pivot distance."""
     blocks: dict[int, SPartitionBlock] = {}
     for pid, rows in group_rows_by(block.partition_ids):
         ids = block.object_ids[rows]
@@ -188,7 +189,7 @@ def build_s_blocks(block: RecordBlock, positions=None) -> dict[int, SPartitionBl
             ids=ids[order],
             points=block.points[rows][order],
             pivot_dists=dists[order],
-            rows=None if positions is None else positions[rows][order],
+            codes=block.anchor_codes[rows][order],
         )
     return blocks
 
@@ -198,10 +199,8 @@ def build_partition_blocks(
 ) -> tuple[dict[int, RPartitionBlock], dict[int, SPartitionBlock]]:
     """Split a reducer's gathered input by role and group it per cell:
     ``(r_blocks, s_blocks)``, built with array operations only.  A row of
-    both roles lands on both sides, at its one position in ``block``."""
-    r_rows = np.flatnonzero(block.is_r)
-    s_rows = np.flatnonzero(block.is_s)
-    return build_r_blocks(block.take(r_rows), r_rows), build_s_blocks(block.take(s_rows), s_rows)
+    both roles lands on both sides."""
+    return build_r_blocks(block.take(block.is_r)), build_s_blocks(block.take(block.is_s))
 
 
 def local_ring_stats(s_blocks: dict[int, SPartitionBlock]) -> dict[int, tuple[float, float]]:
@@ -262,52 +261,19 @@ def _strip_length(k: int) -> int:
     return max(128, 16 * k)
 
 
-def _shared_rows(r_side: list, s_side: list) -> np.ndarray:
-    """Per S copy (the blocks of each side back to back), the index of the R
-    row at the same position of the reducer's gathered block — the same row,
-    in both roles — or -1.  Matched by position, never by id: ids of R and S
-    may collide.  Blocks without positions share nothing."""
-    if any(block.rows is None for block in (*r_side, *s_side)):
-        return np.full(sum(len(block) for block in s_side), -1)
-    r_rows = np.concatenate([block.rows for block in r_side])
-    s_rows = np.concatenate([block.rows for block in s_side])
-    r_index = np.full(int(max(r_rows.max(initial=-1), s_rows.max(initial=-1))) + 1, -1)
-    r_index[r_rows] = np.arange(r_rows.size)
-    return r_index[s_rows]
+def _upper(r_blocks: dict, uppers: dict | None, pid: int) -> float:
+    """``U_i`` of R cell ``pid``: ``uppers``' if given, else the local one."""
+    return r_blocks[pid].local_upper() if uppers is None else uppers[pid]
 
 
-def _anchor_distances(metric: Metric, r_blocks: dict, s_blocks: dict, pivot_points, pdm):
-    """``(|r, a|, |s, a|, slack)``: the distances of every R row and S copy
-    (each side's blocks in sorted cell order, back to back) to the first
-    ``min(2, M)`` pivots farthest-first, one counted call per side, stored as
-    ``|o, a_0| + |o, a_1| i`` (``a_1 = a_0`` when ``M = 1``), and the
-    filter's slack: ``PRUNE_RTOL`` of the largest of them, and ``PRUNE_EPS``.
-    An S copy that is an R row in its S role (:func:`_shared_rows`) takes the
-    row's distances — the same point, so the same bits — uncomputed."""
-    anchors = pivot_points[_farthest_first(pdm, min(2, pdm.shape[0]))]
-    r_side = [r_blocks[pid] for pid in sorted(r_blocks)]
-    s_side = [s_blocks[pid] for pid in sorted(s_blocks)]
-    r_dists = metric.cross_distances(anchors, np.concatenate([block.points for block in r_side]))
-    s_points = np.concatenate([block.points for block in s_side])
-    shared = _shared_rows(r_side, s_side)
-    fresh = shared < 0
-    s_dists = np.empty((anchors.shape[0], s_points.shape[0]))
-    s_dists[:, ~fresh] = r_dists[:, shared[~fresh]]
-    s_dists[:, fresh] = metric.cross_distances(anchors, s_points[fresh])
-    sides = (r_dists, s_dists)
-    packed = [np.empty(dists.shape[1], dtype=np.complex128) for dists in sides]
-    for pack, dists in zip(packed, sides):
-        pack.real, pack.imag = dists[0], dists[-1]
-    return (*packed, PRUNE_EPS + PRUNE_RTOL * max(float(dists.max()) for dists in sides))
-
-
-def _anchor_admits(r_anchor, s_anchor, limit):
-    """Theorem 2 around both anchors: ``s`` may be within theta of ``r`` only
-    if neither gap ``| |r, a| - |s, a| |`` exceeds ``limit``, theta plus the
-    slack (aligned pairs, or one ``r`` against many ``s``)."""
-    gaps = np.subtract(r_anchor, s_anchor).view(np.float64)
+def _codes_admit(r_mids, s_mids, limit):
+    """Theorem 2 around every code anchor: ``s`` may be within theta of ``r``
+    only if no gap between decoded mids (``(C, pairs)``) exceeds ``limit``,
+    theta plus both rows' radii (aligned pairs, or one ``r`` against many
+    ``s``)."""
+    gaps = np.subtract(r_mids, s_mids)
     np.abs(gaps, out=gaps)
-    return np.maximum(gaps[0::2], gaps[1::2]) <= limit
+    return gaps.max(axis=0) <= limit
 
 
 class ScratchPool:
@@ -442,10 +408,10 @@ def _scan_segments(
     """One gathered scan: one ring slice of ``s_block`` per R row in ``rows``.
 
     Builds the flat ``(row, s-index)`` pair list covering exactly the ring
-    members each row admits, drops the pairs the ``anchors`` (``(|r, a|, |s,
-    a|, slack)`` of :func:`_anchor_distances`, if given) prove farther than
-    the row's theta, computes the rest in one counted call, then folds each
-    row's candidates into its running k-best matrix:
+    members each row admits, drops the pairs the ``anchors`` (``(r mids, s
+    mids, r radii, s radii)`` of the decoded anchor codes, if given) prove
+    farther than the row's theta, computes the rest in one counted call, then
+    folds each row's candidates into its running k-best matrix:
 
     * discard candidates strictly beyond their row's current k-th distance —
       the row already holds k candidates at or below it, so such a candidate
@@ -473,10 +439,10 @@ def _scan_segments(
     seg_of_pair = np.repeat(np.arange(rows.size), lengths)
     if anchors is not None:
         # a dropped pair is farther than theta: it changes no k-best, no theta
-        r_anchor, s_anchor, slack = anchors
-        admitted = _anchor_admits(
-            r_anchor.take(rows).take(seg_of_pair), s_anchor.take(col),
-            (theta.take(rows) + slack).take(seg_of_pair),
+        r_mids, s_mids, r_radius, s_radius = anchors
+        admitted = _codes_admit(
+            r_mids.take(rows, 1).take(seg_of_pair, 1), s_mids.take(col, 1),
+            (theta.take(rows) + r_radius.take(rows)).take(seg_of_pair) + s_radius.take(col),
         )
         col, seg_of_pair = col[admitted], seg_of_pair[admitted]
         total = col.size
@@ -614,7 +580,8 @@ def knn_join_kernel(
     use_ring_pruning: bool = True,
     scratch: ScratchPool | None = None,
     pivot_metric: Metric | None = None,
-    anchor_metric: Metric | None = None,
+    code_anchors: np.ndarray | None = None,
+    uppers: dict[int, float] | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Run Algorithm 3's reduce phase; yields ``(r_id, neighbor_ids, dists)``.
 
@@ -630,7 +597,8 @@ def knn_join_kernel(
     ----------
     thetas:
         ``theta_i`` per R-partition (Equation 6); ``inf`` disables the initial
-        radius (PBJ blocks smaller than k).
+        radius (PBJ blocks smaller than k).  A row starts from ``theta_i -
+        U_i + |r, p_i|``.
     ring_stats:
         ``(L, U)`` per S-partition for Theorem 2 — global table values for
         PGBJ, local block extremes for PBJ.
@@ -644,16 +612,19 @@ def knn_join_kernel(
     pivot_metric:
         The counted metric of the object-pivot distances ``|r, p_j|`` (the
         reducers count them apart); ``metric`` when omitted.
-    anchor_metric:
-        The counted metric of the anchor distances ``|r, a|`` and ``|s, a|``
-        (ring pruning only); ``pivot_metric`` when omitted.
+    code_anchors:
+        The pivots the blocks' anchor codes refer to (the first ``C`` of the
+        partitioner's anchors); no anchor filter when omitted or empty.
+    uppers:
+        ``U_i`` per R-partition, as ``thetas`` was computed with (PGBJ: from
+        ``T_R``); the largest pivot distance among the present rows when
+        omitted (PBJ's local ``U``).
     """
     if not s_blocks:
         raise ValueError("reducer received R objects but no S objects")
     if scratch is None:
         scratch = ScratchPool()
     pivot_metric = pivot_metric or metric
-    anchor_metric = anchor_metric or pivot_metric
     present = sorted(s_blocks)
     cells = sorted(r_blocks)
     num_present = len(present)
@@ -672,10 +643,14 @@ def knn_join_kernel(
         points=np.concatenate([s_blocks[pid].points for pid in present]),
         pivot_dists=np.concatenate([s_blocks[pid].pivot_dists for pid in present]),
     )
+    coded = use_ring_pruning and code_anchors is not None and len(code_anchors) > 0
     if use_ring_pruning:
         s_keys = segment_keys(np.repeat(np.arange(num_present), s_sizes), s_all.pivot_dists)
-        r_anchor, s_anchor, anchor_slack = _anchor_distances(
-            anchor_metric, r_blocks, s_blocks, pivot_points, pivot_dist_matrix
+    if coded:
+        code_rows = pivot_dist_matrix[code_anchors]
+        s_mids, s_radius = anchor_intervals(
+            np.concatenate([s_blocks[pid].codes for pid in present]),
+            np.repeat(present, s_sizes), s_all.pivot_dists, code_rows,
         )
     lower, upper = np.array([ring_stats[pid] for pid in present], dtype=np.float64).T
 
@@ -708,12 +683,16 @@ def knn_join_kernel(
         r_points = np.concatenate([block.points for block in tile])
         own_dists = np.concatenate([block.pivot_dists for block in tile])
         num_rows = r_ids.shape[0]
-        tile_rows = slice(int(r_sizes[:first].sum()), int(r_sizes[:last].sum()))
-        anchors = (r_anchor[tile_rows], s_anchor, anchor_slack) if use_ring_pruning else None
+        anchors = None
+        if coded:
+            r_mids, r_radius = anchor_intervals(
+                np.concatenate([block.codes for block in tile]),
+                np.repeat(tile_cells, tile_sizes), own_dists, code_rows,
+            )
+            anchors = (r_mids, s_mids, r_radius, s_radius)
 
-        theta = np.repeat(
-            np.array([thetas[pid] for pid in tile_cells], dtype=np.float64), tile_sizes
-        )
+        offsets = [thetas[pid] - _upper(r_blocks, uppers, pid) for pid in tile_cells]
+        theta = np.repeat(np.array(offsets, dtype=np.float64), tile_sizes) + own_dists
         best_dists = np.full((num_rows, k), np.inf, dtype=np.float64)
         best_ids = np.full((num_rows, k), _ID_SENTINEL, dtype=np.int64)
         # per row, its _NEAREST_COMPUTED nearest computed pivots so far:
@@ -841,7 +820,8 @@ def knn_join_kernel_reference(
     use_hyperplane_pruning: bool = True,
     use_ring_pruning: bool = True,
     pivot_metric: Metric | None = None,
-    anchor_metric: Metric | None = None,
+    code_anchors: np.ndarray | None = None,
+    uppers: dict[int, float] | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The per-record kernel, kept as the correctness oracle.
 
@@ -856,7 +836,6 @@ def knn_join_kernel_reference(
     if not s_blocks:
         raise ValueError("reducer received R objects but no S objects")
     pivot_metric = pivot_metric or metric
-    anchor_metric = anchor_metric or pivot_metric
     present = sorted(s_blocks)
     present_points = pivot_points[present]
     pdm_present = pivot_dist_matrix[np.ix_(present, present)]
@@ -864,24 +843,29 @@ def knn_join_kernel_reference(
     scale = _bound_scale(r_blocks, pdm_cells, pdm_present)
     euclidean = metric.name == "l2"
     strip = _strip_length(k)
-    if use_ring_pruning:
-        r_anchor, s_anchor, anchor_slack = _anchor_distances(
-            anchor_metric, r_blocks, s_blocks, pivot_points, pivot_dist_matrix
-        )
-        s_offsets = dict(zip(present, np.cumsum([0] + [len(s_blocks[pid]) for pid in present])))
-    r_offset = 0
+    coded = use_ring_pruning and code_anchors is not None and len(code_anchors) > 0
+    if coded:
+        code_rows = pivot_dist_matrix[code_anchors]
+        s_codes = {
+            pid: anchor_intervals(block.codes, np.full(len(block), pid), block.pivot_dists, code_rows)
+            for pid, block in s_blocks.items()
+        }
 
     for pid_r in sorted(r_blocks):
         r_block = r_blocks[pid_r]
-        theta_i = thetas[pid_r]
+        offset = thetas[pid_r] - _upper(r_blocks, uppers, pid_r)
         pdm_row = pivot_dist_matrix[pid_r]
+        if coded:
+            r_mids, r_radius = anchor_intervals(
+                r_block.codes, np.full(len(r_block.ids), pid_r), r_block.pivot_dists, code_rows
+            )
         order = sorted(range(len(present)), key=lambda idx: pdm_row[present[idx]])
 
         for row in range(r_block.ids.shape[0]):
             kbest = ReferenceKBestList(k)
-            theta = theta_i
             point = r_block.points[row]
             dist_r_own = float(r_block.pivot_dists[row])
+            theta = offset + dist_r_own
             # (distance, present index) of the nearest computed pivots so far
             nearest: list[tuple[float, int]] = []
 
@@ -894,10 +878,11 @@ def knn_join_kernel_reference(
                 nonlocal theta
                 for lo in range(start, stop, strip):
                     entries = np.arange(lo, min(lo + strip, stop))
-                    if use_ring_pruning:
-                        at = s_offsets[block.partition_id] + entries
-                        entries = entries[_anchor_admits(
-                            r_anchor[r_offset + row], s_anchor[at], theta + anchor_slack
+                    if coded:
+                        s_mids, s_radius = s_codes[block.partition_id]
+                        entries = entries[_codes_admit(
+                            r_mids[:, row, None], s_mids[:, entries],
+                            theta + r_radius[row] + s_radius[entries],
                         )]
                     if entries.size:
                         dists = metric.distances(point, block.points[entries])
@@ -959,7 +944,6 @@ def knn_join_kernel_reference(
                         lo, hi, grow = new_lo, new_hi, 2 * grow
             neighbor_ids, neighbor_dists = kbest.as_arrays()
             yield int(r_block.ids[row]), neighbor_ids, neighbor_dists
-        r_offset += r_block.ids.shape[0]
 
 
 class KernelProvider:

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
+from repro.core.geometry import ANCHOR_CODES, anchor_codes
 from repro.core.partition import VoronoiPartitioner
 from repro.core.summary import SummaryTable, build_partial_summary
 from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob
@@ -93,9 +94,10 @@ class PartitioningMapper(BlockBufferingMapper):
     pass at cleanup — semantically identical to per-record assignment (all
     emission happens before the shuffle) but far cheaper per object.  Output
     is one annotated :class:`~repro.mapreduce.types.RecordBlock` per map
-    task: rows stable-sorted by cell id (objects of one cell keep their input
-    order), under an int key, so the second job's mappers route a whole split
-    as one block.  Byte accounting and the DFS chunker weigh rows, not
+    task — each row's cell, pivot distance and the codes of the anchor
+    distances its assignment computed — rows stable-sorted by cell id
+    (objects of one cell keep their input order), under an int key, so the
+    second job's mappers route a whole split as one block.  Byte accounting and the DFS chunker weigh rows, not
     blocks, so ``output_bytes`` and the next job's split boundaries are those
     of one record per object.
 
@@ -116,9 +118,10 @@ class PartitioningMapper(BlockBufferingMapper):
         self._partitioner = VoronoiPartitioner(
             ctx.cache["pivots"], self._metric, ctx.cache["anchors"]
         )
+        self._code_rows = ctx.cache["code_rows"]
 
     def route_block(self, block: RecordBlock, ctx: Context):
-        pids, dists = self._partitioner.assign_points(block.points)
+        pids, dists, anchor_dists = self._partitioner.assign_points(block.points)
         is_r, is_s = block.is_r, block.is_s
         for channel, mask, keep_all in ((CHANNEL_TR, is_r, False), (CHANNEL_TS, is_s, True)):
             if mask.any():
@@ -133,8 +136,11 @@ class PartitioningMapper(BlockBufferingMapper):
         ctx.counters.incr(PAIRS_GROUP, SKIPPED_NAME, all_pairs - computed)
         order = np.argsort(pids, kind="stable")
         annotated = block.take(order)
-        annotated.partition_ids = pids[order]
+        annotated.partition_ids = pids[order].astype(np.int32)
         annotated.pivot_distances = dists[order]
+        annotated.anchor_codes = anchor_codes(
+            anchor_dists[order], pids[order], dists[order], self._code_rows
+        )
         yield 0, annotated
 
 
@@ -156,12 +162,13 @@ def merge_summaries(job_result: JobResult, k: int) -> tuple[SummaryTable, Summar
 
 
 def partitioning_job(
-    r: Dataset, s: Dataset, pivots: np.ndarray, config: JoinConfig, anchors: tuple
+    r: Dataset, s: Dataset, pivots: np.ndarray, pdm: np.ndarray, config: JoinConfig, anchors: tuple
 ) -> tuple[MapReduceJob, list]:
     """The map-only partitioning job over ``R ∪ S`` (k-independent) and its
     input splits — one pass over the dataset, in both roles, when ``r is s``.
     ``anchors`` is the master's :meth:`VoronoiPartitioner.anchor_index` over
-    ``pivots``."""
+    ``pivots``, whose distance matrix is ``pdm``; each object carries codes of
+    its distances to the first :data:`~repro.core.geometry.ANCHOR_CODES`."""
     job = MapReduceJob(
         name="partitioning",
         mapper_factory=PartitioningMapper,
@@ -169,6 +176,7 @@ def partitioning_job(
         cache={
             "pivots": pivots,
             "anchors": anchors,
+            "code_rows": pdm[anchors[0][:ANCHOR_CODES]],
             "metric_name": config.metric_name,
         },
     )
@@ -186,8 +194,11 @@ def run_partitioning_job(
 ) -> JobResult:
     """Execute the map-only partitioning job over ``R ∪ S`` (test seam; the
     drivers run it as a plan stage via :func:`partition_stage`)."""
-    anchors = VoronoiPartitioner(pivots, get_metric(config.metric_name)).anchor_index()
-    return runtime.run(*partitioning_job(r, s, pivots, config, anchors))
+    partitioner = VoronoiPartitioner(pivots, get_metric(config.metric_name))
+    job = partitioning_job(
+        r, s, pivots, partitioner.pivot_distance_matrix(), config, partitioner.anchor_index()
+    )
+    return runtime.run(*job)
 
 
 def partition_stage_key(r: Dataset, s: Dataset, config: JoinConfig, num_pivots: int):
@@ -236,7 +247,8 @@ def partition_stage(
     matrix's ``M(M-1)/2`` pairs are all it costs — scoring ``T`` sets by
     spread cost ``T`` times that and bought no cheaper cells) and returns
     the k-independent partitioning job; ``state`` receives ``"pivots"``,
-    ``"pivot_dist_matrix"`` and ``"metric"`` for the downstream stages of
+    ``"pivot_dist_matrix"``, ``"code_anchors"`` (the pivots its objects'
+    anchor codes refer to) and ``"metric"`` for the downstream stages of
     the same plan, which read the job's blocks (``outputs``: a row per
     object of ``R ∪ S``, one per object in a self-join) as their input.  The
     stage is content-keyed, so a :class:`~repro.mapreduce.plan.PlanCache`
@@ -252,8 +264,9 @@ def partition_stage(
             anchors = VoronoiPartitioner(pivots, metric, distance_matrix=pdm).anchor_index()
         state["pivots"] = pivots
         state["pivot_dist_matrix"] = pdm
+        state["code_anchors"] = anchors[0][:ANCHOR_CODES]
         state["metric"] = metric
-        return partitioning_job(r, s, pivots, config, anchors)
+        return partitioning_job(r, s, pivots, pdm, config, anchors)
 
     # the key fingerprints both datasets (a sha1 pass each) — only worth
     # computing when a cache (in-process or persistent) will consume it

@@ -54,8 +54,8 @@ class PbjJoinReducer(Reducer):
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
         self._pivot_metric = get_metric(ctx.cache["metric_name"])
-        self._anchor_metric = get_metric(ctx.cache["metric_name"])
         self._k = int(ctx.cache["k"])
+        self._code_anchors: np.ndarray = ctx.cache["code_anchors"]
         self._pivots: np.ndarray = ctx.cache["pivots"]
         self._pdm: np.ndarray = ctx.cache["pivot_dist_matrix"]
         self._scratch = ScratchPool()
@@ -76,13 +76,13 @@ class PbjJoinReducer(Reducer):
                 self._pdm,
                 scratch=self._scratch,
                 pivot_metric=self._pivot_metric,
-                anchor_metric=self._anchor_metric,
+                code_anchors=self._code_anchors,
             )
         )
         return candidate_emissions(candidates, ctx)
 
     def cleanup(self, ctx: Context):
-        count_kernel_pairs(ctx.counters, self._metric, self._pivot_metric, self._anchor_metric)
+        count_kernel_pairs(ctx.counters, self._metric, self._pivot_metric)
         return ()
 
 
@@ -106,6 +106,7 @@ def plan_pbj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
                 "k": config.k,
                 "pivots": state["pivots"],
                 "pivot_dist_matrix": state["pivot_dist_matrix"],
+                "code_anchors": state["code_anchors"],
                 "merge_reducers": config.num_reducers,
             },
         )

@@ -66,10 +66,8 @@ class GroupRoutingMapper(BlockBufferingMapper):
     are spread deterministically over its sub-keys by object id, while its
     S bits replicate to *every* sub-key — each r therefore still meets
     exactly the candidate set it would have met unsplit, so join results and
-    ``pairs_computed`` net of the kernel's anchor distances are
-    bit-identical; only replication (the knob's documented price, which
-    includes those two distances of every extra S copy) and the reduce-task
-    layout change.
+    ``pairs_computed`` are bit-identical; only replication (the knob's
+    documented price) and the reduce-task layout change.
     """
 
     def setup(self, ctx: Context) -> None:
@@ -111,9 +109,10 @@ class PgbjJoinReducer(Reducer):
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
         self._pivot_metric = get_metric(ctx.cache["metric_name"])
-        self._anchor_metric = get_metric(ctx.cache["metric_name"])
         self._k = int(ctx.cache["k"])
         self._thetas: dict[int, float] = ctx.cache["thetas"]
+        self._uppers: dict[int, float] = ctx.cache["uppers"]
+        self._code_anchors: np.ndarray = ctx.cache["code_anchors"]
         self._ring_stats: dict[int, tuple[float, float]] = ctx.cache["ring_stats"]
         self._pivots: np.ndarray = ctx.cache["pivots"]
         self._pdm: np.ndarray = ctx.cache["pivot_dist_matrix"]
@@ -139,12 +138,13 @@ class PgbjJoinReducer(Reducer):
                 use_ring_pruning=self._use_ring,
                 scratch=self._scratch,
                 pivot_metric=self._pivot_metric,
-                anchor_metric=self._anchor_metric,
+                code_anchors=self._code_anchors,
+                uppers=self._uppers,
             )
         )
 
     def cleanup(self, ctx: Context):
-        count_kernel_pairs(ctx.counters, self._metric, self._pivot_metric, self._anchor_metric)
+        count_kernel_pairs(ctx.counters, self._metric, self._pivot_metric)
         return ()
 
 
@@ -224,6 +224,8 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
                 "metric_name": config.metric_name,
                 "k": config.k,
                 "thetas": thetas,
+                "uppers": {pid: tr.get(pid).upper for pid in tr.partition_ids()},
+                "code_anchors": state["code_anchors"],
                 "ring_stats": ring_stats,
                 "pivots": state["pivots"],
                 "pivot_dist_matrix": pdm,

@@ -181,9 +181,9 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: the code version of every persisted stage result: bump when any stage's
 #: outputs or counters change.  :func:`plan_identity` (what checkpoints are
 #: bound to) and the partition stage's plan-cache key both carry it, so a
-#: file written by older code is never served.  9: the partitioner's anchor
-#: count is chosen from the pivot matrix, so the partition counters moved.
-RESULTS_VERSION = 9
+#: file written by older code is never served.  10: the partitioning job
+#: ships anchor codes and an int32 cell id, so its rows changed.
+RESULTS_VERSION = 10
 
 
 def plan_identity(

@@ -136,7 +136,7 @@ def decode_block(tag: int, data: bytes) -> ColumnarBlock:
 
 
 _BLOCK_MAGIC = b"RBLK"
-_BLOCK_HEADER = struct.Struct("<4sII")  # magic, rows, dims
+_BLOCK_HEADER = struct.Struct("<4sIII")  # magic, rows, dims, anchor codes
 
 
 def encode_record_block(block: RecordBlock) -> bytes:
@@ -145,20 +145,21 @@ def encode_record_block(block: RecordBlock) -> bytes:
     dims = block.points.shape[1] if block.points.ndim == 2 else 0
     return b"".join(
         (
-            _BLOCK_HEADER.pack(_BLOCK_MAGIC, rows, dims),
+            _BLOCK_HEADER.pack(_BLOCK_MAGIC, rows, dims, block.anchor_codes.shape[1]),
             np.ascontiguousarray(block.role, dtype=np.uint8).tobytes(),
             np.ascontiguousarray(block.object_ids, dtype=np.int64).tobytes(),
             np.ascontiguousarray(block.points, dtype=np.float64).tobytes(),
             np.ascontiguousarray(block.payloads, dtype=np.int64).tobytes(),
-            np.ascontiguousarray(block.partition_ids, dtype=np.int64).tobytes(),
+            np.ascontiguousarray(block.partition_ids, dtype=np.int32).tobytes(),
             np.ascontiguousarray(block.pivot_distances, dtype=np.float64).tobytes(),
+            np.ascontiguousarray(block.anchor_codes, dtype=np.uint8).tobytes(),
         )
     )
 
 
-#: bytes per row beyond the point coordinates: role (1) + object_ids (8) +
-#: payloads (8) + partition_ids (8) + pivot_distances (8)
-_ROW_FIXED_BYTES = 1 + 8 + 8 + 8 + 8
+#: bytes per row beyond the point coordinates and anchor codes: role (1) +
+#: object_ids (8) + payloads (8) + partition_ids (4) + pivot_distances (8)
+_ROW_FIXED_BYTES = 1 + 8 + 8 + 4 + 8
 
 
 def decode_record_block(data: bytes) -> RecordBlock:
@@ -173,15 +174,15 @@ def decode_record_block(data: bytes) -> RecordBlock:
             f"truncated RecordBlock stream: {len(data)} bytes is shorter "
             f"than the {_BLOCK_HEADER.size}-byte header"
         )
-    magic, rows, dims = _BLOCK_HEADER.unpack_from(data)
+    magic, rows, dims, codes = _BLOCK_HEADER.unpack_from(data)
     if magic != _BLOCK_MAGIC:
         raise ValueError("not a RecordBlock byte stream")
-    expected = _BLOCK_HEADER.size + rows * (_ROW_FIXED_BYTES + 8 * dims)
+    expected = _BLOCK_HEADER.size + rows * (_ROW_FIXED_BYTES + 8 * dims + codes)
     if len(data) != expected:
         kind = "truncated" if len(data) < expected else "oversized"
         raise ValueError(
             f"{kind} RecordBlock stream: header declares {rows} rows x "
-            f"{dims} dims ({expected} bytes), got {len(data)} bytes"
+            f"{dims} dims x {codes} codes ({expected} bytes), got {len(data)} bytes"
         )
     offset = _BLOCK_HEADER.size
 
@@ -196,8 +197,9 @@ def decode_record_block(data: bytes) -> RecordBlock:
         object_ids=column(np.int64, rows),
         points=column(np.float64, rows * dims, shape=(rows, dims)),
         payloads=column(np.int64, rows),
-        partition_ids=column(np.int64, rows),
+        partition_ids=column(np.int32, rows),
         pivot_distances=column(np.float64, rows),
+        anchor_codes=column(np.uint8, rows * codes, shape=(rows, codes)),
     )
 
 

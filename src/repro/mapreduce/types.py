@@ -113,13 +113,16 @@ ROLE_BOTH = ROLE_R | ROLE_S
 class RecordBlock(ColumnarBlock):
     """A columnar batch of data objects (struct of arrays).
 
-    Parallel 1-d arrays (plus the 2-d point matrix) hold one field each; row
-    ``i`` across all six columns is one logical object.  ``role`` is one
-    byte of :data:`ROLE_R` / :data:`ROLE_S` bits (:attr:`is_r`, :attr:`is_s`):
-    a self-join's row holds both, its R copy and own-group S copy in one.  The
-    first job's mapper fills in ``partition_ids`` (the Voronoi cell) and
-    ``pivot_distances`` (``|o, p_o|``); the second job's pruning rules
-    consume them (Algorithm 3 reads the distance as ``k1.dist``).
+    Parallel 1-d arrays (plus the 2-d point and code matrices) hold one field
+    each; row ``i`` across all seven columns is one logical object.  ``role``
+    is one byte of :data:`ROLE_R` / :data:`ROLE_S` bits (:attr:`is_r`,
+    :attr:`is_s`): a self-join's row holds both, its R copy and own-group S
+    copy in one.  The first job's mapper fills in ``partition_ids`` (the
+    Voronoi cell), ``pivot_distances`` (``|o, p_o|``) and ``anchor_codes``
+    (``|o, a|`` of the first anchors, a byte each:
+    :func:`~repro.core.geometry.anchor_codes`; ``(n, 0)`` before); the second
+    job's pruning rules consume them (Algorithm 3 reads the distance as
+    ``k1.dist``).
     ``payloads`` counts non-coordinate bytes carried by each object (e.g. OSM
     descriptions) — it affects shuffle cost only.  Blocks make the hot paths
     array-shaped: mappers route a whole block with one vectorized mask, the
@@ -131,10 +134,15 @@ class RecordBlock(ColumnarBlock):
     object_ids: np.ndarray  # int64
     points: np.ndarray  # float64, shape (n, dims)
     payloads: np.ndarray  # int64
-    partition_ids: np.ndarray  # int64
+    partition_ids: np.ndarray  # int32
     pivot_distances: np.ndarray  # float64
+    anchor_codes: np.ndarray | None = None  # uint8, shape (n, C); None: C = 0
 
     wire_tag = 1
+
+    def __post_init__(self) -> None:
+        if self.anchor_codes is None:
+            self.anchor_codes = np.empty((len(self), 0), dtype=np.uint8)
 
     def __len__(self) -> int:
         return int(self.object_ids.shape[0])
@@ -174,7 +182,7 @@ class RecordBlock(ColumnarBlock):
                 if payloads is None
                 else np.asarray(payloads, dtype=np.int64)
             ),
-            partition_ids=np.full(rows, -1, dtype=np.int64),
+            partition_ids=np.full(rows, -1, dtype=np.int32),
             pivot_distances=np.full(rows, np.nan, dtype=np.float64),
         )
 
@@ -193,6 +201,7 @@ class RecordBlock(ColumnarBlock):
             payloads=np.concatenate([part.payloads for part in parts]),
             partition_ids=np.concatenate([part.partition_ids for part in parts]),
             pivot_distances=np.concatenate([part.pivot_distances for part in parts]),
+            anchor_codes=np.concatenate([part.anchor_codes for part in parts]),
         )
 
     # -- row selection ------------------------------------------------------
@@ -206,6 +215,7 @@ class RecordBlock(ColumnarBlock):
             payloads=self.payloads[rows],
             partition_ids=self.partition_ids[rows],
             pivot_distances=self.pivot_distances[rows],
+            anchor_codes=self.anchor_codes[rows],
         )
 
     def copies_of(self, role: int) -> "RecordBlock":
@@ -219,11 +229,11 @@ class RecordBlock(ColumnarBlock):
     # -- accounting ---------------------------------------------------------
 
     def estimated_bytes(self) -> int:
-        """Sum of the rows' wire sizes, ``1 + 8 + 8·d + 8 + 8 + payload``
-        each (role, id, coordinates, cell id, pivot distance, payload) —
-        blocks are invisible to byte accounting."""
+        """Sum of the rows' wire sizes, ``1 + 8 + 8·d + 4 + 8 + C + payload``
+        each (role, id, coordinates, cell id, pivot distance, ``C`` anchor
+        codes, payload) — blocks are invisible to byte accounting."""
         dims = self.points.shape[1] if self.points.ndim == 2 else 0
-        per_record = 1 + 8 + dims * 8 + 8 + 8
+        per_record = 1 + 8 + dims * 8 + 4 + 8 + self.anchor_codes.shape[1]
         return len(self) * per_record + int(self.payloads.sum())
 
 

@@ -19,7 +19,7 @@ from unittest import mock
 import numpy as np
 
 from repro.core.distance import get_metric
-from repro.core.geometry import PRUNE_EPS
+from repro.core.geometry import PRUNE_EPS, anchor_codes
 from repro.core.partition import VoronoiPartitioner
 from repro.core.summary import build_partial_summary
 from repro.joins import partition_job, pgbj
@@ -55,7 +55,7 @@ class PerCellPartitioningMapper(Mapper):
             return
         block = RecordBlock.gather(self._buffer)
         self._buffer = []
-        pids, dists = self._partitioner.assign_points(block.points)
+        pids, dists, anchor_dists = self._partitioner.assign_points(block.points)
         for channel, mask, keep_all in (
             (CHANNEL_TR, block.is_r, False),
             (CHANNEL_TS, block.is_s, True),
@@ -65,8 +65,9 @@ class PerCellPartitioningMapper(Mapper):
                 ctx.side_output(
                     channel, build_partial_summary(pids[mask], dists[mask], k=summary_k)
                 )
-        block.partition_ids = pids.astype(np.int64, copy=False)
+        block.partition_ids = pids.astype(np.int32)
         block.pivot_distances = dists.astype(np.float64, copy=False)
+        block.anchor_codes = anchor_codes(anchor_dists, pids, dists, ctx.cache["code_rows"])
         computed = self._metric.pairs_computed
         roles = int(block.is_r.sum()) + int(block.is_s.sum())
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, computed)
@@ -144,7 +145,8 @@ class RowOutputJoinReducer(pgbj.PgbjJoinReducer):
             use_ring_pruning=self._use_ring,
             scratch=self._scratch,
             pivot_metric=self._pivot_metric,
-            anchor_metric=self._anchor_metric,
+            code_anchors=self._code_anchors,
+            uppers=self._uppers,
         ):
             yield r_id, (ids, dists)
 
@@ -202,6 +204,7 @@ def pgbj_facts(r, s, config, reference: bool) -> dict:
                 partitioned.payloads,
                 partitioned.partition_ids,
                 partitioned.pivot_distances,
+                partitioned.anchor_codes,
             )
         ],
         "reduce_input": {

@@ -25,7 +25,6 @@ def record(seed=0, scale=0.125, skipped=1_474_270, **moved):
             "distance_pairs": 525_730,
             "assignment_pairs_skipped": skipped,
             "reducer_pivot_pairs": 27_075,
-            "reducer_anchor_pairs": 59_900,
         },
         "forest_zorder_spill": {"distance_pairs": 1_280_000},
     }
@@ -100,7 +99,7 @@ def test_spill_layout_is_summed_over_jobs_and_held_exactly(files, capsys):
         "selectivity.distance_pairs": 525_730,
         "selectivity.assignment_pairs_skipped": 1_474_270,
         "selectivity.reducer_pivot_pairs": 27_075,
-        "selectivity.reducer_anchor_pairs": 59_900,
+        "selectivity.reducer_anchor_pairs": 0,
     }
     # the same totals split differently over the jobs: the layout held
     shifted = record(**{
@@ -174,18 +173,21 @@ def test_reducer_pivot_pairs_are_held_exactly_and_read_0_without_the_kernel(file
     assert "1 counted metric(s) differ" in out
 
 
-def test_reducer_anchor_pairs_are_held_exactly_and_read_0_without_the_kernel(files, capsys):
-    """The object-anchor part of the kernel reducers' pairs — two per R row
-    and S copy a reducer holds: a move of the anchors or of S replication is
-    named as one, and a join without the Algorithm 3 kernel reads 0."""
+def test_reducer_anchor_pairs_are_pinned_at_0_and_a_return_is_named(files, capsys):
+    """The kernel reducers filter by the anchor codes the partitioning job
+    shipped and compute no object-anchor pair: every workload, the committed
+    smoke record's included, reads 0, and a reducer counting some again is
+    named."""
     write, baseline = files
     pinned = json.loads(Path(baseline).read_text())["workloads"]
-    assert pinned["forest_zorder_spill"]["selectivity.reducer_anchor_pairs"] == 0
+    committed = json.loads(check_counted.BASELINE.read_text())["workloads"]
+    for workloads in (pinned, committed):
+        assert {w["selectivity.reducer_anchor_pairs"] for w in workloads.values()} == {0}
     moved = record()
-    moved["results"][0]["counters"]["counters"]["selectivity"]["reducer_anchor_pairs"] = 59_902
+    moved["results"][0]["counters"]["counters"]["selectivity"]["reducer_anchor_pairs"] = 2
     assert check_counted.main([write("moved.json", moved), "--baseline", baseline]) == 1
     out = capsys.readouterr().out
-    assert "osm_pgbj_spill.selectivity.reducer_anchor_pairs: 59900 -> 59902" in out
+    assert "osm_pgbj_spill.selectivity.reducer_anchor_pairs: 0 -> 2" in out
     assert "1 counted metric(s) differ" in out
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
 from repro.core.bounds import compute_thetas
+from repro.core.geometry import ANCHOR_CODES, anchor_codes
 from repro.core.knn import brute_force_knn_join
 from repro.core.summary import build_partial_summary
 from repro.joins import kernels
@@ -28,12 +29,31 @@ from repro.mapreduce.types import ROLE_BOTH, ROLE_R, ROLE_S, RecordBlock
 from tests.reference_kernel import own_pivot_kernel
 
 
-def block_for(dataset, role, assignment):
-    """``dataset`` as one block annotated with its Voronoi ``assignment``."""
+def block_for(dataset, role, assignment, partitioner=None):
+    """``dataset`` as one block annotated with its Voronoi ``assignment``, and
+    with the anchor codes of ``partitioner``'s first anchors if one is given
+    (what the partitioning job ships)."""
     block = RecordBlock.of_objects(role, dataset.ids, dataset.points)
     block.partition_ids = assignment.partition_ids
     block.pivot_distances = assignment.pivot_distances
+    if partitioner is not None:
+        anchors = partitioner.anchor_index()[0][:ANCHOR_CODES]
+        block.anchor_codes = anchor_codes(
+            get_metric(partitioner.metric.name).cross_distances(
+                dataset.points, partitioner.pivots[anchors]
+            ),
+            assignment.partition_ids,
+            assignment.pivot_distances,
+            partitioner.pivot_distance_matrix()[anchors],
+        )
     return block
+
+
+def code_anchors_of(pivots, pdm, metric_name="l2"):
+    """The pivots a world's anchor codes refer to: the first of the
+    partitioner's anchors, as the partition stage ships them."""
+    partitioner = VoronoiPartitioner(pivots, get_metric(metric_name), distance_matrix=pdm)
+    return partitioner.anchor_index()[0][:ANCHOR_CODES]
 
 
 def kernel_world(
@@ -74,8 +94,8 @@ def world_from(r_points, s_points, pivots, k, metric_name="l2", twin_pivots=Fals
     else:
         thetas = {pid: np.inf for pid in tr.partition_ids()}
     ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
-    r_blocks = build_r_blocks(block_for(r, ROLE_R, ar))
-    s_blocks = build_s_blocks(block_for(s, ROLE_S, as_))
+    r_blocks = build_r_blocks(block_for(r, ROLE_R, ar, partitioner))
+    s_blocks = build_s_blocks(block_for(s, ROLE_S, as_, partitioner))
     return r, s, r_blocks, s_blocks, thetas, ring, pivots, pdm, k
 
 
@@ -140,8 +160,11 @@ class TestKernelCorrectness:
 
 
 def run_kernel(kernel, world, metric_name="l2", **flags):
-    """``[(r_id, ids, distance bytes)]`` in yield order, and the pair count."""
+    """``[(r_id, ids, distance bytes)]`` in yield order, and the pair count;
+    the library's kernels filter by the world's anchor codes."""
     _, _, r_blocks, s_blocks, thetas, ring, pivots, pdm, k = world
+    if kernel is not own_pivot_kernel:
+        flags.setdefault("code_anchors", code_anchors_of(pivots, pdm, metric_name))
     metric = get_metric(metric_name)
     results = [
         (r_id, ids.tolist(), dists.tobytes())
@@ -153,10 +176,10 @@ def run_kernel(kernel, world, metric_name="l2", **flags):
 
 
 def pairs_by_kind(world, metric_name="l2", **flags):
-    """``(counted pairs net of the anchor pairs, the pairs the scans computed,
-    the ring-slice pairs the scans were handed, the anchor pairs)`` of one
-    kernel run — the first two differ by the object-pivot pairs ``|r, p_j|``,
-    the middle two by the pairs the anchors dropped."""
+    """``(counted pairs, the pairs the scans computed, the ring-slice pairs
+    the scans were handed)`` of one kernel run — the first two differ by the
+    object-pivot pairs ``|r, p_j|``, the last two by the pairs the anchor
+    codes dropped."""
     computed, handed = [], []
     scan_partition = kernels.scan_partition_numpy
 
@@ -166,12 +189,9 @@ def pairs_by_kind(world, metric_name="l2", **flags):
         computed.append(metric.pairs_computed - before)
         handed.append(int(lengths.sum()))
 
-    anchor_metric = get_metric(metric_name)
     with mock.patch.object(kernels, "scan_partition_numpy", scan):
-        _, pairs = run_kernel(
-            knn_join_kernel, world, metric_name, anchor_metric=anchor_metric, **flags
-        )
-    return pairs, sum(computed), sum(handed), anchor_metric.pairs_computed
+        _, pairs = run_kernel(knn_join_kernel, world, metric_name, **flags)
+    return pairs, sum(computed), sum(handed)
 
 
 def own_cell_rows(world):
@@ -225,7 +245,7 @@ class TestVectorizedMatchesReference:
         # the bounds only ever spare object-pivot pairs, and no row computes
         # the distance to its own pivot
         rows, present = sum(len(b.ids) for b in world[2].values()), len(world[3])
-        pairs, scanned, _, _ = pairs_by_kind(world, metric_name, **flags)
+        pairs, scanned, _ = pairs_by_kind(world, metric_name, **flags)
         assert pairs - scanned <= rows * present - own_cell_rows(world)
         if not (use_hyperplane or use_ring):
             assert pairs - scanned == rows * present - own_cell_rows(world)
@@ -246,8 +266,8 @@ class TestVectorizedMatchesReference:
         pdm = partitioner.pivot_distance_matrix()
         thetas = compute_thetas(tr, ts, pdm, 4)
         ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
-        r_blocks = build_r_blocks(block_for(r, ROLE_R, ar))
-        s_blocks = build_s_blocks(block_for(s, ROLE_S, as_))
+        r_blocks = build_r_blocks(block_for(r, ROLE_R, ar, partitioner))
+        s_blocks = build_s_blocks(block_for(s, ROLE_S, as_, partitioner))
         world = (r, s, r_blocks, s_blocks, thetas, ring, pivots, pdm, 4)
         expected, expected_pairs = run_kernel(knn_join_kernel_reference, world)
         got, got_pairs = run_kernel(knn_join_kernel, world)
@@ -319,14 +339,16 @@ class TestWavefrontMatchesReference:
             metric_name=metric_name, twin_pivots=True,
         )
         r_blocks = {
-            pid: RPartitionBlock(pid, block.ids, block.points, block.pivot_dists / 2.0)
+            pid: RPartitionBlock(pid, block.ids, block.points, block.pivot_dists / 2.0, block.codes)
             for pid, block in world[2].items()
         }
-        thetas = {pid: 0.01 for pid in r_blocks}
+        # a row starts from theta_i - U_i + |r, p_i|: 0.01 above its pivot
+        # distance, and never below 0 as a true theta_i (>= U_i) never is
+        thetas = {pid: block.local_upper() + 0.01 for pid, block in r_blocks.items()}
         world = replace_world(world, r_blocks=r_blocks, thetas=thetas)
         assert_matches_reference(world, metric_name)
-        # the exempt cells reach the scans, whose anchors, at their true
-        # distances, may drop every pair beyond so small a theta
+        # the exempt cells reach the scans, whose anchor codes may drop every
+        # pair beyond so small a theta
         assert pairs_by_kind(world, metric_name)[2] > 0
 
     def test_unbounded_theta(self):
@@ -439,7 +461,7 @@ class TestAdversarialWorlds:
         saved, kernels._TILE_BYTES = kernels._TILE_BYTES, tile_bytes
         try:
             got = assert_matches_reference(world, metric_name, **flags)
-            pairs, scanned, _, _ = pairs_by_kind(world, metric_name, **flags)
+            pairs, scanned, _ = pairs_by_kind(world, metric_name, **flags)
         finally:
             kernels._TILE_BYTES = saved
         truth = brute_force_knn_join(get_metric(metric_name), r.points, r.ids, s.points, s.ids, k)
@@ -485,7 +507,7 @@ class TestAdversarialWorlds:
         assert got == [
             (r_id, truth[r_id][0].tolist(), truth[r_id][1].tobytes()) for r_id, _, _ in got
         ]
-        pairs, scanned, _, _ = pairs_by_kind(world, metric_name, **flags)
+        pairs, scanned, _ = pairs_by_kind(world, metric_name, **flags)
         eager = len(r) * len(present) - own_cell_rows(world)
         assert pairs - scanned <= eager
         if not (use_hyperplane or use_ring):
@@ -493,11 +515,8 @@ class TestAdversarialWorlds:
 
 
 def run_counting_pivots(kernel, world, metric_name="l2", **flags):
-    """``(results, counted pairs net of the anchor pairs, the object-pivot
-    pairs among them)`` — the own-pivot rule computes no anchor pair."""
+    """``(results, counted pairs, the object-pivot pairs among them)``."""
     pivot_metric = get_metric(metric_name)
-    if kernel is not own_pivot_kernel:
-        flags["anchor_metric"] = get_metric(metric_name)
     results, pairs = run_kernel(kernel, world, metric_name, pivot_metric=pivot_metric, **flags)
     return results, pairs + pivot_metric.pairs_computed, pivot_metric.pairs_computed
 
@@ -590,13 +609,13 @@ class TestNearestPivotBoundsAndCentreOutScan:
     def test_own_ring_of_at_most_k_entries_is_scanned_whole(self):
         """Round 0 covers a ring of at most k entries, so the scans are handed
         the own-pivot rule's pairs pair for pair; only object-pivot pairs, and
-        the pairs the anchors drop, may fall."""
+        the pairs the anchor codes drop, may fall."""
         world = kernel_world(seed=73, num_r=60, num_s=40, num_pivots=10, k=12)
         assert max(len(block) for block in world[3].values()) <= 12
         (new_total, new_pivot), (old_total, old_pivot) = assert_exact_and_within_own_pivot_rule(
             world
         )
-        _, scanned, handed, _ = pairs_by_kind(world)
+        _, scanned, handed = pairs_by_kind(world)
         assert new_total - new_pivot == scanned
         assert handed == old_total - old_pivot
 
@@ -660,7 +679,7 @@ class TestNearestPivotBoundsAndCentreOutScan:
     @pytest.mark.parametrize("metric_name", ["l2", "l1"])
     def test_world_scaled_by_1e9(self, metric_name):
         """At coordinates of 1e9 the results stay exact, and the bounds,
-        lowered by their scale-aware slack, still prune — the anchors too."""
+        lowered by their scale-aware slack, still prune — the anchor codes too."""
         rng = np.random.default_rng(83)
         world = world_from(
             rng.random((150, 3)) * 1e9, rng.random((250, 3)) * 1e9,
@@ -670,14 +689,14 @@ class TestNearestPivotBoundsAndCentreOutScan:
             world, metric_name
         )
         assert new_pivot < old_pivot
-        _, scanned, handed, _ = pairs_by_kind(world, metric_name)
+        _, scanned, handed = pairs_by_kind(world, metric_name)
         assert scanned < handed
 
 
 def ring_world(k=5, per_cell=300, seed=97):
     """Two cells whose objects all lie near one circle around their pivot:
     every ring slice is nearly its whole cell, many strips long, and only the
-    anchors (the two pivots) tell its entries apart."""
+    anchor codes (of the two pivots) tell its entries apart."""
     rng = np.random.default_rng(seed)
 
     def circle(count, centre):
@@ -692,8 +711,9 @@ def ring_world(k=5, per_cell=300, seed=97):
 
 
 class TestAnchors:
-    """Theorem 2 around the two farthest-first pivots, applied to every pair a
-    scan is handed, strip by strip, at the theta of that moment."""
+    """Theorem 2 around the code anchors, from the codes alone, applied to
+    every pair a scan is handed, strip by strip, at the theta of that
+    moment."""
 
     @pytest.mark.parametrize("gather_bytes", (1 << 20, 4096))
     def test_slices_longer_than_a_strip_match_the_reference(self, monkeypatch, gather_bytes):
@@ -715,29 +735,34 @@ class TestAnchors:
         monkeypatch.setattr(kernels, "scan_partition_numpy", spy)
         assert_exact_and_within_own_pivot_rule(world)
         assert max(longest) > strip
-        _, scanned, handed, _ = pairs_by_kind(world)
+        _, scanned, handed = pairs_by_kind(world)
         assert scanned < handed
 
     @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf", "l3"])
     @pytest.mark.parametrize("num_pivots", (1, 2, 9))
-    def test_two_anchor_pairs_per_r_row_and_s_copy(self, num_pivots, metric_name):
-        """``min(2, M)`` anchors, each paid once per R row and S copy; with
-        ring pruning off no anchor distance is computed."""
+    def test_codes_of_min_4_m_anchors_and_no_anchor_pair(self, num_pivots, metric_name):
+        """Every row carries ``min(4, M)`` codes (below 16 pivots every pivot
+        is an anchor); the kernel computes the scans' pairs and object-pivot
+        pairs only, and with ring pruning off the codes drop nothing."""
         world = kernel_world(
             seed=101, num_r=50, num_s=90, num_pivots=num_pivots, k=4, metric_name=metric_name
         )
-        r, s = world[:2]
-        *_, anchor_pairs = pairs_by_kind(world, metric_name)
-        assert anchor_pairs == min(2, num_pivots) * (len(r) + len(s))
-        off = dict(use_ring_pruning=False)
-        assert pairs_by_kind(world, metric_name, **off)[3] == 0
-        assert pairs_by_kind(world, metric_name, use_hyperplane_pruning=False, **off)[3] == 0
+        codes = min(4, num_pivots)
+        assert all(block.codes.shape[1] == codes for block in (*world[2].values(), *world[3].values()))
+        for flags in (dict(), dict(use_ring_pruning=False)):
+            pivot_metric = get_metric(metric_name)
+            pairs, scanned, handed = pairs_by_kind(
+                world, metric_name, pivot_metric=pivot_metric, **flags
+            )
+            assert pairs == scanned
+            if flags:
+                assert scanned == handed
 
     @pytest.mark.parametrize("seed", (0, 11, 12))
     def test_collinear_objects_at_large_coordinates(self, seed):
         """Objects on one line through the first anchor, at integer steps of
         1e6 to 1e11: ``| |r, a| - |s, a| |`` equals ``|r, s|`` but for
-        rounding, and k-th distances tie.  Only the anchors' relative slack
+        rounding, and k-th distances tie.  Only the codes' relative slack
         keeps a tied neighbour whose bound rounded above theta."""
         rng = np.random.default_rng(seed)
         scale = 10.0 ** rng.integers(6, 12)
@@ -767,7 +792,7 @@ class TestAnchors:
             seed=103, num_r=60, num_s=300, num_pivots=num_pivots, k=6, metric_name=metric_name
         )
         assert_exact_and_within_own_pivot_rule(world, metric_name)
-        _, scanned, handed, _ = pairs_by_kind(world, metric_name)
+        _, scanned, handed = pairs_by_kind(world, metric_name)
         assert scanned < handed
 
 
@@ -796,33 +821,33 @@ class TestReducerPivotPairsCounter:
 
     @pytest.mark.parametrize("self_join", [True, False], ids=["self-join", "equal-copy"])
     @pytest.mark.parametrize("join", ["pgbj", "pbj"])
-    def test_counts_the_kernels_object_anchor_pairs(self, join, self_join):
-        """``selectivity:reducer_anchor_pairs`` is what the kernels' anchor
-        metrics counted — two per R row and S copy of every reduce call, a
-        row of both roles counting once, so for PGBJ ``2 (|R| + S replicas)``
-        joined with an equal copy and ``2 S replicas`` in a self-join — and a
-        part of ``distance_pairs``."""
+    def test_reducers_filter_by_the_partitioners_anchors_and_compute_none(
+        self, join, self_join
+    ):
+        """Every reduce call filters by codes of the partitioner's first
+        ``min(4, A)`` anchors, every row it receives carries them, and no
+        reducer counts an object-anchor pair."""
         from repro.datasets import generate_forest
         from repro.joins import get_join, run_join
 
         data = generate_forest(600, seed=3)
         other = data if self_join else copy.deepcopy(data)
-        metrics = []
+        calls = []
         kernel = kernels.KernelProvider.knn_join_kernel
 
         def recording(self, *args, **kwargs):
-            metrics.append(kwargs["anchor_metric"])
+            calls.append((kwargs["code_anchors"], args[2], args[3]))
             return kernel(self, *args, **kwargs)
 
         with mock.patch.object(kernels.KernelProvider, "knn_join_kernel", recording):
             config = get_join(join).make_config(k=5, num_pivots=24, num_reducers=4)
             outcome = run_join(join, data, other, config)
-        counted = outcome.counters.value("selectivity", "reducer_anchor_pairs")
-        assert counted == sum(m.pairs_computed for m in {id(m): m for m in metrics}.values())
-        assert 0 < counted < outcome.counters.value("selectivity", "distance_pairs")
-        if join == "pgbj":
-            r_rows = 0 if self_join else len(data)
-            assert counted == 2 * (r_rows + outcome.counters.value("shuffle", "s_replicas"))
+        assert calls
+        for code_anchors, r_blocks, s_blocks in calls:
+            assert 1 <= len(code_anchors) <= ANCHOR_CODES
+            for block in (*r_blocks.values(), *s_blocks.values()):
+                assert block.codes.shape == (len(block.ids), len(code_anchors))
+        assert outcome.counters.value("selectivity", "reducer_anchor_pairs") == 0
 
 
 class TestColumnarBuilders:
@@ -838,26 +863,29 @@ class TestColumnarBuilders:
                 s_block.take(np.arange(40, len(s))),
             ]
         )
+        mixed.anchor_codes = np.random.default_rng(2).integers(
+            0, 256, size=(len(mixed), 3), dtype=np.uint8
+        )
         got_r, got_s = build_partition_blocks(mixed)
         assert sum(b.ids.size for b in got_r.values()) == len(r)
         assert sum(b.ids.size for b in got_s.values()) == len(s)
         for pid, block in got_s.items():
             order = np.lexsort((block.ids, block.pivot_dists))
             assert np.array_equal(order, np.arange(block.ids.size))
-        # every object keeps its position in the gathered block
+        # every object keeps its anchor codes
         for got, role in ((got_r, ROLE_R), (got_s, ROLE_S)):
-            rows = np.concatenate([block.rows for block in got.values()])
-            assert sorted(rows) == np.flatnonzero(mixed.role == role).tolist()
             for block in got.values():
-                assert np.array_equal(mixed.object_ids[block.rows], block.ids)
+                rows = [np.flatnonzero((mixed.object_ids == i) & (mixed.role == role))[0]
+                        for i in block.ids]
+                assert np.array_equal(mixed.anchor_codes[rows], block.codes)
 
     def test_a_row_of_both_roles_lands_on_both_sides(self):
         data = Dataset(np.random.default_rng(3).random((50, 3)))
         both = block_for(data, ROLE_BOTH, _assignment_of(data))
         got_r, got_s = build_partition_blocks(both)
         for got in (got_r, got_s):
-            rows = np.concatenate([block.rows for block in got.values()])
-            assert sorted(rows) == list(range(len(data)))
+            ids = np.concatenate([block.ids for block in got.values()])
+            assert sorted(ids) == sorted(data.ids)
 
 
 def self_join_bounds(data, assignment, pivots, k):
@@ -870,15 +898,16 @@ def self_join_bounds(data, assignment, pivots, k):
 
 
 def run_gathered(kernel, gathered, bounds, k):
-    """One reduce call over a gathered block: ``[(r_id, ids, distance
-    bytes)]`` and the scan, object-pivot and object-anchor pair counts."""
+    """One reduce call over a gathered block, filtered by its anchor codes:
+    ``[(r_id, ids, distance bytes)]`` and the scan and object-pivot pair
+    counts."""
     r_blocks, s_blocks = build_partition_blocks(gathered)
-    metrics = [get_metric("l2") for _ in range(3)]
+    metrics = [get_metric("l2") for _ in range(2)]
     results = [
         (r_id, ids.tolist(), dists.tobytes())
         for r_id, ids, dists in kernel(
             metrics[0], k, r_blocks, s_blocks, *bounds,
-            pivot_metric=metrics[1], anchor_metric=metrics[2],
+            pivot_metric=metrics[1], code_anchors=code_anchors_of(*bounds[2:]),
         )
     ]
     return results, [metric.pairs_computed for metric in metrics]
@@ -886,50 +915,48 @@ def run_gathered(kernel, gathered, bounds, k):
 
 class TestRowsOfBothRoles:
     """A self-join reducer receives an object as one row of both roles: the
-    answer of its R and S copies shipped apart, with the row's two anchor
-    distances computed once (its S copy takes its R row's, the same bits)."""
+    answer, and the pairs, of its R and S copies shipped apart."""
 
     @pytest.mark.parametrize("kernel", [knn_join_kernel, knn_join_kernel_reference])
-    def test_same_answer_two_anchor_pairs_fewer_per_row_of_both(self, kernel):
+    def test_same_answer_and_pairs_as_the_roles_shipped_apart(self, kernel):
         rng = np.random.default_rng(21)
         data = Dataset(rng.random((90, 3)))
         pivots = rng.random((7, 3))
-        assignment = VoronoiPartitioner(pivots, get_metric("l2")).assign(data)
+        partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
+        assignment = partitioner.assign(data)
         # a skew split lane's mix: rows of both roles, S-only rows, R-only rows
-        gathered = block_for(data, ROLE_BOTH, assignment)
+        gathered = block_for(data, ROLE_BOTH, assignment, partitioner)
         gathered.role = rng.choice([ROLE_R, ROLE_S, ROLE_BOTH], size=len(data)).astype(np.uint8)
         apart = RecordBlock.gather([gathered.copies_of(ROLE_R), gathered.copies_of(ROLE_S)])
         bounds = self_join_bounds(data, assignment, pivots, 4)
         got, got_pairs = run_gathered(kernel, gathered, bounds, 4)
         expected, expected_pairs = run_gathered(kernel, apart, bounds, 4)
         assert got == expected
-        both = int(np.count_nonzero(gathered.role == ROLE_BOTH))
-        assert got_pairs[:2] == expected_pairs[:2]
-        assert expected_pairs[2] - got_pairs[2] == 2 * both > 0
-        assert expected_pairs[2] == 2 * (len(apart))
+        assert got_pairs == expected_pairs
 
     def test_fast_kernel_matches_the_reference_pair_for_pair(self):
         rng = np.random.default_rng(5)
         grid = rng.integers(0, 4, size=(40, 2)).astype(float)
         data = Dataset(np.vstack([grid, grid]))  # ties everywhere
         pivots = rng.random((6, 2)) * 3
-        assignment = VoronoiPartitioner(pivots, get_metric("l2")).assign(data)
-        gathered = block_for(data, ROLE_BOTH, assignment)
+        partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
+        assignment = partitioner.assign(data)
+        gathered = block_for(data, ROLE_BOTH, assignment, partitioner)
         bounds = self_join_bounds(data, assignment, pivots, 5)
         assert run_gathered(knn_join_kernel, gathered, bounds, 5) == run_gathered(
             knn_join_kernel_reference, gathered, bounds, 5
         )
 
     def test_colliding_ids_of_r_and_s_share_nothing(self):
-        """R ≠ S whose ids collide: rows are matched by position, never by
-        id, so every R row and S copy computes its own anchor distances."""
+        """R ≠ S whose ids collide: every R row and S copy carries its own
+        anchor codes, and the answer is brute force's."""
         rng = np.random.default_rng(9)
         r = Dataset(rng.random((40, 3)))
         s = Dataset(rng.random((50, 3)))  # ids 0..49 overlap R's 0..39
         pivots = rng.random((5, 3))
         partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
         gathered = RecordBlock.gather(
-            block_for(data, role, partitioner.assign(data))
+            block_for(data, role, partitioner.assign(data), partitioner)
             for data, role in ((r, ROLE_R), (s, ROLE_S))
         )
         tr = build_partial_summary(gathered.partition_ids[:40], gathered.pivot_distances[:40], 0)
@@ -937,8 +964,7 @@ class TestRowsOfBothRoles:
         pdm = partitioner.pivot_distance_matrix()
         ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
         bounds = (compute_thetas(tr, ts, pdm, 4), ring, pivots, pdm)
-        results, pairs = run_gathered(knn_join_kernel, gathered, bounds, 4)
-        assert pairs[2] == 2 * (len(r) + len(s))
+        results, _ = run_gathered(knn_join_kernel, gathered, bounds, 4)
         truth = brute_force_knn_join(get_metric("l2"), r.points, r.ids, s.points, s.ids, 4)
         for r_id, ids, _ in results:
             assert ids == truth[r_id][0].tolist()

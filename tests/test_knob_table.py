@@ -330,10 +330,12 @@ class TestStructure:
         # "9069cc67fa45bcda9849cfc9567b0492962803ae"; still version 8, the
         # auto-tuning knob's field was removed,
         # "e2d344dfec9291253e421e31e57208f47514428b"; version 9 chooses the
-        # partitioner's anchor count from the pivot matrix)
+        # partitioner's anchor count from the pivot matrix,
+        # "c10a6a0fa41f42aa166cefec01c7d3cc971bc9f9"; version 10 ships anchor
+        # codes and an int32 cell id)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "c10a6a0fa41f42aa166cefec01c7d3cc971bc9f9"
+            == "e64f909c9c3e2a971c6b44d01c578700fca564d9"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

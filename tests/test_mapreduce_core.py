@@ -52,14 +52,16 @@ class TestEstimateBytes:
 
     def test_protocol_object(self):
         row = RecordBlock.of_objects(ROLE_R, np.array([1]), np.zeros((1, 3)))
-        # 1 role + 8 id + 24 coords + 8 pid + 8 dist
-        assert estimate_bytes(row) == 49
+        # 1 role + 8 id + 24 coords + 4 pid + 8 dist (no anchor codes)
+        assert estimate_bytes(row) == 45
+        row.anchor_codes = np.zeros((1, 3), dtype=np.uint8)
+        assert estimate_bytes(row) == 48
 
     def test_payload_counts(self):
         with_payload = RecordBlock.of_objects(
             ROLE_S, np.array([1]), np.zeros((1, 3)), np.array([100])
         )
-        assert estimate_bytes(with_payload) == 149
+        assert estimate_bytes(with_payload) == 145
 
     def test_unsupported_raises(self):
         with pytest.raises(TypeError, match="estimate"):

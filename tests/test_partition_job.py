@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
+from repro.core.geometry import ANCHOR_CODES, anchor_codes
 from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, BlockJoinConfig, JoinConfig, PgbjConfig
 from repro.joins.partition_job import (
     SKIPPED_NAME,
@@ -59,14 +60,19 @@ class TestJobOutput:
         for task, (key, block) in enumerate(result.outputs):
             assert isinstance(key, int)
             rows = slice(32 * task, 32 * (task + 1))
-            cells, dists = VoronoiPartitioner(pivots, get_metric("l2")).assign_points(
-                all_points[rows]
-            )
+            partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
+            cells, dists, anchor_dists = partitioner.assign_points(all_points[rows])
+            code_rows = partitioner.pivot_distance_matrix()[
+                partitioner.anchor_index()[0][:ANCHOR_CODES]
+            ]
             assert np.all(np.diff(block.partition_ids) >= 0)
             order = np.argsort(cells, kind="stable")  # equal cells keep input order
             assert np.array_equal(block.object_ids, all_ids[rows][order])
             assert np.array_equal(block.partition_ids, cells[order])
             assert np.array_equal(block.pivot_distances, dists[order])
+            assert np.array_equal(
+                block.anchor_codes, anchor_codes(anchor_dists, cells, dists, code_rows)[order]
+            )
             assert np.array_equal(block.points, all_points[rows][order])
             assert np.array_equal(block.is_r, np.arange(rows.start, rows.stop)[order] < len(r))
             true_dists = np.linalg.norm(pivots[None] - block.points[:, None], axis=2)

@@ -369,16 +369,20 @@ class TestMergeJobProducersPinned:
     13 578, when random pivots became one draw instead of the most spread of
     five: the master's matrix is paid once, but this world's cells got
     dearer by more, and from 13 943, when two anchors' distances began
-    filtering every scanned pair.  ``zorder``
+    filtering every scanned pair, and from 11 720, when the anchor distances
+    arrived as codes from the partitioning job and a row's theta started at
+    its own bound.  The bytes fell by 4 per object row when the cell id
+    became an int32: 117 600 for ``hbrj`` and ``ijoin``, 121 216 for
+    ``zorder``; ``pbj``'s rows gained as many bytes of anchor codes.  ``zorder``
     was re-pinned whole when its grid became a cube and its default two curve
     copies: before, ``("0de74e370e6002bc", 3557, 676, 1876, 184988)``.)"""
 
     #: join -> (sha1 of (r id, neighbour ids) rows, pairs, replicas, records, bytes)
     PINNED = {
-        "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 117600),
-        "pbj": ("124cb21fb9bbe9a5", 11720, 400, 1200, 117600),
-        "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 117600),
-        "zorder": ("f7cc7c3009292dc9", 2369, 432, 1232, 121216),
+        "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 114400),
+        "pbj": ("124cb21fb9bbe9a5", 9817, 400, 1200, 117600),
+        "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 114400),
+        "zorder": ("f7cc7c3009292dc9", 2369, 432, 1232, 117888),
     }
 
     @pytest.mark.parametrize("fused", (False, True), ids=("chained", "fused"))
@@ -415,14 +419,16 @@ class TestFinalOutputsPinned:
     11 941 before the nearest computed pivots bounded each row's later cells
     and the own cell was scanned from its ring centre out, 10 656 while
     random pivots were the most spread of five draws, 11 320 before two
-    anchors' distances filtered every scanned pair, and 9 133 before an
-    object's own-group row of both roles computed its anchor distances once)."""
+    anchors' distances filtered every scanned pair, 9 133 before an
+    object's own-group row of both roles computed its anchor distances once,
+    and 8 733 before the anchor distances arrived as codes from the
+    partitioning job and a row's theta started at its own bound)."""
 
     #: join -> (sha1 of (r id, neighbour ids, distance bytes) rows, pairs,
     #: final job's output_bytes, its reduce tasks' output records)
     PINNED = {
         "broadcast": ("6a7ec171f4ee3716", 40000, 13600, 200),
-        "pgbj": ("6a7ec171f4ee3716", 8733, 13600, 200),
+        "pgbj": ("6a7ec171f4ee3716", 7292, 13600, 200),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))

@@ -96,8 +96,9 @@ class TestAccountingPinned:
     #: (sha1 of the sorted matches, matched ids, shuffle records, shuffle
     #: bytes, distance pairs) — the pairs follow the Voronoi assignment's
     #: rule (9 368 under the nearest-anchor prefix alone, 5 368 while the
-    #: 16 x 16 pivot matrix counted both orders of each pair)
-    PINNED = ("d4dd14d5fc6fdf9c", 155, 1805, 102885, 5232)
+    #: 16 x 16 pivot matrix counted both orders of each pair); the bytes were
+    #: 102 885 while a row's cell id was 8 bytes, not 4
+    PINNED = ("d4dd14d5fc6fdf9c", 155, 1805, 95665, 5232)
 
     @pytest.mark.parametrize("budget", (None, 64), ids=("memory", "spill"))
     @pytest.mark.parametrize("engine", ("serial", "processes-pooled"))

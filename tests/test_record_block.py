@@ -28,8 +28,9 @@ from repro.mapreduce import (
 from repro.mapreduce.types import ROLE_BOTH, ROLE_R, ROLE_S
 
 
-def sample_block(n=10, dims=3, seed=0):
-    """``n`` annotated rows: roles R, S and both in turn, cells ``row % 4``."""
+def sample_block(n=10, dims=3, seed=0, codes=0):
+    """``n`` annotated rows: roles R, S and both in turn, cells ``row % 4``,
+    ``codes`` random anchor codes each."""
     rng = np.random.default_rng(seed)
     block = RecordBlock.of_objects(
         np.array([ROLE_R, ROLE_S, ROLE_BOTH])[np.arange(n) % 3],
@@ -37,8 +38,9 @@ def sample_block(n=10, dims=3, seed=0):
         rng.random((n, dims)),
         rng.integers(0, 50, size=n),
     )
-    block.partition_ids = np.arange(n) % 4
+    block.partition_ids = (np.arange(n) % 4).astype(np.int32)
     block.pivot_distances = rng.random(n)
+    block.anchor_codes = rng.integers(0, 256, size=(n, codes), dtype=np.uint8)
     return block
 
 
@@ -103,11 +105,11 @@ class TestRoundTrip:
     def test_pickle_round_trip(self):
         # __reduce__ uses positional args derived from the field list; a
         # field-order drift would scramble blocks in the process engine
-        block = sample_block(5)
+        block = sample_block(5, codes=3)
         clone = pickle.loads(pickle.dumps(block))
         assert type(clone) is RecordBlock
         for name in ("role", "object_ids", "points", "payloads", "partition_ids",
-                     "pivot_distances"):
+                     "pivot_distances", "anchor_codes"):
             assert np.array_equal(getattr(clone, name), getattr(block, name)), name
 
 
@@ -150,11 +152,15 @@ class TestAccountingInvisibility:
         assert record_count(block.take(np.array([0]))) == 1
         assert record_count("a plain value") == 1
 
-    def test_estimated_bytes_is_per_record_sum(self):
+    @pytest.mark.parametrize("codes", (0, 3, 4))
+    def test_estimated_bytes_is_per_record_sum(self, codes):
         for dims in (1, 3, 10):
-            block = sample_block(12, dims=dims)
-            # tag + id + coordinates + cell id + pivot distance + payload, per row
-            per_row = [1 + 8 + 8 * dims + 8 + 8 + int(payload) for payload in block.payloads]
+            block = sample_block(12, dims=dims, codes=codes)
+            # tag + id + coordinates + int32 cell id + pivot distance + anchor
+            # codes + payload, per row
+            per_row = [
+                1 + 8 + 8 * dims + 4 + 8 + codes + int(payload) for payload in block.payloads
+            ]
             assert estimate_bytes(block) == sum(per_row)
             assert sum(estimate_bytes(row) for row in one_row_blocks(block)) == sum(per_row)
 

@@ -7,8 +7,7 @@ must equal joining it with an equal copy in results and S replicas, and
 compute exactly the R copies' assignment pairs fewer.  PBJ and closest pairs
 ship the two roles apart, so their shuffle equals the equal copy's; PGBJ
 sends each object to its own group as one row of both roles, so its join
-shuffle is exactly the R rows lighter, and its reducers compute no anchor
-distances for those rows' S role.  Persisted stage results (plan cache,
+shuffle is exactly the R rows lighter.  Persisted stage results (plan cache,
 checkpoints) must never serve one for the other.
 """
 
@@ -20,7 +19,6 @@ import pytest
 from repro.core import Dataset, VoronoiPartitioner, get_metric
 from repro.joins import get_join, plan_join, run_join
 from repro.joins.base import (
-    ANCHOR_PAIRS_NAME,
     PAIRS_GROUP,
     PAIRS_NAME,
     REPLICA_GROUP,
@@ -78,10 +76,11 @@ def shipped(jobs):
     ]
 
 
-def r_rows_shipped(dataset):
-    """``(records, bytes)`` of ``dataset`` shipped once as R rows: each row's
-    wire bytes and the copy of its int key the shuffle counts with it."""
-    rows = RecordBlock.of_objects(ROLE_R, dataset.ids, dataset.points, dataset.payload_bytes)
+def r_rows_shipped(jobs):
+    """``(records, bytes)`` of the partitioned objects shipped once as R
+    rows: each row's wire bytes, anchor codes included, and the copy of its
+    int key the shuffle counts with it."""
+    rows = RecordBlock.gather(block for _, block in jobs[0].outputs).copies_of(ROLE_R)
     return len(rows), len(rows) * estimate_bytes(0) + rows.estimated_bytes()
 
 
@@ -115,22 +114,17 @@ class TestSelfJoinEqualsEqualCopy:
             counters = jobs[0].counters
             assert counters.value(PAIRS_GROUP, PAIRS_NAME) == computed
             assert computed + counters.value(PAIRS_GROUP, SKIPPED_NAME) == all_pairs
+        assert twin.distance_pairs - same.distance_pairs == pairs
         if name != "pgbj":
             # the two roles ship apart: the equal copy's shuffle, to the row
             assert shipped(same_jobs) == shipped(twin_jobs)
-            assert twin.distance_pairs - same.distance_pairs == pairs
             return
         # PGBJ: one row of both roles per object in its own group — the R
-        # rows' records and bytes fewer, the same S replicas, and each such
-        # row's two anchor distances computed once
+        # rows' records and bytes fewer, the same S replicas
         ((records, shuffle_bytes, replicas, _),) = shipped(same_jobs)
         ((twin_records, twin_bytes, twin_replicas, _),) = shipped(twin_jobs)
-        assert (twin_records - records, twin_bytes - shuffle_bytes) == r_rows_shipped(data)
+        assert (twin_records - records, twin_bytes - shuffle_bytes) == r_rows_shipped(same_jobs)
         assert replicas == twin_replicas == records
-        assert twin.distance_pairs - same.distance_pairs == pairs + 2 * len(data)
-        anchor_pairs = [jobs[1].counters.value(PAIRS_GROUP, ANCHOR_PAIRS_NAME)
-                        for jobs in (same_jobs, twin_jobs)]
-        assert anchor_pairs[1] - anchor_pairs[0] == 2 * len(data)
 
     def test_skew_split_self_join_ships_r_rows_once(self, data):
         """Under a forced skew split an object's R bit rides in its id lane's
@@ -143,7 +137,7 @@ class TestSelfJoinEqualsEqualCopy:
         assert answer(same) == answer(twin)
         ((records, shuffle_bytes, replicas, _),) = shipped(same_jobs)
         ((twin_records, twin_bytes, twin_replicas, _),) = shipped(twin_jobs)
-        assert (twin_records - records, twin_bytes - shuffle_bytes) == r_rows_shipped(data)
+        assert (twin_records - records, twin_bytes - shuffle_bytes) == r_rows_shipped(same_jobs)
         assert replicas == twin_replicas > len(data)
 
     def test_map_tasks_read_and_emit_each_object_once(self, data):

@@ -65,9 +65,12 @@ def check_equal(metric_name, points, pivots):
     reference_metric, metric = get_metric(metric_name), get_metric(metric_name)
     want_pids, want_dists = assign_points_all_pairs(pivots, reference_metric, points)
     anchors = VoronoiPartitioner(pivots, get_metric(metric_name)).anchor_index()
-    pids, dists = VoronoiPartitioner(pivots, metric, anchors).assign_points(points)
+    pids, dists, anchor_dists = VoronoiPartitioner(pivots, metric, anchors).assign_points(points)
     assert pids.dtype == want_pids.dtype and np.array_equal(pids, want_pids)
     assert dists.tobytes() == want_dists.tobytes()
+    # the anchor distances the search computed, in the anchors' order
+    uncounted = get_metric(metric_name).cross_distances(points, pivots[anchors[0]])
+    assert anchor_dists.tobytes() == uncounted.tobytes()
     assert metric.pairs_computed <= reference_metric.pairs_computed
     assert metric.pairs_computed == pruned_pair_count(pivots, get_metric(metric_name), points)
     # the bound only ever removes pairs from the nearest anchor's prefix
@@ -160,7 +163,7 @@ class TestPrunedSearchMatchesAllPairs:
         want_pids, want_dists = assign_points_all_pairs(pivots, get_metric("l2"), points)
         anchors = VoronoiPartitioner(pivots, get_metric("l2")).anchor_index()
         metric = get_metric("l2")
-        pids, dists = VoronoiPartitioner(pivots, metric, anchors).assign_points(points)
+        pids, dists, _ = VoronoiPartitioner(pivots, metric, anchors).assign_points(points)
         assert np.array_equal(pids, want_pids) and dists.tobytes() == want_dists.tobytes()
         assert metric.pairs_computed == sum(
             pruned_pair_count(pivots, get_metric("l2"), points[start : start + 1100])
@@ -313,9 +316,9 @@ class TestAnchorCount:
         shipped = []
         build = partition_job.partitioning_job
 
-        def spy(r, s, pivots, config, anchors):
+        def spy(r, s, pivots, pdm, config, anchors):
             shipped.append(anchors)
-            return build(r, s, pivots, config, anchors)
+            return build(r, s, pivots, pdm, config, anchors)
 
         monkeypatch.setattr(partition_job, "partitioning_job", spy)
         data = Dataset(generate_osm(1500, seed=1).points)
