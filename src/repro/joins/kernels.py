@@ -164,12 +164,13 @@ class SPartitionBlock:
 
 
 def build_r_blocks(block: RecordBlock) -> dict[int, RPartitionBlock]:
-    """Group a reducer's R objects by Voronoi cell."""
+    """Group a reducer's R objects by Voronoi cell, points widened to float64."""
+    points = block.points.astype(np.float64, copy=False)
     return {
         pid: RPartitionBlock(
             partition_id=pid,
             ids=block.object_ids[rows],
-            points=block.points[rows],
+            points=points[rows],
             pivot_dists=block.pivot_distances[rows],
             codes=block.anchor_codes[rows],
         )
@@ -178,7 +179,9 @@ def build_r_blocks(block: RecordBlock) -> dict[int, RPartitionBlock]:
 
 
 def build_s_blocks(block: RecordBlock) -> dict[int, SPartitionBlock]:
-    """Group a reducer's S objects by cell, sorted by pivot distance."""
+    """Group a reducer's S objects by cell, sorted by pivot distance, points
+    widened to float64 (no copy for float64 blocks) before any arithmetic."""
+    points = block.points.astype(np.float64, copy=False)
     blocks: dict[int, SPartitionBlock] = {}
     for pid, rows in group_rows_by(block.partition_ids):
         ids = block.object_ids[rows]
@@ -187,7 +190,7 @@ def build_s_blocks(block: RecordBlock) -> dict[int, SPartitionBlock]:
         blocks[pid] = SPartitionBlock(
             partition_id=pid,
             ids=ids[order],
-            points=block.points[rows][order],
+            points=points[rows][order],
             pivot_dists=dists[order],
             codes=block.anchor_codes[rows][order],
         )

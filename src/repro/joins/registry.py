@@ -182,8 +182,9 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: outputs or counters change.  :func:`plan_identity` (what checkpoints are
 #: bound to) and the partition stage's plan-cache key both carry it, so a
 #: file written by older code is never served.  10: the partitioning job
-#: ships anchor codes and an int32 cell id, so its rows changed.
-RESULTS_VERSION = 10
+#: ships anchor codes and an int32 cell id, so its rows changed.  11: rows
+#: carry their coordinates in the join's narrowest exact dtype.
+RESULTS_VERSION = 11
 
 
 def plan_identity(

@@ -1,14 +1,16 @@
 """Byte accounting for shuffled records.
 
 The paper reports *shuffling cost* in gigabytes moved from mappers to
-reducers.  A real Hadoop job serializes keys and values with Writables; this
-module estimates those on-the-wire sizes without actually serializing,
-using fixed-width primitives (8-byte ints/floats, UTF-8 strings) plus small
-per-container framing.  Any object may opt in by exposing an
-``estimated_bytes() -> int`` method.  Object rows travel only as columnar
-blocks, which do exactly that: a block is charged the sum of its rows' wire
-sizes and counts its rows as records, and below sits each block type's byte
-codec for spill segments and the segment-backed DFS.
+reducers.  A real Hadoop job serializes keys and values with Writables sized
+to the values; this module estimates those on-the-wire sizes without
+actually serializing, using fixed-width primitives (8-byte scalars, UTF-8
+strings, an array's own bytes) plus small per-container framing.  Any
+object may opt in by exposing an ``estimated_bytes() -> int`` method.
+Object rows travel only as columnar blocks, which do exactly that: a block
+is charged the sum of its rows' wire sizes — its coordinates at the width of
+the dtype its join ships them in — and counts its rows as records, and
+below sits each block type's byte codec for spill segments and the
+segment-backed DFS.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .types import ColumnarBlock, NeighborBlock, RecordBlock
+from .types import COORDINATE_DTYPES, ColumnarBlock, NeighborBlock, RecordBlock
 
 __all__ = [
     "estimate_bytes",
@@ -136,19 +138,22 @@ def decode_block(tag: int, data: bytes) -> ColumnarBlock:
 
 
 _BLOCK_MAGIC = b"RBLK"
-_BLOCK_HEADER = struct.Struct("<4sIII")  # magic, rows, dims, anchor codes
+#: magic, rows, dims, anchor codes, coordinate dtype (a COORDINATE_DTYPES index)
+_BLOCK_HEADER = struct.Struct("<4sIIIB")
 
 
 def encode_record_block(block: RecordBlock) -> bytes:
-    """Serialize a block to the compact columnar wire format."""
+    """Serialize a block to the compact columnar wire format, its points in
+    their own dtype."""
     rows = len(block)
     dims = block.points.shape[1] if block.points.ndim == 2 else 0
+    dtype_code = COORDINATE_DTYPES.index(block.points.dtype)
     return b"".join(
         (
-            _BLOCK_HEADER.pack(_BLOCK_MAGIC, rows, dims, block.anchor_codes.shape[1]),
+            _BLOCK_HEADER.pack(_BLOCK_MAGIC, rows, dims, block.anchor_codes.shape[1], dtype_code),
             np.ascontiguousarray(block.role, dtype=np.uint8).tobytes(),
             np.ascontiguousarray(block.object_ids, dtype=np.int64).tobytes(),
-            np.ascontiguousarray(block.points, dtype=np.float64).tobytes(),
+            np.ascontiguousarray(block.points).tobytes(),
             np.ascontiguousarray(block.payloads, dtype=np.int64).tobytes(),
             np.ascontiguousarray(block.partition_ids, dtype=np.int32).tobytes(),
             np.ascontiguousarray(block.pivot_distances, dtype=np.float64).tobytes(),
@@ -157,32 +162,40 @@ def encode_record_block(block: RecordBlock) -> bytes:
     )
 
 
-#: bytes per row beyond the point coordinates and anchor codes: role (1) +
-#: object_ids (8) + payloads (8) + partition_ids (4) + pivot_distances (8)
+#: bytes per row beyond the ``w·d`` coordinate bytes and the ``C`` anchor
+#: codes: role (1) + object_ids (8) + payloads (8) + partition_ids (4) +
+#: pivot_distances (8)
 _ROW_FIXED_BYTES = 1 + 8 + 8 + 4 + 8
 
 
 def decode_record_block(data: bytes) -> RecordBlock:
     """Inverse of :func:`encode_record_block`.
 
-    Validates the buffer length against the header before touching any
-    column, so a truncated or padded stream raises a clear ``ValueError``
-    instead of a cryptic ``numpy.frombuffer`` error partway through.
+    Validates the header's coordinate dtype and the buffer length it implies
+    before touching any column, so an unknown dtype or a truncated or padded
+    stream raises a clear ``ValueError`` instead of a cryptic
+    ``numpy.frombuffer`` error partway through.
     """
     if len(data) < _BLOCK_HEADER.size:
         raise ValueError(
             f"truncated RecordBlock stream: {len(data)} bytes is shorter "
             f"than the {_BLOCK_HEADER.size}-byte header"
         )
-    magic, rows, dims, codes = _BLOCK_HEADER.unpack_from(data)
+    magic, rows, dims, codes, dtype_code = _BLOCK_HEADER.unpack_from(data)
     if magic != _BLOCK_MAGIC:
         raise ValueError("not a RecordBlock byte stream")
-    expected = _BLOCK_HEADER.size + rows * (_ROW_FIXED_BYTES + 8 * dims + codes)
+    if dtype_code >= len(COORDINATE_DTYPES):
+        raise ValueError(
+            f"unknown RecordBlock coordinate dtype {dtype_code}: "
+            f"the header's dtype byte must be below {len(COORDINATE_DTYPES)}"
+        )
+    dtype = COORDINATE_DTYPES[dtype_code]
+    expected = _BLOCK_HEADER.size + rows * (_ROW_FIXED_BYTES + dtype.itemsize * dims + codes)
     if len(data) != expected:
         kind = "truncated" if len(data) < expected else "oversized"
         raise ValueError(
             f"{kind} RecordBlock stream: header declares {rows} rows x "
-            f"{dims} dims x {codes} codes ({expected} bytes), got {len(data)} bytes"
+            f"{dims} {dtype} dims x {codes} codes ({expected} bytes), got {len(data)} bytes"
         )
     offset = _BLOCK_HEADER.size
 
@@ -195,7 +208,7 @@ def decode_record_block(data: bytes) -> RecordBlock:
     return RecordBlock(
         role=column(np.uint8, rows),
         object_ids=column(np.int64, rows),
-        points=column(np.float64, rows * dims, shape=(rows, dims)),
+        points=column(dtype, rows * dims, shape=(rows, dims)),
         payloads=column(np.int64, rows),
         partition_ids=column(np.int32, rows),
         pivot_distances=column(np.float64, rows),

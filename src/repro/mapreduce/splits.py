@@ -2,11 +2,13 @@
 
 What a split carries across a worker boundary: :func:`dataset_splits` (the
 first job's input) hands out one ``(tag, RecordBlock)`` pair per dataset part
-a split touches, whose id, coordinate and payload columns are *views* of the
-dataset's arrays — nothing is copied on the master, and the split pickles as
-those row slices; :func:`self_join_splits` is its self-join form, which hands
-out each object once.  :func:`split_records` chunks an already materialized
-pair list (chained intermediates, tests) in place.
+a split touches, whose columns are *views* of the dataset's arrays — the
+coordinates too unless the join ships them narrower, in the one dtype
+:func:`coordinate_dtype` picks for R and S (Forest's integers travel as
+int16) — and the split pickles as those row slices; :func:`self_join_splits`
+is its self-join form, which hands out each object once.
+:func:`split_records` chunks an already materialized pair list (chained
+intermediates, tests) in place.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import numpy as np
 from repro.core.dataset import Dataset
 
 from .serialization import record_count
-from .types import ROLE_BOTH, ROLE_R, ROLE_S, InputSplit, RecordBlock
+from .types import COORDINATE_DTYPES, ROLE_BOTH, ROLE_R, ROLE_S, InputSplit, RecordBlock
 
 __all__ = [
+    "coordinate_dtype",
     "dataset_splits",
     "self_join_splits",
     "split_records",
@@ -87,6 +90,22 @@ def split_records(records: list, split_size: int) -> list[InputSplit]:
     ]
 
 
+def coordinate_dtype(*arrays: np.ndarray) -> np.dtype:
+    """The narrowest :data:`~repro.mapreduce.types.COORDINATE_DTYPES` dtype
+    whose cast of every array equals it by value.
+
+    Value, not bit, equality: ``-0.0`` narrows to an integer 0, whose
+    distances to anything equal those of ``-0.0`` once widened back to
+    float64, as every consumer does before its arithmetic.  An out-of-range
+    or NaN cast differs from its source, so it never passes.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        for dtype in COORDINATE_DTYPES[:-1]:
+            if all(np.array_equal(array.astype(dtype), array) for array in arrays):
+                return dtype
+    return COORDINATE_DTYPES[-1]
+
+
 def dataset_splits(
     r: Dataset, s: Dataset, split_size: int
 ) -> list[InputSplit]:
@@ -97,11 +116,12 @@ def dataset_splits(
     """
     if split_size < 1:
         raise ValueError("split_size must be >= 1")
+    dtype = coordinate_dtype(r.points, s.points)
     splits = []
     for start in range(0, len(r) + len(s), split_size):
         stop = start + split_size
         records = [
-            (tag, _rows(data, ROLE_R if tag == "R" else ROLE_S, a, b))
+            (tag, _rows(data, dtype, ROLE_R if tag == "R" else ROLE_S, a, b))
             for tag, data, a, b in (
                 ("R", r, start, min(stop, len(r))),
                 ("S", s, max(start - len(r), 0), min(stop - len(r), len(s))),
@@ -138,13 +158,16 @@ def self_join_splits(dataset: Dataset, split_size: int) -> list[InputSplit]:
         if 0 < cut < size
     }
     bounds = sorted(cuts | {0, size})
+    dtype = coordinate_dtype(dataset.points)
     return [
-        InputSplit(index, [("RS", _rows(dataset, ROLE_BOTH, a, b))], logical_records=b - a)
+        InputSplit(index, [("RS", _rows(dataset, dtype, ROLE_BOTH, a, b))], logical_records=b - a)
         for index, (a, b) in enumerate(zip(bounds, bounds[1:]))
     ]
 
 
-def _rows(dataset: Dataset, role: int, a: int, b: int) -> RecordBlock:
-    """Rows ``[a, b)`` of ``dataset`` as one block of views of its arrays."""
+def _rows(dataset: Dataset, dtype: np.dtype, role: int, a: int, b: int) -> RecordBlock:
+    """Rows ``[a, b)`` of ``dataset`` as one block of views of its arrays,
+    the coordinates cast to ``dtype`` (still a view when it is float64)."""
     payload = None if dataset.payload_bytes is None else dataset.payload_bytes[a:b]
-    return RecordBlock.of_objects(role, dataset.ids[a:b], dataset.points[a:b], payload)
+    points = dataset.points[a:b].astype(dtype, copy=False)
+    return RecordBlock.of_objects(role, dataset.ids[a:b], points, payload)

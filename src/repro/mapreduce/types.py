@@ -33,6 +33,7 @@ __all__ = [
     "ROLE_R",
     "ROLE_S",
     "ROLE_BOTH",
+    "COORDINATE_DTYPES",
     "InputSplit",
     "group_rows_by",
     "ranks_within",
@@ -108,6 +109,11 @@ ROLE_R = 1
 ROLE_S = 2
 ROLE_BOTH = ROLE_R | ROLE_S
 
+#: the dtypes a block may carry its coordinates in, narrowest first (a join
+#: picks one: :func:`~repro.mapreduce.splits.coordinate_dtype`); the record
+#: codec's header names one by its index here
+COORDINATE_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int32, np.float32, np.float64)))
+
 
 @dataclass
 class RecordBlock(ColumnarBlock):
@@ -132,7 +138,7 @@ class RecordBlock(ColumnarBlock):
 
     role: np.ndarray  # uint8: ROLE_R | ROLE_S bits
     object_ids: np.ndarray  # int64
-    points: np.ndarray  # float64, shape (n, dims)
+    points: np.ndarray  # a COORDINATE_DTYPES dtype, shape (n, dims)
     payloads: np.ndarray  # int64
     partition_ids: np.ndarray  # int32
     pivot_distances: np.ndarray  # float64
@@ -170,13 +176,14 @@ class RecordBlock(ColumnarBlock):
         """Objects not yet assigned a cell (partition id ``-1``, pivot distance
         NaN).  ``role`` is one role for every row or one per row;
         ``payloads=None`` means no payload bytes.  Int64 ids and payloads and
-        float64 points are kept as given, so views of a dataset's arrays stay
-        views."""
+        points of a :data:`COORDINATE_DTYPES` dtype are kept as given, so views
+        of a dataset's arrays stay views; other points become float64."""
         rows = len(ids)
+        points = np.asarray(points)
         return cls(
             role=np.full(rows, role, dtype=np.uint8),
             object_ids=np.asarray(ids, dtype=np.int64),
-            points=np.asarray(points, dtype=np.float64),
+            points=points if points.dtype in COORDINATE_DTYPES else points.astype(np.float64),
             payloads=(
                 np.zeros(rows, dtype=np.int64)
                 if payloads is None
@@ -229,11 +236,12 @@ class RecordBlock(ColumnarBlock):
     # -- accounting ---------------------------------------------------------
 
     def estimated_bytes(self) -> int:
-        """Sum of the rows' wire sizes, ``1 + 8 + 8·d + 4 + 8 + C + payload``
-        each (role, id, coordinates, cell id, pivot distance, ``C`` anchor
-        codes, payload) — blocks are invisible to byte accounting."""
+        """Sum of the rows' wire sizes, ``1 + 8 + w·d + 4 + 8 + C + payload``
+        each (role, id, ``d`` coordinates of ``w = points.itemsize`` bytes,
+        cell id, pivot distance, ``C`` anchor codes, payload) — blocks are
+        invisible to byte accounting."""
         dims = self.points.shape[1] if self.points.ndim == 2 else 0
-        per_record = 1 + 8 + dims * 8 + 4 + 8 + self.anchor_codes.shape[1]
+        per_record = 1 + 8 + dims * self.points.itemsize + 4 + 8 + self.anchor_codes.shape[1]
         return len(self) * per_record + int(self.payloads.sum())
 
 

@@ -332,10 +332,11 @@ class TestStructure:
         # "e2d344dfec9291253e421e31e57208f47514428b"; version 9 chooses the
         # partitioner's anchor count from the pivot matrix,
         # "c10a6a0fa41f42aa166cefec01c7d3cc971bc9f9"; version 10 ships anchor
-        # codes and an int32 cell id)
+        # codes and an int32 cell id, "e64f909c9c3e2a971c6b44d01c578700fca564d9";
+        # version 11 ships coordinates in the narrowest exact dtype)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "e64f909c9c3e2a971c6b44d01c578700fca564d9"
+            == "34d6a829489cffd37691e287cf86fc1b402796e7"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

@@ -375,14 +375,17 @@ class TestMergeJobProducersPinned:
     became an int32: 117 600 for ``hbrj`` and ``ijoin``, 121 216 for
     ``zorder``; ``pbj``'s rows gained as many bytes of anchor codes.  ``zorder``
     was re-pinned whole when its grid became a cube and its default two curve
-    copies: before, ``("0de74e370e6002bc", 3557, 676, 1876, 184988)``.)"""
+    copies: before, ``("0de74e370e6002bc", 3557, 676, 1876, 184988)``.  The
+    bytes fell again by 60 per object row, 6 per coordinate, when this
+    integral world's coordinates began to ship as int16: from 114 400 for
+    ``hbrj`` and ``ijoin``, 117 600 for ``pbj`` and 117 888 for ``zorder``.)"""
 
     #: join -> (sha1 of (r id, neighbour ids) rows, pairs, replicas, records, bytes)
     PINNED = {
-        "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 114400),
-        "pbj": ("124cb21fb9bbe9a5", 9817, 400, 1200, 117600),
-        "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 114400),
-        "zorder": ("f7cc7c3009292dc9", 2369, 432, 1232, 117888),
+        "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 66400),
+        "pbj": ("124cb21fb9bbe9a5", 9817, 400, 1200, 69600),
+        "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 66400),
+        "zorder": ("f7cc7c3009292dc9", 2369, 432, 1232, 67968),
     }
 
     @pytest.mark.parametrize("fused", (False, True), ids=("chained", "fused"))
