@@ -35,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "ANCHOR_CODES",
     "PRUNE_EPS",
     "PRUNE_RTOL",
     "anchor_codes",
@@ -56,8 +55,6 @@ PRUNE_EPS = 1e-9
 #: relative slack beside ``PRUNE_EPS`` for bounds made of computed distances:
 #: their rounding, and a tie tolerance, at any coordinate scale
 PRUNE_RTOL = 1e-9
-#: anchor distances an object carries as codes (the first of its partitioner's)
-ANCHOR_CODES = 4
 
 
 def _code_steps(pids, own_dists, code_rows):
@@ -73,11 +70,11 @@ def _code_steps(pids, own_dists, code_rows):
 def anchor_codes(anchor_dists, pids, own_dists, code_rows):
     """``(n, C)`` ``uint8``: per object and code anchor the step of its
     triangle interval that holds ``|o, a|`` (``anchor_dists``, an object per
-    row, its first ``C`` columns), ends clipped.  A zero-width interval codes
-    as 0."""
+    row and a code anchor per column), ends clipped.  A zero-width interval
+    codes as 0."""
     lo, step, _ = _code_steps(pids, own_dists, code_rows)
     with np.errstate(divide="ignore", invalid="ignore"):
-        codes = np.floor((anchor_dists[:, : code_rows.shape[0]].T - lo) / step)
+        codes = np.floor((anchor_dists.T - lo) / step)
     return np.clip(np.nan_to_num(codes.T, nan=0.0), 0, 255).astype(np.uint8, order="C")
 
 

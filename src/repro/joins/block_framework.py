@@ -102,8 +102,9 @@ class BlockRoutingMapper(BlockBufferingMapper):
                     yield i * num_blocks + own_block, sub
 
 
-def candidate_emissions(candidates: NeighborBlock, ctx: Context):
-    """A reducer's candidate lists as ``(merge partition, sub-block)`` pairs.
+def candidate_emissions(candidates: NeighborBlock, ctx: Context, id_dtype: np.dtype):
+    """A reducer's candidate lists as ``(merge partition, sub-block)`` pairs,
+    their ids in the join's ``id_dtype`` (the producer's input blocks' own).
 
     The partition is ``r_id % merge_reducers`` (the producing job's cache
     names the merge job's reducer count) — where the merge job's hash
@@ -111,7 +112,8 @@ def candidate_emissions(candidates: NeighborBlock, ctx: Context):
     meets in one reduce group, and a reducer emits at most
     ``merge_reducers`` values however many ``r`` it answered.
     """
-    return candidates.split_by(candidates.r_ids % int(ctx.cache["merge_reducers"]))
+    partitions = candidates.r_ids.astype(np.int64) % int(ctx.cache["merge_reducers"])
+    return candidates.with_id_dtype(id_dtype).split_by(partitions)
 
 
 class CandidateMergeMapper(Mapper):
@@ -123,7 +125,7 @@ class CandidateMergeMapper(Mapper):
 
 
 def merge_candidates(candidates: NeighborBlock, k: int) -> NeighborBlock:
-    """The k best distinct neighbours of every ``r`` in the block.
+    """The k best distinct neighbours of every ``r`` in the block (int64 ids).
 
     Candidates are deduplicated by object id before ranking (each keeps its
     smallest reported distance): block pairs never overlap (H-BRJ/PBJ), but
@@ -132,6 +134,7 @@ def merge_candidates(candidates: NeighborBlock, k: int) -> NeighborBlock:
     of the k slots.  Ranking is by (distance, id); output rows are one per
     distinct ``r``, ids ascending.
     """
+    candidates = candidates.with_id_dtype(np.int64)
     owners = np.repeat(candidates.r_ids, np.diff(candidates.offsets))
     ids, dists = candidates.ids, candidates.dists
     order = np.lexsort((dists, ids, owners))

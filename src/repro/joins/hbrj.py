@@ -56,7 +56,7 @@ class HbrjJoinReducer(Reducer):
             (r_id, *tree.knn(point, self._k))
             for r_id, point in zip(block.object_ids[r_rows], block.points[r_rows])
         )
-        return candidate_emissions(candidates, ctx)
+        return candidate_emissions(candidates, ctx, block.object_ids.dtype)
 
     def cleanup(self, ctx: Context):
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)

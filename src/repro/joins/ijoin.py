@@ -63,7 +63,7 @@ class IJoinBlockReducer(Reducer):
             (r_id, *index.knn(point, self._k))
             for r_id, point in zip(block.object_ids[r_rows], block.points[r_rows])
         )
-        return candidate_emissions(candidates, ctx)
+        return candidate_emissions(candidates, ctx, block.object_ids.dtype)
 
     def cleanup(self, ctx: Context):
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)

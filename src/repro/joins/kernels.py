@@ -12,9 +12,10 @@ and a fourth built from its Theorem 2:
    the Theorem 2 ring — a contiguous slice of the distance-sorted block
    (lines 21-22);
 4. within a ring slice, drop each object outside the Theorem 2 ring of
-   ``r`` around each of up to four *anchors* before gathering it: ``| |r, a|
-   - |s, a| | > theta`` (the LAESA filter the partitioner applies to pivots),
-   with ``|o, a|`` known only to the byte its partitioning job shipped.
+   ``r`` around each *anchor* of the partitioner before gathering it: ``|
+   |r, a| - |s, a| | > theta`` (the LAESA filter the partitioner applies to
+   pivots), with ``|o, a|`` known only to the byte its partitioning job
+   shipped.
 
 The same kernel serves PGBJ (bounds from the global summary tables) and PBJ
 (bounds recomputed locally over the reducer's random block of S, which is why
@@ -60,7 +61,7 @@ outside a ring cut with a theta no smaller than the final k-th distance, and
 the k-best fold does not depend on order, so no result changes.
 
 Anchors (under ring pruning, whose rule they apply): the ``code_anchors``,
-the first ``C <= 4`` of the partitioner's.  The partitioning job computed
+all ``C = A`` of the partitioner's.  The partitioning job computed
 ``|o, a|`` to assign each object and shipped it as a one-byte code
 (:func:`~repro.core.geometry.anchor_codes`); the kernel decodes each row's
 codes into mids and one radius (:func:`~repro.core.geometry.anchor_intervals`)
@@ -164,12 +165,14 @@ class SPartitionBlock:
 
 
 def build_r_blocks(block: RecordBlock) -> dict[int, RPartitionBlock]:
-    """Group a reducer's R objects by Voronoi cell, points widened to float64."""
+    """Group a reducer's R objects by Voronoi cell, points widened to float64
+    and ids to int64."""
     points = block.points.astype(np.float64, copy=False)
+    ids = block.object_ids.astype(np.int64, copy=False)
     return {
         pid: RPartitionBlock(
             partition_id=pid,
-            ids=block.object_ids[rows],
+            ids=ids[rows],
             points=points[rows],
             pivot_dists=block.pivot_distances[rows],
             codes=block.anchor_codes[rows],
@@ -180,11 +183,13 @@ def build_r_blocks(block: RecordBlock) -> dict[int, RPartitionBlock]:
 
 def build_s_blocks(block: RecordBlock) -> dict[int, SPartitionBlock]:
     """Group a reducer's S objects by cell, sorted by pivot distance, points
-    widened to float64 (no copy for float64 blocks) before any arithmetic."""
+    widened to float64 and ids to int64 (no copy when they are) before any
+    arithmetic, sort or sentinel."""
     points = block.points.astype(np.float64, copy=False)
+    all_ids = block.object_ids.astype(np.int64, copy=False)
     blocks: dict[int, SPartitionBlock] = {}
     for pid, rows in group_rows_by(block.partition_ids):
-        ids = block.object_ids[rows]
+        ids = all_ids[rows]
         dists = block.pivot_distances[rows]
         order = np.lexsort((ids, dists))
         blocks[pid] = SPartitionBlock(
@@ -616,8 +621,8 @@ def knn_join_kernel(
         The counted metric of the object-pivot distances ``|r, p_j|`` (the
         reducers count them apart); ``metric`` when omitted.
     code_anchors:
-        The pivots the blocks' anchor codes refer to (the first ``C`` of the
-        partitioner's anchors); no anchor filter when omitted or empty.
+        The pivots the blocks' anchor codes refer to (the partitioner's
+        anchors); no anchor filter when omitted or empty.
     uppers:
         ``U_i`` per R-partition, as ``thetas`` was computed with (PGBJ: from
         ``T_R``); the largest pivot distance among the present rows when

@@ -31,13 +31,13 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
-from repro.core.geometry import ANCHOR_CODES, anchor_codes
+from repro.core.geometry import anchor_codes
 from repro.core.partition import VoronoiPartitioner
 from repro.core.summary import SummaryTable, build_partial_summary
 from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob
 from repro.mapreduce.plan import JobGraph, Stage, StageContext
 from repro.mapreduce.runtime import JobResult, LocalRuntime
-from repro.mapreduce.splits import dataset_splits, self_join_splits
+from repro.mapreduce.splits import cell_dtype, dataset_splits, self_join_splits
 from repro.mapreduce.types import RecordBlock
 from repro.pivots import (
     FarthestPivotSelector,
@@ -94,8 +94,9 @@ class PartitioningMapper(BlockBufferingMapper):
     pass at cleanup — semantically identical to per-record assignment (all
     emission happens before the shuffle) but far cheaper per object.  Output
     is one annotated :class:`~repro.mapreduce.types.RecordBlock` per map
-    task — each row's cell, pivot distance and the codes of the anchor
-    distances its assignment computed — rows stable-sorted by cell id
+    task — each row's cell (in :func:`~repro.mapreduce.splits.cell_dtype`
+    of ``M``), pivot distance and the codes of all ``A`` anchor distances
+    its assignment computed — rows stable-sorted by cell id
     (objects of one cell keep their input order), under an int key, so the
     second job's mappers route a whole split as one block.  Byte accounting and the DFS chunker weigh rows, not
     blocks, so ``output_bytes`` and the next job's split boundaries are those
@@ -119,6 +120,7 @@ class PartitioningMapper(BlockBufferingMapper):
             ctx.cache["pivots"], self._metric, ctx.cache["anchors"]
         )
         self._code_rows = ctx.cache["code_rows"]
+        self._cell_dtype = cell_dtype(self._partitioner.num_partitions)
 
     def route_block(self, block: RecordBlock, ctx: Context):
         pids, dists, anchor_dists = self._partitioner.assign_points(block.points)
@@ -136,7 +138,7 @@ class PartitioningMapper(BlockBufferingMapper):
         ctx.counters.incr(PAIRS_GROUP, SKIPPED_NAME, all_pairs - computed)
         order = np.argsort(pids, kind="stable")
         annotated = block.take(order)
-        annotated.partition_ids = pids[order].astype(np.int32)
+        annotated.partition_ids = pids[order].astype(self._cell_dtype)
         annotated.pivot_distances = dists[order]
         annotated.anchor_codes = anchor_codes(
             anchor_dists[order], pids[order], dists[order], self._code_rows
@@ -168,7 +170,7 @@ def partitioning_job(
     input splits — one pass over the dataset, in both roles, when ``r is s``.
     ``anchors`` is the master's :meth:`VoronoiPartitioner.anchor_index` over
     ``pivots``, whose distance matrix is ``pdm``; each object carries codes of
-    its distances to the first :data:`~repro.core.geometry.ANCHOR_CODES`."""
+    its distances to every one of its anchors."""
     job = MapReduceJob(
         name="partitioning",
         mapper_factory=PartitioningMapper,
@@ -176,7 +178,7 @@ def partitioning_job(
         cache={
             "pivots": pivots,
             "anchors": anchors,
-            "code_rows": pdm[anchors[0][:ANCHOR_CODES]],
+            "code_rows": pdm[anchors[0]],
             "metric_name": config.metric_name,
         },
     )
@@ -264,7 +266,7 @@ def partition_stage(
             anchors = VoronoiPartitioner(pivots, metric, distance_matrix=pdm).anchor_index()
         state["pivots"] = pivots
         state["pivot_dist_matrix"] = pdm
-        state["code_anchors"] = anchors[0][:ANCHOR_CODES]
+        state["code_anchors"] = anchors[0]
         state["metric"] = metric
         return partitioning_job(r, s, pivots, pdm, config, anchors)
 

@@ -61,7 +61,8 @@ class PbjJoinReducer(Reducer):
         self._scratch = ScratchPool()
 
     def reduce(self, key, values, ctx: Context):
-        r_blocks, s_blocks = build_partition_blocks(RecordBlock.gather(values))
+        block = RecordBlock.gather(values)
+        r_blocks, s_blocks = build_partition_blocks(block)
         if not r_blocks or not s_blocks:
             return ()  # lone half of a pair: other block columns cover these r
         candidates = NeighborBlock.from_lists(
@@ -79,7 +80,7 @@ class PbjJoinReducer(Reducer):
                 code_anchors=self._code_anchors,
             )
         )
-        return candidate_emissions(candidates, ctx)
+        return candidate_emissions(candidates, ctx, block.object_ids.dtype)
 
     def cleanup(self, ctx: Context):
         count_kernel_pairs(ctx.counters, self._metric, self._pivot_metric)

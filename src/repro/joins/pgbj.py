@@ -91,7 +91,7 @@ class GroupRoutingMapper(BlockBufferingMapper):
             replicas = np.count_nonzero(group_roles & ROLE_S) * len(subkeys)
             if replicas:
                 ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME, replicas)
-            lanes = block.object_ids % len(subkeys)
+            lanes = block.object_ids.astype(np.int64) % len(subkeys)
             for lane, subkey in enumerate(subkeys):
                 # the R bit only in the row's id lane, the S bit in every one
                 lane_roles = np.where(lanes == lane, group_roles, group_roles & ROLE_S)

@@ -27,7 +27,8 @@ from repro.core.partition import VoronoiPartitioner
 from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
-from repro.mapreduce.types import RecordBlock
+from repro.mapreduce.splits import cell_dtype, dataset_block
+from repro.mapreduce.types import ROLE_S, RecordBlock
 
 from .base import PAIRS_GROUP, PAIRS_NAME, JoinConfig
 from .block_framework import chain_splits
@@ -181,12 +182,13 @@ def plan_range_selection(
             for reducer, items in queries_by_reducer.items()
         }
 
-        # the input, annotated with cell + distance as one block (cells not
-        # reachable by any query are dropped at the mapper)
-        block = RecordBlock.of_objects(
-            False, dataset.ids, dataset.points, dataset.payload_bytes
+        # the input, annotated with cell + distance as one block of S rows in
+        # the narrowest dtypes (cells not reachable by any query are dropped
+        # at the mapper)
+        block = dataset_block(dataset, ROLE_S)
+        block.partition_ids = assignment.partition_ids.astype(
+            cell_dtype(partitioner.num_partitions)
         )
-        block.partition_ids = assignment.partition_ids
         block.pivot_distances = assignment.pivot_distances
 
         job = MapReduceJob(

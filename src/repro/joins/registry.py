@@ -183,8 +183,9 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: bound to) and the partition stage's plan-cache key both carry it, so a
 #: file written by older code is never served.  10: the partitioning job
 #: ships anchor codes and an int32 cell id, so its rows changed.  11: rows
-#: carry their coordinates in the join's narrowest exact dtype.
-RESULTS_VERSION = 11
+#: carry their coordinates in the join's narrowest exact dtype.  12: rows carry
+#: codes of every anchor, and ids and cell ids in their narrowest dtypes.
+RESULTS_VERSION = 12
 
 
 def plan_identity(

@@ -159,9 +159,10 @@ class ZOrderJoinReducer(Reducer):
         s_rows = np.flatnonzero(block.is_s)
         if r_rows.size == 0 or s_rows.size == 0:
             return ()
+        object_ids = block.object_ids.astype(np.int64)
         shift = self._shifts[int(key) // self._blocks_per_shift]
         keys = KERNELS.morton_codes(self._transform, block.points + shift)
-        s_rows = s_rows[np.lexsort((block.object_ids[s_rows], keys[s_rows]))]
+        s_rows = s_rows[np.lexsort((object_ids[s_rows], keys[s_rows]))]
         # each r's window: per_side curve positions either side of where its
         # z-value falls in the sorted S block, clipped at the block's ends
         # (never empty: per_side >= 1 and the block holds at least one s)
@@ -171,15 +172,15 @@ class ZOrderJoinReducer(Reducer):
         owner = np.repeat(np.arange(r_rows.size), lengths)
         rank = ranks_within(lengths)
         window = s_rows[start[owner] + rank]
-        ids = block.object_ids[window]
+        ids = object_ids[window]
         dists = self._metric.pair_distances(block.points[r_rows[owner]], block.points[window])
         # the k best of every window under (distance, id): sorting keeps each
         # r's candidates in its own span, so rank still counts from its start
         best = np.lexsort((ids, dists, owner))[rank < self._k]
         candidates = NeighborBlock.from_counts(
-            block.object_ids[r_rows], np.minimum(lengths, self._k), ids[best], dists[best]
+            object_ids[r_rows], np.minimum(lengths, self._k), ids[best], dists[best]
         )
-        return candidate_emissions(candidates, ctx)
+        return candidate_emissions(candidates, ctx, block.object_ids.dtype)
 
     def cleanup(self, ctx: Context):
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)

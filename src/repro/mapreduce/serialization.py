@@ -7,10 +7,10 @@ actually serializing, using fixed-width primitives (8-byte scalars, UTF-8
 strings, an array's own bytes) plus small per-container framing.  Any
 object may opt in by exposing an ``estimated_bytes() -> int`` method.
 Object rows travel only as columnar blocks, which do exactly that: a block
-is charged the sum of its rows' wire sizes — its coordinates at the width of
-the dtype its join ships them in — and counts its rows as records, and
-below sits each block type's byte codec for spill segments and the
-segment-backed DFS.
+is charged the sum of its rows' wire sizes — its coordinates, ids and cell
+ids at the widths of the dtypes its join ships them in — and counts its rows
+as records, and below sits each block type's byte codec for spill segments
+and the segment-backed DFS.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .types import COORDINATE_DTYPES, ColumnarBlock, NeighborBlock, RecordBlock
+from .types import COORDINATE_DTYPES, ID_DTYPES, ColumnarBlock, NeighborBlock, RecordBlock
 
 __all__ = [
     "estimate_bytes",
@@ -138,97 +138,123 @@ def decode_block(tag: int, data: bytes) -> ColumnarBlock:
 
 
 _BLOCK_MAGIC = b"RBLK"
-#: magic, rows, dims, anchor codes, coordinate dtype (a COORDINATE_DTYPES index)
-_BLOCK_HEADER = struct.Struct("<4sIIIB")
+#: magic, rows, dims, anchor codes, then the dtypes of the coordinates (a
+#: COORDINATE_DTYPES index), the object ids and the cell ids (ID_DTYPES indexes)
+_BLOCK_HEADER = struct.Struct("<4sIIIBBB")
+
+
+def _dtype_of(table: tuple, code: int, stream: str, column: str) -> np.dtype:
+    """The dtype a header's byte names, or a ``ValueError`` naming the column."""
+    if code >= len(table):
+        raise ValueError(
+            f"unknown {stream} {column} dtype {code}: "
+            f"the header's dtype byte must be below {len(table)}"
+        )
+    return table[code]
 
 
 def encode_record_block(block: RecordBlock) -> bytes:
-    """Serialize a block to the compact columnar wire format, its points in
-    their own dtype."""
+    """Serialize a block to the compact columnar wire format, its points, ids
+    and cell ids in their own dtypes."""
     rows = len(block)
     dims = block.points.shape[1] if block.points.ndim == 2 else 0
-    dtype_code = COORDINATE_DTYPES.index(block.points.dtype)
+    header = _BLOCK_HEADER.pack(
+        _BLOCK_MAGIC, rows, dims, block.anchor_codes.shape[1],
+        COORDINATE_DTYPES.index(block.points.dtype),
+        ID_DTYPES.index(block.object_ids.dtype),
+        ID_DTYPES.index(block.partition_ids.dtype),
+    )
     return b"".join(
         (
-            _BLOCK_HEADER.pack(_BLOCK_MAGIC, rows, dims, block.anchor_codes.shape[1], dtype_code),
+            header,
             np.ascontiguousarray(block.role, dtype=np.uint8).tobytes(),
-            np.ascontiguousarray(block.object_ids, dtype=np.int64).tobytes(),
+            np.ascontiguousarray(block.object_ids).tobytes(),
             np.ascontiguousarray(block.points).tobytes(),
             np.ascontiguousarray(block.payloads, dtype=np.int64).tobytes(),
-            np.ascontiguousarray(block.partition_ids, dtype=np.int32).tobytes(),
+            np.ascontiguousarray(block.partition_ids).tobytes(),
             np.ascontiguousarray(block.pivot_distances, dtype=np.float64).tobytes(),
             np.ascontiguousarray(block.anchor_codes, dtype=np.uint8).tobytes(),
         )
     )
 
 
-#: bytes per row beyond the ``w·d`` coordinate bytes and the ``C`` anchor
-#: codes: role (1) + object_ids (8) + payloads (8) + partition_ids (4) +
+#: bytes per row beyond the ``w·d`` coordinate bytes, the id and cell id
+#: widths and the ``C`` anchor codes: role (1) + payloads (8) +
 #: pivot_distances (8)
-_ROW_FIXED_BYTES = 1 + 8 + 8 + 4 + 8
+_ROW_FIXED_BYTES = 1 + 8 + 8
+
+
+class _Columns:
+    """Reads consecutive columns out of a validated byte stream."""
+
+    def __init__(self, data: bytes, offset: int) -> None:
+        self._data, self._offset = data, offset
+
+    def next(self, dtype, count: int, shape=None) -> np.ndarray:
+        array = np.frombuffer(self._data, dtype=dtype, count=count, offset=self._offset).copy()
+        self._offset += array.nbytes
+        return array if shape is None else array.reshape(shape)
 
 
 def decode_record_block(data: bytes) -> RecordBlock:
     """Inverse of :func:`encode_record_block`.
 
-    Validates the header's coordinate dtype and the buffer length it implies
-    before touching any column, so an unknown dtype or a truncated or padded
-    stream raises a clear ``ValueError`` instead of a cryptic
-    ``numpy.frombuffer`` error partway through.
+    Validates the header's dtypes and the buffer length they imply before
+    touching any column, so an unknown dtype or a truncated or padded stream
+    raises a clear ``ValueError`` instead of a cryptic ``numpy.frombuffer``
+    error partway through.
     """
     if len(data) < _BLOCK_HEADER.size:
         raise ValueError(
             f"truncated RecordBlock stream: {len(data)} bytes is shorter "
             f"than the {_BLOCK_HEADER.size}-byte header"
         )
-    magic, rows, dims, codes, dtype_code = _BLOCK_HEADER.unpack_from(data)
+    magic, rows, dims, codes, point_code, id_code, cell_code = _BLOCK_HEADER.unpack_from(data)
     if magic != _BLOCK_MAGIC:
         raise ValueError("not a RecordBlock byte stream")
-    if dtype_code >= len(COORDINATE_DTYPES):
-        raise ValueError(
-            f"unknown RecordBlock coordinate dtype {dtype_code}: "
-            f"the header's dtype byte must be below {len(COORDINATE_DTYPES)}"
-        )
-    dtype = COORDINATE_DTYPES[dtype_code]
-    expected = _BLOCK_HEADER.size + rows * (_ROW_FIXED_BYTES + dtype.itemsize * dims + codes)
+    dtype = _dtype_of(COORDINATE_DTYPES, point_code, "RecordBlock", "coordinate")
+    id_dtype = _dtype_of(ID_DTYPES, id_code, "RecordBlock", "object id")
+    cell_dtype = _dtype_of(ID_DTYPES, cell_code, "RecordBlock", "cell id")
+    row_bytes = (
+        _ROW_FIXED_BYTES + id_dtype.itemsize + dtype.itemsize * dims + cell_dtype.itemsize + codes
+    )
+    expected = _BLOCK_HEADER.size + rows * row_bytes
     if len(data) != expected:
         kind = "truncated" if len(data) < expected else "oversized"
         raise ValueError(
             f"{kind} RecordBlock stream: header declares {rows} rows x "
             f"{dims} {dtype} dims x {codes} codes ({expected} bytes), got {len(data)} bytes"
         )
-    offset = _BLOCK_HEADER.size
-
-    def column(dtype, count, shape=None):
-        nonlocal offset
-        array = np.frombuffer(data, dtype=dtype, count=count, offset=offset).copy()
-        offset += array.nbytes
-        return array if shape is None else array.reshape(shape)
-
+    columns = _Columns(data, _BLOCK_HEADER.size)
     return RecordBlock(
-        role=column(np.uint8, rows),
-        object_ids=column(np.int64, rows),
-        points=column(dtype, rows * dims, shape=(rows, dims)),
-        payloads=column(np.int64, rows),
-        partition_ids=column(np.int32, rows),
-        pivot_distances=column(np.float64, rows),
-        anchor_codes=column(np.uint8, rows * codes, shape=(rows, codes)),
+        role=columns.next(np.uint8, rows),
+        object_ids=columns.next(id_dtype, rows),
+        points=columns.next(dtype, rows * dims, shape=(rows, dims)),
+        payloads=columns.next(np.int64, rows),
+        partition_ids=columns.next(cell_dtype, rows),
+        pivot_distances=columns.next(np.float64, rows),
+        anchor_codes=columns.next(np.uint8, rows * codes, shape=(rows, codes)),
     )
 
 
 _NEIGHBOR_MAGIC = b"NBLK"
-_NEIGHBOR_HEADER = struct.Struct("<4sII")  # magic, rows, candidates
+#: magic, rows, candidates, then the dtypes of ``r_ids`` and ``ids`` (ID_DTYPES indexes)
+_NEIGHBOR_HEADER = struct.Struct("<4sIIBB")
 
 
 def encode_neighbor_block(block: NeighborBlock) -> bytes:
     """Serialize a candidate-list block: header, ``r_ids``, per-row list
     lengths (offsets are rebuilt on decode), ``ids``, ``dists``."""
+    header = _NEIGHBOR_HEADER.pack(
+        _NEIGHBOR_MAGIC, len(block), block.ids.shape[0],
+        ID_DTYPES.index(block.r_ids.dtype), ID_DTYPES.index(block.ids.dtype),
+    )
     return b"".join(
         (
-            _NEIGHBOR_HEADER.pack(_NEIGHBOR_MAGIC, len(block), block.ids.shape[0]),
-            np.ascontiguousarray(block.r_ids, dtype=np.int64).tobytes(),
+            header,
+            np.ascontiguousarray(block.r_ids).tobytes(),
             np.diff(block.offsets).astype(np.int64).tobytes(),
-            np.ascontiguousarray(block.ids, dtype=np.int64).tobytes(),
+            np.ascontiguousarray(block.ids).tobytes(),
             np.ascontiguousarray(block.dists, dtype=np.float64).tobytes(),
         )
     )
@@ -236,32 +262,39 @@ def encode_neighbor_block(block: NeighborBlock) -> bytes:
 
 def decode_neighbor_block(data: bytes) -> NeighborBlock:
     """Inverse of :func:`encode_neighbor_block`, with the same up-front
-    length validation as :func:`decode_record_block`."""
+    dtype and length validation as :func:`decode_record_block`."""
     if len(data) < _NEIGHBOR_HEADER.size:
         raise ValueError(
             f"truncated NeighborBlock stream: {len(data)} bytes is shorter "
             f"than the {_NEIGHBOR_HEADER.size}-byte header"
         )
-    magic, rows, candidates = _NEIGHBOR_HEADER.unpack_from(data)
+    magic, rows, candidates, r_code, id_code = _NEIGHBOR_HEADER.unpack_from(data)
     if magic != _NEIGHBOR_MAGIC:
         raise ValueError("not a NeighborBlock byte stream")
-    expected = _NEIGHBOR_HEADER.size + 16 * rows + 16 * candidates
+    r_dtype = _dtype_of(ID_DTYPES, r_code, "NeighborBlock", "r id")
+    id_dtype = _dtype_of(ID_DTYPES, id_code, "NeighborBlock", "neighbour id")
+    expected = (
+        _NEIGHBOR_HEADER.size + (r_dtype.itemsize + 8) * rows
+        + (id_dtype.itemsize + 8) * candidates
+    )
     if len(data) != expected:
         kind = "truncated" if len(data) < expected else "oversized"
         raise ValueError(
             f"{kind} NeighborBlock stream: header declares {rows} rows x "
             f"{candidates} candidates ({expected} bytes), got {len(data)} bytes"
         )
-    columns = np.frombuffer(data, dtype=np.int64, offset=_NEIGHBOR_HEADER.size)
-    counts = columns[rows : 2 * rows]
+    columns = _Columns(data, _NEIGHBOR_HEADER.size)
+    r_ids, counts = columns.next(r_dtype, rows), columns.next(np.int64, rows)
     if int(counts.sum()) != candidates or (counts < 0).any():
         raise ValueError(
             f"corrupt NeighborBlock stream: row lengths sum to {int(counts.sum())}, "
             f"header declares {candidates} candidates"
         )
-    return NeighborBlock.from_counts(
-        columns[:rows].copy(),
-        counts,
-        columns[2 * rows : 2 * rows + candidates].copy(),
-        columns[2 * rows + candidates :].view(np.float64).copy(),
+    offsets = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return NeighborBlock(
+        r_ids=r_ids,
+        offsets=offsets,
+        ids=columns.next(id_dtype, candidates),
+        dists=columns.next(np.float64, candidates),
     )

@@ -3,10 +3,13 @@
 What a split carries across a worker boundary: :func:`dataset_splits` (the
 first job's input) hands out one ``(tag, RecordBlock)`` pair per dataset part
 a split touches, whose columns are *views* of the dataset's arrays — the
-coordinates too unless the join ships them narrower, in the one dtype
-:func:`coordinate_dtype` picks for R and S (Forest's integers travel as
-int16) — and the split pickles as those row slices; :func:`self_join_splits`
-is its self-join form, which hands out each object once.
+coordinates and ids too unless the join ships them narrower, in the one
+dtype each that :func:`coordinate_dtype` and :func:`id_dtype` pick for R and
+S (Forest's integers travel as int16, its ids as int16 at the benchmark's
+sizes) — and the split pickles as those row slices; :func:`self_join_splits`
+is its self-join form, which hands out each object once, and
+:func:`dataset_block` one dataset as one block.  :func:`cell_dtype` is the
+width of the cell ids a partitioner of ``M`` cells writes.
 :func:`split_records` chunks an already materialized pair list (chained
 intermediates, tests) in place.
 """
@@ -21,11 +24,22 @@ import numpy as np
 from repro.core.dataset import Dataset
 
 from .serialization import record_count
-from .types import COORDINATE_DTYPES, ROLE_BOTH, ROLE_R, ROLE_S, InputSplit, RecordBlock
+from .types import (
+    COORDINATE_DTYPES,
+    ID_DTYPES,
+    ROLE_BOTH,
+    ROLE_R,
+    ROLE_S,
+    InputSplit,
+    RecordBlock,
+)
 
 __all__ = [
+    "cell_dtype",
     "coordinate_dtype",
+    "dataset_block",
     "dataset_splits",
+    "id_dtype",
     "self_join_splits",
     "split_records",
     "weighted_record_chunks",
@@ -106,6 +120,38 @@ def coordinate_dtype(*arrays: np.ndarray) -> np.dtype:
     return COORDINATE_DTYPES[-1]
 
 
+def _narrowest_int(lo: int, hi: int) -> np.dtype:
+    """The first :data:`~repro.mapreduce.types.ID_DTYPES` dtype holding ``[lo, hi]``."""
+    return next(
+        dtype for dtype in ID_DTYPES if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max
+    )
+
+
+def id_dtype(*arrays: np.ndarray) -> np.dtype:
+    """The narrowest :data:`~repro.mapreduce.types.ID_DTYPES` dtype that holds
+    every id of the (integer) arrays by value.  Consumers widen ids back to
+    int64 before any arithmetic, sort or sentinel, so none can overflow."""
+    filled = [array for array in arrays if array.size]
+    return _narrowest_int(
+        min((int(array.min()) for array in filled), default=0),
+        max((int(array.max()) for array in filled), default=0),
+    )
+
+
+def cell_dtype(num_cells: int) -> np.dtype:
+    """The narrowest :data:`~repro.mapreduce.types.ID_DTYPES` dtype that holds
+    the cell ids ``0..num_cells - 1``."""
+    return _narrowest_int(0, num_cells - 1)
+
+
+def _dtypes(*datasets: Dataset) -> tuple[np.dtype, np.dtype]:
+    """``(coordinates, ids)``: the dtypes a join over ``datasets`` ships."""
+    return (
+        coordinate_dtype(*(data.points for data in datasets)),
+        id_dtype(*(data.ids for data in datasets)),
+    )
+
+
 def dataset_splits(
     r: Dataset, s: Dataset, split_size: int
 ) -> list[InputSplit]:
@@ -116,12 +162,12 @@ def dataset_splits(
     """
     if split_size < 1:
         raise ValueError("split_size must be >= 1")
-    dtype = coordinate_dtype(r.points, s.points)
+    dtypes = _dtypes(r, s)
     splits = []
     for start in range(0, len(r) + len(s), split_size):
         stop = start + split_size
         records = [
-            (tag, _rows(data, dtype, ROLE_R if tag == "R" else ROLE_S, a, b))
+            (tag, _rows(data, dtypes, ROLE_R if tag == "R" else ROLE_S, a, b))
             for tag, data, a, b in (
                 ("R", r, start, min(stop, len(r))),
                 ("S", s, max(start - len(r), 0), min(stop - len(r), len(s))),
@@ -158,16 +204,24 @@ def self_join_splits(dataset: Dataset, split_size: int) -> list[InputSplit]:
         if 0 < cut < size
     }
     bounds = sorted(cuts | {0, size})
-    dtype = coordinate_dtype(dataset.points)
+    dtypes = _dtypes(dataset)
     return [
-        InputSplit(index, [("RS", _rows(dataset, dtype, ROLE_BOTH, a, b))], logical_records=b - a)
+        InputSplit(index, [("RS", _rows(dataset, dtypes, ROLE_BOTH, a, b))], logical_records=b - a)
         for index, (a, b) in enumerate(zip(bounds, bounds[1:]))
     ]
 
 
-def _rows(dataset: Dataset, dtype: np.dtype, role: int, a: int, b: int) -> RecordBlock:
+def dataset_block(dataset: Dataset, role: int) -> RecordBlock:
+    """All of ``dataset`` as one block of ``role`` rows, in the dtypes a join
+    over it alone ships (an operator's input that is not split by objects)."""
+    return _rows(dataset, _dtypes(dataset), role, 0, len(dataset))
+
+
+def _rows(dataset: Dataset, dtypes: tuple, role: int, a: int, b: int) -> RecordBlock:
     """Rows ``[a, b)`` of ``dataset`` as one block of views of its arrays,
-    the coordinates cast to ``dtype`` (still a view when it is float64)."""
+    the coordinates and ids cast to ``dtypes`` (:func:`_dtypes`; still views
+    when they are float64 and int64)."""
     payload = None if dataset.payload_bytes is None else dataset.payload_bytes[a:b]
-    points = dataset.points[a:b].astype(dtype, copy=False)
-    return RecordBlock.of_objects(role, dataset.ids[a:b], points, payload)
+    points = dataset.points[a:b].astype(dtypes[0], copy=False)
+    ids = dataset.ids[a:b].astype(dtypes[1], copy=False)
+    return RecordBlock.of_objects(role, ids, points, payload)

@@ -34,6 +34,7 @@ __all__ = [
     "ROLE_S",
     "ROLE_BOTH",
     "COORDINATE_DTYPES",
+    "ID_DTYPES",
     "InputSplit",
     "group_rows_by",
     "ranks_within",
@@ -113,6 +114,12 @@ ROLE_BOTH = ROLE_R | ROLE_S
 #: picks one: :func:`~repro.mapreduce.splits.coordinate_dtype`); the record
 #: codec's header names one by its index here
 COORDINATE_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int32, np.float32, np.float64)))
+#: the dtypes a block may carry its object ids and cell ids in, narrowest
+#: first (a join picks one per column:
+#: :func:`~repro.mapreduce.splits.id_dtype`,
+#: :func:`~repro.mapreduce.splits.cell_dtype`); the codecs name one by its
+#: index here
+ID_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int32, np.int64)))
 
 
 @dataclass
@@ -125,7 +132,7 @@ class RecordBlock(ColumnarBlock):
     :attr:`is_s`): a self-join's row holds both, its R copy and own-group S
     copy in one.  The first job's mapper fills in ``partition_ids`` (the
     Voronoi cell), ``pivot_distances`` (``|o, p_o|``) and ``anchor_codes``
-    (``|o, a|`` of the first anchors, a byte each:
+    (``|o, a|`` of every anchor of its partitioner, a byte each:
     :func:`~repro.core.geometry.anchor_codes`; ``(n, 0)`` before); the second
     job's pruning rules consume them (Algorithm 3 reads the distance as
     ``k1.dist``).
@@ -137,10 +144,10 @@ class RecordBlock(ColumnarBlock):
     """
 
     role: np.ndarray  # uint8: ROLE_R | ROLE_S bits
-    object_ids: np.ndarray  # int64
+    object_ids: np.ndarray  # an ID_DTYPES dtype
     points: np.ndarray  # a COORDINATE_DTYPES dtype, shape (n, dims)
     payloads: np.ndarray  # int64
-    partition_ids: np.ndarray  # int32
+    partition_ids: np.ndarray  # an ID_DTYPES dtype
     pivot_distances: np.ndarray  # float64
     anchor_codes: np.ndarray | None = None  # uint8, shape (n, C); None: C = 0
 
@@ -173,23 +180,24 @@ class RecordBlock(ColumnarBlock):
         points: np.ndarray,
         payloads: np.ndarray | None = None,
     ) -> "RecordBlock":
-        """Objects not yet assigned a cell (partition id ``-1``, pivot distance
-        NaN).  ``role`` is one role for every row or one per row;
-        ``payloads=None`` means no payload bytes.  Int64 ids and payloads and
-        points of a :data:`COORDINATE_DTYPES` dtype are kept as given, so views
-        of a dataset's arrays stay views; other points become float64."""
+        """Objects not yet assigned a cell (partition id ``-1``, an int8, and
+        pivot distance NaN).  ``role`` is one role for every row or one per
+        row; ``payloads=None`` means no payload bytes.  Int64 payloads, ids of
+        an :data:`ID_DTYPES` dtype and points of a :data:`COORDINATE_DTYPES`
+        dtype are kept as given, so views of a dataset's arrays stay views;
+        other ids become int64 and other points float64."""
         rows = len(ids)
-        points = np.asarray(points)
+        ids, points = np.asarray(ids), np.asarray(points)
         return cls(
             role=np.full(rows, role, dtype=np.uint8),
-            object_ids=np.asarray(ids, dtype=np.int64),
+            object_ids=ids if ids.dtype in ID_DTYPES else ids.astype(np.int64),
             points=points if points.dtype in COORDINATE_DTYPES else points.astype(np.float64),
             payloads=(
                 np.zeros(rows, dtype=np.int64)
                 if payloads is None
                 else np.asarray(payloads, dtype=np.int64)
             ),
-            partition_ids=np.full(rows, -1, dtype=np.int32),
+            partition_ids=np.full(rows, -1, dtype=np.int8),
             pivot_distances=np.full(rows, np.nan, dtype=np.float64),
         )
 
@@ -236,12 +244,15 @@ class RecordBlock(ColumnarBlock):
     # -- accounting ---------------------------------------------------------
 
     def estimated_bytes(self) -> int:
-        """Sum of the rows' wire sizes, ``1 + 8 + w·d + 4 + 8 + C + payload``
-        each (role, id, ``d`` coordinates of ``w = points.itemsize`` bytes,
-        cell id, pivot distance, ``C`` anchor codes, payload) — blocks are
-        invisible to byte accounting."""
+        """Sum of the rows' wire sizes, ``1 + w_id + w·d + w_cell + 8 + C +
+        payload`` each (role, id, ``d`` coordinates, cell id, pivot distance,
+        ``C`` anchor codes, payload; each ``w`` is its column's itemsize) —
+        blocks are invisible to byte accounting."""
         dims = self.points.shape[1] if self.points.ndim == 2 else 0
-        per_record = 1 + 8 + dims * self.points.itemsize + 4 + 8 + self.anchor_codes.shape[1]
+        per_record = (
+            1 + self.object_ids.itemsize + dims * self.points.itemsize
+            + self.partition_ids.itemsize + 8 + self.anchor_codes.shape[1]
+        )
         return len(self) * per_record + int(self.payloads.sum())
 
 
@@ -256,9 +267,9 @@ class NeighborBlock(ColumnarBlock):
     job folds them.
     """
 
-    r_ids: np.ndarray  # int64, one per row
+    r_ids: np.ndarray  # one per row, an ID_DTYPES dtype (ids' own)
     offsets: np.ndarray  # int64, len(r_ids) + 1, offsets[0] == 0
-    ids: np.ndarray  # int64, all rows' neighbour ids back to back
+    ids: np.ndarray  # all rows' neighbour ids back to back, an ID_DTYPES dtype
     dists: np.ndarray  # float64, aligned with ids
 
     wire_tag = 2
@@ -282,15 +293,21 @@ class NeighborBlock(ColumnarBlock):
 
     @classmethod
     def from_counts(
-        cls, r_ids: np.ndarray, counts: np.ndarray, ids: np.ndarray, dists: np.ndarray
+        cls,
+        r_ids: np.ndarray,
+        counts: np.ndarray,
+        ids: np.ndarray,
+        dists: np.ndarray,
+        id_dtype: np.dtype = np.dtype(np.int64),
     ) -> "NeighborBlock":
-        """A block from per-row list lengths and the flat candidate columns."""
+        """A block from per-row list lengths and the flat candidate columns,
+        both id columns cast to ``id_dtype`` (an :data:`ID_DTYPES` dtype)."""
         offsets = np.zeros(len(r_ids) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return cls(
-            r_ids=np.asarray(r_ids, dtype=np.int64),
+            r_ids=np.asarray(r_ids, dtype=id_dtype),
             offsets=offsets,
-            ids=np.asarray(ids, dtype=np.int64),
+            ids=np.asarray(ids, dtype=id_dtype),
             dists=np.asarray(dists, dtype=np.float64),
         )
 
@@ -306,6 +323,7 @@ class NeighborBlock(ColumnarBlock):
             np.concatenate([np.diff(part.offsets) for part in parts]),
             np.concatenate([part.ids for part in parts]),
             np.concatenate([part.dists for part in parts]),
+            np.result_type(*(part.ids for part in parts)),
         )
 
     def take(self, rows: np.ndarray) -> "NeighborBlock":
@@ -314,7 +332,16 @@ class NeighborBlock(ColumnarBlock):
         counts = self.offsets[rows + 1] - starts
         flat = np.repeat(starts, counts) + ranks_within(counts)
         return NeighborBlock.from_counts(
-            self.r_ids[rows], counts, self.ids[flat], self.dists[flat]
+            self.r_ids[rows], counts, self.ids[flat], self.dists[flat], self.ids.dtype
+        )
+
+    def with_id_dtype(self, dtype: np.dtype) -> "NeighborBlock":
+        """The same lists, both id columns in ``dtype`` (no copy if they are)."""
+        return NeighborBlock(
+            self.r_ids.astype(dtype, copy=False),
+            self.offsets,
+            self.ids.astype(dtype, copy=False),
+            self.dists,
         )
 
     def lists(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -325,9 +352,10 @@ class NeighborBlock(ColumnarBlock):
 
     def estimated_bytes(self) -> int:
         """Sum of the rows' ``(ids, dists)`` tuple sizes: a tuple frame plus
-        two framed 8-byte-per-candidate arrays per row — blocks are invisible
-        to byte accounting."""
-        return 12 * len(self) + 16 * int(self.ids.shape[0])
+        two framed arrays per row, ``w_id + 8`` bytes per candidate (an id of
+        ``w_id = ids.itemsize`` bytes and a float64 distance) — blocks are
+        invisible to byte accounting."""
+        return 12 * len(self) + (self.ids.itemsize + 8) * int(self.ids.shape[0])
 
 
 @dataclass

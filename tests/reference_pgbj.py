@@ -29,6 +29,7 @@ from repro.joins.partition_job import CHANNEL_TR, CHANNEL_TS, SKIPPED_NAME
 from repro.joins.registry import JoinPlan, execute_join_plan
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import Context, Mapper
+from repro.mapreduce.splits import cell_dtype
 from repro.mapreduce.types import ROLE_R, ROLE_S, NeighborBlock, RecordBlock
 from tests.reference_zorder import result_bytes
 
@@ -65,7 +66,7 @@ class PerCellPartitioningMapper(Mapper):
                 ctx.side_output(
                     channel, build_partial_summary(pids[mask], dists[mask], k=summary_k)
                 )
-        block.partition_ids = pids.astype(np.int32)
+        block.partition_ids = pids.astype(cell_dtype(self._partitioner.num_partitions))
         block.pivot_distances = dists.astype(np.float64, copy=False)
         block.anchor_codes = anchor_codes(anchor_dists, pids, dists, ctx.cache["code_rows"])
         computed = self._metric.pairs_computed
@@ -97,7 +98,7 @@ class PerCellRoutingMapper(Mapper):
                 )
                 subkeys = self._subkeys.get(group_index, (group_index,))
                 for lane, subkey in enumerate(subkeys):
-                    in_lane = cell.object_ids % len(subkeys) == lane
+                    in_lane = cell.object_ids.astype(np.int64) % len(subkeys) == lane
                     r_bit = cell.is_r & in_lane if group_index == own_group else False
                     roles = np.where(r_bit, ROLE_R, 0) | np.where(admitted, ROLE_S, 0)
                     rows = np.flatnonzero(roles)

@@ -21,7 +21,7 @@ from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAM
 from repro.mapreduce import LocalRuntime, split_records
 from repro.mapreduce.job import Context, Mapper, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import HashPartitioner, ModPartitioner
-from repro.mapreduce.splits import dataset_splits
+from repro.mapreduce.splits import dataset_splits, id_dtype
 from repro.mapreduce.types import RecordBlock
 
 
@@ -101,6 +101,7 @@ class RowJoinReducer(Reducer):
         self._metric = get_metric(ctx.cache["metric_name"])
         self._k = int(ctx.cache["k"])
         self._per_side = int(ctx.cache["candidates_per_side"])
+        self._id_dtype = ctx.cache["id_dtype"]
 
     def reduce(self, key, values, ctx: Context):
         r_items, s_items = [], []
@@ -110,7 +111,8 @@ class RowJoinReducer(Reducer):
             return
         s_items.sort(key=lambda item: (item[0], item[1]))
         s_z = [z for z, _, _ in s_items]
-        s_ids = np.array([oid for _, oid, _ in s_items], dtype=np.int64)
+        # the lists ship their ids in the join's id dtype, as the library's do
+        s_ids = np.array([oid for _, oid, _ in s_items], dtype=self._id_dtype)
         s_points = np.array([point for _, _, point in s_items], dtype=np.float64)
         for z_value, r_id, r_point in r_items:
             center = bisect.bisect_left(s_z, z_value)
@@ -183,6 +185,7 @@ def run_reference_zorder(r, s, config) -> dict:
     transform = ZOrderTransform.for_points(stacked, bits=config.bits, padding=0.3)
     blocks_per_shift = max(1, config.num_reducers // config.num_shifts)
     sample_rows = rng.choice(len(s), size=min(config.sample_size, len(s)), replace=False)
+    join_ids = id_dtype(r.ids, s.ids)
     boundaries, margins = [], []
     for shift_index in range(config.num_shifts):
         sample_z = sorted(int_z_values(transform, s.points[sample_rows] + shifts[shift_index]))
@@ -209,6 +212,7 @@ def run_reference_zorder(r, s, config) -> dict:
             "metric_name": config.metric_name,
             "k": config.k,
             "candidates_per_side": config.candidates_per_side or config.k,
+            "id_dtype": join_ids,
         },
     )
     with LocalRuntime() as runtime:
@@ -225,10 +229,11 @@ def run_reference_zorder(r, s, config) -> dict:
         "pairs_computed": job1.counters.value(PAIRS_GROUP, PAIRS_NAME),
         "s_replicas": job1.counters.value(REPLICA_GROUP, REPLICA_NAME),
         "shuffle_records": [job1.stats.shuffle_records, job2.stats.shuffle_records],
-        # a columnar row (role, id, point, int32 cell id, pivot distance) is
-        # 4 bytes under this tuple's (frame, flag, id, point, 8-byte z)
+        # a columnar row (role, id of the join's width w, point, int8 cell
+        # id, pivot distance) is 15 - w bytes under this tuple's (frame,
+        # flag, 8-byte id, point, 8-byte z)
         "shuffle_bytes": [
-            job1.stats.shuffle_bytes - 4 * job1.stats.shuffle_records,
+            job1.stats.shuffle_bytes - (15 - join_ids.itemsize) * job1.stats.shuffle_records,
             job2.stats.shuffle_bytes,
         ],
     }

@@ -1,14 +1,17 @@
-"""Anchor codes: each object's distances to the partitioner's first anchors,
+"""Anchor codes: each object's distances to all of the partitioner's anchors,
 shipped as one byte each by the partitioning job.
 
 The guarantees under test:
 
+* the partitioning job ships a code for every one of the ``A`` anchors
+  :meth:`~repro.core.partition.VoronoiPartitioner.anchor_index` chose (every
+  pivot below 16 pivots);
 * a decoded code brackets the distance it was made from — ``|o, a|`` lies
   within the row's radius of its mid — under every metric and at
   coordinates up to 1e12;
 * on collinear worlds at 1e9–1e12, where ``| |r, a| - |s, a| |`` equals
   ``|r, s|`` but for rounding, the code filter alone never rejects a pair
-  within theta;
+  within theta, with 3 anchors or 13;
 * the columns round-trip through the record codec with ``C`` in {0, 3, 4},
   a truncated or padded stream fails loudly, and a join that spills its
   shuffle and its intermediate to disk equals the in-memory one.
@@ -20,10 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
-from repro.core.geometry import ANCHOR_CODES, anchor_codes, anchor_intervals
+from repro.core.geometry import anchor_codes, anchor_intervals
 from repro.datasets import generate_osm
-from repro.joins import get_join, plan_join
+from repro.joins import JoinConfig, get_join, plan_join
 from repro.joins.kernels import _codes_admit
+from repro.joins.partition_job import run_partitioning_job
 from repro.joins.registry import JoinPlan, execute_join_plan
 from repro.mapreduce import RecordBlock, decode_record_block, encode_record_block
 from repro.mapreduce.serialization import encode_block
@@ -36,10 +40,10 @@ def coded(points, pivots, metric_name):
     rows of the pivot matrix and the decoded ``(mids, radius)``."""
     partitioner = VoronoiPartitioner(pivots, get_metric(metric_name))
     pids, dists, anchor_dists = partitioner.assign_points(points)
-    code_rows = partitioner.pivot_distance_matrix()[partitioner.anchor_index()[0][:ANCHOR_CODES]]
+    code_rows = partitioner.pivot_distance_matrix()[partitioner.anchor_index()[0]]
     codes = anchor_codes(anchor_dists, pids, dists, code_rows)
-    truth = anchor_dists[:, : code_rows.shape[0]]
-    return pids, dists, codes, truth, code_rows, anchor_intervals(codes, pids, dists, code_rows)
+    intervals = anchor_intervals(codes, pids, dists, code_rows)
+    return pids, dists, codes, anchor_dists, code_rows, intervals
 
 
 @st.composite
@@ -67,7 +71,7 @@ class TestCodes:
         points, pivots, metric_name = world
         _, _, codes, truth, code_rows, (mids, radius) = coded(points, pivots, metric_name)
         assert codes.dtype == np.uint8
-        assert codes.shape == (len(points), min(ANCHOR_CODES, code_rows.shape[0]))
+        assert codes.shape == (len(points), code_rows.shape[0])
         assert (np.abs(truth.T - mids) <= radius).all()
 
     def test_a_code_is_a_256th_of_the_triangle_interval(self):
@@ -84,9 +88,31 @@ class TestCodes:
         assert (np.abs(truth.T - mids) <= radius).all()
 
 
-def collinear_world(seed):
+@pytest.mark.parametrize("num_pivots", (1, 9, 15, 16, 40, 160))
+def test_the_mapper_ships_a_code_per_anchor(num_pivots):
+    """Each row carries exactly ``A`` codes, the anchor index's own: all ``M``
+    below 16 pivots, the count the master chose from the pivot matrix above."""
+    rng = np.random.default_rng(num_pivots)
+    data = Dataset(rng.random((400, 3)), name="d")
+    pivots = data.points[rng.choice(len(data), num_pivots, replace=False)]
+    with JoinConfig(k=4, split_size=128).make_runtime() as runtime:
+        result = run_partitioning_job(data, data, pivots, JoinConfig(split_size=128), runtime)
+    partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
+    anchors = partitioner.anchor_index()[0]
+    if num_pivots < 16:
+        assert anchors.tolist() == list(range(num_pivots))
+    for _, block in result.outputs:
+        assert block.anchor_codes.shape == (len(block), anchors.size)
+        _, dists, anchor_dists = partitioner.assign_points(block.points)
+        code_rows = partitioner.pivot_distance_matrix()[anchors]
+        expected = anchor_codes(anchor_dists, block.partition_ids, dists, code_rows)
+        assert np.array_equal(block.anchor_codes, expected)
+
+
+def collinear_world(seed, extra_pivots=0):
     """The ring cut's hard case at large coordinates: objects on one random line
-    through a pivot, at integer steps of 1e9–1e12, three pivots, l1 or l2."""
+    through a pivot, at integer steps of 1e9–1e12, three pivots (and
+    ``extra_pivots`` more, anywhere in the cube), l1 or l2."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.integers(9, 13)
     direction = rng.random(3)
@@ -96,16 +122,23 @@ def collinear_world(seed):
         origin + np.outer(rng.integers(0, 30, count).astype(float), direction) * scale
         for count in (20, 40)
     )
-    pivots = np.vstack([origin, origin + direction * scale * 31, origin + rng.random(3) * scale])
+    pivots = np.vstack(
+        [origin, origin + direction * scale * 31, origin + rng.random(3) * scale]
+        + [origin + rng.random(3) * scale * 31 for _ in range(extra_pivots)]
+    )
     return r_points, s_points, pivots, ("l2", "l1")[seed % 2]
 
 
+@pytest.mark.parametrize("extra_pivots", (0, 10), ids=("3-anchors", "13-anchors"))
 @pytest.mark.parametrize("seed", range(40))
-def test_the_code_filter_never_rejects_a_pair_within_theta_on_collinear_worlds(seed):
+def test_the_code_filter_never_rejects_a_pair_within_theta_on_collinear_worlds(seed, extra_pivots):
     """Every pair passes the filter at theta = its own distance, so no theta
-    a row can hold drops a pair within it."""
-    r_points, s_points, pivots, metric_name = collinear_world(seed)
-    r_side = coded(r_points, pivots, metric_name)[-1]
+    a row can hold drops a pair within it — with a code per anchor, ``C =
+    A`` (every pivot below 16)."""
+    r_points, s_points, pivots, metric_name = collinear_world(seed, extra_pivots)
+    r_coded = coded(r_points, pivots, metric_name)
+    assert r_coded[2].shape[1] == len(pivots)
+    r_side = r_coded[-1]
     s_side = coded(s_points, pivots, metric_name)[-1]
     dists = get_metric(metric_name).cross_distances(r_points, s_points)
     (r_mids, r_radius), (s_mids, s_radius) = r_side, s_side
@@ -182,7 +215,7 @@ def test_spill_equals_memory_with_codes(name):
         RecordBlock.gather(block for _, block in jobs[0].outputs)
         for jobs in (memory_jobs, spill_jobs)
     ]
-    assert 1 <= partitioned[0].anchor_codes.shape[1] <= ANCHOR_CODES
+    assert partitioned[0].anchor_codes.shape[1] >= 1
     assert np.array_equal(partitioned[0].anchor_codes, partitioned[1].anchor_codes)
     assert list(memory.result.pairs()) == list(spill.result.pairs())
     assert memory.counters.as_dict() == spill.counters.as_dict()

@@ -87,7 +87,7 @@ def candidates(*rows):
     block = NeighborBlock.from_lists(
         (r_id, np.array(ids), np.array(dists, dtype=float)) for r_id, ids, dists in rows
     )
-    return list(candidate_emissions(block, Context("t", {"merge_reducers": 2}, 4)))
+    return list(candidate_emissions(block, Context("t", {"merge_reducers": 2}, 4), np.int64))
 
 
 def run_merge_job(pairs, config):

@@ -25,8 +25,11 @@ from repro.mapreduce.types import COORDINATE_DTYPES, ROLE_BOTH, ROLE_R, ROLE_S
 
 RUNGS = [pytest.param(dtype, id=dtype.name) for dtype in COORDINATE_DTYPES]
 
-#: header bytes: magic, rows, dims, anchor codes, coordinate dtype
-HEADER = struct.Struct("<4sIIIB")
+#: header bytes: magic, rows, dims, anchor codes, then the coordinate, id
+#: and cell id dtypes
+HEADER = struct.Struct("<4sIIIBBB")
+#: offset of the coordinate dtype byte
+DTYPE_BYTE = 16
 
 
 def rung_block(dtype, rows=7, dims=3, codes=0, seed=0) -> RecordBlock:
@@ -65,7 +68,7 @@ class TestEveryRung:
     def test_roundtrip_keeps_dtype_and_bytes(self, dtype, codes):
         block = rung_block(dtype, codes=codes)
         data = encode_record_block(block)
-        assert data[HEADER.size - 1] == COORDINATE_DTYPES.index(dtype)
+        assert data[DTYPE_BYTE] == COORDINATE_DTYPES.index(dtype)
         decoded = decode_record_block(data)
         assert decoded.points.dtype == dtype
         assert_same_block(decoded, block)
@@ -102,7 +105,7 @@ class TestEveryRung:
         for other in range(len(COORDINATE_DTYPES)):
             if COORDINATE_DTYPES[other].itemsize == dtype.itemsize:
                 continue
-            data[HEADER.size - 1] = other
+            data[DTYPE_BYTE] = other
             with pytest.raises(ValueError, match="RecordBlock stream: header declares"):
                 decode_record_block(bytes(data))
 
@@ -117,7 +120,7 @@ class TestEveryRung:
 @pytest.mark.parametrize("byte", (len(COORDINATE_DTYPES), 7, 255))
 def test_unknown_dtype_byte_is_refused(byte):
     data = bytearray(encode_record_block(rung_block(np.dtype(np.int16))))
-    data[HEADER.size - 1] = byte
+    data[DTYPE_BYTE] = byte
     with pytest.raises(ValueError, match=f"unknown RecordBlock coordinate dtype {byte}"):
         decode_record_block(bytes(data))
 

@@ -333,10 +333,12 @@ class TestStructure:
         # partitioner's anchor count from the pivot matrix,
         # "c10a6a0fa41f42aa166cefec01c7d3cc971bc9f9"; version 10 ships anchor
         # codes and an int32 cell id, "e64f909c9c3e2a971c6b44d01c578700fca564d9";
-        # version 11 ships coordinates in the narrowest exact dtype)
+        # version 11 ships coordinates in the narrowest exact dtype,
+        # "34d6a829489cffd37691e287cf86fc1b402796e7"; version 12 ships codes of
+        # every anchor and ids and cell ids in their narrowest dtypes)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "34d6a829489cffd37691e287cf86fc1b402796e7"
+            == "c8cef590313aa0b35ad5a9f23846ffe41ce0cfd1"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

@@ -14,7 +14,7 @@ from repro.mapreduce import (
     split_records,
 )
 from repro.mapreduce.splits import self_join_splits
-from repro.mapreduce.types import ROLE_BOTH, ROLE_R, ROLE_S
+from repro.mapreduce.types import ID_DTYPES, ROLE_BOTH, ROLE_R, ROLE_S
 
 
 class TestEstimateBytes:
@@ -52,16 +52,19 @@ class TestEstimateBytes:
 
     def test_protocol_object(self):
         row = RecordBlock.of_objects(ROLE_R, np.array([1]), np.zeros((1, 3)))
-        # 1 role + 8 id + 24 coords + 4 pid + 8 dist (no anchor codes)
-        assert estimate_bytes(row) == 45
+        # 1 role + 8 id + 24 coords + 1 unassigned (int8) pid + 8 dist (no
+        # anchor codes); 45 while the cell id was an int32
+        assert estimate_bytes(row) == 42
         row.anchor_codes = np.zeros((1, 3), dtype=np.uint8)
-        assert estimate_bytes(row) == 48
+        assert estimate_bytes(row) == 45
+        row.object_ids, row.partition_ids = row.object_ids.astype(np.int16), np.zeros(1, np.int32)
+        assert estimate_bytes(row) == 45 - 6 + 3
 
     def test_payload_counts(self):
         with_payload = RecordBlock.of_objects(
             ROLE_S, np.array([1]), np.zeros((1, 3)), np.array([100])
         )
-        assert estimate_bytes(with_payload) == 145
+        assert estimate_bytes(with_payload) == 142
 
     def test_unsupported_raises(self):
         with pytest.raises(TypeError, match="estimate"):
@@ -150,9 +153,8 @@ class TestSplits:
     def _row_facts(pairs):
         facts = []
         for key, block in pairs:
-            assert (block.role.dtype, block.object_ids.dtype, block.payloads.dtype) == (
-                np.uint8, np.int64, np.int64
-            )
+            assert (block.role.dtype, block.payloads.dtype) == (np.uint8, np.int64)
+            assert block.object_ids.dtype in ID_DTYPES
             facts += [
                 (
                     key,
@@ -171,7 +173,8 @@ class TestSplits:
     def test_dataset_splits_equal_the_chunked_blocks(self, split_size, with_payload):
         """``dataset_splits`` == ``split_records`` over one whole-dataset
         block per side, row for row, R/S-straddling splits included — with
-        the id, point and payload columns left as views of the datasets."""
+        the point and payload columns left as views of the datasets, and the
+        ids in the narrowest dtype that holds both datasets' (int8 here)."""
         rng = np.random.default_rng(4)
 
         def payload(n):
@@ -191,7 +194,7 @@ class TestSplits:
             assert self._row_facts(split.records) == self._row_facts(reference.records)
             for tag, block in split.records:
                 data = r if tag == "R" else s
-                assert np.shares_memory(block.object_ids, data.ids)
+                assert block.object_ids.dtype == np.int8
                 assert np.shares_memory(block.points, data.points)
                 if with_payload:
                     assert np.shares_memory(block.payloads, data.payload_bytes)
@@ -205,7 +208,7 @@ class TestSplits:
         blob = pickle.dumps(split, protocol=pickle.HIGHEST_PROTOCOL)
         # the six columns of both halves (tag, id, 4 coords, payload, cell,
         # distance), plus small framing — no per-row objects
-        assert len(blob) < 2 * 2000 * (1 + 8 + 4 * 8 + 8 + 8 + 8) + 2048
+        assert len(blob) < 2 * 2000 * (1 + 2 + 4 * 8 + 8 + 1 + 8) + 2048
         restored = pickle.loads(blob)
         assert restored.logical_records == 4000
         assert self._row_facts(restored.records) == self._row_facts(split.records)

@@ -193,7 +193,7 @@ class TestWireFormat:
     def test_inconsistent_row_lengths_rejected(self):
         block = as_block(sample_lists(4, seed=11, max_len=3))
         encoded = bytearray(encode_neighbor_block(block))
-        first_length = 12 + 8 * len(block)  # header, then r_ids, then lengths
+        first_length = 14 + 8 * len(block)  # header, then r_ids, then lengths
         encoded[first_length : first_length + 8] = np.int64(999).tobytes()
         with pytest.raises(ValueError, match="corrupt NeighborBlock"):
             decode_neighbor_block(bytes(encoded))
@@ -295,7 +295,7 @@ class TestMergeCandidates:
     def test_reducer_and_result_assembly(self):
         lists = sample_lists(12, seed=13, max_len=5)
         producer = Context("t", {"merge_reducers": 3}, 9)
-        emissions = list(candidate_emissions(as_block(lists), producer))
+        emissions = list(candidate_emissions(as_block(lists), producer, np.int32))
         assert [key for key, _ in emissions] == [0, 1, 2]
         reducer = CandidateMergeReducer()
         reducer.setup(Context("t", {"k": 2}, 3))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
-from repro.core.geometry import ANCHOR_CODES, anchor_codes
+from repro.core.geometry import anchor_codes
 from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, BlockJoinConfig, JoinConfig, PgbjConfig
 from repro.joins.partition_job import (
     SKIPPED_NAME,
@@ -62,9 +62,7 @@ class TestJobOutput:
             rows = slice(32 * task, 32 * (task + 1))
             partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
             cells, dists, anchor_dists = partitioner.assign_points(all_points[rows])
-            code_rows = partitioner.pivot_distance_matrix()[
-                partitioner.anchor_index()[0][:ANCHOR_CODES]
-            ]
+            code_rows = partitioner.pivot_distance_matrix()[partitioner.anchor_index()[0]]
             assert np.all(np.diff(block.partition_ids) >= 0)
             order = np.argsort(cells, kind="stable")  # equal cells keep input order
             assert np.array_equal(block.object_ids, all_ids[rows][order])

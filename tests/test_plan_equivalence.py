@@ -371,21 +371,27 @@ class TestMergeJobProducersPinned:
     dearer by more, and from 13 943, when two anchors' distances began
     filtering every scanned pair, and from 11 720, when the anchor distances
     arrived as codes from the partitioning job and a row's theta started at
-    its own bound.  The bytes fell by 4 per object row when the cell id
+    its own bound, and from 9 817, when every row carried codes of all 12
+    anchors (below 16 pivots every pivot is one), not the first 4.  The
+    bytes fell by 4 per object row when the cell id
     became an int32: 117 600 for ``hbrj`` and ``ijoin``, 121 216 for
     ``zorder``; ``pbj``'s rows gained as many bytes of anchor codes.  ``zorder``
     was re-pinned whole when its grid became a cube and its default two curve
     copies: before, ``("0de74e370e6002bc", 3557, 676, 1876, 184988)``.  The
     bytes fell again by 60 per object row, 6 per coordinate, when this
     integral world's coordinates began to ship as int16: from 114 400 for
-    ``hbrj`` and ``ijoin``, 117 600 for ``pbj`` and 117 888 for ``zorder``.)"""
+    ``hbrj`` and ``ijoin``, 117 600 for ``pbj`` and 117 888 for ``zorder``.
+    And again when ids began to ship as int16 (these 200 ids) and cell ids
+    as int8 (12 cells, or none assigned): 9 bytes fewer per object row and 6
+    per candidate, from 66 400 for ``hbrj`` and ``ijoin`` and 67 968 for
+    ``zorder``; ``pbj``'s rows gained 8 codes of the 9, from 69 600.)"""
 
     #: join -> (sha1 of (r id, neighbour ids) rows, pairs, replicas, records, bytes)
     PINNED = {
-        "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 66400),
-        "pbj": ("124cb21fb9bbe9a5", 9817, 400, 1200, 69600),
-        "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 66400),
-        "zorder": ("f7cc7c3009292dc9", 2369, 432, 1232, 67968),
+        "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 52000),
+        "pbj": ("124cb21fb9bbe9a5", 9262, 400, 1200, 61600),
+        "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 52000),
+        "zorder": ("f7cc7c3009292dc9", 2369, 432, 1232, 53280),
     }
 
     @pytest.mark.parametrize("fused", (False, True), ids=("chained", "fused"))
@@ -425,13 +431,14 @@ class TestFinalOutputsPinned:
     anchors' distances filtered every scanned pair, 9 133 before an
     object's own-group row of both roles computed its anchor distances once,
     and 8 733 before the anchor distances arrived as codes from the
-    partitioning job and a row's theta started at its own bound)."""
+    partitioning job and a row's theta started at its own bound, and 7 292
+    before every row carried codes of all 12 anchors, not the first 4)."""
 
     #: join -> (sha1 of (r id, neighbour ids, distance bytes) rows, pairs,
     #: final job's output_bytes, its reduce tasks' output records)
     PINNED = {
         "broadcast": ("6a7ec171f4ee3716", 40000, 13600, 200),
-        "pgbj": ("6a7ec171f4ee3716", 7292, 13600, 200),
+        "pgbj": ("6a7ec171f4ee3716", 6736, 13600, 200),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
