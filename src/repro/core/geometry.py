@@ -21,16 +21,21 @@ of a bound on those distances, since their rounding grows with the
 coordinate scale; so does the Euclidean hyperplane distance, of
 ``(|q, p_i|² + |q, p_j|²) / 2|p_i, p_j|`` — its difference of squares
 cancels, and the cancelled rounding is divided by the pivots' gap, which a
-dense cluster makes tiny next to a far query.
+dense cluster makes tiny next to a far query.  The Theorem 2 ring gives up
+``PRUNE_RTOL`` of ``|q, p_j| + theta`` at each end.
 
 Anchor codes carry an object's distance ``|o, a|`` to an anchor pivot ``a``
 in one byte: the triangle inequality puts it in ``[| |p, a| - |o, p| |, |p,
 a| + |o, p|]`` around the object's own pivot ``p``, and the code names one of
 256 equal steps of that interval.  Coding and decoding read only ``|o, p|``
-and the pivot matrix, so no distance is computed at either end.
+and the pivot matrix, so no distance is computed at either end.  A cell's
+decoded ranges around an anchor bound ``|r, s|`` for all of its members at
+once (:func:`anchor_ranges`, :func:`anchor_reach`, :func:`anchor_range_gaps`).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,6 +44,9 @@ __all__ = [
     "PRUNE_RTOL",
     "anchor_codes",
     "anchor_intervals",
+    "anchor_range_gaps",
+    "anchor_ranges",
+    "anchor_reach",
     "hyperplane_distance",
     "hyperplane_distances",
     "partition_pruned_by_hyperplane",
@@ -86,6 +94,45 @@ def anchor_intervals(codes, pids, own_dists, code_rows):
     lo, step, hi = _code_steps(pids, own_dists, code_rows)
     mids = lo + (codes.T + 0.5) * step
     return mids, step.max(axis=0) / 2 + PRUNE_RTOL * hi.max(axis=0) + PRUNE_EPS
+
+
+def anchor_ranges(mids, radius, offsets):
+    """``(lo, hi)``, ``(C, cells)``: per code anchor the hull of the ranges
+    ``[mid - radius, mid + radius]`` that hold ``|o, a|``
+    (:func:`anchor_intervals`) of each cell's objects, ``[offsets[c],
+    offsets[c + 1])`` (none empty), each end moved out by ``PRUNE_RTOL`` of
+    the larger one.  That slack, and the row's in :func:`anchor_range_gaps`,
+    cover the rounding of sums taken in another order than the per-pair
+    filter's ``|mid_r - mid_s| > theta + radius_r + radius_s``: a (row, cell)
+    gap above theta fails that filter for every member."""
+    lo = np.minimum.reduceat(mids - radius, offsets[:-1], axis=1)
+    hi = np.maximum.reduceat(mids + radius, offsets[:-1], axis=1)
+    slack = PRUNE_RTOL * np.maximum(np.abs(lo), np.abs(hi))
+    return lo - slack, hi + slack
+
+
+def anchor_reach(mids, radius):
+    """Per row the radius :func:`anchor_range_gaps` takes off its gaps: the
+    row's ``radius`` (:func:`anchor_intervals`) and ``PRUNE_RTOL`` of its
+    largest end.  Computed once per block of rows, not per pair."""
+    return radius + PRUNE_RTOL * (mids.max(axis=0) + radius)
+
+
+def anchor_range_gaps(r_mids, r_reach, rows, lo, hi, cells):
+    """Per pair ``(rows[i], cells[i])`` a lower bound on ``|r, s|`` for every
+    member ``s`` of the cell: ``max_a max(mid_r - hi, lo - mid_r) - reach_r``
+    over the code anchors, the row's decoded codes (``rows`` index the
+    columns of :func:`anchor_intervals`' arrays and :func:`anchor_reach`'s)
+    against the cell's ranges (``cells`` index :func:`anchor_ranges`'
+    columns).  An anchor at a time, into reused buffers: memory per pair,
+    not per pair and anchor."""
+    gaps = np.full(rows.shape, -np.inf)
+    mid, end, gap = np.empty(rows.shape), np.empty(rows.shape), np.empty(rows.shape)
+    for mids_a, lo_a, hi_a in zip(r_mids, lo, hi):
+        mids_a.take(rows, out=mid)
+        np.maximum(gaps, np.subtract(mid, hi_a.take(cells, out=end), out=gap), out=gaps)
+        np.maximum(gaps, np.subtract(lo_a.take(cells, out=end), mid, out=gap), out=gaps)
+    return np.subtract(gaps, r_reach.take(rows, out=end), out=gaps)
 
 
 def hyperplane_distance(
@@ -209,10 +256,14 @@ def ring_bounds(
     """Theorem 2 ring ``[lo, hi]`` of admissible pivot distances.
 
     ``lower``/``upper`` are ``L(P_j)`` / ``U(P_j)`` from the summary table.
-    An empty ring (``lo > hi``) means no object of the cell qualifies.
+    An empty ring (``lo > hi``) means no object of the cell qualifies.  Each
+    end moves out by ``PRUNE_EPS`` and ``PRUNE_RTOL`` of ``|q, p_j| + theta``
+    (theta counted when finite): the rounding of the computed distances it
+    is made of, at any coordinate scale.
     """
-    lo = max(lower, dist_q_pj - theta) - PRUNE_EPS
-    hi = min(upper, dist_q_pj + theta) + PRUNE_EPS
+    slack = PRUNE_EPS + PRUNE_RTOL * (dist_q_pj + (theta if math.isfinite(theta) else 0.0))
+    lo = max(lower, dist_q_pj - theta) - slack
+    hi = min(upper, dist_q_pj + theta) + slack
     return lo, hi
 
 
@@ -245,7 +296,8 @@ def ring_slices(
     ``dist_q_pj`` and ``theta`` are aligned per-query arrays; returns
     ``(starts, stops)`` index arrays.  ``theta = +inf`` degenerates to the
     full slice (the ring covers the cell's whole occupied band), matching the
-    per-record path's explicit full-scan branch.
+    per-record path's explicit full-scan branch; the ends' slack is
+    :func:`ring_bounds`'.
 
     With ``segment`` the queries go against *different* cells of one
     concatenated array: ``sorted_pivot_dists`` is then its
@@ -255,8 +307,9 @@ def ring_slices(
     lexicographically — no arithmetic touches the distances, so each slice is
     exactly the per-cell one shifted by the cell's offset.
     """
-    lo = np.maximum(lower, dist_q_pj - theta) - PRUNE_EPS
-    hi = np.minimum(upper, dist_q_pj + theta) + PRUNE_EPS
+    slack = PRUNE_EPS + PRUNE_RTOL * (dist_q_pj + np.where(np.isfinite(theta), theta, 0.0))
+    lo = np.maximum(lower, dist_q_pj - theta) - slack
+    hi = np.minimum(upper, dist_q_pj + theta) + slack
     empty = lo > hi
     if segment is not None:
         lo, hi = segment_keys(segment, lo), segment_keys(segment, hi)

@@ -2,7 +2,7 @@
 
 The kernel answers, inside one reducer, the kNN of every ``r`` it received
 against the S objects it received, using the paper's three pruning levels
-and a fourth built from its Theorem 2:
+and two more built from its Theorem 2:
 
 1. scan candidate S-partitions in ascending pivot-distance order, so good
    candidates appear early and ``theta`` tightens fast (line 14);
@@ -15,7 +15,14 @@ and a fourth built from its Theorem 2:
    ``r`` around each *anchor* of the partitioner before gathering it: ``|
    |r, a| - |s, a| | > theta`` (the LAESA filter the partitioner applies to
    pivots), with ``|o, a|`` known only to the byte its partitioning job
-   shipped.
+   shipped;
+5. before ``|r, p_j|`` is computed, drop a whole (row, cell) pair whose
+   ranges around some anchor lie more than ``theta`` apart: the row's ``[mid
+   - radius, mid + radius]`` and the hull of the cell members'
+   (:func:`~repro.core.geometry.anchor_ranges`), own cell included.  Every
+   member fails rule 4, so only object-pivot pairs are meant to be spared;
+   the scans' pairs are measured equal, not guaranteed, since a skipped
+   ``|r, p_j|`` never joins the row's nearest computed pivots below.
 
 The same kernel serves PGBJ (bounds from the global summary tables) and PBJ
 (bounds recomputed locally over the reducer's random block of S, which is why
@@ -42,15 +49,17 @@ rules at a lower bound on ``|r, p_j|``, against the running ``theta +
 PRUNE_EPS``, each under its ablation switch — cannot decide the (row, cell)
 pair, and never for the row's own cell (identified by cell id), whose
 distance the partitioning job shipped.  The own pivot's bound ``|p_i, p_j| -
-|r, p_i|`` judges every pair; the pairs it leaves undecided are judged again
-with ``max_k | |r, p_k| - |p_k, p_j| |`` over the row's ``_NEAREST_COMPUTED``
-nearest computed pivots (:func:`~repro.core.geometry.triangle_lower_bound`).
-Both rules are monotone in ``|r, p_j|``, so a bound rejects only cells the
-distance would have.  The window rule keeps numpy overhead per *window*: at
-the start of each step window ``[0,1) [1,2) [2,4) [4,8) ...`` the bounds are
-evaluated for every (row, step) of the window with the theta of that moment,
-the admitted pairs go through one gathered ``metric.pair_distances`` call,
-and the rows' nearest computed pivots are updated from them.
+|r, p_i|`` judges every pair, then the cell's anchor ranges (rule 5, under
+ring pruning when codes are present); the pairs they leave undecided are
+judged again with ``max_k | |r, p_k| - |p_k, p_j| |`` over the row's
+``_NEAREST_COMPUTED`` nearest computed pivots
+(:func:`~repro.core.geometry.triangle_lower_bound`).  Both rules are monotone
+in ``|r, p_j|``, so a bound rejects only cells the distance would have.  The
+window rule keeps numpy overhead per *window*: at the start of each step
+window ``[0,1) [1,2) [2,4) [4,8) ...`` the bounds are evaluated for every
+(row, step) of the window with the theta of that moment, the admitted pairs
+go through one gathered ``metric.pair_distances`` call, and the rows'
+nearest computed pivots are updated from them.
 
 The own cell from its ring centre outward (under ring pruning): round 0
 scans the ``k`` ring entries centred on where ``|r, p_i|`` falls among the
@@ -100,6 +109,9 @@ from repro.core.distance import Metric
 from repro.core.geometry import (
     PRUNE_EPS,
     anchor_intervals,
+    anchor_range_gaps,
+    anchor_ranges,
+    anchor_reach,
     hyperplane_distances,
     partition_pruned_by_hyperplane,
     pivot_distance_needed,
@@ -660,6 +672,7 @@ def knn_join_kernel(
             np.concatenate([s_blocks[pid].codes for pid in present]),
             np.repeat(present, s_sizes), s_all.pivot_dists, code_rows,
         )
+        s_lo, s_hi = anchor_ranges(s_mids, s_radius, s_offsets)
     lower, upper = np.array([ring_stats[pid] for pid in present], dtype=np.float64).T
 
     # line 14 for every R-partition at once: column c is the scan order of
@@ -698,6 +711,7 @@ def knn_join_kernel(
                 np.repeat(tile_cells, tile_sizes), own_dists, code_rows,
             )
             anchors = (r_mids, s_mids, r_radius, s_radius)
+            r_reach = anchor_reach(r_mids, r_radius)
 
         offsets = [thetas[pid] - _upper(r_blocks, uppers, pid) for pid in tile_cells]
         theta = np.repeat(np.array(offsets, dtype=np.float64), tile_sizes) + own_dists
@@ -731,6 +745,15 @@ def knn_join_kernel(
             )
             at_step, at_row = np.nonzero(np.broadcast_to(needed, visits.shape))
             at_visit, at_gap = visits[at_step, at_row], gaps[at_step, at_row]
+            if coded:
+                # the cell's anchor ranges: every member beyond theta
+                keep = np.flatnonzero(
+                    anchor_range_gaps(r_mids, r_reach, at_row, s_lo, s_hi, at_visit)
+                    <= theta[at_row] + PRUNE_EPS
+                )
+                at_step, at_row, at_visit, at_gap = (
+                    at_step[keep], at_row[keep], at_visit[keep], at_gap[keep]
+                )
             if anything_learned:
                 # a slot at a time: memory per pair, not per pair and slot
                 bound = triangle_lower_bound(
@@ -858,6 +881,11 @@ def knn_join_kernel_reference(
             pid: anchor_intervals(block.codes, np.full(len(block), pid), block.pivot_dists, code_rows)
             for pid, block in s_blocks.items()
         }
+        s_lo, s_hi = anchor_ranges(
+            np.hstack([s_codes[pid][0] for pid in present]),
+            np.concatenate([s_codes[pid][1] for pid in present]),
+            np.cumsum([0] + [len(s_blocks[pid]) for pid in present]),
+        )
 
     for pid_r in sorted(r_blocks):
         r_block = r_blocks[pid_r]
@@ -867,6 +895,7 @@ def knn_join_kernel_reference(
             r_mids, r_radius = anchor_intervals(
                 r_block.codes, np.full(len(r_block.ids), pid_r), r_block.pivot_dists, code_rows
             )
+            r_reach = anchor_reach(r_mids, r_radius)
         order = sorted(range(len(present)), key=lambda idx: pdm_row[present[idx]])
 
         for row in range(r_block.ids.shape[0]):
@@ -901,7 +930,14 @@ def knn_join_kernel_reference(
             for first_step, window_end in _step_windows(len(order)):
                 # the window rule of knn_join_kernel, one record at a time
                 wanted = []
-                for idx in order[first_step:window_end]:
+                window = order[first_step:window_end]
+                if coded:
+                    # the cells' anchor ranges: every member beyond theta
+                    far = anchor_range_gaps(
+                        r_mids, r_reach, np.full(len(window), row), s_lo, s_hi, np.array(window)
+                    ) > theta + PRUNE_EPS
+                    window = [idx for idx, beyond in zip(window, far) if not beyond]
+                for idx in window:
                     gap, upper = float(pdm_row[present[idx]]), ring_stats[present[idx]][1]
                     bound = triangle_lower_bound(
                         ((dist, pdm_present[near, idx]) for dist, near in nearest), scale

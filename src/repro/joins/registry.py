@@ -185,7 +185,9 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: ships anchor codes and an int32 cell id, so its rows changed.  11: rows
 #: carry their coordinates in the join's narrowest exact dtype.  12: rows carry
 #: codes of every anchor, and ids and cell ids in their narrowest dtypes.
-RESULTS_VERSION = 12
+#: 13: reducers judge a (row, cell) pair by the cell's anchor ranges, so the
+#: kNN stages' counters changed.
+RESULTS_VERSION = 13
 
 
 def plan_identity(

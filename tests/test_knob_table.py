@@ -335,10 +335,12 @@ class TestStructure:
         # codes and an int32 cell id, "e64f909c9c3e2a971c6b44d01c578700fca564d9";
         # version 11 ships coordinates in the narrowest exact dtype,
         # "34d6a829489cffd37691e287cf86fc1b402796e7"; version 12 ships codes of
-        # every anchor and ids and cell ids in their narrowest dtypes)
+        # every anchor and ids and cell ids in their narrowest dtypes,
+        # "c8cef590313aa0b35ad5a9f23846ffe41ce0cfd1"; version 13 judges each
+        # (row, cell) pair by the cell's anchor ranges)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "c8cef590313aa0b35ad5a9f23846ffe41ce0cfd1"
+            == "09f7690e44ad6e5bf7572ceb255a51e52ac4a58a"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()
