@@ -20,8 +20,8 @@ Running a join (PGBJ is the paper's algorithm)::
 
 Every algorithm is registered as a declarative plan builder:
 :func:`run_join` resolves the name, builds its
-:class:`~repro.mapreduce.plan.JobGraph` and executes the stages (independent
-ones concurrently) on one runtime; ``available_joins()`` lists the registry.
+:class:`~repro.mapreduce.plan.JobGraph` and executes its stages in order on
+one runtime; ``available_joins()`` lists the registry.
 Baselines, by the same call: ``"hbrj"`` (R-tree block join), ``"pbj"``
 (pruning without grouping), ``"broadcast"`` (naive).  All are exact and agree
 with the brute-force join.  The related operators take their extra arguments

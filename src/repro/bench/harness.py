@@ -103,10 +103,9 @@ def run_algorithm(name: str, r: Dataset, s: Dataset, **overrides) -> JoinOutcome
     The algorithm's :class:`~repro.joins.registry.JoinSpec` filters the
     default knob union down to what its config accepts, so one runner serves
     every algorithm.
-    Overrides pass straight through — including the plan knobs
-    (``plan_cache`` to share stage results across a sweep,
-    ``plan_concurrency=False`` to force sequential stages) and
-    ``shared_executor`` for one warm pool across a pipeline.  A knob this
+    Overrides pass straight through — including ``plan_cache`` to share
+    stage results across a sweep and ``shared_executor`` for one warm pool
+    across a pipeline.  A knob this
     algorithm's config doesn't accept is dropped only if *some* registered
     algorithm accepts it (cross-algorithm sweeps hand every runner the same
     overrides); a name no config knows is a typo and raises.

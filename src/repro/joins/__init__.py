@@ -12,10 +12,10 @@ selectivity and shuffling cost — the paper's three measurements, exposed on
 Every algorithm (the approximate z-order join and the closest-pairs /
 range-selection operators included) is registered as a *plan builder*: it
 describes its MapReduce pipeline as a :class:`~repro.mapreduce.plan.JobGraph`
-whose stages a :class:`~repro.mapreduce.plan.PlanScheduler` executes —
-concurrently where dependencies allow, with content-keyed stage reuse across
-sweeps.  :func:`run_join` (or :func:`plan_join` + :func:`run_join_plans`) is
-the one way to run any of them, by registry name.
+whose stages a :class:`~repro.mapreduce.plan.PlanScheduler` executes in
+declaration order, with stage reuse across sweeps and restarts when a plan
+cache is configured.  :func:`run_join` is the one way to run any of them, by
+registry name (:func:`plan_join` builds a plan without running it).
 """
 
 # importing the algorithm modules populates the registry
@@ -38,7 +38,6 @@ from .registry import (
     get_join,
     plan_join,
     run_join,
-    run_join_plans,
 )
 from .zorder import ZOrderConfig, recall_against
 
@@ -60,5 +59,4 @@ __all__ = [
     "get_join",
     "plan_join",
     "run_join",
-    "run_join_plans",
 ]

@@ -29,7 +29,7 @@ from repro.core.result import KnnJoinResult
 from repro.mapreduce.hdfs import DistributedFileSystem
 from repro.mapreduce.job import BlockBufferingMapper, Context, Mapper, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import HashPartitioner, ModPartitioner
-from repro.mapreduce.plan import FusedOutput, JobGraph, PlanRun, Stage
+from repro.mapreduce.plan import JobGraph, PlanRun, Stage
 from repro.mapreduce.splits import split_records
 from repro.mapreduce.types import ROLE_R, ROLE_S, NeighborBlock, RecordBlock, ranks_within
 
@@ -45,7 +45,6 @@ __all__ = [
     "merge_candidates",
     "merged_result",
     "chain_splits",
-    "fused_or_chained",
     "merge_job_spec",
     "merge_stage",
     "knn_outcome_assembler",
@@ -183,31 +182,11 @@ def chain_splits(
     one, the records are sliced in place, the historical path.  Chunk
     boundaries are identical either way, so task layout and all accounting
     are unaffected by where the intermediate lives.
-
-    ``config.stage_fusion`` short-circuits the DFS round trip: the records
-    are sliced in place even when a DFS was handed in, skipping a full
-    write+read of the intermediate (for out-of-core configs, a disk round
-    trip).  Because both paths use the same record-weighted chunker, split
-    boundaries — and therefore results, counters and shuffle accounting —
-    are bit-identical; the intermediate simply stays in RAM.
     """
-    if dfs is None or config.stage_fusion:
+    if dfs is None:
         return split_records(records, config.split_size)
     dfs.put(name, records)
     return dfs.splits(name)
-
-
-def fused_or_chained(config: JoinConfig, dfs, name: str, ctx, upstream):
-    """Splits value for a stage whose mapper only re-keys nothing: either a
-    :class:`~repro.mapreduce.plan.FusedOutput` marker (``stage_fusion`` on —
-    the upstream stage's pairs feed the shuffle directly, the identity map
-    phase and any DFS round trip are skipped) or the historical
-    :func:`chain_splits` over the upstream outputs.  Bit-identical either
-    way: reduce input order is the producer's global emission order in both.
-    """
-    if config.stage_fusion:
-        return FusedOutput(upstream)
-    return chain_splits(config, dfs, name, ctx.result_of(upstream).outputs)
 
 
 def merge_job_spec(config: JoinConfig) -> MapReduceJob:
@@ -232,11 +211,11 @@ def merge_stage(
     graph: JobGraph, config: JoinConfig, dfs: DistributedFileSystem | None, upstream: Stage
 ) -> Stage:
     """Add ``<graph>/merge``: :func:`merge_job_spec` over the candidate lists
-    ``upstream`` emitted, fused or chained as ``config.stage_fusion`` says."""
+    ``upstream`` emitted, chained through ``dfs``."""
 
     def build_merge(ctx):
-        return merge_job_spec(config), fused_or_chained(
-            config, dfs, "merge-input", ctx, upstream
+        return merge_job_spec(config), chain_splits(
+            config, dfs, "merge-input", ctx.result_of(upstream).outputs
         )
 
     return graph.stage(f"{graph.name}/merge", build_merge, deps=(upstream,))
@@ -259,7 +238,6 @@ def knn_outcome_assembler(
     dict :func:`~repro.joins.partition_job.partition_stage` filled, for plans
     whose master computed pivot distances.
     """
-    stage_names = [stage.name for stage in stages]  # as planned: fusing plans can relabel
     r_size, s_size, k = len(r), len(s), config.k  # all the closure keeps of its inputs
 
     def assemble(run: PlanRun) -> JoinOutcome:
@@ -271,7 +249,9 @@ def knn_outcome_assembler(
             s_size=s_size,
             k=k,
             master_phases=run.phases_of(stages),
-            job_stats=StageStats([job.stats for job in jobs], names=stage_names),
+            job_stats=StageStats(
+                [job.stats for job in jobs], names=[stage.name for stage in stages]
+            ),
             job_phase_names=list(phase_names),
             master_distance_pairs=0 if state is None else state["metric"].pairs_computed,
         )

@@ -31,7 +31,7 @@ from repro.mapreduce.plan import JobGraph
 from repro.mapreduce.types import RecordBlock
 
 from .base import PAIRS_GROUP, PAIRS_NAME, BlockJoinConfig
-from .block_framework import block_join_spec, chain_splits, fused_or_chained
+from .block_framework import block_join_spec, chain_splits
 from .kernels import (
     KERNELS,
     ScratchPool,
@@ -165,9 +165,7 @@ def plan_closest_pairs(
             num_reducers=1,
             cache={"k": config.k},
         )
-        # the block reducer already keys every pair 0, so PairMergeMapper is
-        # the identity over this producer's outputs: premapped fusion applies
-        return job3, fused_or_chained(config, dfs, "block-pairs", ctx, block)
+        return job3, chain_splits(config, dfs, "block-pairs", ctx.result_of(block).outputs)
 
     merge = graph.stage("closest-pairs/merge", build_merge, deps=(block,))
 

@@ -272,9 +272,5 @@ def partition_stage(
 
     # the key fingerprints both datasets (a sha1 pass each) — only worth
     # computing when a cache (in-process or persistent) will consume it
-    key = (
-        partition_stage_key(r, s, config, num_pivots)
-        if config.plan_cache is not None or config.plan_cache_dir
-        else None
-    )
+    key = partition_stage_key(r, s, config, num_pivots) if config.caches_stages else None
     return graph.stage(f"{graph.name}/partition", build, key=key)

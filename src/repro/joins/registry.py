@@ -8,12 +8,9 @@ outcome object.  Everything downstream is generic:
 
 * :func:`run_join` — the one way to run a join: resolve the spec, check the
   inputs at the boundary, build the plan, execute it on one runtime with the
-  :class:`~repro.mapreduce.plan.PlanScheduler` (concurrent stages unless
-  ``config.plan_concurrency`` is off, stage reuse when ``config.plan_cache``
-  is set), assemble the outcome.
-* :func:`run_join_plans` — several plans fused into one graph and executed
-  together, so *independent* joins overlap stage-by-stage on one shared
-  runtime (the multi-join / sweep scenario).
+  :class:`~repro.mapreduce.plan.PlanScheduler` (stages in declaration
+  order; with a plan cache, every stage stored and reused — by content key
+  or by :func:`plan_identity`), assemble the outcome.
 * the CLI derives its ``--algorithm`` choices and dispatch from
   :func:`available_joins` instead of a hand-maintained if/elif chain.
 """
@@ -41,7 +38,6 @@ __all__ = [
     "available_joins",
     "plan_join",
     "run_join",
-    "run_join_plans",
     "execute_join_plan",
     "dataset_fingerprint",
     "plan_identity",
@@ -71,13 +67,12 @@ class JoinPlan:
     ``assemble`` receives the completed :class:`~repro.mapreduce.plan.PlanRun`
     and builds the outcome object (a :class:`~repro.joins.base.JoinOutcome`
     for the kNN joins, the operator-specific outcome otherwise); it holds
-    the plan's stage handles in its closure, so a plan keeps assembling
-    correctly even after its graph is fused into a larger one.  The graph's
-    ``resources`` (DFS instances staging chained intermediates) are held
-    open for exactly the execution's duration.  ``identity`` is the
-    :func:`plan_identity` digest stage checkpoints are bound to, stamped by
-    :func:`plan_join` only when the config names a ``checkpoint_dir``
-    (fingerprinting the datasets is not free).
+    the plan's stage handles in its closure.  The graph's ``resources`` (DFS
+    instances staging chained intermediates) are held open for exactly the
+    execution's duration.  ``identity`` is the :func:`plan_identity` digest
+    the plan cache files keyless stages under, stamped by :func:`plan_join`
+    only when the config has a plan cache (fingerprinting the datasets is
+    not free); a plan without one caches only its content-keyed stages.
     """
 
     graph: JobGraph
@@ -179,8 +174,8 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 
 
 #: the code version of every persisted stage result: bump when any stage's
-#: outputs or counters change.  :func:`plan_identity` (what checkpoints are
-#: bound to) and the partition stage's plan-cache key both carry it, so a
+#: outputs or counters change.  :func:`plan_identity` (what keyless cached
+#: stages are bound to) and the partition stage's plan-cache key both carry it, so a
 #: file written by older code is never served.  10: the partitioning job
 #: ships anchor codes and an int32 cell id, so its rows changed.  11: rows
 #: carry their coordinates in the join's narrowest exact dtype.  12: rows carry
@@ -197,13 +192,13 @@ def plan_identity(
     (:data:`RESULTS_VERSION`), the join, both datasets by content and whether
     they are one object (a self-join assigns each object once), the
     planner's extra arguments and *every* comparing config field but
-    ``checkpoint_dir`` itself — not a hand-picked "semantic" subset, so a new
+    ``plan_cache_dir`` itself — not a hand-picked "semantic" subset, so a new
     knob cannot be forgotten (the price: changing an execution-only knob
-    between a kill and its resume re-runs the stages)."""
+    between a kill and its resume re-runs the keyless stages)."""
     knobs = [
         (spec.name, repr(getattr(config, spec.name)))
         for spec in dataclass_fields(config)
-        if spec.compare and spec.name != "checkpoint_dir"
+        if spec.compare and spec.name != "plan_cache_dir"
     ]
     identity = (
         RESULTS_VERSION,
@@ -238,7 +233,7 @@ def _build_plan(
     spec: JoinSpec, r: Dataset, s: Dataset, config: JoinConfig, extra: dict[str, Any]
 ) -> JoinPlan:
     plan = spec.plan(r, s, config, **extra)
-    if config.checkpoint_dir:
+    if config.caches_stages:
         plan.identity = plan_identity(spec.name, r, s, config, extra)
     return plan
 
@@ -246,23 +241,10 @@ def _build_plan(
 def plan_join(
     name: str, r: Dataset, s: Dataset, config: JoinConfig | None = None, **extra
 ) -> JoinPlan:
-    """Build (without executing) the named join's plan — the raw material
-    for fused multi-join execution via :func:`run_join_plans`."""
+    """Build (without executing) the named join's plan; run it with
+    :func:`execute_join_plan`."""
     spec, config = _checked(name, r, s, config)
     return _build_plan(spec, r, s, config, extra)
-
-
-def _checkpoint_identity(plans: list[JoinPlan], config: JoinConfig) -> str:
-    """What this execution's checkpoints are bound to.  A ``checkpoint_dir``
-    with a plan nobody fingerprinted is refused: unbound checkpoints are how
-    a reused directory once served a stale join."""
-    identities = [plan.identity for plan in plans]
-    if config.checkpoint_dir and not all(identities):
-        raise ValueError(
-            "checkpoint_dir needs plans built by plan_join/run_join under the "
-            "same config: a checkpoint must be bound to its plan identity"
-        )
-    return "|".join(identities)
 
 
 def _plan_cache_for(config: JoinConfig) -> PlanCache | None:
@@ -280,8 +262,8 @@ def _plan_cache_for(config: JoinConfig) -> PlanCache | None:
     return None
 
 
-def _execute(graph: JobGraph, plans: list[JoinPlan], config: JoinConfig) -> PlanRun:
-    """Run ``graph`` (the stages of ``plans``) the way ``config`` says.
+def execute_join_plan(plan: JoinPlan, config: JoinConfig) -> Any:
+    """Execute one plan the way ``config`` says, then assemble.
 
     The one place the execution knobs meet the scheduler.  The runtime (and
     with it any worker pool and spill directory the config implies) plus the
@@ -289,20 +271,12 @@ def _execute(graph: JobGraph, plans: list[JoinPlan], config: JoinConfig) -> Plan
     """
     with ExitStack() as stack:
         runtime = stack.enter_context(config.make_runtime())
-        for resource in graph.resources:
+        for resource in plan.graph.resources:
             stack.enter_context(resource)
-        return PlanScheduler(
-            runtime,
-            cache=_plan_cache_for(config),
-            concurrent=config.plan_concurrency,
-            checkpoint_dir=config.checkpoint_dir,
-            checkpoint_identity=_checkpoint_identity(plans, config),
-        ).execute(graph)
-
-
-def execute_join_plan(plan: JoinPlan, config: JoinConfig) -> Any:
-    """Execute one plan on a fresh runtime scoped to it, then assemble."""
-    return plan.assemble(_execute(plan.graph, [plan], config))
+        run = PlanScheduler(
+            runtime, cache=_plan_cache_for(config), identity=plan.identity
+        ).execute(plan.graph)
+    return plan.assemble(run)
 
 
 def run_join(
@@ -319,18 +293,3 @@ def run_join(
     """
     spec, config = _checked(name, r, s, config)
     return execute_join_plan(_build_plan(spec, r, s, config, extra), config)
-
-
-def run_join_plans(plans: list[JoinPlan], config: JoinConfig) -> list[Any]:
-    """Execute several plans as one fused graph on one shared runtime.
-
-    Stages of different plans have no edges between them, so the concurrent
-    scheduler overlaps whole joins; with ``config.plan_concurrency`` off the
-    fused graph runs plan by plan in order, exactly like sequential driver
-    calls.  ``config`` supplies the runtime (engine, shuffle backend), the
-    concurrency switch and the stage cache; each plan's own workload knobs
-    were already baked into its builders.  Returns one assembled outcome per
-    plan, in input order.
-    """
-    run = _execute(JobGraph.fuse([plan.graph for plan in plans]), plans, config)
-    return [plan.assemble(run) for plan in plans]

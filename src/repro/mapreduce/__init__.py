@@ -35,7 +35,6 @@ from .plan import (
     PlanRun,
     PlanScheduler,
     Stage,
-    StageCheckpointStore,
     StageContext,
     StageExecution,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "PlanScheduler",
     "PlanCache",
     "PlanError",
-    "StageCheckpointStore",
     "Executor",
     "TaskBatch",
     "SerialExecutor",

@@ -259,8 +259,8 @@ class PersistentThreadExecutor(Executor):
 
 
 #: how many distinct jobs' shared state a pooled worker keeps resident at
-#: once.  One would re-ship on every alternation when a *plan* interleaves
-#: batches of concurrent stages (stage A, stage B, stage A, ...); a small
+#: once.  One would re-ship on every alternation when runtimes sharing one
+#: executor interleave batches of their jobs (job A, job B, job A, ...); a small
 #: cache makes interleaving free while bounding worker memory.  Parent and
 #: worker both evict the lowest generation, so their views stay aligned.
 _MAX_RESIDENT_JOBS = 4
@@ -324,9 +324,9 @@ class PersistentProcessExecutor(Executor):
     generation tag, so retry rounds and the reduce phase of the same job
     ship nothing but payloads.
 
-    Up to ``_MAX_RESIDENT_JOBS`` jobs stay shipped at once: a plan scheduler
-    running independent stages concurrently interleaves batches of
-    *different* jobs on one executor, and alternation must not re-ship the
+    Up to ``_MAX_RESIDENT_JOBS`` jobs stay shipped at once: runtimes sharing
+    one executor (``JoinConfig.shared_executor``) interleave batches of
+    *different* jobs on it, and alternation must not re-ship the
     specs batch by batch.  The parent keeps (generation, blob, job) rows per
     live job identity and the workers a matching generation-keyed slot
     cache; both evict the lowest generation, so their views agree.
@@ -387,7 +387,7 @@ class PersistentProcessExecutor(Executor):
         def submit_one(payload):
             # per-submission locking (not one lock across the whole batch):
             # the scheduler submits speculative duplicates while the batch
-            # is in flight, and a concurrent stage may have re-shipped jobs
+            # is in flight, and a concurrent runtime may have re-shipped jobs
             # in between — re-ensuring pool + priming under the lock keeps
             # both safe, and the in-flight pin keeps this generation
             # resident in the workers until the future resolves

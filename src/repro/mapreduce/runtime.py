@@ -536,9 +536,9 @@ class LocalRuntime:
         stats.cache_bytes = _cache_bytes(job.cache)
 
         # the job session scopes per-job shuffle state (e.g. a spill
-        # directory) to this run() call, so concurrently executing jobs —
-        # plan-scheduled independent stages share one runtime — never
-        # interleave their shuffle storage
+        # directory) to this run() call, so the jobs of one plan — which
+        # share one runtime and may share a job name — never interleave their
+        # shuffle storage
         shuffle_session = (
             self.shuffle_store.begin_job(job)
             if job.reducer_factory is not None
@@ -592,79 +592,6 @@ class LocalRuntime:
                 for spec, attempt in zip(map_specs, map_results)
             },
         )
-        return self._finish_reduce(
-            job, reduce_inputs, map_recovery, counters, side_outputs, stats
-        )
-
-    def run_premapped(
-        self, job: MapReduceJob, pairs: Sequence[tuple[Any, Any]]
-    ) -> JobResult:
-        """Execute only the shuffle + reduce of ``job`` over already-produced
-        map output (plan-level fusion of an identity map stage).
-
-        The producing stage's output pairs are fed straight into the shuffle
-        in their global emission order — exactly the linearization an
-        identity map over order-preserving splits would produce — so per-key
-        reduce input order, and with it results, counters and shuffle
-        records/bytes, are bit-identical to the unfused run.  The spill
-        backend writes the pairs through one scheduler-side
-        :class:`~repro.mapreduce.shuffle.SpillMapWriter` (flush boundaries
-        may differ from the per-task writers, so *spill* counters — segment
-        and file-byte counts — can legitimately move; shuffle accounting
-        cannot).  Only jobs with a reduce phase and no combiner qualify: a
-        combiner runs inside map tasks, which fusion skips.
-        """
-        if job.reducer_factory is None:
-            raise ValueError(f"job {job.name!r} is map-only: nothing to fuse into")
-        if job.combiner_factory is not None:
-            raise ValueError(
-                f"job {job.name!r} has a combiner, which runs inside the map "
-                "phase: premapped execution would skip it"
-            )
-        counters = Counters()
-        side_outputs: dict[str, list[Any]] = {}
-        stats = JobStats(job_name=job.name)
-        stats.cache_bytes = _cache_bytes(job.cache)
-        shuffle_session = self.shuffle_store.begin_job(job)
-        spill = self.shuffle_store.map_spill_spec(
-            job, f"{job.name}-m-premap", 0, shuffle_session
-        )
-        if spill is None:
-            synthetic = _Attempted(
-                emissions=list(pairs),
-                counters=Counters(),
-                side_outputs={},
-                duration_s=0.0,
-                attempts=0,
-            )
-        else:
-            writer = SpillMapWriter(spill, 1, job.partitioner, job.num_reducers)
-            for key, value in pairs:
-                writer.add(key, value)
-            synthetic = _Attempted(
-                emissions=[],
-                counters=Counters(),
-                side_outputs={},
-                duration_s=0.0,
-                attempts=0,
-                manifest=writer.finish(),
-            )
-        reduce_inputs = self.shuffle_store.plan_reduce(job, [synthetic], stats)
-        # no map specs exist, so segment loss (external deletion only — the
-        # scheduler-side writer is never chaos-targeted) is unrecoverable and
-        # simply exhausts the reduce attempts
-        return self._finish_reduce(job, reduce_inputs, None, counters, side_outputs, stats)
-
-    def _finish_reduce(
-        self,
-        job: MapReduceJob,
-        reduce_inputs,
-        map_recovery: _MapRecovery | None,
-        counters: Counters,
-        side_outputs: dict[str, list[Any]],
-        stats: JobStats,
-    ) -> JobResult:
-        """Run the reduce phase over planned inputs and assemble the result."""
         reduce_specs = [
             _TaskSpec(
                 kind="reduce",

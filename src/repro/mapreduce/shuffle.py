@@ -835,8 +835,9 @@ class ShuffleStore(ABC):
     (spill directories) and is idempotent.
 
     Per-job state lives in the session value, never on the store: one store
-    serves any number of *concurrently executing* jobs (the plan scheduler
-    runs independent stages of a job graph at the same time on one runtime).
+    serves every job of a plan, and a caller may hand one store to several
+    runtimes (``LocalRuntime(shuffle=store)``) whose jobs run at once on
+    different threads.
 
     ``map_results`` rows are duck-typed: they expose ``.emissions`` (a list
     of ``(key, value)`` pairs) and ``.manifest`` (a :class:`MapManifest` or
@@ -959,16 +960,16 @@ class SpillShuffleStore(ShuffleStore):
         self.codec = resolve_segment_codec(codec).name
         self._scratch = OwnedScratchDir(prefix="repro-shuffle-", parent=spill_dir)
         self._job_counter = 0
-        #: guards the job counter and lazy scratch creation — one store may
-        #: serve several concurrently executing jobs (plan-scheduled stages)
+        #: guards the job counter and lazy scratch creation — a store handed
+        #: to several runtimes serves their jobs from several threads at once
         self._lock = threading.Lock()
 
     # -- scheduler side -------------------------------------------------------
 
     def begin_job(self, job) -> str:
         """Create this job's private spill directory and return it (the job
-        session).  Each concurrent job gets its own counter-uniquified
-        directory, so same-named jobs of a fused plan never collide."""
+        session).  Each job gets its own counter-uniquified directory, so
+        same-named jobs run on one store never collide."""
         self._check_open()
         with self._lock:
             self._job_counter += 1

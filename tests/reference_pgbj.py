@@ -211,8 +211,10 @@ def pgbj_facts(r, s, config, reference: bool) -> dict:
         "reduce_input": {
             key: rows for key, *rows in job2.side_outputs.get(CHANNEL_REDUCE_INPUT, [])
         },
-        # not part of the contract: how many values crossed, and what the spill wrote
+        # not part of the contract: how many values crossed, what the spill
+        # wrote, and which stages a plan cache served
         "blocks": [len(job1.outputs), job2.stats.spill_segments],
+        "served": run.cached_stage_names(),
     }
 
 

@@ -3,19 +3,32 @@
 Tier-1 collects ``tests/`` only, and the benchmark's tracer skips an
 attribute it cannot find without a word, so renaming one of these names
 would zero per-layer metrics instead of failing.  These checks hold the
-names here: the two :class:`KernelProvider` methods the tracer wraps, and
-the two functions its environment stamp and ``kernels.numba_*`` rows read.
+names here: the two :class:`KernelProvider` methods the tracer wraps, the
+two functions its environment stamp and ``kernels.numba_*`` rows read, and
+the two shims the frozen harness still calls through.
 """
 
+from contextlib import ExitStack
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 
 from benchmarks.e2e.layers import install_spans, traced_join
 from benchmarks.e2e.spans import Patcher, Recorder
+from benchmarks.e2e.workloads import COMMON_KNOBS
 from repro.core import Dataset
-from repro.joins import PgbjConfig, ZOrderConfig, kernel_providers, run_join
+from repro.joins import (
+    PgbjConfig,
+    ZOrderConfig,
+    get_join,
+    kernel_providers,
+    plan_join,
+    run_join,
+)
 from repro.joins.kernels import KERNELS, KernelProvider
+from repro.mapreduce import PlanScheduler
+from tests.test_engines import outcome_fingerprint
 
 WRAPPED = {"knn_join_kernel": "kernels.knn_join", "morton_codes": "kernels.morton"}
 
@@ -62,3 +75,26 @@ def test_traced_join_attributes_distances_inside_the_kernel():
     assert outcome.distance_pairs > 0
     assert spans.total("kernels.knn_join") > 0
     assert spans.total("kernels.distance", under="kernels.knn_join") > 0
+
+
+def test_the_frozen_harness_shims_still_run_a_join():
+    """The harness builds its configs from ``COMMON_KNOBS`` (retired keywords
+    included), reads ``config.plan_concurrency`` and hands ``PlanScheduler``
+    ``concurrent=`` and ``checkpoint_dir=None``.  The ``ClassVar`` and the two
+    scheduler keywords are owed to it until it is re-frozen: they must keep
+    running a join exactly as ``run_join`` does."""
+    config = get_join("pgbj").make_config(**COMMON_KNOBS)
+    assert config.plan_concurrency is True
+    assert "plan_concurrency" not in {spec.name for spec in fields(config)}
+    r = Dataset(np.random.default_rng(5).random((200, 3)), name="d")
+    plan = plan_join("pgbj", r, r, config)
+    with ExitStack() as stack:
+        runtime = stack.enter_context(config.make_runtime())
+        for held in plan.graph.resources:
+            stack.enter_context(held)
+        run = PlanScheduler(
+            runtime, cache=None, concurrent=config.plan_concurrency, checkpoint_dir=None
+        ).execute(plan.graph)
+    assert outcome_fingerprint(plan.assemble(run)) == outcome_fingerprint(
+        run_join("pgbj", r, r, config)
+    )

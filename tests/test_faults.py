@@ -1,4 +1,4 @@
-"""Fault-tolerance layer tests: chaos plans, recovery, speculation, checkpoints.
+"""Fault-tolerance layer tests: chaos plans, recovery, speculation, resume.
 
 The layer's central contract is *bit-identical results under chaos*: a run
 with injected crashes, stragglers, killed workers, corrupt or deleted
@@ -19,8 +19,8 @@ from repro.mapreduce import (
     ChaosRule,
     JobGraph,
     LocalRuntime,
+    PlanCache,
     PlanScheduler,
-    StageCheckpointStore,
     TaskFailure,
     get_executor,
     resolve_chaos,
@@ -388,7 +388,7 @@ class TestSpeculation:
         assert result.stats.speculative_wins == 0
 
 
-# -- stage checkpoint/resume ---------------------------------------------------
+# -- resume from the persistent plan cache -------------------------------------
 
 
 def job_stage(graph, name, deps=(), key=None):
@@ -405,44 +405,55 @@ def chain_graph():
     return graph, (a, b, c)
 
 
-class TestStageCheckpointStore:
+def refuse():
+    raise AssertionError("recomputed instead of served from disk")
+
+
+class TestResumeStore:
+    """A persisted plan-cache entry — what a resumed stage is served: written
+    once, read back bit for bit by a fresh cache over the same directory,
+    and a miss when it is missing, corrupt or written for another key."""
+
     def run_reference(self):
         with LocalRuntime() as runtime:
             return runtime.run(norm_job(), norm_splits(16, 4))
 
     def test_save_load_roundtrip_is_bit_identical(self, tmp_path):
-        store = StageCheckpointStore(tmp_path)
-        graph, (a, _, _) = chain_graph()
         result = self.run_reference()
-        path = store.save(a, result)
-        assert path is not None and path.exists()
-        restored = store.load(a)
+        PlanCache(tmp_path).compute(("a",), lambda: result)
+        cache = PlanCache(tmp_path)
+        restored, fresh = cache.compute(("a",), refuse)
+        assert not fresh and cache.disk_hits == 1
         assert job_fingerprint(restored) == job_fingerprint(result)
         assert restored.job_name == result.job_name
         assert [t.attempts for t in restored.stats.map_tasks] == [
             t.attempts for t in result.stats.map_tasks
         ]
 
-    def test_missing_checkpoint_is_none(self, tmp_path):
-        graph, (a, _, _) = chain_graph()
-        assert StageCheckpointStore(tmp_path).load(a) is None
+    def test_missing_entry_is_a_miss(self, tmp_path):
+        cache = PlanCache(tmp_path)
+        _, fresh = cache.compute(("a",), self.run_reference)
+        assert fresh and cache.disk_hits == 0 and cache.disk_writes == 1
 
-    def test_corrupt_checkpoint_is_ignored(self, tmp_path):
-        store = StageCheckpointStore(tmp_path)
-        graph, (a, _, _) = chain_graph()
-        path = store.save(a, self.run_reference())
+    def test_corrupt_entry_is_ignored(self, tmp_path):
+        cache = PlanCache(tmp_path)
+        result, _ = cache.compute(("a",), self.run_reference)
+        path = cache.path_for(("a",))
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF  # flip a byte inside the last entry's body
         path.write_bytes(bytes(data))
-        assert store.load(a) is None  # CRC catches it; the stage re-runs
+        again = PlanCache(tmp_path)
+        restored, fresh = again.compute(("a",), self.run_reference)
+        assert fresh and again.disk_hits == 0  # CRC catches it; the stage re-runs
+        assert job_fingerprint(restored) == job_fingerprint(result)
 
-    def test_checkpoint_for_other_stage_identity_is_ignored(self, tmp_path):
-        store = StageCheckpointStore(tmp_path)
-        graph = JobGraph("g")
-        same_name_a = job_stage(graph, "x", key=("k", 1))
-        same_name_b = job_stage(graph, "y", key=("k", 2))
-        store.save(same_name_a, self.run_reference())
-        assert store.load(same_name_b) is None
+    def test_entry_for_other_key_is_ignored(self, tmp_path):
+        cache = PlanCache(tmp_path)
+        cache.compute(("chain", "x"), self.run_reference)
+        cache.path_for(("chain", "y")).write_bytes(cache.path_for(("chain", "x")).read_bytes())
+        again = PlanCache(tmp_path)
+        _, fresh = again.compute(("chain", "y"), self.run_reference)
+        assert fresh and again.disk_hits == 0
 
     def test_map_only_result_roundtrip(self, tmp_path):
         from repro.mapreduce import MapReduceJob
@@ -452,13 +463,18 @@ class TestStageCheckpointStore:
         with LocalRuntime() as runtime:
             result = runtime.run(map_only, norm_splits(16, 4))
         assert result.outputs_by_reducer is None
-        store = StageCheckpointStore(tmp_path)
-        graph = JobGraph("g")
-        stage = job_stage(graph, "m")
-        store.save(stage, result)
-        restored = store.load(stage)
+        PlanCache(tmp_path).compute(("m",), lambda: result)
+        restored, _ = PlanCache(tmp_path).compute(("m",), refuse)
         assert restored.outputs == result.outputs
         assert restored.outputs_by_reducer is None
+
+    def test_unpicklable_result_leaves_no_temp_file(self, tmp_path):
+        from repro.mapreduce.plan import dump_job_result
+
+        result = self.run_reference()
+        result.outputs_by_reducer[-1].append(("bad", lambda: None))  # no pickle
+        assert dump_job_result(tmp_path / "x.plan.seg", result, {}) is None
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPlanResume:
@@ -478,42 +494,53 @@ class TestPlanResume:
         graph.stage("d", exploding_builder, deps=(stages[2],))
         with LocalRuntime() as runtime:
             with pytest.raises(RuntimeError, match="simulated kill"):
-                PlanScheduler(runtime, checkpoint_dir=tmp_path).execute(graph)
+                PlanScheduler(runtime, PlanCache(tmp_path), "chain").execute(graph)
 
-        # "restart the process": a fresh graph, scheduler and runtime
+        # "restart the process": a fresh graph, cache, scheduler and runtime
         boom["armed"] = False
         graph2, stages2 = chain_graph()
         d2 = graph2.stage("d", exploding_builder, deps=(stages2[2],))
         with LocalRuntime() as runtime:
-            resumed = PlanScheduler(runtime, checkpoint_dir=tmp_path).execute(graph2)
+            resumed = PlanScheduler(runtime, PlanCache(tmp_path), "chain").execute(graph2)
         for stage in stages2:
-            assert resumed.execution_of(stage).from_checkpoint
-        assert not resumed.execution_of(d2).from_checkpoint
-        assert resumed.checkpointed_stage_names() == ["a", "b", "c"]
+            assert resumed.execution_of(stage).from_cache
+        assert not resumed.execution_of(d2).from_cache
+        assert resumed.cached_stage_names() == ["a", "b", "c"]
         for ref_stage, res_stage in zip(reference_stages, stages2):
             assert job_fingerprint(reference.result_of(ref_stage)) == job_fingerprint(
                 resumed.result_of(res_stage)
             )
 
-    def test_checkpoints_written_for_every_completed_stage(self, tmp_path):
-        graph, stages = chain_graph()
+    def test_entries_written_for_every_completed_stage(self, tmp_path):
+        graph, _ = chain_graph()
+        cache = PlanCache(tmp_path)
         with LocalRuntime() as runtime:
-            PlanScheduler(runtime, checkpoint_dir=tmp_path).execute(graph)
-        store = StageCheckpointStore(tmp_path)
-        for stage in stages:
-            assert store.path_for(stage).exists()
+            PlanScheduler(runtime, cache, "chain").execute(graph)
+        # "b" under its content key, the keyless stages under the identity
+        for key in (("chain", "a"), ("b", 1), ("chain", "c")):
+            assert cache.path_for(key).exists(), key
+        assert cache.disk_entries() == 3
 
-    def test_no_checkpoint_dir_means_no_files(self, tmp_path):
+    def test_without_identity_only_keyed_stages_resume(self, tmp_path):
         graph, _ = chain_graph()
         with LocalRuntime() as runtime:
-            PlanScheduler(runtime).execute(graph)
+            PlanScheduler(runtime, PlanCache(tmp_path)).execute(graph)
+        assert [path.name for path in tmp_path.iterdir()] == [
+            PlanCache(tmp_path).path_for(("b", 1)).name
+        ]
+
+    def test_no_cache_means_no_files(self, tmp_path):
+        graph, _ = chain_graph()
+        with LocalRuntime() as runtime:
+            PlanScheduler(runtime, identity="chain").execute(graph)
         assert list(tmp_path.iterdir()) == []
 
 
-class TestCheckpointDirReuse:
-    """One ``--checkpoint-dir``, two different joins: the second must never
-    be served the first one's stages (it used to print the k=3 answer for
-    k=7).  Same join again: resumed from the directory, bit-identical."""
+class TestResumeDirReuse:
+    """One ``--plan-cache-dir``, two different joins: the second must never
+    be served the first one's stages (a reused checkpoint directory once
+    printed the k=3 answer for k=7).  Same join again: resumed from the
+    directory, bit-identical."""
 
     @staticmethod
     def run(directory, data=None, **knobs):
@@ -524,7 +551,7 @@ class TestCheckpointDirReuse:
         config = PgbjConfig(
             **{
                 "k": 3, "num_reducers": 3, "num_pivots": 8, "split_size": 64,
-                "checkpoint_dir": str(directory), **knobs,
+                "plan_cache_dir": str(directory), **knobs,
             }
         )
         return run_join("pgbj", data, data, config)
@@ -550,8 +577,11 @@ class TestCheckpointDirReuse:
         fresh = self.run(tmp_path / "fresh", data=data, **change)
         assert outcome_fingerprint(reused) == outcome_fingerprint(fresh)
         assert reused.result.total_pairs() == 200 * change.get("k", 3)
-        # the second join wrote its own checkpoints next to the first's
-        assert len(set(tmp_path.iterdir()) - files_after_first - {tmp_path / "fresh"}) == 2
+        # the second join wrote its own entries next to the first's: both
+        # stages, or only the join stage when just k moved (the partition
+        # stage's content key leaves k out, so that stage is shared)
+        written = set(tmp_path.iterdir()) - files_after_first - {tmp_path / "fresh"}
+        assert len(written) == (1 if "k" in change else 2)
 
     def test_same_join_resumes_from_the_directory(self, tmp_path, monkeypatch):
         from tests.test_engines import outcome_fingerprint
@@ -569,19 +599,32 @@ class TestCheckpointDirReuse:
         assert outcome_fingerprint(again) == outcome_fingerprint(first)
         assert sorted(tmp_path.iterdir()) == files
 
-    def test_unfingerprinted_plan_refused(self, tmp_path):
+    def test_unfingerprinted_plan_resumes_only_its_keyed_stage(self, tmp_path, monkeypatch):
+        """A plan built past ``plan_join`` carries no identity: only its
+        content-keyed partition stage is stored, so a re-run cannot be
+        served a join stage that nothing binds to its inputs."""
         from repro.datasets import generate_forest
         from repro.joins import PgbjConfig
         from repro.joins.pgbj import plan_pgbj
         from repro.joins.registry import execute_join_plan
+        from tests.test_engines import outcome_fingerprint
 
         data = generate_forest(60, seed=1)
-        config = PgbjConfig(k=2, num_pivots=4, checkpoint_dir=str(tmp_path))
-        with pytest.raises(ValueError, match="plan identity"):
-            execute_join_plan(plan_pgbj(data, data, config), config)
+        config = PgbjConfig(k=2, num_pivots=4, plan_cache_dir=str(tmp_path))
+        first = execute_join_plan(plan_pgbj(data, data, config), config)
+        assert len(list(tmp_path.iterdir())) == 1
+        ran = []
+        original = LocalRuntime.run
+        monkeypatch.setattr(
+            LocalRuntime, "run",
+            lambda self, job, splits: ran.append(job.name) or original(self, job, splits),
+        )
+        again = execute_join_plan(plan_pgbj(data, data, config), config)
+        assert ran == ["knn-join"]
+        assert outcome_fingerprint(again) == outcome_fingerprint(first)
 
-    def test_checkpoint_of_older_code_is_not_restored(self, tmp_path, monkeypatch):
-        """Checkpoints are bound to the code version too: a directory written
+    def test_entry_of_older_code_is_not_restored(self, tmp_path, monkeypatch):
+        """Entries are bound to the code version too: a directory written
         under an older ``RESULTS_VERSION`` (say, before the partitioning job's
         ``distance_pairs`` changed) re-runs every stage instead of restoring
         what the older code computed."""
@@ -591,20 +634,45 @@ class TestCheckpointDirReuse:
         from tests.test_engines import outcome_fingerprint
 
         monkeypatch.setattr(registry, "RESULTS_VERSION", registry.RESULTS_VERSION - 1)
-        self.run(tmp_path)  # the older code's checkpoints
+        self.run(tmp_path)  # the older code's entries
         monkeypatch.undo()
         assert len(list(tmp_path.iterdir())) == 2
         data = generate_forest(200, seed=3)
         config = PgbjConfig(
-            k=3, num_reducers=3, num_pivots=8, split_size=64, checkpoint_dir=str(tmp_path)
+            k=3, num_reducers=3, num_pivots=8, split_size=64, plan_cache_dir=str(tmp_path)
         )
         plan = plan_join("pgbj", data, data, config)
         run = execute_join_plan(
             JoinPlan(graph=plan.graph, assemble=lambda run: run, identity=plan.identity), config
         )
-        assert run.checkpointed_stage_names() == []
+        assert run.cached_stage_names() == []
         cold = self.run(tmp_path / "cold")
         assert outcome_fingerprint(plan.assemble(run)) == outcome_fingerprint(cold)
+
+    def test_a_failed_persist_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        """A write that fails — an unpicklable output, a full disk — leaves
+        no ``*.tmp`` (nor any entry) in the directory, and the join still
+        returns the cold run's answer."""
+        import errno
+
+        from repro.mapreduce import plan as plan_module
+        from tests.test_engines import outcome_fingerprint
+
+        cold = outcome_fingerprint(self.run(tmp_path / "cold"))
+        original = plan_module.write_segment
+
+        def unpicklable(path, reducer, entries):
+            return original(path, reducer, [*entries, (1, 1 << 40, "bad", lambda: None, 0, 0)])
+
+        def full_disk(path, reducer, entries):
+            original(path, reducer, entries)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        for name, write in (("unpicklable", unpicklable), ("enospc", full_disk)):
+            monkeypatch.setattr(plan_module, "write_segment", write)
+            directory = tmp_path / name
+            assert outcome_fingerprint(self.run(directory)) == cold, name
+            assert list(directory.iterdir()) == [], name
 
     def test_identity_moves_with_every_config_field_and_dataset(self):
         import dataclasses
@@ -623,8 +691,8 @@ class TestCheckpointDirReuse:
         moved = {
             "k": 11, "num_reducers": 5, "metric_name": "l1", "seed": 8,
             "split_size": 100, "engine": "threads-pooled", "max_workers": 3,
-            "memory_budget": 64, "spill_dir": "/tmp/x", "spill_codec": "zlib", "plan_concurrency": False, "task_timeout": 9.0,
-            "stage_fusion": True, "plan_cache_dir": "/tmp/y",
+            "memory_budget": 64, "spill_dir": "/tmp/x", "spill_codec": "zlib",
+            "task_timeout": 9.0,
             "num_pivots": 65, "pivot_selection": "farthest", "grouping": "greedy",
             "pivot_sample_size": 100,
             "kmeans_iterations": 9, "use_hyperplane_pruning": False,
@@ -633,14 +701,14 @@ class TestCheckpointDirReuse:
         }
         comparing = {
             spec.name for spec in dataclasses.fields(base)
-            if spec.compare and spec.name != "checkpoint_dir"
+            if spec.compare and spec.name != "plan_cache_dir"
         }
         assert comparing == set(moved)  # a new knob must be added here too
         for name, value in moved.items():
             changed = base.with_changes(**{name: value})
             assert plan_identity("pgbj", data, data, changed, {}) != reference, name
         assert (
-            plan_identity("pgbj", data, data, base.with_changes(checkpoint_dir="/d"), {})
+            plan_identity("pgbj", data, data, base.with_changes(plan_cache_dir="/d"), {})
             == reference
         )
 
@@ -665,7 +733,7 @@ class TestCheckpointDirReuse:
             config = ZOrderConfig(
                 **{
                     "k": 3, "num_reducers": 6, "split_size": 64, "num_shifts": 1,
-                    "checkpoint_dir": str(directory), **knobs,
+                    "plan_cache_dir": str(directory), **knobs,
                 }
             )
             return run_join("zorder", data, data, config)
@@ -735,17 +803,16 @@ class TestCheckpointDirReuse:
 
 
 class TestJoinConfigThreading:
-    def test_chaos_timeout_and_checkpoint_knobs_reach_the_runtime(self, tmp_path):
+    def test_chaos_and_timeout_knobs_reach_the_runtime(self):
         from repro.joins import JoinConfig
 
         plan = ChaosPlan.from_spec("crash:rate=0.1:attempt=1;seed=5")
         config = JoinConfig(
-            chaos=plan, task_timeout=30.0, checkpoint_dir=str(tmp_path)
+            chaos=plan, task_timeout=30.0
         )
         with config.make_runtime() as runtime:
             assert runtime.fault_injector is plan
             assert runtime.task_timeout == 30.0
-        assert config.checkpoint_dir == str(tmp_path)
 
     def test_invalid_task_timeout_rejected(self):
         from repro.joins import JoinConfig
@@ -800,23 +867,27 @@ class TestJoinConfigThreading:
 
 
 class TestChaosCli:
-    def test_join_with_chaos_and_checkpoint_flags(self, capsys, tmp_path):
+    def test_join_with_chaos_resumes_from_the_plan_cache_dir(self, capsys, tmp_path):
         from repro.cli import main
 
-        code = main(
-            [
-                "join",
-                "--objects", "200",
-                "--k", "2",
-                "--num-reducers", "2",
-                "--num-pivots", "6",
-                "--chaos-spec", "crash:rate=0.3:attempt=1",
-                "--chaos-seed", "7",
-                "--task-timeout", "60",
-                "--checkpoint-dir", str(tmp_path / "ckpt"),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "fault tolerance" in out
-        assert list((tmp_path / "ckpt").glob("*.ckpt.seg"))
+        def join():
+            code = main(
+                [
+                    "join",
+                    "--objects", "200",
+                    "--k", "2",
+                    "--num-reducers", "2",
+                    "--num-pivots", "6",
+                    "--chaos-spec", "crash:rate=0.3:attempt=1",
+                    "--chaos-seed", "7",
+                    "--task-timeout", "60",
+                    "--plan-cache-dir", str(tmp_path / "plans"),
+                ]
+            )
+            assert code == 0
+            return [line for line in capsys.readouterr().out.splitlines() if "seconds" not in line]
+
+        first = join()
+        assert any("fault tolerance" in line for line in first)
+        assert len(list((tmp_path / "plans").glob("*.plan.seg"))) == 2  # one per stage
+        assert join() == first  # served from the directory, same report

@@ -35,7 +35,7 @@ from repro.joins.base import (
 )
 from repro.joins.registry import JOINS, JoinSpec, plan_identity
 from repro.mapreduce import ChaosPlan
-from tests.test_plan_equivalence import fingerprint, run_one
+from tests.test_plan_equivalence import fingerprint, make_config, run_one
 
 ROWS = execution_knobs()
 WITH_ENV = [row for row in ROWS if row.env]
@@ -112,18 +112,71 @@ def clean_environment(monkeypatch):
         monkeypatch.delenv(row.env, raising=False)
 
 
-def test_the_table_is_the_twelve_knobs():
+def test_the_table_is_the_nine_knobs():
+    # twelve until --no-plan-concurrency, --checkpoint-dir and --fuse-stages
+    # (with REPRO_STAGE_FUSION) went with the concurrent scheduler, the
+    # checkpoint store and stage fusion: --plan-cache-dir resumes a join now
     assert [row.flag for row in ROWS] == [
         "--engine", "--workers", "--memory-budget", "--spill-dir",
-        "--spill-codec", "--no-plan-concurrency",
-        "--task-timeout", "--checkpoint-dir", "--fuse-stages",
+        "--spill-codec", "--task-timeout",
         "--plan-cache-dir", "--chaos-spec", "--chaos-seed",
     ]  # fmt: skip
     assert sorted(row.env for row in WITH_ENV) == [
         "REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_ENGINE",
         "REPRO_MEMORY_BUDGET", "REPRO_PLAN_CACHE_DIR",
-        "REPRO_SPILL_CODEC", "REPRO_STAGE_FUSION", "REPRO_WORKERS",
+        "REPRO_SPILL_CODEC", "REPRO_WORKERS",
     ]  # fmt: skip
+
+
+#: the knobs retired with the concurrent scheduler, the checkpoint store and
+#: stage fusion: field -> (flag, a value the frozen benchmark harness or an
+#: old script could still pass)
+RETIRED = {
+    "plan_concurrency": ("--no-plan-concurrency", False),
+    "checkpoint_dir": ("--checkpoint-dir", "retired-checkpoints"),
+    "stage_fusion": ("--fuse-stages", True),
+}
+
+CONFIG_CLASSES = sorted({spec.config_class for spec in JOINS.values()}, key=lambda c: c.__name__)
+
+
+class TestRetiredKnobs:
+    """No flag, variable or config field spells a retired knob any more, and
+    ``make_config`` — which the frozen benchmark harness still hands
+    ``stage_fusion`` and ``checkpoint_dir`` — drops each without moving a
+    result or writing a file."""
+
+    @pytest.mark.parametrize("field", sorted(RETIRED))
+    def test_flag_is_refused(self, field, capsys):
+        flag, value = RETIRED[field]
+        argv = [flag] if isinstance(value, bool) else [flag, value]
+        with pytest.raises(SystemExit):
+            parse_join(*argv)
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+
+    def test_stage_fusion_variable_is_not_read(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STAGE_FUSION", "1")
+        assert knobs_from_env() == {}
+        assert parse_join() == {}
+
+    @pytest.mark.parametrize("config_class", CONFIG_CLASSES, ids=lambda c: c.__name__)
+    def test_not_a_config_field(self, config_class):
+        fields = {spec.name for spec in dataclasses.fields(config_class)}
+        assert not fields & set(RETIRED)
+        # what the frozen harness reads: a class constant, outside the value
+        assert config_class.plan_concurrency is True
+        assert "plan_concurrency" not in repr(config_class())
+
+    @pytest.mark.parametrize("field", sorted(RETIRED))
+    @pytest.mark.parametrize("name", sorted(available_joins()))
+    def test_make_config_drops_it(self, name, field, data, queries, default_runs, tmp_path):
+        value = RETIRED[field][1]
+        if field == "checkpoint_dir":
+            value = str(tmp_path / value)
+        outcome, config = run_one(name, data, queries, **{field: value})
+        assert config == make_config(name)
+        assert fingerprint(outcome) == default_runs(name)
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("row", ROWS, ids=by_name)
@@ -307,8 +360,7 @@ class TestStructure:
         assert repr(PgbjConfig()) == (
             "PgbjConfig(k=10, num_reducers=4, metric_name='l2', seed=7, split_size=4096, "
             "engine='serial', max_workers=None, memory_budget=None, spill_dir=None, "
-            "spill_codec='none', plan_concurrency=True, "
-            "task_timeout=None, checkpoint_dir=None, stage_fusion=False, "
+            "spill_codec='none', task_timeout=None, "
             "plan_cache_dir=None, num_pivots=64, pivot_selection='random', "
             "grouping='geometric', pivot_sample_size=8192, kmeans_iterations=8, "
             "use_hyperplane_pruning=True, use_ring_pruning=True, "
@@ -337,10 +389,13 @@ class TestStructure:
         # "34d6a829489cffd37691e287cf86fc1b402796e7"; version 12 ships codes of
         # every anchor and ids and cell ids in their narrowest dtypes,
         # "c8cef590313aa0b35ad5a9f23846ffe41ce0cfd1"; version 13 judges each
-        # (row, cell) pair by the cell's anchor ranges)
+        # (row, cell) pair by the cell's anchor ranges,
+        # "09f7690e44ad6e5bf7572ceb255a51e52ac4a58a"; still version 13, the
+        # plan_concurrency, checkpoint_dir and stage_fusion fields were removed
+        # and plan_cache_dir took checkpoint_dir's place outside the identity)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "09f7690e44ad6e5bf7572ceb255a51e52ac4a58a"
+            == "3b590b4e839a5e3f3d7218fffb7619710bbc8dd4"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

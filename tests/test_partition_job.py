@@ -176,7 +176,9 @@ class TestStageKeyCoversEveryField:
     """The partition stage's plan-cache key against every config field: a
     perturbed field either moves the key or leaves the partitioning job's
     blocks, side outputs and counters exactly as they were.  A field the key
-    does not see, yet the job reads, would serve a stale result."""
+    does not see, yet the job reads, would serve a stale result — to a sweep
+    sharing the cache and to a re-run resuming from a ``plan_cache_dir``,
+    which trusts this key and no plan identity for the stage."""
 
     BASE = dict(k=4, num_reducers=3, num_pivots=24, split_size=128, pivot_sample_size=400)
 
@@ -188,8 +190,7 @@ class TestStageKeyCoversEveryField:
         return {
             "k": 7, "num_reducers": 5, "metric_name": "l1", "seed": 8, "split_size": 96,
             "engine": "processes-pooled", "max_workers": 1, "memory_budget": 2048,
-            "spill_dir": str(tmp_path / "spill"), "spill_codec": "zlib", "plan_concurrency": False, "task_timeout": 600.0,
-            "checkpoint_dir": str(tmp_path / "ckpt"), "stage_fusion": True,
+            "spill_dir": str(tmp_path / "spill"), "spill_codec": "zlib", "task_timeout": 600.0,
             "plan_cache_dir": str(tmp_path / "plans"),
             "chaos": ChaosPlan.from_spec("crash:rate=0.5:attempt=1;seed=3"),
             "shared_executor": executor, "plan_cache": PlanCache(), "num_pivots": 30,
@@ -208,13 +209,14 @@ class TestStageKeyCoversEveryField:
             result = PlanScheduler(runtime).execute(graph).execution_of(stage).result
         return canonical((result.outputs, result.side_outputs, result.counters.as_dict()))
 
+    @pytest.mark.parametrize("self_join", [False, True], ids=["r-s", "self-join"])
     @pytest.mark.parametrize("selection", ["random", "farthest", "kmeans"])
     @pytest.mark.parametrize("config_class", [PgbjConfig, BlockJoinConfig])
     def test_every_field_moves_the_key_or_not_the_output(
-        self, config_class, selection, rng, tmp_path
+        self, config_class, selection, self_join, rng, tmp_path
     ):
         r = Dataset(rng.random((300, 3)), name="r")
-        s = Dataset(rng.random((250, 3)), ids=np.arange(1_000, 1_250), name="s")
+        s = r if self_join else Dataset(rng.random((250, 3)), ids=np.arange(1_000, 1_250), name="s")
         base = config_class(**self.BASE, pivot_selection=selection)
         key, output = partition_stage_key(r, s, base, base.num_pivots), None
         with PersistentThreadExecutor(max_workers=2) as executor:

@@ -58,7 +58,7 @@ CASES = {
 }
 
 #: what may differ between the two data flows
-UNCOMPARED = ("blocks",)
+UNCOMPARED = ("blocks", "served")
 
 
 def _config(case: str, **knobs) -> PgbjConfig:
@@ -81,12 +81,16 @@ class TestBlockPerTaskMatchesPerCellReference:
         "knobs",
         [
             dict(),
-            dict(stage_fusion=True),
+            dict(plan_cache_dir="served"),
             dict(memory_budget=65536),
-            dict(memory_budget=65536, stage_fusion=True),
+            dict(memory_budget=65536, plan_cache_dir="served"),
             dict(memory_budget=64),
             dict(engine="processes-pooled", max_workers=2),
-            dict(engine="processes-pooled", max_workers=2, memory_budget=65536, stage_fusion=True),
+            dict(engine="processes-pooled", max_workers=2, memory_budget=65536),
+            dict(
+                engine="processes-pooled", max_workers=2, memory_budget=65536,
+                plan_cache_dir="served",
+            ),
         ],
         ids=lambda knobs: ",".join(f"{key}={value}" for key, value in knobs.items()) or "default",
     )
@@ -96,7 +100,14 @@ class TestBlockPerTaskMatchesPerCellReference:
         r, s = CASES[case][0]()
         if "memory_budget" in knobs:
             knobs = dict(knobs, spill_dir=str(tmp_path))
+        if "plan_cache_dir" in knobs:
+            # a first run stores the partition stage (the one with a content
+            # key), and the run checked is served it from disk
+            knobs = dict(knobs, plan_cache_dir=str(tmp_path / "plans"))
+            cold = pgbj_facts(r, s, _config(case, **knobs), reference=False)
+            assert _comparable(cold) == _comparable(reference) and not cold["served"]
         facts = pgbj_facts(r, s, _config(case, **knobs), reference=False)
+        assert facts["served"] == (["pgbj/partition"] if "plan_cache_dir" in knobs else [])
         assert _comparable(facts) == _comparable(reference)
         assert len(facts["neighbors"]) == len(r)
         # partition-job output: one block per map task (a self-join's rows

@@ -1,17 +1,13 @@
 """Unit tests for the dataflow plan layer (JobGraph / PlanScheduler / PlanCache).
 
-The scheduler's contract: stages execute only after their declared
-dependencies, concurrent and sequential scheduling produce bit-identical
-results, and content-keyed stages are served verbatim from the cache.  The
-hypothesis property drives randomly shaped DAGs with randomized stage
-latencies through the concurrent scheduler and asserts dependency order
-held on every interleaving.
+The scheduler's contract: stages execute in declaration order, so after
+their declared dependencies; content-keyed stages are served verbatim from
+the cache, and keyless ones too once the scheduler has a plan identity.
+The hypothesis property drives randomly shaped DAGs through the scheduler
+and asserts that order held.
 """
 
 from __future__ import annotations
-
-import threading
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -58,18 +54,6 @@ class TestJobGraph:
         assert graph.resource(None) is None
         assert graph.resources == []
 
-    def test_fuse_uniquifies_names_and_keeps_handles(self):
-        g1, g2 = JobGraph("one"), JobGraph("two")
-        a1 = job_stage(g1, "a")
-        a2 = job_stage(g2, "a")
-        fused = JobGraph.fuse([g1, g2])
-        assert [s.name for s in fused.stages] == ["a", "1:a"]
-        with LocalRuntime() as runtime:
-            run = PlanScheduler(runtime).execute(fused)
-        # original handles resolve to the fused executions
-        assert job_fingerprint(run.result_of(a1)) == job_fingerprint(run.result_of(a2))
-
-
 class TestSchedulerEquivalence:
     def make_graph(self):
         graph = JobGraph("diamond")
@@ -79,26 +63,14 @@ class TestSchedulerEquivalence:
         d = job_stage(graph, "d", deps=(b, c))
         return graph, (a, b, c, d)
 
-    def test_concurrent_matches_sequential(self):
-        graph_seq, stages_seq = self.make_graph()
-        with LocalRuntime() as runtime:
-            sequential = PlanScheduler(runtime, concurrent=False).execute(graph_seq)
-        graph_con, stages_con = self.make_graph()
-        with LocalRuntime() as runtime:
-            concurrent = PlanScheduler(runtime, concurrent=True).execute(graph_con)
-        for seq_stage, con_stage in zip(stages_seq, stages_con):
-            assert job_fingerprint(sequential.result_of(seq_stage)) == job_fingerprint(
-                concurrent.result_of(con_stage)
-            )
-
     @pytest.mark.parametrize("engine", ("serial", "threads-pooled", "processes-pooled"))
-    def test_concurrent_spill_jobs_do_not_collide(self, engine):
-        """Two same-named jobs running at once must keep separate spill dirs."""
+    def test_same_named_spill_jobs_do_not_collide(self, engine):
+        """Same-named jobs of one plan must keep separate spill dirs."""
         reference = job_fingerprint(LocalRuntime().run(norm_job(), norm_splits()))
         graph = JobGraph("parallel")
         stages = [job_stage(graph, f"s{i}") for i in range(4)]
         with LocalRuntime(engine=engine, max_workers=2, memory_budget=0) as runtime:
-            run = PlanScheduler(runtime, concurrent=True).execute(graph)
+            run = PlanScheduler(runtime).execute(graph)
         for stage in stages:
             assert job_fingerprint(run.result_of(stage)) == reference
 
@@ -123,7 +95,7 @@ class TestSchedulerEquivalence:
         job_stage(graph, "ok")
         with LocalRuntime() as runtime:
             with pytest.raises(RuntimeError, match="builder exploded"):
-                PlanScheduler(runtime, concurrent=True).execute(graph)
+                PlanScheduler(runtime).execute(graph)
 
     def test_undeclared_dependency_read_rejected(self):
         graph = JobGraph("g")
@@ -136,7 +108,7 @@ class TestSchedulerEquivalence:
         graph.stage("b", sneaky)  # note: no deps
         with LocalRuntime() as runtime:
             with pytest.raises(PlanError, match="without declaring"):
-                PlanScheduler(runtime, concurrent=False).execute(graph)
+                PlanScheduler(runtime).execute(graph)
 
     def test_master_only_stage_and_phases(self):
         graph = JobGraph("m")
@@ -181,15 +153,31 @@ class TestPlanCache:
         assert len(cache) == 2
         assert cache.hits == 0
 
-    def test_unkeyed_stage_never_cached(self):
+    def test_unkeyed_stage_without_identity_never_cached(self):
         cache = PlanCache()
         for _ in range(2):
             graph = JobGraph("g")
-            job_stage(graph, "a")  # no key
+            job_stage(graph, "a")  # no key, and the scheduler no identity
             with LocalRuntime() as runtime:
                 run = PlanScheduler(runtime, cache=cache).execute(graph)
             assert run.cached_stage_names() == []
         assert len(cache) == 0
+
+    def test_unkeyed_stage_cached_under_the_plan_identity(self):
+        cache = PlanCache()
+        for identity, expected in (("one", []), ("one", ["a"]), ("two", [])):
+            graph = JobGraph("g")
+            job_stage(graph, "a")
+            with LocalRuntime() as runtime:
+                run = PlanScheduler(runtime, cache=cache, identity=identity).execute(graph)
+            assert run.cached_stage_names() == expected, identity
+        # ("one", "a") and ("two", "a"): another identity never aliases
+        assert cache.stats() == {"entries": 2, "hits": 1, "misses": 2}
+
+    def test_checkpoint_dir_is_refused(self, tmp_path):
+        with LocalRuntime() as runtime:
+            with pytest.raises(ValueError, match="checkpoint_dir is gone"):
+                PlanScheduler(runtime, checkpoint_dir=tmp_path)
 
     def test_cached_run_marks_stage(self):
         cache = PlanCache()
@@ -210,89 +198,18 @@ class TestPlanCache:
         cache.clear()
         assert len(cache) == 0
 
-    def test_concurrent_same_key_coalesces_to_one_execution(self):
-        """Racing stages with one key must produce exactly once (a fused
-        sweep's shared prefix), the rest served after waiting."""
+    def test_failed_producer_stores_nothing(self):
+        """A producer that raises leaves no entry: the next caller produces."""
         cache = PlanCache()
-        reference = job_fingerprint(LocalRuntime().run(norm_job(), norm_splits()))
-        graph = JobGraph("race")
-        stages = [
-            job_stage(graph, f"s{i}", key=("shared-prefix",)) for i in range(4)
-        ]
-        with LocalRuntime() as runtime:
-            run = PlanScheduler(runtime, cache=cache, concurrent=True).execute(graph)
-        results = [run.result_of(stage) for stage in stages]
-        assert all(result is results[0] for result in results)  # one object
-        assert job_fingerprint(results[0]) == reference
-        assert cache.stats() == {"entries": 1, "hits": 3, "misses": 1}
-        assert sum(e.from_cache for e in run.executions) == 3
 
-    def test_failed_producer_wakes_a_waiter(self):
-        """A producer that raises must not wedge coalesced waiters."""
-        import threading
+        def explode():
+            raise RuntimeError("producer dies")
 
-        cache = PlanCache()
-        calls = []
-        release = threading.Event()
-
-        def flaky_produce():
-            calls.append(threading.get_ident())
-            if len(calls) == 1:
-                release.set()
-                raise RuntimeError("first producer dies")
-            return "value"
-
-        outcomes = []
-
-        def worker():
-            try:
-                outcomes.append(cache.compute(("k",), flaky_produce))
-            except RuntimeError:
-                outcomes.append("raised")
-
-        first = threading.Thread(target=worker)
-        second = threading.Thread(target=worker)
-        first.start()
-        release.wait(timeout=5)
-        second.start()
-        first.join()
-        second.join()
-        assert "raised" in outcomes
-        assert ("value", True) in outcomes
-        # a later caller hits the stored entry
-        assert cache.compute(("k",), flaky_produce) == ("value", False)
-
-    def test_repeated_producer_failures_do_not_deadlock(self):
-        """A *second* failing producer must also hand off, never wedging
-        the remaining waiters (regression: the failure path clears the
-        reservation before waking, so every retry re-enters cleanly)."""
-        cache = PlanCache()
-        attempts = []
-
-        def produce():
-            attempts.append(threading.get_ident())
-            if len(attempts) <= 2:
-                raise RuntimeError(f"producer {len(attempts)} dies")
-            return "value"
-
-        outcomes = []
-
-        def worker():
-            try:
-                outcomes.append(cache.compute(("k",), produce))
-            except RuntimeError:
-                outcomes.append("raised")
-
-        workers = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in workers:
-            thread.start()
-        for thread in workers:
-            thread.join(timeout=10)
-        assert not any(thread.is_alive() for thread in workers)  # no deadlock
-        assert outcomes.count("raised") == 2
-        assert ("value", True) in outcomes
-        assert all(o == "raised" or o[0] == "value" for o in outcomes)
-        assert cache.compute(("k",), produce) == ("value", False)
+        with pytest.raises(RuntimeError, match="producer dies"):
+            cache.compute(("k",), explode)
+        assert len(cache) == 0
+        assert cache.compute(("k",), lambda: "value") == ("value", True)
+        assert cache.compute(("k",), explode) == ("value", False)
 
 
 class TestPersistentPlanCache:
@@ -356,59 +273,53 @@ class TestPersistentPlanCache:
         assert {"disk_hits", "disk_writes"} <= set(stats)
 
 
-# -- the hypothesis property: dependency order under random latencies ----------
+# -- the hypothesis property: dependency order on any DAG shape ---------------
 
 
 @st.composite
 def random_dags(draw):
-    """A random DAG over 2..7 stages (edges only from earlier to later) plus
-    a per-stage latency in [0, 20] ms."""
+    """A random DAG over 2..7 stages (edges only from earlier to later), and
+    which of its stages run a job rather than only the master's work."""
     count = draw(st.integers(min_value=2, max_value=7))
     edges = []
     for target in range(1, count):
         for source in range(target):
             if draw(st.booleans()):
                 edges.append((source, target))
-    latencies = draw(
-        st.lists(st.integers(min_value=0, max_value=20), min_size=count, max_size=count)
-    )
-    return count, edges, latencies
+    runs_job = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    return count, edges, runs_job
 
 
 @settings(max_examples=25, deadline=None)
 @given(random_dags())
-def test_scheduler_respects_dependency_order_under_latency(dag):
-    """Every stage starts only after all its dependencies finished, no matter
-    how the randomized latencies interleave the scheduler threads."""
-    count, edges, latencies = dag
+def test_scheduler_respects_dependency_order(dag):
+    """Stages run one at a time in declaration order, so every stage starts
+    only after all its dependencies finished and may read their results."""
+    count, edges, runs_job = dag
     events: list[tuple[str, int]] = []
-    lock = threading.Lock()
 
     graph = JobGraph("property")
     stages = []
     for index in range(count):
         deps = tuple(stages[source] for source, target in edges if target == index)
 
-        def build(ctx, index=index):
-            with lock:
-                events.append(("start", index))
-            time.sleep(latencies[index] / 1000.0)
-            with lock:
-                events.append(("finish", index))
-            return None  # master-only: the property is about ordering
+        def build(ctx, index=index, deps=deps):
+            events.append(("start", index))
+            for dep in deps:
+                if runs_job[stages.index(dep)]:
+                    assert job_fingerprint(ctx.result_of(dep)) == reference
+            events.append(("finish", index))
+            return (norm_job(), norm_splits()) if runs_job[index] else None
 
         stages.append(graph.stage(f"s{index}", build, deps=deps))
 
+    reference = job_fingerprint(LocalRuntime().run(norm_job(), norm_splits()))
     with LocalRuntime() as runtime:
-        run = PlanScheduler(runtime, concurrent=True).execute(graph)
+        run = PlanScheduler(runtime).execute(graph)
 
-    position = {
-        (kind, index): at for at, (kind, index) in enumerate(events)
-    }
+    assert events == [(kind, index) for index in range(count) for kind in ("start", "finish")]
     for source, target in edges:
-        assert position[("finish", source)] < position[("start", target)], (
-            f"stage {target} started before its dependency {source} finished"
-        )
-    # every stage ran exactly once
-    assert len(events) == 2 * count
-    assert [e.stage.name for e in run.executions] == [f"s{i}" for i in range(count)]
+        assert (
+            run.execution_of(stages[source]).finished_s
+            <= run.execution_of(stages[target]).started_s
+        ), f"stage {target} started before its dependency {source} finished"

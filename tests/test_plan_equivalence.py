@@ -1,11 +1,10 @@
-"""Plan execution equivalence: concurrent scheduling must be invisible.
+"""Plan execution equivalence: where a stage's result comes from must be
+invisible.
 
-The acceptance bar of the planner redesign: all 8 joins run through
-``JobGraph`` plans, and concurrent stage scheduling, stage fusion, fused
-multi-join execution and cache-served prefixes (in memory or from the
-persistent plan cache) are all **bit-identical** — results,
-``pairs_computed``, shuffle records/bytes — to strictly sequential runs, on
-every engine and both shuffle backends.
+The acceptance bar of the planner: all 8 joins run through ``JobGraph``
+plans, and cache-served stages (in memory or from the persistent plan
+cache) are **bit-identical** — results, ``pairs_computed``, shuffle
+records/bytes — to cold runs, on every engine and both shuffle backends.
 
 Engine and memory budget default from ``REPRO_ENGINE`` /
 ``REPRO_MEMORY_BUDGET`` (like the bench harness), so the CI legs sweep this
@@ -40,7 +39,6 @@ from repro.joins import (
     plan_join,
     registry,
     run_join,
-    run_join_plans,
 )
 from repro.joins.base import knobs_from_env
 from repro.joins.partition_job import partition_stage_key
@@ -115,34 +113,92 @@ def run_one(name: str, data, queries, **config_overrides):
     return run_join(name, data, data, config, **extra), config
 
 
-class TestConcurrentMatchesSequential:
-    """Concurrent plan scheduling ≡ the historical sequential order, and
-    stage fusion ≡ unfused stages, per join."""
+def stage_facts(outcome):
+    """A kNN outcome's accounting, stage by stage."""
+    return [
+        (stats.job_name, stats.shuffle_records, stats.shuffle_bytes, stats.output_bytes)
+        for stats in outcome.job_stats
+    ]
+
+
+class JobCounter:
+    """Counts the jobs a runtime executes; with ``kill_after`` set, the next
+    job after that many raises, as a process killed between stages would."""
+
+    def __init__(self, monkeypatch, kill_after: int | None = None) -> None:
+        from repro.mapreduce.runtime import LocalRuntime
+
+        self.jobs = 0
+        real = LocalRuntime.run
+
+        def counting(runtime, job, splits):
+            if kill_after is not None and self.jobs == kill_after:
+                raise RuntimeError("simulated kill")
+            self.jobs += 1
+            return real(runtime, job, splits)
+
+        monkeypatch.setattr(LocalRuntime, "run", counting)
+
+
+def run_resumed(name, data, queries, directory, monkeypatch, stages_done, **overrides):
+    """Kill a join with ``plan_cache_dir=directory`` once ``stages_done`` jobs
+    have finished, then run it again over the same directory; returns the
+    resumed outcome and the number of jobs the resumed run executed."""
+    JobCounter(monkeypatch, kill_after=stages_done)
+    with pytest.raises(RuntimeError, match="simulated kill"):
+        run_one(name, data, queries, plan_cache_dir=str(directory), **overrides)
+    monkeypatch.undo()
+    resumed = JobCounter(monkeypatch)
+    outcome, _ = run_one(name, data, queries, plan_cache_dir=str(directory), **overrides)
+    monkeypatch.undo()
+    return outcome, resumed.jobs
+
+
+class TestServedStagesMatchComputed:
+    """Where a stage's result comes from is invisible, per join: a run served
+    from an in-memory plan cache, and a run killed after any finished stage
+    and resumed over the same ``plan_cache_dir``, equal the uncached run —
+    results, counters and every stage's accounting."""
 
     @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_join_equivalence(self, name, data, queries):
-        sequential, _ = run_one(name, data, queries, plan_concurrency=False)
-        concurrent, _ = run_one(name, data, queries, plan_concurrency=True)
-        assert fingerprint(concurrent) == fingerprint(sequential)
+    def test_warm_in_memory_run_matches(self, name, data, queries):
+        plain, _ = run_one(name, data, queries)
+        cache = PlanCache()
+        cold, _ = run_one(name, data, queries, plan_cache=cache)
+        stored = len(cache)
+        warm, _ = run_one(name, data, queries, plan_cache=cache)
+        assert fingerprint(cold) == fingerprint(warm) == fingerprint(plain)
+        # the warm run was served every stage the cold run stored
+        assert stored >= 1 and cache.stats() == {
+            "entries": stored, "hits": stored, "misses": stored,
+        }
 
     @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_fused_matches_unfused(self, name, data, queries):
-        plain, _ = run_one(name, data, queries, stage_fusion=False)
-        fused, _ = run_one(name, data, queries, stage_fusion=True)
-        assert fingerprint(fused) == fingerprint(plain)
+    def test_resumed_after_every_stage_matches(self, name, data, queries, tmp_path, monkeypatch):
+        counter = JobCounter(monkeypatch)
+        plain, _ = run_one(name, data, queries)
+        monkeypatch.undo()
+        for done in range(counter.jobs):
+            resumed, jobs = run_resumed(
+                name, data, queries, tmp_path / str(done), monkeypatch, done
+            )
+            assert fingerprint(resumed) == fingerprint(plain), done
+            assert jobs == counter.jobs - done  # the finished stages came from disk
 
-    @pytest.mark.parametrize("name", ("pgbj", "pbj", "zorder"))
-    def test_per_stage_accounting_stable(self, name, data, queries):
-        """Stage-level stats (not just totals) are schedule-independent."""
-        sequential, _ = run_one(name, data, queries, plan_concurrency=False)
-        concurrent, _ = run_one(name, data, queries, plan_concurrency=True)
-        assert [
-            (s.job_name, s.shuffle_records, s.shuffle_bytes)
-            for s in sequential.job_stats
-        ] == [
-            (s.job_name, s.shuffle_records, s.shuffle_bytes)
-            for s in concurrent.job_stats
-        ]
+    @pytest.mark.parametrize("name", available_joins(kind="knn"))
+    def test_per_stage_accounting_stable(self, name, data, queries, tmp_path, monkeypatch):
+        """Stage-level stats (not just totals) are the same whether a stage
+        ran, was served warm, or was served to a run resumed before its last
+        stage."""
+        plain, _ = run_one(name, data, queries)
+        cache = PlanCache()
+        run_one(name, data, queries, plan_cache=cache)
+        warm, _ = run_one(name, data, queries, plan_cache=cache)
+        resumed, _ = run_resumed(
+            name, data, queries, tmp_path, monkeypatch, len(plain.job_stats) - 1
+        )
+        assert stage_facts(warm) == stage_facts(resumed) == stage_facts(plain)
+        assert warm.job_stats.names == plain.job_stats.names
 
 
 class TestEngineSpillMatrix:
@@ -152,10 +208,7 @@ class TestEngineSpillMatrix:
 
     @pytest.fixture(scope="class")
     def pgbj_reference(self, data):
-        config = PgbjConfig(
-            k=3, num_reducers=4, num_pivots=12, split_size=64, seed=5,
-            plan_concurrency=False,
-        )
+        config = PgbjConfig(k=3, num_reducers=4, num_pivots=12, split_size=64, seed=5)
         return fingerprint(run_join("pgbj", data, data, config))
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -170,18 +223,28 @@ class TestEngineSpillMatrix:
         if budget is not None:
             assert outcome.spill_segments() > 0
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("budget", (None, 64))
+    def test_pgbj_resumed_matrix(self, data, engine, budget, pgbj_reference, tmp_path, monkeypatch):
+        """Killed after its partition stage and resumed over the same
+        ``plan_cache_dir``: the stage read back from disk drives the join
+        stage on every engine and shuffle backend."""
+        resumed, jobs = run_resumed(
+            "pgbj", data, None, tmp_path, monkeypatch, 1,
+            engine=engine, max_workers=2, memory_budget=budget,
+        )
+        assert fingerprint(resumed) == pgbj_reference
+        assert jobs == 1
+
     @pytest.mark.parametrize("engine", ("serial", "processes-pooled"))
     @pytest.mark.parametrize("budget", (None, 64))
-    def test_zorder_matrix(self, data, engine, budget):
+    def test_zorder_matrix(self, data, engine, budget, tmp_path, monkeypatch):
         reference = fingerprint(
             run_join(
                 "zorder",
                 data,
                 data,
-                ZOrderConfig(
-                    k=3, num_reducers=4, num_shifts=2, split_size=64, seed=5,
-                    plan_concurrency=False,
-                ),
+                ZOrderConfig(k=3, num_reducers=4, num_shifts=2, split_size=64, seed=5),
             )
         )
         config = ZOrderConfig(
@@ -189,6 +252,13 @@ class TestEngineSpillMatrix:
             engine=engine, max_workers=2, memory_budget=budget,
         )
         assert fingerprint(run_join("zorder", data, data, config)) == reference
+        resumed, jobs = run_resumed(
+            "zorder", data, None, tmp_path, monkeypatch, 1,
+            k=3, num_reducers=4, num_shifts=2, split_size=64, seed=5,
+            engine=engine, max_workers=2, memory_budget=budget,
+        )
+        assert fingerprint(resumed) == reference
+        assert jobs == 1  # the one job left after the first stage ran again
 
 
 class TestCompressedSpill:
@@ -206,43 +276,14 @@ class TestCompressedSpill:
             assert compressed.spill_segments() > 0
 
 
-class TestFusedPlans:
-    """Several joins fused into one graph overlap stage-by-stage and must
-    reproduce the isolated sequential runs exactly — including under a
-    forced-spill budget, where concurrent same-named jobs share one store."""
-
-    @pytest.mark.parametrize("budget", (None, 0))
-    def test_fused_multi_join(self, data, budget):
-        names = ("pgbj", "hbrj", "zorder")
-        isolated = [
-            fingerprint(
-                run_one(data=data, queries=None, name=name,
-                        plan_concurrency=False, memory_budget=budget)[0]
-            )
-            for name in names
-        ]
-        config = make_config("broadcast", memory_budget=budget)  # runtime knobs only
-        plans = [
-            plan_join(name, data, data, make_config(name, memory_budget=budget))
-            for name in names
-        ]
-        fused = run_join_plans(plans, config)
-        assert [fingerprint(outcome) for outcome in fused] == isolated
-
-    def test_fused_sequential_also_matches(self, data):
-        names = ("hbrj", "ijoin")
-        isolated = [
-            fingerprint(run_one(data=data, queries=None, name=name)[0])
-            for name in names
-        ]
-        config = make_config("broadcast", plan_concurrency=False)
-        plans = [plan_join(name, data, data, make_config(name)) for name in names]
-        fused = run_join_plans(plans, config)
-        assert [fingerprint(outcome) for outcome in fused] == isolated
-
-
 class TestPlanCacheReuse:
-    """Shared-prefix reuse: cached sweeps are bit-identical to cold ones."""
+    """Shared-prefix reuse: cached sweeps are bit-identical to cold ones.
+
+    Every stage is stored: the partition stage under its content key, which
+    leaves ``k`` and ``num_reducers`` out, and every other stage under its
+    plan's identity, which holds every config field — so a sweep shares the
+    partition stage alone, and each point adds one entry (and one miss) per
+    later stage."""
 
     def test_k_sweep_reuses_partitioning(self, data):
         cold = {
@@ -254,11 +295,14 @@ class TestPlanCacheReuse:
             for k in (2, 4, 6)
         }
         assert warm == cold
-        # one partitioning execution served all three k values
-        assert cache.stats() == {"entries": 1, "hits": 2, "misses": 1}
+        # one partitioning execution served all three k values: its entry
+        # plus three k-specific join entries, so 1 + 3 misses and 2 hits
+        assert cache.stats() == {"entries": 4, "hits": 2, "misses": 4}
 
     def test_prefix_shared_across_algorithms(self, data):
-        """PGBJ and PBJ build the identical partitioning job: one cache entry."""
+        """PGBJ and PBJ build the identical partitioning job: one cache entry
+        for it, served once, beside PGBJ's join stage and PBJ's block join
+        and merge stages (1 + 1 + 2 entries, each a miss once)."""
         cache = PlanCache()
         pgbj_cold = fingerprint(run_one("pgbj", data, None)[0])
         pbj_cold = fingerprint(run_one("pbj", data, None)[0])
@@ -266,7 +310,7 @@ class TestPlanCacheReuse:
             run_one("pgbj", data, None, plan_cache=cache)[0]
         ) == pgbj_cold
         assert fingerprint(run_one("pbj", data, None, plan_cache=cache)[0]) == pbj_cold
-        assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
+        assert cache.stats() == {"entries": 4, "hits": 1, "misses": 4}
 
     def test_changed_prefix_inputs_miss(self, data):
         """Different pivot counts (or seeds) must not alias in the cache."""
@@ -274,7 +318,7 @@ class TestPlanCacheReuse:
         run_one("pgbj", data, None, plan_cache=cache, num_pivots=8)
         run_one("pgbj", data, None, plan_cache=cache, num_pivots=12)
         run_one("pgbj", data, None, plan_cache=cache, num_pivots=12, seed=9)
-        assert len(cache) == 3
+        assert len(cache) == 3 * 2  # a partition and a join entry per run
         assert cache.hits == 0
 
     def test_reducer_sweep_reuses_partitioning(self, data):
@@ -296,13 +340,13 @@ class TestPlanCacheReuse:
     @pytest.mark.parametrize("name", ALL_JOINS)
     def test_cold_then_warm_disk_cache(self, name, data, queries, tmp_path):
         """A run served from the persistent cache by a fresh cache object
-        fingerprints like the cold run that wrote it."""
+        fingerprints like the cold run that wrote it, and writes nothing new:
+        every stage was stored by the cold run."""
         cold, _ = run_one(name, data, queries, plan_cache_dir=str(tmp_path))
+        files = sorted(Path(tmp_path).glob("*.plan.seg"))
         warm, _ = run_one(name, data, queries, plan_cache_dir=str(tmp_path))
         assert fingerprint(warm) == fingerprint(cold)
-        if name in ("pgbj", "pbj", "closest-pairs"):
-            # these plans share the content-keyed partition stage
-            assert list(Path(tmp_path).glob("*.plan.seg"))
+        assert files and sorted(Path(tmp_path).glob("*.plan.seg")) == files
 
     def test_an_entry_written_by_older_partitioning_code_does_not_hit(
         self, data, tmp_path, monkeypatch
@@ -355,11 +399,24 @@ class TestPlanCacheReuse:
             marker.write_text(printed)
 
 
+def run_pinned(name, data, served: bool, **overrides):
+    """One self-join run; ``served`` returns a second run over a plan cache
+    the first one filled, every stage of it served from the cache."""
+    if not served:
+        return run_one(name, data, None, **overrides)[0]
+    cache = PlanCache()
+    run_one(name, data, None, plan_cache=cache, **overrides)
+    outcome, _ = run_one(name, data, None, plan_cache=cache, **overrides)
+    assert cache.hits == len(cache) >= 1
+    return outcome
+
+
 class TestMergeJobProducersPinned:
     """The four joins feeding the shared merge job, pinned to the facts the
     per-record merge job produced (recorded on the commit before candidate
     lists went columnar): neighbour ids, computed pairs, S replicas and the
-    shuffle, under whatever engine/budget the CI leg injects, fused or not.
+    shuffle, under whatever engine/budget the CI leg injects, computed or
+    served from a plan cache.
     (``pbj``'s pair count was 19 960 while the kernel computed every
     ``|r, p_j|`` up front; only that field moved when it stopped, and again,
     from 17 437, when the self-join's objects were assigned once, the pivot
@@ -396,17 +453,14 @@ class TestMergeJobProducersPinned:
         "zorder": ("f7cc7c3009292dc9", 2369, 432, 1232, 53280),
     }
 
-    @pytest.mark.parametrize("fused", (False, True), ids=("chained", "fused"))
+    @pytest.mark.parametrize("served", (False, True), ids=("computed", "served"))
     @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_facts_unchanged(self, name, fused, data):
+    def test_facts_unchanged(self, name, served, data):
         import hashlib
 
         import numpy as np
 
-        outcome, _ = run_one(
-            name, data, None,
-            num_reducers=9 if name == "zorder" else 4, stage_fusion=fused,
-        )
+        outcome = run_pinned(name, data, served, num_reducers=9 if name == "zorder" else 4)
         digest = hashlib.sha1()
         for r_id in outcome.result.r_ids():
             digest.update(np.int64(r_id).tobytes())
@@ -421,7 +475,8 @@ class TestMergeJobProducersPinned:
 
 
 class TestFinalOutputsPinned:
-    """The two joins whose reducers answer the join directly, pinned to the
+    """The two joins whose reducers answer the join directly, computed or
+    served from a plan cache, pinned to the
     facts their row-shaped ``(r_id, (ids, dists))`` outputs produced (recorded
     on the commit before they became one ``NeighborBlock`` per reduce call;
     ``pgbj``'s pair count was 15 570 with the eager object-pivot matrix, and
@@ -445,15 +500,16 @@ class TestFinalOutputsPinned:
         "pgbj": ("6a7ec171f4ee3716", 6258, 13600, 200),
     }
 
+    @pytest.mark.parametrize("served", (False, True), ids=("computed", "served"))
     @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_facts_unchanged(self, name, data):
+    def test_facts_unchanged(self, name, served, data):
         import hashlib
 
         import numpy as np
 
         from repro.mapreduce import estimate_bytes
 
-        outcome, _ = run_one(name, data, None)
+        outcome = run_pinned(name, data, served)
         digest, row_form_bytes = hashlib.sha1(), 0
         for r_id in outcome.result.r_ids():
             neighbors = outcome.result.neighbors_of(r_id)

@@ -7,8 +7,8 @@ must equal joining it with an equal copy in results and S replicas, and
 compute exactly the R copies' assignment pairs fewer.  PBJ and closest pairs
 ship the two roles apart, so their shuffle equals the equal copy's; PGBJ
 sends each object to its own group as one row of both roles, so its join
-shuffle is exactly the R rows lighter.  Persisted stage results (plan cache,
-checkpoints) must never serve one for the other.
+shuffle is exactly the R rows lighter.  Persisted stage results (an injected
+plan cache or a ``plan_cache_dir``) must never serve one for the other.
 """
 
 import copy
@@ -158,12 +158,12 @@ def facts(name, r, s, config):
     return answer(outcome), outcome.distance_pairs, outcome.counters.as_dict()
 
 
-@pytest.mark.parametrize("persisted", ("plan-cache", "checkpoint"))
+@pytest.mark.parametrize("persisted", ("plan-cache", "plan-cache-dir"))
 @pytest.mark.parametrize("first", ("self-join", "equal-copy"))
 def test_persisted_results_never_stand_in_for_the_other_kind(persisted, first, data, tmp_path):
-    """Fill a persistent plan cache (or a checkpoint directory) with one kind
-    of run, then run the other kind over it: its counters are a fresh run's.
-    The same kind again is served (the store is not vacuous)."""
+    """Fill a persistent plan cache (injected, or named by ``plan_cache_dir``)
+    with one kind of run, then run the other kind over it: its counters are a
+    fresh run's.  The same kind again is served (the store is not vacuous)."""
     kinds = {"self-join": data, "equal-copy": copy.deepcopy(data)}
     second = "equal-copy" if first == "self-join" else "self-join"
     fresh = facts("pgbj", data, kinds[second], config_for("pgbj"))
@@ -171,7 +171,7 @@ def test_persisted_results_never_stand_in_for_the_other_kind(persisted, first, d
     def stored():
         if persisted == "plan-cache":
             return config_for("pgbj", plan_cache=PlanCache(directory=str(tmp_path / "plans")))
-        return config_for("pgbj", checkpoint_dir=str(tmp_path / "ckpt"))
+        return config_for("pgbj", plan_cache_dir=str(tmp_path / "dir"))
 
     facts("pgbj", data, kinds[first], stored())
     config = stored()
@@ -180,6 +180,8 @@ def test_persisted_results_never_stand_in_for_the_other_kind(persisted, first, d
         assert config.plan_cache.stats()["disk_hits"] == 0
         again = stored()
         facts("pgbj", data, kinds[first], again)
-        assert again.plan_cache.stats()["disk_hits"] == 1
+        # both stages: the partition under its content key, the join under
+        # the plan identity (each tells a self-join from an equal copy)
+        assert again.plan_cache.stats()["disk_hits"] == 2
     else:  # one file per stage and kind: the second kind wrote its own
-        assert len(list((tmp_path / "ckpt").glob("*.ckpt.seg"))) == 2 * 2
+        assert len(list((tmp_path / "dir").glob("*.plan.seg"))) == 2 * 2

@@ -203,6 +203,14 @@ def tied_dataset(count: int, dims: int, distinct: int, seed: int) -> Dataset:
     return Dataset(rng.random((distinct, dims))[rng.integers(0, distinct, size=count)])
 
 
+def entries(directory):
+    """The plan-cache files in ``directory``, each with its inode and mtime."""
+    return sorted(
+        (path.name, path.stat().st_ino, path.stat().st_mtime_ns)
+        for path in directory.glob("*.plan.seg")
+    )
+
+
 class TestColumnarMatchesPerRecordReference:
     """The array-shaped join against the per-record one it replaced
     (``tests/reference_zorder.py``): neighbour ids, distance *bytes*,
@@ -268,22 +276,31 @@ class TestColumnarMatchesPerRecordReference:
         "knobs",
         [
             dict(memory_budget=64),
-            dict(memory_budget=64, stage_fusion=True),
-            dict(stage_fusion=True),
             dict(engine="processes-pooled", max_workers=2),
             dict(engine="processes-pooled", max_workers=2, memory_budget=64),
-            dict(memory_budget=4096, stage_fusion=True),
+            dict(memory_budget=4096),
+            dict(plan_cache_dir="served"),
+            dict(memory_budget=64, plan_cache_dir="served"),
         ],
         ids=lambda knobs: ",".join(f"{key}={value}" for key, value in knobs.items()),
     )
-    def test_backends_engines_and_fusion(self, knobs, tmp_path):
+    def test_backends_and_engines(self, knobs, tmp_path):
         data = expand_dataset(generate_forest(40, seed=1), 10)
         config = ZOrderConfig(k=4, num_reducers=9, split_size=97, seed=11)
         reference = run_reference_zorder(data, data, config)
         if "memory_budget" in knobs:
             knobs = dict(knobs, spill_dir=str(tmp_path))
+        if "plan_cache_dir" in knobs:
+            # the run checked is served every stage a first run stored
+            knobs = dict(knobs, plan_cache_dir=str(tmp_path / "plans"))
+            cold = run_join("zorder", data, data, config.with_changes(**knobs))
+            assert outcome_facts(cold) == reference
+            stored = entries(tmp_path / "plans")
+            assert len(stored) == len(cold.job_stats)
         outcome = run_join("zorder", data, data, config.with_changes(**knobs))
         assert outcome_facts(outcome) == reference
+        if "plan_cache_dir" in knobs:
+            assert entries(tmp_path / "plans") == stored  # read, none rewritten
 
     def test_payload_bytes_never_travel(self):
         """The wire row is ``(is_r, id, point, z)``: OSM's payload sizes must
