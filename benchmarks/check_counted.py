@@ -9,10 +9,13 @@ selectivity counters that name the layer when the selectivity moves: the
 pairs the jobs computed (``selectivity.distance_pairs``; with the master's,
 the selectivity's numerator), the pairs the Voronoi assignment
 skipped (``selectivity.assignment_pairs_skipped``, 0 for a join without a
-partitioning job), and the object-pivot and object-anchor pairs among the
+partitioning job), the object-pivot and object-anchor pairs among the
 kernel reducers' (``selectivity.reducer_pivot_pairs`` and
 ``selectivity.reducer_anchor_pairs``, 0 for a join without the Algorithm 3
-kernel).  So any
+kernel), and the rest of theirs by where the scanned object lies
+(``selectivity.reducer_own_cell_pairs`` and
+``selectivity.reducer_other_cell_pairs``, the phase table's scan rows).  So
+any
 difference from the baseline is a change of behaviour, never noise: CI runs
 this on the end-to-end smoke record, and a PR that moves a counted metric on
 purpose shows it as a reviewed diff of ``results/e2e_smoke_counted.json``
@@ -45,6 +48,8 @@ COUNTERS = (
     "selectivity.assignment_pairs_skipped",
     "selectivity.reducer_pivot_pairs",
     "selectivity.reducer_anchor_pairs",
+    "selectivity.reducer_own_cell_pairs",
+    "selectivity.reducer_other_cell_pairs",
 )
 INPUTS = ("seed", "scale")
 BASELINE = Path(__file__).resolve().parent.parent / "results" / "e2e_smoke_counted.json"

@@ -1,0 +1,87 @@
+"""Advisory scale probe: one workload at its recorded scale and at 40 000
+objects, in one process, and the ratio of their CPU seconds.
+
+``forest_pgbj_serial`` at scale 0.5 joins 4 000 objects; at scale 5, 40 000
+(Forest x10, 1 600 pivots).  A join whose cost grows faster than its data —
+per-scan work that grows with S, say — shows as a ratio far above the
+data's growth, whatever the speed of the machine, since both joins ran on
+it.  No bound is applied yet: the record starts the series a bound will be
+calibrated from.
+
+    PYTHONPATH=src python benchmarks/scale_probe.py [--out scale-probe.json]
+
+Prints one JSON line (and writes it to ``--out``): per scale the objects,
+CPU and wall seconds of one in-process join and its selectivity, and
+``cpu_ratio``, the larger scale's CPU seconds over the smaller's.  A join at
+the smoke scale runs first, unrecorded, so neither pays the process's
+first-call costs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from benchmarks.e2e.workloads import get_workload  # noqa: E402
+from repro.joins import run_join  # noqa: E402
+
+WORKLOAD = "forest_pgbj_serial"
+SEED = 0
+#: the benchmark's recorded scale, and 40 000 objects
+SCALES = (0.5, 5.0)
+WARM_UP_SCALE = 0.125
+
+
+def probe(scale: float) -> dict:
+    """One join of :data:`WORKLOAD` at ``scale``: objects, CPU and wall
+    seconds, selectivity in permille."""
+    workload = get_workload(WORKLOAD)
+    data = workload.dataset(SEED, scale)
+    with tempfile.TemporaryDirectory() as work_dir:
+        config = workload.config(scale, work_dir)
+        cpu, wall = time.process_time(), time.perf_counter()
+        outcome = run_join(workload.join, data, data, config)
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    return {
+        "scale": scale,
+        "objects": len(data),
+        "cpu_s": round(cpu, 3),
+        "wall_s": round(wall, 3),
+        "selectivity_permille": round(outcome.selectivity() * 1000.0, 5),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, help="also write the record here")
+    args = parser.parse_args(argv)
+    probe(WARM_UP_SCALE)
+    runs = [probe(scale) for scale in SCALES]
+    record = {
+        "workload": WORKLOAD,
+        "seed": SEED,
+        "runs": runs,
+        "cpu_ratio": round(runs[-1]["cpu_s"] / max(runs[0]["cpu_s"], 1e-9), 2),
+        "environment": {
+            "cpu_count": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+        },
+    }
+    line = json.dumps(record)
+    print(line)
+    if args.out is not None:
+        args.out.write_text(line + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -90,9 +90,13 @@ def anchor_intervals(codes, pids, own_dists, code_rows):
     """``(mids, radius)``: the middle of each code's step, ``(C, n)``, and per
     object one radius covering every step's half width, the rounding of the
     distances the interval is made of (``PRUNE_RTOL`` of its widest end) and
-    ``PRUNE_EPS`` — ``|o, a|`` lies within ``radius`` of its mid."""
+    ``PRUNE_EPS`` — ``|o, a|`` lies within ``radius`` of its mid.  The mids
+    are C-ordered: a gather of a few objects' columns (``take(cols, 1)``)
+    then reads those columns only, where an F-ordered source is first copied
+    whole."""
     lo, step, hi = _code_steps(pids, own_dists, code_rows)
-    mids = lo + (codes.T + 0.5) * step
+    mids = np.multiply(codes.T + 0.5, step, order="C")
+    mids += lo
     return mids, step.max(axis=0) / 2 + PRUNE_RTOL * hi.max(axis=0) + PRUNE_EPS
 
 

@@ -96,16 +96,22 @@ PAIRS_GROUP = "selectivity"
 PAIRS_NAME = "distance_pairs"
 #: the part of a kernel reducer's ``distance_pairs`` that are object-pivot pairs
 PIVOT_PAIRS_NAME = "reducer_pivot_pairs"
+#: the rest, by the cell the scanned object lies in: the row's own, or another
+OWN_CELL_PAIRS_NAME = "reducer_own_cell_pairs"
+OTHER_CELL_PAIRS_NAME = "reducer_other_cell_pairs"
 REPLICA_GROUP = "shuffle"
 REPLICA_NAME = "s_replicas"
 
 
-def count_kernel_pairs(counters: Counters, metric, pivot_metric) -> None:
-    """A kernel reducer's pairs: both metrics' in ``distance_pairs``, and the
-    object-pivot part apart."""
-    pivot = pivot_metric.pairs_computed
-    counters.incr(PAIRS_GROUP, PAIRS_NAME, metric.pairs_computed + pivot)
+def count_kernel_pairs(counters: Counters, metric, pivot_metric, own_metric) -> None:
+    """A kernel reducer's pairs: the three metrics' in ``distance_pairs``,
+    and each part apart — object-pivot pairs (``pivot_metric``), and the
+    scans' pairs of own-cell (``own_metric``) and other-cell objects."""
+    pivot, own, other = (m.pairs_computed for m in (pivot_metric, own_metric, metric))
+    counters.incr(PAIRS_GROUP, PAIRS_NAME, pivot + own + other)
     counters.incr(PAIRS_GROUP, PIVOT_PAIRS_NAME, pivot)
+    counters.incr(PAIRS_GROUP, OWN_CELL_PAIRS_NAME, own)
+    counters.incr(PAIRS_GROUP, OTHER_CELL_PAIRS_NAME, other)
 
 
 @dataclass(frozen=True)

@@ -61,34 +61,42 @@ window ``[0,1) [1,2) [2,4) [4,8) ...`` the bounds are evaluated for every
 go through one gathered ``metric.pair_distances`` call, and the rows'
 nearest computed pivots are updated from them.
 
-The own cell from its ring centre outward (under ring pruning): round 0
-scans the ``k`` ring entries centred on where ``|r, p_i|`` falls among the
-cell's sorted pivot distances, which gives the row a finite theta; after each
-round the ring is re-cut with that theta and the scanned range grows by
-``2^t k`` entries on each side until it covers the ring.  A skipped entry lies
-outside a ring cut with a theta no smaller than the final k-th distance, and
-the k-best fold does not depend on order, so no result changes.
+Bound-ordered rounds (under ring pruning) — LAESA's "approximate, then
+eliminate" inside a cell: every visit at steps 0 and 1 (the own cell and the
+nearest other cell), and the own cell at any step (behind a coincident twin
+pivot), sorts its ring slice by a lower bound on ``|r, s|`` that costs no
+distance, ``max(max_a |mid_r - mid_s| - radius_r - radius_s, | |r, p_j| -
+|s, p_j| |)``, ties by entry, and scans it ``k`` (3 in another cell), then
+twice as many, entries a round.  Each round hands the scan the entries the
+ring cut admits at the theta of that moment, and a row stops once its next
+bound exceeds theta plus the ring cut's slack: every entry left lies
+outside the cut or fails the code filter.  The nearest candidates come
+first, so theta tightens before the scans pay for the rest; without codes the
+bound is the ring distance and the rounds run from the ring centre outward.
+The k-best fold does not depend on order, so no result changes, and the
+later steps fold their ring slices in strips.
 
 Anchors (under ring pruning, whose rule they apply): the ``code_anchors``,
 all ``C = A`` of the partitioner's.  The partitioning job computed
 ``|o, a|`` to assign each object and shipped it as a one-byte code
 (:func:`~repro.core.geometry.anchor_codes`); the kernel decodes each row's
 codes into mids and one radius (:func:`~repro.core.geometry.anchor_intervals`)
-and computes no anchor distance.  A scan folds a ring slice in strips of
-``max(128, 16 k)`` entries and drops each pair with ``max_a |mid_r - mid_s|``
-above the row's theta of that moment plus both radii; a dropped pair lies
-beyond theta, so it changes no k-best and no theta.
+and computes no anchor distance.  A scan folds its entries (a ring slice, or
+a round's) in strips of ``max(128, 16 k)`` and drops each pair with ``max_a
+|mid_r - mid_s|`` above the row's theta of that moment plus both radii; a
+dropped pair lies beyond theta, so it changes no k-best and no theta.
 
 A row starts from its own bound ``theta_i - U_i + |r, p_i|``: Theorem 3 with
 its pivot distance in place of the cell's largest, ``U_i``, so every bound
 of Algorithm 1 moves by the same constant and so does the k-th smallest.
 
 :func:`knn_join_kernel_reference`, the per-record oracle, applies the same
-rules, so results and ``metric.pairs_computed`` (the paper's selectivity
-numerator) are equal pair for pair.  Two byte budgets bound memory: a scan or
-a window gathers at most ``_GATHER_BYTES`` of pairs per batch, and R is tiled
-by whole cells so a window's ``(steps, rows)`` matrices stay near
-``_TILE_BYTES``.
+rules, so the results and the pairs counted on ``metric`` (other cells),
+``own_metric`` (the own cell) and ``pivot_metric`` (object-pivot pairs) are
+equal pair for pair; their sum is the paper's selectivity numerator.  Two
+byte budgets bound memory: a scan, a window or the bounds of a round's rows
+gather at most ``_GATHER_BYTES`` of pairs per batch, and R is tiled by whole
+cells so a window's ``(steps, rows)`` matrices stay near ``_TILE_BYTES``.
 
 Inputs are :class:`~repro.mapreduce.types.RecordBlock` batches, the one row
 format: a reducer gathers its values into one block, and
@@ -108,6 +116,7 @@ from repro.core.bounds import theta_bounds
 from repro.core.distance import Metric
 from repro.core.geometry import (
     PRUNE_EPS,
+    PRUNE_RTOL,
     anchor_intervals,
     anchor_range_gaps,
     anchor_ranges,
@@ -276,6 +285,24 @@ _NEAREST_COMPUTED, _NEAREST_WITHIN = 8, 32
 _EMPTY = np.finfo(np.float64).max / 4
 
 
+#: steps whose every visit is scanned in bound-ordered rounds: the own cell
+#: and the nearest other cell (an own cell behind a coincident twin pivot is
+#: scanned in rounds at any step); the later steps fold their slices in strips
+_ROUND_STEPS = 2
+
+
+#: entries of a bound-ordered round 0 in another cell than the row's own,
+#: where the row's theta is already finite and its few nearest entries are
+#: the likeliest to tighten it
+_OTHER_FIRST_ROUND = 3
+
+
+def _first_round(k: int, own: bool) -> int:
+    """Entries of a bound-ordered round 0: ``k`` in the row's own cell, which
+    makes an unbounded theta finite; each later round doubles."""
+    return k if own else min(k, _OTHER_FIRST_ROUND)
+
+
 def _strip_length(k: int) -> int:
     """Entries of a ring slice a scan folds (and filters by anchors) at once."""
     return max(128, 16 * k)
@@ -358,21 +385,34 @@ def _step_windows(num_steps: int) -> Iterator[tuple[int, int]]:
     return zip(edges[:-1], edges[1:])
 
 
-def _centre_window(centre, start, stop, k: int):
-    """Round 0 of an own-cell scan: the ``k`` entries ``[lo, hi)`` of the
-    ring ``[start, stop)`` centred on ``centre``, shifted inward at the
-    ring's ends (the whole ring when it holds at most ``k``)."""
-    lo = np.minimum(np.maximum(centre - k // 2, start), np.maximum(start, stop - k))
-    return lo, np.minimum(lo + k, stop)
+def _stop_limit(theta, dist_r_pj):
+    """The bound beyond which a row's rounds stop: theta plus the slack of
+    its Theorem 2 ring cut (:func:`~repro.core.geometry.ring_slices`), so an
+    entry past it lies outside the cut or fails the code filter.  Scalars or
+    aligned arrays, the same IEEE operations either way; ``inf`` while theta
+    is."""
+    finite = np.where(np.isfinite(theta), theta, 0.0)
+    return theta + (PRUNE_EPS + PRUNE_RTOL * (dist_r_pj + finite))
 
 
-def _widen(lo, hi, start, stop, grow: int):
-    """A later round: the scanned ``[lo, hi)`` grown by ``grow`` entries on
-    each side, clipped to the re-cut ring ``[start, stop)``.  The round scans
-    ``[new_lo, lo)`` and ``[hi, new_hi)``; neither grows once the range
-    covers the ring."""
-    new_lo = np.minimum(lo, np.maximum(start, lo - grow))
-    return new_lo, np.maximum(hi, np.minimum(stop, hi + grow))
+def _entry_bounds(dist_r_pj, s_dists, anchors, rows, entries):
+    """Per pair ``(rows[i], entries[i])`` a lower bound on ``|r, s|`` that
+    costs no distance: ``max(max_a |mid_r - mid_s| - radius_r - radius_s, |
+    |r, p_j| - |s, p_j| |)`` — the code anchors' (``anchors`` as
+    :func:`_scan_segments` takes them, if any) and the ring's, with
+    ``dist_r_pj`` per pair and ``s_dists`` the entries' pivot distances.  An
+    anchor at a time: memory per pair, not per pair and anchor."""
+    bounds = np.abs(dist_r_pj - s_dists)
+    if anchors is not None:
+        r_mids, s_mids, r_radius, s_radius = anchors
+        codes = np.full(entries.shape, -np.inf)
+        for r_mids_a, s_mids_a in zip(r_mids, s_mids):
+            gap = np.subtract(r_mids_a.take(rows), s_mids_a.take(entries))
+            np.maximum(codes, np.abs(gap, out=gap), out=codes)
+        codes -= r_radius.take(rows)
+        codes -= s_radius.take(entries)
+        np.maximum(bounds, codes, out=bounds)
+    return bounds
 
 
 def _bound_scale(r_blocks: dict, pdm_cells: np.ndarray, pdm_present: np.ndarray) -> float:
@@ -424,12 +464,14 @@ def _scan_segments(
     theta: np.ndarray,
     scratch: ScratchPool | None = None,
     anchors: tuple | None = None,
+    entries: np.ndarray | None = None,
 ) -> None:
     """One gathered scan: one ring slice of ``s_block`` per R row in ``rows``.
 
     Builds the flat ``(row, s-index)`` pair list covering exactly the ring
-    members each row admits, drops the pairs the ``anchors`` (``(r mids, s
-    mids, r radii, s radii)`` of the decoded anchor codes, if given) prove
+    members each row admits (the slices index ``entries``, if given, which
+    holds ``s_block`` indices), drops the pairs the ``anchors`` (``(r mids,
+    s mids, r radii, s radii)`` of the decoded anchor codes, if given) prove
     farther than the row's theta, computes the rest in one counted call, then
     folds each row's candidates into its running k-best matrix:
 
@@ -456,6 +498,8 @@ def _scan_segments(
     total = int(offsets[-1] + lengths[-1])
     # flat pair list: seg_of_pair repeats each segment, col walks its slice
     col = np.arange(total) - np.repeat(offsets - starts, lengths)
+    if entries is not None:
+        col = entries.take(col)
     seg_of_pair = np.repeat(np.arange(rows.size), lengths)
     if anchors is not None:
         # a dropped pair is farther than theta: it changes no k-best, no theta
@@ -538,11 +582,13 @@ def scan_partition_numpy(
     theta: np.ndarray,
     scratch: ScratchPool | None = None,
     anchors: tuple | None = None,
+    entries: np.ndarray | None = None,
 ) -> None:
     """The scan: strip-mined gathered batches.
 
     One wavefront step of :func:`knn_join_kernel` — the step's admitted ring
-    slices (``[start, start + length)`` of ``s_block``, one per surviving R
+    slices (``[start, start + length)`` of ``s_block``, or of ``entries``,
+    the ``s_block`` indices of a bound-ordered round, one per surviving R
     row, each row at most once), folded into the running k-best state.
     Without ``anchors`` exactly the ``sum(lengths)`` admitted pairs are
     computed (counted through the metric); with them, those of each strip
@@ -560,7 +606,7 @@ def scan_partition_numpy(
         # dense-pivot common case: one batch, no strip bookkeeping
         _scan_segments(
             metric, k, r_points, s_block, rows, starts, lengths,
-            best_dists, best_ids, theta, scratch, anchors,
+            best_dists, best_ids, theta, scratch, anchors, entries,
         )
         return
     offset = 0
@@ -583,6 +629,7 @@ def scan_partition_numpy(
                 theta,
                 scratch,
                 anchors,
+                entries,
             )
         offset += strip
 
@@ -602,11 +649,12 @@ def knn_join_kernel(
     pivot_metric: Metric | None = None,
     code_anchors: np.ndarray | None = None,
     uppers: dict[int, float] | None = None,
+    own_metric: Metric | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Run Algorithm 3's reduce phase; yields ``(r_id, neighbor_ids, dists)``.
 
     Bit-identical to :func:`knn_join_kernel_reference` (same neighbor lists,
-    same ``metric.pairs_computed``): every per-row pruning decision, computed
+    same pairs counted on each metric): every per-row pruning decision, computed
     ``|r, p_j|`` and ring slice is the same, every admitted pair's distance is
     computed with the same IEEE operations — only evaluated batched, one scan
     step (one step window, for the object-pivot distances) at a time across
@@ -639,12 +687,16 @@ def knn_join_kernel(
         ``U_i`` per R-partition, as ``thetas`` was computed with (PGBJ: from
         ``T_R``); the largest pivot distance among the present rows when
         omitted (PBJ's local ``U``).
+    own_metric:
+        The counted metric of the pairs of a row and its own cell's members
+        (the reducers count them apart); ``metric`` when omitted.
     """
     if not s_blocks:
         raise ValueError("reducer received R objects but no S objects")
     if scratch is None:
         scratch = ScratchPool()
     pivot_metric = pivot_metric or metric
+    own_metric = own_metric or metric
     present = sorted(s_blocks)
     cells = sorted(r_blocks)
     num_present = len(present)
@@ -723,14 +775,58 @@ def knn_join_kernel(
         near_gaps = np.zeros((_NEAREST_COMPUTED, num_rows), dtype=np.intp)
         anything_learned = False
 
-        def scan(rows, starts, stops):
+        def scan(counted, rows, starts, stops, entries=None):
             lengths = stops - starts
             occupied = np.flatnonzero(lengths > 0)
             if occupied.size:
                 scan_partition_numpy(
-                    metric, k, r_points, s_all, rows[occupied], starts[occupied],
-                    lengths[occupied], best_dists, best_ids, theta, scratch, anchors,
+                    counted, k, r_points, s_all, rows[occupied], starts[occupied],
+                    lengths[occupied], best_dists, best_ids, theta, scratch, anchors, entries,
                 )
+
+        def rounds(counted, first_round, rows, visit, dist_r_pj, starts, stops):
+            # each row's ring slice in ascending bound, ties by entry, a batch
+            # of rows within the budget at a time; a round hands the scan
+            # the entries its re-cut ring admits
+            lengths = stops - starts
+            for lo, hi in _chunk_bounds(lengths, max(1, _GATHER_BYTES // 64)):
+                rows_b, visit_b, dist_b = rows[lo:hi], visit[lo:hi], dist_r_pj[lo:hi]
+                lengths_b = lengths[lo:hi]
+                ends = np.cumsum(lengths_b)
+                pos = ends - lengths_b
+                pair_row = np.repeat(np.arange(hi - lo), lengths_b)
+                entries = np.arange(pair_row.size) - np.repeat(pos - starts[lo:hi], lengths_b)
+                bounds = _entry_bounds(
+                    dist_b.take(pair_row), s_all.pivot_dists.take(entries), anchors,
+                    rows_b.take(pair_row), entries,
+                )
+                # (row, bound) keys, stable: ties keep the entries' order
+                by_bound = np.argsort(segment_keys(pair_row, bounds), kind="stable")
+                entries, bounds = entries[by_bound], bounds[by_bound]
+                live, size = np.arange(hi - lo), first_round
+                while True:
+                    live = live[pos[live] < ends[live]]
+                    live = live[
+                        bounds[pos[live]] <= _stop_limit(theta[rows_b[live]], dist_b[live])
+                    ]
+                    if live.size == 0:
+                        break
+                    at_rows, at_visit, at_dist = rows_b[live], visit_b[live], dist_b[live]
+                    start, stop = ring_slices(
+                        s_keys, lower[at_visit], upper[at_visit], at_dist, theta[at_rows], at_visit
+                    )
+                    count = np.minimum(ends[live] - pos[live], size)
+                    taken = entries[
+                        np.repeat(pos[live] - (np.cumsum(count) - count), count)
+                        + np.arange(int(count.sum()))
+                    ]
+                    seg = np.repeat(np.arange(live.size), count)
+                    in_ring = (taken >= start[seg]) & (taken < stop[seg])
+                    admitted = np.bincount(seg[in_ring], minlength=live.size)
+                    first = np.cumsum(admitted) - admitted
+                    scan(counted, at_rows, first, first + admitted, taken[in_ring])
+                    pos[live] += count
+                    size *= 2
 
         for first_step, window_end in _step_windows(num_present):
             # |r, p_j| — an object-pivot pair, counted toward selectivity
@@ -805,34 +901,28 @@ def knn_join_kernel(
                     rows, visit, dist_r_pj = rows[keep], visit[keep], dist_r_pj[keep]
                 if rows.size == 0:
                     continue
-                if not use_ring_pruning:
-                    scan(rows, s_offsets[visit], s_offsets[visit + 1])
-                    continue
-                starts, stops = ring_slices(
-                    s_keys, lower[visit], upper[visit], dist_r_pj, theta[rows], visit
-                )
-                if own is None:
-                    scan(rows, starts, stops)
-                    continue
-                # the own cell from its ring centre outward: round 0 here,
-                # beside the other rows' cells, then the widening rounds
-                rows_own, visit, dist_r_pj = rows[own], visit[own], dist_r_pj[own]
-                centres = np.searchsorted(s_keys, segment_keys(visit, dist_r_pj))
-                lo, hi = _centre_window(centres, starts[own], stops[own], k)
-                starts[own], stops[own] = lo, hi
-                scan(rows, starts, stops)
-                grow = k
-                while rows_own.size:
-                    start, stop = ring_slices(
-                        s_keys, lower[visit], upper[visit], dist_r_pj, theta[rows_own], visit
+                if use_ring_pruning:
+                    starts, stops = ring_slices(
+                        s_keys, lower[visit], upper[visit], dist_r_pj, theta[rows], visit
                     )
-                    new_lo, new_hi = _widen(lo, hi, start, stop, grow)
-                    live = np.flatnonzero((start < stop) & ((new_lo < lo) | (new_hi > hi)))
-                    rows_own, visit, dist_r_pj = rows_own[live], visit[live], dist_r_pj[live]
-                    lo, hi, new_lo, new_hi = lo[live], hi[live], new_lo[live], new_hi[live]
-                    scan(rows_own, new_lo, lo)
-                    scan(rows_own, hi, new_hi)
-                    lo, hi, grow = new_lo, new_hi, 2 * grow
+                else:
+                    starts, stops = s_offsets[visit], s_offsets[visit + 1]
+                rounded = use_ring_pruning and first_step + step < _ROUND_STEPS
+                if own is None and not rounded:
+                    scan(metric, rows, starts, stops)
+                    continue
+                # the first steps, and the own cell, in bound-ordered rounds;
+                # the own cell's pairs are counted apart
+                own = np.zeros(rows.size, dtype=bool) if own is None else own
+                ordered = (own & use_ring_pruning) | rounded
+                for is_own, counted, group in ((True, own_metric, own), (False, metric, ~own)):
+                    strips, in_rounds = group & ~ordered, np.flatnonzero(group & ordered)
+                    scan(counted, rows[strips], starts[strips], stops[strips])
+                    if in_rounds.size:
+                        rounds(
+                            counted, _first_round(k, is_own), rows[in_rounds], visit[in_rounds],
+                            dist_r_pj[in_rounds], starts[in_rounds], stops[in_rounds],
+                        )
         # unfilled slots are +inf / sentinel padding at the tail
         counts = (best_dists < np.inf).sum(axis=1).tolist()
         for row, (r_id, count) in enumerate(zip(r_ids.tolist(), counts)):
@@ -853,20 +943,22 @@ def knn_join_kernel_reference(
     pivot_metric: Metric | None = None,
     code_anchors: np.ndarray | None = None,
     uppers: dict[int, float] | None = None,
+    own_metric: Metric | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The per-record kernel, kept as the correctness oracle.
 
     One R point at a time, scalar pruning tests, full-lexsort k-best list —
     the seed's loop, computing ``|r, p_j|`` by the same window rule and
     bounds as :func:`knn_join_kernel` (one ``metric.distances`` per record and
-    window), scanning the own cell in the same rounds and the same anchor
-    filtered strips.  The equivalence tests (``tests/test_kernels.py``) hold
-    :func:`knn_join_kernel` to byte-identical outputs and pair counts against
-    this implementation.
+    window), scanning the first cells and the own cell in the same
+    bound-ordered rounds and the same anchor filtered strips.  The
+    equivalence tests (``tests/test_kernels.py``) hold :func:`knn_join_kernel`
+    to byte-identical outputs and pair counts against this implementation.
     """
     if not s_blocks:
         raise ValueError("reducer received R objects but no S objects")
     pivot_metric = pivot_metric or metric
+    own_metric = own_metric or metric
     present = sorted(s_blocks)
     present_points = pivot_points[present]
     pdm_present = pivot_dist_matrix[np.ix_(present, present)]
@@ -897,6 +989,7 @@ def knn_join_kernel_reference(
             )
             r_reach = anchor_reach(r_mids, r_radius)
         order = sorted(range(len(present)), key=lambda idx: pdm_row[present[idx]])
+        step_of = {idx: step for step, idx in enumerate(order)}
 
         for row in range(r_block.ids.shape[0]):
             kbest = ReferenceKBestList(k)
@@ -911,21 +1004,42 @@ def knn_join_kernel_reference(
                     return ring_slice(block.pivot_dists, *ring_stats[pid_s], dist_r_pj, theta)
                 return 0, len(block)
 
-            def fold(block, start, stop):
+            def fold(block, entries, counted):
                 nonlocal theta
-                for lo in range(start, stop, strip):
-                    entries = np.arange(lo, min(lo + strip, stop))
+                for lo in range(0, entries.size, strip):
+                    chunk = entries[lo : lo + strip]
                     if coded:
                         s_mids, s_radius = s_codes[block.partition_id]
-                        entries = entries[_codes_admit(
-                            r_mids[:, row, None], s_mids[:, entries],
-                            theta + r_radius[row] + s_radius[entries],
+                        chunk = chunk[_codes_admit(
+                            r_mids[:, row, None], s_mids[:, chunk],
+                            theta + r_radius[row] + s_radius[chunk],
                         )]
-                    if entries.size:
-                        dists = metric.distances(point, block.points[entries])
-                        kbest.update(dists, block.ids[entries])
+                    if chunk.size:
+                        dists = counted.distances(point, block.points[chunk])
+                        kbest.update(dists, block.ids[chunk])
                         if kbest.is_full():
                             theta = min(theta, kbest.theta + PRUNE_EPS)
+
+            def rounds(block, pid_s, dist_r_pj, counted):
+                # the ring slice in ascending bound, ties by entry; a round
+                # folds the entries its re-cut ring admits
+                entries = np.arange(*ring(block, pid_s, dist_r_pj))
+                anchors = None
+                if coded:
+                    s_mids, s_radius = s_codes[pid_s]
+                    anchors = (r_mids, s_mids, r_radius, s_radius)
+                bounds = _entry_bounds(
+                    dist_r_pj, block.pivot_dists[entries], anchors,
+                    np.full(entries.size, row), entries,
+                )
+                by_bound = np.lexsort((entries, bounds))
+                entries, bounds = entries[by_bound], bounds[by_bound]
+                at, size = 0, _first_round(k, pid_s == pid_r)
+                while at < entries.size and bounds[at] <= _stop_limit(theta, dist_r_pj):
+                    start, stop = ring(block, pid_s, dist_r_pj)
+                    taken = entries[at : at + size]
+                    fold(block, taken[(taken >= start) & (taken < stop)], counted)
+                    at, size = at + size, 2 * size
 
             for first_step, window_end in _step_windows(len(order)):
                 # the window rule of knn_join_kernel, one record at a time
@@ -969,23 +1083,11 @@ def knn_join_kernel_reference(
                     ):
                         continue  # Corollary 1 discards the whole cell
                     block = s_blocks[pid_s]
-                    start, stop = ring(block, pid_s, dist_r_pj)
-                    if not (use_ring_pruning and pid_s == pid_r):
-                        fold(block, start, stop)
-                        continue
-                    # the own cell from its ring centre outward, round by round
-                    centre = int(np.searchsorted(block.pivot_dists, dist_r_own))
-                    lo, hi = _centre_window(centre, start, stop, k)
-                    fold(block, lo, hi)
-                    grow = k
-                    while True:
-                        start, stop = ring(block, pid_s, dist_r_pj)
-                        new_lo, new_hi = _widen(lo, hi, start, stop, grow)
-                        if start >= stop or (new_lo == lo and new_hi == hi):
-                            break
-                        fold(block, new_lo, lo)
-                        fold(block, hi, new_hi)
-                        lo, hi, grow = new_lo, new_hi, 2 * grow
+                    counted = own_metric if pid_s == pid_r else metric
+                    if use_ring_pruning and (pid_s == pid_r or step_of[idx] < _ROUND_STEPS):
+                        rounds(block, pid_s, dist_r_pj, counted)
+                    else:
+                        fold(block, np.arange(*ring(block, pid_s, dist_r_pj)), counted)
             neighbor_ids, neighbor_dists = kbest.as_arrays()
             yield int(r_block.ids[row]), neighbor_ids, neighbor_dists
 

@@ -54,6 +54,7 @@ class PbjJoinReducer(Reducer):
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
         self._pivot_metric = get_metric(ctx.cache["metric_name"])
+        self._own_metric = get_metric(ctx.cache["metric_name"])
         self._k = int(ctx.cache["k"])
         self._code_anchors: np.ndarray = ctx.cache["code_anchors"]
         self._pivots: np.ndarray = ctx.cache["pivots"]
@@ -77,13 +78,14 @@ class PbjJoinReducer(Reducer):
                 self._pdm,
                 scratch=self._scratch,
                 pivot_metric=self._pivot_metric,
+                own_metric=self._own_metric,
                 code_anchors=self._code_anchors,
             )
         )
         return candidate_emissions(candidates, ctx, block.object_ids.dtype)
 
     def cleanup(self, ctx: Context):
-        count_kernel_pairs(ctx.counters, self._metric, self._pivot_metric)
+        count_kernel_pairs(ctx.counters, self._metric, self._pivot_metric, self._own_metric)
         return ()
 
 

@@ -109,6 +109,7 @@ class PgbjJoinReducer(Reducer):
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
         self._pivot_metric = get_metric(ctx.cache["metric_name"])
+        self._own_metric = get_metric(ctx.cache["metric_name"])
         self._k = int(ctx.cache["k"])
         self._thetas: dict[int, float] = ctx.cache["thetas"]
         self._uppers: dict[int, float] = ctx.cache["uppers"]
@@ -138,13 +139,14 @@ class PgbjJoinReducer(Reducer):
                 use_ring_pruning=self._use_ring,
                 scratch=self._scratch,
                 pivot_metric=self._pivot_metric,
+                own_metric=self._own_metric,
                 code_anchors=self._code_anchors,
                 uppers=self._uppers,
             )
         )
 
     def cleanup(self, ctx: Context):
-        count_kernel_pairs(ctx.counters, self._metric, self._pivot_metric)
+        count_kernel_pairs(ctx.counters, self._metric, self._pivot_metric, self._own_metric)
         return ()
 
 

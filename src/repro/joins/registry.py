@@ -181,8 +181,9 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: carry their coordinates in the join's narrowest exact dtype.  12: rows carry
 #: codes of every anchor, and ids and cell ids in their narrowest dtypes.
 #: 13: reducers judge a (row, cell) pair by the cell's anchor ranges, so the
-#: kNN stages' counters changed.
-RESULTS_VERSION = 13
+#: kNN stages' counters changed.  14: reducers scan a row's first cells in
+#: bound-ordered rounds and count own-cell and other-cell pairs apart.
+RESULTS_VERSION = 14
 
 
 def plan_identity(

@@ -146,6 +146,7 @@ class RowOutputJoinReducer(pgbj.PgbjJoinReducer):
             use_ring_pruning=self._use_ring,
             scratch=self._scratch,
             pivot_metric=self._pivot_metric,
+            own_metric=self._own_metric,
             code_anchors=self._code_anchors,
             uppers=self._uppers,
         ):

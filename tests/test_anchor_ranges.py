@@ -222,28 +222,37 @@ class TestKernels:
         assert pairs - pivot_pairs == old_pairs - old_pivot_pairs
         assert pivot_pairs <= old_pivot_pairs
 
-    def test_a_pinned_world_scans_the_pairs_it_scanned_without_the_rule(self):
+    def test_a_pinned_world_scans_the_pairs_it_scanned_without_the_rule(self, monkeypatch):
         """``kernel_world(seed=5, num_r=120, num_s=200, num_pivots=13, k=5)``:
         before the rule the kernel computed 2 846 pairs, 959 of them
         object-pivot, and was handed 5 380 ring-slice pairs; with it 2 183, 296
-        and 4 652 — the scans' 1 887 computed pairs did not move."""
+        and 4 652 — the scans' 1 887 computed pairs did not move.  Since each
+        row's first cells are scanned in ascending anchor bound the scans
+        compute 1 446 pairs, with the rule (handed 3 615) or without it; a
+        slice no longer than round 0 has since been bound-ordered too, not
+        handed whole, which hands 3 604 (4 334 → 4 320 without the rule) and
+        computes the same pairs."""
         world = WORLDS["13-codes"]("l2")
         assert all(block.codes.shape[1] == 13 for block in world[3].values())
-        assert pairs_by_kind(world) == (2183, 1887, 4652)
+        assert pairs_by_kind(world) == (1742, 1446, 3604)
+        without_ranges(monkeypatch)
+        assert pairs_by_kind(world) == (2405, 1446, 4320)
 
 
 @pytest.mark.parametrize(
     "join, before, after, digest",
     [
-        ("pgbj", (33883, 4014), 2387, "0a5c5b194e54d721"),
-        ("pbj", (44468, 8302), 4994, "0a5c5b194e54d721"),
+        ("pgbj", (32317, 4014), 2387, "0a5c5b194e54d721"),
+        ("pbj", (42869, 8302), 4994, "0a5c5b194e54d721"),
     ],
 )
 def test_joins_scan_the_pairs_they_scanned_without_the_rule(join, before, after, digest):
     """A 600-object Forest self-join, k = 5, 24 pivots, 4 reducers: the scans'
     pairs (``distance_pairs - reducer_pivot_pairs``) and the neighbours are
-    the ones computed before the rule; only ``reducer_pivot_pairs`` falls
-    (``before`` is ``(scans, object-pivot)`` then)."""
+    the ones computed without the rule; only ``reducer_pivot_pairs`` falls
+    (``before`` is ``(scans, object-pivot)`` without it).  The scans' pairs
+    were 33 883 and 44 468 before each row's first cells were scanned in
+    ascending anchor bound."""
     data = generate_forest(600, seed=3)
     config = get_join(join).make_config(k=5, num_pivots=24, num_reducers=4)
     outcome = run_join(join, data, data, config)
@@ -257,9 +266,10 @@ def test_joins_scan_the_pairs_they_scanned_without_the_rule(join, before, after,
 def test_closest_pairs_computes_fewer_pairs_with_the_same_answer():
     """The same data through the closest-pairs operator, k = 5: 53 046
     computed pairs before the rule, 49 738 with it (PBJ's object-pivot
-    saving), the same pairs out."""
+    saving), and 48 139 since each row's first cells are scanned in
+    ascending anchor bound, the same pairs out."""
     data = generate_forest(600, seed=3)
     config = get_join("closest-pairs").make_config(k=5, num_pivots=24, num_reducers=4)
     outcome = run_join("closest-pairs", data, data, config)
-    assert outcome.distance_pairs == 49738
+    assert outcome.distance_pairs == 48139
     assert hashlib.sha1(repr(outcome.pairs).encode()).hexdigest()[:16] == "5251fcaf3b986fe9"

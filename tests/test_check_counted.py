@@ -25,6 +25,8 @@ def record(seed=0, scale=0.125, skipped=1_474_270, **moved):
             "distance_pairs": 525_730,
             "assignment_pairs_skipped": skipped,
             "reducer_pivot_pairs": 27_075,
+            "reducer_own_cell_pairs": 300_000,
+            "reducer_other_cell_pairs": 178_755,
         },
         "forest_zorder_spill": {"distance_pairs": 1_280_000},
     }
@@ -100,6 +102,8 @@ def test_spill_layout_is_summed_over_jobs_and_held_exactly(files, capsys):
         "selectivity.assignment_pairs_skipped": 1_474_270,
         "selectivity.reducer_pivot_pairs": 27_075,
         "selectivity.reducer_anchor_pairs": 0,
+        "selectivity.reducer_own_cell_pairs": 300_000,
+        "selectivity.reducer_other_cell_pairs": 178_755,
     }
     # the same totals split differently over the jobs: the layout held
     shifted = record(**{
@@ -189,6 +193,36 @@ def test_reducer_anchor_pairs_are_pinned_at_0_and_a_return_is_named(files, capsy
     out = capsys.readouterr().out
     assert "osm_pgbj_spill.selectivity.reducer_anchor_pairs: 0 -> 2" in out
     assert "1 counted metric(s) differ" in out
+
+
+def test_own_and_other_cell_pairs_are_held_exactly_and_read_0_without_the_kernel(
+    files, capsys
+):
+    """The kernel reducers' scanned pairs by where the object lies, the
+    phase table's own-cell and other-cell rows: a move of either is named,
+    a join without the Algorithm 3 kernel reads 0, and in the committed
+    smoke record each PGBJ workload's pairs add up to its jobs' own."""
+    write, baseline = files
+    pinned = json.loads(Path(baseline).read_text())["workloads"]
+    assert pinned["forest_zorder_spill"]["selectivity.reducer_own_cell_pairs"] == 0
+    assert pinned["forest_zorder_spill"]["selectivity.reducer_other_cell_pairs"] == 0
+    committed = json.loads(check_counted.BASELINE.read_text())["workloads"]
+    for name, workload in committed.items():
+        parts = ("pivot", "own_cell", "other_cell")
+        reducers = sum(workload[f"selectivity.reducer_{part}_pairs"] for part in parts)
+        if "pgbj" in name:
+            assert 0 < reducers < workload["selectivity.distance_pairs"]
+        else:
+            assert reducers == 0
+    moved = record()
+    counters = moved["results"][0]["counters"]["counters"]["selectivity"]
+    counters["reducer_own_cell_pairs"] -= 5
+    counters["reducer_other_cell_pairs"] += 5
+    assert check_counted.main([write("moved.json", moved), "--baseline", baseline]) == 1
+    out = capsys.readouterr().out
+    assert "osm_pgbj_spill.selectivity.reducer_own_cell_pairs: 300000 -> 299995" in out
+    assert "osm_pgbj_spill.selectivity.reducer_other_cell_pairs: 178755 -> 178760" in out
+    assert "2 counted metric(s) differ" in out
 
 
 def test_a_baseline_without_the_spill_layout_fails(files, capsys):

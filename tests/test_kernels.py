@@ -1,6 +1,7 @@
 """Unit tests for the Algorithm 3 reducer kernel."""
 
 import copy
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
 from repro.core.bounds import compute_thetas
-from repro.core.geometry import anchor_codes
+from repro.core.geometry import anchor_codes, anchor_intervals
 from repro.core.knn import brute_force_knn_join
 from repro.core.summary import build_partial_summary
 from repro.joins import kernels
@@ -564,31 +565,18 @@ def run_counting_pivots(kernel, world, metric_name="l2", **flags):
     return results, pairs + pivot_metric.pairs_computed, pivot_metric.pairs_computed
 
 
-def scanned_by_cell(world, **flags):
-    """``(own-cell, other-cell)`` pairs the scans of one kernel run computed
-    (one R tile: a scan's rows and starts map back to cells).  A row meets
-    each scan at most once, so scanning the own-cell and other-cell rows
-    apart changes no row's strips, theta or pairs."""
-    _, _, r_blocks, s_blocks, *_ = world
-    cell_of_row = np.repeat(sorted(r_blocks), [len(r_blocks[pid].ids) for pid in sorted(r_blocks)])
-    present = np.array(sorted(s_blocks))
-    offsets = np.cumsum([len(s_blocks[pid]) for pid in present])
-    counts = {True: 0, False: 0}
-    scan_partition = kernels.scan_partition_numpy
-
-    def scan(metric, k, r_points, s_block, rows, starts, lengths, *state):
-        own = present[np.searchsorted(offsets, starts, side="right")] == cell_of_row[rows]
-        for kind, mine in ((True, own), (False, ~own)):
-            if mine.any():
-                before = metric.pairs_computed
-                scan_partition(
-                    metric, k, r_points, s_block, rows[mine], starts[mine], lengths[mine], *state
-                )
-                counts[kind] += metric.pairs_computed - before
-
-    with mock.patch.object(kernels, "scan_partition_numpy", scan):
-        run_kernel(knn_join_kernel, world, **flags)
-    return counts[True], counts[False]
+def pairs_by_cell(world, kernel=knn_join_kernel, metric_name="l2", **flags):
+    """``(own-cell, other-cell)`` pairs the scans of one kernel run computed,
+    as its ``own_metric`` and ``metric`` counted them."""
+    own_metric, other_metric = get_metric(metric_name), get_metric(metric_name)
+    _, _, r_blocks, s_blocks, thetas, ring, pivots, pdm, k = world
+    flags.setdefault("code_anchors", code_anchors_of(pivots, pdm, metric_name))
+    for _ in kernel(
+        other_metric, k, r_blocks, s_blocks, thetas, ring, pivots, pdm,
+        pivot_metric=get_metric(metric_name), own_metric=own_metric, **flags,
+    ):
+        pass
+    return own_metric.pairs_computed, other_metric.pairs_computed
 
 
 def assert_exact_and_within_own_pivot_rule(world, metric_name="l2", **flags):
@@ -610,8 +598,8 @@ def assert_exact_and_within_own_pivot_rule(world, metric_name="l2", **flags):
 
 class TestNearestPivotBoundsAndCentreOutScan:
     """Both rules against the own-pivot rule they tighten: every computed
-    ``|r, p_k|`` of a row's nearest pivots bounds its later cells, and the own
-    cell is scanned from its ring centre outward."""
+    ``|r, p_k|`` of a row's nearest pivots bounds its later cells, and the
+    first cells are scanned in bound-ordered rounds."""
 
     @given(adversarial_worlds(max_pivots=24))
     @settings(max_examples=120, deadline=None)
@@ -624,30 +612,20 @@ class TestNearestPivotBoundsAndCentreOutScan:
         finally:
             kernels._TILE_BYTES = saved
 
-    def test_rounds_in_index_terms(self):
-        # round 0: k entries centred on the insertion point, shifted inward
-        assert kernels._centre_window(10, 4, 30, 4) == (8, 12)
-        assert kernels._centre_window(4, 4, 30, 4) == (4, 8)  # centre at the first entry
-        assert kernels._centre_window(30, 4, 30, 4) == (26, 30)  # past the last entry
-        assert kernels._centre_window(7, 4, 7, 4) == (4, 7)  # a ring of <= k: all of it
-        assert kernels._centre_window(0, 0, 0, 4) == (0, 0)  # an empty ring
-        # later rounds grow both sides, clipped to the re-cut ring
-        assert kernels._widen(8, 12, 4, 30, 4) == (4, 16)
-        assert kernels._widen(8, 12, 9, 11, 4) == (8, 12)  # covered: no growth
-        lo, hi = kernels._widen(np.array([8, 26]), np.array([12, 30]), 0, 30, 8)
-        assert lo.tolist() == [0, 18] and hi.tolist() == [20, 30]
-
     @pytest.mark.parametrize("metric_name", ["l2", "l1"])
     def test_ring_centre_at_the_first_and_last_entry(self, metric_name):
-        """A row at its pivot (centre before the cell's first entry) and one
-        beyond the cell's farthest object (centre after its last): each scans
-        k entries of its own cell, not the 30 of the whole ring."""
+        """A row at its pivot (before the cell's first entry) and one beyond
+        the cell's farthest object (after its last): round 0 takes the k
+        entries nearest each, whose k-th distance then stops the row, so
+        each scans k entries of its own cell, not the 30 of the whole ring,
+        and none of another."""
         s_points = np.array([[x, 0.0] for x in range(1, 31)] + [[x, 0.0] for x in range(70, 100)])
         r_points = np.array([[0.0, 0.0], [45.0, 0.0]])
         world = world_from(r_points, s_points, np.array([[0.0, 0.0], [100.0, 0.0]]), 3, metric_name)
         assert [len(block) for block in world[3].values()] == [30, 30]
         assert_exact_and_within_own_pivot_rule(world, metric_name)
-        assert scanned_by_cell(world) == (6, 0)
+        for kernel in (knn_join_kernel, knn_join_kernel_reference):
+            assert pairs_by_cell(world, kernel, metric_name) == (2 * 3, 0)
 
     def test_own_ring_of_at_most_k_entries_is_scanned_whole(self):
         """Round 0 covers a ring of at most k entries, so without codes the
@@ -663,17 +641,6 @@ class TestNearestPivotBoundsAndCentreOutScan:
         assert new_total - new_pivot == scanned <= handed
         _, _, handed = pairs_by_kind(world, code_anchors=np.array([], dtype=np.intp))
         assert handed == old_total - old_pivot
-
-    def test_unbounded_theta_scans_the_own_cell_from_its_centre(self):
-        """PBJ's ``theta = inf``: the own-pivot rule scans every own cell
-        whole; round 0's k entries give every row a finite theta first."""
-        world = kernel_world(seed=79, num_r=60, num_s=200, num_pivots=5, k=4)
-        world = replace_world(world, thetas={pid: np.inf for pid in world[2]})
-        assert_exact_and_within_own_pivot_rule(world)
-        own_rows = sum(
-            len(world[2][pid].ids) * len(world[3][pid]) for pid in world[2] if pid in world[3]
-        )
-        assert scanned_by_cell(world)[0] < own_rows
 
     @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf", "l3"])
     def test_own_cell_after_a_coincident_twin(self, metric_name):
@@ -738,10 +705,275 @@ class TestNearestPivotBoundsAndCentreOutScan:
         assert scanned < handed
 
 
-def ring_world(k=5, per_cell=300, seed=97):
+def handed_scans(world, metric_name="l2", **flags):
+    """Every row's scans in one kernel run (one R tile), in order: ``(r id,
+    own cell, bound-ordered, handed s indices, theta after the scan)``, the
+    indices into the present S cells' blocks back to back (sorted cell
+    order), as the kernel concatenates them; a scan of a whole slice hands
+    its entries in index order."""
+    _, _, r_blocks, _, _, _, pivots, pdm, _ = world
+    r_ids = np.concatenate([r_blocks[pid].ids for pid in sorted(r_blocks)])
+    own_metric, scans = get_metric(metric_name), []
+    scan_partition = kernels.scan_partition_numpy
+
+    def spy(metric, k, r_points, s_block, rows, starts, lengths, *state):
+        scan_partition(metric, k, r_points, s_block, rows, starts, lengths, *state)
+        entries, theta = state[5] if len(state) > 5 else None, state[2]
+        ordered = entries is not None
+        for row, start, length in zip(rows.tolist(), starts.tolist(), lengths.tolist()):
+            handed = entries[start : start + length] if ordered else range(start, start + length)
+            own = metric is own_metric
+            scans.append((int(r_ids[row]), own, ordered, list(handed), float(theta[row])))
+
+    flags.setdefault("code_anchors", code_anchors_of(pivots, pdm, metric_name))
+    with mock.patch.object(kernels, "scan_partition_numpy", spy):
+        run_kernel(knn_join_kernel, world, metric_name, own_metric=own_metric, **flags)
+    return scans
+
+
+def scans_by_row(scans):
+    """:func:`handed_scans` per row, each row's in order."""
+    rows = {}
+    for scan in scans:
+        rows.setdefault(scan[0], []).append(scan[1:])
+    return rows
+
+
+def entry_bounds(world, code_anchors, r_id):
+    """Row ``r_id``'s bound on every S entry of its own cell, by the formula:
+    ``max(max_a |mid_r - mid_s| - radius_r - radius_s, | |r, p_i| - |s, p_i|
+    |)``, and the entries' indices (as :func:`handed_scans` gives them)."""
+    _, _, r_blocks, s_blocks, _, _, _, pdm, _ = world
+    pid = next(pid for pid, block in r_blocks.items() if r_id in block.ids)
+    r_block, row = r_blocks[pid], int(np.flatnonzero(r_blocks[pid].ids == r_id)[0])
+    present = sorted(s_blocks)
+    offset = sum(len(s_blocks[other]) for other in present[: present.index(pid)])
+    s_block = s_blocks[pid]
+    entries = offset + np.arange(len(s_block))
+    bounds = np.abs(r_block.pivot_dists[row] - s_block.pivot_dists)
+    if len(code_anchors):
+        code_rows = pdm[code_anchors]
+        r_mids, r_radius = anchor_intervals(
+            r_block.codes, np.full(len(r_block.ids), pid), r_block.pivot_dists, code_rows
+        )
+        s_mids, s_radius = anchor_intervals(
+            s_block.codes, np.full(len(s_block), pid), s_block.pivot_dists, code_rows
+        )
+        codes = np.abs(r_mids[:, row, None] - s_mids).max(axis=0) - r_radius[row] - s_radius
+        bounds = np.maximum(bounds, codes)
+    return bounds, entries
+
+
+def ascending(bounds, entries):
+    """``entries`` in ascending bound, ties by entry."""
+    return entries[np.lexsort((entries, bounds))].tolist()
+
+
+class TestBoundOrderedRounds:
+    """Steps 0 and 1, and the own cell wherever it falls, scan each row's
+    ring slice in ascending distance-free bound, k (or 3 in another cell),
+    2k, 4k, ... entries a round, each round's entries re-cut by the ring at
+    the theta of that moment, until the row's next bound exceeds theta."""
+
+    @pytest.mark.parametrize("metric_name", ["l2", "l1"])
+    def test_round_0_takes_the_k_entries_of_smallest_bound(self, metric_name):
+        """``theta = inf`` makes every own ring its whole cell, and a grid
+        of 4 values a coordinate makes bounds tie: round 0 hands each row the
+        k own-cell entries of smallest bound, ties to the smaller index."""
+        world = kernel_world(
+            seed=107, num_r=40, num_s=120, num_pivots=4, k=5, metric_name=metric_name
+        )
+        r, s, r_blocks, _, _, _, pivots, _, k = world
+        world = replace_world(world, thetas={pid: np.inf for pid in r_blocks})
+        coarse = world_from(
+            np.floor(r.points * 4), np.floor(s.points * 4), np.floor(pivots * 4), k, metric_name
+        )
+        for each in (world, replace_world(coarse, thetas={pid: np.inf for pid in coarse[2]})):
+            anchors = code_anchors_of(each[6], each[7], metric_name)
+            firsts, ties = {}, 0
+            for r_id, own, ordered, handed, _ in handed_scans(each, metric_name):
+                if own and r_id not in firsts:
+                    assert ordered
+                    firsts[r_id] = handed
+            assert firsts
+            for r_id, handed in firsts.items():
+                bounds, entries = entry_bounds(each, anchors, r_id)
+                assert handed == ascending(bounds, entries)[:k]
+                ties += len(bounds) - len(np.unique(bounds))
+            assert_matches_reference(each, metric_name)
+        assert ties  # the coarse world's bounds tie
+
+    @pytest.mark.parametrize("metric_name", ["l2", "linf"])
+    def test_without_codes_the_rounds_are_centre_out(self, metric_name):
+        """With ``code_anchors`` empty the bound is the ring distance ``|
+        |r, p_i| - |s, p_i| |``: every row's own-cell entries are handed in
+        ascending ring distance, a prefix of its cell in that order (a slice
+        round 0 covers, handed whole, is that prefix in index order)."""
+        world = kernel_world(
+            seed=109, num_r=60, num_s=300, num_pivots=5, k=4, metric_name=metric_name
+        )
+        no_codes = np.array([], dtype=np.intp)
+        handed_by_row, rounds = {}, 0
+        scans = handed_scans(world, metric_name, code_anchors=no_codes)
+        for r_id, own, ordered, handed, _ in scans:
+            if own:
+                assert ordered or len(handed) <= 4
+                handed_by_row.setdefault(r_id, []).extend(handed)
+                rounds += ordered
+        assert len(handed_by_row) > 40 and rounds > 40
+        for r_id, handed in handed_by_row.items():
+            bounds, entries = entry_bounds(world, no_codes, r_id)
+            prefix = ascending(bounds, entries)[: len(handed)]
+            assert handed == prefix or (len(handed) <= 4 and sorted(handed) == sorted(prefix))
+        assert_matches_reference(world, metric_name, code_anchors=no_codes)
+
+    def test_round_0_makes_an_unbounded_theta_finite(self):
+        """PBJ's ``theta = inf``: the own-pivot rule scans every own cell
+        whole; round 0's k entries give every row a finite theta first, so
+        the rows scan fewer own-cell pairs than their cells hold."""
+        world = kernel_world(seed=79, num_r=60, num_s=200, num_pivots=5, k=4)
+        world = replace_world(world, thetas={pid: np.inf for pid in world[2]})
+        assert_exact_and_within_own_pivot_rule(world)
+        seen = set()
+        for r_id, own, ordered, handed, theta in handed_scans(world):
+            if own and r_id not in seen:
+                seen.add(r_id)
+                assert ordered and len(handed) == 4 and np.isfinite(theta)
+        assert len(seen) == own_cell_rows(world)
+        own_rows = sum(
+            len(world[2][pid].ids) * len(world[3][pid]) for pid in world[2] if pid in world[3]
+        )
+        assert pairs_by_cell(world)[0] < own_rows
+
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf", "l3"])
+    def test_own_cell_after_a_coincident_twin_at_step_1(self, metric_name, monkeypatch):
+        """Cell 1's rows visit their coincident twin, cell 0, first: their own
+        cell sits at step 1.  With rounds cut to step 0 alone it is still
+        scanned in rounds, and both kernels agree pair for pair."""
+        world = kernel_world(
+            seed=67, num_r=90, num_s=140, num_pivots=8, k=5,
+            metric_name=metric_name, twin_pivots=True,
+        )
+        present = sorted(world[3])
+        assert present[scan_orders(world)[sorted(world[2]).index(1)][0]] == 0
+        assert present[scan_orders(world)[sorted(world[2]).index(1)][1]] == 1
+        monkeypatch.setattr(kernels, "_ROUND_STEPS", 1)
+        assert_exact_and_within_own_pivot_rule(world, metric_name)
+        cell_1_rows = set(world[2][1].ids.tolist())
+        own_scans = [scan for scan in handed_scans(world, metric_name) if scan[1]]
+        assert {r_id for r_id, _, ordered, _, _ in own_scans if ordered} & cell_1_rows
+        assert all(ordered or len(handed) <= 5 for _, _, ordered, handed, _ in own_scans)
+
+    def test_rounds_beyond_the_gather_budget_are_batched_by_rows(self, monkeypatch):
+        """A budget of 64 bound pairs (``_GATHER_BYTES`` of 4 096) cuts the
+        rounds' rows into many batches, a row's slice never split: every row
+        is handed the same entries in the same scans, and the results and
+        pair counts do not move."""
+        world = kernel_world(seed=113, num_r=80, num_s=400, num_pivots=4, k=5, dims=10)
+        world = replace_world(world, thetas={pid: np.inf for pid in world[2]})
+        whole = assert_matches_reference(world)
+        scans, pairs = scans_by_row(handed_scans(world)), pairs_by_kind(world)
+        batches = []
+        entry_bounds_of = kernels._entry_bounds
+
+        def spy(dist_r_pj, s_dists, anchors, rows, entries):
+            batches.append((entries.size, np.unique(rows).size))
+            return entry_bounds_of(dist_r_pj, s_dists, anchors, rows, entries)
+
+        monkeypatch.setattr(kernels, "_GATHER_BYTES", 4096)
+        monkeypatch.setattr(kernels, "_entry_bounds", spy)
+        assert run_kernel(knn_join_kernel, world)[0] == whole
+        assert len(batches) > 8 and all(size <= 64 or rows == 1 for size, rows in batches)
+        assert max(size for size, _ in batches) > 64  # a lone row's slice
+        assert scans_by_row(handed_scans(world)) == scans
+        assert pairs_by_kind(world) == pairs
+        assert assert_matches_reference(world) == whole
+
+    @pytest.mark.parametrize("seed", range(0, 48, 3))
+    def test_the_stop_skips_no_entry_the_ring_cut_admits(self, seed, monkeypatch):
+        """Collinear worlds at 1e6-1e11, where ring distances equal the
+        objects' distances but for rounding and k-th distances tie: rounds
+        that never stop hand the scans more entries but compute no more
+        pairs — every entry a stop skips lies outside the ring cut or fails
+        the code filter — with the codes and without them."""
+        world, metric_name = collinear_kernel_world(seed)
+        for code_anchors in (None, np.array([], dtype=np.intp)):
+            flags = {} if code_anchors is None else dict(code_anchors=code_anchors)
+            stopped = run_kernel(knn_join_kernel, world, metric_name, **flags)
+            _, _, handed = pairs_by_kind(world, metric_name, **flags)
+            with mock.patch.object(kernels, "_stop_limit", lambda theta, dist: np.inf):
+                assert run_kernel(knn_join_kernel, world, metric_name, **flags) == stopped
+                assert run_kernel(knn_join_kernel_reference, world, metric_name, **flags) == stopped
+                _, _, unstopped = pairs_by_kind(world, metric_name, **flags)
+            assert unstopped >= handed
+
+    @pytest.mark.parametrize("name", ["plain", "twins", "pbj", "duplicates"])
+    def test_both_kernels_count_own_and_other_cell_pairs_alike(self, name):
+        """The own-cell and other-cell pairs each kernel counts apart are
+        equal, and with the object-pivot pairs they make up the total."""
+        world = {
+            "plain": lambda: kernel_world(seed=17, num_r=90, num_s=140, num_pivots=10, k=5),
+            "twins": lambda: kernel_world(
+                seed=67, num_r=90, num_s=140, num_pivots=8, k=5, twin_pivots=True
+            ),
+            "pbj": lambda: replace_world(
+                kernel_world(seed=79, num_r=60, num_s=200, num_pivots=5, k=4),
+                thetas={pid: np.inf for pid in range(5)},
+            ),
+            "duplicates": lambda: world_from(
+                np.repeat(np.arange(12.0).reshape(6, 2), 3, axis=0),
+                np.repeat(np.arange(16.0).reshape(8, 2), 4, axis=0),
+                np.array([[0.0, 1.0], [6.0, 7.0], [14.0, 15.0]]), 6,
+            ),
+        }[name]()
+        own, other = pairs_by_cell(world)
+        assert own > 0 and (own, other) == pairs_by_cell(world, knn_join_kernel_reference)
+        _, pairs, pivot_pairs = run_counting_pivots(knn_join_kernel, world)
+        assert own + other + pivot_pairs == pairs
+
+
+class TestScanMemory:
+    def test_a_scan_against_a_large_s_block_peaks_below_64_kib(self):
+        """One 10-pair scan against 50 000 S rows with 16 anchor codes: the
+        filter gathers the 10 pairs' decoded mids, never a copy of the whole
+        ``(16, 50 000)`` array (6.4 MB) — which an F-ordered mids array
+        would cost on every scan."""
+        rng = np.random.default_rng(127)
+        num_s, num_codes, num_pivots, dims, k = 50_000, 16, 20, 3, 4
+        pdm = rng.random((num_pivots, num_pivots)) * 10
+        code_rows = pdm[:num_codes]
+        s_pids, s_dists = rng.integers(0, num_pivots, num_s), rng.random(num_s)
+        s_codes = rng.integers(0, 256, (num_s, num_codes)).astype(np.uint8)
+        s_mids, s_radius = anchor_intervals(s_codes, s_pids, s_dists, code_rows)
+        r_mids, r_radius = anchor_intervals(s_codes[:10], s_pids[:10], s_dists[:10], code_rows)
+        s_block = kernels.SPartitionBlock(
+            -1, np.arange(num_s), rng.random((num_s, dims)), np.sort(s_dists)
+        )
+        r_points = rng.random((10, dims))
+        rows, starts, lengths = np.arange(10), rng.integers(0, num_s, 10), np.ones(10, np.intp)
+        best_dists, best_ids = np.full((10, k), np.inf), np.full((10, k), kernels._ID_SENTINEL)
+        theta = np.full(10, 100.0)  # every pair passes the codes
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            kernels._scan_segments(
+                get_metric("l2"), k, r_points, s_block, rows, starts, lengths,
+                best_dists, best_ids, theta, ScratchPool(), (r_mids, s_mids, r_radius, s_radius),
+            )
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(best_dists[:, 0]).all()
+        assert peak < 64 * 1024
+
+
+def ring_world(k=5, per_cell=300, seed=97, spacing=10.0):
     """Two cells whose objects all lie near one circle around their pivot:
     every ring slice is nearly its whole cell, many strips long, and only the
-    anchor codes (of the two pivots) tell its entries apart."""
+    anchor codes (of the two pivots) tell its entries apart.  Pivots
+    ``spacing`` apart: at 10 a row scans its own cell only; below 2 the
+    circles cross and the rows near a crossing scan the other cell too."""
     rng = np.random.default_rng(seed)
 
     def circle(count, centre):
@@ -749,7 +981,7 @@ def ring_world(k=5, per_cell=300, seed=97):
         radius = 1.0 + rng.random(count) * 1e-3
         return np.stack([np.cos(angle), np.sin(angle)], axis=1) * radius[:, None] + centre
 
-    pivots = np.array([[0.0, 0.0], [10.0, 0.0]])
+    pivots = np.array([[0.0, 0.0], [spacing, 0.0]])
     s_points = np.vstack([circle(per_cell, pivot) for pivot in pivots])
     r_points = np.vstack([circle(20, pivot) for pivot in pivots])
     return world_from(r_points, s_points, pivots, k)
@@ -775,26 +1007,36 @@ class TestAnchors:
         _, scanned, handed = pairs_by_kind(world, metric_name)
         assert scanned < handed
 
+    @pytest.mark.parametrize("round_steps, spacing", ((kernels._ROUND_STEPS, 10.0), (0, 1.9)))
     @pytest.mark.parametrize("gather_bytes", (1 << 20, 4096))
-    def test_slices_longer_than_a_strip_match_the_reference(self, monkeypatch, gather_bytes):
-        """Cells of more than ``16 k`` and more than 128 entries: the kernel
-        filters each strip at the theta the earlier strips left, as the
-        reference does record by record, with or without a byte budget
-        that cuts a step into several gathers."""
-        world = ring_world()
+    def test_slices_longer_than_a_strip_match_the_reference(
+        self, monkeypatch, gather_bytes, round_steps, spacing
+    ):
+        """Cells of more than ``16 k`` and more than 128 entries, scanned in
+        rounds of 200 entries and up, or (no round steps, crossing circles)
+        the other cell in plain strips: the kernel filters each strip at the
+        theta the earlier strips left, as the reference does record by
+        record, with or without a byte budget that cuts a step into several
+        gathers."""
+        world = ring_world(spacing=spacing)
+        monkeypatch.setattr(kernels, "_first_round", lambda k, own: 200)
+        monkeypatch.setattr(kernels, "_ROUND_STEPS", round_steps)
         strip = kernels._strip_length(world[-1])
         assert min(len(block) for block in world[3].values()) > max(strip, 16 * world[-1])
         longest = []
         scan_partition = kernels.scan_partition_numpy
 
         def spy(metric, k, r_points, s_block, rows, starts, lengths, *state):
-            longest.append(int(lengths.max()))
+            # (longest segment, handed a round's entries: the last argument)
+            longest.append((int(lengths.max()), state[-1] is not None))
             scan_partition(metric, k, r_points, s_block, rows, starts, lengths, *state)
 
         monkeypatch.setattr(kernels, "_GATHER_BYTES", gather_bytes)
         monkeypatch.setattr(kernels, "scan_partition_numpy", spy)
         assert_exact_and_within_own_pivot_rule(world)
-        assert max(longest) > strip
+        assert max(length for length, _ in longest) > strip
+        in_strips = [length for length, rounded in longest if not rounded]
+        assert (max(in_strips, default=0) > strip) == (round_steps == 0)
         _, scanned, handed = pairs_by_kind(world)
         assert scanned < handed
 
@@ -861,7 +1103,17 @@ class TestAnchors:
         )
         assert_exact_and_within_own_pivot_rule(world, metric_name)
         _, scanned, handed = pairs_by_kind(world, metric_name)
-        assert scanned < handed
+        if num_pivots == 1:
+            # the one anchor is every row's own pivot: its code bound never
+            # exceeds the ring distance, so the rounds take the ring's
+            # order, and the ring cut and the stop leave the codes nothing
+            # to drop; the codes spare nothing the ring has not
+            assert scanned == handed
+            assert pairs_by_kind(world, metric_name, code_anchors=np.array([], np.intp))[1:] == (
+                scanned, handed
+            )
+        else:
+            assert scanned < handed
 
 
 class TestReducerPivotPairsCounter:

@@ -392,10 +392,12 @@ class TestStructure:
         # (row, cell) pair by the cell's anchor ranges,
         # "09f7690e44ad6e5bf7572ceb255a51e52ac4a58a"; still version 13, the
         # plan_concurrency, checkpoint_dir and stage_fusion fields were removed
-        # and plan_cache_dir took checkpoint_dir's place outside the identity)
+        # and plan_cache_dir took checkpoint_dir's place outside the identity,
+        # "3b590b4e839a5e3f3d7218fffb7619710bbc8dd4"; version 14 scans the
+        # first cells in bound-ordered rounds and counts own-cell pairs apart)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "3b590b4e839a5e3f3d7218fffb7619710bbc8dd4"
+            == "3745659c62fd45596b9e40a5a4b2e959b638a15a"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

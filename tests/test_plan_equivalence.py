@@ -431,7 +431,8 @@ class TestMergeJobProducersPinned:
     its own bound, and from 9 817, when every row carried codes of all 12
     anchors (below 16 pivots every pivot is one), not the first 4, and from
     9 262, when each (row, cell) pair was judged by the cell's anchor ranges
-    before its ``|r, p_j|``.  The
+    before its ``|r, p_j|``, and from 8 330, when each row's first cells were
+    scanned in ascending anchor bound.  The
     bytes fell by 4 per object row when the cell id
     became an int32: 117 600 for ``hbrj`` and ``ijoin``, 121 216 for
     ``zorder``; ``pbj``'s rows gained as many bytes of anchor codes.  ``zorder``
@@ -448,7 +449,7 @@ class TestMergeJobProducersPinned:
     #: join -> (sha1 of (r id, neighbour ids) rows, pairs, replicas, records, bytes)
     PINNED = {
         "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 52000),
-        "pbj": ("124cb21fb9bbe9a5", 8330, 400, 1200, 61600),
+        "pbj": ("124cb21fb9bbe9a5", 7710, 400, 1200, 61600),
         "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 52000),
         "zorder": ("f7cc7c3009292dc9", 2369, 432, 1232, 53280),
     }
@@ -491,13 +492,14 @@ class TestFinalOutputsPinned:
     partitioning job and a row's theta started at its own bound, 7 292
     before every row carried codes of all 12 anchors, not the first 4, and
     6 736 before each (row, cell) pair was judged by the cell's anchor ranges
-    before its ``|r, p_j|``)."""
+    before its ``|r, p_j|``, and 6 258 before each row's first cells were
+    scanned in ascending anchor bound)."""
 
     #: join -> (sha1 of (r id, neighbour ids, distance bytes) rows, pairs,
     #: final job's output_bytes, its reduce tasks' output records)
     PINNED = {
         "broadcast": ("6a7ec171f4ee3716", 40000, 13600, 200),
-        "pgbj": ("6a7ec171f4ee3716", 6258, 13600, 200),
+        "pgbj": ("6a7ec171f4ee3716", 5749, 13600, 200),
     }
 
     @pytest.mark.parametrize("served", (False, True), ids=("computed", "served"))
