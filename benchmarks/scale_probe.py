@@ -1,20 +1,22 @@
-"""Advisory scale probe: one workload at its recorded scale and at 40 000
-objects, in one process, and the ratio of their CPU seconds.
+"""Advisory scale probe: each workload of :data:`WORKLOADS` at its recorded
+scale and at 40 000 objects, in one process, and the ratio of their CPU
+seconds.
 
-``forest_pgbj_serial`` at scale 0.5 joins 4 000 objects; at scale 5, 40 000
-(Forest x10, 1 600 pivots).  A join whose cost grows faster than its data —
-per-scan work that grows with S, say — shows as a ratio far above the
-data's growth, whatever the speed of the machine, since both joins ran on
-it.  No bound is applied yet: the record starts the series a bound will be
-calibrated from.
+``forest_pgbj_serial`` at scale 0.5 joins 4 000 objects (Forest x10, 160
+pivots) and ``osm_pgbj_spill`` 5 000 (200 pivots); at 40 000 objects they
+run at scale 5 and 4 (1 600 pivots each).  A join whose cost grows faster
+than its data — per-scan work that grows with S, say — shows as a ratio far
+above the data's growth, whatever the speed of the machine, since both joins
+ran on it.  No bound is applied yet: the record starts the series a bound
+will be calibrated from.
 
     PYTHONPATH=src python benchmarks/scale_probe.py [--out scale-probe.json]
 
-Prints one JSON line (and writes it to ``--out``): per scale the objects,
-CPU and wall seconds of one in-process join and its selectivity, and
-``cpu_ratio``, the larger scale's CPU seconds over the smaller's.  A join at
-the smoke scale runs first, unrecorded, so neither pays the process's
-first-call costs.
+Prints one JSON line (and writes it to ``--out``): per workload, per scale
+the objects, CPU and wall seconds of one in-process join and its
+selectivity, and ``cpu_ratio``, the larger scale's CPU seconds over the
+smaller's.  A join at the smoke scale runs first, unrecorded, so neither
+pays the process's first-call costs.
 """
 
 from __future__ import annotations
@@ -33,17 +35,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.e2e.workloads import get_workload  # noqa: E402
 from repro.joins import run_join  # noqa: E402
 
-WORKLOAD = "forest_pgbj_serial"
+WORKLOADS = ("forest_pgbj_serial", "osm_pgbj_spill")
 SEED = 0
-#: the benchmark's recorded scale, and 40 000 objects
-SCALES = (0.5, 5.0)
+#: the benchmark's recorded scale, and the objects of the larger join
+SCALE, LARGE_OBJECTS = 0.5, 40_000
 WARM_UP_SCALE = 0.125
 
 
-def probe(scale: float) -> dict:
-    """One join of :data:`WORKLOAD` at ``scale``: objects, CPU and wall
+def probe(name: str, scale: float) -> dict:
+    """One join of workload ``name`` at ``scale``: objects, CPU and wall
     seconds, selectivity in permille."""
-    workload = get_workload(WORKLOAD)
+    workload = get_workload(name)
     data = workload.dataset(SEED, scale)
     with tempfile.TemporaryDirectory() as work_dir:
         config = workload.config(scale, work_dir)
@@ -59,17 +61,25 @@ def probe(scale: float) -> dict:
     }
 
 
+def scaled(name: str) -> dict:
+    """``name`` at :data:`SCALE` and at :data:`LARGE_OBJECTS` objects."""
+    small = probe(name, SCALE)
+    large = probe(name, SCALE * LARGE_OBJECTS / small["objects"])
+    return {
+        "runs": [small, large],
+        "cpu_ratio": round(large["cpu_s"] / max(small["cpu_s"], 1e-9), 2),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, help="also write the record here")
     args = parser.parse_args(argv)
-    probe(WARM_UP_SCALE)
-    runs = [probe(scale) for scale in SCALES]
+    for name in WORKLOADS:
+        probe(name, WARM_UP_SCALE)
     record = {
-        "workload": WORKLOAD,
         "seed": SEED,
-        "runs": runs,
-        "cpu_ratio": round(runs[-1]["cpu_s"] / max(runs[0]["cpu_s"], 1e-9), 2),
+        "workloads": {name: scaled(name) for name in WORKLOADS},
         "environment": {
             "cpu_count": os.cpu_count(),
             "machine": platform.machine(),

@@ -408,9 +408,10 @@ class PgbjConfig(JoinConfig):
     #: R records exceeds this fraction (e.g. 0.5), its work is split across
     #: extra reduce keys — R rows deterministically by object id, the
     #: admitted S candidates replicated to every sub-key.  Join results and
-    #: ``pairs_computed`` are bit-identical (each r still meets exactly the
-    #: same candidates); only replication/shuffle grow for the split group.
-    #: ``0.0`` disables splitting.
+    #: the pairs requested are bit-identical (each r still meets exactly the
+    #: same candidates); replication/shuffle grow for the split group, and a
+    #: self-join's own-cell pairs may too (a lane reuses only its own rows'
+    #: distances).  ``0.0`` disables splitting.
     skew_split_threshold: float = 0.0
     #: upper bound on how many ways one skewed group is split
     skew_split_max_ways: int = 4

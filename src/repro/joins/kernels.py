@@ -1,8 +1,9 @@
 """Reducer-side kNN kernels (paper Algorithm 3, lines 12-25).
 
 The kernel answers, inside one reducer, the kNN of every ``r`` it received
-against the S objects it received, using the paper's three pruning levels
-and two more built from its Theorem 2:
+against the S objects it received, using the paper's three pruning levels,
+two more built from its Theorem 2, and a sixth rule that spares a
+self-join's repeated distances:
 
 1. scan candidate S-partitions in ascending pivot-distance order, so good
    candidates appear early and ``theta`` tightens fast (line 14);
@@ -22,7 +23,14 @@ and two more built from its Theorem 2:
    (:func:`~repro.core.geometry.anchor_ranges`), own cell included.  Every
    member fails rule 4, so only object-pivot pairs are meant to be spared;
    the scans' pairs are measured equal, not guaranteed, since a skipped
-   ``|r, p_j|`` never joins the row's nearest computed pivots below.
+   ``|r, p_j|`` never joins the row's nearest computed pivots below;
+6. in a self-join's own cell, mirrored pairs and the diagonal: an S entry
+   that is a row's record (:attr:`SPartitionBlock.twins`) reads 0.0 for that
+   row, and a pair of two rows is computed for whichever asks first and
+   stored for the other in a per-cell memo (while the cell's ``rows x rows``
+   floats fit ``_TILE_BYTES``).  A row is handed only what it asks, so no
+   theta, cut or k-best moves, and the count is the distinct unordered pairs
+   asked, whatever the order.
 
 The same kernel serves PGBJ (bounds from the global summary tables) and PBJ
 (bounds recomputed locally over the reducer's random block of S, which is why
@@ -96,7 +104,8 @@ rules, so the results and the pairs counted on ``metric`` (other cells),
 equal pair for pair; their sum is the paper's selectivity numerator.  Two
 byte budgets bound memory: a scan, a window or the bounds of a round's rows
 gather at most ``_GATHER_BYTES`` of pairs per batch, and R is tiled by whole
-cells so a window's ``(steps, rows)`` matrices stay near ``_TILE_BYTES``.
+cells so a window's ``(steps, rows)`` matrices stay near ``_TILE_BYTES``, the
+cap of a cell's own-cell memo too.
 
 Inputs are :class:`~repro.mapreduce.types.RecordBlock` batches, the one row
 format: a reducer gathers its values into one block, and
@@ -131,7 +140,7 @@ from repro.core.geometry import (
 )
 from repro.core.knn import ReferenceKBestList
 from repro.core.zorder import ZOrderTransform
-from repro.mapreduce.types import RecordBlock, group_rows_by
+from repro.mapreduce.types import ROLE_BOTH, RecordBlock, group_rows_by, ranks_within
 
 __all__ = [
     "KERNELS",
@@ -180,6 +189,9 @@ class SPartitionBlock:
     pivot_dists: np.ndarray
     #: as :attr:`RPartitionBlock.codes`, in the block's sorted order
     codes: np.ndarray | None = None
+    #: per entry, the index in its cell's R block of the row that is the same
+    #: record (a self-join's row of both roles), else -1; None: no entry is
+    twins: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.ids.shape[0]
@@ -202,10 +214,13 @@ def build_r_blocks(block: RecordBlock) -> dict[int, RPartitionBlock]:
     }
 
 
-def build_s_blocks(block: RecordBlock) -> dict[int, SPartitionBlock]:
+def build_s_blocks(
+    block: RecordBlock, twins: np.ndarray | None = None
+) -> dict[int, SPartitionBlock]:
     """Group a reducer's S objects by cell, sorted by pivot distance, points
     widened to float64 and ids to int64 (no copy when they are) before any
-    arithmetic, sort or sentinel."""
+    arithmetic, sort or sentinel; ``twins`` per row become the blocks'
+    :attr:`SPartitionBlock.twins`."""
     points = block.points.astype(np.float64, copy=False)
     all_ids = block.object_ids.astype(np.int64, copy=False)
     blocks: dict[int, SPartitionBlock] = {}
@@ -219,6 +234,7 @@ def build_s_blocks(block: RecordBlock) -> dict[int, SPartitionBlock]:
             points=points[rows][order],
             pivot_dists=dists[order],
             codes=block.anchor_codes[rows][order],
+            twins=None if twins is None else twins[rows][order],
         )
     return blocks
 
@@ -228,8 +244,19 @@ def build_partition_blocks(
 ) -> tuple[dict[int, RPartitionBlock], dict[int, SPartitionBlock]]:
     """Split a reducer's gathered input by role and group it per cell:
     ``(r_blocks, s_blocks)``, built with array operations only.  A row of
-    both roles lands on both sides."""
-    return build_r_blocks(block.take(block.is_r)), build_s_blocks(block.take(block.is_s))
+    both roles lands on both sides, and its S entry names its R row
+    (:attr:`SPartitionBlock.twins`)."""
+    r_rows, s_rows = np.flatnonzero(block.is_r), np.flatnonzero(block.is_s)
+    twins = None
+    if (block.role == ROLE_BOTH).any():
+        # each R row's index in its cell's R block, as build_r_blocks groups
+        r_cells = block.partition_ids[r_rows]
+        twins = np.full(len(block), -1, dtype=np.intp)
+        twins[r_rows[np.argsort(r_cells, kind="stable")]] = ranks_within(
+            np.unique(r_cells, return_counts=True)[1]
+        )
+        twins = twins[s_rows]
+    return build_r_blocks(block.take(r_rows)), build_s_blocks(block.take(s_rows), twins)
 
 
 def local_ring_stats(s_blocks: dict[int, SPartitionBlock]) -> dict[int, tuple[float, float]]:
@@ -274,7 +301,8 @@ _ID_SENTINEL = np.iinfo(np.int64).max
 _GATHER_BYTES = 1 << 20
 
 #: bytes of a ``rows x present pivots`` float matrix of one R tile; a step
-#: window's bound matrices are a few of these, over at most half the pivots
+#: window's bound matrices are a few of these, over at most half the pivots.
+#: Also the cap on a cell's ``rows x rows`` own-cell memo (:class:`_OwnCellMemo`)
 _TILE_BYTES = 1 << 22
 
 #: computed pivots whose ``|r, p_k|`` bound a row's later cells: its nearest
@@ -357,6 +385,72 @@ class ScratchPool:
         view = self._slots[self._next][:nbytes].view(dtype).reshape(shape)
         self._next += 1
         return view
+
+
+#: a memo slot index far below any slot: a pair outside the memo
+_NO_SLOT = -(1 << 40)
+#: memo values: "asked in this batch, not yet computed", and slot 0's,
+#: "outside the memo" (an unknown pair's is NaN)
+_ASKED, _OUTSIDE = -1.0, -2.0
+
+
+class _OwnCellMemo:
+    """The own-cell distances of one R tile of a self-join, each computed once.
+
+    An own-cell scan asks ``|r, s|`` of rows and entries of one cell, and an
+    entry that is the S copy of a row's record names that row.  A cell whose
+    ``rows x rows`` float matrix fits ``_TILE_BYTES`` keeps one: a row's own
+    entry reads 0.0, and a pair of two rows is computed for whichever asks
+    first (the direction of the lower slot, if one batch asks both) and
+    stored both ways.  A row is answered only what it asks, so no k-best,
+    theta or cut changes.  Slot 0 holds ``_OUTSIDE``, read by every pair
+    outside the memo.
+    """
+
+    def __init__(self, twins: np.ndarray, sizes: np.ndarray) -> None:
+        """``twins`` per S entry: the tile row of its record, else outside
+        ``[0, rows)``; ``sizes``: the tile's rows per cell."""
+        areas = np.where(sizes * sizes * 8 <= _TILE_BYTES, sizes * sizes, 0)
+        self.local = ranks_within(sizes)
+        cell_slots = np.where(areas > 0, 1 + np.cumsum(areas) - areas, _NO_SLOT)
+        # per row: the slot of its pair with the cell's row 0
+        self.row_slots = np.repeat(cell_slots, sizes) + self.local * np.repeat(sizes, sizes)
+        self.values = np.full(1 + int(areas.sum()), np.nan)
+        # the diagonal; a row outside the memo clips to slot 0, set after
+        np.put(self.values, self.row_slots + self.local, 0.0, mode="clip")
+        self.values[0] = _OUTSIDE
+        twinned = (twins >= 0) & (twins < sizes.sum())
+        self.entry_local = np.where(twinned, self.local.take(twins, mode="clip"), _NO_SLOT)
+        self.entry_slots = np.where(twinned, self.row_slots.take(twins, mode="clip"), _NO_SLOT)
+
+    def distances(self, rows, pair_row, entries, compute) -> np.ndarray:
+        """``|r, s|`` of the pairs ``(rows[pair_row[i]], entries[i])``;
+        ``compute(at)`` returns the counted distances of the pairs at
+        positions ``at``."""
+        slots = self.row_slots.take(rows).take(pair_row) + self.entry_local.take(entries)
+        dists = self.values.take(slots, mode="clip")
+        asked = np.flatnonzero(np.isnan(dists))
+        own = slots[asked]
+        mirror = self.entry_slots.take(entries[asked]) + self.local.take(rows).take(pair_row[asked])
+        # asked both ways in this batch: the direction of the lower slot computes
+        self.values[own] = _ASKED
+        later = (self.values.take(mirror) == _ASKED) & (own > mirror)
+        fresh = np.concatenate((asked[~later], np.flatnonzero(dists == _OUTSIDE)))
+        dists[fresh] = compute(fresh)
+        # stored both ways; a later direction reads the first's in between
+        self.values[own] = dists[asked]
+        dists[asked[later]] = self.values.take(mirror[later])
+        self.values[mirror] = dists[asked]
+        return dists
+
+
+def _gathered(metric: Metric, r_points, r_rows, s_points, s_rows, scratch: ScratchPool):
+    """The counted ``|r_points[r_rows[i]], s_points[s_rows[i]]|``, gathered
+    into two ``scratch`` buffers."""
+    shape = (r_rows.size, r_points.shape[1])
+    r_gather = np.take(r_points, r_rows, axis=0, out=scratch.take(shape))
+    s_gather = np.take(s_points, s_rows, axis=0, out=scratch.take(shape))
+    return metric.pair_distances(r_gather, s_gather)
 
 
 def _chunk_bounds(lengths: np.ndarray, cap: int) -> Iterator[tuple[int, int]]:
@@ -465,6 +559,7 @@ def _scan_segments(
     scratch: ScratchPool | None = None,
     anchors: tuple | None = None,
     entries: np.ndarray | None = None,
+    memo: _OwnCellMemo | None = None,
 ) -> None:
     """One gathered scan: one ring slice of ``s_block`` per R row in ``rows``.
 
@@ -472,8 +567,9 @@ def _scan_segments(
     members each row admits (the slices index ``entries``, if given, which
     holds ``s_block`` indices), drops the pairs the ``anchors`` (``(r mids,
     s mids, r radii, s radii)`` of the decoded anchor codes, if given) prove
-    farther than the row's theta, computes the rest in one counted call, then
-    folds each row's candidates into its running k-best matrix:
+    farther than the row's theta, computes the rest in one counted call (an
+    own-cell scan's through ``memo``, if given), then folds each row's
+    candidates into its running k-best matrix:
 
     * discard candidates strictly beyond their row's current k-th distance —
       the row already holds k candidates at or below it, so such a candidate
@@ -512,11 +608,14 @@ def _scan_segments(
         total = col.size
         if total == 0:
             return
-    r_sub = r_points[rows]  # small, cache-resident gather source
-    dims = r_points.shape[1]
-    r_gather = np.take(r_sub, seg_of_pair, axis=0, out=scratch.take((total, dims)))
-    s_gather = np.take(s_block.points, col, axis=0, out=scratch.take((total, dims)))
-    flat_dists = metric.pair_distances(r_gather, s_gather)
+    if memo is None:
+        # r_points[rows]: a small, cache-resident gather source
+        flat_dists = _gathered(metric, r_points[rows], seg_of_pair, s_block.points, col, scratch)
+    else:
+        r_sub = r_points[rows]
+        flat_dists = memo.distances(rows, seg_of_pair, col, lambda at: _gathered(
+            metric, r_sub, seg_of_pair[at], s_block.points, col[at], scratch
+        ))
 
     kth_per_segment = best_dists[rows, k - 1]
     keep = np.flatnonzero(flat_dists <= kth_per_segment[seg_of_pair])
@@ -583,6 +682,7 @@ def scan_partition_numpy(
     scratch: ScratchPool | None = None,
     anchors: tuple | None = None,
     entries: np.ndarray | None = None,
+    memo: _OwnCellMemo | None = None,
 ) -> None:
     """The scan: strip-mined gathered batches.
 
@@ -592,7 +692,8 @@ def scan_partition_numpy(
     row, each row at most once), folded into the running k-best state.
     Without ``anchors`` exactly the ``sum(lengths)`` admitted pairs are
     computed (counted through the metric); with them, those of each strip
-    the anchors admit at the theta of that moment.
+    the anchors admit at the theta of that moment; with a ``memo`` (an own
+    cell of a self-join), of those only the ones it has no distance for.
     """
     # strip-mine long slices: after the first strip every row's k-th
     # distance is a real bound, so later strips mostly fail the
@@ -606,7 +707,7 @@ def scan_partition_numpy(
         # dense-pivot common case: one batch, no strip bookkeeping
         _scan_segments(
             metric, k, r_points, s_block, rows, starts, lengths,
-            best_dists, best_ids, theta, scratch, anchors, entries,
+            best_dists, best_ids, theta, scratch, anchors, entries, memo,
         )
         return
     offset = 0
@@ -630,6 +731,7 @@ def scan_partition_numpy(
                 scratch,
                 anchors,
                 entries,
+                memo,
             )
         offset += strip
 
@@ -745,6 +847,18 @@ def knn_join_kernel(
     gaps_from = gaps_from.ravel()
 
     r_sizes = np.array([r_blocks[pid].ids.shape[0] for pid in cells], dtype=np.intp)
+    # a self-join's S entries: the row (cells back to back) of their record
+    r_starts = dict(zip(cells, (np.cumsum(r_sizes) - r_sizes).tolist()))
+    twins = [s_blocks[pid].twins for pid in present]
+    twinned = any(cell_twins is not None for cell_twins in twins)
+    if twinned:
+        local = np.concatenate([
+            np.full(size, -1) if cell_twins is None else cell_twins
+            for cell_twins, size in zip(twins, s_sizes)
+        ])
+        s_twins = np.where(
+            local >= 0, local + np.repeat([r_starts.get(pid, 0) for pid in present], s_sizes), -1
+        )
     pivot_cap = max(1, _GATHER_BYTES // (16 * pivot_points.shape[1]))
     # rows are independent, so R is tiled (by whole cells) to bound a
     # window's (steps, rows) matrices; each tile runs the full wavefront
@@ -756,6 +870,9 @@ def knn_join_kernel(
         r_points = np.concatenate([block.points for block in tile])
         own_dists = np.concatenate([block.pivot_dists for block in tile])
         num_rows = r_ids.shape[0]
+        memo = None
+        if twinned:
+            memo = _OwnCellMemo(s_twins - r_starts[tile_cells[0]], tile_sizes)
         anchors = None
         if coded:
             r_mids, r_radius = anchor_intervals(
@@ -775,16 +892,17 @@ def knn_join_kernel(
         near_gaps = np.zeros((_NEAREST_COMPUTED, num_rows), dtype=np.intp)
         anything_learned = False
 
-        def scan(counted, rows, starts, stops, entries=None):
+        def scan(counted, rows, starts, stops, entries=None, memo=None):
             lengths = stops - starts
             occupied = np.flatnonzero(lengths > 0)
             if occupied.size:
                 scan_partition_numpy(
                     counted, k, r_points, s_all, rows[occupied], starts[occupied],
                     lengths[occupied], best_dists, best_ids, theta, scratch, anchors, entries,
+                    memo,
                 )
 
-        def rounds(counted, first_round, rows, visit, dist_r_pj, starts, stops):
+        def rounds(counted, memo, first_round, rows, visit, dist_r_pj, starts, stops):
             # each row's ring slice in ascending bound, ties by entry, a batch
             # of rows within the budget at a time; a round hands the scan
             # the entries its re-cut ring admits
@@ -824,7 +942,7 @@ def knn_join_kernel(
                     in_ring = (taken >= start[seg]) & (taken < stop[seg])
                     admitted = np.bincount(seg[in_ring], minlength=live.size)
                     first = np.cumsum(admitted) - admitted
-                    scan(counted, at_rows, first, first + admitted, taken[in_ring])
+                    scan(counted, at_rows, first, first + admitted, taken[in_ring], memo)
                     pos[live] += count
                     size *= 2
 
@@ -912,16 +1030,18 @@ def knn_join_kernel(
                     scan(metric, rows, starts, stops)
                     continue
                 # the first steps, and the own cell, in bound-ordered rounds;
-                # the own cell's pairs are counted apart
+                # the own cell's pairs are counted apart, through the memo
                 own = np.zeros(rows.size, dtype=bool) if own is None else own
                 ordered = (own & use_ring_pruning) | rounded
                 for is_own, counted, group in ((True, own_metric, own), (False, metric, ~own)):
                     strips, in_rounds = group & ~ordered, np.flatnonzero(group & ordered)
-                    scan(counted, rows[strips], starts[strips], stops[strips])
+                    in_memo = memo if is_own else None
+                    scan(counted, rows[strips], starts[strips], stops[strips], memo=in_memo)
                     if in_rounds.size:
                         rounds(
-                            counted, _first_round(k, is_own), rows[in_rounds], visit[in_rounds],
-                            dist_r_pj[in_rounds], starts[in_rounds], stops[in_rounds],
+                            counted, in_memo, _first_round(k, is_own), rows[in_rounds],
+                            visit[in_rounds], dist_r_pj[in_rounds], starts[in_rounds],
+                            stops[in_rounds],
                         )
         # unfilled slots are +inf / sentinel padding at the tail
         counts = (best_dists < np.inf).sum(axis=1).tolist()
@@ -990,6 +1110,14 @@ def knn_join_kernel_reference(
             r_reach = anchor_reach(r_mids, r_radius)
         order = sorted(range(len(present)), key=lambda idx: pdm_row[present[idx]])
         step_of = {idx: step for step, idx in enumerate(order)}
+        # a self-join's own cell, if its rows x rows memo fits: memo[a, b]
+        # holds |b, a| once row b computed it, and 0.0 if a is b
+        twins = s_blocks[pid_r].twins if pid_r in s_blocks else None
+        rows_here = len(r_block.ids)
+        memo = None
+        if twins is not None and rows_here * rows_here * 8 <= _TILE_BYTES:
+            memo = np.full((rows_here, rows_here), np.nan)
+            np.fill_diagonal(memo, 0.0)
 
         for row in range(r_block.ids.shape[0]):
             kbest = ReferenceKBestList(k)
@@ -1015,10 +1143,25 @@ def knn_join_kernel_reference(
                             theta + r_radius[row] + s_radius[chunk],
                         )]
                     if chunk.size:
-                        dists = counted.distances(point, block.points[chunk])
+                        if memo is not None and block.partition_id == pid_r:
+                            dists = own_distances(block, chunk)
+                        else:
+                            dists = counted.distances(point, block.points[chunk])
                         kbest.update(dists, block.ids[chunk])
                         if kbest.is_full():
                             theta = min(theta, kbest.theta + PRUNE_EPS)
+
+            def own_distances(block, chunk):
+                # the memo's for an entry with a twin row, if known; each
+                # computed one is stored for the twin row
+                twin = twins[chunk]
+                dists = np.full(chunk.size, np.nan)
+                dists[twin >= 0] = memo[row, twin[twin >= 0]]
+                todo = np.isnan(dists)
+                dists[todo] = own_metric.distances(point, block.points[chunk[todo]])
+                stored = todo & (twin >= 0)
+                memo[twin[stored], row] = dists[stored]
+                return dists
 
             def rounds(block, pid_s, dist_r_pj, counted):
                 # the ring slice in ascending bound, ties by entry; a round

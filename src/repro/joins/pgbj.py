@@ -66,8 +66,10 @@ class GroupRoutingMapper(BlockBufferingMapper):
     are spread deterministically over its sub-keys by object id, while its
     S bits replicate to *every* sub-key — each r therefore still meets
     exactly the candidate set it would have met unsplit, so join results and
-    ``pairs_computed`` are bit-identical; only replication (the knob's
-    documented price) and the reduce-task layout change.
+    the pairs requested are bit-identical; replication (the knob's
+    documented price) and the reduce-task layout change, and so may a
+    self-join's own-cell pairs: a lane reuses only the distances of its own
+    rows (:func:`~repro.joins.kernels.knn_join_kernel`).
     """
 
     def setup(self, ctx: Context) -> None:

@@ -182,8 +182,9 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: codes of every anchor, and ids and cell ids in their narrowest dtypes.
 #: 13: reducers judge a (row, cell) pair by the cell's anchor ranges, so the
 #: kNN stages' counters changed.  14: reducers scan a row's first cells in
-#: bound-ordered rounds and count own-cell and other-cell pairs apart.
-RESULTS_VERSION = 14
+#: bound-ordered rounds and count own-cell and other-cell pairs apart.  15: a
+#: self-join's reducers compute each own-cell distance once.
+RESULTS_VERSION = 15
 
 
 def plan_identity(

@@ -118,12 +118,21 @@ class TestPairwiseMatrix:
         rng = np.random.default_rng(dims)
         xs = np.round(rng.normal(scale=1e3, size=(17, dims)), 2)
         xs[5] = xs[2]  # a coincident pair: an exact zero off the diagonal
+        xs[7], xs[8] = xs[7] * 1e5, xs[8] * 1e-11  # coordinates near 1e8 and 1e-8
+        xs[9] = -xs[10]
         metric = get_metric(name)
         matrix = metric.pairwise_matrix(xs)
         assert metric.pairs_computed == 17 * 16 // 2
         assert matrix.tobytes() == get_metric(name).cross_distances(xs, xs).tobytes()
         assert matrix.tobytes() == matrix.T.copy().tobytes()
         assert not np.diagonal(matrix).any() and matrix[2, 5] == 0.0
+        # what a self-join reducer's own-cell memo relies on: |x, y| is |y, x|
+        # to the byte, and |x, x| is +0.0
+        rows, cols = (index.ravel() for index in np.indices((17, 17)))
+        forth = metric.pair_distances(xs[rows], xs[cols])
+        assert forth.tobytes() == metric.pair_distances(xs[cols], xs[rows]).tobytes()
+        itself = metric.pair_distances(xs, xs)
+        assert not itself.any() and not np.signbit(itself).any()
 
     @pytest.mark.parametrize("rows", (0, 1, 2))
     def test_degenerate_sizes(self, rows):

@@ -1027,8 +1027,8 @@ class TestAnchors:
         scan_partition = kernels.scan_partition_numpy
 
         def spy(metric, k, r_points, s_block, rows, starts, lengths, *state):
-            # (longest segment, handed a round's entries: the last argument)
-            longest.append((int(lengths.max()), state[-1] is not None))
+            # (longest segment, handed a round's entries: the sixth of state)
+            longest.append((int(lengths.max()), state[5] is not None))
             scan_partition(metric, k, r_points, s_block, rows, starts, lengths, *state)
 
         monkeypatch.setattr(kernels, "_GATHER_BYTES", gather_bytes)
@@ -1209,6 +1209,13 @@ class TestColumnarBuilders:
         for got in (got_r, got_s):
             ids = np.concatenate([block.ids for block in got.values()])
             assert sorted(ids) == sorted(data.ids)
+        # each S entry names its record's R row; an S-only row names none
+        both.role[::3] = ROLE_S
+        got_r, got_s = build_partition_blocks(both)
+        for pid, block in got_s.items():
+            named = block.twins >= 0
+            assert np.array_equal(got_r[pid].ids[block.twins[named]], block.ids[named])
+            assert sorted(block.ids[~named]) == sorted(data.ids[::3][both.partition_ids[::3] == pid])
 
 
 def self_join_bounds(data, assignment, pivots, k):
@@ -1220,42 +1227,55 @@ def self_join_bounds(data, assignment, pivots, k):
     return compute_thetas(tr, ts, pdm, k), ring, pivots, pdm
 
 
-def run_gathered(kernel, gathered, bounds, k):
+class RequestLog:
+    """An l2 metric that logs each pair it computes as ``(r point bytes, s
+    point bytes)``."""
+
+    def __init__(self):
+        self.metric, self.pairs = get_metric("l2"), []
+
+    @property
+    def pairs_computed(self):
+        return self.metric.pairs_computed
+
+    def distances(self, point, points):
+        self.pairs += [(point.tobytes(), other.tobytes()) for other in points]
+        return self.metric.distances(point, points)
+
+    def pair_distances(self, xs, ys):
+        self.pairs += [(x.tobytes(), y.tobytes()) for x, y in zip(xs, ys)]
+        return self.metric.pair_distances(xs, ys)
+
+
+def run_gathered(kernel, gathered, bounds, k, **flags):
     """One reduce call over a gathered block, filtered by its anchor codes:
-    ``[(r_id, ids, distance bytes)]`` and the scan and object-pivot pair
-    counts."""
+    ``[(r_id, ids, distance bytes)]``, the other-cell, object-pivot and
+    own-cell pair counts, and the own-cell pairs computed."""
     r_blocks, s_blocks = build_partition_blocks(gathered)
-    metrics = [get_metric("l2") for _ in range(2)]
+    metrics = [get_metric("l2"), get_metric("l2"), RequestLog()]
     results = [
         (r_id, ids.tolist(), dists.tobytes())
         for r_id, ids, dists in kernel(
-            metrics[0], k, r_blocks, s_blocks, *bounds,
-            pivot_metric=metrics[1], code_anchors=code_anchors_of(*bounds[2:]),
+            metrics[0], k, r_blocks, s_blocks, *bounds, pivot_metric=metrics[1],
+            own_metric=metrics[2], code_anchors=code_anchors_of(*bounds[2:]), **flags,
         )
     ]
-    return results, [metric.pairs_computed for metric in metrics]
+    return results, [metric.pairs_computed for metric in metrics], metrics[2].pairs
+
+
+def computed_once(asked, both, over_cap=frozenset()):
+    """The own-cell pairs a self-join reducer computes where the roles
+    shipped apart computed ``asked`` (points' bytes, ``(r, s)``): a pair of
+    two rows, the S one of both roles (``both``), once in whichever
+    direction, and none of a row with itself — unless the R row's cell is
+    above the memo cap (its rows in ``over_cap``); every other pair as
+    asked."""
+    memo = [(r, s) for r, s in asked if s in both and r not in over_cap]
+    return len(asked) - len(memo) + len({frozenset(pair) for pair in memo if pair[0] != pair[1]})
 
 
 class TestRowsOfBothRoles:
-    """A self-join reducer receives an object as one row of both roles: the
-    answer, and the pairs, of its R and S copies shipped apart."""
-
-    @pytest.mark.parametrize("kernel", [knn_join_kernel, knn_join_kernel_reference])
-    def test_same_answer_and_pairs_as_the_roles_shipped_apart(self, kernel):
-        rng = np.random.default_rng(21)
-        data = Dataset(rng.random((90, 3)))
-        pivots = rng.random((7, 3))
-        partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
-        assignment = partitioner.assign(data)
-        # a skew split lane's mix: rows of both roles, S-only rows, R-only rows
-        gathered = block_for(data, ROLE_BOTH, assignment, partitioner)
-        gathered.role = rng.choice([ROLE_R, ROLE_S, ROLE_BOTH], size=len(data)).astype(np.uint8)
-        apart = RecordBlock.gather([gathered.copies_of(ROLE_R), gathered.copies_of(ROLE_S)])
-        bounds = self_join_bounds(data, assignment, pivots, 4)
-        got, got_pairs = run_gathered(kernel, gathered, bounds, 4)
-        expected, expected_pairs = run_gathered(kernel, apart, bounds, 4)
-        assert got == expected
-        assert got_pairs == expected_pairs
+    """A self-join reducer receives an object as one row of both roles."""
 
     def test_fast_kernel_matches_the_reference_pair_for_pair(self):
         rng = np.random.default_rng(5)
@@ -1266,9 +1286,9 @@ class TestRowsOfBothRoles:
         assignment = partitioner.assign(data)
         gathered = block_for(data, ROLE_BOTH, assignment, partitioner)
         bounds = self_join_bounds(data, assignment, pivots, 5)
-        assert run_gathered(knn_join_kernel, gathered, bounds, 5) == run_gathered(
+        assert run_gathered(knn_join_kernel, gathered, bounds, 5)[:2] == run_gathered(
             knn_join_kernel_reference, gathered, bounds, 5
-        )
+        )[:2]
 
     def test_colliding_ids_of_r_and_s_share_nothing(self):
         """R ≠ S whose ids collide: every R row and S copy carries its own
@@ -1287,10 +1307,126 @@ class TestRowsOfBothRoles:
         pdm = partitioner.pivot_distance_matrix()
         ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
         bounds = (compute_thetas(tr, ts, pdm, 4), ring, pivots, pdm)
-        results, _ = run_gathered(knn_join_kernel, gathered, bounds, 4)
+        results, *_ = run_gathered(knn_join_kernel, gathered, bounds, 4)
         truth = brute_force_knn_join(get_metric("l2"), r.points, r.ids, s.points, s.ids, 4)
         for r_id, ids, _ in results:
             assert ids == truth[r_id][0].tolist()
+        # no row is of both roles: no S entry names an R row
+        assert all(block.twins is None for block in build_partition_blocks(gathered)[1].values())
+
+
+def self_join_world(case):
+    """A self-join reducer's input for ``case``: ``(data, gathered block of
+    rows of both roles, (thetas, ring stats, pivots, pdm), k)``."""
+    rng = np.random.default_rng({"ties": 5, "twin-pivot": 67, "pbj": 79, "s-only": 21}.get(case, 3))
+    if case == "ties":
+        grid = rng.integers(0, 4, size=(40, 2)).astype(float)
+        data, pivots, k = Dataset(np.vstack([grid, grid])), rng.random((6, 2)) * 3, 5
+    else:
+        data, pivots, k = Dataset(rng.random((90, 3))), rng.random((7, 3)), 4
+    if case == "twin-pivot":
+        pivots[1] = pivots[0]
+    partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
+    assignment = partitioner.assign(data)
+    if case == "twin-pivot":
+        # cell 1 takes every other object of cell 0: its own cell is step 1
+        in_zero = np.flatnonzero(assignment.partition_ids == 0)
+        assignment.partition_ids[in_zero[::2]] = 1
+    gathered = block_for(data, ROLE_BOTH, assignment, partitioner)
+    if case == "s-only":
+        # a skew split lane's mix: rows of both roles, S-only rows, R-only rows
+        gathered.role = rng.choice([ROLE_R, ROLE_S, ROLE_BOTH], size=len(data)).astype(np.uint8)
+    thetas, ring, pivots, pdm = self_join_bounds(data, assignment, pivots, k)
+    if case == "pbj":
+        thetas = dict.fromkeys(thetas, np.inf)
+        ring = local_ring_stats(build_partition_blocks(gathered)[1])
+    return data, gathered, (thetas, ring, pivots, pdm), k
+
+
+class TestOwnCellPairsOnce:
+    """A self-join reducer computes each own-cell distance once: a row's own
+    entry is 0.0, and a pair of two rows is computed for one of them and
+    reused for the other.  Both kernels answer as brute force, count alike,
+    and count what the roles shipped apart count, less exactly those pairs."""
+
+    @pytest.mark.parametrize("case", ["ties", "twin-pivot", "pbj", "s-only", "over-cap"])
+    def test_both_kernels_exact_and_each_own_pair_once(self, case, monkeypatch):
+        data, gathered, bounds, k = self_join_world(case)
+        r_blocks = build_partition_blocks(gathered)[0]
+        over_cap = frozenset()
+        if case == "over-cap":
+            # 8 rows' memo fits, a larger cell's does not
+            monkeypatch.setattr(kernels, "_TILE_BYTES", 8 * 8 * 8)
+            sizes = [len(block.ids) for block in r_blocks.values()]
+            assert min(sizes) <= 8 < max(sizes)
+            over_cap = frozenset(
+                point.tobytes() for block in r_blocks.values() if len(block.ids) > 8
+                for point in block.points
+            )
+        if case == "twin-pivot":
+            assert np.argsort(bounds[3][1], kind="stable")[:2].tolist() == [0, 1]
+        got, pairs, _ = run_gathered(knn_join_kernel, gathered, bounds, k)
+        assert (got, pairs) == run_gathered(knn_join_kernel_reference, gathered, bounds, k)[:2]
+        r_rows, s_rows = (np.flatnonzero(gathered.role & role) for role in (ROLE_R, ROLE_S))
+        truth = brute_force_knn_join(
+            get_metric("l2"), data.points[r_rows], data.ids[r_rows],
+            data.points[s_rows], data.ids[s_rows], k,
+        )
+        assert got == [
+            (r_id, truth[r_id][0].tolist(), truth[r_id][1].tobytes()) for r_id, _, _ in got
+        ]
+        apart = RecordBlock.gather([gathered.copies_of(ROLE_R), gathered.copies_of(ROLE_S)])
+        for kernel in (knn_join_kernel, knn_join_kernel_reference):
+            expected, (other, pivot, own), asked = run_gathered(kernel, apart, bounds, k)
+            assert expected == got and pairs[:2] == [other, pivot]
+            if case == "ties":  # records are not told apart by their points
+                assert pairs[2] < own
+                continue
+            both = {point.tobytes() for point in data.points[gathered.role == ROLE_BOTH]}
+            assert pairs[2] == computed_once(asked, both, over_cap) < own
+
+    @pytest.mark.parametrize("kernel", [knn_join_kernel, knn_join_kernel_reference])
+    def test_a_cell_asked_every_pair_both_ways_computes_n_choose_2(self, kernel):
+        """One cell, no pruning: every row asks every entry, n² pairs
+        apart, n(n − 1)/2 as rows of both roles."""
+        data = Dataset(np.random.default_rng(31).random((30, 2)))
+        world = self_join_world_of(data, np.zeros((1, 2)), 3)
+        flags = dict(use_hyperplane_pruning=False, use_ring_pruning=False)
+        *_, gathered, bounds, k = world
+        _, (other, pivot, own), _ = run_gathered(kernel, gathered, bounds, k, **flags)
+        assert (other, pivot, own) == (0, 0, 30 * 29 // 2)
+        apart = RecordBlock.gather([gathered.copies_of(ROLE_R), gathered.copies_of(ROLE_S)])
+        assert run_gathered(kernel, apart, bounds, k, **flags)[1] == [0, 0, 30 * 30]
+
+    def test_a_pair_asked_both_ways_in_one_batch_is_computed_once(self, monkeypatch):
+        """Two rows of one cell, no pruning: one scan batch asks both
+        directions and both diagonal entries, and computes one pair."""
+        data = Dataset(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        *_, gathered, bounds, k = self_join_world_of(data, np.array([[1.0, 1.0]]), 2)
+        flags = dict(use_hyperplane_pruning=False, use_ring_pruning=False)
+        batches = []
+        scan_segments = kernels._scan_segments
+
+        def spy(metric, k, r_points, s_block, rows, starts, lengths, *state):
+            batches.append(int(lengths.sum()))
+            scan_segments(metric, k, r_points, s_block, rows, starts, lengths, *state)
+
+        monkeypatch.setattr(kernels, "_scan_segments", spy)
+        got, pairs, asked = run_gathered(knn_join_kernel, gathered, bounds, k, **flags)
+        assert batches == [4] and pairs == [0, 0, 1] and len(asked) == 1
+        assert [dists for *_, dists in got] == [np.array([0.0, 5.0]).tobytes()] * 2
+        assert run_gathered(knn_join_kernel_reference, gathered, bounds, k, **flags)[:2] == (
+            got, pairs
+        )
+
+
+def self_join_world_of(data, pivots, k):
+    """``(data, gathered block of rows of both roles, bounds, k)`` of a
+    one-reducer self-join of ``data`` over ``pivots``."""
+    partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
+    assignment = partitioner.assign(data)
+    gathered = block_for(data, ROLE_BOTH, assignment, partitioner)
+    return data, gathered, self_join_bounds(data, assignment, pivots, k), k
 
 
 def _assignment_of(dataset):

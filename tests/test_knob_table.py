@@ -394,10 +394,12 @@ class TestStructure:
         # plan_concurrency, checkpoint_dir and stage_fusion fields were removed
         # and plan_cache_dir took checkpoint_dir's place outside the identity,
         # "3b590b4e839a5e3f3d7218fffb7619710bbc8dd4"; version 14 scans the
-        # first cells in bound-ordered rounds and counts own-cell pairs apart)
+        # first cells in bound-ordered rounds and counts own-cell pairs apart,
+        # "3745659c62fd45596b9e40a5a4b2e959b638a15a"; version 15 computes a
+        # self-join's own-cell distances once)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "3745659c62fd45596b9e40a5a4b2e959b638a15a"
+            == "315edc80b7b2d00bebf93a7418c0dffcf3306a88"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

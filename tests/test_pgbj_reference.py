@@ -9,10 +9,13 @@ import pytest
 
 from repro.core import Dataset
 from repro.datasets import expand_dataset, generate_forest, generate_osm
-from repro.joins import PgbjConfig, run_join
+from repro.joins import PgbjConfig, kernels, run_join
 from repro.joins.base import (
+    OTHER_CELL_PAIRS_NAME,
+    OWN_CELL_PAIRS_NAME,
     PAIRS_GROUP,
     PAIRS_NAME,
+    PIVOT_PAIRS_NAME,
     REPLICA_GROUP,
     REPLICA_NAME,
 )
@@ -171,25 +174,36 @@ class TestSkewSplit:
             get=lambda pid: SimpleNamespace(count=counts[pid]),
         )
 
-    def test_bit_identical_results_and_pairs(self, skewed):
-        base = run_join(
-            "pgbj", skewed, skewed, PgbjConfig(k=4, num_pivots=16, seed=5)
-        )
-        split = run_join(
-            "pgbj", skewed, skewed,
-            PgbjConfig(k=4, num_pivots=16, seed=5, skew_split_threshold=0.3),
-        )
-        assert sorted(base.result.pairs()) == sorted(split.result.pairs())
+    def test_bit_identical_results_and_requested_pairs(self, skewed, monkeypatch):
+        """Each r meets the candidates it met unsplit: the same answer, and
+        the same pairs requested.  Computed, the object-pivot and other-cell
+        pairs are equal too; a lane's own-cell memo holds only its own rows'
+        distances, so split own-cell pairs lie between the unsplit join's and
+        the pairs requested (no memo: ``_TILE_BYTES`` 0 leaves every cell
+        above its cap)."""
 
-        def pairs(outcome):
-            return outcome.counters.value(PAIRS_GROUP, PAIRS_NAME)
+        def run(**knobs):
+            config = PgbjConfig(k=4, num_pivots=16, seed=5, engine="serial", **knobs)
+            return run_join("pgbj", skewed, skewed, config)
+
+        def pairs(outcome, name=PAIRS_NAME):
+            return outcome.counters.value(PAIRS_GROUP, name)
 
         def replicas(outcome):
             return outcome.counters.value(REPLICA_GROUP, REPLICA_NAME)
 
-        # an S copy's anchor distances ship as codes: more copies, no more pairs
-        assert pairs(base) == pairs(split)
+        base, split = run(), run(skew_split_threshold=0.3)
+        assert sorted(base.result.pairs()) == sorted(split.result.pairs())
+        # an S copy's anchor distances ship as codes: more copies, no more
+        # object-pivot or other-cell pairs
         assert replicas(split) > replicas(base)
+        for name in (PIVOT_PAIRS_NAME, OTHER_CELL_PAIRS_NAME):
+            assert pairs(base, name) == pairs(split, name)
+        monkeypatch.setattr(kernels, "_TILE_BYTES", 0)
+        asked, split_asked = run(), run(skew_split_threshold=0.3)
+        assert pairs(asked) == pairs(split_asked)
+        own = [pairs(outcome, OWN_CELL_PAIRS_NAME) for outcome in (base, split, asked)]
+        assert own[0] < own[1] < own[2]
 
     def test_plan_skew_split_unit(self):
         mapping = {0: 0, 1: 1, 2: 2, 3: 3}

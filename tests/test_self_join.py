@@ -4,23 +4,30 @@ and ships it to its own group once.
 PGBJ, PBJ and closest pairs share the partitioning stage, which emits one
 row of both roles per object of a self-join.  Joining a dataset with itself
 must equal joining it with an equal copy in results and S replicas, and
-compute exactly the R copies' assignment pairs fewer.  PBJ and closest pairs
-ship the two roles apart, so their shuffle equals the equal copy's; PGBJ
-sends each object to its own group as one row of both roles, so its join
-shuffle is exactly the R rows lighter.  Persisted stage results (an injected
-plan cache or a ``plan_cache_dir``) must never serve one for the other.
+compute exactly the R copies' assignment pairs fewer — and, in PGBJ's
+reducers, the own-cell pairs of a row with itself and the second direction
+of each pair the equal copy computes both ways, fewer.  PBJ and closest
+pairs ship the two roles apart, so their shuffle and reducer pairs equal the
+equal copy's; PGBJ sends each object to its own group as one row of both
+roles, so its join shuffle is exactly the R rows lighter.  Persisted stage
+results (an injected plan cache or a ``plan_cache_dir``) must never serve
+one for the other.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
-from repro.joins import get_join, plan_join, run_join
+from repro.joins import get_join, kernels, plan_join, run_join
 from repro.joins.base import (
+    OTHER_CELL_PAIRS_NAME,
+    OWN_CELL_PAIRS_NAME,
     PAIRS_GROUP,
     PAIRS_NAME,
+    PIVOT_PAIRS_NAME,
     REPLICA_GROUP,
     REPLICA_NAME,
 )
@@ -29,6 +36,7 @@ from repro.joins.registry import JoinPlan, execute_join_plan
 from repro.mapreduce import PlanCache
 from repro.mapreduce.serialization import estimate_bytes
 from repro.mapreduce.types import ROLE_BOTH, ROLE_R, RecordBlock
+from tests.test_kernels import RequestLog
 from tests.test_plan_equivalence import env_params
 
 JOINS = ("pgbj", "pbj", "closest-pairs")
@@ -97,10 +105,32 @@ def assignment_pairs(dataset, config):
     return metric.pairs_computed
 
 
+def own_pairs_reused(r, s, config, monkeypatch):
+    """Over the reducers of an in-process join of ``r`` and ``s``, the
+    own-cell pairs each computed of a row with itself (the same point) plus
+    those it computed both ways, counted once."""
+    logs = []
+    kernel = kernels.knn_join_kernel
+
+    def logged(*args, **kwargs):
+        logs.append(RequestLog())
+        yield from kernel(*args, **{**kwargs, "own_metric": logs[-1]})
+
+    monkeypatch.setattr(kernels, "knn_join_kernel", logged)
+    run_join("pgbj", r, s, dataclasses.replace(config, engine="serial"))
+    monkeypatch.undo()
+    reused = 0
+    for log in logs:
+        asked = set(log.pairs)
+        assert len(asked) == len(log.pairs)
+        reused += sum(a == b or ((b, a) in asked and a < b) for a, b in asked)
+    return reused
+
+
 class TestSelfJoinEqualsEqualCopy:
     @pytest.mark.parametrize("budget", (None, 4096), ids=("memory", "spill"))
     @pytest.mark.parametrize("name", JOINS)
-    def test_same_answer_and_replicas_fewer_pairs(self, name, budget, data):
+    def test_same_answer_and_replicas_fewer_pairs(self, name, budget, data, monkeypatch):
         config = config_for(name, **({} if budget is None else {"memory_budget": budget}))
         same, same_jobs = run_stages(name, data, data, config)
         twin, twin_jobs = run_stages(name, data, copy.deepcopy(data), config)
@@ -114,11 +144,25 @@ class TestSelfJoinEqualsEqualCopy:
             counters = jobs[0].counters
             assert counters.value(PAIRS_GROUP, PAIRS_NAME) == computed
             assert computed + counters.value(PAIRS_GROUP, SKIPPED_NAME) == all_pairs
-        assert twin.distance_pairs - same.distance_pairs == pairs
         if name != "pgbj":
-            # the two roles ship apart: the equal copy's shuffle, to the row
+            # the two roles ship apart: the equal copy's shuffle and reducer
+            # pairs, to the row
+            assert twin.distance_pairs - same.distance_pairs == pairs
             assert shipped(same_jobs) == shipped(twin_jobs)
             return
+        # the reducers: the equal copy's object-pivot and other-cell pairs,
+        # and its own-cell pairs less each row's with itself and the second
+        # direction of each pair it computed both ways
+        same_pairs, twin_pairs = (
+            [outcome.counters.value(PAIRS_GROUP, counter) for counter in (
+                PIVOT_PAIRS_NAME, OTHER_CELL_PAIRS_NAME, OWN_CELL_PAIRS_NAME
+            )]
+            for outcome in (same, twin)
+        )
+        reused = own_pairs_reused(data, copy.deepcopy(data), config, monkeypatch)
+        assert same_pairs[:2] == twin_pairs[:2] and reused > len(data)
+        assert twin_pairs[2] - same_pairs[2] == reused
+        assert twin.distance_pairs - same.distance_pairs == pairs + reused
         # PGBJ: one row of both roles per object in its own group — the R
         # rows' records and bytes fewer, the same S replicas
         ((records, shuffle_bytes, replicas, _),) = shipped(same_jobs)
@@ -151,6 +195,19 @@ class TestSelfJoinEqualsEqualCopy:
         partitioned = RecordBlock.gather(block for _, block in same_jobs[0].outputs)
         assert (partitioned.role == ROLE_BOTH).all()
         assert sorted(partitioned.object_ids) == sorted(data.ids)
+
+
+def test_an_equal_copy_counts_what_it_counted_before_the_own_cell_memo(data):
+    """R ≠ S: no row is of both roles, so the reducers reuse no distance.
+    The counters are the ones recorded on the commit before a self-join's
+    reducers computed each own-cell distance once (the self-join's own-cell
+    pairs were 2 097 there too, 1 176 since)."""
+    outcome = run_join("pgbj", data, copy.deepcopy(data), config_for("pgbj"))
+    counted = outcome.counters.as_dict()[PAIRS_GROUP]
+    assert (outcome.distance_pairs, counted[PAIRS_NAME]) == (8377, 8187)
+    assert [counted[name] for name in (
+        PIVOT_PAIRS_NAME, OTHER_CELL_PAIRS_NAME, OWN_CELL_PAIRS_NAME
+    )] == [816, 944, 2097]
 
 
 def facts(name, r, s, config):
