@@ -12,11 +12,13 @@ will be calibrated from.
 
     PYTHONPATH=src python benchmarks/scale_probe.py [--out scale-probe.json]
 
-Prints one JSON line (and writes it to ``--out``): per workload, per scale
-the objects, CPU and wall seconds of one in-process join and its
-selectivity, and ``cpu_ratio``, the larger scale's CPU seconds over the
-smaller's.  A join at the smoke scale runs first, unrecorded, so neither
-pays the process's first-call costs.
+Prints one JSON line (and writes it to ``--out``): per workload, per run
+the scale, objects, CPU and wall seconds of one in-process join and its
+selectivity — ``SMALL_JOINS`` joins at the recorded scale, then the larger
+one — and ``cpu_ratio``, the larger join's CPU seconds over the median of the
+smaller ones (one 0.4–0.6 s join swings the ratio by a third).  A join at the
+smoke scale runs first, unrecorded, so none pays the process's first-call
+costs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -40,6 +43,8 @@ SEED = 0
 #: the benchmark's recorded scale, and the objects of the larger join
 SCALE, LARGE_OBJECTS = 0.5, 40_000
 WARM_UP_SCALE = 0.125
+#: joins at the recorded scale whose median CPU the ratio divides by
+SMALL_JOINS = 3
 
 
 def probe(name: str, scale: float) -> dict:
@@ -62,12 +67,14 @@ def probe(name: str, scale: float) -> dict:
 
 
 def scaled(name: str) -> dict:
-    """``name`` at :data:`SCALE` and at :data:`LARGE_OBJECTS` objects."""
-    small = probe(name, SCALE)
-    large = probe(name, SCALE * LARGE_OBJECTS / small["objects"])
+    """``name`` :data:`SMALL_JOINS` times at :data:`SCALE`, then once at
+    :data:`LARGE_OBJECTS` objects."""
+    small = [probe(name, SCALE) for _ in range(SMALL_JOINS)]
+    median = statistics.median(run["cpu_s"] for run in small)
+    large = probe(name, SCALE * LARGE_OBJECTS / small[0]["objects"])
     return {
-        "runs": [small, large],
-        "cpu_ratio": round(large["cpu_s"] / max(small["cpu_s"], 1e-9), 2),
+        "runs": [*small, large],
+        "cpu_ratio": round(large["cpu_s"] / max(median, 1e-9), 2),
     }
 
 

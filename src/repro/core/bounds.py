@@ -20,6 +20,20 @@ second MapReduce job ship only the necessary part of ``S`` to each reducer:
 * **Algorithm 2 (compLBOfReplica)** — computes every ``LB`` ahead of the map
   phase.
 
+The shipping rule applied is Theorem 6 member by member, with one more test
+per member: ``s`` (in ``P_j^S``) goes to group ``G`` only if some R cell
+``i`` of ``G`` passes Theorem 5 for that one cell, ``|s, p_j| >=
+LB(P_j^S, P_i^R)``, *and* lies within ``theta_i`` of ``s`` around every
+anchor ``a`` of the partitioner: the gap between ``s``'s decoded range of
+``|s, a|`` and the cell's anchor hull ``[lo_a(i), hi_a(i)]`` (the extremes
+of its members' exact ``|r, a|``, :func:`cell_anchor_hulls`) is at most
+``theta_i``.  A kNN ``s`` of ``r in P_i^R`` has ``|r, s| <= theta_i`` and
+``|r, s| >= | |r, a| - |s, a| |``, so no kNN is ever left behind, and a
+self-join's own copy always passes, since its cell's hull holds its own
+``|s, a|``.  :func:`rank_members` orders each group's members by ``LB`` so
+the mapper tests the likeliest member first and stops at the first that
+Theorem 5 refuses.
+
 Everything here consumes only the summary tables and the pivot-to-pivot
 distance matrix — no object data — mirroring the paper's "byproduct of the
 first MapReduce" design.
@@ -31,6 +45,7 @@ import heapq
 
 import numpy as np
 
+from .geometry import PRUNE_RTOL
 from .summary import SummaryTable
 
 __all__ = [
@@ -41,6 +56,8 @@ __all__ = [
     "theta_bounds",
     "compute_lb_matrix",
     "group_lb_matrix",
+    "rank_members",
+    "cell_anchor_hulls",
 ]
 
 
@@ -182,3 +199,41 @@ def group_lb_matrix(lb_matrix: np.ndarray, groups: list[list[int]]) -> np.ndarra
         if members:
             out[:, g] = lb_matrix[:, members].min(axis=1)
     return out
+
+
+def rank_members(
+    lb_matrix: np.ndarray, groups: list[list[int]], dtype=np.intp
+) -> tuple[np.ndarray, np.ndarray]:
+    """Theorem 6 member by member: ``(ranked, edges)``, where row ``j`` of
+    the ``(M, members)`` array ``ranked`` lists every group's R cells in
+    ascending ``LB(P_j^S, P_i^R)`` (:func:`compute_lb_matrix`), group ``g``'s
+    run in columns ``[edges[g], edges[g + 1])``.  A run's first cell bounds
+    Theorem 6's ``LB(P_j^S, G_g)``, and the cells whose Theorem 5 admits an
+    ``s`` of ``P_j^S`` are a prefix of its run."""
+    edges = np.concatenate(([0], np.cumsum([len(members) for members in groups])))
+    ranked = np.empty((lb_matrix.shape[0], int(edges[-1])), dtype=dtype)
+    for members, lo, hi in zip(groups, edges[:-1], edges[1:]):
+        cells = np.asarray(members, dtype=np.intp)
+        ranked[:, lo:hi] = cells[np.argsort(lb_matrix[:, cells], axis=1)]
+    return ranked, edges
+
+
+def cell_anchor_hulls(tr: SummaryTable, num_pivots: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``, ``(A, M)``: per anchor and R cell the hull of its members'
+    exact anchor distances (``T_R``'s ``anchor_hull``),
+    each end moved out by ``PRUNE_RTOL`` of the larger, as
+    :func:`~repro.core.geometry.anchor_ranges` moves a decoded hull; an empty
+    cell's hull is empty (``+inf``, ``-inf``), so nothing is ever within
+    reach of it."""
+    rows = [stat for stat in tr.rows() if stat.anchor_hull is not None]
+    count = rows[0].anchor_hull.shape[1] if rows else 0
+    lo = np.full((count, num_pivots), np.inf)
+    hi = np.full((count, num_pivots), -np.inf)
+    if count:
+        cells = [stat.partition_id for stat in rows]
+        hulls = np.array([stat.anchor_hull for stat in rows])  # (cells, 2, A)
+        lo[:, cells], hi[:, cells] = hulls.transpose(1, 2, 0)
+        slack = PRUNE_RTOL * np.maximum(np.abs(lo[:, cells]), np.abs(hi[:, cells]))
+        lo[:, cells] -= slack
+        hi[:, cells] += slack
+    return lo, hi

@@ -104,6 +104,9 @@ class PartitioningMapper(BlockBufferingMapper):
 
     ``T_S`` partials keep *every* per-partition pivot distance (master-side
     merging truncates to the join's k) — the k never enters this job.
+    ``T_R`` partials carry each cell's anchor hull, the per-anchor minimum
+    and maximum of its R members' exact anchor distances, for the second
+    job's shipping rule.
 
     In a self-join (splits from
     :func:`~repro.mapreduce.splits.self_join_splits`) every row is an object
@@ -124,25 +127,29 @@ class PartitioningMapper(BlockBufferingMapper):
 
     def route_block(self, block: RecordBlock, ctx: Context):
         pids, dists, anchor_dists = self._partitioner.assign_points(block.points)
-        is_r, is_s = block.is_r, block.is_s
-        for channel, mask, keep_all in ((CHANNEL_TR, is_r, False), (CHANNEL_TS, is_s, True)):
-            if mask.any():
-                summary_k = int(mask.sum()) if keep_all else 0
-                ctx.side_output(
-                    channel, build_partial_summary(pids[mask], dists[mask], k=summary_k)
-                )
+        order = np.argsort(pids, kind="stable")
+        pids, dists, anchor_dists = pids[order], dists[order], anchor_dists[order]
+        annotated = block.take(order)
+        is_r, is_s = annotated.is_r, annotated.is_s
+        # T_R rows carry their cells' anchor hulls; T_S partials keep every
+        # pivot distance
+        if is_r.any():
+            ctx.side_output(
+                CHANNEL_TR,
+                build_partial_summary(pids[is_r], dists[is_r], anchor_dists=anchor_dists[is_r]),
+            )
+        if is_s.any():
+            ctx.side_output(
+                CHANNEL_TS, build_partial_summary(pids[is_s], dists[is_s], k=int(is_s.sum()))
+            )
         computed = self._metric.pairs_computed
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, computed)
         # each role counts as assigned: (|R| + |S|) x M pairs in all
         all_pairs = (int(is_r.sum()) + int(is_s.sum())) * self._partitioner.num_partitions
         ctx.counters.incr(PAIRS_GROUP, SKIPPED_NAME, all_pairs - computed)
-        order = np.argsort(pids, kind="stable")
-        annotated = block.take(order)
-        annotated.partition_ids = pids[order].astype(self._cell_dtype)
-        annotated.pivot_distances = dists[order]
-        annotated.anchor_codes = anchor_codes(
-            anchor_dists[order], pids[order], dists[order], self._code_rows
-        )
+        annotated.partition_ids = pids.astype(self._cell_dtype)
+        annotated.pivot_distances = dists
+        annotated.anchor_codes = anchor_codes(anchor_dists, pids, dists, self._code_rows)
         yield 0, annotated
 
 

@@ -2,8 +2,17 @@
 
 Pipeline (Figure 3): master-side pivot selection → map-only partitioning job
 with summary collection → master-side index merging and partition grouping →
-the kNN-join job whose mapper replicates S by the Corollary 2 / Theorem 6
-shipping rule and whose reducer runs the Algorithm 3 kernel.
+the kNN-join job whose mapper replicates S by the shipping rule and whose
+reducer runs the Algorithm 3 kernel.
+
+The shipping rule is Theorem 6 taken member by member, with the anchors
+added: an S object ``s`` of cell ``P_j`` goes to group ``G`` only if some R
+cell ``P_i`` of ``G`` passes Theorem 5 for that one cell, ``|s, p_j| >=
+|p_i, p_j| - U_i - theta_i``, and its anchor hull test, ``max_a gap([mid_a(s)
+± radius(s)], [lo_a(i), hi_a(i)]) <= theta_i`` (plus slack): ``s``'s
+one-byte anchor codes against the range of the cell's exact ``|r, a|``,
+which ``T_R`` carries.  A kNN of ``r in P_i`` lies within ``theta_i`` of it,
+and ``|r, s| >= | |r, a| - |s, a| |``, so no kNN is left behind.
 
 The pipeline is expressed as a two-stage :class:`~repro.mapreduce.plan.JobGraph`
 (``pgbj/partition`` → ``pgbj/join``): the partition stage is content-keyed
@@ -14,7 +23,7 @@ read the (possibly cached) partition result.
 
 Shuffling cost is ``|R| + alpha * |S|`` — the headline advantage over the
 block-framework baselines — because R is never replicated and every S object
-ships only to the groups whose bound requires it.  A self-join ships
+ships only to the groups whose bounds require it.  A self-join ships
 ``alpha * |S|``: an R copy rides in its own-group S copy, one row of both roles.
 """
 
@@ -22,14 +31,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bounds import compute_lb_matrix, compute_thetas, group_lb_matrix
+from repro.core.bounds import (
+    cell_anchor_hulls,
+    compute_lb_matrix,
+    compute_thetas,
+    rank_members,
+)
 from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
-from repro.core.geometry import PRUNE_EPS
+from repro.core.geometry import PRUNE_EPS, anchor_intervals, anchor_range_gaps, anchor_reach
 from repro.grouping import get_grouping_strategy
 from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
+from repro.mapreduce.splits import cell_dtype
 from repro.mapreduce.types import ROLE_R, ROLE_S, NeighborBlock, RecordBlock
 
 from .base import REPLICA_GROUP, REPLICA_NAME, PgbjConfig, count_kernel_pairs
@@ -44,22 +59,43 @@ from .registry import JoinPlan, JoinSpec, register_join
 
 __all__ = ["plan_pgbj", "make_pivot_selector"]
 
+#: (row, member) tests the routing mapper runs in one vectorised round, and
+#: (row, group) pairs it follows at once: about 150 bytes of temporaries a
+#: test, so a round holds about 2.4 MiB
+_ROUTE_PAIRS = 16384
+
 
 class GroupRoutingMapper(BlockBufferingMapper):
     """Second-job mapper (Algorithm 3 lines 3-11), group-keyed.
 
-    R objects go to their partition's group; S objects go to every group
-    whose ``LB(P_j^S, G_i)`` admits them (Theorem 6) — each copy is one unit
-    of replication, counted for the Figure 7(b) measurement.
+    R objects go to their partition's group; an S object ``s`` of cell
+    ``P_j`` goes to every group with a member R cell ``P_i`` that admits it
+    twice over: Theorem 5 for that one cell, ``|s, p_j| >= LB(P_j^S,
+    P_i^R)``, and the anchor hull test, no anchor's gap between ``s``'s
+    decoded range of ``|s, a|`` and the cell's hull of exact ``|r, a|``
+    above ``theta_i`` (:mod:`repro.core.bounds`).  Each copy is one unit of
+    replication, counted for the Figure 7(b) measurement.  The hull test is
+    the reducers' rule 5 with the roles swapped
+    (:func:`~repro.core.geometry.anchor_range_gaps` over ``s``'s
+    :func:`~repro.core.geometry.anchor_reach`): ``s``'s codes against the
+    exact ranges of R cells the master merged from ``T_R``.
 
-    The whole split is routed as one block: Theorem 6 / Corollary 2 is one
-    ``rows x groups`` role matrix, and each group receives at most one
+    Each (row, group) pair tries its group's members in ascending LB
+    (:func:`~repro.core.bounds.rank_members`), in rounds of 1, 2, 4, ...
+    members, all pairs of a round in one vectorised pass of at most
+    ``_ROUTE_PAIRS`` (row, member) tests at a time: a pair stops at the first
+    member that admits ``s``, or at the first that Theorem 5 refuses (every
+    later member refuses too), so a first member that admits ``s`` decides
+    most pairs, and one that Theorem 5 refuses is Theorem 6's verdict.
+
+    The whole split is routed as one block: each group receives at most one
     :class:`~repro.mapreduce.types.RecordBlock` per map task — the rows
     with a role there, in input order (the partitioning job sorted them by
     cell), which is the sequence a reducer's per-cell blocks are built from.
     A row's role in a group is the OR of two bits, R in its own group and S
     in every group that admits it, so a self-join's object reaches its own
-    group (Theorem 6 always admits its own cell) as one row of both roles.
+    group (its own cell always admits it: its hull holds the object's own
+    ``|s, a|``) as one row of both roles.
 
     Skew-aware repartitioning (``skew_subkeys`` in the job cache, built by
     the planner when one group's R load dominates): a split group's R bits
@@ -75,18 +111,24 @@ class GroupRoutingMapper(BlockBufferingMapper):
     def setup(self, ctx: Context) -> None:
         super().setup(ctx)
         partition_to_group: dict[int, int] = ctx.cache["partition_to_group"]
-        self._lb_group: np.ndarray = ctx.cache["lb_group"]
-        self._group_of = np.full(self._lb_group.shape[0], -1, dtype=np.int64)
+        pdm: np.ndarray = ctx.cache["pivot_dist_matrix"]
+        self._pdm = pdm.ravel()
+        self._num_pivots = pdm.shape[0]
+        self._code_rows = pdm[ctx.cache["code_anchors"]]
+        self._ranked, self._edges = ctx.cache["ranked_members"]
+        self._uppers, self._thetas = ctx.cache["cell_bounds"]
+        self._hull_lo, self._hull_hi = ctx.cache["anchor_hulls"]
+        self._group_of = np.full(self._num_pivots, -1, dtype=np.int64)
         self._group_of[list(partition_to_group)] = list(partition_to_group.values())
         self._subkeys: dict[int, tuple[int, ...]] = ctx.cache.get("skew_subkeys") or {}
 
     def route_block(self, block: RecordBlock, ctx: Context):
-        cells = block.partition_ids
-        # Theorem 6 for every S object of the split against every group
-        admitted = block.pivot_distances[:, None] >= self._lb_group[cells] - PRUNE_EPS
-        roles = np.where(admitted & block.is_s[:, None], ROLE_S, 0).astype(np.uint8)
+        roles = np.zeros((len(block), len(self._edges) - 1), dtype=np.uint8)
+        s_rows = np.flatnonzero(block.is_s)
+        if s_rows.size:
+            roles[s_rows] = np.where(self._admitted(block, s_rows), ROLE_S, 0)
         r_rows = np.flatnonzero(block.is_r)
-        roles[r_rows, self._group_of[cells[r_rows]]] |= ROLE_R
+        roles[r_rows, self._group_of[block.partition_ids[r_rows]]] |= ROLE_R
         for group_index in range(roles.shape[1]):
             group_roles = roles[:, group_index]
             subkeys = self._subkeys.get(group_index, (group_index,))
@@ -102,6 +144,59 @@ class GroupRoutingMapper(BlockBufferingMapper):
                     routed = block.take(rows)
                     routed.role = lane_roles[rows]
                     yield int(subkey), routed
+
+    def _admitted(self, block: RecordBlock, s_rows: np.ndarray) -> np.ndarray:
+        """``(S rows, groups)``: which groups the shipping rule sends each S
+        row to (class docstring), as many rows at a time as have
+        ``_ROUTE_PAIRS`` (row, group) pairs."""
+        num_groups = len(self._edges) - 1
+        per_pass = max(1, _ROUTE_PAIRS // num_groups)
+        return np.concatenate([
+            self._admitted_rows(block, s_rows[first : first + per_pass], num_groups)
+            for first in range(0, s_rows.size, per_pass)
+        ])
+
+    def _admitted_rows(self, block: RecordBlock, s_rows: np.ndarray, num_groups: int):
+        cells = block.partition_ids[s_rows].astype(np.int64)
+        dists = block.pivot_distances[s_rows]
+        mids, radius = anchor_intervals(block.anchor_codes[s_rows], cells, dists, self._code_rows)
+        reach = anchor_reach(mids, radius)
+        width, ranked = self._ranked.shape[1], self._ranked.ravel()
+        # pair p is (row p // groups, group p % groups): its next member's
+        # column of ``ranked`` and the end of its group's run
+        pos = np.tile(self._edges[:-1], s_rows.size)
+        end = np.tile(self._edges[1:], s_rows.size)
+        admitted = np.zeros(pos.size, dtype=bool)
+        live, size = np.flatnonzero(pos < end), 1
+        while live.size:
+            # 1, 2, 4, ... members a pair, ``_ROUTE_PAIRS`` tests a round (or
+            # one a pair, should a pass's pairs outnumber them)
+            count = np.minimum(end[live] - pos[live], max(1, min(size, _ROUTE_PAIRS // live.size)))
+            seg = np.repeat(np.arange(live.size), count)
+            at = np.repeat(pos[live] - (np.cumsum(count) - count), count) + np.arange(seg.size)
+            rows = live.take(seg) // num_groups
+            row_cells = cells.take(rows)
+            members = ranked.take(row_cells * width + at)
+            bound = (
+                self._pdm.take(row_cells * self._num_pivots + members)
+                - self._uppers.take(members)
+                - self._thetas.take(members)
+            )
+            # Theorem 5 for the one member, then its anchor hull
+            fits = np.flatnonzero(dists.take(rows) >= bound - PRUNE_EPS)
+            gaps = anchor_range_gaps(
+                mids, reach, rows.take(fits), self._hull_lo, self._hull_hi, members.take(fits)
+            )
+            near = fits[gaps <= self._thetas.take(members.take(fits)) + PRUNE_EPS]
+            admitted[live.take(seg.take(near))] = True
+            # members past one Theorem 5 refuses are refused too
+            refused = np.bincount(seg, minlength=live.size) > np.bincount(
+                seg.take(fits), minlength=live.size
+            )
+            pos[live] += count
+            live = live[~refused & ~admitted[live] & (pos[live] < end[live])]
+            size *= 2
+        return admitted.reshape(s_rows.size, num_groups)
 
 
 class PgbjJoinReducer(Reducer):
@@ -208,10 +303,15 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
             lb_matrix = compute_lb_matrix(tr, pdm, thetas)
             strategy = get_grouping_strategy(config.grouping)
             assignment = strategy.group(tr, ts, pdm, lb_matrix, config.num_reducers)
-            lb_group = group_lb_matrix(lb_matrix, assignment.groups)
+            ranked_members = rank_members(lb_matrix, assignment.groups, cell_dtype(len(pdm)))
             skew_subkeys, num_join_reducers = plan_skew_split(
                 tr, assignment.partition_to_group, config
             )
+        # U_i and theta_i by cell (NaN where R is empty: no member is)
+        cell_bounds = np.full((2, len(pdm)), np.nan)
+        cell_bounds[:, list(thetas)] = [
+            [tr.get(pid).upper for pid in thetas], list(thetas.values())
+        ]
         ring_stats = {
             pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()
         }
@@ -223,7 +323,9 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
             num_reducers=num_join_reducers,
             cache={
                 "partition_to_group": assignment.partition_to_group,
-                "lb_group": lb_group,
+                "ranked_members": ranked_members,
+                "cell_bounds": cell_bounds,
+                "anchor_hulls": cell_anchor_hulls(tr, len(pdm)),
                 "skew_subkeys": skew_subkeys,
                 "metric_name": config.metric_name,
                 "k": config.k,

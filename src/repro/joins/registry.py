@@ -183,8 +183,10 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: 13: reducers judge a (row, cell) pair by the cell's anchor ranges, so the
 #: kNN stages' counters changed.  14: reducers scan a row's first cells in
 #: bound-ordered rounds and count own-cell and other-cell pairs apart.  15: a
-#: self-join's reducers compute each own-cell distance once.
-RESULTS_VERSION = 15
+#: self-join's reducers compute each own-cell distance once.  16: ``T_R`` rows
+#: carry their cells' anchor hulls, and the join job ships an S copy only to
+#: groups with a member within reach around every anchor.
+RESULTS_VERSION = 16
 
 
 def plan_identity(

@@ -2,7 +2,9 @@
 
 Copies of the mappers the library shipped before a map task handled its split
 as one block — the partitioning mapper that emitted one annotated block per
-Voronoi cell and the routing mapper that looped over (cell, group) pairs —
+Voronoi cell and the routing mapper that looped over (cell, group) pairs, its
+shipping rule now applied object by object and cell by cell
+(:func:`shipping_rule`) —
 plus the reducer that answered with one ``(r_id, (ids, dists))`` pair per R
 object — carried forward to the row roles, so a self-join's object stays one
 row of both roles in its own group.  ``src/`` holds only the block-per-task implementation;
@@ -18,8 +20,9 @@ from unittest import mock
 
 import numpy as np
 
+from repro.core.bounds import rank_members
 from repro.core.distance import get_metric
-from repro.core.geometry import PRUNE_EPS, anchor_codes
+from repro.core.geometry import PRUNE_EPS, anchor_codes, anchor_intervals, anchor_reach
 from repro.core.partition import VoronoiPartitioner
 from repro.core.summary import build_partial_summary
 from repro.joins import partition_job, pgbj
@@ -57,15 +60,17 @@ class PerCellPartitioningMapper(Mapper):
         block = RecordBlock.gather(self._buffer)
         self._buffer = []
         pids, dists, anchor_dists = self._partitioner.assign_points(block.points)
-        for channel, mask, keep_all in (
-            (CHANNEL_TR, block.is_r, False),
-            (CHANNEL_TS, block.is_s, True),
-        ):
-            if mask.any():
-                summary_k = int(mask.sum()) if keep_all else 0
-                ctx.side_output(
-                    channel, build_partial_summary(pids[mask], dists[mask], k=summary_k)
-                )
+        if block.is_r.any():
+            mask = block.is_r
+            ctx.side_output(
+                CHANNEL_TR,
+                build_partial_summary(pids[mask], dists[mask], anchor_dists=anchor_dists[mask]),
+            )
+        if block.is_s.any():
+            mask = block.is_s
+            ctx.side_output(
+                CHANNEL_TS, build_partial_summary(pids[mask], dists[mask], k=int(mask.sum()))
+            )
         block.partition_ids = pids.astype(cell_dtype(self._partitioner.num_partitions))
         block.pivot_distances = dists.astype(np.float64, copy=False)
         block.anchor_codes = anchor_codes(anchor_dists, pids, dists, ctx.cache["code_rows"])
@@ -82,19 +87,30 @@ class PerCellPartitioningMapper(Mapper):
 class PerCellRoutingMapper(Mapper):
     """One block per (cell, group, sub-key): per cell, each group's rows with
     their role there — R in the own group (its id lane's sub-key), S in every
-    group and sub-key Theorem 6 admits — a row of both roles staying one."""
+    group and sub-key the shipping rule admits — a row of both roles staying
+    one."""
 
     def setup(self, ctx: Context) -> None:
         self._partition_to_group: dict[int, int] = ctx.cache["partition_to_group"]
-        self._lb_group: np.ndarray = ctx.cache["lb_group"]
+        self._members: dict[int, list[int]] = {}
+        for pid, group in sorted(self._partition_to_group.items()):
+            self._members.setdefault(group, []).append(pid)
+        self._num_groups = len(ctx.cache["ranked_members"][1]) - 1
+        self._cache = ctx.cache
         self._subkeys: dict[int, tuple[int, ...]] = ctx.cache.get("skew_subkeys") or {}
 
     def map(self, key, value, ctx: Context):
         for pid, cell in value.split_by(value.partition_ids):
-            own_group = self._partition_to_group[pid]
-            for group_index in range(self._lb_group.shape[1]):
-                admitted = cell.is_s & (
-                    cell.pivot_distances >= self._lb_group[pid, group_index] - PRUNE_EPS
+            own_group = self._partition_to_group.get(pid)
+            admits = shipping_rule(self._cache, pid, cell)
+            for group_index in range(self._num_groups):
+                members = self._members.get(group_index, ())
+                admitted = np.array(
+                    [
+                        bool(is_s) and any(admits(row, i) for i in members)
+                        for row, is_s in enumerate(cell.is_s)
+                    ],
+                    dtype=bool,
                 )
                 subkeys = self._subkeys.get(group_index, (group_index,))
                 for lane, subkey in enumerate(subkeys):
@@ -108,6 +124,34 @@ class PerCellRoutingMapper(Mapper):
                     routed = cell.take(rows)
                     routed.role = roles[rows].astype(np.uint8)
                     yield int(subkey), routed
+
+
+def shipping_rule(cache: dict, pid: int, cell: RecordBlock):
+    """``admits(row, i)``: the shipping rule for one S object of ``cell``
+    (all in Voronoi cell ``pid``) and one R cell ``i``, object by object in
+    Python floats: Theorem 5 for that one cell, ``|s, p_j| >= |p_j, p_i| -
+    U_i - theta_i``, and no anchor's gap between the object's decoded range
+    of ``|s, a|`` and the cell's hull above ``theta_i``."""
+    pdm = cache["pivot_dist_matrix"]
+    uppers, thetas = cache["uppers"], cache["thetas"]
+    hull_lo, hull_hi = cache["anchor_hulls"]
+    mids, radius = anchor_intervals(
+        cell.anchor_codes, np.full(len(cell), pid), cell.pivot_distances,
+        pdm[cache["code_anchors"]],
+    )
+    reach = anchor_reach(mids, radius)
+
+    def admits(row: int, i: int) -> bool:
+        dist = float(cell.pivot_distances[row])
+        if not dist >= float(pdm[pid, i]) - uppers[i] - thetas[i] - PRUNE_EPS:
+            return False
+        gap = max(
+            max(float(mid) - float(hi), float(lo) - float(mid))
+            for mid, lo, hi in zip(mids[:, row], hull_lo[:, i], hull_hi[:, i])
+        )
+        return gap - float(reach[row]) <= thetas[i] + PRUNE_EPS
+
+    return admits
 
 
 def _report_input(key, values, ctx: Context) -> RecordBlock:
@@ -228,4 +272,31 @@ def outcome_facts(outcome) -> dict:
         "shuffle_records": [stats.shuffle_records for stats in outcome.job_stats],
         "shuffle_bytes": [stats.shuffle_bytes for stats in outcome.job_stats],
         "output_bytes": [stats.output_bytes for stats in outcome.job_stats],
+    }
+
+
+def routing_cache(rng, partition_to_group: dict[int, int], groups: int, anchors: int = 3) -> dict:
+    """A random, self-consistent job cache for the routing mappers alone:
+    pivots in the unit square, each cell's ``U_i`` and ``theta_i`` and an
+    anchor hull of its own, the first ``anchors`` pivots as code anchors —
+    drawn so that both tests of the shipping rule admit some copies and
+    refuse others."""
+    cells = 1 + max(partition_to_group)
+    pivots = rng.random((cells, 2))
+    pdm = np.sqrt(((pivots[:, None] - pivots[None]) ** 2).sum(axis=2))
+    uppers, thetas = rng.random((2, cells)) * 0.3
+    lo = rng.random((anchors, cells))
+    members = [
+        sorted(cell for cell, group in partition_to_group.items() if group == index)
+        for index in range(groups)
+    ]
+    return {
+        "partition_to_group": partition_to_group,
+        "pivot_dist_matrix": pdm,
+        "code_anchors": np.arange(anchors),
+        "uppers": dict(enumerate(uppers.tolist())),
+        "thetas": dict(enumerate(thetas.tolist())),
+        "cell_bounds": np.stack([uppers, thetas]),
+        "anchor_hulls": (lo, lo + rng.random((anchors, cells)) * 0.5),
+        "ranked_members": rank_members(pdm - uppers - thetas, members, np.int8),
     }

@@ -6,10 +6,12 @@ import pytest
 from repro.core import Dataset, VoronoiPartitioner, bounds, get_metric
 from repro.core.bounds import (
     bounding_knn,
+    cell_anchor_hulls,
     compute_lb_matrix,
     compute_thetas,
     group_lb_matrix,
     lower_bound,
+    rank_members,
     upper_bound,
 )
 from repro.core.summary import build_partial_summary
@@ -176,3 +178,47 @@ class TestGroupLb:
         grouped = group_lb_matrix(lb, [members])
         for i in members:
             assert np.all(grouped[:, 0] <= lb[:, i] + 1e-12)
+
+
+class TestMemberRanking:
+    def test_each_run_is_its_group_in_ascending_lb(self):
+        _, _, _, _, tr, ts, pdm, k = partitioned_world(seed=3, num_pivots=9)
+        lb = compute_lb_matrix(tr, pdm, compute_thetas(tr, ts, pdm, k))
+        groups = [[0, 4, 7], [], [1, 2, 3, 5, 6, 8]]
+        groups = [[pid for pid in members if pid in tr] for members in groups]
+        ranked, edges = rank_members(lb, groups, np.int8)
+        assert ranked.dtype == np.int8 and edges.tolist()[-1] == ranked.shape[1]
+        theorem_6 = group_lb_matrix(lb, groups)
+        for g, members in enumerate(groups):
+            run = ranked[:, edges[g] : edges[g + 1]]
+            assert (np.sort(run, axis=1) == sorted(members)).all()
+            bounds_in_order = np.take_along_axis(lb, run.astype(np.intp), axis=1)
+            assert (np.diff(bounds_in_order, axis=1) >= 0).all()
+            if members:  # a run's first member carries Theorem 6's bound
+                assert np.array_equal(bounds_in_order[:, 0], theorem_6[:, g])
+
+
+class TestCellAnchorHulls:
+    def test_hulls_hold_every_members_anchor_distance(self):
+        rng = np.random.default_rng(5)
+        pids = rng.integers(0, 6, 200) * 2  # odd cells stay empty
+        anchor_dists = rng.random((200, 4)) * 1e6
+        tr = build_partial_summary(pids, rng.random(200), anchor_dists=anchor_dists)
+        lo, hi = cell_anchor_hulls(tr, 12)
+        assert lo.shape == hi.shape == (4, 12)
+        for cell in range(12):
+            members = anchor_dists[pids == cell]
+            if members.size:
+                assert (lo[:, cell] < members.min(axis=0)).all()
+                assert (hi[:, cell] > members.max(axis=0)).all()
+                # moved out by PRUNE_RTOL of the larger end, no further
+                slack = 1.01e-9 * members.max(axis=0)
+                assert (lo[:, cell] >= members.min(axis=0) - slack).all()
+                assert (hi[:, cell] <= members.max(axis=0) + slack).all()
+            else:
+                assert (lo[:, cell] == np.inf).all() and (hi[:, cell] == -np.inf).all()
+
+    def test_a_table_without_hulls_has_no_anchor_rows(self):
+        tr = build_partial_summary(np.array([0, 1]), np.array([1.0, 2.0]))
+        lo, hi = cell_anchor_hulls(tr, 3)
+        assert lo.shape == hi.shape == (0, 3)

@@ -31,6 +31,7 @@ from repro.mapreduce.serialization import (
 )
 from repro.mapreduce.splits import cell_dtype, dataset_splits, id_dtype, self_join_splits
 from repro.mapreduce.types import ID_DTYPES, ROLE_BOTH, ROLE_R, ROLE_S, NeighborBlock, RecordBlock
+from tests.reference_pgbj import routing_cache
 from tests.test_plan_equivalence import env_params
 
 INT8, INT16, INT32, INT64 = ID_DTYPES
@@ -305,11 +306,9 @@ def test_skew_lanes_agree_on_narrow_and_int64_ids(rung, ways):
     rows = 300
     ids = extreme_ids(rung, rows, seed=ways)
     cells = np.sort(rng.integers(0, 4, rows))
-    cache = {
-        "partition_to_group": {cell: cell % 2 for cell in range(4)},
-        "lb_group": rng.random((4, 2)),
-        "skew_subkeys": {0: (0, *range(2, ways + 1))},
-    }
+    cache = routing_cache(rng, {cell: cell % 2 for cell in range(4)}, 2)
+    cache["skew_subkeys"] = {0: (0, *range(2, ways + 1))}
+    codes = rng.integers(0, 256, (rows, 3)).astype(np.uint8)
     roles = rng.choice([ROLE_R, ROLE_S, ROLE_BOTH], rows).astype(np.uint8)
 
     def routed(id_type):
@@ -320,6 +319,7 @@ def test_skew_lanes_agree_on_narrow_and_int64_ids(rung, ways):
             payloads=np.zeros(rows, dtype=np.int64),
             partition_ids=cells.astype(np.int8),
             pivot_distances=np.linspace(0, 1, rows),
+            anchor_codes=codes,
         )
         ctx = Context("map-0", cache, num_reducers=ways + 1)
         mapper = GroupRoutingMapper()

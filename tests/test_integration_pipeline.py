@@ -98,16 +98,20 @@ class TestCrossStageConsistency:
 
 class TestGroupRoutingMatchesMasterPlan:
     def test_reducer_inputs_match_shipping_rule(self):
-        """Recompute the Corollary 2 plan by hand; the shuffle must match."""
+        """Recompute the shipping rule by hand — Theorem 5 and the anchor
+        hull test per member cell, any member per group — the shuffle must
+        match, and never exceed Theorem 6 alone."""
         data = generate_forest(300, seed=23)
         config = PgbjConfig(k=4, num_reducers=4, num_pivots=12, seed=3)
         outcome = run_join("pgbj", data, data, config)
         # reproduce the master's plan
         from repro.core.bounds import (
+            cell_anchor_hulls,
             compute_lb_matrix,
             compute_thetas,
             group_lb_matrix,
         )
+        from repro.core.geometry import anchor_codes, anchor_intervals, anchor_reach
         from repro.core.summary import build_partial_summary
         from repro.grouping import get_grouping_strategy
 
@@ -117,11 +121,9 @@ class TestGroupRoutingMatchesMasterPlan:
             data, config.num_pivots, metric, rng
         )
         partitioner = VoronoiPartitioner(pivots, metric)
-        assignment = partitioner.assign(data)
-        tr = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, 0)
-        ts = build_partial_summary(
-            assignment.partition_ids, assignment.pivot_distances, config.k
-        )
+        pids, dists, anchor_dists = partitioner.assign_points(data.points)
+        tr = build_partial_summary(pids, dists, 0, anchor_dists)
+        ts = build_partial_summary(pids, dists, config.k)
         pdm = partitioner.pivot_distance_matrix()
         thetas = compute_thetas(tr, ts, pdm, config.k)
         lb = compute_lb_matrix(tr, pdm, thetas)
@@ -129,10 +131,17 @@ class TestGroupRoutingMatchesMasterPlan:
             tr, ts, pdm, lb, config.num_reducers
         )
         lbg = group_lb_matrix(lb, groups.groups)
-        expected_replicas = int(
-            (
-                assignment.pivot_distances[:, None]
-                >= lbg[assignment.partition_ids] - 1e-9
-            ).sum()
+        theorem_6 = int((dists[:, None] >= lbg[pids] - 1e-9).sum())
+        code_rows = pdm[partitioner.anchor_index()[0]]
+        codes = anchor_codes(anchor_dists, pids, dists, code_rows)
+        mids, radius = anchor_intervals(codes, pids, dists, code_rows)
+        lo, hi = cell_anchor_hulls(tr, config.num_pivots)
+        gaps = np.maximum(mids[:, :, None] - hi[:, None], lo[:, None] - mids[:, :, None])
+        gaps = gaps.max(axis=0) - anchor_reach(mids, radius)[:, None]
+        theta = np.array([thetas.get(pid, np.nan) for pid in range(config.num_pivots)])
+        admits = (dists[:, None] >= lb[pids] - 1e-9) & (gaps <= theta + 1e-9)
+        expected_replicas = sum(
+            int(admits[:, members].any(axis=1).sum()) for members in groups.groups if members
         )
+        assert expected_replicas < theorem_6
         assert outcome.replication_of_s() == expected_replicas

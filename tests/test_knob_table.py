@@ -396,10 +396,12 @@ class TestStructure:
         # "3b590b4e839a5e3f3d7218fffb7619710bbc8dd4"; version 14 scans the
         # first cells in bound-ordered rounds and counts own-cell pairs apart,
         # "3745659c62fd45596b9e40a5a4b2e959b638a15a"; version 15 computes a
-        # self-join's own-cell distances once)
+        # self-join's own-cell distances once,
+        # "315edc80b7b2d00bebf93a7418c0dffcf3306a88"; version 16 carries
+        # anchor hulls in T_R and routes S copies by them)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "315edc80b7b2d00bebf93a7418c0dffcf3306a88"
+            == "2038724e07575643cf2ca1b0216eb55a1f08a36e"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

@@ -22,7 +22,12 @@ from repro.joins.base import (
 from repro.joins.pgbj import GroupRoutingMapper, plan_skew_split
 from repro.mapreduce.job import Context
 from repro.mapreduce.types import ROLE_BOTH, ROLE_R, ROLE_S, RecordBlock
-from tests.reference_pgbj import PerCellRoutingMapper, outcome_facts, pgbj_facts
+from tests.reference_pgbj import (
+    PerCellRoutingMapper,
+    outcome_facts,
+    pgbj_facts,
+    routing_cache,
+)
 from tests.test_plan_equivalence import env_params
 
 
@@ -253,13 +258,11 @@ class TestRouteBlock:
             payloads=rng.integers(0, 50, rows),
             partition_ids=cell_of[order],
             pivot_distances=rng.random(rows),
+            anchor_codes=rng.integers(0, 256, (rows, 3)).astype(np.uint8),
         )
         per_cell = [sub for _, sub in block.split_by(block.partition_ids)]
-        cache = {
-            "partition_to_group": {cell: cell % groups for cell in range(cells)},
-            "lb_group": rng.random((cells, groups)),
-            "skew_subkeys": subkeys,
-        }
+        cache = routing_cache(rng, {cell: cell % groups for cell in range(cells)}, groups)
+        cache["skew_subkeys"] = subkeys
         routed, counters = self._emissions(GroupRoutingMapper, [block], cache)
         expected, expected_counters = self._emissions(PerCellRoutingMapper, per_cell, cache)
         assert counters == expected_counters
@@ -274,7 +277,7 @@ class TestRouteBlock:
         assert {key for key, _ in expected} == set(keys)
 
     def test_empty_split_emits_nothing(self):
-        cache = {"partition_to_group": {}, "lb_group": np.zeros((2, 2)), "skew_subkeys": {}}
+        cache = routing_cache(np.random.default_rng(0), {0: 0, 1: 1, 2: 0}, 2)
         ctx = Context("map-0", cache, num_reducers=2)
         mapper = GroupRoutingMapper()
         mapper.setup(ctx)

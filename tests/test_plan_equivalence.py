@@ -374,6 +374,34 @@ class TestPlanCacheReuse:
         assert warm_cache.disk_hits >= 1
         assert fingerprint(warm) == fingerprint(cold)
 
+    def test_an_entry_saved_without_anchor_hulls_is_re_run(self, data, tmp_path, monkeypatch):
+        """A partition stage persisted before ``T_R`` rows carried anchor
+        hulls (the code version before them, whose partials had none) is a
+        miss: the join re-runs every stage, never crashes on the hull-free
+        table, and answers as a cold run does."""
+        from repro.core.summary import build_partial_summary
+        from repro.joins import partition_job
+        from repro.joins.registry import JoinPlan, execute_join_plan
+
+        config = PgbjConfig(k=3, num_pivots=12, seed=5, plan_cache_dir=str(tmp_path))
+        cold = run_join("pgbj", data, data, config.with_changes(plan_cache_dir=None))
+        monkeypatch.setattr(registry, "RESULTS_VERSION", registry.RESULTS_VERSION - 1)
+        monkeypatch.setattr(
+            partition_job,
+            "build_partial_summary",
+            lambda pids, dists, k=0, anchor_dists=None: build_partial_summary(pids, dists, k),
+        )
+        hull_free = run_join("pgbj", data, data, config)
+        monkeypatch.undo()
+        assert sorted(tmp_path.glob("*.plan.seg"))
+        assert fingerprint(hull_free)["pairs"] == fingerprint(cold)["pairs"]
+        plan = plan_join("pgbj", data, data, config)
+        run = execute_join_plan(
+            JoinPlan(graph=plan.graph, assemble=lambda run: run, identity=plan.identity), config
+        )
+        assert run.cached_stage_names() == []
+        assert fingerprint(plan.assemble(run)) == fingerprint(cold)
+
     @pytest.mark.skipif(
         not os.environ.get("REPRO_PLAN_CACHE_DIR"),
         reason="cross-invocation handshake only runs in the CI plan-cache leg",
@@ -493,14 +521,16 @@ class TestFinalOutputsPinned:
     before every row carried codes of all 12 anchors, not the first 4, and
     6 736 before each (row, cell) pair was judged by the cell's anchor ranges
     before its ``|r, p_j|``, 6 258 before each row's first cells were
-    scanned in ascending anchor bound, and 5 749 before a self-join's
-    reducer computed each own-cell distance once)."""
+    scanned in ascending anchor bound, 5 749 before a self-join's
+    reducer computed each own-cell distance once, and 4 899 before each S
+    copy was routed by its anchor codes, which narrows the reducers' cell
+    anchor ranges)."""
 
     #: join -> (sha1 of (r id, neighbour ids, distance bytes) rows, pairs,
     #: final job's output_bytes, its reduce tasks' output records)
     PINNED = {
         "broadcast": ("6a7ec171f4ee3716", 40000, 13600, 200),
-        "pgbj": ("6a7ec171f4ee3716", 4899, 13600, 200),
+        "pgbj": ("6a7ec171f4ee3716", 4897, 13600, 200),
     }
 
     @pytest.mark.parametrize("served", (False, True), ids=("computed", "served"))

@@ -1,0 +1,27 @@
+"""The advisory scale probe: ``benchmarks/scale_probe.py``."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location(
+    "scale_probe", ROOT / "benchmarks" / "scale_probe.py"
+)
+scale_probe = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(scale_probe)
+
+
+def test_the_ratio_divides_by_the_median_small_join(monkeypatch):
+    """One slow small join moves the ratio no more than the median does."""
+    seconds = iter([0.9, 0.4, 0.5, 12.0])
+    calls = []
+
+    def probe(name, scale):
+        calls.append(scale)
+        return {"scale": scale, "objects": 4000, "cpu_s": next(seconds)}
+
+    monkeypatch.setattr(scale_probe, "probe", probe)
+    record = scale_probe.scaled("forest_pgbj_serial")
+    assert calls == [0.5] * scale_probe.SMALL_JOINS + [5.0]
+    assert record["cpu_ratio"] == 24.0  # 12.0 / median(0.9, 0.4, 0.5)
+    assert len(record["runs"]) == scale_probe.SMALL_JOINS + 1

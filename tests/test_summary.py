@@ -98,3 +98,78 @@ class TestTableApi:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             SummaryTable(k=-1)
+
+
+def masked_summary(pids, dists, k):
+    """The per-cell build this module's one-pass build replaced: one boolean
+    mask over the whole split per cell."""
+    table = SummaryTable(k=k)
+    for pid in np.unique(pids):
+        cell = dists[pids == pid]
+        knn = tuple(np.sort(cell)[:k].tolist()) if k else ()
+        low, high = float(cell.min()), float(cell.max())
+        table.add(PartitionStat(int(pid), int(cell.size), low, high, knn))
+    return table
+
+
+def rows_of(table):
+    return [
+        (row.partition_id, row.count, row.lower, row.upper, row.knn_distances)
+        for row in table.rows()
+    ]
+
+
+class TestOnePassBuild:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("k", (0, 1, 3, 1000))
+    def test_equals_the_masked_build(self, seed, k):
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(1, 400))
+        pids = rng.integers(0, int(rng.integers(1, 40)), rows)
+        # repeated distances: ties inside a cell
+        dists = rng.integers(0, 50, rows) / 7.0
+        assert rows_of(build_partial_summary(pids, dists, k)) == rows_of(
+            masked_summary(pids, dists, k)
+        )
+        order = np.argsort(pids, kind="stable")  # the partitioning mapper's rows
+        assert rows_of(build_partial_summary(pids[order], dists[order], k)) == rows_of(
+            masked_summary(pids, dists, k)
+        )
+
+    def test_empty_split(self):
+        assert len(build_partial_summary(np.array([], dtype=int), np.array([]))) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_anchor_hulls_are_the_cells_extremes(self, seed):
+        rng = np.random.default_rng(seed)
+        pids = rng.integers(0, 12, 300)
+        dists = rng.random(300)
+        anchor_dists = rng.random((300, 5))
+        table = build_partial_summary(pids, dists, anchor_dists=anchor_dists)
+        for row in table.rows():
+            members = anchor_dists[pids == row.partition_id]
+            assert np.array_equal(row.anchor_hull[0], members.min(axis=0))
+            assert np.array_equal(row.anchor_hull[1], members.max(axis=0))
+        assert rows_of(table) == rows_of(masked_summary(pids, dists, 0))
+        assert build_partial_summary(pids, dists).get(int(pids[0])).anchor_hull is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_merging_partials_in_any_order_gives_the_same_hulls(self, seed):
+        rng = np.random.default_rng(seed)
+        pids = rng.integers(0, 9, 400)
+        dists = rng.random(400)
+        anchor_dists = rng.random((400, 3))
+        whole = build_partial_summary(pids, dists, anchor_dists=anchor_dists)
+        cuts = np.sort(rng.choice(np.arange(1, 400), 5, replace=False))
+        partials = [
+            build_partial_summary(p, d, anchor_dists=a)
+            for p, d, a in zip(*(np.split(x, cuts) for x in (pids, dists, anchor_dists)))
+        ]
+        for _ in range(4):
+            merged = SummaryTable(k=0)
+            for index in rng.permutation(len(partials)):
+                merged.merge(partials[index])
+            for row in whole.rows():
+                other = merged.get(row.partition_id)
+                assert (other.count, other.lower, other.upper) == (row.count, row.lower, row.upper)
+                assert np.array_equal(other.anchor_hull, row.anchor_hull)
