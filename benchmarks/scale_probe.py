@@ -13,10 +13,12 @@ will be calibrated from.
     PYTHONPATH=src python benchmarks/scale_probe.py [--out scale-probe.json]
 
 Prints one JSON line (and writes it to ``--out``): per workload, per run
-the scale, objects, CPU and wall seconds of one in-process join and its
-selectivity — ``SMALL_JOINS`` joins at the recorded scale, then the larger
-one — and ``cpu_ratio``, the larger join's CPU seconds over the median of the
-smaller ones (one 0.4–0.6 s join swings the ratio by a third).  A join at the
+the scale, objects, CPU and wall seconds of one in-process join, its
+selectivity, ``shuffle_mb``, S replicas and the master's grouping seconds
+(the strategy and the refinement by counted copies) — ``SMALL_JOINS`` joins
+at the recorded scale, then the larger one — and ``cpu_ratio``, the larger
+join's CPU seconds over the median of the smaller ones (one 0.4–0.6 s join
+swings the ratio by a third).  A join at the
 smoke scale runs first, unrecorded, so none pays the process's first-call
 costs.
 """
@@ -37,6 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.e2e.workloads import get_workload  # noqa: E402
 from repro.joins import run_join  # noqa: E402
+from repro.joins.base import REPLICA_GROUP, REPLICA_NAME  # noqa: E402
 
 WORKLOADS = ("forest_pgbj_serial", "osm_pgbj_spill")
 SEED = 0
@@ -49,7 +52,8 @@ SMALL_JOINS = 3
 
 def probe(name: str, scale: float) -> dict:
     """One join of workload ``name`` at ``scale``: objects, CPU and wall
-    seconds, selectivity in permille."""
+    seconds, selectivity in permille, shuffled MB, S replicas and the
+    master's grouping seconds."""
     workload = get_workload(name)
     data = workload.dataset(SEED, scale)
     with tempfile.TemporaryDirectory() as work_dir:
@@ -63,6 +67,9 @@ def probe(name: str, scale: float) -> dict:
         "cpu_s": round(cpu, 3),
         "wall_s": round(wall, 3),
         "selectivity_permille": round(outcome.selectivity() * 1000.0, 5),
+        "shuffle_mb": round(outcome.shuffle_bytes() / 1e6, 4),
+        "s_replicas": outcome.counters.value(REPLICA_GROUP, REPLICA_NAME),
+        "grouping_s": round(outcome.master_phases["partition_grouping"], 4),
     }
 
 

@@ -219,8 +219,9 @@ def rank_members(
 
 
 def cell_anchor_hulls(tr: SummaryTable, num_pivots: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(lo, hi)``, ``(A, M)``: per anchor and R cell the hull of its members'
-    exact anchor distances (``T_R``'s ``anchor_hull``),
+    """``(lo, hi)``, ``(A, M)``: per anchor and cell the hull of its members'
+    exact anchor distances (the table's ``anchor_hull``; ``A`` is 0 when its
+    rows carry none),
     each end moved out by ``PRUNE_RTOL`` of the larger, as
     :func:`~repro.core.geometry.anchor_ranges` moves a decoded hull; an empty
     cell's hull is empty (``+inf``, ``-inf``), so nothing is ever within

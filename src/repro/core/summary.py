@@ -10,14 +10,15 @@ in-memory tables of per-partition statistics:
   object-to-pivot distances of the partition (``p_i.d_1 <= ... <= p_i.d_k``),
   i.e. the distances of ``KNN(p_i, P_i^S)``.  Only those k objects can ever
   refine the kNN-radius bound of Theorem 3, so nothing more is kept.
-* ``T_R`` rows also carry the cell's *anchor hull*: per anchor ``a`` of the
-  partitioner the smallest and largest exact ``|r, a|`` of its members,
-  ``lo_a(i)`` and ``hi_a(i)``, which the partitioning job computed to assign
-  them.  The shipping rule reads them: ``s`` goes to a group only if one of
-  its R cells ``i`` passes Theorem 5 and lies within ``theta_i`` of ``s``
-  around every anchor, since a kNN ``s`` of ``r`` has ``|r, s| <= theta_i``
-  and ``|r, s| >= | |r, a| - |s, a| |``
-  (:func:`~repro.core.bounds.cell_anchor_hulls`).
+* Rows of both tables also carry the cell's *anchor hull*: per anchor ``a``
+  of the partitioner the smallest and largest exact distance ``|o, a|`` of
+  its members, ``lo_a(i)`` and ``hi_a(i)``, which the partitioning job
+  computed to assign them.  The shipping rule reads ``T_R``'s: ``s`` goes to
+  a group only if one of its R cells ``i`` passes Theorem 5 and lies within
+  ``theta_i`` of ``s`` around every anchor, since a kNN ``s`` of ``r`` has
+  ``|r, s| <= theta_i`` and ``|r, s| >= | |r, a| - |s, a| |``
+  (:func:`~repro.core.bounds.cell_anchor_hulls`).  The master's replication
+  model reads both, cell against cell (:mod:`repro.grouping.refine`).
 
 Each map task builds a *partial* table over its input split in one pass over
 its rows; the partial tables are merged when the job completes ("Index
@@ -42,8 +43,8 @@ class PartitionStat:
 
     ``knn_distances`` is empty for ``T_R`` rows and holds the (ascending)
     ``min(k, count)`` smallest object-to-pivot distances for ``T_S`` rows.
-    ``anchor_hull`` is a ``T_R`` row's ``(2, A)`` anchor hull, per anchor the
-    smallest and largest ``|r, a|`` of its members (``None`` when not
+    ``anchor_hull`` is the row's ``(2, A)`` anchor hull, per anchor the
+    smallest and largest ``|o, a|`` of its members (``None`` when not
     collected).  An array compares elementwise, so rows compare by their
     other fields.
     """
@@ -162,9 +163,9 @@ def build_partial_summary(
     """Build the summary table of one map split from its assignments.
 
     Parameters mirror the per-object output of the first job's mapper: the
-    Voronoi cell of each object, its distance to the cell's pivot and, for
-    ``T_R``, its ``(rows, A)`` distances to the partitioner's anchors, whose
-    per-cell minimum and maximum become the rows' anchor hulls.  One pass
+    Voronoi cell of each object, its distance to the cell's pivot and,
+    optionally, its ``(rows, A)`` distances to the partitioner's anchors,
+    whose per-cell minimum and maximum become the rows' anchor hulls.  One pass
     over the rows: sorted by cell (the partitioning mapper's rows already
     are), then by distance when kNN lists are kept, each cell's row is
     reduced from its run.

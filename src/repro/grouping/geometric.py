@@ -9,6 +9,9 @@ from the whole group are likely pruned.  The algorithm:
    (maximizing inter-group separation);
 3. repeatedly give the group with the fewest R objects the unassigned pivot
    closest to its members (load balancing: group sizes end up nearly equal).
+
+PGBJ then refines the groups by counted S copies
+(:mod:`repro.grouping.refine`), never past this output's largest R load.
 """
 
 from __future__ import annotations

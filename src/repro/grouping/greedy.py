@@ -3,11 +3,14 @@
 Same skeleton as geometric grouping — farthest-first seeds, then the group
 with the fewest R objects claims one more partition per round — but the
 partition is chosen to minimize the *replication increment*
-``RP(S, G_i ∪ {P_j^R}) − RP(S, G_i)`` instead of pivot proximity.  Computing
-the exact increment needs object-level data the master does not have, so the
-paper (Equation 12) approximates ``RP`` at whole-partition granularity: as
-soon as a partition of S qualifies at all (``LB(P_j^S, G_i) <= U(P_j^S)``),
-all of its objects are charged.
+``RP(S, G_i ∪ {P_j^R}) − RP(S, G_i)`` instead of pivot proximity.  The paper
+(Equation 12) approximates ``RP`` at whole-partition granularity, since it
+takes the exact increment to need object-level data: as soon as a partition
+of S qualifies at all (``LB(P_j^S, G_i) <= U(P_j^S)``), all of its objects are
+charged.  That data is on the master after all — the partitioning job's
+``T_S`` partials ship every ``|s, p_j|`` — and PGBJ's grouping step uses it
+after either strategy: :mod:`repro.grouping.refine` counts the copies object
+by object and moves R cells between the groups while they fall.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ partitioning).
 from __future__ import annotations
 
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -104,9 +105,11 @@ class PartitioningMapper(BlockBufferingMapper):
 
     ``T_S`` partials keep *every* per-partition pivot distance (master-side
     merging truncates to the join's k) — the k never enters this job.
-    ``T_R`` partials carry each cell's anchor hull, the per-anchor minimum
-    and maximum of its R members' exact anchor distances, for the second
-    job's shipping rule.
+    Both tables' partials carry each cell's anchor hull, the per-anchor
+    minimum and maximum of its members' exact anchor distances: ``T_R``'s
+    for the second job's shipping rule, ``T_S``'s for the master's
+    replication model (:func:`~repro.grouping.refine.replica_counts`).  A
+    self-join's ``T_S`` partials carry none: its S hulls are its R hulls.
 
     In a self-join (splits from
     :func:`~repro.mapreduce.splits.self_join_splits`) every row is an object
@@ -131,16 +134,21 @@ class PartitioningMapper(BlockBufferingMapper):
         pids, dists, anchor_dists = pids[order], dists[order], anchor_dists[order]
         annotated = block.take(order)
         is_r, is_s = annotated.is_r, annotated.is_s
-        # T_R rows carry their cells' anchor hulls; T_S partials keep every
-        # pivot distance
+        # both tables' rows carry their cells' anchor hulls; T_S partials keep
+        # every pivot distance
         if is_r.any():
             ctx.side_output(
                 CHANNEL_TR,
                 build_partial_summary(pids[is_r], dists[is_r], anchor_dists=anchor_dists[is_r]),
             )
         if is_s.any():
+            # a self-join's S hulls are its R hulls
+            s_hulls = None if is_r.all() else anchor_dists[is_s]
             ctx.side_output(
-                CHANNEL_TS, build_partial_summary(pids[is_s], dists[is_s], k=int(is_s.sum()))
+                CHANNEL_TS,
+                build_partial_summary(
+                    pids[is_s], dists[is_s], k=int(is_s.sum()), anchor_dists=s_hulls
+                ),
             )
         computed = self._metric.pairs_computed
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, computed)
@@ -153,21 +161,37 @@ class PartitioningMapper(BlockBufferingMapper):
         yield 0, annotated
 
 
-def merge_summaries(job_result: JobResult, k: int) -> tuple[SummaryTable, SummaryTable, float]:
+def merge_summaries(
+    job_result: JobResult, k: int
+) -> tuple[SummaryTable, SummaryTable, dict[int, np.ndarray], float]:
     """Index merging: fold the per-task partial tables into ``T_R``/``T_S``.
 
     ``T_S`` is truncated to the k smallest distances per partition *here* —
     the partials are untruncated, so one partitioning job result serves any
-    k.  Returns ``(tr, ts, master_seconds)``.
+    k.  Beside it, every S cell's full ascending pivot distances, the
+    object-level data the master's replication model counts copies from.
+    Returns ``(tr, ts, s_distances, master_seconds)``.
     """
     started = time.perf_counter()
     tr = SummaryTable(k=0)
     for partial in job_result.side_outputs.get(CHANNEL_TR, []):
         tr.merge(partial)
     ts = SummaryTable(k=k)
-    for partial in job_result.side_outputs.get(CHANNEL_TS, []):
+    partials = job_result.side_outputs.get(CHANNEL_TS, [])
+    for partial in partials:
         ts.merge(partial)
-    return tr, ts, time.perf_counter() - started
+    rows = [stat for partial in partials for stat in partial.rows()]
+    sizes = [len(stat.knn_distances) for stat in rows]
+    cells = np.repeat([stat.partition_id for stat in rows], sizes)
+    dists = np.fromiter(chain.from_iterable(stat.knn_distances for stat in rows), float, cells.size)
+    order = np.lexsort((dists, cells))
+    cells, dists = cells[order], dists[order]
+    starts = np.flatnonzero(np.diff(cells, prepend=-1)).tolist()
+    s_distances = {
+        int(cells[start]): dists[start:end]
+        for start, end in zip(starts, starts[1:] + [cells.size])
+    }
+    return tr, ts, s_distances, time.perf_counter() - started
 
 
 def partitioning_job(

@@ -5,6 +5,14 @@ with summary collection → master-side index merging and partition grouping →
 the kNN-join job whose mapper replicates S by the shipping rule and whose
 reducer runs the Algorithm 3 kernel.
 
+The grouping step is the configured strategy (geometric or greedy, Section
+5.2) and then one refinement pass (:mod:`repro.grouping.refine`): the master
+counts, per S cell and R cell, the S objects Theorem 5 sends toward the R
+cell (from every S cell's pivot distances, which the partitioning job ships)
+and zero where the cells' anchor hulls lie more than ``theta_i`` apart, and
+moves single R cells between groups while the counted copies fall, never past
+the strategy's largest group load.
+
 The shipping rule is Theorem 6 taken member by member, with the anchors
 added: an S object ``s`` of cell ``P_j`` goes to group ``G`` only if some R
 cell ``P_i`` of ``G`` passes Theorem 5 for that one cell, ``|s, p_j| >=
@@ -41,6 +49,7 @@ from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
 from repro.core.geometry import PRUNE_EPS, anchor_intervals, anchor_range_gaps, anchor_reach
 from repro.grouping import get_grouping_strategy
+from repro.grouping.refine import refine_groups, replica_counts
 from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
@@ -295,14 +304,25 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
     def build_join(ctx):
         job1 = ctx.result_of(partition)
         # -- master: index merging, theta/LB bounds and partition grouping ----
-        tr, ts, merge_seconds = merge_summaries(job1, config.k)
+        tr, ts, s_distances, merge_seconds = merge_summaries(job1, config.k)
         ctx.add_phase("index_merging", merge_seconds)
         with ctx.timed("partition_grouping"):
             pdm = state["pivot_dist_matrix"]
             thetas = compute_thetas(tr, ts, pdm, config.k)
             lb_matrix = compute_lb_matrix(tr, pdm, thetas)
             strategy = get_grouping_strategy(config.grouping)
-            assignment = strategy.group(tr, ts, pdm, lb_matrix, config.num_reducers)
+            anchor_hulls = cell_anchor_hulls(tr, len(pdm))
+            assignment = refine_groups(
+                strategy.group(tr, ts, pdm, lb_matrix, config.num_reducers),
+                replica_counts(
+                    lb_matrix,
+                    thetas,
+                    s_distances,
+                    anchor_hulls,
+                    anchor_hulls if r is s else cell_anchor_hulls(ts, len(pdm)),
+                ),
+                tr,
+            )
             ranked_members = rank_members(lb_matrix, assignment.groups, cell_dtype(len(pdm)))
             skew_subkeys, num_join_reducers = plan_skew_split(
                 tr, assignment.partition_to_group, config
@@ -325,7 +345,7 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
                 "partition_to_group": assignment.partition_to_group,
                 "ranked_members": ranked_members,
                 "cell_bounds": cell_bounds,
-                "anchor_hulls": cell_anchor_hulls(tr, len(pdm)),
+                "anchor_hulls": anchor_hulls,
                 "skew_subkeys": skew_subkeys,
                 "metric_name": config.metric_name,
                 "k": config.k,

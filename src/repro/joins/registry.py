@@ -185,8 +185,10 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: bound-ordered rounds and count own-cell and other-cell pairs apart.  15: a
 #: self-join's reducers compute each own-cell distance once.  16: ``T_R`` rows
 #: carry their cells' anchor hulls, and the join job ships an S copy only to
-#: groups with a member within reach around every anchor.
-RESULTS_VERSION = 16
+#: groups with a member within reach around every anchor.  17: an R != S join's
+#: ``T_S`` rows carry anchor hulls too, and the master refines the grouping by
+#: its counted S copies, so the join stage's groups and counters changed.
+RESULTS_VERSION = 17
 
 
 def plan_identity(

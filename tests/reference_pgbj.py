@@ -68,8 +68,12 @@ class PerCellPartitioningMapper(Mapper):
             )
         if block.is_s.any():
             mask = block.is_s
+            hulls = None if block.is_r.all() else anchor_dists[mask]
             ctx.side_output(
-                CHANNEL_TS, build_partial_summary(pids[mask], dists[mask], k=int(mask.sum()))
+                CHANNEL_TS,
+                build_partial_summary(
+                    pids[mask], dists[mask], k=int(mask.sum()), anchor_dists=hulls
+                ),
             )
         block.partition_ids = pids.astype(cell_dtype(self._partitioner.num_partitions))
         block.pivot_distances = dists.astype(np.float64, copy=False)

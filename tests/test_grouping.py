@@ -1,10 +1,11 @@
-"""Unit tests for geometric and greedy grouping (Algorithm 4, Section 5.2)."""
+"""Unit tests for geometric and greedy grouping (Algorithm 4, Section 5.2) and
+the replication-aware refinement that follows both."""
 
 import numpy as np
 import pytest
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
-from repro.core.bounds import compute_lb_matrix, compute_thetas
+from repro.core.bounds import cell_anchor_hulls, compute_lb_matrix, compute_thetas
 from repro.core.summary import build_partial_summary
 from repro.grouping import (
     GeometricGrouping,
@@ -12,6 +13,7 @@ from repro.grouping import (
     GroupAssignment,
     get_grouping_strategy,
 )
+from repro.grouping.refine import refine_groups, replica_counts
 
 
 def grouped_world(seed=0, num_objects=400, num_pivots=24, k=3):
@@ -116,3 +118,183 @@ class TestGreedyReplication:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown grouping"):
             get_grouping_strategy("spectral")
+
+
+def anchored_world(seed=0, num_objects=500, num_pivots=30, k=4, distinct=False):
+    """A grid world with ties and duplicates, summarised as the partitioning
+    job does: both tables with anchor hulls, and every S cell's ascending
+    pivot distances.  ``distinct`` draws S apart from R."""
+    rng = np.random.default_rng(seed)
+    r = rng.integers(0, 7, (num_objects, 3)).astype(np.float64)
+    s = rng.integers(0, 7, (num_objects + 37, 3)).astype(np.float64) if distinct else r
+    metric = get_metric("l2")
+    partitioner = VoronoiPartitioner(r[rng.choice(num_objects, num_pivots, replace=False)], metric)
+    r_pids, r_dists, r_anchor = partitioner.assign_points(r)
+    s_pids, s_dists, s_anchor = partitioner.assign_points(s)
+    tr = build_partial_summary(r_pids, r_dists, anchor_dists=r_anchor)
+    ts = build_partial_summary(s_pids, s_dists, k, anchor_dists=s_anchor)
+    pdm = partitioner.pivot_distance_matrix()
+    thetas = compute_thetas(tr, ts, pdm, k)
+    return {
+        "tr": tr,
+        "ts": ts,
+        "pdm": pdm,
+        "thetas": thetas,
+        "lb": compute_lb_matrix(tr, pdm, thetas),
+        "s_distances": {pid: np.sort(s_dists[s_pids == pid]) for pid in ts.partition_ids()},
+        "s_cells": (s_pids, s_dists, s_anchor),
+        "code_anchors": partitioner.anchor_index()[0],
+    }
+
+
+def grouped_copies(copies, groups):
+    """The refinement's objective: ``sum_G sum_j max_{i in G} c[j, i]``."""
+    return int(sum(copies[:, members].max(axis=1).sum() for members in groups if members))
+
+
+def world_copies(world, hulls=True):
+    """:func:`replica_counts` of a world; ``hulls=False`` gives the S table
+    no anchors, which turns the hull term off."""
+    num_pivots = len(world["pdm"])
+    r_hulls = cell_anchor_hulls(world["tr"], num_pivots)
+    no_anchors = (np.empty((0, num_pivots)),) * 2
+    s_hulls = cell_anchor_hulls(world["ts"], num_pivots) if hulls else no_anchors
+    return replica_counts(world["lb"], world["thetas"], world["s_distances"], r_hulls, s_hulls)
+
+
+REFINE_WORLDS = [
+    dict(seed=seed, distinct=distinct, strategy=strategy)
+    for seed in (0, 1, 2)
+    for distinct in (False, True)
+    for strategy in ("geometric", "greedy")
+]
+
+
+def refined(case, num_groups=5):
+    world = anchored_world(seed=case["seed"], distinct=case["distinct"])
+    strategy = get_grouping_strategy(case["strategy"])
+    before = strategy.group(world["tr"], world["ts"], world["pdm"], world["lb"], num_groups)
+    copies = world_copies(world)
+    return world, copies, before, refine_groups(before, copies, world["tr"])
+
+
+@pytest.mark.parametrize("case", REFINE_WORLDS, ids=lambda case: "-".join(map(str, case.values())))
+class TestRefinement:
+    def test_a_cover_of_the_same_cells(self, case):
+        world, _, before, after = refined(case)
+        assert after.num_groups == before.num_groups
+        after.validate_covers(world["tr"].partition_ids())
+        assert all(after.groups)
+
+    def test_never_raises_the_largest_r_load(self, case):
+        world, _, before, after = refined(case)
+        assert after.group_sizes(world["tr"]).max() <= before.group_sizes(world["tr"]).max()
+
+    def test_never_raises_the_modelled_count(self, case):
+        _, copies, before, after = refined(case)
+        assert grouped_copies(copies, after.groups) <= grouped_copies(copies, before.groups)
+
+    def test_the_same_groups_on_a_second_call(self, case):
+        world, copies, before, after = refined(case)
+        assert refine_groups(before, copies, world["tr"]).groups == after.groups
+
+
+class TestReplicationModel:
+    def test_the_moves_cut_the_count(self):
+        falls = [
+            grouped_copies(copies, after.groups) < grouped_copies(copies, before.groups)
+            for _, copies, before, after in map(refined, REFINE_WORLDS)
+        ]
+        assert sum(falls) >= len(falls) // 2
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_without_hulls_the_model_is_theorem_6s_copy_count(self, distinct):
+        """Group by group, the hull-free model counts exactly the copies the
+        object-by-object shipping rule makes with its hull test off."""
+        from repro.core.geometry import anchor_codes
+        from repro.mapreduce.types import ROLE_S, RecordBlock
+        from tests.reference_pgbj import shipping_rule
+
+        world = anchored_world(seed=4, distinct=distinct)
+        tr, pdm, num_pivots = world["tr"], world["pdm"], len(world["pdm"])
+        assignment = GeometricGrouping().group(tr, world["ts"], pdm, world["lb"], 4)
+        anchors = world["code_anchors"]
+        cache = {
+            "pivot_dist_matrix": pdm,
+            "uppers": {pid: tr.get(pid).upper for pid in tr.partition_ids()},
+            "thetas": world["thetas"],
+            "code_anchors": anchors,
+            "anchor_hulls": (
+                np.full((anchors.size, num_pivots), -np.inf),
+                np.full((anchors.size, num_pivots), np.inf),
+            ),
+        }
+        s_pids, s_dists, s_anchor = world["s_cells"]
+        shipped = 0
+        for pid in np.unique(s_pids).tolist():
+            rows = np.flatnonzero(s_pids == pid)
+            cell = RecordBlock.of_objects(ROLE_S, rows, np.zeros((rows.size, 1)))
+            cell.partition_ids = s_pids[rows]
+            cell.pivot_distances = s_dists[rows]
+            cell.anchor_codes = anchor_codes(
+                s_anchor[rows], s_pids[rows], s_dists[rows], pdm[anchors]
+            )
+            admits = shipping_rule(cache, pid, cell)
+            shipped += sum(
+                any(admits(row, i) for i in members)
+                for members in assignment.groups
+                for row in range(rows.size)
+            )
+        copies = world_copies(world, hulls=False)
+        assert grouped_copies(copies, assignment.groups) == shipped
+        assert grouped_copies(world_copies(world), assignment.groups) <= shipped
+
+    def test_a_partitioner_without_anchors(self):
+        world = anchored_world(seed=5)
+        none = (np.empty((0, len(world["pdm"]))),) * 2
+        copies = replica_counts(world["lb"], world["thetas"], world["s_distances"], none, none)
+        np.testing.assert_array_equal(copies, world_copies(world, hulls=False))
+
+
+class TestRefinedJoins:
+    """Join answers equal brute force where the refinement moved cells."""
+
+    @pytest.fixture
+    def moves(self, monkeypatch):
+        from repro.joins import pgbj
+
+        made = []
+
+        def recording(assignment, copies, tr):
+            refined_assignment = refine_groups(assignment, copies, tr)
+            made.append(refined_assignment.groups != assignment.groups)
+            return refined_assignment
+
+        monkeypatch.setattr(pgbj, "refine_groups", recording)
+        return made
+
+    def test_r_and_s_distinct(self, moves):
+        from repro.joins import PgbjConfig, run_join
+        from tests.conftest import ground_truth
+
+        rng = np.random.default_rng(3)
+        r = Dataset(rng.integers(0, 9, (300, 3)).astype(np.float64), ids=np.arange(900, 1200))
+        s = Dataset(rng.random((450, 3)) * 9.0)
+        outcome = run_join("pgbj", r, s, PgbjConfig(k=4, num_pivots=30, num_reducers=5))
+        assert moves == [True]
+        assert outcome.result.same_distances_as(ground_truth(r, s, 4))
+
+    def test_a_skew_split_group(self, moves):
+        from repro.joins import PgbjConfig, run_join
+        from tests.conftest import ground_truth
+
+        rng = np.random.default_rng(5)
+        points = np.concatenate([rng.normal(0.0, 0.03, (400, 2)), rng.uniform(-3, 3, (200, 2))])
+        data = Dataset(points)
+        config = PgbjConfig(
+            k=5, num_pivots=30, num_reducers=5, skew_split_threshold=0.2, skew_split_max_ways=3
+        )
+        outcome = run_join("pgbj", data, data, config)
+        assert moves == [True]
+        assert len(outcome.job_stats[-1].reduce_tasks) > config.num_reducers  # a group split
+        assert outcome.result.same_distances_as(ground_truth(data, data, 5))

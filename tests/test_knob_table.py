@@ -398,10 +398,12 @@ class TestStructure:
         # "3745659c62fd45596b9e40a5a4b2e959b638a15a"; version 15 computes a
         # self-join's own-cell distances once,
         # "315edc80b7b2d00bebf93a7418c0dffcf3306a88"; version 16 carries
-        # anchor hulls in T_R and routes S copies by them)
+        # anchor hulls in T_R and routes S copies by them,
+        # "2038724e07575643cf2ca1b0216eb55a1f08a36e"; version 17 refines the
+        # grouping by counted S copies)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "2038724e07575643cf2ca1b0216eb55a1f08a36e"
+            == "d6ec12099521df7da4055beb71ab80c0e140b1dc"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

@@ -35,7 +35,7 @@ def run(world, split_size=32, k=4):
     config = JoinConfig(k=k, num_reducers=2, split_size=split_size, **env_params())
     with config.make_runtime() as runtime:
         result = run_partitioning_job(r, s, pivots, config, runtime)
-    tr, ts, _ = merge_summaries(result, k)
+    tr, ts, _, _ = merge_summaries(result, k)
     return r, s, pivots, result, tr, ts
 
 

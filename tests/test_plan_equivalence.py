@@ -402,6 +402,38 @@ class TestPlanCacheReuse:
         assert run.cached_stage_names() == []
         assert fingerprint(plan.assemble(run)) == fingerprint(cold)
 
+    def test_an_entry_saved_without_s_anchor_hulls_is_re_run(
+        self, data, queries, tmp_path, monkeypatch
+    ):
+        """An R != S join's partition stage persisted before ``T_S`` rows
+        carried anchor hulls (the code version before them, whose grouping
+        ignored them) is a miss: the join re-runs every stage, never crashes
+        on the hull-free table, and answers as a cold run does."""
+        from repro.core.summary import build_partial_summary
+        from repro.joins import partition_job
+        from repro.joins.registry import JoinPlan, execute_join_plan
+
+        config = PgbjConfig(k=3, num_pivots=12, seed=5, plan_cache_dir=str(tmp_path))
+        cold = run_join("pgbj", data, queries, config.with_changes(plan_cache_dir=None))
+        monkeypatch.setattr(registry, "RESULTS_VERSION", registry.RESULTS_VERSION - 1)
+        monkeypatch.setattr(
+            partition_job,
+            "build_partial_summary",
+            lambda pids, dists, k=0, anchor_dists=None: build_partial_summary(
+                pids, dists, k, None if k else anchor_dists
+            ),
+        )
+        hull_free = run_join("pgbj", data, queries, config)
+        monkeypatch.undo()
+        assert sorted(tmp_path.glob("*.plan.seg"))
+        assert fingerprint(hull_free)["pairs"] == fingerprint(cold)["pairs"]
+        plan = plan_join("pgbj", data, queries, config)
+        run = execute_join_plan(
+            JoinPlan(graph=plan.graph, assemble=lambda run: run, identity=plan.identity), config
+        )
+        assert run.cached_stage_names() == []
+        assert fingerprint(plan.assemble(run)) == fingerprint(cold)
+
     @pytest.mark.skipif(
         not os.environ.get("REPRO_PLAN_CACHE_DIR"),
         reason="cross-invocation handshake only runs in the CI plan-cache leg",
@@ -522,15 +554,16 @@ class TestFinalOutputsPinned:
     6 736 before each (row, cell) pair was judged by the cell's anchor ranges
     before its ``|r, p_j|``, 6 258 before each row's first cells were
     scanned in ascending anchor bound, 5 749 before a self-join's
-    reducer computed each own-cell distance once, and 4 899 before each S
+    reducer computed each own-cell distance once, 4 899 before each S
     copy was routed by its anchor codes, which narrows the reducers' cell
-    anchor ranges)."""
+    anchor ranges, and 4 897 before the master refined the grouping by
+    counted S copies, which moves the S rows each reducer's ranges hold)."""
 
     #: join -> (sha1 of (r id, neighbour ids, distance bytes) rows, pairs,
     #: final job's output_bytes, its reduce tasks' output records)
     PINNED = {
         "broadcast": ("6a7ec171f4ee3716", 40000, 13600, 200),
-        "pgbj": ("6a7ec171f4ee3716", 4897, 13600, 200),
+        "pgbj": ("6a7ec171f4ee3716", 4899, 13600, 200),
     }
 
     @pytest.mark.parametrize("served", (False, True), ids=("computed", "served"))
