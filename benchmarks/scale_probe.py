@@ -14,8 +14,10 @@ will be calibrated from.
 
 Prints one JSON line (and writes it to ``--out``): per workload, per run
 the scale, objects, CPU and wall seconds of one in-process join, its
-selectivity, ``shuffle_mb``, S replicas and the master's grouping seconds
-(the strategy and the refinement by counted copies) — ``SMALL_JOINS`` joins
+selectivity, ``shuffle_mb``, S replicas, the master's index-merging seconds
+(``merging_s``: folding the partitioning job's summary partials into ``T_R``
+and ``T_S``) and its grouping seconds (the strategy and the refinement by
+counted copies) — ``SMALL_JOINS`` joins
 at the recorded scale, then the larger one — and ``cpu_ratio``, the larger
 join's CPU seconds over the median of the smaller ones (one 0.4–0.6 s join
 swings the ratio by a third).  A join at the
@@ -53,7 +55,7 @@ SMALL_JOINS = 3
 def probe(name: str, scale: float) -> dict:
     """One join of workload ``name`` at ``scale``: objects, CPU and wall
     seconds, selectivity in permille, shuffled MB, S replicas and the
-    master's grouping seconds."""
+    master's index-merging and grouping seconds."""
     workload = get_workload(name)
     data = workload.dataset(SEED, scale)
     with tempfile.TemporaryDirectory() as work_dir:
@@ -69,6 +71,7 @@ def probe(name: str, scale: float) -> dict:
         "selectivity_permille": round(outcome.selectivity() * 1000.0, 5),
         "shuffle_mb": round(outcome.shuffle_bytes() / 1e6, 4),
         "s_replicas": outcome.counters.value(REPLICA_GROUP, REPLICA_NAME),
+        "merging_s": round(outcome.master_phases["index_merging"], 4),
         "grouping_s": round(outcome.master_phases["partition_grouping"], 4),
     }
 

@@ -67,15 +67,15 @@ PHASE_ORDER = (
 )
 
 
-def _partitioned(data: Dataset, pivots: np.ndarray, k: int):
-    """Assign a self-join workload and build summaries + bounds."""
+def _partitioned(data: Dataset, pivots: np.ndarray):
+    """Assign a self-join workload and build its summary table, which is both
+    ``T_R`` and ``T_S``."""
     metric = get_metric("l2")
     partitioner = VoronoiPartitioner(pivots, metric)
     assignment = partitioner.assign(data)
-    tr = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, 0)
-    ts = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, k)
+    table = build_partial_summary(assignment.partition_ids, assignment.pivot_distances)
     pdm = partitioner.pivot_distance_matrix()
-    return assignment, tr, ts, pdm
+    return assignment, table, table, pdm
 
 
 # -- Table 2 -------------------------------------------------------------------
@@ -134,7 +134,7 @@ def table3_experiment(seed: int = 0, num_groups: int | None = None) -> Experimen
             pivots = selector.select(
                 data, num_pivots, metric, np.random.default_rng(rng_master.integers(1 << 31))
             )
-            _, tr, ts, pdm = _partitioned(data, pivots, k)
+            _, tr, ts, pdm = _partitioned(data, pivots)
             thetas = compute_thetas(tr, ts, pdm, k)
             lb = compute_lb_matrix(tr, pdm, thetas)
             assignment = get_grouping_strategy("geometric").group(
@@ -556,7 +556,7 @@ def ablation_cost_model_experiment(seed: int = 0) -> ExperimentResult:
     for num_pivots in pivot_sweep():
         config = PgbjConfig(num_pivots=num_pivots)
         pivots = make_pivot_selector(config).select(data, num_pivots, metric, rng)
-        assignment, tr, ts, pdm = _partitioned(data, pivots, k)
+        assignment, tr, ts, pdm = _partitioned(data, pivots)
         thetas = compute_thetas(tr, ts, pdm, k)
         lb = compute_lb_matrix(tr, pdm, thetas)
         groups = get_grouping_strategy("geometric").group(

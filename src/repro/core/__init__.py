@@ -34,7 +34,7 @@ from .geometry import (
 from .knn import KBestList, brute_force_knn_join, knn_of_point
 from .partition import PartitionAssignment, VoronoiPartitioner
 from .result import KnnJoinResult
-from .summary import PartitionStat, SummaryTable, build_partial_summary
+from .summary import SummaryTable, build_partial_summary, merge_partial_summaries
 
 __all__ = [
     "Dataset",
@@ -47,8 +47,8 @@ __all__ = [
     "VoronoiPartitioner",
     "PartitionAssignment",
     "SummaryTable",
-    "PartitionStat",
     "build_partial_summary",
+    "merge_partial_summaries",
     "KnnJoinResult",
     "KBestList",
     "knn_of_point",

@@ -90,8 +90,8 @@ def bounding_knn(
     pivot_dists_from_i:
         Row ``i`` of the pivot distance matrix: ``|p_i, p_j|`` for all ``j``.
     ts:
-        The merged ``T_S`` summary table (its rows carry the ascending
-        ``KNN(p_j, P_j^S)`` distances).
+        The merged ``T_S`` summary table (each cell's run of ascending pivot
+        distances starts with its ``KNN(p_j, P_j^S)``).
     k:
         Number of neighbors joined.
 
@@ -103,9 +103,10 @@ def bounding_knn(
         raise ValueError("k must be >= 1")
     # max-heap of the k smallest upper bounds, stored negated
     heap: list[float] = []
-    for j in ts.partition_ids():
+    runs = np.split(ts.distances, ts.offsets[1:-1])
+    for j, run in zip(ts.partition_ids(), runs):
         base = u_ri + float(pivot_dists_from_i[j])
-        for dist_s_pj in ts.get(j).knn_distances:  # ascending within the cell
+        for dist_s_pj in run.tolist():  # ascending within the cell
             ub = base + dist_s_pj
             if len(heap) < k:
                 heapq.heappush(heap, -ub)
@@ -127,31 +128,31 @@ def compute_thetas(
     k: int,
 ) -> dict[int, float]:
     """``theta_i`` for every non-empty R-partition: Algorithm 1, all rows at
-    once — :func:`theta_bounds` over ``T_R``'s ``U`` and ``T_S``'s kNN lists."""
+    once — :func:`theta_bounds` over ``T_R``'s ``U`` and ``T_S``'s runs."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    r_pids, s_pids = tr.partition_ids(), ts.partition_ids()
-    nearest = [ts.get(pid).knn_distances for pid in s_pids]
-    held = sum(min(len(distances), k) for distances in nearest)
-    if r_pids and held < k:
+    held = int(np.minimum(ts.counts, k).sum())
+    if len(tr) and held < k:
         raise ValueError(f"cannot bound {k} nearest neighbors: S holds only {held} objects")
-    uppers = np.array([tr.get(pid).upper for pid in r_pids], dtype=np.float64)
-    thetas = theta_bounds(uppers, pivot_dist_matrix[np.ix_(r_pids, s_pids)], nearest, k)
-    return dict(zip(r_pids, thetas))
+    pivot_dists = pivot_dist_matrix[np.ix_(tr.cells, ts.cells)]
+    thetas = theta_bounds(tr.upper, pivot_dists, ts.offsets, ts.distances, k)
+    return dict(zip(tr.partition_ids(), thetas))
 
 
 def theta_bounds(
-    uppers: np.ndarray, pivot_dists: np.ndarray, nearest: list[np.ndarray], k: int
+    uppers: np.ndarray, pivot_dists: np.ndarray, offsets: np.ndarray, nearest: np.ndarray, k: int
 ) -> list[float]:
     """Algorithm 1's arithmetic: per R cell ``i``, the k-th smallest Theorem 3
     bound ``(U_i + |p_i, p_j|) + |s, p_j|`` over the first k entries of every
-    S cell's ascending ``nearest`` distances (``inf`` where a cell holds
-    fewer) — the operations, and so the floats, of the scalar oracle
-    :func:`bounding_knn` — in chunks of R rows.  ``pivot_dists`` is
-    ``(R cells, S cells)``; the cells must hold at least k objects in all."""
-    table = np.full((len(nearest), k), np.inf, dtype=np.float64)
-    for row, ascending in enumerate(nearest):
-        table[row, : min(len(ascending), k)] = ascending[:k]
+    S cell's ascending run ``nearest[offsets[j]:offsets[j + 1]]`` (``inf``
+    where a cell holds fewer) — the operations, and so the floats, of the
+    scalar oracle :func:`bounding_knn` — in chunks of R rows.
+    ``pivot_dists`` is ``(R cells, S cells)``; the cells must hold at least
+    k objects in all."""
+    taken = np.arange(k)
+    held = taken < np.diff(offsets)[:, None]
+    table = np.full(held.shape, np.inf, dtype=np.float64)
+    table[held] = nearest[(offsets[:-1, None] + taken)[held]]
     base = uppers[:, None] + pivot_dists
     thetas: list[float] = []
     chunk = max(1, _THETA_BYTES // (8 * max(1, table.size)))
@@ -171,12 +172,13 @@ def compute_lb_matrix(
     Returns an ``(M, M)`` array indexed ``[j, i]`` (S-partition row,
     R-partition column).  Columns of empty R-partitions are ``+inf`` — no
     object ever needs to be shipped toward them.  The Corollary 2 shipping
-    rule is then ``|s, p_j| >= lb_matrix[j, i]``.
+    rule is then ``|s, p_j| >= lb_matrix[j, i]``.  ``thetas`` holds every
+    cell of ``tr`` (:func:`compute_thetas`).
     """
     num_pivots = pivot_dist_matrix.shape[0]
     lb = np.full((num_pivots, num_pivots), np.inf, dtype=np.float64)
-    for i in tr.partition_ids():
-        lb[:, i] = pivot_dist_matrix[:, i] - tr.get(i).upper - thetas[i]
+    theta = np.array([thetas[i] for i in tr.partition_ids()], dtype=np.float64)
+    lb[:, tr.cells] = pivot_dist_matrix[:, tr.cells] - tr.upper - theta
     return lb
 
 
@@ -218,23 +220,17 @@ def rank_members(
     return ranked, edges
 
 
-def cell_anchor_hulls(tr: SummaryTable, num_pivots: int) -> tuple[np.ndarray, np.ndarray]:
+def cell_anchor_hulls(table: SummaryTable, num_pivots: int) -> tuple[np.ndarray, np.ndarray]:
     """``(lo, hi)``, ``(A, M)``: per anchor and cell the hull of its members'
-    exact anchor distances (the table's ``anchor_hull``; ``A`` is 0 when its
-    rows carry none),
-    each end moved out by ``PRUNE_RTOL`` of the larger, as
+    exact anchor distances (the table's ``hulls``; ``A`` is 0 when it
+    carries none), each end moved out by ``PRUNE_RTOL`` of the larger, as
     :func:`~repro.core.geometry.anchor_ranges` moves a decoded hull; an empty
     cell's hull is empty (``+inf``, ``-inf``), so nothing is ever within
     reach of it."""
-    rows = [stat for stat in tr.rows() if stat.anchor_hull is not None]
-    count = rows[0].anchor_hull.shape[1] if rows else 0
-    lo = np.full((count, num_pivots), np.inf)
-    hi = np.full((count, num_pivots), -np.inf)
-    if count:
-        cells = [stat.partition_id for stat in rows]
-        hulls = np.array([stat.anchor_hull for stat in rows])  # (cells, 2, A)
-        lo[:, cells], hi[:, cells] = hulls.transpose(1, 2, 0)
-        slack = PRUNE_RTOL * np.maximum(np.abs(lo[:, cells]), np.abs(hi[:, cells]))
-        lo[:, cells] -= slack
-        hi[:, cells] += slack
+    hulls = np.empty((2, 0, len(table))) if table.hulls is None else table.hulls
+    lo = np.full((hulls.shape[1], num_pivots), np.inf)
+    hi = np.full((hulls.shape[1], num_pivots), -np.inf)
+    slack = PRUNE_RTOL * np.abs(hulls).max(axis=0)
+    lo[:, table.cells] = hulls[0] - slack
+    hi[:, table.cells] = hulls[1] + slack
     return lo, hi

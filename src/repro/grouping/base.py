@@ -49,10 +49,11 @@ class GroupAssignment:
 
     def group_sizes(self, tr: SummaryTable) -> np.ndarray:
         """Objects of ``R`` per group — the Table 3 statistic."""
-        sizes = np.zeros(self.num_groups, dtype=np.int64)
-        for group_index, members in enumerate(self.groups):
-            sizes[group_index] = sum(tr.get(pid).count for pid in members)
-        return sizes
+        counts = tr.counts
+        return np.array(
+            [counts[np.searchsorted(tr.cells, members)].sum() for members in self.groups],
+            dtype=np.int64,
+        )
 
     def validate_covers(self, partition_ids: list[int]) -> None:
         """Check that exactly the given partitions are grouped."""

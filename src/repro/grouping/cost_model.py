@@ -37,7 +37,6 @@ def exact_replication(
         Per-object cell id and pivot distance of every ``s`` (first job
         output).
     """
-    total = 0
     thresholds = lb_group_matrix[s_partition_ids]  # (|S|, num_groups)
     total = int((s_pivot_distances[:, None] >= thresholds - PRUNE_EPS).sum())
     return total
@@ -52,13 +51,8 @@ def approx_replication_vector(
     groups that cannot receive a partition.  Returns a ``(G,)`` vector of
     estimated replica counts.
     """
-    num_groups = lb_group_columns.shape[1]
-    out = np.zeros(num_groups, dtype=np.int64)
-    for j in ts.partition_ids():
-        stat = ts.get(j)
-        qualifies = lb_group_columns[j] <= stat.upper + PRUNE_EPS
-        out += np.where(qualifies, stat.count, 0)
-    return out
+    qualifies = lb_group_columns[ts.cells] <= (ts.upper + PRUNE_EPS)[:, None]
+    return (ts.counts[:, None] * qualifies).sum(axis=0)
 
 
 def approx_replication(lb_group_columns: np.ndarray, ts: SummaryTable) -> int:

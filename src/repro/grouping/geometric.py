@@ -45,9 +45,9 @@ class GeometricGrouping(GroupingStrategy):
             groups += [[] for _ in range(num_groups - len(partition_ids))]
             return GroupAssignment.from_groups(groups)
 
-        pids = np.asarray(partition_ids, dtype=np.int64)
+        pids = tr.cells
         dists = pivot_dist_matrix[np.ix_(pids, pids)]  # local index space
-        counts = np.array([tr.get(int(pid)).count for pid in pids], dtype=np.int64)
+        counts = tr.counts
         m = len(pids)
 
         unassigned = np.ones(m, dtype=bool)

@@ -44,9 +44,9 @@ class GreedyGrouping(GroupingStrategy):
             groups += [[] for _ in range(num_groups - len(partition_ids))]
             return GroupAssignment.from_groups(groups)
 
-        pids = np.asarray(partition_ids, dtype=np.int64)
+        pids = tr.cells
         m = len(pids)
-        counts_r = np.array([tr.get(int(pid)).count for pid in pids], dtype=np.int64)
+        counts_r = tr.counts
         dists = pivot_dist_matrix[np.ix_(pids, pids)]
         # LB(P_j^S, P_i^R) restricted to the grouped R-partitions, dense over
         # all S rows (absent S partitions get zero weight below)
@@ -54,9 +54,8 @@ class GreedyGrouping(GroupingStrategy):
         num_s_rows = lb_matrix.shape[0]
         s_counts = np.zeros(num_s_rows, dtype=np.int64)
         s_upper = np.full(num_s_rows, -np.inf, dtype=np.float64)
-        for j in ts.partition_ids():
-            s_counts[j] = ts.get(j).count
-            s_upper[j] = ts.get(j).upper
+        s_counts[ts.cells] = ts.counts
+        s_upper[ts.cells] = ts.upper
 
         unassigned = np.ones(m, dtype=bool)
         groups_local: list[list[int]] = []

@@ -28,6 +28,8 @@ strategy's own output, and no group is emptied.  Every step is deterministic.
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 from repro.core.geometry import PRUNE_EPS
@@ -48,7 +50,7 @@ _MAX_PASSES = 10
 def replica_counts(
     lb_matrix: np.ndarray,
     thetas: dict[int, float],
-    s_distances: dict[int, np.ndarray],
+    ts: SummaryTable,
     r_hulls: tuple[np.ndarray, np.ndarray],
     s_hulls: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
@@ -56,19 +58,18 @@ def replica_counts(
     (:func:`~repro.core.bounds.compute_lb_matrix`): per S cell ``j`` and R
     cell ``i`` the copies the model charges (module docstring), ``0`` where
     either cell is empty.  ``thetas`` holds every non-empty R cell's
-    ``theta_i``, ``s_distances`` every non-empty S cell's ascending pivot
-    distances (:func:`~repro.joins.partition_job.merge_summaries`), and the
-    hulls are both tables' :func:`~repro.core.bounds.cell_anchor_hulls`.  The
+    ``theta_i``, ``ts`` is the merged ``T_S``, whose runs are every S cell's
+    ascending pivot distances, and the hulls are both tables'
+    :func:`~repro.core.bounds.cell_anchor_hulls`.  The
     hull term applies when both carry the same anchors, to the pairs Theorem
     5 leaves, an anchor at a time: no ``(A, M, M)`` array is built."""
     num_pivots = lb_matrix.shape[0]
-    s_pids = sorted(s_distances)
     sizes = np.zeros(num_pivots, dtype=np.int32)
-    sizes[s_pids] = [s_distances[pid].size for pid in s_pids]
-    flat = np.concatenate([s_distances[pid] for pid in s_pids])
+    sizes[ts.cells] = ts.counts
+    flat = ts.distances
     ends = np.cumsum(sizes, dtype=np.int64)
     lows, highs = np.full(num_pivots, np.inf), np.full(num_pivots, -np.inf)
-    lows[s_pids], highs[s_pids] = flat[ends[s_pids] - sizes[s_pids]], flat[ends[s_pids] - 1]
+    lows[ts.cells], highs[ts.cells] = ts.lower, ts.upper
     # a threshold above a cell's farthest object admits none of it
     rows, cols = np.nonzero(lb_matrix - PRUNE_EPS <= highs[:, None])
     (r_lo, r_hi), (s_lo, s_hi) = r_hulls, s_hulls
@@ -107,13 +108,11 @@ def refine_groups(
     copies fall (module docstring); ``copies`` is :func:`replica_counts`'
     matrix and ``tr`` holds the R loads.  Groups keep their members in order,
     less those that left, then those that arrived in ascending cell id."""
-    r_pids = tr.partition_ids()
-    local = {pid: n for n, pid in enumerate(r_pids)}
-    loads = np.array([tr.get(pid).count for pid in r_pids], dtype=np.int64)
+    r_pids, loads = tr.cells, tr.counts
     num_groups = assignment.num_groups
     label = np.empty(len(r_pids), dtype=np.intp)
     for group, members in enumerate(assignment.groups):
-        label[[local[pid] for pid in members]] = group
+        label[np.searchsorted(r_pids, members)] = group
     origin = label.copy()
     state = _GroupMaxima(np.ascontiguousarray(copies[:, r_pids].T), label, num_groups)
     group_load = np.bincount(label, weights=loads, minlength=num_groups).astype(np.int64)
@@ -150,13 +149,12 @@ def refine_groups(
             made += 1
         if not made:
             break
-    labels = label.tolist()
     groups = [
-        [pid for pid in members if labels[local[pid]] == group]
+        list(compress(members, (label[np.searchsorted(r_pids, members)] == group).tolist()))
         for group, members in enumerate(assignment.groups)
     ]
     for n in np.flatnonzero(label != origin).tolist():
-        groups[labels[n]].append(r_pids[n])
+        groups[label[n]].append(int(r_pids[n]))
     return GroupAssignment.from_groups(groups)
 
 

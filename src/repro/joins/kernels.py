@@ -287,8 +287,9 @@ def local_thetas(
         return dict.fromkeys(r_blocks, math.inf)
     r_pids, s_pids = list(r_blocks), list(s_blocks)
     uppers = np.array([r_blocks[pid].local_upper() for pid in r_pids], dtype=np.float64)
-    nearest = [s_blocks[pid].pivot_dists for pid in s_pids]
-    thetas = theta_bounds(uppers, pdm[np.ix_(r_pids, s_pids)], nearest, k)
+    nearest = [s_blocks[pid].pivot_dists[:k] for pid in s_pids]
+    offsets = np.cumsum([0] + [len(run) for run in nearest])
+    thetas = theta_bounds(uppers, pdm[np.ix_(r_pids, s_pids)], offsets, np.concatenate(nearest), k)
     return dict(zip(r_pids, thetas))
 
 

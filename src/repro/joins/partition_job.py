@@ -8,14 +8,12 @@ merged when the job completes ("Index Merging" in Figure 6).  In a
 self-join (``r is s``) the job reads the one dataset once and emits each
 object once, as one row of both roles, from one assignment.
 
-The job is deliberately **k-independent**: partial ``T_S`` tables carry the
-full per-partition distance lists and :func:`merge_summaries` truncates to
-the k smallest at merge time — the k smallest of a union equal the k
-smallest of per-task-truncated lists, so the merged tables are identical to
-the historical map-side truncation, while the job itself (spec, outputs,
-counters, accounting) depends only on the datasets, the pivots and the
-split size.  That is what lets the plan layer content-key this stage and
-share one partitioning run across a whole k-sweep
+The job is deliberately **k-independent**: the summary tables keep every
+object's pivot distance, and the master reads a cell's k nearest as the first
+k of its ascending run — so the job itself (spec, outputs, counters,
+accounting) depends only on the datasets, the pivots and the split size.
+That is what lets the plan layer content-key this stage and share one
+partitioning run across a whole k-sweep
 (:class:`~repro.mapreduce.plan.PlanCache`).
 
 PGBJ, PBJ and the closest-pairs operator all run this job (via
@@ -26,7 +24,6 @@ partitioning).
 from __future__ import annotations
 
 import time
-from itertools import chain
 
 import numpy as np
 
@@ -34,7 +31,7 @@ from repro.core.dataset import Dataset
 from repro.core.distance import get_metric
 from repro.core.geometry import anchor_codes
 from repro.core.partition import VoronoiPartitioner
-from repro.core.summary import SummaryTable, build_partial_summary
+from repro.core.summary import SummaryTable, build_partial_summary, merge_partial_summaries
 from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob
 from repro.mapreduce.plan import JobGraph, Stage, StageContext
 from repro.mapreduce.runtime import JobResult, LocalRuntime
@@ -103,20 +100,19 @@ class PartitioningMapper(BlockBufferingMapper):
     blocks, so ``output_bytes`` and the next job's split boundaries are those
     of one record per object.
 
-    ``T_S`` partials keep *every* per-partition pivot distance (master-side
-    merging truncates to the join's k) — the k never enters this job.
-    Both tables' partials carry each cell's anchor hull, the per-anchor
-    minimum and maximum of its members' exact anchor distances: ``T_R``'s
-    for the second job's shipping rule, ``T_S``'s for the master's
-    replication model (:func:`~repro.grouping.refine.replica_counts`).  A
-    self-join's ``T_S`` partials carry none: its S hulls are its R hulls.
+    Both tables' partials carry every row's pivot distance and each cell's
+    anchor hull, the per-anchor minimum and maximum of its members' exact
+    anchor distances: ``T_R``'s for the second job's shipping rule, both for
+    the master's replication model
+    (:func:`~repro.grouping.refine.replica_counts`).  The k never enters
+    this job.
 
     In a self-join (splits from
     :func:`~repro.mapreduce.splits.self_join_splits`) every row is an object
     of both R and S (role :data:`~repro.mapreduce.types.ROLE_BOTH`),
-    assigned once and emitted once, and both summary partials are built from
-    the one assignment.  Counters still read as if each role had been
-    assigned apart: computed + skipped = (|R| + |S|) x M.
+    assigned once and emitted once, and one summary partial, built from the
+    one assignment, goes to both channels.  Counters still read as if each
+    role had been assigned apart: computed + skipped = (|R| + |S|) x M.
     """
 
     def setup(self, ctx: Context) -> None:
@@ -134,22 +130,15 @@ class PartitioningMapper(BlockBufferingMapper):
         pids, dists, anchor_dists = pids[order], dists[order], anchor_dists[order]
         annotated = block.take(order)
         is_r, is_s = annotated.is_r, annotated.is_s
-        # both tables' rows carry their cells' anchor hulls; T_S partials keep
-        # every pivot distance
-        if is_r.any():
-            ctx.side_output(
-                CHANNEL_TR,
-                build_partial_summary(pids[is_r], dists[is_r], anchor_dists=anchor_dists[is_r]),
-            )
-        if is_s.any():
-            # a self-join's S hulls are its R hulls
-            s_hulls = None if is_r.all() else anchor_dists[is_s]
-            ctx.side_output(
-                CHANNEL_TS,
-                build_partial_summary(
-                    pids[is_s], dists[is_s], k=int(is_s.sum()), anchor_dists=s_hulls
-                ),
-            )
+        partial = None
+        for channel, rows in ((CHANNEL_TR, is_r), (CHANNEL_TS, is_s)):
+            if rows.any():
+                # a self-join's rows hold both roles: one table serves both
+                if partial is None or not np.array_equal(rows, is_r):
+                    partial = build_partial_summary(
+                        pids[rows], dists[rows], anchor_dists=anchor_dists[rows]
+                    )
+                ctx.side_output(channel, partial)
         computed = self._metric.pairs_computed
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, computed)
         # each role counts as assigned: (|R| + |S|) x M pairs in all
@@ -161,37 +150,16 @@ class PartitioningMapper(BlockBufferingMapper):
         yield 0, annotated
 
 
-def merge_summaries(
-    job_result: JobResult, k: int
-) -> tuple[SummaryTable, SummaryTable, dict[int, np.ndarray], float]:
-    """Index merging: fold the per-task partial tables into ``T_R``/``T_S``.
-
-    ``T_S`` is truncated to the k smallest distances per partition *here* —
-    the partials are untruncated, so one partitioning job result serves any
-    k.  Beside it, every S cell's full ascending pivot distances, the
-    object-level data the master's replication model counts copies from.
-    Returns ``(tr, ts, s_distances, master_seconds)``.
-    """
+def merge_summaries(job_result: JobResult) -> tuple[SummaryTable, SummaryTable, float]:
+    """Index merging: fold the per-task partial tables into ``T_R``/``T_S``
+    (:func:`~repro.core.summary.merge_partial_summaries`).  Returns ``(tr,
+    ts, master_seconds)``."""
     started = time.perf_counter()
-    tr = SummaryTable(k=0)
-    for partial in job_result.side_outputs.get(CHANNEL_TR, []):
-        tr.merge(partial)
-    ts = SummaryTable(k=k)
-    partials = job_result.side_outputs.get(CHANNEL_TS, [])
-    for partial in partials:
-        ts.merge(partial)
-    rows = [stat for partial in partials for stat in partial.rows()]
-    sizes = [len(stat.knn_distances) for stat in rows]
-    cells = np.repeat([stat.partition_id for stat in rows], sizes)
-    dists = np.fromiter(chain.from_iterable(stat.knn_distances for stat in rows), float, cells.size)
-    order = np.lexsort((dists, cells))
-    cells, dists = cells[order], dists[order]
-    starts = np.flatnonzero(np.diff(cells, prepend=-1)).tolist()
-    s_distances = {
-        int(cells[start]): dists[start:end]
-        for start, end in zip(starts, starts[1:] + [cells.size])
-    }
-    return tr, ts, s_distances, time.perf_counter() - started
+    tr, ts = (
+        merge_partial_summaries(job_result.side_outputs.get(channel, []))
+        for channel in (CHANNEL_TR, CHANNEL_TS)
+    )
+    return tr, ts, time.perf_counter() - started
 
 
 def partitioning_job(

@@ -257,26 +257,24 @@ class PgbjJoinReducer(Reducer):
 
 
 def plan_skew_split(
-    tr, partition_to_group: dict[int, int], config: PgbjConfig
+    loads: np.ndarray, config: PgbjConfig
 ) -> tuple[dict[int, tuple[int, ...]], int]:
     """Decide the skew-aware repartitioning for the join job.
 
-    Reads the exact per-cell R counts of the master's summary table ``T_R``,
-    summed per group under the grouping assignment.  When the
-    heaviest group's share of R exceeds ``config.skew_split_threshold``, that
-    one group is split ``ways`` ways — proportional to how far it overshoots
-    the mean group load, capped by ``skew_split_max_ways`` — onto fresh
-    reduce keys appended past ``num_reducers`` (so :class:`ModPartitioner`
-    maps every sub-key to its own reducer and no existing group moves).
+    Reads the exact R load of each group, ``T_R``'s counts summed under the
+    grouping assignment (:meth:`~repro.grouping.base.GroupAssignment.group_sizes`).
+    When the heaviest group's share of R exceeds
+    ``config.skew_split_threshold``, that one group is split ``ways`` ways —
+    proportional to how far it overshoots the mean group load, capped by
+    ``skew_split_max_ways`` — onto fresh reduce keys appended past
+    ``num_reducers`` (so :class:`ModPartitioner` maps every sub-key to its
+    own reducer and no existing group moves).
 
     Returns ``(skew_subkeys, num_join_reducers)``; the mapping is empty and
     the reducer count unchanged when splitting is disabled or not warranted.
     """
     if config.skew_split_threshold <= 0.0:
         return {}, config.num_reducers
-    loads = np.zeros(config.num_reducers, dtype=np.int64)
-    for pid in tr.partition_ids():
-        loads[partition_to_group[pid]] += tr.get(pid).count
     total = int(loads.sum())
     if total == 0:
         return {}, config.num_reducers
@@ -304,7 +302,7 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
     def build_join(ctx):
         job1 = ctx.result_of(partition)
         # -- master: index merging, theta/LB bounds and partition grouping ----
-        tr, ts, s_distances, merge_seconds = merge_summaries(job1, config.k)
+        tr, ts, merge_seconds = merge_summaries(job1)
         ctx.add_phase("index_merging", merge_seconds)
         with ctx.timed("partition_grouping"):
             pdm = state["pivot_dist_matrix"]
@@ -315,26 +313,18 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
             assignment = refine_groups(
                 strategy.group(tr, ts, pdm, lb_matrix, config.num_reducers),
                 replica_counts(
-                    lb_matrix,
-                    thetas,
-                    s_distances,
-                    anchor_hulls,
-                    anchor_hulls if r is s else cell_anchor_hulls(ts, len(pdm)),
+                    lb_matrix, thetas, ts, anchor_hulls, cell_anchor_hulls(ts, len(pdm))
                 ),
                 tr,
             )
             ranked_members = rank_members(lb_matrix, assignment.groups, cell_dtype(len(pdm)))
             skew_subkeys, num_join_reducers = plan_skew_split(
-                tr, assignment.partition_to_group, config
+                assignment.group_sizes(tr), config
             )
         # U_i and theta_i by cell (NaN where R is empty: no member is)
         cell_bounds = np.full((2, len(pdm)), np.nan)
-        cell_bounds[:, list(thetas)] = [
-            [tr.get(pid).upper for pid in thetas], list(thetas.values())
-        ]
-        ring_stats = {
-            pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()
-        }
+        cell_bounds[:, tr.cells] = tr.upper, list(thetas.values())
+        ring_stats = dict(zip(ts.partition_ids(), zip(ts.lower.tolist(), ts.upper.tolist())))
         job2 = MapReduceJob(
             name="knn-join",
             mapper_factory=GroupRoutingMapper,
@@ -350,7 +340,7 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
                 "metric_name": config.metric_name,
                 "k": config.k,
                 "thetas": thetas,
-                "uppers": {pid: tr.get(pid).upper for pid in tr.partition_ids()},
+                "uppers": dict(zip(tr.partition_ids(), tr.upper.tolist())),
                 "code_anchors": state["code_anchors"],
                 "ring_stats": ring_stats,
                 "pivots": state["pivots"],

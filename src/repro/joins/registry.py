@@ -187,8 +187,10 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: carry their cells' anchor hulls, and the join job ships an S copy only to
 #: groups with a member within reach around every anchor.  17: an R != S join's
 #: ``T_S`` rows carry anchor hulls too, and the master refines the grouping by
-#: its counted S copies, so the join stage's groups and counters changed.
-RESULTS_VERSION = 17
+#: its counted S copies, so the join stage's groups and counters changed.  18:
+#: the partition stage's summary partials are columnar tables, and a
+#: self-join's ``T_S`` carries its own anchor hulls.
+RESULTS_VERSION = 18
 
 
 def plan_identity(

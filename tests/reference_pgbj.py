@@ -60,21 +60,12 @@ class PerCellPartitioningMapper(Mapper):
         block = RecordBlock.gather(self._buffer)
         self._buffer = []
         pids, dists, anchor_dists = self._partitioner.assign_points(block.points)
-        if block.is_r.any():
-            mask = block.is_r
-            ctx.side_output(
-                CHANNEL_TR,
-                build_partial_summary(pids[mask], dists[mask], anchor_dists=anchor_dists[mask]),
-            )
-        if block.is_s.any():
-            mask = block.is_s
-            hulls = None if block.is_r.all() else anchor_dists[mask]
-            ctx.side_output(
-                CHANNEL_TS,
-                build_partial_summary(
-                    pids[mask], dists[mask], k=int(mask.sum()), anchor_dists=hulls
-                ),
-            )
+        for channel, mask in ((CHANNEL_TR, block.is_r), (CHANNEL_TS, block.is_s)):
+            if mask.any():
+                ctx.side_output(
+                    channel,
+                    build_partial_summary(pids[mask], dists[mask], anchor_dists=anchor_dists[mask]),
+                )
         block.partition_ids = pids.astype(cell_dtype(self._partitioner.num_partitions))
         block.pivot_distances = dists.astype(np.float64, copy=False)
         block.anchor_codes = anchor_codes(anchor_dists, pids, dists, ctx.cache["code_rows"])

@@ -26,8 +26,8 @@ def partitioned_world(seed=0, num_r=80, num_s=90, num_pivots=6, k=4):
     partitioner = VoronoiPartitioner(rng.random((num_pivots, 3)), metric)
     ar = partitioner.assign(r)
     as_ = partitioner.assign(s)
-    tr = build_partial_summary(ar.partition_ids, ar.pivot_distances, k=0)
-    ts = build_partial_summary(as_.partition_ids, as_.pivot_distances, k=k)
+    tr = build_partial_summary(ar.partition_ids, ar.pivot_distances)
+    ts = build_partial_summary(as_.partition_ids, as_.pivot_distances)
     pdm = partitioner.pivot_distance_matrix()
     return r, s, ar, as_, tr, ts, pdm, k
 
@@ -45,8 +45,7 @@ class TestPointwiseBounds:
     def test_bounds_sandwich_true_distances(self):
         """ub >= |r,s| >= lb for every r in the cell (Theorems 3-4)."""
         r, s, ar, as_, tr, ts, pdm, k = partitioned_world()
-        for i in tr.partition_ids():
-            u_ri = tr.get(i).upper
+        for i, u_ri in zip(tr.partition_ids(), tr.upper.tolist()):
             r_rows = ar.rows_of(i)
             for j in ts.partition_ids():
                 s_rows = as_.rows_of(j)[:5]
@@ -70,20 +69,18 @@ class TestBoundingKnn:
                 assert dists[k - 1] <= thetas[i] + 1e-9
 
     def test_theta_requires_k_candidates(self):
-        ts = build_partial_summary(np.zeros(2, dtype=int), np.array([1.0, 2.0]), k=5)
+        ts = build_partial_summary(np.zeros(2, dtype=int), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="cannot bound"):
             bounding_knn(1.0, np.zeros(1), ts, k=5)
 
     def test_k_must_be_positive(self):
-        ts = build_partial_summary(np.zeros(2, dtype=int), np.array([1.0, 2.0]), k=1)
+        ts = build_partial_summary(np.zeros(2, dtype=int), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             bounding_knn(1.0, np.zeros(1), ts, k=0)
 
     def test_theta_is_the_kth_smallest_upper_bound(self):
         # one S partition at pivot 0; U(P_R) = 1, |p0,p0| = 0
-        ts = build_partial_summary(
-            np.zeros(4, dtype=int), np.array([1.0, 2.0, 3.0, 4.0]), k=4
-        )
+        ts = build_partial_summary(np.zeros(4, dtype=int), np.array([1.0, 2.0, 3.0, 4.0]))
         theta = bounding_knn(1.0, np.zeros(1), ts, k=2)
         assert theta == pytest.approx(1.0 + 0.0 + 2.0)
 
@@ -92,16 +89,15 @@ class TestBoundingKnn:
     def test_vectorised_thetas_equal_the_scalar_heap_loop(self, num_pivots, k, monkeypatch):
         """``compute_thetas`` is Algorithm 1 for all R-partitions at once: the
         same floats as ``bounding_knn`` per partition, for cells smaller than
-        k, a ``T_S`` that keeps more than k entries per cell, and R chunks."""
-        r, s, ar, as_, tr, _, pdm, _ = partitioned_world(
+        k, cells holding more than k entries, and R chunks."""
+        r, s, ar, as_, tr, ts, pdm, _ = partitioned_world(
             seed=num_pivots + k, num_pivots=num_pivots, num_s=60
         )
-        for table_k, budget in ((k, 1 << 20), (k + 3, 1)):
+        for budget in (1 << 20, 1):
             monkeypatch.setattr(bounds, "_THETA_BYTES", budget)  # 1: a row per chunk
-            ts = build_partial_summary(as_.partition_ids, as_.pivot_distances, table_k)
             expected = {
-                pid: bounding_knn(tr.get(pid).upper, pdm[pid], ts, k)
-                for pid in tr.partition_ids()
+                pid: bounding_knn(upper, pdm[pid], ts, k)
+                for pid, upper in zip(tr.partition_ids(), tr.upper.tolist())
             }
             got = compute_thetas(tr, ts, pdm, k)
             assert got == expected and list(got) == list(expected)
@@ -110,8 +106,7 @@ class TestBoundingKnn:
     def test_vectorised_thetas_reject_what_the_heap_loop_rejects(self):
         r, s, ar, as_, tr, ts, pdm, k = partitioned_world(num_s=6)
         with pytest.raises(ValueError, match="cannot bound 7 nearest neighbors: S holds only 6"):
-            too_few = build_partial_summary(as_.partition_ids, as_.pivot_distances, 7)
-            compute_thetas(tr, too_few, pdm, 7)
+            compute_thetas(tr, ts, pdm, 7)
         with pytest.raises(ValueError, match="k must be >= 1"):
             compute_thetas(tr, ts, pdm, 0)
 
@@ -126,9 +121,8 @@ class TestBoundingKnn:
                 data.points[rng.choice(300, num_pivots, replace=False)], metric
             )
             assignment = partitioner.assign(data)
-            tr = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, 0)
-            ts = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, 4)
-            thetas = compute_thetas(tr, ts, partitioner.pivot_distance_matrix(), 4)
+            table = build_partial_summary(assignment.partition_ids, assignment.pivot_distances)
+            thetas = compute_thetas(table, table, partitioner.pivot_distance_matrix(), 4)
             avg[num_pivots] = np.mean(list(thetas.values()))
         assert avg[32] < avg[4]
 
@@ -185,7 +179,7 @@ class TestMemberRanking:
         _, _, _, _, tr, ts, pdm, k = partitioned_world(seed=3, num_pivots=9)
         lb = compute_lb_matrix(tr, pdm, compute_thetas(tr, ts, pdm, k))
         groups = [[0, 4, 7], [], [1, 2, 3, 5, 6, 8]]
-        groups = [[pid for pid in members if pid in tr] for members in groups]
+        groups = [[pid for pid in members if pid in tr.partition_ids()] for members in groups]
         ranked, edges = rank_members(lb, groups, np.int8)
         assert ranked.dtype == np.int8 and edges.tolist()[-1] == ranked.shape[1]
         theorem_6 = group_lb_matrix(lb, groups)

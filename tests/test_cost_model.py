@@ -20,8 +20,7 @@ def world(seed=1, num_objects=500, num_pivots=20, k=3, num_groups=4):
     pivots = data.points[rng.choice(num_objects, num_pivots, replace=False)]
     partitioner = VoronoiPartitioner(pivots, metric)
     assignment = partitioner.assign(data)
-    tr = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, 0)
-    ts = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, k)
+    tr = ts = build_partial_summary(assignment.partition_ids, assignment.pivot_distances)
     pdm = partitioner.pivot_distance_matrix()
     thetas = compute_thetas(tr, ts, pdm, k)
     lb = compute_lb_matrix(tr, pdm, thetas)
@@ -73,5 +72,5 @@ class TestApproxReplication:
     def test_minus_inf_lb_means_everything(self):
         data, assignment, ts, lbg = world()
         always = np.full_like(lbg, -np.inf)
-        expected = lbg.shape[1] * sum(ts.get(j).count for j in ts.partition_ids())
+        expected = lbg.shape[1] * int(ts.counts.sum())
         assert approx_replication(always, ts) == expected

@@ -23,8 +23,7 @@ def grouped_world(seed=0, num_objects=400, num_pivots=24, k=3):
     pivots = data.points[rng.choice(num_objects, num_pivots, replace=False)]
     partitioner = VoronoiPartitioner(pivots, metric)
     assignment = partitioner.assign(data)
-    tr = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, 0)
-    ts = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, k)
+    tr = ts = build_partial_summary(assignment.partition_ids, assignment.pivot_distances)
     pdm = partitioner.pivot_distance_matrix()
     thetas = compute_thetas(tr, ts, pdm, k)
     lb = compute_lb_matrix(tr, pdm, thetas)
@@ -122,8 +121,8 @@ class TestGreedyReplication:
 
 def anchored_world(seed=0, num_objects=500, num_pivots=30, k=4, distinct=False):
     """A grid world with ties and duplicates, summarised as the partitioning
-    job does: both tables with anchor hulls, and every S cell's ascending
-    pivot distances.  ``distinct`` draws S apart from R."""
+    job does: both tables with anchor hulls.  ``distinct`` draws S apart
+    from R."""
     rng = np.random.default_rng(seed)
     r = rng.integers(0, 7, (num_objects, 3)).astype(np.float64)
     s = rng.integers(0, 7, (num_objects + 37, 3)).astype(np.float64) if distinct else r
@@ -132,7 +131,7 @@ def anchored_world(seed=0, num_objects=500, num_pivots=30, k=4, distinct=False):
     r_pids, r_dists, r_anchor = partitioner.assign_points(r)
     s_pids, s_dists, s_anchor = partitioner.assign_points(s)
     tr = build_partial_summary(r_pids, r_dists, anchor_dists=r_anchor)
-    ts = build_partial_summary(s_pids, s_dists, k, anchor_dists=s_anchor)
+    ts = build_partial_summary(s_pids, s_dists, anchor_dists=s_anchor)
     pdm = partitioner.pivot_distance_matrix()
     thetas = compute_thetas(tr, ts, pdm, k)
     return {
@@ -141,7 +140,6 @@ def anchored_world(seed=0, num_objects=500, num_pivots=30, k=4, distinct=False):
         "pdm": pdm,
         "thetas": thetas,
         "lb": compute_lb_matrix(tr, pdm, thetas),
-        "s_distances": {pid: np.sort(s_dists[s_pids == pid]) for pid in ts.partition_ids()},
         "s_cells": (s_pids, s_dists, s_anchor),
         "code_anchors": partitioner.anchor_index()[0],
     }
@@ -159,7 +157,7 @@ def world_copies(world, hulls=True):
     r_hulls = cell_anchor_hulls(world["tr"], num_pivots)
     no_anchors = (np.empty((0, num_pivots)),) * 2
     s_hulls = cell_anchor_hulls(world["ts"], num_pivots) if hulls else no_anchors
-    return replica_counts(world["lb"], world["thetas"], world["s_distances"], r_hulls, s_hulls)
+    return replica_counts(world["lb"], world["thetas"], world["ts"], r_hulls, s_hulls)
 
 
 REFINE_WORLDS = [
@@ -221,7 +219,7 @@ class TestReplicationModel:
         anchors = world["code_anchors"]
         cache = {
             "pivot_dist_matrix": pdm,
-            "uppers": {pid: tr.get(pid).upper for pid in tr.partition_ids()},
+            "uppers": dict(zip(tr.partition_ids(), tr.upper.tolist())),
             "thetas": world["thetas"],
             "code_anchors": anchors,
             "anchor_hulls": (
@@ -252,7 +250,7 @@ class TestReplicationModel:
     def test_a_partitioner_without_anchors(self):
         world = anchored_world(seed=5)
         none = (np.empty((0, len(world["pdm"]))),) * 2
-        copies = replica_counts(world["lb"], world["thetas"], world["s_distances"], none, none)
+        copies = replica_counts(world["lb"], world["thetas"], world["ts"], none, none)
         np.testing.assert_array_equal(copies, world_copies(world, hulls=False))
 
 

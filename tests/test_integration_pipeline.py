@@ -122,8 +122,7 @@ class TestGroupRoutingMatchesMasterPlan:
         )
         partitioner = VoronoiPartitioner(pivots, metric)
         pids, dists, anchor_dists = partitioner.assign_points(data.points)
-        tr = build_partial_summary(pids, dists, 0, anchor_dists)
-        ts = build_partial_summary(pids, dists, config.k)
+        tr = ts = build_partial_summary(pids, dists, anchor_dists=anchor_dists)
         pdm = partitioner.pivot_distance_matrix()
         thetas = compute_thetas(tr, ts, pdm, config.k)
         lb = compute_lb_matrix(tr, pdm, thetas)

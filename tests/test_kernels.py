@@ -87,14 +87,14 @@ def world_from(r_points, s_points, pivots, k, metric_name="l2", twin_pivots=Fals
         for assignment in (ar, as_):
             in_zero = np.flatnonzero(assignment.partition_ids == 0)
             assignment.partition_ids[in_zero[::2]] = 1
-    tr = build_partial_summary(ar.partition_ids, ar.pivot_distances, 0)
-    ts = build_partial_summary(as_.partition_ids, as_.pivot_distances, k)
+    tr = build_partial_summary(ar.partition_ids, ar.pivot_distances)
+    ts = build_partial_summary(as_.partition_ids, as_.pivot_distances)
     pdm = partitioner.pivot_distance_matrix()
     if k <= num_s:
         thetas = compute_thetas(tr, ts, pdm, k)
     else:
         thetas = {pid: np.inf for pid in tr.partition_ids()}
-    ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
+    ring = dict(zip(ts.partition_ids(), zip(ts.lower.tolist(), ts.upper.tolist())))
     r_blocks = build_r_blocks(block_for(r, ROLE_R, ar, partitioner))
     s_blocks = build_s_blocks(block_for(s, ROLE_S, as_, partitioner))
     return r, s, r_blocks, s_blocks, thetas, ring, pivots, pdm, k
@@ -303,11 +303,11 @@ class TestVectorizedMatchesReference:
         pivots = rng.random((5, 2))
         partitioner = VoronoiPartitioner(pivots, metric)
         ar, as_ = partitioner.assign(r), partitioner.assign(s)
-        tr = build_partial_summary(ar.partition_ids, ar.pivot_distances, 0)
-        ts = build_partial_summary(as_.partition_ids, as_.pivot_distances, 4)
+        tr = build_partial_summary(ar.partition_ids, ar.pivot_distances)
+        ts = build_partial_summary(as_.partition_ids, as_.pivot_distances)
         pdm = partitioner.pivot_distance_matrix()
         thetas = compute_thetas(tr, ts, pdm, 4)
-        ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
+        ring = dict(zip(ts.partition_ids(), zip(ts.lower.tolist(), ts.upper.tolist())))
         r_blocks = build_r_blocks(block_for(r, ROLE_R, ar, partitioner))
         s_blocks = build_s_blocks(block_for(s, ROLE_S, as_, partitioner))
         world = (r, s, r_blocks, s_blocks, thetas, ring, pivots, pdm, 4)
@@ -1220,10 +1220,9 @@ class TestColumnarBuilders:
 
 def self_join_bounds(data, assignment, pivots, k):
     """Global thetas and ring stats of a self-join of ``data`` (one reducer)."""
-    tr = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, 0)
-    ts = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, k)
+    tr = ts = build_partial_summary(assignment.partition_ids, assignment.pivot_distances)
     pdm = VoronoiPartitioner(pivots, get_metric("l2")).pivot_distance_matrix()
-    ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
+    ring = dict(zip(ts.partition_ids(), zip(ts.lower.tolist(), ts.upper.tolist())))
     return compute_thetas(tr, ts, pdm, k), ring, pivots, pdm
 
 
@@ -1302,10 +1301,10 @@ class TestRowsOfBothRoles:
             block_for(data, role, partitioner.assign(data), partitioner)
             for data, role in ((r, ROLE_R), (s, ROLE_S))
         )
-        tr = build_partial_summary(gathered.partition_ids[:40], gathered.pivot_distances[:40], 0)
-        ts = build_partial_summary(gathered.partition_ids[40:], gathered.pivot_distances[40:], 4)
+        tr = build_partial_summary(gathered.partition_ids[:40], gathered.pivot_distances[:40])
+        ts = build_partial_summary(gathered.partition_ids[40:], gathered.pivot_distances[40:])
         pdm = partitioner.pivot_distance_matrix()
-        ring = {pid: (ts.get(pid).lower, ts.get(pid).upper) for pid in ts.partition_ids()}
+        ring = dict(zip(ts.partition_ids(), zip(ts.lower.tolist(), ts.upper.tolist())))
         bounds = (compute_thetas(tr, ts, pdm, 4), ring, pivots, pdm)
         results, *_ = run_gathered(knn_join_kernel, gathered, bounds, 4)
         truth = brute_force_knn_join(get_metric("l2"), r.points, r.ids, s.points, s.ids, 4)

@@ -400,10 +400,11 @@ class TestStructure:
         # "315edc80b7b2d00bebf93a7418c0dffcf3306a88"; version 16 carries
         # anchor hulls in T_R and routes S copies by them,
         # "2038724e07575643cf2ca1b0216eb55a1f08a36e"; version 17 refines the
-        # grouping by counted S copies)
+        # grouping by counted S copies, "d6ec12099521df7da4055beb71ab80c0e140b1dc";
+        # version 18 ships columnar summary tables)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "d6ec12099521df7da4055beb71ab80c0e140b1dc"
+            == "be0b8924a4c16bc491bd03a6851fd5153ec9ccaf"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

@@ -35,7 +35,7 @@ def run(world, split_size=32, k=4):
     config = JoinConfig(k=k, num_reducers=2, split_size=split_size, **env_params())
     with config.make_runtime() as runtime:
         result = run_partitioning_job(r, s, pivots, config, runtime)
-    tr, ts, _, _ = merge_summaries(result, k)
+    tr, ts, _ = merge_summaries(result)
     return r, s, pivots, result, tr, ts
 
 
@@ -109,28 +109,26 @@ class TestSummaries:
         r, s, pivots, result, tr, ts = run(world)
         partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
         assignment = partitioner.assign(r)
-        assert np.array_equal(tr.counts(6), assignment.counts())
+        counts = np.zeros(6, dtype=np.int64)
+        counts[tr.cells] = tr.counts
+        assert np.array_equal(counts, assignment.counts())
 
-    def test_ts_knn_lists_match_global_sort(self, world):
+    def test_ts_runs_match_global_sort(self, world):
         r, s, pivots, result, tr, ts = run(world)
         partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
         assignment = partitioner.assign(s)
-        for pid in ts.partition_ids():
+        for pid, lo, hi in zip(ts.partition_ids(), ts.offsets, ts.offsets[1:]):
             rows = assignment.rows_of(pid)
-            expected = tuple(np.sort(assignment.pivot_distances[rows])[:4].tolist())
-            assert ts.get(pid).knn_distances == pytest.approx(expected)
+            expected = np.sort(assignment.pivot_distances[rows])
+            assert ts.distances[lo:hi] == pytest.approx(expected)
 
     def test_split_size_does_not_change_summaries(self, world):
         _, _, _, _, tr_small, ts_small = run(world, split_size=16)
         _, _, _, _, tr_big, ts_big = run(world, split_size=512)
-        assert tr_small.partition_ids() == tr_big.partition_ids()
-        for pid in tr_small.partition_ids():
-            assert tr_small.get(pid).count == tr_big.get(pid).count
-            assert tr_small.get(pid).upper == pytest.approx(tr_big.get(pid).upper)
-        for pid in ts_small.partition_ids():
-            assert ts_small.get(pid).knn_distances == pytest.approx(
-                ts_big.get(pid).knn_distances
-            )
+        for small, big in ((tr_small, tr_big), (ts_small, ts_big)):
+            assert np.array_equal(small.cells, big.cells)
+            assert np.array_equal(small.offsets, big.offsets)
+            assert small.distances == pytest.approx(big.distances)
 
 
 class TestMasterPaysOnePivotMatrix:

@@ -2,7 +2,6 @@
 (``tests/reference_pgbj.py``)."""
 
 import functools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,14 +170,6 @@ class TestSkewSplit:
         )
         return Dataset(points, name="skewed")
 
-    @staticmethod
-    def _table(counts: dict[int, int]):
-        """A stand-in ``T_R``: the per-cell counts ``plan_skew_split`` reads."""
-        return SimpleNamespace(
-            partition_ids=lambda: sorted(counts),
-            get=lambda pid: SimpleNamespace(count=counts[pid]),
-        )
-
     def test_bit_identical_results_and_requested_pairs(self, skewed, monkeypatch):
         """Each r meets the candidates it met unsplit: the same answer, and
         the same pairs requested.  Computed, the object-pivot and other-cell
@@ -211,24 +202,22 @@ class TestSkewSplit:
         assert own[0] < own[1] < own[2]
 
     def test_plan_skew_split_unit(self):
-        mapping = {0: 0, 1: 1, 2: 2, 3: 3}
-        balanced = self._table({0: 100, 1: 100, 2: 100, 3: 100})
-        heavy = self._table({0: 900, 1: 40, 2: 40, 3: 20})
+        balanced = np.array([100, 100, 100, 100])
+        heavy = np.array([900, 40, 40, 20])
         config = PgbjConfig(num_reducers=4, skew_split_threshold=0.5)
-        assert plan_skew_split(balanced, mapping, config) == ({}, 4)
-        subkeys, reducers = plan_skew_split(heavy, mapping, config)
+        assert plan_skew_split(balanced, config) == ({}, 4)
+        subkeys, reducers = plan_skew_split(heavy, config)
         assert reducers > 4
         assert subkeys[0][0] == 0  # the heavy group keeps its key ...
         assert all(key >= 4 for key in subkeys[0][1:])  # ... sub-keys append
         disabled = PgbjConfig(num_reducers=4)  # threshold defaults to 0.0
-        assert plan_skew_split(heavy, mapping, disabled) == ({}, 4)
+        assert plan_skew_split(heavy, disabled) == ({}, 4)
 
     def test_max_ways_caps_the_split(self):
         config = PgbjConfig(
             num_reducers=4, skew_split_threshold=0.5, skew_split_max_ways=2
         )
-        table = self._table({0: 10_000, 1: 10})
-        subkeys, reducers = plan_skew_split(table, {0: 0, 1: 1}, config)
+        subkeys, reducers = plan_skew_split(np.array([10_000, 10, 0, 0]), config)
         assert len(subkeys[0]) == 2
         assert reducers == 5
 

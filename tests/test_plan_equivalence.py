@@ -389,7 +389,7 @@ class TestPlanCacheReuse:
         monkeypatch.setattr(
             partition_job,
             "build_partial_summary",
-            lambda pids, dists, k=0, anchor_dists=None: build_partial_summary(pids, dists, k),
+            lambda pids, dists, anchor_dists=None: build_partial_summary(pids, dists),
         )
         hull_free = run_join("pgbj", data, data, config)
         monkeypatch.undo()
@@ -409,18 +409,23 @@ class TestPlanCacheReuse:
         carried anchor hulls (the code version before them, whose grouping
         ignored them) is a miss: the join re-runs every stage, never crashes
         on the hull-free table, and answers as a cold run does."""
-        from repro.core.summary import build_partial_summary
+        from dataclasses import replace
+
         from repro.joins import partition_job
         from repro.joins.registry import JoinPlan, execute_join_plan
+        from repro.mapreduce.job import Context
 
         config = PgbjConfig(k=3, num_pivots=12, seed=5, plan_cache_dir=str(tmp_path))
         cold = run_join("pgbj", data, queries, config.with_changes(plan_cache_dir=None))
         monkeypatch.setattr(registry, "RESULTS_VERSION", registry.RESULTS_VERSION - 1)
+        side_output = Context.side_output
         monkeypatch.setattr(
-            partition_job,
-            "build_partial_summary",
-            lambda pids, dists, k=0, anchor_dists=None: build_partial_summary(
-                pids, dists, k, None if k else anchor_dists
+            Context,
+            "side_output",
+            lambda ctx, channel, value: side_output(
+                ctx,
+                channel,
+                replace(value, hulls=None) if channel == partition_job.CHANNEL_TS else value,
             ),
         )
         hull_free = run_join("pgbj", data, queries, config)

@@ -97,11 +97,11 @@ class TestBoundValidity:
         partitioner = VoronoiPartitioner(pivots, metric)
         ar = partitioner.assign(Dataset(r_points))
         as_ = partitioner.assign(Dataset(s_points, ids=np.arange(1000, 1000 + s_points.shape[0])))
-        tr = build_partial_summary(ar.partition_ids, ar.pivot_distances, 0)
+        tr = build_partial_summary(ar.partition_ids, ar.pivot_distances)
         pdm = partitioner.pivot_distance_matrix()
         for r_row in range(min(5, r_points.shape[0])):
             i = ar.partition_ids[r_row]
-            u_ri = tr.get(int(i)).upper
+            u_ri = float(tr.upper[tr.partition_ids().index(int(i))])
             for s_row in range(min(5, s_points.shape[0])):
                 j = as_.partition_ids[s_row]
                 ds_pj = as_.pivot_distances[s_row]
@@ -122,8 +122,7 @@ class TestBoundValidity:
         metric = get_metric("l2")
         partitioner = VoronoiPartitioner(pivots, metric)
         assignment = partitioner.assign(data)
-        tr = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, 0)
-        ts = build_partial_summary(assignment.partition_ids, assignment.pivot_distances, k)
+        tr = ts = build_partial_summary(assignment.partition_ids, assignment.pivot_distances)
         pdm = partitioner.pivot_distance_matrix()
         thetas = compute_thetas(tr, ts, pdm, k)
         lb = compute_lb_matrix(tr, pdm, thetas)

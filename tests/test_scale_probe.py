@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location(
     "scale_probe", ROOT / "benchmarks" / "scale_probe.py"
@@ -25,3 +27,28 @@ def test_the_ratio_divides_by_the_median_small_join(monkeypatch):
     assert calls == [0.5] * scale_probe.SMALL_JOINS + [5.0]
     assert record["cpu_ratio"] == 24.0  # 12.0 / median(0.9, 0.4, 0.5)
     assert len(record["runs"]) == scale_probe.SMALL_JOINS + 1
+
+
+def test_a_probe_records_the_master_phases(monkeypatch):
+    """Each run records the index-merging and grouping seconds of its join."""
+    from types import SimpleNamespace
+
+    from repro.core import Dataset
+
+    outcome = SimpleNamespace(
+        master_phases={"index_merging": 0.012345, "partition_grouping": 0.5},
+        selectivity=lambda: 0.002,
+        shuffle_bytes=lambda: 3_000_000,
+        counters=SimpleNamespace(value=lambda group, name: 7),
+    )
+    workload = SimpleNamespace(
+        join="pgbj",
+        dataset=lambda seed, scale: Dataset(np.zeros((10, 2))),
+        config=lambda scale, work_dir: None,
+    )
+    monkeypatch.setattr(scale_probe, "get_workload", lambda name: workload)
+    monkeypatch.setattr(scale_probe, "run_join", lambda *args: outcome)
+    record = scale_probe.probe("osm_pgbj_spill", 0.5)
+    assert record["merging_s"] == 0.0123
+    assert record["grouping_s"] == 0.5
+    assert record["objects"] == 10 and record["s_replicas"] == 7
