@@ -86,6 +86,40 @@ class TestOnePassBuild:
         assert len(table) == 0 and table.offsets.tolist() == [0]
         assert table.hulls.shape == (2, 4, 0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_anchor_hulls_are_the_cells_extremes(self, seed):
+        rng = np.random.default_rng(seed)
+        pids = rng.integers(0, 12, 300)
+        dists = rng.random(300)
+        anchor_dists = rng.random((300, 5))
+        table = build_partial_summary(pids, dists, anchor_dists=anchor_dists)
+        for n, cell in enumerate(table.partition_ids()):
+            members = anchor_dists[pids == cell]
+            assert np.array_equal(table.hulls[0, :, n], members.min(axis=0))
+            assert np.array_equal(table.hulls[1, :, n], members.max(axis=0))
+        assert columns_of(table) == masked_summary(pids, dists, anchor_dists)
+        assert build_partial_summary(pids, dists).hulls is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_merging_partials_in_any_order_gives_the_same_hulls(self, seed):
+        rng = np.random.default_rng(seed)
+        pids = rng.integers(0, 9, 400)
+        dists = rng.random(400)
+        anchor_dists = rng.random((400, 3))
+        whole = build_partial_summary(pids, dists, anchor_dists=anchor_dists)
+        cuts = np.sort(rng.choice(np.arange(1, 400), 5, replace=False))
+        partials = [
+            build_partial_summary(p, d, anchor_dists=a)
+            for p, d, a in zip(*(np.split(x, cuts) for x in (pids, dists, anchor_dists)))
+        ]
+        for _ in range(4):
+            merged = merge_partial_summaries(partials[n] for n in rng.permutation(len(partials)))
+            assert np.array_equal(merged.cells, whole.cells)
+            assert np.array_equal(merged.counts, whole.counts)
+            assert np.array_equal(merged.lower, whole.lower)
+            assert np.array_equal(merged.upper, whole.upper)
+            assert np.array_equal(merged.hulls, whole.hulls)
+
 
 def random_world(seed):
     """Rows with ties, one-row cells and (sometimes) a cell in one partial."""
@@ -141,6 +175,43 @@ class TestMerge:
 
     def test_nothing_to_merge(self):
         assert len(merge_partial_summaries([])) == 0
+
+    def test_merge_matches_single_pass(self):
+        rng = np.random.default_rng(0)
+        pids = rng.integers(0, 5, 200)
+        dists = rng.random(200)
+        whole = build_partial_summary(pids, dists)
+        chunks = [slice(lo, lo + 50) for lo in range(0, 200, 50)]
+        merged = merge_partial_summaries(
+            build_partial_summary(pids[chunk], dists[chunk]) for chunk in chunks
+        )
+        assert columns_of(merged) == columns_of(whole)
+
+    def test_hulls_merged_only_when_every_partial_has_them(self):
+        with_hulls = build_partial_summary(
+            np.array([0, 1]), np.ones(2), anchor_dists=np.ones((2, 3))
+        )
+        without = build_partial_summary(np.array([1]), np.zeros(1))
+        assert merge_partial_summaries([with_hulls, with_hulls]).hulls.shape == (2, 3, 2)
+        for order in ([with_hulls, without], [without, with_hulls]):
+            merged = merge_partial_summaries(order)
+            assert merged.hulls is None
+            expected = masked_summary(np.array([0, 1, 1]), np.array([1.0, 1.0, 0.0]))
+            assert columns_of(merged) == expected
+
+    def test_merging_merged_tables(self):
+        """Index merging is associative: merging partial merges equals one
+        merge of every partial."""
+        pids, dists, anchor_dists = random_world(5)
+        rng = np.random.default_rng(5)
+        partials = [
+            build_partial_summary(pids[rows], dists[rows], anchor_dists=anchor_dists[rows])
+            for rows in cut(rng, pids.size, 6)
+        ]
+        halves = [merge_partial_summaries(partials[:3]), merge_partial_summaries(partials[3:])]
+        assert columns_of(merge_partial_summaries(halves)) == columns_of(
+            merge_partial_summaries(partials)
+        )
 
     @pytest.mark.parametrize("self_join", [True, False])
     @pytest.mark.parametrize("split_size", [7, 64, 4096])
