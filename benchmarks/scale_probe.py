@@ -1,6 +1,6 @@
 """Advisory scale probe: each workload of :data:`WORKLOADS` at its recorded
-scale and at 40 000 objects, in one process, and the ratio of their CPU
-seconds.
+scale and at 40 000 objects, in one process, and the ratio of their median
+CPU seconds.
 
 ``forest_pgbj_serial`` at scale 0.5 joins 4 000 objects (Forest x10, 160
 pivots) and ``osm_pgbj_spill`` 5 000 (200 pivots); at 40 000 objects they
@@ -18,9 +18,10 @@ selectivity, ``shuffle_mb``, S replicas, the master's index-merging seconds
 (``merging_s``: folding the partitioning job's summary partials into ``T_R``
 and ``T_S``) and its grouping seconds (the strategy and the refinement by
 counted copies) — ``SMALL_JOINS`` joins
-at the recorded scale, then the larger one — and ``cpu_ratio``, the larger
-join's CPU seconds over the median of the smaller ones (one 0.4–0.6 s join
-swings the ratio by a third).  A join at the
+at the recorded scale, then ``LARGE_JOINS`` larger ones — and ``cpu_ratio``,
+the median CPU seconds of the larger joins over the median of the smaller
+ones (one 0.4–0.6 s join swings the ratio by a third, and one 40k join's CPU
+moves by a quarter between runs of the same code).  A join at the
 smoke scale runs first, unrecorded, so none pays the process's first-call
 costs.
 """
@@ -50,6 +51,8 @@ SCALE, LARGE_OBJECTS = 0.5, 40_000
 WARM_UP_SCALE = 0.125
 #: joins at the recorded scale whose median CPU the ratio divides by
 SMALL_JOINS = 3
+#: joins at :data:`LARGE_OBJECTS` whose median CPU the ratio divides
+LARGE_JOINS = 3
 
 
 def probe(name: str, scale: float) -> dict:
@@ -76,15 +79,19 @@ def probe(name: str, scale: float) -> dict:
     }
 
 
+def median_cpu(runs: list[dict]) -> float:
+    return statistics.median(run["cpu_s"] for run in runs)
+
+
 def scaled(name: str) -> dict:
-    """``name`` :data:`SMALL_JOINS` times at :data:`SCALE`, then once at
-    :data:`LARGE_OBJECTS` objects."""
+    """``name`` :data:`SMALL_JOINS` times at :data:`SCALE`, then
+    :data:`LARGE_JOINS` times at :data:`LARGE_OBJECTS` objects."""
     small = [probe(name, SCALE) for _ in range(SMALL_JOINS)]
-    median = statistics.median(run["cpu_s"] for run in small)
-    large = probe(name, SCALE * LARGE_OBJECTS / small[0]["objects"])
+    large_scale = SCALE * LARGE_OBJECTS / small[0]["objects"]
+    large = [probe(name, large_scale) for _ in range(LARGE_JOINS)]
     return {
-        "runs": [*small, large],
-        "cpu_ratio": round(large["cpu_s"] / max(median, 1e-9), 2),
+        "runs": [*small, *large],
+        "cpu_ratio": round(median_cpu(large) / max(median_cpu(small), 1e-9), 2),
     }
 
 

@@ -26,9 +26,10 @@ column per field and an entry per non-empty Voronoi cell, cells ascending:
 Each map task builds a *partial* table over its input split; the partial
 tables are merged when the job completes ("Index Merging" in Figure 6).
 Building and merging are one routine: the entries (a split's objects, or
-the partials' distances and hulls) are concatenated, sorted by ``(cell,
-distance)`` and reduced per cell run, so counts add, bounds and hulls take
-the minimum and maximum, and each cell's distances come out ascending.
+the partials' runs) are concatenated, sorted by ``(cell, distance)`` and
+reduced per cell run, so counts add, bounds take the minimum and maximum and
+each cell's distances come out ascending; the hulls are folded into their
+cells' columns a partial at a time, never stacked.
 """
 
 from __future__ import annotations
@@ -79,27 +80,25 @@ class SummaryTable:
 def _reduced(
     cells: np.ndarray,
     distances: np.ndarray,
-    hull_cells: np.ndarray,
-    hull_lo: np.ndarray | None,
-    hull_hi: np.ndarray | None,
+    hull_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None,
 ) -> SummaryTable:
-    """The table of entries ``(cells, distances)`` and hull entries
-    ``hull_cells`` with ``(A, entries)`` extremes ``hull_lo``/``hull_hi``
-    (``None``: no hulls): entries sorted by ``(cell, distance)`` and reduced
-    per cell run."""
+    """The table of entries ``(cells, distances)``, sorted by ``(cell,
+    distance)`` and reduced per cell run, with the hulls of ``hull_parts``
+    (``None``: no hulls) — each part's distinct cells and their ``(A,
+    cells)`` extremes ``lo``/``hi``, folded into the cells' columns a part
+    at a time, so no stacked copy of the parts is made."""
     order = np.lexsort((distances, cells))
     cells, distances = cells[order], distances[order]
     starts = np.flatnonzero(np.diff(cells, prepend=-1))
     hulls = None
-    if hull_lo is not None:
-        order = np.argsort(hull_cells, kind="stable")
-        runs = np.flatnonzero(np.diff(hull_cells[order], prepend=-1))
-        lo = hull_lo[:, order]
-        hi = lo if hull_hi is hull_lo else hull_hi[:, order]
-        hulls = np.empty((2, len(lo), starts.size))
-        if starts.size:
-            hulls[0] = np.minimum.reduceat(lo, runs, axis=1)
-            hulls[1] = np.maximum.reduceat(hi, runs, axis=1)
+    if hull_parts is not None:
+        hulls = np.empty((2, len(hull_parts[0][1]), starts.size))
+        low, high = hulls
+        low[:], high[:] = np.inf, -np.inf
+        for part_cells, lo, hi in hull_parts:
+            columns = np.searchsorted(cells[starts], part_cells)
+            low[:, columns] = np.minimum(low[:, columns], lo)
+            high[:, columns] = np.maximum(high[:, columns], hi)
     return SummaryTable(
         cells=cells[starts],
         offsets=np.append(starts, cells.size),
@@ -122,8 +121,14 @@ def build_partial_summary(
     whose per-cell minimum and maximum become the cells' anchor hulls.
     """
     pids = np.asarray(partition_ids, dtype=np.int64)
-    anchors = None if anchor_dists is None else np.asarray(anchor_dists).T
-    return _reduced(pids, np.asarray(pivot_distances, dtype=np.float64), pids, anchors, anchors)
+    hulls = None
+    if anchor_dists is not None:
+        order = np.argsort(pids, kind="stable")
+        runs = np.flatnonzero(np.diff(pids[order], prepend=-1))
+        anchors = np.asarray(anchor_dists).T[:, order]
+        extremes = (ufunc.reduceat(anchors, runs, axis=1) for ufunc in (np.minimum, np.maximum))
+        hulls = [(pids[order[runs]], *extremes)]
+    return _reduced(pids, np.asarray(pivot_distances, dtype=np.float64), hulls)
 
 
 def merge_partial_summaries(partials: Iterable[SummaryTable]) -> SummaryTable:
@@ -132,14 +137,9 @@ def merge_partial_summaries(partials: Iterable[SummaryTable]) -> SummaryTable:
     partials = list(partials)
     if not partials:
         return build_partial_summary(np.empty(0, np.int64), np.empty(0))
-    hulls = [table.hulls for table in partials]
-    lo = hi = None
-    if all(hull is not None for hull in hulls):
-        lo, hi = np.concatenate(hulls, axis=2)
+    hulls = [(table.cells, *table.hulls) for table in partials if table.hulls is not None]
     return _reduced(
         np.concatenate([table.cells.repeat(table.counts) for table in partials]),
         np.concatenate([table.distances for table in partials]),
-        np.concatenate([table.cells for table in partials]),
-        lo,
-        hi,
+        hulls if len(hulls) == len(partials) else None,
     )

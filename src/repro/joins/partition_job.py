@@ -35,7 +35,7 @@ from repro.core.summary import SummaryTable, build_partial_summary, merge_partia
 from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob
 from repro.mapreduce.plan import JobGraph, Stage, StageContext
 from repro.mapreduce.runtime import JobResult, LocalRuntime
-from repro.mapreduce.splits import cell_dtype, dataset_splits, self_join_splits
+from repro.mapreduce.splits import cell_dtype, join_splits
 from repro.mapreduce.types import RecordBlock
 from repro.pivots import (
     FarthestPivotSelector,
@@ -181,9 +181,7 @@ def partitioning_job(
             "metric_name": config.metric_name,
         },
     )
-    if r is s:
-        return job, self_join_splits(r, config.split_size)
-    return job, dataset_splits(r, s, config.split_size)
+    return job, join_splits(r, s, config.split_size)
 
 
 def run_partitioning_job(

@@ -189,8 +189,10 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: ``T_S`` rows carry anchor hulls too, and the master refines the grouping by
 #: its counted S copies, so the join stage's groups and counters changed.  18:
 #: the partition stage's summary partials are columnar tables, and a
-#: self-join's ``T_S`` carries its own anchor hulls.
-RESULTS_VERSION = 18
+#: self-join's ``T_S`` carries its own anchor hulls.  19: a z-order
+#: self-join ships each object once per curve copy, so its join stage's
+#: shuffle statistics changed.
+RESULTS_VERSION = 19
 
 
 def plan_identity(

@@ -16,7 +16,10 @@ Algorithm sketch (two MapReduce jobs, like the block framework):
    quantiles estimated from a master-side sample.  Every ``r`` goes to the
    block covering its z-value; every ``s`` goes to its own block and — to
    heal block boundaries — to the neighboring block when it lies within ``k``
-   curve positions of the boundary estimate.
+   curve positions of the boundary estimate.  A self-join (``r is s``) reads
+   each object once (:func:`~repro.mapreduce.splits.join_splits`) and ships
+   it once per shift: the row to its own block carries both roles, its
+   healing copies only S, so no ``r`` is answered twice in one shift.
 2. Each reducer sorts its S block by z-value and, for each ``r``, takes the
    ``2k`` nearest S objects *along the curve* as candidates, computing their
    true distances.  A merge job keeps the best k per ``r`` across all shifts.
@@ -39,8 +42,9 @@ lists to the shared merge job as
 The result is approximate: a true neighbor may be z-far in every shift.
 Quality is measured by :func:`recall_against` (fraction of exact neighbors
 found) and the distance ratio.  A curve copy ships every object once more
-and scans ``2 * candidates_per_side`` more pairs per ``r``; on 10-d Forest
-x10 it buys recall 0.59 → 0.78 → 0.86 → 0.91 (1–4 copies, README's table).
+in a self-join (an R row and an S row apart when R ≠ S) and scans ``2 *
+candidates_per_side`` more pairs per ``r``; on 10-d Forest x10 it buys
+recall 0.60 → 0.75 → 0.85 → 0.89 (1–4 copies, README's table).
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ from repro.core.zorder import ZOrderTransform
 from repro.mapreduce.job import BlockBufferingMapper, Context, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.plan import JobGraph
-from repro.mapreduce.splits import dataset_splits
-from repro.mapreduce.types import NeighborBlock, RecordBlock, group_rows_by, ranks_within
+from repro.mapreduce.splits import join_splits
+from repro.mapreduce.types import ROLE_S, NeighborBlock, RecordBlock, group_rows_by, ranks_within
 
 from .base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME, JoinConfig
 from .block_framework import candidate_emissions, knn_outcome_assembler, merge_stage
@@ -135,11 +139,15 @@ class ZOrderRoutingMapper(BlockBufferingMapper):
                 targets += [s_own[down] - 1, s_own[up] + 1]
             rows, targets = np.concatenate(rows), np.concatenate(targets)
             ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME, int(rows.size) - r_count)
+            # a healing copy is S only: its r is answered in its own block
+            roles = block.role[rows]
+            roles[len(block):] &= ROLE_S
             # within a reducer key, rows keep the task's record order
             by_row = np.argsort(rows, kind="stable")
-            rows, targets = rows[by_row], targets[by_row]
+            rows, targets, roles = rows[by_row], targets[by_row], roles[by_row]
             for target, picks in group_rows_by(targets):
-                yield shift_index * self._blocks_per_shift + target, block.take(rows[picks])
+                part = replace(block.take(rows[picks]), role=roles[picks])
+                yield shift_index * self._blocks_per_shift + target, part
 
 
 class ZOrderJoinReducer(Reducer):
@@ -251,7 +259,7 @@ def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
                 "merge_reducers": config.num_reducers,
             },
         )
-        return job, dataset_splits(r, s, config.split_size)
+        return job, join_splits(r, s, config.split_size)
 
     join = graph.stage("zorder/join", build_join)
 

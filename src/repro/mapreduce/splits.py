@@ -7,7 +7,8 @@ coordinates and ids too unless the join ships them narrower, in the one
 dtype each that :func:`coordinate_dtype` and :func:`id_dtype` pick for R and
 S (Forest's integers travel as int16, its ids as int16 at the benchmark's
 sizes) — and the split pickles as those row slices; :func:`self_join_splits`
-is its self-join form, which hands out each object once, and
+is its self-join form, which hands out each object once,
+:func:`join_splits` the one of the two a join over ``R`` and ``S`` reads, and
 :func:`dataset_block` one dataset as one block.  :func:`cell_dtype` is the
 width of the cell ids a partitioner of ``M`` cells writes.
 :func:`split_records` chunks an already materialized pair list (chained
@@ -40,6 +41,7 @@ __all__ = [
     "dataset_block",
     "dataset_splits",
     "id_dtype",
+    "join_splits",
     "self_join_splits",
     "split_records",
     "weighted_record_chunks",
@@ -209,6 +211,12 @@ def self_join_splits(dataset: Dataset, split_size: int) -> list[InputSplit]:
         InputSplit(index, [("RS", _rows(dataset, dtypes, ROLE_BOTH, a, b))], logical_records=b - a)
         for index, (a, b) in enumerate(zip(bounds, bounds[1:]))
     ]
+
+
+def join_splits(r: Dataset, s: Dataset, split_size: int) -> list[InputSplit]:
+    """The first job's input: each object once, in both roles, when ``r is s``
+    (:func:`self_join_splits`), else ``R`` then ``S`` (:func:`dataset_splits`)."""
+    return self_join_splits(r, split_size) if r is s else dataset_splits(r, s, split_size)
 
 
 def dataset_block(dataset: Dataset, role: int) -> RecordBlock:

@@ -5,6 +5,13 @@ shipped before the join went columnar, plus the Python-int Morton loop they
 ran on.  ``src/`` holds only the array-shaped implementation;
 ``tests/test_zorder.py`` holds it equal to this one — results, distance
 bytes, ``pairs_computed``, S replicas, shuffle records and bytes.
+
+The shipping rule, a tuple per row: every object travels as one ``(role,
+id, point, z)`` row per shift to the block its z-value falls in, an ``s``
+also as an S-only row to a neighbouring block it lies near.  In a
+self-join (``r is s``) the own-block row carries both role bits, so each
+object is one row per shift there; an R ≠ S join ships an R row and an S
+row apart.
 """
 
 from __future__ import annotations
@@ -21,8 +28,8 @@ from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAM
 from repro.mapreduce import LocalRuntime, split_records
 from repro.mapreduce.job import Context, Mapper, MapReduceJob, Reducer
 from repro.mapreduce.partitioners import HashPartitioner, ModPartitioner
-from repro.mapreduce.splits import dataset_splits, id_dtype
-from repro.mapreduce.types import RecordBlock
+from repro.mapreduce.splits import dataset_splits, id_dtype, self_join_splits
+from repro.mapreduce.types import ROLE_R, ROLE_S, RecordBlock
 
 
 def int_z_values(transform: ZOrderTransform, points: np.ndarray) -> list[int]:
@@ -41,8 +48,8 @@ def int_z_values(transform: ZOrderTransform, points: np.ndarray) -> list[int]:
 
 
 class RowRoutingMapper(Mapper):
-    """Routes one ``(is_r, id, point, z)`` tuple per object and target block,
-    a row of the gathered input block at a time."""
+    """Routes one ``(role, id, point, z)`` tuple per object and target block,
+    a row of the gathered input block at a time; a healing copy is S only."""
 
     def setup(self, ctx: Context) -> None:
         self._shifts = ctx.cache["shifts"]
@@ -65,26 +72,27 @@ class RowRoutingMapper(Mapper):
             return
         gathered = RecordBlock.gather(blocks)
         rows = [
-            (bool(gathered.is_r[row]), int(gathered.object_ids[row]), gathered.points[row])
+            (int(gathered.role[row]), int(gathered.object_ids[row]), gathered.points[row])
             for row in range(len(gathered))
         ]
         for shift_index in range(self._shifts.shape[0]):
             z_values = int_z_values(self._transform, gathered.points + self._shifts[shift_index])
-            for (is_r, object_id, point), z_value in zip(rows, z_values):
+            for (role, object_id, point), z_value in zip(rows, z_values):
                 block = self._block_of(shift_index, z_value)
                 reducer_key = shift_index * self._blocks_per_shift + block
-                payload = (is_r, object_id, point, z_value)
-                if is_r:
-                    yield reducer_key, payload
+                yield reducer_key, (role, object_id, point, z_value)
+                if not role & ROLE_S:
                     continue
                 ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME)
-                yield reducer_key, payload
                 for neighbor in (block - 1, block + 1):
                     if 0 <= neighbor < self._blocks_per_shift and self._near_boundary(
                         shift_index, z_value, neighbor
                     ):
                         ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME)
-                        yield shift_index * self._blocks_per_shift + neighbor, payload
+                        yield (
+                            shift_index * self._blocks_per_shift + neighbor,
+                            (ROLE_S, object_id, point, z_value),
+                        )
 
     def _near_boundary(self, shift_index: int, z_value: int, neighbor: int) -> bool:
         boundaries = self._boundaries[shift_index]
@@ -105,8 +113,11 @@ class RowJoinReducer(Reducer):
 
     def reduce(self, key, values, ctx: Context):
         r_items, s_items = [], []
-        for is_r, oid, point, z in values:
-            (r_items if is_r else s_items).append((z, oid, point))
+        for role, oid, point, z in values:
+            if role & ROLE_R:
+                r_items.append((z, oid, point))
+            if role & ROLE_S:
+                s_items.append((z, oid, point))
         if not r_items or not s_items:
             return
         s_items.sort(key=lambda item: (item[0], item[1]))
@@ -216,7 +227,12 @@ def run_reference_zorder(r, s, config) -> dict:
         },
     )
     with LocalRuntime() as runtime:
-        job1 = runtime.run(join_job, dataset_splits(r, s, config.split_size))
+        splits = (
+            self_join_splits(r, config.split_size)
+            if r is s
+            else dataset_splits(r, s, config.split_size)
+        )
+        job1 = runtime.run(join_job, splits)
         job2 = runtime.run(
             row_merge_job(config.k, config.num_reducers),
             split_records(job1.outputs, config.split_size),
@@ -230,10 +246,10 @@ def run_reference_zorder(r, s, config) -> dict:
         "s_replicas": job1.counters.value(REPLICA_GROUP, REPLICA_NAME),
         "shuffle_records": [job1.stats.shuffle_records, job2.stats.shuffle_records],
         # a columnar row (role, id of the join's width w, point, int8 cell
-        # id, pivot distance) is 15 - w bytes under this tuple's (frame,
-        # flag, 8-byte id, point, 8-byte z)
+        # id, pivot distance) is 22 - w bytes under this tuple's (frame,
+        # 8-byte role, 8-byte id, point, 8-byte z)
         "shuffle_bytes": [
-            job1.stats.shuffle_bytes - (15 - join_ids.itemsize) * job1.stats.shuffle_records,
+            job1.stats.shuffle_bytes - (22 - join_ids.itemsize) * job1.stats.shuffle_records,
             job2.stats.shuffle_bytes,
         ],
     }

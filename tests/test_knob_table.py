@@ -401,10 +401,12 @@ class TestStructure:
         # anchor hulls in T_R and routes S copies by them,
         # "2038724e07575643cf2ca1b0216eb55a1f08a36e"; version 17 refines the
         # grouping by counted S copies, "d6ec12099521df7da4055beb71ab80c0e140b1dc";
-        # version 18 ships columnar summary tables)
+        # version 18 ships columnar summary tables,
+        # "be0b8924a4c16bc491bd03a6851fd5153ec9ccaf"; version 19 ships a
+        # z-order self-join's objects once per curve copy)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "be0b8924a4c16bc491bd03a6851fd5153ec9ccaf"
+            == "3ddc86324120e1c594995b1916cee3cc62ef53a1"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

@@ -439,6 +439,35 @@ class TestPlanCacheReuse:
         assert run.cached_stage_names() == []
         assert fingerprint(plan.assemble(run)) == fingerprint(cold)
 
+    def test_a_zorder_self_join_saved_before_one_row_per_copy_is_re_run(
+        self, data, tmp_path, monkeypatch
+    ):
+        """A z-order self-join persisted under code version 18, before each
+        object shipped once per curve copy (its join stage read ``R`` then
+        ``S``, an R row and an S row per object), holds the old job-1
+        shuffle: it is a miss, and the re-run reports the new bytes."""
+        from repro.joins import zorder
+        from repro.joins.registry import JoinPlan, execute_join_plan
+        from repro.mapreduce.splits import dataset_splits
+
+        config = ZOrderConfig(k=3, num_reducers=9, seed=5, plan_cache_dir=str(tmp_path))
+        cold = run_join("zorder", data, data, config.with_changes(plan_cache_dir=None))
+        # version 18, the last to ship an R row and an S row per object
+        monkeypatch.setattr(registry, "RESULTS_VERSION", 18)
+        monkeypatch.setattr(zorder, "join_splits", dataset_splits)
+        stale = run_join("zorder", data, data, config)
+        monkeypatch.undo()
+        assert sorted(tmp_path.glob("*.plan.seg"))
+        assert stale.job_stats[0].shuffle_bytes > cold.job_stats[0].shuffle_bytes
+        plan = plan_join("zorder", data, data, config)
+        run = execute_join_plan(
+            JoinPlan(graph=plan.graph, assemble=lambda run: run, identity=plan.identity), config
+        )
+        assert run.cached_stage_names() == []
+        rerun = plan.assemble(run)
+        assert rerun.job_stats[0].shuffle_bytes == cold.job_stats[0].shuffle_bytes
+        assert fingerprint(rerun) == fingerprint(cold)
+
     @pytest.mark.skipif(
         not os.environ.get("REPRO_PLAN_CACHE_DIR"),
         reason="cross-invocation handshake only runs in the CI plan-cache leg",
@@ -509,14 +538,17 @@ class TestMergeJobProducersPinned:
     And again when ids began to ship as int16 (these 200 ids) and cell ids
     as int8 (12 cells, or none assigned): 9 bytes fewer per object row and 6
     per candidate, from 66 400 for ``hbrj`` and ``ijoin`` and 67 968 for
-    ``zorder``; ``pbj``'s rows gained 8 codes of the 9, from 69 600.)"""
+    ``zorder``; ``pbj``'s rows gained 8 codes of the 9, from 69 600.
+    ``zorder``'s records and bytes fell by one 40-byte row per object and
+    curve copy when a self-join began to ship each object once per copy, its
+    own-block row in both roles: from 1 232 records and 53 280 bytes.)"""
 
     #: join -> (sha1 of (r id, neighbour ids) rows, pairs, replicas, records, bytes)
     PINNED = {
         "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 52000),
         "pbj": ("124cb21fb9bbe9a5", 7710, 400, 1200, 61600),
         "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 52000),
-        "zorder": ("f7cc7c3009292dc9", 2369, 432, 1232, 53280),
+        "zorder": ("f7cc7c3009292dc9", 2369, 432, 832, 37280),
     }
 
     @pytest.mark.parametrize("served", (False, True), ids=("computed", "served"))

@@ -13,20 +13,35 @@ scale_probe = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(scale_probe)
 
 
-def test_the_ratio_divides_by_the_median_small_join(monkeypatch):
-    """One slow small join moves the ratio no more than the median does."""
-    seconds = iter([0.9, 0.4, 0.5, 12.0])
-    calls = []
+def scaled_with(monkeypatch, seconds):
+    """:func:`scale_probe.scaled` over joins that take ``seconds`` of CPU in
+    turn, and the scales it ran them at."""
+    seconds, calls = iter(seconds), []
 
     def probe(name, scale):
         calls.append(scale)
         return {"scale": scale, "objects": 4000, "cpu_s": next(seconds)}
 
     monkeypatch.setattr(scale_probe, "probe", probe)
-    record = scale_probe.scaled("forest_pgbj_serial")
-    assert calls == [0.5] * scale_probe.SMALL_JOINS + [5.0]
+    return scale_probe.scaled("forest_pgbj_serial"), calls
+
+
+def test_the_ratio_divides_by_the_median_small_join(monkeypatch):
+    """One slow small join moves the ratio no more than the median does."""
+    record, calls = scaled_with(monkeypatch, [0.9, 0.4, 0.5, 12.0, 12.0, 12.0])
+    assert calls == [0.5] * scale_probe.SMALL_JOINS + [5.0] * scale_probe.LARGE_JOINS
     assert record["cpu_ratio"] == 24.0  # 12.0 / median(0.9, 0.4, 0.5)
-    assert len(record["runs"]) == scale_probe.SMALL_JOINS + 1
+    assert len(record["runs"]) == scale_probe.SMALL_JOINS + scale_probe.LARGE_JOINS
+
+
+def test_the_ratio_takes_the_median_large_join(monkeypatch):
+    """Three 40k joins, one of them a quarter slower, give the ratio of
+    their median: a single large join's noise does not reach it."""
+    record, calls = scaled_with(monkeypatch, [0.5, 0.5, 0.5, 10.0, 12.5, 9.0])
+    assert scale_probe.LARGE_JOINS == 3
+    assert calls[scale_probe.SMALL_JOINS:] == [5.0] * 3
+    assert record["cpu_ratio"] == 20.0  # median(10.0, 12.5, 9.0) / 0.5
+    assert [run["cpu_s"] for run in record["runs"][3:]] == [10.0, 12.5, 9.0]
 
 
 def test_a_probe_records_the_master_phases(monkeypatch):

@@ -1,5 +1,7 @@
 """Unit tests for the summary tables T_R / T_S."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,29 @@ class TestMerge:
             build_partial_summary(pids[chunk], dists[chunk]) for chunk in chunks
         )
         assert columns_of(merged) == columns_of(whole)
+
+    def test_merging_stacks_no_copy_of_the_hulls(self):
+        """The partials' hulls are folded into the output a partial at a
+        time: the merge's traced peak stays under the bytes of all the
+        partials' hulls, which stacking them once would already reach (40
+        partials of 700 of 1 600 cells and 16 anchors, a 40k Forest join's
+        shape; stacked and gathered they peaked at 2.2 times that)."""
+        rng = np.random.default_rng(5)
+        partials = []
+        for _ in range(40):
+            pids = np.sort(rng.choice(1600, 700, replace=False))
+            partials.append(
+                build_partial_summary(pids, rng.random(700), anchor_dists=rng.random((700, 16)))
+            )
+        stacked = sum(table.hulls.nbytes for table in partials)
+        tracemalloc.start()
+        try:
+            merged = merge_partial_summaries(partials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert merged.hulls.shape == (2, 16, len(merged))
+        assert peak < stacked / 2
 
     def test_hulls_merged_only_when_every_partial_has_them(self):
         with_hulls = build_partial_summary(

@@ -1,7 +1,9 @@
 """Unit tests for the z-order transform and the approximate join extension."""
 
 import bisect
+import copy
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,9 +18,15 @@ from repro.datasets import (
     generate_forest,
     generate_osm,
 )
-from repro.joins import ZOrderConfig, recall_against, run_join
+from repro.joins import ZOrderConfig, recall_against, run_join, zorder
+from repro.joins.block_framework import candidate_emissions
 from repro.joins.kernels import KERNELS
-from tests.reference_zorder import int_z_values, outcome_facts, run_reference_zorder
+from tests.reference_zorder import (
+    int_z_values,
+    outcome_facts,
+    result_bytes,
+    run_reference_zorder,
+)
 from tests.test_plan_equivalence import env_params
 
 
@@ -313,6 +321,103 @@ class TestColumnarMatchesPerRecordReference:
             run_join("zorder", data, data, config).shuffle_bytes()
             == run_join("zorder", bare, bare, config).shuffle_bytes()
         )
+
+
+def job_facts(outcome) -> str:
+    """A digest of an outcome's job statistics, timings, spill layout and
+    fault counters aside: what every engine and backend agrees on."""
+    facts = [
+        (
+            stats.job_name,
+            stats.shuffle_records,
+            stats.shuffle_bytes,
+            stats.cache_bytes,
+            stats.output_bytes,
+            [
+                (task.task_id, task.kind, task.input_records, task.output_records)
+                for task in stats.map_tasks + stats.reduce_tasks
+            ],
+        )
+        for stats in outcome.job_stats
+    ]
+    return hashlib.sha1(repr(facts).encode()).hexdigest()[:16]
+
+
+class TestSelfJoinShipsOneRowPerCopy:
+    """A self-join ships each object once per curve copy: the row to its own
+    block carries both roles and its healing copies only S, so job 1 holds
+    no R-only row and no healing copy answers an ``r``.  The same join over
+    an equal copy of the data (R ≠ S) ships an R row besides, as it always
+    did, and finds the same neighbours through the same merge job."""
+
+    WORLDS = {
+        "tied": (lambda: tied_dataset(240, 3, 10, seed=12), dict(k=4, num_reducers=6)),
+        "one-block-per-shift": (lambda: generate_forest(90, seed=13), dict(k=3, num_reducers=2)),
+        "one-shift": (
+            lambda: generate_forest(120, seed=14),
+            dict(k=5, num_reducers=5, num_shifts=1),
+        ),
+    }
+    #: :func:`job_facts` of the R ≠ S join per (world, metric), recorded
+    #: before self-joins shipped one row per copy
+    PINNED = {
+        ("tied", "l1"): "ae138e8479bb4d78",
+        ("tied", "l2"): "ae138e8479bb4d78",
+        ("tied", "linf"): "7caff2e0bb89d2d9",
+        ("one-block-per-shift", "l1"): "7936f3a0a212b943",
+        ("one-block-per-shift", "l2"): "7936f3a0a212b943",
+        ("one-block-per-shift", "linf"): "12742cee4f97935d",
+        ("one-shift", "l1"): "98f8eb71e6a97ea7",
+        ("one-shift", "l2"): "98f8eb71e6a97ea7",
+        ("one-shift", "linf"): "d07386afe2c0e4c3",
+    }
+
+    def world(self, world, metric, **knobs):
+        make_data, world_knobs = self.WORLDS[world]
+        config = ZOrderConfig(metric_name=metric, split_size=53, seed=7, **world_knobs)
+        return make_data(), config.with_changes(**knobs)
+
+    @pytest.mark.parametrize("world, metric", sorted(PINNED))
+    def test_job_one_ships_only_s_copies(self, world, metric):
+        data, config = self.world(world, metric, **env_params())
+        self_join = run_join("zorder", data, data, config)
+        copied = run_join("zorder", data, copy.deepcopy(data), config)
+        (first, merge), (copied_first, copied_merge) = self_join.job_stats, copied.job_stats
+        assert first.shuffle_records == self_join.replication_of_s()
+        assert self_join.replication_of_s() == copied.replication_of_s()
+        assert copied_first.shuffle_records - first.shuffle_records == (
+            config.num_shifts * len(data)
+        )
+        assert (merge.shuffle_records, merge.shuffle_bytes) == (
+            copied_merge.shuffle_records,
+            copied_merge.shuffle_bytes,
+        )
+        assert self_join.distance_pairs == copied.distance_pairs
+        assert result_bytes(self_join.result) == result_bytes(copied.result)
+
+    @pytest.mark.parametrize("world, metric", sorted(PINNED))
+    def test_every_r_answered_once_per_copy(self, world, metric, monkeypatch):
+        """Every ``r`` reaches the merge job in exactly ``num_shifts``
+        candidate lists: its own block's, never a healing copy's (serial
+        engine, so the reducers see the wrapper)."""
+        data, config = self.world(world, metric, engine="serial")
+        answered = []
+
+        def recording(candidates, ctx, id_dtype):
+            answered.append(candidates.r_ids.astype(np.int64))
+            return candidate_emissions(candidates, ctx, id_dtype)
+
+        monkeypatch.setattr(zorder, "candidate_emissions", recording)
+        outcome = run_join("zorder", data, data, config)
+        counts = np.bincount(np.concatenate(answered), minlength=len(data))
+        assert np.array_equal(counts[data.ids], np.full(len(data), config.num_shifts))
+        assert counts.sum() == outcome.job_stats[1].shuffle_records
+
+    @pytest.mark.parametrize("world, metric", sorted(PINNED))
+    def test_r_not_s_join_ships_as_before(self, world, metric):
+        data, config = self.world(world, metric, **env_params())
+        outcome = run_join("zorder", data, copy.deepcopy(data), config)
+        assert job_facts(outcome) == self.PINNED[world, metric]
 
 
 class TestZOrderConfig:
