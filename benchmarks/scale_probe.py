@@ -16,11 +16,13 @@ Prints one JSON line (and writes it to ``--out``): per workload, per run
 the scale, objects, CPU and wall seconds of one in-process join, its
 selectivity, ``shuffle_mb``, S replicas, the master's index-merging seconds
 (``merging_s``: folding the partitioning job's summary partials into ``T_R``
-and ``T_S``) and its grouping seconds (the strategy and the refinement by
-counted copies) — ``SMALL_JOINS`` joins
-at the recorded scale, then ``LARGE_JOINS`` larger ones — and ``cpu_ratio``,
+and ``T_S``), its grouping seconds (the strategy and the refinement by
+counted copies) and the refinement's own CPU seconds (``refine_s``: counting
+the copies and moving and swapping cells) — ``SMALL_JOINS`` joins
+at the recorded scale, then ``LARGE_JOINS`` larger ones — ``cpu_ratio``,
 the median CPU seconds of the larger joins over the median of the smaller
-ones (one 0.4–0.6 s join swings the ratio by a third, and one 40k join's CPU
+ones, and ``refine_share``, the larger joins' median refinement seconds over
+their median CPU seconds (one 0.4–0.6 s join swings the ratio by a third, and one 40k join's CPU
 moves by a quarter between runs of the same code).  A join at the
 smoke scale runs first, unrecorded, so none pays the process's first-call
 costs.
@@ -36,12 +38,14 @@ import statistics
 import sys
 import tempfile
 import time
+from contextlib import ExitStack
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.e2e.workloads import get_workload  # noqa: E402
-from repro.joins import run_join  # noqa: E402
+from repro.joins import pgbj, run_join  # noqa: E402
 from repro.joins.base import REPLICA_GROUP, REPLICA_NAME  # noqa: E402
 
 WORKLOADS = ("forest_pgbj_serial", "osm_pgbj_spill")
@@ -57,11 +61,28 @@ LARGE_JOINS = 3
 
 def probe(name: str, scale: float) -> dict:
     """One join of workload ``name`` at ``scale``: objects, CPU and wall
-    seconds, selectivity in permille, shuffled MB, S replicas and the
-    master's index-merging and grouping seconds."""
+    seconds, selectivity in permille, shuffled MB, S replicas, the master's
+    index-merging and grouping seconds and the CPU seconds of the grouping's
+    refinement (:func:`~repro.grouping.refine.replica_counts` and
+    :func:`~repro.grouping.refine.refine_groups`, timed where the join
+    calls them)."""
     workload = get_workload(name)
     data = workload.dataset(SEED, scale)
-    with tempfile.TemporaryDirectory() as work_dir:
+    refine_s = [0.0]
+
+    def timed(step):
+        def run(*args):
+            start = time.process_time()
+            try:
+                return step(*args)
+            finally:
+                refine_s[0] += time.process_time() - start
+
+        return run
+
+    with tempfile.TemporaryDirectory() as work_dir, ExitStack() as stack:
+        for step in ("replica_counts", "refine_groups"):
+            stack.enter_context(mock.patch.object(pgbj, step, timed(getattr(pgbj, step))))
         config = workload.config(scale, work_dir)
         cpu, wall = time.process_time(), time.perf_counter()
         outcome = run_join(workload.join, data, data, config)
@@ -76,6 +97,7 @@ def probe(name: str, scale: float) -> dict:
         "s_replicas": outcome.counters.value(REPLICA_GROUP, REPLICA_NAME),
         "merging_s": round(outcome.master_phases["index_merging"], 4),
         "grouping_s": round(outcome.master_phases["partition_grouping"], 4),
+        "refine_s": round(refine_s[0], 4),
     }
 
 
@@ -89,9 +111,11 @@ def scaled(name: str) -> dict:
     small = [probe(name, SCALE) for _ in range(SMALL_JOINS)]
     large_scale = SCALE * LARGE_OBJECTS / small[0]["objects"]
     large = [probe(name, large_scale) for _ in range(LARGE_JOINS)]
+    refine = statistics.median(run.get("refine_s", 0.0) for run in large)
     return {
         "runs": [*small, *large],
         "cpu_ratio": round(median_cpu(large) / max(median_cpu(small), 1e-9), 2),
+        "refine_share": round(refine / max(median_cpu(large), 1e-9), 4),
     }
 
 

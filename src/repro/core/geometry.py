@@ -56,6 +56,7 @@ __all__ = [
     "ring_slices",
     "segment_keys",
     "triangle_lower_bound",
+    "widened_ranges",
 ]
 
 #: absolute slack for floating-point-safe pruning comparisons
@@ -111,6 +112,12 @@ def anchor_ranges(mids, radius, offsets):
     gap above theta fails that filter for every member."""
     lo = np.minimum.reduceat(mids - radius, offsets[:-1], axis=1)
     hi = np.maximum.reduceat(mids + radius, offsets[:-1], axis=1)
+    return widened_ranges(lo, hi)
+
+
+def widened_ranges(lo, hi):
+    """Hull ends ``lo``, ``hi`` moved out by ``PRUNE_RTOL`` of the larger
+    one, as :func:`anchor_ranges` returns them."""
     slack = PRUNE_RTOL * np.maximum(np.abs(lo), np.abs(hi))
     return lo - slack, hi + slack
 

@@ -3,8 +3,8 @@
 PGBJ's grouping step is two passes on the master: a strategy (geometric,
 Algorithm 4, or greedy, Equation 12) splits the R cells into ``N`` groups,
 then :func:`~repro.grouping.refine.refine_groups` moves single cells between
-them while the S copies it counts from the partitioning job's pivot distances
-fall (:mod:`repro.grouping.refine`).
+them, and swaps pairs of cells, while the S copies it counts from the
+partitioning job's pivot distances fall (:mod:`repro.grouping.refine`).
 """
 
 from .base import GroupAssignment, GroupingStrategy

@@ -4,8 +4,8 @@ With many pivots the Voronoi cells are fine-grained — far more than there are
 reducers — so PGBJ merges the cells of ``R`` into ``N`` disjoint groups, one
 per reducer.  A :class:`GroupAssignment` records both directions of the
 mapping and is consumed by the second job's mapper, after
-:func:`~repro.grouping.refine.refine_groups` has moved cells between the
-strategy's groups to cut the S copies.
+:func:`~repro.grouping.refine.refine_groups` has moved and swapped cells
+between the strategy's groups to cut the S copies.
 """
 
 from __future__ import annotations

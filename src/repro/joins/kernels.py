@@ -20,8 +20,13 @@ self-join's repeated distances:
 5. before ``|r, p_j|`` is computed, drop a whole (row, cell) pair whose
    ranges around some anchor lie more than ``theta`` apart: the row's ``[mid
    - radius, mid + radius]`` and the hull of the cell members'
-   (:func:`~repro.core.geometry.anchor_ranges`), own cell included.  Every
-   member fails rule 4, so only object-pivot pairs are meant to be spared;
+   (:func:`~repro.core.geometry.anchor_ranges`), own cell included, taken
+   per (R cell, S cell): in PGBJ over only the members its routing rule
+   admits for the row's own cell (:func:`admitted_pair_ranges`; a member
+   shipped for another cell of the group lies beyond every row of this one),
+   elsewhere over all of them (:func:`cell_pair_ranges`).  Every member
+   fails rule 4 or lies beyond theta, so only object-pivot pairs are meant
+   to be spared;
    the scans' pairs are measured equal, not guaranteed, since a skipped
    ``|r, p_j|`` never joins the row's nearest computed pivots below;
 6. in a self-join's own cell, mirrored pairs and the diagonal: an S entry
@@ -137,6 +142,7 @@ from repro.core.geometry import (
     ring_slices,
     segment_keys,
     triangle_lower_bound,
+    widened_ranges,
 )
 from repro.core.knn import ReferenceKBestList
 from repro.core.zorder import ZOrderTransform
@@ -148,9 +154,11 @@ __all__ = [
     "RPartitionBlock",
     "SPartitionBlock",
     "ScratchPool",
+    "admitted_pair_ranges",
     "build_partition_blocks",
     "build_r_blocks",
     "build_s_blocks",
+    "cell_pair_ranges",
     "local_ring_stats",
     "local_thetas",
     "knn_join_kernel",
@@ -291,6 +299,120 @@ def local_thetas(
     offsets = np.cumsum([0] + [len(run) for run in nearest])
     thetas = theta_bounds(uppers, pdm[np.ix_(r_pids, s_pids)], offsets, np.concatenate(nearest), k)
     return dict(zip(r_pids, thetas))
+
+
+def cell_pair_ranges(num_cells: int, mids, radius, offsets):
+    """Per (R cell, S cell) anchor ranges with no routing rule to admit by:
+    every R cell reads its S cell's :func:`~repro.core.geometry.anchor_ranges`
+    over all the cell's members (``mids``/``radius`` decoded S objects,
+    ``offsets`` their cells' bounds).  ``(columns, lo, hi)`` as
+    :func:`admitted_pair_ranges` returns them, ``columns`` a broadcast
+    view: PBJ's and the closest-pairs operator's rule 5."""
+    lo, hi = anchor_ranges(mids, radius, offsets)
+    return np.broadcast_to(np.arange(lo.shape[1]), (num_cells, lo.shape[1])), lo, hi
+
+
+def admitted_pair_ranges(
+    r_blocks: dict[int, RPartitionBlock],
+    s_blocks: dict[int, SPartitionBlock],
+    pivot_dist_matrix: np.ndarray,
+    code_anchors: np.ndarray,
+    cell_bounds: np.ndarray,
+    anchor_hulls: tuple[np.ndarray, np.ndarray],
+):
+    """Per (R cell, S cell) of a PGBJ reducer, the anchor ranges of only the
+    S objects its routing rule admits for that R cell: Theorem 5 for the one
+    cell and its anchor hull test (:class:`~repro.joins.pgbj.GroupRoutingMapper`,
+    the same operations on the same shipped codes, with ``cell_bounds``'
+    ``U_i`` and ``theta_i`` and ``anchor_hulls`` of the job cache).  A group
+    holds an S cell's objects shipped for any member; those another member
+    admitted lie beyond every row of this one, so they widen no range.  No
+    distance is computed.
+
+    Theorem 5 admits a suffix of the S cell's ascending pivot distances.
+    The hull test is judged for the whole cell first, from the extremes of
+    its objects' mids and reaches (every object's gap lies between, in
+    floating point too): a pair that admits all of its suffix takes the
+    suffix's hull, one that admits none no range, and only the rest test
+    object by object.
+
+    ``(columns, lo, hi)``: the ranges of R cell ``c`` and S cell ``v`` (each
+    in ascending id, as the kernels index them) are column ``columns[c, v]``
+    of ``lo``/``hi``, ``(C, ranges)``; a pair that admits no object reads a
+    last column of empty ranges, whose gaps are infinite."""
+    cells, present = np.array(sorted(r_blocks)), sorted(s_blocks)
+    sizes = np.array([len(s_blocks[pid]) for pid in present], dtype=np.intp)
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    segment = np.repeat(np.arange(len(present)), sizes)
+    dists = np.concatenate([s_blocks[pid].pivot_dists for pid in present])
+    mids, radius = anchor_intervals(
+        np.concatenate([s_blocks[pid].codes for pid in present]),
+        np.repeat(present, sizes), dists, pivot_dist_matrix[code_anchors],
+    )
+    reach = anchor_reach(mids, radius)
+    uppers, thetas = cell_bounds
+    hull_lo, hull_hi = anchor_hulls
+    # (S cell, R cell) pairs, S cell major: Theorem 5's suffix starts
+    bound = pivot_dist_matrix[np.ix_(present, cells)] - uppers[cells] - thetas[cells]
+    seg, member = np.divmod(np.arange(bound.size), cells.size)
+    starts = np.searchsorted(
+        segment_keys(segment, dists), segment_keys(seg, bound.ravel() - PRUNE_EPS)
+    )
+    live = np.flatnonzero(starts < offsets[1:][seg])
+    at, stops, cell = starts[live], offsets[1:][seg[live]], seg[live]
+    r_cell = cells[member[live]]
+    # the hull test of a whole S cell, an anchor at a time: the least and the
+    # most any object's gap can be (each gap lies between, in floating
+    # point too), from the extremes of the cell's mids and reaches
+    firsts = offsets[:-1]
+    nearest, farthest = np.full(live.size, -np.inf), np.full(live.size, -np.inf)
+    for mids_a, lo_a, hi_a in zip(mids, hull_lo, hull_hi):
+        least = np.minimum.reduceat(mids_a, firsts)[cell]
+        most = np.maximum.reduceat(mids_a, firsts)[cell]
+        lo_a, hi_a = lo_a[r_cell], hi_a[r_cell]
+        np.maximum(nearest, np.maximum(least - hi_a, lo_a - most), out=nearest)
+        np.maximum(farthest, np.maximum(most - hi_a, lo_a - least), out=farthest)
+    limit = thetas[r_cell] + PRUNE_EPS
+    near = nearest - np.maximum.reduceat(reach, firsts)[cell] <= limit
+    whole = near & (farthest - np.minimum.reduceat(reach, firsts)[cell] <= limit)
+    # a suffix admitted whole: its hull, the objects' ranges reduced over
+    # [at, stop) (past the last object a column, so every stop is an index)
+    lows, highs = np.zeros((2, len(mids), dists.size + 1))
+    np.subtract(mids, radius, out=lows[:, :-1])
+    np.add(mids, radius, out=highs[:, :-1])
+    bounds = np.column_stack((at[whole], stops[whole])).ravel()
+    ranged = [live[whole]]
+    ranges = [widened_ranges(
+        np.minimum.reduceat(lows, bounds, axis=1)[:, ::2],
+        np.maximum.reduceat(highs, bounds, axis=1)[:, ::2],
+    )]
+    # the rest object by object, ``_GATHER_BYTES`` of their anchors at a time
+    some = np.flatnonzero(near & ~whole)
+    lengths = stops[some] - at[some]
+    for first, last in _chunk_bounds(lengths, max(1, _GATHER_BYTES // (8 * len(mids) + 32))):
+        pairs, counts = some[first:last], lengths[first:last]
+        ends = np.cumsum(counts)
+        entries = np.arange(int(ends[-1])) + np.repeat(at[pairs] - ends + counts, counts)
+        gaps = anchor_range_gaps(
+            mids, reach, entries, hull_lo, hull_hi, np.repeat(r_cell[pairs], counts)
+        )
+        admitted = gaps <= np.repeat(limit[pairs], counts)
+        # the admitted objects stay in runs by pair: each run's hull
+        entries, pair = entries[admitted], np.repeat(np.arange(pairs.size), counts)[admitted]
+        runs = np.flatnonzero(np.diff(pair, prepend=-1))
+        if runs.size:
+            ranged.append(live[pairs[pair[runs]]])
+            ranges.append(widened_ranges(
+                np.minimum.reduceat(lows.take(entries, 1), runs, axis=1),
+                np.maximum.reduceat(highs.take(entries, 1), runs, axis=1),
+            ))
+    ranged = np.concatenate(ranged)
+    columns = np.full(bound.shape, ranged.size, dtype=np.intp)
+    columns.ravel()[ranged] = np.arange(ranged.size)
+    empty = np.full((len(mids), 1), np.inf)
+    lo = np.concatenate([*(lo for lo, _ in ranges), empty], axis=1)
+    hi = np.concatenate([*(hi for _, hi in ranges), -empty], axis=1)
+    return columns.T, lo, hi
 
 
 #: sentinel id for unfilled k-best slots — sorts after every real id
@@ -753,6 +875,7 @@ def knn_join_kernel(
     code_anchors: np.ndarray | None = None,
     uppers: dict[int, float] | None = None,
     own_metric: Metric | None = None,
+    pair_ranges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Run Algorithm 3's reduce phase; yields ``(r_id, neighbor_ids, dists)``.
 
@@ -793,6 +916,11 @@ def knn_join_kernel(
     own_metric:
         The counted metric of the pairs of a row and its own cell's members
         (the reducers count them apart); ``metric`` when omitted.
+    pair_ranges:
+        Rule 5's anchor ranges per (R cell, S cell), ``(columns, lo, hi)`` as
+        :func:`admitted_pair_ranges` builds them for PGBJ; each S cell's
+        over all its present members for every R cell
+        (:func:`cell_pair_ranges`) when omitted.
     """
     if not s_blocks:
         raise ValueError("reducer received R objects but no S objects")
@@ -827,7 +955,9 @@ def knn_join_kernel(
             np.concatenate([s_blocks[pid].codes for pid in present]),
             np.repeat(present, s_sizes), s_all.pivot_dists, code_rows,
         )
-        s_lo, s_hi = anchor_ranges(s_mids, s_radius, s_offsets)
+        if pair_ranges is None:
+            pair_ranges = cell_pair_ranges(len(cells), s_mids, s_radius, s_offsets)
+        range_of, s_lo, s_hi = pair_ranges
     lower, upper = np.array([ring_stats[pid] for pid in present], dtype=np.float64).T
 
     # line 14 for every R-partition at once: column c is the scan order of
@@ -963,7 +1093,10 @@ def knn_join_kernel(
             if coded:
                 # the cell's anchor ranges: every member beyond theta
                 keep = np.flatnonzero(
-                    anchor_range_gaps(r_mids, r_reach, at_row, s_lo, s_hi, at_visit)
+                    anchor_range_gaps(
+                        r_mids, r_reach, at_row, s_lo, s_hi,
+                        range_of[cell_of_row.take(at_row), at_visit],
+                    )
                     <= theta[at_row] + PRUNE_EPS
                 )
                 at_step, at_row, at_visit, at_gap = (
@@ -1065,6 +1198,7 @@ def knn_join_kernel_reference(
     code_anchors: np.ndarray | None = None,
     uppers: dict[int, float] | None = None,
     own_metric: Metric | None = None,
+    pair_ranges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The per-record kernel, kept as the correctness oracle.
 
@@ -1094,13 +1228,16 @@ def knn_join_kernel_reference(
             pid: anchor_intervals(block.codes, np.full(len(block), pid), block.pivot_dists, code_rows)
             for pid, block in s_blocks.items()
         }
-        s_lo, s_hi = anchor_ranges(
-            np.hstack([s_codes[pid][0] for pid in present]),
-            np.concatenate([s_codes[pid][1] for pid in present]),
-            np.cumsum([0] + [len(s_blocks[pid]) for pid in present]),
-        )
+        if pair_ranges is None:
+            pair_ranges = cell_pair_ranges(
+                len(r_blocks),
+                np.hstack([s_codes[pid][0] for pid in present]),
+                np.concatenate([s_codes[pid][1] for pid in present]),
+                np.cumsum([0] + [len(s_blocks[pid]) for pid in present]),
+            )
+        range_of, s_lo, s_hi = pair_ranges
 
-    for pid_r in sorted(r_blocks):
+    for cell, pid_r in enumerate(sorted(r_blocks)):
         r_block = r_blocks[pid_r]
         offset = thetas[pid_r] - _upper(r_blocks, uppers, pid_r)
         pdm_row = pivot_dist_matrix[pid_r]
@@ -1192,7 +1329,8 @@ def knn_join_kernel_reference(
                 if coded:
                     # the cells' anchor ranges: every member beyond theta
                     far = anchor_range_gaps(
-                        r_mids, r_reach, np.full(len(window), row), s_lo, s_hi, np.array(window)
+                        r_mids, r_reach, np.full(len(window), row), s_lo, s_hi,
+                        range_of[cell, window],
                     ) > theta + PRUNE_EPS
                     window = [idx for idx, beyond in zip(window, far) if not beyond]
                 for idx in window:

@@ -49,7 +49,12 @@ __all__ = ["plan_pbj"]
 
 
 class PbjJoinReducer(Reducer):
-    """Joins one (R_i, S_j) block pair with locally recomputed bounds."""
+    """Joins one (R_i, S_j) block pair with locally recomputed bounds.
+
+    With no routing rule to admit by, the kernel judges each (row, S cell)
+    pair by the anchor ranges of all the cell's members present
+    (:func:`~repro.joins.kernels.cell_pair_ranges`, its default), in the
+    same ``(R cells, S cells)`` layout PGBJ's reducers fill per pair."""
 
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])

@@ -191,8 +191,11 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: the partition stage's summary partials are columnar tables, and a
 #: self-join's ``T_S`` carries its own anchor hulls.  19: a z-order
 #: self-join ships each object once per curve copy, so its join stage's
-#: shuffle statistics changed.
-RESULTS_VERSION = 19
+#: shuffle statistics changed.  20: PGBJ's grouping refinement swaps cells
+#: between groups, its reducers judge a (row, S cell) pair by the ranges of
+#: only the objects admitted for the row's cell, and a z-order self-join row
+#: reads its own entry as 0.0, so the join stages' groups and counters changed.
+RESULTS_VERSION = 20
 
 
 def plan_identity(

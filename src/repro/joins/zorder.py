@@ -181,7 +181,13 @@ class ZOrderJoinReducer(Reducer):
         rank = ranks_within(lengths)
         window = s_rows[start[owner] + rank]
         ids = object_ids[window]
-        dists = self._metric.pair_distances(block.points[r_rows[owner]], block.points[window])
+        # a self-join row's own entry (the same row, of both roles) is 0.0
+        # uncomputed, as PGBJ's own-cell memo reads it
+        other = np.flatnonzero(window != r_rows[owner])
+        dists = np.zeros(window.size)
+        dists[other] = self._metric.pair_distances(
+            block.points[r_rows[owner[other]]], block.points[window[other]]
+        )
         # the k best of every window under (distance, id): sorting keeps each
         # r's candidates in its own span, so rank still counts from its start
         best = np.lexsort((ids, dists, owner))[rank < self._k]

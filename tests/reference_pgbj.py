@@ -27,7 +27,7 @@ from repro.core.partition import VoronoiPartitioner
 from repro.core.summary import build_partial_summary
 from repro.joins import partition_job, pgbj
 from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME
-from repro.joins.kernels import KERNELS, build_partition_blocks
+from repro.joins.kernels import build_partition_blocks
 from repro.joins.partition_job import CHANNEL_TR, CHANNEL_TS, SKIPPED_NAME
 from repro.joins.registry import JoinPlan, execute_join_plan
 from repro.mapreduce.counters import Counters
@@ -172,23 +172,7 @@ class RowOutputJoinReducer(pgbj.PgbjJoinReducer):
         r_blocks, s_blocks = build_partition_blocks(_report_input(key, values, ctx))
         if not r_blocks:
             return
-        for r_id, ids, dists in KERNELS.knn_join_kernel(
-            self._metric,
-            self._k,
-            r_blocks,
-            s_blocks,
-            self._thetas,
-            self._ring_stats,
-            self._pivots,
-            self._pdm,
-            use_hyperplane_pruning=self._use_hyperplane,
-            use_ring_pruning=self._use_ring,
-            scratch=self._scratch,
-            pivot_metric=self._pivot_metric,
-            own_metric=self._own_metric,
-            code_anchors=self._code_anchors,
-            uppers=self._uppers,
-        ):
+        for r_id, ids, dists in self.kernel(r_blocks, s_blocks):
             yield r_id, (ids, dists)
 
 

@@ -113,25 +113,29 @@ class RowJoinReducer(Reducer):
 
     def reduce(self, key, values, ctx: Context):
         r_items, s_items = [], []
-        for role, oid, point, z in values:
+        for row, (role, oid, point, z) in enumerate(values):
             if role & ROLE_R:
-                r_items.append((z, oid, point))
+                r_items.append((z, oid, point, row))
             if role & ROLE_S:
-                s_items.append((z, oid, point))
+                s_items.append((z, oid, point, row))
         if not r_items or not s_items:
             return
         s_items.sort(key=lambda item: (item[0], item[1]))
-        s_z = [z for z, _, _ in s_items]
+        s_z = [item[0] for item in s_items]
         # the lists ship their ids in the join's id dtype, as the library's do
-        s_ids = np.array([oid for _, oid, _ in s_items], dtype=self._id_dtype)
-        s_points = np.array([point for _, _, point in s_items], dtype=np.float64)
-        for z_value, r_id, r_point in r_items:
+        s_ids = np.array([item[1] for item in s_items], dtype=self._id_dtype)
+        s_points = np.array([item[2] for item in s_items], dtype=np.float64)
+        s_rows = [item[3] for item in s_items]
+        for z_value, r_id, r_point, r_row in r_items:
             center = bisect.bisect_left(s_z, z_value)
             start = max(0, center - self._per_side)
             stop = min(len(s_items), center + self._per_side)
             if start >= stop:
                 continue
-            dists = self._metric.distances(r_point, s_points[start:stop])
+            # a row of both roles meets itself at 0.0, uncomputed
+            other = np.array([i for i in range(start, stop) if s_rows[i] != r_row], dtype=int)
+            dists = np.zeros(stop - start)
+            dists[other - start] = self._metric.distances(r_point, s_points[other])
             order = np.lexsort((s_ids[start:stop], dists))[: self._k]
             yield r_id, (s_ids[start:stop][order], dists[order])
 

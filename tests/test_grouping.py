@@ -165,14 +165,37 @@ REFINE_WORLDS = [
     for seed in (0, 1, 2)
     for distinct in (False, True)
     for strategy in ("geometric", "greedy")
-]
+] + [dict(world="swap")]
+
+
+def swap_world():
+    """Two groups of two equal R loads, so any single move breaks the cap:
+    cells 0 and 3 each need all of S cell 0, cells 1 and 2 all of S cell 1,
+    and each group holds one of each — 20 copies, where a swap that pairs
+    the cells of one S cell leaves 10."""
+    tr = build_partial_summary(np.repeat(np.arange(4), 10), np.zeros(40))
+    copies = np.zeros((4, 4), dtype=np.int32)
+    copies[0, [0, 3]] = copies[1, [1, 2]] = 5
+    return {"tr": tr}, copies, GroupAssignment.from_groups([[0, 1], [2, 3]])
+
+
+def moves_only(before, copies, tr):
+    """The refinement with its swaps switched off."""
+    from repro.grouping import refine
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(refine, "_swaps", lambda state: 0)
+        return refine_groups(before, copies, tr)
 
 
 def refined(case, num_groups=5):
-    world = anchored_world(seed=case["seed"], distinct=case["distinct"])
-    strategy = get_grouping_strategy(case["strategy"])
-    before = strategy.group(world["tr"], world["ts"], world["pdm"], world["lb"], num_groups)
-    copies = world_copies(world)
+    if case.get("world") == "swap":
+        world, copies, before = swap_world()
+    else:
+        world = anchored_world(seed=case["seed"], distinct=case["distinct"])
+        strategy = get_grouping_strategy(case["strategy"])
+        before = strategy.group(world["tr"], world["ts"], world["pdm"], world["lb"], num_groups)
+        copies = world_copies(world)
     return world, copies, before, refine_groups(before, copies, world["tr"])
 
 
@@ -189,8 +212,14 @@ class TestRefinement:
         assert after.group_sizes(world["tr"]).max() <= before.group_sizes(world["tr"]).max()
 
     def test_never_raises_the_modelled_count(self, case):
-        _, copies, before, after = refined(case)
-        assert grouped_copies(copies, after.groups) <= grouped_copies(copies, before.groups)
+        world, copies, before, after = refined(case)
+        alone = moves_only(before, copies, world["tr"])
+        assert grouped_copies(copies, alone.groups) <= grouped_copies(copies, before.groups)
+        assert grouped_copies(copies, after.groups) <= grouped_copies(copies, alone.groups)
+        if case.get("world") == "swap":
+            # no move fits under the cap; a swap saves half
+            assert alone.groups == before.groups
+            assert grouped_copies(copies, after.groups) == 10
 
     def test_the_same_groups_on_a_second_call(self, case):
         world, copies, before, after = refined(case)
@@ -259,13 +288,18 @@ class TestRefinedJoins:
 
     @pytest.fixture
     def moves(self, monkeypatch):
+        """Per join, whether the refinement moved cells, and whether its
+        swaps left other groups than the moves alone would have."""
         from repro.joins import pgbj
 
         made = []
 
         def recording(assignment, copies, tr):
             refined_assignment = refine_groups(assignment, copies, tr)
-            made.append(refined_assignment.groups != assignment.groups)
+            made.append((
+                refined_assignment.groups != assignment.groups,
+                refined_assignment.groups != moves_only(assignment, copies, tr).groups,
+            ))
             return refined_assignment
 
         monkeypatch.setattr(pgbj, "refine_groups", recording)
@@ -279,7 +313,7 @@ class TestRefinedJoins:
         r = Dataset(rng.integers(0, 9, (300, 3)).astype(np.float64), ids=np.arange(900, 1200))
         s = Dataset(rng.random((450, 3)) * 9.0)
         outcome = run_join("pgbj", r, s, PgbjConfig(k=4, num_pivots=30, num_reducers=5))
-        assert moves == [True]
+        assert moves == [(True, True)]
         assert outcome.result.same_distances_as(ground_truth(r, s, 4))
 
     def test_a_skew_split_group(self, moves):
@@ -293,6 +327,6 @@ class TestRefinedJoins:
             k=5, num_pivots=30, num_reducers=5, skew_split_threshold=0.2, skew_split_max_ways=3
         )
         outcome = run_join("pgbj", data, data, config)
-        assert moves == [True]
+        assert moves == [(True, True)]
         assert len(outcome.job_stats[-1].reduce_tasks) > config.num_reducers  # a group split
         assert outcome.result.same_distances_as(ground_truth(data, data, 5))

@@ -21,6 +21,7 @@ from repro.joins.kernels import (
     build_partition_blocks,
     build_r_blocks,
     build_s_blocks,
+    cell_pair_ranges,
     knn_join_kernel,
     knn_join_kernel_reference,
     local_ring_stats,
@@ -1172,6 +1173,169 @@ class TestReducerPivotPairsCounter:
                 assert block.codes.shape == (len(block.ids), len(code_anchors))
         assert outcome.counters.value("selectivity", "reducer_anchor_pairs") == 0
 
+
+
+def kernel_calls(join, data, other, **knobs):
+    """The reducers' kernel calls of one join, ``(args, kwargs)`` each, and
+    the join's outcome (serial engine: the reducers see the wrapper)."""
+    from repro.joins import get_join, run_join
+
+    calls = []
+    kernel = kernels.KernelProvider.knn_join_kernel
+
+    def recording(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return kernel(self, *args, **kwargs)
+
+    config = get_join(join).make_config(engine="serial", **knobs)
+    with mock.patch.object(kernels.KernelProvider, "knn_join_kernel", recording):
+        outcome = run_join(join, data, other, config)
+    return calls, outcome
+
+
+def tied_join_world(seed, distinct):
+    """A 3-d grid world, duplicates and equal distances everywhere; R's copy
+    as S, or a second grid drawn apart."""
+    rng = np.random.default_rng(seed)
+    data = Dataset(rng.integers(0, 6, (300, 3)).astype(np.float64))
+    if not distinct:
+        return data, data
+    return data, Dataset(rng.integers(0, 6, (340, 3)).astype(np.float64), ids=np.arange(7, 347))
+
+
+class TestAdmittedPairRanges:
+    """A PGBJ reducer judges a (row, S cell) pair by the anchor ranges of
+    only the objects the routing rule admits for the row's cell
+    (:func:`~repro.joins.kernels.admitted_pair_ranges`)."""
+
+    KNOBS = dict(k=4, num_pivots=24, num_reducers=4)
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["self-join", "r-not-s"])
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf"])
+    def test_kernel_and_reference_are_pair_identical(self, metric_name, distinct):
+        calls, _ = kernel_calls(
+            "pgbj", *tied_join_world(1, distinct), metric_name=metric_name, **self.KNOBS
+        )
+        assert calls and all(kwargs["pair_ranges"] is not None for _, kwargs in calls)
+        for args, kwargs in calls:
+            runs = []
+            for kernel in (knn_join_kernel, knn_join_kernel_reference):
+                metrics = [get_metric(metric_name) for _ in range(3)]
+                flags = dict(kwargs, pivot_metric=metrics[1], own_metric=metrics[2])
+                flags.pop("scratch")
+                results = [
+                    (r_id, ids.tolist(), dists.tobytes())
+                    for r_id, ids, dists in kernel(metrics[0], *args[1:], **flags)
+                ]
+                runs.append((results, [metric.pairs_computed for metric in metrics]))
+            assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["self-join", "r-not-s"])
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf"])
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_never_more_pivot_pairs_than_per_cell_ranges(self, seed, metric_name, distinct):
+        """Each admitted range lies inside its S cell's, so rule 5 drops at
+        least the pairs it dropped by S cell, and the answers stay exact."""
+        from repro.joins import pgbj
+
+        r, s = tied_join_world(seed, distinct)
+        knobs = dict(self.KNOBS, metric_name=metric_name)
+        _, admitted = kernel_calls("pgbj", r, s, **knobs)
+        with mock.patch.object(pgbj, "admitted_pair_ranges", lambda *args: None):
+            _, per_cell = kernel_calls("pgbj", r, s, **knobs)
+        pairs = [
+            outcome.counters.value("selectivity", "reducer_pivot_pairs")
+            for outcome in (admitted, per_cell)
+        ]
+        assert pairs[0] <= pairs[1]
+        truth = brute_force_knn_join(get_metric(metric_name), r.points, r.ids, s.points, s.ids, 4)
+        for r_id, (_, dists) in truth.items():
+            assert np.array_equal(admitted.result.neighbors_of(r_id)[1], dists)
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["self-join", "r-not-s"])
+    def test_the_ranges_of_the_objects_the_shipping_rule_admits(self, distinct):
+        """Each pair's ranges are the hull of exactly the objects the
+        per-object shipping rule (``tests/reference_pgbj.py``) admits for
+        the R cell, whichever way the cell-wide test sorted the pair."""
+        from repro.core.geometry import anchor_ranges
+        from repro.joins import pgbj
+        from tests.reference_pgbj import shipping_rule
+
+        calls = []
+
+        def recording(*args):
+            calls.append((args, kernels.admitted_pair_ranges(*args)))
+            return calls[-1][1]
+
+        with mock.patch.object(pgbj, "admitted_pair_ranges", recording):
+            kernel_calls("pgbj", *tied_join_world(7, distinct), **self.KNOBS)
+        assert calls
+        empty = 0
+        for (r_blocks, s_blocks, pdm, anchors, (uppers, thetas), hulls), ranges in calls:
+            columns, lo, hi = ranges
+            # the last column's ranges are empty: its gaps are infinite
+            assert columns.shape == (len(r_blocks), len(s_blocks))
+            assert (lo[:, -1] == np.inf).all() and (hi[:, -1] == -np.inf).all()
+            empty += np.count_nonzero(columns == lo.shape[1] - 1)
+            cells = sorted(r_blocks)
+            cache = {
+                "pivot_dist_matrix": pdm, "code_anchors": anchors, "anchor_hulls": hulls,
+                "uppers": dict(enumerate(uppers.tolist())),
+                "thetas": dict(enumerate(thetas.tolist())),
+            }
+            for v, pid in enumerate(sorted(s_blocks)):
+                block = s_blocks[pid]
+                cell = RecordBlock.of_objects(ROLE_S, block.ids, block.points)
+                cell.partition_ids = np.full(len(block), pid)
+                cell.pivot_distances, cell.anchor_codes = block.pivot_dists, block.codes
+                admits = shipping_rule(cache, pid, cell)
+                mids, radius = anchor_intervals(
+                    block.codes, cell.partition_ids, block.pivot_dists, pdm[anchors]
+                )
+                for c, r_pid in enumerate(cells):
+                    rows = [row for row in range(len(block)) if admits(row, r_pid)]
+                    if not rows:
+                        assert columns[c, v] == lo.shape[1] - 1
+                        continue
+                    want = anchor_ranges(mids[:, rows], radius[rows], np.array([0, len(rows)]))
+                    assert columns[c, v] < lo.shape[1] - 1
+                    assert np.array_equal(lo[:, columns[c, v]], want[0][:, 0])
+                    assert np.array_equal(hi[:, columns[c, v]], want[1][:, 0])
+        assert empty
+
+    def test_pbj_reads_per_s_cell_ranges_of_the_same_shape(self):
+        """PBJ has no routing rule: its reducers pass no ranges, and the
+        kernel reads each S cell's ranges (:func:`cell_pair_ranges`) through
+        the same ``(R cells, S cells)`` index PGBJ fills, every R cell the
+        same column."""
+        calls, _ = kernel_calls("pbj", *tied_join_world(6, False), **self.KNOBS)
+        assert calls
+        for args, kwargs in calls:
+            assert kwargs.get("pair_ranges") is None
+            r_blocks, s_blocks, pdm = args[2], args[3], args[7]
+            present = sorted(s_blocks)
+            sizes = [len(s_blocks[pid]) for pid in present]
+            mids, radius = anchor_intervals(
+                np.concatenate([s_blocks[pid].codes for pid in present]),
+                np.repeat(present, sizes),
+                np.concatenate([s_blocks[pid].pivot_dists for pid in present]),
+                pdm[kwargs["code_anchors"]],
+            )
+            ranges = cell_pair_ranges(len(r_blocks), mids, radius, np.cumsum([0, *sizes]))
+            assert ranges[0].shape == (len(r_blocks), len(s_blocks))
+            assert (ranges[0] == np.arange(len(s_blocks))).all()
+            counted = []
+            for pair_ranges in (None, ranges):
+                metrics = [get_metric("l2") for _ in range(3)]
+                flags = dict(kwargs, pivot_metric=metrics[1], own_metric=metrics[2])
+                results = [
+                    (r_id, ids.tolist(), dists.tobytes())
+                    for r_id, ids, dists in knn_join_kernel(
+                        metrics[0], *args[1:], **dict(flags, pair_ranges=pair_ranges)
+                    )
+                ]
+                counted.append((results, [metric.pairs_computed for metric in metrics]))
+            assert counted[0] == counted[1]
 
 class TestColumnarBuilders:
     def test_build_partition_blocks_splits_by_role(self):

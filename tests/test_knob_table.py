@@ -403,10 +403,13 @@ class TestStructure:
         # grouping by counted S copies, "d6ec12099521df7da4055beb71ab80c0e140b1dc";
         # version 18 ships columnar summary tables,
         # "be0b8924a4c16bc491bd03a6851fd5153ec9ccaf"; version 19 ships a
-        # z-order self-join's objects once per curve copy)
+        # z-order self-join's objects once per curve copy,
+        # "3ddc86324120e1c594995b1916cee3cc62ef53a1"; version 20 swaps cells
+        # between groups and ranges each (R cell, S cell) pair by its
+        # admitted objects)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "3ddc86324120e1c594995b1916cee3cc62ef53a1"
+            == "f91cf7ccba88a02778f284b0b60706994d7f7851"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

@@ -374,6 +374,33 @@ class TestPlanCacheReuse:
         assert warm_cache.disk_hits >= 1
         assert fingerprint(warm) == fingerprint(cold)
 
+    def test_a_join_stage_saved_before_the_swaps_is_re_run(self, data, tmp_path, monkeypatch):
+        """A PGBJ join stage persisted under the code version before the
+        grouping swapped cells and the reducers ranged each (R cell, S cell)
+        pair by its admitted objects is a miss: the re-run reports the
+        swapped grouping's shuffle, as a cold run does."""
+        from repro.grouping import refine
+        from repro.joins import pgbj
+        from repro.joins.registry import JoinPlan, execute_join_plan
+
+        config = PgbjConfig(k=3, num_pivots=12, seed=5, plan_cache_dir=str(tmp_path))
+        cold = run_join("pgbj", data, data, config.with_changes(plan_cache_dir=None))
+        monkeypatch.setattr(registry, "RESULTS_VERSION", registry.RESULTS_VERSION - 1)
+        monkeypatch.setattr(refine, "_swaps", lambda state: 0)
+        monkeypatch.setattr(pgbj, "admitted_pair_ranges", lambda *args: None)
+        saved = run_join("pgbj", data, data, config)
+        monkeypatch.undo()
+        assert len(sorted(tmp_path.glob("*.plan.seg"))) == 2
+        assert saved.shuffle_bytes() > cold.shuffle_bytes()
+        plan = plan_join("pgbj", data, data, config)
+        run = execute_join_plan(
+            JoinPlan(graph=plan.graph, assemble=lambda run: run, identity=plan.identity), config
+        )
+        assert "pgbj/join" not in run.cached_stage_names()
+        rerun = plan.assemble(run)
+        assert rerun.shuffle_bytes() == cold.shuffle_bytes()
+        assert fingerprint(rerun) == fingerprint(cold)
+
     def test_an_entry_saved_without_anchor_hulls_is_re_run(self, data, tmp_path, monkeypatch):
         """A partition stage persisted before ``T_R`` rows carried anchor
         hulls (the code version before them, whose partials had none) is a
@@ -541,14 +568,16 @@ class TestMergeJobProducersPinned:
     ``zorder``; ``pbj``'s rows gained 8 codes of the 9, from 69 600.
     ``zorder``'s records and bytes fell by one 40-byte row per object and
     curve copy when a self-join began to ship each object once per copy, its
-    own-block row in both roles: from 1 232 records and 53 280 bytes.)"""
+    own-block row in both roles: from 1 232 records and 53 280 bytes.  Its
+    pairs fell by as many, from 2 369, when that row began to read its own
+    entry as 0.0 uncomputed.)"""
 
     #: join -> (sha1 of (r id, neighbour ids) rows, pairs, replicas, records, bytes)
     PINNED = {
         "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 52000),
         "pbj": ("124cb21fb9bbe9a5", 7710, 400, 1200, 61600),
         "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 52000),
-        "zorder": ("f7cc7c3009292dc9", 2369, 432, 832, 37280),
+        "zorder": ("f7cc7c3009292dc9", 1969, 432, 832, 37280),
     }
 
     @pytest.mark.parametrize("served", (False, True), ids=("computed", "served"))
@@ -594,13 +623,15 @@ class TestFinalOutputsPinned:
     reducer computed each own-cell distance once, 4 899 before each S
     copy was routed by its anchor codes, which narrows the reducers' cell
     anchor ranges, and 4 897 before the master refined the grouping by
-    counted S copies, which moves the S rows each reducer's ranges hold)."""
+    counted S copies, which moves the S rows each reducer's ranges hold, and
+    4 899 before each (R cell, S cell) pair was ranged by the objects the
+    routing rule admits for the R cell alone)."""
 
     #: join -> (sha1 of (r id, neighbour ids, distance bytes) rows, pairs,
     #: final job's output_bytes, its reduce tasks' output records)
     PINNED = {
         "broadcast": ("6a7ec171f4ee3716", 40000, 13600, 200),
-        "pgbj": ("6a7ec171f4ee3716", 4899, 13600, 200),
+        "pgbj": ("6a7ec171f4ee3716", 4897, 13600, 200),
     }
 
     @pytest.mark.parametrize("served", (False, True), ids=("computed", "served"))

@@ -1,6 +1,7 @@
 """The advisory scale probe: ``benchmarks/scale_probe.py``."""
 
 import importlib.util
+import time
 from pathlib import Path
 
 import numpy as np
@@ -67,3 +68,46 @@ def test_a_probe_records_the_master_phases(monkeypatch):
     assert record["merging_s"] == 0.0123
     assert record["grouping_s"] == 0.5
     assert record["objects"] == 10 and record["s_replicas"] == 7
+
+
+def test_a_probe_times_the_refinement_where_the_join_calls_it(monkeypatch):
+    """``refine_s`` is the CPU the join spent in ``replica_counts`` and
+    ``refine_groups``, and ``refine_share`` its median over the larger
+    joins' median CPU."""
+    from types import SimpleNamespace
+
+    from repro.core import Dataset
+    from repro.joins import pgbj
+
+    def busy(*args):
+        start = time.process_time()
+        while time.process_time() - start < 0.02:
+            pass
+
+    outcome = SimpleNamespace(
+        master_phases={"index_merging": 0.0, "partition_grouping": 0.0},
+        selectivity=lambda: 0.0,
+        shuffle_bytes=lambda: 0,
+        counters=SimpleNamespace(value=lambda group, name: 0),
+    )
+    workload = SimpleNamespace(
+        join="pgbj",
+        dataset=lambda seed, scale: Dataset(np.zeros((10, 2))),
+        config=lambda scale, work_dir: None,
+    )
+
+    def join(*args):
+        pgbj.replica_counts()
+        pgbj.refine_groups()
+        return outcome
+
+    monkeypatch.setattr(scale_probe, "get_workload", lambda name: workload)
+    monkeypatch.setattr(scale_probe, "run_join", join)
+    monkeypatch.setattr(pgbj, "replica_counts", busy)
+    monkeypatch.setattr(pgbj, "refine_groups", busy)
+    assert scale_probe.probe("forest_pgbj_serial", 0.5)["refine_s"] >= 0.04
+    runs = [{"cpu_s": 1.0, "refine_s": 0.0}] * 3 + [
+        {"cpu_s": cpu, "refine_s": refine} for cpu, refine in ((10.0, 0.2), (12.0, 0.3), (9.0, 0.1))
+    ]
+    monkeypatch.setattr(scale_probe, "probe", lambda name, scale: runs.pop(0) | {"objects": 4000})
+    assert scale_probe.scaled("forest_pgbj_serial")["refine_share"] == 0.02  # 0.2 / 10.0

@@ -392,7 +392,13 @@ class TestSelfJoinShipsOneRowPerCopy:
             copied_merge.shuffle_records,
             copied_merge.shuffle_bytes,
         )
-        assert self_join.distance_pairs == copied.distance_pairs
+        # a row meets its own entry, of both roles, at 0.0 uncomputed: once
+        # per curve copy, unless ties on its z-value push it out of its window
+        saved = copied.distance_pairs - self_join.distance_pairs
+        if world == "tied":
+            assert 0 < saved <= config.num_shifts * len(data)
+        else:
+            assert saved == config.num_shifts * len(data)
         assert result_bytes(self_join.result) == result_bytes(copied.result)
 
     @pytest.mark.parametrize("world, metric", sorted(PINNED))
