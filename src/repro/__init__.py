@@ -24,11 +24,8 @@ Every algorithm is registered as a declarative plan builder:
 one runtime; ``available_joins()`` lists the registry.
 Baselines, by the same call: ``"hbrj"`` (R-tree block join), ``"pbj"``
 (pruning without grouping), ``"broadcast"`` (naive).  All are exact and agree
-with the brute-force join.  The related operators take their extra arguments
-as keywords::
-
-    run_join("range-selection", data, queries, JoinConfig(), theta=0.2)
-    run_join("closest-pairs", r, s, BlockJoinConfig(k=5), exclude_self=True)
+with the brute-force join; ``"zorder"`` (with a ``ZOrderConfig``) is the
+approximate z-order join.
 """
 
 from .core import (

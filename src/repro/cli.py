@@ -68,11 +68,11 @@ ALL_ORDER = (
 
 
 def _join_knobs() -> tuple[Knob, ...]:
-    """The execution knobs of every registered kNN join's config: the base
+    """The execution knobs of every registered join's config: the base
     class's rows, plus any a subclass declares."""
     rows = {
         row.name: row
-        for name in available_joins(kind="knn")
+        for name in available_joins()
         for row in execution_knobs(get_join(name).config_class)
     }
     return tuple(rows.values())
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-algorithms",
         action="store_true",
-        help="list every registered join algorithm/operator and exit",
+        help="list every registered join algorithm and exit",
     )
     parser.add_argument(
         "--list-engines",
@@ -122,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     join.add_argument(
         "--algorithm",
         # the registry is the single source of what is runnable here
-        choices=list(available_joins(kind="knn")),
+        choices=list(available_joins()),
         default="pgbj",
     )
     join.add_argument("--dataset", choices=["forest", "osm"], default="forest")
@@ -145,9 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_list_algorithms() -> int:
     for name in available_joins():
-        spec = get_join(name)
-        label = name if spec.kind == "knn" else f"{name} (operator)"
-        print(f"{label:28s} {spec.summary}")
+        print(f"{name:10s} {get_join(name).summary}")
     return 0
 
 
@@ -164,8 +162,7 @@ def _cmd_info() -> int:
     print(f"repro {__version__} — PGBJ kNN-join reproduction (VLDB 2012)")
     print(f"bench scale: {bench_scale()} (set REPRO_BENCH_SCALE to change)")
     print(f"engines: {', '.join(available_engines())} (default {DEFAULT_ENGINE})")
-    print(f"algorithms: {', '.join(available_joins(kind='knn'))}")
-    print(f"operators: {', '.join(available_joins(kind='operator'))}")
+    print(f"algorithms: {', '.join(available_joins())}")
     print("bench defaults (paper values: the DEFAULTS comments in repro/bench/harness.py):")
     for key, value in DEFAULTS.items():
         print(f"  {key} = {value}")
@@ -197,8 +194,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
     print(f"algorithm            : {outcome.algorithm}")
     print(f"engine               : {config.engine}"
           + (f" ({config.max_workers} workers)" if config.max_workers else ""))
-    if config.spill_codec != "none":
-        print(f"spill codec          : {config.spill_codec}")
     print(f"|R| = |S|            : {len(data)} ({data.name})")
     print(f"k                    : {args.k}")
     print(f"join output pairs    : {outcome.result.total_pairs()}")

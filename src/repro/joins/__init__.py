@@ -9,17 +9,17 @@ All produce identical exact results; they differ in running time, computation
 selectivity and shuffling cost — the paper's three measurements, exposed on
 :class:`JoinOutcome`.
 
-Every algorithm (the approximate z-order join and the closest-pairs /
-range-selection operators included) is registered as a *plan builder*: it
-describes its MapReduce pipeline as a :class:`~repro.mapreduce.plan.JobGraph`
-whose stages a :class:`~repro.mapreduce.plan.PlanScheduler` executes in
-declaration order, with stage reuse across sweeps and restarts when a plan
-cache is configured.  :func:`run_join` is the one way to run any of them, by
-registry name (:func:`plan_join` builds a plan without running it).
+Every algorithm (the approximate z-order join included) is registered as a
+*plan builder*: it describes its MapReduce pipeline as a
+:class:`~repro.mapreduce.plan.JobGraph` whose stages a
+:class:`~repro.mapreduce.plan.PlanScheduler` executes in declaration order,
+with stage reuse across sweeps and restarts when a plan cache is configured.
+:func:`run_join` is the one way to run any of them, by registry name
+(:func:`plan_join` builds a plan without running it).
 """
 
 # importing the algorithm modules populates the registry
-from . import basic, hbrj, ijoin, pbj, pgbj  # noqa: F401
+from . import basic, hbrj, pbj, pgbj  # noqa: F401
 from .base import (
     BlockJoinConfig,
     InvalidJoinInput,
@@ -28,8 +28,6 @@ from .base import (
     PgbjConfig,
     StageStats,
 )
-from .closest_pairs import ClosestPairsOutcome
-from .range_selection import RangeSelectionOutcome
 from .registry import (
     JoinPlan,
     JoinSpec,
@@ -49,8 +47,6 @@ __all__ = [
     "StageStats",
     "ZOrderConfig",
     "recall_against",
-    "RangeSelectionOutcome",
-    "ClosestPairsOutcome",
     "InvalidJoinInput",
     "JoinPlan",
     "JoinSpec",

@@ -26,7 +26,6 @@ from repro.mapreduce.faults import ChaosPlan
 from repro.mapreduce.hdfs import DistributedFileSystem
 from repro.mapreduce.plan import PlanCache
 from repro.mapreduce.runtime import LocalRuntime
-from repro.mapreduce.shuffle import SEGMENT_CODECS
 from repro.mapreduce.stats import JobStats
 
 __all__ = [
@@ -50,15 +49,15 @@ class InvalidJoinInput(ValueError):
 
 
 def check_join_inputs(
-    r: Dataset, s: Dataset, k: int | None = None, num_pivots: int | None = None
+    r: Dataset, s: Dataset, k: int, num_pivots: int | None = None
 ) -> None:
     """The one boundary check, run once per planned join before any stage is
     built.  Refuses an empty R or S, non-finite coordinates (they silently
     falsify every pruning comparison), an object id repeated within R or
     within S (ids key the results), an R/S width mismatch (it would surface
-    deep in a kernel), ``k > |S|`` when a kNN join passes its ``k``, and more
-    pivots than R has objects when a join that draws its pivots from R passes
-    ``num_pivots``.  A self-join's one dataset is checked once."""
+    deep in a kernel), ``k > |S|``, and more pivots than R has objects when a
+    join that draws its pivots from R passes ``num_pivots``.  A self-join's
+    one dataset is checked once."""
     for side, dataset in (("R", r),) if r is s else (("R", r), ("S", s)):
         if len(dataset) == 0:
             raise InvalidJoinInput(
@@ -80,7 +79,7 @@ def check_join_inputs(
             )
     if r.dimensions != s.dimensions:
         raise InvalidJoinInput(f"dimension mismatch: R has {r.dimensions}, S has {s.dimensions}")
-    if k is not None and k > len(s):
+    if k > len(s):
         raise InvalidJoinInput(
             f"k={k} exceeds |S|={len(s)}; the paper assumes k <= |S| "
             "(otherwise the join degrades to a cross join)"
@@ -251,11 +250,6 @@ class JoinConfig:
         help="directory for shuffle segment files and chained intermediates "
         "(default: system temp); implies the out-of-core shuffle",
     )
-    spill_codec: str = knob(
-        "none", "--spill-codec", "REPRO_SPILL_CODEC", choices=tuple(SEGMENT_CODECS),
-        help="compress spilled segment payloads on disk (implies the out-of-core "
-        "shuffle); accounted shuffle bytes stay the uncompressed sizes",
-    )
     task_timeout: float | None = knob(
         None, "--task-timeout", None, type=float,
         help="absolute per-task deadline in seconds; a task running longer gets a "
@@ -317,11 +311,7 @@ class JoinConfig:
     @property
     def out_of_core(self) -> bool:
         """Whether the join runs its shuffle (and DFS chunks) on disk."""
-        return (
-            self.memory_budget is not None
-            or self.spill_dir is not None
-            or self.spill_codec != "none"
-        )
+        return self.memory_budget is not None or self.spill_dir is not None
 
     def with_changes(self, **kwargs) -> "JoinConfig":
         """A copy with some fields replaced (sweep helper).
@@ -345,8 +335,8 @@ class JoinConfig:
         as a context manager, so executors it constructs (including
         persistent pools) are torn down when the join finishes; a
         ``shared_executor`` is reused as-is and stays open for the caller.
-        The runtime itself turns any of the three out-of-core knobs into the
-        ``spill`` shuffle backend.
+        The runtime itself turns either out-of-core knob into the ``spill``
+        shuffle backend.
         """
         return LocalRuntime(
             fault_injector=self.chaos,
@@ -355,7 +345,6 @@ class JoinConfig:
             executor=self.shared_executor,
             memory_budget=self.memory_budget,
             spill_dir=self.spill_dir,
-            spill_codec=self.spill_codec,
             task_timeout=self.task_timeout,
         )
 

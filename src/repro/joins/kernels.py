@@ -283,13 +283,13 @@ def local_thetas(
 ) -> dict[int, float]:
     """Algorithm 1 over a reducer's local S blocks, for every R cell present.
 
-    Used by PBJ and the closest-pairs operator, whose reducers see only a
-    random ``1/sqrt(N)`` slice of S: the theta bound must be recomputed from
-    what is present — :func:`~repro.core.bounds.theta_bounds` over the local
-    ``U`` of each R cell and the k nearest-to-pivot objects of each S cell
-    (the blocks are pivot-distance sorted).  Every cell gets ``inf`` when the
-    local S holds fewer than k objects (the merge job resolves such partial
-    candidate lists).
+    Used by PBJ, whose reducers see only a random ``1/sqrt(N)`` slice of S:
+    the theta bound must be recomputed from what is present —
+    :func:`~repro.core.bounds.theta_bounds` over the local ``U`` of each R
+    cell and the k nearest-to-pivot objects of each S cell (the blocks are
+    pivot-distance sorted).  Every cell gets ``inf`` when the local S holds
+    fewer than k objects (the merge job resolves such partial candidate
+    lists).
     """
     if sum(len(block) for block in s_blocks.values()) < k:
         return dict.fromkeys(r_blocks, math.inf)
@@ -307,7 +307,7 @@ def cell_pair_ranges(num_cells: int, mids, radius, offsets):
     over all the cell's members (``mids``/``radius`` decoded S objects,
     ``offsets`` their cells' bounds).  ``(columns, lo, hi)`` as
     :func:`admitted_pair_ranges` returns them, ``columns`` a broadcast
-    view: PBJ's and the closest-pairs operator's rule 5."""
+    view: PBJ's rule 5."""
     lo, hi = anchor_ranges(mids, radius, offsets)
     return np.broadcast_to(np.arange(lo.shape[1]), (num_cells, lo.shape[1])), lo, hi
 

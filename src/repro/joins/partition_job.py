@@ -16,9 +16,8 @@ That is what lets the plan layer content-key this stage and share one
 partitioning run across a whole k-sweep
 (:class:`~repro.mapreduce.plan.PlanCache`).
 
-PGBJ, PBJ and the closest-pairs operator all run this job (via
-:func:`partition_stage` in their plans); H-BRJ does not (it needs no
-partitioning).
+PGBJ and PBJ both run this job (via :func:`partition_stage` in their
+plans); H-BRJ does not (it needs no partitioning).
 """
 
 from __future__ import annotations
@@ -208,8 +207,8 @@ def partition_stage_key(r: Dataset, s: Dataset, config: JoinConfig, num_pivots: 
     that reaches pivot selection or the job itself is pinned.  ``k`` is deliberately
     absent (see module docstring), which is exactly what makes the paper's
     Figure 8/9 "effect of k" sweeps reuse one partitioning run — and since
-    PGBJ, PBJ and closest-pairs build the identical job from the same
-    inputs, the prefix is even shared *across algorithms*.  The code version
+    PGBJ and PBJ build the identical job from the same inputs, the prefix is
+    even shared *across algorithms*.  The code version
     is :data:`~repro.joins.registry.RESULTS_VERSION`.
     """
     from . import registry  # local: registry imports drivers' peers

@@ -65,9 +65,8 @@ class JoinPlan:
     """One join, planned: its stage graph and how to read the result.
 
     ``assemble`` receives the completed :class:`~repro.mapreduce.plan.PlanRun`
-    and builds the outcome object (a :class:`~repro.joins.base.JoinOutcome`
-    for the kNN joins, the operator-specific outcome otherwise); it holds
-    the plan's stage handles in its closure.  The graph's ``resources`` (DFS
+    and builds the :class:`~repro.joins.base.JoinOutcome`; it holds the
+    plan's stage handles in its closure.  The graph's ``resources`` (DFS
     instances staging chained intermediates) are held open for exactly the
     execution's duration.  ``identity`` is the :func:`plan_identity` digest
     the plan cache files keyless stages under, stamped by :func:`plan_join`
@@ -82,21 +81,15 @@ class JoinPlan:
 
 @dataclass(frozen=True)
 class JoinSpec:
-    """Registry row for one algorithm.
-
-    ``kind`` distinguishes the exact/approximate kNN joins (``"knn"`` —
-    uniform ``plan(r, s, config)`` signature and a ``JoinOutcome``) from the
-    related operators (``"operator"`` — closest pairs, range selection),
-    whose planners take extra keyword arguments and return their own outcome
-    types.  The CLI lists kind ``"knn"``.  ``pivots_from_r`` marks a join
-    whose plan draws ``config.num_pivots`` pivots from R, so the boundary
-    check refuses a count above |R|.
+    """Registry row for one kNN join: ``plan(r, s, config)`` builds its
+    :class:`JoinPlan`.  ``pivots_from_r`` marks a join whose plan draws
+    ``config.num_pivots`` pivots from R, so the boundary check refuses a
+    count above |R|.
     """
 
     name: str
     config_class: type[JoinConfig]
-    plan: Callable[..., JoinPlan]
-    kind: str = "knn"
+    plan: Callable[[Dataset, Dataset, JoinConfig], JoinPlan]
     summary: str = ""
     pivots_from_r: bool = False
 
@@ -155,11 +148,9 @@ def get_join(name: str) -> JoinSpec:
         ) from None
 
 
-def available_joins(kind: str | None = None) -> tuple[str, ...]:
-    """Registered algorithm names (optionally one kind), sorted."""
-    return tuple(
-        sorted(name for name, spec in JOINS.items() if kind is None or spec.kind == kind)
-    )
+def available_joins() -> tuple[str, ...]:
+    """Registered algorithm names, sorted."""
+    return tuple(sorted(JOINS))
 
 
 def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
@@ -198,16 +189,14 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 RESULTS_VERSION = 20
 
 
-def plan_identity(
-    name: str, r: Dataset, s: Dataset, config: JoinConfig, extra: dict[str, Any]
-) -> str:
+def plan_identity(name: str, r: Dataset, s: Dataset, config: JoinConfig) -> str:
     """Digest of everything a plan's stage results can depend on: the code
     (:data:`RESULTS_VERSION`), the join, both datasets by content and whether
-    they are one object (a self-join assigns each object once), the
-    planner's extra arguments and *every* comparing config field but
-    ``plan_cache_dir`` itself — not a hand-picked "semantic" subset, so a new
-    knob cannot be forgotten (the price: changing an execution-only knob
-    between a kill and its resume re-runs the keyless stages)."""
+    they are one object (a self-join assigns each object once), and *every*
+    comparing config field but ``plan_cache_dir`` itself — not a hand-picked
+    "semantic" subset, so a new knob cannot be forgotten (the price: changing
+    an execution-only knob between a kill and its resume re-runs the keyless
+    stages)."""
     knobs = [
         (spec.name, repr(getattr(config, spec.name)))
         for spec in dataclass_fields(config)
@@ -221,7 +210,6 @@ def plan_identity(
         r is s,
         type(config).__name__,
         knobs,
-        sorted((key, repr(value)) for key, value in extra.items()),
     )
     return hashlib.sha1(repr(identity).encode()).hexdigest()
 
@@ -236,28 +224,26 @@ def _checked(
     check_join_inputs(
         r,
         s,
-        config.k if spec.kind == "knn" else None,
+        config.k,
         num_pivots=config.num_pivots if spec.pivots_from_r else None,
     )
     return spec, config
 
 
-def _build_plan(
-    spec: JoinSpec, r: Dataset, s: Dataset, config: JoinConfig, extra: dict[str, Any]
-) -> JoinPlan:
-    plan = spec.plan(r, s, config, **extra)
+def _build_plan(spec: JoinSpec, r: Dataset, s: Dataset, config: JoinConfig) -> JoinPlan:
+    plan = spec.plan(r, s, config)
     if config.caches_stages:
-        plan.identity = plan_identity(spec.name, r, s, config, extra)
+        plan.identity = plan_identity(spec.name, r, s, config)
     return plan
 
 
 def plan_join(
-    name: str, r: Dataset, s: Dataset, config: JoinConfig | None = None, **extra
+    name: str, r: Dataset, s: Dataset, config: JoinConfig | None = None
 ) -> JoinPlan:
     """Build (without executing) the named join's plan; run it with
     :func:`execute_join_plan`."""
     spec, config = _checked(name, r, s, config)
-    return _build_plan(spec, r, s, config, extra)
+    return _build_plan(spec, r, s, config)
 
 
 def _plan_cache_for(config: JoinConfig) -> PlanCache | None:
@@ -293,16 +279,13 @@ def execute_join_plan(plan: JoinPlan, config: JoinConfig) -> Any:
 
 
 def run_join(
-    name: str, r: Dataset, s: Dataset, config: JoinConfig | None = None, **extra
+    name: str, r: Dataset, s: Dataset, config: JoinConfig | None = None
 ) -> Any:
     """Plan and execute one join; returns its outcome object.
 
     The uniform entry point for every registered algorithm::
 
         outcome = run_join("pgbj", r, s, PgbjConfig(k=10, num_pivots=64))
-
-    Operator-kind joins take their extra arguments as keywords (e.g.
-    ``run_join("range-selection", dataset, queries, config, theta=0.2)``).
     """
     spec, config = _checked(name, r, s, config)
-    return execute_join_plan(_build_plan(spec, r, s, config, extra), config)
+    return execute_join_plan(_build_plan(spec, r, s, config), config)

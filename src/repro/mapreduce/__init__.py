@@ -49,11 +49,9 @@ from .serialization import (
 from .shuffle import (
     DEFAULT_MERGE_FAN_IN,
     DEFAULT_SHUFFLE,
-    SEGMENT_CODECS,
     InMemoryShuffleStore,
     MapManifest,
     Segment,
-    SegmentCodec,
     SegmentIntegrityError,
     SegmentLost,
     ShuffleStore,
@@ -63,7 +61,6 @@ from .shuffle import (
     iter_segment,
     merged_segment_groups,
     planned_merge_passes,
-    resolve_segment_codec,
     write_segment,
 )
 from .splits import (
@@ -126,9 +123,6 @@ __all__ = [
     "SegmentLost",
     "get_shuffle_store",
     "available_shuffle_backends",
-    "SegmentCodec",
-    "SEGMENT_CODECS",
-    "resolve_segment_codec",
     "DEFAULT_SHUFFLE",
     "write_segment",
     "iter_segment",

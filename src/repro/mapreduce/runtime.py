@@ -127,10 +127,6 @@ class JobResult:
     counters: Counters
     stats: JobStats
 
-    def output_values(self) -> list[Any]:
-        """Just the values of the job output, in emission order."""
-        return [value for _, value in self.outputs]
-
 
 # -- task specs and attempt outcomes (cross the engine boundary; picklable) ----
 
@@ -417,11 +413,9 @@ class LocalRuntime:
     ``shuffle`` selects the shuffle backend by name (``memory``, the
     historical default, or the out-of-core ``spill``) or accepts a ready
     :class:`~repro.mapreduce.shuffle.ShuffleStore`.  Setting ``memory_budget``
-    (bytes of buffered map output per task before a spill run), ``spill_dir``,
-    or a non-``"none"`` ``spill_codec`` (segment value-payload compression,
-    see :data:`~repro.mapreduce.shuffle.SEGMENT_CODECS`) implies ``spill``.
-    Both backends produce bit-identical results and accounting under every
-    engine and codec.
+    (bytes of buffered map output per task before a spill run) or
+    ``spill_dir`` implies ``spill``.  Both backends produce bit-identical
+    results and accounting under every engine.
 
     Fault-tolerance knobs: ``fault_injector`` takes a seeded
     :class:`~repro.mapreduce.faults.ChaosPlan` (or an object answering its
@@ -455,7 +449,6 @@ class LocalRuntime:
         shuffle: str | ShuffleStore = DEFAULT_SHUFFLE,
         memory_budget: int | None = None,
         spill_dir: str | None = None,
-        spill_codec: str = "none",
         task_timeout: float | None = None,
         speculation: bool = True,
         speculation_factor: float = 4.0,
@@ -482,17 +475,10 @@ class LocalRuntime:
             self.shuffle_store = shuffle
         else:
             backend = shuffle
-            if backend == DEFAULT_SHUFFLE and (
-                memory_budget is not None
-                or spill_dir is not None
-                or spill_codec != "none"
-            ):
+            if backend == DEFAULT_SHUFFLE and (memory_budget is not None or spill_dir is not None):
                 backend = "spill"  # the knobs only mean something out-of-core
             self.shuffle_store = get_shuffle_store(
-                backend,
-                memory_budget=memory_budget,
-                spill_dir=spill_dir,
-                codec=spill_codec,
+                backend, memory_budget=memory_budget, spill_dir=spill_dir
             )
 
     @property

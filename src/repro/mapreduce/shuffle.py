@@ -61,7 +61,6 @@ import zlib
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -94,10 +93,6 @@ __all__ = [
     "planned_merge_passes",
     "get_shuffle_store",
     "available_shuffle_backends",
-    "SegmentCodec",
-    "SEGMENT_CODECS",
-    "read_segment_codec",
-    "resolve_segment_codec",
     "DEFAULT_SHUFFLE",
     "DEFAULT_MERGE_FAN_IN",
 ]
@@ -117,16 +112,14 @@ DEFAULT_SHUFFLE = "memory"
 #
 # ``value_tag`` selects the payload encoding: 0 is a pickle, anything else the
 # ``wire_tag`` of a columnar block type and its wire format.  The header's
-# ``codec`` byte names the compression applied to every *value payload* in
-# the file (keys stay uncompressed — they are tiny and the merge touches
-# them constantly); ``value_len`` is the on-disk (compressed) length.  The
+# ``codec`` byte is always 0 (payloads stored as encoded); a file carrying
+# any other id — 1 was zlib, now retired — is refused.  The
 # record_count/accounted_bytes totals are the segment's exact contribution
-# to the job's shuffle accounting — readable without touching any entry, and
-# always measured on the UNCOMPRESSED representation so accounting is
-# codec-invariant.  Each entry carries its own (map task, emission seq)
-# provenance, so a run produced by an *intermediate merge* of many map-task
-# runs (the bounded-fan-in external merge) stays totally ordered by the same
-# key the original runs were.
+# to the job's shuffle accounting — readable without touching any entry.
+# Each entry carries its own (map task, emission seq) provenance, so a run
+# produced by an *intermediate merge* of many map-task runs (the
+# bounded-fan-in external merge) stays totally ordered by the same key the
+# original runs were.
 #
 # Version 3 added the per-entry ``crc32`` — zlib.crc32 over the entry body
 # (key pickle + on-disk value payload) — so a reader detects bit rot and
@@ -137,6 +130,7 @@ DEFAULT_SHUFFLE = "memory"
 
 _SEGMENT_MAGIC = b"SSEG"
 _SEGMENT_VERSION = 3
+_SEGMENT_CODEC = 0
 _SEGMENT_HEADER = struct.Struct("<4sHBIQQ")
 _ENTRY_HEADER = struct.Struct("<IIIIBI")
 _VALUE_PICKLE = 0
@@ -193,49 +187,6 @@ def _rebuild_segment_lost(message, path, task_index, reducer, checksum):
     )
 
 
-# -- value-payload compression codecs ------------------------------------------
-
-
-@dataclass(frozen=True)
-class SegmentCodec:
-    """One value-payload compression scheme for segment files.
-
-    Both codecs ride on the stdlib, so a config that names one always runs.
-    ``wire_id`` is the codec byte written into segment headers — append-only,
-    never renumbered (ids 2 and 3 are retired), so files stay
-    self-describing.
-    """
-
-    name: str
-    wire_id: int
-    compress: Callable[[bytes], bytes]
-    decompress: Callable[[bytes], bytes]
-
-
-def _stored(payload: bytes) -> bytes:
-    return payload
-
-
-#: codec name -> descriptor; iteration order is the documented listing order
-SEGMENT_CODECS: dict[str, SegmentCodec] = {
-    "none": SegmentCodec("none", 0, _stored, _stored),
-    "zlib": SegmentCodec("zlib", 1, partial(zlib.compress, level=6), zlib.decompress),
-}
-
-_CODECS_BY_ID = {codec.wire_id: codec for codec in SEGMENT_CODECS.values()}
-
-
-def resolve_segment_codec(name: str) -> SegmentCodec:
-    """Look up a codec by name, rejecting unknown ones."""
-    try:
-        return SEGMENT_CODECS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown segment codec {name!r}; "
-            f"available: {', '.join(SEGMENT_CODECS)}"
-        ) from None
-
-
 #: maximum runs one k-way merge reads at once — more runs than this are
 #: first combined by intermediate merge passes (Hadoop's io.sort.factor);
 #: an unbounded fan-in would hold one open file per run and exhaust the
@@ -253,7 +204,6 @@ class Segment:
     records: int  # logical records (blocks weigh their rows)
     accounted_bytes: int  # exact shuffle-bytes contribution (estimate_bytes)
     file_bytes: int  # actual bytes on disk (spill counter)
-    codec: str = "none"  # value-payload compression (SEGMENT_CODECS name)
     #: index of the producing map task, the recovery handle: when this
     #: segment is lost the scheduler re-runs exactly that task.  -1 marks
     #: runs with no single producer (intermediate merge runs, checkpoints).
@@ -296,7 +246,6 @@ def write_segment(
     path: str | Path,
     reducer: int,
     entries,
-    codec: str = "none",
     task_index: int = -1,
 ) -> Segment:
     """Write one sorted run to ``path``, streaming, and return its descriptor.
@@ -307,29 +256,20 @@ def write_segment(
     spilling is where memory is scarce by definition), with the header
     totals patched in afterwards so accounting never needs the file re-read.
     Each entry's body is protected by a CRC32 stored in its entry header.
-
-    ``codec`` compresses each value payload (see :data:`SEGMENT_CODECS`);
-    ``accounted_bytes`` rows are recorded verbatim, so shuffle accounting
-    stays identical across codecs while ``file_bytes`` shrinks.
     ``task_index`` stamps the descriptor with the producing map task (the
     recovery handle); leave it at -1 for runs without a single producer.
     """
     path = Path(path)
-    segment_codec = resolve_segment_codec(codec)
-    compress = segment_codec.compress
     entry_count = 0
     records = 0
     accounted = 0
     with open(path, "wb") as stream:
         stream.write(
-            _SEGMENT_HEADER.pack(
-                _SEGMENT_MAGIC, _SEGMENT_VERSION, segment_codec.wire_id, 0, 0, 0
-            )
+            _SEGMENT_HEADER.pack(_SEGMENT_MAGIC, _SEGMENT_VERSION, _SEGMENT_CODEC, 0, 0, 0)
         )
         for task, seq, key, value, row_records, row_accounted in entries:
             key_blob = pickle.dumps(key, protocol=pickle.HIGHEST_PROTOCOL)
             tag, value_blob = _encode_value(value)
-            value_blob = compress(value_blob)
             crc = zlib.crc32(value_blob, zlib.crc32(key_blob))
             stream.write(
                 _ENTRY_HEADER.pack(
@@ -347,7 +287,7 @@ def write_segment(
             _SEGMENT_HEADER.pack(
                 _SEGMENT_MAGIC,
                 _SEGMENT_VERSION,
-                segment_codec.wire_id,
+                _SEGMENT_CODEC,
                 entry_count,
                 records,
                 accounted,
@@ -360,15 +300,12 @@ def write_segment(
         records=records,
         accounted_bytes=accounted,
         file_bytes=file_bytes,
-        codec=segment_codec.name,
         task_index=task_index,
     )
 
 
-def _parse_header(
-    path: str | Path, header: bytes
-) -> tuple[SegmentCodec, int, int, int]:
-    """``(codec, entries, records, accounted_bytes)`` from the header bytes."""
+def _parse_header(path: str | Path, header: bytes) -> tuple[int, int, int]:
+    """``(entries, records, accounted_bytes)`` from the header bytes."""
     if len(header) < _SEGMENT_HEADER.size:
         raise _truncated(path, _SEGMENT_HEADER.size, len(header), "the header")
     magic, version, codec_id, entries, records, accounted = (
@@ -380,30 +317,15 @@ def _parse_header(
         raise ValueError(
             f"segment file {path} has version {version}, expected {_SEGMENT_VERSION}"
         )
-    codec = _CODECS_BY_ID.get(codec_id)
-    if codec is None:
-        raise ValueError(
-            f"segment file {path} uses unknown codec id {codec_id}; "
-            f"known: {', '.join(SEGMENT_CODECS)}"
-        )
-    return codec, entries, records, accounted
-
-
-def _read_raw_header(path: str | Path) -> tuple[SegmentCodec, int, int, int]:
-    with open(path, "rb") as stream:
-        return _parse_header(path, stream.read(_SEGMENT_HEADER.size))
+    if codec_id != _SEGMENT_CODEC:
+        raise ValueError(f"segment file {path} uses unknown codec id {codec_id}; known: none")
+    return entries, records, accounted
 
 
 def read_segment_header(path: str | Path) -> tuple[int, int, int]:
     """``(entries, records, accounted_bytes)`` from the header."""
-    _, entries, records, accounted = _read_raw_header(path)
-    return entries, records, accounted
-
-
-def read_segment_codec(path: str | Path) -> str:
-    """The codec name a segment file's value payloads are compressed with."""
-    codec, _, _, _ = _read_raw_header(path)
-    return codec.name
+    with open(path, "rb") as stream:
+        return _parse_header(path, stream.read(_SEGMENT_HEADER.size))
 
 
 def iter_segment(path: str | Path) -> Iterator[tuple[int, int, Any, Any]]:
@@ -413,15 +335,12 @@ def iter_segment(path: str | Path) -> Iterator[tuple[int, int, Any, Any]]:
     path and the expected-vs-actual byte counts; trailing bytes after the
     declared entries (e.g. two segments concatenated) raise too.  Each
     entry's CRC32 is checked against its body before anything is decoded
-    (a mismatch raises :class:`SegmentIntegrityError`).  Value payload
-    decompression and decode errors are re-raised as ``ValueError`` with the
-    segment path and entry index attached.
+    (a mismatch raises :class:`SegmentIntegrityError`).  Value payload decode
+    errors are re-raised as ``ValueError`` with the segment path and entry
+    index attached.
     """
     with open(path, "rb") as stream:
-        codec, declared, _, _ = _parse_header(
-            path, stream.read(_SEGMENT_HEADER.size)
-        )
-        decompress = codec.decompress
+        declared, _, _ = _parse_header(path, stream.read(_SEGMENT_HEADER.size))
         for index in range(declared):
             header = stream.read(_ENTRY_HEADER.size)
             if len(header) < _ENTRY_HEADER.size:
@@ -441,14 +360,6 @@ def iter_segment(path: str | Path) -> Iterator[tuple[int, int, Any, Any]]:
                 raise SegmentIntegrityError(str(path), index, crc, actual)
             key = pickle.loads(body[:key_len])
             payload = body[key_len:]
-            try:
-                payload = decompress(payload)
-            except Exception as error:
-                raise ValueError(
-                    f"segment file {path}, entry {index}/{declared}: "
-                    f"{codec.name} decompression failed ({error}) — "
-                    "corrupt or truncated payload"
-                ) from error
             if tag == _VALUE_PICKLE:
                 value = pickle.loads(payload)
             else:
@@ -543,7 +454,6 @@ class SpillSpec:
     budget: int | None  # buffered estimate_bytes before a flush; None = one run
     task_index: int
     task_id: str
-    codec: str = "none"  # value-payload compression for the spilled runs
 
 
 class SpillMapWriter:
@@ -630,7 +540,6 @@ class SpillMapWriter:
                     path,
                     reducer,
                     ((task, *row) for row in buffer),
-                    codec=self._spec.codec,
                     task_index=task,
                 )
             )
@@ -721,7 +630,6 @@ def _merge_runs(
                     (task, seq, key, value, record_count(value), 0)
                     for _, task, seq, key, value in merged
                 ),
-                codec=batch[0].codec,  # intermediate runs keep the input codec
             )
         )
         passes += 1
@@ -888,11 +796,9 @@ class InMemoryShuffleStore(ShuffleStore):
         self,
         memory_budget: int | None = None,
         spill_dir: str | None = None,
-        codec: str = "none",
     ) -> None:
         # knobs accepted for interface uniformity; nothing ever spills
         del memory_budget, spill_dir
-        resolve_segment_codec(codec)  # still reject bad names early
 
     def plan_reduce(self, job, map_results, stats) -> list[ReduceInput]:
         buckets: list[dict[Any, list[Any]]] = [{} for _ in range(job.num_reducers)]
@@ -936,10 +842,7 @@ class SpillShuffleStore(ShuffleStore):
     *shuffle* (nothing is bucketed in the scheduler, and process workers ship
     manifests instead of data).  ``spill_dir`` hosts the store's private
     directory (a fresh ``mkdtemp`` under it, or under the system temp dir);
-    :meth:`close` removes everything the store wrote.  ``codec`` compresses
-    the spilled value payloads (:data:`SEGMENT_CODECS`) — shuffle accounting
-    is measured before compression, so the records/bytes counters are
-    identical across codecs while the on-disk ``spill_bytes`` shrink.
+    :meth:`close` removes everything the store wrote.
     """
 
     name = "spill"
@@ -949,7 +852,6 @@ class SpillShuffleStore(ShuffleStore):
         memory_budget: int | None = None,
         spill_dir: str | None = None,
         merge_fan_in: int = DEFAULT_MERGE_FAN_IN,
-        codec: str = "none",
     ) -> None:
         if memory_budget is not None and memory_budget < 0:
             raise ValueError("memory_budget must be >= 0 (or None)")
@@ -957,7 +859,6 @@ class SpillShuffleStore(ShuffleStore):
             raise ValueError("merge_fan_in must be >= 2")
         self.memory_budget = memory_budget
         self.merge_fan_in = merge_fan_in
-        self.codec = resolve_segment_codec(codec).name
         self._scratch = OwnedScratchDir(prefix="repro-shuffle-", parent=spill_dir)
         self._job_counter = 0
         #: guards the job counter and lazy scratch creation — a store handed
@@ -989,7 +890,6 @@ class SpillShuffleStore(ShuffleStore):
             budget=self.memory_budget,
             task_index=task_index,
             task_id=task_id,
-            codec=self.codec,
         )
 
     def plan_reduce(self, job, map_results, stats) -> list[ReduceInput]:
@@ -1060,7 +960,6 @@ def get_shuffle_store(
     backend: str = DEFAULT_SHUFFLE,
     memory_budget: int | None = None,
     spill_dir: str | None = None,
-    codec: str = "none",
 ) -> ShuffleStore:
     """Resolve a backend name into a ready store instance.
 
@@ -1074,4 +973,4 @@ def get_shuffle_store(
             f"unknown shuffle backend {backend!r}; "
             f"available: {', '.join(available_shuffle_backends())}"
         ) from None
-    return store_class(memory_budget=memory_budget, spill_dir=spill_dir, codec=codec)
+    return store_class(memory_budget=memory_budget, spill_dir=spill_dir)

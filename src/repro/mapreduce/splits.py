@@ -7,10 +7,10 @@ coordinates and ids too unless the join ships them narrower, in the one
 dtype each that :func:`coordinate_dtype` and :func:`id_dtype` pick for R and
 S (Forest's integers travel as int16, its ids as int16 at the benchmark's
 sizes) — and the split pickles as those row slices; :func:`self_join_splits`
-is its self-join form, which hands out each object once,
-:func:`join_splits` the one of the two a join over ``R`` and ``S`` reads, and
-:func:`dataset_block` one dataset as one block.  :func:`cell_dtype` is the
-width of the cell ids a partitioner of ``M`` cells writes.
+is its self-join form, which hands out each object once, and
+:func:`join_splits` the one of the two a join over ``R`` and ``S`` reads.
+:func:`cell_dtype` is the width of the cell ids a partitioner of ``M`` cells
+writes.
 :func:`split_records` chunks an already materialized pair list (chained
 intermediates, tests) in place.
 """
@@ -38,7 +38,6 @@ from .types import (
 __all__ = [
     "cell_dtype",
     "coordinate_dtype",
-    "dataset_block",
     "dataset_splits",
     "id_dtype",
     "join_splits",
@@ -217,12 +216,6 @@ def join_splits(r: Dataset, s: Dataset, split_size: int) -> list[InputSplit]:
     """The first job's input: each object once, in both roles, when ``r is s``
     (:func:`self_join_splits`), else ``R`` then ``S`` (:func:`dataset_splits`)."""
     return self_join_splits(r, split_size) if r is s else dataset_splits(r, s, split_size)
-
-
-def dataset_block(dataset: Dataset, role: int) -> RecordBlock:
-    """All of ``dataset`` as one block of ``role`` rows, in the dtypes a join
-    over it alone ships (an operator's input that is not split by objects)."""
-    return _rows(dataset, _dtypes(dataset), role, 0, len(dataset))
 
 
 def _rows(dataset: Dataset, dtypes: tuple, role: int, a: int, b: int) -> RecordBlock:

@@ -13,15 +13,15 @@ from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from benchmarks.e2e.layers import install_spans, traced_join
 from benchmarks.e2e.spans import Patcher, Recorder
-from benchmarks.e2e.workloads import COMMON_KNOBS
+from benchmarks.e2e.workloads import COMMON_KNOBS, WORKLOADS
 from repro.core import Dataset
 from repro.joins import (
     PgbjConfig,
     ZOrderConfig,
-    get_join,
     kernel_providers,
     plan_join,
     run_join,
@@ -77,17 +77,21 @@ def test_traced_join_attributes_distances_inside_the_kernel():
     assert spans.total("kernels.distance", under="kernels.knn_join") > 0
 
 
-def test_the_frozen_harness_shims_still_run_a_join():
-    """The harness builds its configs from ``COMMON_KNOBS`` (retired keywords
-    included), reads ``config.plan_concurrency`` and hands ``PlanScheduler``
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda workload: workload.name)
+def test_the_frozen_harness_shims_still_run_a_join(workload, tmp_path):
+    """The harness builds every workload's config from ``COMMON_KNOBS``
+    (retired keywords such as ``spill_codec`` included, which ``make_config``
+    drops), reads ``config.plan_concurrency`` and hands ``PlanScheduler``
     ``concurrent=`` and ``checkpoint_dir=None``.  The ``ClassVar`` and the two
     scheduler keywords are owed to it until it is re-frozen: they must keep
     running a join exactly as ``run_join`` does."""
-    config = get_join("pgbj").make_config(**COMMON_KNOBS)
+    config = workload.config(0.02, str(tmp_path))
     assert config.plan_concurrency is True
-    assert "plan_concurrency" not in {spec.name for spec in fields(config)}
+    names = {spec.name for spec in fields(config)}
+    assert "spill_codec" in COMMON_KNOBS and "spill_codec" not in names
+    assert "plan_concurrency" not in names
     r = Dataset(np.random.default_rng(5).random((200, 3)), name="d")
-    plan = plan_join("pgbj", r, r, config)
+    plan = plan_join(workload.join, r, r, config)
     with ExitStack() as stack:
         runtime = stack.enter_context(config.make_runtime())
         for held in plan.graph.resources:
@@ -96,5 +100,5 @@ def test_the_frozen_harness_shims_still_run_a_join():
             runtime, cache=None, concurrent=config.plan_concurrency, checkpoint_dir=None
         ).execute(plan.graph)
     assert outcome_fingerprint(plan.assemble(run)) == outcome_fingerprint(
-        run_join("pgbj", r, r, config)
+        run_join(workload.join, r, r, config)
     )

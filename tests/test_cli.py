@@ -49,21 +49,10 @@ class TestJoin:
         line = next(l for l in out.splitlines() if "join output pairs" in l)
         assert int(line.split(":")[1]) == 2 * 200
 
-    def test_join_spill_codec_flag(self, capsys):
-        code = main(
-            ["join", "--objects", "200", "--k", "2", "--num-reducers", "2",
-             "--num-pivots", "6", "--spill-codec", "zlib"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "spill codec          : zlib" in out
-        assert "spill activity" in out  # the codec implied the spill backend
-
-    def test_spill_codec_hidden_when_off(self, capsys, monkeypatch):
-        monkeypatch.delenv("REPRO_SPILL_CODEC", raising=False)
-        main(["join", "--objects", "200", "--k", "2", "--num-reducers", "2",
-              "--num-pivots", "6"])
-        assert "spill codec" not in capsys.readouterr().out
+    def test_a_deleted_operator_is_an_unknown_algorithm(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["join", "--algorithm", "ijoin"])
+        assert "invalid choice: 'ijoin'" in capsys.readouterr().err
 
 
 class TestOneKernel:

@@ -134,17 +134,12 @@ def test_segment_roundtrip_keeps_int16(tmp_path):
 
 def test_spilled_int16_join_equals_the_in_memory_one():
     # an integral world ships int16 blocks; every job spills under budget 0
-    # (on the engine a CI leg names, with its segment codec)
+    # (on the engine a CI leg names)
     rng = np.random.default_rng(4)
     data = Dataset(rng.integers(-3000, 3000, size=(300, 4)).astype(float), name="ints")
-    env = knobs_from_env()
-    config = PgbjConfig(
-        k=4, num_pivots=12, num_reducers=3,
-        **{knob: env[knob] for knob in ("engine", "spill_codec") if knob in env},
-    )
-    memory = run_join(
-        "pgbj", data, data, config.with_changes(memory_budget=None, spill_codec="none")
-    )
+    engine = knobs_from_env().get("engine", "serial")
+    config = PgbjConfig(k=4, num_pivots=12, num_reducers=3, engine=engine)
+    memory = run_join("pgbj", data, data, config.with_changes(memory_budget=None))
     spilled = run_join("pgbj", data, data, config.with_changes(memory_budget=0))
     assert spilled.spill_segments() > 0
     assert memory.spill_segments() == 0

@@ -106,7 +106,7 @@ class TestKernelWidening:
 
 #: rung -> largest magnitude of its world's coordinates
 EXTREMES = {INT8: 127, INT16: 32767, INT32: 2**31 - 1}
-KNN_JOINS = available_joins(kind="knn")
+KNN_JOINS = available_joins()
 
 
 def extreme_world(rung, seed: int, rows: int = 48, dims: int = 3) -> Dataset:
@@ -158,15 +158,6 @@ class TestOverflowSafety:
             rows = 0 if stage.endswith("/merge") else wide_stats.shuffle_records
             assert wide_stats.shuffle_bytes - narrow_stats.shuffle_bytes == rows * saved, stage
         assert narrow.shuffle_bytes() < wide.shuffle_bytes()
-
-    def test_closest_pairs_equal_its_float64_run(self, rung, metric, monkeypatch):
-        r, s = extreme_world(rung, 3), extreme_world(rung, 4)
-        narrow = run("closest-pairs", r, s, metric, monkeypatch, wide=False)
-        wide = run("closest-pairs", r, s, metric, monkeypatch, wide=True)
-        assert narrow.pairs == wide.pairs
-        assert narrow.distance_pairs == wide.distance_pairs
-        saved = wide.shuffle_bytes - narrow.shuffle_bytes
-        assert saved > 0 and saved % ((8 - rung.itemsize) * r.dimensions) == 0
 
     def test_self_join_equals_its_float64_run(self, rung, metric, monkeypatch):
         data = extreme_world(rung, 5)

@@ -447,6 +447,19 @@ class TestResumeStore:
         assert fresh and again.disk_hits == 0  # CRC catches it; the stage re-runs
         assert job_fingerprint(restored) == job_fingerprint(result)
 
+    def test_entry_with_the_retired_zlib_codec_id_is_a_miss(self, tmp_path):
+        cache = PlanCache(tmp_path)
+        result, _ = cache.compute(("a",), self.run_reference)
+        path = cache.path_for(("a",))
+        data = bytearray(path.read_bytes())
+        data[6] = 1  # the header's codec byte: 1 was zlib
+        path.write_bytes(bytes(data))
+        again = PlanCache(tmp_path)
+        restored, fresh = again.compute(("a",), self.run_reference)
+        assert fresh and again.disk_hits == 0  # refused by name; the stage re-runs
+        assert job_fingerprint(restored) == job_fingerprint(result)
+        assert path.read_bytes()[6] == 0  # and is stored again as written today
+
     def test_entry_for_other_key_is_ignored(self, tmp_path):
         cache = PlanCache(tmp_path)
         cache.compute(("chain", "x"), self.run_reference)
@@ -683,16 +696,14 @@ class TestResumeDirReuse:
 
         data = generate_forest(50, seed=1)
         base = PgbjConfig()
-        reference = plan_identity("pgbj", data, data, base, {})
-        assert plan_identity("pgbj", data, data, PgbjConfig(), {}) == reference
-        assert plan_identity("pbj", data, data, base, {}) != reference
-        assert plan_identity("pgbj", data, generate_forest(50, seed=2), base, {}) != reference
-        assert plan_identity("pgbj", data, data, base, {"theta": 0.5}) != reference
+        reference = plan_identity("pgbj", data, data, base)
+        assert plan_identity("pgbj", data, data, PgbjConfig()) == reference
+        assert plan_identity("pbj", data, data, base) != reference
+        assert plan_identity("pgbj", data, generate_forest(50, seed=2), base) != reference
         moved = {
             "k": 11, "num_reducers": 5, "metric_name": "l1", "seed": 8,
             "split_size": 100, "engine": "threads-pooled", "max_workers": 3,
-            "memory_budget": 64, "spill_dir": "/tmp/x", "spill_codec": "zlib",
-            "task_timeout": 9.0,
+            "memory_budget": 64, "spill_dir": "/tmp/x", "task_timeout": 9.0,
             "num_pivots": 65, "pivot_selection": "farthest", "grouping": "greedy",
             "pivot_sample_size": 100,
             "kmeans_iterations": 9, "use_hyperplane_pruning": False,
@@ -706,9 +717,9 @@ class TestResumeDirReuse:
         assert comparing == set(moved)  # a new knob must be added here too
         for name, value in moved.items():
             changed = base.with_changes(**{name: value})
-            assert plan_identity("pgbj", data, data, changed, {}) != reference, name
+            assert plan_identity("pgbj", data, data, changed) != reference, name
         assert (
-            plan_identity("pgbj", data, data, base.with_changes(plan_cache_dir="/d"), {})
+            plan_identity("pgbj", data, data, base.with_changes(plan_cache_dir="/d"))
             == reference
         )
 
@@ -787,11 +798,11 @@ class TestResumeDirReuse:
             if spec.compare and spec.name not in inherited
         }
         assert own == set(knobs)  # a new knob must be added here too
-        reference = plan_identity("x", data, data, base, {})
+        reference = plan_identity("x", data, data, base)
         for name, value in knobs.items():
             changed = base.with_changes(**{name: value})
             assert changed != base, name
-            assert plan_identity("x", data, data, changed, {}) != reference, name
+            assert plan_identity("x", data, data, changed) != reference, name
         config = config_class(**knobs)
         moved = config.with_changes(k=config.k + 1)
         assert type(moved) is config_class and moved.k == config.k + 1

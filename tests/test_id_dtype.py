@@ -211,7 +211,7 @@ def test_unknown_id_dtype_byte_is_refused(column, byte):
 
 #: rung -> largest magnitude of its world's ids
 EXTREMES = {INT8: 127, INT16: 32767, INT32: 2**31 - 1}
-KNN_JOINS = available_joins(kind="knn")
+KNN_JOINS = available_joins()
 
 
 def extreme_world(rung, seed: int, rows: int = 48) -> Dataset:

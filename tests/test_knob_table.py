@@ -94,15 +94,11 @@ def data():
     return generate_forest(200, seed=3)
 
 
-@pytest.fixture(scope="module")
-def queries():
-    return generate_forest(24, seed=8)
-
 
 @pytest.fixture(scope="module")
-def default_runs(data, queries):
+def default_runs(data):
     """Each join's fingerprint with every knob left at its default."""
-    return functools.cache(lambda name: fingerprint(run_one(name, data, queries)[0]))
+    return functools.cache(lambda name: fingerprint(run_one(name, data)[0]))
 
 
 @pytest.fixture(autouse=True)
@@ -112,29 +108,30 @@ def clean_environment(monkeypatch):
         monkeypatch.delenv(row.env, raising=False)
 
 
-def test_the_table_is_the_nine_knobs():
+def test_the_table_is_the_eight_knobs():
     # twelve until --no-plan-concurrency, --checkpoint-dir and --fuse-stages
     # (with REPRO_STAGE_FUSION) went with the concurrent scheduler, the
-    # checkpoint store and stage fusion: --plan-cache-dir resumes a join now
+    # checkpoint store and stage fusion: --plan-cache-dir resumes a join now;
+    # nine until --spill-codec (with REPRO_SPILL_CODEC) went with spill
+    # compression
     assert [row.flag for row in ROWS] == [
         "--engine", "--workers", "--memory-budget", "--spill-dir",
-        "--spill-codec", "--task-timeout",
-        "--plan-cache-dir", "--chaos-spec", "--chaos-seed",
+        "--task-timeout", "--plan-cache-dir", "--chaos-spec", "--chaos-seed",
     ]  # fmt: skip
     assert sorted(row.env for row in WITH_ENV) == [
         "REPRO_CHAOS", "REPRO_CHAOS_SEED", "REPRO_ENGINE",
-        "REPRO_MEMORY_BUDGET", "REPRO_PLAN_CACHE_DIR",
-        "REPRO_SPILL_CODEC", "REPRO_WORKERS",
+        "REPRO_MEMORY_BUDGET", "REPRO_PLAN_CACHE_DIR", "REPRO_WORKERS",
     ]  # fmt: skip
 
 
-#: the knobs retired with the concurrent scheduler, the checkpoint store and
-#: stage fusion: field -> (flag, a value the frozen benchmark harness or an
-#: old script could still pass)
+#: the knobs retired with the concurrent scheduler, the checkpoint store,
+#: stage fusion and spill compression: field -> (flag, a value the frozen
+#: benchmark harness or an old script could still pass)
 RETIRED = {
     "plan_concurrency": ("--no-plan-concurrency", False),
     "checkpoint_dir": ("--checkpoint-dir", "retired-checkpoints"),
     "stage_fusion": ("--fuse-stages", True),
+    "spill_codec": ("--spill-codec", "zlib"),
 }
 
 CONFIG_CLASSES = sorted({spec.config_class for spec in JOINS.values()}, key=lambda c: c.__name__)
@@ -143,8 +140,8 @@ CONFIG_CLASSES = sorted({spec.config_class for spec in JOINS.values()}, key=lamb
 class TestRetiredKnobs:
     """No flag, variable or config field spells a retired knob any more, and
     ``make_config`` — which the frozen benchmark harness still hands
-    ``stage_fusion`` and ``checkpoint_dir`` — drops each without moving a
-    result or writing a file."""
+    ``stage_fusion``, ``checkpoint_dir`` and ``spill_codec`` — drops each
+    without moving a result or writing a file."""
 
     @pytest.mark.parametrize("field", sorted(RETIRED))
     def test_flag_is_refused(self, field, capsys):
@@ -154,8 +151,9 @@ class TestRetiredKnobs:
             parse_join(*argv)
         assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
-    def test_stage_fusion_variable_is_not_read(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STAGE_FUSION", "1")
+    @pytest.mark.parametrize("variable", ("REPRO_STAGE_FUSION", "REPRO_SPILL_CODEC"))
+    def test_variable_is_not_read(self, variable, monkeypatch):
+        monkeypatch.setenv(variable, "zlib" if variable == "REPRO_SPILL_CODEC" else "1")
         assert knobs_from_env() == {}
         assert parse_join() == {}
 
@@ -169,11 +167,11 @@ class TestRetiredKnobs:
 
     @pytest.mark.parametrize("field", sorted(RETIRED))
     @pytest.mark.parametrize("name", sorted(available_joins()))
-    def test_make_config_drops_it(self, name, field, data, queries, default_runs, tmp_path):
+    def test_make_config_drops_it(self, name, field, data, default_runs, tmp_path):
         value = RETIRED[field][1]
         if field == "checkpoint_dir":
             value = str(tmp_path / value)
-        outcome, config = run_one(name, data, queries, **{field: value})
+        outcome, config = run_one(name, data, **{field: value})
         assert config == make_config(name)
         assert fingerprint(outcome) == default_runs(name)
         assert list(tmp_path.iterdir()) == []
@@ -208,13 +206,13 @@ class TestEveryRow:
                 assert knobs_from_env(environ) == {}
 
     @pytest.mark.parametrize("name", sorted(available_joins()))
-    def test_never_moves_a_result(self, row, name, data, queries, default_runs, tmp_path):
+    def test_never_moves_a_result(self, row, name, data, default_runs, tmp_path):
         owner = owner_of(row)
         argv = [] if owner is row else [owner.flag, spelled(owner, tmp_path)]
         argv += [row.flag] if row.is_switch else [row.flag, spelled(row, tmp_path)]
         knobs = parse_join(*argv)
         assert knobs  # the row is set, away from its default
-        outcome, _ = run_one(name, data, queries, **knobs)
+        outcome, _ = run_one(name, data, **knobs)
         assert fingerprint(outcome) == default_runs(name)
 
 
@@ -262,12 +260,11 @@ class TestOneVariableOneMeaning:
         assert "spill activity" in out
 
     def test_explicit_flag_wins(self, capsys, monkeypatch):
+        # the flag overrides its own variable; another variable still applies
         monkeypatch.setenv("REPRO_ENGINE", "threads-pooled")
-        monkeypatch.setenv("REPRO_SPILL_CODEC", "zlib")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
         assert cli.main([*self.ARGV, "--engine", "serial"]) == 0
-        out = capsys.readouterr().out
-        assert "engine               : serial" in out
-        assert "spill codec          : zlib" in out
+        assert "engine               : serial (2 workers)" in capsys.readouterr().out
 
     def test_chaos_seed_variable_reseeds_on_both_surfaces(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", CHAOS_SPEC)
@@ -349,7 +346,7 @@ class TestOneEdit:
 class TestStructure:
     def test_knn_planners_do_not_respell_the_plan_tail(self):
         # one knn_outcome_assembler and one merge_stage, in block_framework
-        for name in available_joins(kind="knn"):
+        for name in available_joins():
             source = inspect.getsource(sys.modules[get_join(name).plan.__module__])
             assert "JoinOutcome(" not in source, name
             assert "def build_merge" not in source, name
@@ -360,8 +357,7 @@ class TestStructure:
         assert repr(PgbjConfig()) == (
             "PgbjConfig(k=10, num_reducers=4, metric_name='l2', seed=7, split_size=4096, "
             "engine='serial', max_workers=None, memory_budget=None, spill_dir=None, "
-            "spill_codec='none', task_timeout=None, "
-            "plan_cache_dir=None, num_pivots=64, pivot_selection='random', "
+            "task_timeout=None, plan_cache_dir=None, num_pivots=64, pivot_selection='random', "
             "grouping='geometric', pivot_sample_size=8192, kmeans_iterations=8, "
             "use_hyperplane_pruning=True, use_ring_pruning=True, "
             "skew_split_threshold=0.0, skew_split_max_ways=4)"
@@ -406,10 +402,12 @@ class TestStructure:
         # z-order self-join's objects once per curve copy,
         # "3ddc86324120e1c594995b1916cee3cc62ef53a1"; version 20 swaps cells
         # between groups and ranges each (R cell, S cell) pair by its
-        # admitted objects)
+        # admitted objects, "f91cf7ccba88a02778f284b0b60706994d7f7851"; still
+        # version 20, the spill_codec field and the planner's extra arguments
+        # left the identity)
         assert (
-            plan_identity("pgbj", data, data, PgbjConfig(), {})
-            == "f91cf7ccba88a02778f284b0b60706994d7f7851"
+            plan_identity("pgbj", data, data, PgbjConfig())
+            == "b4c4f156812ecbfb06ea472d8ae3a573b40d52c0"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

@@ -188,7 +188,7 @@ class TestStageKeyCoversEveryField:
         return {
             "k": 7, "num_reducers": 5, "metric_name": "l1", "seed": 8, "split_size": 96,
             "engine": "processes-pooled", "max_workers": 1, "memory_budget": 2048,
-            "spill_dir": str(tmp_path / "spill"), "spill_codec": "zlib", "task_timeout": 600.0,
+            "spill_dir": str(tmp_path / "spill"), "task_timeout": 600.0,
             "plan_cache_dir": str(tmp_path / "plans"),
             "chaos": ChaosPlan.from_spec("crash:rate=0.5:attempt=1;seed=3"),
             "shared_executor": executor, "plan_cache": PlanCache(), "num_pivots": 30,

@@ -1,7 +1,7 @@
 """Plan execution equivalence: where a stage's result comes from must be
 invisible.
 
-The acceptance bar of the planner: all 8 joins run through ``JobGraph``
+The acceptance bar of the planner: all 5 joins run through ``JobGraph``
 plans, and cache-served stages (in memory or from the persistent plan
 cache) are **bit-identical** — results, ``pairs_computed``, shuffle
 records/bytes — to cold runs, on every engine and both shuffle backends.
@@ -45,16 +45,7 @@ from repro.joins.partition_job import partition_stage_key
 from repro.mapreduce import PersistentThreadExecutor, PlanCache
 from tests.test_engines import outcome_fingerprint
 
-ALL_JOINS = (
-    "pgbj",
-    "pbj",
-    "hbrj",
-    "ijoin",
-    "broadcast",
-    "zorder",
-    "closest-pairs",
-    "range-selection",
-)
+ALL_JOINS = ("pgbj", "pbj", "hbrj", "broadcast", "zorder")
 
 ENGINES = ("serial", "threads-pooled", "processes-pooled")
 
@@ -83,34 +74,12 @@ def make_config(name: str, **overrides) -> JoinConfig:
     return get_join(name).make_config(**params)
 
 
-def operator_fingerprint(outcome):
-    """Closest-pairs / range-selection outcomes, reduced to their facts."""
-    if hasattr(outcome, "pairs"):  # ClosestPairsOutcome
-        return {
-            "pairs": outcome.pairs,
-            "distance_pairs": outcome.distance_pairs,
-            "shuffle_bytes": outcome.shuffle_bytes,
-        }
-    return {  # RangeSelectionOutcome
-        "matches": outcome.matches,
-        "distance_pairs": outcome.distance_pairs,
-        "shuffle_records": outcome.shuffle_records,
-        "shuffle_bytes": outcome.shuffle_bytes,
-    }
+fingerprint = outcome_fingerprint
 
 
-def fingerprint(outcome):
-    if hasattr(outcome, "result"):
-        return outcome_fingerprint(outcome)
-    return operator_fingerprint(outcome)
-
-
-def run_one(name: str, data, queries, **config_overrides):
+def run_one(name: str, data, **config_overrides):
     config = make_config(name, **config_overrides)
-    extra = {}
-    if name == "range-selection":
-        return run_join(name, data, queries, config, theta=0.3), config
-    return run_join(name, data, data, config, **extra), config
+    return run_join(name, data, data, config), config
 
 
 def stage_facts(outcome):
@@ -140,16 +109,16 @@ class JobCounter:
         monkeypatch.setattr(LocalRuntime, "run", counting)
 
 
-def run_resumed(name, data, queries, directory, monkeypatch, stages_done, **overrides):
+def run_resumed(name, data, directory, monkeypatch, stages_done, **overrides):
     """Kill a join with ``plan_cache_dir=directory`` once ``stages_done`` jobs
     have finished, then run it again over the same directory; returns the
     resumed outcome and the number of jobs the resumed run executed."""
     JobCounter(monkeypatch, kill_after=stages_done)
     with pytest.raises(RuntimeError, match="simulated kill"):
-        run_one(name, data, queries, plan_cache_dir=str(directory), **overrides)
+        run_one(name, data, plan_cache_dir=str(directory), **overrides)
     monkeypatch.undo()
     resumed = JobCounter(monkeypatch)
-    outcome, _ = run_one(name, data, queries, plan_cache_dir=str(directory), **overrides)
+    outcome, _ = run_one(name, data, plan_cache_dir=str(directory), **overrides)
     monkeypatch.undo()
     return outcome, resumed.jobs
 
@@ -161,12 +130,12 @@ class TestServedStagesMatchComputed:
     results, counters and every stage's accounting."""
 
     @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_warm_in_memory_run_matches(self, name, data, queries):
-        plain, _ = run_one(name, data, queries)
+    def test_warm_in_memory_run_matches(self, name, data):
+        plain, _ = run_one(name, data)
         cache = PlanCache()
-        cold, _ = run_one(name, data, queries, plan_cache=cache)
+        cold, _ = run_one(name, data, plan_cache=cache)
         stored = len(cache)
-        warm, _ = run_one(name, data, queries, plan_cache=cache)
+        warm, _ = run_one(name, data, plan_cache=cache)
         assert fingerprint(cold) == fingerprint(warm) == fingerprint(plain)
         # the warm run was served every stage the cold run stored
         assert stored >= 1 and cache.stats() == {
@@ -174,29 +143,25 @@ class TestServedStagesMatchComputed:
         }
 
     @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_resumed_after_every_stage_matches(self, name, data, queries, tmp_path, monkeypatch):
+    def test_resumed_after_every_stage_matches(self, name, data, tmp_path, monkeypatch):
         counter = JobCounter(monkeypatch)
-        plain, _ = run_one(name, data, queries)
+        plain, _ = run_one(name, data)
         monkeypatch.undo()
         for done in range(counter.jobs):
-            resumed, jobs = run_resumed(
-                name, data, queries, tmp_path / str(done), monkeypatch, done
-            )
+            resumed, jobs = run_resumed(name, data, tmp_path / str(done), monkeypatch, done)
             assert fingerprint(resumed) == fingerprint(plain), done
             assert jobs == counter.jobs - done  # the finished stages came from disk
 
-    @pytest.mark.parametrize("name", available_joins(kind="knn"))
-    def test_per_stage_accounting_stable(self, name, data, queries, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name", available_joins())
+    def test_per_stage_accounting_stable(self, name, data, tmp_path, monkeypatch):
         """Stage-level stats (not just totals) are the same whether a stage
         ran, was served warm, or was served to a run resumed before its last
         stage."""
-        plain, _ = run_one(name, data, queries)
+        plain, _ = run_one(name, data)
         cache = PlanCache()
-        run_one(name, data, queries, plan_cache=cache)
-        warm, _ = run_one(name, data, queries, plan_cache=cache)
-        resumed, _ = run_resumed(
-            name, data, queries, tmp_path, monkeypatch, len(plain.job_stats) - 1
-        )
+        run_one(name, data, plan_cache=cache)
+        warm, _ = run_one(name, data, plan_cache=cache)
+        resumed, _ = run_resumed(name, data, tmp_path, monkeypatch, len(plain.job_stats) - 1)
         assert stage_facts(warm) == stage_facts(resumed) == stage_facts(plain)
         assert warm.job_stats.names == plain.job_stats.names
 
@@ -230,7 +195,7 @@ class TestEngineSpillMatrix:
         ``plan_cache_dir``: the stage read back from disk drives the join
         stage on every engine and shuffle backend."""
         resumed, jobs = run_resumed(
-            "pgbj", data, None, tmp_path, monkeypatch, 1,
+            "pgbj", data, tmp_path, monkeypatch, 1,
             engine=engine, max_workers=2, memory_budget=budget,
         )
         assert fingerprint(resumed) == pgbj_reference
@@ -253,27 +218,12 @@ class TestEngineSpillMatrix:
         )
         assert fingerprint(run_join("zorder", data, data, config)) == reference
         resumed, jobs = run_resumed(
-            "zorder", data, None, tmp_path, monkeypatch, 1,
+            "zorder", data, tmp_path, monkeypatch, 1,
             k=3, num_reducers=4, num_shifts=2, split_size=64, seed=5,
             engine=engine, max_workers=2, memory_budget=budget,
         )
         assert fingerprint(resumed) == reference
         assert jobs == 1  # the one job left after the first stage ran again
-
-
-class TestCompressedSpill:
-    """``spill_codec="zlib"`` alone selects the spill backend; compressing the
-    segments moves no result and no counter of any join (shuffle bytes count
-    encoded records, not what lands on disk)."""
-
-    @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_matches_the_uncompressed_run(self, name, data, queries):
-        plain, _ = run_one(name, data, queries)
-        compressed, config = run_one(name, data, queries, spill_codec="zlib")
-        assert config.spill_codec == "zlib"
-        assert fingerprint(compressed) == fingerprint(plain)
-        if hasattr(compressed, "spill_segments"):  # kNN outcomes count them
-            assert compressed.spill_segments() > 0
 
 
 class TestPlanCacheReuse:
@@ -287,11 +237,11 @@ class TestPlanCacheReuse:
 
     def test_k_sweep_reuses_partitioning(self, data):
         cold = {
-            k: fingerprint(run_one("pgbj", data, None, k=k)[0]) for k in (2, 4, 6)
+            k: fingerprint(run_one("pgbj", data, k=k)[0]) for k in (2, 4, 6)
         }
         cache = PlanCache()
         warm = {
-            k: fingerprint(run_one("pgbj", data, None, k=k, plan_cache=cache)[0])
+            k: fingerprint(run_one("pgbj", data, k=k, plan_cache=cache)[0])
             for k in (2, 4, 6)
         }
         assert warm == cold
@@ -304,20 +254,20 @@ class TestPlanCacheReuse:
         for it, served once, beside PGBJ's join stage and PBJ's block join
         and merge stages (1 + 1 + 2 entries, each a miss once)."""
         cache = PlanCache()
-        pgbj_cold = fingerprint(run_one("pgbj", data, None)[0])
-        pbj_cold = fingerprint(run_one("pbj", data, None)[0])
+        pgbj_cold = fingerprint(run_one("pgbj", data)[0])
+        pbj_cold = fingerprint(run_one("pbj", data)[0])
         assert fingerprint(
-            run_one("pgbj", data, None, plan_cache=cache)[0]
+            run_one("pgbj", data, plan_cache=cache)[0]
         ) == pgbj_cold
-        assert fingerprint(run_one("pbj", data, None, plan_cache=cache)[0]) == pbj_cold
+        assert fingerprint(run_one("pbj", data, plan_cache=cache)[0]) == pbj_cold
         assert cache.stats() == {"entries": 4, "hits": 1, "misses": 4}
 
     def test_changed_prefix_inputs_miss(self, data):
         """Different pivot counts (or seeds) must not alias in the cache."""
         cache = PlanCache()
-        run_one("pgbj", data, None, plan_cache=cache, num_pivots=8)
-        run_one("pgbj", data, None, plan_cache=cache, num_pivots=12)
-        run_one("pgbj", data, None, plan_cache=cache, num_pivots=12, seed=9)
+        run_one("pgbj", data, plan_cache=cache, num_pivots=8)
+        run_one("pgbj", data, plan_cache=cache, num_pivots=12)
+        run_one("pgbj", data, plan_cache=cache, num_pivots=12, seed=9)
         assert len(cache) == 3 * 2  # a partition and a join entry per run
         assert cache.hits == 0
 
@@ -325,12 +275,12 @@ class TestPlanCacheReuse:
         """num_reducers only affects grouping/join — the prefix is shared."""
         cache = PlanCache()
         cold = [
-            fingerprint(run_one("pgbj", data, None, num_reducers=n)[0])
+            fingerprint(run_one("pgbj", data, num_reducers=n)[0])
             for n in (2, 4)
         ]
         warm = [
             fingerprint(
-                run_one("pgbj", data, None, num_reducers=n, plan_cache=cache)[0]
+                run_one("pgbj", data, num_reducers=n, plan_cache=cache)[0]
             )
             for n in (2, 4)
         ]
@@ -338,13 +288,13 @@ class TestPlanCacheReuse:
         assert cache.stats()["hits"] == 1
 
     @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_cold_then_warm_disk_cache(self, name, data, queries, tmp_path):
+    def test_cold_then_warm_disk_cache(self, name, data, tmp_path):
         """A run served from the persistent cache by a fresh cache object
         fingerprints like the cold run that wrote it, and writes nothing new:
         every stage was stored by the cold run."""
-        cold, _ = run_one(name, data, queries, plan_cache_dir=str(tmp_path))
+        cold, _ = run_one(name, data, plan_cache_dir=str(tmp_path))
         files = sorted(Path(tmp_path).glob("*.plan.seg"))
-        warm, _ = run_one(name, data, queries, plan_cache_dir=str(tmp_path))
+        warm, _ = run_one(name, data, plan_cache_dir=str(tmp_path))
         assert fingerprint(warm) == fingerprint(cold)
         assert files and sorted(Path(tmp_path).glob("*.plan.seg")) == files
 
@@ -524,10 +474,10 @@ def run_pinned(name, data, served: bool, **overrides):
     """One self-join run; ``served`` returns a second run over a plan cache
     the first one filled, every stage of it served from the cache."""
     if not served:
-        return run_one(name, data, None, **overrides)[0]
+        return run_one(name, data, **overrides)[0]
     cache = PlanCache()
-    run_one(name, data, None, plan_cache=cache, **overrides)
-    outcome, _ = run_one(name, data, None, plan_cache=cache, **overrides)
+    run_one(name, data, plan_cache=cache, **overrides)
+    outcome, _ = run_one(name, data, plan_cache=cache, **overrides)
     assert cache.hits == len(cache) >= 1
     return outcome
 
@@ -555,16 +505,16 @@ class TestMergeJobProducersPinned:
     before its ``|r, p_j|``, and from 8 330, when each row's first cells were
     scanned in ascending anchor bound.  The
     bytes fell by 4 per object row when the cell id
-    became an int32: 117 600 for ``hbrj`` and ``ijoin``, 121 216 for
+    became an int32: 117 600 for ``hbrj``, 121 216 for
     ``zorder``; ``pbj``'s rows gained as many bytes of anchor codes.  ``zorder``
     was re-pinned whole when its grid became a cube and its default two curve
     copies: before, ``("0de74e370e6002bc", 3557, 676, 1876, 184988)``.  The
     bytes fell again by 60 per object row, 6 per coordinate, when this
     integral world's coordinates began to ship as int16: from 114 400 for
-    ``hbrj`` and ``ijoin``, 117 600 for ``pbj`` and 117 888 for ``zorder``.
+    ``hbrj``, 117 600 for ``pbj`` and 117 888 for ``zorder``.
     And again when ids began to ship as int16 (these 200 ids) and cell ids
     as int8 (12 cells, or none assigned): 9 bytes fewer per object row and 6
-    per candidate, from 66 400 for ``hbrj`` and ``ijoin`` and 67 968 for
+    per candidate, from 66 400 for ``hbrj`` and 67 968 for
     ``zorder``; ``pbj``'s rows gained 8 codes of the 9, from 69 600.
     ``zorder``'s records and bytes fell by one 40-byte row per object and
     curve copy when a self-join began to ship each object once per copy, its
@@ -576,7 +526,6 @@ class TestMergeJobProducersPinned:
     PINNED = {
         "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 52000),
         "pbj": ("124cb21fb9bbe9a5", 7710, 400, 1200, 61600),
-        "ijoin": ("124cb21fb9bbe9a5", 18566, 400, 1200, 52000),
         "zorder": ("f7cc7c3009292dc9", 1969, 432, 832, 37280),
     }
 
@@ -676,16 +625,8 @@ class TestFinalOutputsPinned:
 
 
 class TestRegistry:
-    def test_all_eight_registered(self):
-        assert set(ALL_JOINS) <= set(available_joins())
-
-    def test_kinds(self):
-        assert set(available_joins(kind="knn")) == {
-            "pgbj", "pbj", "hbrj", "ijoin", "broadcast", "zorder",
-        }
-        assert set(available_joins(kind="operator")) == {
-            "closest-pairs", "range-selection",
-        }
+    def test_exactly_the_five_registered(self):
+        assert available_joins() == tuple(sorted(ALL_JOINS))
 
     def test_unknown_join_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -722,15 +663,10 @@ class TestBoundaryValidation:
         return type(data)(points, ids=data.ids, name="bad")
 
     @staticmethod
-    def _extra(name):
-        return {"theta": 0.3} if name == "range-selection" else {}
-
-    @classmethod
-    def _entry_points(cls, name, r, s):
-        extra = cls._extra(name)
+    def _entry_points(name, r, s):
         config = make_config(name)
-        yield lambda: plan_join(name, r, s, config, **extra)
-        yield lambda: run_join(name, r, s, config, **extra)
+        yield lambda: plan_join(name, r, s, config)
+        yield lambda: run_join(name, r, s, config)
 
     @pytest.mark.parametrize("poison", (float("nan"), float("inf"), float("-inf")))
     @pytest.mark.parametrize("side", ("r", "s"))
@@ -765,7 +701,7 @@ class TestBoundaryValidation:
             )
         # a self-join names its one dataset as R
         with pytest.raises(InvalidJoinInput, match=r"^R \('bad'\) repeats object id"):
-            run_join(name, bad, bad, make_config(name), **self._extra(name))
+            run_join(name, bad, bad, make_config(name))
 
     def test_a_self_join_is_checked_once(self, data, monkeypatch):
         from repro.joins import base
@@ -803,14 +739,13 @@ class TestBoundaryValidation:
                 f"{side.upper()} ('bad') is empty; a join needs non-empty R and S"
             )
 
-    @pytest.mark.parametrize("name", available_joins(kind="knn"))
+    @pytest.mark.parametrize("name", available_joins())
     def test_k_exceeding_s_rejected(self, name, data):
         few = type(data)(data.points[:2], ids=data.ids[:2], name="few")
         for call in self._entry_points(name, data, few):
             with pytest.raises(InvalidJoinInput, match=r"k=3 exceeds \|S\|=2"):
                 call()
-        # k == |S| is a join (every s is a neighbour), and the operators'
-        # config.k is not a neighbour count
+        # k == |S| is a join (every s is a neighbour)
         assert run_join(name, data, few, make_config(name, k=2)).k == 2
 
     @pytest.mark.parametrize("name", ALL_JOINS)
@@ -837,7 +772,7 @@ class TestBoundaryValidation:
 
         calls = []
 
-        def counting_check(r, s, k=None, num_pivots=None):
+        def counting_check(r, s, k, num_pivots=None):
             calls.append(k)
             base.check_join_inputs(r, s, k, num_pivots)
 
@@ -863,7 +798,7 @@ class TestStageStats:
 
     @pytest.fixture(scope="class")
     def outcome(self, data):
-        return run_one("pgbj", data, None)[0]
+        return run_one("pgbj", data)[0]
 
     def test_names_and_order(self, outcome):
         assert isinstance(outcome.job_stats, StageStats)
@@ -880,7 +815,7 @@ class TestStageStats:
             outcome.job_stats.named("pgbj/missing")
 
     def test_three_stage_join(self, data):
-        outcome = run_one("pbj", data, None)[0]
+        outcome = run_one("pbj", data)[0]
         assert outcome.job_stats.names == ("pbj/partition", "pbj/block-join", "pbj/merge")
 
     def test_mismatched_names_rejected(self):
@@ -912,7 +847,7 @@ class TestSharedResourcesAcrossWithChanges:
         assert PgbjConfig(k=3, plan_cache=PlanCache()) == PgbjConfig(k=3)
 
     def test_sweep_over_shared_pool_does_not_close_it(self, data):
-        serial = fingerprint(run_one("pgbj", data, None)[0])
+        serial = fingerprint(run_one("pgbj", data)[0])
         with PersistentThreadExecutor(max_workers=2) as executor:
             base = PgbjConfig(
                 k=2, num_reducers=4, num_pivots=12, split_size=64, seed=5,

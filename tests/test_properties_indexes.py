@@ -1,76 +1,23 @@
-"""Property-based tests for the index substrates (B+-tree, R-tree, iDistance).
+"""Property-based tests for the R-tree, H-BRJ's reducer index.
 
-Every index must agree exactly with linear-scan semantics over arbitrary
-inputs — duplicated keys, clustered points, degenerate dimensions included.
+It must agree exactly with linear-scan semantics over arbitrary inputs —
+duplicated points, clustered points, degenerate dimensions included.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BPlusTree
 from repro.core import get_metric
 from repro.core.knn import knn_of_point
-from repro.idistance import IDistanceIndex
 from repro.rtree import RTree
 
-keys_strategy = st.lists(
-    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-    min_size=0,
-    max_size=120,
-)
 
-
-class TestBTreeProperties:
-    @given(keys_strategy, st.integers(3, 16))
-    @settings(max_examples=60, deadline=None)
-    def test_items_are_sorted_multiset_of_inserts(self, keys, order):
-        tree = BPlusTree(order=order)
-        for value, key in enumerate(keys):
-            tree.insert(key, value)
-        tree.check_invariants()
-        assert [k for k, _ in tree.items()] == sorted(keys)
-
-    @given(keys_strategy, st.integers(3, 16))
-    @settings(max_examples=40, deadline=None)
-    def test_bulk_load_equals_incremental(self, keys, order):
-        incremental = BPlusTree(order=order)
-        for value, key in enumerate(keys):
-            incremental.insert(key, value)
-        bulk = BPlusTree.bulk_load(list(zip(keys, range(len(keys)))), order=order)
-        bulk.check_invariants()
-        assert [k for k, _ in bulk.items()] == [k for k, _ in incremental.items()]
-
-    @given(
-        keys_strategy,
-        st.floats(-1e6, 1e6, allow_nan=False),
-        st.floats(-1e6, 1e6, allow_nan=False),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_range_scan_equals_filter(self, keys, a, b):
-        lo, hi = min(a, b), max(a, b)
-        tree = BPlusTree(order=6)
-        for value, key in enumerate(keys):
-            tree.insert(key, value)
-        got = sorted(key for key, _ in tree.range_scan(lo, hi))
-        want = sorted(key for key in keys if lo <= key <= hi)
-        assert got == want
-
-    @given(keys_strategy, st.floats(-1e6, 1e6, allow_nan=False))
-    @settings(max_examples=60, deadline=None)
-    def test_scan_outward_orders_by_distance(self, keys, center):
-        tree = BPlusTree(order=6)
-        for value, key in enumerate(keys):
-            tree.insert(key, value)
-        deltas = [abs(key - center) for key, _ in tree.scan_outward(center)]
-        assert deltas == sorted(deltas)
-        assert len(deltas) == len(keys)
-
-
-def points_and_query(draw, max_points=80, dims_range=(1, 4)):
+@st.composite
+def rtree_world(draw):
     seed = draw(st.integers(0, 10_000))
-    n = draw(st.integers(1, max_points))
-    dims = draw(st.integers(*dims_range))
+    n = draw(st.integers(1, 80))
+    dims = draw(st.integers(1, 4))
     rng = np.random.default_rng(seed)
     # mix of clustered and grid-like (tie-prone) data
     if draw(st.booleans()):
@@ -80,11 +27,6 @@ def points_and_query(draw, max_points=80, dims_range=(1, 4)):
     query = rng.random(dims) * 2 - 0.5
     k = draw(st.integers(1, 10))
     return points, query, k, seed
-
-
-@st.composite
-def rtree_world(draw):
-    return points_and_query(draw)
 
 
 class TestRTreeProperties:
@@ -112,37 +54,3 @@ class TestRTreeProperties:
             get_metric("l2"), query, points, np.arange(points.shape[0]), k
         )
         assert np.allclose(got_dists, want_dists)
-
-
-@st.composite
-def idistance_world(draw):
-    points, query, k, seed = points_and_query(draw, max_points=60)
-    num_pivots = draw(st.integers(1, min(8, points.shape[0])))
-    return points, query, k, num_pivots, seed
-
-
-class TestIDistanceProperties:
-    @given(idistance_world())
-    @settings(max_examples=40, deadline=None)
-    def test_knn_distances_match_brute_force(self, world):
-        points, query, k, num_pivots, seed = world
-        rng = np.random.default_rng(seed)
-        ids = np.arange(points.shape[0])
-        pivots = points[rng.choice(points.shape[0], num_pivots, replace=False)]
-        index = IDistanceIndex(points, ids, pivots, get_metric("l2"), order=8)
-        got_ids, got_dists = index.knn(query, k)
-        _, want_dists = knn_of_point(get_metric("l2"), query, points, ids, k)
-        assert np.allclose(got_dists, want_dists)
-
-    @given(idistance_world(), st.floats(0.0, 2.0, allow_nan=False))
-    @settings(max_examples=40, deadline=None)
-    def test_range_search_matches_filter(self, world, theta):
-        points, query, _, num_pivots, seed = world
-        rng = np.random.default_rng(seed)
-        ids = np.arange(points.shape[0])
-        pivots = points[rng.choice(points.shape[0], num_pivots, replace=False)]
-        index = IDistanceIndex(points, ids, pivots, get_metric("l2"), order=8)
-        got = index.range_search(query, theta)
-        dists = np.linalg.norm(points - query, axis=1)
-        want = sorted(int(i) for i in ids[dists <= theta + 1e-12])
-        assert got == want

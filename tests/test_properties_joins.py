@@ -21,7 +21,7 @@ from repro.joins import InvalidJoinInput, available_joins, get_join
 from repro.joins.partition_job import make_pivot_selector
 
 #: every registered kNN join but the approximate z-order join
-EXACT_JOINS = tuple(name for name in available_joins(kind="knn") if name != "zorder")
+EXACT_JOINS = tuple(name for name in available_joins() if name != "zorder")
 
 
 @st.composite

@@ -1,17 +1,16 @@
 """A self-join (``r is s``) assigns each object to its Voronoi cell once
 and ships it to its own group once.
 
-PGBJ, PBJ and closest pairs share the partitioning stage, which emits one
-row of both roles per object of a self-join.  Joining a dataset with itself
-must equal joining it with an equal copy in results and S replicas, and
-compute exactly the R copies' assignment pairs fewer — and, in PGBJ's
-reducers, the own-cell pairs of a row with itself and the second direction
-of each pair the equal copy computes both ways, fewer.  PBJ and closest
-pairs ship the two roles apart, so their shuffle and reducer pairs equal the
-equal copy's; PGBJ sends each object to its own group as one row of both
-roles, so its join shuffle is exactly the R rows lighter.  Persisted stage
-results (an injected plan cache or a ``plan_cache_dir``) must never serve
-one for the other.
+PGBJ and PBJ share the partitioning stage, which emits one row of both
+roles per object of a self-join.  Joining a dataset with itself must equal
+joining it with an equal copy in results and S replicas, and compute exactly
+the R copies' assignment pairs fewer — and, in PGBJ's reducers, the own-cell
+pairs of a row with itself and the second direction of each pair the equal
+copy computes both ways, fewer.  PBJ ships the two roles apart, so its
+shuffle and reducer pairs equal the equal copy's; PGBJ sends each object to
+its own group as one row of both roles, so its join shuffle is exactly the R
+rows lighter.  Persisted stage results (an injected plan cache or a
+``plan_cache_dir``) must never serve one for the other.
 """
 
 import copy
@@ -39,7 +38,7 @@ from repro.mapreduce.types import ROLE_BOTH, ROLE_R, RecordBlock
 from tests.test_kernels import RequestLog
 from tests.test_plan_equivalence import env_params
 
-JOINS = ("pgbj", "pbj", "closest-pairs")
+JOINS = ("pgbj", "pbj")
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +61,6 @@ def run_stages(name, r, s, config):
 
 
 def answer(outcome):
-    if hasattr(outcome, "pairs"):  # closest pairs
-        return outcome.pairs
     return {
         r_id: tuple(array.tobytes() for array in outcome.result.neighbors_of(r_id))
         for r_id in outcome.result.r_ids()

@@ -29,7 +29,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapreduce import (
-    SEGMENT_CODECS,
     ChaosPlan,
     ChaosRule,
     Context,
@@ -46,7 +45,6 @@ from repro.mapreduce import (
     iter_segment,
     merged_segment_groups,
     record_count,
-    resolve_segment_codec,
     shuffle_sort_key,
     split_records,
     write_segment,
@@ -58,7 +56,6 @@ from repro.mapreduce.shuffle import (
     _SEGMENT_VERSION,
     SpillMapWriter,
     SpillSpec,
-    read_segment_codec,
     read_segment_header,
 )
 from repro.mapreduce.serialization import encode_record_block
@@ -215,153 +212,27 @@ class TestSegmentFormat:
             list(iter_segment(path))
 
 
-# -- segment compression codecs ------------------------------------------------
+# -- the header's codec byte ----------------------------------------------------
 
 
 class TestSegmentCodecs:
-    PAIRS = [("a", list(range(64))), ("a", "x" * 256), (3, None), (7, 1.5)]
+    """Payloads are stored as encoded: the header's codec byte is always 0,
+    so segment files are byte-identical to those written before compression
+    was retired, and a file naming any other id is refused by name."""
 
-    @pytest.mark.parametrize("codec", SEGMENT_CODECS)
-    def test_roundtrip_every_available_codec(self, tmp_path, codec):
-        segment = write_segment(
-            tmp_path / f"{codec}.seg", 0, sorted_rows(self.PAIRS), codec=codec
-        )
-        assert segment.codec == codec
-        assert read_segment_codec(segment.path) == codec
-        decoded = [(key, value) for _, _, key, value in iter_segment(segment.path)]
-        expected = [(row[2], row[3]) for row in sorted_rows(self.PAIRS)]
-        assert decoded == expected
+    def test_written_as_zero(self, tmp_path):
+        segment = write_segment(tmp_path / "z.seg", 0, sorted_rows([("a", 1)]))
+        assert Path(segment.path).read_bytes()[6] == 0
 
-    @pytest.mark.parametrize("codec", SEGMENT_CODECS)
-    def test_record_block_roundtrip(self, tmp_path, codec):
-        block = sample_block()
-        segment = write_segment(
-            tmp_path / "b.seg", 0, [(0, 0, 5, block, len(block), 77)], codec=codec
-        )
-        ((_, _, key, decoded),) = list(iter_segment(segment.path))
-        assert key == 5
-        assert np.array_equal(decoded.points, block.points)
-        assert np.array_equal(decoded.object_ids, block.object_ids)
-
-    def test_accounting_is_codec_invariant(self, tmp_path):
-        # accounted bytes are measured on the UNCOMPRESSED records, so the
-        # shuffle-cost exhibits cannot move when compression is switched on
-        rows = [(0, 0, "k", "v" * 400, 3, 123), (0, 1, "k", "w" * 400, 2, 456)]
-        headers = set()
-        for codec in SEGMENT_CODECS:
-            write_segment(tmp_path / f"{codec}.seg", 0, list(rows), codec=codec)
-            headers.add(read_segment_header(tmp_path / f"{codec}.seg"))
-        assert headers == {(2, 5, 579)}
-
-    def test_zlib_shrinks_compressible_payloads(self, tmp_path):
-        rows = [(0, seq, seq, "abc" * 500, 1, 0) for seq in range(8)]
-        plain = write_segment(tmp_path / "n.seg", 0, list(rows), codec="none")
-        packed = write_segment(tmp_path / "z.seg", 0, list(rows), codec="zlib")
-        assert packed.file_bytes < plain.file_bytes
-
-    def test_corrupt_payload_raises_descriptive_error(self, tmp_path):
-        # framing intact, payload bytes are not valid zlib: the decode error
-        # must name the path, the entry and the codec
-        path = tmp_path / "c.seg"
-        write_segment(path, 0, sorted_rows([("a", 1)]), codec="none")
-        data = bytearray(path.read_bytes())
-        data[6] = SEGMENT_CODECS["zlib"].wire_id  # lie about the codec
-        path.write_bytes(bytes(data))
-        with pytest.raises(
-            ValueError, match=r"segment file .*c\.seg.*zlib decompression failed"
-        ):
-            list(iter_segment(path))
-
-    @pytest.mark.parametrize("codec", SEGMENT_CODECS)
-    def test_truncated_compressed_file_still_fails_loudly(self, tmp_path, codec):
-        path = tmp_path / "t.seg"
-        write_segment(path, 0, sorted_rows(self.PAIRS), codec=codec)
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(ValueError, match="truncated segment file"):
-            list(iter_segment(path))
-
-    def test_unknown_codec_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown segment codec"):
-            write_segment(tmp_path / "x.seg", 0, sorted_rows([("a", 1)]), codec="gzip9")
-        with pytest.raises(ValueError, match="unknown segment codec"):
-            resolve_segment_codec("brotli")
-
-    def test_retired_codec_names_the_two_that_run(self):
-        # a config that validates is a config that runs: every entry point
-        # reads the same two-entry table
-        from repro.joins import PgbjConfig
-
-        assert tuple(SEGMENT_CODECS) == ("none", "zlib")
-        for build in (
-            lambda: resolve_segment_codec("zstd"),
-            lambda: PgbjConfig(spill_codec="zstd"),
-            lambda: LocalRuntime(spill_codec="zstd"),
-        ):
-            with pytest.raises(ValueError, match="available: none, zlib"):
-                build()
-
-    @pytest.mark.parametrize("wire_id", (2, 3, 250))  # 2 and 3 are retired
+    @pytest.mark.parametrize("wire_id", (1, 2, 3, 250))  # 1 was zlib; 2 and 3 retired earlier
     def test_unknown_codec_byte_rejected_on_read(self, tmp_path, wire_id):
         path = tmp_path / "w.seg"
         write_segment(path, 0, sorted_rows([("a", 1)]))
         data = bytearray(path.read_bytes())
         data[6] = wire_id  # no codec owns this wire id
         path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match=f"codec id {wire_id}; known: none, zlib"):
+        with pytest.raises(ValueError, match=f"codec id {wire_id}; known: none$"):
             list(iter_segment(path))
-
-    def test_stores_validate_codec_early(self):
-        with pytest.raises(ValueError, match="unknown segment codec"):
-            SpillShuffleStore(codec="nope")
-        with pytest.raises(ValueError, match="unknown segment codec"):
-            get_shuffle_store("memory", codec="nope")
-
-
-class TestCodecJobEquivalence:
-    def test_fingerprint_identical_across_codecs(self):
-        reference = job_fingerprint(LocalRuntime().run(make_job(), make_splits()))
-        for codec in SEGMENT_CODECS:
-            with LocalRuntime(memory_budget=0, spill_codec=codec) as runtime:
-                result = runtime.run(make_job(), make_splits())
-            assert job_fingerprint(result) == reference, codec
-            assert result.stats.spill_segments > 0
-
-    def test_spill_codec_alone_selects_spill_backend(self):
-        with LocalRuntime(spill_codec="zlib") as runtime:
-            assert runtime.shuffle_backend == "spill"
-            assert runtime.shuffle_store.codec == "zlib"
-        assert LocalRuntime().shuffle_backend == "memory"
-
-    def test_merge_cascade_preserves_codec(self, tmp_path):
-        # budget 0 + tiny fan-in forces intermediate merge runs; they must be
-        # written with the same codec as the inputs and still read back right
-        tasks = [[(i % 5, f"v{t}-{i}" * 20) for i in range(20)] for t in range(3)]
-        expected = oracle_groups(tasks, 2)
-
-        partitioner = HashPartitioner()
-        segments = [[] for _ in range(2)]
-        for task_index, pairs in enumerate(tasks):
-            spec = SpillSpec(
-                directory=str(tmp_path), budget=0, task_index=task_index,
-                task_id=f"t-{task_index:03d}", codec="zlib",
-            )
-            writer = SpillMapWriter(spec, attempt=1, partitioner=partitioner,
-                                    num_reducers=2)
-            for key, value in pairs:
-                writer.add(key, value)
-            for segment in writer.finish().segments:
-                assert segment.codec == "zlib"
-                segments[segment.reducer].append(segment)
-        for reducer, segs in enumerate(segments):
-            merged = [
-                (key, list(values))
-                for key, values in merged_segment_groups(
-                    segs, fan_in=2, scratch_prefix=f"r{reducer:03d}"
-                )
-            ]
-            assert merged == expected[reducer]
-        for run in Path(tmp_path).glob("*-merge*.seg"):
-            assert read_segment_codec(run) == "zlib"
 
 
 # -- the external merge vs the in-memory oracle --------------------------------

@@ -33,8 +33,8 @@ FINGERPRINT_ALL = """
 import pickle, sys
 from repro.datasets import generate_forest
 from tests.test_plan_equivalence import ALL_JOINS, fingerprint, run_one
-data, queries = generate_forest(120, seed=3), generate_forest(16, seed=8)
-facts = {name: fingerprint(run_one(name, data, queries)[0]) for name in ALL_JOINS}
+data = generate_forest(120, seed=3)
+facts = {name: fingerprint(run_one(name, data)[0]) for name in ALL_JOINS}
 sys.stdout.buffer.write(pickle.dumps(facts))
 """
 
@@ -42,11 +42,6 @@ sys.stdout.buffer.write(pickle.dumps(facts))
 @pytest.fixture(scope="module")
 def data():
     return generate_forest(120, seed=3)
-
-
-@pytest.fixture(scope="module")
-def queries():
-    return generate_forest(16, seed=8)
 
 
 def held() -> tuple[int, set, set]:
@@ -60,18 +55,18 @@ def held() -> tuple[int, set, set]:
 
 class TestJoinReleasesEverything:
     @pytest.fixture(scope="class", autouse=True)
-    def process_singletons(self, data, queries):
+    def process_singletons(self, data):
         # the first process pool of an interpreter maps multiprocessing's
         # shared-memory heap, which stays for the interpreter's lifetime
-        run_one("pgbj", data, queries, engine="processes-pooled", max_workers=2)
+        run_one("pgbj", data, engine="processes-pooled", max_workers=2)
 
     @pytest.mark.parametrize("spill", (False, True), ids=("memory", "spill"))
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_run_join_leaves_nothing_open(self, name, engine, spill, data, queries, tmp_path):
+    def test_run_join_leaves_nothing_open(self, name, engine, spill, data, tmp_path):
         backend = dict(memory_budget=0, spill_dir=str(tmp_path)) if spill else {}
         before = held()
-        run_one(name, data, queries, engine=engine, max_workers=2, **backend)
+        run_one(name, data, engine=engine, max_workers=2, **backend)
         assert held() == before
         assert list(tmp_path.iterdir()) == []
 
@@ -94,7 +89,7 @@ class TestFactsIndependentOfHashSeed:
         return facts
 
     @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_same_facts_under_every_seed(self, name, facts_by_seed, data, queries):
-        here = fingerprint(run_one(name, data, queries)[0])
+    def test_same_facts_under_every_seed(self, name, facts_by_seed, data):
+        here = fingerprint(run_one(name, data)[0])
         for seed in HASH_SEEDS:
             assert facts_by_seed[seed][name] == here, f"PYTHONHASHSEED={seed}"
