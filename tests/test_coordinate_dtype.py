@@ -136,6 +136,22 @@ def neighbours(outcome) -> list:
     ]
 
 
+def assert_narrow_equals_wide(narrow, wide, rung, dims: int) -> None:
+    assert neighbours(narrow) == neighbours(wide)
+    assert narrow.distance_pairs == wide.distance_pairs
+    assert narrow.replication_of_s() == wide.replication_of_s()
+    assert narrow.shuffle_records() == wide.shuffle_records()
+    # every object row a stage shuffles is (8 - w) bytes lighter per
+    # coordinate; the merge stages ship candidate lists, no coordinates
+    saved = (8 - rung.itemsize) * dims
+    for stage, narrow_stats, wide_stats in zip(
+        wide.job_stats.names, narrow.job_stats, wide.job_stats
+    ):
+        rows = 0 if stage.endswith("/merge") else wide_stats.shuffle_records
+        assert wide_stats.shuffle_bytes - narrow_stats.shuffle_bytes == rows * saved, stage
+    assert narrow.shuffle_bytes() < wide.shuffle_bytes()
+
+
 @pytest.mark.parametrize("metric", ("l1", "l2", "linf"))
 @pytest.mark.parametrize("rung", list(EXTREMES), ids=lambda rung: rung.name)
 class TestOverflowSafety:
@@ -145,27 +161,11 @@ class TestOverflowSafety:
         assert coordinate_dtype(r.points, s.points) == rung
         narrow = run(name, r, s, metric, monkeypatch, wide=False)
         wide = run(name, r, s, metric, monkeypatch, wide=True)
-        assert neighbours(narrow) == neighbours(wide)
-        assert narrow.distance_pairs == wide.distance_pairs
-        assert narrow.replication_of_s() == wide.replication_of_s()
-        assert narrow.shuffle_records() == wide.shuffle_records()
-        # every object row a stage shuffles is (8 - w) bytes lighter per
-        # coordinate; the merge stages ship candidate lists, no coordinates
-        saved = (8 - rung.itemsize) * r.dimensions
-        for stage, narrow_stats, wide_stats in zip(
-            wide.job_stats.names, narrow.job_stats, wide.job_stats
-        ):
-            rows = 0 if stage.endswith("/merge") else wide_stats.shuffle_records
-            assert wide_stats.shuffle_bytes - narrow_stats.shuffle_bytes == rows * saved, stage
-        assert narrow.shuffle_bytes() < wide.shuffle_bytes()
+        assert_narrow_equals_wide(narrow, wide, rung, r.dimensions)
 
-    def test_self_join_equals_its_float64_run(self, rung, metric, monkeypatch):
+    @pytest.mark.parametrize("name", KNN_JOINS)
+    def test_self_join_equals_its_float64_run(self, name, rung, metric, monkeypatch):
         data = extreme_world(rung, 5)
-        narrow = run("pgbj", data, data, metric, monkeypatch, wide=False)
-        wide = run("pgbj", data, data, metric, monkeypatch, wide=True)
-        assert neighbours(narrow) == neighbours(wide)
-        assert narrow.distance_pairs == wide.distance_pairs
-        assert narrow.replication_of_s() == wide.replication_of_s()
-        rows = wide.shuffle_records()
-        saved = (8 - rung.itemsize) * data.dimensions
-        assert wide.shuffle_bytes() - narrow.shuffle_bytes() == rows * saved
+        narrow = run(name, data, data, metric, monkeypatch, wide=False)
+        wide = run(name, data, data, metric, monkeypatch, wide=True)
+        assert_narrow_equals_wide(narrow, wide, rung, data.dimensions)

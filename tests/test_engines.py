@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import generate_forest
-from repro.joins import PgbjConfig, ZOrderConfig, run_join
+from repro.joins import PgbjConfig, ZOrderConfig, get_join, run_join
 from repro.mapreduce import (
     ChaosPlan,
     ChaosRule,
@@ -292,6 +292,25 @@ class TestCrossEngineJoins:
         serial = self.zorder_outcome(data, "serial")
         parallel = self.zorder_outcome(data, engine)
         assert outcome_fingerprint(parallel) == outcome_fingerprint(serial)
+
+    @pytest.mark.parametrize("engine", POOLED_ENGINES)
+    @pytest.mark.parametrize("name", ("pbj", "hbrj", "broadcast"))
+    def test_other_exact_joins_equivalence(self, data, name, engine):
+        """PBJ, H-BRJ and the broadcast join: the same facts, stage by
+        stage, on a persistent pool as serially."""
+
+        def outcome(engine):
+            config = get_join(name).make_config(
+                k=3, num_reducers=4, num_pivots=12, split_size=64,
+                engine=engine, max_workers=2,
+            )
+            return run_join(name, data, data, config)
+
+        serial, parallel = outcome("serial"), outcome(engine)
+        assert outcome_fingerprint(parallel) == outcome_fingerprint(serial)
+        assert [(s.shuffle_records, s.shuffle_bytes) for s in parallel.job_stats] == [
+            (s.shuffle_records, s.shuffle_bytes) for s in serial.job_stats
+        ]
 
     @pytest.mark.parametrize("engine", POOLED_ENGINES)
     def test_pgbj_with_faults_pooled(self, data, engine):

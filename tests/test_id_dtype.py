@@ -278,10 +278,11 @@ class TestOverflowSafety:
         wide = run(name, r, s, metric, monkeypatch, wide=True)
         assert_narrow_equals_wide(narrow, wide, rung.itemsize)
 
-    def test_self_join_equals_its_int64_run(self, rung, metric, monkeypatch):
+    @pytest.mark.parametrize("name", KNN_JOINS)
+    def test_self_join_equals_its_int64_run(self, name, rung, metric, monkeypatch):
         data = extreme_world(rung, 5)
-        narrow = run("pgbj", data, data, metric, monkeypatch, wide=False)
-        wide = run("pgbj", data, data, metric, monkeypatch, wide=True)
+        narrow = run(name, data, data, metric, monkeypatch, wide=False)
+        wide = run(name, data, data, metric, monkeypatch, wide=True)
         assert_narrow_equals_wide(narrow, wide, rung.itemsize)
 
 

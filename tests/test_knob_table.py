@@ -35,7 +35,7 @@ from repro.joins.base import (
 )
 from repro.joins.registry import JOINS, JoinSpec, plan_identity
 from repro.mapreduce import ChaosPlan
-from tests.test_plan_equivalence import fingerprint, make_config, run_one
+from tests.test_plan_equivalence import PAIRS, fingerprint, make_config, run_one, s_for
 
 ROWS = execution_knobs()
 WITH_ENV = [row for row in ROWS if row.env]
@@ -97,8 +97,11 @@ def data():
 
 @pytest.fixture(scope="module")
 def default_runs(data):
-    """Each join's fingerprint with every knob left at its default."""
-    return functools.cache(lambda name: fingerprint(run_one(name, data)[0]))
+    """Each join's fingerprint, per input shape, with every knob left at its
+    default."""
+    return functools.cache(
+        lambda name, pair="self-join": fingerprint(run_one(name, data, s_for(pair, data))[0])
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -205,15 +208,16 @@ class TestEveryRow:
             for environ in ({}, {row.env: ""}, {row.env: "  "}):
                 assert knobs_from_env(environ) == {}
 
+    @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("name", sorted(available_joins()))
-    def test_never_moves_a_result(self, row, name, data, default_runs, tmp_path):
+    def test_never_moves_a_result(self, row, name, pair, data, default_runs, tmp_path):
         owner = owner_of(row)
         argv = [] if owner is row else [owner.flag, spelled(owner, tmp_path)]
         argv += [row.flag] if row.is_switch else [row.flag, spelled(row, tmp_path)]
         knobs = parse_join(*argv)
         assert knobs  # the row is set, away from its default
-        outcome, _ = run_one(name, data, **knobs)
-        assert fingerprint(outcome) == default_runs(name)
+        outcome, _ = run_one(name, data, s_for(pair, data), **knobs)
+        assert fingerprint(outcome) == default_runs(name, pair)
 
 
 @pytest.mark.parametrize("row", WITH_ENV, ids=by_name)

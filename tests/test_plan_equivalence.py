@@ -22,6 +22,7 @@ stage-named ``StageStats``, and the ``with_changes`` × ``shared_executor`` /
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from pathlib import Path
 
@@ -76,10 +77,27 @@ def make_config(name: str, **overrides) -> JoinConfig:
 
 fingerprint = outcome_fingerprint
 
+#: the two input shapes a join plans apart: one dataset joined with itself
+#: (``r is s``: one row per object, or one per curve copy), and R joined
+#: with another S
+PAIRS = ("self-join", "r-and-s")
 
-def run_one(name: str, data, **config_overrides):
+
+@functools.cache
+def _other_forest(rows: int):
+    return generate_forest(rows, seed=4)
+
+
+def s_for(pair: str, data):
+    """S for R = ``data``: ``data`` itself, or another Forest draw, a
+    quarter smaller."""
+    return data if pair == "self-join" else _other_forest(len(data) - len(data) // 4)
+
+
+def run_one(name: str, data, s=None, **config_overrides):
+    """``name`` joining R = ``data`` with ``s`` (default: ``data`` itself)."""
     config = make_config(name, **config_overrides)
-    return run_join(name, data, data, config), config
+    return run_join(name, data, data if s is None else s, config), config
 
 
 def stage_facts(outcome):
@@ -109,106 +127,123 @@ class JobCounter:
         monkeypatch.setattr(LocalRuntime, "run", counting)
 
 
-def run_resumed(name, data, directory, monkeypatch, stages_done, **overrides):
+def run_resumed(name, data, directory, monkeypatch, stages_done, s=None, **overrides):
     """Kill a join with ``plan_cache_dir=directory`` once ``stages_done`` jobs
     have finished, then run it again over the same directory; returns the
     resumed outcome and the number of jobs the resumed run executed."""
     JobCounter(monkeypatch, kill_after=stages_done)
     with pytest.raises(RuntimeError, match="simulated kill"):
-        run_one(name, data, plan_cache_dir=str(directory), **overrides)
+        run_one(name, data, s, plan_cache_dir=str(directory), **overrides)
     monkeypatch.undo()
     resumed = JobCounter(monkeypatch)
-    outcome, _ = run_one(name, data, plan_cache_dir=str(directory), **overrides)
+    outcome, _ = run_one(name, data, s, plan_cache_dir=str(directory), **overrides)
     monkeypatch.undo()
     return outcome, resumed.jobs
 
 
 class TestServedStagesMatchComputed:
-    """Where a stage's result comes from is invisible, per join: a run served
-    from an in-memory plan cache, and a run killed after any finished stage
-    and resumed over the same ``plan_cache_dir``, equal the uncached run —
-    results, counters and every stage's accounting."""
+    """Where a stage's result comes from is invisible, per join and input
+    shape: a run served from an in-memory plan cache, and a run killed after
+    any finished stage and resumed over the same ``plan_cache_dir``, equal
+    the uncached run — results, counters and every stage's accounting."""
 
+    @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_warm_in_memory_run_matches(self, name, data):
-        plain, _ = run_one(name, data)
+    def test_warm_in_memory_run_matches(self, name, pair, data):
+        s = s_for(pair, data)
+        plain, _ = run_one(name, data, s)
         cache = PlanCache()
-        cold, _ = run_one(name, data, plan_cache=cache)
+        cold, _ = run_one(name, data, s, plan_cache=cache)
         stored = len(cache)
-        warm, _ = run_one(name, data, plan_cache=cache)
+        warm, _ = run_one(name, data, s, plan_cache=cache)
         assert fingerprint(cold) == fingerprint(warm) == fingerprint(plain)
         # the warm run was served every stage the cold run stored
         assert stored >= 1 and cache.stats() == {
             "entries": stored, "hits": stored, "misses": stored,
         }
 
+    @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_resumed_after_every_stage_matches(self, name, data, tmp_path, monkeypatch):
+    def test_resumed_after_every_stage_matches(self, name, pair, data, tmp_path, monkeypatch):
+        s = s_for(pair, data)
         counter = JobCounter(monkeypatch)
-        plain, _ = run_one(name, data)
+        plain, _ = run_one(name, data, s)
         monkeypatch.undo()
         for done in range(counter.jobs):
-            resumed, jobs = run_resumed(name, data, tmp_path / str(done), monkeypatch, done)
+            resumed, jobs = run_resumed(name, data, tmp_path / str(done), monkeypatch, done, s)
             assert fingerprint(resumed) == fingerprint(plain), done
             assert jobs == counter.jobs - done  # the finished stages came from disk
 
+    @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("name", available_joins())
-    def test_per_stage_accounting_stable(self, name, data, tmp_path, monkeypatch):
+    def test_per_stage_accounting_stable(self, name, pair, data, tmp_path, monkeypatch):
         """Stage-level stats (not just totals) are the same whether a stage
         ran, was served warm, or was served to a run resumed before its last
         stage."""
-        plain, _ = run_one(name, data)
+        s = s_for(pair, data)
+        plain, _ = run_one(name, data, s)
         cache = PlanCache()
-        run_one(name, data, plan_cache=cache)
-        warm, _ = run_one(name, data, plan_cache=cache)
-        resumed, _ = run_resumed(name, data, tmp_path, monkeypatch, len(plain.job_stats) - 1)
+        run_one(name, data, s, plan_cache=cache)
+        warm, _ = run_one(name, data, s, plan_cache=cache)
+        resumed, _ = run_resumed(
+            name, data, tmp_path, monkeypatch, len(plain.job_stats) - 1, s
+        )
         assert stage_facts(warm) == stage_facts(resumed) == stage_facts(plain)
         assert warm.job_stats.names == plain.job_stats.names
 
 
 class TestEngineSpillMatrix:
     """Direct engine × shuffle-backend sweep for a chain join and the
-    approximate join (the CI legs additionally push every join through
-    processes-pooled and a forced-spill budget via the env defaults)."""
+    approximate join, over both input shapes (the CI legs additionally push
+    every join through processes-pooled and a forced-spill budget via the
+    env defaults)."""
 
     @pytest.fixture(scope="class")
     def pgbj_reference(self, data):
         config = PgbjConfig(k=3, num_reducers=4, num_pivots=12, split_size=64, seed=5)
-        return fingerprint(run_join("pgbj", data, data, config))
+        return functools.cache(
+            lambda pair: fingerprint(run_join("pgbj", data, s_for(pair, data), config))
+        )
 
+    @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("budget", (None, 64))
-    def test_pgbj_matrix(self, data, engine, budget, pgbj_reference):
+    def test_pgbj_matrix(self, data, engine, budget, pair, pgbj_reference):
         config = PgbjConfig(
             k=3, num_reducers=4, num_pivots=12, split_size=64, seed=5,
             engine=engine, max_workers=2, memory_budget=budget,
         )
-        outcome = run_join("pgbj", data, data, config)
-        assert fingerprint(outcome) == pgbj_reference
+        outcome = run_join("pgbj", data, s_for(pair, data), config)
+        assert fingerprint(outcome) == pgbj_reference(pair)
         if budget is not None:
             assert outcome.spill_segments() > 0
 
+    @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("budget", (None, 64))
-    def test_pgbj_resumed_matrix(self, data, engine, budget, pgbj_reference, tmp_path, monkeypatch):
+    def test_pgbj_resumed_matrix(
+        self, data, engine, budget, pair, pgbj_reference, tmp_path, monkeypatch
+    ):
         """Killed after its partition stage and resumed over the same
         ``plan_cache_dir``: the stage read back from disk drives the join
         stage on every engine and shuffle backend."""
         resumed, jobs = run_resumed(
-            "pgbj", data, tmp_path, monkeypatch, 1,
+            "pgbj", data, tmp_path, monkeypatch, 1, s_for(pair, data),
             engine=engine, max_workers=2, memory_budget=budget,
         )
-        assert fingerprint(resumed) == pgbj_reference
+        assert fingerprint(resumed) == pgbj_reference(pair)
         assert jobs == 1
 
+    @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("engine", ("serial", "processes-pooled"))
     @pytest.mark.parametrize("budget", (None, 64))
-    def test_zorder_matrix(self, data, engine, budget, tmp_path, monkeypatch):
+    def test_zorder_matrix(self, data, engine, budget, pair, tmp_path, monkeypatch):
+        s = s_for(pair, data)
         reference = fingerprint(
             run_join(
                 "zorder",
                 data,
-                data,
+                s,
                 ZOrderConfig(k=3, num_reducers=4, num_shifts=2, split_size=64, seed=5),
             )
         )
@@ -216,9 +251,9 @@ class TestEngineSpillMatrix:
             k=3, num_reducers=4, num_shifts=2, split_size=64, seed=5,
             engine=engine, max_workers=2, memory_budget=budget,
         )
-        assert fingerprint(run_join("zorder", data, data, config)) == reference
+        assert fingerprint(run_join("zorder", data, s, config)) == reference
         resumed, jobs = run_resumed(
-            "zorder", data, tmp_path, monkeypatch, 1,
+            "zorder", data, tmp_path, monkeypatch, 1, s,
             k=3, num_reducers=4, num_shifts=2, split_size=64, seed=5,
             engine=engine, max_workers=2, memory_budget=budget,
         )
@@ -287,14 +322,16 @@ class TestPlanCacheReuse:
         assert warm == cold
         assert cache.stats()["hits"] == 1
 
+    @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_cold_then_warm_disk_cache(self, name, data, tmp_path):
+    def test_cold_then_warm_disk_cache(self, name, pair, data, tmp_path):
         """A run served from the persistent cache by a fresh cache object
         fingerprints like the cold run that wrote it, and writes nothing new:
         every stage was stored by the cold run."""
-        cold, _ = run_one(name, data, plan_cache_dir=str(tmp_path))
+        s = s_for(pair, data)
+        cold, _ = run_one(name, data, s, plan_cache_dir=str(tmp_path))
         files = sorted(Path(tmp_path).glob("*.plan.seg"))
-        warm, _ = run_one(name, data, plan_cache_dir=str(tmp_path))
+        warm, _ = run_one(name, data, s, plan_cache_dir=str(tmp_path))
         assert fingerprint(warm) == fingerprint(cold)
         assert files and sorted(Path(tmp_path).glob("*.plan.seg")) == files
 
@@ -668,18 +705,23 @@ class TestBoundaryValidation:
         yield lambda: plan_join(name, r, s, config)
         yield lambda: run_join(name, r, s, config)
 
+    @staticmethod
+    def _sides(side, bad, data):
+        """``(r, s)`` with ``bad`` as R, as S, or as both of a self-join."""
+        return {"r": (bad, data), "s": (data, bad), "self": (bad, bad)}[side]
+
     @pytest.mark.parametrize("poison", (float("nan"), float("inf"), float("-inf")))
-    @pytest.mark.parametrize("side", ("r", "s"))
+    @pytest.mark.parametrize("side", ("r", "s", "self"))
     @pytest.mark.parametrize("name", ALL_JOINS)
     def test_non_finite_coordinates_rejected(self, name, side, poison, data):
+        """A self-join names its one dataset as R."""
         bad = self._with(data, poison=poison)
-        r, s = (bad, data) if side == "r" else (data, bad)
-        for call in self._entry_points(name, r, s):
+        for call in self._entry_points(name, *self._sides(side, bad, data)):
             with pytest.raises(InvalidJoinInput) as caught:
                 call()
             assert str(caught.value) == (
-                f"{side.upper()} ('bad') has 1 object(s) with non-finite coordinates, "
-                f"first id {int(data.ids[7])}"
+                f"{'S' if side == 's' else 'R'} ('bad') has 1 object(s) with non-finite "
+                f"coordinates, first id {int(data.ids[7])}"
             )
 
     @pytest.mark.parametrize("side", ("r", "s"))
@@ -727,42 +769,47 @@ class TestBoundaryValidation:
                 with pytest.raises(InvalidJoinInput, match="dimension mismatch: R has"):
                     call()
 
-    @pytest.mark.parametrize("side", ("r", "s"))
+    @pytest.mark.parametrize("side", ("r", "s", "self"))
     @pytest.mark.parametrize("name", ALL_JOINS)
     def test_empty_side_rejected(self, name, side, data):
         empty = type(data)(data.points[:0], ids=data.ids[:0], name="bad")
-        r, s = (empty, data) if side == "r" else (data, empty)
-        for call in self._entry_points(name, r, s):
+        for call in self._entry_points(name, *self._sides(side, empty, data)):
             with pytest.raises(InvalidJoinInput) as caught:
                 call()
             assert str(caught.value) == (
-                f"{side.upper()} ('bad') is empty; a join needs non-empty R and S"
+                f"{'S' if side == 's' else 'R'} ('bad') is empty; "
+                "a join needs non-empty R and S"
             )
 
+    @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("name", available_joins())
-    def test_k_exceeding_s_rejected(self, name, data):
+    def test_k_exceeding_s_rejected(self, name, pair, data):
         few = type(data)(data.points[:2], ids=data.ids[:2], name="few")
-        for call in self._entry_points(name, data, few):
+        r = few if pair == "self-join" else data
+        for call in self._entry_points(name, r, few):
             with pytest.raises(InvalidJoinInput, match=r"k=3 exceeds \|S\|=2"):
                 call()
         # k == |S| is a join (every s is a neighbour)
-        assert run_join(name, data, few, make_config(name, k=2)).k == 2
+        config = make_config(name, k=2, num_pivots=min(12, len(r)))
+        assert run_join(name, r, few, config).k == 2
 
+    @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_more_pivots_than_r_rejected_where_drawn_from_r(self, name, data):
+    def test_more_pivots_than_r_rejected_where_drawn_from_r(self, name, pair, data):
         """PGBJ and PBJ draw ``num_pivots`` pivots from R; the other joins
         cap their pivot count at the data they index, or take none."""
         few = type(data)(data.points[:5], ids=data.ids[:5], name="few")
+        s = few if pair == "self-join" else data
         if get_join(name).pivots_from_r:
-            for call in self._entry_points(name, few, data):
+            for call in self._entry_points(name, few, s):
                 with pytest.raises(InvalidJoinInput) as caught:
                     call()
                 assert str(caught.value) == (
                     "num_pivots=12 exceeds |R|=5; pivots are drawn from R"
                 )
-            assert plan_join(name, few, data, make_config(name, num_pivots=5))
+            assert plan_join(name, few, s, make_config(name, num_pivots=5))
         else:
-            for call in self._entry_points(name, few, data):
+            for call in self._entry_points(name, few, s):
                 call()
         assert {n for n in ALL_JOINS if get_join(n).pivots_from_r} == {"pgbj", "pbj"}
 

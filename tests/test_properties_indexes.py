@@ -1,10 +1,12 @@
 """Property-based tests for the R-tree, H-BRJ's reducer index.
 
 It must agree exactly with linear-scan semantics over arbitrary inputs —
-duplicated points, clustered points, degenerate dimensions included.
+duplicated points, clustered points, degenerate dimensions included — under
+every metric a join takes: MINDIST must bound each metric from below.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,28 +31,29 @@ def rtree_world(draw):
     return points, query, k, seed
 
 
+@pytest.mark.parametrize("metric", ("l1", "l2", "linf"))
 class TestRTreeProperties:
-    @given(rtree_world())
+    @given(world=rtree_world())
     @settings(max_examples=50, deadline=None)
-    def test_knn_distances_match_brute_force(self, world):
+    def test_knn_distances_match_brute_force(self, metric, world):
         points, query, k, seed = world
         ids = np.arange(points.shape[0])
-        tree = RTree.bulk_load(points, ids, get_metric("l2"), capacity=8)
+        tree = RTree.bulk_load(points, ids, get_metric(metric), capacity=8)
         tree.check_invariants()
         got_ids, got_dists = tree.knn(query, k)
-        want_ids, want_dists = knn_of_point(get_metric("l2"), query, points, ids, k)
+        want_ids, want_dists = knn_of_point(get_metric(metric), query, points, ids, k)
         assert np.allclose(got_dists, want_dists)
 
-    @given(rtree_world())
+    @given(world=rtree_world())
     @settings(max_examples=30, deadline=None)
-    def test_insertion_keeps_invariants(self, world):
+    def test_insertion_keeps_invariants(self, metric, world):
         points, query, k, seed = world
-        tree = RTree(get_metric("l2"), capacity=4)
+        tree = RTree(get_metric(metric), capacity=4)
         for row in range(points.shape[0]):
             tree.insert(points[row], row)
         tree.check_invariants()
         got_ids, got_dists = tree.knn(query, k)
         _, want_dists = knn_of_point(
-            get_metric("l2"), query, points, np.arange(points.shape[0]), k
+            get_metric(metric), query, points, np.arange(points.shape[0]), k
         )
         assert np.allclose(got_dists, want_dists)

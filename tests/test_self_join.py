@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
-from repro.joins import get_join, kernels, plan_join, run_join
+from repro.joins import available_joins, get_join, kernels, plan_join, run_join
 from repro.joins.base import (
     OTHER_CELL_PAIRS_NAME,
     OWN_CELL_PAIRS_NAME,
@@ -216,28 +216,36 @@ def facts(name, r, s, config):
 
 @pytest.mark.parametrize("persisted", ("plan-cache", "plan-cache-dir"))
 @pytest.mark.parametrize("first", ("self-join", "equal-copy"))
-def test_persisted_results_never_stand_in_for_the_other_kind(persisted, first, data, tmp_path):
+@pytest.mark.parametrize("name", available_joins())
+def test_persisted_results_never_stand_in_for_the_other_kind(
+    name, persisted, first, data, tmp_path
+):
     """Fill a persistent plan cache (injected, or named by ``plan_cache_dir``)
     with one kind of run, then run the other kind over it: its counters are a
     fresh run's.  The same kind again is served (the store is not vacuous)."""
     kinds = {"self-join": data, "equal-copy": copy.deepcopy(data)}
     second = "equal-copy" if first == "self-join" else "self-join"
-    fresh = facts("pgbj", data, kinds[second], config_for("pgbj"))
+    fresh = facts(name, data, kinds[second], config_for(name))
 
     def stored():
         if persisted == "plan-cache":
-            return config_for("pgbj", plan_cache=PlanCache(directory=str(tmp_path / "plans")))
-        return config_for("pgbj", plan_cache_dir=str(tmp_path / "dir"))
+            return config_for(name, plan_cache=PlanCache(directory=str(tmp_path / "plans")))
+        return config_for(name, plan_cache_dir=str(tmp_path / "dir"))
 
-    facts("pgbj", data, kinds[first], stored())
+    def stages(kind):
+        return len(plan_join(name, data, kinds[kind], config_for(name)).graph.stages)
+
+    facts(name, data, kinds[first], stored())
     config = stored()
-    assert facts("pgbj", data, kinds[second], config) == fresh
+    assert facts(name, data, kinds[second], config) == fresh
     if persisted == "plan-cache":
         assert config.plan_cache.stats()["disk_hits"] == 0
         again = stored()
-        facts("pgbj", data, kinds[first], again)
-        # both stages: the partition under its content key, the join under
-        # the plan identity (each tells a self-join from an equal copy)
-        assert again.plan_cache.stats()["disk_hits"] == 2
+        facts(name, data, kinds[first], again)
+        # every stage: PGBJ's and PBJ's partition under its content key, the
+        # others under the plan identity (each tells a self-join from an
+        # equal copy)
+        assert again.plan_cache.stats()["disk_hits"] == stages(first)
     else:  # one file per stage and kind: the second kind wrote its own
-        assert len(list((tmp_path / "dir").glob("*.plan.seg"))) == 2 * 2
+        files = list((tmp_path / "dir").glob("*.plan.seg"))
+        assert len(files) == stages(first) + stages(second)

@@ -22,19 +22,23 @@ from pathlib import Path
 import pytest
 
 from repro.datasets import generate_forest
-from tests.test_plan_equivalence import ALL_JOINS, ENGINES, fingerprint, run_one
+from tests.test_plan_equivalence import ALL_JOINS, ENGINES, PAIRS, fingerprint, run_one, s_for
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FD_DIR = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
 HASH_SEEDS = ("1", "2")
 
-#: what a subprocess prints: the pickled fingerprint of every join
+#: what a subprocess prints: the pickled fingerprint of every join over
+#: both input shapes
 FINGERPRINT_ALL = """
 import pickle, sys
 from repro.datasets import generate_forest
-from tests.test_plan_equivalence import ALL_JOINS, fingerprint, run_one
+from tests.test_plan_equivalence import ALL_JOINS, PAIRS, fingerprint, run_one, s_for
 data = generate_forest(120, seed=3)
-facts = {name: fingerprint(run_one(name, data)[0]) for name in ALL_JOINS}
+facts = {
+    (name, pair): fingerprint(run_one(name, data, s_for(pair, data))[0])
+    for name in ALL_JOINS for pair in PAIRS
+}
 sys.stdout.buffer.write(pickle.dumps(facts))
 """
 
@@ -60,13 +64,15 @@ class TestJoinReleasesEverything:
         # shared-memory heap, which stays for the interpreter's lifetime
         run_one("pgbj", data, engine="processes-pooled", max_workers=2)
 
+    @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("spill", (False, True), ids=("memory", "spill"))
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_run_join_leaves_nothing_open(self, name, engine, spill, data, tmp_path):
+    def test_run_join_leaves_nothing_open(self, name, engine, spill, pair, data, tmp_path):
         backend = dict(memory_budget=0, spill_dir=str(tmp_path)) if spill else {}
+        s = s_for(pair, data)
         before = held()
-        run_one(name, data, engine=engine, max_workers=2, **backend)
+        run_one(name, data, s, engine=engine, max_workers=2, **backend)
         assert held() == before
         assert list(tmp_path.iterdir()) == []
 
@@ -88,8 +94,9 @@ class TestFactsIndependentOfHashSeed:
             facts[seed] = pickle.loads(done.stdout)
         return facts
 
+    @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("name", ALL_JOINS)
-    def test_same_facts_under_every_seed(self, name, facts_by_seed, data):
-        here = fingerprint(run_one(name, data)[0])
+    def test_same_facts_under_every_seed(self, name, pair, facts_by_seed, data):
+        here = fingerprint(run_one(name, data, s_for(pair, data))[0])
         for seed in HASH_SEEDS:
-            assert facts_by_seed[seed][name] == here, f"PYTHONHASHSEED={seed}"
+            assert facts_by_seed[seed][name, pair] == here, f"PYTHONHASHSEED={seed}"
