@@ -111,37 +111,12 @@ class Dataset:
             name=name or self.name,
         )
 
-    def project(self, dims: Sequence[int] | int, name: str | None = None) -> "Dataset":
-        """Project to a subset of dimensions (used by the Figure 10 sweep).
-
-        An integer argument keeps the first ``dims`` dimensions.
-        """
-        if isinstance(dims, (int, np.integer)):
-            dims = list(range(int(dims)))
-        return Dataset(
-            self.points[:, list(dims)].copy(),
-            ids=self.ids.copy(),
-            payload_bytes=None if self.payload_bytes is None else self.payload_bytes.copy(),
-            name=name or f"{self.name}[{len(dims)}d]",
-        )
-
     def sample(self, size: int, rng: np.random.Generator, name: str | None = None) -> "Dataset":
         """Uniform sample without replacement (used for pivot preprocessing)."""
         if size >= len(self):
             return self
         rows = rng.choice(len(self), size=size, replace=False)
         return self.take(np.sort(rows), name=name or f"{self.name}-sample")
-
-    def split_rows(self, num_parts: int, rng: np.random.Generator) -> list[np.ndarray]:
-        """Random equal-size row split, as H-BRJ partitions R and S.
-
-        Returns ``num_parts`` arrays of positional row indices whose sizes
-        differ by at most one.
-        """
-        if num_parts < 1:
-            raise ValueError("num_parts must be >= 1")
-        perm = rng.permutation(len(self))
-        return [np.sort(part) for part in np.array_split(perm, num_parts)]
 
     def record_bytes(self, row: int, extra: int = 0) -> int:
         """Serialized size of one object record (id + coords + payload).

@@ -193,25 +193,16 @@ class Metric(ABC):
         out[cols, rows] = out[rows, cols]
         return out
 
-    # -- uncounted entry points ---------------------------------------------
+    # -- uncounted entry point ----------------------------------------------
     #
     # Index structures compute distances to geometric artifacts (bounding
     # rectangles, hyperplanes) that are not data objects; the paper's
-    # selectivity counts *object pairs* only, so these variants bypass the
-    # counter.  Use them only for non-object geometry.
+    # selectivity counts *object pairs* only, so this variant bypasses the
+    # counter.  Use it only for non-object geometry.
 
     def uncounted_distance(self, a: np.ndarray, b: np.ndarray) -> float:
         """``|a, b|`` without touching the pair counter."""
         return self._pair(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-
-    def uncounted_distances(self, a: np.ndarray, bs: np.ndarray) -> np.ndarray:
-        """Distances from ``a`` to rows of ``bs`` without counting."""
-        bs = np.asarray(bs, dtype=np.float64)
-        return self._one_to_many(np.asarray(a, dtype=np.float64), bs)
-
-    def reset_counter(self) -> None:
-        """Zero the computed-pair counter."""
-        self.pairs_computed = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

@@ -72,7 +72,7 @@ class PartitionAssignment:
         Total number of pivots ``M`` (cells may be empty).
     """
 
-    __slots__ = ("partition_ids", "pivot_distances", "num_partitions", "_rows_by_pid")
+    __slots__ = ("partition_ids", "pivot_distances", "num_partitions")
 
     def __init__(
         self, partition_ids: np.ndarray, pivot_distances: np.ndarray, num_partitions: int
@@ -82,27 +82,10 @@ class PartitionAssignment:
         if self.partition_ids.shape != self.pivot_distances.shape:
             raise ValueError("partition_ids and pivot_distances must align")
         self.num_partitions = int(num_partitions)
-        self._rows_by_pid: dict[int, np.ndarray] | None = None
-
-    def rows_of(self, partition_id: int) -> np.ndarray:
-        """Positional rows of the objects in the given cell (possibly empty)."""
-        if self._rows_by_pid is None:
-            order = np.argsort(self.partition_ids, kind="stable")
-            sorted_pids = self.partition_ids[order]
-            boundaries = np.searchsorted(sorted_pids, np.arange(self.num_partitions + 1))
-            self._rows_by_pid = {
-                pid: order[boundaries[pid] : boundaries[pid + 1]]
-                for pid in range(self.num_partitions)
-            }
-        return self._rows_by_pid[int(partition_id)]
 
     def counts(self) -> np.ndarray:
         """Objects per cell, shape ``(num_partitions,)``."""
         return np.bincount(self.partition_ids, minlength=self.num_partitions)
-
-    def non_empty_partitions(self) -> list[int]:
-        """Ids of cells that contain at least one object."""
-        return [int(p) for p in np.flatnonzero(self.counts() > 0)]
 
     def __len__(self) -> int:
         return self.partition_ids.shape[0]

@@ -17,7 +17,6 @@ outcome object.  Everything downstream is generic:
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 from contextlib import ExitStack
 from dataclasses import dataclass, fields as dataclass_fields
@@ -52,6 +51,8 @@ def dataset_fingerprint(dataset: Dataset) -> tuple:
     that can reach a job's outputs or its shuffle accounting — plus the
     cosmetic name so two differently-labelled copies never alias.
     """
+    import hashlib
+
     digest = hashlib.sha1()
     digest.update(np.ascontiguousarray(dataset.points).tobytes())
     digest.update(np.ascontiguousarray(dataset.ids).tobytes())
@@ -186,7 +187,9 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: between groups, its reducers judge a (row, S cell) pair by the ranges of
 #: only the objects admitted for the row's cell, and a z-order self-join row
 #: reads its own entry as 0.0, so the join stages' groups and counters changed.
-RESULTS_VERSION = 20
+#: 21: a z-order self-join computes each mirrored window pair once, so its
+#: join stage's pair counter changed.
+RESULTS_VERSION = 21
 
 
 def plan_identity(name: str, r: Dataset, s: Dataset, config: JoinConfig) -> str:
@@ -211,6 +214,8 @@ def plan_identity(name: str, r: Dataset, s: Dataset, config: JoinConfig) -> str:
         type(config).__name__,
         knobs,
     )
+    import hashlib
+
     return hashlib.sha1(repr(identity).encode()).hexdigest()
 
 

@@ -22,7 +22,10 @@ Algorithm sketch (two MapReduce jobs, like the block framework):
    healing copies only S, so no ``r`` is answered twice in one shift.
 2. Each reducer sorts its S block by z-value and, for each ``r``, takes the
    ``2k`` nearest S objects *along the curve* as candidates, computing their
-   true distances.  A merge job keeps the best k per ``r`` across all shifts.
+   true distances.  In a self-join an ``s`` in ``r``'s window nearly always
+   has ``r`` in its own window too: each such pair is computed once and
+   read twice, and an object's own entry not at all.  A merge job keeps the
+   best k per ``r`` across all shifts.
 
 The join is array-shaped end to end.  Z-values are fixed-width byte keys
 (:meth:`~repro.core.zorder.ZOrderTransform.z_keys`), so a map task places its
@@ -34,8 +37,9 @@ did — the block's payload column is zero, and its two 8-byte annotation
 columns weigh what the tuple's framing and z-value did — and z itself is not
 shipped: the reducer recomputes it from the shift its key names.  The reducer
 answers all its ``r`` with one ``(z, id)`` lexsort, one ``searchsorted``, one
-windowed gather and one counted pair-distance call, and hands the candidate
-lists to the shared merge job as
+windowed gather, a few gathers that pair each window entry with its mirror
+(:func:`mirror_entries`) and one counted pair-distance call, and hands the
+candidate lists to the shared merge job as
 :class:`~repro.mapreduce.types.NeighborBlock` values
 (:func:`~repro.joins.block_framework.candidate_emissions`).
 
@@ -43,7 +47,8 @@ The result is approximate: a true neighbor may be z-far in every shift.
 Quality is measured by :func:`recall_against` (fraction of exact neighbors
 found) and the distance ratio.  A curve copy ships every object once more
 in a self-join (an R row and an S row apart when R ≠ S) and scans ``2 *
-candidates_per_side`` more pairs per ``r``; on 10-d Forest x10 it buys
+candidates_per_side`` more pairs per ``r`` (about half of them computed in a
+self-join, the rest mirrors); on 10-d Forest x10 it buys
 recall 0.60 → 0.75 → 0.85 → 0.89 (1–4 copies, README's table).
 """
 
@@ -180,14 +185,20 @@ class ZOrderJoinReducer(Reducer):
         owner = np.repeat(np.arange(r_rows.size), lengths)
         rank = ranks_within(lengths)
         window = s_rows[start[owner] + rank]
-        ids = object_ids[window]
-        # a self-join row's own entry (the same row, of both roles) is 0.0
+        asker, ids = r_rows[owner], object_ids[window]
+        # in a self-join the window row often asks for the asker too: such a
+        # mirrored pair is computed once, by the entry whose asker is the
+        # smaller row, and read by the other (the metrics are bitwise
+        # symmetric); a row's own entry (the same row, of both roles) is 0.0
         # uncomputed, as PGBJ's own-cell memo reads it
-        other = np.flatnonzero(window != r_rows[owner])
+        mirror = mirror_entries(len(block), r_rows, s_rows, start, lengths, owner, window)
+        computed = np.flatnonzero((asker < window) | ((asker > window) & (mirror < 0)))
         dists = np.zeros(window.size)
-        dists[other] = self._metric.pair_distances(
-            block.points[r_rows[owner[other]]], block.points[window[other]]
+        dists[computed] = self._metric.pair_distances(
+            block.points[asker[computed]], block.points[window[computed]]
         )
+        copied = np.flatnonzero((asker > window) & (mirror >= 0))
+        dists[copied] = dists[mirror[copied]]
         # the k best of every window under (distance, id): sorting keeps each
         # r's candidates in its own span, so rank still counts from its start
         best = np.lexsort((ids, dists, owner))[rank < self._k]
@@ -199,6 +210,38 @@ class ZOrderJoinReducer(Reducer):
     def cleanup(self, ctx: Context):
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)
         return ()
+
+
+def mirror_entries(
+    rows: int,
+    r_rows: np.ndarray,
+    s_rows: np.ndarray,
+    start: np.ndarray,
+    lengths: np.ndarray,
+    owner: np.ndarray,
+    window: np.ndarray,
+) -> np.ndarray:
+    """Each window entry's mirror: the entry in which its window row asks
+    for its asker, or -1 where there is none.
+
+    ``r_rows[i]``'s window is ``s_rows[start[i] : start[i] + lengths[i]]``
+    (positions in the z-sorted S block of ``rows`` rows), and the entries
+    lie window after window: entry ``e`` is ``(r_rows[owner[e]],
+    window[e])``.  A mirror needs the window row to ask (to be an R row) and
+    the asker to lie in that row's window, so it is read off the windows'
+    ranges, with no search, whatever ties on z did to their centres.  Only a
+    row of both roles can mirror: an R != S join has none.
+    """
+    r_index = np.full(rows, -1)
+    r_index[r_rows] = np.arange(r_rows.size)
+    s_index = np.full(rows, -1)
+    s_index[s_rows] = np.arange(s_rows.size)
+    # the window row's own window (if it asks), and the asker's place in it
+    theirs = r_index[window]
+    at = s_index[r_rows[owner]] - start[theirs]
+    found = (theirs >= 0) & (at >= 0) & (at < lengths[theirs])
+    first = np.cumsum(lengths) - lengths
+    return np.where(found, first[theirs] + at, -1)
 
 
 def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:

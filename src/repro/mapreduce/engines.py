@@ -54,14 +54,17 @@ context manager with an idempotent ``close()``, and
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import threading
 from collections.abc import Callable, Sequence
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor
 from functools import partial
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    # a pool's classes and multiprocessing load only where a pool is built
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 __all__ = [
     "Executor",
@@ -247,6 +250,8 @@ class PersistentThreadExecutor(Executor):
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._lock:
             if self._pool is None:
+                from concurrent.futures import ThreadPoolExecutor
+
                 self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
             return self._pool
 
@@ -451,6 +456,9 @@ class PersistentProcessExecutor(Executor):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             slots = self.worker_slots  # blacklisting shrinks rebuilt pools
             self._barrier = multiprocessing.get_context().Barrier(slots)
             self._pool = ProcessPoolExecutor(

@@ -38,7 +38,6 @@ converge), and ``delay`` (sleep seconds, delay rules only).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any
 
@@ -110,6 +109,8 @@ def _coin(seed: int, rule_index: int, task_id: str, attempt: int) -> float:
     how many other draws happened before it, so engines that schedule tasks
     in different orders (or concurrently) see identical chaos.
     """
+    import hashlib
+
     digest = hashlib.sha256(
         f"{seed}|{rule_index}|{task_id}|{attempt}".encode()
     ).digest()

@@ -31,7 +31,6 @@ pipelines into *plans*, the FlumeJava/Spark move applied to this runtime:
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import time
@@ -373,6 +372,8 @@ class PlanCache:
         """The segment file a persistent entry for ``key`` lives in."""
         if self.directory is None:
             raise ValueError("PlanCache has no directory")
+        import hashlib
+
         digest = hashlib.sha1(repr(key).encode()).hexdigest()
         return self.directory / f"{digest}.plan.seg"
 
@@ -419,12 +420,6 @@ class PlanCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def disk_entries(self) -> int:
-        """Number of persisted result files currently in the directory."""
-        if self.directory is None or not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.plan.seg"))
 
     def stats(self) -> dict[str, int]:
         """``{"entries", "hits", "misses"}`` — stamped into bench records.

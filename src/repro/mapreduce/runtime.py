@@ -44,7 +44,6 @@ vanishes when the store closes.
 from __future__ import annotations
 
 import os
-import statistics
 import time
 import zlib
 from collections.abc import Iterator, Sequence
@@ -943,6 +942,8 @@ class LocalRuntime:
         never speculate), capped by an absolute ``task_timeout`` if set."""
         deadline = None
         if durations:
+            import statistics
+
             deadline = max(
                 statistics.median(durations) * self.speculation_factor,
                 self.speculation_floor_s,

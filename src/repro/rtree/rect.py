@@ -59,10 +59,6 @@ class Rect:
         """Whether the two rectangles overlap (boundaries included)."""
         return bool(np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi))
 
-    def contains_point(self, point: np.ndarray) -> bool:
-        """Whether the point lies inside (boundaries included)."""
-        return bool(np.all(self.lo <= point) and np.all(point <= self.hi))
-
     def mindist(self, point: np.ndarray, metric: Metric) -> float:
         """MINDIST: distance from a point to the nearest point of the MBR.
 

@@ -1,11 +1,10 @@
-"""The R-tree index: bulk loading, dynamic insertion, range and kNN search.
+"""The R-tree index: bulk loading, dynamic insertion and kNN search.
 
 This is the index the H-BRJ baseline builds per reducer over its block of
 ``S``.  It provides:
 
 * STR bulk loading (the fast path used by the join),
 * classic Guttman insertion with quadratic split (dynamic use and tests),
-* range search,
 * best-first kNN search (Hjaltason & Samet) driven by MINDIST — the
   "traversing the R-tree with a priority queue of candidate objects and
   intermediate nodes" the paper describes for H-BRJ's reducers.
@@ -171,26 +170,6 @@ class RTree:
 
     # -- queries -------------------------------------------------------------
 
-    def range_search(self, lo: np.ndarray, hi: np.ndarray) -> list[int]:
-        """Ids of all objects inside the query rectangle (inclusive)."""
-        if self.root is None:
-            return []
-        query = Rect(np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64))
-        out: list[int] = []
-        stack: list[Node] = [self.root]
-        while stack:
-            node = stack.pop()
-            if not node.rect.intersects(query):
-                continue
-            if node.is_leaf:
-                inside = np.all(
-                    (node.points >= query.lo) & (node.points <= query.hi), axis=1
-                )
-                out.extend(int(i) for i in node.ids[inside])
-            else:
-                stack.extend(node.children)
-        return sorted(out)
-
     def knn(self, query: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Best-first k-nearest-neighbor search.
 
@@ -231,44 +210,3 @@ class RTree:
                         (child.rect.mindist(query, self.metric), 0, next(counter), child),
                     )
         return np.array(result_ids, dtype=np.int64), np.array(result_dists, dtype=np.float64)
-
-    # -- invariants (used by tests) --------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Verify MBR containment, fanout bounds and leaf-depth uniformity."""
-        if self.root is None:
-            if self._size != 0:
-                raise AssertionError("empty root but non-zero size")
-            return
-        depths: set[int] = set()
-        total = 0
-
-        def visit(node: Node, depth: int, is_root: bool) -> None:
-            nonlocal total
-            if len(node) > self.capacity:
-                raise AssertionError("node over capacity")
-            if not is_root and len(node) < 1:
-                raise AssertionError("empty non-root node")
-            if node.is_leaf:
-                depths.add(depth)
-                total += len(node)
-                rect = Rect.of_points(node.points)
-            else:
-                for child in node.children:
-                    if not (
-                        np.all(node.rect.lo <= child.rect.lo)
-                        and np.all(child.rect.hi <= node.rect.hi)
-                    ):
-                        raise AssertionError("child MBR escapes parent MBR")
-                    visit(child, depth + 1, False)
-                rect = Rect.union_of([c.rect for c in node.children])
-            if not (
-                np.allclose(rect.lo, node.rect.lo) and np.allclose(rect.hi, node.rect.hi)
-            ):
-                raise AssertionError("stale MBR")
-
-        visit(self.root, 0, True)
-        if len(depths) != 1:
-            raise AssertionError(f"leaves at multiple depths: {sorted(depths)}")
-        if total != self._size:
-            raise AssertionError(f"size mismatch: counted {total}, recorded {self._size}")

@@ -11,7 +11,9 @@ id, point, z)`` row per shift to the block its z-value falls in, an ``s``
 also as an S-only row to a neighbouring block it lies near.  In a
 self-join (``r is s``) the own-block row carries both role bits, so each
 object is one row per shift there; an R ≠ S join ships an R row and an S
-row apart.
+row apart.  A reducer computes each unordered pair of different rows its
+windows hold once, whichever row asks first, and a row's own entry not at
+all: in a self-join the window row of a pair often asks for the asker too.
 """
 
 from __future__ import annotations
@@ -126,6 +128,9 @@ class RowJoinReducer(Reducer):
         s_ids = np.array([item[1] for item in s_items], dtype=self._id_dtype)
         s_points = np.array([item[2] for item in s_items], dtype=np.float64)
         s_rows = [item[3] for item in s_items]
+        # (smaller row, larger row) -> distance: each unordered pair of rows
+        # is computed once, whichever of them asks first
+        known: dict[tuple[int, int], float] = {}
         for z_value, r_id, r_point, r_row in r_items:
             center = bisect.bisect_left(s_z, z_value)
             start = max(0, center - self._per_side)
@@ -133,9 +138,15 @@ class RowJoinReducer(Reducer):
             if start >= stop:
                 continue
             # a row of both roles meets itself at 0.0, uncomputed
-            other = np.array([i for i in range(start, stop) if s_rows[i] != r_row], dtype=int)
-            dists = np.zeros(stop - start)
-            dists[other - start] = self._metric.distances(r_point, s_points[other])
+            pairs = [tuple(sorted((r_row, s_rows[i]))) for i in range(start, stop)]
+            new = [
+                i
+                for i, pair in zip(range(start, stop), pairs)
+                if pair[0] != pair[1] and pair not in known
+            ]
+            for i, dist in zip(new, self._metric.distances(r_point, s_points[new])):
+                known[pairs[i - start]] = dist
+            dists = np.array([known.get(pair, 0.0) for pair in pairs])
             order = np.lexsort((s_ids[start:stop], dists))[: self._k]
             yield r_id, (s_ids[start:stop][order], dists[order])
 

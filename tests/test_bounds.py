@@ -46,9 +46,9 @@ class TestPointwiseBounds:
         """ub >= |r,s| >= lb for every r in the cell (Theorems 3-4)."""
         r, s, ar, as_, tr, ts, pdm, k = partitioned_world()
         for i, u_ri in zip(tr.partition_ids(), tr.upper.tolist()):
-            r_rows = ar.rows_of(i)
+            r_rows = np.flatnonzero(ar.partition_ids == i)
             for j in ts.partition_ids():
-                s_rows = as_.rows_of(j)[:5]
+                s_rows = np.flatnonzero(as_.partition_ids == j)[:5]
                 for s_row in s_rows:
                     d_s_pj = as_.pivot_distances[s_row]
                     ub = upper_bound(u_ri, pdm[i, j], d_s_pj)
@@ -64,7 +64,7 @@ class TestBoundingKnn:
         r, s, ar, as_, tr, ts, pdm, k = partitioned_world()
         thetas = compute_thetas(tr, ts, pdm, k)
         for i in tr.partition_ids():
-            for r_row in ar.rows_of(i):
+            for r_row in np.flatnonzero(ar.partition_ids == i):
                 dists = np.sort(np.linalg.norm(s.points - r.points[r_row], axis=1))
                 assert dists[k - 1] <= thetas[i] + 1e-9
 

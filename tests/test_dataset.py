@@ -78,15 +78,6 @@ class TestDerivation:
         assert np.array_equal(sub.ids, [6, 8])
         assert np.array_equal(sub.points, data.points[[1, 3]])
 
-    def test_project_by_count(self):
-        sub = make().project(2)
-        assert sub.dimensions == 2
-        assert np.array_equal(sub.points, make().points[:, :2])
-
-    def test_project_by_list(self):
-        sub = make().project([0, 2])
-        assert np.array_equal(sub.points[:, 1], make().points[:, 2])
-
     def test_sample_smaller(self):
         rng = np.random.default_rng(0)
         data = Dataset(np.random.default_rng(1).random((50, 2)))
@@ -97,19 +88,6 @@ class TestDerivation:
     def test_sample_at_least_full_size_returns_self(self):
         data = make()
         assert data.sample(10, np.random.default_rng(0)) is data
-
-    def test_split_rows_covers_everything(self):
-        data = Dataset(np.random.default_rng(1).random((23, 2)))
-        parts = data.split_rows(4, np.random.default_rng(2))
-        assert len(parts) == 4
-        all_rows = np.sort(np.concatenate(parts))
-        assert np.array_equal(all_rows, np.arange(23))
-        sizes = sorted(len(p) for p in parts)
-        assert sizes[-1] - sizes[0] <= 1
-
-    def test_split_rows_rejects_zero_parts(self):
-        with pytest.raises(ValueError):
-            make().split_rows(0, np.random.default_rng(0))
 
 
 class TestRecordBytes:

@@ -85,13 +85,6 @@ class TestCounting:
     def test_uncounted_variants_do_not_count(self):
         metric = EuclideanMetric()
         metric.uncounted_distance([0.0], [1.0])
-        metric.uncounted_distances(np.zeros(2), np.ones((4, 2)))
-        assert metric.pairs_computed == 0
-
-    def test_reset(self):
-        metric = EuclideanMetric()
-        metric.distance([0.0], [1.0])
-        metric.reset_counter()
         assert metric.pairs_computed == 0
 
     def test_empty_batch(self):

@@ -11,6 +11,11 @@ pickle the job by reference.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -750,3 +755,24 @@ class TestMixedTypeShuffleKeys:
         assert sorted(ordered, key=shuffle_sort_key) == ordered
         # numbers keep native numeric order, unpolluted by type names
         assert [k for k in ordered if isinstance(k, (int, float))] == [True, 1.5, 2]
+
+
+class TestImportOnlyWhatRuns:
+    """A pool's machinery, the digests of the plan cache and the chaos
+    coins, and the speculation median load where they run: a fresh
+    ``import repro`` (which imports every join) loads none of them."""
+
+    LAZY = ("hashlib", "multiprocessing", "concurrent.futures.process", "statistics")
+
+    def test_fresh_import_loads_none_of_them(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = f"import sys, repro; print(sorted(set({self.LAZY!r}) & set(sys.modules)))"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            check=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.stdout.strip() == "[]"

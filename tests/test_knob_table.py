@@ -408,10 +408,11 @@ class TestStructure:
         # between groups and ranges each (R cell, S cell) pair by its
         # admitted objects, "f91cf7ccba88a02778f284b0b60706994d7f7851"; still
         # version 20, the spill_codec field and the planner's extra arguments
-        # left the identity)
+        # left the identity, "b4c4f156812ecbfb06ea472d8ae3a573b40d52c0";
+        # version 21 computes each mirrored pair of a z-order self-join once)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig())
-            == "b4c4f156812ecbfb06ea472d8ae3a573b40d52c0"
+            == "66d5a61a9eb06ea8a847a721ea7da625d91f747f"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

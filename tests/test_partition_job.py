@@ -118,7 +118,7 @@ class TestSummaries:
         partitioner = VoronoiPartitioner(pivots, get_metric("l2"))
         assignment = partitioner.assign(s)
         for pid, lo, hi in zip(ts.partition_ids(), ts.offsets, ts.offsets[1:]):
-            rows = assignment.rows_of(pid)
+            rows = np.flatnonzero(assignment.partition_ids == pid)
             expected = np.sort(assignment.pivot_distances[rows])
             assert ts.distances[lo:hi] == pytest.approx(expected)
 

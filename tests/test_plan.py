@@ -227,7 +227,7 @@ class TestPersistentPlanCache:
             if round_index == 0:
                 reference = job_fingerprint(result)
                 assert cache.stats()["disk_writes"] == 1
-                assert cache.disk_entries() == 1
+                assert len(list(tmp_path.glob("*.plan.seg"))) == 1
             else:
                 assert cache.stats()["disk_hits"] == 1
                 assert cache.stats()["disk_writes"] == 0

@@ -557,13 +557,14 @@ class TestMergeJobProducersPinned:
     curve copy when a self-join began to ship each object once per copy, its
     own-block row in both roles: from 1 232 records and 53 280 bytes.  Its
     pairs fell by as many, from 2 369, when that row began to read its own
-    entry as 0.0 uncomputed.)"""
+    entry as 0.0 uncomputed, and from 1 969 to the distinct unordered pairs
+    its windows hold when each mirrored pair began to be computed once.)"""
 
     #: join -> (sha1 of (r id, neighbour ids) rows, pairs, replicas, records, bytes)
     PINNED = {
         "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 52000),
         "pbj": ("124cb21fb9bbe9a5", 7710, 400, 1200, 61600),
-        "zorder": ("f7cc7c3009292dc9", 1969, 432, 832, 37280),
+        "zorder": ("f7cc7c3009292dc9", 1193, 432, 832, 37280),
     }
 
     @pytest.mark.parametrize("served", (False, True), ids=("computed", "served"))

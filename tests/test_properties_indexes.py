@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core import get_metric
 from repro.core.knn import knn_of_point
 from repro.rtree import RTree
+from tests.rtree_invariants import check_invariants
 
 
 @st.composite
@@ -39,7 +40,7 @@ class TestRTreeProperties:
         points, query, k, seed = world
         ids = np.arange(points.shape[0])
         tree = RTree.bulk_load(points, ids, get_metric(metric), capacity=8)
-        tree.check_invariants()
+        check_invariants(tree)
         got_ids, got_dists = tree.knn(query, k)
         want_ids, want_dists = knn_of_point(get_metric(metric), query, points, ids, k)
         assert np.allclose(got_dists, want_dists)
@@ -51,7 +52,7 @@ class TestRTreeProperties:
         tree = RTree(get_metric(metric), capacity=4)
         for row in range(points.shape[0]):
             tree.insert(points[row], row)
-        tree.check_invariants()
+        check_invariants(tree)
         got_ids, got_dists = tree.knn(query, k)
         _, want_dists = knn_of_point(
             get_metric(metric), query, points, np.arange(points.shape[0]), k

@@ -6,6 +6,7 @@ import pytest
 from repro.core import get_metric
 from repro.core.knn import knn_of_point
 from repro.rtree import Rect, RTree
+from tests.rtree_invariants import check_invariants
 
 
 class TestRect:
@@ -31,11 +32,6 @@ class TestRect:
         a = Rect(np.array([0.0]), np.array([2.0]))
         assert a.intersects(Rect(np.array([2.0]), np.array([3.0])))  # touching
         assert not a.intersects(Rect(np.array([2.1]), np.array([3.0])))
-
-    def test_contains_point(self):
-        rect = Rect(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-        assert rect.contains_point(np.array([0.5, 1.0]))
-        assert not rect.contains_point(np.array([0.5, 1.1]))
 
     def test_mindist_zero_inside(self):
         rect = Rect(np.array([0.0, 0.0]), np.array([2.0, 2.0]))
@@ -67,7 +63,7 @@ class TestBulkLoad:
     def test_size_and_invariants(self):
         tree, _, _ = random_tree()
         assert len(tree) == 300
-        tree.check_invariants()
+        check_invariants(tree)
 
     def test_empty(self):
         tree = RTree.bulk_load(np.empty((0, 2)), np.empty(0, dtype=int), get_metric("l2"))
@@ -85,13 +81,13 @@ class TestInsertion:
     def test_incremental_matches_bulk_knn(self):
         bulk, points, ids = random_tree(n=150, capacity=8, bulk=True)
         incremental, _, _ = random_tree(n=150, capacity=8, bulk=False)
-        incremental.check_invariants()
+        check_invariants(incremental)
         query = np.array([0.5, 0.5, 0.5])
         assert np.array_equal(bulk.knn(query, 10)[0], incremental.knn(query, 10)[0])
 
     def test_capacity_respected(self):
         tree, _, _ = random_tree(n=200, capacity=4, bulk=False)
-        tree.check_invariants()
+        check_invariants(tree)
 
     def test_min_capacity(self):
         with pytest.raises(ValueError):
@@ -136,22 +132,3 @@ class TestKnnSearch:
             tree_ids, tree_dists = tree.knn(query, 5)
             bf_ids, bf_dists = knn_of_point(get_metric(name), query, points, np.arange(80), 5)
             assert np.allclose(tree_dists, bf_dists), name
-
-
-class TestRangeSearch:
-    def test_matches_linear_scan(self):
-        tree, points, ids = random_tree(n=200, seed=11)
-        lo, hi = np.full(3, 0.25), np.full(3, 0.6)
-        found = tree.range_search(lo, hi)
-        expected = sorted(
-            int(i) for i in ids[np.all((points >= lo) & (points <= hi), axis=1)]
-        )
-        assert found == expected
-
-    def test_empty_range(self):
-        tree, _, _ = random_tree(n=50)
-        assert tree.range_search(np.full(3, 2.0), np.full(3, 3.0)) == []
-
-    def test_empty_tree(self):
-        tree = RTree(get_metric("l2"))
-        assert tree.range_search(np.zeros(2), np.ones(2)) == []

@@ -18,15 +18,18 @@ from repro.datasets import (
     generate_forest,
     generate_osm,
 )
-from repro.joins import ZOrderConfig, recall_against, run_join, zorder
+from repro.joins import ZOrderConfig, plan_join, recall_against, registry, run_join, zorder
 from repro.joins.block_framework import candidate_emissions
 from repro.joins.kernels import KERNELS
+from repro.joins.registry import JoinPlan, execute_join_plan
+from repro.mapreduce.types import ROLE_R, ROLE_S, RecordBlock, ranks_within
 from tests.reference_zorder import (
     int_z_values,
     outcome_facts,
     result_bytes,
     run_reference_zorder,
 )
+from tests.test_engines import outcome_fingerprint
 from tests.test_plan_equivalence import env_params
 
 
@@ -392,13 +395,12 @@ class TestSelfJoinShipsOneRowPerCopy:
             copied_merge.shuffle_records,
             copied_merge.shuffle_bytes,
         )
-        # a row meets its own entry, of both roles, at 0.0 uncomputed: once
-        # per curve copy, unless ties on its z-value push it out of its window
+        # a row meets its own entry, of both roles, at 0.0 uncomputed (once
+        # per curve copy, unless ties on its z-value push it out of its
+        # window), and a mirrored pair is computed once
+        # (TestMirroredPairsComputedOnce counts both exactly)
         saved = copied.distance_pairs - self_join.distance_pairs
-        if world == "tied":
-            assert 0 < saved <= config.num_shifts * len(data)
-        else:
-            assert saved == config.num_shifts * len(data)
+        assert saved > (0 if world == "tied" else config.num_shifts * len(data))
         assert result_bytes(self_join.result) == result_bytes(copied.result)
 
     @pytest.mark.parametrize("world, metric", sorted(PINNED))
@@ -424,6 +426,148 @@ class TestSelfJoinShipsOneRowPerCopy:
         data, config = self.world(world, metric, **env_params())
         outcome = run_join("zorder", data, copy.deepcopy(data), config)
         assert job_facts(outcome) == self.PINNED[world, metric]
+
+
+def distinct_window_pairs(block: RecordBlock, z_values: list[int], per_side: int) -> set:
+    """Brute force: the unordered pairs of different rows that one reducer's
+    windows hold, a window per ``r`` row and a pair per window entry."""
+    ids = block.object_ids.tolist()
+    r_rows = [row for row in range(len(block)) if block.role[row] & ROLE_R]
+    s_rows = sorted(
+        (row for row in range(len(block)) if block.role[row] & ROLE_S),
+        key=lambda row: (z_values[row], ids[row]),
+    )
+    s_z = [z_values[row] for row in s_rows]
+    pairs = set()
+    for r_row in r_rows:
+        center = bisect.bisect_left(s_z, z_values[r_row])
+        for s_row in s_rows[max(0, center - per_side) : center + per_side]:
+            if s_row != r_row:
+                pairs.add(frozenset((r_row, s_row)))
+    return pairs
+
+
+def pairs_bytes_neighbours(outcome) -> str:
+    """A digest of an outcome's counted pairs, per-job shuffle bytes and
+    neighbour bytes."""
+    facts = (
+        outcome.distance_pairs,
+        [stats.shuffle_bytes for stats in outcome.job_stats],
+        sorted(result_bytes(outcome.result).items()),
+    )
+    return hashlib.sha1(repr(facts).encode()).hexdigest()[:16]
+
+
+def no_mirrors(rows, r_rows, s_rows, start, lengths, owner, window):
+    """The pair rule of ``RESULTS_VERSION`` 20: no entry has a mirror, so
+    every entry but a row's own is computed."""
+    return np.full(window.size, -1)
+
+
+class TestMirroredPairsComputedOnce:
+    """A self-join's reducer computes each unordered pair of different rows
+    its windows hold once, whichever row asks, on data whose duplicate
+    z-keys put a row's window centre off its own position; neighbours stay
+    the per-record reference's.  An R != S join has no mirrors: its pairs,
+    bytes and neighbours are those recorded before the rule."""
+
+    K = 4
+    #: 160 rows on 50 locations: runs of equal z-keys, yet a k-th neighbour
+    #: off the row's own location
+    DATA = staticmethod(lambda: tied_dataset(160, 3, 50, seed=31))
+    #: :func:`pairs_bytes_neighbours` of the R != S join per metric, recorded
+    #: before mirrored pairs were computed once
+    PINNED = {
+        "l1": "d395cdb2d91df838",
+        "l2": "c44eb1aa8728af39",
+        "linf": "92ad12ae5a9f14f3",
+    }
+
+    def config(self, metric, **knobs):
+        return ZOrderConfig(
+            k=self.K, num_reducers=6, metric_name=metric, split_size=53, seed=3, **knobs
+        )
+
+    @pytest.mark.parametrize("per_side", (1, K, 3 * K))
+    @pytest.mark.parametrize("num_shifts", (1, 2, 3))
+    @pytest.mark.parametrize("metric", ("l1", "l2", "linf"))
+    def test_pairs_are_the_distinct_window_pairs(self, metric, num_shifts, per_side, monkeypatch):
+        """Serial engine, so the reducers see the recording wrapper."""
+        data = self.DATA()
+        config = self.config(metric, num_shifts=num_shifts, candidates_per_side=per_side)
+        window_pairs, tied_blocks = [], []
+        reduce = zorder.ZOrderJoinReducer.reduce
+
+        def recording(reducer, key, values, ctx):
+            block = RecordBlock.gather(values)
+            shift = reducer._shifts[int(key) // reducer._blocks_per_shift]
+            z_values = int_z_values(reducer._transform, block.points + shift)
+            window_pairs.append(distinct_window_pairs(block, z_values, per_side))
+            tied_blocks.append(len(set(z_values)) < len(z_values))
+            return reduce(reducer, key, [block], ctx)
+
+        monkeypatch.setattr(zorder.ZOrderJoinReducer, "reduce", recording)
+        outcome = run_join(
+            "zorder", data, data, config.with_changes(**{**env_params(), "engine": "serial"})
+        )
+        assert any(tied_blocks)
+        assert outcome.distance_pairs == sum(map(len, window_pairs))
+        reference = run_reference_zorder(data, data, config)
+        assert result_bytes(outcome.result) == reference["neighbors"]
+        assert outcome.distance_pairs == reference["pairs_computed"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mirror_entries_on_any_windows(self, seed):
+        """Any windows over any S order, rows of one or both roles: each
+        entry's mirror is the entry of the reversed pair, found by brute
+        force, or -1."""
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            roles = rng.choice([ROLE_R, ROLE_S, ROLE_R | ROLE_S], size=rng.integers(2, 30))
+            r_rows = np.flatnonzero(roles & ROLE_R)
+            s_rows = rng.permutation(np.flatnonzero(roles & ROLE_S))
+            if not (r_rows.size and s_rows.size):
+                continue
+            start = rng.integers(0, s_rows.size, size=r_rows.size)
+            lengths = rng.integers(1, s_rows.size - start + 1)
+            owner = np.repeat(np.arange(r_rows.size), lengths)
+            window = s_rows[start[owner] + ranks_within(lengths)]
+            entries = list(zip(r_rows[owner].tolist(), window.tolist()))
+            index_of = {pair: entry for entry, pair in enumerate(entries)}
+            expected = [index_of.get((b, a), -1) for a, b in entries]
+            layout = (r_rows, s_rows, start, lengths, owner, window)
+            assert zorder.mirror_entries(len(roles), *layout).tolist() == expected
+
+    @pytest.mark.parametrize("metric", sorted(PINNED))
+    def test_r_not_s_join_is_unchanged(self, metric):
+        data = self.DATA()
+        config = self.config(metric, num_shifts=3).with_changes(**env_params())
+        outcome = run_join("zorder", data, copy.deepcopy(data), config)
+        assert pairs_bytes_neighbours(outcome) == self.PINNED[metric]
+
+    def test_a_stage_saved_before_the_rule_is_re_run(self, tmp_path, monkeypatch):
+        """A z-order self-join persisted under code version 20, which
+        computed both entries of a mirrored pair, holds the old pair count:
+        it is a miss, and the re-run reports the new count (serial engine,
+        so the version-20 rule reaches the reducers)."""
+        data = self.DATA()
+        config = self.config("l2", engine="serial", plan_cache_dir=str(tmp_path))
+        cold = run_join("zorder", data, data, config.with_changes(plan_cache_dir=None))
+        monkeypatch.setattr(registry, "RESULTS_VERSION", 20)
+        monkeypatch.setattr(zorder, "mirror_entries", no_mirrors)
+        stale = run_join("zorder", data, data, config)
+        monkeypatch.undo()
+        assert sorted(tmp_path.glob("*.plan.seg"))
+        assert stale.distance_pairs > cold.distance_pairs
+        assert result_bytes(stale.result) == result_bytes(cold.result)
+        plan = plan_join("zorder", data, data, config)
+        run = execute_join_plan(
+            JoinPlan(graph=plan.graph, assemble=lambda run: run, identity=plan.identity), config
+        )
+        assert run.cached_stage_names() == []
+        rerun = plan.assemble(run)
+        assert rerun.distance_pairs == cold.distance_pairs
+        assert outcome_fingerprint(rerun) == outcome_fingerprint(cold)
 
 
 class TestZOrderConfig:
