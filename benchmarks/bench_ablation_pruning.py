@@ -3,11 +3,11 @@
 Quantifies what each of Corollary 1 (hyperplane) and Theorem 2 (ring)
 contributes to the computation-selectivity win.  Each switch also governs
 the reducer rules derived from its theorem: ``use_hyperplane_pruning`` the
-Corollary 1 test of ``|r, p_j|``'s lower bounds (the own pivot's and those
-of the row's nearest computed pivots), ``use_ring_pruning`` their Theorem 5
-test, the scan of the own cell from its ring centre outward and the rings
-around up to four anchors, decoded from the codes the partitioning job
-ships, that filter every scanned pair; with both off every object-pivot
+Corollary 1 test of the own pivot's lower bound on ``|r, p_j|``,
+``use_ring_pruning`` its Theorem 5 test, the bound-ordered scan of the first
+cells and the own cell, and the rings around the anchors, decoded from the
+codes the partitioning job ships, that filter every scanned pair and whole
+(row, cell) pairs; with both off every object-pivot
 distance is computed and every cell scanned whole.
 Every row assigns objects to pivots the library's way: every object is
 compared with at most ``ceil(sqrt(M))`` anchor pivots (the master takes as

@@ -16,12 +16,11 @@ S-partitions for one query object (Algorithm 3, lines 19-22):
 A tiny absolute slack ``PRUNE_EPS`` is applied wherever a floating-point
 comparison could otherwise prune an exact boundary case; the rules are
 necessary conditions, so slack only weakens pruning, never correctness.
-A triangle bound built from computed distances also gives up ``PRUNE_RTOL``
-of a bound on those distances, since their rounding grows with the
-coordinate scale; so does the Euclidean hyperplane distance, of
-``(|q, p_i|² + |q, p_j|²) / 2|p_i, p_j|`` — its difference of squares
-cancels, and the cancelled rounding is divided by the pivots' gap, which a
-dense cluster makes tiny next to a far query.  The Theorem 2 ring gives up
+The Euclidean hyperplane distance also gives up ``PRUNE_RTOL`` of ``(|q,
+p_i|² + |q, p_j|²) / 2|p_i, p_j|``, since the rounding of computed distances
+grows with the coordinate scale — its difference of squares cancels, and
+the cancelled rounding is divided by the pivots' gap, which a dense cluster
+makes tiny next to a far query.  The Theorem 2 ring gives up
 ``PRUNE_RTOL`` of ``|q, p_j| + theta`` at each end.
 
 Anchor codes carry an object's distance ``|o, a|`` to an anchor pivot ``a``
@@ -55,8 +54,6 @@ __all__ = [
     "ring_slice",
     "ring_slices",
     "segment_keys",
-    "triangle_lower_bound",
-    "widened_ranges",
 ]
 
 #: absolute slack for floating-point-safe pruning comparisons
@@ -112,12 +109,6 @@ def anchor_ranges(mids, radius, offsets):
     gap above theta fails that filter for every member."""
     lo = np.minimum.reduceat(mids - radius, offsets[:-1], axis=1)
     hi = np.maximum.reduceat(mids + radius, offsets[:-1], axis=1)
-    return widened_ranges(lo, hi)
-
-
-def widened_ranges(lo, hi):
-    """Hull ends ``lo``, ``hi`` moved out by ``PRUNE_RTOL`` of the larger
-    one, as :func:`anchor_ranges` returns them."""
     slack = PRUNE_RTOL * np.maximum(np.abs(lo), np.abs(hi))
     return lo - slack, hi + slack
 
@@ -210,54 +201,26 @@ def partition_pruned_by_hyperplane(
     )
 
 
-def triangle_lower_bound(known, scale):
-    """The best bound ``|q, p_j| >= | |q, p_k| - |p_k, p_j| |`` over the
-    pivots ``p_k`` whose ``|q, p_k|`` is known — ``known`` yields one
-    ``(|q, p_k|, |p_k, p_j|)`` per pivot — less ``PRUNE_RTOL * scale`` and
-    never below 0.  ``scale`` bounds every distance involved, so their
-    rounding can never lift the bound above the ``|q, p_j|`` a metric
-    computes, at any coordinate scale.  Scalars or aligned arrays (one bound
-    per query), the same IEEE operations either way."""
-    best = 0.0
-    for dist_q_pk, dist_pk_pj in known:
-        best = np.maximum(best, np.abs(dist_q_pk - dist_pk_pj))
-    return np.maximum(best - PRUNE_RTOL * scale, 0.0)
-
-
 def pivot_distance_needed(
-    dist_q_pi,
-    dist_pi_pj,
-    upper_pj,
-    theta,
-    hyperplane: bool = True,
-    ring: bool = True,
-    euclidean: bool = True,
-    lower_q_pj=None,
+    dist_q_pi, dist_pi_pj, upper_pj, theta, hyperplane: bool = True, ring: bool = True
 ):
     """Must ``|q, p_j|`` be computed before cell ``P_j`` can be judged for ``q``?
 
-    False where both rules, at a lower bound on ``|q, p_j|``, already exceed
-    ``theta + PRUNE_EPS``: Corollary 1 (:func:`hyperplane_distances` with the
-    bound in place of ``|q, p_j|``) and Theorem 5 per object (``|q, s| >=
-    lower - U(P_j)``).  Both are monotone in ``|q, p_j|``, so the distance
-    would have rejected the cell too.  The bound is ``lower_q_pj`` (a
-    :func:`triangle_lower_bound`), else the own pivot's ``|p_i, p_j| - |q,
-    p_i|``, for which the rules read ``|p_i, p_j| / 2 - |q, p_i|`` and
-    ``|p_i, p_j| - |q, p_i| - U(P_j)``.  Each follows its rule's switch;
-    ``theta = inf`` and coincident pivots always pass Corollary 1.  Scalars or
-    aligned arrays, the same IEEE operations either way.
+    False where both rules, at the own pivot's lower bound ``|p_i, p_j| - |q,
+    p_i|`` on ``|q, p_j|``, already exceed ``theta + PRUNE_EPS``: Corollary 1,
+    which then reads ``|p_i, p_j| / 2 - |q, p_i|``, and Theorem 5 per object
+    (``|q, s| >= |q, p_j| - U(P_j)``), which reads ``|p_i, p_j| - |q, p_i| -
+    U(P_j)``.  Both are monotone in ``|q, p_j|``, so the distance would have
+    rejected the cell too.  Each follows its rule's switch; ``theta = inf``
+    always passes.  Scalars or aligned arrays, the same IEEE operations
+    either way.
     """
-    own = lower_q_pj is None
     slack = theta + PRUNE_EPS
     needed = True
     if hyperplane:
-        needed = (
-            dist_pi_pj / 2.0 - dist_q_pi
-            if own
-            else hyperplane_distances(dist_q_pi, lower_q_pj, dist_pi_pj, euclidean)
-        ) <= slack
+        needed = dist_pi_pj / 2.0 - dist_q_pi <= slack
     if ring:
-        needed = needed & ((dist_pi_pj - dist_q_pi if own else lower_q_pj) - upper_pj <= slack)
+        needed = needed & (dist_pi_pj - dist_q_pi - upper_pj <= slack)
     return needed
 
 

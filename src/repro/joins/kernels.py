@@ -19,16 +19,10 @@ self-join's repeated distances:
    shipped;
 5. before ``|r, p_j|`` is computed, drop a whole (row, cell) pair whose
    ranges around some anchor lie more than ``theta`` apart: the row's ``[mid
-   - radius, mid + radius]`` and the hull of the cell members'
-   (:func:`~repro.core.geometry.anchor_ranges`), own cell included, taken
-   per (R cell, S cell): in PGBJ over only the members its routing rule
-   admits for the row's own cell (:func:`admitted_pair_ranges`; a member
-   shipped for another cell of the group lies beyond every row of this one),
-   elsewhere over all of them (:func:`cell_pair_ranges`).  Every member
-   fails rule 4 or lies beyond theta, so only object-pivot pairs are meant
-   to be spared;
-   the scans' pairs are measured equal, not guaranteed, since a skipped
-   ``|r, p_j|`` never joins the row's nearest computed pivots below;
+   - radius, mid + radius]`` and the hull of all the S cell's present
+   members' (:func:`~repro.core.geometry.anchor_ranges`, own cell included).
+   Every member then fails rule 4 at that theta and every later one, so
+   only object-pivot pairs are spared;
 6. in a self-join's own cell, mirrored pairs and the diagonal: an S entry
    that is a row's record (:attr:`SPartitionBlock.twins`) reads 0.0 for that
    row, and a pair of two rows is computed for whichever asks first and
@@ -57,22 +51,18 @@ ever gathered, and numpy call overhead is paid per *step*, not per
 
 Object-pivot distances on demand.  Both rules need ``|r, p_j|``, which the
 paper's selectivity counts ("the objects also include the pivots"), so it is
-computed only where :func:`~repro.core.geometry.pivot_distance_needed` — both
-rules at a lower bound on ``|r, p_j|``, against the running ``theta +
-PRUNE_EPS``, each under its ablation switch — cannot decide the (row, cell)
-pair, and never for the row's own cell (identified by cell id), whose
-distance the partitioning job shipped.  The own pivot's bound ``|p_i, p_j| -
-|r, p_i|`` judges every pair, then the cell's anchor ranges (rule 5, under
-ring pruning when codes are present); the pairs they leave undecided are
-judged again with ``max_k | |r, p_k| - |p_k, p_j| |`` over the row's
-``_NEAREST_COMPUTED`` nearest computed pivots
-(:func:`~repro.core.geometry.triangle_lower_bound`).  Both rules are monotone
-in ``|r, p_j|``, so a bound rejects only cells the distance would have.  The
-window rule keeps numpy overhead per *window*: at the start of each step
-window ``[0,1) [1,2) [2,4) [4,8) ...`` the bounds are evaluated for every
-(row, step) of the window with the theta of that moment, the admitted pairs
-go through one gathered ``metric.pair_distances`` call, and the rows'
-nearest computed pivots are updated from them.
+computed only where neither the own pivot's bound ``|p_i, p_j| - |r, p_i|``
+(:func:`~repro.core.geometry.pivot_distance_needed`: both rules at that
+lower bound on ``|r, p_j|``, against the running ``theta + PRUNE_EPS``, each
+under its ablation switch) nor the cell's anchor ranges (rule 5, under ring
+pruning when codes are present) decide the (row, cell) pair, and never for
+the row's own cell (identified by cell id), whose distance the partitioning
+job shipped.  Both rules are monotone in ``|r, p_j|``, so the bound rejects
+only cells the distance would have.  The window rule keeps numpy overhead per
+*window*: at the start of each step window ``[0,1) [1,2) [2,4) [4,8) ...``
+the bounds are evaluated for every (row, step) of the window with the theta
+of that moment, and the admitted pairs go through one gathered
+``metric.pair_distances`` call.  A step no row visits is skipped.
 
 Bound-ordered rounds (under ring pruning) — LAESA's "approximate, then
 eliminate" inside a cell: every visit at steps 0 and 1 (the own cell and the
@@ -141,8 +131,6 @@ from repro.core.geometry import (
     ring_slice,
     ring_slices,
     segment_keys,
-    triangle_lower_bound,
-    widened_ranges,
 )
 from repro.core.knn import ReferenceKBestList
 from repro.core.zorder import ZOrderTransform
@@ -154,11 +142,9 @@ __all__ = [
     "RPartitionBlock",
     "SPartitionBlock",
     "ScratchPool",
-    "admitted_pair_ranges",
     "build_partition_blocks",
     "build_r_blocks",
     "build_s_blocks",
-    "cell_pair_ranges",
     "local_ring_stats",
     "local_thetas",
     "knn_join_kernel",
@@ -301,120 +287,6 @@ def local_thetas(
     return dict(zip(r_pids, thetas))
 
 
-def cell_pair_ranges(num_cells: int, mids, radius, offsets):
-    """Per (R cell, S cell) anchor ranges with no routing rule to admit by:
-    every R cell reads its S cell's :func:`~repro.core.geometry.anchor_ranges`
-    over all the cell's members (``mids``/``radius`` decoded S objects,
-    ``offsets`` their cells' bounds).  ``(columns, lo, hi)`` as
-    :func:`admitted_pair_ranges` returns them, ``columns`` a broadcast
-    view: PBJ's rule 5."""
-    lo, hi = anchor_ranges(mids, radius, offsets)
-    return np.broadcast_to(np.arange(lo.shape[1]), (num_cells, lo.shape[1])), lo, hi
-
-
-def admitted_pair_ranges(
-    r_blocks: dict[int, RPartitionBlock],
-    s_blocks: dict[int, SPartitionBlock],
-    pivot_dist_matrix: np.ndarray,
-    code_anchors: np.ndarray,
-    cell_bounds: np.ndarray,
-    anchor_hulls: tuple[np.ndarray, np.ndarray],
-):
-    """Per (R cell, S cell) of a PGBJ reducer, the anchor ranges of only the
-    S objects its routing rule admits for that R cell: Theorem 5 for the one
-    cell and its anchor hull test (:class:`~repro.joins.pgbj.GroupRoutingMapper`,
-    the same operations on the same shipped codes, with ``cell_bounds``'
-    ``U_i`` and ``theta_i`` and ``anchor_hulls`` of the job cache).  A group
-    holds an S cell's objects shipped for any member; those another member
-    admitted lie beyond every row of this one, so they widen no range.  No
-    distance is computed.
-
-    Theorem 5 admits a suffix of the S cell's ascending pivot distances.
-    The hull test is judged for the whole cell first, from the extremes of
-    its objects' mids and reaches (every object's gap lies between, in
-    floating point too): a pair that admits all of its suffix takes the
-    suffix's hull, one that admits none no range, and only the rest test
-    object by object.
-
-    ``(columns, lo, hi)``: the ranges of R cell ``c`` and S cell ``v`` (each
-    in ascending id, as the kernels index them) are column ``columns[c, v]``
-    of ``lo``/``hi``, ``(C, ranges)``; a pair that admits no object reads a
-    last column of empty ranges, whose gaps are infinite."""
-    cells, present = np.array(sorted(r_blocks)), sorted(s_blocks)
-    sizes = np.array([len(s_blocks[pid]) for pid in present], dtype=np.intp)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    segment = np.repeat(np.arange(len(present)), sizes)
-    dists = np.concatenate([s_blocks[pid].pivot_dists for pid in present])
-    mids, radius = anchor_intervals(
-        np.concatenate([s_blocks[pid].codes for pid in present]),
-        np.repeat(present, sizes), dists, pivot_dist_matrix[code_anchors],
-    )
-    reach = anchor_reach(mids, radius)
-    uppers, thetas = cell_bounds
-    hull_lo, hull_hi = anchor_hulls
-    # (S cell, R cell) pairs, S cell major: Theorem 5's suffix starts
-    bound = pivot_dist_matrix[np.ix_(present, cells)] - uppers[cells] - thetas[cells]
-    seg, member = np.divmod(np.arange(bound.size), cells.size)
-    starts = np.searchsorted(
-        segment_keys(segment, dists), segment_keys(seg, bound.ravel() - PRUNE_EPS)
-    )
-    live = np.flatnonzero(starts < offsets[1:][seg])
-    at, stops, cell = starts[live], offsets[1:][seg[live]], seg[live]
-    r_cell = cells[member[live]]
-    # the hull test of a whole S cell, an anchor at a time: the least and the
-    # most any object's gap can be (each gap lies between, in floating
-    # point too), from the extremes of the cell's mids and reaches
-    firsts = offsets[:-1]
-    nearest, farthest = np.full(live.size, -np.inf), np.full(live.size, -np.inf)
-    for mids_a, lo_a, hi_a in zip(mids, hull_lo, hull_hi):
-        least = np.minimum.reduceat(mids_a, firsts)[cell]
-        most = np.maximum.reduceat(mids_a, firsts)[cell]
-        lo_a, hi_a = lo_a[r_cell], hi_a[r_cell]
-        np.maximum(nearest, np.maximum(least - hi_a, lo_a - most), out=nearest)
-        np.maximum(farthest, np.maximum(most - hi_a, lo_a - least), out=farthest)
-    limit = thetas[r_cell] + PRUNE_EPS
-    near = nearest - np.maximum.reduceat(reach, firsts)[cell] <= limit
-    whole = near & (farthest - np.minimum.reduceat(reach, firsts)[cell] <= limit)
-    # a suffix admitted whole: its hull, the objects' ranges reduced over
-    # [at, stop) (past the last object a column, so every stop is an index)
-    lows, highs = np.zeros((2, len(mids), dists.size + 1))
-    np.subtract(mids, radius, out=lows[:, :-1])
-    np.add(mids, radius, out=highs[:, :-1])
-    bounds = np.column_stack((at[whole], stops[whole])).ravel()
-    ranged = [live[whole]]
-    ranges = [widened_ranges(
-        np.minimum.reduceat(lows, bounds, axis=1)[:, ::2],
-        np.maximum.reduceat(highs, bounds, axis=1)[:, ::2],
-    )]
-    # the rest object by object, ``_GATHER_BYTES`` of their anchors at a time
-    some = np.flatnonzero(near & ~whole)
-    lengths = stops[some] - at[some]
-    for first, last in _chunk_bounds(lengths, max(1, _GATHER_BYTES // (8 * len(mids) + 32))):
-        pairs, counts = some[first:last], lengths[first:last]
-        ends = np.cumsum(counts)
-        entries = np.arange(int(ends[-1])) + np.repeat(at[pairs] - ends + counts, counts)
-        gaps = anchor_range_gaps(
-            mids, reach, entries, hull_lo, hull_hi, np.repeat(r_cell[pairs], counts)
-        )
-        admitted = gaps <= np.repeat(limit[pairs], counts)
-        # the admitted objects stay in runs by pair: each run's hull
-        entries, pair = entries[admitted], np.repeat(np.arange(pairs.size), counts)[admitted]
-        runs = np.flatnonzero(np.diff(pair, prepend=-1))
-        if runs.size:
-            ranged.append(live[pairs[pair[runs]]])
-            ranges.append(widened_ranges(
-                np.minimum.reduceat(lows.take(entries, 1), runs, axis=1),
-                np.maximum.reduceat(highs.take(entries, 1), runs, axis=1),
-            ))
-    ranged = np.concatenate(ranged)
-    columns = np.full(bound.shape, ranged.size, dtype=np.intp)
-    columns.ravel()[ranged] = np.arange(ranged.size)
-    empty = np.full((len(mids), 1), np.inf)
-    lo = np.concatenate([*(lo for lo, _ in ranges), empty], axis=1)
-    hi = np.concatenate([*(hi for _, hi in ranges), -empty], axis=1)
-    return columns.T, lo, hi
-
-
 #: sentinel id for unfilled k-best slots — sorts after every real id
 _ID_SENTINEL = np.iinfo(np.int64).max
 
@@ -427,14 +299,6 @@ _GATHER_BYTES = 1 << 20
 #: window's bound matrices are a few of these, over at most half the pivots.
 #: Also the cap on a cell's ``rows x rows`` own-cell memo (:class:`_OwnCellMemo`)
 _TILE_BYTES = 1 << 22
-
-#: computed pivots whose ``|r, p_k|`` bound a row's later cells: its nearest
-#: (tightest ``|p_k, p_j| - |r, p_k|``), among those of its first steps (the
-#: scan visits the cells nearest its own pivot first)
-_NEAREST_COMPUTED, _NEAREST_WITHIN = 8, 32
-#: distance and gaps of an empty nearest-pivot slot: ranks last, bounds by 0
-_EMPTY = np.finfo(np.float64).max / 4
-
 
 #: steps whose every visit is scanned in bound-ordered rounds: the own cell
 #: and the nearest other cell (an own cell behind a coincident twin pivot is
@@ -630,42 +494,6 @@ def _entry_bounds(dist_r_pj, s_dists, anchors, rows, entries):
         codes -= s_radius.take(entries)
         np.maximum(bounds, codes, out=bounds)
     return bounds
-
-
-def _bound_scale(r_blocks: dict, pdm_cells: np.ndarray, pdm_present: np.ndarray) -> float:
-    """Bounds every distance of a pivot bound: ``|r, p_k| <= |r, p_i| + |p_i,
-    p_k|``, and ``|p_k, p_j|``."""
-    upper = max(block.local_upper() for block in r_blocks.values())
-    return upper + float(pdm_cells.max()) + float(pdm_present.max())
-
-
-def _keep_nearest(near_dists, near_gaps, rows, steps, dists, gaps, window: tuple[int, int]):
-    """Update every row's nearest computed pivots, in place, after the step
-    ``window`` computed ``dists`` at ``steps`` (at most one per row and step;
-    ``gaps`` locate each pivot's row of pivot gaps): the smallest of its kept
-    and new distances, ties to the kept ones and then to the earlier step —
-    the stable sort of :func:`knn_join_kernel_reference`.  Slot-major
-    ``(slots, rows)`` arrays; empty slots are ``(_EMPTY, 0)``."""
-    count = near_dists.shape[0]
-    first_step, window_end = window
-    if window_end <= count:
-        # no row has computed more pivots than it keeps: slot = step
-        near_dists[steps, rows], near_gaps[steps, rows] = dists, gaps
-        return
-    cand_dists = np.full((near_dists.shape[1], count + window_end - first_step), _EMPTY)
-    cand_gaps = np.zeros(cand_dists.shape, dtype=near_gaps.dtype)
-    cand_dists[:, :count], cand_gaps[:, :count] = near_dists.T, near_gaps.T
-    at = rows, count - first_step + steps
-    cand_dists[at], cand_gaps[at] = dists, gaps
-    kth = np.partition(cand_dists, count - 1, axis=1)[:, count - 1 : count]
-    keep = cand_dists <= kth
-    if np.count_nonzero(keep) > near_dists.size:
-        # a tie at some row's k-th distance: the earlier of equals is kept
-        below, tied = cand_dists < kth, cand_dists == kth
-        room = count - below.sum(axis=1, keepdims=True)
-        keep = below | (tied & (np.cumsum(tied, axis=1) <= room))
-    near_dists[:] = cand_dists[keep].reshape(-1, count).T
-    near_gaps[:] = cand_gaps[keep].reshape(-1, count).T
 
 
 def _scan_segments(
@@ -875,7 +703,6 @@ def knn_join_kernel(
     code_anchors: np.ndarray | None = None,
     uppers: dict[int, float] | None = None,
     own_metric: Metric | None = None,
-    pair_ranges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Run Algorithm 3's reduce phase; yields ``(r_id, neighbor_ids, dists)``.
 
@@ -916,11 +743,6 @@ def knn_join_kernel(
     own_metric:
         The counted metric of the pairs of a row and its own cell's members
         (the reducers count them apart); ``metric`` when omitted.
-    pair_ranges:
-        Rule 5's anchor ranges per (R cell, S cell), ``(columns, lo, hi)`` as
-        :func:`admitted_pair_ranges` builds them for PGBJ; each S cell's
-        over all its present members for every R cell
-        (:func:`cell_pair_ranges`) when omitted.
     """
     if not s_blocks:
         raise ValueError("reducer received R objects but no S objects")
@@ -955,9 +777,7 @@ def knn_join_kernel(
             np.concatenate([s_blocks[pid].codes for pid in present]),
             np.repeat(present, s_sizes), s_all.pivot_dists, code_rows,
         )
-        if pair_ranges is None:
-            pair_ranges = cell_pair_ranges(len(cells), s_mids, s_radius, s_offsets)
-        range_of, s_lo, s_hi = pair_ranges
+        s_lo, s_hi = anchor_ranges(s_mids, s_radius, s_offsets)
     lower, upper = np.array([ring_stats[pid] for pid in present], dtype=np.float64).T
 
     # line 14 for every R-partition at once: column c is the scan order of
@@ -969,13 +789,6 @@ def knn_join_kernel(
     pdm_in_order = np.ascontiguousarray(np.take_along_axis(pdm, order, axis=1).T)
     order = np.ascontiguousarray(order.T)
     cell_ids, present_ids = np.array(cells), np.array(present)
-    bounded = use_hyperplane_pruning or use_ring_pruning
-    # an empty slot's gaps, then |p_k, p_j| of each present pivot k: pivot
-    # k's gaps start at (k + 1) * num_present
-    gaps_from = np.full((num_present + 1, num_present), _EMPTY)
-    gaps_from[1:] = pivot_dist_matrix[np.ix_(present, present)]
-    scale = _bound_scale(r_blocks, pdm, gaps_from[1:])
-    gaps_from = gaps_from.ravel()
 
     r_sizes = np.array([r_blocks[pid].ids.shape[0] for pid in cells], dtype=np.intp)
     # a self-join's S entries: the row (cells back to back) of their record
@@ -1017,11 +830,6 @@ def knn_join_kernel(
         theta = np.repeat(np.array(offsets, dtype=np.float64), tile_sizes) + own_dists
         best_dists = np.full((num_rows, k), np.inf, dtype=np.float64)
         best_ids = np.full((num_rows, k), _ID_SENTINEL, dtype=np.int64)
-        # per row, its _NEAREST_COMPUTED nearest computed pivots so far:
-        # distance and where its gaps start, empty slots (_EMPTY, 0)
-        near_dists = np.full((_NEAREST_COMPUTED, num_rows), _EMPTY)
-        near_gaps = np.zeros((_NEAREST_COMPUTED, num_rows), dtype=np.intp)
-        anything_learned = False
 
         def scan(counted, rows, starts, stops, entries=None, memo=None):
             lengths = stops - starts
@@ -1079,10 +887,9 @@ def knn_join_kernel(
 
         for first_step, window_end in _step_windows(num_present):
             # |r, p_j| — an object-pivot pair, counted toward selectivity
-            # (Equation 13) — is computed only where no bound decides the
-            # (row, cell) pair under the theta of this moment: the own
-            # pivot's bound for every pair, then the bounds of the row's
-            # nearest computed pivots for the pairs it leaves undecided
+            # (Equation 13) — is computed only where neither the own pivot's
+            # bound nor the cell's anchor ranges decide the (row, cell) pair
+            # under the theta of this moment
             visits = order[first_step:window_end][:, cell_of_row]
             gaps = pdm_in_order[first_step:window_end][:, cell_of_row]
             needed = pivot_distance_needed(
@@ -1093,32 +900,13 @@ def knn_join_kernel(
             if coded:
                 # the cell's anchor ranges: every member beyond theta
                 keep = np.flatnonzero(
-                    anchor_range_gaps(
-                        r_mids, r_reach, at_row, s_lo, s_hi,
-                        range_of[cell_of_row.take(at_row), at_visit],
-                    )
+                    anchor_range_gaps(r_mids, r_reach, at_row, s_lo, s_hi, at_visit)
                     <= theta[at_row] + PRUNE_EPS
                 )
                 at_step, at_row, at_visit, at_gap = (
                     at_step[keep], at_row[keep], at_visit[keep], at_gap[keep]
                 )
-            if anything_learned:
-                # a slot at a time: memory per pair, not per pair and slot
-                bound = triangle_lower_bound(
-                    (
-                        (dists.take(at_row), gaps_from.take(gaps.take(at_row) + at_visit))
-                        for dists, gaps in zip(near_dists, near_gaps)
-                    ),
-                    scale,
-                )
-                keep = np.flatnonzero(pivot_distance_needed(
-                    own_dists[at_row], at_gap, upper[at_visit], theta[at_row],
-                    use_hyperplane_pruning, use_ring_pruning, euclidean, bound,
-                ))
-                at_step, at_row, at_visit, at_gap = (
-                    at_step[keep], at_row[keep], at_visit[keep], at_gap[keep]
-                )
-            ends = np.searchsorted(at_step, np.arange(window_end - first_step + 1))
+            ends = np.searchsorted(at_step, np.arange(window_end - first_step + 1)).tolist()
             # the own cell's distance is the row's pivot distance (by cell id:
             # a coincident pivot's cell is another cell, computed like any)
             at_own = present_ids[at_visit] == cell_ids[cell_of_row[at_row]]
@@ -1129,16 +917,12 @@ def knn_join_kernel(
                 at_dist[chunk] = pivot_metric.pair_distances(
                     r_points[at_row[chunk]], present_points[at_visit[chunk]]
                 )
-            if bounded and computed.size and window_end < min(num_present, _NEAREST_WITHIN + 1):
-                _keep_nearest(
-                    near_dists, near_gaps, at_row[computed], first_step + at_step[computed],
-                    at_dist[computed], (at_visit[computed] + 1) * num_present,
-                    (first_step, window_end),
-                )
-                anything_learned = True
             # every row visits the step-th S-partition of its own cell's order
             own_steps = set(at_step[at_own].tolist())
-            for step, mine in enumerate(map(slice, ends[:-1], ends[1:])):
+            for step in range(window_end - first_step):
+                if ends[step] == ends[step + 1]:
+                    continue  # no row visits a cell at this step
+                mine = slice(ends[step], ends[step + 1])
                 rows, visit, dist_r_pj = at_row[mine], at_visit[mine], at_dist[mine]
                 own = at_own[mine] if step in own_steps else None
                 if use_hyperplane_pruning:
@@ -1198,7 +982,6 @@ def knn_join_kernel_reference(
     code_anchors: np.ndarray | None = None,
     uppers: dict[int, float] | None = None,
     own_metric: Metric | None = None,
-    pair_ranges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """The per-record kernel, kept as the correctness oracle.
 
@@ -1216,9 +999,6 @@ def knn_join_kernel_reference(
     own_metric = own_metric or metric
     present = sorted(s_blocks)
     present_points = pivot_points[present]
-    pdm_present = pivot_dist_matrix[np.ix_(present, present)]
-    pdm_cells = pivot_dist_matrix[np.ix_(sorted(r_blocks), present)]
-    scale = _bound_scale(r_blocks, pdm_cells, pdm_present)
     euclidean = metric.name == "l2"
     strip = _strip_length(k)
     coded = use_ring_pruning and code_anchors is not None and len(code_anchors) > 0
@@ -1228,16 +1008,13 @@ def knn_join_kernel_reference(
             pid: anchor_intervals(block.codes, np.full(len(block), pid), block.pivot_dists, code_rows)
             for pid, block in s_blocks.items()
         }
-        if pair_ranges is None:
-            pair_ranges = cell_pair_ranges(
-                len(r_blocks),
-                np.hstack([s_codes[pid][0] for pid in present]),
-                np.concatenate([s_codes[pid][1] for pid in present]),
-                np.cumsum([0] + [len(s_blocks[pid]) for pid in present]),
-            )
-        range_of, s_lo, s_hi = pair_ranges
+        s_lo, s_hi = anchor_ranges(
+            np.hstack([s_codes[pid][0] for pid in present]),
+            np.concatenate([s_codes[pid][1] for pid in present]),
+            np.cumsum([0] + [len(s_blocks[pid]) for pid in present]),
+        )
 
-    for cell, pid_r in enumerate(sorted(r_blocks)):
+    for pid_r in sorted(r_blocks):
         r_block = r_blocks[pid_r]
         offset = thetas[pid_r] - _upper(r_blocks, uppers, pid_r)
         pdm_row = pivot_dist_matrix[pid_r]
@@ -1262,8 +1039,6 @@ def knn_join_kernel_reference(
             point = r_block.points[row]
             dist_r_own = float(r_block.pivot_dists[row])
             theta = offset + dist_r_own
-            # (distance, present index) of the nearest computed pivots so far
-            nearest: list[tuple[float, int]] = []
 
             def ring(block, pid_s, dist_r_pj):
                 if use_ring_pruning and np.isfinite(theta):
@@ -1329,29 +1104,18 @@ def knn_join_kernel_reference(
                 if coded:
                     # the cells' anchor ranges: every member beyond theta
                     far = anchor_range_gaps(
-                        r_mids, r_reach, np.full(len(window), row), s_lo, s_hi,
-                        range_of[cell, window],
+                        r_mids, r_reach, np.full(len(window), row), s_lo, s_hi, np.array(window)
                     ) > theta + PRUNE_EPS
                     window = [idx for idx, beyond in zip(window, far) if not beyond]
                 for idx in window:
                     gap, upper = float(pdm_row[present[idx]]), ring_stats[present[idx]][1]
-                    bound = triangle_lower_bound(
-                        ((dist, pdm_present[near, idx]) for dist, near in nearest), scale
-                    )
                     if pivot_distance_needed(
                         dist_r_own, gap, upper, theta, use_hyperplane_pruning, use_ring_pruning
-                    ) and pivot_distance_needed(
-                        dist_r_own, gap, upper, theta,
-                        use_hyperplane_pruning, use_ring_pruning, euclidean, bound,
                     ):
                         wanted.append(idx)
                 # the own cell's distance is already known: the row's pivot distance
                 others = [idx for idx in wanted if present[idx] != pid_r]
                 to_pivots = pivot_metric.distances(point, present_points[others]).tolist()
-                if window_end <= _NEAREST_WITHIN:
-                    # ties to the pivot computed first (a stable sort)
-                    nearest = sorted(nearest + list(zip(to_pivots, others)), key=lambda n: n[0])
-                    nearest = nearest[:_NEAREST_COMPUTED]
                 dr_to_pivots = dict(zip(others, to_pivots))
                 for idx in wanted:
                     pid_s = present[idx]

@@ -20,10 +20,7 @@ cell ``P_i`` of ``G`` passes Theorem 5 for that one cell, ``|s, p_j| >=
 ± radius(s)], [lo_a(i), hi_a(i)]) <= theta_i`` (plus slack): ``s``'s
 one-byte anchor codes against the range of the cell's exact ``|r, a|``,
 which ``T_R`` carries.  A kNN of ``r in P_i`` lies within ``theta_i`` of it,
-and ``|r, s| >= | |r, a| - |s, a| |``, so no kNN is left behind.  The
-reducer applies the same rule again, shipping nothing: a (row, S cell) pair
-is judged by the anchor ranges of only the objects admitted for the row's
-own cell (:class:`PgbjJoinReducer`).
+and ``|r, s| >= | |r, a| - |s, a| |``, so no kNN is left behind.
 
 The pipeline is expressed as a two-stage :class:`~repro.mapreduce.plan.JobGraph`
 (``pgbj/partition`` → ``pgbj/join``): the partition stage is content-keyed
@@ -61,7 +58,7 @@ from repro.mapreduce.types import ROLE_R, ROLE_S, NeighborBlock, RecordBlock
 
 from .base import REPLICA_GROUP, REPLICA_NAME, PgbjConfig, count_kernel_pairs
 from .block_framework import chain_splits, knn_outcome_assembler
-from .kernels import KERNELS, ScratchPool, admitted_pair_ranges, build_partition_blocks
+from .kernels import KERNELS, ScratchPool, build_partition_blocks
 from .partition_job import (
     make_pivot_selector,
     merge_summaries,
@@ -216,11 +213,10 @@ class PgbjJoinReducer(Reducer):
     one :class:`~repro.mapreduce.types.NeighborBlock` (a row per r).
 
     The kernel's rule 5 judges a (row, S cell) pair by the anchor ranges of
-    only the S objects the routing rule admits for the row's own cell
-    (:func:`~repro.joins.kernels.admitted_pair_ranges`, recomputed from the
-    shipped codes and the job cache's ``cell_bounds`` and ``anchor_hulls``):
-    objects shipped for another member of the group widen no row's ranges,
-    so which cells share a group moves no pair the rule drops."""
+    all the cell's members the group received, as PBJ's reducers do: an
+    object shipped for another member of the group can widen a row's ranges,
+    so which cells share a group may move the object-pivot pairs the rule
+    spares, never a result or a scanned pair."""
 
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
@@ -230,8 +226,6 @@ class PgbjJoinReducer(Reducer):
         self._thetas: dict[int, float] = ctx.cache["thetas"]
         self._uppers: dict[int, float] = ctx.cache["uppers"]
         self._code_anchors: np.ndarray = ctx.cache["code_anchors"]
-        self._cell_bounds: np.ndarray = ctx.cache["cell_bounds"]
-        self._anchor_hulls: tuple[np.ndarray, np.ndarray] = ctx.cache["anchor_hulls"]
         self._ring_stats: dict[int, tuple[float, float]] = ctx.cache["ring_stats"]
         self._pivots: np.ndarray = ctx.cache["pivots"]
         self._pdm: np.ndarray = ctx.cache["pivot_dist_matrix"]
@@ -247,12 +241,6 @@ class PgbjJoinReducer(Reducer):
 
     def kernel(self, r_blocks, s_blocks):
         """The kernel's ``(r_id, ids, dists)`` over one group's blocks."""
-        pair_ranges = None
-        if self._use_ring and len(self._code_anchors):
-            pair_ranges = admitted_pair_ranges(
-                r_blocks, s_blocks, self._pdm, self._code_anchors, self._cell_bounds,
-                self._anchor_hulls,
-            )
         return KERNELS.knn_join_kernel(
             self._metric,
             self._k,
@@ -269,7 +257,6 @@ class PgbjJoinReducer(Reducer):
             own_metric=self._own_metric,
             code_anchors=self._code_anchors,
             uppers=self._uppers,
-            pair_ranges=pair_ranges,
         )
 
     def cleanup(self, ctx: Context):

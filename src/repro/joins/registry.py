@@ -188,8 +188,10 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: only the objects admitted for the row's cell, and a z-order self-join row
 #: reads its own entry as 0.0, so the join stages' groups and counters changed.
 #: 21: a z-order self-join computes each mirrored window pair once, so its
-#: join stage's pair counter changed.
-RESULTS_VERSION = 21
+#: join stage's pair counter changed.  22: PGBJ's and PBJ's reducers judge a
+#: (row, S cell) pair by the ranges of all the cell's objects and bound
+#: ``|r, p_j|`` by the own pivot alone, so their pivot-pair counters changed.
+RESULTS_VERSION = 22
 
 
 def plan_identity(name: str, r: Dataset, s: Dataset, config: JoinConfig) -> str:

@@ -21,7 +21,6 @@ from repro.joins.kernels import (
     build_partition_blocks,
     build_r_blocks,
     build_s_blocks,
-    cell_pair_ranges,
     knn_join_kernel,
     knn_join_kernel_reference,
     local_ring_stats,
@@ -425,6 +424,41 @@ class TestWavefrontMatchesReference:
         monkeypatch.setattr(kernels, "_TILE_BYTES", 1)
         assert assert_matches_reference(world) == untiled
 
+    @pytest.mark.parametrize("use_ring", (True, False))
+    @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf", "l3"])
+    def test_a_step_no_row_visits_does_no_work(self, metric_name, use_ring):
+        """Where the bounds decided every (row, cell) pair of a step, the
+        step is skipped before Corollary 1 is taken of an empty batch; the
+        results and pair counts stay the reference's.  R and a cluster of S
+        sit at one pivot, so the own cell's neighbours decide the far cells."""
+        rng = np.random.default_rng(59)
+        pivots = rng.random((24, 3)) * 10
+        r_points = pivots[0] + rng.random((80, 3)) * 0.2
+        s_points = np.concatenate(
+            [rng.random((100, 3)) * 10, pivots[0] + rng.random((20, 3)) * 0.2]
+        )
+        world = world_from(r_points, s_points, pivots, 4, metric_name)
+        steps, tested = [], []
+        step_windows, hyperplane = kernels._step_windows, kernels.hyperplane_distances
+
+        def counting_windows(num_steps):
+            for first_step, window_end in step_windows(num_steps):
+                steps.append(window_end - first_step)
+                yield first_step, window_end
+
+        def spy(dist_q_pi, *args):
+            tested.append(np.size(dist_q_pi))
+            return hyperplane(dist_q_pi, *args)
+
+        with (
+            mock.patch.object(kernels, "_step_windows", counting_windows),
+            mock.patch.object(kernels, "hyperplane_distances", spy),
+        ):
+            got = run_kernel(knn_join_kernel, world, metric_name, use_ring_pruning=use_ring)
+        assert tested and min(tested) > 0
+        assert len(tested) < sum(steps)  # some steps were empty
+        assert assert_matches_reference(world, metric_name, use_ring_pruning=use_ring) == got[0]
+
     def test_pivot_distances_gather_within_the_byte_budget(self, monkeypatch):
         """A window's ``|r, p_j|`` batch is cut by the same byte budget as a
         scan's, without moving a result or a counted pair.  The codes are
@@ -597,15 +631,16 @@ def assert_exact_and_within_own_pivot_rule(world, metric_name="l2", **flags):
     return new[1:], old[1:]
 
 
-class TestNearestPivotBoundsAndCentreOutScan:
-    """Both rules against the own-pivot rule they tighten: every computed
-    ``|r, p_k|`` of a row's nearest pivots bounds its later cells, and the
-    first cells are scanned in bound-ordered rounds."""
+class TestBoundOrderedRoundsAndCodeRules:
+    """The kernel against the own-pivot rule with whole ring scans
+    (``tests/reference_kernel.py``): the first cells and the own cell are
+    scanned in bound-ordered rounds, and the anchor codes drop pairs (rule
+    4) and whole (row, cell) pairs (rule 5)."""
 
     @given(adversarial_worlds(max_pivots=24))
     @settings(max_examples=120, deadline=None)
     def test_exact_with_no_more_pairs_than_the_own_pivot_rule(self, scenario):
-        """Up to 24 pivots, so rows compute more pivots than they keep."""
+        """Up to 24 pivots, so the step windows run long."""
         world, metric_name, flags, tile_bytes = scenario
         saved, kernels._TILE_BYTES = kernels._TILE_BYTES, tile_bytes
         try:
@@ -652,42 +687,6 @@ class TestNearestPivotBoundsAndCentreOutScan:
         # cell 1's scan order begins with its coincident twin, cell 0
         assert sorted(world[3])[scan_orders(world)[sorted(world[2]).index(1)][0]] == 0
         assert_exact_and_within_own_pivot_rule(world, metric_name)
-
-    def test_nearest_computed_pivots_are_a_stable_sort(self):
-        """Window by window, each row keeps the smallest of its kept and new
-        distances, ties to the kept ones and then to the earlier step: the
-        reference's stable sort, on integer distances full of ties."""
-        rng = np.random.default_rng(89)
-        count, num_rows = kernels._NEAREST_COMPUTED, 40
-        near_dists = np.full((count, num_rows), kernels._EMPTY)
-        near_gaps = np.zeros((count, num_rows), dtype=np.intp)
-        kept = [[] for _ in range(num_rows)]
-        for window in kernels._step_windows(40):
-            steps, rows = np.nonzero(rng.random((window[1] - window[0], num_rows)) < 0.6)
-            dists = rng.integers(0, 6, steps.size).astype(float)
-            gaps = rng.permutation(10**6)[: steps.size] + 1  # tells the pivots apart
-            kernels._keep_nearest(
-                near_dists, near_gaps, rows, window[0] + steps, dists, gaps, window
-            )
-            for row in range(num_rows):
-                new = [(d, g) for r, d, g in zip(rows, dists, gaps) if r == row]
-                kept[row] = sorted(kept[row] + new, key=lambda pair: pair[0])[:count]
-                slots = near_dists[:, row] < kernels._EMPTY
-                assert sorted(zip(near_dists[slots, row], near_gaps[slots, row])) == sorted(
-                    kept[row]
-                )
-
-    def test_ties_among_the_nearest_computed_pivots(self):
-        """Pivots one apart on a line, rows on and between them: rows
-        compute pivot distances in equal pairs, so more than
-        ``_NEAREST_COMPUTED`` of them tie for the kept slots."""
-        line = np.arange(-12, 13, dtype=float)
-        pivots = np.stack([line, np.zeros_like(line)], axis=1)
-        s_points = np.array([[x, y] for x in line for y in (-0.25, 0.0, 0.25)])
-        r_points = np.array([[0.0, 0.0], [0.0, 0.25], [0.5, 0.0], [3.0, -0.25]])
-        world = world_from(r_points, s_points, pivots, 60)
-        (_, new_pivot), _ = assert_exact_and_within_own_pivot_rule(world)
-        assert new_pivot > kernels._NEAREST_COMPUTED * len(r_points)
 
     @pytest.mark.parametrize("metric_name", ["l2", "l1"])
     def test_world_scaled_by_1e9(self, metric_name):
@@ -1203,20 +1202,20 @@ def tied_join_world(seed, distinct):
     return data, Dataset(rng.integers(0, 6, (340, 3)).astype(np.float64), ids=np.arange(7, 347))
 
 
-class TestAdmittedPairRanges:
-    """A PGBJ reducer judges a (row, S cell) pair by the anchor ranges of
-    only the objects the routing rule admits for the row's cell
-    (:func:`~repro.joins.kernels.admitted_pair_ranges`)."""
+class TestReducerCallsOnTiedWorlds:
+    """The kernel and its oracle on the calls PGBJ's and PBJ's reducers make
+    over grid worlds full of duplicates and equal distances."""
 
     KNOBS = dict(k=4, num_pivots=24, num_reducers=4)
 
+    @pytest.mark.parametrize("join", ["pgbj", "pbj"])
     @pytest.mark.parametrize("distinct", [False, True], ids=["self-join", "r-not-s"])
     @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf"])
-    def test_kernel_and_reference_are_pair_identical(self, metric_name, distinct):
+    def test_kernel_and_reference_are_pair_identical(self, metric_name, distinct, join):
         calls, _ = kernel_calls(
-            "pgbj", *tied_join_world(1, distinct), metric_name=metric_name, **self.KNOBS
+            join, *tied_join_world(1, distinct), metric_name=metric_name, **self.KNOBS
         )
-        assert calls and all(kwargs["pair_ranges"] is not None for _, kwargs in calls)
+        assert calls
         for args, kwargs in calls:
             runs = []
             for kernel in (knn_join_kernel, knn_join_kernel_reference):
@@ -1230,112 +1229,43 @@ class TestAdmittedPairRanges:
                 runs.append((results, [metric.pairs_computed for metric in metrics]))
             assert runs[0] == runs[1]
 
+
     @pytest.mark.parametrize("distinct", [False, True], ids=["self-join", "r-not-s"])
     @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf"])
     @pytest.mark.parametrize("seed", [2, 3, 4])
-    def test_never_more_pivot_pairs_than_per_cell_ranges(self, seed, metric_name, distinct):
-        """Each admitted range lies inside its S cell's, so rule 5 drops at
-        least the pairs it dropped by S cell, and the answers stay exact."""
-        from repro.joins import pgbj
-
+    def test_exact_with_no_more_pairs_than_the_own_pivot_rule(self, seed, metric_name, distinct):
+        """Call by call, both joins' reducers answer as the own-pivot rule
+        with whole ring scans does (``tests/reference_kernel.py``), with no
+        more pairs of either kind, and each join's answers are exact."""
         r, s = tied_join_world(seed, distinct)
-        knobs = dict(self.KNOBS, metric_name=metric_name)
-        _, admitted = kernel_calls("pgbj", r, s, **knobs)
-        with mock.patch.object(pgbj, "admitted_pair_ranges", lambda *args: None):
-            _, per_cell = kernel_calls("pgbj", r, s, **knobs)
-        pairs = [
-            outcome.counters.value("selectivity", "reducer_pivot_pairs")
-            for outcome in (admitted, per_cell)
-        ]
-        assert pairs[0] <= pairs[1]
         truth = brute_force_knn_join(get_metric(metric_name), r.points, r.ids, s.points, s.ids, 4)
-        for r_id, (_, dists) in truth.items():
-            assert np.array_equal(admitted.result.neighbors_of(r_id)[1], dists)
-
-    @pytest.mark.parametrize("distinct", [False, True], ids=["self-join", "r-not-s"])
-    def test_the_ranges_of_the_objects_the_shipping_rule_admits(self, distinct):
-        """Each pair's ranges are the hull of exactly the objects the
-        per-object shipping rule (``tests/reference_pgbj.py``) admits for
-        the R cell, whichever way the cell-wide test sorted the pair."""
-        from repro.core.geometry import anchor_ranges
-        from repro.joins import pgbj
-        from tests.reference_pgbj import shipping_rule
-
-        calls = []
-
-        def recording(*args):
-            calls.append((args, kernels.admitted_pair_ranges(*args)))
-            return calls[-1][1]
-
-        with mock.patch.object(pgbj, "admitted_pair_ranges", recording):
-            kernel_calls("pgbj", *tied_join_world(7, distinct), **self.KNOBS)
-        assert calls
-        empty = 0
-        for (r_blocks, s_blocks, pdm, anchors, (uppers, thetas), hulls), ranges in calls:
-            columns, lo, hi = ranges
-            # the last column's ranges are empty: its gaps are infinite
-            assert columns.shape == (len(r_blocks), len(s_blocks))
-            assert (lo[:, -1] == np.inf).all() and (hi[:, -1] == -np.inf).all()
-            empty += np.count_nonzero(columns == lo.shape[1] - 1)
-            cells = sorted(r_blocks)
-            cache = {
-                "pivot_dist_matrix": pdm, "code_anchors": anchors, "anchor_hulls": hulls,
-                "uppers": dict(enumerate(uppers.tolist())),
-                "thetas": dict(enumerate(thetas.tolist())),
-            }
-            for v, pid in enumerate(sorted(s_blocks)):
-                block = s_blocks[pid]
-                cell = RecordBlock.of_objects(ROLE_S, block.ids, block.points)
-                cell.partition_ids = np.full(len(block), pid)
-                cell.pivot_distances, cell.anchor_codes = block.pivot_dists, block.codes
-                admits = shipping_rule(cache, pid, cell)
-                mids, radius = anchor_intervals(
-                    block.codes, cell.partition_ids, block.pivot_dists, pdm[anchors]
-                )
-                for c, r_pid in enumerate(cells):
-                    rows = [row for row in range(len(block)) if admits(row, r_pid)]
-                    if not rows:
-                        assert columns[c, v] == lo.shape[1] - 1
-                        continue
-                    want = anchor_ranges(mids[:, rows], radius[rows], np.array([0, len(rows)]))
-                    assert columns[c, v] < lo.shape[1] - 1
-                    assert np.array_equal(lo[:, columns[c, v]], want[0][:, 0])
-                    assert np.array_equal(hi[:, columns[c, v]], want[1][:, 0])
-        assert empty
-
-    def test_pbj_reads_per_s_cell_ranges_of_the_same_shape(self):
-        """PBJ has no routing rule: its reducers pass no ranges, and the
-        kernel reads each S cell's ranges (:func:`cell_pair_ranges`) through
-        the same ``(R cells, S cells)`` index PGBJ fills, every R cell the
-        same column."""
-        calls, _ = kernel_calls("pbj", *tied_join_world(6, False), **self.KNOBS)
-        assert calls
-        for args, kwargs in calls:
-            assert kwargs.get("pair_ranges") is None
-            r_blocks, s_blocks, pdm = args[2], args[3], args[7]
-            present = sorted(s_blocks)
-            sizes = [len(s_blocks[pid]) for pid in present]
-            mids, radius = anchor_intervals(
-                np.concatenate([s_blocks[pid].codes for pid in present]),
-                np.repeat(present, sizes),
-                np.concatenate([s_blocks[pid].pivot_dists for pid in present]),
-                pdm[kwargs["code_anchors"]],
-            )
-            ranges = cell_pair_ranges(len(r_blocks), mids, radius, np.cumsum([0, *sizes]))
-            assert ranges[0].shape == (len(r_blocks), len(s_blocks))
-            assert (ranges[0] == np.arange(len(s_blocks))).all()
-            counted = []
-            for pair_ranges in (None, ranges):
-                metrics = [get_metric("l2") for _ in range(3)]
-                flags = dict(kwargs, pivot_metric=metrics[1], own_metric=metrics[2])
-                results = [
-                    (r_id, ids.tolist(), dists.tobytes())
-                    for r_id, ids, dists in knn_join_kernel(
-                        metrics[0], *args[1:], **dict(flags, pair_ranges=pair_ranges)
-                    )
-                ]
-                counted.append((results, [metric.pairs_computed for metric in metrics]))
-            assert counted[0] == counted[1]
+        for join in ("pgbj", "pbj"):
+            calls, outcome = kernel_calls(join, r, s, metric_name=metric_name, **self.KNOBS)
+            assert calls
+            for args, kwargs in calls:
+                switches = {
+                    key: kwargs[key]
+                    for key in ("use_hyperplane_pruning", "use_ring_pruning")
+                    if key in kwargs
+                }
+                runs = []
+                for kernel in (knn_join_kernel, own_pivot_kernel):
+                    metrics = [get_metric(metric_name) for _ in range(3)]
+                    flags = dict(switches, pivot_metric=metrics[1])
+                    if kernel is knn_join_kernel:
+                        flags = dict(kwargs, own_metric=metrics[2], **flags)
+                        flags.pop("scratch")
+                    results = [
+                        (r_id, ids.tolist(), dists.tobytes())
+                        for r_id, ids, dists in kernel(metrics[0], *args[1:], **flags)
+                    ]
+                    pairs = sum(metric.pairs_computed for metric in metrics)
+                    runs.append((results, pairs, metrics[1].pairs_computed))
+                (new, new_pairs, new_pivot), (old, old_pairs, old_pivot) = runs
+                assert new == old
+                assert new_pairs <= old_pairs and new_pivot <= old_pivot
+            for r_id, (_, dists) in truth.items():
+                assert np.array_equal(outcome.result.neighbors_of(r_id)[1], dists)
 
 class TestColumnarBuilders:
     def test_build_partition_blocks_splits_by_role(self):

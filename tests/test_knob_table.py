@@ -409,10 +409,13 @@ class TestStructure:
         # admitted objects, "f91cf7ccba88a02778f284b0b60706994d7f7851"; still
         # version 20, the spill_codec field and the planner's extra arguments
         # left the identity, "b4c4f156812ecbfb06ea472d8ae3a573b40d52c0";
-        # version 21 computes each mirrored pair of a z-order self-join once)
+        # version 21 computes each mirrored pair of a z-order self-join once,
+        # "66d5a61a9eb06ea8a847a721ea7da625d91f747f"; version 22 ranges each
+        # (row, S cell) pair by all the cell's objects and bounds |r, p_j| by
+        # the own pivot alone)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig())
-            == "66d5a61a9eb06ea8a847a721ea7da625d91f747f"
+            == "853402ec5b902f831dea010e1f61b7f54a1b2f4f"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

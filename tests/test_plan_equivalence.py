@@ -362,23 +362,30 @@ class TestPlanCacheReuse:
         assert fingerprint(warm) == fingerprint(cold)
 
     def test_a_join_stage_saved_before_the_swaps_is_re_run(self, data, tmp_path, monkeypatch):
-        """A PGBJ join stage persisted under the code version before the
-        grouping swapped cells and the reducers ranged each (R cell, S cell)
-        pair by its admitted objects is a miss: the re-run reports the
-        swapped grouping's shuffle, as a cold run does."""
+        """A PGBJ join stage persisted under an older code version, one
+        whose grouping swapped no cells and whose reducers computed another
+        count of object-pivot pairs, is a miss: the re-run reports the
+        swapped grouping's shuffle and the current pairs, as a cold run
+        does."""
+        import numpy as np
+
         from repro.grouping import refine
-        from repro.joins import pgbj
+        from repro.joins import kernels
         from repro.joins.registry import JoinPlan, execute_join_plan
 
         config = PgbjConfig(k=3, num_pivots=12, seed=5, plan_cache_dir=str(tmp_path))
         cold = run_join("pgbj", data, data, config.with_changes(plan_cache_dir=None))
         monkeypatch.setattr(registry, "RESULTS_VERSION", registry.RESULTS_VERSION - 1)
         monkeypatch.setattr(refine, "_swaps", lambda state: 0)
-        monkeypatch.setattr(pgbj, "admitted_pair_ranges", lambda *args: None)
+        # reducers that compute every |r, p_j| the anchor ranges spare
+        monkeypatch.setattr(
+            kernels, "anchor_range_gaps", lambda mids, reach, rows, *_: np.full(rows.shape, -np.inf)
+        )
         saved = run_join("pgbj", data, data, config)
         monkeypatch.undo()
         assert len(sorted(tmp_path.glob("*.plan.seg"))) == 2
         assert saved.shuffle_bytes() > cold.shuffle_bytes()
+        assert saved.distance_pairs > cold.distance_pairs
         plan = plan_join("pgbj", data, data, config)
         run = execute_join_plan(
             JoinPlan(graph=plan.graph, assemble=lambda run: run, identity=plan.identity), config
@@ -386,6 +393,7 @@ class TestPlanCacheReuse:
         assert "pgbj/join" not in run.cached_stage_names()
         rerun = plan.assemble(run)
         assert rerun.shuffle_bytes() == cold.shuffle_bytes()
+        assert rerun.distance_pairs == cold.distance_pairs
         assert fingerprint(rerun) == fingerprint(cold)
 
     def test_an_entry_saved_without_anchor_hulls_is_re_run(self, data, tmp_path, monkeypatch):
@@ -612,13 +620,15 @@ class TestFinalOutputsPinned:
     anchor ranges, and 4 897 before the master refined the grouping by
     counted S copies, which moves the S rows each reducer's ranges hold, and
     4 899 before each (R cell, S cell) pair was ranged by the objects the
-    routing rule admits for the R cell alone)."""
+    routing rule admits for the R cell alone, and 4 897 while it was; the
+    nearest computed pivots' bounds on ``|r, p_j|``, deleted with it, spared
+    no pair of this world, nor of ``pbj``'s)."""
 
     #: join -> (sha1 of (r id, neighbour ids, distance bytes) rows, pairs,
     #: final job's output_bytes, its reduce tasks' output records)
     PINNED = {
         "broadcast": ("6a7ec171f4ee3716", 40000, 13600, 200),
-        "pgbj": ("6a7ec171f4ee3716", 4897, 13600, 200),
+        "pgbj": ("6a7ec171f4ee3716", 4899, 13600, 200),
     }
 
     @pytest.mark.parametrize("served", (False, True), ids=("computed", "served"))

@@ -198,15 +198,17 @@ def test_an_equal_copy_counts_what_it_counted_before_the_own_cell_memo(data):
     """R ≠ S: no row is of both roles, so the reducers reuse no distance.
     The counters are the ones recorded on the commit before a self-join's
     reducers computed each own-cell distance once (the self-join's own-cell
-    pairs were 2 097 there too, 1 176 since), less the 2 object-pivot pairs
-    spared since each (R cell, S cell) pair is ranged by the objects admitted
-    for the R cell alone (8 377 and 816 before)."""
+    pairs were 2 097 there too, 1 176 since), plus 10 object-pivot pairs:
+    2 fewer while each (R cell, S cell) pair was ranged by the objects
+    admitted for the R cell alone (8 375 and 814), 12 more since neither
+    that rule nor the nearest computed pivots' bounds spare any (8 387 and
+    826; 8 377 and 816 before both)."""
     outcome = run_join("pgbj", data, copy.deepcopy(data), config_for("pgbj"))
     counted = outcome.counters.as_dict()[PAIRS_GROUP]
-    assert (outcome.distance_pairs, counted[PAIRS_NAME]) == (8375, 8185)
+    assert (outcome.distance_pairs, counted[PAIRS_NAME]) == (8387, 8197)
     assert [counted[name] for name in (
         PIVOT_PAIRS_NAME, OTHER_CELL_PAIRS_NAME, OWN_CELL_PAIRS_NAME
-    )] == [814, 944, 2097]
+    )] == [826, 944, 2097]
 
 
 def facts(name, r, s, config):
