@@ -204,6 +204,9 @@ def _cmd_join(args: argparse.Namespace) -> int:
     print(f"computation selectivity: {outcome.selectivity() * 1000:.3f} per thousand")
     print(f"shuffling cost       : {outcome.shuffle_bytes() / 1e6:.3f} MB "
           f"({outcome.shuffle_records()} records)")
+    for stage, stats in outcome.job_stats.as_dict().items():
+        print(f"  {stage:<19}: {stats.shuffle_bytes / 1e6:.3f} MB "
+              f"({stats.shuffle_records} records)")
     if outcome.replication_of_s():
         print(f"avg replication of S : {outcome.avg_replication_of_s():.2f}")
     if outcome.spill_segments():

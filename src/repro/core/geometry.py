@@ -21,7 +21,8 @@ p_i|² + |q, p_j|²) / 2|p_i, p_j|``, since the rounding of computed distances
 grows with the coordinate scale — its difference of squares cancels, and
 the cancelled rounding is divided by the pivots' gap, which a dense cluster
 makes tiny next to a far query.  The Theorem 2 ring gives up
-``PRUNE_RTOL`` of ``|q, p_j| + theta`` at each end.
+``PRUNE_RTOL`` of ``|q, p_j| + theta`` at each end, and its bound at the
+own pivot (:func:`pivot_distance_needed`) as much of the distances it sums.
 
 Anchor codes carry an object's distance ``|o, a|`` to an anchor pivot ``a``
 in one byte: the triangle inequality puts it in ``[| |p, a| - |o, p| |, |p,
@@ -211,16 +212,20 @@ def pivot_distance_needed(
     which then reads ``|p_i, p_j| / 2 - |q, p_i|``, and Theorem 5 per object
     (``|q, s| >= |q, p_j| - U(P_j)``), which reads ``|p_i, p_j| - |q, p_i| -
     U(P_j)``.  Both are monotone in ``|q, p_j|``, so the distance would have
-    rejected the cell too.  Each follows its rule's switch; ``theta = inf``
-    always passes.  Scalars or aligned arrays, the same IEEE operations
-    either way.
+    rejected the cell too.  The ring bound also gives up ``PRUNE_RTOL`` of
+    the three distances it is made of: where the row, both pivots and a
+    neighbour lie on one line it equals that neighbour's distance, and its
+    rounding must not lift it above a tied ``theta``.  Each follows its
+    rule's switch; ``theta = inf`` always passes.  Scalars or aligned
+    arrays, the same IEEE operations either way.
     """
     slack = theta + PRUNE_EPS
     needed = True
     if hyperplane:
         needed = dist_pi_pj / 2.0 - dist_q_pi <= slack
     if ring:
-        needed = needed & (dist_pi_pj - dist_q_pi - upper_pj <= slack)
+        rounding = PRUNE_RTOL * (dist_pi_pj + dist_q_pi + upper_pj)
+        needed = needed & (dist_pi_pj - dist_q_pi - upper_pj - rounding <= slack)
     return needed
 
 

@@ -8,8 +8,7 @@ replicated ``sqrt(N)`` times, giving the framework's
 ``sqrt(N) * (|R| + |S|) + sum |R_i x S_j|`` shuffling cost.
 
 Candidate lists travel in columnar form: every producer of the merge job
-(H-BRJ, PBJ, the z-order join) hands its reducer's lists to
-:func:`candidate_emissions` as one
+(H-BRJ, PBJ) hands its reducer's lists to :func:`candidate_emissions` as one
 :class:`~repro.mapreduce.types.NeighborBlock`, which emits one sub-block per
 *merge partition* (``r_id % num_reducers`` — the reducer the hash partitioner
 sends ``r_id`` to); each merge reducer ranks its whole partition with two

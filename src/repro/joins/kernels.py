@@ -93,14 +93,14 @@ A row starts from its own bound ``theta_i - U_i + |r, p_i|``: Theorem 3 with
 its pivot distance in place of the cell's largest, ``U_i``, so every bound
 of Algorithm 1 moves by the same constant and so does the k-th smallest.
 
-:func:`knn_join_kernel_reference`, the per-record oracle, applies the same
-rules, so the results and the pairs counted on ``metric`` (other cells),
-``own_metric`` (the own cell) and ``pivot_metric`` (object-pivot pairs) are
-equal pair for pair; their sum is the paper's selectivity numerator.  Two
-byte budgets bound memory: a scan, a window or the bounds of a round's rows
-gather at most ``_GATHER_BYTES`` of pairs per batch, and R is tiled by whole
-cells so a window's ``(steps, rows)`` matrices stay near ``_TILE_BYTES``, the
-cap of a cell's own-cell memo too.
+The per-record oracle the tests keep (``tests/reference_oracle.py``)
+applies the same rules, so the results and the pairs counted on ``metric``
+(other cells), ``own_metric`` (the own cell) and ``pivot_metric``
+(object-pivot pairs) are equal pair for pair; their sum is the paper's
+selectivity numerator.  Two byte budgets bound memory: a scan, a window or
+the bounds of a round's rows gather at most ``_GATHER_BYTES`` of pairs per
+batch, and R is tiled by whole cells so a window's ``(steps, rows)``
+matrices stay near ``_TILE_BYTES``, the cap of a cell's own-cell memo too.
 
 Inputs are :class:`~repro.mapreduce.types.RecordBlock` batches, the one row
 format: a reducer gathers its values into one block, and
@@ -126,13 +126,10 @@ from repro.core.geometry import (
     anchor_ranges,
     anchor_reach,
     hyperplane_distances,
-    partition_pruned_by_hyperplane,
     pivot_distance_needed,
-    ring_slice,
     ring_slices,
     segment_keys,
 )
-from repro.core.knn import ReferenceKBestList
 from repro.core.zorder import ZOrderTransform
 from repro.mapreduce.types import ROLE_BOTH, RecordBlock, group_rows_by, ranks_within
 
@@ -148,7 +145,6 @@ __all__ = [
     "local_ring_stats",
     "local_thetas",
     "knn_join_kernel",
-    "knn_join_kernel_reference",
     "scan_partition_numpy",
 ]
 
@@ -706,7 +702,7 @@ def knn_join_kernel(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Run Algorithm 3's reduce phase; yields ``(r_id, neighbor_ids, dists)``.
 
-    Bit-identical to :func:`knn_join_kernel_reference` (same neighbor lists,
+    Bit-identical to the per-record oracle of the tests (same neighbor lists,
     same pairs counted on each metric): every per-row pruning decision, computed
     ``|r, p_j|`` and ring slice is the same, every admitted pair's distance is
     computed with the same IEEE operations — only evaluated batched, one scan
@@ -965,177 +961,6 @@ def knn_join_kernel(
         counts = (best_dists < np.inf).sum(axis=1).tolist()
         for row, (r_id, count) in enumerate(zip(r_ids.tolist(), counts)):
             yield r_id, best_ids[row, :count].copy(), best_dists[row, :count].copy()
-
-
-def knn_join_kernel_reference(
-    metric: Metric,
-    k: int,
-    r_blocks: dict[int, RPartitionBlock],
-    s_blocks: dict[int, SPartitionBlock],
-    thetas: dict[int, float],
-    ring_stats: dict[int, tuple[float, float]],
-    pivot_points: np.ndarray,
-    pivot_dist_matrix: np.ndarray,
-    use_hyperplane_pruning: bool = True,
-    use_ring_pruning: bool = True,
-    pivot_metric: Metric | None = None,
-    code_anchors: np.ndarray | None = None,
-    uppers: dict[int, float] | None = None,
-    own_metric: Metric | None = None,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The per-record kernel, kept as the correctness oracle.
-
-    One R point at a time, scalar pruning tests, full-lexsort k-best list —
-    the seed's loop, computing ``|r, p_j|`` by the same window rule and
-    bounds as :func:`knn_join_kernel` (one ``metric.distances`` per record and
-    window), scanning the first cells and the own cell in the same
-    bound-ordered rounds and the same anchor filtered strips.  The
-    equivalence tests (``tests/test_kernels.py``) hold :func:`knn_join_kernel`
-    to byte-identical outputs and pair counts against this implementation.
-    """
-    if not s_blocks:
-        raise ValueError("reducer received R objects but no S objects")
-    pivot_metric = pivot_metric or metric
-    own_metric = own_metric or metric
-    present = sorted(s_blocks)
-    present_points = pivot_points[present]
-    euclidean = metric.name == "l2"
-    strip = _strip_length(k)
-    coded = use_ring_pruning and code_anchors is not None and len(code_anchors) > 0
-    if coded:
-        code_rows = pivot_dist_matrix[code_anchors]
-        s_codes = {
-            pid: anchor_intervals(block.codes, np.full(len(block), pid), block.pivot_dists, code_rows)
-            for pid, block in s_blocks.items()
-        }
-        s_lo, s_hi = anchor_ranges(
-            np.hstack([s_codes[pid][0] for pid in present]),
-            np.concatenate([s_codes[pid][1] for pid in present]),
-            np.cumsum([0] + [len(s_blocks[pid]) for pid in present]),
-        )
-
-    for pid_r in sorted(r_blocks):
-        r_block = r_blocks[pid_r]
-        offset = thetas[pid_r] - _upper(r_blocks, uppers, pid_r)
-        pdm_row = pivot_dist_matrix[pid_r]
-        if coded:
-            r_mids, r_radius = anchor_intervals(
-                r_block.codes, np.full(len(r_block.ids), pid_r), r_block.pivot_dists, code_rows
-            )
-            r_reach = anchor_reach(r_mids, r_radius)
-        order = sorted(range(len(present)), key=lambda idx: pdm_row[present[idx]])
-        step_of = {idx: step for step, idx in enumerate(order)}
-        # a self-join's own cell, if its rows x rows memo fits: memo[a, b]
-        # holds |b, a| once row b computed it, and 0.0 if a is b
-        twins = s_blocks[pid_r].twins if pid_r in s_blocks else None
-        rows_here = len(r_block.ids)
-        memo = None
-        if twins is not None and rows_here * rows_here * 8 <= _TILE_BYTES:
-            memo = np.full((rows_here, rows_here), np.nan)
-            np.fill_diagonal(memo, 0.0)
-
-        for row in range(r_block.ids.shape[0]):
-            kbest = ReferenceKBestList(k)
-            point = r_block.points[row]
-            dist_r_own = float(r_block.pivot_dists[row])
-            theta = offset + dist_r_own
-
-            def ring(block, pid_s, dist_r_pj):
-                if use_ring_pruning and np.isfinite(theta):
-                    return ring_slice(block.pivot_dists, *ring_stats[pid_s], dist_r_pj, theta)
-                return 0, len(block)
-
-            def fold(block, entries, counted):
-                nonlocal theta
-                for lo in range(0, entries.size, strip):
-                    chunk = entries[lo : lo + strip]
-                    if coded:
-                        s_mids, s_radius = s_codes[block.partition_id]
-                        chunk = chunk[_codes_admit(
-                            r_mids[:, row, None], s_mids[:, chunk],
-                            theta + r_radius[row] + s_radius[chunk],
-                        )]
-                    if chunk.size:
-                        if memo is not None and block.partition_id == pid_r:
-                            dists = own_distances(block, chunk)
-                        else:
-                            dists = counted.distances(point, block.points[chunk])
-                        kbest.update(dists, block.ids[chunk])
-                        if kbest.is_full():
-                            theta = min(theta, kbest.theta + PRUNE_EPS)
-
-            def own_distances(block, chunk):
-                # the memo's for an entry with a twin row, if known; each
-                # computed one is stored for the twin row
-                twin = twins[chunk]
-                dists = np.full(chunk.size, np.nan)
-                dists[twin >= 0] = memo[row, twin[twin >= 0]]
-                todo = np.isnan(dists)
-                dists[todo] = own_metric.distances(point, block.points[chunk[todo]])
-                stored = todo & (twin >= 0)
-                memo[twin[stored], row] = dists[stored]
-                return dists
-
-            def rounds(block, pid_s, dist_r_pj, counted):
-                # the ring slice in ascending bound, ties by entry; a round
-                # folds the entries its re-cut ring admits
-                entries = np.arange(*ring(block, pid_s, dist_r_pj))
-                anchors = None
-                if coded:
-                    s_mids, s_radius = s_codes[pid_s]
-                    anchors = (r_mids, s_mids, r_radius, s_radius)
-                bounds = _entry_bounds(
-                    dist_r_pj, block.pivot_dists[entries], anchors,
-                    np.full(entries.size, row), entries,
-                )
-                by_bound = np.lexsort((entries, bounds))
-                entries, bounds = entries[by_bound], bounds[by_bound]
-                at, size = 0, _first_round(k, pid_s == pid_r)
-                while at < entries.size and bounds[at] <= _stop_limit(theta, dist_r_pj):
-                    start, stop = ring(block, pid_s, dist_r_pj)
-                    taken = entries[at : at + size]
-                    fold(block, taken[(taken >= start) & (taken < stop)], counted)
-                    at, size = at + size, 2 * size
-
-            for first_step, window_end in _step_windows(len(order)):
-                # the window rule of knn_join_kernel, one record at a time
-                wanted = []
-                window = order[first_step:window_end]
-                if coded:
-                    # the cells' anchor ranges: every member beyond theta
-                    far = anchor_range_gaps(
-                        r_mids, r_reach, np.full(len(window), row), s_lo, s_hi, np.array(window)
-                    ) > theta + PRUNE_EPS
-                    window = [idx for idx, beyond in zip(window, far) if not beyond]
-                for idx in window:
-                    gap, upper = float(pdm_row[present[idx]]), ring_stats[present[idx]][1]
-                    if pivot_distance_needed(
-                        dist_r_own, gap, upper, theta, use_hyperplane_pruning, use_ring_pruning
-                    ):
-                        wanted.append(idx)
-                # the own cell's distance is already known: the row's pivot distance
-                others = [idx for idx in wanted if present[idx] != pid_r]
-                to_pivots = pivot_metric.distances(point, present_points[others]).tolist()
-                dr_to_pivots = dict(zip(others, to_pivots))
-                for idx in wanted:
-                    pid_s = present[idx]
-                    dist_r_pj = dr_to_pivots.get(idx, dist_r_own)
-                    if (
-                        use_hyperplane_pruning
-                        and pid_s != pid_r
-                        and partition_pruned_by_hyperplane(
-                            dist_r_own, dist_r_pj, float(pdm_row[pid_s]), theta, euclidean
-                        )
-                    ):
-                        continue  # Corollary 1 discards the whole cell
-                    block = s_blocks[pid_s]
-                    counted = own_metric if pid_s == pid_r else metric
-                    if use_ring_pruning and (pid_s == pid_r or step_of[idx] < _ROUND_STEPS):
-                        rounds(block, pid_s, dist_r_pj, counted)
-                    else:
-                        fold(block, np.arange(*ring(block, pid_s, dist_r_pj)), counted)
-            neighbor_ids, neighbor_dists = kbest.as_arrays()
-            yield int(r_block.ids[row]), neighbor_ids, neighbor_dists
 
 
 class KernelProvider:

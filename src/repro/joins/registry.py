@@ -191,7 +191,11 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: join stage's pair counter changed.  22: PGBJ's and PBJ's reducers judge a
 #: (row, S cell) pair by the ranges of all the cell's objects and bound
 #: ``|r, p_j|`` by the own pivot alone, so their pivot-pair counters changed.
-RESULTS_VERSION = 22
+#: 23: a z-order join's last curve copy folds the earlier copies' candidate
+#: lists (no merge stage), so its stages' jobs changed shape, and the own
+#: pivot's ring bound gives up a relative slack, which may move PGBJ's and
+#: PBJ's pivot-pair counters.
+RESULTS_VERSION = 23
 
 
 def plan_identity(name: str, r: Dataset, s: Dataset, config: JoinConfig) -> str:

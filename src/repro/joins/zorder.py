@@ -6,26 +6,35 @@ join queries ... thus excluding approximate methods, like LSH or H-zkNNJ").
 This module implements it as an extension so the exact/approximate trade-off
 can be measured inside the same harness.
 
-Algorithm sketch (two MapReduce jobs, like the block framework):
+Algorithm sketch (``min(num_shifts, 2)`` MapReduce jobs):
 
 1. Draw ``num_shifts`` random shift vectors (the first is zero) in the cube
    the curve's grid covers — one cell size for every dimension, because an
    L_p distance weighs every coordinate equally.  For each shift, both
    datasets are mapped onto the z-order curve of the shifted space; ``S``'s
-   curve is range-partitioned into ``num_reducers`` blocks by z-value
-   quantiles estimated from a master-side sample.  Every ``r`` goes to the
-   block covering its z-value; every ``s`` goes to its own block and — to
-   heal block boundaries — to the neighboring block when it lies within ``k``
-   curve positions of the boundary estimate.  A self-join (``r is s``) reads
-   each object once (:func:`~repro.mapreduce.splits.join_splits`) and ships
-   it once per shift: the row to its own block carries both roles, its
+   curve is range-partitioned into ``num_reducers // num_shifts`` blocks by
+   z-value quantiles estimated from a master-side sample.  Every ``r`` goes
+   to the block covering its z-value; every ``s`` goes to its own block and
+   — to heal block boundaries — to the neighboring block when it lies within
+   ``k`` curve positions of the boundary estimate.  A self-join (``r is s``)
+   reads each object once (:func:`~repro.mapreduce.splits.join_splits`) and
+   ships it once per shift: the row to its own block carries both roles, its
    healing copies only S, so no ``r`` is answered twice in one shift.
 2. Each reducer sorts its S block by z-value and, for each ``r``, takes the
    ``2k`` nearest S objects *along the curve* as candidates, computing their
    true distances.  In a self-join an ``s`` in ``r``'s window nearly always
    has ``r`` in its own window too: each such pair is computed once and
-   read twice, and an object's own entry not at all.  A merge job keeps the
-   best k per ``r`` across all shifts.
+   read twice, and an object's own entry not at all.
+3. H-zkNNJ then runs a merge round over every copy's lists.  Here the last
+   curve copy is that round: the first job (``zorder/join``) runs copies
+   ``0 … num_shifts − 2`` and keys each ``r``'s k best under ``r``'s own
+   block of the last copy (:func:`curve_blocks`, the mapper's own rule);
+   the second (``zorder/last``) routes copy ``num_shifts − 1`` beside those
+   lists, and each of its reducers folds the lists into its own windows'
+   (:func:`~repro.joins.block_framework.merge_candidates`).  Each ``r``'s
+   lists thus ship ``num_shifts − 1`` times, not ``num_shifts``; top-k by
+   ``(distance, id)`` with id dedup is associative, so the result is the
+   merge round's.  One copy needs the second job alone.
 
 The join is array-shaped end to end.  Z-values are fixed-width byte keys
 (:meth:`~repro.core.zorder.ZOrderTransform.z_keys`), so a map task places its
@@ -38,15 +47,14 @@ columns weigh what the tuple's framing and z-value did — and z itself is not
 shipped: the reducer recomputes it from the shift its key names.  The reducer
 answers all its ``r`` with one ``(z, id)`` lexsort, one ``searchsorted``, one
 windowed gather, a few gathers that pair each window entry with its mirror
-(:func:`mirror_entries`) and one counted pair-distance call, and hands the
-candidate lists to the shared merge job as
-:class:`~repro.mapreduce.types.NeighborBlock` values
-(:func:`~repro.joins.block_framework.candidate_emissions`).
+(:func:`mirror_entries`) and one counted pair-distance call; its candidate
+lists travel as :class:`~repro.mapreduce.types.NeighborBlock` values.
 
 The result is approximate: a true neighbor may be z-far in every shift.
 Quality is measured by :func:`recall_against` (fraction of exact neighbors
 found) and the distance ratio.  A curve copy ships every object once more
-in a self-join (an R row and an S row apart when R ≠ S) and scans ``2 *
+in a self-join (an R row and an S row apart when R ≠ S), every ``r``'s
+candidate list once more beyond the first copy, and scans ``2 *
 candidates_per_side`` more pairs per ``r`` (about half of them computed in a
 self-join, the rest mirrors); on 10-d Forest x10 it buys
 recall 0.60 → 0.75 → 0.85 → 0.89 (1–4 copies, README's table).
@@ -54,6 +62,7 @@ recall 0.60 → 0.75 → 0.85 → 0.89 (1–4 copies, README's table).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,11 +78,11 @@ from repro.mapreduce.splits import join_splits
 from repro.mapreduce.types import ROLE_S, NeighborBlock, RecordBlock, group_rows_by, ranks_within
 
 from .base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME, JoinConfig
-from .block_framework import candidate_emissions, knn_outcome_assembler, merge_stage
+from .block_framework import chain_splits, knn_outcome_assembler, merge_candidates
 from .kernels import KERNELS
 from .registry import JoinPlan, JoinSpec, register_join
 
-__all__ = ["ZOrderConfig", "plan_zorder", "recall_against"]
+__all__ = ["ZOrderConfig", "curve_blocks", "plan_zorder", "recall_against"]
 
 
 @dataclass
@@ -106,15 +115,27 @@ class ZOrderConfig(JoinConfig):
             raise ValueError("sample_size must be >= 1")
 
 
+def curve_blocks(
+    transform: ZOrderTransform, points: np.ndarray, shift: np.ndarray, boundaries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's z-key on the curve copy ``shift`` moves it by, and the
+    block of that copy it falls in (``boundaries``: the copy's block
+    boundary keys).  The one rule that routes an object's row and keys its
+    candidate list for the last copy, so the two always meet."""
+    keys = KERNELS.morton_codes(transform, points + shift)
+    return keys, np.searchsorted(boundaries, keys, side="right")
+
+
 class ZOrderRoutingMapper(BlockBufferingMapper):
     """Routes objects to (shift, z-range block) reducers, a block at a time.
 
-    Per shift the task's whole input is encoded in one
-    :meth:`~repro.joins.kernels.KernelProvider.morton_codes` call
-    and placed with one ``searchsorted`` against the block boundaries; an
-    ``s`` additionally feeds the neighbor block when its z-value sits within
-    the margin of the boundary between them (boundary healing), decided by
-    comparing keys against the precomputed ``boundary ± margin`` keys.
+    Per shift of its job the task's whole input is placed with one
+    :func:`curve_blocks` call; an ``s`` additionally feeds the neighbor
+    block when its z-value sits within the margin of the boundary between
+    them (boundary healing), decided by comparing keys against the
+    precomputed ``boundary ± margin`` keys.  Candidate lists an earlier job
+    keyed (:class:`~repro.mapreduce.types.NeighborBlock` values) pass
+    through under their key.
     """
 
     def setup(self, ctx: Context) -> None:
@@ -125,16 +146,21 @@ class ZOrderRoutingMapper(BlockBufferingMapper):
         self._boundaries: list[tuple[np.ndarray, ...]] = ctx.cache["boundaries"]
         self._blocks_per_shift = int(ctx.cache["blocks_per_shift"])
 
+    def map(self, key, value, ctx: Context):
+        if isinstance(value, NeighborBlock):
+            return ((key, value),)
+        return super().map(key, value, ctx)
+
     def route_block(self, block: RecordBlock, ctx: Context):
         # the wire row is (role, id, point, z): no payload bytes travel
         block = replace(block, payloads=np.zeros_like(block.payloads))
         s_rows = np.flatnonzero(block.is_s)
         r_count = len(block) - int(s_rows.size)
         last = self._blocks_per_shift - 1
-        for shift_index, shift in enumerate(self._shifts):
-            keys = KERNELS.morton_codes(self._transform, block.points + shift)
-            boundaries, above, below = self._boundaries[shift_index]
-            own = np.searchsorted(boundaries, keys, side="right")
+        for shift_index, (shift, (boundaries, above, below)) in enumerate(
+            zip(self._shifts, self._boundaries)
+        ):
+            keys, own = curve_blocks(self._transform, block.points, shift, boundaries)
             rows, targets = [np.arange(len(block))], [own]
             if last:
                 s_own, s_keys = own[s_rows], keys[s_rows]
@@ -156,7 +182,14 @@ class ZOrderRoutingMapper(BlockBufferingMapper):
 
 
 class ZOrderJoinReducer(Reducer):
-    """Per (shift, block): curve-neighbor candidates with true distances."""
+    """Per (shift, block): curve-neighbor candidates with true distances.
+
+    In ``zorder/join`` (the cache's ``last`` names the last copy's shift and
+    boundary keys) each ``r``'s k best leave under ``r``'s block of the last
+    copy.  In ``zorder/last`` (``last`` is ``None``) they are folded with
+    the lists that arrived under the reducer's own key into ``r``'s final k
+    — also where the block holds no S row to add a list of its own.
+    """
 
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
@@ -165,13 +198,29 @@ class ZOrderJoinReducer(Reducer):
         self._shifts: np.ndarray = ctx.cache["shifts"]
         self._transform: ZOrderTransform = ctx.cache["transform"]
         self._blocks_per_shift = int(ctx.cache["blocks_per_shift"])
+        self._last: tuple[np.ndarray, np.ndarray] | None = ctx.cache["last"]
 
     def reduce(self, key, values, ctx: Context):
-        block = RecordBlock.gather(values)
+        rows, lists = [], []
+        for value in values:
+            (lists if isinstance(value, NeighborBlock) else rows).append(value)
+        block = RecordBlock.gather(rows)
         r_rows = np.flatnonzero(block.is_r)
+        own = self._windows(key, block, r_rows)
+        if self._last is None:
+            if own is not None:
+                lists.append(own)
+            if lists:
+                yield key, merge_candidates(NeighborBlock.gather(lists), self._k)
+        elif own is not None:
+            _, targets = curve_blocks(self._transform, block.points[r_rows], *self._last)
+            yield from own.with_id_dtype(block.object_ids.dtype).split_by(targets)
+
+    def _windows(self, key, block: RecordBlock, r_rows: np.ndarray) -> NeighborBlock | None:
+        """The k best of every ``r`` row's window (``None``: no R or no S row)."""
         s_rows = np.flatnonzero(block.is_s)
         if r_rows.size == 0 or s_rows.size == 0:
-            return ()
+            return None
         object_ids = block.object_ids.astype(np.int64)
         shift = self._shifts[int(key) // self._blocks_per_shift]
         keys = KERNELS.morton_codes(self._transform, block.points + shift)
@@ -202,10 +251,9 @@ class ZOrderJoinReducer(Reducer):
         # the k best of every window under (distance, id): sorting keeps each
         # r's candidates in its own span, so rank still counts from its start
         best = np.lexsort((ids, dists, owner))[rank < self._k]
-        candidates = NeighborBlock.from_counts(
+        return NeighborBlock.from_counts(
             object_ids[r_rows], np.minimum(lengths, self._k), ids[best], dists[best]
         )
-        return candidate_emissions(candidates, ctx, block.object_ids.dtype)
 
     def cleanup(self, ctx: Context):
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)
@@ -245,12 +293,16 @@ def mirror_entries(
 
 
 def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
-    """Plan the approximate join: ``zorder/join`` → ``zorder/merge``."""
+    """Plan the approximate join: ``zorder/join`` (curve copies ``0 …
+    num_shifts − 2``; absent for one copy) → ``zorder/last`` (the last copy,
+    fed the first job's candidate lists beside the data, emits the result)."""
     graph = JobGraph("zorder")
     # out-of-core configs stage the candidate lists between the stages on disk
     dfs = graph.resource(config.chain_dfs())
+    final = config.num_shifts - 1
 
-    def build_join(ctx):
+    @functools.cache
+    def curves():
         rng = np.random.default_rng(config.seed)
         # master-side preprocessing: shifts, transform, quantile boundaries
         # (untimed, as the imperative driver had it — a new master phase
@@ -261,10 +313,7 @@ def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
         side = max(float(np.max(hi - lo)), 1e-9)
         shifts = np.vstack(
             [np.zeros(r.dimensions)]
-            + [
-                rng.random(r.dimensions) * side * 0.25
-                for _ in range(config.num_shifts - 1)
-            ]
+            + [rng.random(r.dimensions) * side * 0.25 for _ in range(final)]
         )
         transform = ZOrderTransform.for_box(lo, hi, bits=config.bits, padding=0.3)
         blocks_per_shift = max(1, config.num_reducers // config.num_shifts)
@@ -290,30 +339,49 @@ def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
                     transform.keys_of(max(q - margin, 0) for q in quantiles),
                 )
             )
+        return shifts, transform, boundaries, blocks_per_shift
 
-        job = MapReduceJob(
-            name="zorder-join",
+    def copies_job(name: str, copies: range) -> MapReduceJob:
+        """The job routing and joining the curve ``copies``; the last copy's
+        job folds the lists, an earlier one keys them for it."""
+        shifts, transform, boundaries, blocks_per_shift = curves()
+        return MapReduceJob(
+            name=name,
             mapper_factory=ZOrderRoutingMapper,
             reducer_factory=ZOrderJoinReducer,
             partitioner=ModPartitioner(),
-            num_reducers=config.num_shifts * blocks_per_shift,
+            num_reducers=len(copies) * blocks_per_shift,
             cache={
-                "shifts": shifts,
+                "shifts": shifts[copies.start : copies.stop],
                 "transform": transform,
-                "boundaries": boundaries,
+                "boundaries": boundaries[copies.start : copies.stop],
                 "blocks_per_shift": blocks_per_shift,
                 "metric_name": config.metric_name,
                 "k": config.k,
                 "candidates_per_side": config.candidates_per_side or config.k,
-                "merge_reducers": config.num_reducers,
+                "last": None if final in copies else (shifts[final], boundaries[final][0]),
             },
         )
-        return job, join_splits(r, s, config.split_size)
 
-    join = graph.stage("zorder/join", build_join)
+    upstream = ()
+    if final:
 
-    stages = (join, merge_stage(graph, config, dfs, join))
-    assemble = knn_outcome_assembler("zorder", r, s, config, stages, ("knn_join", "merge"))
+        def build_join(ctx):
+            return copies_job("zorder-join", range(final)), join_splits(r, s, config.split_size)
+
+        upstream = (graph.stage("zorder/join", build_join),)
+
+    def build_last(ctx):
+        splits = join_splits(r, s, config.split_size)
+        for stage in upstream:
+            lists = chain_splits(config, dfs, "zorder-lists", ctx.result_of(stage).outputs)
+            splits += [replace(split, split_id=len(splits) + i) for i, split in enumerate(lists)]
+        return copies_job("zorder-last", range(final, final + 1)), splits
+
+    stages = (*upstream, graph.stage("zorder/last", build_last, deps=upstream))
+    assemble = knn_outcome_assembler(
+        "zorder", r, s, config, stages, ("knn_join",) * len(stages)
+    )
     return JoinPlan(graph=graph, assemble=assemble)
 
 

@@ -1,12 +1,12 @@
 """The own-pivot-only reducer kernel, kept as the test-side reference.
 
-A copy of ``knn_join_kernel_reference`` as the library shipped it before
-the anchor codes and before the own cell was scanned in bound-ordered
-rounds: ``|r, p_j|`` is skipped only where the own pivot's bound ``|p_i,
-p_j| - |r, p_i|`` decides the (row, cell) pair, and every row scans each
-cell's whole ring.  ``src/`` holds only the kernel with the later rules;
-``tests/test_kernels.py`` holds it to this one's results on adversarial
-worlds, with no more pairs of either kind.
+A copy of ``knn_join_kernel_reference`` (``tests/reference_oracle.py``) as
+the library shipped it before the anchor codes and before the own cell was
+scanned in bound-ordered rounds: ``|r, p_j|`` is skipped only where the
+own pivot's bound ``|p_i, p_j| - |r, p_i|`` decides the (row, cell) pair,
+and every row scans each cell's whole ring.  ``src/`` holds only the
+kernel with the later rules; ``tests/test_kernels.py`` holds it to this
+one's results on adversarial worlds, with no more pairs of either kind.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """The per-record z-order join, kept as the test-side reference.
 
-A copy of the row-at-a-time mapper, reducer and merge reducer the library
+A copy of the row-at-a-time mapper, reducer and merge fold the library
 shipped before the join went columnar, plus the Python-int Morton loop they
-ran on.  ``src/`` holds only the array-shaped implementation;
-``tests/test_zorder.py`` holds it equal to this one — results, distance
-bytes, ``pairs_computed``, S replicas, shuffle records and bytes.
+ran on, in the library's two-job shape: the first job runs every curve copy
+but the last and keys each ``r``'s list under ``r``'s block of the last
+copy; the second runs the last copy and folds those lists into its own.
+``src/`` holds only the array-shaped implementation; ``tests/test_zorder.py``
+holds it equal to this one — results, distance bytes, ``pairs_computed``, S
+replicas, per-job shuffle records and bytes.
 
 The shipping rule, a tuple per row: every object travels as one ``(role,
 id, point, z)`` row per shift to the block its z-value falls in, an ``s``
@@ -29,7 +32,7 @@ from repro.core.zorder import ZOrderTransform
 from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME
 from repro.mapreduce import LocalRuntime, split_records
 from repro.mapreduce.job import Context, Mapper, MapReduceJob, Reducer
-from repro.mapreduce.partitioners import HashPartitioner, ModPartitioner
+from repro.mapreduce.partitioners import ModPartitioner
 from repro.mapreduce.splits import dataset_splits, id_dtype, self_join_splits
 from repro.mapreduce.types import ROLE_R, ROLE_S, RecordBlock
 
@@ -50,8 +53,10 @@ def int_z_values(transform: ZOrderTransform, points: np.ndarray) -> list[int]:
 
 
 class RowRoutingMapper(Mapper):
-    """Routes one ``(role, id, point, z)`` tuple per object and target block,
-    a row of the gathered input block at a time; a healing copy is S only."""
+    """Routes one ``(role, id, point, z)`` tuple per object and target block
+    of the job's curve copies, a row of the gathered input block at a time;
+    a healing copy is S only.  A candidate list an earlier job keyed passes
+    through under its key."""
 
     def setup(self, ctx: Context) -> None:
         self._shifts = ctx.cache["shifts"]
@@ -65,8 +70,10 @@ class RowRoutingMapper(Mapper):
         return bisect.bisect_right(self._boundaries[shift_index], z_value)
 
     def map(self, key, value, ctx: Context):
+        if not isinstance(value, RecordBlock):
+            yield key, value
+            return
         self._buffer.append(value)
-        return ()
 
     def cleanup(self, ctx: Context):
         blocks, self._buffer = self._buffer, []
@@ -105,21 +112,46 @@ class RowRoutingMapper(Mapper):
 
 
 class RowJoinReducer(Reducer):
-    """Per (shift, block): one bisect and one distance call per ``r``."""
+    """Per (shift, block): one bisect and one distance call per ``r``.
+
+    With ``last`` (the last curve copy's shift and boundaries) each ``r``'s
+    list leaves as ``(r's block of that copy, (r_id, ids, dists))``; without
+    it, the reducer runs the last copy and folds the lists that arrived
+    under its key into ``(r_id, (ids, dists))`` final lists."""
 
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
         self._k = int(ctx.cache["k"])
         self._per_side = int(ctx.cache["candidates_per_side"])
         self._id_dtype = ctx.cache["id_dtype"]
+        self._transform = ctx.cache["transform"]
+        self._last = ctx.cache["last"]
 
     def reduce(self, key, values, ctx: Context):
         r_items, s_items = [], []
-        for row, (role, oid, point, z) in enumerate(values):
+        lists_of: dict[int, list] = {}
+        for row, value in enumerate(values):
+            if len(value) == 3:  # an earlier copy's list
+                r_id, ids, dists = value
+                lists_of.setdefault(r_id, []).append((ids, dists))
+                continue
+            role, oid, point, z = value
             if role & ROLE_R:
                 r_items.append((z, oid, point, row))
             if role & ROLE_S:
                 s_items.append((z, oid, point, row))
+        for r_id, point, ids, dists in self._windows(r_items, s_items):
+            if self._last is None:
+                lists_of.setdefault(r_id, []).append((ids, dists))
+            else:
+                shift, boundaries = self._last
+                z_value = int_z_values(self._transform, point[None, :] + shift)[0]
+                yield bisect.bisect_right(boundaries, z_value), (r_id, ids, dists)
+        for r_id, lists in lists_of.items():
+            yield r_id, row_merge(lists, self._k)
+
+    def _windows(self, r_items, s_items):
+        """``(r_id, point, ids, dists)``: the k best of each ``r``'s window."""
         if not r_items or not s_items:
             return
         s_items.sort(key=lambda item: (item[0], item[1]))
@@ -148,16 +180,11 @@ class RowJoinReducer(Reducer):
                 known[pairs[i - start]] = dist
             dists = np.array([known.get(pair, 0.0) for pair in pairs])
             order = np.lexsort((s_ids[start:stop], dists))[: self._k]
-            yield r_id, (s_ids[start:stop][order], dists[order])
+            yield r_id, r_point, s_ids[start:stop][order], dists[order]
 
     def cleanup(self, ctx: Context):
         ctx.counters.incr(PAIRS_GROUP, PAIRS_NAME, self._metric.pairs_computed)
         return ()
-
-
-class IdentityMapper(Mapper):
-    def map(self, key, value, ctx: Context):
-        yield key, value
 
 
 def row_merge(lists, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,30 +203,11 @@ def row_merge(lists, k: int) -> tuple[np.ndarray, np.ndarray]:
     return kbest.as_arrays()
 
 
-class RowMergeReducer(Reducer):
-    """Keeps the k best of the ``(ids, dists)`` lists of one ``r``."""
-
-    def setup(self, ctx: Context) -> None:
-        self._k = int(ctx.cache["k"])
-
-    def reduce(self, key, values, ctx: Context):
-        yield key, row_merge(values, self._k)
-
-
-def row_merge_job(k: int, num_reducers: int) -> MapReduceJob:
-    return MapReduceJob(
-        name="merge-candidates",
-        mapper_factory=IdentityMapper,
-        reducer_factory=RowMergeReducer,
-        partitioner=HashPartitioner(),
-        num_reducers=num_reducers,
-        cache={"k": k},
-    )
-
-
 def run_reference_zorder(r, s, config) -> dict:
-    """The historical driver on the serial in-memory runtime, reduced to the
-    facts the columnar join must reproduce."""
+    """The historical driver, reshaped to the library's two jobs (curve
+    copies ``0 … num_shifts − 2``, then the last copy folding their lists),
+    on the serial in-memory runtime, reduced to the facts the columnar join
+    must reproduce."""
     rng = np.random.default_rng(config.seed)
     stacked = np.vstack([r.points, s.points])
     # one side for every dimension, as ``plan_zorder`` draws it
@@ -223,49 +231,59 @@ def run_reference_zorder(r, s, config) -> dict:
         )
         gaps = [b - a for a, b in zip(sample_z, sample_z[1:])] or [0]
         margins.append(int(sorted(gaps)[len(gaps) // 2] * config.k))
-    join_job = MapReduceJob(
-        name="zorder-join",
-        mapper_factory=RowRoutingMapper,
-        reducer_factory=RowJoinReducer,
-        partitioner=ModPartitioner(),
-        num_reducers=config.num_shifts * blocks_per_shift,
-        cache={
-            "shifts": shifts,
-            "transform": transform,
-            "boundaries": boundaries,
-            "margins": margins,
-            "blocks_per_shift": blocks_per_shift,
-            "metric_name": config.metric_name,
-            "k": config.k,
-            "candidates_per_side": config.candidates_per_side or config.k,
-            "id_dtype": join_ids,
-        },
-    )
+    final = config.num_shifts - 1
+
+    def copies_job(copies: slice) -> MapReduceJob:
+        return MapReduceJob(
+            name="zorder-join",
+            mapper_factory=RowRoutingMapper,
+            reducer_factory=RowJoinReducer,
+            partitioner=ModPartitioner(),
+            num_reducers=len(shifts[copies]) * blocks_per_shift,
+            cache={
+                "shifts": shifts[copies],
+                "transform": transform,
+                "boundaries": boundaries[copies],
+                "margins": margins[copies],
+                "blocks_per_shift": blocks_per_shift,
+                "metric_name": config.metric_name,
+                "k": config.k,
+                "candidates_per_side": config.candidates_per_side or config.k,
+                "id_dtype": join_ids,
+                "last": None if copies.stop > final else (shifts[final], boundaries[final]),
+            },
+        )
+
     with LocalRuntime() as runtime:
         splits = (
             self_join_splits(r, config.split_size)
             if r is s
             else dataset_splits(r, s, config.split_size)
         )
-        job1 = runtime.run(join_job, splits)
-        job2 = runtime.run(
-            row_merge_job(config.k, config.num_reducers),
-            split_records(job1.outputs, config.split_size),
-        )
+        jobs, lists = [], []
+        if final:
+            jobs.append(runtime.run(copies_job(slice(0, final)), splits))
+            lists = jobs[0].outputs
+            splits = splits + split_records(lists, config.split_size)
+        jobs.append(runtime.run(copies_job(slice(final, final + 1)), splits))
     result = KnnJoinResult(config.k)
-    for r_id, (ids, dists) in job2.outputs:
+    for r_id, (ids, dists) in jobs[-1].outputs:
         result.add(r_id, ids, dists)
+    # a columnar row (role, id of the join's width w, point, int8 cell id,
+    # pivot distance) is 22 - w bytes under this tuple's (frame, 8-byte
+    # role, 8-byte id, point, 8-byte z); a list ships its r id in the key's
+    # place, 8 bytes under this ``(r_id, ids, dists)`` tuple
+    listed = [0] * (len(jobs) - 1) + [len(lists)]
     return {
         "neighbors": result_bytes(result),
-        "pairs_computed": job1.counters.value(PAIRS_GROUP, PAIRS_NAME),
-        "s_replicas": job1.counters.value(REPLICA_GROUP, REPLICA_NAME),
-        "shuffle_records": [job1.stats.shuffle_records, job2.stats.shuffle_records],
-        # a columnar row (role, id of the join's width w, point, int8 cell
-        # id, pivot distance) is 22 - w bytes under this tuple's (frame,
-        # 8-byte role, 8-byte id, point, 8-byte z)
+        "pairs_computed": sum(job.counters.value(PAIRS_GROUP, PAIRS_NAME) for job in jobs),
+        "s_replicas": sum(job.counters.value(REPLICA_GROUP, REPLICA_NAME) for job in jobs),
+        "shuffle_records": [job.stats.shuffle_records for job in jobs],
         "shuffle_bytes": [
-            job1.stats.shuffle_bytes - (22 - join_ids.itemsize) * job1.stats.shuffle_records,
-            job2.stats.shuffle_bytes,
+            job.stats.shuffle_bytes
+            - (22 - join_ids.itemsize) * (job.stats.shuffle_records - count)
+            - 8 * count
+            for job, count in zip(jobs, listed)
         ],
     }
 

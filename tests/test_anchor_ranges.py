@@ -11,6 +11,7 @@ The guarantees under test:
 * the gap is evaluated an anchor at a time: its memory is per pair, not per
   pair and anchor;
 * :func:`knn_join_kernel` is pair-equal to :func:`knn_join_kernel_reference`
+  (``tests/reference_oracle.py``)
   with 13 codes, every pivot an anchor, coincident twin pivots, duplicate
   points and PBJ's ``theta = inf``;
 * on pinned worlds and joins the scans compute the same pairs as before the

@@ -49,6 +49,20 @@ class TestJoin:
         line = next(l for l in out.splitlines() if "join output pairs" in l)
         assert int(line.split(":")[1]) == 2 * 200
 
+    def test_shuffling_cost_per_stage(self, capsys):
+        """One line per stage under the total: a z-order join's object rows
+        of its first curve copy, then the last copy's rows and the 400
+        candidate lists the first copy hands it."""
+        main(["join", "--algorithm", "zorder", "--objects", "400", "--k", "4",
+              "--num-reducers", "4"])
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("shuffling cost"))
+        assert lines[at : at + 3] == [
+            "shuffling cost       : 0.056 MB (1211 records)",
+            "  zorder/join        : 0.016 MB (406 records)",
+            "  zorder/last        : 0.040 MB (805 records)",
+        ]
+
     def test_a_deleted_operator_is_an_unknown_algorithm(self, capsys):
         with pytest.raises(SystemExit):
             main(["join", "--algorithm", "ijoin"])

@@ -146,6 +146,28 @@ class TestPivotDistanceNeeded:
         assert pivot_distance_needed(*by_ring, False, False) is True
         assert pivot_distance_needed(1.0, 4.0, 0.0, math.inf)  # an unbounded theta
 
+    def test_the_ring_bound_keeps_a_tie_its_rounding_lifts(self):
+        """``p_i``, ``q``, ``s`` and ``p_j`` on one line, in that order, ``s``
+        the farthest object of ``P_j`` and ``q``'s k-th neighbour: the own
+        pivot's ring bound ``|p_i, p_j| - |q, p_i| - U(P_j)`` equals ``|q,
+        s|``, but computed at these coordinates it rounds above ``theta +
+        PRUNE_EPS``.  Its relative slack keeps the cell (l1, the metric of
+        the collinear kernel worlds it used to lose)."""
+        p_i, q, s, p_j = (
+            np.array([[coordinate]])
+            for coordinate in (
+                10549527957.022953, 36511016824.48286, 62910815153.970924, 92715455306.78674
+            )
+        )
+        metric = get_metric("l1")
+        own, gap, upper, theta = (
+            float(metric.pair_distances(a, b)[0])
+            for a, b in ((q, p_i), (p_i, p_j), (s, p_j), (q, s))
+        )
+        assert gap - own - upper > theta + PRUNE_EPS
+        assert pivot_distance_needed(own, gap, upper, theta, hyperplane=False)
+        assert pivot_distance_needed(own, gap, upper, theta)
+
     @pytest.mark.parametrize("hyperplane", [True, False])
     @pytest.mark.parametrize("ring", [True, False])
     def test_arrays_decide_each_entry_as_a_scalar_call_does(self, hyperplane, ring):

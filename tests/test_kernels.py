@@ -22,12 +22,12 @@ from repro.joins.kernels import (
     build_r_blocks,
     build_s_blocks,
     knn_join_kernel,
-    knn_join_kernel_reference,
     local_ring_stats,
     local_thetas,
 )
 from repro.mapreduce.types import ROLE_BOTH, ROLE_R, ROLE_S, RecordBlock
 from tests.reference_kernel import own_pivot_kernel
+from tests.reference_oracle import knn_join_kernel_reference
 
 
 def block_for(dataset, role, assignment, partitioner=None):
@@ -247,7 +247,8 @@ RING_CUT_MISSED = (
     239, 253, 269, 270, 274, 289, 293, 305, 314, 317, 331, 335, 341, 351, 353, 357,
     359, 360, 364, 375, 376, 380, 392, 393, 398, 399,
 )
-#: those that still miss one (9, all l1): the own-pivot bound's (see the test)
+#: those that missed one (9, all l1) until the own pivot's ring bound got a
+#: relative slack too (see the test)
 RING_CUT_MISSES = (39, 125, 133, 167, 335, 351, 353, 359, 375)
 
 
@@ -1070,29 +1071,21 @@ class TestAnchors:
         keeps a tied neighbour whose bound rounded above theta."""
         assert_collinear_world_exact(seed)
 
-    @pytest.mark.parametrize(
-        "seed",
-        [
-            pytest.param(seed, marks=pytest.mark.xfail(strict=True))
-            if seed in RING_CUT_MISSES else seed
-            for seed in RING_CUT_MISSED
-        ],
-    )
+    @pytest.mark.parametrize("seed", RING_CUT_MISSED)
     def test_the_ring_cut_misses_a_neighbour_on_these_collinear_worlds(self, seed):
         """The worlds of :func:`collinear_kernel_world` among seeds 0-399 that
         missed a true neighbour while the ring cut compared a computed ``|r,
         p_j|`` with only the absolute ``PRUNE_EPS``.  Its ends now give up
         ``PRUNE_RTOL`` of ``|r, p_j| + theta``, which turned 69 of the 78 into
-        passes.  The 9 that still miss are l1 worlds where the own pivot's
-        bound ``|p_i, p_j| - |r, p_i| - U(P_j)`` of
+        passes.  The other 9 (:data:`RING_CUT_MISSES`) are l1 worlds where
+        the own pivot's bound ``|p_i, p_j| - |r, p_i| - U(P_j)`` of
         :func:`~repro.core.geometry.pivot_distance_needed` is tight: the row,
         both pivots and the missed neighbour lie on the line, so the bound
         equals the neighbour's distance, a k-th distance tie, and its rounding
-        lifts it above ``theta + PRUNE_EPS`` (it has no relative slack).  The
-        cell is then judged without ``|r, p_j|`` and skipped; the misses stay
-        with the anchor codes and Corollary 1 off, and go with ring pruning
-        off.  Each turns into a strict-xfail failure once that bound gets a
-        relative slack."""
+        lifted it above ``theta + PRUNE_EPS``; the cell was then judged
+        without ``|r, p_j|`` and skipped.  That bound now gives up
+        ``PRUNE_RTOL`` of the distances it is made of, which turned them into
+        passes too."""
         assert_collinear_world_exact(seed)
 
     @pytest.mark.parametrize("metric_name", ["l1", "l2", "linf", "l3"])

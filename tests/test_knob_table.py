@@ -412,10 +412,12 @@ class TestStructure:
         # version 21 computes each mirrored pair of a z-order self-join once,
         # "66d5a61a9eb06ea8a847a721ea7da625d91f747f"; version 22 ranges each
         # (row, S cell) pair by all the cell's objects and bounds |r, p_j| by
-        # the own pivot alone)
+        # the own pivot alone, "853402ec5b902f831dea010e1f61b7f54a1b2f4f";
+        # version 23 folds a z-order join's lists into its last curve copy
+        # and gives the own pivot's ring bound a relative slack)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig())
-            == "853402ec5b902f831dea010e1f61b7f54a1b2f4f"
+            == "4df6653997184faa0a5a161300488edb833db4b4"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()

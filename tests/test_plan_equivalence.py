@@ -528,9 +528,9 @@ def run_pinned(name, data, served: bool, **overrides):
 
 
 class TestMergeJobProducersPinned:
-    """The four joins feeding the shared merge job, pinned to the facts the
-    per-record merge job produced (recorded on the commit before candidate
-    lists went columnar): neighbour ids, computed pairs, S replicas and the
+    """The joins whose candidate lists a later job folds, pinned to the
+    facts the per-record merge job produced (recorded on the commit before
+    candidate lists went columnar): neighbour ids, computed pairs, S replicas and the
     shuffle, under whatever engine/budget the CI leg injects, computed or
     served from a plan cache.
     (``pbj``'s pair count was 19 960 while the kernel computed every
@@ -566,13 +566,16 @@ class TestMergeJobProducersPinned:
     own-block row in both roles: from 1 232 records and 53 280 bytes.  Its
     pairs fell by as many, from 2 369, when that row began to read its own
     entry as 0.0 uncomputed, and from 1 969 to the distinct unordered pairs
-    its windows hold when each mirrored pair began to be computed once.)"""
+    its windows hold when each mirrored pair began to be computed once.
+    Its records and bytes fell by one 50-byte candidate list per object when
+    the last curve copy began to fold the first copy's lists, with no merge
+    job: from 832 records and 37 280 bytes.)"""
 
     #: join -> (sha1 of (r id, neighbour ids) rows, pairs, replicas, records, bytes)
     PINNED = {
         "hbrj": ("124cb21fb9bbe9a5", 39175, 400, 1200, 52000),
         "pbj": ("124cb21fb9bbe9a5", 7710, 400, 1200, 61600),
-        "zorder": ("f7cc7c3009292dc9", 1193, 432, 832, 37280),
+        "zorder": ("f7cc7c3009292dc9", 1193, 432, 632, 27280),
     }
 
     @pytest.mark.parametrize("served", (False, True), ids=("computed", "served"))

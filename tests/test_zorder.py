@@ -3,6 +3,7 @@
 import bisect
 import copy
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -19,10 +20,10 @@ from repro.datasets import (
     generate_osm,
 )
 from repro.joins import ZOrderConfig, plan_join, recall_against, registry, run_join, zorder
-from repro.joins.block_framework import candidate_emissions
 from repro.joins.kernels import KERNELS
 from repro.joins.registry import JoinPlan, execute_join_plan
-from repro.mapreduce.types import ROLE_R, ROLE_S, RecordBlock, ranks_within
+from repro.mapreduce.splits import coordinate_dtype, id_dtype
+from repro.mapreduce.types import ROLE_R, ROLE_S, NeighborBlock, RecordBlock, ranks_within
 from tests.reference_zorder import (
     int_z_values,
     outcome_facts,
@@ -348,10 +349,10 @@ def job_facts(outcome) -> str:
 
 class TestSelfJoinShipsOneRowPerCopy:
     """A self-join ships each object once per curve copy: the row to its own
-    block carries both roles and its healing copies only S, so job 1 holds
-    no R-only row and no healing copy answers an ``r``.  The same join over
+    block carries both roles and its healing copies only S, so no job holds
+    an R-only row and no healing copy answers an ``r``.  The same join over
     an equal copy of the data (R ≠ S) ships an R row besides, as it always
-    did, and finds the same neighbours through the same merge job."""
+    did, and finds the same neighbours through the same candidate lists."""
 
     WORLDS = {
         "tied": (lambda: tied_dataset(240, 3, 10, seed=12), dict(k=4, num_reducers=6)),
@@ -362,17 +363,22 @@ class TestSelfJoinShipsOneRowPerCopy:
         ),
     }
     #: :func:`job_facts` of the R ≠ S join per (world, metric), recorded
-    #: before self-joins shipped one row per copy
+    #: when the last curve copy began to fold the earlier copies' lists
+    #: (before, with a merge job: "ae138e8479bb4d78", "ae138e8479bb4d78",
+    #: "7caff2e0bb89d2d9", "7936f3a0a212b943", "7936f3a0a212b943",
+    #: "12742cee4f97935d", "98f8eb71e6a97ea7", "98f8eb71e6a97ea7" and
+    #: "d07386afe2c0e4c3"; only the jobs' shape moved, not the pairs,
+    #: replicas or neighbours)
     PINNED = {
-        ("tied", "l1"): "ae138e8479bb4d78",
-        ("tied", "l2"): "ae138e8479bb4d78",
-        ("tied", "linf"): "7caff2e0bb89d2d9",
-        ("one-block-per-shift", "l1"): "7936f3a0a212b943",
-        ("one-block-per-shift", "l2"): "7936f3a0a212b943",
-        ("one-block-per-shift", "linf"): "12742cee4f97935d",
-        ("one-shift", "l1"): "98f8eb71e6a97ea7",
-        ("one-shift", "l2"): "98f8eb71e6a97ea7",
-        ("one-shift", "linf"): "d07386afe2c0e4c3",
+        ("tied", "l1"): "85d7b2d5648605ce",
+        ("tied", "l2"): "85d7b2d5648605ce",
+        ("tied", "linf"): "e744d554066c0468",
+        ("one-block-per-shift", "l1"): "e70ec997272a9862",
+        ("one-block-per-shift", "l2"): "e70ec997272a9862",
+        ("one-block-per-shift", "linf"): "4c7b36c1335ed6a2",
+        ("one-shift", "l1"): "a75c7ef82f23667e",
+        ("one-shift", "l2"): "a75c7ef82f23667e",
+        ("one-shift", "linf"): "5a0bf3638b627ce3",
     }
 
     def world(self, world, metric, **knobs):
@@ -381,20 +387,22 @@ class TestSelfJoinShipsOneRowPerCopy:
         return make_data(), config.with_changes(**knobs)
 
     @pytest.mark.parametrize("world, metric", sorted(PINNED))
-    def test_job_one_ships_only_s_copies(self, world, metric):
+    def test_rows_are_s_copies_and_lists_ship_once_per_earlier_copy(self, world, metric):
         data, config = self.world(world, metric, **env_params())
         self_join = run_join("zorder", data, data, config)
         copied = run_join("zorder", data, copy.deepcopy(data), config)
-        (first, merge), (copied_first, copied_merge) = self_join.job_stats, copied.job_stats
-        assert first.shuffle_records == self_join.replication_of_s()
+        lists = (config.num_shifts - 1) * len(data)
+        assert self_join.shuffle_records() == self_join.replication_of_s() + lists
         assert self_join.replication_of_s() == copied.replication_of_s()
-        assert copied_first.shuffle_records - first.shuffle_records == (
-            config.num_shifts * len(data)
-        )
-        assert (merge.shuffle_records, merge.shuffle_bytes) == (
-            copied_merge.shuffle_records,
-            copied_merge.shuffle_bytes,
-        )
+        # one R row per object and curve copy more, in the job of its copy
+        assert [
+            theirs.shuffle_records - ours.shuffle_records
+            for ours, theirs in zip(self_join.job_stats, copied.job_stats)
+        ] == [(config.num_shifts - 1) * len(data), len(data)][-len(self_join.job_stats):]
+        # the lists the first job hands the last are the same lists
+        assert [stats.output_bytes for stats in self_join.job_stats] == [
+            stats.output_bytes for stats in copied.job_stats
+        ]
         # a row meets its own entry, of both roles, at 0.0 uncomputed (once
         # per curve copy, unless ties on its z-value push it out of its
         # window), and a mirrored pair is computed once
@@ -404,22 +412,32 @@ class TestSelfJoinShipsOneRowPerCopy:
         assert result_bytes(self_join.result) == result_bytes(copied.result)
 
     @pytest.mark.parametrize("world, metric", sorted(PINNED))
-    def test_every_r_answered_once_per_copy(self, world, metric, monkeypatch):
-        """Every ``r`` reaches the merge job in exactly ``num_shifts``
-        candidate lists: its own block's, never a healing copy's (serial
-        engine, so the reducers see the wrapper)."""
+    def test_every_list_meets_its_r_in_the_last_copy(self, world, metric, monkeypatch):
+        """Every ``r``'s list leaves the first job once per earlier curve
+        copy, under the key its R row takes in the last copy: each last-copy
+        reducer is handed lists only of its own ``r`` (serial engine, so the
+        reducers see the wrapper)."""
         data, config = self.world(world, metric, engine="serial")
-        answered = []
+        listed = []
+        reduce = zorder.ZOrderJoinReducer.reduce
 
-        def recording(candidates, ctx, id_dtype):
-            answered.append(candidates.r_ids.astype(np.int64))
-            return candidate_emissions(candidates, ctx, id_dtype)
+        def recording(reducer, key, values, ctx):
+            values = list(values)
+            if reducer._last is None:
+                rows = RecordBlock.gather([v for v in values if isinstance(v, RecordBlock)])
+                asked = set(rows.object_ids[rows.is_r].tolist())
+                for value in values:
+                    if isinstance(value, NeighborBlock):
+                        assert set(value.r_ids.tolist()) <= asked
+                        listed.append(value.r_ids.astype(np.int64))
+            return reduce(reducer, key, values, ctx)
 
-        monkeypatch.setattr(zorder, "candidate_emissions", recording)
+        monkeypatch.setattr(zorder.ZOrderJoinReducer, "reduce", recording)
         outcome = run_join("zorder", data, data, config)
-        counts = np.bincount(np.concatenate(answered), minlength=len(data))
-        assert np.array_equal(counts[data.ids], np.full(len(data), config.num_shifts))
-        assert counts.sum() == outcome.job_stats[1].shuffle_records
+        counts = np.bincount(np.concatenate([np.empty(0, np.int64), *listed]), minlength=len(data))
+        assert np.array_equal(counts[data.ids], np.full(len(data), config.num_shifts - 1))
+        # the rows a self-join ships are its S copies; the rest are lists
+        assert outcome.shuffle_records() == outcome.replication_of_s() + counts.sum()
 
     @pytest.mark.parametrize("world, metric", sorted(PINNED))
     def test_r_not_s_join_ships_as_before(self, world, metric):
@@ -468,19 +486,22 @@ class TestMirroredPairsComputedOnce:
     """A self-join's reducer computes each unordered pair of different rows
     its windows hold once, whichever row asks, on data whose duplicate
     z-keys put a row's window centre off its own position; neighbours stay
-    the per-record reference's.  An R != S join has no mirrors: its pairs,
-    bytes and neighbours are those recorded before the rule."""
+    the per-record reference's.  An R != S join has no mirrors: its pairs
+    and neighbours are those recorded before the rule."""
 
     K = 4
     #: 160 rows on 50 locations: runs of equal z-keys, yet a k-th neighbour
     #: off the row's own location
     DATA = staticmethod(lambda: tied_dataset(160, 3, 50, seed=31))
     #: :func:`pairs_bytes_neighbours` of the R != S join per metric, recorded
-    #: before mirrored pairs were computed once
+    #: before mirrored pairs were computed once, and re-pinned when the last
+    #: curve copy began to fold the earlier copies' lists, which moved only
+    #: the per-job bytes (before: "d395cdb2d91df838", "c44eb1aa8728af39" and
+    #: "92ad12ae5a9f14f3")
     PINNED = {
-        "l1": "d395cdb2d91df838",
-        "l2": "c44eb1aa8728af39",
-        "linf": "92ad12ae5a9f14f3",
+        "l1": "1b233b22d038dc64",
+        "l2": "38216ecd2fc6599e",
+        "linf": "efbb3190a08632c0",
     }
 
     def config(self, metric, **knobs):
@@ -499,12 +520,13 @@ class TestMirroredPairsComputedOnce:
         reduce = zorder.ZOrderJoinReducer.reduce
 
         def recording(reducer, key, values, ctx):
-            block = RecordBlock.gather(values)
+            values = list(values)
+            block = RecordBlock.gather([v for v in values if isinstance(v, RecordBlock)])
             shift = reducer._shifts[int(key) // reducer._blocks_per_shift]
             z_values = int_z_values(reducer._transform, block.points + shift)
             window_pairs.append(distinct_window_pairs(block, z_values, per_side))
             tied_blocks.append(len(set(z_values)) < len(z_values))
-            return reduce(reducer, key, [block], ctx)
+            return reduce(reducer, key, values, ctx)
 
         monkeypatch.setattr(zorder.ZOrderJoinReducer, "reduce", recording)
         outcome = run_join(
@@ -568,6 +590,132 @@ class TestMirroredPairsComputedOnce:
         rerun = plan.assemble(run)
         assert rerun.distance_pairs == cold.distance_pairs
         assert outcome_fingerprint(rerun) == outcome_fingerprint(cold)
+
+
+def facts_digest(outcome) -> str:
+    """A digest of an outcome's computed pairs, S replicas and neighbour
+    bytes: what folding the lists into the last copy must not move."""
+    facts = (
+        outcome.distance_pairs,
+        outcome.replication_of_s(),
+        sorted(result_bytes(outcome.result).items()),
+    )
+    return hashlib.sha1(repr(facts).encode()).hexdigest()[:16]
+
+
+class TestLastCopyFolds:
+    """The last curve copy's reducers fold the earlier copies' candidate
+    lists into the result: the plan has ``min(num_shifts, 2)`` jobs and no
+    merge job, each ``r``'s list ships once per earlier copy, and neighbours,
+    distances, pairs and replicas are those of the merge job the fold
+    replaced (pinned on the commit before it)."""
+
+    K = 4
+    DATA = staticmethod(functools.cache(lambda: generate_forest(180, seed=21)))
+    #: :func:`facts_digest` per (input shape, num_shifts, candidates_per_side),
+    #: recorded while a merge job folded every copy's lists
+    PINNED = {
+        ("self-join", 1, 4): "c658b524b77d3f64",
+        ("self-join", 1, 8): "af93aa529b7d27cc",
+        ("self-join", 2, 4): "021d3876b16e4a08",
+        ("self-join", 2, 8): "8c597d68906c3946",
+        ("self-join", 3, 4): "1fc6320bf4e7587b",
+        ("self-join", 3, 8): "a2f2ae4475e61c0f",
+        ("self-join", 4, 4): "10ffdb45d1c577bc",
+        ("self-join", 4, 8): "5d575f5a05d52699",
+        ("r-and-s", 1, 4): "11a4dc8d5f2593d1",
+        ("r-and-s", 1, 8): "6baadb9b71c0100b",
+        ("r-and-s", 2, 4): "cf3289c7c49616de",
+        ("r-and-s", 2, 8): "94c34f9a22cce354",
+        ("r-and-s", 3, 4): "95acc5902ad32d5b",
+        ("r-and-s", 3, 8): "298198b35b0e807c",
+        ("r-and-s", 4, 4): "31ce7b7cc423ed21",
+        ("r-and-s", 4, 8): "9e66414086294af3",
+    }
+
+    def run(self, shape, num_shifts, per_side, **knobs):
+        data = self.DATA()
+        config = ZOrderConfig(
+            k=self.K, num_reducers=8, split_size=53, seed=5, num_shifts=num_shifts,
+            candidates_per_side=per_side, **knobs,
+        )  # fmt: skip
+        other = data if shape == "self-join" else copy.deepcopy(data)
+        return data, run_join("zorder", data, other, config)
+
+    @pytest.mark.parametrize("shape, num_shifts, per_side", sorted(PINNED))
+    def test_results_and_pairs_are_the_merge_jobs(self, shape, num_shifts, per_side):
+        _, outcome = self.run(shape, num_shifts, per_side, **env_params())
+        assert facts_digest(outcome) == self.PINNED[shape, num_shifts, per_side]
+
+    @pytest.mark.parametrize("shape", ("self-join", "r-and-s"))
+    @pytest.mark.parametrize("num_shifts", (1, 2, 3, 4))
+    def test_lists_ship_once_per_earlier_copy(self, shape, num_shifts):
+        """Closed form: ``(num_shifts − 1) · |R|`` list rows, ``12 + (w +
+        8) · k`` bytes each under an 8-byte key (``w``: the join's id
+        width), ride beside the last copy's object rows."""
+        data, outcome = self.run(shape, num_shifts, self.K, **env_params())
+        names = ["zorder/join", "zorder/last"][-min(num_shifts, 2):]
+        assert list(outcome.job_stats.names) == names
+        assert outcome.job_phase_names == ["knn_join"] * len(names)
+        rows = outcome.replication_of_s() + (0 if shape == "self-join" else num_shifts * len(data))
+        lists = (num_shifts - 1) * len(data)
+        assert outcome.shuffle_records() == rows + lists
+        width = id_dtype(data.ids).itemsize
+        row_bytes = outcome.shuffle_bytes() - lists * (8 + 12 + (width + 8) * self.K)
+        coordinates = data.dimensions * coordinate_dtype(data.points).itemsize
+        assert row_bytes == rows * (8 + 1 + width + coordinates + 1 + 8)
+        if num_shifts > 1:
+            first, last = outcome.job_stats
+            assert sum(task.output_records for task in first.reduce_tasks) == lists
+            assert last.shuffle_records - lists == rows - first.shuffle_records
+
+    #: :func:`facts_digest` of :meth:`sparse_world` per (num_shifts, metric),
+    #: recorded while a merge job folded every copy's lists
+    SPARSE = {
+        (2, "l1"): "65e81a0196f6e678",
+        (2, "l2"): "e0f5dfb9ed10b7a9",
+        (2, "linf"): "69a24d9162f2d5a8",
+        (3, "l1"): "f9defc6e93680e5d",
+        (3, "l2"): "394629fe3fa31f73",
+        (3, "linf"): "10e0edeff176034e",
+    }
+
+    @staticmethod
+    def sparse_world():
+        """Every S object on one point: each copy's blocks below it hold R
+        rows and no S row, so an ``r`` below it in the last copy is answered
+        by the earlier copies' lists alone."""
+        rng = np.random.default_rng(9)
+        r = Dataset(rng.random((60, 2)), ids=np.arange(100, 160))
+        return r, Dataset(np.full((5, 2), 0.5))
+
+    @pytest.mark.parametrize("num_shifts, metric", sorted(SPARSE))
+    def test_lists_reach_the_result_through_a_block_without_s(
+        self, num_shifts, metric, monkeypatch
+    ):
+        """Serial engine, so the reducers see the recording wrapper."""
+        r, s = self.sparse_world()
+        config = ZOrderConfig(
+            k=2, num_reducers=4 * num_shifts, num_shifts=num_shifts, split_size=16, seed=1,
+            metric_name=metric,
+        )  # fmt: skip
+        folded_only = []
+        reduce = zorder.ZOrderJoinReducer.reduce
+
+        def recording(reducer, key, values, ctx):
+            values = list(values)
+            rows = RecordBlock.gather([v for v in values if isinstance(v, RecordBlock)])
+            if reducer._last is None and not rows.is_s.any():
+                folded_only.extend(v.r_ids for v in values if isinstance(v, NeighborBlock))
+            return reduce(reducer, key, values, ctx)
+
+        monkeypatch.setattr(zorder.ZOrderJoinReducer, "reduce", recording)
+        outcome = run_join("zorder", r, s, config)
+        answered_by_lists = set(np.concatenate(folded_only).tolist())
+        assert answered_by_lists and answered_by_lists <= set(outcome.result.r_ids())
+        assert len(outcome.result) < len(r)
+        assert facts_digest(outcome) == self.SPARSE[num_shifts, metric]
+        assert outcome_facts(outcome) == run_reference_zorder(r, s, config)
 
 
 class TestZOrderConfig:
