@@ -382,37 +382,23 @@ class PgbjConfig(JoinConfig):
     """PGBJ-specific knobs (paper defaults: 4000 random pivots, geometric).
 
     ``num_pivots`` scales with data size in the benches; the paper's best
-    setting is |P| = 4000 on 5.8M objects (RGE strategy).
+    setting is |P| = 4000 on 5.8M objects (RGE strategy).  The farthest and
+    k-means selectors sample R and iterate as :mod:`repro.pivots` fixes it
+    (:data:`~repro.pivots.PIVOT_SAMPLE_SIZE`,
+    :data:`~repro.pivots.KMEANS_ITERATIONS`).
     """
 
     num_pivots: int = 64
     pivot_selection: str = "random"
     grouping: str = "geometric"
-    pivot_sample_size: int = 8192
-    kmeans_iterations: int = 8
     #: disable individual pruning rules (ablation benches)
     use_hyperplane_pruning: bool = True
     use_ring_pruning: bool = True
-    #: skew-aware repartitioning: when one reducer group's share of the
-    #: R records exceeds this fraction (e.g. 0.5), its work is split across
-    #: extra reduce keys — R rows deterministically by object id, the
-    #: admitted S candidates replicated to every sub-key.  Join results and
-    #: the pairs requested are bit-identical (each r still meets exactly the
-    #: same candidates); replication/shuffle grow for the split group, and a
-    #: self-join's own-cell pairs may too (a lane reuses only its own rows'
-    #: distances).  ``0.0`` disables splitting.
-    skew_split_threshold: float = 0.0
-    #: upper bound on how many ways one skewed group is split
-    skew_split_max_ways: int = 4
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.num_pivots < 1:
             raise ValueError("num_pivots must be >= 1")
-        if not 0.0 <= self.skew_split_threshold <= 1.0:
-            raise ValueError("skew_split_threshold must be in [0, 1]")
-        if self.skew_split_max_ways < 1:
-            raise ValueError("skew_split_max_ways must be >= 1")
 
 
 @dataclass
@@ -420,14 +406,13 @@ class BlockJoinConfig(JoinConfig):
     """Configuration for the block-framework algorithms (H-BRJ, PBJ).
 
     Both split R and S into ``sqrt(N)`` random subsets and run one reducer
-    per block pair; ``rtree_capacity`` only matters for H-BRJ; ``num_pivots``
-    and pivot options only for PBJ (which runs the partitioning job first).
+    per block pair; ``num_pivots`` and ``pivot_selection`` only matter for
+    PBJ (which runs the partitioning job first).  H-BRJ's R-tree node
+    capacity is a constant (``joins/hbrj.py:RTREE_CAPACITY``).
     """
 
-    rtree_capacity: int = 32
     num_pivots: int = 64
     pivot_selection: str = "random"
-    pivot_sample_size: int = 8192
 
     @property
     def num_blocks(self) -> int:

@@ -34,6 +34,9 @@ from .registry import JoinPlan, JoinSpec, register_join
 
 __all__ = ["plan_hbrj"]
 
+#: entries per R-tree node of a reducer's S block
+RTREE_CAPACITY = 32
+
 
 class HbrjJoinReducer(Reducer):
     """Builds an R-tree over the S block, then answers each r's kNN query."""
@@ -41,7 +44,6 @@ class HbrjJoinReducer(Reducer):
     def setup(self, ctx: Context) -> None:
         self._metric = get_metric(ctx.cache["metric_name"])
         self._k = int(ctx.cache["k"])
-        self._capacity = int(ctx.cache["rtree_capacity"])
 
     def reduce(self, key, values, ctx: Context):
         block = RecordBlock.gather(values)
@@ -50,7 +52,7 @@ class HbrjJoinReducer(Reducer):
         if r_rows.size == 0 or s_rows.size == 0:
             return ()
         tree = RTree.bulk_load(
-            block.points[s_rows], block.object_ids[s_rows], self._metric, self._capacity
+            block.points[s_rows], block.object_ids[s_rows], self._metric, RTREE_CAPACITY
         )
         candidates = NeighborBlock.from_lists(
             (r_id, *tree.knn(point, self._k))
@@ -77,7 +79,6 @@ def plan_hbrj(r: Dataset, s: Dataset, config: BlockJoinConfig) -> JoinPlan:
             cache={
                 "metric_name": config.metric_name,
                 "k": config.k,
-                "rtree_capacity": config.rtree_capacity,
                 "merge_reducers": config.num_reducers,
             },
         )

@@ -138,7 +138,6 @@ __all__ = [
     "KernelProvider",
     "RPartitionBlock",
     "SPartitionBlock",
-    "ScratchPool",
     "build_partition_blocks",
     "build_r_blocks",
     "build_s_blocks",
@@ -334,42 +333,6 @@ def _codes_admit(r_mids, s_mids, limit):
     return gaps.max(axis=0) <= limit
 
 
-class ScratchPool:
-    """The work arrays of one gathered scan, reused from scan to scan.
-
-    A scan takes the same few arrays in the same order every time (two
-    ``(pairs, d)`` gather buffers, then the k-best merge matrices), so the
-    pool is one byte buffer per *position*: the i-th :meth:`take` since the
-    last :meth:`reset` is served from the i-th buffer, which is replaced only
-    when a request outgrows it.  The gather cap bounds every request, so a
-    worker retains a handful of buffers of bounded size however many scans
-    it runs.
-
-    Callers must treat a buffer as dead once the scan that took it
-    completes — the contract ``_scan_segments`` satisfies by never holding
-    state across calls.
-    """
-
-    def __init__(self) -> None:
-        self._slots: list[np.ndarray] = []
-        self._next = 0
-
-    def reset(self) -> None:
-        """Start a new scan: the next :meth:`take` reuses the first buffer."""
-        self._next = 0
-
-    def take(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """A writable ``shape`` view over a pooled buffer (contents stale)."""
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        if self._next == len(self._slots) or self._slots[self._next].nbytes < nbytes:
-            # appends a new position, or replaces one the request outgrew
-            self._slots[self._next : self._next + 1] = [np.empty(nbytes, dtype=np.uint8)]
-        view = self._slots[self._next][:nbytes].view(dtype).reshape(shape)
-        self._next += 1
-        return view
-
-
 #: a memo slot index far below any slot: a pair outside the memo
 _NO_SLOT = -(1 << 40)
 #: memo values: "asked in this batch, not yet computed", and slot 0's,
@@ -427,13 +390,9 @@ class _OwnCellMemo:
         return dists
 
 
-def _gathered(metric: Metric, r_points, r_rows, s_points, s_rows, scratch: ScratchPool):
-    """The counted ``|r_points[r_rows[i]], s_points[s_rows[i]]|``, gathered
-    into two ``scratch`` buffers."""
-    shape = (r_rows.size, r_points.shape[1])
-    r_gather = np.take(r_points, r_rows, axis=0, out=scratch.take(shape))
-    s_gather = np.take(s_points, s_rows, axis=0, out=scratch.take(shape))
-    return metric.pair_distances(r_gather, s_gather)
+def _gathered(metric: Metric, r_points, r_rows, s_points, s_rows):
+    """The counted ``|r_points[r_rows[i]], s_points[s_rows[i]]|``."""
+    return metric.pair_distances(r_points.take(r_rows, 0), s_points.take(s_rows, 0))
 
 
 def _chunk_bounds(lengths: np.ndarray, cap: int) -> Iterator[tuple[int, int]]:
@@ -503,7 +462,6 @@ def _scan_segments(
     best_dists: np.ndarray,
     best_ids: np.ndarray,
     theta: np.ndarray,
-    scratch: ScratchPool | None = None,
     anchors: tuple | None = None,
     entries: np.ndarray | None = None,
     memo: _OwnCellMemo | None = None,
@@ -529,14 +487,8 @@ def _scan_segments(
       lexicographic tie-breaking as ``np.lexsort``, so results match the
       per-record :class:`~repro.core.knn.ReferenceKBestList` exactly.
 
-    Updates ``best_dists``/``best_ids``/``theta`` in place.  ``scratch``
-    supplies the gather and merge work arrays (pooled across scans within a
-    job); values written through it are identical to the fresh-allocation
-    code it replaced, so results are unchanged.
+    Updates ``best_dists``/``best_ids``/``theta`` in place.
     """
-    if scratch is None:
-        scratch = ScratchPool()
-    scratch.reset()
     offsets = np.cumsum(lengths) - lengths
     total = int(offsets[-1] + lengths[-1])
     # flat pair list: seg_of_pair repeats each segment, col walks its slice
@@ -557,11 +509,11 @@ def _scan_segments(
             return
     if memo is None:
         # r_points[rows]: a small, cache-resident gather source
-        flat_dists = _gathered(metric, r_points[rows], seg_of_pair, s_block.points, col, scratch)
+        flat_dists = _gathered(metric, r_points[rows], seg_of_pair, s_block.points, col)
     else:
         r_sub = r_points[rows]
         flat_dists = memo.distances(rows, seg_of_pair, col, lambda at: _gathered(
-            metric, r_sub, seg_of_pair[at], s_block.points, col[at], scratch
+            metric, r_sub, seg_of_pair[at], s_block.points, col[at]
         ))
 
     kth_per_segment = best_dists[rows, k - 1]
@@ -587,21 +539,15 @@ def _scan_segments(
         picked = np.lexsort((ids_kept, dists_kept, seg_kept))[picked]
 
     num_active = active.size
-    new_dists = scratch.take((num_active, k))
-    new_dists.fill(np.inf)
-    new_ids = scratch.take((num_active, k), dtype=np.int64)
-    new_ids.fill(_ID_SENTINEL)
+    new_dists = np.full((num_active, k), np.inf)
+    new_ids = np.full((num_active, k), _ID_SENTINEL, dtype=np.int64)
     scatter_row = np.repeat(np.arange(num_active), take)
     new_dists[scatter_row, slot] = dists_kept[picked]
     new_ids[scatter_row, slot] = ids_kept[picked]
 
     updated = rows[active]
-    merged_dists = scratch.take((num_active, 2 * k))
-    merged_dists[:, :k] = best_dists[updated]
-    merged_dists[:, k:] = new_dists
-    merged_ids = scratch.take((num_active, 2 * k), dtype=np.int64)
-    merged_ids[:, :k] = best_ids[updated]
-    merged_ids[:, k:] = new_ids
+    merged_dists = np.hstack((best_dists[updated], new_dists))
+    merged_ids = np.hstack((best_ids[updated], new_ids))
     lane = np.arange(num_active)[:, None]
     by_id = np.argsort(merged_ids, axis=1, kind="stable")
     by_dist = np.argsort(merged_dists[lane, by_id], axis=1, kind="stable")
@@ -626,7 +572,6 @@ def scan_partition_numpy(
     best_dists: np.ndarray,
     best_ids: np.ndarray,
     theta: np.ndarray,
-    scratch: ScratchPool | None = None,
     anchors: tuple | None = None,
     entries: np.ndarray | None = None,
     memo: _OwnCellMemo | None = None,
@@ -654,7 +599,7 @@ def scan_partition_numpy(
         # dense-pivot common case: one batch, no strip bookkeeping
         _scan_segments(
             metric, k, r_points, s_block, rows, starts, lengths,
-            best_dists, best_ids, theta, scratch, anchors, entries, memo,
+            best_dists, best_ids, theta, anchors, entries, memo,
         )
         return
     offset = 0
@@ -675,7 +620,6 @@ def scan_partition_numpy(
                 best_dists,
                 best_ids,
                 theta,
-                scratch,
                 anchors,
                 entries,
                 memo,
@@ -694,7 +638,6 @@ def knn_join_kernel(
     pivot_dist_matrix: np.ndarray,
     use_hyperplane_pruning: bool = True,
     use_ring_pruning: bool = True,
-    scratch: ScratchPool | None = None,
     pivot_metric: Metric | None = None,
     code_anchors: np.ndarray | None = None,
     uppers: dict[int, float] | None = None,
@@ -723,9 +666,6 @@ def knn_join_kernel(
         Pivot coordinates and the ``|p_i, p_j|`` matrix.
     use_hyperplane_pruning, use_ring_pruning:
         Ablation switches (both on reproduces the paper).
-    scratch:
-        A :class:`ScratchPool` shared across kernel invocations (reducers
-        keep one per worker); a private pool is created when omitted.
     pivot_metric:
         The counted metric of the object-pivot distances ``|r, p_j|`` (the
         reducers count them apart); ``metric`` when omitted.
@@ -742,8 +682,6 @@ def knn_join_kernel(
     """
     if not s_blocks:
         raise ValueError("reducer received R objects but no S objects")
-    if scratch is None:
-        scratch = ScratchPool()
     pivot_metric = pivot_metric or metric
     own_metric = own_metric or metric
     present = sorted(s_blocks)
@@ -833,7 +771,7 @@ def knn_join_kernel(
             if occupied.size:
                 scan_partition_numpy(
                     counted, k, r_points, s_all, rows[occupied], starts[occupied],
-                    lengths[occupied], best_dists, best_ids, theta, scratch, anchors, entries,
+                    lengths[occupied], best_dists, best_ids, theta, anchors, entries,
                     memo,
                 )
 

@@ -36,12 +36,7 @@ from repro.mapreduce.plan import JobGraph, Stage, StageContext
 from repro.mapreduce.runtime import JobResult, LocalRuntime
 from repro.mapreduce.splits import cell_dtype, join_splits
 from repro.mapreduce.types import RecordBlock
-from repro.pivots import (
-    FarthestPivotSelector,
-    KMeansPivotSelector,
-    PivotSelector,
-    RandomPivotSelector,
-)
+from repro.pivots import PivotSelector, get_pivot_selector
 
 from .base import PAIRS_GROUP, PAIRS_NAME, JoinConfig
 
@@ -65,23 +60,11 @@ SKIPPED_NAME = "assignment_pairs_skipped"
 
 
 def make_pivot_selector(config) -> PivotSelector:
-    """Instantiate the configured pivot selector with its knobs.
-
-    Reads the pivot-selection fields shared by :class:`PgbjConfig` and
-    :class:`BlockJoinConfig` (``kmeans_iterations`` exists only on the
-    former; the paper default stands in elsewhere).
-    """
-    name = config.pivot_selection.lower()
-    if name == "random":
-        return RandomPivotSelector()
-    if name == "farthest":
-        return FarthestPivotSelector(sample_size=config.pivot_sample_size)
-    if name == "kmeans":
-        return KMeansPivotSelector(
-            sample_size=config.pivot_sample_size,
-            max_iterations=getattr(config, "kmeans_iterations", 8),
-        )
-    raise ValueError(f"unknown pivot selection strategy {config.pivot_selection!r}")
+    """The selector ``config.pivot_selection`` names (a field of
+    :class:`PgbjConfig` and :class:`BlockJoinConfig`), sampling and
+    iterating as :mod:`repro.pivots` fixes it — the same selector
+    :func:`~repro.pivots.get_pivot_selector` builds."""
+    return get_pivot_selector(config.pivot_selection)
 
 
 class PartitioningMapper(BlockBufferingMapper):
@@ -224,8 +207,6 @@ def partition_stage_key(r: Dataset, s: Dataset, config: JoinConfig, num_pivots: 
         int(config.seed),
         int(num_pivots),
         config.pivot_selection,
-        int(config.pivot_sample_size),
-        int(getattr(config, "kmeans_iterations", 8)),
     )
 
 

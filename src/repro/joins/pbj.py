@@ -37,7 +37,6 @@ from .block_framework import (
 )
 from .kernels import (
     KERNELS,
-    ScratchPool,
     build_partition_blocks,
     local_ring_stats,
     local_thetas,
@@ -59,7 +58,6 @@ class PbjJoinReducer(Reducer):
         self._code_anchors: np.ndarray = ctx.cache["code_anchors"]
         self._pivots: np.ndarray = ctx.cache["pivots"]
         self._pdm: np.ndarray = ctx.cache["pivot_dist_matrix"]
-        self._scratch = ScratchPool()
 
     def reduce(self, key, values, ctx: Context):
         block = RecordBlock.gather(values)
@@ -76,7 +74,6 @@ class PbjJoinReducer(Reducer):
                 local_ring_stats(s_blocks),
                 self._pivots,
                 self._pdm,
-                scratch=self._scratch,
                 pivot_metric=self._pivot_metric,
                 own_metric=self._own_metric,
                 code_anchors=self._code_anchors,

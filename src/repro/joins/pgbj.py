@@ -58,7 +58,7 @@ from repro.mapreduce.types import ROLE_R, ROLE_S, NeighborBlock, RecordBlock
 
 from .base import REPLICA_GROUP, REPLICA_NAME, PgbjConfig, count_kernel_pairs
 from .block_framework import chain_splits, knn_outcome_assembler
-from .kernels import KERNELS, ScratchPool, build_partition_blocks
+from .kernels import KERNELS, build_partition_blocks
 from .partition_job import (
     make_pivot_selector,
     merge_summaries,
@@ -104,17 +104,7 @@ class GroupRoutingMapper(BlockBufferingMapper):
     A row's role in a group is the OR of two bits, R in its own group and S
     in every group that admits it, so a self-join's object reaches its own
     group (its own cell always admits it: its hull holds the object's own
-    ``|s, a|``) as one row of both roles.
-
-    Skew-aware repartitioning (``skew_subkeys`` in the job cache, built by
-    the planner when one group's R load dominates): a split group's R bits
-    are spread deterministically over its sub-keys by object id, while its
-    S bits replicate to *every* sub-key — each r therefore still meets
-    exactly the candidate set it would have met unsplit, so join results and
-    the pairs requested are bit-identical; replication (the knob's
-    documented price) and the reduce-task layout change, and so may a
-    self-join's own-cell pairs: a lane reuses only the distances of its own
-    rows (:func:`~repro.joins.kernels.knn_join_kernel`).
+    ``|s, a|``) as one row of both roles.  Each group is one reduce key.
     """
 
     def setup(self, ctx: Context) -> None:
@@ -129,7 +119,6 @@ class GroupRoutingMapper(BlockBufferingMapper):
         self._hull_lo, self._hull_hi = ctx.cache["anchor_hulls"]
         self._group_of = np.full(self._num_pivots, -1, dtype=np.int64)
         self._group_of[list(partition_to_group)] = list(partition_to_group.values())
-        self._subkeys: dict[int, tuple[int, ...]] = ctx.cache.get("skew_subkeys") or {}
 
     def route_block(self, block: RecordBlock, ctx: Context):
         roles = np.zeros((len(block), len(self._edges) - 1), dtype=np.uint8)
@@ -140,19 +129,14 @@ class GroupRoutingMapper(BlockBufferingMapper):
         roles[r_rows, self._group_of[block.partition_ids[r_rows]]] |= ROLE_R
         for group_index in range(roles.shape[1]):
             group_roles = roles[:, group_index]
-            subkeys = self._subkeys.get(group_index, (group_index,))
-            replicas = np.count_nonzero(group_roles & ROLE_S) * len(subkeys)
+            replicas = np.count_nonzero(group_roles & ROLE_S)
             if replicas:
                 ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME, replicas)
-            lanes = block.object_ids.astype(np.int64) % len(subkeys)
-            for lane, subkey in enumerate(subkeys):
-                # the R bit only in the row's id lane, the S bit in every one
-                lane_roles = np.where(lanes == lane, group_roles, group_roles & ROLE_S)
-                rows = np.flatnonzero(lane_roles)
-                if rows.size:
-                    routed = block.take(rows)
-                    routed.role = lane_roles[rows]
-                    yield int(subkey), routed
+            rows = np.flatnonzero(group_roles)
+            if rows.size:
+                routed = block.take(rows)
+                routed.role = group_roles[rows]
+                yield group_index, routed
 
     def _admitted(self, block: RecordBlock, s_rows: np.ndarray) -> np.ndarray:
         """``(S rows, groups)``: which groups the shipping rule sends each S
@@ -231,7 +215,6 @@ class PgbjJoinReducer(Reducer):
         self._pdm: np.ndarray = ctx.cache["pivot_dist_matrix"]
         self._use_hyperplane = bool(ctx.cache["use_hyperplane_pruning"])
         self._use_ring = bool(ctx.cache["use_ring_pruning"])
-        self._scratch = ScratchPool()  # per worker, reused across reduce calls
 
     def reduce(self, key, values, ctx: Context):
         r_blocks, s_blocks = build_partition_blocks(RecordBlock.gather(values))
@@ -252,7 +235,6 @@ class PgbjJoinReducer(Reducer):
             self._pdm,
             use_hyperplane_pruning=self._use_hyperplane,
             use_ring_pruning=self._use_ring,
-            scratch=self._scratch,
             pivot_metric=self._pivot_metric,
             own_metric=self._own_metric,
             code_anchors=self._code_anchors,
@@ -262,38 +244,6 @@ class PgbjJoinReducer(Reducer):
     def cleanup(self, ctx: Context):
         count_kernel_pairs(ctx.counters, self._metric, self._pivot_metric, self._own_metric)
         return ()
-
-
-def plan_skew_split(
-    loads: np.ndarray, config: PgbjConfig
-) -> tuple[dict[int, tuple[int, ...]], int]:
-    """Decide the skew-aware repartitioning for the join job.
-
-    Reads the exact R load of each group, ``T_R``'s counts summed under the
-    grouping assignment (:meth:`~repro.grouping.base.GroupAssignment.group_sizes`).
-    When the heaviest group's share of R exceeds
-    ``config.skew_split_threshold``, that one group is split ``ways`` ways —
-    proportional to how far it overshoots the mean group load, capped by
-    ``skew_split_max_ways`` — onto fresh reduce keys appended past
-    ``num_reducers`` (so :class:`ModPartitioner` maps every sub-key to its
-    own reducer and no existing group moves).
-
-    Returns ``(skew_subkeys, num_join_reducers)``; the mapping is empty and
-    the reducer count unchanged when splitting is disabled or not warranted.
-    """
-    if config.skew_split_threshold <= 0.0:
-        return {}, config.num_reducers
-    total = int(loads.sum())
-    if total == 0:
-        return {}, config.num_reducers
-    heavy = int(np.argmax(loads))
-    if loads[heavy] / total <= config.skew_split_threshold:
-        return {}, config.num_reducers
-    mean_load = total / config.num_reducers
-    ways = int(min(config.skew_split_max_ways, max(2, np.ceil(loads[heavy] / mean_load))))
-    extra = ways - 1
-    subkeys = (heavy, *range(config.num_reducers, config.num_reducers + extra))
-    return {heavy: subkeys}, config.num_reducers + extra
 
 
 def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
@@ -326,9 +276,6 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
                 tr,
             )
             ranked_members = rank_members(lb_matrix, assignment.groups, cell_dtype(len(pdm)))
-            skew_subkeys, num_join_reducers = plan_skew_split(
-                assignment.group_sizes(tr), config
-            )
         # U_i and theta_i by cell (NaN where R is empty: no member is)
         cell_bounds = np.full((2, len(pdm)), np.nan)
         cell_bounds[:, tr.cells] = tr.upper, list(thetas.values())
@@ -338,13 +285,12 @@ def plan_pgbj(r: Dataset, s: Dataset, config: PgbjConfig) -> JoinPlan:
             mapper_factory=GroupRoutingMapper,
             reducer_factory=PgbjJoinReducer,
             partitioner=ModPartitioner(),
-            num_reducers=num_join_reducers,
+            num_reducers=config.num_reducers,
             cache={
                 "partition_to_group": assignment.partition_to_group,
                 "ranked_members": ranked_members,
                 "cell_bounds": cell_bounds,
                 "anchor_hulls": anchor_hulls,
-                "skew_subkeys": skew_subkeys,
                 "metric_name": config.metric_name,
                 "k": config.k,
                 "thetas": thetas,

@@ -194,8 +194,10 @@ def _resolve_config(spec: JoinSpec, config: JoinConfig | None) -> JoinConfig:
 #: 23: a z-order join's last curve copy folds the earlier copies' candidate
 #: lists (no merge stage), so its stages' jobs changed shape, and the own
 #: pivot's ring bound gives up a relative slack, which may move PGBJ's and
-#: PBJ's pivot-pair counters.
-RESULTS_VERSION = 23
+#: PBJ's pivot-pair counters.  24: the configs lost their sampling, skew
+#: split, R-tree and curve fields, so every plan identity and the partition
+#: stage's key changed shape (no output or counter moved).
+RESULTS_VERSION = 24
 
 
 def plan_identity(name: str, r: Dataset, s: Dataset, config: JoinConfig) -> str:

@@ -84,6 +84,11 @@ from .registry import JoinPlan, JoinSpec, register_join
 
 __all__ = ["ZOrderConfig", "curve_blocks", "plan_zorder", "recall_against"]
 
+#: per-dimension quantization of the curve
+CURVE_BITS = 16
+#: S objects the master samples per curve copy to place its block boundaries
+BOUNDARY_SAMPLE_SIZE = 1024
+
 
 @dataclass
 class ZOrderConfig(JoinConfig):
@@ -91,28 +96,22 @@ class ZOrderConfig(JoinConfig):
 
     ``num_shifts`` is the alpha of H-zkNNJ (copies of the curve; the default,
     the plain curve plus one shifted copy, targets recall 0.75 on Forest x10);
-    ``bits`` the per-dimension quantization; ``candidates_per_side`` how many
-    curve neighbors each side contributes (``None``: k, the classic choice,
-    resolved when the join is planned so it follows ``with_changes(k=...)``);
-    ``sample_size`` how many S objects the master samples per shift to place
-    the block boundaries.
+    ``candidates_per_side`` how many curve neighbors each side contributes
+    (``None``: k, the classic choice, resolved when the join is planned so it
+    follows ``with_changes(k=...)``).  The curve's quantization
+    (:data:`CURVE_BITS`) and the master's boundary sample
+    (:data:`BOUNDARY_SAMPLE_SIZE`) are constants.
     """
 
     num_shifts: int = 2
-    bits: int = 16
     candidates_per_side: int | None = None
-    sample_size: int = 1024
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.num_shifts < 1:
             raise ValueError("num_shifts must be >= 1")
-        if not 1 <= self.bits <= 32:
-            raise ValueError("bits must be in [1, 32]")
         if self.candidates_per_side is not None and self.candidates_per_side < 0:
             raise ValueError("candidates_per_side must be >= 0 (or None for k)")
-        if self.sample_size < 1:
-            raise ValueError("sample_size must be >= 1")
 
 
 def curve_blocks(
@@ -315,11 +314,9 @@ def plan_zorder(r: Dataset, s: Dataset, config: ZOrderConfig) -> JoinPlan:
             [np.zeros(r.dimensions)]
             + [rng.random(r.dimensions) * side * 0.25 for _ in range(final)]
         )
-        transform = ZOrderTransform.for_box(lo, hi, bits=config.bits, padding=0.3)
+        transform = ZOrderTransform.for_box(lo, hi, bits=CURVE_BITS, padding=0.3)
         blocks_per_shift = max(1, config.num_reducers // config.num_shifts)
-        sample_rows = rng.choice(
-            len(s), size=min(config.sample_size, len(s)), replace=False
-        )
+        sample_rows = rng.choice(len(s), size=min(BOUNDARY_SAMPLE_SIZE, len(s)), replace=False)
         top = (1 << transform.total_bits) - 1
         boundaries: list[tuple[np.ndarray, ...]] = []
         for shift in shifts:

@@ -27,7 +27,7 @@ Fault tolerance is real, not just modelled: a ``fault_injector`` (a seeded
 :class:`~repro.mapreduce.faults.ChaosPlan`) may crash, delay or kill any
 task attempt and corrupt or delete spill segments;
 the scheduler re-executes tasks (fresh instances from the factories) up to
-``max_attempts`` times with exponential backoff, launches speculative
+:data:`MAX_ATTEMPTS` times with exponential backoff, launches speculative
 duplicate attempts for stragglers past their soft deadline (first success
 wins, the loser's output is discarded — attempt-numbered spill files make
 that safe), re-runs the producing map task when a reducer hits a lost or
@@ -77,6 +77,17 @@ __all__ = ["LocalRuntime", "JobResult", "TaskFailure"]
 #: how long the scheduler waits for superseded (loser) attempts to finish
 #: before detaching them with a cleanup callback
 _LOSER_GRACE_S = 5.0
+#: attempts a task gets before its failure fails the job
+MAX_ATTEMPTS = 4
+#: retry rounds back off exponentially: the first waits about this long, each
+#: later one twice the one before, never more than the cap (with jitter)
+RETRY_BACKOFF_S = 0.02
+RETRY_BACKOFF_CAP_S = 1.0
+#: an attempt still running this many times the phase's median completed
+#: attempt gets a speculative duplicate — never before the floor, so
+#: millisecond-scale tasks never speculate
+SPECULATION_FACTOR = 4.0
+SPECULATION_FLOOR_S = 2.0
 
 
 class TaskFailure(RuntimeError):
@@ -418,15 +429,15 @@ class LocalRuntime:
 
     Fault-tolerance knobs: ``fault_injector`` takes a seeded
     :class:`~repro.mapreduce.faults.ChaosPlan` (or an object answering its
-    three scheduler queries) and nothing else; ``max_attempts`` bounds
-    retries, which back off exponentially (``retry_backoff_s`` doubling per
-    round up to ``retry_backoff_cap_s``, with deterministic jitter).
-    ``task_timeout`` sets an absolute soft deadline in seconds after which a
-    running attempt gets a speculative duplicate (first success wins);
-    without it, ``speculation`` (on by default) infers a deadline of
-    ``speculation_factor`` × the median completed attempt wall time in the
-    phase, floored at ``speculation_floor_s`` so millisecond-scale tasks
-    never speculate.
+    three scheduler queries) and nothing else.  A task gets
+    :data:`MAX_ATTEMPTS` attempts; retry rounds back off exponentially
+    (:data:`RETRY_BACKOFF_S` doubling per round up to
+    :data:`RETRY_BACKOFF_CAP_S`, with deterministic jitter).  A running
+    attempt gets a speculative duplicate (first success wins) past its soft
+    deadline: :data:`SPECULATION_FACTOR` × the median completed attempt wall
+    time in the phase, floored at :data:`SPECULATION_FLOOR_S` so
+    millisecond-scale tasks never speculate, or ``task_timeout`` seconds if
+    that is sooner.
     Speculation needs per-task completion events, so it is active only on
     engines that provide them (the pooled ones); the serial engine ignores
     it.
@@ -441,7 +452,6 @@ class LocalRuntime:
     def __init__(
         self,
         fault_injector: ChaosPlan | None = None,
-        max_attempts: int = 4,
         engine: str = DEFAULT_ENGINE,
         max_workers: int | None = None,
         executor: Executor | None = None,
@@ -449,24 +459,11 @@ class LocalRuntime:
         memory_budget: int | None = None,
         spill_dir: str | None = None,
         task_timeout: float | None = None,
-        speculation: bool = True,
-        speculation_factor: float = 4.0,
-        speculation_floor_s: float = 2.0,
-        retry_backoff_s: float = 0.02,
-        retry_backoff_cap_s: float = 1.0,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         if task_timeout is not None and task_timeout <= 0:
             raise ValueError("task_timeout must be > 0 seconds")
         self.fault_injector = resolve_chaos(fault_injector)
-        self.max_attempts = max_attempts
         self.task_timeout = task_timeout
-        self.speculation = speculation
-        self.speculation_factor = speculation_factor
-        self.speculation_floor_s = speculation_floor_s
-        self.retry_backoff_s = retry_backoff_s
-        self.retry_backoff_cap_s = retry_backoff_cap_s
         self._owns_executor = executor is None
         self.executor = executor if executor is not None else get_executor(engine, max_workers)
         self._owns_store = not isinstance(shuffle, ShuffleStore)
@@ -644,7 +641,7 @@ class LocalRuntime:
         Each round dispatches every still-pending task as one engine batch;
         failed attempts (injected chaos, :class:`TaskFailure` raised by user
         code, lost workers, lost segments) re-enter the next round — after an
-        exponential backoff — until they succeed or exhaust ``max_attempts``.
+        exponential backoff — until they succeed or exhaust :data:`MAX_ATTEMPTS`.
         When the engine can report per-task completions, dispatch goes through
         the speculative path, which duplicates attempts that outlive their
         soft deadline.  A reduce attempt that failed because a shuffle segment
@@ -730,7 +727,7 @@ class LocalRuntime:
                 )
                 if recoverable:
                     lost_indices.add(outcome.lost_task_index)
-                    if refunds[spec.index] < self.max_attempts:
+                    if refunds[spec.index] < MAX_ATTEMPTS:
                         # blame the mapper, as Hadoop blames fetch failures
                         # on the serving side: the reduce attempt is refunded
                         # (bounded, so a persistently-corrupting fault still
@@ -758,25 +755,21 @@ class LocalRuntime:
     def _check_attempts_left(
         self, job: MapReduceJob, spec: _TaskSpec, number: int, cause: TaskFailure
     ) -> None:
-        if number >= self.max_attempts:
+        if number >= MAX_ATTEMPTS:
             raise TaskFailure(
                 f"job {job.name!r}: {spec.kind} task {spec.task_id} failed after "
-                f"{self.max_attempts} attempts: {cause}",
+                f"{MAX_ATTEMPTS} attempts: {cause}",
                 job_name=job.name,
                 task_id=spec.task_id,
                 kind=spec.kind,
-                attempts=self.max_attempts,
+                attempts=MAX_ATTEMPTS,
             ) from cause
 
     def _backoff_before_retry(self, task_id: str, round_number: int) -> None:
         """Exponential backoff before a retry round, with deterministic jitter
         (hashed from the first pending task's identity, not drawn from an
         RNG) so concurrent phases don't retry in lockstep."""
-        if self.retry_backoff_s <= 0:
-            return
-        delay = min(
-            self.retry_backoff_s * 2 ** (round_number - 2), self.retry_backoff_cap_s
-        )
+        delay = min(RETRY_BACKOFF_S * 2 ** (round_number - 2), RETRY_BACKOFF_CAP_S)
         fraction = (zlib.crc32(f"{task_id}|{round_number}".encode()) % 1000) / 1000.0
         time.sleep(delay * (0.75 + 0.5 * fraction))
 
@@ -796,7 +789,7 @@ class LocalRuntime:
         otherwise the batch is one blocking ``run_tasks`` call."""
         if not dispatch:
             return []
-        if self.speculation and len(dispatch) > 1:
+        if len(dispatch) > 1:
             try:
                 batch = self.executor.submit_batch(_execute_attempt, job, dispatch)
             except WORKER_LOSS_ERRORS as error:
@@ -890,7 +883,7 @@ class LocalRuntime:
                         continue
                     if now - started[pos] < deadline:
                         continue
-                    if attempts_used[spec.index] + 1 > self.max_attempts:
+                    if attempts_used[spec.index] + 1 > MAX_ATTEMPTS:
                         continue  # no attempt left to speculate with
                     attempts_used[spec.index] += 1
                     number = attempts_used[spec.index]
@@ -937,7 +930,7 @@ class LocalRuntime:
         )
 
     def _deadline(self, durations: list[float]) -> float | None:
-        """Soft deadline for a running attempt: ``speculation_factor`` × the
+        """Soft deadline for a running attempt: :data:`SPECULATION_FACTOR` × the
         median completed-attempt wall time this phase (floored so tiny tasks
         never speculate), capped by an absolute ``task_timeout`` if set."""
         deadline = None
@@ -945,8 +938,7 @@ class LocalRuntime:
             import statistics
 
             deadline = max(
-                statistics.median(durations) * self.speculation_factor,
-                self.speculation_floor_s,
+                statistics.median(durations) * SPECULATION_FACTOR, SPECULATION_FLOOR_S
             )
         if self.task_timeout is not None:
             deadline = (

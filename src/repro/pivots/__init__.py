@@ -9,7 +9,7 @@ candidate sets costs counted pairs and bought no cheaper cells),
 configurations ("random" / "farthest" / "kmeans").
 """
 
-from .base import PivotSelector
+from .base import KMEANS_ITERATIONS, PIVOT_SAMPLE_SIZE, PivotSelector
 from .farthest_selection import FarthestPivotSelector
 from .kmeans_selection import KMeansPivotSelector
 from .random_selection import RandomPivotSelector
@@ -20,6 +20,8 @@ __all__ = [
     "FarthestPivotSelector",
     "KMeansPivotSelector",
     "get_pivot_selector",
+    "PIVOT_SAMPLE_SIZE",
+    "KMEANS_ITERATIONS",
 ]
 
 _SELECTORS = {

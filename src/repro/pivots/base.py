@@ -2,8 +2,10 @@
 
 Pivot selection runs in the preprocessing step on the master node, before any
 MapReduce job.  Because the master cannot hold an arbitrarily large ``R``,
-the farthest and k-means strategies operate on a uniform sample; the sample
-size is a selector parameter.
+the farthest and k-means strategies operate on a uniform sample of at most
+:data:`PIVOT_SAMPLE_SIZE` objects, and k-means runs at most
+:data:`KMEANS_ITERATIONS` Lloyd rounds: the one value of each that the joins
+and a selector built directly share.
 """
 
 from __future__ import annotations
@@ -15,7 +17,12 @@ import numpy as np
 from repro.core.dataset import Dataset
 from repro.core.distance import Metric
 
-__all__ = ["PivotSelector"]
+__all__ = ["PivotSelector", "PIVOT_SAMPLE_SIZE", "KMEANS_ITERATIONS"]
+
+#: objects of R the farthest and k-means selectors sample on the master
+PIVOT_SAMPLE_SIZE = 8192
+#: Lloyd iteration cap of the k-means selector
+KMEANS_ITERATIONS = 8
 
 
 class PivotSelector(ABC):

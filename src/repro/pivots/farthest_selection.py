@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.dataset import Dataset
 from repro.core.distance import Metric
 
-from .base import PivotSelector
+from .base import PIVOT_SAMPLE_SIZE, PivotSelector
 
 __all__ = ["FarthestPivotSelector"]
 
@@ -30,7 +30,7 @@ class FarthestPivotSelector(PivotSelector):
 
     name = "farthest"
 
-    def __init__(self, sample_size: int = 10_000) -> None:
+    def __init__(self, sample_size: int = PIVOT_SAMPLE_SIZE) -> None:
         if sample_size < 0:
             raise ValueError("sample_size must be >= 0")
         self.sample_size = sample_size

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.dataset import Dataset
 from repro.core.distance import Metric
 
-from .base import PivotSelector
+from .base import KMEANS_ITERATIONS, PIVOT_SAMPLE_SIZE, PivotSelector
 
 __all__ = ["KMeansPivotSelector"]
 
@@ -36,7 +36,9 @@ class KMeansPivotSelector(PivotSelector):
 
     name = "kmeans"
 
-    def __init__(self, sample_size: int = 10_000, max_iterations: int = 15) -> None:
+    def __init__(
+        self, sample_size: int = PIVOT_SAMPLE_SIZE, max_iterations: int = KMEANS_ITERATIONS
+    ) -> None:
         if sample_size < 0:
             raise ValueError("sample_size must be >= 0")
         if max_iterations < 1:

@@ -80,10 +80,9 @@ class PerCellPartitioningMapper(Mapper):
 
 
 class PerCellRoutingMapper(Mapper):
-    """One block per (cell, group, sub-key): per cell, each group's rows with
-    their role there — R in the own group (its id lane's sub-key), S in every
-    group and sub-key the shipping rule admits — a row of both roles staying
-    one."""
+    """One block per (cell, group): per cell, each group's rows with their
+    role there — R in the own group, S in every group the shipping rule
+    admits — a row of both roles staying one."""
 
     def setup(self, ctx: Context) -> None:
         self._partition_to_group: dict[int, int] = ctx.cache["partition_to_group"]
@@ -92,7 +91,6 @@ class PerCellRoutingMapper(Mapper):
             self._members.setdefault(group, []).append(pid)
         self._num_groups = len(ctx.cache["ranked_members"][1]) - 1
         self._cache = ctx.cache
-        self._subkeys: dict[int, tuple[int, ...]] = ctx.cache.get("skew_subkeys") or {}
 
     def map(self, key, value, ctx: Context):
         for pid, cell in value.split_by(value.partition_ids):
@@ -107,18 +105,15 @@ class PerCellRoutingMapper(Mapper):
                     ],
                     dtype=bool,
                 )
-                subkeys = self._subkeys.get(group_index, (group_index,))
-                for lane, subkey in enumerate(subkeys):
-                    in_lane = cell.object_ids.astype(np.int64) % len(subkeys) == lane
-                    r_bit = cell.is_r & in_lane if group_index == own_group else False
-                    roles = np.where(r_bit, ROLE_R, 0) | np.where(admitted, ROLE_S, 0)
-                    rows = np.flatnonzero(roles)
-                    if not rows.size:
-                        continue
-                    ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME, int(admitted.sum()))
-                    routed = cell.take(rows)
-                    routed.role = roles[rows].astype(np.uint8)
-                    yield int(subkey), routed
+                r_bit = cell.is_r if group_index == own_group else False
+                roles = np.where(r_bit, ROLE_R, 0) | np.where(admitted, ROLE_S, 0)
+                rows = np.flatnonzero(roles)
+                if not rows.size:
+                    continue
+                ctx.counters.incr(REPLICA_GROUP, REPLICA_NAME, int(admitted.sum()))
+                routed = cell.take(rows)
+                routed.role = roles[rows].astype(np.uint8)
+                yield group_index, routed
 
 
 def shipping_rule(cache: dict, pid: int, cell: RecordBlock):

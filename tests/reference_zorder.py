@@ -29,6 +29,7 @@ from repro.core.distance import get_metric
 from repro.core.knn import KBestList
 from repro.core.result import KnnJoinResult
 from repro.core.zorder import ZOrderTransform
+from repro.joins import zorder
 from repro.joins.base import PAIRS_GROUP, PAIRS_NAME, REPLICA_GROUP, REPLICA_NAME
 from repro.mapreduce import LocalRuntime, split_records
 from repro.mapreduce.job import Context, Mapper, MapReduceJob, Reducer
@@ -216,9 +217,11 @@ def run_reference_zorder(r, s, config) -> dict:
         [np.zeros(r.dimensions)]
         + [rng.random(r.dimensions) * side * 0.25 for _ in range(config.num_shifts - 1)]
     )
-    transform = ZOrderTransform.for_points(stacked, bits=config.bits, padding=0.3)
+    transform = ZOrderTransform.for_points(stacked, bits=zorder.CURVE_BITS, padding=0.3)
     blocks_per_shift = max(1, config.num_reducers // config.num_shifts)
-    sample_rows = rng.choice(len(s), size=min(config.sample_size, len(s)), replace=False)
+    sample_rows = rng.choice(
+        len(s), size=min(zorder.BOUNDARY_SAMPLE_SIZE, len(s)), replace=False
+    )
     join_ids = id_dtype(r.ids, s.ids)
     boundaries, margins = [], []
     for shift_index in range(config.num_shifts):

@@ -40,6 +40,7 @@ from repro.mapreduce import (
     shuffle_sort_key,
     split_records,
 )
+from repro.mapreduce import runtime as runtime_module
 
 ENGINES = ("serial", "threads-pooled", "processes-pooled")
 #: the backends that actually parallelize: one persistent pool across batches and jobs
@@ -242,9 +243,7 @@ class TestCrossEngineRetries:
             )
         )
         plain = LocalRuntime().run(norm_job(), norm_splits())
-        with LocalRuntime(
-            fault_injector=chaos, engine=engine, max_workers=2, max_attempts=4
-        ) as runtime:
+        with LocalRuntime(fault_injector=chaos, engine=engine, max_workers=2) as runtime:
             result = runtime.run(norm_job(), norm_splits())
         assert result.outputs == plain.outputs
         assert result.stats.shuffle_bytes == plain.stats.shuffle_bytes
@@ -252,10 +251,10 @@ class TestCrossEngineRetries:
         assert busy and all(t.attempts == 3 for t in busy)
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_permanent_failure_raises(self, engine):
+    def test_permanent_failure_raises(self, engine, monkeypatch):
+        monkeypatch.setattr(runtime_module, "MAX_ATTEMPTS", 2)
         runtime = LocalRuntime(
-            fault_injector=ChaosPlan(rules=(ChaosRule("crash"),)), max_attempts=2,
-            engine=engine, max_workers=2,
+            fault_injector=ChaosPlan(rules=(ChaosRule("crash"),)), engine=engine, max_workers=2
         )
         with pytest.raises(TaskFailure, match="after 2 attempts"):
             runtime.run(norm_job(), norm_splits())

@@ -25,6 +25,7 @@ from repro.mapreduce import (
     get_executor,
     resolve_chaos,
 )
+from repro.mapreduce import runtime as runtime_module
 from tests.test_engines import job_fingerprint, norm_job, norm_splits
 
 ALL_ENGINES = ("serial", "threads-pooled", "processes-pooled")
@@ -206,10 +207,11 @@ class TestResolveChaos:
 
 
 class TestTaskFailure:
-    def test_exhaustion_names_job_task_and_cause(self):
+    def test_exhaustion_names_job_task_and_cause(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "MAX_ATTEMPTS", 2)
         chaos = ChaosPlan(rules=(ChaosRule(action="crash", task="m-00001"),))
         with pytest.raises(TaskFailure) as info:
-            chaos_run(chaos, max_attempts=2)
+            chaos_run(chaos)
         error = info.value
         assert error.job_name == "norms"
         assert error.task_id == "norms-m-00001"
@@ -249,41 +251,20 @@ class TestChaosEquivalence:
         result = chaos_run(chaos, engine=engine)
         assert job_fingerprint(result) == reference_fingerprint()
 
-    @pytest.mark.parametrize("speculation", (True, False), ids=("futures", "barrier"))
     @pytest.mark.parametrize("engine", ("serial", "processes-pooled"))
-    def test_kill_chaos_matches_fault_free(self, engine, speculation):
+    def test_kill_chaos_matches_fault_free(self, engine):
         # kills worker processes on the process engine; degrades to a crash on
-        # the others — either way the retried run converges bit-identically,
-        # whether the scheduler watches the futures itself (speculation on)
-        # or takes the batch through run_tasks' barrier (speculation off)
+        # the others — either way the retried run converges bit-identically
         chaos = ChaosPlan.from_spec("kill:rate=1.0:attempt=1:kind=map;seed=6")
         workers = 2 if engine == "processes-pooled" else None  # force real workers
         with get_executor(engine, max_workers=workers) as executor:
-            result = chaos_run(chaos, executor=executor, speculation=speculation)
+            result = chaos_run(chaos, executor=executor)
             breaks = getattr(executor, "_pool_breaks", 0)
         assert job_fingerprint(result) == reference_fingerprint()
         assert all(t.attempts == 2 for t in result.stats.map_tasks)
-        # one break per run, noted once on either path, and the retry round
-        # (and the reduce phase) ran on the rebuilt pool
+        # one break per run, and the retry round (and the reduce phase) ran
+        # on the rebuilt pool
         assert breaks == (1 if engine == "processes-pooled" else 0)
-
-    @pytest.mark.parametrize("engine", ("threads-pooled", "processes-pooled"))
-    def test_speculation_off_is_bit_identical_under_mixed_chaos(self, tmp_path, engine):
-        runs = []
-        for speculation in (True, False):
-            result = chaos_run(
-                ChaosPlan.from_spec(self.MIXED),
-                engine=engine,
-                max_workers=2,
-                memory_budget=0,
-                spill_dir=str(tmp_path / str(speculation)),
-                speculation=speculation,
-            )
-            runs.append(
-                (job_fingerprint(result), [t.attempts for t in result.stats.map_tasks])
-            )
-        assert runs[0] == runs[1]
-        assert runs[0][0] == reference_fingerprint()
 
     @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_corrupt_chaos_recovers_bit_identically(self, tmp_path, engine):
@@ -323,15 +304,16 @@ class TestChaosEquivalence:
 
 
 class TestRetryExhaustionParity:
-    def test_every_engine_raises_the_same_typed_error(self):
-        """Satellite: at ``max_attempts`` all three engines surface one typed
-        error with identical structured fields — no engine leaks its own
-        pool exception instead."""
+    def test_every_engine_raises_the_same_typed_error(self, monkeypatch):
+        """At ``MAX_ATTEMPTS`` all three engines surface one typed error with
+        identical structured fields — no engine leaks its own pool exception
+        instead."""
+        monkeypatch.setattr(runtime_module, "MAX_ATTEMPTS", 2)
         chaos = ChaosPlan(rules=(ChaosRule(action="crash", task="m-00001"),))
         observed = []
         for engine in ALL_ENGINES:
             with pytest.raises(TaskFailure) as info:
-                chaos_run(chaos, engine=engine, max_attempts=2)
+                chaos_run(chaos, engine=engine)
             error = info.value
             observed.append(
                 (error.job_name, error.task_id, error.kind, error.attempts, str(error))
@@ -348,9 +330,10 @@ class TestSpeculation:
         with pytest.raises(ValueError, match="task_timeout"):
             LocalRuntime(task_timeout=0)
 
-    def test_straggler_loses_to_speculative_duplicate(self):
+    def test_straggler_loses_to_speculative_duplicate(self, monkeypatch):
         # one map task sleeps ~1s; the duplicate (which bypasses chaos)
         # finishes in milliseconds and must win
+        monkeypatch.setattr(runtime_module, "SPECULATION_FLOOR_S", 0.05)
         chaos = ChaosPlan(
             rules=(
                 ChaosRule(
@@ -362,28 +345,13 @@ class TestSpeculation:
             chaos,
             engine="threads-pooled",
             max_workers=4,  # speculation needs real concurrency, not CPU count
-            speculation_floor_s=0.05,
-            speculation_factor=4.0,
         )
         assert job_fingerprint(result) == reference_fingerprint()
         assert result.stats.speculative_wins >= 1
 
-    def test_speculation_off_still_converges(self):
-        chaos = ChaosPlan(
-            rules=(
-                ChaosRule(
-                    action="delay", task="m-00000", attempt=1, delay_s=0.2, kind="map"
-                ),
-            )
-        )
-        result = chaos_run(
-            chaos, engine="threads-pooled", max_workers=4, speculation=False
-        )
-        assert job_fingerprint(result) == reference_fingerprint()
-        assert result.stats.speculative_wins == 0
-
-    def test_serial_engine_never_speculates(self):
-        result = chaos_run(None, engine="serial", speculation_floor_s=0.0)
+    def test_serial_engine_never_speculates(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "SPECULATION_FLOOR_S", 0.0)
+        result = chaos_run(None, engine="serial")
         assert job_fingerprint(result) == reference_fingerprint()
         assert result.stats.speculative_wins == 0
 
@@ -705,10 +673,7 @@ class TestResumeDirReuse:
             "split_size": 100, "engine": "threads-pooled", "max_workers": 3,
             "memory_budget": 64, "spill_dir": "/tmp/x", "task_timeout": 9.0,
             "num_pivots": 65, "pivot_selection": "farthest", "grouping": "greedy",
-            "pivot_sample_size": 100,
-            "kmeans_iterations": 9, "use_hyperplane_pruning": False,
-            "use_ring_pruning": False, "skew_split_threshold": 0.5,
-            "skew_split_max_ways": 5,
+            "use_hyperplane_pruning": False, "use_ring_pruning": False,
         }
         comparing = {
             spec.name for spec in dataclasses.fields(base)
@@ -725,7 +690,7 @@ class TestResumeDirReuse:
 
     @pytest.mark.parametrize(
         "change",
-        [{"num_shifts": 3}, {"bits": 1}, {"candidates_per_side": 1}, {"sample_size": 7}],
+        [{"num_shifts": 3}, {"candidates_per_side": 1}],
         ids=lambda change: next(iter(change)),
     )
     def test_changed_zorder_knob_reruns_instead_of_serving_stale_stages(
@@ -763,18 +728,10 @@ class TestResumeDirReuse:
     SUBCLASS_KNOBS = {
         "PgbjConfig": {
             "num_pivots": 65, "pivot_selection": "farthest", "grouping": "greedy",
-            "pivot_sample_size": 100,
-            "kmeans_iterations": 9, "use_hyperplane_pruning": False,
-            "use_ring_pruning": False, "skew_split_threshold": 0.5,
-            "skew_split_max_ways": 5,
+            "use_hyperplane_pruning": False, "use_ring_pruning": False,
         },
-        "BlockJoinConfig": {
-            "rtree_capacity": 16, "num_pivots": 65, "pivot_selection": "farthest",
-            "pivot_sample_size": 100,
-        },
-        "ZOrderConfig": {
-            "num_shifts": 4, "bits": 12, "candidates_per_side": 5, "sample_size": 100,
-        },
+        "BlockJoinConfig": {"num_pivots": 65, "pivot_selection": "farthest"},
+        "ZOrderConfig": {"num_shifts": 4, "candidates_per_side": 5},
     }
 
     @pytest.mark.parametrize("config_name", sorted(SUBCLASS_KNOBS))

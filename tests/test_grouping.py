@@ -316,17 +316,13 @@ class TestRefinedJoins:
         assert moves == [(True, True)]
         assert outcome.result.same_distances_as(ground_truth(r, s, 4))
 
-    def test_a_skew_split_group(self, moves):
+    def test_a_dense_cluster(self, moves):
         from repro.joins import PgbjConfig, run_join
         from tests.conftest import ground_truth
 
         rng = np.random.default_rng(5)
         points = np.concatenate([rng.normal(0.0, 0.03, (400, 2)), rng.uniform(-3, 3, (200, 2))])
         data = Dataset(points)
-        config = PgbjConfig(
-            k=5, num_pivots=30, num_reducers=5, skew_split_threshold=0.2, skew_split_max_ways=3
-        )
-        outcome = run_join("pgbj", data, data, config)
+        outcome = run_join("pgbj", data, data, PgbjConfig(k=5, num_pivots=30, num_reducers=5))
         assert moves == [(True, True)]
-        assert len(outcome.job_stats[-1].reduce_tasks) > config.num_reducers  # a group split
         assert outcome.result.same_distances_as(ground_truth(data, data, 5))

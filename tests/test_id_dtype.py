@@ -19,10 +19,8 @@ import pytest
 
 from repro.core.dataset import Dataset
 from repro.joins.block_framework import block_of_ids
-from repro.joins.pgbj import GroupRoutingMapper
 from repro.joins.registry import available_joins, get_join, run_join
 from repro.mapreduce import splits
-from repro.mapreduce.job import Context
 from repro.mapreduce.serialization import (
     decode_neighbor_block,
     decode_record_block,
@@ -31,7 +29,6 @@ from repro.mapreduce.serialization import (
 )
 from repro.mapreduce.splits import cell_dtype, dataset_splits, id_dtype, self_join_splits
 from repro.mapreduce.types import ID_DTYPES, ROLE_BOTH, ROLE_R, ROLE_S, NeighborBlock, RecordBlock
-from tests.reference_pgbj import routing_cache
 from tests.test_plan_equivalence import env_params
 
 INT8, INT16, INT32, INT64 = ID_DTYPES
@@ -302,41 +299,3 @@ def test_block_of_ids_agrees_on_narrow_and_int64_ids(rung):
     for num_blocks in (1, 3, 7, 16, 255):
         narrow = block_of_ids(ids.astype(rung), num_blocks)
         assert np.array_equal(narrow, block_of_ids(ids, num_blocks))
-
-
-@pytest.mark.parametrize("ways", (3, 200))
-@pytest.mark.parametrize("rung", list(EXTREMES), ids=lambda rung: rung.name)
-def test_skew_lanes_agree_on_narrow_and_int64_ids(rung, ways):
-    """A split group spreads its R rows over ``ways`` sub-keys by id: the
-    same rows reach the same sub-keys whatever width the ids travel in (200
-    lanes do not fit an int8)."""
-    rng = np.random.default_rng(ways)
-    rows = 300
-    ids = extreme_ids(rung, rows, seed=ways)
-    cells = np.sort(rng.integers(0, 4, rows))
-    cache = routing_cache(rng, {cell: cell % 2 for cell in range(4)}, 2)
-    cache["skew_subkeys"] = {0: (0, *range(2, ways + 1))}
-    codes = rng.integers(0, 256, (rows, 3)).astype(np.uint8)
-    roles = rng.choice([ROLE_R, ROLE_S, ROLE_BOTH], rows).astype(np.uint8)
-
-    def routed(id_type):
-        block = RecordBlock(
-            role=roles,
-            object_ids=ids.astype(id_type),
-            points=np.zeros((rows, 2)),
-            payloads=np.zeros(rows, dtype=np.int64),
-            partition_ids=cells.astype(np.int8),
-            pivot_distances=np.linspace(0, 1, rows),
-            anchor_codes=codes,
-        )
-        ctx = Context("map-0", cache, num_reducers=ways + 1)
-        mapper = GroupRoutingMapper()
-        mapper.setup(ctx)
-        return [
-            (key, sub.object_ids.tolist(), sub.role.tolist())
-            for key, sub in mapper.route_block(block, ctx)
-        ]
-
-    narrow = routed(rung)
-    assert narrow == routed(INT64)
-    assert len({key for key, _, _ in narrow}) > 2

@@ -17,7 +17,6 @@ from repro.core.summary import build_partial_summary
 from repro.joins import kernels
 from repro.joins.kernels import (
     RPartitionBlock,
-    ScratchPool,
     build_partition_blocks,
     build_r_blocks,
     build_s_blocks,
@@ -719,7 +718,7 @@ def handed_scans(world, metric_name="l2", **flags):
 
     def spy(metric, k, r_points, s_block, rows, starts, lengths, *state):
         scan_partition(metric, k, r_points, s_block, rows, starts, lengths, *state)
-        entries, theta = state[5] if len(state) > 5 else None, state[2]
+        entries, theta = state[4] if len(state) > 4 else None, state[2]
         ordered = entries is not None
         for row, start, length in zip(rows.tolist(), starts.tolist(), lengths.tolist()):
             handed = entries[start : start + length] if ordered else range(start, start + length)
@@ -960,7 +959,7 @@ class TestScanMemory:
             before = tracemalloc.get_traced_memory()[0]
             kernels._scan_segments(
                 get_metric("l2"), k, r_points, s_block, rows, starts, lengths,
-                best_dists, best_ids, theta, ScratchPool(), (r_mids, s_mids, r_radius, s_radius),
+                best_dists, best_ids, theta, (r_mids, s_mids, r_radius, s_radius),
             )
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
@@ -1028,8 +1027,8 @@ class TestAnchors:
         scan_partition = kernels.scan_partition_numpy
 
         def spy(metric, k, r_points, s_block, rows, starts, lengths, *state):
-            # (longest segment, handed a round's entries: the sixth of state)
-            longest.append((int(lengths.max()), state[5] is not None))
+            # (longest segment, handed a round's entries: the fifth of state)
+            longest.append((int(lengths.max()), state[4] is not None))
             scan_partition(metric, k, r_points, s_block, rows, starts, lengths, *state)
 
         monkeypatch.setattr(kernels, "_GATHER_BYTES", gather_bytes)
@@ -1214,7 +1213,6 @@ class TestReducerCallsOnTiedWorlds:
             for kernel in (knn_join_kernel, knn_join_kernel_reference):
                 metrics = [get_metric(metric_name) for _ in range(3)]
                 flags = dict(kwargs, pivot_metric=metrics[1], own_metric=metrics[2])
-                flags.pop("scratch")
                 results = [
                     (r_id, ids.tolist(), dists.tobytes())
                     for r_id, ids, dists in kernel(metrics[0], *args[1:], **flags)
@@ -1247,7 +1245,6 @@ class TestReducerCallsOnTiedWorlds:
                     flags = dict(switches, pivot_metric=metrics[1])
                     if kernel is knn_join_kernel:
                         flags = dict(kwargs, own_metric=metrics[2], **flags)
-                        flags.pop("scratch")
                     results = [
                         (r_id, ids.tolist(), dists.tobytes())
                         for r_id, ids, dists in kernel(metrics[0], *args[1:], **flags)
@@ -1420,7 +1417,7 @@ def self_join_world(case):
         assignment.partition_ids[in_zero[::2]] = 1
     gathered = block_for(data, ROLE_BOTH, assignment, partitioner)
     if case == "s-only":
-        # a skew split lane's mix: rows of both roles, S-only rows, R-only rows
+        # rows of both roles, S-only rows and R-only rows in one block
         gathered.role = rng.choice([ROLE_R, ROLE_S, ROLE_BOTH], size=len(data)).astype(np.uint8)
     thetas, ring, pivots, pdm = self_join_bounds(data, assignment, pivots, k)
     if case == "pbj":
@@ -1569,56 +1566,3 @@ class TestLocalTheta:
             knn_join_kernel(get_metric("l2"), k, r_blocks, s_blocks, thetas, ring, pivots, pdm)
         )
         assert all(ids.size == 3 for _, ids, _ in out)
-
-
-class TestScratchPool:
-    def test_take_returns_requested_view(self):
-        pool = ScratchPool()
-        buf = pool.take((10, 3))
-        assert buf.shape == (10, 3) and buf.dtype == np.float64
-        assert buf.flags.writeable
-
-    def test_outstanding_buffers_never_alias(self):
-        pool = ScratchPool()
-        first = pool.take((8, 2))
-        second = pool.take((8, 2))
-        assert first.base is not second.base
-
-    def test_reset_recycles_instead_of_reallocating(self):
-        pool = ScratchPool()
-        first = pool.take((12, 3))
-        base = first.base
-        pool.reset()
-        # the first take of every scan is served from the same storage ...
-        again = pool.take((10, 3))
-        assert again.base is base
-        pool.reset()
-        # ... until a request outgrows it
-        assert pool.take((64, 3)).base is not base
-
-    def test_position_is_reused_across_dtypes_and_shapes(self):
-        pool = ScratchPool()
-        floats = pool.take((4, 2))
-        pool.reset()
-        ints = pool.take((2, 4), dtype=np.int64)
-        assert ints.dtype == np.int64 and ints.shape == (2, 4)
-        assert ints.base is floats.base
-
-    def test_retains_one_buffer_per_position_however_many_scans(self):
-        pool = ScratchPool()
-        for rows in (5, 900, 40, 7, 300):  # scans of very different sizes
-            pool.reset()
-            pool.take((rows, 10))
-            pool.take((rows, 10))
-            pool.take((rows, 4), dtype=np.int64)
-        retained = [buffer.nbytes for buffer in pool._slots]
-        assert retained == [900 * 10 * 8, 900 * 10 * 8, 900 * 4 * 8]
-
-    def test_scratch_reuse_does_not_change_kernel_results(self):
-        world = kernel_world(seed=9, num_r=40, num_s=50, num_pivots=6, k=4)
-        expected, expected_pairs = run_kernel(knn_join_kernel_reference, world)
-        shared = ScratchPool()
-        for _ in range(3):  # repeated use over one pool: no stale-state leaks
-            got, pairs = run_kernel(knn_join_kernel, world, scratch=shared)
-            assert got == expected
-            assert pairs == expected_pairs

@@ -362,9 +362,7 @@ class TestStructure:
             "PgbjConfig(k=10, num_reducers=4, metric_name='l2', seed=7, split_size=4096, "
             "engine='serial', max_workers=None, memory_budget=None, spill_dir=None, "
             "task_timeout=None, plan_cache_dir=None, num_pivots=64, pivot_selection='random', "
-            "grouping='geometric', pivot_sample_size=8192, kmeans_iterations=8, "
-            "use_hyperplane_pruning=True, use_ring_pruning=True, "
-            "skew_split_threshold=0.0, skew_split_max_ways=4)"
+            "grouping='geometric', use_hyperplane_pruning=True, use_ring_pruning=True)"
         )
         data = Dataset(np.arange(40.0).reshape(20, 2), name="d")
         # (the digest moves on purpose with the code version RESULTS_VERSION:
@@ -414,10 +412,42 @@ class TestStructure:
         # (row, S cell) pair by all the cell's objects and bounds |r, p_j| by
         # the own pivot alone, "853402ec5b902f831dea010e1f61b7f54a1b2f4f";
         # version 23 folds a z-order join's lists into its last curve copy
-        # and gives the own pivot's ring bound a relative slack)
+        # and gives the own pivot's ring bound a relative slack,
+        # "4df6653997184faa0a5a161300488edb833db4b4"; version 24 dropped the
+        # sampling, k-means and skew split fields, which only tests set)
         assert (
             plan_identity("pgbj", data, data, PgbjConfig())
-            == "4df6653997184faa0a5a161300488edb833db4b4"
+            == "289be389451ebe2656f09952bf748a9d5f9e7721"
         )
         # an injected chaos plan stays outside a config's value, as before
         assert JoinConfig(chaos=ChaosPlan()) == JoinConfig()
+
+
+#: the settable options of each config class beyond JoinConfig's, and of
+#: LocalRuntime: an option that only tests would set is a module constant
+#: instead (the sampling, skew split, R-tree and curve fields; the retry and
+#: speculation parameters), so adding one back is a decision this pin names
+OPTIONS = {
+    "PgbjConfig": (
+        "num_pivots", "pivot_selection", "grouping", "use_hyperplane_pruning",
+        "use_ring_pruning",
+    ),
+    "BlockJoinConfig": ("num_pivots", "pivot_selection"),
+    "ZOrderConfig": ("num_shifts", "candidates_per_side"),
+}
+
+
+class TestOptionNames:
+    @pytest.mark.parametrize("config_class", CONFIG_CLASSES, ids=lambda c: c.__name__)
+    def test_config_fields(self, config_class):
+        base = tuple(spec.name for spec in dataclasses.fields(JoinConfig))
+        fields = tuple(spec.name for spec in dataclasses.fields(config_class))
+        assert fields == base + OPTIONS.get(config_class.__name__, ())
+
+    def test_local_runtime_parameters(self):
+        from repro.mapreduce import LocalRuntime
+
+        assert tuple(inspect.signature(LocalRuntime).parameters) == (
+            "fault_injector", "engine", "max_workers", "executor", "shuffle",
+            "memory_budget", "spill_dir", "task_timeout",
+        )

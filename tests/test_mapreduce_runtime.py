@@ -14,6 +14,7 @@ from repro.mapreduce import (
     TaskFailure,
     split_records,
 )
+from repro.mapreduce import runtime as runtime_module
 
 
 class WordCountMapper(Mapper):
@@ -174,16 +175,15 @@ class TestFaultTolerance:
                 ChaosRule("crash", kind="reduce", attempt=2),
             )
         )
-        result = LocalRuntime(fault_injector=chaos, max_attempts=4).run(
+        result = LocalRuntime(fault_injector=chaos).run(
             word_count_job(num_reducers=1), text_splits(LINES)
         )
         assert dict(result.outputs) == EXPECTED
         assert [t.attempts for t in result.stats.reduce_tasks] == [3]
 
-    def test_permanent_failure_raises(self):
-        runtime = LocalRuntime(
-            fault_injector=ChaosPlan(rules=(ChaosRule("crash"),)), max_attempts=2
-        )
+    def test_permanent_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "MAX_ATTEMPTS", 2)
+        runtime = LocalRuntime(fault_injector=ChaosPlan(rules=(ChaosRule("crash"),)))
         with pytest.raises(TaskFailure, match="after 2 attempts"):
             runtime.run(word_count_job(), text_splits(LINES))
 
@@ -212,10 +212,6 @@ class TestAccounting:
         assert len(result.stats.map_tasks) == len(text_splits(LINES))
         assert all(t.duration_s >= 0 for t in result.stats.map_tasks)
         assert result.stats.output_bytes > 0
-
-    def test_invalid_max_attempts(self):
-        with pytest.raises(ValueError):
-            LocalRuntime(max_attempts=0)
 
     def test_invalid_num_reducers(self):
         with pytest.raises(ValueError):

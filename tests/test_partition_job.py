@@ -178,7 +178,7 @@ class TestStageKeyCoversEveryField:
     sharing the cache and to a re-run resuming from a ``plan_cache_dir``,
     which trusts this key and no plan identity for the stage."""
 
-    BASE = dict(k=4, num_reducers=3, num_pivots=24, split_size=128, pivot_sample_size=400)
+    BASE = dict(k=4, num_reducers=3, num_pivots=24, split_size=128)
 
     @staticmethod
     def perturbed(name, base, tmp_path, executor):
@@ -193,10 +193,7 @@ class TestStageKeyCoversEveryField:
             "chaos": ChaosPlan.from_spec("crash:rate=0.5:attempt=1;seed=3"),
             "shared_executor": executor, "plan_cache": PlanCache(), "num_pivots": 30,
             "pivot_selection": selections[selections.index(base.pivot_selection) - 1],
-            "grouping": "greedy", "pivot_sample_size": 150,
-            "kmeans_iterations": 3, "use_hyperplane_pruning": False,
-            "use_ring_pruning": False, "skew_split_threshold": 0.5, "skew_split_max_ways": 2,
-            "rtree_capacity": 8,
+            "grouping": "greedy", "use_hyperplane_pruning": False, "use_ring_pruning": False,
         }[name]
 
     @staticmethod

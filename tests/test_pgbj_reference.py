@@ -8,17 +8,8 @@ import pytest
 
 from repro.core import Dataset
 from repro.datasets import expand_dataset, generate_forest, generate_osm
-from repro.joins import PgbjConfig, kernels, run_join
-from repro.joins.base import (
-    OTHER_CELL_PAIRS_NAME,
-    OWN_CELL_PAIRS_NAME,
-    PAIRS_GROUP,
-    PAIRS_NAME,
-    PIVOT_PAIRS_NAME,
-    REPLICA_GROUP,
-    REPLICA_NAME,
-)
-from repro.joins.pgbj import GroupRoutingMapper, plan_skew_split
+from repro.joins import PgbjConfig, run_join
+from repro.joins.pgbj import GroupRoutingMapper
 from repro.mapreduce.job import Context
 from repro.mapreduce.types import ROLE_BOTH, ROLE_R, ROLE_S, RecordBlock
 from tests.reference_pgbj import (
@@ -58,10 +49,6 @@ CASES = {
         dict(k=5, num_pivots=64, split_size=16),
     ),
     "distinct-r-and-s": (_distinct, dict(k=6, num_pivots=20, split_size=97)),
-    "skew-split-group": (
-        _self_join(lambda: generate_osm(700, seed=7)),
-        dict(k=4, num_pivots=16, split_size=128, skew_split_threshold=0.05, skew_split_max_ways=3),
-    ),
 }
 
 #: what may differ between the two data flows
@@ -132,17 +119,6 @@ class TestBlockPerTaskMatchesPerCellReference:
         reference = _reference(case)
         assert facts == {name: reference[name] for name in facts}
 
-    def test_skew_case_really_splits_a_group(self):
-        reference = _reference("skew-split-group")
-        assert max(reference["reduce_input"]) >= 9  # a sub-key past num_reducers
-        unsplit = pgbj_facts(
-            *CASES["skew-split-group"][0](),
-            _config("skew-split-group", skew_split_threshold=0.0),
-            reference=False,
-        )
-        assert unsplit["neighbors"] == reference["neighbors"]
-        assert unsplit["shuffle_records"][1] < reference["shuffle_records"][1]
-
     @pytest.mark.parametrize("engine", ("serial", "processes-pooled"))
     def test_fewer_segments_under_a_64k_budget(self, engine, tmp_path):
         """Per-file cost is what the spill path pays: at most one segment per
@@ -160,68 +136,6 @@ class TestBlockPerTaskMatchesPerCellReference:
         assert facts["blocks"][1] <= map_tasks * 9 < reference["blocks"][1]
 
 
-class TestSkewSplit:
-    @pytest.fixture(scope="class")
-    def skewed(self):
-        """Three quarters of R piled into one tight cluster."""
-        rng = np.random.default_rng(12)
-        points = np.concatenate(
-            [rng.normal(0.0, 0.03, size=(300, 3)), rng.uniform(-3.0, 3.0, size=(100, 3))]
-        )
-        return Dataset(points, name="skewed")
-
-    def test_bit_identical_results_and_requested_pairs(self, skewed, monkeypatch):
-        """Each r meets the candidates it met unsplit: the same answer, and
-        the same pairs requested.  Computed, the object-pivot and other-cell
-        pairs are equal too; a lane's own-cell memo holds only its own rows'
-        distances, so split own-cell pairs lie between the unsplit join's and
-        the pairs requested (no memo: ``_TILE_BYTES`` 0 leaves every cell
-        above its cap)."""
-
-        def run(**knobs):
-            config = PgbjConfig(k=4, num_pivots=16, seed=5, engine="serial", **knobs)
-            return run_join("pgbj", skewed, skewed, config)
-
-        def pairs(outcome, name=PAIRS_NAME):
-            return outcome.counters.value(PAIRS_GROUP, name)
-
-        def replicas(outcome):
-            return outcome.counters.value(REPLICA_GROUP, REPLICA_NAME)
-
-        base, split = run(), run(skew_split_threshold=0.3)
-        assert sorted(base.result.pairs()) == sorted(split.result.pairs())
-        # an S copy's anchor distances ship as codes: more copies, no more
-        # object-pivot or other-cell pairs
-        assert replicas(split) > replicas(base)
-        for name in (PIVOT_PAIRS_NAME, OTHER_CELL_PAIRS_NAME):
-            assert pairs(base, name) == pairs(split, name)
-        monkeypatch.setattr(kernels, "_TILE_BYTES", 0)
-        asked, split_asked = run(), run(skew_split_threshold=0.3)
-        assert pairs(asked) == pairs(split_asked)
-        own = [pairs(outcome, OWN_CELL_PAIRS_NAME) for outcome in (base, split, asked)]
-        assert own[0] < own[1] < own[2]
-
-    def test_plan_skew_split_unit(self):
-        balanced = np.array([100, 100, 100, 100])
-        heavy = np.array([900, 40, 40, 20])
-        config = PgbjConfig(num_reducers=4, skew_split_threshold=0.5)
-        assert plan_skew_split(balanced, config) == ({}, 4)
-        subkeys, reducers = plan_skew_split(heavy, config)
-        assert reducers > 4
-        assert subkeys[0][0] == 0  # the heavy group keeps its key ...
-        assert all(key >= 4 for key in subkeys[0][1:])  # ... sub-keys append
-        disabled = PgbjConfig(num_reducers=4)  # threshold defaults to 0.0
-        assert plan_skew_split(heavy, disabled) == ({}, 4)
-
-    def test_max_ways_caps_the_split(self):
-        config = PgbjConfig(
-            num_reducers=4, skew_split_threshold=0.5, skew_split_max_ways=2
-        )
-        subkeys, reducers = plan_skew_split(np.array([10_000, 10, 0, 0]), config)
-        assert len(subkeys[0]) == 2
-        assert reducers == 5
-
-
 class TestRouteBlock:
     """The routing mapper alone, on a split that mixes R, S and both-role rows."""
 
@@ -233,8 +147,7 @@ class TestRouteBlock:
         pairs = [pair for block in blocks for pair in mapper.map(0, block, ctx)]
         return pairs + list(mapper.cleanup(ctx)), ctx.counters.as_dict()
 
-    @pytest.mark.parametrize("subkeys", ({}, {1: (1, 3, 4)}), ids=("plain", "skew-split"))
-    def test_one_block_per_key_with_the_reference_rows(self, subkeys):
+    def test_one_block_per_key_with_the_reference_rows(self):
         rng = np.random.default_rng(8)
         rows, cells, groups = 240, 7, 3
         role = rng.choice([ROLE_R, ROLE_S, ROLE_BOTH], rows).astype(np.uint8)
@@ -251,12 +164,11 @@ class TestRouteBlock:
         )
         per_cell = [sub for _, sub in block.split_by(block.partition_ids)]
         cache = routing_cache(rng, {cell: cell % groups for cell in range(cells)}, groups)
-        cache["skew_subkeys"] = subkeys
         routed, counters = self._emissions(GroupRoutingMapper, [block], cache)
         expected, expected_counters = self._emissions(PerCellRoutingMapper, per_cell, cache)
         assert counters == expected_counters
         keys = [key for key, _ in routed]
-        assert len(keys) == len(set(keys)) <= groups + 2
+        assert len(keys) == len(set(keys)) <= groups
         assert len(expected) > 3 * len(routed)
         for key, sub in routed:
             reference = RecordBlock.gather(value for other, value in expected if other == key)

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core import Dataset, VoronoiPartitioner, get_metric
 from repro.pivots import (
+    KMEANS_ITERATIONS,
+    PIVOT_SAMPLE_SIZE,
     FarthestPivotSelector,
     KMeansPivotSelector,
     RandomPivotSelector,
@@ -40,6 +42,20 @@ class TestCommon:
     def test_too_many_pivots_rejected(self, name, clustered):
         with pytest.raises(ValueError):
             select(get_pivot_selector(name), clustered, len(clustered) + 1)
+
+    @pytest.mark.parametrize("name", ["farthest", "kmeans"])
+    def test_a_direct_selector_picks_a_joins_pivots(self, name):
+        """Past the sample size, a selector built with its defaults samples
+        and iterates as the joins' selector does: one constant each."""
+        from repro.joins import PgbjConfig
+        from repro.joins.partition_job import make_pivot_selector
+
+        data = Dataset(np.random.default_rng(4).random((PIVOT_SAMPLE_SIZE + 900, 2)))
+        direct = {"farthest": FarthestPivotSelector, "kmeans": KMeansPivotSelector}[name]()
+        joined = make_pivot_selector(PgbjConfig(pivot_selection=name))
+        assert np.array_equal(select(direct, data, 5, seed=2), select(joined, data, 5, seed=2))
+        assert direct.sample_size == PIVOT_SAMPLE_SIZE == 8192
+        assert getattr(direct, "max_iterations", KMEANS_ITERATIONS) == KMEANS_ITERATIONS == 8
 
     def test_unknown_selector(self):
         with pytest.raises(ValueError, match="unknown pivot selector"):

@@ -66,10 +66,10 @@ def _distinct(rng):
     return r, s, dict(num_pivots=24)
 
 
-def _skew_split(rng):
+def _skewed(rng):
     points = np.concatenate([rng.normal(0.0, 0.03, (300, 2)), rng.uniform(-3, 3, (150, 2))])
     data = Dataset(points, name="skewed")
-    return data, data, dict(num_pivots=20, skew_split_threshold=0.2, skew_split_max_ways=3)
+    return data, data, dict(num_pivots=20)
 
 
 WORLDS = {
@@ -77,7 +77,7 @@ WORLDS = {
     "coincident-pivots": _coincident_pivots,
     "fewer-than-16-pivots": _few_pivots,
     "distinct-r-and-s": _distinct,
-    "skew-split-group": _skew_split,
+    "tight-cluster-2d": _skewed,
 }
 
 
@@ -175,8 +175,6 @@ class TestRoutingMapper:
             r, config.num_pivots, get_metric("l2"), np.random.default_rng(config.seed)
         )
         assert (pdm[np.triu_indices(len(pdm), 1)] == 0).any()
-        keys = routed(*world("skew-split-group", "l2"))["rows"]
-        assert max(keys) >= 5  # a sub-key past num_reducers
 
     def test_the_hull_test_drops_copies_and_no_answer(self):
         """Against Theorem 5 alone (the hull test switched off), fewer

@@ -167,20 +167,6 @@ class TestSelfJoinEqualsEqualCopy:
         assert (twin_records - records, twin_bytes - shuffle_bytes) == r_rows_shipped(same_jobs)
         assert replicas == twin_replicas == records
 
-    def test_skew_split_self_join_ships_r_rows_once(self, data):
-        """Under a forced skew split an object's R bit rides in its id lane's
-        sub-key only, its S bit in every sub-key: results as the equal copy's,
-        exactly |R| records fewer."""
-        config = config_for("pgbj", skew_split_threshold=0.05, skew_split_max_ways=3)
-        same, same_jobs = run_stages("pgbj", data, data, config)
-        twin, twin_jobs = run_stages("pgbj", data, copy.deepcopy(data), config)
-        assert len(same_jobs[1].stats.reduce_tasks) > config.num_reducers  # it split
-        assert answer(same) == answer(twin)
-        ((records, shuffle_bytes, replicas, _),) = shipped(same_jobs)
-        ((twin_records, twin_bytes, twin_replicas, _),) = shipped(twin_jobs)
-        assert (twin_records - records, twin_bytes - shuffle_bytes) == r_rows_shipped(same_jobs)
-        assert replicas == twin_replicas > len(data)
-
     def test_map_tasks_read_and_emit_each_object_once(self, data):
         config = config_for("pgbj")
         _, same_jobs = run_stages("pgbj", data, data, config)

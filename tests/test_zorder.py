@@ -244,12 +244,15 @@ class TestColumnarMatchesPerRecordReference:
             lambda: generate_forest(150, seed=7),
             dict(k=6, num_reducers=5, num_shifts=1, candidates_per_side=2),
         ),
-        "coarse-curve": (lambda: generate_forest(120, seed=8), dict(k=4, num_reducers=9, bits=3)),
+        "coarse-curve": (lambda: generate_forest(120, seed=8), dict(k=4, num_reducers=9)),
     }
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("metric", ("l2", "l1", "linf"))
-    def test_equal_to_reference(self, case, metric):
+    def test_equal_to_reference(self, case, metric, monkeypatch):
+        if case == "coarse-curve":
+            # the master builds the transform, so every engine's workers see it
+            monkeypatch.setattr(zorder, "CURVE_BITS", 3)
         make_data, knobs = self.CASES[case]
         data = make_data()
         config = ZOrderConfig(metric_name=metric, split_size=97, seed=11, **knobs)
@@ -721,16 +724,16 @@ class TestLastCopyFolds:
 class TestZOrderConfig:
     def test_is_a_dataclass_like_its_siblings(self):
         names = {spec.name for spec in dataclasses.fields(ZOrderConfig)}
-        assert {"num_shifts", "bits", "candidates_per_side", "sample_size"} <= names
+        assert {"num_shifts", "candidates_per_side"} <= names
         assert ZOrderConfig(num_shifts=1) != ZOrderConfig(num_shifts=3)
-        assert ZOrderConfig(num_shifts=2, bits=8) == ZOrderConfig(num_shifts=2, bits=8)
+        assert ZOrderConfig(num_shifts=2, candidates_per_side=8) == ZOrderConfig(
+            num_shifts=2, candidates_per_side=8
+        )
 
     def test_with_changes_keeps_the_zorder_knobs(self):
-        config = ZOrderConfig(num_shifts=5, bits=9, candidates_per_side=7, sample_size=99)
+        config = ZOrderConfig(num_shifts=5, candidates_per_side=7)
         moved = config.with_changes(k=4)
-        assert (moved.num_shifts, moved.bits, moved.candidates_per_side, moved.sample_size) == (
-            5, 9, 7, 99,
-        )
+        assert (moved.num_shifts, moved.candidates_per_side) == (5, 7)
         assert moved.k == 4 and type(moved) is ZOrderConfig
 
     def test_candidates_per_side_follows_k_until_set(self):
@@ -743,8 +746,7 @@ class TestZOrderConfig:
 
     @pytest.mark.parametrize(
         "knobs",
-        [dict(num_shifts=0), dict(bits=0), dict(bits=33), dict(sample_size=0),
-         dict(candidates_per_side=-1)],
+        [dict(num_shifts=0), dict(candidates_per_side=-1)],
     )
     def test_invalid_knobs_rejected(self, knobs):
         with pytest.raises(ValueError):
