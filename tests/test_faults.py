@@ -251,7 +251,7 @@ class TestChaosEquivalence:
         result = chaos_run(chaos, engine=engine)
         assert job_fingerprint(result) == reference_fingerprint()
 
-    @pytest.mark.parametrize("engine", ("serial", "processes-pooled"))
+    @pytest.mark.parametrize("engine", ALL_ENGINES)
     def test_kill_chaos_matches_fault_free(self, engine):
         # kills worker processes on the process engine; degrades to a crash on
         # the others — either way the retried run converges bit-identically

@@ -19,8 +19,10 @@ import pytest
 
 from repro.core.dataset import Dataset
 from repro.joins.block_framework import block_of_ids
+from repro.joins.pgbj import GroupRoutingMapper
 from repro.joins.registry import available_joins, get_join, run_join
 from repro.mapreduce import splits
+from repro.mapreduce.job import Context
 from repro.mapreduce.serialization import (
     decode_neighbor_block,
     decode_record_block,
@@ -29,6 +31,7 @@ from repro.mapreduce.serialization import (
 )
 from repro.mapreduce.splits import cell_dtype, dataset_splits, id_dtype, self_join_splits
 from repro.mapreduce.types import ID_DTYPES, ROLE_BOTH, ROLE_R, ROLE_S, NeighborBlock, RecordBlock
+from tests.reference_pgbj import routing_cache
 from tests.test_plan_equivalence import env_params
 
 INT8, INT16, INT32, INT64 = ID_DTYPES
@@ -299,3 +302,39 @@ def test_block_of_ids_agrees_on_narrow_and_int64_ids(rung):
     for num_blocks in (1, 3, 7, 16, 255):
         narrow = block_of_ids(ids.astype(rung), num_blocks)
         assert np.array_equal(narrow, block_of_ids(ids, num_blocks))
+
+
+@pytest.mark.parametrize("groups", (1, 4))
+@pytest.mark.parametrize("rung", list(EXTREMES), ids=lambda rung: rung.name)
+def test_group_routing_agrees_on_narrow_and_int64_ids(rung, groups):
+    """The routing mapper sends the same rows, in the same roles, to the
+    same group keys whatever width the ids travel in, and a routed block
+    keeps the narrow width it was handed."""
+    rng = np.random.default_rng(groups)
+    rows, cells = 300, 8
+    ids = extreme_ids(rung, rows, seed=groups)
+    cell_of = np.sort(rng.integers(0, cells, rows))
+    cache = routing_cache(rng, {cell: cell % groups for cell in range(cells)}, groups)
+    codes = rng.integers(0, 256, (rows, 3)).astype(np.uint8)
+    roles = rng.choice([ROLE_R, ROLE_S, ROLE_BOTH], rows).astype(np.uint8)
+
+    def routed(id_type):
+        block = RecordBlock(
+            role=roles,
+            object_ids=ids.astype(id_type),
+            points=np.zeros((rows, 2)),
+            payloads=np.zeros(rows, dtype=np.int64),
+            partition_ids=cell_of.astype(np.int8),
+            pivot_distances=np.linspace(0, 1, rows),
+            anchor_codes=codes,
+        )
+        ctx = Context("map-0", cache, num_reducers=groups)
+        mapper = GroupRoutingMapper()
+        mapper.setup(ctx)
+        out = list(mapper.route_block(block, ctx))
+        assert all(sub.object_ids.dtype == id_type for _, sub in out)
+        return [(key, sub.object_ids.tolist(), sub.role.tolist()) for key, sub in out]
+
+    narrow = routed(rung)
+    assert narrow == routed(INT64)
+    assert len({key for key, _, _ in narrow}) == groups

@@ -1566,3 +1566,16 @@ class TestLocalTheta:
             knn_join_kernel(get_metric("l2"), k, r_blocks, s_blocks, thetas, ring, pivots, pdm)
         )
         assert all(ids.size == 3 for _, ids, _ in out)
+
+
+class TestRepeatedRuns:
+    @pytest.mark.parametrize("metric_name", ("l2", "l1", "linf"))
+    def test_repeated_runs_do_not_change_kernel_results(self, metric_name):
+        """Nothing a run leaves behind (memo, tiles, gathered rows) reaches
+        the next: three runs in a row each equal the reference."""
+        world = kernel_world(seed=9, num_r=40, num_s=50, num_pivots=6, k=4, metric_name=metric_name)
+        expected, expected_pairs = run_kernel(knn_join_kernel_reference, world, metric_name)
+        for _ in range(3):
+            got, pairs = run_kernel(knn_join_kernel, world, metric_name)
+            assert got == expected
+            assert pairs == expected_pairs

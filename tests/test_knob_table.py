@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
 import inspect
 import sys
 
@@ -436,6 +437,21 @@ OPTIONS = {
     "ZOrderConfig": ("num_shifts", "candidates_per_side"),
 }
 
+#: the one value every program gave each retired option, now a module
+#: constant that the programs read
+CONSTANTS = {
+    "repro.mapreduce.runtime.MAX_ATTEMPTS": 4,
+    "repro.mapreduce.runtime.RETRY_BACKOFF_S": 0.02,
+    "repro.mapreduce.runtime.RETRY_BACKOFF_CAP_S": 1.0,
+    "repro.mapreduce.runtime.SPECULATION_FACTOR": 4.0,
+    "repro.mapreduce.runtime.SPECULATION_FLOOR_S": 2.0,
+    "repro.pivots.base.PIVOT_SAMPLE_SIZE": 8192,
+    "repro.pivots.base.KMEANS_ITERATIONS": 8,
+    "repro.joins.hbrj.RTREE_CAPACITY": 32,
+    "repro.joins.zorder.CURVE_BITS": 16,
+    "repro.joins.zorder.BOUNDARY_SAMPLE_SIZE": 1024,
+}
+
 
 class TestOptionNames:
     @pytest.mark.parametrize("config_class", CONFIG_CLASSES, ids=lambda c: c.__name__)
@@ -451,3 +467,8 @@ class TestOptionNames:
             "fault_injector", "engine", "max_workers", "executor", "shuffle",
             "memory_budget", "spill_dir", "task_timeout",
         )
+
+    @pytest.mark.parametrize("path", CONSTANTS)
+    def test_constant_keeps_the_value_programs_used(self, path):
+        module, name = path.rsplit(".", 1)
+        assert getattr(importlib.import_module(module), name) == CONSTANTS[path]

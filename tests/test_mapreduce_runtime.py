@@ -187,6 +187,35 @@ class TestFaultTolerance:
         with pytest.raises(TaskFailure, match="after 2 attempts"):
             runtime.run(word_count_job(), text_splits(LINES))
 
+    @pytest.mark.parametrize(
+        "base, cap, expected",
+        [(None, None, (0.02, 0.04, 0.08)), (0.4, 1.0, (0.4, 0.8, 1.0))],
+        ids=("module-constants", "capped"),
+    )
+    def test_retry_rounds_back_off_exponentially_up_to_the_cap(
+        self, monkeypatch, base, cap, expected
+    ):
+        """Rounds 2, 3 and 4 of a task that crashes three times wait the
+        backoff, doubling per round and never past the cap, each within the
+        jitter's ±25 %."""
+        if base is not None:
+            monkeypatch.setattr(runtime_module, "RETRY_BACKOFF_S", base)
+            monkeypatch.setattr(runtime_module, "RETRY_BACKOFF_CAP_S", cap)
+        waits = []
+        monkeypatch.setattr(runtime_module.time, "sleep", waits.append)
+        chaos = ChaosPlan(
+            rules=tuple(
+                ChaosRule("crash", kind="map", task="m-00000", attempt=attempt)
+                for attempt in (1, 2, 3)
+            )
+        )
+        result = LocalRuntime(fault_injector=chaos).run(word_count_job(), text_splits(LINES))
+        assert dict(result.outputs) == EXPECTED
+        assert result.stats.map_tasks[0].attempts == runtime_module.MAX_ATTEMPTS == 4
+        assert len(waits) == len(expected)
+        for wait, delay in zip(waits, expected):
+            assert 0.75 * delay <= wait <= 1.25 * delay
+
     def test_user_exception_propagates(self):
         class Exploding(Mapper):
             def map(self, key, value, ctx):

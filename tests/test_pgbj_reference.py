@@ -49,6 +49,10 @@ CASES = {
         dict(k=5, num_pivots=64, split_size=16),
     ),
     "distinct-r-and-s": (_distinct, dict(k=6, num_pivots=20, split_size=97)),
+    "osm-few-pivots": (
+        _self_join(lambda: generate_osm(700, seed=7)),
+        dict(k=4, num_pivots=16, split_size=128),
+    ),
 }
 
 #: what may differ between the two data flows
@@ -147,9 +151,10 @@ class TestRouteBlock:
         pairs = [pair for block in blocks for pair in mapper.map(0, block, ctx)]
         return pairs + list(mapper.cleanup(ctx)), ctx.counters.as_dict()
 
-    def test_one_block_per_key_with_the_reference_rows(self):
+    @pytest.mark.parametrize("groups", (1, 3), ids=("one-group", "three-groups"))
+    def test_one_block_per_key_with_the_reference_rows(self, groups):
         rng = np.random.default_rng(8)
-        rows, cells, groups = 240, 7, 3
+        rows, cells = 240, 7
         role = rng.choice([ROLE_R, ROLE_S, ROLE_BOTH], rows).astype(np.uint8)
         cell_of = rng.integers(0, cells, rows)
         order = np.argsort(cell_of, kind="stable")  # by cell: a partitioned split

@@ -746,7 +746,8 @@ class TestZOrderConfig:
 
     @pytest.mark.parametrize(
         "knobs",
-        [dict(num_shifts=0), dict(candidates_per_side=-1)],
+        # (the last two: the base config's own checks still run)
+        [dict(num_shifts=0), dict(candidates_per_side=-1), dict(k=0), dict(split_size=0)],
     )
     def test_invalid_knobs_rejected(self, knobs):
         with pytest.raises(ValueError):
